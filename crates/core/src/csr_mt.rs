@@ -247,9 +247,16 @@ mod tests {
     fn kernels_share_one_pool() {
         let coo = symspmv_sparse::gen::laplacian_2d(8, 8);
         let ctx = ExecutionContext::new(4);
-        let before = symspmv_runtime::WorkerPool::pools_created();
-        let _a = CsrParallel::from_coo(&coo, &ctx);
-        let _b = CsrParallel::from_coo(&coo, &ctx);
-        assert_eq!(symspmv_runtime::WorkerPool::pools_created(), before);
+        let mut a = CsrParallel::from_coo(&coo, &ctx);
+        let mut b = CsrParallel::from_coo(&coo, &ctx);
+        assert!(Arc::ptr_eq(a.context(), &ctx) && Arc::ptr_eq(b.context(), &ctx));
+        // Both kernels dispatch on the context's pool: its round counter
+        // sees one round per CSR spmv, whichever kernel issued it.
+        let x = vec![1.0; 64];
+        let mut y = vec![0.0; 64];
+        let before = ctx.pool_rounds();
+        a.spmv(&x, &mut y);
+        b.spmv(&x, &mut y);
+        assert_eq!(ctx.pool_rounds(), before + 2);
     }
 }

@@ -9,12 +9,12 @@
 //! units. Substructure inner loops therefore never branch on the write
 //! target; only delta units pay a per-element check.
 
+use crate::sym::{add_lanes, axpy_lanes};
 use symspmv_csx::detect::{analyze, CooIndex, DetectConfig};
 use symspmv_csx::encode::{CtlStream, ID_MASK, NR_BIT, RJMP_BIT};
 use symspmv_csx::pattern::{DeltaWidth, PatternKind};
 use symspmv_csx::varint::read_varint;
 use symspmv_runtime::Range;
-use symspmv_sparse::block::MAX_LANES;
 use symspmv_sparse::symmetry::{SymmetryKind, SymmetryOps};
 use symspmv_sparse::{CooMatrix, Idx, SssMatrix, Val};
 
@@ -212,27 +212,32 @@ impl CsxSymMatrix {
     }
 }
 
-/// The symmetric CSX multiply kernel for one chunk, with split writes:
-/// transposed contributions below the partition boundary go to `local`,
-/// everything else to `my_y`, the partition's slice of the output vector
-/// (`my_y[0]` is global row `y_off`; the boundary equals `y_off`).
+/// The symmetric CSX multiply kernel for one chunk, with the split sink,
+/// over `K`-lane-interleaved buffers: transposed contributions below
+/// `split` go to `local`, everything else to `my_y`, whose element 0 is
+/// global row `split`. The stream — the expensive traffic — is decoded once
+/// for all lanes, and every lane runs the scalar kernel's exact float
+/// sequence.
 ///
-/// All direct writes provably land inside the partition — the row `r` by
-/// chunk construction, transposed targets `c ∈ [y_off, r]` by the legality
-/// rule — so the kernel works on plain `&mut` slices and stays safe.
+/// The direct-write strategies pass the partition boundary as `split`, with
+/// `my_y` the partition's slice of the output vector: all direct writes
+/// provably land inside the partition — the row `r` by chunk construction,
+/// transposed targets `c ∈ [split, r]` by the legality rule — so the kernel
+/// works on plain `&mut` slices and stays safe. The naive method is the
+/// `split = 0` case over the thread's private full-length vector, which
+/// leaves nothing for `local`.
 ///
 /// `paired` is the stream-ordered mirror-value array
 /// ([`CsxSymChunk::paired_values`]); it aliases `stream.values` for the
 /// numeric kinds, whose `O::transposed` never reads it.
-pub fn spmv_sym_stream<O: SymmetryOps>(
+pub(crate) fn sym_stream<O: SymmetryOps, const K: usize>(
     stream: &CtlStream,
     paired: &[Val],
-    x: &[Val],
-    my_y: &mut [Val],
-    y_off: usize,
-    local: &mut [Val],
+    x: &[[Val; K]],
+    my_y: &mut [[Val; K]],
+    split: usize,
+    local: &mut [[Val; K]],
 ) {
-    let split = y_off;
     let ctl = &stream.ctl;
     let values = &stream.values;
     let mut pos = 0usize;
@@ -265,6 +270,7 @@ pub fn spmv_sym_stream<O: SymmetryOps>(
 
         let unit_vals = &values[vi..vi + size];
         let unit_pair = &paired[vi..vi + size];
+        vi += size;
         if let Some(kind) = PatternKind::from_id(id) {
             // Boundary legality (§IV-B): all transposed writes of a
             // substructure land on one side, so the branch hoists out of
@@ -282,14 +288,14 @@ pub fn spmv_sym_stream<O: SymmetryOps>(
                     let mut cc = anchor as usize;
                     if is_local {
                         for (&v, &u) in unit_vals.iter().zip(unit_pair) {
-                            my_y[rr - y_off] += v * x[cc];
-                            local[cc] += O::transposed(v, u) * x[rr];
+                            axpy_lanes(&mut my_y[rr - split], v, &x[cc]);
+                            axpy_lanes(&mut local[cc], O::transposed(v, u), &x[rr]);
                             $next(&mut rr, &mut cc);
                         }
                     } else {
                         for (&v, &u) in unit_vals.iter().zip(unit_pair) {
-                            my_y[rr - y_off] += v * x[cc];
-                            my_y[cc - y_off] += O::transposed(v, u) * x[rr];
+                            axpy_lanes(&mut my_y[rr - split], v, &x[cc]);
+                            axpy_lanes(&mut my_y[cc - split], O::transposed(v, u), &x[rr]);
                             $next(&mut rr, &mut cc);
                         }
                     }
@@ -322,28 +328,30 @@ pub fn spmv_sym_stream<O: SymmetryOps>(
                     // The dominant pattern on 3-dof structural matrices —
                     // fully unrolled.
                     let base = anchor as usize;
-                    let (x0, x1, x2) = (x[base], x[base + 1], x[base + 2]);
-                    let (mut t0, mut t1, mut t2) = (0.0, 0.0, 0.0);
+                    let (x0, x1, x2) = (&x[base], &x[base + 1], &x[base + 2]);
+                    let mut t = [[0.0; K]; 3];
                     for ((br, v), u) in unit_vals
                         .chunks_exact(3)
                         .enumerate()
                         .zip(unit_pair.chunks_exact(3))
                     {
                         let rr = r + br;
-                        let xr = x[rr];
-                        my_y[rr - y_off] += v[0] * x0 + v[1] * x1 + v[2] * x2;
-                        t0 += O::transposed(v[0], u[0]) * xr;
-                        t1 += O::transposed(v[1], u[1]) * xr;
-                        t2 += O::transposed(v[2], u[2]) * xr;
+                        let xr = &x[rr];
+                        let yr = &mut my_y[rr - split];
+                        for j in 0..K {
+                            yr[j] += v[0] * x0[j] + v[1] * x1[j] + v[2] * x2[j];
+                            t[0][j] += O::transposed(v[0], u[0]) * xr[j];
+                            t[1][j] += O::transposed(v[1], u[1]) * xr[j];
+                            t[2][j] += O::transposed(v[2], u[2]) * xr[j];
+                        }
                     }
-                    if is_local {
-                        local[base] += t0;
-                        local[base + 1] += t1;
-                        local[base + 2] += t2;
+                    let side = if is_local {
+                        &mut local[base..base + 3]
                     } else {
-                        my_y[base - y_off] += t0;
-                        my_y[base + 1 - y_off] += t1;
-                        my_y[base + 2 - y_off] += t2;
+                        &mut my_y[base - split..base - split + 3]
+                    };
+                    for (dst, ti) in side.iter_mut().zip(&t) {
+                        add_lanes(dst, ti);
                     }
                 }
                 PatternKind::Block { rows: _, cols } => {
@@ -355,38 +363,37 @@ pub fn spmv_sym_stream<O: SymmetryOps>(
                         .zip(unit_pair.chunks_exact(bc))
                     {
                         let rr = r + br;
-                        let xr = x[rr];
-                        let mut acc = 0.0;
+                        let xr = &x[rr];
+                        let mut acc = [0.0; K];
                         if is_local {
                             for (j, (&v, &u)) in row_vals.iter().zip(row_pair).enumerate() {
-                                acc += v * x[base + j];
-                                local[base + j] += O::transposed(v, u) * xr;
+                                axpy_lanes(&mut acc, v, &x[base + j]);
+                                axpy_lanes(&mut local[base + j], O::transposed(v, u), xr);
                             }
                         } else {
                             for (j, (&v, &u)) in row_vals.iter().zip(row_pair).enumerate() {
-                                acc += v * x[base + j];
-                                my_y[base + j - y_off] += O::transposed(v, u) * xr;
+                                axpy_lanes(&mut acc, v, &x[base + j]);
+                                axpy_lanes(&mut my_y[base + j - split], O::transposed(v, u), xr);
                             }
                         }
-                        my_y[rr - y_off] += acc;
+                        add_lanes(&mut my_y[rr - split], &acc);
                     }
                 }
             }
-            vi += size;
         } else {
             // Delta unit: per-element side check, slice-based decode.
             let width = PatternKind::delta_width_from_id(id)
                 .unwrap_or_else(|| unreachable!("invalid pattern id in ctl stream"));
-            let xr = x[r];
-            let mut acc = 0.0;
+            let xr = &x[r];
+            let mut acc = [0.0; K];
             let mut c = anchor as usize;
-            let mut emit = |c: usize, v: Val, u: Val, acc: &mut Val| {
-                *acc += v * x[c];
+            let mut emit = |c: usize, v: Val, u: Val, acc: &mut [Val; K]| {
+                axpy_lanes(acc, v, &x[c]);
                 let t = O::transposed(v, u);
                 if c < split {
-                    local[c] += t * xr;
+                    axpy_lanes(&mut local[c], t, xr);
                 } else {
-                    my_y[c - y_off] += t * xr;
+                    axpy_lanes(&mut my_y[c - split], t, xr);
                 }
             };
             emit(c, unit_vals[0], unit_pair[0], &mut acc);
@@ -418,302 +425,9 @@ pub fn spmv_sym_stream<O: SymmetryOps>(
                     }
                 }
             }
-            my_y[r - y_off] += acc;
-            vi += size;
+            add_lanes(&mut my_y[r - split], &acc);
         }
     }
-}
-
-/// The symmetric multiply kernel variant for the *naive* reduction method:
-/// everything (including direct rows) goes into a full-length local vector.
-pub fn spmv_sym_stream_local_only<O: SymmetryOps>(
-    stream: &CtlStream,
-    paired: &[Val],
-    x: &[Val],
-    local: &mut [Val],
-) {
-    // The walk visits elements in stream (values) order; the cursor pairs
-    // each element with its mirror value.
-    let mut j = 0usize;
-    stream.walk(
-        |_| {},
-        |r, c, v| {
-            let u = paired[j];
-            j += 1;
-            local[r as usize] += v * x[c as usize];
-            local[c as usize] += O::transposed(v, u) * x[r as usize];
-        },
-    );
-}
-
-/// The batched (`lanes` right-hand sides) twin of [`spmv_sym_stream`]: the
-/// same ctl decode and the same per-element op order per lane, with `x`,
-/// `my_y` and `local` holding lane-interleaved groups (element `(i, j)` at
-/// `i·lanes + j`). The stream — the expensive traffic — is decoded once
-/// for all lanes.
-pub fn spmm_sym_stream<O: SymmetryOps>(
-    stream: &CtlStream,
-    paired: &[Val],
-    x: &[Val],
-    my_y: &mut [Val],
-    y_off: usize,
-    local: &mut [Val],
-    lanes: usize,
-) {
-    let split = y_off;
-    let ctl = &stream.ctl;
-    let values = &stream.values;
-    let mut pos = 0usize;
-    let mut vi = 0usize;
-    let mut row: i64 = -1;
-    let mut col: Idx = 0;
-    while pos < ctl.len() {
-        let flags = ctl[pos];
-        pos += 1;
-        if flags & NR_BIT != 0 {
-            let extra = if flags & RJMP_BIT != 0 {
-                read_varint(ctl, &mut pos)
-            } else {
-                0
-            };
-            row += 1 + extra as i64;
-            col = 0;
-        }
-        let size = usize::from(ctl[pos]);
-        pos += 1;
-        let ucol = read_varint(ctl, &mut pos) as Idx;
-        let anchor = if flags & NR_BIT != 0 {
-            ucol
-        } else {
-            col + ucol
-        };
-        col = anchor;
-        let r = row as usize;
-        let id = flags & ID_MASK;
-
-        let unit_vals = &values[vi..vi + size];
-        let unit_pair = &paired[vi..vi + size];
-        if let Some(kind) = PatternKind::from_id(id) {
-            // Boundary legality (§IV-B) hoists the side branch exactly as
-            // in the scalar kernel.
-            let is_local = (anchor as usize) < split;
-            debug_assert!({
-                let (_, last_c) = kind.element(r as Idx, anchor, size as u32 - 1);
-                ((last_c as usize) < split) == is_local
-            });
-            macro_rules! run {
-                ($next:expr) => {{
-                    let mut rr = r;
-                    let mut cc = anchor as usize;
-                    if is_local {
-                        for (&v, &u) in unit_vals.iter().zip(unit_pair) {
-                            let t = O::transposed(v, u);
-                            let yb = (rr - y_off) * lanes;
-                            let xb = cc * lanes;
-                            let xrb = rr * lanes;
-                            for j in 0..lanes {
-                                my_y[yb + j] += v * x[xb + j];
-                                local[xb + j] += t * x[xrb + j];
-                            }
-                            $next(&mut rr, &mut cc);
-                        }
-                    } else {
-                        for (&v, &u) in unit_vals.iter().zip(unit_pair) {
-                            let t = O::transposed(v, u);
-                            let yb = (rr - y_off) * lanes;
-                            let xb = cc * lanes;
-                            let xrb = rr * lanes;
-                            let yt = (cc - y_off) * lanes;
-                            for j in 0..lanes {
-                                my_y[yb + j] += v * x[xb + j];
-                                my_y[yt + j] += t * x[xrb + j];
-                            }
-                            $next(&mut rr, &mut cc);
-                        }
-                    }
-                }};
-            }
-            match kind {
-                PatternKind::Horizontal { delta } => {
-                    let d = delta as usize;
-                    run!(|_rr: &mut usize, cc: &mut usize| *cc += d);
-                }
-                PatternKind::Vertical { delta } => {
-                    let d = delta as usize;
-                    run!(|rr: &mut usize, _cc: &mut usize| *rr += d);
-                }
-                PatternKind::Diagonal { delta } => {
-                    let d = delta as usize;
-                    run!(|rr: &mut usize, cc: &mut usize| {
-                        *rr += d;
-                        *cc += d;
-                    });
-                }
-                PatternKind::AntiDiagonal { delta } => {
-                    let d = delta as usize;
-                    run!(|rr: &mut usize, cc: &mut usize| {
-                        *rr += d;
-                        *cc = cc.wrapping_sub(d);
-                    });
-                }
-                PatternKind::Block { rows: 3, cols: 3 } => {
-                    let base = anchor as usize;
-                    let (x0, x1, x2) = (
-                        &x[base * lanes..(base + 1) * lanes],
-                        &x[(base + 1) * lanes..(base + 2) * lanes],
-                        &x[(base + 2) * lanes..(base + 3) * lanes],
-                    );
-                    let mut t = [[0.0; MAX_LANES]; 3];
-                    for ((br, v), u) in unit_vals
-                        .chunks_exact(3)
-                        .enumerate()
-                        .zip(unit_pair.chunks_exact(3))
-                    {
-                        let rr = r + br;
-                        let yb = (rr - y_off) * lanes;
-                        let xrb = rr * lanes;
-                        for j in 0..lanes {
-                            let xr = x[xrb + j];
-                            my_y[yb + j] += v[0] * x0[j] + v[1] * x1[j] + v[2] * x2[j];
-                            t[0][j] += O::transposed(v[0], u[0]) * xr;
-                            t[1][j] += O::transposed(v[1], u[1]) * xr;
-                            t[2][j] += O::transposed(v[2], u[2]) * xr;
-                        }
-                    }
-                    for (i, ti) in t.iter().enumerate() {
-                        if is_local {
-                            let lt = &mut local[(base + i) * lanes..(base + i + 1) * lanes];
-                            for j in 0..lanes {
-                                lt[j] += ti[j];
-                            }
-                        } else {
-                            let yb = (base + i - y_off) * lanes;
-                            for j in 0..lanes {
-                                my_y[yb + j] += ti[j];
-                            }
-                        }
-                    }
-                }
-                PatternKind::Block { rows: _, cols } => {
-                    let bc = cols as usize;
-                    let base = anchor as usize;
-                    for ((br, row_vals), row_pair) in unit_vals
-                        .chunks_exact(bc)
-                        .enumerate()
-                        .zip(unit_pair.chunks_exact(bc))
-                    {
-                        let rr = r + br;
-                        let xrb = rr * lanes;
-                        let mut acc = [0.0; MAX_LANES];
-                        for (jj, (&v, &u)) in row_vals.iter().zip(row_pair).enumerate() {
-                            let t = O::transposed(v, u);
-                            let cb = (base + jj) * lanes;
-                            if is_local {
-                                for j in 0..lanes {
-                                    acc[j] += v * x[cb + j];
-                                    local[cb + j] += t * x[xrb + j];
-                                }
-                            } else {
-                                let yt = (base + jj - y_off) * lanes;
-                                for j in 0..lanes {
-                                    acc[j] += v * x[cb + j];
-                                    my_y[yt + j] += t * x[xrb + j];
-                                }
-                            }
-                        }
-                        let yb = (rr - y_off) * lanes;
-                        for j in 0..lanes {
-                            my_y[yb + j] += acc[j];
-                        }
-                    }
-                }
-            }
-            vi += size;
-        } else {
-            // Delta unit: per-element side check, as in the scalar kernel.
-            let width = PatternKind::delta_width_from_id(id)
-                .unwrap_or_else(|| unreachable!("invalid pattern id in ctl stream"));
-            let xrb = r * lanes;
-            let mut acc = [0.0; MAX_LANES];
-            let mut c = anchor as usize;
-            let mut emit = |c: usize, v: Val, u: Val, acc: &mut [Val; MAX_LANES]| {
-                let t = O::transposed(v, u);
-                let cb = c * lanes;
-                if c < split {
-                    for j in 0..lanes {
-                        acc[j] += v * x[cb + j];
-                        local[cb + j] += t * x[xrb + j];
-                    }
-                } else {
-                    let yt = (c - y_off) * lanes;
-                    for j in 0..lanes {
-                        acc[j] += v * x[cb + j];
-                        my_y[yt + j] += t * x[xrb + j];
-                    }
-                }
-            };
-            emit(c, unit_vals[0], unit_pair[0], &mut acc);
-            let rest = &unit_vals[1..];
-            let rest_pair = &unit_pair[1..];
-            match width {
-                DeltaWidth::U8 => {
-                    let body = &ctl[pos..pos + size - 1];
-                    pos += size - 1;
-                    for ((&d, &v), &u) in body.iter().zip(rest).zip(rest_pair) {
-                        c += usize::from(d);
-                        emit(c, v, u, &mut acc);
-                    }
-                }
-                DeltaWidth::U16 => {
-                    let body = &ctl[pos..pos + 2 * (size - 1)];
-                    pos += 2 * (size - 1);
-                    for ((d, &v), &u) in body.chunks_exact(2).zip(rest).zip(rest_pair) {
-                        c += usize::from(u16::from_le_bytes([d[0], d[1]]));
-                        emit(c, v, u, &mut acc);
-                    }
-                }
-                DeltaWidth::U32 => {
-                    let body = &ctl[pos..pos + 4 * (size - 1)];
-                    pos += 4 * (size - 1);
-                    for ((d, &v), &u) in body.chunks_exact(4).zip(rest).zip(rest_pair) {
-                        c += u32::from_le_bytes([d[0], d[1], d[2], d[3]]) as usize;
-                        emit(c, v, u, &mut acc);
-                    }
-                }
-            }
-            let yb = (r - y_off) * lanes;
-            for j in 0..lanes {
-                my_y[yb + j] += acc[j];
-            }
-            vi += size;
-        }
-    }
-}
-
-/// The batched twin of [`spmv_sym_stream_local_only`] (naive reduction):
-/// both symmetric contributions of every element go to the full-length
-/// lane-interleaved local block.
-pub fn spmm_sym_stream_local_only<O: SymmetryOps>(
-    stream: &CtlStream,
-    paired: &[Val],
-    x: &[Val],
-    local: &mut [Val],
-    lanes: usize,
-) {
-    let mut j_elem = 0usize;
-    stream.walk(
-        |_| {},
-        |r, c, v| {
-            let u = paired[j_elem];
-            j_elem += 1;
-            let t = O::transposed(v, u);
-            let (rb, cb) = (r as usize * lanes, c as usize * lanes);
-            for j in 0..lanes {
-                local[rb + j] += v * x[cb + j];
-                local[cb + j] += t * x[rb + j];
-            }
-        },
-    );
 }
 
 #[cfg(test)]
@@ -793,13 +507,13 @@ mod tests {
         let mut locals: Vec<Vec<f64>> = parts.iter().map(|p| vec![0.0; p.start as usize]).collect();
         for (i, chunk) in m.chunks().iter().enumerate() {
             let (start, end) = (parts[i].start as usize, parts[i].end as usize);
-            spmv_sym_stream::<symspmv_sparse::symmetry::Sym>(
+            sym_stream::<symspmv_sparse::symmetry::Sym, 1>(
                 &chunk.stream,
                 chunk.paired_values(),
-                &x,
-                &mut y[start..end],
+                x.as_chunks().0,
+                y[start..end].as_chunks_mut().0,
                 start,
-                &mut locals[i],
+                locals[i].as_chunks_mut().0,
             );
         }
         for local in &locals {
@@ -814,7 +528,9 @@ mod tests {
     }
 
     #[test]
-    fn local_only_kernel_equivalent() {
+    fn naive_is_the_split_zero_case() {
+        // With `split = 0` nothing is below the split: every chunk writes
+        // both triangles into one full-length vector and `local` is empty.
         let coo = symspmv_sparse::gen::laplacian_2d(15, 15);
         let n = 225;
         let (sss, _, m) = build(&coo, 2);
@@ -824,11 +540,13 @@ mod tests {
             acc[r] = m.dvalues()[r] * x[r];
         }
         for chunk in m.chunks() {
-            spmv_sym_stream_local_only::<symspmv_sparse::symmetry::Sym>(
+            sym_stream::<symspmv_sparse::symmetry::Sym, 1>(
                 &chunk.stream,
                 chunk.paired_values(),
-                &x,
-                &mut acc,
+                x.as_chunks().0,
+                acc.as_chunks_mut().0,
+                0,
+                &mut [],
             );
         }
         let mut y_ref = vec![0.0; n];

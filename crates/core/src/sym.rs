@@ -19,10 +19,7 @@
 //! and different kernels sharing one context — recycle the same
 //! first-touch-initialized pages.
 
-use crate::csx_sym::{
-    spmm_sym_stream, spmm_sym_stream_local_only, spmv_sym_stream, spmv_sym_stream_local_only,
-    CsxSymMatrix,
-};
+use crate::csx_sym::{sym_stream, CsxSymMatrix};
 use crate::error::SymSpmvError;
 use crate::plan::{CachedSymPlan, GroupSchedule};
 use crate::shared::SharedBuf;
@@ -32,11 +29,11 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use symspmv_csx::detect::DetectConfig;
 use symspmv_runtime::reduction::ReduceJob;
-use symspmv_runtime::timing::time_into;
+use symspmv_runtime::timing::{time_into, Stopwatch};
 use symspmv_runtime::{ExecutionContext, ParallelSpmm, PhaseTimes, Range, ReductionStrategy};
-use symspmv_sparse::block::{VectorBlock, MAX_LANES};
+use symspmv_sparse::block::VectorBlock;
 use symspmv_sparse::symmetry::{SymmetryKind, SymmetryOps};
-use symspmv_sparse::{with_symmetry_ops, CooMatrix, SparseError, SssMatrix, Val};
+use symspmv_sparse::{with_lanes, with_symmetry_ops, CooMatrix, SparseError, SssMatrix, Val};
 
 /// How local vectors are organized and reduced (Fig. 3 b/c/d).
 ///
@@ -451,158 +448,87 @@ impl SymSpmv {
         }
     }
 
-    /// The multiply phase, monomorphized per [`SymmetryKind`] at the
-    /// dispatch boundary: the `Symmetric` instantiation compiles to the
-    /// pre-kind code (the mirror coefficient is the stored value itself and
-    /// the paired load folds away), so the hot path is unchanged.
-    fn multiply(&self, x: &[Val], y: &mut [Val], flat_buf: SharedBuf<'_>) {
-        with_symmetry_ops!(self.kind, O => self.multiply_ops::<O>(x, y, flat_buf));
-    }
-
-    fn multiply_ops<O: SymmetryOps>(&self, x: &[Val], y: &mut [Val], flat_buf: SharedBuf<'_>) {
+    /// The multiply phase over `K`-lane-interleaved buffers, monomorphized
+    /// per [`SymmetryKind`] and lane count at the dispatch boundary: the
+    /// `Symmetric`, `K = 1` instantiation compiles to the plain scalar loop
+    /// (the mirror coefficient is the stored value itself, the paired load
+    /// folds away and every `[Val; 1]` lane loop is a single operation).
+    ///
+    /// One round for the local-vectors family: every thread runs its
+    /// partition through the format's body with the split sink. The
+    /// direct-write strategies split at the partition start — row results
+    /// and in-partition mirror writes go to the thread's own rows of `y`,
+    /// conflicting mirrors to its effective region. The naive method is the
+    /// `split = 0` case of the same body over the thread's private
+    /// full-length vector: nothing is below the split, so nothing conflicts.
+    /// Per-thread regions are the scalar plan's regions scaled by `K` —
+    /// exactly the scaling the lane-lifted certificate re-checks.
+    fn multiply<O: SymmetryOps, const K: usize>(
+        &self,
+        x: &[Val],
+        y: &mut [Val],
+        flat_buf: SharedBuf<'_>,
+    ) {
         let y_buf = SharedBuf::new(y);
+        let x = x.as_chunks::<K>().0;
         if let Some(schedule) = &self.plan.schedule {
-            let Storage::Sss(sss) = &self.storage else {
-                unreachable!("the race schedule supports the SSS format only")
-            };
-            self.multiply_race::<O>(sss, schedule, x, y_buf);
+            self.multiply_scheduled::<O, K>(schedule, x, y_buf);
             return;
         }
         let parts: &[Range] = &self.plan.parts;
         let offsets = &self.plan.offsets;
         let n = self.n;
         let direct = self.strategy.direct_write();
-        match &self.storage {
-            Storage::Hybrid {
-                sss,
-                csx,
-                use_stream,
-            } => {
-                assert!(
-                    direct,
-                    "the hybrid format supports the direct-write methods only"
-                );
-                self.ctx.run(&|tid| {
-                    let part = parts[tid];
-                    if part.is_empty() {
-                        return;
-                    }
-                    let split = part.start as usize;
-                    // SAFETY(cert: effective-region): region [off, off+split)
-                    // is this thread's declared slice of the leased store.
-                    let l = unsafe { flat_buf.range_mut(offsets[tid], offsets[tid] + split) };
-                    // SAFETY(cert: disjoint-direct): direct writes stay in
-                    // our own rows.
-                    let my_y = unsafe { y_buf.range_mut(split, part.end as usize) };
-                    if use_stream[tid] {
-                        let chunk = &csx.chunks()[tid];
-                        let dv = &csx.dvalues()[split..part.end as usize];
-                        let xs = &x[split..part.end as usize];
-                        for ((slot, &d), &xi) in my_y.iter_mut().zip(dv).zip(xs) {
-                            *slot = d * xi;
-                        }
-                        spmv_sym_stream::<O>(
-                            &chunk.stream,
-                            chunk.paired_values(),
-                            x,
-                            my_y,
-                            split,
-                            l,
-                        );
-                    } else {
-                        sss_multiply_direct::<O>(sss, part, x, my_y, l);
-                    }
-                });
+        self.ctx.run(&|tid| {
+            let part = parts[tid];
+            if part.is_empty() {
+                return;
             }
-            Storage::Sss(sss) if !direct => {
-                self.ctx.run(&|tid| {
-                    let part = parts[tid];
-                    // SAFETY(cert: effective-region): the naive layout gives
-                    // this thread the private region [tid·n, (tid+1)·n).
-                    let l = unsafe { flat_buf.range_mut(offsets[tid], offsets[tid] + n) };
-                    let dv = sss.dvalues();
-                    for r in part.start..part.end {
-                        let (cols, vals, pair) = sss.row_with_paired(r);
-                        let xr = x[r as usize];
-                        // Same op order as the direct-write path: diagonal
-                        // joins at the final fold, not the accumulator seed.
-                        let mut acc = 0.0;
-                        for ((&c, &v), &u) in cols.iter().zip(vals).zip(pair) {
-                            acc += v * x[c as usize];
-                            l[c as usize] += O::transposed(v, u) * xr;
-                        }
-                        l[r as usize] += dv[r as usize] * xr + acc;
-                    }
-                });
-            }
-            Storage::Sss(sss) => {
-                self.ctx.run(&|tid| {
-                    let part = parts[tid];
-                    if part.is_empty() {
-                        return;
-                    }
-                    let split = part.start as usize;
-                    // SAFETY(cert: effective-region): region [off, off+split)
-                    // is this thread's declared slice of the leased store.
-                    let l = unsafe { flat_buf.range_mut(offsets[tid], offsets[tid] + split) };
-                    // SAFETY(cert: disjoint-direct): every direct write
-                    // targets our own rows — the row r itself, and transposed
-                    // targets c ∈ [split, r). Taking the range as a plain
-                    // slice keeps the hot loop free of raw-pointer writes the
-                    // compiler can't reason about.
-                    let my_y = unsafe { y_buf.range_mut(split, part.end as usize) };
-                    sss_multiply_direct::<O>(sss, part, x, my_y, l);
-                });
-            }
-            Storage::CsxSym(m) if !direct => {
-                self.ctx.run(&|tid| {
-                    let part = parts[tid];
-                    // SAFETY(cert: effective-region): the naive layout gives
-                    // this thread the full-length private region.
-                    let l = unsafe { flat_buf.range_mut(offsets[tid], offsets[tid] + n) };
-                    let dv = m.dvalues();
-                    for r in part.start..part.end {
-                        l[r as usize] += dv[r as usize] * x[r as usize];
-                    }
+            let (start, end) = (part.start as usize, part.end as usize);
+            let off = offsets[tid];
+            let (split, my_y, local) = if direct {
+                // SAFETY(cert: effective-region): region [off, off+start)
+                // is this thread's declared slice of the leased store.
+                let local = unsafe { lane_rows::<K>(&flat_buf, off, off + start) };
+                // SAFETY(cert: disjoint-direct): every direct write targets
+                // our own rows — the row r itself and transposed targets
+                // c ∈ [start, r); for a CSX-Sym chunk the csx-boundary check
+                // keeps encoded patterns from crossing the split. Taking the
+                // range as a plain slice keeps the hot loop free of
+                // raw-pointer writes the compiler can't reason about.
+                let my_y = unsafe { lane_rows::<K>(&y_buf, start, end) };
+                (start, my_y, local)
+            } else {
+                // SAFETY(cert: effective-region): the naive layout gives
+                // this thread the private full-length region [off, off+n).
+                let private = unsafe { lane_rows::<K>(&flat_buf, off, off + n) };
+                // No row is below split 0, so `local` is empty.
+                (0, private, Default::default())
+            };
+            match &self.storage {
+                Storage::Sss(sss) => sss_rows_split::<O, K>(sss, part, split, x, my_y, local),
+                Storage::Hybrid {
+                    sss, use_stream, ..
+                } if !use_stream[tid] => sss_rows_split::<O, K>(sss, part, split, x, my_y, local),
+                Storage::CsxSym(m) | Storage::Hybrid { csx: m, .. } => {
+                    init_diag(
+                        &m.dvalues()[start..end],
+                        &x[start..end],
+                        &mut my_y[start - split..end - split],
+                    );
                     let chunk = &m.chunks()[tid];
-                    spmv_sym_stream_local_only::<O>(&chunk.stream, chunk.paired_values(), x, l);
-                });
+                    sym_stream::<O, K>(&chunk.stream, chunk.paired_values(), x, my_y, split, local);
+                }
             }
-            Storage::CsxSym(m) => {
-                self.ctx.run(&|tid| {
-                    let part = parts[tid];
-                    if part.is_empty() {
-                        return;
-                    }
-                    let split = part.start as usize;
-                    // SAFETY(cert: effective-region): region [off, off+split)
-                    // is this thread's declared slice of the leased store.
-                    let l = unsafe { flat_buf.range_mut(offsets[tid], offsets[tid] + split) };
-                    // SAFETY(cert: disjoint-direct): the chunk's direct
-                    // writes all land in our own rows (r itself and
-                    // transposed c ∈ [split, r)); the csx-boundary check
-                    // keeps encoded patterns from crossing the split.
-                    let my_y = unsafe { y_buf.range_mut(split, part.end as usize) };
-                    let dv = &m.dvalues()[split..part.end as usize];
-                    let xs = &x[split..part.end as usize];
-                    for ((slot, &d), &xi) in my_y.iter_mut().zip(dv).zip(xs) {
-                        *slot = d * xi;
-                    }
-                    let chunk = &m.chunks()[tid];
-                    spmv_sym_stream::<O>(&chunk.stream, chunk.paired_values(), x, my_y, split, l);
-                });
-            }
-        }
-    }
-
-    fn reduce(&self, y: &mut [Val], flat_buf: SharedBuf<'_>) {
-        self.reduce_lanes(y, flat_buf, 1);
+        });
     }
 
     /// The fold phase over lane-interleaved buffers: the strategy visits
     /// each conflicting row once and folds all `lanes` of its group — the
-    /// Eq. 3–6 working-set win multiplied by `k`.
-    fn reduce_lanes(&self, y: &mut [Val], flat_buf: SharedBuf<'_>, lanes: usize) {
+    /// Eq. 3–6 working-set win multiplied by `k`. It re-zeroes every local
+    /// element the multiply phase wrote, which is exactly what the lease
+    /// contract requires.
+    fn reduce(&self, y: &mut [Val], flat_buf: SharedBuf<'_>, lanes: usize) {
         let job = ReduceJob {
             y: SharedBuf::new(y),
             locals: flat_buf,
@@ -617,294 +543,80 @@ impl SymSpmv {
         self.ctx.with_pool(|pool| self.strategy.reduce(pool, &job));
     }
 
-    /// The batched multiply phase: identical dispatch structure to
-    /// [`SymSpmv::multiply`], with every buffer lane-interleaved and every
-    /// storage arm delegating to its `_block` kernel. Per-thread regions
-    /// are the scalar plan's regions scaled by `lanes` — exactly the
-    /// scaling the lane-lifted certificate re-checks.
-    fn multiply_block(&self, x: &VectorBlock, y: &mut VectorBlock, flat_buf: SharedBuf<'_>) {
-        with_symmetry_ops!(self.kind, O => self.multiply_block_ops::<O>(x, y, flat_buf));
-    }
-
-    fn multiply_block_ops<O: SymmetryOps>(
-        &self,
-        x: &VectorBlock,
-        y: &mut VectorBlock,
-        flat_buf: SharedBuf<'_>,
-    ) {
-        let lanes = x.lanes();
-        let y_buf = SharedBuf::new(y.as_mut_slice());
-        let x = x.as_slice();
-        if let Some(schedule) = &self.plan.schedule {
-            let Storage::Sss(sss) = &self.storage else {
-                unreachable!("the race schedule supports the SSS format only")
-            };
-            self.multiply_race_block::<O>(sss, schedule, lanes, x, y_buf);
-            return;
-        }
-        let parts: &[Range] = &self.plan.parts;
-        let offsets = &self.plan.offsets;
-        let n = self.n;
-        let direct = self.strategy.direct_write();
-        match &self.storage {
-            Storage::Hybrid {
-                sss,
-                csx,
-                use_stream,
-            } => {
-                assert!(
-                    direct,
-                    "the hybrid format supports the direct-write methods only"
-                );
-                self.ctx.run(&|tid| {
-                    let part = parts[tid];
-                    if part.is_empty() {
-                        return;
-                    }
-                    let split = part.start as usize;
-                    // SAFETY(cert: lane-lifted): the scalar effective region
-                    // [off, off+split) scales to lane groups without overlap.
-                    let l = unsafe {
-                        flat_buf.range_mut(offsets[tid] * lanes, (offsets[tid] + split) * lanes)
-                    };
-                    // SAFETY(cert: lane-lifted): direct lane groups stay in
-                    // our own rows, scaled from the disjoint scalar tiling.
-                    let my_y = unsafe { y_buf.range_mut(split * lanes, part.end as usize * lanes) };
-                    if use_stream[tid] {
-                        let chunk = &csx.chunks()[tid];
-                        init_diag_block(csx.dvalues(), part, lanes, x, my_y);
-                        spmm_sym_stream::<O>(
-                            &chunk.stream,
-                            chunk.paired_values(),
-                            x,
-                            my_y,
-                            split,
-                            l,
-                            lanes,
-                        );
-                    } else {
-                        sss_multiply_direct_block::<O>(sss, part, lanes, x, my_y, l);
-                    }
-                });
-            }
-            Storage::Sss(sss) if !direct => {
-                self.ctx.run(&|tid| {
-                    let part = parts[tid];
-                    // SAFETY(cert: lane-lifted): the naive layout's private
-                    // region [tid·n, (tid+1)·n) scales to lane groups.
-                    let l = unsafe {
-                        flat_buf.range_mut(offsets[tid] * lanes, (offsets[tid] + n) * lanes)
-                    };
-                    let dv = sss.dvalues();
-                    for r in part.start..part.end {
-                        let (cols, vals, pair) = sss.row_with_paired(r);
-                        let ru = r as usize;
-                        let xr = &x[ru * lanes..(ru + 1) * lanes];
-                        let mut acc = [0.0; MAX_LANES];
-                        for ((&c, &v), &u) in cols.iter().zip(vals).zip(pair) {
-                            let c = c as usize;
-                            let t = O::transposed(v, u);
-                            let xc = &x[c * lanes..(c + 1) * lanes];
-                            let lt = &mut l[c * lanes..(c + 1) * lanes];
-                            for j in 0..lanes {
-                                acc[j] += v * xc[j];
-                                lt[j] += t * xr[j];
-                            }
-                        }
-                        let lr = &mut l[ru * lanes..(ru + 1) * lanes];
-                        let d = dv[ru];
-                        for j in 0..lanes {
-                            lr[j] += d * xr[j] + acc[j];
-                        }
-                    }
-                });
-            }
-            Storage::Sss(sss) => {
-                self.ctx.run(&|tid| {
-                    let part = parts[tid];
-                    if part.is_empty() {
-                        return;
-                    }
-                    let split = part.start as usize;
-                    // SAFETY(cert: lane-lifted): the scalar effective region
-                    // [off, off+split) scales to lane groups without overlap.
-                    let l = unsafe {
-                        flat_buf.range_mut(offsets[tid] * lanes, (offsets[tid] + split) * lanes)
-                    };
-                    // SAFETY(cert: lane-lifted): direct lane groups stay in
-                    // our own rows, scaled from the disjoint scalar tiling.
-                    let my_y = unsafe { y_buf.range_mut(split * lanes, part.end as usize * lanes) };
-                    sss_multiply_direct_block::<O>(sss, part, lanes, x, my_y, l);
-                });
-            }
-            Storage::CsxSym(m) if !direct => {
-                self.ctx.run(&|tid| {
-                    let part = parts[tid];
-                    // SAFETY(cert: lane-lifted): the naive layout's private
-                    // full-length region scales to lane groups.
-                    let l = unsafe {
-                        flat_buf.range_mut(offsets[tid] * lanes, (offsets[tid] + n) * lanes)
-                    };
-                    let dv = m.dvalues();
-                    for r in part.start..part.end {
-                        let ru = r as usize;
-                        let d = dv[ru];
-                        for j in 0..lanes {
-                            l[ru * lanes + j] += d * x[ru * lanes + j];
-                        }
-                    }
-                    let chunk = &m.chunks()[tid];
-                    spmm_sym_stream_local_only::<O>(
-                        &chunk.stream,
-                        chunk.paired_values(),
-                        x,
-                        l,
-                        lanes,
-                    );
-                });
-            }
-            Storage::CsxSym(m) => {
-                self.ctx.run(&|tid| {
-                    let part = parts[tid];
-                    if part.is_empty() {
-                        return;
-                    }
-                    let split = part.start as usize;
-                    // SAFETY(cert: lane-lifted): the scalar effective region
-                    // [off, off+split) scales to lane groups without overlap.
-                    let l = unsafe {
-                        flat_buf.range_mut(offsets[tid] * lanes, (offsets[tid] + split) * lanes)
-                    };
-                    // SAFETY(cert: lane-lifted): the chunk's direct lane
-                    // groups all land in our own rows; the csx-boundary
-                    // check keeps encoded patterns from crossing the split.
-                    let my_y = unsafe { y_buf.range_mut(split * lanes, part.end as usize * lanes) };
-                    let chunk = &m.chunks()[tid];
-                    init_diag_block(m.dvalues(), part, lanes, x, my_y);
-                    spmm_sym_stream::<O>(
-                        &chunk.stream,
-                        chunk.paired_values(),
-                        x,
-                        my_y,
-                        split,
-                        l,
-                        lanes,
-                    );
-                });
-            }
-        }
-    }
-
     /// The reduction-free scheduled multiply (ROADMAP item 3, RACE): a
     /// diagonal pre-pass over disjoint row chunks, then one barriered pool
     /// round per group. Within a group the certificate proves the write
     /// sets `{r} ∪ cols(r)` pairwise disjoint, so every thread scatters
     /// into `y` directly — zero local vectors, zero atomics; the reduce
     /// phase never runs (`local_len == 0`).
-    fn multiply_race<O: SymmetryOps>(
+    fn multiply_scheduled<O: SymmetryOps, const K: usize>(
         &self,
-        sss: &SssMatrix,
         schedule: &GroupSchedule,
-        x: &[Val],
+        x: &[[Val; K]],
         y_buf: SharedBuf<'_>,
     ) {
+        let Storage::Sss(sss) = &self.storage else {
+            unreachable!("the race schedule supports the SSS format only")
+        };
         let chunks: &[Range] = &self.plan.reduce_chunks;
-        let dv = sss.dvalues();
         self.ctx.run(&|tid| {
-            let chunk = chunks[tid];
-            if chunk.is_empty() {
-                return;
-            }
+            let (lo, hi) = (chunks[tid].start as usize, chunks[tid].end as usize);
             // SAFETY(cert: disjoint-direct): the row chunks tile 0..n, so
             // this diagonal pre-pass writes each y[r] exactly once.
-            let my_y = unsafe { y_buf.range_mut(chunk.start as usize, chunk.end as usize) };
-            let dvs = &dv[chunk.start as usize..chunk.end as usize];
-            let xs = &x[chunk.start as usize..chunk.end as usize];
-            for ((slot, &d), &xi) in my_y.iter_mut().zip(dvs).zip(xs) {
-                *slot = d * xi;
-            }
+            let my_y = unsafe { lane_rows::<K>(&y_buf, lo, hi) };
+            init_diag(&sss.dvalues()[lo..hi], &x[lo..hi], my_y);
         });
         for (rows, parts) in schedule.groups.iter().zip(&schedule.group_parts) {
             self.ctx.run(&|tid| {
                 let part = parts[tid];
-                for &r in &rows[part.start as usize..part.end as usize] {
-                    let (cols, vals, pair) = sss.row_with_paired(r);
-                    let xr = x[r as usize];
-                    let mut acc = 0.0;
-                    for ((&c, &v), &u) in cols.iter().zip(vals).zip(pair) {
-                        acc += v * x[c as usize];
-                        // SAFETY(cert: color-class): rows of one group never
-                        // share a write target, and the barrier between
-                        // group rounds orders cross-group writes.
-                        unsafe { y_buf.add(c as usize, O::transposed(v, u) * xr) };
-                    }
-                    // SAFETY(cert: color-class): y[r] is claimed by row r
-                    // alone within this group.
-                    unsafe { y_buf.add(r as usize, acc) };
-                }
+                let rows = &rows[part.start as usize..part.end as usize];
+                sss_rows_race::<O, K>(sss, rows, x, y_buf);
             });
         }
     }
 
-    /// The batched twin of [`SymSpmv::multiply_race`]: identical traversal
-    /// with lane-interleaved buffers and the lanes innermost, so every lane
-    /// computes the scalar schedule's exact float sequence.
-    fn multiply_race_block<O: SymmetryOps>(
-        &self,
-        sss: &SssMatrix,
-        schedule: &GroupSchedule,
-        lanes: usize,
-        x: &[Val],
-        y_buf: SharedBuf<'_>,
-    ) {
-        let chunks: &[Range] = &self.plan.reduce_chunks;
-        let dv = sss.dvalues();
-        self.ctx.run(&|tid| {
-            let chunk = chunks[tid];
-            if chunk.is_empty() {
-                return;
+    /// Dispatch gate: `cert` must describe exactly this configuration.
+    /// Catches a plan reused across a renumbering or a thread-count change
+    /// (debug builds only; the re-fingerprint walks the structure).
+    fn check_dispatch(&self, cert: &symspmv_verify::RaceCertificate) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        if let Storage::Sss(sss) | Storage::Hybrid { sss, .. } = &self.storage {
+            if let Err(e) = cert.validate_for(
+                sss.fingerprint(),
+                self.ctx.nthreads(),
+                "sym-sss",
+                &self.plan.cert.strategy,
+            ) {
+                unreachable!("dispatching with a stale race certificate: {e}");
             }
-            let (lo, hi) = (chunk.start as usize * lanes, chunk.end as usize * lanes);
-            // SAFETY(cert: lane-lifted): the disjoint row chunks scale to
-            // disjoint lane groups.
-            let my_y = unsafe { y_buf.range_mut(lo, hi) };
-            let split = chunk.start as usize;
-            for r in split..chunk.end as usize {
-                let d = dv[r];
-                let xr = &x[r * lanes..(r + 1) * lanes];
-                let yr = &mut my_y[(r - split) * lanes..(r - split + 1) * lanes];
-                for j in 0..lanes {
-                    yr[j] = d * xr[j];
-                }
-            }
-        });
-        for (rows, parts) in schedule.groups.iter().zip(&schedule.group_parts) {
-            self.ctx.run(&|tid| {
-                let part = parts[tid];
-                for &r in &rows[part.start as usize..part.end as usize] {
-                    let (cols, vals, pair) = sss.row_with_paired(r);
-                    let ru = r as usize;
-                    let xr = &x[ru * lanes..(ru + 1) * lanes];
-                    let mut acc = [0.0; MAX_LANES];
-                    for ((&c, &v), &u) in cols.iter().zip(vals).zip(pair) {
-                        let c = c as usize;
-                        let t = O::transposed(v, u);
-                        let xc = &x[c * lanes..(c + 1) * lanes];
-                        for j in 0..lanes {
-                            acc[j] += v * xc[j];
-                            // SAFETY(cert: color-class): lane groups of the
-                            // group's pairwise-disjoint targets never
-                            // overlap within a group round.
-                            unsafe { y_buf.add(c * lanes + j, t * xr[j]) };
-                        }
-                    }
-                    for (j, a) in acc.iter().enumerate().take(lanes) {
-                        // SAFETY(cert: color-class): y[r,·] is claimed by
-                        // row r alone within this group.
-                        unsafe { y_buf.add(ru * lanes + j, *a) };
-                    }
-                }
-            });
+        }
+    }
+
+    /// One call over `K`-lane-interleaved `x` and `y`: lease the local
+    /// store, run the timed multiply phase, then the timed reduce phase if
+    /// it has work. `spmv` is the `K = 1` instantiation, `spmm` enters
+    /// through `with_lanes!`.
+    ///
+    /// The phase clocks are advanced in place after each phase returns, so
+    /// a worker panic unwinding through here leaves the time accumulated so
+    /// far intact.
+    fn run<const K: usize>(&mut self, x: &[Val], y: &mut [Val]) {
+        // The lease must borrow the local Arc, not `self.ctx`, so the
+        // clocks in `self.times` stay writable while it is out.
+        let ctx = Arc::clone(&self.ctx);
+        let mut locals = ctx.lease(self.plan.local_len * K);
+        let flat_buf = SharedBuf::new(&mut locals);
+
+        let phase = Stopwatch::start();
+        with_symmetry_ops!(self.kind, O => self.multiply::<O, K>(x, y, flat_buf));
+        self.times.multiply += phase.elapsed();
+
+        if self.reduce_has_work() {
+            let phase = Stopwatch::start();
+            self.reduce(y, flat_buf, K);
+            self.times.reduce += phase.elapsed();
         }
     }
 
@@ -922,101 +634,132 @@ impl SymSpmv {
     }
 }
 
-/// The direct-write SSS multiply body for one partition: row results and
-/// in-partition transposed writes go to `my_y` (the partition's slice of
-/// the output vector, starting at the partition boundary), conflicting
-/// transposed writes to the thread's effective-region `local`.
+/// The `K`-lane view of the scalar elements `[lo, hi)` of a shared buffer:
+/// lane group `i` of the result is elements `[(lo+i)·K, (lo+i+1)·K)`.
+///
+/// # Safety
+/// The caller must hold the scalar range `[lo, hi)` exclusively for the
+/// lifetime of the returned slice, by the certificate invariant it names
+/// at the call site.
+#[allow(clippy::mut_from_ref)] // as `SharedBuf::range_mut`: caller-proven disjointness
+unsafe fn lane_rows<'b, const K: usize>(
+    buf: &'b SharedBuf<'_>,
+    lo: usize,
+    hi: usize,
+) -> &'b mut [[Val; K]] {
+    // SAFETY(cert: lane-lifted): block slot `row·K + lane` inherits the
+    // scalar row's disjointness, so the caller's exclusive scalar range
+    // scales to an exclusive range of lane groups (itself, for `K = 1`).
+    let flat = unsafe { buf.range_mut(lo * K, hi * K) };
+    flat.as_chunks_mut::<K>().0
+}
+
+/// `dst[·] += t · src[·]`, lane by lane — one scalar FMA-shaped update of
+/// the `K = 1` kernel, `K` independent ones of the block kernel.
+#[inline(always)]
+pub(crate) fn axpy_lanes<const K: usize>(dst: &mut [Val; K], t: Val, src: &[Val; K]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += t * s;
+    }
+}
+
+/// `dst[·] += src[·]`, lane by lane.
+#[inline(always)]
+pub(crate) fn add_lanes<const K: usize>(dst: &mut [Val; K], src: &[Val; K]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
+}
+
+/// The diagonal pre-pass `y[r,·] = d_r · x[r,·]` of the stream and
+/// scheduled kernels, over one row range (all three slices cover it).
+fn init_diag<const K: usize>(dvalues: &[Val], x: &[[Val; K]], y: &mut [[Val; K]]) {
+    for ((yr, &d), xr) in y.iter_mut().zip(dvalues).zip(x) {
+        for (slot, &xi) in yr.iter_mut().zip(xr) {
+            *slot = d * xi;
+        }
+    }
+}
+
+/// The SSS row body with the split sink, over the rows of `part`: a row's
+/// result and its mirror writes at or above `split` go to `my_y` (whose
+/// element 0 is global row `split`), mirror writes below `split` to
+/// `local`. One pass over the matrix updates all `K` lanes, so the matrix
+/// traffic is amortized `K`-fold while every lane runs the scalar kernel's
+/// exact float sequence.
 ///
 /// Monomorphized per symmetry kind: the mirror coefficient is
 /// `O::transposed(v, u)` with `u` the paired upper value (aliasing `v` for
 /// the numeric kinds, so the `Symmetric` instantiation is the pre-kind
 /// loop, bit for bit).
-fn sss_multiply_direct<O: SymmetryOps>(
+fn sss_rows_split<O: SymmetryOps, const K: usize>(
     sss: &SssMatrix,
     part: Range,
-    x: &[Val],
-    my_y: &mut [Val],
-    local: &mut [Val],
+    split: usize,
+    x: &[[Val; K]],
+    my_y: &mut [[Val; K]],
+    local: &mut [[Val; K]],
 ) {
-    let split = part.start as usize;
     let dv = sss.dvalues();
     for r in part.start..part.end {
         let (cols, vals, pair) = sss.row_with_paired(r);
-        let xr = x[r as usize];
+        let r = r as usize;
+        let xr = &x[r];
         // The accumulator starts at zero and the diagonal term joins at the
         // final write — the exact op order of the serial reference
         // (`SssMatrix::spmv`), so a single-thread direct-write run is
         // bit-identical to it (the conformance oracle's exactness class).
-        let mut acc = 0.0;
+        let mut acc = [0.0; K];
         for ((&c, &v), &u) in cols.iter().zip(vals).zip(pair) {
             let c = c as usize;
-            acc += v * x[c];
+            axpy_lanes(&mut acc, v, &x[c]);
             let t = O::transposed(v, u);
+            // Two explicit arms, not one selected target slice: the branchy
+            // form is what keeps the `K = 1` instance at scalar speed.
             if c >= split {
-                my_y[c - split] += t * xr;
+                axpy_lanes(&mut my_y[c - split], t, xr);
             } else {
-                local[c] += t * xr;
+                axpy_lanes(&mut local[c], t, xr);
             }
         }
         // Assignment is sound: this thread's earlier transposed writes only
         // target rows below r.
-        my_y[r as usize - split] = dv[r as usize] * xr + acc;
+        let d = dv[r];
+        for ((slot, &xi), &a) in my_y[r - split].iter_mut().zip(xr).zip(&acc) {
+            *slot = d * xi + a;
+        }
     }
 }
 
-/// The batched (`lanes` right-hand sides) twin of [`sss_multiply_direct`]:
-/// same traversal, same per-lane op order, with `x`/`my_y`/`local` holding
-/// lane-interleaved groups. One pass over the matrix updates all lanes, so
-/// the matrix traffic is amortized `lanes`-fold while every lane computes
-/// the scalar kernel's exact float sequence.
-fn sss_multiply_direct_block<O: SymmetryOps>(
+/// The race sibling of [`sss_rows_split`]: the same row walk over one
+/// thread's share of a color group, with every write going straight into
+/// the shared `y` (the diagonal term is already there from the pre-pass).
+fn sss_rows_race<O: SymmetryOps, const K: usize>(
     sss: &SssMatrix,
-    part: Range,
-    lanes: usize,
-    x: &[Val],
-    my_y: &mut [Val],
-    local: &mut [Val],
+    rows: &[u32],
+    x: &[[Val; K]],
+    y_buf: SharedBuf<'_>,
 ) {
-    let split = part.start as usize;
-    let dv = sss.dvalues();
-    for r in part.start..part.end {
+    for &r in rows {
         let (cols, vals, pair) = sss.row_with_paired(r);
-        let ru = r as usize;
-        let xr = &x[ru * lanes..(ru + 1) * lanes];
-        let mut acc = [0.0; MAX_LANES];
+        let r = r as usize;
+        let xr = &x[r];
+        let mut acc = [0.0; K];
         for ((&c, &v), &u) in cols.iter().zip(vals).zip(pair) {
             let c = c as usize;
+            axpy_lanes(&mut acc, v, &x[c]);
             let t = O::transposed(v, u);
-            let xc = &x[c * lanes..(c + 1) * lanes];
-            let target = if c >= split {
-                &mut my_y[(c - split) * lanes..(c - split + 1) * lanes]
-            } else {
-                &mut local[c * lanes..(c + 1) * lanes]
-            };
-            for j in 0..lanes {
-                acc[j] += v * xc[j];
-                target[j] += t * xr[j];
+            for (j, &xi) in xr.iter().enumerate() {
+                // SAFETY(cert: color-class): rows of one group never share
+                // a write target (nor, lane-lifted, a lane group), and the
+                // barrier between group rounds orders cross-group writes.
+                unsafe { y_buf.add(c * K + j, t * xi) };
             }
         }
-        let yr = &mut my_y[(ru - split) * lanes..(ru - split + 1) * lanes];
-        let d = dv[ru];
-        for j in 0..lanes {
-            yr[j] = d * xr[j] + acc[j];
-        }
-    }
-}
-
-/// Initializes a partition's slice of the block output with the diagonal
-/// term `y[r,·] = d_r · x[r,·]` — the batched twin of the scalar stream
-/// kernels' diagonal pre-pass.
-fn init_diag_block(dvalues: &[Val], part: Range, lanes: usize, x: &[Val], my_y: &mut [Val]) {
-    let split = part.start as usize;
-    for r in split..part.end as usize {
-        let d = dvalues[r];
-        let xr = &x[r * lanes..(r + 1) * lanes];
-        let yr = &mut my_y[(r - split) * lanes..(r - split + 1) * lanes];
-        for j in 0..lanes {
-            yr[j] = d * xr[j];
+        for (j, &a) in acc.iter().enumerate() {
+            // SAFETY(cert: color-class): y[r,·] is claimed by row r alone
+            // within this group.
+            unsafe { y_buf.add(r * K + j, a) };
         }
     }
 }
@@ -1025,40 +768,8 @@ impl ParallelSpmv for SymSpmv {
     fn spmv(&mut self, x: &[Val], y: &mut [Val]) {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
-
-        // Dispatch gate: the memoized certificate must describe exactly
-        // this configuration. Catches a plan reused across a renumbering
-        // or a thread-count change (debug builds only; the re-fingerprint
-        // walks the structure).
-        #[cfg(debug_assertions)]
-        if let Storage::Sss(sss) | Storage::Hybrid { sss, .. } = &self.storage {
-            if let Err(e) = self.plan.cert.validate_for(
-                sss.fingerprint(),
-                self.ctx.nthreads(),
-                "sym-sss",
-                &self.plan.cert.strategy,
-            ) {
-                unreachable!("dispatching with a stale race certificate: {e}");
-            }
-        }
-
-        // The lease must borrow the local Arc, not `self.ctx`, so the
-        // timed phases below can still borrow `self`.
-        let ctx = Arc::clone(&self.ctx);
-        let mut locals = ctx.lease(self.plan.local_len);
-        let flat_buf = SharedBuf::new(&mut locals);
-
-        let mut multiply = std::mem::take(&mut self.times.multiply);
-        time_into(&mut multiply, || self.multiply(x, y, flat_buf));
-        self.times.multiply = multiply;
-
-        if self.reduce_has_work() {
-            let mut reduce = std::mem::take(&mut self.times.reduce);
-            // The strategy re-zeroes every local element the multiply phase
-            // wrote, which is exactly what the lease contract requires.
-            time_into(&mut reduce, || self.reduce(y, flat_buf));
-            self.times.reduce = reduce;
-        }
+        self.check_dispatch(&self.plan.cert);
+        self.run::<1>(x, y);
     }
 
     fn n(&self) -> usize {
@@ -1118,33 +829,8 @@ impl ParallelSpmm for SymSpmv {
         // layout inherits the scalar plan's disjointness.
         let cert = self.obtain_block_certificate(lanes);
         debug_assert!(cert.proves("lane-lifted"));
-        #[cfg(debug_assertions)]
-        if let Storage::Sss(sss) | Storage::Hybrid { sss, .. } = &self.storage {
-            if let Err(e) = cert.validate_for(
-                sss.fingerprint(),
-                self.ctx.nthreads(),
-                "sym-sss",
-                &self.plan.cert.strategy,
-            ) {
-                unreachable!("dispatching SpMM with a stale block certificate: {e}");
-            }
-        }
-
-        let ctx = Arc::clone(&self.ctx);
-        let mut locals = ctx.lease(self.plan.local_len * lanes);
-        let flat_buf = SharedBuf::new(&mut locals);
-
-        let mut multiply = std::mem::take(&mut self.times.multiply);
-        time_into(&mut multiply, || self.multiply_block(x, y, flat_buf));
-        self.times.multiply = multiply;
-
-        if self.reduce_has_work() {
-            let mut reduce = std::mem::take(&mut self.times.reduce);
-            time_into(&mut reduce, || {
-                self.reduce_lanes(y.as_mut_slice(), flat_buf, lanes)
-            });
-            self.times.reduce = reduce;
-        }
+        self.check_dispatch(&cert);
+        with_lanes!(lanes, K => self.run::<K>(x.as_slice(), y.as_mut_slice()));
     }
 
     fn spmm_context(&self) -> &Arc<ExecutionContext> {
@@ -1549,11 +1235,19 @@ mod error_taxonomy_tests {
         eng.try_spmv(&x, &mut y).unwrap();
 
         // Next pool round is the multiply phase of the next spmv.
+        let before = eng.times().multiply;
+        assert!(before > std::time::Duration::ZERO);
         ctx.fault_plan().arm_worker_panic(2, 0);
         let err = eng.try_spmv(&x, &mut y).unwrap_err();
         assert!(
             matches!(err, SymSpmvError::WorkerPanicked { tid: 2, .. }),
             "{err:?}"
+        );
+        // The unwinding call must not lose the time accumulated before it.
+        let after = eng.times().multiply;
+        assert!(
+            after >= before,
+            "multiply clock went from {before:?} to {after:?}"
         );
         assert!(ctx.arena_all_free_zero(), "arena dirty after worker death");
 

@@ -240,15 +240,18 @@ mod tests {
         let mut all = KernelSpec::figure9_lineup();
         all.extend(KernelSpec::figure11_lineup());
         let ctx = ExecutionContext::new(3);
-        let before = symspmv_runtime::WorkerPool::pools_created();
         for spec in all {
             let mut k = build_kernel(spec, &coo, &ctx).unwrap();
             let mut y = vec![f64::NAN; 200];
+            let rounds_before = ctx.pool_rounds();
             k.spmv(&x, &mut y);
             assert_vec_close(&y, &y_ref, 1e-12);
             assert_eq!(k.name(), spec.name());
+            // The whole factory sweep runs on the context's single pool:
+            // every kernel holds this context, and its spmv shows up on the
+            // context's own round counter.
+            assert!(Arc::ptr_eq(k.context(), &ctx));
+            assert!(ctx.pool_rounds() > rounds_before, "{}", spec.name());
         }
-        // The whole factory sweep ran on the context's single pool.
-        assert_eq!(symspmv_runtime::WorkerPool::pools_created(), before);
     }
 }

@@ -11,14 +11,14 @@
 //!
 //! Schema (`bench-v1`): one [`BenchReport`] per bench target —
 //! `{schema, target, machine, samples: [SampleSet...]}` — written through
-//! the std-only [`crate::json`] module. Medians/MAD/min are *derived*
+//! the std-only [`symspmv_verify::jsonio`] codec. Medians/MAD/min are *derived*
 //! fields: they are emitted for `jq` convenience but recomputed from the
 //! raw samples on parse, so a hand-edited baseline cannot disagree with its
 //! own data.
 
-use crate::json::{Json, JsonError};
 use crate::machine::MachineInfo;
 use symspmv_runtime::PhaseTimes;
+use symspmv_verify::jsonio::Json;
 
 /// Why a ledger document could not be built or understood.
 #[derive(Debug)]
@@ -28,8 +28,8 @@ pub enum LedgerError {
         /// Which record carried the bad value.
         context: String,
     },
-    /// The text is not valid JSON.
-    Json(JsonError),
+    /// The text is not valid JSON, or a value cannot be written as JSON.
+    Json(String),
     /// The JSON is valid but does not follow the `bench-v1` schema.
     Schema {
         /// What is missing or mistyped.
@@ -50,12 +50,6 @@ impl std::fmt::Display for LedgerError {
 }
 
 impl std::error::Error for LedgerError {}
-
-impl From<JsonError> for LedgerError {
-    fn from(e: JsonError) -> Self {
-        LedgerError::Json(e)
-    }
-}
 
 /// Schema tag written into every report.
 pub const SCHEMA: &str = "bench-v1";
@@ -95,7 +89,7 @@ impl PhaseBreakdown {
     }
 
     fn to_json(self) -> Json {
-        let mut o = Json::obj();
+        let mut o = Json::Obj(Vec::new());
         o.push("multiply_s", Json::Num(self.multiply))
             .push("reduce_s", Json::Num(self.reduce))
             .push("vector_ops_s", Json::Num(self.vector_ops))
@@ -214,7 +208,7 @@ impl SampleSet {
 
     fn to_json(&self) -> Result<Json, LedgerError> {
         self.validate()?;
-        let mut o = Json::obj();
+        let mut o = Json::Obj(Vec::new());
         o.push("group", Json::Str(self.group.clone()))
             .push("id", Json::Str(self.id.clone()))
             .push("iters", Json::Num(self.iters as f64))
@@ -322,7 +316,7 @@ impl BenchReport {
 
     /// Serializes to the `bench-v1` JSON document.
     pub fn to_json(&self) -> Result<String, LedgerError> {
-        let mut o = Json::obj();
+        let mut o = Json::Obj(Vec::new());
         o.push("schema", Json::Str(SCHEMA.into()))
             .push("target", Json::Str(self.target.clone()))
             .push("machine", self.machine.to_json());
@@ -332,12 +326,12 @@ impl BenchReport {
             .map(SampleSet::to_json)
             .collect::<Result<_, _>>()?;
         o.push("samples", Json::Arr(samples));
-        Ok(o.to_pretty()?)
+        o.to_pretty().map_err(LedgerError::Json)
     }
 
     /// Parses a `bench-v1` document.
     pub fn from_json(text: &str) -> Result<Self, LedgerError> {
-        let doc = Json::parse(text)?;
+        let doc = Json::parse(text).map_err(LedgerError::Json)?;
         match doc.get("schema").and_then(Json::as_str) {
             Some(s) if s == SCHEMA => {}
             other => {
@@ -432,6 +426,23 @@ mod tests {
         assert_eq!(parsed.file_name(), "BENCH_unit.json");
         assert!(parsed.find("g", "bare").is_some());
         assert!(parsed.find("g", "nope").is_none());
+    }
+
+    /// The committed gate baseline was written by the codec this crate
+    /// used to carry; the shared one must reproduce it to the byte — both
+    /// as a bare JSON document and through the ledger schema (which
+    /// recomputes the derived medians from the raw samples).
+    #[test]
+    fn committed_baseline_reserializes_byte_identically() {
+        let text = include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../bench/baseline.json"
+        ));
+        assert_eq!(Json::parse(text).unwrap().to_pretty().unwrap(), text);
+        assert_eq!(
+            BenchReport::from_json(text).unwrap().to_json().unwrap(),
+            text
+        );
     }
 
     #[test]

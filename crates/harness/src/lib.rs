@@ -14,7 +14,6 @@ pub mod conformance;
 pub mod error;
 pub mod experiments;
 pub mod framework;
-pub mod json;
 pub mod kernels;
 pub mod ledger;
 pub mod machine;

@@ -1,10 +1,10 @@
 //! Host characterization — the stand-in for the paper's Table II
 //! (platform description + STREAM-measured sustained bandwidth).
 
-use crate::json::Json;
 use crate::ledger::LedgerError;
 use crate::report::Table;
 use std::time::Instant;
+use symspmv_verify::jsonio::Json;
 
 /// One row of host information.
 fn read_trimmed(path: &str) -> Option<String> {
@@ -135,7 +135,7 @@ impl MachineInfo {
 
     /// Serializes into the ledger's `machine` block.
     pub fn to_json(&self) -> Json {
-        let mut o = Json::obj();
+        let mut o = Json::Obj(Vec::new());
         o.push("ncpus", Json::Num(self.ncpus as f64))
             .push("cpu_model", Json::Str(self.cpu_model.clone()))
             .push(

@@ -719,16 +719,24 @@ mod tests {
 
     #[test]
     fn context_creates_exactly_one_pool() {
-        let before = WorkerPool::pools_created();
+        // Pool identity is its worker threads: every round of the context
+        // must land on the same four (a process-global pool counter would
+        // also see the pools sibling tests build concurrently).
         let ctx = ExecutionContext::new(4);
         let hits = AtomicUsize::new(0);
+        let mut workers_per_round = Vec::new();
         for _ in 0..5 {
-            ctx.run(&|_| {
+            let workers = std::sync::Mutex::new(vec![None; 4]);
+            ctx.run(&|tid| {
                 hits.fetch_add(1, Ordering::Relaxed);
+                workers.lock().unwrap()[tid] = Some(std::thread::current().id());
             });
+            workers_per_round.push(workers.into_inner().unwrap());
         }
         assert_eq!(hits.load(Ordering::Relaxed), 20);
-        assert_eq!(WorkerPool::pools_created(), before + 1);
+        assert_eq!(ctx.pool_rounds(), 5);
+        assert!(workers_per_round[0].iter().all(Option::is_some));
+        assert!(workers_per_round.iter().all(|w| *w == workers_per_round[0]));
     }
 
     #[test]

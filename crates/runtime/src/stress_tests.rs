@@ -92,7 +92,6 @@ fn double_fault_rounds_respawn_only_the_panicked_workers() {
     };
 
     let ids_before = ids_of_round(&mut pool);
-    let created_before = WorkerPool::pools_created();
     plan.arm_worker_panic(0, 0);
     plan.arm_worker_panic(3, 1);
 
@@ -111,11 +110,9 @@ fn double_fault_rounds_respawn_only_the_panicked_workers() {
     assert_ne!(ids_before[3], ids_after[3], "worker 3 must be respawned");
     assert_eq!(ids_before[1], ids_after[1], "worker 1 kept its thread");
     assert_eq!(ids_before[2], ids_after[2], "worker 2 kept its thread");
-    assert_eq!(
-        WorkerPool::pools_created(),
-        created_before,
-        "recovery must not create a new pool"
-    );
+    // The pool's own round counter ran on through both faults: recovery
+    // replaced two workers, not the pool.
+    assert_eq!(pool.rounds_run(), 4, "recovery must not create a new pool");
 }
 
 #[test]

@@ -245,7 +245,7 @@ mod tests {
     use super::*;
     use symspmv_core::{CsrParallel, ReductionMethod, SymFormat, SymSpmv};
     use symspmv_csx::detect::DetectConfig;
-    use symspmv_runtime::{ExecutionContext, WorkerPool};
+    use symspmv_runtime::ExecutionContext;
     use symspmv_sparse::dense::seeded_vector;
     use symspmv_sparse::CooMatrix;
 
@@ -468,7 +468,6 @@ mod tests {
     #[test]
     fn full_solve_creates_exactly_one_pool_and_recycles_scratch() {
         let coo = symspmv_sparse::gen::banded_random(500, 12, 6.0, 9);
-        let before = WorkerPool::pools_created();
         let ctx = ExecutionContext::new(4);
         let mut k =
             SymSpmv::from_coo(&coo, &ctx, ReductionMethod::Indexing, SymFormat::Sss).unwrap();
@@ -479,10 +478,20 @@ mod tests {
             rel_tol: 0.0,
             record_history: false,
         };
+        // Pool identity is its worker threads: the solve must dispatch its
+        // rounds on the context's pool and leave it on the same four.
+        let workers = || {
+            let ids = std::sync::Mutex::new(vec![None; 4]);
+            ctx.run(&|tid| ids.lock().unwrap()[tid] = Some(std::thread::current().id()));
+            ids.into_inner().unwrap()
+        };
+        let workers_before = workers();
+        let rounds_before = ctx.pool_rounds();
         let res1 = cg(&mut k, &b, &mut x, &cfg);
+        assert!(ctx.pool_rounds() >= rounds_before + res1.iterations);
         assert_eq!(
-            WorkerPool::pools_created(),
-            before + 1,
+            workers(),
+            workers_before,
             "a full CG solve must run on exactly one pool"
         );
         // A second solve leases the same scratch buffers back out of the

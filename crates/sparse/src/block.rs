@@ -12,9 +12,10 @@
 //! the lane count `k`.
 //!
 //! Lane counts are restricted to [`SUPPORTED_LANES`] (powers of two up to
-//! [`MAX_LANES`]) so kernels can keep per-row accumulators in a fixed
-//! `[f64; MAX_LANES]` stack array and the per-thread local blocks leased
-//! from the runtime arena stay aligned multiples of the scalar layout.
+//! [`MAX_LANES`]) so kernels can be monomorphized per lane count
+//! ([`with_lanes!`](crate::with_lanes)) with `[f64; K]` register
+//! accumulators, and the per-thread local blocks leased from the runtime
+//! arena stay aligned multiples of the scalar layout.
 
 use crate::Val;
 
@@ -23,6 +24,28 @@ pub const MAX_LANES: usize = 16;
 
 /// The lane counts the batched kernels accept.
 pub const SUPPORTED_LANES: [usize; 5] = [1, 2, 4, 8, 16];
+
+/// Dispatches a lane-generic operation on a runtime lane count, binding
+/// `$K` as a `const usize` per arm — the lane-axis sibling of
+/// [`with_symmetry_ops!`](crate::with_symmetry_ops): kernels stay generic
+/// over `const K`, and the one runtime `match` sits at the call boundary.
+/// The arms are exactly [`SUPPORTED_LANES`], the only counts a
+/// [`VectorBlock`] can be constructed with.
+#[macro_export]
+macro_rules! with_lanes {
+    ($lanes:expr, $K:ident => $body:expr) => {
+        $crate::with_lanes!(@arms [1 2 4 8 16] $lanes, $K => $body)
+    };
+    (@arms [$($n:literal)*] $lanes:expr, $K:ident => $body:expr) => {
+        match $lanes {
+            $($n => {
+                const $K: usize = $n;
+                $body
+            })*
+            other => unreachable!("lane count {other} outside SUPPORTED_LANES"),
+        }
+    };
+}
 
 /// A block of `k` dense vectors of length `n`, lane-interleaved:
 /// element `(row i, lane j)` is `data[i·k + j]`.
@@ -157,6 +180,16 @@ impl VectorBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn with_lanes_binds_every_supported_count() {
+        fn bound<const K: usize>() -> usize {
+            K
+        }
+        for lanes in SUPPORTED_LANES {
+            assert_eq!(with_lanes!(lanes, K => bound::<K>()), lanes);
+        }
+    }
 
     #[test]
     fn layout_is_lane_interleaved() {

@@ -1,12 +1,15 @@
-//! A minimal std-only JSON reader/writer for the verification layer.
+//! The workspace's one std-only JSON codec (the offline build rules out
+//! serde).
 //!
-//! The bench ledger has its own JSON *writer* in the harness; the verify
-//! crate needs both directions (certificates round-trip, the audit binary
-//! emits findings) without depending on the harness or on serde. The
-//! dialect is deliberately strict where floats are concerned: `NaN`,
-//! `Infinity` and overflowing literals like `1e999` are rejected on parse,
-//! and non-finite numbers are rejected on write — a certificate or finding
-//! containing one is corrupt by definition.
+//! Certificates and audit findings round-trip through it, the plan store
+//! persists with it, and the bench ledger (`BENCH_*.json`,
+//! `bench/baseline.json`) is written by its pretty printer so the
+//! artifacts diff reviewably and feed `jq` directly. The dialect is
+//! deliberately strict where floats are concerned: `NaN`, `Infinity` and
+//! overflowing literals like `1e999` are rejected on parse, and non-finite
+//! numbers are rejected on write — a certificate, finding or measurement
+//! containing one is corrupt by definition and must not silently enter a
+//! committed file. Objects keep insertion order, so writes are stable.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,10 +53,63 @@ impl Json {
         Ok(out)
     }
 
+    /// Serializes with two-space indentation and a trailing newline;
+    /// arrays of scalars stay on one line (sample vectors would otherwise
+    /// dominate a ledger file). Fails on non-finite numbers.
+    pub fn to_pretty(&self) -> Result<String, String> {
+        let mut out = String::new();
+        write_pretty(self, &mut out, 0)?;
+        out.push('\n');
+        Ok(out)
+    }
+
     /// Looks up a key of an object; `None` for absent keys or non-objects.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Appends a field to an object under construction (panics on
+    /// non-objects — a construction bug, not data).
+    pub fn push(&mut self, key: &str, value: Json) -> &mut Json {
+        match self {
+            Json::Obj(fields) => fields.push((key.to_string(), value)),
+            _ => unreachable!("Json::push on a non-object"),
+        }
+        self
+    }
+
+    /// The value as a float.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// The value as a non-negative integer (rejects fractional parts and
+    /// magnitudes a double cannot hold exactly).
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= 2f64.powi(53) => Some(*v as u64),
+            _ => None,
+        }
+    }
+
+    /// The value as a string slice.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as an array slice.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
             _ => None,
         }
     }
@@ -267,6 +323,53 @@ fn write_value(value: &Json, out: &mut String) -> Result<(), String> {
     Ok(())
 }
 
+fn write_pretty(value: &Json, out: &mut String, depth: usize) -> Result<(), String> {
+    let newline_indent = |out: &mut String, depth: usize| {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    };
+    match value {
+        Json::Arr(items) if !items.is_empty() => {
+            let scalar = items
+                .iter()
+                .all(|i| !matches!(i, Json::Arr(_) | Json::Obj(_)));
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                if !scalar {
+                    newline_indent(out, depth + 1);
+                } else if i > 0 {
+                    out.push(' ');
+                }
+                write_pretty(item, out, depth + 1)?;
+            }
+            if !scalar {
+                newline_indent(out, depth);
+            }
+            out.push(']');
+        }
+        Json::Obj(fields) if !fields.is_empty() => {
+            out.push('{');
+            for (i, (key, item)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                newline_indent(out, depth + 1);
+                write_string(key, out);
+                out.push_str(": ");
+                write_pretty(item, out, depth + 1)?;
+            }
+            newline_indent(out, depth);
+            out.push('}');
+        }
+        // Scalars and empty containers read the same in both layouts.
+        _ => write_value(value, out)?,
+    }
+    Ok(())
+}
+
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -333,6 +436,44 @@ mod tests {
         assert!(Json::parse(&deep).is_err());
         let ok = "[".repeat(40) + &"]".repeat(40);
         assert!(Json::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn pretty_layout_and_exact_float_round_trip() {
+        let mut inner = Json::Obj(Vec::new());
+        inner
+            .push("b", Json::Num(2.0))
+            .push("a", Json::Num(0.1 + 0.2));
+        let mut doc = Json::Obj(Vec::new());
+        doc.push("name", Json::Str("x".into()))
+            .push("scalars", Json::Arr(vec![Json::Num(1.0), Json::Null]))
+            .push("nested", Json::Arr(vec![inner]))
+            .push("empty_arr", Json::Arr(vec![]))
+            .push("empty_obj", Json::Obj(Vec::new()));
+        let text = doc.to_pretty().unwrap();
+        assert_eq!(
+            text,
+            "{\n  \"name\": \"x\",\n  \"scalars\": [1, null],\n  \"nested\": [\n    {\n      \
+             \"b\": 2,\n      \"a\": 0.30000000000000004\n    }\n  ],\n  \"empty_arr\": [],\n  \
+             \"empty_obj\": {}\n}\n"
+        );
+        // Shortest-round-trip floats parse back bit-identical, and the
+        // insertion order (b before a) survives.
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+        let mut bad = Json::Obj(Vec::new());
+        bad.push("median", Json::Num(f64::NAN));
+        assert!(bad.to_pretty().is_err());
+    }
+
+    #[test]
+    fn accessors() {
+        let doc = Json::parse("{\"n\": 5, \"s\": \"x\", \"a\": [1.5], \"f\": 2.5}").unwrap();
+        assert_eq!(doc.get("n").unwrap().as_u64(), Some(5));
+        assert_eq!(doc.get("f").unwrap().as_u64(), None);
+        assert_eq!(doc.get("f").unwrap().as_f64(), Some(2.5));
+        assert_eq!(doc.get("s").unwrap().as_str(), Some("x"));
+        assert_eq!(doc.get("a").unwrap().as_arr().unwrap().len(), 1);
+        assert!(doc.get("missing").is_none());
     }
 
     #[test]

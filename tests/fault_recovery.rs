@@ -130,6 +130,7 @@ fn reduction_phase_panic_during_spmm_is_caught_and_context_recovers() {
         let mut y_warm = VectorBlock::zeros(n, lanes);
         eng.try_spmm(&x, &mut y_warm).expect("warm-up spmm");
 
+        let before = eng.times();
         ctx.fault_plan().arm_worker_panic(2, REDUCTION_ROUND_OFFSET);
         let mut y_doomed = VectorBlock::zeros(n, lanes);
         match eng.try_spmm(&x, &mut y_doomed) {
@@ -145,6 +146,14 @@ fn reduction_phase_panic_during_spmm_is_caught_and_context_recovers() {
         }
         assert_eq!(ctx.fault_plan().fired(), 1);
         assert_eq!(ctx.take_last_panic(), None);
+
+        // The unwinding call keeps the phase clocks: the finished multiply
+        // was counted, and the reduce time of earlier calls is not lost.
+        let after = eng.times();
+        assert!(
+            after.multiply > before.multiply && after.reduce >= before.reduce,
+            "{method:?}: phase clocks went from {before:?} to {after:?}"
+        );
 
         // The lane-wide leases returned mid-unwind left the arena whole:
         // every free buffer is back to all-zeros.
