@@ -62,11 +62,11 @@ pub use csx_mt::CsxParallel;
 pub use csx_sym::CsxSymMatrix;
 pub use error::SymSpmvError;
 pub use plan::CachedSymPlan;
-pub use resilience::{fallback_worthy, FallbackKernel, Resilient, RetryPolicy, Served};
+pub use resilience::{fallback_worthy, serve, FallbackKernel, Resilient, RetryPolicy, Served};
 pub use sym::{ReductionMethod, SymFormat, SymSpmv};
 pub use sym_atomic::SssAtomicParallel;
 pub use sym_color::SssColorParallel;
-pub use traits::{classify_unwind, BlockKernel, ParallelSpmmExt, ParallelSpmv, SymbolicDescribe};
+pub use traits::{try_on_pool, BlockKernel, ParallelSpmmExt, ParallelSpmv, SymbolicDescribe};
 
 // Re-exported so block-kernel callers need only this crate in scope.
 pub use symspmv_runtime::ParallelSpmm;

@@ -276,19 +276,54 @@ pub fn fallback_worthy(e: &SymSpmvError) -> bool {
     )
 }
 
-/// A parallel kernel wrapped with a [`RetryPolicy`] and a serial
-/// [`FallbackKernel`]: the unit the solve service actually exposes.
-///
-/// Per request:
+/// The retry→degrade ladder every resilient entry point shares, over the
+/// request's output buffer `out`:
 ///
 /// 1. if the pool is already [`Wedged`](PoolHealth::Wedged), the request
 ///    goes straight to the fallback (cause [`SymSpmvError::PoolWedged`])
 ///    without queueing on the pool;
-/// 2. otherwise the parallel kernel runs under the installed supervision,
-///    retried per the policy;
-/// 3. a pool-loss failure (retries exhausted, wedge, deadline overrun)
-///    degrades onto the fallback; cancellation and input/numerical errors
-///    return to the caller as typed errors.
+/// 2. otherwise `parallel` runs, retried per `policy`, under `sup` —
+///    installed for the parallel attempts only, since a deadline that
+///    killed them must not also kill the late serve that follows;
+/// 3. a pool-loss failure ([`fallback_worthy`]) is served by `degraded`;
+///    cancellation and input/numerical errors return typed.
+///
+/// `reset` restores `out` to its pre-request state before every attempt,
+/// before the degraded serve and before an `Err` return, so a failed
+/// attempt's partial writes never leak onwards.
+pub fn serve<O: ?Sized, T>(
+    ctx: &ExecutionContext,
+    policy: &RetryPolicy,
+    sup: Option<Supervision>,
+    out: &mut O,
+    reset: impl Fn(&mut O),
+    mut parallel: impl FnMut(&mut O) -> Result<T, SymSpmvError>,
+    degraded: impl FnOnce(&mut O) -> T,
+) -> Result<(T, Served), SymSpmvError> {
+    let attempted = if ctx.health() == PoolHealth::Wedged {
+        Err(SymSpmvError::PoolWedged)
+    } else {
+        let _guard = sup.map(|s| ctx.supervise(s));
+        policy.run(|_| {
+            reset(out);
+            parallel(out)
+        })
+    };
+    let served = match attempted {
+        Ok((value, attempts)) => return Ok((value, Served::Parallel { attempts })),
+        Err(cause) if fallback_worthy(&cause) => Served::Fallback { cause },
+        Err(e) => {
+            reset(out);
+            return Err(e);
+        }
+    };
+    reset(out);
+    Ok((degraded(out), served))
+}
+
+/// A parallel kernel wrapped with a [`RetryPolicy`] and a serial
+/// [`FallbackKernel`]: the unit the solve service actually exposes. Every
+/// request climbs the [`serve`] ladder and reports how it was served.
 ///
 /// The context keeps accepting work throughout — the fallback never takes
 /// the pool lock.
@@ -368,36 +403,30 @@ impl<K: ParallelSpmv> Resilient<K> {
         sup: Option<Supervision>,
     ) -> Result<Served, SymSpmvError> {
         let ctx = Arc::clone(self.kernel.context());
-        if ctx.health() == PoolHealth::Wedged {
-            return self.serve_fallback_spmv(x, y, SymSpmvError::PoolWedged);
-        }
-        let attempt_result = {
-            let _guard = sup.map(|s| ctx.supervise(s));
-            self.policy.run(|_| {
-                y.fill(0.0);
-                self.kernel.try_spmv(x, y)
-            })
-        };
-        match attempt_result {
-            Ok(((), attempts)) => {
-                self.parallel_serves += 1;
-                Ok(Served::Parallel { attempts })
-            }
-            Err(e) if fallback_worthy(&e) => self.serve_fallback_spmv(x, y, e),
-            Err(e) => Err(e),
-        }
+        let served = serve(
+            &ctx,
+            &self.policy,
+            sup,
+            y,
+            |y| y.fill(0.0),
+            |y| self.kernel.try_spmv(x, y),
+            |y| self.fallback.spmv(x, y),
+        );
+        self.tally(served)
     }
 
-    fn serve_fallback_spmv(
+    /// Counts a served request as parallel or fallback.
+    fn tally(
         &mut self,
-        x: &[Val],
-        y: &mut [Val],
-        cause: SymSpmvError,
+        served: Result<((), Served), SymSpmvError>,
     ) -> Result<Served, SymSpmvError> {
-        y.fill(0.0);
-        self.fallback.spmv(x, y);
-        self.fallback_serves += 1;
-        Ok(Served::Fallback { cause })
+        let ((), served) = served?;
+        if served.is_fallback() {
+            self.fallback_serves += 1;
+        } else {
+            self.parallel_serves += 1;
+        }
+        Ok(served)
     }
 }
 
@@ -424,36 +453,16 @@ impl<K: ParallelSpmv + ParallelSpmm> Resilient<K> {
         sup: Option<Supervision>,
     ) -> Result<Served, SymSpmvError> {
         let ctx = Arc::clone(self.kernel.spmm_context());
-        if ctx.health() == PoolHealth::Wedged {
-            return self.serve_fallback_spmm(x, y, SymSpmvError::PoolWedged);
-        }
-        let attempt_result = {
-            let _guard = sup.map(|s| ctx.supervise(s));
-            self.policy.run(|_| {
-                y.fill(0.0);
-                self.kernel.try_spmm(x, y)
-            })
-        };
-        match attempt_result {
-            Ok(((), attempts)) => {
-                self.parallel_serves += 1;
-                Ok(Served::Parallel { attempts })
-            }
-            Err(e) if fallback_worthy(&e) => self.serve_fallback_spmm(x, y, e),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn serve_fallback_spmm(
-        &mut self,
-        x: &VectorBlock,
-        y: &mut VectorBlock,
-        cause: SymSpmvError,
-    ) -> Result<Served, SymSpmvError> {
-        y.fill(0.0);
-        self.fallback.spmm(x, y);
-        self.fallback_serves += 1;
-        Ok(Served::Fallback { cause })
+        let served = serve(
+            &ctx,
+            &self.policy,
+            sup,
+            y,
+            |y| y.fill(0.0),
+            |y| self.kernel.try_spmm(x, y),
+            |y| self.fallback.spmm(x, y),
+        );
+        self.tally(served)
     }
 }
 

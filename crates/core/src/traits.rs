@@ -5,24 +5,37 @@
 //! vector multiplication interface" — this trait is that interface.
 
 use crate::error::SymSpmvError;
-use std::any::Any;
 use std::borrow::Cow;
 use std::sync::Arc;
 use symspmv_runtime::{ExecutionContext, Interrupt, ParallelSpmm, PhaseTimes};
 use symspmv_sparse::block::VectorBlock;
 use symspmv_sparse::Val;
 
-/// Classifies a caught unwind from a parallel kernel into the typed error
-/// it represents, shared by `try_spmv`, `try_spmm`, and the resilient
-/// solver wrappers (which catch unwinds around a whole solve):
+/// Runs `f` — an operation on `ctx`'s pool: one multiply, or a whole solve
+/// — converting a worker-thread panic or a supervision interrupt inside it
+/// into its typed error instead of unwinding. Shared by `try_spmv`,
+/// `try_spmm` and the resilient solver wrappers:
 ///
 /// 1. a supervision [`Interrupt`] (cancellation / deadline, raised on the
-///    calling thread at a pool checkpoint) becomes its typed error;
+///    calling thread at a pool checkpoint) becomes
+///    [`SymSpmvError::Cancelled`] / [`SymSpmvError::DeadlineExceeded`];
 /// 2. a recorded worker panic becomes [`SymSpmvError::WorkerPanicked`];
 /// 3. anything else is a genuine caller-thread panic (e.g. a dimension
-///    assertion) and resumes unwinding.
-pub fn classify_unwind(ctx: &ExecutionContext, payload: Box<dyn Any + Send>) -> SymSpmvError {
-    match payload.downcast::<Interrupt>() {
+///    assertion), not a worker death, and resumes unwinding.
+///
+/// On `Err`, the context's pool has fully drained the failed round and
+/// every leased buffer has been scrubbed back to the arena (the arena
+/// all-free-zero invariant holds), so the kernel and context remain
+/// usable; the operation's outputs hold unspecified partial results.
+pub fn try_on_pool<T>(ctx: &ExecutionContext, f: impl FnOnce() -> T) -> Result<T, SymSpmvError> {
+    // Clear any stale record so a pre-existing panic from an unrelated
+    // kernel on the same context is not misattributed to this call.
+    let _ = ctx.take_last_panic();
+    let payload = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+        Ok(value) => return Ok(value),
+        Err(payload) => payload,
+    };
+    Err(match payload.downcast::<Interrupt>() {
         Ok(interrupt) => {
             // The checkpoint fired before any worker was dispatched (or
             // after the round drained); a panic recorded in the same call
@@ -34,7 +47,7 @@ pub fn classify_unwind(ctx: &ExecutionContext, payload: Box<dyn Any + Send>) -> 
             Some(info) => SymSpmvError::from(info),
             None => std::panic::resume_unwind(payload),
         },
-    }
+    })
 }
 
 /// A multithreaded SpMV kernel bound to one matrix and one
@@ -44,25 +57,12 @@ pub trait ParallelSpmv {
     /// Computes `y = A·x`.
     fn spmv(&mut self, x: &[Val], y: &mut [Val]);
 
-    /// Computes `y = A·x`, converting a worker-thread panic into a
-    /// structured [`SymSpmvError::WorkerPanicked`] instead of unwinding.
-    ///
-    /// On `Err`, the context's pool has fully drained the failed round and
-    /// the buffer arena invariant holds, so the kernel and context remain
-    /// usable; `y` holds unspecified partial results. Supervision
-    /// interrupts (cancellation, deadline) surface as
-    /// [`SymSpmvError::Cancelled`] / [`SymSpmvError::DeadlineExceeded`].
-    /// Panics raised on the *calling* thread (e.g. dimension-mismatch
-    /// assertions) are not worker deaths and continue to unwind.
+    /// Computes `y = A·x` under [`try_on_pool`]: a worker-thread
+    /// panic or supervision interrupt comes back as a structured error
+    /// instead of unwinding, with the kernel and context still usable.
     fn try_spmv(&mut self, x: &[Val], y: &mut [Val]) -> Result<(), SymSpmvError> {
         let ctx = Arc::clone(self.context());
-        // Clear any stale record so a pre-existing panic from an unrelated
-        // kernel on the same context is not misattributed to this call.
-        let _ = ctx.take_last_panic();
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.spmv(x, y))) {
-            Ok(()) => Ok(()),
-            Err(payload) => Err(classify_unwind(&ctx, payload)),
-        }
+        try_on_pool(&ctx, || self.spmv(x, y))
     }
 
     /// Matrix dimension `N` (all evaluation matrices are square).
@@ -107,24 +107,11 @@ pub trait ParallelSpmv {
 /// defined) because the structured error type is this crate's
 /// [`SymSpmvError`]. Blanket-implemented for every block kernel.
 pub trait ParallelSpmmExt: ParallelSpmm {
-    /// Computes `Y = A·X`, converting a worker-thread panic into a
-    /// structured [`SymSpmvError::WorkerPanicked`] instead of unwinding.
-    ///
-    /// On `Err`, the context's pool has fully drained the failed round,
-    /// every leased block buffer has been scrubbed back to the arena
-    /// (the arena all-free-zero invariant holds), and the kernel and
-    /// context remain usable; `y` holds unspecified partial results.
-    /// Supervision interrupts (cancellation, deadline) surface as
-    /// [`SymSpmvError::Cancelled`] / [`SymSpmvError::DeadlineExceeded`].
-    /// Caller-thread panics (e.g. lane-mismatch assertions) are not worker
-    /// deaths and continue to unwind.
+    /// Computes `Y = A·X` under [`try_on_pool`], with the same
+    /// recovery guarantees as [`ParallelSpmv::try_spmv`].
     fn try_spmm(&mut self, x: &VectorBlock, y: &mut VectorBlock) -> Result<(), SymSpmvError> {
         let ctx = Arc::clone(self.spmm_context());
-        let _ = ctx.take_last_panic();
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.spmm(x, y))) {
-            Ok(()) => Ok(()),
-            Err(payload) => Err(classify_unwind(&ctx, payload)),
-        }
+        try_on_pool(&ctx, || self.spmm(x, y))
     }
 }
 

@@ -4,6 +4,7 @@
 use crate::ledger::LedgerError;
 use crate::report::Table;
 use std::time::Instant;
+use symspmv_tune::machine::{machine_model, ncpus};
 use symspmv_verify::jsonio::Json;
 
 /// One row of host information.
@@ -11,19 +12,6 @@ fn read_trimmed(path: &str) -> Option<String> {
     std::fs::read_to_string(path)
         .ok()
         .map(|s| s.trim().to_string())
-}
-
-/// CPU model name from /proc/cpuinfo (Linux).
-pub fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|v| v.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into())
 }
 
 /// Cache descriptions from sysfs: (level, type, size).
@@ -92,10 +80,8 @@ impl MachineInfo {
     /// Detects the current host, toolchain and source revision.
     pub fn detect() -> MachineInfo {
         MachineInfo {
-            ncpus: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
-            cpu_model: cpu_model(),
+            ncpus: ncpus(),
+            cpu_model: machine_model(),
             caches: caches()
                 .into_iter()
                 .map(|(level, ctype, size)| format!("L{level} {} {size}", ctype.to_lowercase()))
@@ -212,13 +198,8 @@ fn git_revision() -> String {
 /// Prints the host description table (Table II substitute, DESIGN.md S5).
 pub fn describe() -> Table {
     let mut t = Table::new(&["property", "value"]);
-    t.row(vec!["cpu model".into(), cpu_model()]);
-    t.row(vec![
-        "available parallelism".into(),
-        std::thread::available_parallelism()
-            .map(|p| p.get().to_string())
-            .unwrap_or("?".into()),
-    ]);
+    t.row(vec!["cpu model".into(), machine_model()]);
+    t.row(vec!["available parallelism".into(), ncpus().to_string()]);
     for (level, ctype, size) in caches() {
         t.row(vec![
             format!("L{level} {} cache", ctype.to_lowercase()),
@@ -281,7 +262,7 @@ mod tests {
     fn describe_has_rows() {
         // Cheap structural check only (the bandwidth probe is expensive, so
         // exercise the pieces that don't allocate 192 MB).
-        assert!(!cpu_model().is_empty());
+        assert!(!machine_model().is_empty());
         let _ = caches();
     }
 }

@@ -8,18 +8,18 @@
 //! shared Krylov space, no block orthogonalization): lane `j` runs exactly
 //! the scalar CG of [`mod@crate::cg`] on `(A, b_j)`, with its own `alpha_j`,
 //! `beta_j` and residual, and freezes in place the moment it converges or
-//! breaks down while the other lanes continue. Because the batched kernels
-//! and the lane-wise vector ops reproduce the scalar op order per lane
-//! bit-exactly, every lane's iterates are bit-identical to a scalar CG
-//! solve of that lane — the property tests assert this.
+//! breaks down while the other lanes continue — it is the same
+//! lane-generic recurrence, instantiated at `k` lanes instead of one.
+//! Because the batched kernels and the lane-wise vector ops reproduce the
+//! scalar op order per lane bit-exactly, every lane's iterates are
+//! bit-identical to a scalar CG solve of that lane — the property tests
+//! assert this.
 
-use crate::cg::{CgConfig, SolveStatus, DIVERGENCE_GROWTH};
-use crate::vecops;
+use crate::cg::{recurrence, CgConfig, SolveStatus};
 use std::sync::Arc;
 use symspmv_core::{ParallelSpmm, ParallelSpmv, VectorBlock};
-use symspmv_runtime::timing::time_into;
 use symspmv_runtime::PhaseTimes;
-use symspmv_sparse::block::MAX_LANES;
+use symspmv_sparse::with_lanes;
 
 /// Terminal state of one lane of a block solve.
 #[derive(Debug, Clone)]
@@ -73,144 +73,18 @@ pub fn block_cg<K: ParallelSpmm + ParallelSpmv + ?Sized>(
     assert_eq!(x.n(), n);
     assert_eq!(x.lanes(), lanes);
     let ctx = Arc::clone(kernel.spmm_context());
-
-    let preexisting = kernel.times();
-    let mut vec_time = std::time::Duration::ZERO;
-
-    // R = B − A·X ; P = R.
     let mut r = VectorBlock::zeros(n, lanes);
     let mut p = VectorBlock::zeros(n, lanes);
     let mut ap = VectorBlock::zeros(n, lanes);
-    kernel.spmm(x, &mut r);
-    time_into(&mut vec_time, || {
-        vecops::sub_from_lanes(b, &mut r);
-        p.as_mut_slice().copy_from_slice(r.as_slice());
-    });
-
-    let b_norm_sq = vecops::norm2_sq_lanes(&ctx, b);
-    let mut tol_sq = [0.0; MAX_LANES];
-    for (t, &bn) in tol_sq.iter_mut().zip(&b_norm_sq).take(lanes) {
-        *t = config.rel_tol * config.rel_tol * bn;
-    }
-    let mut rs_old = vecops::norm2_sq_lanes(&ctx, &r);
-    let rs_initial = rs_old;
-
-    let mut outcomes: Vec<LaneOutcome> = (0..lanes)
-        .map(|j| LaneOutcome {
-            iterations: 0,
-            converged: config.rel_tol > 0.0 && rs_old[j] <= tol_sq[j],
-            status: SolveStatus::MaxIterations,
-            residual_norm: rs_old[j].sqrt(),
-            history: if config.record_history {
-                vec![rs_old[j].sqrt()]
-            } else {
-                Vec::new()
-            },
-        })
-        .collect();
-    let mut active: Vec<bool> = outcomes.iter().map(|o| !o.converged).collect();
-
-    let mut iterations = 0;
-    while iterations < config.max_iters && active.iter().any(|&a| a) {
-        kernel.spmm(&p, &mut ap);
-        time_into(&mut vec_time, || {
-            let pap = vecops::dot_lanes(&ctx, &p, &ap);
-            let mut alpha = [0.0; MAX_LANES];
-            for j in 0..lanes {
-                if !active[j] {
-                    continue;
-                }
-                if !pap[j].is_finite() {
-                    outcomes[j].status = SolveStatus::NonFiniteResidual;
-                    active[j] = false;
-                    continue;
-                }
-                if pap[j] <= 0.0 && rs_old[j] > 0.0 {
-                    outcomes[j].status = SolveStatus::NotSpd { pap: pap[j] };
-                    active[j] = false;
-                    continue;
-                }
-                alpha[j] = if pap[j] != 0.0 {
-                    rs_old[j] / pap[j]
-                } else {
-                    0.0
-                };
-            }
-            vecops::axpy_lanes(&ctx, &alpha, &active, &p, x);
-            let mut neg_alpha = [0.0; MAX_LANES];
-            for (na, &a) in neg_alpha.iter_mut().zip(&alpha).take(lanes) {
-                *na = -a;
-            }
-            vecops::axpy_lanes(&ctx, &neg_alpha, &active, &ap, &mut r);
-            let rs_new = vecops::norm2_sq_lanes(&ctx, &r);
-            let mut beta = [0.0; MAX_LANES];
-            for j in 0..lanes {
-                if !active[j] {
-                    continue;
-                }
-                if !rs_new[j].is_finite() {
-                    outcomes[j].status = SolveStatus::NonFiniteResidual;
-                    outcomes[j].iterations += 1;
-                    active[j] = false;
-                    continue;
-                }
-                if rs_initial[j] > 0.0
-                    && rs_new[j] > DIVERGENCE_GROWTH * DIVERGENCE_GROWTH * rs_initial[j]
-                {
-                    outcomes[j].status = SolveStatus::Diverged {
-                        growth: (rs_new[j] / rs_initial[j]).sqrt(),
-                    };
-                    outcomes[j].iterations += 1;
-                    rs_old[j] = rs_new[j];
-                    active[j] = false;
-                    continue;
-                }
-                beta[j] = if rs_old[j] != 0.0 {
-                    rs_new[j] / rs_old[j]
-                } else {
-                    0.0
-                };
-                rs_old[j] = rs_new[j];
-            }
-            vecops::xpby_lanes(&ctx, &r, &beta, &active, &mut p);
-            for j in 0..lanes {
-                if !active[j] {
-                    continue;
-                }
-                outcomes[j].iterations += 1;
-                if config.record_history {
-                    outcomes[j].history.push(rs_old[j].sqrt());
-                }
-                if config.rel_tol > 0.0 && rs_old[j] <= tol_sq[j] {
-                    outcomes[j].converged = true;
-                    active[j] = false;
-                }
-            }
-        });
-        iterations += 1;
-    }
-
-    for (j, o) in outcomes.iter_mut().enumerate() {
-        o.residual_norm = rs_old[j].sqrt();
-        if o.converged {
-            o.status = SolveStatus::Converged;
-        }
-    }
-
-    let after = kernel.times();
-    let times = PhaseTimes {
-        multiply: after.multiply - preexisting.multiply,
-        reduce: after.reduce - preexisting.reduce,
-        vector_ops: vec_time,
-        preprocess: preexisting.preprocess,
-    };
-    ctx.ledger_add(&times);
-
-    BlockSolveOutcome {
-        lanes: outcomes,
-        iterations,
-        times,
-    }
+    with_lanes!(lanes, L => recurrence::<L, _, _>(
+        kernel,
+        Some(&ctx),
+        K::spmm,
+        None,
+        (b, x),
+        (&mut r, &mut p, &mut ap),
+        config,
+    ))
 }
 
 #[cfg(test)]

@@ -1,29 +1,35 @@
-//! Non-preconditioned Conjugate Gradient (Alg. 1).
+//! Non-preconditioned Conjugate Gradient (Alg. 1), and the one recurrence
+//! every solver in this crate instantiates.
 //!
 //! One SpMV per iteration plus a handful of vector operations — exactly the
 //! cost profile §V-F dissects. (Note: line 8 of the paper's Alg. 1 listing
 //! drops the `A·` factor in the residual update; we implement the standard,
 //! correct recurrence `r ← r − a·A·p`.)
 //!
-//! The solver runs entirely on the kernel's
-//! [`ExecutionContext`](symspmv_runtime::ExecutionContext): the
+//! The iteration is written once, in `recurrence`: [`cg`] is its one-lane,
+//! unpreconditioned instance; `pcg_jacobi`, `block_cg` and the degraded
+//! serial rerun of the `resilient_*` wrappers are the others.
+//!
+//! [`cg`] runs entirely on the kernel's [`ExecutionContext`]: the
 //! residual/direction/product vectors are scratch leases from the context's
 //! arena (recycled across solves), the vector operations run on the same
 //! worker pool as the SpMV, and the per-phase breakdown is accumulated into
 //! the context's ledger.
 
+use crate::block_cg::{BlockSolveOutcome, LaneOutcome};
 use crate::vecops;
 use std::sync::Arc;
+use std::time::Duration;
 use symspmv_core::{ParallelSpmv, SymSpmvError};
 use symspmv_runtime::timing::time_into;
-use symspmv_runtime::PhaseTimes;
+use symspmv_runtime::{ExecutionContext, PhaseTimes};
 use symspmv_sparse::Val;
 
 /// Residual growth (in norms, relative to the initial residual) beyond
 /// which the iteration is declared divergent. CG on an SPD system is
 /// monotone in the A-norm; eight orders of magnitude of growth in the
 /// 2-norm means the recurrence has left SPD territory.
-pub(crate) const DIVERGENCE_GROWTH: f64 = 1e8;
+const DIVERGENCE_GROWTH: f64 = 1e8;
 
 /// CG stopping configuration.
 #[derive(Debug, Clone, Copy)]
@@ -125,13 +131,202 @@ impl SolveOutcome {
     }
 }
 
+/// The CG recurrence (Alg. 1), once: `L` independent lanes advanced in
+/// lockstep on lane-interleaved vectors, each lane running exactly the
+/// scalar iteration with its own `alpha`, `beta` and residual and freezing
+/// in place the moment it converges or breaks down.
+///
+/// * `apply(kernel, p, ap)` computes `ap = A·p` (`spmv` for `L = 1`,
+///   `spmm` otherwise) on vectors of the type `V` it consumes: a flat slice
+///   (arena scratch, a caller's iterate, a plain `Vec` in the degraded
+///   rerun) or a `VectorBlock`, either way viewed flat by the vector ops.
+/// * `jacobi` is the inverse diagonal with the buffer for `z = M⁻¹·r`;
+///   `None` means `z` *is* `r` and `rᵀz` *is* `‖r‖²` — no copy and no extra
+///   dot, so plain CG pays no pass for the preconditioned variant existing.
+/// * `exec` is the pool the vector ops run on; `None` runs them as serial
+///   loops (the degraded rerun), touching neither pool nor arena.
+/// * `system` is `(b, x)`, `x` holding the initial guess; `work` is the
+///   caller-allocated `(r, p, ap)`.
+///
+/// A lane's `iterations` counts the iterations it completed: the one that
+/// detects a breakdown is not counted, and its `residual_norm` is the last
+/// finite value (the grown one for `Diverged`).
+///
+/// The kernel's phase clocks attribute multiply/reduce time and every
+/// vector pass is timed here. What the solve spent goes on the context
+/// ledger; the reported breakdown additionally carries the kernel's
+/// one-time construction cost in `preprocess` (Fig. 14), which is *not*
+/// ledgered — or every solve on one kernel would add it again.
+pub(crate) fn recurrence<const L: usize, K, V>(
+    kernel: &mut K,
+    exec: Option<&ExecutionContext>,
+    mut apply: impl FnMut(&mut K, &V, &mut V),
+    mut jacobi: Option<(&[Val], &mut [Val])>,
+    system: (&V, &mut V),
+    work: (&mut V, &mut V, &mut V),
+    config: &CgConfig,
+) -> BlockSolveOutcome
+where
+    K: ParallelSpmv + ?Sized,
+    V: AsRef<[Val]> + AsMut<[Val]> + ?Sized,
+{
+    let ((b, x), (r, p, ap)) = (system, work);
+    let before = kernel.times();
+    let mut vector_ops = Duration::ZERO;
+
+    // r = b − A·x ; z = M⁻¹·r ; p = z.
+    apply(kernel, x, r);
+    let (b, x, r) = (b.as_ref(), x.as_mut(), r.as_mut());
+    let (tol_sq, mut rs, mut rz) = time_into(&mut vector_ops, || {
+        vecops::sub_from(b, r);
+        let z = precondition::<L>(&mut jacobi, r);
+        p.as_mut().copy_from_slice(z.unwrap_or(r));
+        let tol_sq =
+            vecops::lane_dot::<L>(exec, b, b).map(|bn| config.rel_tol * config.rel_tol * bn);
+        let rs = vecops::lane_dot::<L>(exec, r, r);
+        (tol_sq, rs, z.map_or(rs, |z| vecops::lane_dot(exec, r, z)))
+    });
+    let rs_initial = rs;
+
+    let mut lanes: Vec<LaneOutcome> = (0..L)
+        .map(|j| LaneOutcome {
+            iterations: 0,
+            converged: config.rel_tol > 0.0 && rs[j] <= tol_sq[j],
+            status: SolveStatus::MaxIterations,
+            residual_norm: rs[j].sqrt(),
+            history: Vec::from_iter(config.record_history.then(|| rs[j].sqrt())),
+        })
+        .collect();
+    let mut active: [bool; L] = std::array::from_fn(|j| !lanes[j].converged);
+
+    let mut iterations = 0;
+    while iterations < config.max_iters && active.contains(&true) {
+        apply(kernel, p, ap);
+        time_into(&mut vector_ops, || {
+            let pap = vecops::lane_dot::<L>(exec, p.as_ref(), ap.as_ref());
+            let mut alpha = [0.0; L];
+            for j in 0..L {
+                if !active[j] {
+                    continue;
+                }
+                // A SPD guarantees pᵀAp > 0 unless p == 0 (residual already
+                // zero); a non-positive curvature with residual left means
+                // the operator is not SPD — report it instead of emitting
+                // garbage.
+                if !pap[j].is_finite() {
+                    lanes[j].status = SolveStatus::NonFiniteResidual;
+                    active[j] = false;
+                } else if pap[j] <= 0.0 && rs[j] > 0.0 {
+                    lanes[j].status = SolveStatus::NotSpd { pap: pap[j] };
+                    active[j] = false;
+                } else {
+                    alpha[j] = if pap[j] != 0.0 { rz[j] / pap[j] } else { 0.0 };
+                }
+            }
+            vecops::lane_axpy(exec, alpha, active, p.as_ref(), x);
+            vecops::lane_axpy(exec, alpha.map(|a| -a), active, ap.as_ref(), r);
+            let z = precondition::<L>(&mut jacobi, r);
+            let rs_new = vecops::lane_dot::<L>(exec, r, r);
+            let rz_new = z.map_or(rs_new, |z| vecops::lane_dot(exec, r, z));
+            let mut beta = [0.0; L];
+            for j in 0..L {
+                if !active[j] {
+                    continue;
+                }
+                if !rs_new[j].is_finite() {
+                    lanes[j].status = SolveStatus::NonFiniteResidual;
+                    active[j] = false;
+                } else if rs_initial[j] > 0.0
+                    && rs_new[j] > DIVERGENCE_GROWTH * DIVERGENCE_GROWTH * rs_initial[j]
+                {
+                    lanes[j].status = SolveStatus::Diverged {
+                        growth: (rs_new[j] / rs_initial[j]).sqrt(),
+                    };
+                    rs[j] = rs_new[j];
+                    active[j] = false;
+                } else {
+                    beta[j] = if rz[j] != 0.0 { rz_new[j] / rz[j] } else { 0.0 };
+                    (rs[j], rz[j]) = (rs_new[j], rz_new[j]);
+                }
+            }
+            vecops::lane_xpby(exec, z.unwrap_or(r), beta, active, p.as_mut());
+            for j in 0..L {
+                if !active[j] {
+                    continue;
+                }
+                lanes[j].iterations += 1;
+                if config.record_history {
+                    lanes[j].history.push(rs[j].sqrt());
+                }
+                if config.rel_tol > 0.0 && rs[j] <= tol_sq[j] {
+                    lanes[j].converged = true;
+                    active[j] = false;
+                }
+            }
+        });
+        iterations += 1;
+    }
+
+    for (lane, rs) in lanes.iter_mut().zip(rs) {
+        lane.residual_norm = rs.sqrt();
+        if lane.converged {
+            lane.status = SolveStatus::Converged;
+        }
+    }
+    let after = kernel.times();
+    let spent = PhaseTimes {
+        multiply: after.multiply - before.multiply,
+        reduce: after.reduce - before.reduce,
+        vector_ops,
+        preprocess: Duration::ZERO,
+    };
+    kernel.context().ledger_add(&spent);
+    BlockSolveOutcome {
+        lanes,
+        iterations,
+        times: PhaseTimes {
+            preprocess: before.preprocess,
+            ..spent
+        },
+    }
+}
+
+/// Refreshes `z = M⁻¹·r` and returns it, or `None` when unpreconditioned
+/// (the caller then reads `r` itself wherever it would read `z`).
+fn precondition<'z, const L: usize>(
+    jacobi: &'z mut Option<(&[Val], &mut [Val])>,
+    r: &[Val],
+) -> Option<&'z [Val]> {
+    let (inv_diag, z) = jacobi.as_mut()?;
+    let (z_rows, r_rows) = (z.as_chunks_mut::<L>().0, r.as_chunks::<L>().0);
+    for ((zr, rr), &d) in z_rows.iter_mut().zip(r_rows).zip(inv_diag.iter()) {
+        *zr = rr.map(|ri| ri * d);
+    }
+    Some(z)
+}
+
+/// The scalar outcome of a one-lane [`recurrence`].
+pub(crate) fn scalar_outcome(mut run: BlockSolveOutcome) -> SolveOutcome {
+    let Some(lane) = run.lanes.pop() else {
+        unreachable!("a recurrence reports one outcome per lane");
+    };
+    SolveOutcome {
+        iterations: lane.iterations,
+        converged: lane.converged,
+        status: lane.status,
+        residual_norm: lane.residual_norm,
+        times: run.times,
+        history: lane.history,
+    }
+}
+
 /// Solves `A·x = b` with CG, starting from the initial guess in `x`.
 ///
 /// The kernel's phase clocks are used to attribute SpMV multiply/reduce
-/// time; vector operations are timed here. The kernel's *pre-existing*
+/// time; every vector pass is timed here. The kernel's *pre-existing*
 /// accumulated times (e.g. format preprocessing at construction) are
-/// reported in the `preprocess` slot. The solve's breakdown is also added
-/// to the context ledger.
+/// reported in the `preprocess` slot. What the solve itself spent is also
+/// added to the context ledger.
 pub fn cg<K: ParallelSpmv + ?Sized>(
     kernel: &mut K,
     b: &[Val],
@@ -142,102 +337,19 @@ pub fn cg<K: ParallelSpmv + ?Sized>(
     assert_eq!(b.len(), n);
     assert_eq!(x.len(), n);
     let ctx = Arc::clone(kernel.context());
-
-    let preexisting = kernel.times();
-    let mut vec_time = std::time::Duration::ZERO;
-
-    // r = b − A·x ; p = r. All three work vectors are arena scratch.
+    // All three work vectors are arena scratch.
     let mut r = ctx.lease_scratch(n);
     let mut p = ctx.lease_scratch(n);
     let mut ap = ctx.lease_scratch(n);
-    kernel.spmv(x, &mut r);
-    time_into(&mut vec_time, || {
-        vecops::sub_from(b, &mut r);
-        p.copy_from_slice(&r);
-    });
-
-    let b_norm_sq = vecops::norm2_sq(&ctx, b);
-    let tol_sq = config.rel_tol * config.rel_tol * b_norm_sq;
-    let mut rs_old = vecops::norm2_sq(&ctx, &r);
-    let mut history = Vec::new();
-    if config.record_history {
-        history.push(rs_old.sqrt());
-    }
-
-    let rs_initial = rs_old;
-    let mut iterations = 0;
-    let mut converged = rs_old <= tol_sq && config.rel_tol > 0.0;
-    let mut breakdown: Option<SolveStatus> = None;
-    while iterations < config.max_iters && !converged {
-        kernel.spmv(&p, &mut ap);
-        time_into(&mut vec_time, || {
-            let pap = vecops::dot(&ctx, &p, &ap);
-            if !pap.is_finite() {
-                breakdown = Some(SolveStatus::NonFiniteResidual);
-                return;
-            }
-            // A SPD guarantees pᵀAp > 0 unless p == 0 (residual already
-            // zero); a non-positive curvature with residual left means the
-            // operator is not SPD — report it instead of emitting garbage.
-            if pap <= 0.0 && rs_old > 0.0 {
-                breakdown = Some(SolveStatus::NotSpd { pap });
-                return;
-            }
-            let alpha = if pap != 0.0 { rs_old / pap } else { 0.0 };
-            vecops::axpy(&ctx, alpha, &p, x);
-            vecops::axpy(&ctx, -alpha, &ap, &mut r);
-            let rs_new = vecops::norm2_sq(&ctx, &r);
-            if !rs_new.is_finite() {
-                breakdown = Some(SolveStatus::NonFiniteResidual);
-                return;
-            }
-            if rs_initial > 0.0 && rs_new > DIVERGENCE_GROWTH * DIVERGENCE_GROWTH * rs_initial {
-                breakdown = Some(SolveStatus::Diverged {
-                    growth: (rs_new / rs_initial).sqrt(),
-                });
-                rs_old = rs_new;
-                return;
-            }
-            let beta = if rs_old != 0.0 { rs_new / rs_old } else { 0.0 };
-            vecops::xpby(&ctx, &r, beta, &mut p);
-            rs_old = rs_new;
-        });
-        if breakdown.is_some() {
-            break;
-        }
-        if config.record_history {
-            history.push(rs_old.sqrt());
-        }
-        iterations += 1;
-        if config.rel_tol > 0.0 && rs_old <= tol_sq {
-            converged = true;
-        }
-    }
-
-    // Attribute times: SpMV phases accumulated by the kernel during this
-    // solve, vector ops measured here, preprocessing from construction.
-    let after = kernel.times();
-    let times = PhaseTimes {
-        multiply: after.multiply - preexisting.multiply,
-        reduce: after.reduce - preexisting.reduce,
-        vector_ops: vec_time,
-        preprocess: preexisting.preprocess,
-    };
-    ctx.ledger_add(&times);
-
-    let status = breakdown.unwrap_or(if converged {
-        SolveStatus::Converged
-    } else {
-        SolveStatus::MaxIterations
-    });
-    SolveOutcome {
-        iterations,
-        converged,
-        status,
-        residual_norm: rs_old.sqrt(),
-        times,
-        history,
-    }
+    scalar_outcome(recurrence::<1, _, _>(
+        kernel,
+        Some(&ctx),
+        K::spmv,
+        None,
+        (b, x),
+        (&mut r[..], &mut p[..], &mut ap[..]),
+        config,
+    ))
 }
 
 #[cfg(test)]
@@ -393,6 +505,40 @@ mod tests {
         assert!(res.times.vector_ops > std::time::Duration::ZERO);
         // The solve's breakdown lands on the shared context ledger.
         assert_eq!(ctx.ledger().multiply, res.times.multiply);
+    }
+
+    #[test]
+    fn construction_time_is_reported_per_solve_but_never_ledgered() {
+        let coo = symspmv_sparse::gen::banded_random(300, 15, 6.0, 11);
+        let ctx = ExecutionContext::new(2);
+        let dcfg = DetectConfig {
+            min_coverage: 0.0,
+            ..DetectConfig::default()
+        };
+        let mut k = SymSpmv::from_coo(
+            &coo,
+            &ctx,
+            ReductionMethod::Indexing,
+            SymFormat::CsxSym(dcfg),
+        )
+        .unwrap();
+        let built = k.times().preprocess;
+        assert!(built > std::time::Duration::ZERO);
+        let b = seeded_vector(300, 1);
+        ctx.reset_ledger();
+        for solves in 1..=2u32 {
+            let mut x = vec![0.0; 300];
+            let res = cg(&mut k, &b, &mut x, &CgConfig::default());
+            // Fig. 14 reads the one-time cost off every outcome …
+            assert_eq!(res.times.preprocess, built);
+            // … but no preprocessing ran during the solve, so the ledger
+            // must not grow with the number of solves.
+            assert_eq!(
+                ctx.ledger().preprocess,
+                std::time::Duration::ZERO,
+                "after {solves} solve(s)"
+            );
+        }
     }
 
     #[test]

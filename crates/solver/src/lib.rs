@@ -10,17 +10,18 @@
 //! and CSX-Sym all plug in unchanged, and it keeps the same per-phase
 //! breakdown the paper charts: SpMV multiply, SpMV reduction, vector
 //! operations, and format preprocessing.
+//!
+//! There is one CG loop (`cg::recurrence`, generic over a lane count):
+//! [`cg()`], [`pcg_jacobi`], [`block_cg()`] and the degraded serial rerun of the
+//! [`resilient`] wrappers are its instantiations, over the one body per
+//! vector operation in [`vecops`].
 
-pub mod auto;
 pub mod block_cg;
 pub mod cg;
 pub mod pcg;
 pub mod resilient;
 pub mod vecops;
 
-pub use auto::{
-    cg_auto, pcg_jacobi_auto, AdvisorChooser, AutoSolve, CostModelChooser, KernelChooser,
-};
 pub use block_cg::{block_cg, BlockSolveOutcome, LaneOutcome};
 pub use cg::{cg, CgConfig, CgResult, SolveOutcome, SolveStatus};
 pub use pcg::{diagonal_of, pcg_jacobi};

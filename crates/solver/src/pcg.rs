@@ -8,12 +8,9 @@
 //! to preconditioned iterations (the `vector_ops` phase absorbs the
 //! preconditioner application).
 
-use crate::cg::{CgConfig, SolveOutcome, SolveStatus, DIVERGENCE_GROWTH};
-use crate::vecops;
+use crate::cg::{recurrence, scalar_outcome, CgConfig, SolveOutcome};
 use std::sync::Arc;
 use symspmv_core::ParallelSpmv;
-use symspmv_runtime::timing::time_into;
-use symspmv_runtime::PhaseTimes;
 use symspmv_sparse::{CooMatrix, Val};
 
 /// Extracts the diagonal of a square COO matrix (zeros where absent).
@@ -28,11 +25,13 @@ pub fn diagonal_of(coo: &CooMatrix) -> Vec<Val> {
     d
 }
 
-/// Applies `z = M⁻¹·r` for the Jacobi preconditioner.
-fn apply_jacobi(inv_diag: &[Val], r: &[Val], z: &mut [Val]) {
-    for ((zi, &ri), &di) in z.iter_mut().zip(r).zip(inv_diag) {
-        *zi = ri * di;
-    }
+/// The Jacobi preconditioner `M⁻¹ = diag(A)⁻¹` as the inverse diagonal.
+pub(crate) fn invert_diagonal(diag: &[Val]) -> Vec<Val> {
+    assert!(
+        diag.iter().all(|&d| d > 0.0),
+        "Jacobi needs a positive diagonal"
+    );
+    diag.iter().map(|d| 1.0 / d).collect()
 }
 
 /// Solves `A·x = b` with Jacobi-preconditioned CG.
@@ -50,111 +49,28 @@ pub fn pcg_jacobi<K: ParallelSpmv + ?Sized>(
     assert_eq!(diag.len(), n);
     assert_eq!(b.len(), n);
     assert_eq!(x.len(), n);
-    assert!(
-        diag.iter().all(|&d| d > 0.0),
-        "Jacobi needs a positive diagonal"
-    );
+    let inv_diag = invert_diagonal(diag);
     let ctx = Arc::clone(kernel.context());
-    let inv_diag: Vec<Val> = diag.iter().map(|d| 1.0 / d).collect();
-
-    let preexisting = kernel.times();
-    let mut vec_time = std::time::Duration::ZERO;
-
     // All four work vectors are scratch leases from the context arena.
     let mut r = ctx.lease_scratch(n);
     let mut z = ctx.lease_scratch(n);
     let mut p = ctx.lease_scratch(n);
     let mut ap = ctx.lease_scratch(n);
-    kernel.spmv(x, &mut r);
-    time_into(&mut vec_time, || {
-        vecops::sub_from(b, &mut r);
-        apply_jacobi(&inv_diag, &r, &mut z);
-        p.copy_from_slice(&z);
-    });
-
-    let b_norm_sq = vecops::norm2_sq(&ctx, b);
-    let tol_sq = config.rel_tol * config.rel_tol * b_norm_sq;
-    let mut rz = vecops::dot(&ctx, &r, &z);
-    let mut r_norm_sq = vecops::norm2_sq(&ctx, &r);
-    let mut history = Vec::new();
-    if config.record_history {
-        history.push(r_norm_sq.sqrt());
-    }
-
-    let rs_initial = r_norm_sq;
-    let mut iterations = 0;
-    let mut converged = config.rel_tol > 0.0 && r_norm_sq <= tol_sq;
-    let mut breakdown: Option<SolveStatus> = None;
-    while iterations < config.max_iters && !converged {
-        kernel.spmv(&p, &mut ap);
-        time_into(&mut vec_time, || {
-            let pap = vecops::dot(&ctx, &p, &ap);
-            if !pap.is_finite() {
-                breakdown = Some(SolveStatus::NonFiniteResidual);
-                return;
-            }
-            if pap <= 0.0 && r_norm_sq > 0.0 {
-                breakdown = Some(SolveStatus::NotSpd { pap });
-                return;
-            }
-            let alpha = if pap != 0.0 { rz / pap } else { 0.0 };
-            vecops::axpy(&ctx, alpha, &p, x);
-            vecops::axpy(&ctx, -alpha, &ap, &mut r);
-            apply_jacobi(&inv_diag, &r, &mut z);
-            let rz_new = vecops::dot(&ctx, &r, &z);
-            let beta = if rz != 0.0 { rz_new / rz } else { 0.0 };
-            vecops::xpby(&ctx, &z, beta, &mut p);
-            rz = rz_new;
-            r_norm_sq = vecops::norm2_sq(&ctx, &r);
-            if !r_norm_sq.is_finite() {
-                breakdown = Some(SolveStatus::NonFiniteResidual);
-            } else if rs_initial > 0.0
-                && r_norm_sq > DIVERGENCE_GROWTH * DIVERGENCE_GROWTH * rs_initial
-            {
-                breakdown = Some(SolveStatus::Diverged {
-                    growth: (r_norm_sq / rs_initial).sqrt(),
-                });
-            }
-        });
-        if breakdown.is_some() {
-            break;
-        }
-        if config.record_history {
-            history.push(r_norm_sq.sqrt());
-        }
-        iterations += 1;
-        if config.rel_tol > 0.0 && r_norm_sq <= tol_sq {
-            converged = true;
-        }
-    }
-
-    let after = kernel.times();
-    let times = PhaseTimes {
-        multiply: after.multiply - preexisting.multiply,
-        reduce: after.reduce - preexisting.reduce,
-        vector_ops: vec_time,
-        preprocess: preexisting.preprocess,
-    };
-    ctx.ledger_add(&times);
-    let status = breakdown.unwrap_or(if converged {
-        SolveStatus::Converged
-    } else {
-        SolveStatus::MaxIterations
-    });
-    SolveOutcome {
-        iterations,
-        converged,
-        status,
-        residual_norm: r_norm_sq.sqrt(),
-        times,
-        history,
-    }
+    scalar_outcome(recurrence::<1, _, _>(
+        kernel,
+        Some(&ctx),
+        K::spmv,
+        Some((&inv_diag, &mut z)),
+        (b, x),
+        (&mut r[..], &mut p[..], &mut ap[..]),
+        config,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cg::cg;
+    use crate::cg::{cg, SolveStatus};
     use symspmv_core::CsrParallel;
     use symspmv_runtime::ExecutionContext;
     use symspmv_sparse::dense::seeded_vector;

@@ -5,8 +5,9 @@
 //! The plain solvers call the *panicking* kernel path (`spmv`/`spmm`) and
 //! the pool-backed vector operations, so a worker death or a supervision
 //! interrupt unwinds out of the whole solve. The wrappers here catch that
-//! unwind, classify it with [`classify_unwind`] (the same taxonomy as
-//! `try_spmv`), and then apply the resilience ladder of DESIGN.md §16:
+//! unwind into its typed error ([`try_on_pool`], the same taxonomy
+//! as `try_spmv`) and hand the parallel solve and its degraded rerun to the
+//! one resilience ladder, [`serve`] (DESIGN.md §16):
 //!
 //! 1. **Retry** — the initial guess is restored and the solve is re-run
 //!    under the caller's [`RetryPolicy`] (transient failures only: a
@@ -22,23 +23,21 @@
 //!    back as a normal [`SolveOutcome`] / per-lane status, exactly as the
 //!    plain solvers report them.
 //!
-//! The serial rerun re-associates the vector reductions (a serial sum
-//! instead of the pool's per-thread partials), so its iterates are not
-//! bit-identical to the parallel solve — it is a fresh, well-formed CG on
-//! the same operator, and the tests bound both solutions against the same
-//! reference.
+//! The serial rerun is the same recurrence as the parallel solve, but it
+//! re-associates the vector reductions (a serial sum instead of the pool's
+//! per-thread partials), so its iterates are not bit-identical to the
+//! parallel solve — it is a fresh, well-formed CG on the same operator, and
+//! the tests bound both solutions against the same reference.
 
-use crate::block_cg::{block_cg, BlockSolveOutcome, LaneOutcome};
-use crate::cg::{cg, CgConfig, SolveOutcome, SolveStatus, DIVERGENCE_GROWTH};
-use crate::pcg::pcg_jacobi;
+use crate::block_cg::{block_cg, BlockSolveOutcome};
+use crate::cg::{cg, recurrence, scalar_outcome, CgConfig, SolveOutcome};
+use crate::pcg::{invert_diagonal, pcg_jacobi};
 use std::sync::Arc;
-use std::time::Duration;
 use symspmv_core::{
-    classify_unwind, fallback_worthy, FallbackKernel, ParallelSpmm, ParallelSpmv, RetryPolicy,
-    Served, SymSpmvError, VectorBlock,
+    serve, try_on_pool, FallbackKernel, ParallelSpmm, ParallelSpmv, RetryPolicy, Served,
+    SymSpmvError, VectorBlock,
 };
-use symspmv_runtime::timing::Stopwatch;
-use symspmv_runtime::{ExecutionContext, PhaseTimes, PoolHealth, Supervision};
+use symspmv_runtime::{ExecutionContext, PhaseTimes, Supervision};
 use symspmv_sparse::Val;
 
 /// A solve outcome annotated with *how* it was produced: by the parallel
@@ -58,17 +57,31 @@ impl<O> ServedSolve<O> {
     }
 }
 
-/// Runs one solve attempt under `catch_unwind`, classifying a worker
-/// panic or supervision interrupt into its typed error (caller-thread
-/// panics resume unwinding).
-fn attempt<T>(ctx: &ExecutionContext, f: impl FnOnce() -> T) -> Result<T, SymSpmvError> {
-    // Clear any stale record so a pre-existing panic from an unrelated
-    // kernel on the same context is not misattributed to this solve.
-    let _ = ctx.take_last_panic();
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(v) => Ok(v),
-        Err(payload) => Err(classify_unwind(ctx, payload)),
-    }
+fn assert_same_matrix<K: ParallelSpmv + ?Sized>(kernel: &K, fallback: &FallbackKernel) {
+    assert_eq!(
+        kernel.n(),
+        ParallelSpmv::n(fallback),
+        "fallback must represent the same matrix as the kernel"
+    );
+}
+
+/// Climbs the [`serve`] ladder for a solve on the iterate `x`: every
+/// attempt, the degraded rerun and an `Err` return all start from the
+/// caller's initial guess, and a parallel attempt's worker death or
+/// supervision interrupt is caught into its typed error.
+fn serve_solve<X: AsRef<[Val]> + AsMut<[Val]> + ?Sized, O>(
+    ctx: &ExecutionContext,
+    policy: &RetryPolicy,
+    sup: Option<Supervision>,
+    x: &mut X,
+    mut parallel: impl FnMut(&mut X) -> O,
+    degraded: impl FnOnce(&mut X) -> O,
+) -> Result<ServedSolve<O>, SymSpmvError> {
+    let x0 = x.as_ref().to_vec();
+    let reset = |x: &mut X| x.as_mut().copy_from_slice(&x0);
+    let attempt = |x: &mut X| try_on_pool(ctx, || parallel(x));
+    let (outcome, served) = serve(ctx, policy, sup, x, reset, attempt, degraded)?;
+    Ok(ServedSolve { outcome, served })
 }
 
 /// Solves `A·x = b` with CG resiliently: retried per `policy` on worker
@@ -81,8 +94,9 @@ fn attempt<T>(ctx: &ExecutionContext, f: impl FnOnce() -> T) -> Result<T, SymSpm
 ///
 /// On `Err` (cancellation, or a non-pool error), `x` is restored to the
 /// initial guess. Numerical breakdowns are *not* errors here: they come
-/// back as `Ok` with a breakdown [`SolveStatus`], exactly like
-/// [`cg`], and are never retried (they would reproduce identically).
+/// back as `Ok` with a breakdown [`SolveStatus`](crate::cg::SolveStatus),
+/// exactly like [`cg`], and are never retried (they would reproduce
+/// identically).
 pub fn resilient_cg<K: ParallelSpmv + ?Sized>(
     kernel: &mut K,
     fallback: &mut FallbackKernel,
@@ -92,44 +106,16 @@ pub fn resilient_cg<K: ParallelSpmv + ?Sized>(
     policy: &RetryPolicy,
     sup: Option<Supervision>,
 ) -> Result<ServedSolve<SolveOutcome>, SymSpmvError> {
-    assert_eq!(
-        kernel.n(),
-        ParallelSpmv::n(fallback),
-        "fallback must represent the same matrix as the kernel"
-    );
+    assert_same_matrix(kernel, fallback);
     let ctx = Arc::clone(kernel.context());
-    let x0 = x.to_vec();
-    if ctx.health() == PoolHealth::Wedged {
-        return Ok(serve_fallback_scalar(
-            fallback,
-            None,
-            b,
-            x,
-            &x0,
-            config,
-            SymSpmvError::PoolWedged,
-        ));
-    }
-    let result = {
-        let _guard = sup.map(|s| ctx.supervise(s));
-        policy.run(|_| {
-            x.copy_from_slice(&x0);
-            attempt(&ctx, || cg(kernel, b, x, config))
-        })
-    };
-    match result {
-        Ok((outcome, attempts)) => Ok(ServedSolve {
-            outcome,
-            served: Served::Parallel { attempts },
-        }),
-        Err(e) if fallback_worthy(&e) => {
-            Ok(serve_fallback_scalar(fallback, None, b, x, &x0, config, e))
-        }
-        Err(e) => {
-            x.copy_from_slice(&x0);
-            Err(e)
-        }
-    }
+    serve_solve(
+        &ctx,
+        policy,
+        sup,
+        x,
+        |x| cg(kernel, b, x, config),
+        |x| scalar_outcome(serial_solve(fallback, None, b, x, config)),
+    )
 }
 
 /// Solves `A·x = b` with Jacobi-preconditioned CG resiliently; `diag`
@@ -149,55 +135,17 @@ pub fn resilient_pcg_jacobi<K: ParallelSpmv + ?Sized>(
     policy: &RetryPolicy,
     sup: Option<Supervision>,
 ) -> Result<ServedSolve<SolveOutcome>, SymSpmvError> {
-    assert_eq!(
-        kernel.n(),
-        ParallelSpmv::n(fallback),
-        "fallback must represent the same matrix as the kernel"
-    );
-    assert!(
-        diag.iter().all(|&d| d > 0.0),
-        "Jacobi needs a positive diagonal"
-    );
-    let inv_diag: Vec<Val> = diag.iter().map(|d| 1.0 / d).collect();
+    assert_same_matrix(kernel, fallback);
+    let inv_diag = invert_diagonal(diag);
     let ctx = Arc::clone(kernel.context());
-    let x0 = x.to_vec();
-    if ctx.health() == PoolHealth::Wedged {
-        return Ok(serve_fallback_scalar(
-            fallback,
-            Some(&inv_diag),
-            b,
-            x,
-            &x0,
-            config,
-            SymSpmvError::PoolWedged,
-        ));
-    }
-    let result = {
-        let _guard = sup.map(|s| ctx.supervise(s));
-        policy.run(|_| {
-            x.copy_from_slice(&x0);
-            attempt(&ctx, || pcg_jacobi(kernel, diag, b, x, config))
-        })
-    };
-    match result {
-        Ok((outcome, attempts)) => Ok(ServedSolve {
-            outcome,
-            served: Served::Parallel { attempts },
-        }),
-        Err(e) if fallback_worthy(&e) => Ok(serve_fallback_scalar(
-            fallback,
-            Some(&inv_diag),
-            b,
-            x,
-            &x0,
-            config,
-            e,
-        )),
-        Err(e) => {
-            x.copy_from_slice(&x0);
-            Err(e)
-        }
-    }
+    serve_solve(
+        &ctx,
+        policy,
+        sup,
+        x,
+        |x| pcg_jacobi(kernel, diag, b, x, config),
+        |x| scalar_outcome(serial_solve(fallback, Some(&inv_diag), b, x, config)),
+    )
 }
 
 /// Solves the `k` systems `A·x_j = b_j` with block CG resiliently.
@@ -212,240 +160,82 @@ pub fn resilient_block_cg<K: ParallelSpmm + ParallelSpmv + ?Sized>(
     policy: &RetryPolicy,
     sup: Option<Supervision>,
 ) -> Result<ServedSolve<BlockSolveOutcome>, SymSpmvError> {
-    assert_eq!(
-        kernel.n(),
-        ParallelSpmv::n(fallback),
-        "fallback must represent the same matrix as the kernel"
-    );
+    assert_same_matrix(kernel, fallback);
     let ctx = Arc::clone(kernel.spmm_context());
-    let x0 = x.as_slice().to_vec();
-    if ctx.health() == PoolHealth::Wedged {
-        return Ok(serve_fallback_block(
-            fallback,
-            b,
-            x,
-            &x0,
-            config,
-            SymSpmvError::PoolWedged,
-        ));
-    }
-    let result = {
-        let _guard = sup.map(|s| ctx.supervise(s));
-        policy.run(|_| {
-            x.as_mut_slice().copy_from_slice(&x0);
-            attempt(&ctx, || block_cg(kernel, b, x, config))
-        })
-    };
-    match result {
-        Ok((outcome, attempts)) => Ok(ServedSolve {
-            outcome,
-            served: Served::Parallel { attempts },
-        }),
-        Err(e) if fallback_worthy(&e) => Ok(serve_fallback_block(fallback, b, x, &x0, config, e)),
-        Err(e) => {
-            x.as_mut_slice().copy_from_slice(&x0);
-            Err(e)
-        }
-    }
+    serve_solve(
+        &ctx,
+        policy,
+        sup,
+        x,
+        |x| block_cg(kernel, b, x, config),
+        |x| serial_block_solve(fallback, b, x, config),
+    )
 }
 
-fn serve_fallback_scalar(
-    fallback: &mut FallbackKernel,
-    inv_diag: Option<&[Val]>,
-    b: &[Val],
-    x: &mut [Val],
-    x0: &[Val],
-    config: &CgConfig,
-    cause: SymSpmvError,
-) -> ServedSolve<SolveOutcome> {
-    x.copy_from_slice(x0);
-    let outcome = serial_solve(fallback, inv_diag, b, x, config);
-    fallback.context().ledger_add(&outcome.times);
-    ServedSolve {
-        outcome,
-        served: Served::Fallback { cause },
-    }
-}
-
-fn serve_fallback_block(
+/// The degraded-mode block solve: the lanes one at a time through
+/// [`serial_solve`], their phase times summed.
+fn serial_block_solve(
     fallback: &mut FallbackKernel,
     b: &VectorBlock,
     x: &mut VectorBlock,
-    x0: &[Val],
     config: &CgConfig,
-    cause: SymSpmvError,
-) -> ServedSolve<BlockSolveOutcome> {
-    x.as_mut_slice().copy_from_slice(x0);
-    let n = b.n();
-    let lanes = b.lanes();
-    let mut total = PhaseTimes::new();
-    let mut outcomes = Vec::with_capacity(lanes);
-    let mut iterations = 0;
-    let mut bj = vec![0.0; n];
-    let mut xj = vec![0.0; n];
-    for j in 0..lanes {
+) -> BlockSolveOutcome {
+    let mut total = BlockSolveOutcome {
+        lanes: Vec::with_capacity(b.lanes()),
+        iterations: 0,
+        times: PhaseTimes {
+            preprocess: fallback.times().preprocess,
+            ..PhaseTimes::new()
+        },
+    };
+    let mut bj = vec![0.0; b.n()];
+    let mut xj = vec![0.0; b.n()];
+    for j in 0..b.lanes() {
         b.copy_lane_into(j, &mut bj);
         x.copy_lane_into(j, &mut xj);
-        let out = serial_solve(fallback, None, &bj, &mut xj, config);
+        let run = serial_solve(fallback, None, &bj, &mut xj, config);
         x.copy_lane_from(j, &xj);
-        iterations = iterations.max(out.iterations);
-        total.multiply += out.times.multiply;
-        total.vector_ops += out.times.vector_ops;
-        outcomes.push(LaneOutcome {
-            iterations: out.iterations,
-            converged: out.converged,
-            status: out.status,
-            residual_norm: out.residual_norm,
-            history: out.history,
-        });
+        total.iterations = total.iterations.max(run.iterations);
+        total.times.multiply += run.times.multiply;
+        total.times.vector_ops += run.times.vector_ops;
+        total.lanes.extend(run.lanes);
     }
-    total.preprocess = fallback.times().preprocess;
-    fallback.context().ledger_add(&total);
-    ServedSolve {
-        outcome: BlockSolveOutcome {
-            lanes: outcomes,
-            iterations,
-            times: total,
-        },
-        served: Served::Fallback { cause },
-    }
+    total
 }
 
-fn serial_dot(a: &[Val], b: &[Val]) -> Val {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// The degraded-mode solve: plain (optionally Jacobi-preconditioned) CG
-/// with serial vector loops and the fallback's serial SpMV. No pool, no
-/// arena — plain allocations, so it shares nothing with the machinery
-/// that just failed. Breakdown detection (NotSpd, divergence, non-finite)
-/// matches the parallel solvers exactly.
+/// The degraded-mode solve: the same recurrence on the fallback's serial
+/// SpMV with serial vector loops and plain allocations — no pool, no
+/// arena, so it shares nothing with the machinery that just failed.
 fn serial_solve(
     fallback: &mut FallbackKernel,
     inv_diag: Option<&[Val]>,
     b: &[Val],
     x: &mut [Val],
     config: &CgConfig,
-) -> SolveOutcome {
+) -> BlockSolveOutcome {
     let n = ParallelSpmv::n(fallback);
     assert_eq!(b.len(), n);
     assert_eq!(x.len(), n);
-
-    let preexisting = fallback.times();
-    let mut vec_time = Duration::ZERO;
-
-    let mut r = vec![0.0; n];
-    let mut z = vec![0.0; n];
-    let mut p = vec![0.0; n];
-    let mut ap = vec![0.0; n];
-    fallback.spmv(x, &mut r);
-    let sw = Stopwatch::start();
-    for (ri, &bi) in r.iter_mut().zip(b) {
-        *ri = bi - *ri;
-    }
-    apply_precond(inv_diag, &r, &mut z);
-    p.copy_from_slice(&z);
-
-    let b_norm_sq = serial_dot(b, b);
-    let tol_sq = config.rel_tol * config.rel_tol * b_norm_sq;
-    let mut rz = serial_dot(&r, &z);
-    let mut r_norm_sq = serial_dot(&r, &r);
-    let mut history = Vec::new();
-    if config.record_history {
-        history.push(r_norm_sq.sqrt());
-    }
-    vec_time += sw.elapsed();
-
-    let rs_initial = r_norm_sq;
-    let mut iterations = 0;
-    let mut converged = config.rel_tol > 0.0 && r_norm_sq <= tol_sq;
-    let mut breakdown: Option<SolveStatus> = None;
-    while iterations < config.max_iters && !converged && breakdown.is_none() {
-        fallback.spmv(&p, &mut ap);
-        let sw = Stopwatch::start();
-        let pap = serial_dot(&p, &ap);
-        if !pap.is_finite() {
-            breakdown = Some(SolveStatus::NonFiniteResidual);
-        } else if pap <= 0.0 && r_norm_sq > 0.0 {
-            breakdown = Some(SolveStatus::NotSpd { pap });
-        } else {
-            let alpha = if pap != 0.0 { rz / pap } else { 0.0 };
-            for (xi, &pi) in x.iter_mut().zip(&p) {
-                *xi += alpha * pi;
-            }
-            for (ri, &api) in r.iter_mut().zip(&ap) {
-                *ri -= alpha * api;
-            }
-            apply_precond(inv_diag, &r, &mut z);
-            let rz_new = serial_dot(&r, &z);
-            let beta = if rz != 0.0 { rz_new / rz } else { 0.0 };
-            for (pi, &zi) in p.iter_mut().zip(&z) {
-                *pi = zi + beta * *pi;
-            }
-            rz = rz_new;
-            r_norm_sq = serial_dot(&r, &r);
-            if !r_norm_sq.is_finite() {
-                breakdown = Some(SolveStatus::NonFiniteResidual);
-            } else if rs_initial > 0.0
-                && r_norm_sq > DIVERGENCE_GROWTH * DIVERGENCE_GROWTH * rs_initial
-            {
-                breakdown = Some(SolveStatus::Diverged {
-                    growth: (r_norm_sq / rs_initial).sqrt(),
-                });
-            }
-        }
-        vec_time += sw.elapsed();
-        if breakdown.is_some() {
-            break;
-        }
-        if config.record_history {
-            history.push(r_norm_sq.sqrt());
-        }
-        iterations += 1;
-        if config.rel_tol > 0.0 && r_norm_sq <= tol_sq {
-            converged = true;
-        }
-    }
-
-    let after = fallback.times();
-    let times = PhaseTimes {
-        multiply: after.multiply - preexisting.multiply,
-        reduce: Duration::ZERO,
-        vector_ops: vec_time,
-        preprocess: preexisting.preprocess,
-    };
-    let status = breakdown.unwrap_or(if converged {
-        SolveStatus::Converged
-    } else {
-        SolveStatus::MaxIterations
-    });
-    SolveOutcome {
-        iterations,
-        converged,
-        status,
-        residual_norm: r_norm_sq.sqrt(),
-        times,
-        history,
-    }
-}
-
-/// `z = M⁻¹·r` (Jacobi) or `z = r` when unpreconditioned.
-fn apply_precond(inv_diag: Option<&[Val]>, r: &[Val], z: &mut [Val]) {
-    match inv_diag {
-        Some(inv) => {
-            for ((zi, &ri), &di) in z.iter_mut().zip(r).zip(inv) {
-                *zi = ri * di;
-            }
-        }
-        None => z.copy_from_slice(r),
-    }
+    let (mut r, mut p, mut ap) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    let mut z = inv_diag.map(|_| vec![0.0; n]);
+    recurrence::<1, _, _>(
+        fallback,
+        None,
+        FallbackKernel::spmv,
+        inv_diag.zip(z.as_deref_mut()),
+        (b, x),
+        (&mut r[..], &mut p[..], &mut ap[..]),
+        config,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cg::SolveStatus;
     use crate::pcg::diagonal_of;
     use std::borrow::Cow;
+    use std::time::Duration;
     use symspmv_core::{CsrParallel, ReductionMethod, SymFormat, SymSpmv};
     use symspmv_runtime::{CancelToken, ExecutionContext};
     use symspmv_sparse::dense::seeded_vector;
@@ -600,6 +390,68 @@ mod tests {
         assert!(served.outcome.converged, "{:?}", served.outcome.status);
         for (a, bb) in x.iter().zip(&x_ref) {
             assert!((a - bb).abs() < 1e-6, "{a} vs {bb}");
+        }
+    }
+
+    #[test]
+    fn degraded_rerun_touches_neither_the_pool_nor_the_arena() {
+        // Long enough that a pool-backed vector op would dispatch a round.
+        let n = crate::vecops::PAR_THRESHOLD + 100;
+        let coo = symspmv_sparse::gen::banded_random(n as u32, 8, 5.0, 23);
+        let b = seeded_vector(n, 8);
+        let bb = VectorBlock::seeded(n, 2, 8);
+        let diag = diagonal_of(&coo);
+        let cfg = CgConfig {
+            max_iters: 10,
+            rel_tol: 0.0,
+            record_history: false,
+        };
+        for solver in ["cg", "pcg", "block"] {
+            let ctx = ExecutionContext::new(2);
+            let mut fb =
+                FallbackKernel::from_coo_kind(&coo, SymmetryKind::Symmetric, Arc::clone(&ctx))
+                    .expect("seed matrix is symmetric");
+            let inner = SymSpmv::from_coo(&coo, &ctx, ReductionMethod::Indexing, SymFormat::Sss)
+                .expect("seed matrix builds");
+            let mut k = Flaky {
+                inner,
+                remaining: usize::MAX,
+            };
+            let fresh_free = ctx.arena_free_buffers();
+            let mut serve = || {
+                let (mut x, mut xb) = (vec![0.0; n], VectorBlock::zeros(n, 2));
+                let once = fast_policy(1);
+                let fallback = match solver {
+                    "cg" => resilient_cg(&mut k, &mut fb, &b, &mut x, &cfg, &once, None)
+                        .map(|s| s.is_fallback()),
+                    "pcg" => {
+                        resilient_pcg_jacobi(&mut k, &mut fb, &diag, &b, &mut x, &cfg, &once, None)
+                            .map(|s| s.is_fallback())
+                    }
+                    _ => resilient_block_cg(&mut k, &mut fb, &bb, &mut xb, &cfg, &once, None)
+                        .map(|s| s.is_fallback()),
+                };
+                assert!(fallback.expect("fallback keeps the request available"));
+            };
+            // The first serve's parallel attempt grows the arena with its
+            // own scratch (first-touched on the pool); the second finds it
+            // warm, so its single attempt costs exactly the one round the
+            // worker dies in and returns every lease before the rerun
+            // starts — the moment the parallel attempts end.
+            serve();
+            let (rounds, free) = (ctx.pool_rounds(), ctx.arena_free_buffers());
+            serve();
+            assert_eq!(
+                ctx.pool_rounds(),
+                rounds + 1,
+                "{solver}: rerun ran on the pool"
+            );
+            assert_eq!(ctx.arena_free_buffers(), free, "{solver}: rerun leased");
+            if solver == "block" {
+                // block_cg leases nothing itself and the kernel died before
+                // its own lease, so any buffer here would be the rerun's.
+                assert_eq!(free, fresh_free, "block: rerun leased");
+            }
         }
     }
 

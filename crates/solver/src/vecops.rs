@@ -4,10 +4,20 @@
 //! [`ExecutionContext`] pool — the same workers that execute the SpMV, as
 //! in the paper's pthreads CG (DESIGN.md S4). Using the context instead of
 //! a separate thread-pool library keeps the whole solve on one pool.
+//!
+//! Every operation has one body, generic over a `const K` lane count and
+//! walking `&[[Val; K]]` row views of its lane-interleaved arguments
+//! (`lane_dot`, `lane_axpy`, `lane_xpby`): the public scalar functions are
+//! its `K = 1` instance and the `_lanes` functions its `with_lanes!`
+//! dispatch. Each lane therefore runs the
+//! scalar operation's exact per-element order (rows ascending within the
+//! same thread spans, thresholded on the row count, partials summed in
+//! thread order), which is what lets block CG reproduce `k` scalar CG
+//! solves bit for bit.
 
 use symspmv_runtime::{ExecutionContext, SharedBuf};
 use symspmv_sparse::block::{VectorBlock, MAX_LANES};
-use symspmv_sparse::Val;
+use symspmv_sparse::{with_lanes, Val};
 
 /// Below this length every kernel runs serially — parallel overhead would
 /// dominate.
@@ -18,22 +28,120 @@ fn span(len: usize, tid: usize, p: usize) -> (usize, usize) {
     (len * tid / p, len * (tid + 1) / p)
 }
 
-/// Dot product `aᵀ·b`.
-pub fn dot(ctx: &ExecutionContext, a: &[Val], b: &[Val]) -> Val {
+/// The pool a `rows`-long operation runs on: none below [`PAR_THRESHOLD`],
+/// and none when the caller has no pool to run on (`exec` is `None`, the
+/// degraded serial rerun).
+fn pool(exec: Option<&ExecutionContext>, rows: usize) -> Option<&ExecutionContext> {
+    exec.filter(|_| rows >= PAR_THRESHOLD)
+}
+
+/// The leading `K` per-lane values of a `MAX_LANES`-wide argument.
+fn head<T: Copy, const K: usize>(values: &[T]) -> [T; K] {
+    values.as_chunks::<K>().0[0]
+}
+
+/// Per-lane dot products `a_jᵀ·b_j` of two `K`-lane-interleaved vectors.
+pub(crate) fn lane_dot<const K: usize>(
+    exec: Option<&ExecutionContext>,
+    a: &[Val],
+    b: &[Val],
+) -> [Val; K] {
     assert_eq!(a.len(), b.len());
-    if a.len() < PAR_THRESHOLD {
-        return a.iter().zip(b).map(|(x, y)| x * y).sum();
-    }
+    let (a, b) = (a.as_chunks::<K>().0, b.as_chunks::<K>().0);
+    let sum_rows = |lo: usize, hi: usize| {
+        let mut acc = [0.0; K];
+        for (ar, br) in a[lo..hi].iter().zip(&b[lo..hi]) {
+            for j in 0..K {
+                acc[j] += ar[j] * br[j];
+            }
+        }
+        acc
+    };
+    let Some(ctx) = pool(exec, a.len()) else {
+        return sum_rows(0, a.len());
+    };
     let p = ctx.nthreads();
-    let mut partials = vec![0.0; p];
+    let mut partials = vec![0.0; p * K];
     let pb = SharedBuf::new(&mut partials);
     ctx.run(&|tid| {
         let (lo, hi) = span(a.len(), tid, p);
-        let s: Val = a[lo..hi].iter().zip(&b[lo..hi]).map(|(x, y)| x * y).sum();
-        // SAFETY(cert: disjoint-direct): slot tid is thread-private.
-        unsafe { pb.set(tid, s) };
+        let acc = sum_rows(lo, hi);
+        // SAFETY(cert: disjoint-direct): lane group tid is thread-private.
+        unsafe { pb.range_mut(tid * K, (tid + 1) * K) }.copy_from_slice(&acc);
     });
-    partials.iter().sum()
+    let mut out = [0.0; K];
+    for part in partials.as_chunks::<K>().0 {
+        for j in 0..K {
+            out[j] += part[j];
+        }
+    }
+    out
+}
+
+/// `dst[i][j] = op(dst[i][j], src[i][j], coef[j])` for every row `i` and
+/// every lane `j` with `active[j]` — the one body of [`lane_axpy`] and
+/// [`lane_xpby`]. Frozen lanes are rewritten with their own value, so they
+/// stay bit-exactly untouched while the row loop stays branch-free.
+fn lane_update<const K: usize>(
+    exec: Option<&ExecutionContext>,
+    coef: [Val; K],
+    active: [bool; K],
+    src: &[Val],
+    dst: &mut [Val],
+    op: impl Fn(Val, Val, Val) -> Val + Sync,
+) {
+    assert_eq!(src.len(), dst.len());
+    let src = src.as_chunks::<K>().0;
+    let update_rows = |dst: &mut [Val], src: &[[Val; K]]| {
+        for (dr, sr) in dst.as_chunks_mut::<K>().0.iter_mut().zip(src) {
+            for j in 0..K {
+                dr[j] = if active[j] {
+                    op(dr[j], sr[j], coef[j])
+                } else {
+                    dr[j]
+                };
+            }
+        }
+    };
+    let Some(ctx) = pool(exec, src.len()) else {
+        return update_rows(dst, src);
+    };
+    let p = ctx.nthreads();
+    let db = SharedBuf::new(dst);
+    ctx.run(&|tid| {
+        let (lo, hi) = span(src.len(), tid, p);
+        // SAFETY(cert: lane-lifted): row spans tile 0..len disjointly, so
+        // their lane groups tile the flat store disjointly.
+        let rows = unsafe { db.range_mut(lo * K, hi * K) };
+        update_rows(rows, &src[lo..hi]);
+    });
+}
+
+/// `y_j += alpha[j]·x_j` for every lane `j` with `active[j]`.
+pub(crate) fn lane_axpy<const K: usize>(
+    exec: Option<&ExecutionContext>,
+    alpha: [Val; K],
+    active: [bool; K],
+    x: &[Val],
+    y: &mut [Val],
+) {
+    lane_update(exec, alpha, active, x, y, |yi, xi, a| yi + a * xi);
+}
+
+/// `p_j = r_j + beta[j]·p_j` for every lane `j` with `active[j]`.
+pub(crate) fn lane_xpby<const K: usize>(
+    exec: Option<&ExecutionContext>,
+    r: &[Val],
+    beta: [Val; K],
+    active: [bool; K],
+    p: &mut [Val],
+) {
+    lane_update(exec, beta, active, r, p, |pi, ri, b| ri + b * pi);
+}
+
+/// Dot product `aᵀ·b`.
+pub fn dot(ctx: &ExecutionContext, a: &[Val], b: &[Val]) -> Val {
+    lane_dot::<1>(Some(ctx), a, b)[0]
 }
 
 /// Squared Euclidean norm.
@@ -43,46 +151,12 @@ pub fn norm2_sq(ctx: &ExecutionContext, a: &[Val]) -> Val {
 
 /// `y += alpha·x`.
 pub fn axpy(ctx: &ExecutionContext, alpha: Val, x: &[Val], y: &mut [Val]) {
-    assert_eq!(x.len(), y.len());
-    if x.len() < PAR_THRESHOLD {
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi += alpha * xi;
-        }
-        return;
-    }
-    let p = ctx.nthreads();
-    let len = y.len();
-    let yb = SharedBuf::new(y);
-    ctx.run(&|tid| {
-        let (lo, hi) = span(len, tid, p);
-        // SAFETY(cert: disjoint-direct): spans tile 0..len disjointly.
-        let cy = unsafe { yb.range_mut(lo, hi) };
-        for (yi, xi) in cy.iter_mut().zip(&x[lo..hi]) {
-            *yi += alpha * xi;
-        }
-    });
+    lane_axpy(Some(ctx), [alpha], [true], x, y);
 }
 
 /// `p = r + beta·p` (the CG direction update).
 pub fn xpby(ctx: &ExecutionContext, r: &[Val], beta: Val, p: &mut [Val]) {
-    assert_eq!(r.len(), p.len());
-    if r.len() < PAR_THRESHOLD {
-        for (pi, ri) in p.iter_mut().zip(r) {
-            *pi = ri + beta * *pi;
-        }
-        return;
-    }
-    let nt = ctx.nthreads();
-    let len = p.len();
-    let pb = SharedBuf::new(p);
-    ctx.run(&|tid| {
-        let (lo, hi) = span(len, tid, nt);
-        // SAFETY(cert: disjoint-direct): spans tile 0..len disjointly.
-        let cp = unsafe { pb.range_mut(lo, hi) };
-        for (pi, ri) in cp.iter_mut().zip(&r[lo..hi]) {
-            *pi = ri + beta * *pi;
-        }
-    });
+    lane_xpby(Some(ctx), r, [beta], [true], p);
 }
 
 /// `y = x - y` in place on `y` (used for `r = b - A·x`).
@@ -93,58 +167,12 @@ pub fn sub_from(x: &[Val], y: &mut [Val]) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Lane-wise block operations for block CG.
-//
-// Each function applies the scalar operation independently per lane, and —
-// critically — runs the *same per-element op order per lane* as its scalar
-// counterpart (rows ascending within the same thread spans, thresholded on
-// the row count, partials summed in thread order). Lane `j` of a block
-// operation is therefore bit-identical to the scalar operation on lane `j`,
-// which is what lets block CG reproduce k scalar CG solves exactly.
-// ---------------------------------------------------------------------------
-
 /// Per-lane dot products `a_jᵀ·b_j` for every lane `j`.
 pub fn dot_lanes(ctx: &ExecutionContext, a: &VectorBlock, b: &VectorBlock) -> [Val; MAX_LANES] {
-    assert_eq!(a.n(), b.n());
     assert_eq!(a.lanes(), b.lanes());
-    let (n, lanes) = (a.n(), a.lanes());
-    let (ad, bd) = (a.as_slice(), b.as_slice());
     let mut out = [0.0; MAX_LANES];
-    if n < PAR_THRESHOLD {
-        for i in 0..n {
-            let ar = &ad[i * lanes..(i + 1) * lanes];
-            let br = &bd[i * lanes..(i + 1) * lanes];
-            for ((o, &x), &y) in out.iter_mut().zip(ar).zip(br) {
-                *o += x * y;
-            }
-        }
-        return out;
-    }
-    let p = ctx.nthreads();
-    let mut partials = vec![0.0; p * lanes];
-    let pb = SharedBuf::new(&mut partials);
-    ctx.run(&|tid| {
-        let (lo, hi) = span(n, tid, p);
-        let mut acc = [0.0; MAX_LANES];
-        for i in lo..hi {
-            let ar = &ad[i * lanes..(i + 1) * lanes];
-            let br = &bd[i * lanes..(i + 1) * lanes];
-            for ((o, &x), &y) in acc.iter_mut().zip(ar).zip(br) {
-                *o += x * y;
-            }
-        }
-        for (j, &s) in acc.iter().enumerate().take(lanes) {
-            // SAFETY(cert: disjoint-direct): lane group tid is
-            // thread-private.
-            unsafe { pb.set(tid * lanes + j, s) };
-        }
-    });
-    for tid in 0..p {
-        for (j, o) in out.iter_mut().enumerate().take(lanes) {
-            *o += partials[tid * lanes + j];
-        }
-    }
+    with_lanes!(a.lanes(), K => out[..K]
+        .copy_from_slice(&lane_dot::<K>(Some(ctx), a.as_slice(), b.as_slice())));
     out
 }
 
@@ -162,38 +190,10 @@ pub fn axpy_lanes(
     x: &VectorBlock,
     y: &mut VectorBlock,
 ) {
-    assert_eq!(x.n(), y.n());
     assert_eq!(x.lanes(), y.lanes());
-    let (n, lanes) = (x.n(), x.lanes());
-    let xd = x.as_slice();
-    if n < PAR_THRESHOLD {
-        let yd = y.as_mut_slice();
-        for i in 0..n {
-            let xr = &xd[i * lanes..(i + 1) * lanes];
-            for j in 0..lanes {
-                if active[j] {
-                    yd[i * lanes + j] += alpha[j] * xr[j];
-                }
-            }
-        }
-        return;
-    }
-    let p = ctx.nthreads();
-    let yb = SharedBuf::new(y.as_mut_slice());
-    ctx.run(&|tid| {
-        let (lo, hi) = span(n, tid, p);
-        // SAFETY(cert: lane-lifted): row spans tile 0..n disjointly, so
-        // their lane groups tile the block store disjointly.
-        let cy = unsafe { yb.range_mut(lo * lanes, hi * lanes) };
-        for i in lo..hi {
-            let xr = &xd[i * lanes..(i + 1) * lanes];
-            for j in 0..lanes {
-                if active[j] {
-                    cy[(i - lo) * lanes + j] += alpha[j] * xr[j];
-                }
-            }
-        }
-    });
+    with_lanes!(x.lanes(), K => lane_axpy::<K>(
+        Some(ctx), head(alpha), head(active), x.as_slice(), y.as_mut_slice(),
+    ));
 }
 
 /// `p_j = r_j + beta[j]·p_j` for every lane `j` with `active[j]`.
@@ -204,39 +204,10 @@ pub fn xpby_lanes(
     active: &[bool],
     p: &mut VectorBlock,
 ) {
-    assert_eq!(r.n(), p.n());
     assert_eq!(r.lanes(), p.lanes());
-    let (n, lanes) = (r.n(), r.lanes());
-    let rd = r.as_slice();
-    if n < PAR_THRESHOLD {
-        let pd = p.as_mut_slice();
-        for i in 0..n {
-            let rr = &rd[i * lanes..(i + 1) * lanes];
-            for j in 0..lanes {
-                if active[j] {
-                    pd[i * lanes + j] = rr[j] + beta[j] * pd[i * lanes + j];
-                }
-            }
-        }
-        return;
-    }
-    let nt = ctx.nthreads();
-    let pb = SharedBuf::new(p.as_mut_slice());
-    ctx.run(&|tid| {
-        let (lo, hi) = span(n, tid, nt);
-        // SAFETY(cert: lane-lifted): row spans tile 0..n disjointly, so
-        // their lane groups tile the block store disjointly.
-        let cp = unsafe { pb.range_mut(lo * lanes, hi * lanes) };
-        for i in lo..hi {
-            let rr = &rd[i * lanes..(i + 1) * lanes];
-            for j in 0..lanes {
-                if active[j] {
-                    let k = (i - lo) * lanes + j;
-                    cp[k] = rr[j] + beta[j] * cp[k];
-                }
-            }
-        }
-    });
+    with_lanes!(r.lanes(), K => lane_xpby::<K>(
+        Some(ctx), r.as_slice(), head(beta), head(active), p.as_mut_slice(),
+    ));
 }
 
 /// `y = x - y` in place on `y`, all lanes (used for `R = B - A·X`).

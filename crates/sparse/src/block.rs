@@ -177,6 +177,21 @@ impl VectorBlock {
     }
 }
 
+/// A block viewed as its raw lane-interleaved storage, so code generic
+/// over "a scalar vector or a block" (the solver's one CG loop) can take
+/// `AsRef<[Val]> + AsMut<[Val]>` and serve `[Val]` and `VectorBlock` alike.
+impl AsRef<[Val]> for VectorBlock {
+    fn as_ref(&self) -> &[Val] {
+        &self.data
+    }
+}
+
+impl AsMut<[Val]> for VectorBlock {
+    fn as_mut(&mut self) -> &mut [Val] {
+        &mut self.data
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,8 +17,7 @@
 //!   fingerprint, ncpus, machine model)` in a versioned file next to the
 //!   binary matrix cache, and doubles as the
 //!   [`symspmv_core::auto::PlanAdvisor`] that
-//!   [`symspmv_core::SymSpmv::auto_with`] and the solver-level
-//!   [`symspmv_solver::AdvisorChooser`] consult;
+//!   [`symspmv_core::SymSpmv::auto_with`] consults;
 //! * [`search::auto_kernel`] is the `ParallelSpmv`-level auto
 //!   constructor: matrix in, best-known kernel (own pool, tuned thread
 //!   count) out;
