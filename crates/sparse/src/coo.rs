@@ -6,6 +6,8 @@
 //! triangular extraction, which the symmetric formats rely on.
 
 use crate::error::SparseError;
+use crate::rowmajor::RowMajor;
+use crate::symmetry::SymmetryKind;
 use crate::{Idx, Val};
 
 /// A sparse matrix in coordinate (triplet) format.
@@ -142,36 +144,23 @@ impl CooMatrix {
             .map(|((&r, &c), &v)| (r, c, v))
     }
 
-    /// Sorts triplets row-major and sums duplicates in place.
+    /// Sorts triplets row-major and sums duplicates in place; a matrix that
+    /// is canonical already is left untouched after one checking pass.
     ///
-    /// Entries that sum to exactly zero are kept (structural non-zeros), so
-    /// the structure of generated matrices is deterministic.
+    /// Duplicates of one coordinate are summed in insertion order:
+    /// floating-point addition is not associative, and mirror images of a
+    /// symmetric matrix must round identically. Entries that sum to exactly
+    /// zero are kept (structural non-zeros), so the structure of generated
+    /// matrices is deterministic.
     pub fn canonicalize(&mut self) {
-        let n = self.nnz();
-        let mut order: Vec<usize> = (0..n).collect();
-        // Include the original position in the key so duplicate entries are
-        // summed in insertion order — floating-point addition is not
-        // associative, and an unspecified order would make canonicalization
-        // non-deterministic (and mirror images of a symmetric matrix could
-        // round differently).
-        order.sort_unstable_by_key(|&i| (self.rows[i], self.cols[i], i));
-
-        let mut rows = Vec::with_capacity(n);
-        let mut cols = Vec::with_capacity(n);
-        let mut vals = Vec::with_capacity(n);
-        for &i in &order {
-            let (r, c, v) = (self.rows[i], self.cols[i], self.vals[i]);
-            if rows.last() == Some(&r) && cols.last() == Some(&c) {
-                if let Some(last) = vals.last_mut() {
-                    *last += v;
-                    continue;
-                }
-            }
-            rows.push(r);
-            cols.push(c);
-            vals.push(v);
+        if self.is_canonical() {
+            return;
         }
-        self.rows = rows;
+        let (rowptr, cols, vals) = RowMajor::of(self).into_parts();
+        self.rows.clear();
+        for (r, w) in (0..self.nrows).zip(rowptr.windows(2)) {
+            self.rows.extend(std::iter::repeat_n(r, w[1] - w[0]));
+        }
         self.cols = cols;
         self.vals = vals;
     }
@@ -190,17 +179,7 @@ impl CooMatrix {
     ///
     /// The matrix must be canonical; call [`CooMatrix::canonicalize`] first.
     pub fn is_symmetric(&self, tol: Val) -> bool {
-        if self.nrows != self.ncols {
-            return false;
-        }
-        debug_assert!(self.is_canonical(), "is_symmetric requires canonical form");
-        self.iter().all(|(r, c, v)| {
-            r == c
-                || match self.find(c, r) {
-                    Some(w) => (v - w).abs() <= tol,
-                    None => false,
-                }
-        })
+        self.satisfies(SymmetryKind::Symmetric, tol)
     }
 
     /// Checks skew symmetry: every off-diagonal entry `(r, c, v)` must have
@@ -209,23 +188,7 @@ impl CooMatrix {
     ///
     /// The matrix must be canonical; call [`CooMatrix::canonicalize`] first.
     pub fn is_skew_symmetric(&self, tol: Val) -> bool {
-        if self.nrows != self.ncols {
-            return false;
-        }
-        debug_assert!(
-            self.is_canonical(),
-            "is_skew_symmetric requires canonical form"
-        );
-        self.iter().all(|(r, c, v)| {
-            if r == c {
-                v.abs() <= tol
-            } else {
-                match self.find(c, r) {
-                    Some(w) => (v + w).abs() <= tol,
-                    None => false,
-                }
-            }
-        })
+        self.satisfies(SymmetryKind::Skew, tol)
     }
 
     /// Checks structural (pattern) symmetry: every off-diagonal entry
@@ -233,15 +196,14 @@ impl CooMatrix {
     ///
     /// The matrix must be canonical; call [`CooMatrix::canonicalize`] first.
     pub fn is_structurally_symmetric(&self) -> bool {
-        if self.nrows != self.ncols {
-            return false;
-        }
-        debug_assert!(
-            self.is_canonical(),
-            "is_structurally_symmetric requires canonical form"
-        );
-        self.iter()
-            .all(|(r, c, _)| r == c || self.find(c, r).is_some())
+        self.satisfies(SymmetryKind::Structural, 0.0)
+    }
+
+    /// Whether the (canonical) matrix is square and `kind`'s relation holds
+    /// between its triangles: one linear mirror sweep.
+    fn satisfies(&self, kind: SymmetryKind, tol: Val) -> bool {
+        debug_assert!(self.is_canonical(), "symmetry checks need canonical form");
+        self.nrows == self.ncols && RowMajor::of(self).mirror_sweep(kind, tol, |_, _, _, _| {})
     }
 
     /// Binary-searches a canonical matrix for entry `(row, col)`.

@@ -6,7 +6,7 @@
 
 use crate::coo::CooMatrix;
 use crate::error::SparseError;
-use crate::validate::{validate_coo, CooChecks};
+use crate::rowmajor::RowMajor;
 use crate::{Idx, Val};
 
 /// A sparse matrix in Compressed Sparse Row format.
@@ -20,46 +20,32 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Builds a CSR matrix from a COO matrix (canonicalizes a copy first).
+    /// Builds a CSR matrix from a COO matrix: triplets in any order,
+    /// duplicates summed (as [`CooMatrix::canonicalize`] would).
     pub fn from_coo(coo: &CooMatrix) -> Self {
-        let mut coo = coo.clone();
-        coo.canonicalize();
-        Self::from_canonical_coo(&coo)
+        Self::from_row_major(coo, RowMajor::of(coo))
     }
 
-    /// Validated constructor: canonicalizes a copy, then checks the input
-    /// for non-finite values and index overflow before building.
+    /// Validated constructor: checks the (canonicalized) input for
+    /// non-finite values and index overflow before building.
     ///
     /// Prefer this over [`CsrMatrix::from_coo`] for matrices arriving from
     /// outside the process (files, network, user code): a malformed input
     /// yields a structured [`SparseError`] instead of a downstream panic.
     pub fn try_from_coo(coo: &CooMatrix) -> Result<Self, SparseError> {
-        let mut coo = coo.clone();
-        coo.canonicalize();
-        validate_coo(&coo, &CooChecks::unsymmetric_format())?;
-        Ok(Self::from_canonical_coo(&coo))
+        let entries = RowMajor::of(coo);
+        entries.check_finite()?;
+        Ok(Self::from_row_major(coo, entries))
     }
 
-    /// Builds a CSR matrix from an already-canonical COO matrix without
-    /// cloning the triplets a second time.
-    pub fn from_canonical_coo(coo: &CooMatrix) -> Self {
-        debug_assert!(coo.is_canonical());
-        let nrows = coo.nrows();
-        let nnz = coo.nnz();
-        let mut rowptr = vec![0 as Idx; nrows as usize + 1];
-        for &r in coo.row_indices() {
-            rowptr[r as usize + 1] += 1;
-        }
-        for i in 0..nrows as usize {
-            rowptr[i + 1] += rowptr[i];
-        }
-        debug_assert_eq!(rowptr[nrows as usize] as usize, nnz);
+    fn from_row_major(coo: &CooMatrix, entries: RowMajor<'_>) -> Self {
+        let (rowptr, colind, values) = entries.into_parts();
         CsrMatrix {
-            nrows,
+            nrows: coo.nrows(),
             ncols: coo.ncols(),
-            rowptr,
-            colind: coo.col_indices().to_vec(),
-            values: coo.values().to_vec(),
+            rowptr: rowptr.into_iter().map(|p| p as Idx).collect(),
+            colind,
+            values,
         }
     }
 

@@ -34,6 +34,7 @@ pub mod gen;
 pub mod mm;
 pub mod perm;
 pub mod rng;
+mod rowmajor;
 pub mod sss;
 pub mod stats;
 pub mod suite;

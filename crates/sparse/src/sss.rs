@@ -14,8 +14,8 @@
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
+use crate::rowmajor::RowMajor;
 use crate::symmetry::{SymmetryKind, SymmetryOps};
-use crate::validate::{validate_coo, CooChecks};
 use crate::with_symmetry_ops;
 use crate::{Idx, Val};
 use std::sync::OnceLock;
@@ -90,95 +90,7 @@ impl SssMatrix {
         kind: SymmetryKind,
         tol: Val,
     ) -> Result<Self, SparseError> {
-        let mut c = coo.clone();
-        c.canonicalize();
-        if c.nrows() != c.ncols() {
-            return Err(SparseError::NotSquare {
-                nrows: c.nrows(),
-                ncols: c.ncols(),
-            });
-        }
-        match kind {
-            SymmetryKind::Symmetric => {
-                if !c.is_symmetric(tol) {
-                    // Locate the first offending entry for the error message.
-                    for (r, col, v) in c.iter() {
-                        if r != col {
-                            let m = c.find(col, r);
-                            if m.is_none_or(|w| (w - v).abs() > tol) {
-                                return Err(SparseError::NotSymmetric { row: r, col });
-                            }
-                        }
-                    }
-                    unreachable!("is_symmetric and scan disagree");
-                }
-            }
-            SymmetryKind::Skew => {
-                if !c.is_skew_symmetric(tol) {
-                    for (r, col, v) in c.iter() {
-                        if r == col {
-                            if v.abs() > tol {
-                                return Err(SparseError::SkewNonzeroDiagonal { row: r, value: v });
-                            }
-                        } else {
-                            let m = c.find(col, r);
-                            if m.is_none_or(|w| (v + w).abs() > tol) {
-                                return Err(SparseError::NotSkewSymmetric { row: r, col });
-                            }
-                        }
-                    }
-                    unreachable!("is_skew_symmetric and scan disagree");
-                }
-            }
-            SymmetryKind::Structural => {
-                if !c.is_structurally_symmetric() {
-                    for (r, col, _) in c.iter() {
-                        if r != col && c.find(col, r).is_none() {
-                            return Err(SparseError::NotStructurallySymmetric { row: r, col });
-                        }
-                    }
-                    unreachable!("is_structurally_symmetric and scan disagree");
-                }
-            }
-        }
-        let (lower, dvalues) = c.split_lower_diag()?;
-        let lower_csr = CsrMatrix::from_coo(&lower);
-        // Skew storage is exactly skew: the diagonal is identically zero
-        // (entries within `tol` of zero are clamped, not kept).
-        let dvalues = if kind.requires_zero_diagonal() {
-            vec![0.0; c.nrows() as usize]
-        } else {
-            dvalues
-        };
-        // Structural storage pairs each lower entry with its mirror value,
-        // in lower-CSR order, so the kernels' sequential value cursor
-        // walks both arrays in lockstep.
-        let upper_values = if kind.has_upper_values() {
-            let mut upper = Vec::with_capacity(lower_csr.colind().len());
-            for r in 0..c.nrows() {
-                let lo = lower_csr.rowptr()[r as usize] as usize;
-                let hi = lower_csr.rowptr()[r as usize + 1] as usize;
-                for &col in &lower_csr.colind()[lo..hi] {
-                    match c.find(col, r) {
-                        Some(u) => upper.push(u),
-                        None => unreachable!("pattern symmetry was just verified"),
-                    }
-                }
-            }
-            upper
-        } else {
-            Vec::new()
-        };
-        Ok(SssMatrix {
-            n: c.nrows(),
-            kind,
-            dvalues,
-            rowptr: lower_csr.rowptr().to_vec(),
-            colind: lower_csr.colind().to_vec(),
-            values: lower_csr.values().to_vec(),
-            upper_values,
-            fp: OnceLock::new(),
-        })
+        Self::build(coo, Some((kind, tol)), false)
     }
 
     /// Fully validated constructor: beyond [`SssMatrix::from_coo`]'s
@@ -203,33 +115,82 @@ impl SssMatrix {
                 msg: format!("symmetry tolerance must be finite and >= 0, got {tol}"),
             });
         }
-        let mut c = coo.clone();
-        c.canonicalize();
-        validate_coo(&c, &CooChecks::for_kind(kind, tol))?;
-        Self::from_coo_kind(&c, kind, tol)
+        Self::build(coo, Some((kind, tol)), true)
     }
 
     /// Builds an SSS matrix from triplets describing only the lower triangle
     /// (diagonal entries included among them), *trusting* symmetry.
     pub fn from_lower_coo(lower_with_diag: &CooMatrix) -> Result<Self, SparseError> {
-        let mut c = lower_with_diag.clone();
-        c.canonicalize();
-        if c.nrows() != c.ncols() {
+        Self::build(lower_with_diag, None, false)
+    }
+
+    /// The one COO → SSS conversion. Reads `coo` in place through a
+    /// [`RowMajor`] view (pass 1: nothing is copied or sorted when the
+    /// triplets are canonical), then fills the arrays in one sweep over the
+    /// entries on and below the diagonal (pass 2): with `mirror` set, the
+    /// sweep that also checks the kind's relation against the upper
+    /// triangle; without it, a plain walk that ignores the upper triangle.
+    /// `validated` adds the finiteness pass in between.
+    ///
+    /// Errors come in the order: not square, non-zero count overflow, the
+    /// row-major-first non-finite value, the row-major-first entry breaking
+    /// the relation.
+    fn build(
+        coo: &CooMatrix,
+        mirror: Option<(SymmetryKind, Val)>,
+        validated: bool,
+    ) -> Result<Self, SparseError> {
+        if coo.nrows() != coo.ncols() {
             return Err(SparseError::NotSquare {
-                nrows: c.nrows(),
-                ncols: c.ncols(),
+                nrows: coo.nrows(),
+                ncols: coo.ncols(),
             });
         }
-        let (lower, dvalues) = c.split_lower_diag()?;
-        let lower_csr = CsrMatrix::from_coo(&lower);
+        let entries = RowMajor::of(coo);
+        if validated {
+            entries.check_finite()?;
+        }
+        let n = coo.nrows() as usize;
+        let kind = mirror.map_or(SymmetryKind::Symmetric, |(kind, _)| kind);
+        let stored = entries.nnz() / if mirror.is_some() { 2 } else { 1 };
+        let mut dvalues = vec![0.0; n];
+        let mut rowptr = vec![0 as Idx; n + 1];
+        let mut colind = Vec::with_capacity(stored);
+        let mut values = Vec::with_capacity(stored);
+        // Structural storage pairs each lower entry with its mirror value,
+        // in lower-CSR order, so the kernels' sequential value cursor
+        // walks both arrays in lockstep.
+        let mut upper_values = Vec::with_capacity(if kind.has_upper_values() { stored } else { 0 });
+        let emit = |r: usize, c: Idx, v: Val, mirrored: Val| {
+            if c as usize != r {
+                rowptr[r + 1] += 1;
+                colind.push(c);
+                values.push(v);
+                if kind.has_upper_values() {
+                    upper_values.push(mirrored);
+                }
+            } else if !kind.requires_zero_diagonal() {
+                // Skew storage is exactly skew: the diagonal stays
+                // identically zero (entries within `tol` of zero are
+                // clamped, not kept).
+                dvalues[r] += v;
+            }
+        };
+        match mirror {
+            Some((kind, tol)) => entries.check_mirrors(kind, tol, emit)?,
+            None => entries.for_each_lower(emit),
+        }
+        for r in 0..n {
+            rowptr[r + 1] += rowptr[r];
+        }
         Ok(SssMatrix {
-            n: c.nrows(),
-            kind: SymmetryKind::Symmetric,
+            n: coo.nrows(),
+            kind,
             dvalues,
-            rowptr: lower_csr.rowptr().to_vec(),
-            colind: lower_csr.colind().to_vec(),
-            values: lower_csr.values().to_vec(),
-            upper_values: Vec::new(),
+            rowptr,
+            colind,
+            values,
+            upper_values,
             fp: OnceLock::new(),
         })
     }
@@ -728,6 +689,152 @@ mod tests {
         }
         m.canonicalize();
         m
+    }
+
+    #[test]
+    fn duplicates_sum_in_insertion_order_on_shuffled_input() {
+        // (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3) in f64: the addends of one
+        // coordinate must be folded in the order they were pushed, however
+        // the other triplets are interleaved, so that mirror images pushed
+        // in the same order round identically.
+        let parts = [0.1, 0.2, 0.3];
+        let mut m = CooMatrix::new(3, 3);
+        m.push(2, 2, 1.0);
+        m.push(2, 0, parts[0]);
+        m.push(0, 2, parts[0]);
+        m.push(1, 1, 1.0);
+        m.push(0, 2, parts[1]);
+        m.push(2, 0, parts[1]);
+        m.push(0, 0, 1.0);
+        m.push(2, 0, parts[2]);
+        m.push(0, 2, parts[2]);
+        let sss = SssMatrix::from_coo(&m, 0.0).unwrap();
+        assert_eq!(sss.values()[0].to_bits(), ((0.1 + 0.2) + 0.3_f64).to_bits());
+        assert_ne!(sss.values()[0].to_bits(), (0.1 + (0.2 + 0.3_f64)).to_bits());
+
+        // The same addends pushed in the opposite order above the diagonal
+        // round differently: exact symmetry is lost, and reported.
+        let mut m = CooMatrix::new(3, 3);
+        for i in 0..3 {
+            m.push(2, 0, parts[i]);
+            m.push(0, 2, parts[2 - i]);
+        }
+        let err = SssMatrix::from_coo(&m, 0.0).unwrap_err();
+        assert_eq!(err, SparseError::NotSymmetric { row: 0, col: 2 });
+        assert!(SssMatrix::from_coo(&m, 1e-15).is_ok());
+    }
+
+    #[test]
+    fn error_precedence() {
+        // Not square comes before everything else.
+        let mut m = CooMatrix::new(2, 3);
+        m.push(0, 1, f64::NAN);
+        let not_square = SparseError::NotSquare { nrows: 2, ncols: 3 };
+        assert_eq!(SssMatrix::try_from_coo(&m, 0.0), Err(not_square.clone()));
+        assert_eq!(SssMatrix::from_coo(&m, 0.0), Err(not_square));
+
+        // On the validated path a non-finite value anywhere beats an
+        // asymmetry positioned before it; the unvalidated path, which does
+        // not look at finiteness, names the asymmetry.
+        let mut m = sym_coo();
+        m.push(0, 2, 9.0);
+        m.push(3, 3, f64::INFINITY);
+        let err = SssMatrix::try_from_coo(&m, 0.0).unwrap_err();
+        assert!(
+            matches!(err, SparseError::NonFiniteValue { row: 3, col: 3, value } if value.is_infinite())
+        );
+        let err = SssMatrix::from_coo(&m, 0.0).unwrap_err();
+        assert_eq!(err, SparseError::NotSymmetric { row: 0, col: 2 });
+
+        // Among several asymmetries the row-major-first entry is named,
+        // whichever triangle it is in and in whatever order they were pushed.
+        let mut m = sym_coo();
+        m.push(3, 1, 9.0);
+        m.push(2, 0, 9.0);
+        m.push(1, 3, 8.0);
+        let err = SssMatrix::from_coo(&m, 0.0).unwrap_err();
+        assert_eq!(err, SparseError::NotSymmetric { row: 1, col: 3 });
+
+        // The only evidence is an upper entry no lower entry ever asks for.
+        let mut m = sym_coo();
+        m.push(0, 3, 9.0);
+        for kind in SymmetryKind::ALL {
+            let err = SssMatrix::from_coo_kind(&m, kind, 0.0).unwrap_err();
+            let same = SssMatrix::try_from_coo_kind(&m, kind, 0.0).unwrap_err();
+            assert_eq!(err, same);
+            match kind {
+                SymmetryKind::Symmetric => {
+                    assert_eq!(err, SparseError::NotSymmetric { row: 0, col: 3 })
+                }
+                // The nonzero diagonal of row 0 comes first.
+                SymmetryKind::Skew => {
+                    assert_eq!(err, SparseError::SkewNonzeroDiagonal { row: 0, value: 4.0 })
+                }
+                SymmetryKind::Structural => {
+                    assert_eq!(
+                        err,
+                        SparseError::NotStructurallySymmetric { row: 0, col: 3 }
+                    )
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tolerance_keeps_the_lower_value_and_pairs_the_upper_one() {
+        // Mirrors within `tol` of the relation are accepted; what is stored
+        // is the lower-triangle value as given, not an average.
+        let mut m = CooMatrix::new(2, 2);
+        m.push(0, 1, 1.25);
+        m.push(1, 0, 1.0);
+        assert!(SssMatrix::from_coo(&m, 0.2).is_err());
+        let sss = SssMatrix::from_coo(&m, 0.3).unwrap();
+        assert_eq!(sss.values(), &[1.0]);
+        assert!(sss.upper_values().is_empty());
+
+        let sss = SssMatrix::from_coo_kind(&m, SymmetryKind::Structural, 0.3).unwrap();
+        assert_eq!(sss.values(), &[1.0]);
+        assert_eq!(sss.upper_values(), &[1.25]);
+
+        // Skew: `a_ji = -a_ij` within tol, the lower value stored, and a
+        // diagonal within tol of zero clamped to exactly zero.
+        let mut m = CooMatrix::new(2, 2);
+        m.push(0, 1, -1.25);
+        m.push(1, 0, 1.0);
+        m.push(1, 1, 0.125);
+        let sss = SssMatrix::from_coo_kind(&m, SymmetryKind::Skew, 0.3).unwrap();
+        assert_eq!(sss.values(), &[1.0]);
+        assert_eq!(sss.dvalues(), &[0.0, 0.0]);
+        assert_eq!(
+            SssMatrix::from_coo_kind(&m, SymmetryKind::Skew, 0.1).unwrap_err(),
+            SparseError::NotSkewSymmetric { row: 0, col: 1 }
+        );
+    }
+
+    #[test]
+    fn nan_is_an_offender_not_a_panic() {
+        // `x <= tol` and `x > tol` are both false for NaN; the relation is
+        // written so that NaN fails it, at the entry that carries it.
+        let mut m = CooMatrix::new(2, 2);
+        m.push(0, 1, f64::NAN);
+        m.push(1, 0, f64::NAN);
+        assert_eq!(
+            SssMatrix::from_coo(&m, 0.0),
+            Err(SparseError::NotSymmetric { row: 0, col: 1 })
+        );
+        assert_eq!(
+            SssMatrix::from_coo_kind(&m, SymmetryKind::Skew, 0.0),
+            Err(SparseError::NotSkewSymmetric { row: 0, col: 1 })
+        );
+        assert!(SssMatrix::from_coo_kind(&m, SymmetryKind::Structural, 0.0).is_ok());
+        let mut d = CooMatrix::new(1, 1);
+        d.push(0, 0, f64::NAN);
+        let err = SssMatrix::from_coo_kind(&d, SymmetryKind::Skew, 0.0).unwrap_err();
+        assert!(
+            matches!(err, SparseError::SkewNonzeroDiagonal { row: 0, value } if value.is_nan())
+        );
+        // A NaN tolerance fails every pair it is asked about.
+        assert!(SssMatrix::from_coo(&sym_coo(), f64::NAN).is_err());
     }
 
     #[test]

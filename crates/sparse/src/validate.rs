@@ -9,6 +9,7 @@
 
 use crate::coo::CooMatrix;
 use crate::error::SparseError;
+use crate::rowmajor::RowMajor;
 use crate::symmetry::SymmetryKind;
 use crate::{Idx, Val};
 
@@ -98,7 +99,7 @@ impl CooChecks {
 ///
 /// Checks run cheapest-first: dimension/overflow guards, then a single
 /// pass over the triplets (bounds, finiteness, order, duplicates), then
-/// the `O(nnz·log nnz)` symmetry scan when requested.
+/// the linear mirror sweep of each symmetry relation requested.
 pub fn validate_coo(coo: &CooMatrix, checks: &CooChecks) -> Result<(), SparseError> {
     if checks.square && coo.nrows() != coo.ncols() {
         return Err(SparseError::NotSquare {
@@ -121,8 +122,8 @@ pub fn validate_coo(coo: &CooMatrix, checks: &CooChecks) -> Result<(), SparseErr
     let cols = coo.col_indices();
     let vals = coo.values();
     let (nrows, ncols) = (coo.nrows(), coo.ncols());
-    // The symmetry scans binary-search and therefore need canonical
-    // order; requesting one implies the canonicity check.
+    // Mirror images are paired in canonical order; requesting a symmetry
+    // relation implies the canonicity check.
     let canonical = checks.canonical
         || checks.symmetric.is_some()
         || checks.skew.is_some()
@@ -157,49 +158,20 @@ pub fn validate_coo(coo: &CooMatrix, checks: &CooChecks) -> Result<(), SparseErr
         }
     }
 
-    if let Some(tol) = checks.symmetric {
-        if !coo.is_symmetric(tol) {
-            // Locate the first offending entry for the error message.
-            for (r, c, v) in coo.iter() {
-                if r == c {
-                    continue;
-                }
-                match coo.find(c, r) {
-                    Some(w) if (w - v).abs() <= tol => {}
-                    _ => return Err(SparseError::NotSymmetric { row: r, col: c }),
-                }
-            }
-            return Err(SparseError::NotSymmetric { row: 0, col: 0 });
+    let relations = [
+        checks.symmetric.map(|tol| (SymmetryKind::Symmetric, tol)),
+        checks.skew.map(|tol| (SymmetryKind::Skew, tol)),
+        checks
+            .pattern_symmetric
+            .then_some((SymmetryKind::Structural, 0.0)),
+    ];
+    for (kind, tol) in relations.into_iter().flatten() {
+        // A relation between mirror images is only defined on a square
+        // matrix, whether or not `checks.square` asked for one.
+        if nrows != ncols {
+            return Err(SparseError::NotSquare { nrows, ncols });
         }
-    }
-
-    if let Some(tol) = checks.skew {
-        if !coo.is_skew_symmetric(tol) {
-            // Locate the first offending entry for the error message,
-            // distinguishing the diagonal violation from a missing mirror.
-            for (r, c, v) in coo.iter() {
-                if r == c {
-                    if v.abs() > tol {
-                        return Err(SparseError::SkewNonzeroDiagonal { row: r, value: v });
-                    }
-                    continue;
-                }
-                match coo.find(c, r) {
-                    Some(w) if (v + w).abs() <= tol => {}
-                    _ => return Err(SparseError::NotSkewSymmetric { row: r, col: c }),
-                }
-            }
-            return Err(SparseError::NotSkewSymmetric { row: 0, col: 0 });
-        }
-    }
-
-    if checks.pattern_symmetric && !coo.is_structurally_symmetric() {
-        for (r, c, _) in coo.iter() {
-            if r != c && coo.find(c, r).is_none() {
-                return Err(SparseError::NotStructurallySymmetric { row: r, col: c });
-            }
-        }
-        return Err(SparseError::NotStructurallySymmetric { row: 0, col: 0 });
+        RowMajor::of(coo).check_mirrors(kind, tol, |_, _, _, _| {})?;
     }
     Ok(())
 }

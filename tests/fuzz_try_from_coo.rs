@@ -10,6 +10,7 @@ use symspmv::core::{ReductionMethod, SymFormat, SymSpmv, SymSpmvError};
 use symspmv::csb::{CsbMatrix, CsbSymMatrix};
 use symspmv::csx::{CsxMatrix, DetectConfig};
 use symspmv::runtime::ExecutionContext;
+use symspmv::sparse::symmetry::SymmetryKind;
 use symspmv::sparse::{BcsrMatrix, CooMatrix, CsrMatrix, SparseError, SssMatrix};
 
 /// xorshift64* — deterministic, no external crates.
@@ -117,6 +118,100 @@ fn corrupted_matrices_are_rejected_by_every_constructor() {
                 !ok,
                 "round {round}: {kind:?} corruption accepted by {name} (n={n})"
             );
+        }
+    }
+}
+
+/// `base` (symmetric) re-valued to satisfy `kind`, with the value `bad`
+/// written over one entry: a random diagonal one, or a random off-diagonal
+/// one *and* its mirror (so the pattern, and for the numeric kinds the
+/// relation's operands, stay paired).
+fn of_kind_with(
+    base: &CooMatrix,
+    kind: SymmetryKind,
+    rng: &mut Rng,
+    bad: f64,
+    on_diagonal: bool,
+) -> CooMatrix {
+    let hits: Vec<(u32, u32)> = base
+        .iter()
+        .filter(|&(r, c, _)| if on_diagonal { r == c } else { r > c })
+        .map(|(r, c, _)| (r, c))
+        .collect();
+    let (hr, hc) = hits[rng.below(hits.len() as u64) as usize];
+    let mut coo = CooMatrix::new(base.nrows(), base.ncols());
+    for (r, c, v) in base.iter() {
+        let v = if (r, c) == (hr, hc) || (r, c) == (hc, hr) {
+            bad
+        } else if r == c && kind == SymmetryKind::Skew {
+            0.0
+        } else {
+            v
+        };
+        // Below the diagonal the base value; above it what the kind pairs
+        // with it.
+        coo.push(
+            r,
+            c,
+            if r < c {
+                kind.transposed(v, 0.5 * v)
+            } else {
+                v
+            },
+        );
+    }
+    coo
+}
+
+#[test]
+fn non_finite_values_never_panic_the_unvalidated_constructors() {
+    // The unvalidated constructors do not promise to reject non-finite
+    // values, but a NaN must not fall between "relation violated" and "no
+    // offender found": every tolerance test treats NaN as an offender, so
+    // a NaN (or an `inf − inf`) pair under a numeric kind and a NaN skew
+    // diagonal are a structured error at that entry; whatever the relation
+    // does not look at passes through.
+    let mut rng = Rng(0x0BAD_F10A_7000_0004);
+    let ctx = ExecutionContext::new(2);
+    for round in 0..60 {
+        let n = 4 + rng.below(28) as u32;
+        let base = valid_symmetric(&mut rng, n);
+        for kind in SymmetryKind::ALL {
+            for bad in [f64::NAN, f64::INFINITY] {
+                for on_diagonal in [false, true] {
+                    let coo = of_kind_with(&base, kind, &mut rng, bad, on_diagonal);
+                    let sss = SssMatrix::from_coo_kind(&coo, kind, 0.0);
+                    let kernel = SymSpmv::from_coo_kind(
+                        &coo,
+                        kind,
+                        &ctx,
+                        ReductionMethod::Indexing,
+                        SymFormat::Sss,
+                    );
+                    let what = format!("round {round}: {kind:?} {bad} diagonal={on_diagonal}");
+                    // By `Debug`: an error that carries the NaN is not `==` itself.
+                    assert_eq!(
+                        format!("{:?}", sss.as_ref().err()),
+                        format!("{:?}", kernel.as_ref().err()),
+                        "{what}"
+                    );
+                    match (kind, on_diagonal) {
+                        (SymmetryKind::Symmetric, false) => assert!(
+                            matches!(sss, Err(SparseError::NotSymmetric { row, col }) if row < col),
+                            "{what}: {sss:?}"
+                        ),
+                        (SymmetryKind::Skew, false) => assert!(
+                            matches!(sss, Err(SparseError::NotSkewSymmetric { row, col }) if row < col),
+                            "{what}: {sss:?}"
+                        ),
+                        (SymmetryKind::Skew, true) => assert!(
+                            matches!(sss, Err(SparseError::SkewNonzeroDiagonal { .. })),
+                            "{what}: {sss:?}"
+                        ),
+                        _ => assert!(sss.is_ok(), "{what}: {sss:?}"),
+                    }
+                }
+            }
         }
     }
 }
