@@ -44,10 +44,6 @@ fn main() {
                 .unwrap(),
             ),
         ),
-        (
-            "csb-sym",
-            Box::new(symspmv_core::CsbSymParallel::from_coo(&m.coo, &ctx).unwrap()),
-        ),
     ];
 
     let mut t = Target::new("spmm_formats");

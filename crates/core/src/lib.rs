@@ -21,14 +21,6 @@
 //!   of Fig. 4;
 //! * [`csx_sym`] — the **CSX-Sym** storage format (§IV-B): per-partition
 //!   CSX encoding of the lower triangle with the boundary-legality rule;
-//! * [`bcsr_mt`] — the auto-tuned register-blocking (BCSR) baseline;
-//! * [`csb_mt`] — the CSB and CSB-Sym comparators from the related work
-//!   (Buluç et al., refs. 8 and 27 of the paper);
-//! * [`sym_color`] — the "colorful" method of Batista et al. (ref. 7,
-//!   §VI): conflict-free row coloring instead of any reduction;
-//! * [`sym_atomic`] — an extension baseline: atomic conflicting updates
-//!   instead of local vectors (the CSB-style alternative discussed in the
-//!   paper's related work, §VI);
 //! * [`ws`] — the working-set models of Eq. 3–6 (Fig. 5);
 //! * [`auto`] — cost-model plan selection ([`SymSpmv::auto`]) and the
 //!   [`PlanAdvisor`] hook the persisted plan store plugs into
@@ -38,8 +30,6 @@
 //!   keeps serving when the pool degrades (DESIGN.md §16).
 
 pub mod auto;
-pub mod bcsr_mt;
-pub mod csb_mt;
 pub mod csr_mt;
 pub mod csx_mt;
 pub mod csx_sym;
@@ -48,15 +38,11 @@ pub mod plan;
 pub mod resilience;
 pub mod shared;
 pub mod sym;
-pub mod sym_atomic;
-pub mod sym_color;
 pub mod symbolic;
 pub mod traits;
 pub mod ws;
 
 pub use auto::{AutoChoice, FormatTag, PlanAdvisor, PlanSource, PlanSpec};
-pub use bcsr_mt::BcsrParallel;
-pub use csb_mt::{CsbParallel, CsbSymParallel};
 pub use csr_mt::CsrParallel;
 pub use csx_mt::CsxParallel;
 pub use csx_sym::CsxSymMatrix;
@@ -64,8 +50,6 @@ pub use error::SymSpmvError;
 pub use plan::CachedSymPlan;
 pub use resilience::{fallback_worthy, serve, FallbackKernel, Resilient, RetryPolicy, Served};
 pub use sym::{ReductionMethod, SymFormat, SymSpmv};
-pub use sym_atomic::SssAtomicParallel;
-pub use sym_color::SssColorParallel;
 pub use traits::{try_on_pool, BlockKernel, ParallelSpmmExt, ParallelSpmv, SymbolicDescribe};
 
 // Re-exported so block-kernel callers need only this crate in scope.

@@ -291,9 +291,8 @@ impl CachedSymPlan {
 }
 
 /// Debug-build dispatch gate for the plain row-partitioned kernels (CSR,
-/// CSX chunks, BCSR block rows, CSB block rows): asserts the partition
-/// tiles `0..n` disjointly, naming the kernel family in the panic. Free in
-/// release builds.
+/// CSX chunks): asserts the partition tiles `0..n` disjointly, naming the
+/// kernel family in the panic. Free in release builds.
 #[inline]
 pub fn debug_certify_rows(n: u32, parts: &[Range], family: &str) {
     #[cfg(not(debug_assertions))]
@@ -301,18 +300,6 @@ pub fn debug_certify_rows(n: u32, parts: &[Range], family: &str) {
     #[cfg(debug_assertions)]
     if let Err(e) = symspmv_verify::certify_rows(0, n, parts, family) {
         unreachable!("{family}: partition failed race certification: {e}");
-    }
-}
-
-/// Debug-build certification of a greedy coloring: no two rows of one
-/// class may share a write target. Free in release builds.
-#[inline]
-pub fn debug_certify_color(sss: &SssMatrix, classes: &[Vec<u32>]) {
-    #[cfg(not(debug_assertions))]
-    let _ = (sss, classes);
-    #[cfg(debug_assertions)]
-    if let Err(e) = symspmv_verify::certify_color(sss, classes) {
-        unreachable!("coloring failed race certification: {e}");
     }
 }
 

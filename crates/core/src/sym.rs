@@ -149,8 +149,9 @@ impl SymSpmv {
 
     /// Fully validated constructor for matrices from outside the process:
     /// beyond [`SymSpmv::from_coo`]'s square/symmetry checks, rejects
-    /// non-finite values, duplicate coordinates and index overflow, and
-    /// reports everything as a classified [`SymSpmvError`].
+    /// non-finite values, duplicate coordinates, index overflow and a
+    /// `method` the `format` does not support, and reports everything as
+    /// a classified [`SymSpmvError`].
     pub fn try_from_coo(
         coo: &CooMatrix,
         ctx: &Arc<ExecutionContext>,
@@ -168,8 +169,15 @@ impl SymSpmv {
         method: ReductionMethod,
         format: SymFormat,
     ) -> Result<Self, SymSpmvError> {
+        let strategy = Self::builtin_strategy(ctx, method);
+        if let Some(why) = Self::unsupported_pair(&*strategy, &format) {
+            return Err(SparseError::InvalidArgument {
+                msg: why.to_string(),
+            }
+            .into());
+        }
         let sss = SssMatrix::try_from_coo_kind(coo, kind, 0.0)?;
-        Ok(Self::from_sss(sss, ctx, method, format))
+        Ok(Self::build(sss, ctx, method, strategy, format))
     }
 
     /// Builds the kernel from an SSS matrix (symmetry already established;
@@ -185,12 +193,33 @@ impl SymSpmv {
         method: ReductionMethod,
         format: SymFormat,
     ) -> Self {
+        let strategy = Self::builtin_strategy(ctx, method);
+        Self::build(sss, ctx, method, strategy, format)
+    }
+
+    fn builtin_strategy(
+        ctx: &ExecutionContext,
+        method: ReductionMethod,
+    ) -> Arc<dyn ReductionStrategy> {
         // The built-ins are registered at context creation and the
         // registry never removes entries, so the lookup cannot fail.
-        let strategy = ctx.reduction(method.tag()).unwrap_or_else(|| {
+        ctx.reduction(method.tag()).unwrap_or_else(|| {
             unreachable!("built-in reduction strategy missing from the context registry")
-        });
-        Self::build(sss, ctx, method, strategy, format)
+        })
+    }
+
+    /// Why `strategy` cannot drive `format`, if it cannot.
+    fn unsupported_pair(
+        strategy: &dyn ReductionStrategy,
+        format: &SymFormat,
+    ) -> Option<&'static str> {
+        if matches!(format, SymFormat::Hybrid { .. }) && !strategy.direct_write() {
+            Some("the hybrid format supports the direct-write methods only")
+        } else if !matches!(format, SymFormat::Sss) && strategy.scheduled() {
+            Some("the race schedule supports the SSS format only")
+        } else {
+            None
+        }
     }
 
     /// Builds the kernel with a reduction strategy selected from the
@@ -244,14 +273,9 @@ impl SymSpmv {
     ) -> Self {
         let n = sss.n() as usize;
         let kind = sss.kind();
-        assert!(
-            !matches!(format, SymFormat::Hybrid { .. }) || strategy.direct_write(),
-            "the hybrid format supports the direct-write methods only"
-        );
-        assert!(
-            matches!(format, SymFormat::Sss) || !strategy.scheduled(),
-            "the race schedule supports the SSS format only"
-        );
+        if let Some(why) = Self::unsupported_pair(&*strategy, &format) {
+            panic!("{why}");
+        }
         let mut times = PhaseTimes::new();
 
         // Partition, layout, conflict index and race certificate all come

@@ -16,11 +16,9 @@
 //!   preproc  §V-E      — CSX-Sym preprocessing cost
 //!   fig14    Figure 14 — CG execution-time breakdown
 //!   ablation extension — CSX-Sym detection-config design space
-//!   atomics  extension — atomic updates vs local-vector reductions
 //!   spmm     extension — batched multi-RHS SpMM per-vector speedup
 //!   kinds    extension — skew/structural engines and the skew+RCM effect
 //!   tune     extension — measured plan search + persisted plan store
-//!   related  extension — related-work comparison (CSB, CSB-Sym, atomics)
 //!   verify   extension — every kernel vs reference on the full suite
 //!   chaos    extension — seeded fault-injection soak of the resilient
 //!                        service (build with --features fault-injection)
@@ -42,7 +40,7 @@
 use std::process::ExitCode;
 use symspmv_harness::experiments::{self, ExpConfig};
 
-const USAGE: &str = "usage: experiments <table1|fig4|fig5|fig9|fig10|fig11|fig12|table3|fig13|preproc|fig14|ablation|atomics|spmm|kinds|colors|tune|related|verify|chaos|plot|machine|all>
+const USAGE: &str = "usage: experiments <table1|fig4|fig5|fig9|fig10|fig11|fig12|table3|fig13|preproc|fig14|ablation|spmm|kinds|colors|tune|verify|chaos|plot|machine|all>
                    [--scale f] [--iters k] [--threads p] [--out dir]
                    [--matrix name]... [--cg-iters k] [--rhs k] [--seed k]";
 
@@ -146,12 +144,10 @@ fn main() -> ExitCode {
         "preproc" => experiments::preproc(&cfg),
         "fig14" => experiments::fig14(&cfg),
         "ablation" => experiments::ablation(&cfg),
-        "atomics" => experiments::atomics(&cfg),
         "spmm" => experiments::spmm(&cfg),
         "kinds" => experiments::kinds(&cfg),
         "colors" => experiments::colors(&cfg),
         "tune" => experiments::tune(&cfg),
-        "related" => experiments::related(&cfg),
         "verify" => experiments::verify(&cfg),
         "chaos" => experiments::chaos(&cfg),
         "plot" => experiments::plot(&cfg),

@@ -117,7 +117,6 @@ pub fn block_specs() -> Vec<KernelSpec> {
         KernelSpec::CsxSym(Eff),
         KernelSpec::CsxSym(Idx),
         KernelSpec::Hybrid(Idx),
-        KernelSpec::CsbSym,
     ]
 }
 
@@ -163,9 +162,6 @@ pub fn build_block_kernel_kind(
                 min_coverage: 0.5,
             },
         )?),
-        KernelSpec::CsbSym => {
-            Box::new(symspmv_core::CsbSymParallel::from_coo_kind(coo, kind, ctx)?)
-        }
         _ => return Ok(None),
     }))
 }
@@ -183,16 +179,6 @@ pub fn is_bitwise_class(spec: KernelSpec, nthreads: usize) -> bool {
             KernelSpec::Sss(ReductionMethod::EffectiveRanges)
                 | KernelSpec::Sss(ReductionMethod::Indexing)
         )
-}
-
-/// Whether `(spec, nthreads)` produces scheduling-dependent results even
-/// for repeated identical calls: CSB-Sym's far transposed updates are
-/// atomic adds whose interleaving varies run to run once more than one
-/// worker exists. Such combinations are held to [`REL_TOL`] everywhere —
-/// including the SpMM-vs-SpMV property, where every other format must be
-/// bit-identical per lane.
-pub fn is_nondeterministic(spec: KernelSpec, nthreads: usize) -> bool {
-    matches!(spec, KernelSpec::CsbSym) && nthreads > 1
 }
 
 /// The serial SSS reference result for one input vector (`Symmetric`).

@@ -871,34 +871,6 @@ pub fn ablation(cfg: &ExpConfig) -> Result<(), HarnessError> {
     cfg.emit("ablation", &t)
 }
 
-/// Extension — the related-work comparison of §VI: the paper's best
-/// configurations (SSS-idx, CSX-Sym-idx) against CSB, symmetric CSB
-/// (banded locals + atomics) and the pure-atomics kernel, per matrix at
-/// max threads.
-pub fn related(cfg: &ExpConfig) -> Result<(), HarnessError> {
-    println!(
-        "== Extension: related-work comparison (§VI) at {} threads ==\n",
-        cfg.max_threads
-    );
-    let lineup = KernelSpec::related_work_lineup();
-    let mut header = vec!["matrix".to_string()];
-    header.extend(lineup.iter().map(|s| format!("{} Gflop/s", s.name())));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t = Table::new(&header_refs);
-    let ctx = ExecutionContext::new(cfg.max_threads);
-    for m in cfg.suite() {
-        let mut row = vec![m.spec.name.to_string()];
-        for &spec in &lineup {
-            let mut k = kernel_of(spec, &m.coo, &ctx, m.spec.name)?;
-            row.push(f(measure(&mut *k, cfg.iterations).gflops, 2));
-        }
-        t.row(row);
-    }
-    cfg.emit("related", &t)?;
-    println!("(paper §VI: CSB-sym's atomics bind on high-bandwidth matrices;\n the colorful method never beat local vectors)\n");
-    Ok(())
-}
-
 /// Extension — batched SpMM: per-vector throughput of `k = cfg.rhs`
 /// simultaneous right-hand sides against the scalar (`k = 1`) kernel, for
 /// every block-capable format at max threads. The matrix is read once per
@@ -923,7 +895,6 @@ pub fn spmm(cfg: &ExpConfig) -> Result<(), HarnessError> {
         KernelSpec::Csr,
         KernelSpec::Sss(ReductionMethod::Indexing),
         KernelSpec::CsxSym(ReductionMethod::Indexing),
-        KernelSpec::CsbSym,
     ];
     let mut t = Table::new(&[
         "matrix",
@@ -960,69 +931,13 @@ pub fn spmm(cfg: &ExpConfig) -> Result<(), HarnessError> {
     Ok(())
 }
 
-/// Extension — atomic-update symmetric SpMV versus the local-vector
-/// methods (the CSB-style alternative the paper's related work predicts is
-/// "bound by the atomic operations" on high-bandwidth matrices).
-pub fn atomics(cfg: &ExpConfig) -> Result<(), HarnessError> {
-    println!("== Extension: atomic updates vs local-vector reductions ==\n");
-    let lineup = vec![
-        KernelSpec::Sss(ReductionMethod::Naive),
-        KernelSpec::Sss(ReductionMethod::Indexing),
-        KernelSpec::SssAtomic,
-    ];
-    let mut header = vec!["matrix".to_string(), "threads".to_string()];
-    header.extend(lineup.iter().map(|s| format!("{} Gflop/s", s.name())));
-    let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    let mut t = Table::new(&header_refs);
-    for name in ["hood", "thermal2"] {
-        let Some(spec) = symspmv_sparse::suite::spec_by_name(name) else {
-            continue;
-        };
-        if !cfg.matrices.is_empty() && !cfg.matrices.iter().any(|m| m == name) {
-            continue;
-        }
-        let m = symspmv_sparse::suite::generate(spec, cfg.scale);
-        for &p in &cfg.thread_sweep() {
-            let ctx = ExecutionContext::new(p);
-            let mut row = vec![name.to_string(), p.to_string()];
-            for &ks in &lineup {
-                let mut k = kernel_of(ks, &m.coo, &ctx, name)?;
-                row.push(f(measure(&mut *k, cfg.iterations).gflops, 2));
-            }
-            t.row(row);
-        }
-    }
-    cfg.emit("atomics", &t)?;
-    println!("(expectation: atomics competitive at low thread counts and on\n low-conflict matrices, degrading with contention — §VI)\n");
-    Ok(())
-}
-
 /// Extension — end-to-end self-check: every kernel spec x several thread
 /// counts against the dense reference on every suite matrix. Returns
 /// [`HarnessError::VerificationFailed`] on any mismatch (the binary turns
 /// that into a nonzero exit), so it can serve as a post-install smoke test.
 pub fn verify(cfg: &ExpConfig) -> Result<(), HarnessError> {
     println!("== Verify: all kernels vs reference on the full suite ==\n");
-    let specs: Vec<KernelSpec> = [
-        "csr",
-        "csx",
-        "bcsr",
-        "csb",
-        "csb-sym",
-        "sss-naive",
-        "sss-eff",
-        "sss-idx",
-        "sss-race",
-        "sss-atomic",
-        "sss-color",
-        "csxsym-naive",
-        "csxsym-eff",
-        "csxsym-idx",
-        "hybrid-idx",
-    ]
-    .iter()
-    .filter_map(|s| KernelSpec::parse(s))
-    .collect();
+    let specs = KernelSpec::all();
     let threads: Vec<usize> = vec![1, 2, cfg.max_threads.max(3)];
     let ctxs: Vec<Arc<ExecutionContext>> =
         threads.iter().map(|&p| ExecutionContext::new(p)).collect();
@@ -1082,7 +997,6 @@ pub fn kinds(cfg: &ExpConfig) -> Result<(), HarnessError> {
     let lineup = [
         KernelSpec::Sss(ReductionMethod::Indexing),
         KernelSpec::CsxSym(ReductionMethod::Indexing),
-        KernelSpec::CsbSym,
     ];
     let mut t = Table::new(&[
         "matrix",
@@ -1487,12 +1401,10 @@ pub fn all(cfg: &ExpConfig) -> Result<(), HarnessError> {
     preproc(cfg)?;
     fig14(cfg)?;
     ablation(cfg)?;
-    atomics(cfg)?;
     spmm(cfg)?;
     kinds(cfg)?;
     colors(cfg)?;
-    tune(cfg)?;
-    related(cfg)
+    tune(cfg)
 }
 
 #[cfg(test)]

@@ -19,17 +19,6 @@ pub enum KernelSpec {
     Sss(ReductionMethod),
     /// CSX-Sym with a given reduction method.
     CsxSym(ReductionMethod),
-    /// SSS with atomic conflicting updates (no local vectors) — the
-    /// CSB-style alternative from the paper's related work.
-    SssAtomic,
-    /// Compressed Sparse Blocks, unsymmetric (related work, ref. 8).
-    Csb,
-    /// Symmetric CSB with banded locals + atomic far updates (ref. 27).
-    CsbSym,
-    /// Auto-tuned register-blocked BCSR (related work: SPARSITY/OSKI).
-    Bcsr,
-    /// The "colorful" conflict-free coloring method (related work, ref. 7).
-    SssColor,
     /// Adaptive per-chunk CSX-Sym/SSS hybrid with a given reduction method
     /// (extension; coverage threshold 0.5).
     Hybrid(ReductionMethod),
@@ -50,14 +39,9 @@ impl KernelSpec {
             KernelSpec::CsxSym(Race) | KernelSpec::Hybrid(Race) => {
                 unreachable!("the race schedule supports the SSS format only")
             }
-            KernelSpec::SssAtomic => "sss-atomic",
-            KernelSpec::Csb => "csb",
-            KernelSpec::Bcsr => "bcsr",
-            KernelSpec::SssColor => "sss-color",
             KernelSpec::Hybrid(Naive) => "hybrid-naive",
             KernelSpec::Hybrid(Eff) => "hybrid-eff",
             KernelSpec::Hybrid(Idx) => "hybrid-idx",
-            KernelSpec::CsbSym => "csb-sym",
             KernelSpec::CsxSym(Naive) => "csxsym-naive",
             KernelSpec::CsxSym(Eff) => "csxsym-eff",
             KernelSpec::CsxSym(Idx) => "csxsym-idx",
@@ -79,11 +63,6 @@ impl KernelSpec {
             // The scheduled strategy exists for SSS only; `csxsym-race` and
             // `hybrid-race` stay unparseable.
             "sss-race" => Some(KernelSpec::Sss(ReductionMethod::Race)),
-            "sss-atomic" => Some(KernelSpec::SssAtomic),
-            "csb" => Some(KernelSpec::Csb),
-            "bcsr" => Some(KernelSpec::Bcsr),
-            "sss-color" => Some(KernelSpec::SssColor),
-            "csb-sym" => Some(KernelSpec::CsbSym),
             _ => {
                 if let Some(tag) = s.strip_prefix("sss-") {
                     method(tag).map(KernelSpec::Sss)
@@ -98,6 +77,26 @@ impl KernelSpec {
         }
     }
 
+    /// Every buildable configuration — the one list the self-checks
+    /// (`experiments verify`, the equivalence and adversarial suites)
+    /// sweep, so a kernel cannot drop out of one of them unnoticed.
+    pub fn all() -> Vec<KernelSpec> {
+        use ReductionMethod::{EffectiveRanges as Eff, Indexing as Idx, Naive, Race};
+        vec![
+            KernelSpec::Csr,
+            KernelSpec::Csx,
+            KernelSpec::Sss(Naive),
+            KernelSpec::Sss(Eff),
+            KernelSpec::Sss(Idx),
+            KernelSpec::Sss(Race),
+            KernelSpec::CsxSym(Naive),
+            KernelSpec::CsxSym(Eff),
+            KernelSpec::CsxSym(Idx),
+            KernelSpec::Hybrid(Eff),
+            KernelSpec::Hybrid(Idx),
+        ]
+    }
+
     /// The four-format lineup of Fig. 11/12/13/14.
     pub fn figure11_lineup() -> Vec<KernelSpec> {
         vec![
@@ -105,22 +104,6 @@ impl KernelSpec {
             KernelSpec::Csx,
             KernelSpec::Sss(ReductionMethod::Indexing),
             KernelSpec::CsxSym(ReductionMethod::Indexing),
-        ]
-    }
-
-    /// The related-work lineup (extension experiment): the paper's best
-    /// configurations against the §VI alternatives.
-    pub fn related_work_lineup() -> Vec<KernelSpec> {
-        vec![
-            KernelSpec::Csr,
-            KernelSpec::Bcsr,
-            KernelSpec::Sss(ReductionMethod::Indexing),
-            KernelSpec::CsxSym(ReductionMethod::Indexing),
-            KernelSpec::Hybrid(ReductionMethod::Indexing),
-            KernelSpec::Csb,
-            KernelSpec::CsbSym,
-            KernelSpec::SssAtomic,
-            KernelSpec::SssColor,
         ]
     }
 
@@ -153,9 +136,9 @@ pub fn build_kernel(
 }
 
 /// The kind-aware factory: builds `spec` over `coo` validated against
-/// `kind`. The unsymmetric baselines (CSR, CSX, CSB, BCSR) store the full
-/// expanded matrix and are kind-independent — they build identically for
-/// every kind; the half-storage kernels thread the kind through their
+/// `kind`. The unsymmetric baselines (CSR, CSX) store the full expanded
+/// matrix and are kind-independent — they build identically for every
+/// kind; the half-storage kernels thread the kind through their
 /// constructors.
 pub fn build_kernel_kind(
     spec: KernelSpec,
@@ -175,14 +158,6 @@ pub fn build_kernel_kind(
             m,
             SymFormat::CsxSym(cfg),
         )?),
-        KernelSpec::SssAtomic => Box::new(symspmv_core::SssAtomicParallel::from_coo_kind(
-            coo, kind, ctx,
-        )?),
-        KernelSpec::Csb => Box::new(symspmv_core::CsbParallel::from_coo(coo, ctx)),
-        KernelSpec::Bcsr => Box::new(symspmv_core::BcsrParallel::from_coo(coo, ctx)),
-        KernelSpec::SssColor => Box::new(symspmv_core::SssColorParallel::from_coo_kind(
-            coo, kind, ctx,
-        )?),
         KernelSpec::Hybrid(m) => Box::new(SymSpmv::from_coo_kind(
             coo,
             kind,
@@ -193,9 +168,6 @@ pub fn build_kernel_kind(
                 min_coverage: 0.5,
             },
         )?),
-        KernelSpec::CsbSym => {
-            Box::new(symspmv_core::CsbSymParallel::from_coo_kind(coo, kind, ctx)?)
-        }
     })
 }
 
@@ -206,20 +178,7 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for spec in [
-            KernelSpec::Csr,
-            KernelSpec::Csx,
-            KernelSpec::Sss(ReductionMethod::Naive),
-            KernelSpec::Sss(ReductionMethod::EffectiveRanges),
-            KernelSpec::Sss(ReductionMethod::Indexing),
-            KernelSpec::Sss(ReductionMethod::Race),
-            KernelSpec::CsxSym(ReductionMethod::Indexing),
-            KernelSpec::SssAtomic,
-            KernelSpec::Csb,
-            KernelSpec::CsbSym,
-            KernelSpec::Bcsr,
-            KernelSpec::SssColor,
-        ] {
+        for spec in KernelSpec::all() {
             assert_eq!(KernelSpec::parse(spec.name()), Some(spec));
         }
         assert_eq!(KernelSpec::parse("nope"), None);
@@ -237,10 +196,8 @@ mod tests {
         c.canonicalize();
         c.spmv_reference(&x, &mut y_ref);
 
-        let mut all = KernelSpec::figure9_lineup();
-        all.extend(KernelSpec::figure11_lineup());
         let ctx = ExecutionContext::new(3);
-        for spec in all {
+        for spec in KernelSpec::all() {
             let mut k = build_kernel(spec, &coo, &ctx).unwrap();
             let mut y = vec![f64::NAN; 200];
             let rounds_before = ctx.pool_rounds();

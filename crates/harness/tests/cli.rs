@@ -1,6 +1,7 @@
 //! End-to-end tests of the `experiments` binary's command-line interface.
 
 use std::process::Command;
+use symspmv_harness::kernels::KernelSpec;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_experiments"))
@@ -96,4 +97,58 @@ fn fig5_writes_csv_and_svg() {
     let svg = std::fs::read_to_string(dir.join("fig5.svg")).unwrap();
     assert!(svg.starts_with("<svg"));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn verify_sweeps_every_kernel_spec() {
+    let dir = std::env::temp_dir().join("symspmv_cli_verify");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = bin()
+        .args([
+            "verify",
+            "--scale",
+            "0.002",
+            "--threads",
+            "2",
+            "--matrix",
+            "hood",
+            "--out",
+            dir.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let csv = std::fs::read_to_string(dir.join("verify.csv")).unwrap();
+    let mut lines = csv.lines();
+    let header: Vec<&str> = lines.next().unwrap().split(',').collect();
+    let kernels_col = header.iter().position(|&h| h == "kernels").unwrap();
+    let row: Vec<&str> = lines.next().unwrap().split(',').collect();
+    assert_eq!(row[0], "hood");
+    assert_eq!(
+        row[kernels_col],
+        KernelSpec::all().len().to_string(),
+        "verify must sweep the whole KernelSpec::all() list"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn removed_comparator_subcommands_print_usage() {
+    const GONE: [&str; 2] = ["related", "atomics"];
+    for gone in GONE {
+        let out = bin().arg(gone).output().unwrap();
+        assert!(!out.status.success(), "`{gone}` should be rejected");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let usage = err
+            .lines()
+            .find(|l| l.starts_with("usage:"))
+            .unwrap_or_else(|| panic!("`{gone}` should print the usage line: {err}"));
+        for name in GONE {
+            assert!(!usage.contains(name), "usage still lists `{name}`: {usage}");
+        }
+    }
 }

@@ -16,7 +16,7 @@
 //!   race. Reads are not tracked.
 //! * Writes through [`SharedBuf::range_mut`] claim the whole requested
 //!   range; [`SharedBuf::full_mut`] claims *nothing*, because kernels that
-//!   take the full view (CSR/BCSR/atomic phases) index absolute positions
+//!   take the full view (the CSR/CSX row loops) index absolute positions
 //!   the shadow layer cannot attribute — those kernels are covered by the
 //!   static row-partition certificate instead.
 //! * Writes outside a pool round (no current worker) are ignored.

@@ -7,9 +7,8 @@
 //! the optimized kernels themselves:
 //!
 //! * the classic storage formats — [`coo::CooMatrix`], [`csr::CsrMatrix`]
-//!   (Eq. 1 of the paper), the Symmetric Sparse Skyline format
-//!   [`sss::SssMatrix`] (Eq. 2) and register-blocked [`bcsr::BcsrMatrix`]
-//!   (related work), each with a serial SpMV reference kernel;
+//!   (Eq. 1 of the paper) and the Symmetric Sparse Skyline format
+//!   [`sss::SssMatrix`] (Eq. 2), each with a serial SpMV reference kernel;
 //! * MatrixMarket I/O ([`mm`]) so the real University-of-Florida matrices can
 //!   be dropped in when available;
 //! * deterministic synthetic generators ([`gen`]) and the 12-matrix
@@ -23,7 +22,6 @@
 //! Index type is `u32` and values are `f64`, matching the paper's four-byte
 //! indices and eight-byte floating-point values.
 
-pub mod bcsr;
 pub mod block;
 pub mod cache;
 pub mod coo;
@@ -41,7 +39,6 @@ pub mod suite;
 pub mod symmetry;
 pub mod validate;
 
-pub use bcsr::BcsrMatrix;
 pub use block::VectorBlock;
 pub use coo::CooMatrix;
 pub use csr::CsrMatrix;

@@ -34,7 +34,7 @@ pub struct CooChecks {
 }
 
 impl CooChecks {
-    /// The requirements of the symmetric formats (SSS, CSX-Sym, CSB-Sym):
+    /// The requirements of the symmetric formats (SSS, CSX-Sym):
     /// square, exactly symmetric, canonical.
     pub fn symmetric_format() -> Self {
         CooChecks {
@@ -83,7 +83,7 @@ impl CooChecks {
         }
     }
 
-    /// The requirements of the unsymmetric formats (CSR, BCSR, CSB, CSX):
+    /// The requirements of the unsymmetric formats (CSR, CSX):
     /// canonical triplets, nothing more.
     pub fn unsymmetric_format() -> Self {
         CooChecks {

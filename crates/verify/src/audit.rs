@@ -56,27 +56,6 @@ pub const KNOWN_INVARIANTS: &[(&str, &str)] = &[
          sets (RaceCertificate invariant)",
     ),
     (
-        "coloring-disjoint",
-        "symbolic certifier: cyclic-coloring spacing theorem — same-class \
-         rows are one stride apart, write windows reach at most the \
-         bandwidth back (ProofForm::ColoringDisjoint)",
-    ),
-    (
-        "csx-boundary",
-        "CSX-Sym checker: no encoded pattern straddles the local-vs-direct \
-         column split (RaceCertificate invariant)",
-    ),
-    (
-        "atomic-view",
-        "element type reinterpreted as its atomic wrapper; same layout, \
-         all access goes through atomic ops",
-    ),
-    (
-        "band-private",
-        "CSB rowband phase: each band's partial vector is touched by \
-         exactly one thread until the merge barrier",
-    ),
-    (
         "first-touch",
         "uninitialized arena pages are written before first read, by the \
          thread that will own them",

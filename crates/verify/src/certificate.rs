@@ -32,13 +32,13 @@ pub enum ProofForm {
     /// Interval/congruence abstract interpretation (`crate::symbolic`),
     /// `O(p + c)`.
     Symbolic,
-    /// The cyclic-coloring spacing theorem: same-class rows are `stride`
-    /// apart and every write window reaches at most `reach` rows back, so
-    /// `stride > reach` proves each class barrier-free.
+    /// The RACE group schedule's coloring argument: same-group rows are
+    /// more than `reach` graph hops apart, so their write sets are
+    /// disjoint and each of the `stride` groups runs barrier-free.
     ColoringDisjoint {
-        /// The coloring stride (number of color classes).
+        /// The number of color groups.
         stride: u32,
-        /// The matrix bandwidth the spacing argument was checked against.
+        /// The graph distance the coloring separates same-group rows by.
         reach: u32,
     },
 }
@@ -83,7 +83,7 @@ pub struct RaceCertificate {
     pub n: usize,
     /// Thread count the plan partitions for.
     pub nthreads: usize,
-    /// Kernel family (`"sym-sss"`, `"sym-color"`, `"csx-sym"`, `"rows"`…).
+    /// Kernel family (`"sym-sss"`, `"csx-sym"`, `"rows"`…).
     pub family: String,
     /// Reduction strategy tag (`"naive"`, `"eff"`, `"idx"`; empty when the
     /// family has no strategy dimension).
@@ -497,7 +497,7 @@ mod tests {
             })
         ));
         assert!(matches!(
-            cert.validate_for(cert.fingerprint, 4, "sym-color", "idx"),
+            cert.validate_for(cert.fingerprint, 4, "csx-sym", "idx"),
             Err(VerifyError::StaleCertificate {
                 field: "family",
                 ..

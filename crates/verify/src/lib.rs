@@ -24,8 +24,9 @@
 //!    certificates from an interval/congruence abstract domain plus
 //!    structure axioms in `O(p + c)` instead of `O(nnz)`, pinned
 //!    bit-for-bit against the enumerative checker by a differential
-//!    suite, and adds the [`certificate::ProofForm::ColoringDisjoint`]
-//!    spacing proof for cyclic colorings.
+//!    suite, and discharges the
+//!    [`certificate::ProofForm::ColoringDisjoint`] proof of the RACE
+//!    group schedule from level/subcolor axioms.
 //! 4. **Shadow-memory race detector** (`symspmv-runtime`'s `race` module,
 //!    behind the `race-detector` feature) — dynamic cross-validation: the
 //!    same corrupted plans the verifier rejects must also produce observed
@@ -52,10 +53,9 @@ pub use csx_check::{certify_csx_chunk, certify_csx_chunks};
 pub use error::VerifyError;
 pub use rules::{default_rules, run_rules, Finding, LintRule};
 pub use symbolic::{
-    certify_color_symbolic, certify_race_symbolic, certify_rows_symbolic, certify_sym_symbolic,
-    lift_symbolic, stride_classes, ColoringFacts, StructureFacts,
+    certify_race_symbolic, certify_rows_symbolic, certify_sym_symbolic, lift_symbolic,
+    ColoringFacts, StructureFacts,
 };
 pub use writeset::{
-    certify_color, certify_race, certify_rows, certify_sym, lift_sym_certificate, SymPlanRef,
-    SymStrategyKind,
+    certify_race, certify_rows, certify_sym, lift_sym_certificate, SymPlanRef, SymStrategyKind,
 };

@@ -23,7 +23,7 @@
 //!   triangle (`col < row` for every stored entry, so a direct transposed
 //!   write can never escape its partition), the first nonzero diagonal
 //!   entry (skew side condition), the paired-array length (structural side
-//!   condition) and the bandwidth (coloring reach).
+//!   condition) and the bandwidth.
 //!
 //! With the facts in hand, certification is `O(p + c)` where `c` is the
 //! conflict-entry count (`c ≪ nnz`): the only non-interval obligation is
@@ -35,12 +35,11 @@
 //! pins the two bit-for-bit against each other across the whole
 //! format × strategy × kind × threads × lanes cross-product.
 //!
-//! The module also adds the [`ProofForm::ColoringDisjoint`] proof form
-//! (ROADMAP item 3): a stride-`k` cyclic coloring is race-free whenever
-//! `k` exceeds the matrix bandwidth, because the write window of row `r`
-//! is contained in `[r − bandwidth, r]` and same-class rows are spaced
-//! `≥ k` apart — a purely symbolic theorem [`certify_color_symbolic`]
-//! discharges in `O(1)` from the facts.
+//! The module also discharges the [`ProofForm::ColoringDisjoint`] proof
+//! form of the RACE group schedule: [`ColoringFacts`] establishes the
+//! level and subcolor axioms once per `(matrix, coloring)` pair, and
+//! [`certify_race_symbolic`] proves every group barrier-free from them
+//! without walking the structure again.
 
 use crate::certificate::{ProofForm, RaceCertificate};
 use crate::error::VerifyError;
@@ -500,71 +499,6 @@ pub fn certify_rows_symbolic(
     })
 }
 
-/// The rows of color class `j` of a stride-`k` cyclic coloring:
-/// `j, j + k, j + 2k, …` below `n`. Helper for schedulers and tests that
-/// materialize the classes [`certify_color_symbolic`] reasons about.
-pub fn stride_classes(n: u32, stride: u32) -> Vec<Vec<u32>> {
-    (0..stride.min(n))
-        .map(|j| (j..n).step_by(stride.max(1) as usize).collect())
-        .collect()
-}
-
-/// Certifies a stride-`k` cyclic coloring symbolically — the
-/// `ColoringDisjoint` proof form (ROADMAP item 3, RACE-style scheduling).
-///
-/// Rows of class `j` are `j, j + k, j + 2k, …`: same-class rows are spaced
-/// `≥ k` apart. The write window of row `r` is `[r − bandwidth, r]`
-/// (strict lower triangle plus the diagonal), so two same-class rows
-/// share a target only if their distance is `≤ bandwidth`; `k > bandwidth`
-/// therefore proves every class barrier-free — in `O(1)` from the facts,
-/// without materializing a single class. Classes tile `0..n` by
-/// construction of the residue system.
-///
-/// The certificate matches [`crate::writeset::certify_color`] over
-/// [`stride_classes`] field-for-field, with
-/// [`ProofForm::ColoringDisjoint`] recording the stride and the reach the
-/// proof rests on. Rejections are over-approximate in the sound
-/// direction: a stride within the bandwidth is refused even if the
-/// concrete structure happens to avoid the collision.
-pub fn certify_color_symbolic(
-    facts: &StructureFacts,
-    stride: u32,
-) -> Result<RaceCertificate, VerifyError> {
-    if stride == 0 || stride > facts.n {
-        return Err(VerifyError::MalformedPlan {
-            reason: format!("coloring stride {stride} outside 1..={}", facts.n),
-        });
-    }
-    if stride <= facts.bandwidth {
-        // Witness in the abstract domain: rows 0 and `stride` are in class
-        // 0, and the write window of row `stride` reaches down to
-        // `stride − bandwidth ≤ 0`, overlapping row 0's own target.
-        return Err(VerifyError::ColoringConflict {
-            color: 0,
-            row_a: 0,
-            row_b: stride,
-            target: 0,
-        });
-    }
-    Ok(RaceCertificate {
-        fingerprint: facts.fingerprint,
-        n: facts.n as usize,
-        nthreads: 0,
-        family: "sym-color".to_string(),
-        strategy: String::new(),
-        symmetry: facts.kind.tag().to_string(),
-        invariants: vec!["color-class".to_string(), "disjoint-direct".to_string()],
-        direct_rows: facts.n as usize,
-        local_elems: 0,
-        conflict_entries: stride as usize,
-        lanes: 1,
-        proof: ProofForm::ColoringDisjoint {
-            stride,
-            reach: facts.bandwidth,
-        },
-    })
-}
-
 /// Structure-derived axioms of a RACE level coloring, established once per
 /// `(matrix, coloring)` pair — the symbolic analogue of
 /// [`StructureFacts`] for the recursive scheduler.
@@ -876,45 +810,5 @@ mod tests {
         assert_eq!(f.nonzero_diag, Some((0, 2.0)));
         assert_eq!(f.bandwidth, 4, "widest row span is (5, 1)");
         assert_eq!(f.lower_nnz, 3);
-    }
-
-    #[test]
-    fn stride_coloring_certifies_beyond_the_bandwidth() {
-        let m = sss(&[(1, 0), (2, 1), (3, 2)], 4); // tridiagonal, bandwidth 1
-        let f = StructureFacts::of(&m);
-        assert_eq!(f.bandwidth, 1);
-        let cert = certify_color_symbolic(&f, 2).unwrap();
-        assert_eq!(
-            cert.proof,
-            ProofForm::ColoringDisjoint {
-                stride: 2,
-                reach: 1
-            }
-        );
-        assert_eq!(cert.conflict_entries, 2);
-        assert!(cert.proves("color-class"));
-        // Within the bandwidth the class spacing cannot be proved.
-        assert!(matches!(
-            certify_color_symbolic(&f, 1),
-            Err(VerifyError::ColoringConflict { .. })
-        ));
-        assert!(matches!(
-            certify_color_symbolic(&f, 0),
-            Err(VerifyError::MalformedPlan { .. })
-        ));
-        assert!(matches!(
-            certify_color_symbolic(&f, 5),
-            Err(VerifyError::MalformedPlan { .. })
-        ));
-    }
-
-    #[test]
-    fn stride_classes_tile_the_rows() {
-        let classes = stride_classes(10, 3);
-        assert_eq!(classes.len(), 3);
-        let mut all: Vec<u32> = classes.concat();
-        all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<_>>());
-        assert_eq!(classes[1], vec![1, 4, 7]);
     }
 }

@@ -470,9 +470,8 @@ fn check_index(plan: &SymPlanRef<'_>, conflicts: &[Vec<u32>]) -> Result<(), Veri
     Ok(())
 }
 
-/// Certifies a plain row-partitioned kernel (CSR, CSX, BCSR block rows,
-/// CSB phases): the only obligation is that the partitions tile the output
-/// disjointly.
+/// Certifies a plain row-partitioned kernel (CSR, CSX): the only
+/// obligation is that the partitions tile the output disjointly.
 pub fn certify_rows(
     fingerprint: u64,
     n: u32,
@@ -491,74 +490,6 @@ pub fn certify_rows(
         direct_rows: n as usize,
         local_elems: 0,
         conflict_entries: 0,
-        lanes: 1,
-        proof: ProofForm::Enumerative,
-    })
-}
-
-/// Certifies a greedy coloring for `SssColorParallel`: the classes must
-/// partition the rows, and no two rows of one class may share a write
-/// target (`{r} ∪ cols(r)` pairwise disjoint within the class) — RACE's
-/// condition for running a class as one barrier-free parallel round.
-pub fn certify_color(
-    sss: &SssMatrix,
-    classes: &[Vec<u32>],
-) -> Result<RaceCertificate, VerifyError> {
-    let n = sss.n() as usize;
-    let mut owner_class = vec![u32::MAX; n];
-    for (color, rows) in classes.iter().enumerate() {
-        for &r in rows {
-            if (r as usize) >= n {
-                return Err(VerifyError::MalformedPlan {
-                    reason: format!("class {color} names row {r} of {n}"),
-                });
-            }
-            if owner_class[r as usize] != u32::MAX {
-                return Err(VerifyError::MalformedPlan {
-                    reason: format!("row {r} in classes {} and {color}", owner_class[r as usize]),
-                });
-            }
-            owner_class[r as usize] = color as u32;
-        }
-    }
-    if let Some(r) = owner_class.iter().position(|&c| c == u32::MAX) {
-        return Err(VerifyError::MalformedPlan {
-            reason: format!("row {r} belongs to no color class"),
-        });
-    }
-
-    // Per class: stamp each write target with the row that claimed it.
-    let mut claimed_by = vec![u32::MAX; n];
-    let mut epoch = vec![u32::MAX; n];
-    for (color, rows) in classes.iter().enumerate() {
-        for &r in rows {
-            let (cols, _) = sss.row(r);
-            for target in cols.iter().copied().chain(std::iter::once(r)) {
-                let t = target as usize;
-                if epoch[t] == color as u32 && claimed_by[t] != r {
-                    return Err(VerifyError::ColoringConflict {
-                        color: color as u32,
-                        row_a: claimed_by[t],
-                        row_b: r,
-                        target,
-                    });
-                }
-                epoch[t] = color as u32;
-                claimed_by[t] = r;
-            }
-        }
-    }
-    Ok(RaceCertificate {
-        fingerprint: sss.fingerprint(),
-        n,
-        nthreads: 0,
-        family: "sym-color".to_string(),
-        strategy: String::new(),
-        symmetry: sss.kind().tag().to_string(),
-        invariants: vec!["color-class".to_string(), "disjoint-direct".to_string()],
-        direct_rows: n,
-        local_elems: 0,
-        conflict_entries: classes.len(),
         lanes: 1,
         proof: ProofForm::Enumerative,
     })
@@ -817,25 +748,6 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, VerifyError::IndexIncomplete { tid: 1, idx: 2 });
-    }
-
-    #[test]
-    fn coloring_conflicts_detected() {
-        let m = sss(&[(1, 0), (2, 1)], 3);
-        // Rows 0 and 1 couple; same class → conflict on target 0 (or 1).
-        let err = certify_color(&m, &[vec![0, 1], vec![2]]).unwrap_err();
-        assert!(
-            matches!(err, VerifyError::ColoringConflict { .. }),
-            "{err:?}"
-        );
-        // Proper coloring passes.
-        let cert = certify_color(&m, &[vec![0, 2], vec![1]]).unwrap();
-        assert!(cert.proves("color-class"));
-        // A row in no class is malformed, not a race.
-        assert!(matches!(
-            certify_color(&m, &[vec![0], vec![1]]),
-            Err(VerifyError::MalformedPlan { .. })
-        ));
     }
 
     #[test]

@@ -15,9 +15,9 @@ use symspmv_sparse::dense::seeded_vector;
 use symspmv_sparse::symmetry::SymmetryKind;
 use symspmv_sparse::{CooMatrix, Permutation, SssMatrix};
 use symspmv_verify::{
-    certify_color, certify_csx_chunk, certify_race, certify_race_symbolic, certify_sym,
-    certify_sym_symbolic, lift_sym_certificate, lift_symbolic, ColoringFacts, ProofForm,
-    RaceCertificate, StructureFacts, SymPlanRef, SymStrategyKind, VerifyError,
+    certify_csx_chunk, certify_race, certify_race_symbolic, certify_sym, certify_sym_symbolic,
+    lift_sym_certificate, lift_symbolic, ColoringFacts, ProofForm, RaceCertificate, StructureFacts,
+    SymPlanRef, SymStrategyKind, VerifyError,
 };
 
 /// A banded symmetric test matrix with cross-partition conflicts.
@@ -109,35 +109,6 @@ fn mutation_stolen_row_overlaps_direct_writes() {
                 ..
             }
         ),
-        "{err:?}"
-    );
-}
-
-/// Mutation 3 — bad color: move a row into a class whose rows share one of
-/// its write targets.
-#[test]
-fn mutation_bad_color_conflicts() {
-    let sss = matrix(256);
-    let coloring = symspmv_core::sym_color::color_rows(&sss);
-    assert!(certify_color(&sss, &coloring.classes).is_ok());
-
-    // Find a row coupled to another row and force them into one class.
-    let mut classes = coloring.classes.clone();
-    let (victim, neighbor) = (0..sss.n())
-        .find_map(|r| sss.row(r).0.first().map(|&c| (r, c)))
-        .expect("banded matrix has off-diagonal entries");
-    for class in &mut classes {
-        class.retain(|&r| r != victim);
-    }
-    let home = classes
-        .iter()
-        .position(|c| c.contains(&neighbor))
-        .expect("neighbor is colored");
-    classes[home].push(victim);
-    classes[home].sort_unstable();
-    let err = certify_color(&sss, &classes).unwrap_err();
-    assert!(
-        matches!(err, VerifyError::ColoringConflict { .. }),
         "{err:?}"
     );
 }
@@ -877,13 +848,13 @@ fn mutation_distance_one_coloring_killed_by_both() {
 
 /// The kill-count pin: one entry per seeded mutant in this suite. A new
 /// mutant must be added here (and a removed one deleted), so the count
-/// can only change deliberately.
+/// can only change deliberately. Mutation numbers are stable labels, not
+/// positions: 3 is unused.
 #[test]
 fn mutation_kill_count_is_pinned() {
-    const KILLED: [&str; 16] = [
+    const KILLED: [&str; 15] = [
         "shifted-boundary",
         "stolen-row",
-        "bad-color",
         "straddling-csx-pattern",
         "overlapping-reduction-slice",
         "stale-certificate",
@@ -898,7 +869,7 @@ fn mutation_kill_count_is_pinned() {
         "group-boundary-off-by-one",
         "distance-one-coloring",
     ];
-    assert_eq!(KILLED.len(), 16);
+    assert_eq!(KILLED.len(), 15);
     // And the symbolic replay above re-kills the plan-shape subset
     // (mutations 1, 2, 5, 12, 13), while mutations 14–16 are killed by
     // the enumerative *and* symbolic coloring certifiers independently —

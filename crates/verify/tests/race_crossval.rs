@@ -15,7 +15,7 @@ use symspmv_runtime::reduction::{IndexingReduction, ReductionStrategy};
 use symspmv_runtime::shared::SharedBuf;
 use symspmv_runtime::{balanced_ranges, partition::symmetric_row_weights, Range, WorkerPool};
 use symspmv_sparse::SssMatrix;
-use symspmv_verify::{certify_color, certify_sym, SymPlanRef, SymStrategyKind, VerifyError};
+use symspmv_verify::{certify_sym, SymPlanRef, SymStrategyKind, VerifyError};
 
 fn matrix(n: u32) -> SssMatrix {
     let coo = symspmv_sparse::gen::banded_random(n, 12, 6.0, 17);
@@ -118,66 +118,4 @@ fn stolen_row_caught_by_both_layers() {
 
     let reports = run_direct_phase(&parts, sss.n() as usize);
     assert!(!reports.is_empty(), "dynamic layer missed the stolen rows");
-}
-
-/// Dynamic mutation 3 — wrong color: two rows sharing a write target are
-/// forced into one class, then processed by different workers in the same
-/// round (the coloring kernel's dispatch shape).
-#[test]
-fn wrong_color_caught_by_both_layers() {
-    let _g = detector_guard();
-    let sss = matrix(256);
-    let coloring = symspmv_core::sym_color::color_rows(&sss);
-    certify_color(&sss, &coloring.classes).expect("greedy coloring must certify");
-
-    // Corrupt: move a row into the class of a row it is coupled to.
-    let (victim, neighbor) = (0..sss.n())
-        .find_map(|r| sss.row(r).0.first().map(|&c| (r, c)))
-        .expect("banded matrix has off-diagonal entries");
-    let mut classes = coloring.classes.clone();
-    for class in &mut classes {
-        class.retain(|&r| r != victim);
-    }
-    let home = classes
-        .iter()
-        .position(|c| c.contains(&neighbor))
-        .expect("neighbor is colored");
-    classes[home].push(victim);
-    classes[home].sort_unstable();
-
-    let err = certify_color(&sss, &classes).unwrap_err();
-    assert!(
-        matches!(err, VerifyError::ColoringConflict { .. }),
-        "static layer: {err:?}"
-    );
-
-    // Execute the bad class the way the color kernel would: two workers,
-    // each owning one of the conflicting rows, writing y[row] and y[col]
-    // in the same barrier-delimited round.
-    let n = sss.n() as usize;
-    let mut pool = WorkerPool::new(2);
-    let mut y = vec![0.0f64; n];
-    let buf = SharedBuf::new(&mut y);
-    let rows = [victim, neighbor];
-    enable();
-    pool.run(&|tid| {
-        let r = rows[tid];
-        let (cols, vals) = sss.row(r);
-        let mut acc = 0.0;
-        for (&c, &v) in cols.iter().zip(vals) {
-            acc += v;
-            // SAFETY(cert: test-only): deliberately executing an invalid
-            // coloring so the shadow layer can observe the collision; the
-            // shadow-map mutex serializes the underlying stores.
-            unsafe { buf.add(c as usize, v) };
-        }
-        // SAFETY(cert: test-only): as above — intentionally racy.
-        unsafe { buf.add(r as usize, acc) };
-    });
-    disable();
-    let reports = take_reports();
-    assert!(
-        !reports.is_empty(),
-        "dynamic layer missed the shared target y[{neighbor}]"
-    );
 }

@@ -56,7 +56,6 @@
 //! ```
 
 pub use symspmv_core as core;
-pub use symspmv_csb as csb;
 pub use symspmv_csx as csx;
 pub use symspmv_reorder as reorder;
 pub use symspmv_runtime as runtime;

@@ -6,25 +6,6 @@ use symspmv::sparse::dense::{assert_vec_close, seeded_vector};
 use symspmv::sparse::{CooMatrix, Idx};
 use symspmv_harness::kernels::{build_kernel, KernelSpec};
 
-fn specs() -> Vec<KernelSpec> {
-    [
-        "csr",
-        "csx",
-        "bcsr",
-        "csb",
-        "csb-sym",
-        "sss-naive",
-        "sss-eff",
-        "sss-idx",
-        "sss-atomic",
-        "sss-color",
-        "csxsym-idx",
-    ]
-    .iter()
-    .map(|s| KernelSpec::parse(s).unwrap())
-    .collect()
-}
-
 fn check_all(name: &str, coo: &CooMatrix) {
     let n = coo.nrows() as usize;
     let x = seeded_vector(n, 0xAD);
@@ -34,7 +15,7 @@ fn check_all(name: &str, coo: &CooMatrix) {
     canon.spmv_reference(&x, &mut y_ref);
     for p in [1usize, 3, 7] {
         let ctx = ExecutionContext::new(p);
-        for spec in specs() {
+        for spec in KernelSpec::all() {
             let mut k = build_kernel(spec, coo, &ctx)
                 .unwrap_or_else(|e| panic!("{name}/{}/{p}: build failed: {e}", spec.name()));
             let mut y = vec![f64::NAN; n];
@@ -60,7 +41,7 @@ fn diagonal_only() {
 #[test]
 fn dense_first_column() {
     // Every row conflicts on column 0 — the worst case for the indexing
-    // split restriction, coloring, and atomic contention.
+    // split restriction and the race coloring.
     let mut coo = diag(80);
     for r in 1..80u32 {
         coo.push(r, 0, -0.25);
@@ -94,7 +75,7 @@ fn arrow_matrix() {
 #[test]
 fn single_dense_block() {
     // One fully dense 24x24 block in a large empty matrix: exercises block
-    // detection, CSB block addressing and ragged remainders.
+    // detection and ragged remainders.
     let mut coo = CooMatrix::new(301, 301);
     for i in 0..301u32 {
         coo.push(i, i, 3.0);

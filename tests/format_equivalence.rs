@@ -15,27 +15,6 @@ fn reference(coo: &symspmv::sparse::CooMatrix, x: &[f64]) -> Vec<f64> {
     y
 }
 
-fn all_specs() -> Vec<KernelSpec> {
-    let mut v = KernelSpec::figure9_lineup();
-    for s in KernelSpec::figure11_lineup() {
-        if !v.contains(&s) {
-            v.push(s);
-        }
-    }
-    // Also the non-paper combinations (CSX-Sym with naive/effective) and
-    // the related-work kernels.
-    v.push(KernelSpec::parse("csxsym-naive").unwrap());
-    v.push(KernelSpec::parse("csxsym-eff").unwrap());
-    v.push(KernelSpec::parse("sss-atomic").unwrap());
-    v.push(KernelSpec::parse("csb").unwrap());
-    v.push(KernelSpec::parse("csb-sym").unwrap());
-    v.push(KernelSpec::parse("bcsr").unwrap());
-    v.push(KernelSpec::parse("sss-color").unwrap());
-    v.push(KernelSpec::parse("hybrid-idx").unwrap());
-    v.push(KernelSpec::parse("hybrid-eff").unwrap());
-    v
-}
-
 #[test]
 fn suite_classes_all_kernels_all_thread_counts() {
     // One representative per structure class, small scale for speed.
@@ -47,7 +26,7 @@ fn suite_classes_all_kernels_all_thread_counts() {
         let y_ref = reference(&m.coo, &x);
         for p in [1usize, 2, 5, 8] {
             let ctx = ExecutionContext::new(p);
-            for ks in all_specs() {
+            for ks in KernelSpec::all() {
                 let mut k = build_kernel(ks, &m.coo, &ctx).unwrap();
                 let mut y = vec![f64::NAN; n];
                 k.spmv(&x, &mut y);
@@ -64,7 +43,7 @@ fn repeated_invocations_are_stable() {
     let m = suite::generate(suite::spec_by_name("offshore").unwrap(), 0.004);
     let n = m.coo.nrows() as usize;
     let ctx = ExecutionContext::new(4);
-    for ks in all_specs() {
+    for ks in KernelSpec::all() {
         let mut k = build_kernel(ks, &m.coo, &ctx).unwrap();
         let mut x = seeded_vector(n, 1);
         let mut y = vec![0.0; n];
@@ -105,7 +84,7 @@ fn size_ordering_matches_paper_on_structural_matrices() {
 #[test]
 fn flop_accounting_consistent_across_formats() {
     let m = suite::generate(suite::spec_by_name("consph").unwrap(), 0.004);
-    let specs = all_specs();
+    let specs = KernelSpec::all();
     let ctx = ExecutionContext::new(2);
     let flops: Vec<u64> = specs
         .iter()

@@ -7,11 +7,10 @@
 //! and that none of them panic. Deterministic: same seed, same corpus.
 
 use symspmv::core::{ReductionMethod, SymFormat, SymSpmv, SymSpmvError};
-use symspmv::csb::{CsbMatrix, CsbSymMatrix};
 use symspmv::csx::{CsxMatrix, DetectConfig};
 use symspmv::runtime::ExecutionContext;
 use symspmv::sparse::symmetry::SymmetryKind;
-use symspmv::sparse::{BcsrMatrix, CooMatrix, CsrMatrix, SparseError, SssMatrix};
+use symspmv::sparse::{CooMatrix, CsrMatrix, SparseError, SssMatrix};
 
 /// xorshift64* — deterministic, no external crates.
 struct Rng(u64);
@@ -85,10 +84,7 @@ fn feed_all(coo: &CooMatrix, ctx: &std::sync::Arc<ExecutionContext>) -> Vec<(&'s
     let mut results = Vec::new();
     let mut check = |name: &'static str, ok: bool| results.push((name, ok));
     check("csr", CsrMatrix::try_from_coo(coo).is_ok());
-    check("bcsr", BcsrMatrix::try_from_coo(coo, 2, 2).is_ok());
     check("sss", SssMatrix::try_from_coo(coo, 0.0).is_ok());
-    check("csb", CsbMatrix::try_from_coo(coo, None).is_ok());
-    check("csb-sym", CsbSymMatrix::try_from_coo(coo, None).is_ok());
     check("csx", CsxMatrix::try_from_coo(coo, &csx_cfg).is_ok());
     check(
         "symspmv",
@@ -265,11 +261,9 @@ fn asymmetry_rejected_by_symmetric_formats_only() {
 
         assert!(CsrMatrix::try_from_coo(&coo).is_ok(), "round {round}");
         assert!(CsxMatrix::try_from_coo(&coo, &DetectConfig::default()).is_ok());
-        assert!(CsbMatrix::try_from_coo(&coo, None).is_ok());
 
         let err = SssMatrix::try_from_coo(&coo, 0.0).unwrap_err();
         assert!(matches!(err, SparseError::NotSymmetric { .. }), "{err:?}");
-        assert!(CsbSymMatrix::try_from_coo(&coo, None).is_err());
         let err = SymSpmv::try_from_coo(&coo, &ctx, ReductionMethod::Naive, SymFormat::Sss)
             .err()
             .expect("asymmetric input must be rejected");
@@ -284,19 +278,50 @@ fn asymmetry_rejected_by_symmetric_formats_only() {
 fn invalid_arguments_are_structured_errors() {
     let coo = valid_symmetric(&mut Rng(7), 8);
     assert!(matches!(
-        BcsrMatrix::try_from_coo(&coo, 0, 2),
-        Err(SparseError::InvalidArgument { .. })
-    ));
-    assert!(matches!(
-        CsbMatrix::try_from_coo(&coo, Some(0)),
-        Err(SparseError::InvalidArgument { .. })
-    ));
-    assert!(matches!(
-        CsbSymMatrix::try_from_coo(&coo, Some(1 << 17)),
-        Err(SparseError::InvalidArgument { .. })
-    ));
-    assert!(matches!(
         SssMatrix::try_from_coo(&coo, f64::NAN),
         Err(SparseError::InvalidArgument { .. })
     ));
+
+    // A reduction method the format does not support is an argument error
+    // of the validated constructor for every kind — never the assert of
+    // the infallible build path.
+    use symspmv::sparse::gen;
+    let ctx = ExecutionContext::new(2);
+    let csx = DetectConfig::default();
+    let hybrid = || SymFormat::Hybrid {
+        csx: csx.clone(),
+        min_coverage: 0.5,
+    };
+    for (kind, coo) in [
+        (SymmetryKind::Symmetric, gen::laplacian_2d(8, 8)),
+        (SymmetryKind::Skew, gen::skew_convection(64, 5, 4.0, 3)),
+        (
+            SymmetryKind::Structural,
+            gen::structural_random(64, 5.0, 0.4, 4, 5),
+        ),
+    ] {
+        for (method, format) in [
+            (ReductionMethod::Race, SymFormat::CsxSym(csx.clone())),
+            (ReductionMethod::Race, hybrid()),
+            (ReductionMethod::Naive, hybrid()),
+        ] {
+            let err = SymSpmv::try_from_coo_kind(&coo, kind, &ctx, method, format)
+                .err()
+                .expect("unsupported method x format pair must be rejected");
+            assert!(
+                matches!(
+                    err,
+                    SymSpmvError::InvalidStructure(SparseError::InvalidArgument { .. })
+                ),
+                "{} x {}: {err:?}",
+                kind.tag(),
+                method.tag()
+            );
+        }
+        // The supported neighbour of each rejected pair still builds.
+        assert!(
+            SymSpmv::try_from_coo_kind(&coo, kind, &ctx, ReductionMethod::Indexing, hybrid())
+                .is_ok()
+        );
+    }
 }

@@ -122,15 +122,25 @@ fn violation_planted_in_a_bin_target_is_caught() {
 }
 
 /// The invariant registry stays meaningful: every name the kernels cite is
-/// registered, and the registry carries its rationale strings.
+/// registered, the registry carries its rationale strings, and every
+/// registered name is cited by at least one audited site — the table
+/// cannot keep entries for deleted code.
 #[test]
 fn invariant_registry_is_well_formed() {
     assert!(KNOWN_INVARIANTS.len() >= 8);
+    let report = audit_workspace(&workspace_root()).expect("workspace scan must succeed");
     for (name, why) in KNOWN_INVARIANTS {
         assert!(!name.is_empty() && !why.is_empty());
         assert!(
             name.chars().all(|c| c.is_ascii_lowercase() || c == '-'),
             "invariant names are kebab-case: {name}"
+        );
+        assert!(
+            report
+                .sites
+                .iter()
+                .any(|s| s.invariant.as_deref() == Some(*name)),
+            "no audited unsafe site cites the registered invariant {name}"
         );
     }
     // No duplicates.

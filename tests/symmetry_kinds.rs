@@ -22,21 +22,6 @@ use symspmv_harness::kernels::{build_kernel_kind, KernelSpec};
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
 
-/// Every evaluated kernel configuration: the half-storage family (built
-/// per kind) and the full-storage baselines (kind-independent).
-fn all_specs() -> Vec<KernelSpec> {
-    let mut specs = KernelSpec::related_work_lineup();
-    for s in KernelSpec::figure9_lineup()
-        .into_iter()
-        .chain(KernelSpec::figure11_lineup())
-    {
-        if !specs.contains(&s) {
-            specs.push(s);
-        }
-    }
-    specs
-}
-
 #[test]
 fn every_skew_kernel_annihilates_the_quadratic_form_at_every_thread_count() {
     let coo = symspmv::sparse::gen::skew_convection(512, 19, 7.0, 41);
@@ -46,7 +31,7 @@ fn every_skew_kernel_annihilates_the_quadratic_form_at_every_thread_count() {
 
     for &p in &THREADS {
         let ctx: Arc<ExecutionContext> = ExecutionContext::new(p);
-        for spec in all_specs() {
+        for spec in KernelSpec::all() {
             let mut k = build_kernel_kind(spec, &coo, SymmetryKind::Skew, &ctx)
                 .unwrap_or_else(|e| panic!("{} rejected the skew matrix: {e}", spec.name()));
             let mut y = vec![f64::NAN; n];
@@ -63,7 +48,8 @@ fn every_skew_kernel_annihilates_the_quadratic_form_at_every_thread_count() {
             executed += 1;
         }
     }
-    assert_eq!(executed, THREADS.len() * all_specs().len());
+    // 4 thread counts × the 11 entries of `KernelSpec::all()`.
+    assert_eq!(executed, 4 * 11);
 }
 
 #[test]
