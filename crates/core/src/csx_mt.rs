@@ -9,7 +9,8 @@ use crate::traits::ParallelSpmv;
 use std::borrow::Cow;
 use std::sync::Arc;
 use symspmv_csx::detect::DetectConfig;
-use symspmv_csx::matrix::{rows_submatrix, spmv_stream, CsxMatrix};
+use symspmv_csx::matrix::{spmv_stream, CsxMatrix};
+use symspmv_csx::rows::{coo_rowptr, RowView};
 use symspmv_runtime::timing::time_into;
 use symspmv_runtime::{balanced_ranges, ExecutionContext, PhaseTimes, Range};
 use symspmv_sparse::{CooMatrix, Val};
@@ -31,14 +32,12 @@ impl CsxParallel {
         let nthreads = ctx.nthreads();
         let mut c = coo.clone();
         c.canonicalize();
-        // Row weights from the canonical triplets.
-        let mut weights = vec![0u64; c.nrows() as usize];
-        for &r in c.row_indices() {
-            weights[r as usize] += 1;
-        }
-        for w in weights.iter_mut() {
-            *w += 1;
-        }
+        // Row weights from the canonical triplets' row pointers.
+        let rowptr = coo_rowptr(&c);
+        let weights: Vec<u64> = rowptr
+            .windows(2)
+            .map(|w| u64::from(w[1] - w[0]) + 1)
+            .collect();
         let parts = balanced_ranges(&weights, nthreads);
         crate::plan::debug_certify_rows(c.nrows(), &parts, "csx-mt");
 
@@ -46,7 +45,10 @@ impl CsxParallel {
         let chunks = time_into(&mut times.preprocess, || {
             parts
                 .iter()
-                .map(|p| CsxMatrix::from_canonical_coo(&rows_submatrix(&c, p.start, p.end), config))
+                .map(|p| {
+                    let rows = RowView::of_coo(&c, &rowptr).slice(p.start..p.end);
+                    CsxMatrix::from_rows(c.nrows(), rows, c.values(), config)
+                })
                 .collect::<Vec<_>>()
         });
 

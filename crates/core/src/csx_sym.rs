@@ -10,13 +10,13 @@
 //! target; only delta units pay a per-element check.
 
 use crate::sym::{add_lanes, axpy_lanes};
-use symspmv_csx::detect::{analyze, CooIndex, DetectConfig};
-use symspmv_csx::encode::{CtlStream, ID_MASK, NR_BIT, RJMP_BIT};
-use symspmv_csx::pattern::{DeltaWidth, PatternKind};
-use symspmv_csx::varint::read_varint;
+use symspmv_csx::detect::DetectConfig;
+use symspmv_csx::encode::{delta_of, encode_rows, CtlStream, UnitCursor};
+use symspmv_csx::pattern::run_strides;
+use symspmv_csx::rows::RowView;
 use symspmv_runtime::Range;
 use symspmv_sparse::symmetry::{SymmetryKind, SymmetryOps};
-use symspmv_sparse::{CooMatrix, Idx, SssMatrix, Val};
+use symspmv_sparse::{Idx, SssMatrix, Val};
 
 /// One per-thread chunk: the CSX stream of the partition's lower-triangle
 /// rows, encoded with the partition boundary as the legality split.
@@ -59,59 +59,38 @@ pub struct CsxSymMatrix {
 }
 
 impl CsxSymMatrix {
-    /// Encodes an SSS matrix into per-partition CSX-Sym chunks. The
-    /// matrix's [`SymmetryKind`] carries over; for structural symmetry the
-    /// paired upper values are encoded against the *same* detection result
-    /// (detection is structure-driven), giving a second stream-ordered
-    /// value array under the shared ctl bytes.
+    /// Encodes an SSS matrix into per-partition CSX-Sym chunks, each
+    /// straight from the partition's SSS rows. The matrix's
+    /// [`SymmetryKind`] carries over; detection is structure-driven, so for
+    /// structural symmetry the paired upper values are gathered through the
+    /// same stream order as the lower ones, giving a second value array
+    /// under the shared ctl bytes.
     pub fn from_sss(sss: &SssMatrix, parts: &[Range], config: &DetectConfig) -> Self {
         let kind = sss.kind();
-        let mut chunks = Vec::with_capacity(parts.len());
-        for part in parts {
-            // Materialize the partition's strict-lower rows as COO.
-            let mut sub = CooMatrix::new(sss.n(), sss.n());
-            let mut sub_upper = CooMatrix::new(sss.n(), sss.n());
-            for r in part.start..part.end {
-                let (cols, vals, pair) = sss.row_with_paired(r);
-                for ((&c, &v), &u) in cols.iter().zip(vals).zip(pair) {
-                    sub.push(r, c, v);
-                    if kind.has_upper_values() {
-                        sub_upper.push(r, c, u);
-                    }
-                }
-            }
-            sub.canonicalize();
+        let encode_part = |part: &Range| {
             let cfg = DetectConfig {
                 col_split: Some(part.start),
                 ..config.clone()
             };
-            let det = analyze(&sub, &cfg);
-            let coverage = det.coverage();
-            let vm = CooIndex::new(&sub);
-            let stream = CtlStream::encode(&det, &vm);
+            let rows = RowView::of_sss(sss).slice(part.start..part.end);
+            let encoded = encode_rows(rows, &cfg);
             let upper_values = if kind.has_upper_values() {
-                sub_upper.canonicalize();
-                let vm_upper = CooIndex::new(&sub_upper);
-                let upper_stream = CtlStream::encode(&det, &vm_upper);
-                // Same coordinates, same detection: only the values differ.
-                debug_assert_eq!(upper_stream.ctl, stream.ctl);
-                debug_assert_eq!(upper_stream.values.len(), stream.values.len());
-                upper_stream.values
+                encoded.gather(sss.upper_values())
             } else {
                 Vec::new()
             };
-            chunks.push(CsxSymChunk {
+            CsxSymChunk {
                 part: *part,
-                stream,
+                coverage: encoded.coverage,
                 upper_values,
-                coverage,
-            });
-        }
+                stream: encoded.into_stream(sss.values()),
+            }
+        };
         CsxSymMatrix {
             n: sss.n(),
             kind,
             dvalues: sss.dvalues().to_vec(),
-            chunks,
+            chunks: parts.iter().map(encode_part).collect(),
             lower_nnz: sss.lower_nnz(),
         }
     }
@@ -217,7 +196,9 @@ impl CsxSymMatrix {
 /// `split` go to `local`, everything else to `my_y`, whose element 0 is
 /// global row `split`. The stream — the expensive traffic — is decoded once
 /// for all lanes, and every lane runs the scalar kernel's exact float
-/// sequence.
+/// sequence. Each unit head selects, once, the fixed-shape kernel of its
+/// pattern id (substitution S2: kernels generated ahead of time instead of
+/// JIT-compiled per matrix).
 ///
 /// The direct-write strategies pass the partition boundary as `split`, with
 /// `my_y` the partition's slice of the output vector: all direct writes
@@ -238,194 +219,195 @@ pub(crate) fn sym_stream<O: SymmetryOps, const K: usize>(
     split: usize,
     local: &mut [[Val; K]],
 ) {
-    let ctl = &stream.ctl;
-    let values = &stream.values;
-    let mut pos = 0usize;
-    let mut vi = 0usize;
-    let mut row: i64 = -1;
-    let mut col: Idx = 0;
-    while pos < ctl.len() {
-        let flags = ctl[pos];
-        pos += 1;
-        if flags & NR_BIT != 0 {
-            let extra = if flags & RJMP_BIT != 0 {
-                read_varint(ctl, &mut pos)
-            } else {
-                0
+    let mut sides = Sides {
+        x,
+        my_y,
+        split,
+        local,
+    };
+    let mut cursor = UnitCursor::new(&stream.ctl);
+    let (mut values, mut paired) = (&stream.values[..], paired);
+    while let Some(unit) = cursor.next_unit() {
+        let (v, u);
+        (v, values) = values.split_at(unit.size);
+        (u, paired) = paired.split_at(unit.size);
+        let (row, col) = (unit.row, unit.col);
+        macro_rules! delta {
+            ($w:literal) => {
+                sides.delta::<O, $w>(cursor.body(unit.size), v, u, row, col)
             };
-            row += 1 + extra as i64;
-            col = 0;
         }
-        let size = usize::from(ctl[pos]);
-        pos += 1;
-        let ucol = read_varint(ctl, &mut pos) as Idx;
-        let anchor = if flags & NR_BIT != 0 {
-            ucol
-        } else {
-            col + ucol
-        };
-        col = anchor;
-        let r = row as usize;
-        let id = flags & ID_MASK;
-
-        let unit_vals = &values[vi..vi + size];
-        let unit_pair = &paired[vi..vi + size];
-        vi += size;
-        if let Some(kind) = PatternKind::from_id(id) {
-            // Boundary legality (§IV-B): all transposed writes of a
-            // substructure land on one side, so the branch hoists out of
-            // the inner loops (every element is on the anchor's side).
-            let is_local = (anchor as usize) < split;
-            debug_assert!({
-                let (_, last_c) = kind.element(r as Idx, anchor, size as u32 - 1);
-                ((last_c as usize) < split) == is_local
-            });
-            // One specialized dual-write loop per pattern family — the
-            // interpreter stand-in for CSX-Sym's generated kernels.
-            macro_rules! run {
-                ($next:expr) => {{
-                    let mut rr = r;
-                    let mut cc = anchor as usize;
-                    if is_local {
-                        for (&v, &u) in unit_vals.iter().zip(unit_pair) {
-                            axpy_lanes(&mut my_y[rr - split], v, &x[cc]);
-                            axpy_lanes(&mut local[cc], O::transposed(v, u), &x[rr]);
-                            $next(&mut rr, &mut cc);
-                        }
-                    } else {
-                        for (&v, &u) in unit_vals.iter().zip(unit_pair) {
-                            axpy_lanes(&mut my_y[rr - split], v, &x[cc]);
-                            axpy_lanes(&mut my_y[cc - split], O::transposed(v, u), &x[rr]);
-                            $next(&mut rr, &mut cc);
-                        }
-                    }
-                }};
-            }
-            match kind {
-                PatternKind::Horizontal { delta } => {
-                    let d = delta as usize;
-                    run!(|_rr: &mut usize, cc: &mut usize| *cc += d);
-                }
-                PatternKind::Vertical { delta } => {
-                    let d = delta as usize;
-                    run!(|rr: &mut usize, _cc: &mut usize| *rr += d);
-                }
-                PatternKind::Diagonal { delta } => {
-                    let d = delta as usize;
-                    run!(|rr: &mut usize, cc: &mut usize| {
-                        *rr += d;
-                        *cc += d;
-                    });
-                }
-                PatternKind::AntiDiagonal { delta } => {
-                    let d = delta as usize;
-                    run!(|rr: &mut usize, cc: &mut usize| {
-                        *rr += d;
-                        *cc = cc.wrapping_sub(d);
-                    });
-                }
-                PatternKind::Block { rows: 3, cols: 3 } => {
-                    // The dominant pattern on 3-dof structural matrices —
-                    // fully unrolled.
-                    let base = anchor as usize;
-                    let (x0, x1, x2) = (&x[base], &x[base + 1], &x[base + 2]);
-                    let mut t = [[0.0; K]; 3];
-                    for ((br, v), u) in unit_vals
-                        .chunks_exact(3)
-                        .enumerate()
-                        .zip(unit_pair.chunks_exact(3))
-                    {
-                        let rr = r + br;
-                        let xr = &x[rr];
-                        let yr = &mut my_y[rr - split];
-                        for j in 0..K {
-                            yr[j] += v[0] * x0[j] + v[1] * x1[j] + v[2] * x2[j];
-                            t[0][j] += O::transposed(v[0], u[0]) * xr[j];
-                            t[1][j] += O::transposed(v[1], u[1]) * xr[j];
-                            t[2][j] += O::transposed(v[2], u[2]) * xr[j];
-                        }
-                    }
-                    let side = if is_local {
-                        &mut local[base..base + 3]
-                    } else {
-                        &mut my_y[base - split..base - split + 3]
-                    };
-                    for (dst, ti) in side.iter_mut().zip(&t) {
-                        add_lanes(dst, ti);
-                    }
-                }
-                PatternKind::Block { rows: _, cols } => {
-                    let bc = cols as usize;
-                    let base = anchor as usize;
-                    for ((br, row_vals), row_pair) in unit_vals
-                        .chunks_exact(bc)
-                        .enumerate()
-                        .zip(unit_pair.chunks_exact(bc))
-                    {
-                        let rr = r + br;
-                        let xr = &x[rr];
-                        let mut acc = [0.0; K];
-                        if is_local {
-                            for (j, (&v, &u)) in row_vals.iter().zip(row_pair).enumerate() {
-                                axpy_lanes(&mut acc, v, &x[base + j]);
-                                axpy_lanes(&mut local[base + j], O::transposed(v, u), xr);
-                            }
-                        } else {
-                            for (j, (&v, &u)) in row_vals.iter().zip(row_pair).enumerate() {
-                                axpy_lanes(&mut acc, v, &x[base + j]);
-                                axpy_lanes(&mut my_y[base + j - split], O::transposed(v, u), xr);
-                            }
-                        }
-                        add_lanes(&mut my_y[rr - split], &acc);
-                    }
-                }
-            }
-        } else {
-            // Delta unit: per-element side check, slice-based decode.
-            let width = PatternKind::delta_width_from_id(id)
-                .unwrap_or_else(|| unreachable!("invalid pattern id in ctl stream"));
-            let xr = &x[r];
-            let mut acc = [0.0; K];
-            let mut c = anchor as usize;
-            let mut emit = |c: usize, v: Val, u: Val, acc: &mut [Val; K]| {
-                axpy_lanes(acc, v, &x[c]);
-                let t = O::transposed(v, u);
-                if c < split {
-                    axpy_lanes(&mut local[c], t, xr);
-                } else {
-                    axpy_lanes(&mut my_y[c - split], t, xr);
-                }
+        macro_rules! run {
+            ($dir:literal, $delta:expr) => {
+                sides.run::<O, $dir>($delta, v, u, row, col)
             };
-            emit(c, unit_vals[0], unit_pair[0], &mut acc);
-            let rest = &unit_vals[1..];
-            let rest_pair = &unit_pair[1..];
-            match width {
-                DeltaWidth::U8 => {
-                    let body = &ctl[pos..pos + size - 1];
-                    pos += size - 1;
-                    for ((&d, &v), &u) in body.iter().zip(rest).zip(rest_pair) {
-                        c += usize::from(d);
-                        emit(c, v, u, &mut acc);
-                    }
+        }
+        macro_rules! block {
+            ($r:literal, $c:literal) => {
+                sides.block::<O, $r, $c>(v, u, row, col)
+            };
+        }
+        symspmv_csx::dispatch_unit!(unit.id, delta, run, block);
+    }
+}
+
+/// The operands every unit kernel shares: the input lanes and the two
+/// write targets either side of `split`.
+struct Sides<'a, const K: usize> {
+    x: &'a [[Val; K]],
+    my_y: &'a mut [[Val; K]],
+    split: usize,
+    local: &'a mut [[Val; K]],
+}
+
+impl<const K: usize> Sides<'_, K> {
+    /// A delta unit with `W`-byte column deltas. Its columns ascend, so
+    /// they cross `split` at most once: the unit finds that point once and
+    /// then runs a loop without a side test — from the first element on when
+    /// it is anchored at or right of `split`.
+    #[inline(always)]
+    fn delta<O: SymmetryOps, const W: usize>(
+        &mut self,
+        body: &[[u8; W]],
+        v: &[Val],
+        u: &[Val],
+        row: usize,
+        col: usize,
+    ) {
+        let (x, split) = (self.x, self.split);
+        let xr = &x[row];
+        let mut acc = [0.0; K];
+        let (my_y, local) = (&mut *self.my_y, &mut *self.local);
+        let mut direct = |c: usize, v: Val, u: Val, acc: &mut [Val; K]| {
+            axpy_lanes(acc, v, &x[c]);
+            axpy_lanes(&mut my_y[c - split], O::transposed(v, u), xr);
+        };
+        let mut c = col;
+        let mut rest = body.iter().zip(&v[1..]).zip(&u[1..]);
+        if c >= split {
+            direct(c, v[0], u[0], &mut acc);
+        } else {
+            let mut below = |c: usize, v: Val, u: Val, acc: &mut [Val; K]| {
+                axpy_lanes(acc, v, &x[c]);
+                axpy_lanes(&mut local[c], O::transposed(v, u), xr);
+            };
+            below(c, v[0], u[0], &mut acc);
+            for ((d, &v), &u) in rest.by_ref() {
+                c += delta_of(d);
+                if c >= split {
+                    direct(c, v, u, &mut acc);
+                    break;
                 }
-                DeltaWidth::U16 => {
-                    let body = &ctl[pos..pos + 2 * (size - 1)];
-                    pos += 2 * (size - 1);
-                    for ((d, &v), &u) in body.chunks_exact(2).zip(rest).zip(rest_pair) {
-                        c += usize::from(u16::from_le_bytes([d[0], d[1]]));
-                        emit(c, v, u, &mut acc);
+                below(c, v, u, &mut acc);
+            }
+        }
+        for ((d, &v), &u) in rest {
+            c += delta_of(d);
+            direct(c, v, u, &mut acc);
+        }
+        add_lanes(&mut my_y[row - split], &acc);
+    }
+
+    /// A 1-D run in direction `DIR` (pattern-id order) with stride `delta`.
+    /// Boundary legality (§IV-B): all transposed writes of a substructure
+    /// land on the anchor's side, so the side test hoists out of the loop.
+    /// The one slot every element of a horizontal (the row's result) or
+    /// vertical (the column's transposed sum) run adds to is held in a
+    /// register across the loop — no other write of the unit can reach it,
+    /// since every column lies below every row — in the same float order.
+    #[inline(always)]
+    fn run<O: SymmetryOps, const DIR: u8>(
+        &mut self,
+        delta: usize,
+        v: &[Val],
+        u: &[Val],
+        row: usize,
+        col: usize,
+    ) {
+        let (dr, dc) = run_strides::<DIR>(delta);
+        let (x, split) = (self.x, self.split);
+        debug_assert_eq!(
+            col.wrapping_add((v.len() - 1).wrapping_mul(dc)) < split,
+            col < split
+        );
+        let (mut r, mut c) = (row, col);
+        // Two explicit loops, not one selected target slice: the write side
+        // is fixed per unit, and `my_y` takes both writes on the direct one.
+        macro_rules! elements {
+            ($target:expr, $shift:expr) => {{
+                let (mut yr, mut tc) = (self.my_y[row - split], $target[col - $shift]);
+                for (&v, &u) in v.iter().zip(u) {
+                    let t = O::transposed(v, u);
+                    match DIR {
+                        0 => axpy_lanes(&mut yr, v, &x[c]),
+                        _ => axpy_lanes(&mut self.my_y[r - split], v, &x[c]),
                     }
+                    match DIR {
+                        1 => axpy_lanes(&mut tc, t, &x[r]),
+                        _ => axpy_lanes(&mut $target[c - $shift], t, &x[r]),
+                    }
+                    r += dr;
+                    c = c.wrapping_add(dc);
                 }
-                DeltaWidth::U32 => {
-                    let body = &ctl[pos..pos + 4 * (size - 1)];
-                    pos += 4 * (size - 1);
-                    for ((d, &v), &u) in body.chunks_exact(4).zip(rest).zip(rest_pair) {
-                        c += u32::from_le_bytes([d[0], d[1], d[2], d[3]]) as usize;
-                        emit(c, v, u, &mut acc);
+                match DIR {
+                    0 => self.my_y[row - split] = yr,
+                    1 => $target[col - $shift] = tc,
+                    _ => {}
+                }
+            }};
+        }
+        if col < split {
+            elements!(self.local, 0)
+        } else {
+            elements!(self.my_y, split)
+        }
+    }
+
+    /// A dense `R × C` block: one length check per operand, then fixed-size
+    /// array indexing, the transposed sums held in registers until the end.
+    /// The first row assigns them: starting from `0.0 +` instead would cost
+    /// an add per column and differ only where product and target are `−0.0`.
+    #[inline(always)]
+    fn block<O: SymmetryOps, const R: usize, const C: usize>(
+        &mut self,
+        v: &[Val],
+        u: &[Val],
+        row: usize,
+        col: usize,
+    ) {
+        let (Some(v), Some(u), Some(xc), Some(xr), Some(yr)) = (
+            v.as_chunks::<C>().0.first_chunk::<R>(),
+            u.as_chunks::<C>().0.first_chunk::<R>(),
+            self.x[col..].first_chunk::<C>(),
+            self.x[row..].first_chunk::<R>(),
+            self.my_y[row - self.split..].first_chunk_mut::<R>(),
+        ) else {
+            unreachable!("block unit reaches outside the matrix");
+        };
+        let mut t = [[0.0; K]; C];
+        for (i, (((yr, v), u), xr)) in yr.iter_mut().zip(v).zip(u).zip(xr).enumerate() {
+            for j in 0..K {
+                let mut acc = v[0] * xc[0][j];
+                for (&v, xc) in v[1..].iter().zip(&xc[1..]) {
+                    acc += v * xc[j];
+                }
+                yr[j] += acc;
+                for ((t, &v), &u) in t.iter_mut().zip(v).zip(u) {
+                    if i == 0 {
+                        t[j] = O::transposed(v, u) * xr[j];
+                    } else {
+                        t[j] += O::transposed(v, u) * xr[j];
                     }
                 }
             }
-            add_lanes(&mut my_y[r - split], &acc);
+        }
+        let side = if col < self.split {
+            &mut self.local[col..]
+        } else {
+            &mut self.my_y[col - self.split..]
+        };
+        for (dst, t) in side.iter_mut().zip(&t) {
+            add_lanes(dst, t);
         }
     }
 }
@@ -435,6 +417,7 @@ mod tests {
     use super::*;
     use symspmv_runtime::{balanced_ranges, partition::symmetric_row_weights};
     use symspmv_sparse::dense::{assert_vec_close, seeded_vector};
+    use symspmv_sparse::CooMatrix;
 
     fn cfg() -> DetectConfig {
         DetectConfig {
@@ -579,5 +562,197 @@ mod tests {
         let coo = symspmv_sparse::gen::laplacian_2d(4, 4);
         let (sss, _, m) = build(&coo, 2);
         assert_eq!(m.full_nnz(), 2 * sss.lower_nnz() + 16);
+    }
+
+    /// The elements `(row, col)` of a hand-built stream, in stream order,
+    /// from the pattern's definition — not from any decoder.
+    struct HandBuilt {
+        stream: CtlStream,
+        paired: Vec<Val>,
+        elements: Vec<(usize, usize)>,
+    }
+
+    /// A one-element delta unit at `(row, 0)` — or nothing — followed by the
+    /// unit under test `(id, columns or pattern size, row, col)`; `head`
+    /// picks how the unit is reached: 0 first in the stream (`NR | RJMP`),
+    /// 1 after a spacer in the row above (`NR` alone), 2 after a spacer in
+    /// its own row (no `NR`, `ucol` relative).
+    fn hand_built(id: u8, shape: &[usize], row: usize, col: usize, head: u8) -> HandBuilt {
+        use symspmv_csx::encode::{NR_BIT, RJMP_BIT};
+        use symspmv_csx::pattern::PatternKind;
+        use symspmv_csx::varint::write_varint;
+        let mut ctl = Vec::new();
+        let mut elements = Vec::new();
+        let jump_to = |ctl: &mut Vec<u8>, id: u8, r: usize| {
+            ctl.push(id | NR_BIT | RJMP_BIT);
+            write_varint(ctl, r as u64);
+        };
+        match head {
+            0 => jump_to(&mut ctl, id, row),
+            _ => {
+                let spacer_row = if head == 1 { row - 1 } else { row };
+                jump_to(&mut ctl, 0, spacer_row);
+                ctl.extend([1, 0]); // size 1, ucol 0
+                elements.push((spacer_row, 0));
+                ctl.push(if head == 1 { id | NR_BIT } else { id });
+            }
+        }
+        match PatternKind::from_id(id) {
+            Some(kind) => {
+                let size = shape[0];
+                ctl.push(size as u8);
+                write_varint(&mut ctl, col as u64);
+                elements.extend((0..size as u32).map(|k| {
+                    let (r, c) = kind.element(row as Idx, col as Idx, k);
+                    (r as usize, c as usize)
+                }));
+            }
+            None => {
+                // `shape` lists the unit's column gaps; the id fixes their width.
+                let width = [1usize, 2, 4][id as usize];
+                ctl.push(shape.len() as u8 + 1);
+                write_varint(&mut ctl, col as u64);
+                let mut c = col;
+                elements.push((row, c));
+                for &gap in shape {
+                    ctl.extend_from_slice(&(gap as u32).to_le_bytes()[..width]);
+                    c += gap;
+                    elements.push((row, c));
+                }
+            }
+        }
+        let values: Vec<Val> = (0..elements.len()).map(|k| k as Val + 2.0).collect();
+        HandBuilt {
+            paired: values.iter().map(|v| 2.0 * v - 7.0).collect(),
+            stream: CtlStream {
+                ctl,
+                nnz: values.len(),
+                values,
+            },
+            elements,
+        }
+    }
+
+    /// Runs `sym_stream` on a hand-built stream over rows `split..n` and
+    /// compares both write targets with the element-wise definition. Every
+    /// operand is a small integer, so the comparison is exact whatever the
+    /// kernel's association.
+    fn check_unit<O: SymmetryOps, const K: usize>(unit: &HandBuilt, n: usize, split: usize) {
+        let x: Vec<[Val; K]> = (0..n)
+            .map(|i| std::array::from_fn(|j| ((i * 7 + j * 3) % 11) as Val - 5.0))
+            .collect();
+        let mut y = vec![[0.0; K]; n - split];
+        let mut local = vec![[0.0; K]; split];
+        sym_stream::<O, K>(&unit.stream, &unit.paired, &x, &mut y, split, &mut local);
+
+        let mut want_y = vec![[0.0; K]; n - split];
+        let mut want_local = vec![[0.0; K]; split];
+        let values = unit.stream.values.iter().zip(&unit.paired);
+        for (&(r, c), (&v, &u)) in unit.elements.iter().zip(values) {
+            let t = O::transposed(v, u);
+            for j in 0..K {
+                want_y[r - split][j] += v * x[c][j];
+                if c < split {
+                    want_local[c][j] += t * x[r][j];
+                } else {
+                    want_y[c - split][j] += t * x[r][j];
+                }
+            }
+        }
+        assert_eq!((y, local), (want_y, want_local), "split {split}");
+    }
+
+    #[test]
+    fn every_unit_kernel_matches_the_element_wise_definition() {
+        use symspmv_sparse::symmetry::{Skew, Structural, Sym};
+        // The splits — all at or above the spacer's row, which the partition
+        // must hold — put the unit on the direct side, on the local side and
+        // — delta units only, whose columns may cross — astride the boundary.
+        let check = |id: u8, shape: &[usize], (row, col): (usize, usize), n, splits: &[usize]| {
+            for head in 0..3 {
+                let unit = hand_built(id, shape, row, col, head);
+                for &split in splits {
+                    check_unit::<Sym, 1>(&unit, n, split);
+                    check_unit::<Sym, 4>(&unit, n, split);
+                    check_unit::<Skew, 1>(&unit, n, split);
+                    check_unit::<Skew, 4>(&unit, n, split);
+                    check_unit::<Structural, 1>(&unit, n, split);
+                    check_unit::<Structural, 4>(&unit, n, split);
+                }
+            }
+        };
+        for id in 4..=35u8 {
+            // Anti-diagonals run leftwards from their anchor.
+            let col = if id >= 28 { 45 } else { 10 };
+            check(id, &[5], (51, col), 96, &[8, 50]);
+        }
+        for id in 36..=44u8 {
+            let size = ((id - 36) / 3 + 2) * ((id - 36) % 3 + 2);
+            check(id, &[size as usize], (51, 10), 96, &[8, 50]);
+        }
+        check(0, &[3, 30, 2], (51, 10), 96, &[8, 20, 50]);
+        check(0, &[], (51, 10), 96, &[8, 50]);
+        check(1, &[300, 5, 400], (800, 10), 900, &[8, 312, 799]);
+        let far = (70_100, 10);
+        check(2, &[70_000, 3, 9], far, 70_200, &[8, 70_012, 70_099]);
+    }
+
+    #[test]
+    fn walk_and_sym_stream_decode_the_same_elements() {
+        // A unit vector `e_j` makes the kernel's output name the elements it
+        // visited: rows below `j` receive column `j`'s values, columns left
+        // of `j` the transposed values of row `j` — the stream's elements,
+        // once each way, which must be what `walk` lists.
+        use symspmv_sparse::symmetry::Structural;
+        for seed in 0..12u64 {
+            let coo = match seed % 3 {
+                0 => symspmv_sparse::gen::banded_random(90, 30, 7.0, seed),
+                1 => symspmv_sparse::gen::block_structural(30, 3, 5.0, 9, seed),
+                _ => symspmv_sparse::gen::mixed_bandwidth(90, 6.0, 0.5, 6, seed),
+            };
+            let n = coo.nrows() as usize;
+            let (_, parts, m) = build(&coo, 1 + seed as usize % 3);
+            for (chunk, part) in m.chunks().iter().zip(&parts) {
+                let (start, end) = (part.start as usize, part.end as usize);
+                // Distinct paired values tell the two directions apart.
+                let paired: Vec<Val> = chunk.stream.values.iter().map(|v| v + 0.5).collect();
+                let mut walked = Vec::new();
+                let mut k = 0;
+                chunk.stream.walk(
+                    |_| {},
+                    |r, c, v| {
+                        walked.push((r as usize, c as usize, v.to_bits(), paired[k].to_bits()));
+                        k += 1;
+                    },
+                );
+                walked.sort_unstable();
+                let mut multiplied = Vec::new();
+                for j in 0..end {
+                    let mut x = vec![[0.0]; n];
+                    x[j] = [1.0];
+                    let mut y = vec![[0.0]; end - start];
+                    let mut local = vec![[0.0]; start];
+                    let (stream, y, local) = (&chunk.stream, &mut y[..], &mut local[..]);
+                    sym_stream::<Structural, 1>(stream, &paired, &x, y, start, local);
+                    let at = |c: usize| {
+                        if c < start {
+                            local[c][0]
+                        } else {
+                            y[c - start][0]
+                        }
+                    };
+                    let column = (j + 1..end).filter(|&r| at(r) != 0.0);
+                    multiplied.extend(column.map(|r| (r, j, at(r).to_bits(), 0)));
+                    let row = (0..j).filter(|&c| at(c) != 0.0);
+                    multiplied.extend(row.map(|c| (j, c, 0, at(c).to_bits())));
+                }
+                multiplied.sort_unstable();
+                let mut both_ways: Vec<_> =
+                    walked.iter().map(|&(r, c, v, _)| (r, c, v, 0)).collect();
+                both_ways.extend(walked.iter().map(|&(r, c, _, u)| (r, c, 0, u)));
+                both_ways.sort_unstable();
+                assert_eq!(multiplied, both_ways, "seed {seed} part {part:?}");
+            }
+        }
     }
 }

@@ -14,9 +14,13 @@
 //!
 //! The decoder starts *before* row 0, so the first unit always carries NR.
 //! Values are stored separately, in unit-element order.
+//!
+//! The head of a unit is parsed in exactly one place, [`UnitCursor`], which
+//! [`CtlStream::walk`] and both multiply kernels advance.
 
-use crate::detect::{CooIndex, Detected};
+use crate::detect::{analyze, DetectConfig, Detected, EntryRole};
 use crate::pattern::{DeltaWidth, PatternKind};
+use crate::rows::{coo_rowptr, RowView};
 use crate::varint::{read_varint, write_varint};
 use symspmv_sparse::{CooMatrix, Idx, Val};
 
@@ -47,143 +51,215 @@ pub struct UnitHeader {
     pub col: Idx,
     /// Substructure pattern, or `None` for a delta unit.
     pub kind: Option<PatternKind>,
-    /// Delta width for delta units.
-    pub width: DeltaWidth,
     /// Element count.
     pub size: u32,
 }
 
-impl CtlStream {
-    /// Encodes a detection result. `values` must index the same canonical
-    /// matrix `det` was produced from.
-    pub fn encode(det: &Detected, values: &CooIndex<'_>) -> CtlStream {
-        // Group instance anchors and leftover elements by row.
-        #[derive(Debug)]
-        enum RowUnit {
-            Inst(crate::detect::Instance),
-            Delta {
-                col: Idx,
-                cols: Vec<Idx>,
-                width: DeltaWidth,
-            },
-        }
-        let mut per_row: std::collections::BTreeMap<Idx, Vec<RowUnit>> =
-            std::collections::BTreeMap::new();
-        for inst in &det.instances {
-            per_row
-                .entry(inst.row)
-                .or_default()
-                .push(RowUnit::Inst(*inst));
-        }
-        // Build delta units from the row-major-sorted leftovers.
-        let mut i = 0usize;
-        while i < det.leftover.len() {
-            let row = det.leftover[i].0;
-            let mut j = i;
-            while j < det.leftover.len() && det.leftover[j].0 == row {
-                j += 1;
-            }
-            let cols: Vec<Idx> = det.leftover[i..j].iter().map(|&(_, c)| c).collect();
-            // Greedy chunking: width fixed by the first delta of the chunk.
-            let mut s = 0usize;
-            while s < cols.len() {
-                let mut e = s + 1;
-                let mut width = DeltaWidth::U8;
-                if e < cols.len() {
-                    width = DeltaWidth::for_delta(cols[e] - cols[e - 1]);
-                    while e < cols.len()
-                        && e - s < 255
-                        && DeltaWidth::for_delta(cols[e] - cols[e - 1]).bytes() <= width.bytes()
-                    {
-                        e += 1;
-                    }
-                }
-                per_row.entry(row).or_default().push(RowUnit::Delta {
-                    col: cols[s],
-                    cols: cols[s..e].to_vec(),
-                    width,
-                });
-                s = e;
-            }
-            i = j;
-        }
+/// The head of one unit as the decoders see it.
+#[derive(Debug, Clone, Copy)]
+pub struct UnitHead {
+    /// 6-bit pattern id.
+    pub id: u8,
+    /// Element count.
+    pub size: usize,
+    /// Row the unit is anchored in.
+    pub row: usize,
+    /// Anchor column.
+    pub col: usize,
+}
 
-        let mut ctl = Vec::new();
-        let mut vals = Vec::with_capacity(det.nnz);
-        let mut prev_row: i64 = -1;
-        for (&row, units) in per_row.iter_mut() {
-            units.sort_by_key(|u| match u {
-                RowUnit::Inst(i) => i.col,
-                RowUnit::Delta { col, .. } => *col,
-            });
-            let mut prev_col: Idx = 0;
-            for (k, unit) in units.iter().enumerate() {
-                let new_row = k == 0;
-                let (anchor_col, id, size) = match unit {
-                    RowUnit::Inst(inst) => (inst.col, inst.kind.id(), inst.len),
-                    RowUnit::Delta { col, cols, width } => {
-                        (*col, PatternKind::delta_id(*width), cols.len() as u32)
-                    }
-                };
-                debug_assert!((1..=255).contains(&size));
+/// A decoder's position in a `ctl` stream, between two units.
+pub struct UnitCursor<'a> {
+    ctl: &'a [u8],
+    pos: usize,
+    row: usize,
+    col: usize,
+}
 
-                let mut flags = id;
-                let mut rjmp_extra = 0u64;
-                if new_row {
-                    flags |= NR_BIT;
-                    let jump = i64::from(row) - prev_row;
-                    debug_assert!(jump >= 1);
-                    if jump > 1 {
-                        flags |= RJMP_BIT;
-                        rjmp_extra = (jump - 1) as u64;
-                    }
-                }
-                ctl.push(flags);
-                if flags & RJMP_BIT != 0 {
-                    write_varint(&mut ctl, rjmp_extra);
-                }
-                ctl.push(size as u8);
-                let ucol = if new_row {
-                    u64::from(anchor_col)
-                } else {
-                    debug_assert!(anchor_col >= prev_col, "anchors must ascend in a row");
-                    u64::from(anchor_col - prev_col)
-                };
-                write_varint(&mut ctl, ucol);
-
-                match unit {
-                    RowUnit::Inst(inst) => {
-                        for (er, ec) in inst.elements() {
-                            vals.push(values.value_at(er, ec));
-                        }
-                    }
-                    RowUnit::Delta { cols, width, .. } => {
-                        for w in cols.windows(2) {
-                            let d = w[1] - w[0];
-                            match width {
-                                DeltaWidth::U8 => ctl.push(d as u8),
-                                DeltaWidth::U16 => ctl.extend((d as u16).to_le_bytes()),
-                                DeltaWidth::U32 => ctl.extend(d.to_le_bytes()),
-                            }
-                        }
-                        for &c in cols {
-                            vals.push(values.value_at(row, c));
-                        }
-                    }
-                }
-                prev_col = anchor_col;
-                if new_row {
-                    prev_row = i64::from(row);
-                }
-            }
-        }
-        CtlStream {
+impl<'a> UnitCursor<'a> {
+    /// A cursor before the stream's first unit.
+    pub fn new(ctl: &'a [u8]) -> Self {
+        UnitCursor {
             ctl,
-            values: vals,
-            nnz: det.nnz,
+            pos: 0,
+            // Before row 0: the first unit's NR wraps this to its row.
+            row: usize::MAX,
+            col: 0,
         }
     }
 
+    /// Parses the next unit's head — flags, `RJMP`, size, `ucol` — and
+    /// resolves its anchor; `None` at the end of the stream. A delta unit's
+    /// body must be taken with [`UnitCursor::body`] before the next call.
+    #[inline(always)]
+    pub fn next_unit(&mut self) -> Option<UnitHead> {
+        let flags = *self.ctl.get(self.pos)?;
+        self.pos += 1;
+        if flags & NR_BIT != 0 {
+            let extra = if flags & RJMP_BIT != 0 {
+                read_varint(self.ctl, &mut self.pos) as usize
+            } else {
+                0
+            };
+            self.row = self.row.wrapping_add(1 + extra);
+            self.col = 0;
+        }
+        let size = usize::from(self.ctl[self.pos]);
+        self.pos += 1;
+        self.col += read_varint(self.ctl, &mut self.pos) as usize;
+        Some(UnitHead {
+            id: flags & ID_MASK,
+            size,
+            row: self.row,
+            col: self.col,
+        })
+    }
+
+    /// The column deltas of the `size`-element delta unit just parsed.
+    #[inline(always)]
+    pub fn body<const W: usize>(&mut self, size: usize) -> &'a [[u8; W]] {
+        let bytes = &self.ctl[self.pos..self.pos + W * (size - 1)];
+        self.pos += bytes.len();
+        bytes.as_chunks().0
+    }
+}
+
+/// One little-endian column delta of a delta unit's body.
+#[inline(always)]
+pub fn delta_of<const W: usize>(bytes: &[u8; W]) -> usize {
+    let mut le = [0u8; 4];
+    le[..W].copy_from_slice(bytes);
+    u32::from_le_bytes(le) as usize
+}
+
+/// An encoding before values are attached: the control bytes and, for every
+/// stream position, the entry (index into the view's column array) stored
+/// there — so every value array aligned with those columns is brought into
+/// stream order by one gather.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Encoded {
+    /// Control byte stream.
+    pub ctl: Vec<u8>,
+    /// Stream position → entry index.
+    pub order: Vec<u32>,
+    /// Fraction of the non-zeros covered by substructure units.
+    pub coverage: f64,
+    /// Number of substructure units.
+    pub substructure_units: usize,
+    /// Number of delta units.
+    pub delta_units: usize,
+}
+
+impl Encoded {
+    /// `values` (aligned with the view's columns) in stream order.
+    pub fn gather(&self, values: &[Val]) -> Vec<Val> {
+        self.order.iter().map(|&e| values[e as usize]).collect()
+    }
+
+    /// Attaches the values, giving the finished stream.
+    pub fn into_stream(self, values: &[Val]) -> CtlStream {
+        CtlStream {
+            values: self.gather(values),
+            nnz: self.order.len(),
+            ctl: self.ctl,
+        }
+    }
+}
+
+/// Detects and encodes the rows of `view`.
+pub fn encode_rows(view: RowView<'_>, config: &DetectConfig) -> Encoded {
+    encode(view, &analyze(view, config))
+}
+
+/// Encodes a detection result of `view`, row by row: the anchors of the
+/// instances that start in a row and the delta units chunked from its
+/// leftover entries are merged by anchor column.
+pub fn encode(view: RowView<'_>, det: &Detected) -> Encoded {
+    let cols = view.cols;
+    let mut ctl = Vec::new();
+    let mut order: Vec<u32> = Vec::with_capacity(det.nnz);
+    let mut delta_units = 0usize;
+    let mut prev_row: Option<Idx> = None;
+    // Per-row scratch, both in column order.
+    let mut anchors: Vec<usize> = Vec::new();
+    let mut left: Vec<u32> = Vec::new();
+    for row in view.first_row..view.end_row() {
+        anchors.clear();
+        left.clear();
+        for e in view.row(row) {
+            match det.role(e) {
+                EntryRole::Leftover => left.push(e as u32),
+                EntryRole::Covered => {}
+                EntryRole::Anchor(i) => anchors.push(i),
+            }
+        }
+        let col_of = |e: u32| cols[e as usize];
+        let (mut a, mut s) = (0usize, 0usize);
+        let mut prev_col: Option<Idx> = None;
+        while a < anchors.len() || s < left.len() {
+            let inst = anchors.get(a).map(|&i| &det.instances[i]);
+            let (id, entries, width) = match inst {
+                Some(inst) if left.get(s).is_none_or(|&e| inst.col < col_of(e)) => {
+                    a += 1;
+                    (inst.kind.id(), det.entries(inst), None)
+                }
+                _ => {
+                    // Greedy chunking: width fixed by the first delta of
+                    // the chunk, which later deltas must fit.
+                    let rest = &left[s..];
+                    let gap =
+                        |k: usize| DeltaWidth::for_delta(col_of(rest[k]) - col_of(rest[k - 1]));
+                    let width = rest.get(1).map_or(DeltaWidth::U8, |_| gap(1));
+                    let mut e = 1usize;
+                    while e < rest.len() && e < 255 && gap(e).bytes() <= width.bytes() {
+                        e += 1;
+                    }
+                    s += e;
+                    delta_units += 1;
+                    (PatternKind::delta_id(width), &rest[..e], Some(width))
+                }
+            };
+            let anchor = col_of(entries[0]);
+            debug_assert!((1..=255).contains(&entries.len()));
+
+            let mut flags = id;
+            let mut jump = 0;
+            if prev_col.is_none() {
+                flags |= NR_BIT;
+                jump = prev_row.map_or(row, |p| row - p - 1);
+                if jump > 0 {
+                    flags |= RJMP_BIT;
+                }
+                prev_row = Some(row);
+            }
+            ctl.push(flags);
+            if jump > 0 {
+                write_varint(&mut ctl, u64::from(jump));
+            }
+            ctl.push(entries.len() as u8);
+            debug_assert!(prev_col.is_none_or(|p| anchor >= p), "anchors ascend");
+            write_varint(&mut ctl, u64::from(anchor - prev_col.unwrap_or(0)));
+            prev_col = Some(anchor);
+
+            if let Some(width) = width {
+                for w in entries.windows(2) {
+                    let d = col_of(w[1]) - col_of(w[0]);
+                    ctl.extend_from_slice(&d.to_le_bytes()[..width.bytes()]);
+                }
+            }
+            order.extend_from_slice(entries);
+        }
+    }
+    Encoded {
+        ctl,
+        order,
+        coverage: det.coverage(),
+        substructure_units: det.instances.len(),
+        delta_units,
+    }
+}
+
+impl CtlStream {
     /// Walks the stream, invoking `on_unit` for each unit header and
     /// `on_element` for each element `(row, col, value)` in stream order.
     pub fn walk(
@@ -191,91 +267,49 @@ impl CtlStream {
         mut on_unit: impl FnMut(&UnitHeader),
         mut on_element: impl FnMut(Idx, Idx, Val),
     ) {
-        let ctl = &self.ctl;
-        let mut pos = 0usize;
-        let mut vi = 0usize;
-        let mut row: i64 = -1;
-        let mut col: Idx = 0;
-        while pos < ctl.len() {
-            let flags = ctl[pos];
-            pos += 1;
-            if flags & NR_BIT != 0 {
-                let extra = if flags & RJMP_BIT != 0 {
-                    read_varint(ctl, &mut pos)
-                } else {
-                    0
-                };
-                row += 1 + extra as i64;
-                col = 0;
+        let mut cursor = UnitCursor::new(&self.ctl);
+        let mut values = self.values.iter();
+        let mut next_value = || {
+            *values
+                .next()
+                .unwrap_or_else(|| unreachable!("value stream shorter than the ctl stream"))
+        };
+        while let Some(unit) = cursor.next_unit() {
+            let (row, col) = (unit.row as Idx, unit.col as Idx);
+            let kind = PatternKind::from_id(unit.id);
+            let width = PatternKind::delta_width_from_id(unit.id);
+            on_unit(&UnitHeader {
+                row,
+                col,
+                kind,
+                size: unit.size as u32,
+            });
+            if let Some(kind) = kind {
+                for k in 0..unit.size as u32 {
+                    let (er, ec) = kind.element(row, col, k);
+                    on_element(er, ec, next_value());
+                }
+                continue;
             }
-            let size = u32::from(ctl[pos]);
-            pos += 1;
-            let ucol = read_varint(ctl, &mut pos) as Idx;
-            let anchor = if flags & NR_BIT != 0 {
-                ucol
-            } else {
-                col + ucol
+            let mut c = unit.col;
+            on_element(row, col, next_value());
+            let mut step = |d: usize| {
+                c += d;
+                on_element(row, c as Idx, next_value());
             };
-            col = anchor;
-            let id = flags & ID_MASK;
-            let r = row as Idx;
-
-            if let Some(kind) = PatternKind::from_id(id) {
-                on_unit(&UnitHeader {
-                    row: r,
-                    col: anchor,
-                    kind: Some(kind),
-                    width: DeltaWidth::U8,
-                    size,
-                });
-                for k in 0..size {
-                    let (er, ec) = kind.element(r, anchor, k);
-                    on_element(er, ec, self.values[vi]);
-                    vi += 1;
-                }
-            } else {
-                let width = PatternKind::delta_width_from_id(id)
-                    .unwrap_or_else(|| unreachable!("invalid pattern id in ctl stream"));
-                on_unit(&UnitHeader {
-                    row: r,
-                    col: anchor,
-                    kind: None,
-                    width,
-                    size,
-                });
-                let mut c = anchor;
-                on_element(r, c, self.values[vi]);
-                vi += 1;
-                for _ in 1..size {
-                    let d: u32 = match width {
-                        DeltaWidth::U8 => {
-                            let d = u32::from(ctl[pos]);
-                            pos += 1;
-                            d
-                        }
-                        DeltaWidth::U16 => {
-                            let d = u32::from(u16::from_le_bytes([ctl[pos], ctl[pos + 1]]));
-                            pos += 2;
-                            d
-                        }
-                        DeltaWidth::U32 => {
-                            let d = u32::from_le_bytes([
-                                ctl[pos],
-                                ctl[pos + 1],
-                                ctl[pos + 2],
-                                ctl[pos + 3],
-                            ]);
-                            pos += 4;
-                            d
-                        }
-                    };
-                    c += d;
-                    on_element(r, c, self.values[vi]);
-                    vi += 1;
-                }
+            macro_rules! gaps {
+                ($w:literal) => {
+                    (cursor.body::<$w>(unit.size).iter()).for_each(|d| step(delta_of(d)))
+                };
+            }
+            match width {
+                Some(DeltaWidth::U8) => gaps!(1),
+                Some(DeltaWidth::U16) => gaps!(2),
+                Some(DeltaWidth::U32) => gaps!(4),
+                None => unreachable!("invalid pattern id in ctl stream"),
             }
         }
-        debug_assert_eq!(vi, self.values.len(), "value stream length mismatch");
+        debug_assert!(values.next().is_none(), "value stream length mismatch");
     }
 
     /// Decodes the full element list (testing / conversions).
@@ -292,16 +326,14 @@ impl CtlStream {
 }
 
 /// Encodes a canonical COO matrix end-to-end (detect + encode).
-pub fn encode_coo(coo: &CooMatrix, config: &crate::detect::DetectConfig) -> CtlStream {
-    let det = crate::detect::analyze(coo, config);
-    let vm = CooIndex::new(coo);
-    CtlStream::encode(&det, &vm)
+pub fn encode_coo(coo: &CooMatrix, config: &DetectConfig) -> CtlStream {
+    let rowptr = coo_rowptr(coo);
+    encode_rows(RowView::of_coo(coo, &rowptr), config).into_stream(coo.values())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::DetectConfig;
 
     fn round_trip(coo: &CooMatrix) {
         let mut c = coo.clone();
@@ -439,7 +471,6 @@ mod tests {
 #[cfg(test)]
 mod jump_tests {
     use super::*;
-    use crate::detect::DetectConfig;
     use symspmv_sparse::CooMatrix;
 
     #[test]

@@ -15,19 +15,24 @@
 //!
 //! * [`varint`] — the variable-size integers used in unit heads;
 //! * [`pattern`] — the 6-bit pattern-id space;
-//! * [`detect`] — substructure detection via coordinate transforms, with
-//!   the sampling-based type-selection pass the paper's §V-E relies on;
-//! * [`encode`] — the `ctl` byte-stream builder and decoder;
-//! * [`matrix`] — [`matrix::CsxMatrix`], construction from COO/CSR and the
-//!   SpMV kernel.
+//! * [`rows`] — the borrowed sorted-row view every pass below runs on;
+//! * [`detect`] — substructure detection by row scan, bucket pass and row
+//!   merge, with the sampling-based type-selection pass the paper's §V-E
+//!   relies on;
+//! * [`encode`] — the `ctl` byte-stream builder, and the one unit-head
+//!   decoder every consumer of a stream advances;
+//! * [`matrix`] — [`matrix::CsxMatrix`], construction from COO or a row
+//!   view, and the SpMV kernel.
 //!
 //! The original CSX JIT-compiles its kernels with LLVM; this implementation
-//! uses a monomorphized interpreter instead (DESIGN.md substitution S2).
+//! selects, per unit head, one of a fixed set of kernels monomorphized ahead
+//! of time over the unit's shape (DESIGN.md substitution S2).
 
 pub mod detect;
 pub mod encode;
 pub mod matrix;
 pub mod pattern;
+pub mod rows;
 pub mod varint;
 
 pub use detect::{DetectConfig, Detected};

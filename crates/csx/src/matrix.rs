@@ -1,11 +1,11 @@
 //! The CSX matrix type and its SpMV kernel.
 
-use crate::detect::{analyze, CooIndex, DetectConfig};
-use crate::encode::{CtlStream, ID_MASK, NR_BIT, RJMP_BIT};
-use crate::pattern::{DeltaWidth, PatternKind};
-use crate::varint::read_varint;
+use crate::detect::DetectConfig;
+use crate::encode::{delta_of, encode_rows, CtlStream, UnitCursor, UnitHead};
+use crate::pattern::run_strides;
+use crate::rows::{coo_rowptr, RowView};
 use symspmv_sparse::validate::{validate_coo, CooChecks};
-use symspmv_sparse::{CooMatrix, CsrMatrix, Idx, SparseError, Val};
+use symspmv_sparse::{CooMatrix, Idx, SparseError, Val};
 
 /// Compression statistics of a CSX encoding.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,39 +65,29 @@ impl CsxMatrix {
 
     /// Encodes an already-canonical COO matrix.
     pub fn from_canonical_coo(coo: &CooMatrix, config: &DetectConfig) -> Self {
-        let det = analyze(coo, config);
-        let vm = CooIndex::new(coo);
-        let stream = CtlStream::encode(&det, &vm);
-        let mut sub_units = 0usize;
-        let mut delta_units = 0usize;
-        stream.walk(
-            |u| {
-                if u.kind.is_some() {
-                    sub_units += 1;
-                } else {
-                    delta_units += 1;
-                }
-            },
-            |_, _, _| {},
-        );
-        let stats = CsxStats {
-            size_bytes: stream.size_bytes(),
-            csr_bytes: 12 * coo.nnz() + 4 * (coo.nrows() as usize + 1),
-            coverage: det.coverage(),
-            substructure_units: sub_units,
-            delta_units,
-        };
-        CsxMatrix {
-            nrows: coo.nrows(),
-            ncols: coo.ncols(),
-            stream,
-            stats,
-        }
+        let rowptr = coo_rowptr(coo);
+        let view = RowView::of_coo(coo, &rowptr);
+        Self::from_rows(coo.nrows(), view, coo.values(), config)
     }
 
-    /// Encodes from CSR (converts through COO).
-    pub fn from_csr(csr: &CsrMatrix, config: &DetectConfig) -> Self {
-        Self::from_canonical_coo(&csr.to_coo(), config)
+    /// Encodes the rows of `view` — all of an `nrows`-row matrix, or one
+    /// thread's partition of it (coordinates stay absolute); `values` is
+    /// aligned with the view's column array.
+    pub fn from_rows(nrows: Idx, view: RowView<'_>, values: &[Val], config: &DetectConfig) -> Self {
+        let encoded = encode_rows(view, config);
+        let stats = CsxStats {
+            size_bytes: encoded.ctl.len() + 8 * view.nnz(),
+            csr_bytes: 12 * view.nnz() + 4 * (nrows as usize + 1),
+            coverage: encoded.coverage,
+            substructure_units: encoded.substructure_units,
+            delta_units: encoded.delta_units,
+        };
+        CsxMatrix {
+            nrows,
+            ncols: view.ncols,
+            stream: encoded.into_stream(values),
+            stats,
+        }
     }
 
     /// Fully validated constructor for matrices from outside the process:
@@ -161,155 +151,91 @@ impl CsxMatrix {
     }
 }
 
-/// The interpreter SpMV kernel over a raw ctl stream (`y += A·x`).
-///
-/// Each pattern id dispatches to a specialized inner loop — the
-/// interpreter stand-in for CSX's LLVM-generated kernels (substitution S2).
+/// The SpMV kernel over a raw ctl stream (`y += A·x`): each unit head
+/// selects, once, the fixed-shape kernel of its pattern id — the
+/// ahead-of-time stand-in for CSX's LLVM-generated kernels (substitution
+/// S2).
 pub fn spmv_stream(stream: &CtlStream, x: &[Val], y: &mut [Val]) {
-    let ctl = &stream.ctl;
-    let values = &stream.values;
-    let mut pos = 0usize;
-    let mut vi = 0usize;
-    let mut row: i64 = -1;
-    let mut col: Idx = 0;
-    while pos < ctl.len() {
-        let flags = ctl[pos];
-        pos += 1;
-        if flags & NR_BIT != 0 {
-            let extra = if flags & RJMP_BIT != 0 {
-                read_varint(ctl, &mut pos)
-            } else {
-                0
+    let mut cursor = UnitCursor::new(&stream.ctl);
+    let mut values = &stream.values[..];
+    while let Some(unit) = cursor.next_unit() {
+        let (vals, rest) = values.split_at(unit.size);
+        values = rest;
+        macro_rules! delta {
+            ($w:literal) => {
+                delta::<$w>(cursor.body(unit.size), vals, &unit, x, y)
             };
-            row += 1 + extra as i64;
-            col = 0;
         }
-        let size = usize::from(ctl[pos]);
-        pos += 1;
-        let ucol = read_varint(ctl, &mut pos) as Idx;
-        let anchor = if flags & NR_BIT != 0 {
-            ucol
-        } else {
-            col + ucol
-        };
-        col = anchor;
-        let r = row as usize;
-        let id = flags & ID_MASK;
-
-        let unit_vals = &values[vi..vi + size];
-        match PatternKind::from_id(id) {
-            Some(PatternKind::Horizontal { delta }) => {
-                let mut acc = 0.0;
-                let mut c = anchor as usize;
-                for &v in unit_vals {
-                    acc += v * x[c];
-                    c += delta as usize;
-                }
-                y[r] += acc;
-                vi += size;
-            }
-            Some(PatternKind::Vertical { delta }) => {
-                let xc = x[anchor as usize];
-                let mut rr = r;
-                for &v in unit_vals {
-                    y[rr] += v * xc;
-                    rr += delta as usize;
-                }
-                vi += size;
-            }
-            Some(PatternKind::Diagonal { delta }) => {
-                let mut rr = r;
-                let mut c = anchor as usize;
-                for &v in unit_vals {
-                    y[rr] += v * x[c];
-                    rr += delta as usize;
-                    c += delta as usize;
-                }
-                vi += size;
-            }
-            Some(PatternKind::AntiDiagonal { delta }) => {
-                let mut rr = r;
-                let mut c = anchor as usize;
-                for &v in unit_vals {
-                    y[rr] += v * x[c];
-                    rr += delta as usize;
-                    c = c.wrapping_sub(delta as usize);
-                }
-                vi += size;
-            }
-            Some(PatternKind::Block { rows: 3, cols: 3 }) => {
-                // Dominant case on 3-dof structural matrices — unrolled.
-                let base = anchor as usize;
-                let (x0, x1, x2) = (x[base], x[base + 1], x[base + 2]);
-                for (br, v) in unit_vals.chunks_exact(3).enumerate() {
-                    y[r + br] += v[0] * x0 + v[1] * x1 + v[2] * x2;
-                }
-                vi += size;
-            }
-            Some(PatternKind::Block { rows: _, cols }) => {
-                let bc = cols as usize;
-                let base = anchor as usize;
-                for (br, row_vals) in unit_vals.chunks_exact(bc).enumerate() {
-                    let rr = r + br;
-                    let mut acc = 0.0;
-                    for (j, &v) in row_vals.iter().enumerate() {
-                        acc += v * x[base + j];
-                    }
-                    y[rr] += acc;
-                }
-                vi += size;
-            }
-            None => {
-                // Delta unit: slice-based inner loops so the compiler can
-                // hoist the bounds checks out of the body.
-                let width = PatternKind::delta_width_from_id(id)
-                    .unwrap_or_else(|| unreachable!("invalid pattern id in ctl stream"));
-                let mut acc = values[vi] * x[anchor as usize];
-                let mut c = anchor as usize;
-                let rest = &values[vi + 1..vi + size];
-                match width {
-                    DeltaWidth::U8 => {
-                        let body = &ctl[pos..pos + size - 1];
-                        pos += size - 1;
-                        for (&d, &v) in body.iter().zip(rest) {
-                            c += usize::from(d);
-                            acc += v * x[c];
-                        }
-                    }
-                    DeltaWidth::U16 => {
-                        let body = &ctl[pos..pos + 2 * (size - 1)];
-                        pos += 2 * (size - 1);
-                        for (d, &v) in body.chunks_exact(2).zip(rest) {
-                            c += usize::from(u16::from_le_bytes([d[0], d[1]]));
-                            acc += v * x[c];
-                        }
-                    }
-                    DeltaWidth::U32 => {
-                        let body = &ctl[pos..pos + 4 * (size - 1)];
-                        pos += 4 * (size - 1);
-                        for (d, &v) in body.chunks_exact(4).zip(rest) {
-                            c += u32::from_le_bytes([d[0], d[1], d[2], d[3]]) as usize;
-                            acc += v * x[c];
-                        }
-                    }
-                }
-                vi += size;
-                y[r] += acc;
-            }
+        macro_rules! run {
+            ($dir:literal, $delta:expr) => {
+                run::<$dir>($delta, vals, &unit, x, y)
+            };
         }
+        macro_rules! block {
+            ($r:literal, $c:literal) => {
+                block::<$r, $c>(vals, &unit, x, y)
+            };
+        }
+        crate::dispatch_unit!(unit.id, delta, run, block);
     }
 }
 
-/// Extracts the sub-matrix of rows `[start, end)` as canonical COO —
-/// used to encode per-thread CSX chunks (coordinates stay absolute).
-pub fn rows_submatrix(coo: &CooMatrix, start: Idx, end: Idx) -> CooMatrix {
-    let mut out = CooMatrix::with_capacity(coo.nrows(), coo.ncols(), coo.nnz());
-    for (r, c, v) in coo.iter() {
-        if r >= start && r < end {
-            out.push(r, c, v);
-        }
+/// A delta unit with `W`-byte column deltas.
+#[inline(always)]
+fn delta<const W: usize>(
+    body: &[[u8; W]],
+    vals: &[Val],
+    unit: &UnitHead,
+    x: &[Val],
+    y: &mut [Val],
+) {
+    let mut c = unit.col;
+    let mut acc = vals[0] * x[c];
+    for (d, &v) in body.iter().zip(&vals[1..]) {
+        c += delta_of(d);
+        acc += v * x[c];
     }
-    out
+    y[unit.row] += acc;
+}
+
+/// A 1-D run in direction `DIR` (pattern-id order) with stride `delta`; a
+/// horizontal run sums in a register before it touches its one row.
+#[inline(always)]
+fn run<const DIR: u8>(delta: usize, vals: &[Val], unit: &UnitHead, x: &[Val], y: &mut [Val]) {
+    let (dr, dc) = run_strides::<DIR>(delta);
+    let (mut r, mut c) = (unit.row, unit.col);
+    let mut acc = 0.0;
+    for &v in vals {
+        match DIR {
+            0 => acc += v * x[c],
+            _ => y[r] += v * x[c],
+        }
+        r += dr;
+        c = c.wrapping_add(dc);
+    }
+    if DIR == 0 {
+        y[unit.row] += acc;
+    }
+}
+
+/// A dense `R × C` block: one length check per operand, then fixed-size
+/// array indexing.
+#[inline(always)]
+fn block<const R: usize, const C: usize>(vals: &[Val], unit: &UnitHead, x: &[Val], y: &mut [Val]) {
+    let (Some(v), Some(xc), Some(yr)) = (
+        vals.as_chunks::<C>().0.first_chunk::<R>(),
+        x[unit.col..].first_chunk::<C>(),
+        y[unit.row..].first_chunk_mut::<R>(),
+    ) else {
+        unreachable!("block unit reaches outside the matrix");
+    };
+    for (yr, v) in yr.iter_mut().zip(v) {
+        let mut acc = v[0] * xc[0];
+        for j in 1..C {
+            acc += v[j] * xc[j];
+        }
+        *yr += acc;
+    }
 }
 
 #[cfg(test)]
@@ -397,8 +323,10 @@ mod tests {
         let coo = symspmv_sparse::gen::banded_random(120, 9, 6.0, 9);
         let mut c = coo.clone();
         c.canonicalize();
-        let a = CsxMatrix::from_canonical_coo(&rows_submatrix(&c, 0, 60), &cfg());
-        let b = CsxMatrix::from_canonical_coo(&rows_submatrix(&c, 60, 120), &cfg());
+        let rowptr = coo_rowptr(&c);
+        let rows = |lo, hi| RowView::of_coo(&c, &rowptr).slice(lo..hi);
+        let a = CsxMatrix::from_rows(120, rows(0, 60), c.values(), &cfg());
+        let b = CsxMatrix::from_rows(120, rows(60, 120), c.values(), &cfg());
         let x = symspmv_sparse::dense::seeded_vector(120, 2);
         let mut y = vec![0.0; 120];
         a.spmv_accumulate(&x, &mut y);

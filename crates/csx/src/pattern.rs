@@ -165,6 +165,48 @@ impl PatternKind {
     }
 }
 
+/// `(row stride, column stride)` of a 1-D run of direction `DIR` — the run
+/// types `t` of the id table, in order — at delta `delta`. The
+/// anti-diagonal's column stride is the wrapped negative.
+#[inline(always)]
+pub fn run_strides<const DIR: u8>(delta: usize) -> (usize, usize) {
+    match DIR {
+        0 => (0, delta),
+        1 => (delta, 0),
+        2 => (delta, delta),
+        _ => (delta, delta.wrapping_neg()),
+    }
+}
+
+/// Selects a unit kernel from a pattern id — the id table above as one
+/// `match`, shared by every decoder. The caller supplies three macros:
+/// `$delta!(W)` for a delta unit of byte width `W`, `$run!(DIR, delta)` for
+/// a 1-D run, `$block!(R, C)` for a dense block.
+#[macro_export]
+macro_rules! dispatch_unit {
+    ($id:expr, $delta:ident, $run:ident, $block:ident) => {
+        match $id {
+            0 => $delta!(1),
+            1 => $delta!(2),
+            2 => $delta!(4),
+            id @ 4..=11 => $run!(0, usize::from(id - 3)),
+            id @ 12..=19 => $run!(1, usize::from(id - 11)),
+            id @ 20..=27 => $run!(2, usize::from(id - 19)),
+            id @ 28..=35 => $run!(3, usize::from(id - 27)),
+            36 => $block!(2, 2),
+            37 => $block!(2, 3),
+            38 => $block!(2, 4),
+            39 => $block!(3, 2),
+            40 => $block!(3, 3),
+            41 => $block!(3, 4),
+            42 => $block!(4, 2),
+            43 => $block!(4, 3),
+            44 => $block!(4, 4),
+            _ => unreachable!("invalid pattern id in ctl stream"),
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

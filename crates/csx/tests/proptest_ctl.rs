@@ -7,6 +7,7 @@
 use symspmv_csx::detect::DetectConfig;
 use symspmv_csx::encode::encode_coo;
 use symspmv_csx::matrix::CsxMatrix;
+use symspmv_csx::rows::{coo_rowptr, RowView};
 use symspmv_sparse::rng::StdRng;
 use symspmv_sparse::{CooMatrix, Idx};
 
@@ -119,7 +120,9 @@ fn col_split_never_straddled() {
             min_coverage: 0.0,
             ..DetectConfig::default()
         };
-        let det = symspmv_csx::detect::analyze(&coo, &cfg);
+        let rowptr = coo_rowptr(&coo);
+        let view = RowView::of_coo(&coo, &rowptr);
+        let det = symspmv_csx::detect::analyze(view, &cfg);
         for inst in &det.instances {
             let lo = inst.elements().any(|(_, c)| c < split);
             let hi = inst.elements().any(|(_, c)| c >= split);
@@ -127,6 +130,32 @@ fn col_split_never_straddled() {
                 !(lo && hi),
                 "case {case}: instance {inst:?} straddles {split}"
             );
+        }
+    }
+}
+
+/// Every consumer of the shared unit-head cursor must see the same stream:
+/// a unit vector `e_c` makes `spmv_stream`'s output name, by row and value,
+/// the elements it visited in column `c`.
+#[test]
+fn walk_and_spmv_stream_decode_the_same_elements() {
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0x50_0000 + case);
+        let coo = random_coo(&mut rng, 60, 250);
+        for cfg in configs() {
+            let stream = encode_coo(&coo, &cfg);
+            let mut walked = stream.decode_elements();
+            walked.sort_unstable_by_key(|&(r, c, _)| (c, r));
+            let mut multiplied = Vec::new();
+            for c in 0..coo.ncols() {
+                let mut x = vec![0.0; coo.ncols() as usize];
+                x[c as usize] = 1.0;
+                let mut y = vec![0.0; coo.nrows() as usize];
+                symspmv_csx::matrix::spmv_stream(&stream, &x, &mut y);
+                let hit = y.iter().enumerate().filter(|(_, &v)| v != 0.0);
+                multiplied.extend(hit.map(|(r, &v)| (r as Idx, c, v)));
+            }
+            assert_eq!(multiplied, walked, "case {case}");
         }
     }
 }

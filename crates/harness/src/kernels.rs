@@ -36,10 +36,11 @@ impl KernelSpec {
             KernelSpec::Sss(Eff) => "sss-eff",
             KernelSpec::Sss(Idx) => "sss-idx",
             KernelSpec::Sss(Race) => "sss-race",
-            KernelSpec::CsxSym(Race) | KernelSpec::Hybrid(Race) => {
-                unreachable!("the race schedule supports the SSS format only")
+            // `parse` and `all` produce neither: the race schedule supports
+            // the SSS format only, the hybrid format the direct-write methods.
+            KernelSpec::CsxSym(Race) | KernelSpec::Hybrid(Race | Naive) => {
+                unreachable!("no kernel builds for {self:?}")
             }
-            KernelSpec::Hybrid(Naive) => "hybrid-naive",
             KernelSpec::Hybrid(Eff) => "hybrid-eff",
             KernelSpec::Hybrid(Idx) => "hybrid-idx",
             KernelSpec::CsxSym(Naive) => "csxsym-naive",
@@ -48,33 +49,11 @@ impl KernelSpec {
         }
     }
 
-    /// Parses a spec name (factory inverse). Returns `None` for unknown
-    /// names.
+    /// Parses a spec name: the inverse of [`KernelSpec::name`] over
+    /// [`KernelSpec::all`], so a name parses exactly when its kernel builds
+    /// (`csxsym-race`, `hybrid-race`, `hybrid-naive` do not).
     pub fn parse(s: &str) -> Option<KernelSpec> {
-        let method = |tag: &str| match tag {
-            "naive" => Some(ReductionMethod::Naive),
-            "eff" => Some(ReductionMethod::EffectiveRanges),
-            "idx" => Some(ReductionMethod::Indexing),
-            _ => None,
-        };
-        match s {
-            "csr" => Some(KernelSpec::Csr),
-            "csx" => Some(KernelSpec::Csx),
-            // The scheduled strategy exists for SSS only; `csxsym-race` and
-            // `hybrid-race` stay unparseable.
-            "sss-race" => Some(KernelSpec::Sss(ReductionMethod::Race)),
-            _ => {
-                if let Some(tag) = s.strip_prefix("sss-") {
-                    method(tag).map(KernelSpec::Sss)
-                } else if let Some(tag) = s.strip_prefix("csxsym-") {
-                    method(tag).map(KernelSpec::CsxSym)
-                } else if let Some(tag) = s.strip_prefix("hybrid-") {
-                    method(tag).map(KernelSpec::Hybrid)
-                } else {
-                    None
-                }
-            }
-        }
+        Self::all().into_iter().find(|spec| spec.name() == s)
     }
 
     /// Every buildable configuration — the one list the self-checks
@@ -119,7 +98,8 @@ impl KernelSpec {
 }
 
 /// The detection configuration used by all CSX/CSX-Sym kernels in the
-/// experiments (full statistics pass, default thresholds).
+/// experiments: the defaults — a statistics pass on a 5 % row sample
+/// (`sample_fraction`), 5 % `min_coverage` per family.
 pub fn experiment_detect_config() -> DetectConfig {
     DetectConfig::default()
 }
@@ -185,6 +165,27 @@ mod tests {
         assert_eq!(KernelSpec::parse("sss-bogus"), None);
         assert_eq!(KernelSpec::parse("csxsym-race"), None);
         assert_eq!(KernelSpec::parse("hybrid-race"), None);
+        assert_eq!(KernelSpec::parse("hybrid-naive"), None);
+    }
+
+    #[test]
+    fn every_parseable_name_builds() {
+        // `parse` accepts a name only if its kernel builds — over every
+        // format × method spelling, not only the names `all()` produces.
+        let coo = symspmv_sparse::gen::laplacian_2d(8, 8);
+        let ctx = ExecutionContext::new(2);
+        let mut names = vec!["csr".to_string(), "csx".to_string()];
+        for format in ["sss", "csxsym", "hybrid"] {
+            for method in ["naive", "eff", "idx", "race"] {
+                names.push(format!("{format}-{method}"));
+            }
+        }
+        let parsed: Vec<KernelSpec> = names.iter().filter_map(|n| KernelSpec::parse(n)).collect();
+        assert_eq!(parsed, KernelSpec::all());
+        for spec in parsed {
+            let k = build_kernel(spec, &coo, &ctx).unwrap();
+            assert_eq!(k.name(), spec.name());
+        }
     }
 
     #[test]

@@ -125,9 +125,10 @@ impl Congruence {
 /// Structure axioms distilled from one matrix: everything the symbolic
 /// certifier needs to know about the storage, independent of any plan.
 ///
-/// Built once per matrix in `O(n + nnz)` ([`StructureFacts::of`]) and
-/// reused across every (threads, strategy, lanes) configuration — the
-/// per-plan certification itself never touches the structure again.
+/// Built once per matrix in `O(n)` on top of its memoized fingerprint
+/// ([`StructureFacts::of`]) and reused across every (threads, strategy,
+/// lanes) configuration — the per-plan certification itself never touches
+/// the structure again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StructureFacts {
     /// Structural fingerprint of the matrix.
@@ -152,7 +153,9 @@ impl StructureFacts {
     /// Distills the axioms from an SSS matrix. The strict-lower-triangle
     /// and column-bound axioms are established by the `SssMatrix`
     /// constructors (they reject anything else), so they are not re-walked
-    /// here; the diagonal scan and bandwidth are the only passes.
+    /// here; the diagonal scan and the bandwidth — from each row's first
+    /// column, rows being sorted by construction — are the only passes,
+    /// both `O(n)`.
     pub fn of(sss: &SssMatrix) -> Self {
         let nonzero_diag = sss
             .dvalues()
@@ -160,13 +163,8 @@ impl StructureFacts {
             .enumerate()
             .find(|(_, &d)| d != 0.0)
             .map(|(r, &d)| (r as u32, d));
-        let mut bandwidth = 0u32;
-        for r in 0..sss.n() {
-            let (cols, _) = sss.row(r);
-            for &c in cols {
-                bandwidth = bandwidth.max(r - c);
-            }
-        }
+        let reach = |r: u32| sss.row(r).0.first().map_or(0, |&c| r - c);
+        let bandwidth = (0..sss.n()).map(reach).max().unwrap_or(0);
         StructureFacts {
             fingerprint: sss.fingerprint(),
             n: sss.n(),

@@ -10,9 +10,11 @@
 //! cargo run --release --example compression_report path/to/A.mtx   # real matrix
 //! ```
 
+use std::collections::HashMap;
 use symspmv::core::CsxSymMatrix;
 use symspmv::csx::detect::{DetectConfig, Family};
-use symspmv::csx::CsxMatrix;
+use symspmv::csx::rows::RowView;
+use symspmv::csx::{CsxMatrix, PatternKind};
 use symspmv::sparse::{mm, suite, CooMatrix, CsrMatrix, SssMatrix};
 use symspmv_runtime::{balanced_ranges, partition::symmetric_row_weights};
 
@@ -92,19 +94,25 @@ fn main() {
 
             // Which substructure families carry the compression?
             let det = symspmv::csx::detect::analyze(
-                &{
-                    let (lower, _) = coo.split_lower_diag().unwrap();
-                    let mut l = lower;
-                    l.canonicalize();
-                    l
-                },
+                RowView::of_sss(&sss),
                 &DetectConfig {
                     min_coverage: 0.0,
                     ..DetectConfig::default()
                 },
             );
             println!("\nsubstructure histogram (lower triangle):");
-            let mut hist: Vec<(Family, usize)> = det.family_histogram().into_iter().collect();
+            let mut hist: HashMap<Family, usize> = HashMap::new();
+            for inst in &det.instances {
+                let family = match inst.kind {
+                    PatternKind::Horizontal { .. } => Family::Horizontal,
+                    PatternKind::Vertical { .. } => Family::Vertical,
+                    PatternKind::Diagonal { .. } => Family::Diagonal,
+                    PatternKind::AntiDiagonal { .. } => Family::AntiDiagonal,
+                    PatternKind::Block { rows, cols } => Family::Block(rows, cols),
+                };
+                *hist.entry(family).or_insert(0) += 1;
+            }
+            let mut hist: Vec<(Family, usize)> = hist.into_iter().collect();
             hist.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
             for (fam, count) in hist {
                 println!("  {fam:?}: {count} instances");
