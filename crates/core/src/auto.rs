@@ -95,7 +95,7 @@ pub struct PlanSpec {
 
 impl PlanSpec {
     /// Candidate identifier, e.g. `"csxsym-idx-p4-k8"` — stable across
-    /// runs, used as the bench-ledger row id and in search tables.
+    /// runs, used as the candidate column of the search tables.
     pub fn id(&self) -> String {
         format!(
             "{}-{}-p{}-k{}",
@@ -127,7 +127,7 @@ pub enum PlanSource {
 }
 
 impl PlanSource {
-    /// Short name for tables and ledgers (`"store"` / `"cost-model"`).
+    /// Short name for tables (`"store"` / `"cost-model"`).
     pub fn tag(&self) -> &'static str {
         match self {
             PlanSource::Store => "store",

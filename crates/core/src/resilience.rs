@@ -14,8 +14,8 @@
 //!   bit-identical to the conformance oracle's serial reference.
 //! * [`Resilient`] — the composition: a parallel kernel wrapped with a
 //!   retry policy and a fallback. Each request reports *how* it was served
-//!   ([`Served`]), so a chaos harness can audit availability while the
-//!   bench ledger tracks how often the fast path was lost.
+//!   ([`Served`]), so a chaos harness can audit availability and count
+//!   how often the fast path was lost.
 
 use crate::error::SymSpmvError;
 use crate::traits::{ParallelSpmmExt, ParallelSpmv};

@@ -27,7 +27,7 @@
 //!   all                — everything, in paper order
 //!
 //! options:
-//!   --scale <f>      suite scale factor            (default 0.02)
+//!   --scale <f>      suite scale factor, 0 < f <= 1 (default 0.02)
 //!   --iters <k>      SpMV iterations               (default 128)
 //!   --threads <p>    max worker threads            (default: host cores)
 //!   --out <dir>      CSV output directory          (default results/)
@@ -75,7 +75,10 @@ fn main() -> ExitCode {
         };
         match flag.as_str() {
             "--scale" => match value("--scale").and_then(|v| v.parse().ok()) {
-                Some(v) if v > 0.0 => cfg.scale = v,
+                // `suite::generate` sizes its allocations from the scale:
+                // anything above the paper's own dimensions (or NaN, which
+                // fails both comparisons) is a typo, not a request.
+                Some(v) if v > 0.0 && v <= 1.0 => cfg.scale = v,
                 _ => return usage(),
             },
             "--iters" => match value("--iters").and_then(|v| v.parse().ok()) {

@@ -17,9 +17,8 @@
 //!
 //! Any violated check is reported with the matrix reproducer and turns
 //! into [`HarnessError::VerificationFailed`], so the soak doubles as a CI
-//! gate. Per-request latencies land in `BENCH_chaos.json` through the
-//! structured bench ledger, making chaos runs comparable across machines
-//! and commits.
+//! gate. The per-matrix table (serves, fault counts, worst latency and
+//! recovery span) is written as `chaos.csv`.
 //!
 //! The whole schedule derives from [`ExpConfig::seed`]: the same seed
 //! replays the same faults in the same rounds.
@@ -30,8 +29,6 @@ use std::time::{Duration, Instant};
 use crate::conformance;
 use crate::error::HarnessError;
 use crate::experiments::ExpConfig;
-use crate::ledger::{BenchReport, SampleSet};
-use crate::machine::MachineInfo;
 use crate::report::Table;
 use symspmv_core::{
     FallbackKernel, ParallelSpmv, ReductionMethod, Resilient, RetryPolicy, Served, SymFormat,
@@ -173,7 +170,6 @@ pub fn run(cfg: &ExpConfig) -> Result<(), HarnessError> {
         "status",
     ]);
     let mut failures = 0usize;
-    let mut ledger: Vec<SampleSet> = Vec::new();
 
     for (mi, m) in conformance::full_suite().iter().enumerate() {
         let name = short_name(m.repro);
@@ -203,8 +199,6 @@ pub fn run(cfg: &ExpConfig) -> Result<(), HarnessError> {
             println!("    repro: {}", m.repro);
             continue;
         }
-        let nnz = kernel.nnz_full() as u64;
-
         let fallback = FallbackKernel::from_coo_kind(&m.coo, m.kind, Arc::clone(&ctx))
             .map_err(|e| HarnessError::matrix("chaos fallback", name, e))?;
         let policy = RetryPolicy::new(3)
@@ -216,7 +210,6 @@ pub fn run(cfg: &ExpConfig) -> Result<(), HarnessError> {
         let mut rng = SplitMix64::new(cfg.seed.wrapping_add((mi as u64).wrapping_mul(0xA5A5)));
         let mut counts = [0usize; 4]; // kills, delays, corrupts, wedges
         let mut log: Vec<RequestLog> = Vec::with_capacity(requests);
-        let mut latencies: Vec<f64> = Vec::with_capacity(requests);
         let mut worst_latency = Duration::ZERO;
         let mut y = vec![0.0; n];
         let soak_start = Instant::now();
@@ -249,7 +242,6 @@ pub fn run(cfg: &ExpConfig) -> Result<(), HarnessError> {
             let served = service.spmv_within(&x, &mut y, Supervision::deadline_within(DEADLINE));
             let latency = t0.elapsed();
             worst_latency = worst_latency.max(latency);
-            latencies.push(latency.as_secs_f64());
 
             let check = match &served {
                 Ok(Served::Parallel { .. }) => conformance::check_lane(&y, &y_base, true)
@@ -301,38 +293,9 @@ pub fn run(cfg: &ExpConfig) -> Result<(), HarnessError> {
             format!("{:?}", ctx.health()),
             status.into(),
         ]);
-        ledger.push(SampleSet {
-            group: format!("chaos/{name}"),
-            id: "request-latency".into(),
-            iters: 1,
-            samples: latencies,
-            kind: Some(m.kind.tag().to_string()),
-            elements: Some(nnz),
-            flops: None,
-            bytes: None,
-            phases: None,
-        });
     }
 
     cfg.emit("chaos", &t)?;
-    let report = BenchReport {
-        target: "chaos".into(),
-        machine: MachineInfo::detect(),
-        samples: ledger,
-    };
-    let text = report
-        .to_json()
-        .map_err(|e| HarnessError::Config(format!("chaos ledger: {e}")))?;
-    let path = cfg.out_dir.join(report.file_name());
-    std::fs::create_dir_all(&cfg.out_dir).map_err(|source| HarnessError::Io {
-        path: cfg.out_dir.clone(),
-        source,
-    })?;
-    std::fs::write(&path, text).map_err(|source| HarnessError::Io {
-        path: path.clone(),
-        source,
-    })?;
-    println!("[ledger written to {}]\n", path.display());
 
     if failures > 0 {
         return Err(HarnessError::VerificationFailed { failures });

@@ -48,38 +48,10 @@ pub fn measure<K: ParallelSpmv + ?Sized>(kernel: &mut K, iterations: usize) -> M
     let n = kernel.n();
     let mut x = seeded_vector(n, 0xFEED);
     let mut y = vec![0.0; n];
-
-    // Warm-up pass: touches every page and fills caches the same way for
-    // every format; remember the one-time preprocessing clock.
-    kernel.spmv(&x, &mut y);
-    std::mem::swap(&mut x, &mut y);
-    let preprocess = kernel.times().preprocess;
-
-    let mut best = (Duration::MAX, PhaseTimes::default());
-    for _ in 0..MEASURE_REPEATS.max(1) {
-        kernel.reset_times();
-        let t0 = Instant::now();
-        for _ in 0..iterations {
-            kernel.spmv(&x, &mut y);
-            std::mem::swap(&mut x, &mut y);
-        }
-        let wall = t0.elapsed();
-        if wall < best.0 {
-            best = (wall, kernel.times());
-        }
-    }
-    let (wall, mut times) = best;
-    times.preprocess = preprocess;
-    let flops = kernel.flops() as f64 * iterations as f64;
-    Measurement {
-        kernel: kernel.name().into_owned(),
-        nthreads: kernel.nthreads(),
-        iterations,
-        wall,
-        times,
-        gflops: flops / wall.as_secs_f64() / 1e9,
-        size_bytes: kernel.size_bytes(),
-    }
+    measure_steps(kernel, iterations, 1, |k| {
+        k.spmv(&x, &mut y);
+        std::mem::swap(&mut x, &mut y);
+    })
 }
 
 /// The batched analog of [`measure`]: `iterations` SpMMs over a seeded
@@ -95,9 +67,23 @@ pub fn measure_spmm<K: BlockKernel + ?Sized>(
     let n = kernel.n();
     let mut x = VectorBlock::seeded(n, lanes, 0xFEED);
     let mut y = VectorBlock::zeros(n, lanes);
+    measure_steps(kernel, iterations, lanes, |k| {
+        k.spmm(&x, &mut y);
+        std::mem::swap(&mut x, &mut y);
+    })
+}
 
-    kernel.spmm(&x, &mut y);
-    std::mem::swap(&mut x, &mut y);
+/// The body of [`measure`] and [`measure_spmm`]: `step` is one multiply
+/// plus the input/output swap, `lanes` the vectors it multiplies at once.
+fn measure_steps<K: ParallelSpmv + ?Sized>(
+    kernel: &mut K,
+    iterations: usize,
+    lanes: usize,
+    mut step: impl FnMut(&mut K),
+) -> Measurement {
+    // Warm-up pass: touches every page and fills caches the same way for
+    // every format; remember the one-time preprocessing clock.
+    step(kernel);
     let preprocess = kernel.times().preprocess;
 
     let mut best = (Duration::MAX, PhaseTimes::default());
@@ -105,8 +91,7 @@ pub fn measure_spmm<K: BlockKernel + ?Sized>(
         kernel.reset_times();
         let t0 = Instant::now();
         for _ in 0..iterations {
-            kernel.spmm(&x, &mut y);
-            std::mem::swap(&mut x, &mut y);
+            step(kernel);
         }
         let wall = t0.elapsed();
         if wall < best.0 {

@@ -15,7 +15,6 @@ pub mod error;
 pub mod experiments;
 pub mod framework;
 pub mod kernels;
-pub mod ledger;
 pub mod machine;
 pub mod plot;
 pub mod report;
@@ -23,5 +22,3 @@ pub mod report;
 pub use error::HarnessError;
 pub use framework::{measure, Measurement};
 pub use kernels::{build_kernel, KernelSpec};
-pub use ledger::{BenchReport, PhaseBreakdown, SampleSet};
-pub use machine::MachineInfo;

@@ -1,9 +1,5 @@
-//! Plain-text table rendering and CSV output for the experiment drivers,
-//! plus the human-readable views over the structured bench ledger
-//! ([`crate::ledger`]) — the drivers and `bench-ci` render the same
-//! [`crate::ledger::SampleSet`] records instead of keeping parallel ad-hoc text paths.
+//! Plain-text table rendering and CSV output for the experiment drivers.
 
-use crate::ledger::BenchReport;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -102,37 +98,6 @@ impl Table {
     }
 }
 
-/// Renders a bench ledger as the column-aligned table the bench targets
-/// print (and the CI job surfaces in its summary). One row per
-/// [`crate::ledger::SampleSet`], with the derived statistics and — when the
-/// size model was declared — normalized throughputs.
-pub fn ledger_table(report: &BenchReport) -> Table {
-    let mut t = Table::new(&[
-        "group", "id", "median", "mad", "min", "GFLOP/s", "GB/s", "reduce%",
-    ]);
-    for s in &report.samples {
-        let stats = s.stats();
-        let time = |v: Option<f64>| v.map(fmt_secs).unwrap_or_else(|| "-".into());
-        let num = |v: Option<f64>| v.map(|g| f(g, 2)).unwrap_or_else(|| "-".into());
-        let reduce_pct = s
-            .phases
-            .filter(|p| p.total() > 0.0)
-            .map(|p| pct(p.reduce / p.total()))
-            .unwrap_or_else(|| "-".into());
-        t.row(vec![
-            s.group.clone(),
-            s.id.clone(),
-            time(stats.map(|st| st.median)),
-            time(stats.map(|st| st.mad)),
-            time(stats.map(|st| st.min)),
-            num(s.gflops()),
-            num(s.effective_gbs()),
-            reduce_pct,
-        ]);
-    }
-    t
-}
-
 /// Formats a duration in seconds with an auto-selected unit.
 pub fn fmt_secs(secs: f64) -> String {
     if secs < 1e-6 {
@@ -213,53 +178,6 @@ mod tests {
         assert!(fmt_secs(5e-6).ends_with("µs"));
         assert!(fmt_secs(5e-3).ends_with("ms"));
         assert!(fmt_secs(5.0).ends_with('s'));
-    }
-
-    #[test]
-    fn ledger_table_renders_sample_sets() {
-        use crate::ledger::{PhaseBreakdown, SampleSet};
-        use crate::machine::MachineInfo;
-        let report = BenchReport {
-            target: "t".into(),
-            machine: MachineInfo::for_tests(),
-            samples: vec![
-                SampleSet {
-                    group: "g".into(),
-                    id: "k".into(),
-                    iters: 3,
-                    samples: vec![1e-3, 2e-3, 3e-3],
-                    kind: None,
-                    elements: Some(10),
-                    flops: Some(4_000_000),
-                    bytes: Some(2_000_000),
-                    phases: Some(PhaseBreakdown {
-                        multiply: 0.75,
-                        reduce: 0.25,
-                        vector_ops: 0.0,
-                        preprocess: 0.0,
-                        iters: 9,
-                    }),
-                },
-                SampleSet {
-                    group: "g".into(),
-                    id: "empty".into(),
-                    iters: 1,
-                    samples: vec![],
-                    kind: None,
-                    elements: None,
-                    flops: None,
-                    bytes: None,
-                    phases: None,
-                },
-            ],
-        };
-        let t = ledger_table(&report);
-        assert_eq!(t.len(), 2);
-        let text = t.render();
-        assert!(text.contains("2.000 ms")); // median
-        assert!(text.contains("2.00")); // GFLOP/s at the median
-        assert!(text.contains("25.0%")); // reduce fraction
-        assert!(text.contains('-')); // empty set renders placeholders
     }
 }
 

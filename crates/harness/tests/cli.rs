@@ -1,10 +1,52 @@
 //! End-to-end tests of the `experiments` binary's command-line interface.
 
+use std::path::PathBuf;
 use std::process::Command;
 use symspmv_harness::kernels::KernelSpec;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_experiments"))
+}
+
+/// An output directory unique to this process and test, removed on drop.
+/// The debug and `--release` test steps share `/tmp`, so a fixed name
+/// would let one run delete the other's files mid-test.
+struct Workdir(PathBuf);
+
+impl Workdir {
+    fn new(test: &str) -> Workdir {
+        let dir = std::env::temp_dir().join(format!("symspmv_cli_{test}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Workdir(dir)
+    }
+
+    /// Runs `experiments <args> --out <this directory>`, requires
+    /// success and returns its stdout.
+    fn run(&self, args: &[&str]) -> String {
+        let out = bin()
+            .args(args)
+            .arg("--out")
+            .arg(&self.0)
+            .env_remove("SYMSPMV_PLAN_STORE")
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    }
+
+    fn path(&self, file: &str) -> PathBuf {
+        self.0.join(file)
+    }
+}
+
+impl Drop for Workdir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 #[test]
@@ -41,88 +83,45 @@ fn bad_matrix_name_lists_valid_names() {
 
 #[test]
 fn invalid_scale_rejected() {
-    for bad in ["-1", "0", "abc"] {
+    for bad in ["-1", "0", "abc", "inf", "1e300", "nan"] {
         let out = bin().args(["table1", "--scale", bad]).output().unwrap();
-        assert!(!out.status.success(), "scale {bad} should be rejected");
+        assert_eq!(out.status.code(), Some(2), "scale {bad} should be rejected");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage:"), "scale {bad}: {err}");
     }
 }
 
 #[test]
 fn table1_runs_end_to_end() {
-    let dir = std::env::temp_dir().join("symspmv_cli_test");
-    let _ = std::fs::remove_dir_all(&dir);
-    let out = bin()
-        .args([
-            "table1",
-            "--scale",
-            "0.002",
-            "--matrix",
-            "hood",
-            "--out",
-            dir.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let wrk = Workdir::new("table1");
+    let stdout = wrk.run(&["table1", "--scale", "0.002", "--matrix", "hood"]);
     assert!(stdout.contains("hood"));
     assert!(stdout.contains("CR(CSX-Sym)"));
-    assert!(dir.join("table1.csv").exists());
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(wrk.path("table1.csv").exists());
 }
 
 #[test]
 fn fig5_writes_csv_and_svg() {
-    let dir = std::env::temp_dir().join("symspmv_cli_fig5");
-    let _ = std::fs::remove_dir_all(&dir);
-    let out = bin()
-        .args([
-            "fig5",
-            "--scale",
-            "0.002",
-            "--matrix",
-            "nd12k",
-            "--out",
-            dir.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    assert!(dir.join("fig5.csv").exists());
-    assert!(dir.join("fig5.svg").exists());
-    let svg = std::fs::read_to_string(dir.join("fig5.svg")).unwrap();
+    let wrk = Workdir::new("fig5");
+    wrk.run(&["fig5", "--scale", "0.002", "--matrix", "nd12k"]);
+    assert!(wrk.path("fig5.csv").exists());
+    let svg = std::fs::read_to_string(wrk.path("fig5.svg")).unwrap();
     assert!(svg.starts_with("<svg"));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn verify_sweeps_every_kernel_spec() {
-    let dir = std::env::temp_dir().join("symspmv_cli_verify");
-    let _ = std::fs::remove_dir_all(&dir);
-    let out = bin()
-        .args([
-            "verify",
-            "--scale",
-            "0.002",
-            "--threads",
-            "2",
-            "--matrix",
-            "hood",
-            "--out",
-            dir.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let csv = std::fs::read_to_string(dir.join("verify.csv")).unwrap();
+    let wrk = Workdir::new("verify");
+    wrk.run(&[
+        "verify",
+        "--scale",
+        "0.002",
+        "--threads",
+        "2",
+        "--matrix",
+        "hood",
+    ]);
+    let csv = std::fs::read_to_string(wrk.path("verify.csv")).unwrap();
     let mut lines = csv.lines();
     let header: Vec<&str> = lines.next().unwrap().split(',').collect();
     let kernels_col = header.iter().position(|&h| h == "kernels").unwrap();
@@ -133,7 +132,30 @@ fn verify_sweeps_every_kernel_spec() {
         KernelSpec::all().len().to_string(),
         "verify must sweep the whole KernelSpec::all() list"
     );
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn tune_writes_csvs_and_the_plan_store_and_no_json_twin() {
+    let wrk = Workdir::new("tune");
+    wrk.run(&[
+        "tune",
+        "--scale",
+        "0.002",
+        "--threads",
+        "2",
+        "--matrix",
+        "hood",
+    ]);
+    assert!(wrk.path("tune.csv").exists());
+    assert!(wrk.path("tune_summary.csv").exists());
+    assert!(wrk.path(".plan-store/plans.json").exists());
+    // The search table is written once, as CSV: no JSON copy beside it.
+    let json: Vec<_> = std::fs::read_dir(&wrk.0)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    assert!(json.is_empty(), "unexpected {json:?}");
 }
 
 #[test]

@@ -1,15 +1,14 @@
-//! The shared execution context: one pool, one buffer arena, one ledger.
+//! The shared execution context: one pool, one buffer arena.
 //!
 //! Every multithreaded kernel used to construct its own [`WorkerPool`] and
 //! allocate its own local-vector buffers, so a harness sweep over six
 //! formats spawned six pools and the CG solver could not amortize setup
-//! across iterations. [`ExecutionContext`] centralizes the three shared
+//! across iterations. [`ExecutionContext`] centralizes the two shared
 //! concerns:
 //!
 //! * the **worker pool** — created once, borrowed by every kernel;
 //! * the **buffer arena** — recycled, first-touch-initialized `f64`
 //!   buffers for local output vectors and solver scratch;
-//! * the **phase-time ledger** — a cross-kernel [`PhaseTimes`] accumulator;
 //!
 //! plus a registry of named [`ReductionStrategy`] objects so the symmetric
 //! kernels select their reduction (naive / effective-ranges / indexing) by
@@ -27,7 +26,6 @@ use crate::reduction::{
     EffectiveRangesReduction, IndexingReduction, NaiveReduction, RaceReduction, ReductionStrategy,
 };
 use crate::supervisor::{HealthState, PoolHealth, Supervision, SupervisionCell};
-use crate::timing::PhaseTimes;
 
 /// Locks a mutex, tolerating poisoning.
 ///
@@ -224,7 +222,7 @@ impl PlanCache {
     }
 }
 
-/// The shared runtime layer: one pool, one arena, one ledger, and the
+/// The shared runtime layer: one pool, one arena, and the
 /// reduction-strategy registry.
 ///
 /// Constructed once per run with [`ExecutionContext::new`] and passed to
@@ -235,7 +233,6 @@ pub struct ExecutionContext {
     nthreads: usize,
     pool: Mutex<WorkerPool>,
     arena: Mutex<BufferArena>,
-    ledger: Mutex<PhaseTimes>,
     strategies: RwLock<HashMap<&'static str, Arc<dyn ReductionStrategy>>>,
     /// Leases returned holding non-zero data on the normal (non-panicking,
     /// non-scratch) path. Each one is a broken lease contract; the drop
@@ -276,7 +273,6 @@ impl ExecutionContext {
             nthreads,
             pool: Mutex::new(pool),
             arena: Mutex::new(BufferArena::default()),
-            ledger: Mutex::new(PhaseTimes::new()),
             strategies: RwLock::new(HashMap::new()),
             dirty_returns: AtomicUsize::new(0),
             plans: Mutex::new(PlanCache::default()),
@@ -565,34 +561,6 @@ impl ExecutionContext {
         lock_ignore_poison(&self.arena).trims
     }
 
-    /// Adds a per-kernel or per-solve [`PhaseTimes`] delta to the ledger.
-    pub fn ledger_add(&self, delta: &PhaseTimes) {
-        lock_ignore_poison(&self.ledger).accumulate(delta);
-    }
-
-    /// A snapshot of the accumulated cross-kernel phase times.
-    pub fn ledger(&self) -> PhaseTimes {
-        *lock_ignore_poison(&self.ledger)
-    }
-
-    /// Atomically snapshots **and clears** the ledger.
-    ///
-    /// Repeated bench samples interleave measurement with accounting on a
-    /// long-lived context; reading [`ExecutionContext::ledger`] and then
-    /// calling [`ExecutionContext::reset_ledger`] separately would lose any
-    /// delta added between the two calls. The swap happens under one lock
-    /// acquisition, so consecutive snapshots partition the accumulated time
-    /// exactly: their sum equals what a single uninterrupted ledger read
-    /// would have seen.
-    pub fn take_snapshot(&self) -> PhaseTimes {
-        std::mem::take(&mut *lock_ignore_poison(&self.ledger))
-    }
-
-    /// Clears the ledger.
-    pub fn reset_ledger(&self) {
-        *lock_ignore_poison(&self.ledger) = PhaseTimes::new();
-    }
-
     /// Registers (or replaces) a reduction strategy under its own name.
     pub fn register_reduction(&self, strategy: Arc<dyn ReductionStrategy>) {
         self.strategies
@@ -792,49 +760,6 @@ mod tests {
         assert!(!ctx.reduction("idx").unwrap().scheduled());
         assert!(!ctx.reduction("naive").unwrap().direct_write());
         assert!(ctx.reduction("nope").is_none());
-    }
-
-    #[test]
-    fn ledger_accumulates_across_kernels() {
-        let ctx = ExecutionContext::new(1);
-        let mut t = PhaseTimes::new();
-        t.multiply = std::time::Duration::from_millis(5);
-        ctx.ledger_add(&t);
-        ctx.ledger_add(&t);
-        assert_eq!(ctx.ledger().multiply, std::time::Duration::from_millis(10));
-        ctx.reset_ledger();
-        assert_eq!(ctx.ledger(), PhaseTimes::new());
-    }
-
-    #[test]
-    fn consecutive_snapshots_partition_a_full_run() {
-        // A bench loop snapshots between samples without tearing down the
-        // context; the snapshots must tile the accumulated time exactly.
-        let ctx = ExecutionContext::new(1);
-        let mut full = PhaseTimes::new();
-
-        let mut a = PhaseTimes::new();
-        a.multiply = std::time::Duration::from_millis(7);
-        a.reduce = std::time::Duration::from_millis(3);
-        ctx.ledger_add(&a);
-        full.accumulate(&a);
-        let snap1 = ctx.take_snapshot();
-
-        let mut b = PhaseTimes::new();
-        b.multiply = std::time::Duration::from_millis(2);
-        b.vector_ops = std::time::Duration::from_millis(5);
-        ctx.ledger_add(&b);
-        full.accumulate(&b);
-        let snap2 = ctx.take_snapshot();
-
-        let mut sum = PhaseTimes::new();
-        sum.accumulate(&snap1);
-        sum.accumulate(&snap2);
-        assert_eq!(sum, full);
-        // The snapshot drained the ledger both times.
-        assert_eq!(ctx.ledger(), PhaseTimes::new());
-        assert_eq!(snap1, a);
-        assert_eq!(snap2, b);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * [`pool::WorkerPool`] — a persistent pool of workers executing the same
 //!   closure with distinct thread ids (SPMD style), with a blocking `run`;
 //! * [`context::ExecutionContext`] — the shared runtime layer: one pool,
-//!   one recycled first-touch buffer arena, one cross-kernel phase-time
-//!   ledger, and the [`reduction::ReductionStrategy`] registry;
+//!   one recycled first-touch buffer arena, and the
+//!   [`reduction::ReductionStrategy`] registry;
 //! * [`reduction`] — the three symmetric reduction strategies of Fig. 3
 //!   (naive / effective-ranges / local-vectors indexing) as trait objects;
 //! * [`shared`] — the `SharedBuf` escape hatch for disjoint parallel writes;

@@ -31,14 +31,6 @@ impl PhaseTimes {
         self.multiply + self.reduce + self.vector_ops + self.preprocess
     }
 
-    /// Adds another accumulator into this one.
-    pub fn accumulate(&mut self, other: &PhaseTimes) {
-        self.multiply += other.multiply;
-        self.reduce += other.reduce;
-        self.vector_ops += other.vector_ops;
-        self.preprocess += other.preprocess;
-    }
-
     /// Fraction of total time spent in the reduction phase (0 when idle).
     pub fn reduce_fraction(&self) -> f64 {
         let t = self.total().as_secs_f64();
@@ -105,11 +97,6 @@ mod tests {
         t.reduce = Duration::from_millis(10);
         assert_eq!(t.total(), Duration::from_millis(40));
         assert!((t.reduce_fraction() - 0.25).abs() < 1e-9);
-
-        let mut sum = PhaseTimes::new();
-        sum.accumulate(&t);
-        sum.accumulate(&t);
-        assert_eq!(sum.multiply, Duration::from_millis(60));
     }
 
     #[test]

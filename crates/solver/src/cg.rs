@@ -13,8 +13,8 @@
 //! [`cg`] runs entirely on the kernel's [`ExecutionContext`]: the
 //! residual/direction/product vectors are scratch leases from the context's
 //! arena (recycled across solves), the vector operations run on the same
-//! worker pool as the SpMV, and the per-phase breakdown is accumulated into
-//! the context's ledger.
+//! worker pool as the SpMV, and the per-phase breakdown comes back in the
+//! outcome's `times`.
 
 use crate::block_cg::{BlockSolveOutcome, LaneOutcome};
 use crate::vecops;
@@ -153,10 +153,9 @@ impl SolveOutcome {
 /// finite value (the grown one for `Diverged`).
 ///
 /// The kernel's phase clocks attribute multiply/reduce time and every
-/// vector pass is timed here. What the solve spent goes on the context
-/// ledger; the reported breakdown additionally carries the kernel's
-/// one-time construction cost in `preprocess` (Fig. 14), which is *not*
-/// ledgered — or every solve on one kernel would add it again.
+/// vector pass is timed here. The reported breakdown is what this solve
+/// spent, plus the kernel's one-time construction cost in `preprocess`
+/// (Fig. 14) — the same value on every solve, never accumulated.
 pub(crate) fn recurrence<const L: usize, K, V>(
     kernel: &mut K,
     exec: Option<&ExecutionContext>,
@@ -274,19 +273,14 @@ where
         }
     }
     let after = kernel.times();
-    let spent = PhaseTimes {
-        multiply: after.multiply - before.multiply,
-        reduce: after.reduce - before.reduce,
-        vector_ops,
-        preprocess: Duration::ZERO,
-    };
-    kernel.context().ledger_add(&spent);
     BlockSolveOutcome {
         lanes,
         iterations,
         times: PhaseTimes {
+            multiply: after.multiply - before.multiply,
+            reduce: after.reduce - before.reduce,
+            vector_ops,
             preprocess: before.preprocess,
-            ..spent
         },
     }
 }
@@ -325,8 +319,7 @@ pub(crate) fn scalar_outcome(mut run: BlockSolveOutcome) -> SolveOutcome {
 /// The kernel's phase clocks are used to attribute SpMV multiply/reduce
 /// time; every vector pass is timed here. The kernel's *pre-existing*
 /// accumulated times (e.g. format preprocessing at construction) are
-/// reported in the `preprocess` slot. What the solve itself spent is also
-/// added to the context ledger.
+/// reported in the `preprocess` slot.
 pub fn cg<K: ParallelSpmv + ?Sized>(
     kernel: &mut K,
     b: &[Val],
@@ -490,7 +483,6 @@ mod tests {
             SymSpmv::from_coo(&coo, &ctx, ReductionMethod::Indexing, SymFormat::Sss).unwrap();
         let b = seeded_vector(600, 1);
         let mut x = vec![0.0; 600];
-        ctx.reset_ledger();
         let res = cg(
             &mut k,
             &b,
@@ -503,8 +495,6 @@ mod tests {
         );
         assert!(res.times.multiply > std::time::Duration::ZERO);
         assert!(res.times.vector_ops > std::time::Duration::ZERO);
-        // The solve's breakdown lands on the shared context ledger.
-        assert_eq!(ctx.ledger().multiply, res.times.multiply);
     }
 
     #[test]
@@ -525,19 +515,13 @@ mod tests {
         let built = k.times().preprocess;
         assert!(built > std::time::Duration::ZERO);
         let b = seeded_vector(300, 1);
-        ctx.reset_ledger();
         for solves in 1..=2u32 {
             let mut x = vec![0.0; 300];
             let res = cg(&mut k, &b, &mut x, &CgConfig::default());
-            // Fig. 14 reads the one-time cost off every outcome …
-            assert_eq!(res.times.preprocess, built);
-            // … but no preprocessing ran during the solve, so the ledger
-            // must not grow with the number of solves.
-            assert_eq!(
-                ctx.ledger().preprocess,
-                std::time::Duration::ZERO,
-                "after {solves} solve(s)"
-            );
+            // Fig. 14 reads the one-time cost off every outcome; no
+            // preprocessing ran during the solve, so it must not grow
+            // with the number of solves.
+            assert_eq!(res.times.preprocess, built, "after {solves} solve(s)");
         }
     }
 

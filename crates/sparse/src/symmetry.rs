@@ -41,7 +41,7 @@ impl SymmetryKind {
         SymmetryKind::Structural,
     ];
 
-    /// Stable short tag (certificate texts, bench ledger rows, repro lines).
+    /// Stable short tag (certificate texts, experiment tables, repro lines).
     pub fn tag(self) -> &'static str {
         match self {
             SymmetryKind::Symmetric => "symmetric",

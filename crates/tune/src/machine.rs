@@ -1,13 +1,11 @@
 //! Minimal machine identity for plan-store keys — and the workspace's one
 //! machine probe.
 //!
-//! The harness has a richer `MachineInfo` (caches, rustc, git revision)
-//! for bench ledgers, but the harness sits *above* this crate in the
-//! dependency graph, and a plan-store key wants exactly two stable facts:
-//! the CPU model and the logical CPU count. Git revision and rustc are
-//! deliberately excluded — a tuned plan is a property of the hardware,
-//! not of the tree that measured it. `MachineInfo::detect` takes both facts
-//! from here, so ledgers and stored plans name the host alike.
+//! A plan-store key wants exactly two stable facts: the CPU model and the
+//! logical CPU count. Git revision and rustc are deliberately excluded — a
+//! tuned plan is a property of the hardware, not of the tree that measured
+//! it. The harness's `experiments machine` table takes both facts from
+//! here, so the printed host and stored plans name the host alike.
 
 /// Logical CPUs visible to this process.
 pub fn ncpus() -> usize {

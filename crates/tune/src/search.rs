@@ -39,9 +39,7 @@ pub struct TuneOptions {
     pub thread_counts: Vec<usize>,
     /// SpMM lane widths to explore; `1` (scalar SpMV) is always included.
     pub lanes: Vec<usize>,
-    /// Timed samples per candidate (median taken). Overridable via the
-    /// `SYMSPMV_BENCH_SAMPLES` environment variable in
-    /// [`TuneOptions::for_machine`].
+    /// Timed samples per candidate (median taken).
     pub samples: usize,
     /// SpMV/SpMM iterations per sample.
     pub iterations: usize,
@@ -57,7 +55,7 @@ pub struct TuneOptions {
 impl TuneOptions {
     /// A bounded default space for a machine with `ncpus` logical CPUs:
     /// power-of-two thread counts up to `ncpus`, lane widths {1, 8},
-    /// samples from `SYMSPMV_BENCH_SAMPLES` (default 5).
+    /// 5 samples per candidate.
     pub fn for_machine(ncpus: usize) -> TuneOptions {
         let mut thread_counts = vec![1usize];
         let mut p = 2;
@@ -68,15 +66,10 @@ impl TuneOptions {
         if ncpus > 1 {
             thread_counts.push(ncpus);
         }
-        let samples = std::env::var("SYMSPMV_BENCH_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&s: &usize| s > 0)
-            .unwrap_or(5);
         TuneOptions {
             thread_counts,
             lanes: vec![1, 8],
-            samples,
+            samples: 5,
             iterations: 16,
             prune_factor: 1.6,
             min_keep: 12,

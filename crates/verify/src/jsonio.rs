@@ -2,9 +2,8 @@
 //! serde).
 //!
 //! Certificates and audit findings round-trip through it, the plan store
-//! persists with it, and the bench ledger (`BENCH_*.json`,
-//! `bench/baseline.json`) is written by its pretty printer so the
-//! artifacts diff reviewably and feed `jq` directly. The dialect is
+//! persists with it, and the repo benchmark (`benchmark/`) writes and
+//! compares its result records with it. The dialect is
 //! deliberately strict where floats are concerned: `NaN`, `Infinity` and
 //! overflowing literals like `1e999` are rejected on parse, and non-finite
 //! numbers are rejected on write — a certificate, finding or measurement
@@ -55,7 +54,7 @@ impl Json {
 
     /// Serializes with two-space indentation and a trailing newline;
     /// arrays of scalars stay on one line (sample vectors would otherwise
-    /// dominate a ledger file). Fails on non-finite numbers.
+    /// dominate the file). Fails on non-finite numbers.
     pub fn to_pretty(&self) -> Result<String, String> {
         let mut out = String::new();
         write_pretty(self, &mut out, 0)?;
