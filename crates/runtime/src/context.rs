@@ -33,7 +33,7 @@ use crate::supervisor::{HealthState, PoolHealth, Supervision, SupervisionCell};
 /// the pool mutex while the pool itself is designed to survive the round;
 /// honoring the poison flag would turn one caught panic into a permanently
 /// unusable context.
-fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -255,9 +255,11 @@ pub struct ExecutionContext {
 }
 
 impl ExecutionContext {
-    /// Creates a context with its single `nthreads`-worker pool and the
-    /// three paper reduction strategies pre-registered (`"naive"`, `"eff"`,
-    /// `"idx"`).
+    /// Creates a context with its single pool of `nthreads` participants
+    /// and the three paper reduction strategies pre-registered (`"naive"`,
+    /// `"eff"`, `"idx"`). `P` participants means `P − 1` spawned threads
+    /// plus the caller: whichever thread calls [`ExecutionContext::run`]
+    /// executes share 0 itself, so `new(1)` spawns nothing.
     ///
     /// Panics if `nthreads == 0`.
     pub fn new(nthreads: usize) -> Arc<Self> {
@@ -290,7 +292,7 @@ impl ExecutionContext {
         Arc::new(ctx)
     }
 
-    /// Number of workers in the shared pool.
+    /// Number of participants in the shared pool (the caller included).
     pub fn nthreads(&self) -> usize {
         self.nthreads
     }
@@ -447,7 +449,8 @@ impl ExecutionContext {
         self.health.failures()
     }
 
-    /// Workers respawned after failures on the shared pool.
+    /// Worker threads replaced after failures on the shared pool (a failed
+    /// share 0 ran on its caller's thread and replaces none).
     pub fn pool_respawns(&self) -> usize {
         self.health.respawns()
     }

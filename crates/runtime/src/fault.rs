@@ -6,7 +6,9 @@
 //! small registry of armed faults consulted at two sites:
 //!
 //! * **worker rounds** — every [`WorkerPool::run`](crate::WorkerPool::run)
-//!   (and `try_run`) round increments a round counter; an armed fault can
+//!   (and `try_run`) round that passes its supervision checkpoint
+//!   increments a round counter (a refused round consumes none, so a fault
+//!   armed for "the next round" waits for one that runs); an armed fault can
 //!   make a chosen worker panic, or delay it, in a chosen round. This is
 //!   how tests kill a worker mid-multiply or mid-reduction.
 //! * **lease returns** — every buffer returned to the context's arena
@@ -54,7 +56,7 @@ enum Armed {
 /// [`ExecutionContext`](crate::ExecutionContext), its pool, and the test
 /// driving them.
 ///
-/// Counters are monotone: rounds count pool rounds *started* since the
+/// Counters are monotone: rounds count pool rounds *dispatched* since the
 /// plan was created, lease returns count buffers returned to the arena.
 /// Faults are armed relative to "now" (`in_rounds = 0` targets the next
 /// round) and fire exactly once.
@@ -138,7 +140,8 @@ impl FaultPlan {
         self.armed.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Called by the pool at the start of each round; returns the round id.
+    /// Called by the pool for each round past its checkpoint; returns the
+    /// round id.
     pub(crate) fn begin_round(&self) -> usize {
         self.rounds.fetch_add(1, Ordering::SeqCst)
     }

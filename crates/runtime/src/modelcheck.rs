@@ -3,11 +3,12 @@
 //! The pool/supervisor protocol ([`crate::pool::WorkerPool`] +
 //! [`crate::supervisor`]) has concurrency bugs that unit tests only catch
 //! probabilistically: a checkpoint racing a cancellation, the watchdog
-//! firing while clean completions are still in flight, a panicked worker's
-//! seat being reused before its respawn. This module checks those paths
-//! *exhaustively*: it drives an abstract model of the protocol — a
-//! miniature pool of 2–3 workers running 1–2 rounds per request — through
-//! **every** interleaving of worker completions, watchdog firing and
+//! firing while clean completions are still in flight, a worker parking
+//! just as the next round is published, a seat being reused before its
+//! round drained. This module checks those paths *exhaustively*: it drives
+//! an abstract model of the protocol — a miniature pool of 2–3 participants
+//! running 1–2 rounds per request — through **every** interleaving of
+//! park/publish/unpark steps, worker completions, watchdog firing and
 //! checkpoint outcomes that a bounded [`Scenario`] admits, asserting on
 //! each terminal state that
 //!
@@ -17,8 +18,9 @@
 //!   [`Outcome::WorkerPanicked`] — never a hang, never a leaked default);
 //! * the **arena is scrubbed** at every request boundary, unwind paths
 //!   included (the `BufferLease` drop-scrub invariant);
-//! * no **lost wakeup**: a round with running workers always has an
-//!   enabled transition;
+//! * no **lost wakeup**: a round with outstanding shares always has an
+//!   enabled transition (a worker parked on an epoch it will never see
+//!   advance has none);
 //! * no **double-serve**: a worker reports at most once per round, and a
 //!   barrier seat is reused only after the round fully drained;
 //! * the final **health state**, failure/wedge counters and dispatch/poll
@@ -28,17 +30,37 @@
 //!   not pinned** — the real tardy set is a watchdog-time snapshot of
 //!   unreported workers, so it genuinely depends on the schedule — but it
 //!   is checked against the analytic bounds derived from the reference
-//!   outcomes (one respawn per panicked request; between one and
-//!   `workers` per wedged request).
+//!   outcomes and the faulted participant (respawns count replaced OS
+//!   threads: none for a fault on worker 0, the caller; one per panicked
+//!   spawned worker; between the wedged spawned worker and every spawned
+//!   worker per wedged request).
 //!
 //! # Faithfulness
 //!
-//! The model mirrors `WorkerPool::dispatch` / `dispatch_inner` step for
-//! step: the cooperative checkpoint polls the cancel fuse *before*
-//! dispatch; `mark_wedged` bumps the wedge counter and records a failure,
-//! tardy respawns do not; `record_success` fires only on fully clean
-//! rounds and promotes Degraded → Healthy after [`MODEL_RECOVERY_STREAK`]
-//! consecutive clean rounds (the model shrinks the production constant
+//! The model mirrors `WorkerPool::try_run` and its `drain` step for
+//! step. **Worker 0 is the caller**: it has no thread, no seat and no
+//! park state, its share is one deterministic step between the dispatch
+//! and the collect phase, and its failure is recorded but never respawned.
+//! Workers `1..` are spawned threads that idle `Spinning` on the epoch and
+//! may exhaust their spin budget and become `Parked` (`Step::Park`: set
+//! the `parked` flag, re-check the epoch, park — one step, because the
+//! SeqCst flag/epoch pair guarantees that either this re-check sees the
+//! bump or the caller's read sees the flag). A dispatch is the caller's
+//! `Step::Publish` (body, count, epoch bump: every spinning worker
+//! starts) followed by `Step::ReadParked` (read each `parked` flag,
+//! unpark the set ones: a woken worker starts if a round is published and
+//! goes back to spinning otherwise). Park steps are enabled only in the
+//! window before each caller step: an idle worker's park touches nothing
+//! but its own seat, so it commutes with every completion and watchdog step
+//! of the round before, and the window is its canonical position.
+//!
+//! The cooperative checkpoint polls the cancel fuse *before* dispatch; the
+//! watchdog cannot fire while the caller runs its own share, and fires the
+//! moment the caller regains control when share 0 itself overran;
+//! `mark_wedged` bumps the wedge counter and records a failure, tardy
+//! respawns do not; `record_success` fires only on fully clean rounds and
+//! promotes Degraded → Healthy after [`MODEL_RECOVERY_STREAK`] consecutive
+//! clean rounds (the model shrinks the production constant
 //! `HealthState::RECOVERY_STREAK` from 16 to 2 so the promotion edge is
 //! reachable inside bounded scenarios).
 //!
@@ -54,8 +76,11 @@
 //! clean completion the checker explores only the least-id one; when the
 //! enabled set is heterogeneous (a panic completion, the watchdog, or a
 //! tardy completion is also enabled) it branches on the least-id clean
-//! completion plus every non-clean transition. [`explore_with`] can
-//! disable pruning; a test pins that both modes reach the same verdict.
+//! completion plus every non-clean transition. Park steps of different
+//! workers commute too, so within one window they are explored in
+//! ascending worker order only: a dispatch with `k` spinning workers
+//! branches into the `2^k` subsets that parked before it. [`explore_with`]
+//! can disable pruning; a test pins that both modes reach the same verdict.
 
 use std::fmt;
 
@@ -88,6 +113,13 @@ pub enum Variant {
     /// `record_success` promotes Degraded → Healthy on a single clean
     /// round, ignoring the recovery streak.
     PromoteWithoutStreak,
+    /// The caller reads the `parked` flags *before* it bumps the epoch — a
+    /// worker that parks between the read and the bump is never unparked.
+    UnparkBeforePublish,
+    /// The caller returns once its own share is done instead of waiting
+    /// for the completion count — the next dispatch finds a seat still
+    /// running the previous round's (dangling) body.
+    ReturnBeforeDrain,
 }
 
 /// A deterministic fault seeded into one round of one request.
@@ -123,7 +155,8 @@ pub enum Fault {
 pub struct Scenario {
     /// Human-readable name, used in reports and pinned-count tests.
     pub name: &'static str,
-    /// Pool size (2–3 keeps the interleaving space tractable).
+    /// Participants (2–3 keeps the interleaving space tractable): worker
+    /// 0 is the caller, workers `1..` are spawned threads.
     pub workers: usize,
     /// Rounds dispatched per request (1–2).
     pub rounds: usize,
@@ -221,28 +254,41 @@ struct Reference {
 }
 
 impl Reference {
-    /// Analytic respawn bounds implied by the reference outcomes: exactly
-    /// one respawn per panicked request; a wedged request respawns at
-    /// least the wedged worker and at most every worker (the tardy set is
-    /// a watchdog-time snapshot, so the exact count is schedule-dependent).
-    fn respawn_bounds(&self, workers: usize) -> (usize, usize) {
-        let panics = self
-            .outcomes
-            .iter()
-            .filter(|o| **o == Outcome::WorkerPanicked)
-            .count();
-        let wedges = self
-            .outcomes
-            .iter()
-            .filter(|o| **o == Outcome::DeadlineWedged)
-            .count();
-        (panics + wedges, panics + wedges * workers)
+    /// Analytic respawn bounds implied by the reference outcomes and the
+    /// faulted participant. Respawns count replaced OS threads, and worker
+    /// 0 — the caller — has none: a panicked request respawns exactly its
+    /// panicked worker if that one is spawned (1, else 0); a wedged request
+    /// respawns at least the wedged worker if spawned and at most every
+    /// spawned worker (`workers − 1`; the tardy set is a watchdog-time
+    /// snapshot, so the exact count is schedule-dependent).
+    fn respawn_bounds(&self, scenario: &Scenario) -> (usize, usize) {
+        let count = |o: Outcome| self.outcomes.iter().filter(|x| **x == o).count();
+        let (panics, wedges) = (
+            count(Outcome::WorkerPanicked),
+            count(Outcome::DeadlineWedged),
+        );
+        let spawned = match scenario.fault {
+            Fault::Panic { worker, .. } | Fault::Wedge { worker, .. } => usize::from(worker != 0),
+            Fault::None => 0,
+        };
+        (
+            (panics + wedges) * spawned,
+            panics * spawned + wedges * (scenario.workers - 1),
+        )
     }
 }
 
 /// One enabled transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Step {
+    /// A spinning spawned worker exhausts its spin budget: sets `parked`,
+    /// re-checks the epoch (unchanged, or the step is not enabled) and parks.
+    Park(usize),
+    /// The caller publishes the round: body, completion count, epoch bump.
+    /// Every spinning worker observes it and starts.
+    Publish,
+    /// The caller reads every `parked` flag and unparks the set ones.
+    ReadParked,
     /// A worker reports a clean round.
     CompleteOk(usize),
     /// A worker reports a panic.
@@ -256,6 +302,9 @@ enum Step {
 impl Step {
     fn describe(self) -> String {
         match self {
+            Step::Park(w) => format!("park({w})"),
+            Step::Publish => "publish".to_string(),
+            Step::ReadParked => "read-parked".to_string(),
             Step::CompleteOk(w) => format!("ok({w})"),
             Step::CompletePanic(w) => format!("panic({w})"),
             Step::CompleteTardy(w) => format!("tardy({w})"),
@@ -270,9 +319,40 @@ impl Step {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WorkerState {
+    /// The caller between rounds (worker 0 only).
     Idle,
+    /// A spawned worker polling the epoch.
+    Spinning,
+    /// A spawned worker blocked in `park` with its `parked` flag set.
+    Parked,
     Running,
     Done,
+}
+
+impl WorkerState {
+    /// The idle state participant `w` returns to after a drained round.
+    fn idle(w: usize) -> Self {
+        if w == 0 {
+            WorkerState::Idle
+        } else {
+            WorkerState::Spinning
+        }
+    }
+
+    fn is_idle(self) -> bool {
+        !matches!(self, WorkerState::Running | WorkerState::Done)
+    }
+}
+
+/// Where the caller stands inside one request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Between rounds: the next thing is a checkpoint.
+    Checkpoint,
+    /// Past the checkpoint, `steps` of the two caller dispatch steps taken.
+    Dispatch { steps: usize },
+    /// Own share done; waiting for the completion count.
+    Collect,
 }
 
 /// Full model state; cloned at each branch point.
@@ -280,7 +360,12 @@ enum WorkerState {
 struct ModelState {
     request: usize,
     round: usize,
-    collecting: bool,
+    phase: Phase,
+    /// Whether the round being dispatched has had its epoch bumped.
+    published: bool,
+    /// Least worker id whose park step is still explored in the current
+    /// window (ascending-order canonicalisation; pruned mode only).
+    park_floor: usize,
     workers: Vec<WorkerState>,
     panicked_this_round: Vec<usize>,
     watchdog_fired: bool,
@@ -305,8 +390,10 @@ impl ModelState {
         ModelState {
             request: 0,
             round: 0,
-            collecting: false,
-            workers: vec![WorkerState::Idle; scenario.workers],
+            phase: Phase::Checkpoint,
+            published: false,
+            park_floor: 1,
+            workers: (0..scenario.workers).map(WorkerState::idle).collect(),
             panicked_this_round: Vec::new(),
             watchdog_fired: false,
             tardy: Vec::new(),
@@ -452,14 +539,14 @@ impl Checker<'_> {
         }
         s.request += 1;
         s.round = 0;
-        s.collecting = false;
+        s.phase = Phase::Checkpoint;
         if s.request >= self.scenario.requests {
             s.done = true;
         }
     }
 
     /// Round start: arena lease on the first round, cooperative
-    /// checkpoint, dispatch.
+    /// checkpoint, then the dispatch window opens.
     fn start_round(&mut self, s: &mut ModelState) {
         if s.round == 0 {
             s.arena_dirty = true;
@@ -468,7 +555,7 @@ impl Checker<'_> {
             self.unwind(s, Outcome::Cancelled);
             return;
         }
-        if s.workers.iter().any(|w| *w != WorkerState::Idle) {
+        if s.workers.iter().any(|w| !w.is_idle()) {
             let request = s.request;
             let round = s.round;
             self.violate(
@@ -476,29 +563,65 @@ impl Checker<'_> {
                 "seat-reuse",
                 format!("dispatch of request {request} round {round} with an undrained seat"),
             );
-        }
-        for w in s.workers.iter_mut() {
-            *w = WorkerState::Running;
+            // The real pool would now hand a seat two bodies; the model
+            // keeps going on fresh seats so later invariants stay readable.
+            for (w, st) in s.workers.iter_mut().enumerate() {
+                *st = WorkerState::idle(w);
+            }
         }
         s.panicked_this_round.clear();
         s.watchdog_fired = false;
         s.tardy.clear();
         s.rounds_dispatched += 1;
-        s.collecting = true;
+        s.published = false;
+        s.park_floor = 1;
+        s.phase = Phase::Dispatch { steps: 0 };
+    }
+
+    /// The caller's two dispatch steps, in the order the variant takes them.
+    fn caller_step(&self, steps: usize) -> Step {
+        let publish_first = self.variant != Variant::UnparkBeforePublish;
+        if (steps == 0) == publish_first {
+            Step::Publish
+        } else {
+            Step::ReadParked
+        }
+    }
+
+    /// Share 0, run by the caller right after its two dispatch steps: one
+    /// deterministic step, so nothing of the collect phase (the watchdog
+    /// included) can precede it.
+    fn run_own_share(&mut self, s: &mut ModelState) {
+        let step = if self.wedge_target(s) == Some(0) {
+            Step::CompleteTardy(0)
+        } else if self.panic_target(s) == Some(0) {
+            Step::CompletePanic(0)
+        } else {
+            Step::CompleteOk(0)
+        };
+        s.workers[0] = WorkerState::Running;
+        self.apply(s, step);
+        s.phase = Phase::Collect;
+        if self.variant == Variant::ReturnBeforeDrain {
+            self.end_round(s);
+        }
     }
 
     /// Round end, after every worker reported: respawn accounting, health
     /// transitions, and either the next round or the request's outcome.
-    /// Mirrors the tail of `WorkerPool::dispatch_inner`.
+    /// Mirrors the tail of `WorkerPool::try_run`.
     fn end_round(&mut self, s: &mut ModelState) {
-        s.collecting = false;
-        for w in s.workers.iter_mut() {
-            *w = WorkerState::Idle;
+        s.phase = Phase::Checkpoint;
+        for (w, st) in s.workers.iter_mut().enumerate() {
+            if *st == WorkerState::Done {
+                *st = WorkerState::idle(w);
+            }
         }
         let panicked = s.panicked_this_round.clone();
-        for _ in &panicked {
+        for &w in &panicked {
             Self::record_failure(s);
-            s.respawns += 1;
+            // Share 0 has no thread to replace.
+            s.respawns += usize::from(w != 0);
         }
         if s.watchdog_fired {
             let tardy = s.tardy.clone();
@@ -529,8 +652,20 @@ impl Checker<'_> {
         }
     }
 
-    /// Transitions enabled in the current collect phase.
+    /// Transitions enabled in the current phase.
     fn enabled(&self, s: &ModelState) -> Vec<Step> {
+        if let Phase::Dispatch { steps } = s.phase {
+            // A spinning worker has seen every published epoch (`Publish`
+            // starts them all), so its re-check finds nothing and it parks.
+            let floor = if self.prune { s.park_floor } else { 1 };
+            let mut out = vec![self.caller_step(steps)];
+            out.extend(
+                (floor..s.workers.len())
+                    .filter(|&w| s.workers[w] == WorkerState::Spinning)
+                    .map(Step::Park),
+            );
+            return out;
+        }
         let wedge = self.wedge_target(s);
         let panicker = self.panic_target(s);
         let mut steps = Vec::new();
@@ -548,8 +683,11 @@ impl Checker<'_> {
                 steps.push(Step::CompleteOk(w));
             }
         }
+        // The deadline passes while the wedged share runs; for share 0
+        // that share is over by now and the caller fires on regaining
+        // control, whatever the spawned workers have finished meanwhile.
         if let Some(wd) = wedge {
-            if !s.watchdog_fired && s.workers[wd] == WorkerState::Running {
+            if !s.watchdog_fired && (wd == 0 || s.workers[wd] == WorkerState::Running) {
                 steps.push(Step::WatchdogFire);
             }
         }
@@ -560,7 +698,37 @@ impl Checker<'_> {
     fn apply(&mut self, s: &mut ModelState, step: Step) {
         s.steps_taken += 1;
         s.trace.push(step.describe());
+        if let (Step::Publish | Step::ReadParked, Phase::Dispatch { steps }) = (step, s.phase) {
+            // A caller step closes one park window and opens the next.
+            s.phase = Phase::Dispatch { steps: steps + 1 };
+            s.park_floor = 1;
+        }
         match step {
+            Step::Park(w) => {
+                s.workers[w] = WorkerState::Parked;
+                s.park_floor = w + 1;
+            }
+            Step::Publish => {
+                s.published = true;
+                for st in s.workers.iter_mut().skip(1) {
+                    if *st == WorkerState::Spinning {
+                        *st = WorkerState::Running;
+                    }
+                }
+            }
+            Step::ReadParked => {
+                // An unparked worker re-checks the epoch: it starts the
+                // published round, or finds none and spins again.
+                for st in s.workers.iter_mut().skip(1) {
+                    if *st == WorkerState::Parked {
+                        *st = if s.published {
+                            WorkerState::Running
+                        } else {
+                            WorkerState::Spinning
+                        };
+                    }
+                }
+            }
             Step::CompleteOk(w) | Step::CompleteTardy(w) | Step::CompletePanic(w) => {
                 if s.workers[w] != WorkerState::Running {
                     self.violate(
@@ -582,12 +750,8 @@ impl Checker<'_> {
                 s.wedges += 1;
                 s.health = Health::Wedged;
                 Self::record_failure(s);
-                s.tardy = s
-                    .workers
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, st)| **st == WorkerState::Running)
-                    .map(|(w, _)| w)
+                s.tardy = (1..s.workers.len())
+                    .filter(|&w| s.workers[w] != WorkerState::Done)
                     .collect();
             }
         }
@@ -603,17 +767,33 @@ impl Checker<'_> {
             if s.steps_taken > STEP_CAP {
                 return Advance::Stuck("nontermination");
             }
-            if !s.collecting {
-                self.start_round(s);
-                continue;
-            }
-            if s.workers.iter().all(|w| *w != WorkerState::Running) {
-                self.end_round(s);
-                continue;
+            match s.phase {
+                Phase::Checkpoint => {
+                    self.start_round(s);
+                    continue;
+                }
+                Phase::Dispatch { steps: 2 } => {
+                    self.run_own_share(s);
+                    continue;
+                }
+                Phase::Dispatch { .. } => {}
+                Phase::Collect => {
+                    let overdue = self.wedge_target(s) == Some(0) && !s.watchdog_fired;
+                    if !overdue && s.workers.iter().all(|w| *w == WorkerState::Done) {
+                        self.end_round(s);
+                        continue;
+                    }
+                }
             }
             let enabled = self.enabled(s);
             if enabled.is_empty() {
                 return Advance::Stuck("lost-wakeup");
+            }
+            if let (Phase::Dispatch { .. }, [caller_step]) = (s.phase, &enabled[..]) {
+                // Nobody left to park: the caller's step is no choice.
+                let caller_step = *caller_step;
+                self.apply(s, caller_step);
+                continue;
             }
             return Advance::Choose(if self.prune {
                 prune_steps(enabled)
@@ -631,7 +811,7 @@ impl Checker<'_> {
                 self.schedules += 1;
                 let detail = match invariant {
                     "nontermination" => format!("schedule exceeded {STEP_CAP} transitions"),
-                    _ => "running workers with no enabled transition".to_string(),
+                    _ => "outstanding shares with no enabled transition".to_string(),
                 };
                 self.violate(&s, invariant, detail);
             }
@@ -731,7 +911,7 @@ impl Checker<'_> {
                 ),
             );
         }
-        let (lo, hi) = r.respawn_bounds(self.scenario.workers);
+        let (lo, hi) = r.respawn_bounds(self.scenario);
         if s.respawns < lo || s.respawns > hi {
             self.violate(
                 s,
@@ -761,11 +941,10 @@ pub fn explore(scenario: &Scenario, variant: Variant) -> Exploration {
     explore_with(scenario, variant, true)
 }
 
-/// Exhausts every interleaving of `scenario` under `variant`, optionally
-/// without pruning (the full permutation space — used to validate that
-/// pruning does not change any verdict).
-pub fn explore_with(scenario: &Scenario, variant: Variant, prune: bool) -> Exploration {
-    let reference = Checker {
+/// The faithful protocol's schedule-independent observables on `scenario`
+/// (`None` if even its canonical schedule gets stuck).
+fn faithful_reference(scenario: &Scenario) -> Option<Reference> {
+    Checker {
         scenario,
         variant: Variant::Faithful,
         prune: true,
@@ -773,7 +952,14 @@ pub fn explore_with(scenario: &Scenario, variant: Variant, prune: bool) -> Explo
         schedules: 0,
         violations: Vec::new(),
     }
-    .canonical();
+    .canonical()
+}
+
+/// Exhausts every interleaving of `scenario` under `variant`, optionally
+/// without pruning (the full permutation space — used to validate that
+/// pruning does not change any verdict).
+pub fn explore_with(scenario: &Scenario, variant: Variant, prune: bool) -> Exploration {
+    let reference = faithful_reference(scenario);
     let mut checker = Checker {
         scenario,
         variant,
@@ -872,6 +1058,34 @@ pub fn standard_scenarios() -> Vec<Scenario> {
             cancel_after: None,
             deadline: false,
         },
+        // The two scenarios above that fault worker 0 now fault the caller
+        // (no seat, no respawn); these are their spawned-worker twins.
+        Scenario {
+            name: "wedge-drain-respawn-spawned",
+            workers: 3,
+            rounds: 2,
+            requests: 2,
+            fault: Fault::Wedge {
+                request: 0,
+                round: 1,
+                worker: 1,
+            },
+            cancel_after: None,
+            deadline: true,
+        },
+        Scenario {
+            name: "promotion-across-requests-spawned",
+            workers: 2,
+            rounds: 1,
+            requests: 3,
+            fault: Fault::Panic {
+                request: 0,
+                round: 0,
+                worker: 1,
+            },
+            cancel_after: None,
+            deadline: false,
+        },
     ]
 }
 
@@ -911,6 +1125,13 @@ mod tests {
     /// The exhaustiveness pin: these counts change only if the protocol
     /// model or the pruning rule changes, and any such change must be
     /// reviewed against the docs above.
+    ///
+    /// Each count is `Π over dispatched rounds of 2^(workers − 1)` (which
+    /// spawned workers parked before the publish) `× the collect orders of
+    /// the faulted round` (share 0 is one deterministic step; all-clean
+    /// collects prune to one order): a spawned panic or wedge beside one
+    /// clean spawned worker has 2 resp. 3 orders, a caller wedge beside two
+    /// has 3 positions for the watchdog, a caller panic has 1.
     #[test]
     fn pruned_schedule_counts_are_pinned() {
         let counts: Vec<(&str, usize)> = standard_scenarios()
@@ -920,12 +1141,14 @@ mod tests {
         assert_eq!(
             counts,
             vec![
-                ("baseline-clean", 1),
-                ("panic-recovery-promotion", 3),
-                ("panic-degraded-stays", 3),
-                ("fused-cancel-between-rounds", 1),
-                ("wedge-drain-respawn", 6),
-                ("promotion-across-requests", 2),
+                ("baseline-clean", 4),                    // 2·2 × 1
+                ("panic-recovery-promotion", 512),        // 4⁴ × 2
+                ("panic-degraded-stays", 32),             // 4² × 2
+                ("fused-cancel-between-rounds", 2),       // 2 × 1 (one round dispatched)
+                ("wedge-drain-respawn", 768),             // 4⁴ × 3
+                ("promotion-across-requests", 8),         // 2³ × 1
+                ("wedge-drain-respawn-spawned", 768),     // 4⁴ × 3
+                ("promotion-across-requests-spawned", 8), // 2³ × 1
             ]
         );
     }
@@ -985,12 +1208,64 @@ mod tests {
 
     #[test]
     fn skip_unwedge_mutant_is_caught() {
-        let ex = explore(&by_name("wedge-drain-respawn"), Variant::SkipUnwedge);
-        assert!(
-            ex.violations.iter().any(|v| v.invariant == "health"),
-            "stuck wedge escaped: {:?}",
-            ex.violations
-        );
+        for name in ["wedge-drain-respawn", "wedge-drain-respawn-spawned"] {
+            let ex = explore(&by_name(name), Variant::SkipUnwedge);
+            assert!(
+                ex.violations.iter().any(|v| v.invariant == "health"),
+                "stuck wedge escaped on {name}: {:?}",
+                ex.violations
+            );
+        }
+    }
+
+    #[test]
+    fn unpark_before_publish_mutant_loses_a_wakeup_on_every_scenario() {
+        // Any dispatch can lose the race: a worker parks after the caller
+        // read its flag and before the epoch moved, and sleeps forever.
+        for scenario in standard_scenarios() {
+            let ex = explore(&scenario, Variant::UnparkBeforePublish);
+            assert!(
+                ex.violations.iter().any(|v| v.invariant == "lost-wakeup"),
+                "lost wakeup escaped on {}: {:?}",
+                scenario.name,
+                ex.violations
+            );
+        }
+    }
+
+    #[test]
+    fn return_before_drain_mutant_reuses_a_running_seat() {
+        // Caught wherever a second round is dispatched on the same pool.
+        for name in [
+            "baseline-clean",
+            "panic-recovery-promotion",
+            "wedge-drain-respawn",
+            "promotion-across-requests-spawned",
+        ] {
+            let ex = explore(&by_name(name), Variant::ReturnBeforeDrain);
+            assert!(
+                ex.violations.iter().any(|v| v.invariant == "seat-reuse"),
+                "early return escaped on {name}: {:?}",
+                ex.violations
+            );
+        }
+    }
+
+    #[test]
+    fn respawns_count_replaced_threads_only() {
+        // A fault on the caller respawns nothing it does not have to; the
+        // same fault on a spawned worker respawns at least that worker.
+        let bounds = |name: &str| {
+            let scenario = by_name(name);
+            faithful_reference(&scenario)
+                .unwrap_or_else(|| panic!("{name}: canonical schedule got stuck"))
+                .respawn_bounds(&scenario)
+        };
+        assert_eq!(bounds("promotion-across-requests"), (0, 0));
+        assert_eq!(bounds("promotion-across-requests-spawned"), (1, 1));
+        assert_eq!(bounds("wedge-drain-respawn"), (0, 2));
+        assert_eq!(bounds("wedge-drain-respawn-spawned"), (1, 2));
+        assert_eq!(bounds("panic-recovery-promotion"), (1, 1));
     }
 
     #[test]
@@ -1012,13 +1287,15 @@ mod tests {
         // completions — all three interleavings (times the rest of the
         // scenario) must be distinct schedules, and every one must agree
         // on the schedule-independent observables.
-        let ex = explore(&by_name("wedge-drain-respawn"), Variant::Faithful);
-        assert!(ex.clean(), "{:?}", ex.violations);
-        assert!(
-            ex.schedules >= 3,
-            "expected at least 3 watchdog interleavings, got {}",
-            ex.schedules
-        );
+        for name in ["wedge-drain-respawn", "wedge-drain-respawn-spawned"] {
+            let ex = explore(&by_name(name), Variant::Faithful);
+            assert!(ex.clean(), "{name}: {:?}", ex.violations);
+            assert!(
+                ex.schedules >= 3,
+                "{name}: expected at least 3 watchdog interleavings, got {}",
+                ex.schedules
+            );
+        }
     }
 
     #[test]

@@ -1,71 +1,85 @@
 //! A persistent SPMD worker pool.
 //!
-//! [`WorkerPool::run`] executes one closure on every worker with the
-//! worker's thread id as argument and blocks until all workers finish —
-//! the shape of every parallel region in the paper's kernels (multiply
-//! phase, then reduction phase). Workers persist across calls, so the
-//! 128-iteration measurement loops do not pay thread-spawn latency.
+//! [`WorkerPool::run`] executes one closure on every participant with its
+//! thread id as argument and blocks until all finish — the shape of every
+//! parallel region in the paper's kernels (multiply, then reduction). A pool
+//! of `P` is `P − 1` persistent threads (`tid 1..P`) plus the thread calling
+//! `run`, which executes share 0 itself; `P = 1` is a plain call.
+//!
+//! # Protocol
+//!
+//! A round: publish the erased `body` and the completion `count` → bump the
+//! `epoch` → unpark the workers whose `parked` flag is set → run share 0 →
+//! wait for the count to reach zero. A worker waits for the epoch to move,
+//! runs its share under `catch_unwind`, records the epoch as `done` and
+//! decrements the count; whoever takes it to zero unparks the caller if it
+//! registered as `waiter`. Both sides spin for [`SPIN_BUDGET`], then park.
+//! Every access is SeqCst; the pairs that matter:
+//!
+//! * *round start*: the caller's writes (slot, count, what the body borrows)
+//!   precede its epoch bump (Release); a worker loads the new epoch (Acquire)
+//!   before it touches them;
+//! * *round end* — the `pool-barrier` happens-before the kernels' phases rely
+//!   on: a share's writes precede its count decrement (Release); the caller
+//!   loads zero (Acquire) before it reads them;
+//! * *park handshakes* are store-then-load on both sides, hence SeqCst: a
+//!   worker sets `parked` then re-reads the epoch, the caller bumps the epoch
+//!   then reads `parked`, so one sees the other and no worker sleeps through
+//!   a round. The caller's park mirrors it on the count under the `waiter`
+//!   mutex.
 //!
 //! # Soundness of the lifetime erasure
 //!
-//! `run` accepts a non-`'static` closure reference and transmutes it to
-//! `'static` before handing it to the workers. This is the classic
-//! scoped-pool argument (cf. `scoped_threadpool`): the closure cannot dangle
-//! because `run` blocks until every worker has acknowledged completion, and
-//! `&mut self` prevents two overlapping `run` calls from interleaving jobs.
-//! A worker panic is caught, forwarded, and re-raised on the caller thread
-//! after all workers have finished the round.
+//! `run` transmutes its closure reference to `'static` to publish it — the
+//! scoped-pool argument (cf. `scoped_threadpool`): workers reach the erased
+//! borrow only through the body slot, read it only after seeing this round's
+//! epoch and decrement the count only after their last use of it; `try_run`
+//! neither returns nor unwinds before the count is zero, and clears the slot
+//! then. A respawned worker starts at the current epoch, so it never reads a
+//! past round's slot; `&mut self` keeps rounds from overlapping. A panic in
+//! any share, the caller's included, is caught; the lowest-tid one is
+//! returned or re-raised once the round has drained.
 //!
 //! # Supervision
 //!
 //! Every round starts with a cooperative checkpoint against the pool's
-//! [`SupervisionCell`]: a cancelled token or expired [`Deadline`] unwinds
-//! the *calling* thread with an [`Interrupt`] payload before any worker is
-//! dispatched. A supervised round is additionally waited on with a timeout
-//! (the watchdog): the instant a worker overruns the deadline the shared
-//! [`HealthState`] is marked [`Wedged`](crate::PoolHealth::Wedged) —
-//! observable by concurrent callers without the pool lock — and the wait
-//! then *blocks* until the round drains, because the scoped-closure
-//! soundness argument above forbids returning while any worker still holds
-//! the erased borrow. Tardy and panicked workers are respawned before the
-//! caller regains control, so the pool is always reusable on every exit
-//! path. A worker that never returns keeps the caller blocked; bounding
-//! that requires process-level isolation, which is out of scope — the
-//! watchdog bounds *detection* latency and keeps concurrent requests
-//! routable to the serial fallback.
+//! [`SupervisionCell`]: a cancelled token or expired [`Deadline`] unwinds the
+//! *calling* thread with an [`Interrupt`] payload before anything is
+//! published. A supervised round is also watched: the instant the caller sees
+//! the deadline passed with the round in flight, the shared [`HealthState`]
+//! is marked [`Wedged`](crate::PoolHealth::Wedged) — readable by concurrent
+//! callers without the pool lock — and the wait then *blocks* until the round
+//! drains, as soundness demands. The watchdog is the calling thread, so an
+//! overrun of share 0 itself is seen only when the caller regains control.
+//! Panicked and tardy workers are respawned before `run` returns, so the pool
+//! is reusable on every exit path; share 0 has no thread to replace — its
+//! failure is recorded, `respawns` counts replaced OS threads only. A share
+//! that never returns keeps the caller blocked: the watchdog bounds only
+//! *detection* latency, keeping other requests routable to the fallback.
 
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
+use std::sync::{Arc, Mutex, RwLock};
+use std::thread::{JoinHandle, Thread};
+use std::time::{Duration, Instant};
 
+use crate::context::lock_ignore_poison as lock;
 #[cfg(any(test, feature = "fault-injection"))]
 use crate::fault::FaultPlan;
 use crate::supervisor::{Deadline, HealthState, Interrupt, SupervisionCell};
 
-/// Global count of pools ever constructed in this process.
-///
-/// The [`ExecutionContext`](crate::ExecutionContext) refactor promises that a
-/// whole harness sweep (or a full CG solve) creates exactly one pool; tests
-/// assert that promise by sampling this counter before and after.
-static POOLS_CREATED: AtomicUsize = AtomicUsize::new(0);
+/// How long an idle worker, or the caller waiting on the count, spins before
+/// it parks: four times the ~25 µs (19–28) it costs to wake a parked thread
+/// on the 2-vCPU reference host, where a halted vCPU must be kicked. That
+/// outlasts the longest gap inside a CG iteration (five serial vector ops
+/// below `vecops::PAR_THRESHOLD`, ~50 µs): a worker inside a solve never
+/// sleeps, one beside a serial phase gives its CPU back after 0.1 ms.
+pub(crate) const SPIN_BUDGET: Duration = Duration::from_micros(100);
 
 /// The closure signature workers execute: SPMD body receiving a thread id.
 type SpmdRef<'a> = &'a (dyn Fn(usize) + Sync);
 type SpmdStatic = &'static (dyn Fn(usize) + Sync);
-
-enum Command {
-    Run(SpmdStatic),
-    Shutdown,
-}
-
-/// Outcome of one worker round: the reporting worker's id plus `Ok` or the
-/// captured panic payload. Carrying the id on *success* too lets the
-/// watchdog identify exactly which workers were still outstanding when a
-/// deadline fired.
-type RoundResult = (usize, Result<(), Box<dyn Any + Send>>);
 
 /// Best-effort human-readable rendering of a panic payload.
 fn panic_message(payload: &(dyn Any + Send)) -> String {
@@ -78,26 +92,43 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// A worker panic captured by [`WorkerPool::try_run`]: which worker died
-/// and the payload it died with.
-///
-/// The round is guaranteed to have fully drained before this value exists —
-/// no worker is still executing user code — so the caller may safely reuse
-/// the pool, [`resume`](WorkerPanic::resume) the unwind, or convert the
-/// panic into a structured error.
+/// Waits for `ready`: polls for [`SPIN_BUDGET`], yielding between looks so an
+/// oversubscribed host runs whoever has work, then alternates `announce();
+/// if !ready() { park() }`. Whoever makes `ready` true looks for the
+/// announcement *afterwards* and unparks, so one side sees the other.
+fn spin_then_park(
+    mut ready: impl FnMut() -> bool,
+    mut announce: impl FnMut(),
+    mut park: impl FnMut(),
+) {
+    let spin_until = Instant::now() + SPIN_BUDGET;
+    while !ready() {
+        if Instant::now() < spin_until {
+            std::thread::yield_now();
+        } else {
+            announce();
+            if !ready() {
+                park();
+            }
+        }
+    }
+}
+
+/// A panic captured by [`WorkerPool::try_run`]: which share died, and its
+/// payload. The round has drained before this value exists: the caller may
+/// reuse the pool, [`resume`](WorkerPanic::resume) the unwind, or report it.
 pub struct WorkerPanic {
     tid: usize,
     payload: Box<dyn Any + Send>,
 }
 
 impl WorkerPanic {
-    /// Thread id of the worker that panicked (first one, if several did).
+    /// Thread id of the share that panicked (the lowest, if several did).
     pub fn tid(&self) -> usize {
         self.tid
     }
 
-    /// The panic message, when the payload was a string (the common case);
-    /// a placeholder otherwise.
+    /// The panic message when the payload was a string, else a placeholder.
     pub fn message(&self) -> String {
         panic_message(&*self.payload)
     }
@@ -114,11 +145,6 @@ impl WorkerPanic {
     pub fn resume(self) -> ! {
         std::panic::resume_unwind(self.payload)
     }
-
-    /// Consumes the capture, yielding the raw panic payload.
-    pub fn into_payload(self) -> Box<dyn Any + Send> {
-        self.payload
-    }
 }
 
 impl std::fmt::Debug for WorkerPanic {
@@ -130,16 +156,51 @@ impl std::fmt::Debug for WorkerPanic {
     }
 }
 
-/// Plain-data record of the most recent worker panic (tid + message),
-/// retained by the pool so panics re-raised through several layers (e.g. a
-/// reduction strategy running rounds inside `with_pool`) can still be
-/// reported as structured errors by the outermost caller.
+/// Plain-data record of the most recent panic, retained by the pool so one
+/// re-raised through several layers (e.g. a reduction strategy's rounds
+/// inside `with_pool`) still reaches the outermost caller as a typed error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerPanicInfo {
-    /// Thread id of the worker that panicked.
+    /// Thread id of the share that panicked.
     pub tid: usize,
     /// Rendered panic message.
     pub message: String,
+}
+
+/// Round state shared by the caller and the spawned workers (module docs,
+/// *Protocol*): `body` is `None` between rounds, `count` the spawned shares
+/// still running, `panics` what they died with.
+#[derive(Default)]
+struct Shared {
+    body: RwLock<Option<SpmdStatic>>,
+    epoch: AtomicUsize,
+    count: AtomicUsize,
+    waiter: Mutex<Option<Thread>>,
+    panics: Mutex<Vec<(usize, Box<dyn Any + Send>)>>,
+}
+
+/// One spawned worker's flags: `parked` from just before it parks until the
+/// caller's next look, `done` the last epoch whose share it finished,
+/// `retire` to make it exit instead of waiting for another round.
+#[derive(Default)]
+struct Seat {
+    parked: AtomicBool,
+    done: AtomicUsize,
+    retire: AtomicBool,
+}
+
+struct Worker {
+    seat: Arc<Seat>,
+    handle: JoinHandle<()>,
+}
+
+impl Worker {
+    /// Stops and joins the thread; it is idle by the drain guarantee.
+    fn retire(self) {
+        self.seat.retire.store(true, SeqCst);
+        self.handle.thread().unpark();
+        let _ = self.handle.join();
+    }
 }
 
 /// A fixed-size pool of persistent worker threads executing SPMD regions.
@@ -155,12 +216,9 @@ pub struct WorkerPanicInfo {
 /// assert_eq!(hits.load(Ordering::Relaxed), 1 + 2 + 3 + 4);
 /// ```
 pub struct WorkerPool {
-    handles: Vec<JoinHandle<()>>,
-    cmd_txs: Vec<SyncSender<Command>>,
-    done_rx: Receiver<RoundResult>,
-    /// Master clone of the result sender, kept so respawned workers can be
-    /// handed a fresh clone for the lifetime of the pool.
-    done_tx: SyncSender<RoundResult>,
+    shared: Arc<Shared>,
+    /// Spawned workers; `workers[i]` runs share `i + 1`.
+    workers: Vec<Worker>,
     last_panic: Option<WorkerPanicInfo>,
     /// Rounds dispatched on this pool (including panicked ones).
     rounds: usize,
@@ -171,27 +229,16 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns a pool with `nthreads` workers (ids `0..nthreads`).
-    ///
+    /// A pool of `nthreads` participants (ids `0..nthreads`): `nthreads − 1`
+    /// spawned threads plus whichever thread calls [`WorkerPool::run`].
     /// Panics if `nthreads == 0`.
     pub fn new(nthreads: usize) -> Self {
         assert!(nthreads > 0, "a pool needs at least one worker");
-        // RELAXED(process-lifetime telemetry counter; no other memory
-        // depends on its value)
-        POOLS_CREATED.fetch_add(1, Ordering::Relaxed);
-        let (done_tx, done_rx) = sync_channel::<RoundResult>(nthreads);
-        let mut cmd_txs = Vec::with_capacity(nthreads);
-        let mut handles = Vec::with_capacity(nthreads);
-        for tid in 0..nthreads {
-            let (tx, handle) = spawn_worker(tid, done_tx.clone());
-            cmd_txs.push(tx);
-            handles.push(handle);
-        }
+        let shared = Arc::new(Shared::default());
+        let workers = (1..nthreads).map(|tid| spawn_worker(tid, &shared));
         WorkerPool {
-            handles,
-            cmd_txs,
-            done_rx,
-            done_tx,
+            workers: workers.collect(),
+            shared,
             last_panic: None,
             rounds: 0,
             supervision: Arc::new(SupervisionCell::default()),
@@ -201,30 +248,19 @@ impl WorkerPool {
         }
     }
 
-    /// Number of rounds ever dispatched on this pool.
-    ///
-    /// Kernel tests use the delta across a call to pin down exactly which
-    /// phases ran — e.g. that a `p = 1` symmetric spmv skips the reduction
-    /// round entirely.
+    /// Number of rounds ever dispatched on this pool; kernel tests pin the
+    /// delta across a call (a `p = 1` symmetric spmv skips the reduction).
     pub fn rounds_run(&self) -> usize {
         self.rounds
     }
 
-    /// Number of workers.
+    /// Number of participants (the caller included).
     pub fn nthreads(&self) -> usize {
-        self.cmd_txs.len()
+        self.workers.len() + 1
     }
 
-    /// How many pools have ever been constructed in this process.
-    pub fn pools_created() -> usize {
-        // RELAXED(telemetry read of a monotonic counter; approximate
-        // freshness is acceptable)
-        POOLS_CREATED.load(Ordering::Relaxed)
-    }
-
-    /// The supervision slot consulted at every round checkpoint. The
-    /// context keeps a clone so a request's deadline/token can be installed
-    /// without the pool lock.
+    /// The supervision slot consulted at every round checkpoint; the context
+    /// keeps a clone to install a deadline/token without the pool lock.
     pub fn supervision_cell(&self) -> Arc<SupervisionCell> {
         Arc::clone(&self.supervision)
     }
@@ -234,189 +270,142 @@ impl WorkerPool {
         Arc::clone(&self.health)
     }
 
-    /// Executes `body(tid)` on every worker and blocks until all complete.
-    ///
-    /// If any worker panics, the panic is re-raised here after the round has
-    /// fully drained (no worker is left running user code). A record of the
-    /// panic remains readable via [`WorkerPool::take_last_panic`].
+    /// Executes `body(tid)` for every tid — share 0 on the calling thread —
+    /// and blocks until all complete. A panic in any share is re-raised here
+    /// once the round has drained, and recorded for `take_last_panic`.
     pub fn run<'a>(&mut self, body: SpmdRef<'a>) {
         if let Err(p) = self.try_run(body) {
             p.resume();
         }
     }
 
-    /// Like [`WorkerPool::run`], but a worker panic is returned as a
-    /// [`WorkerPanic`] value instead of being re-raised. On `Err` the round
-    /// has fully drained and the pool is immediately reusable.
-    ///
-    /// When supervision is installed on this pool, a cancelled token or
-    /// expired deadline instead unwinds the calling thread with an
-    /// [`Interrupt`] payload (never a worker panic) — the fallible kernel
-    /// entry points downcast it back into a typed error.
+    /// Like [`WorkerPool::run`], but a panic in a share is returned as a
+    /// [`WorkerPanic`]; on `Err` the round has fully drained and the pool is
+    /// immediately reusable. Supervision trips still unwind the caller, with
+    /// an [`Interrupt`] the fallible kernel entry points turn into an error.
     pub fn try_run<'a>(&mut self, body: SpmdRef<'a>) -> Result<(), WorkerPanic> {
-        #[cfg(any(test, feature = "fault-injection"))]
-        if let Some(plan) = &self.fault {
-            let plan = Arc::clone(plan);
-            let round = plan.begin_round();
-            let wrapped = move |tid: usize| {
-                plan.worker_hook(round, tid);
-                body(tid);
-            };
-            return self.dispatch(&wrapped);
+        // Cooperative checkpoint (`BufferLease` drops scrub during the unwind).
+        let sup = self.supervision.snapshot();
+        if sup.as_ref().is_some_and(|sup| sup.cancel.poll()) {
+            std::panic::panic_any(Interrupt::Cancelled);
         }
-        self.dispatch(body)
-    }
-
-    fn dispatch<'a>(&mut self, body: SpmdRef<'a>) -> Result<(), WorkerPanic> {
-        // Cooperative checkpoint: a supervised request stops at the next
-        // phase boundary. The unwind passes through `BufferLease` drops,
-        // which scrub on panic, so the arena invariant survives.
-        let deadline = match self.supervision.snapshot() {
-            Some(sup) => {
-                if sup.cancel.poll() {
-                    std::panic::panic_any(Interrupt::Cancelled);
-                }
-                if let Some(d) = sup.deadline {
-                    if d.expired() {
-                        std::panic::panic_any(Interrupt::DeadlineExceeded { wedged: false });
-                    }
-                }
-                sup.deadline
-            }
-            None => None,
-        };
+        let deadline = sup.and_then(|sup| sup.deadline);
+        if deadline.is_some_and(|d| d.expired()) {
+            std::panic::panic_any(Interrupt::DeadlineExceeded { wedged: false });
+        }
+        // Only a round past its checkpoint is numbered, here and on the fault
+        // plan: a refused round must not eat a fault armed for "the next".
         self.rounds += 1;
+        #[cfg(any(test, feature = "fault-injection"))]
+        let armed = self.fault.clone().map(|plan| (plan.begin_round(), plan));
+        #[cfg(any(test, feature = "fault-injection"))]
+        let body: SpmdRef<'_> = &move |tid| {
+            if let Some((round, plan)) = &armed {
+                plan.worker_hook(*round, tid);
+            }
+            body(tid);
+        };
+        // The race detector's tag drops with the share, on the caller's thread too.
         #[cfg(feature = "race-detector")]
-        {
-            // Tag every worker with its (tid, round-epoch) identity for the
-            // shadow-memory detector, then run the round through the normal
-            // path. The tag is cleared even when the body panics — the
-            // worker loop catches the unwind, so the closure's own cleanup
-            // would be skipped; an explicit drop guard is not needed because
-            // a stale tag is overwritten at the next round start and workers
-            // never write between rounds.
-            let epoch = crate::race::next_epoch();
-            let traced = move |tid: usize| {
-                crate::race::set_current(tid, epoch);
-                body(tid);
-                crate::race::clear_current();
-            };
-            return self.dispatch_inner(&traced, deadline);
-        }
-        #[cfg(not(feature = "race-detector"))]
-        self.dispatch_inner(body, deadline)
-    }
-
-    fn dispatch_inner<'a>(
-        &mut self,
-        body: SpmdRef<'a>,
-        deadline: Option<Deadline>,
-    ) -> Result<(), WorkerPanic> {
-        // SAFETY(cert: pool-barrier): the classic scoped-pool argument (see
-        // module docs) — the erased borrow cannot dangle because this frame
-        // blocks until every worker acknowledges completion below (the
-        // watchdog arm only flags health and then keeps blocking; no exit
-        // path skips the drain), and `&mut self` serializes rounds so no
-        // other job aliases the slot.
-        let body_static: SpmdStatic = unsafe { std::mem::transmute(body) };
-        for tx in &self.cmd_txs {
-            // Workers only exit on an explicit Shutdown (they catch kernel
-            // panics), so a closed channel mid-round cannot happen.
-            tx.send(Command::Run(body_static))
-                .unwrap_or_else(|_| unreachable!("worker command channel closed mid-round"));
-        }
-        let n = self.cmd_txs.len();
-        let mut reported = vec![false; n];
-        let mut panicked: Vec<usize> = Vec::new();
-        let mut tardy: Vec<usize> = Vec::new();
-        let mut wedged = false;
-        let mut first: Option<WorkerPanic> = None;
-        let mut received = 0usize;
-        while received < n {
-            let msg = match deadline.filter(|_| !wedged) {
-                Some(d) => match self.done_rx.recv_timeout(d.remaining()) {
-                    Ok(msg) => msg,
-                    Err(RecvTimeoutError::Timeout) => {
-                        // Watchdog: a worker overran the deadline. Mark the
-                        // pool Wedged *now* so concurrent requests observe
-                        // it and route to the fallback, then keep draining —
-                        // returning early would dangle the erased borrow.
-                        wedged = true;
-                        self.health.mark_wedged();
-                        tardy = (0..n).filter(|&t| !reported[t]).collect();
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        unreachable!("worker result channel closed mid-round")
-                    }
-                },
-                None => self
-                    .done_rx
-                    .recv()
-                    .unwrap_or_else(|_| unreachable!("worker result channel closed mid-round")),
-            };
-            received += 1;
-            let (tid, outcome) = msg;
-            reported[tid] = true;
-            if let Err(payload) = outcome {
-                panicked.push(tid);
-                if first.is_none() {
-                    first = Some(WorkerPanic { tid, payload });
-                }
+        let race_epoch = crate::race::next_epoch();
+        #[cfg(feature = "race-detector")]
+        let body: SpmdRef<'_> = &move |tid| {
+            let _tag = crate::race::enter_round(tid, race_epoch);
+            body(tid);
+        };
+        // SAFETY(cert: pool-barrier): the scoped-pool argument of the module
+        // docs — workers read the erased borrow only out of the body slot,
+        // after this round's epoch bump and before their count decrement;
+        // this frame is left (return or unwind) only after `drain` saw the
+        // count at zero (the watchdog flags health and keeps waiting, share
+        // 0 runs under `catch_unwind`); `&mut self` serializes rounds.
+        let erased: SpmdStatic = unsafe { std::mem::transmute(body) };
+        *self.shared.body.write().unwrap_or_else(|e| e.into_inner()) = Some(erased);
+        self.shared.count.store(self.workers.len(), SeqCst);
+        let epoch = self.shared.epoch.fetch_add(1, SeqCst) + 1;
+        for w in &self.workers {
+            if w.seat.parked.swap(false, SeqCst) {
+                w.handle.thread().unpark();
             }
         }
-        // The round has drained; every exit path below leaves the pool
-        // reusable. Respawn every worker that panicked, and every worker
-        // that was still outstanding when the watchdog fired (a tardy
-        // worker finished eventually, but cannot be distinguished from one
-        // stuck in a slow-degrading state — a fresh thread is cheap).
+        let own = std::panic::catch_unwind(AssertUnwindSafe(|| body(0)));
+        let tardy = self.drain(epoch, deadline);
+        *self.shared.body.write().unwrap_or_else(|e| e.into_inner()) = None;
+
+        // Drained: every exit below leaves the pool reusable. Respawn each
+        // spawned worker that panicked or was outstanding when the watchdog
+        // fired (it finished, but may be degrading — a fresh thread is cheap).
+        let mut panics = std::mem::take(&mut *lock(&self.shared.panics));
+        panics.extend(own.err().map(|payload| (0, payload)));
+        panics.sort_by_key(|(tid, _)| *tid);
+        let panicked: Vec<usize> = panics.iter().map(|(tid, _)| *tid).collect();
         for &tid in &panicked {
             self.health.record_failure();
-            self.respawn_worker(tid);
+            if tid > 0 {
+                self.respawn_worker(tid);
+            }
         }
+        let first = panics.into_iter().next();
+        let first = first.map(|(tid, payload)| WorkerPanic { tid, payload });
         if let Some(p) = &first {
             self.last_panic = Some(p.info());
         }
-        if wedged {
-            for &tid in &tardy {
-                if !panicked.contains(&tid) {
-                    self.respawn_worker(tid);
-                }
+        if let Some(tardy) = tardy {
+            for tid in tardy.into_iter().filter(|tid| !panicked.contains(tid)) {
+                self.respawn_worker(tid);
             }
             self.health.unwedge();
             std::panic::panic_any(Interrupt::DeadlineExceeded { wedged: true });
         }
-        match first {
-            Some(p) => Err(p),
-            None => {
-                self.health.record_success();
-                Ok(())
-            }
+        if first.is_none() {
+            self.health.record_success();
         }
+        first.map_or(Ok(()), Err)
     }
 
-    /// Replaces worker `tid` with a freshly spawned thread: the old worker
-    /// (idle between rounds by the drain guarantee) is shut down and
-    /// joined, and the respawn is counted on the shared health record.
+    /// Waits, share 0 done, until every spawned share of round `epoch` is.
+    /// The watchdog lives here: `Some` lists the spawned workers outstanding
+    /// the instant the deadline was seen passed and the pool marked wedged.
+    fn drain(&self, epoch: usize, deadline: Option<Deadline>) -> Option<Vec<usize>> {
+        let mut tardy = None;
+        let watchdog = |tardy: &mut Option<Vec<usize>>| {
+            if tardy.is_none() && deadline.is_some_and(|d| d.expired()) {
+                self.health.mark_wedged();
+                let done = |tid: usize| self.workers[tid - 1].seat.done.load(SeqCst);
+                *tardy = Some((1..self.nthreads()).filter(|&t| done(t) != epoch).collect());
+            }
+        };
+        watchdog(&mut tardy); // share 0 alone may be what overran
+        spin_then_park(
+            || self.shared.count.load(SeqCst) == 0,
+            // A registration outliving the wait costs one spurious unpark.
+            || *lock(&self.shared.waiter) = Some(std::thread::current()),
+            || {
+                match deadline.filter(|_| tardy.is_none()) {
+                    Some(d) => std::thread::park_timeout(d.remaining()),
+                    None => std::thread::park(),
+                }
+                watchdog(&mut tardy);
+            },
+        );
+        tardy
+    }
+
+    /// Replaces spawned worker `tid` with a fresh thread, retiring the old one
+    /// (idle, by the drain guarantee), and counts it on the health record.
     fn respawn_worker(&mut self, tid: usize) {
-        let (tx, handle) = spawn_worker(tid, self.done_tx.clone());
-        let old_tx = std::mem::replace(&mut self.cmd_txs[tid], tx);
-        let _ = old_tx.send(Command::Shutdown);
-        let old_handle = std::mem::replace(&mut self.handles[tid], handle);
-        let _ = old_handle.join();
+        let fresh = spawn_worker(tid, &self.shared);
+        std::mem::replace(&mut self.workers[tid - 1], fresh).retire();
         self.health.record_respawn();
     }
 
-    /// Takes (and clears) the record of the most recent worker panic.
-    ///
-    /// Set by both [`WorkerPool::run`] and [`WorkerPool::try_run`]; lets a
-    /// caller that caught a re-raised panic several layers up recover which
-    /// worker died without threading the payload through those layers.
+    /// Takes (and clears) the record of the most recent panic (`run` or
+    /// `try_run`): who died, for a caller layers above the re-raise.
     pub fn take_last_panic(&mut self) -> Option<WorkerPanicInfo> {
         self.last_panic.take()
     }
 
-    /// Attaches a fault plan consulted at the start of every round; workers
+    /// Attaches a fault plan consulted at the start of every round; shares
     /// then apply any fault armed for their (round, tid) coordinate.
     #[cfg(any(test, feature = "fault-injection"))]
     pub fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
@@ -424,41 +413,51 @@ impl WorkerPool {
     }
 }
 
-fn spawn_worker(
-    tid: usize,
-    done: SyncSender<RoundResult>,
-) -> (SyncSender<Command>, JoinHandle<()>) {
-    let (tx, rx) = sync_channel::<Command>(1);
+/// Spawns the thread for share `tid`, starting at the current epoch: pools
+/// spawn only between rounds, so its first share is the next round's.
+fn spawn_worker(tid: usize, shared: &Arc<Shared>) -> Worker {
+    let seat = Arc::new(Seat::default());
+    let (shared, thread_seat) = (Arc::clone(shared), Arc::clone(&seat));
+    let seen = shared.epoch.load(SeqCst);
     let handle = std::thread::Builder::new()
         .name(format!("symspmv-worker-{tid}"))
-        .spawn(move || worker_loop(tid, rx, done))
+        .spawn(move || worker_loop(tid, &shared, &thread_seat, seen))
         .unwrap_or_else(|e| panic!("failed to spawn worker thread {tid}: {e}"));
-    (tx, handle)
+    Worker { seat, handle }
 }
 
-fn worker_loop(tid: usize, rx: Receiver<Command>, done: SyncSender<RoundResult>) {
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Command::Run(body) => {
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| body(tid)));
-                // The caller counts acknowledgements; it cannot have dropped
-                // the receiver mid-round, but a panic on the caller side
-                // after the round is none of our business — ignore failures.
-                let _ = done.send((tid, outcome));
+fn worker_loop(tid: usize, shared: &Shared, seat: &Seat, mut seen: usize) {
+    loop {
+        let retired = || seat.retire.load(SeqCst);
+        spin_then_park(
+            || retired() || shared.epoch.load(SeqCst) != seen,
+            || seat.parked.store(true, SeqCst),
+            std::thread::park,
+        );
+        if retired() {
+            return;
+        }
+        seen = shared.epoch.load(SeqCst);
+        let body = *shared.body.read().unwrap_or_else(|e| e.into_inner());
+        let share = || match body {
+            Some(body) => body(tid),
+            None => unreachable!("epoch {seen} published without a body"),
+        };
+        if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(share)) {
+            lock(&shared.panics).push((tid, payload));
+        }
+        seat.done.store(seen, SeqCst);
+        if shared.count.fetch_sub(1, SeqCst) == 1 {
+            if let Some(caller) = lock(&shared.waiter).take() {
+                caller.unpark();
             }
-            Command::Shutdown => break,
         }
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        for tx in &self.cmd_txs {
-            let _ = tx.send(Command::Shutdown);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.workers.drain(..).for_each(Worker::retire);
     }
 }
 
@@ -556,14 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_creation_counter_increments() {
-        let before = WorkerPool::pools_created();
-        let _a = WorkerPool::new(1);
-        let _b = WorkerPool::new(2);
-        assert!(WorkerPool::pools_created() >= before + 2);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_threads_rejected() {
         let _ = WorkerPool::new(0);
@@ -640,15 +631,26 @@ mod tests {
         let mut pool = WorkerPool::new(3);
         let health = pool.health_state();
         assert_eq!(health.health(), PoolHealth::Healthy);
+        // Share 0 runs on the calling thread: its failure is recorded, but
+        // there is no OS thread to replace.
         let res = pool.try_run(&|tid| {
             if tid == 0 {
                 panic!("die once");
             }
         });
-        assert!(res.is_err());
+        assert_eq!(res.unwrap_err().tid(), 0);
         assert_eq!(health.failures(), 1);
-        assert_eq!(health.respawns(), 1);
+        assert_eq!(health.respawns(), 0);
         assert_eq!(health.health(), PoolHealth::Degraded);
+        // A spawned worker's is replaced.
+        let res = pool.try_run(&|tid| {
+            if tid == 2 {
+                panic!("die once");
+            }
+        });
+        assert_eq!(res.unwrap_err().tid(), 2);
+        assert_eq!(health.failures(), 2);
+        assert_eq!(health.respawns(), 1);
 
         // The replacement worker serves subsequent rounds (all ids present).
         let mask = AtomicUsize::new(0);
@@ -662,6 +664,80 @@ mod tests {
             pool.run(&|_| {});
         }
         assert_eq!(health.health(), PoolHealth::Healthy);
+    }
+
+    #[test]
+    fn caller_share_panic_keeps_the_callers_thread_and_the_pool() {
+        let mut pool = WorkerPool::new(3);
+        let health = pool.health_state();
+        let me = std::thread::current().id();
+        let ids_of_round = |pool: &mut WorkerPool| {
+            let ids = std::sync::Mutex::new(vec![None; 3]);
+            pool.run(&|tid| ids.lock().unwrap()[tid] = Some(std::thread::current().id()));
+            ids.into_inner().unwrap()
+        };
+        let before = ids_of_round(&mut pool);
+        assert_eq!(before[0], Some(me), "share 0 runs on the caller");
+
+        let p = pool
+            .try_run(&|tid| {
+                if tid == 0 {
+                    panic!("caller share died");
+                }
+            })
+            .unwrap_err();
+        assert_eq!(p.tid(), 0);
+        assert!(p.message().contains("caller share died"));
+        assert_eq!(pool.take_last_panic().map(|i| i.tid), Some(0));
+        assert_eq!(health.failures(), 1);
+        assert_eq!(health.respawns(), 0, "no OS thread was replaced");
+        assert_eq!(std::thread::current().id(), me);
+        // Same caller, same two spawned threads, all three shares served.
+        assert_eq!(ids_of_round(&mut pool), before);
+    }
+
+    #[test]
+    fn lowest_tid_panic_wins_when_several_shares_die() {
+        let mut pool = WorkerPool::new(4);
+        let health = pool.health_state();
+        let p = pool
+            .try_run(&|tid| {
+                if tid != 1 {
+                    panic!("share {tid} died");
+                }
+            })
+            .unwrap_err();
+        assert_eq!(p.tid(), 0);
+        assert_eq!(health.failures(), 3);
+        assert_eq!(health.respawns(), 2, "tids 2 and 3; share 0 has no thread");
+    }
+
+    #[test]
+    fn refused_round_consumes_no_fault_plan_round() {
+        // A round the checkpoint refuses is numbered neither by the pool nor
+        // by the fault plan, so a fault armed for "the next round" still
+        // fires on the next round that is actually dispatched.
+        let plan = crate::fault::FaultPlan::new();
+        let mut pool = WorkerPool::new(2);
+        pool.set_fault_plan(Arc::clone(&plan));
+        plan.arm_worker_panic(1, 0);
+
+        let cancel = CancelToken::new();
+        pool.supervision_cell()
+            .install(Supervision::with_cancel(cancel.clone()));
+        cancel.cancel();
+        let res = std::panic::catch_unwind(AssertUnwindSafe(|| pool.run(&|_| {})));
+        assert!(res.unwrap_err().downcast_ref::<Interrupt>().is_some());
+        pool.supervision_cell().clear();
+        assert_eq!(pool.rounds_run(), 0);
+        assert_eq!(plan.rounds_started(), pool.rounds_run());
+        assert_eq!((plan.fired(), plan.pending()), (0, 1));
+
+        let p = pool.try_run(&|_| {}).unwrap_err();
+        assert_eq!(p.tid(), 1);
+        assert!(p.message().contains("injected fault"), "{}", p.message());
+        assert_eq!(plan.rounds_started(), pool.rounds_run());
+        assert_eq!((plan.fired(), plan.pending()), (1, 0));
     }
 
     #[test]

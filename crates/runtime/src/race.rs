@@ -113,14 +113,22 @@ pub(crate) fn next_epoch() -> u64 {
     EPOCH.fetch_add(1, Ordering::SeqCst) + 1
 }
 
-/// Marks the current thread as worker `tid` inside round `epoch`.
-pub(crate) fn set_current(tid: usize, epoch: u64) {
+/// Marks the current thread as worker `tid` inside round `epoch` until the
+/// returned tag drops — also when the share unwinds. Share 0 runs on the
+/// caller's thread, which goes on writing between rounds; a tag left
+/// behind there would attribute those writes to a finished round.
+pub(crate) fn enter_round(tid: usize, epoch: u64) -> RoundTag {
     CURRENT.with(|c| c.set(Some((tid, epoch))));
+    RoundTag
 }
 
-/// Clears the current thread's worker identity (round finished).
-pub(crate) fn clear_current() {
-    CURRENT.with(|c| c.set(None));
+/// The current thread's worker identity; cleared on drop.
+pub(crate) struct RoundTag;
+
+impl Drop for RoundTag {
+    fn drop(&mut self) {
+        CURRENT.with(|c| c.set(None));
+    }
 }
 
 /// Records a write of `len` elements starting at `base` (element stride 8).

@@ -54,6 +54,59 @@ fn phases_are_barrier_separated() {
 }
 
 #[test]
+fn park_unpark_edge_keeps_every_share_and_the_barrier() {
+    // Every tid runs every round, and a round sees all of the round before,
+    // whether the workers are still spinning when the next round is
+    // published (pauses of 0 and half the budget), parked (twice the
+    // budget) or caught in between — on pools of one, on this host's two
+    // CPUs, and oversubscribed.
+    use crate::pool::SPIN_BUDGET;
+    use std::time::{Duration, Instant};
+    const PAIRS: usize = 350; // × 2 rounds × 3 pauses = 2 100 rounds per pool
+    let pauses = [Duration::ZERO, SPIN_BUDGET / 2, SPIN_BUDGET * 2];
+    let busy_wait = |pause: Duration| {
+        let until = Instant::now() + pause;
+        while Instant::now() < until {
+            std::hint::spin_loop();
+        }
+    };
+    for p in [1, 2, 3, 8] {
+        let mut pool = WorkerPool::new(p);
+        let cells: Vec<AtomicU64> = (0..p).map(|_| AtomicU64::new(0)).collect();
+        let hits: Vec<AtomicUsize> = (0..p).map(|_| AtomicUsize::new(0)).collect();
+        let stale = AtomicUsize::new(0);
+        let mut stamp = 0;
+        for pause in pauses {
+            for _ in 0..PAIRS {
+                stamp += 1;
+                pool.run(&|tid| {
+                    cells[tid].store(stamp, Ordering::Relaxed);
+                    hits[tid].fetch_add(1, Ordering::Relaxed);
+                });
+                busy_wait(pause);
+                pool.run(&|tid| {
+                    if cells.iter().any(|c| c.load(Ordering::Relaxed) != stamp) {
+                        stale.fetch_add(1, Ordering::Relaxed);
+                    }
+                    hits[tid].fetch_add(1, Ordering::Relaxed);
+                });
+                busy_wait(pause);
+            }
+        }
+        let rounds = 2 * PAIRS * pauses.len();
+        assert_eq!(pool.rounds_run(), rounds, "pool size {p}");
+        assert_eq!(stale.load(Ordering::Relaxed), 0, "pool size {p}");
+        for (tid, h) in hits.iter().enumerate() {
+            assert_eq!(
+                h.load(Ordering::Relaxed),
+                rounds,
+                "pool size {p}, tid {tid}"
+            );
+        }
+    }
+}
+
+#[test]
 fn pools_of_every_size_up_to_16() {
     for p in 1..=16 {
         let mut pool = WorkerPool::new(p);
@@ -75,8 +128,9 @@ fn double_fault_rounds_respawn_only_the_panicked_workers() {
     // Two *consecutive* panicked rounds — the second fault hits while the
     // pool is freshly recovered from the first — must not wedge any worker
     // or leak a stale panic payload. The supervisor respawns exactly the
-    // workers that died (fresh OS threads for their tids), keeps the
-    // survivors on their original threads, and never re-creates the pool.
+    // spawned workers that died (fresh OS threads for their tids; share 0
+    // is the caller, whose thread nobody replaces), keeps the survivors on
+    // their original threads, and never re-creates the pool.
     let plan = crate::fault::FaultPlan::new();
     let mut pool = WorkerPool::new(4);
     pool.set_fault_plan(std::sync::Arc::clone(&plan));
@@ -101,17 +155,19 @@ fn double_fault_rounds_respawn_only_the_panicked_workers() {
     assert_eq!(p1.tid(), 3);
     assert_eq!(plan.fired(), 2);
     assert_eq!(health.failures(), 2);
-    assert_eq!(health.respawns(), 2);
+    assert_eq!(health.respawns(), 1, "replaced threads only: tid 3");
 
-    // A clean round still runs on all four tids: the panicked workers were
-    // replaced with fresh threads, the clean ones kept their OS threads.
+    // A clean round still runs on all four tids: the panicked spawned
+    // worker was replaced with a fresh thread, everyone else — the caller
+    // running share 0 included — kept their OS threads.
     let ids_after = ids_of_round(&mut pool);
-    assert_ne!(ids_before[0], ids_after[0], "worker 0 must be respawned");
+    assert_eq!(ids_before[0], Some(std::thread::current().id()));
+    assert_eq!(ids_before[0], ids_after[0], "share 0 stays on the caller");
     assert_ne!(ids_before[3], ids_after[3], "worker 3 must be respawned");
     assert_eq!(ids_before[1], ids_after[1], "worker 1 kept its thread");
     assert_eq!(ids_before[2], ids_after[2], "worker 2 kept its thread");
     // The pool's own round counter ran on through both faults: recovery
-    // replaced two workers, not the pool.
+    // replaced one worker, not the pool.
     assert_eq!(pool.rounds_run(), 4, "recovery must not create a new pool");
 }
 

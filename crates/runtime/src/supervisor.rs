@@ -12,9 +12,11 @@
 //!   (multiply phases, reduction phases, first-touch initialization), so a
 //!   cancelled or overdue request stops at the next phase boundary instead
 //!   of running to completion.
-//! * the **watchdog** — a supervised round is waited on with a timeout
-//!   derived from the deadline. The moment the wait times out the pool's
-//!   health is marked [`PoolHealth::Wedged`] (observable by concurrent
+//! * the **watchdog** — the caller of a supervised round waits for it
+//!   with a timeout derived from the deadline. The moment it sees the
+//!   deadline passed with the round in flight — for an overrun of its own
+//!   share 0, the moment it regains control — the pool's health is marked
+//!   [`PoolHealth::Wedged`] (observable by concurrent
 //!   callers *without* taking the pool lock), and the round is then drained
 //!   to completion so the scoped-closure soundness argument of
 //!   [`WorkerPool::try_run`](crate::WorkerPool::try_run) still holds. A
@@ -283,7 +285,8 @@ impl HealthState {
         self.failures.load(Ordering::SeqCst)
     }
 
-    /// Workers respawned after failures.
+    /// Worker OS threads replaced after failures (share 0 runs on the
+    /// caller's thread, so its failures replace none).
     pub fn respawns(&self) -> usize {
         self.respawns.load(Ordering::SeqCst)
     }
@@ -325,7 +328,7 @@ impl HealthState {
         clock.last = Some(now);
     }
 
-    /// Records a respawned worker.
+    /// Records a replaced worker thread.
     pub(crate) fn record_respawn(&self) {
         self.respawns.fetch_add(1, Ordering::SeqCst);
     }

@@ -596,6 +596,38 @@ mod tests {
     }
 
     #[test]
+    fn warm_solve_makes_two_rounds_per_spmv_and_one_per_parallel_vector_op() {
+        // The traffic the pool protocol is sized on. A warm `sss-idx` SpMV at
+        // p = 2 is two rounds (multiply, reduce). Below PAR_THRESHOLD every
+        // vector op is serial: 2·(iters + 1) rounds. Above it the set-up adds
+        // two dots and an iteration two dots, two axpys and one xpby:
+        // 4 + 7·iters. Fusing vector ops (ROADMAP 1b) moves this pin on purpose.
+        for (side, per_iter, fixed) in [(40, 2, 2), (130, 7, 4)] {
+            let coo = symspmv_sparse::gen::laplacian_2d(side, side);
+            let n = coo.nrows() as usize;
+            assert_eq!(n >= crate::vecops::PAR_THRESHOLD, per_iter == 7, "n = {n}");
+            let ctx = ExecutionContext::new(2);
+            let mut k =
+                SymSpmv::from_coo(&coo, &ctx, ReductionMethod::Indexing, SymFormat::Sss).unwrap();
+            let b = seeded_vector(n, 3);
+            let cfg = CgConfig {
+                max_iters: 12,
+                rel_tol: 0.0,
+                record_history: false,
+            };
+            cg(&mut k, &b, &mut vec![0.0; n], &cfg); // grows the arena: extra rounds
+            let before = ctx.pool_rounds();
+            let res = cg(&mut k, &b, &mut vec![0.0; n], &cfg);
+            assert_eq!(res.iterations, 12);
+            assert_eq!(
+                ctx.pool_rounds() - before,
+                per_iter * res.iterations + fixed,
+                "n = {n}"
+            );
+        }
+    }
+
+    #[test]
     fn full_solve_creates_exactly_one_pool_and_recycles_scratch() {
         let coo = symspmv_sparse::gen::banded_random(500, 12, 6.0, 9);
         let ctx = ExecutionContext::new(4);

@@ -209,7 +209,8 @@ fn worker_kills_are_retried_transparently() {
         assert_eq!(bits(&y), bits(&y_base), "tid {tid}: retried serve diverges");
     }
     assert_eq!(ctx.pool_failures(), 3);
-    assert_eq!(ctx.pool_respawns(), 3);
+    // Replaced OS threads only: tid 0 is the calling thread.
+    assert_eq!(ctx.pool_respawns(), 2);
     assert_eq!(service.fallback_serves(), 0);
 }
 
