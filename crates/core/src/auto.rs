@@ -22,63 +22,14 @@
 //! matches and no measurement budget is available.
 
 use crate::error::SymSpmvError;
-use crate::sym::{ReductionMethod, SymFormat, SymSpmv};
+pub use crate::sym::FormatTag;
+use crate::sym::{unsupported_pair, ReductionMethod, SymSpmv};
 use crate::ws;
 use std::sync::Arc;
-use symspmv_csx::detect::DetectConfig;
 use symspmv_runtime::ExecutionContext;
 use symspmv_sparse::stats::{matrix_stats, sss_size_bytes, MatrixStats};
 use symspmv_sparse::symmetry::SymmetryKind;
 use symspmv_sparse::{CooMatrix, SssMatrix};
-
-/// Serializable handle for the three [`SymFormat`] families. [`SymFormat`]
-/// itself carries a full [`DetectConfig`], which is the wrong thing to
-/// persist in a plan store; the tag round-trips through its [`str`] name
-/// and materializes with the experiment-default detection configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FormatTag {
-    /// Sparse Skyline storage.
-    Sss,
-    /// CSX-Sym delta/run compression.
-    CsxSym,
-    /// Per-chunk adaptive SSS/CSX-Sym hybrid.
-    Hybrid,
-}
-
-impl FormatTag {
-    /// Stable short name (`"sss"`, `"csxsym"`, `"hybrid"`) used in plan
-    /// files and search tables.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            FormatTag::Sss => "sss",
-            FormatTag::CsxSym => "csxsym",
-            FormatTag::Hybrid => "hybrid",
-        }
-    }
-
-    /// Parses a [`FormatTag::tag`] name back; `None` for unknown names.
-    pub fn parse(name: &str) -> Option<FormatTag> {
-        match name {
-            "sss" => Some(FormatTag::Sss),
-            "csxsym" => Some(FormatTag::CsxSym),
-            "hybrid" => Some(FormatTag::Hybrid),
-            _ => None,
-        }
-    }
-
-    /// Materializes the tag as a buildable [`SymFormat`] with the default
-    /// detection configuration (the same one the experiment drivers use).
-    pub fn to_format(self) -> SymFormat {
-        match self {
-            FormatTag::Sss => SymFormat::Sss,
-            FormatTag::CsxSym => SymFormat::CsxSym(DetectConfig::default()),
-            FormatTag::Hybrid => SymFormat::Hybrid {
-                csx: DetectConfig::default(),
-                min_coverage: 0.5,
-            },
-        }
-    }
-}
 
 /// One point of the tuning search space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -106,14 +57,9 @@ impl PlanSpec {
         )
     }
 
-    /// Whether this spec is buildable at all: the hybrid format supports
-    /// only the direct-write reduction strategies, and the race schedule
-    /// supports the SSS format only.
+    /// Whether this spec is buildable at all ([`unsupported_pair`]).
     pub fn is_valid(&self) -> bool {
-        if self.method == ReductionMethod::Race {
-            return self.format == FormatTag::Sss;
-        }
-        !(self.format == FormatTag::Hybrid && self.method == ReductionMethod::Naive)
+        unsupported_pair(self.format, self.method).is_none()
     }
 }
 
@@ -166,9 +112,7 @@ pub trait PlanAdvisor {
 /// The CSX-Sym estimate shrinks the 4-byte column indices toward 1 byte as
 /// the mean in-row column gap falls below the 1-byte delta range: entries
 /// `avg_row_nnz` spread over `≈ 2·avg_entry_distance` columns have mean gap
-/// `2·d̄/r̄`, and delta units only pay off inside that range. The hybrid
-/// format adopts the stream encoding only where it pays, so its size is
-/// modeled as the smaller of the two.
+/// `2·d̄/r̄`, and delta units only pay off inside that range.
 pub fn predicted_format_bytes(stats: &MatrixStats, kind: SymmetryKind, format: FormatTag) -> f64 {
     let n = stats.nrows as usize;
     // `stats.nnz` counts the stored full-matrix entries; the symmetric
@@ -182,15 +126,10 @@ pub fn predicted_format_bytes(stats: &MatrixStats, kind: SymmetryKind, format: F
     let sss = sss_size_bytes(stats.nrows, lower) as f64 + paired_upper;
     match format {
         FormatTag::Sss => sss,
-        FormatTag::CsxSym | FormatTag::Hybrid => {
+        FormatTag::CsxSym => {
             let mean_gap = (2.0 * stats.avg_entry_distance / stats.avg_row_nnz.max(1.0)).max(1.0);
             let idx_bytes_per_entry = 1.0 + 3.0 * (mean_gap / 255.0).min(1.0);
-            let csx = sss - (4.0 - idx_bytes_per_entry) * lower as f64;
-            if format == FormatTag::Hybrid {
-                csx.min(sss)
-            } else {
-                csx
-            }
+            sss - (4.0 - idx_bytes_per_entry) * lower as f64
         }
     }
 }
@@ -233,24 +172,18 @@ pub fn predicted_bytes(stats: &MatrixStats, kind: SymmetryKind, spec: &PlanSpec)
 }
 
 /// Enumerates the candidate space `format × method × threads × lanes`,
-/// scored by [`predicted_bytes`]. Invalid combinations (hybrid × naive)
-/// are skipped. The result is unsorted; callers prune or rank it.
+/// scored by [`predicted_bytes`]. Pairs that do not build
+/// ([`PlanSpec::is_valid`]) are skipped. The result is unsorted; callers
+/// prune or rank it.
 pub fn enumerate_candidates(
     stats: &MatrixStats,
     kind: SymmetryKind,
     threads: &[usize],
     lanes: &[usize],
 ) -> Vec<(PlanSpec, f64)> {
-    let formats = [FormatTag::Sss, FormatTag::CsxSym, FormatTag::Hybrid];
-    let methods = [
-        ReductionMethod::Naive,
-        ReductionMethod::EffectiveRanges,
-        ReductionMethod::Indexing,
-        ReductionMethod::Race,
-    ];
     let mut out = Vec::new();
-    for &format in &formats {
-        for &method in &methods {
+    for format in FormatTag::ALL {
+        for method in ReductionMethod::ALL {
             for &nthreads in threads {
                 for &k in lanes {
                     let spec = PlanSpec {
@@ -280,7 +213,7 @@ pub fn cost_model_choice(
     nthreads: usize,
 ) -> (PlanSpec, f64) {
     let candidates = enumerate_candidates(stats, kind, &[nthreads], &[1]);
-    // The space is non-empty by construction (≥ 8 valid combinations) and
+    // The space is non-empty by construction (7 buildable pairs) and
     // the model never produces NaN, so a missing minimum is unreachable.
     candidates
         .into_iter()
@@ -361,22 +294,24 @@ mod tests {
 
     #[test]
     fn format_tags_round_trip() {
-        for tag in [FormatTag::Sss, FormatTag::CsxSym, FormatTag::Hybrid] {
+        for tag in FormatTag::ALL {
             assert_eq!(FormatTag::parse(tag.tag()), Some(tag));
         }
         assert_eq!(FormatTag::parse("bogus"), None);
+        for method in ReductionMethod::ALL {
+            assert_eq!(ReductionMethod::from_tag(method.tag()), Some(method));
+        }
+        assert_eq!(ReductionMethod::from_tag("bogus"), None);
     }
 
     #[test]
-    fn enumeration_skips_hybrid_naive() {
+    fn enumeration_covers_the_buildable_pairs() {
         let coo = gen::laplacian_2d(16, 16);
         let stats = matrix_stats(&coo);
         let all = enumerate_candidates(&stats, SymmetryKind::Symmetric, &[1, 2], &[1, 8]);
-        assert!(all
-            .iter()
-            .all(|(s, _)| !(s.format == FormatTag::Hybrid && s.method == ReductionMethod::Naive)));
-        // 3 formats × 3 methods − hybrid-naive = 8 combos, × 2 threads × 2 lanes.
-        assert_eq!(all.len(), 9 * 2 * 2);
+        assert!(all.iter().all(|(s, _)| s.is_valid()));
+        // 2 formats × 4 methods − csxsym-race = 7 pairs, × 2 threads × 2 lanes.
+        assert_eq!(all.len(), 7 * 2 * 2);
         assert!(all.iter().all(|(_, c)| c.is_finite() && *c > 0.0));
     }
 

@@ -12,9 +12,7 @@
 //! * **`NotSpd` / `Diverged` / `NonFiniteResidual`** — a solver detected
 //!   numerical breakdown instead of silently emitting garbage;
 //! * **`WorkerPanicked`** — a pool worker died mid-kernel; the round
-//!   drained, the context healed, and the panic is reported as data;
-//! * **`UnknownStrategy`** — a reduction strategy name not present in the
-//!   context registry.
+//!   drained, the context healed, and the panic is reported as data.
 //!
 //! `From<SparseError>` performs the `Parse` vs `InvalidStructure`
 //! classification, so `?` works across the crate boundary.
@@ -60,11 +58,6 @@ pub enum SymSpmvError {
         tid: usize,
         /// Rendered panic message.
         message: String,
-    },
-    /// No reduction strategy of this name is registered with the context.
-    UnknownStrategy {
-        /// The name that failed to resolve.
-        name: String,
     },
     /// The request's cancellation token was cancelled; the kernel stopped
     /// at the next cooperative checkpoint and the context healed.
@@ -113,9 +106,6 @@ impl fmt::Display for SymSpmvError {
             }
             SymSpmvError::WorkerPanicked { tid, message } => {
                 write!(f, "worker thread {tid} panicked during a kernel: {message}")
-            }
-            SymSpmvError::UnknownStrategy { name } => {
-                write!(f, "no reduction strategy named {name:?} is registered")
             }
             SymSpmvError::Cancelled => {
                 write!(f, "request cancelled at a cooperative checkpoint")

@@ -321,7 +321,7 @@ mod tests {
         let a = CachedSymPlan::obtain(&sss, &ctx, &s);
         let b = CachedSymPlan::obtain(&sss, &ctx, &s);
         assert!(Arc::ptr_eq(&a, &b), "second obtain must hit the cache");
-        assert!(ctx.plan_cache_hits() >= 1);
+        assert!(ctx.stats().plan_cache_hits >= 1);
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //! 2. **reduce** — the local vectors are folded into `y` in parallel by the
 //!    strategy.
 //!
-//! The three built-in strategies implement Fig. 3 of the paper (see
-//! `symspmv_runtime::reduction` for the details); [`ReductionMethod`] is
-//! the enum-shaped convenience handle that maps onto the registry names
-//! (`"naive"`, `"eff"`, `"idx"`). The local vectors themselves are leased
-//! from the context's buffer arena per call, so consecutive invocations —
-//! and different kernels sharing one context — recycle the same
-//! first-touch-initialized pages.
+//! Three of the four built-in strategies implement Fig. 3 of the paper (see
+//! `symspmv_runtime::reduction` for the details), the fourth is the race
+//! schedule; [`ReductionMethod`] names them (`"naive"`, `"eff"`, `"idx"`,
+//! `"race"`). The kernel space is closed — two formats × four methods, and
+//! [`unsupported_pair`] is the one rule for which pairs build. The local
+//! vectors themselves are leased from the context's buffer arena per call,
+//! so consecutive invocations — and different kernels sharing one context —
+//! recycle the same first-touch-initialized pages.
 
 use crate::csx_sym::{sym_stream, CsxSymMatrix};
 use crate::error::SymSpmvError;
@@ -37,9 +38,8 @@ use symspmv_sparse::{with_lanes, with_symmetry_ops, CooMatrix, SparseError, SssM
 
 /// How local vectors are organized and reduced (Fig. 3 b/c/d).
 ///
-/// Each variant names a strategy pre-registered with every
-/// [`ExecutionContext`]; custom strategies registered later are reachable
-/// through [`SymSpmv::from_sss_named`].
+/// Each variant names one of the four strategies every
+/// [`ExecutionContext`] holds; the set is closed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReductionMethod {
     /// Full-length local vector per thread (Alg. 3).
@@ -55,8 +55,16 @@ pub enum ReductionMethod {
 }
 
 impl ReductionMethod {
-    /// Short name used in kernel identifiers, reports, and as the registry
-    /// key of the corresponding built-in [`ReductionStrategy`].
+    /// Every method, in the order lineups and search tables list them.
+    pub const ALL: [ReductionMethod; 4] = [
+        ReductionMethod::Naive,
+        ReductionMethod::EffectiveRanges,
+        ReductionMethod::Indexing,
+        ReductionMethod::Race,
+    ];
+
+    /// Short name used in kernel identifiers, reports, plan files, and as
+    /// the context's lookup tag of the corresponding [`ReductionStrategy`].
     pub fn tag(self) -> &'static str {
         match self {
             ReductionMethod::Naive => "naive",
@@ -64,6 +72,11 @@ impl ReductionMethod {
             ReductionMethod::Indexing => "idx",
             ReductionMethod::Race => "race",
         }
+    }
+
+    /// Parses a [`ReductionMethod::tag`] name back; `None` for unknown names.
+    pub fn from_tag(tag: &str) -> Option<ReductionMethod> {
+        Self::ALL.into_iter().find(|m| m.tag() == tag)
     }
 }
 
@@ -78,29 +91,93 @@ pub enum SymFormat {
     Sss,
     /// CSX-Sym with the given detection configuration (§IV-B).
     CsxSym(DetectConfig),
-    /// Adaptive extension: per thread chunk, encode CSX-Sym only when the
-    /// substructure coverage reaches `min_coverage`; chunks below it stay
-    /// as plain SSS rows, avoiding the stream-decode cost where the
-    /// compression would not pay (motivated by the `ablation` experiment,
-    /// where delta-only chunks run fastest on scattered matrices).
-    Hybrid {
-        /// Detection configuration for the CSX-Sym candidate encoding.
-        csx: DetectConfig,
-        /// Minimum chunk coverage to adopt the stream encoding.
-        min_coverage: f64,
-    },
+}
+
+/// Serializable handle for the two [`SymFormat`] families. [`SymFormat`]
+/// itself carries a full [`DetectConfig`], which is the wrong thing to
+/// persist in a plan store; the tag round-trips through its [`str`] name
+/// and materializes with the experiment-default detection configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FormatTag {
+    /// Sparse Skyline storage.
+    Sss,
+    /// CSX-Sym delta/run compression.
+    CsxSym,
+}
+
+impl FormatTag {
+    /// Both formats, in the order lineups and search tables list them.
+    pub const ALL: [FormatTag; 2] = [FormatTag::Sss, FormatTag::CsxSym];
+
+    /// Stable short name (`"sss"`, `"csxsym"`) used in plan files and
+    /// search tables.
+    pub fn tag(&self) -> &'static str {
+        match self {
+            FormatTag::Sss => "sss",
+            FormatTag::CsxSym => "csxsym",
+        }
+    }
+
+    /// Parses a [`FormatTag::tag`] name back; `None` for unknown names.
+    pub fn parse(name: &str) -> Option<FormatTag> {
+        Self::ALL.into_iter().find(|f| f.tag() == name)
+    }
+
+    /// Materializes the tag as a buildable [`SymFormat`] with the default
+    /// detection configuration (the same one the experiment drivers use).
+    pub fn to_format(self) -> SymFormat {
+        match self {
+            FormatTag::Sss => SymFormat::Sss,
+            FormatTag::CsxSym => SymFormat::CsxSym(DetectConfig::default()),
+        }
+    }
+}
+
+impl SymFormat {
+    /// The format's family tag (the detection configuration dropped).
+    pub fn tag(&self) -> FormatTag {
+        match self {
+            SymFormat::Sss => FormatTag::Sss,
+            SymFormat::CsxSym(_) => FormatTag::CsxSym,
+        }
+    }
+}
+
+/// The one rule for which `(format, method)` pairs build: why `method`
+/// cannot drive `format`, if it cannot. Every constructor,
+/// `PlanSpec::is_valid` and the harness's `KernelSpec::all`/`parse` consult
+/// it, so "buildable" has a single spelling. Seven of the eight pairs build.
+pub fn unsupported_pair(format: FormatTag, method: ReductionMethod) -> Option<&'static str> {
+    match (format, method) {
+        // The group schedule walks SSS rows; a CSX-Sym stream is encoded per
+        // partition chunk and cannot be re-cut along color groups.
+        (FormatTag::CsxSym, ReductionMethod::Race) => {
+            Some("the race schedule supports the SSS format only")
+        }
+        _ => None,
+    }
+}
+
+/// The kernel name of a `(format, method)` pair (`"sss-idx"`, …) — what
+/// [`SymSpmv`]'s `name()` reports and the harness's `KernelSpec::name`
+/// returns. Static, so report loops never allocate for names.
+pub fn pair_name(format: FormatTag, method: ReductionMethod) -> &'static str {
+    use ReductionMethod::{EffectiveRanges as Eff, Indexing as Idx, Naive, Race};
+    match (format, method) {
+        (FormatTag::Sss, Naive) => "sss-naive",
+        (FormatTag::Sss, Eff) => "sss-eff",
+        (FormatTag::Sss, Idx) => "sss-idx",
+        (FormatTag::Sss, Race) => "sss-race",
+        (FormatTag::CsxSym, Naive) => "csxsym-naive",
+        (FormatTag::CsxSym, Eff) => "csxsym-eff",
+        (FormatTag::CsxSym, Idx) => "csxsym-idx",
+        (FormatTag::CsxSym, Race) => "csxsym-race",
+    }
 }
 
 enum Storage {
     Sss(SssMatrix),
     CsxSym(CsxSymMatrix),
-    /// SSS kept whole; `streams[i]` is the CSX-Sym encoding of chunk `i`
-    /// when it cleared the coverage threshold.
-    Hybrid {
-        sss: SssMatrix,
-        csx: CsxSymMatrix,
-        use_stream: Vec<bool>,
-    },
 }
 
 /// The multithreaded symmetric SpMV kernel.
@@ -136,6 +213,8 @@ impl SymSpmv {
     /// Builds the kernel from a full COO matrix under an explicit symmetry
     /// kind: the matrix is validated against the kind (symmetric, skew or
     /// pattern-symmetric) and the kernel's mirror contributions follow it.
+    /// A `method` the `format` does not support ([`unsupported_pair`]) is
+    /// [`SparseError::InvalidArgument`], checked before any conversion.
     pub fn from_coo_kind(
         coo: &CooMatrix,
         kind: SymmetryKind,
@@ -143,6 +222,7 @@ impl SymSpmv {
         method: ReductionMethod,
         format: SymFormat,
     ) -> Result<Self, SparseError> {
+        Self::check_pair(&format, method)?;
         let sss = SssMatrix::from_coo_kind(coo, kind, 0.0)?;
         Ok(Self::from_sss(sss, ctx, method, format))
     }
@@ -169,113 +249,43 @@ impl SymSpmv {
         method: ReductionMethod,
         format: SymFormat,
     ) -> Result<Self, SymSpmvError> {
-        let strategy = Self::builtin_strategy(ctx, method);
-        if let Some(why) = Self::unsupported_pair(&*strategy, &format) {
-            return Err(SparseError::InvalidArgument {
-                msg: why.to_string(),
-            }
-            .into());
-        }
+        Self::check_pair(&format, method)?;
         let sss = SssMatrix::try_from_coo_kind(coo, kind, 0.0)?;
-        Ok(Self::build(sss, ctx, method, strategy, format))
+        Ok(Self::from_sss(sss, ctx, method, format))
+    }
+
+    fn check_pair(format: &SymFormat, method: ReductionMethod) -> Result<(), SparseError> {
+        match unsupported_pair(format.tag(), method) {
+            Some(why) => Err(SparseError::InvalidArgument {
+                msg: why.to_string(),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Builds the kernel from an SSS matrix (symmetry already established;
     /// the matrix's [`SymmetryKind`] carries over to the kernel).
     ///
-    /// The reduction strategy is looked up in the context's registry by the
-    /// method's tag. Format preprocessing (CSX-Sym detection/encoding) and
-    /// the symbolic conflict analysis are timed into the `preprocess`
-    /// phase.
+    /// Format preprocessing (CSX-Sym detection/encoding) and the symbolic
+    /// conflict analysis are timed into the `preprocess` phase.
+    ///
+    /// Panics on a pair [`unsupported_pair`] refuses — this signature has
+    /// no error channel; the `from_coo*` constructors return it instead.
     pub fn from_sss(
         sss: SssMatrix,
         ctx: &Arc<ExecutionContext>,
         method: ReductionMethod,
         format: SymFormat,
     ) -> Self {
-        let strategy = Self::builtin_strategy(ctx, method);
-        Self::build(sss, ctx, method, strategy, format)
-    }
-
-    fn builtin_strategy(
-        ctx: &ExecutionContext,
-        method: ReductionMethod,
-    ) -> Arc<dyn ReductionStrategy> {
-        // The built-ins are registered at context creation and the
-        // registry never removes entries, so the lookup cannot fail.
-        ctx.reduction(method.tag()).unwrap_or_else(|| {
-            unreachable!("built-in reduction strategy missing from the context registry")
-        })
-    }
-
-    /// Why `strategy` cannot drive `format`, if it cannot.
-    fn unsupported_pair(
-        strategy: &dyn ReductionStrategy,
-        format: &SymFormat,
-    ) -> Option<&'static str> {
-        if matches!(format, SymFormat::Hybrid { .. }) && !strategy.direct_write() {
-            Some("the hybrid format supports the direct-write methods only")
-        } else if !matches!(format, SymFormat::Sss) && strategy.scheduled() {
-            Some("the race schedule supports the SSS format only")
-        } else {
-            None
-        }
-    }
-
-    /// Builds the kernel with a reduction strategy selected from the
-    /// context's registry by name — the route for strategies registered
-    /// beyond the three built-ins.
-    ///
-    /// Returns `None` when no strategy of that name is registered.
-    pub fn from_sss_named(
-        sss: SssMatrix,
-        ctx: &Arc<ExecutionContext>,
-        strategy_name: &str,
-        format: SymFormat,
-    ) -> Option<Self> {
-        let strategy = ctx.reduction(strategy_name)?;
-        // Classify the custom strategy into the nearest paper family so
-        // `method()` keeps reporting something meaningful.
-        let method = if strategy.scheduled() {
-            ReductionMethod::Race
-        } else if !strategy.direct_write() {
-            ReductionMethod::Naive
-        } else if strategy.needs_index() {
-            ReductionMethod::Indexing
-        } else {
-            ReductionMethod::EffectiveRanges
-        };
-        Some(Self::build(sss, ctx, method, strategy, format))
-    }
-
-    /// Like [`SymSpmv::from_sss_named`], but an unregistered strategy name
-    /// is reported as [`SymSpmvError::UnknownStrategy`] instead of `None` —
-    /// for callers resolving user-supplied names.
-    pub fn try_from_sss_named(
-        sss: SssMatrix,
-        ctx: &Arc<ExecutionContext>,
-        strategy_name: &str,
-        format: SymFormat,
-    ) -> Result<Self, SymSpmvError> {
-        Self::from_sss_named(sss, ctx, strategy_name, format).ok_or_else(|| {
-            SymSpmvError::UnknownStrategy {
-                name: strategy_name.to_string(),
-            }
-        })
-    }
-
-    fn build(
-        sss: SssMatrix,
-        ctx: &Arc<ExecutionContext>,
-        method: ReductionMethod,
-        strategy: Arc<dyn ReductionStrategy>,
-        format: SymFormat,
-    ) -> Self {
-        let n = sss.n() as usize;
-        let kind = sss.kind();
-        if let Some(why) = Self::unsupported_pair(&*strategy, &format) {
+        if let Some(why) = unsupported_pair(format.tag(), method) {
             panic!("{why}");
         }
+        // Every context holds the four built-ins, so the lookup cannot fail.
+        let strategy = ctx.reduction(method.tag()).unwrap_or_else(|| {
+            unreachable!("built-in reduction strategy missing from the context")
+        });
+        let n = sss.n() as usize;
+        let kind = sss.kind();
         let mut times = PhaseTimes::new();
 
         // Partition, layout, conflict index and race certificate all come
@@ -296,49 +306,17 @@ impl SymSpmv {
                 });
                 Storage::CsxSym(m)
             }
-            SymFormat::Hybrid { csx, min_coverage } => {
-                let m = time_into(&mut times.preprocess, || {
-                    CsxSymMatrix::from_sss(&sss, &parts, csx)
-                });
-                let use_stream: Vec<bool> = m
-                    .chunks()
-                    .iter()
-                    .map(|c| c.coverage >= *min_coverage)
-                    .collect();
-                Storage::Hybrid {
-                    sss,
-                    csx: m,
-                    use_stream,
-                }
-            }
         };
         let size_bytes = match &storage {
             Storage::Sss(s) => s.size_bytes(),
             Storage::CsxSym(m) => m.size_bytes(),
-            Storage::Hybrid {
-                sss,
-                csx,
-                use_stream,
-            } => {
-                // Per-chunk: the stream when adopted, SSS rows otherwise;
-                // the shared dvalues/rowptr overhead counted once via SSS.
-                let mut bytes = 8 * sss.n() as usize + 4 * (sss.n() as usize + 1);
-                for (chunk, &streamed) in csx.chunks().iter().zip(use_stream) {
-                    if streamed {
-                        bytes += chunk.stream.size_bytes();
-                    } else {
-                        bytes += 12 * chunk.stream.values.len();
-                    }
-                }
-                bytes
-            }
         };
 
         // The write-set certificate covers the partition and reduction for
         // any storage; the CSX-Sym boundary rule (§IV-B) is an additional
         // per-stream obligation, checked here while the encoding is fresh.
         #[cfg(debug_assertions)]
-        if let Storage::CsxSym(m) | Storage::Hybrid { csx: m, .. } = &storage {
+        if let Storage::CsxSym(m) = &storage {
             if let Err(e) = symspmv_verify::certify_csx_chunks(
                 m.chunks().iter().map(|c| &c.stream),
                 &parts,
@@ -417,15 +395,9 @@ impl SymSpmv {
         self.kind
     }
 
-    /// The reduction method in use (the paper family; custom registry
-    /// strategies report their nearest built-in).
+    /// The reduction method in use.
     pub fn method(&self) -> ReductionMethod {
         self.method
-    }
-
-    /// The reduction strategy driving the fold phase.
-    pub fn strategy(&self) -> &Arc<dyn ReductionStrategy> {
-        &self.strategy
     }
 
     /// Number of color groups of a scheduled (race) plan; `None` for the
@@ -451,24 +423,6 @@ impl SymSpmv {
         match &self.storage {
             Storage::Sss(_) => 0.0,
             Storage::CsxSym(m) => m.coverage(),
-            Storage::Hybrid { csx, .. } => csx.coverage(),
-        }
-    }
-
-    /// The CSX-Sym storage, when that format is in use.
-    pub fn csx_sym(&self) -> Option<&CsxSymMatrix> {
-        match &self.storage {
-            Storage::Sss(_) => None,
-            Storage::CsxSym(m) => Some(m),
-            Storage::Hybrid { csx, .. } => Some(csx),
-        }
-    }
-
-    /// For the hybrid format: which chunks adopted the stream encoding.
-    pub fn hybrid_streamed_chunks(&self) -> Option<&[bool]> {
-        match &self.storage {
-            Storage::Hybrid { use_stream, .. } => Some(use_stream),
-            _ => None,
         }
     }
 
@@ -531,10 +485,7 @@ impl SymSpmv {
             };
             match &self.storage {
                 Storage::Sss(sss) => sss_rows_split::<O, K>(sss, part, split, x, my_y, local),
-                Storage::Hybrid {
-                    sss, use_stream, ..
-                } if !use_stream[tid] => sss_rows_split::<O, K>(sss, part, split, x, my_y, local),
-                Storage::CsxSym(m) | Storage::Hybrid { csx: m, .. } => {
+                Storage::CsxSym(m) => {
                     init_diag(
                         &m.dvalues()[start..end],
                         &x[start..end],
@@ -606,7 +557,7 @@ impl SymSpmv {
         if !cfg!(debug_assertions) {
             return;
         }
-        if let Storage::Sss(sss) | Storage::Hybrid { sss, .. } = &self.storage {
+        if let Storage::Sss(sss) = &self.storage {
             if let Err(e) = cert.validate_for(
                 sss.fingerprint(),
                 self.ctx.nthreads(),
@@ -817,23 +768,11 @@ impl ParallelSpmv for SymSpmv {
     }
 
     fn name(&self) -> Cow<'static, str> {
-        let fmt = match self.storage {
-            Storage::Sss(_) => "sss",
-            Storage::CsxSym(_) => "csxsym",
-            Storage::Hybrid { .. } => "hybrid",
+        let format = match self.storage {
+            Storage::Sss(_) => FormatTag::Sss,
+            Storage::CsxSym(_) => FormatTag::CsxSym,
         };
-        match (fmt, self.strategy.name()) {
-            ("sss", "naive") => Cow::Borrowed("sss-naive"),
-            ("sss", "eff") => Cow::Borrowed("sss-eff"),
-            ("sss", "idx") => Cow::Borrowed("sss-idx"),
-            ("sss", "race") => Cow::Borrowed("sss-race"),
-            ("csxsym", "naive") => Cow::Borrowed("csxsym-naive"),
-            ("csxsym", "eff") => Cow::Borrowed("csxsym-eff"),
-            ("csxsym", "idx") => Cow::Borrowed("csxsym-idx"),
-            ("hybrid", "eff") => Cow::Borrowed("hybrid-eff"),
-            ("hybrid", "idx") => Cow::Borrowed("hybrid-idx"),
-            (fmt, tag) => Cow::Owned(format!("{fmt}-{tag}")),
-        }
+        Cow::Borrowed(pair_name(format, self.method))
     }
 
     fn context(&self) -> &Arc<ExecutionContext> {
@@ -865,10 +804,8 @@ impl ParallelSpmm for SymSpmv {
 impl crate::traits::SymbolicDescribe for SymSpmv {
     fn structure_facts(&self) -> Option<symspmv_verify::StructureFacts> {
         match &self.storage {
-            Storage::Sss(sss) | Storage::Hybrid { sss, .. } => {
-                Some(symspmv_verify::StructureFacts::of(sss))
-            }
-            // The pure stream encoding discards the row-wise SSS structure
+            Storage::Sss(sss) => Some(symspmv_verify::StructureFacts::of(sss)),
+            // The stream encoding discards the row-wise SSS structure
             // the facts are distilled from; its boundary rule is certified
             // by the CSX checker instead.
             Storage::CsxSym(_) => None,
@@ -1014,35 +951,6 @@ mod tests {
     }
 
     #[test]
-    fn spmm_hybrid_format_matches_spmv() {
-        let coo = symspmv_sparse::gen::block_structural(100, 3, 10.0, 15, 9);
-        let ctx = ExecutionContext::new(4);
-        let mut eng = SymSpmv::from_coo(
-            &coo,
-            &ctx,
-            ReductionMethod::Indexing,
-            SymFormat::Hybrid {
-                csx: csx_cfg(),
-                min_coverage: 0.0,
-            },
-        )
-        .unwrap();
-        let n = eng.n();
-        let x = VectorBlock::seeded(n, 8, 3);
-        let mut y = VectorBlock::zeros(n, 8);
-        eng.spmm(&x, &mut y);
-        for j in 0..8 {
-            let mut yj = vec![0.0; n];
-            eng.spmv(&x.lane(j), &mut yj);
-            assert_eq!(
-                y.lane(j).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                yj.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "hybrid lane {j} not bit-identical"
-            );
-        }
-    }
-
-    #[test]
     fn block_matrix_csx_sym_compresses_beyond_sss() {
         let coo = symspmv_sparse::gen::block_structural(120, 3, 12.0, 20, 3);
         let ctx = ExecutionContext::new(4);
@@ -1139,48 +1047,6 @@ mod tests {
             assert_vec_close(&y, &expect, 1e-12);
         }
     }
-
-    #[test]
-    fn strategies_resolved_from_registry() {
-        // A custom strategy registered with the context is reachable by
-        // name and drives the kernel end to end.
-        struct Renamed(symspmv_runtime::reduction::NaiveReduction);
-        impl ReductionStrategy for Renamed {
-            fn name(&self) -> &'static str {
-                "naive-v2"
-            }
-            fn direct_write(&self) -> bool {
-                self.0.direct_write()
-            }
-            fn layout(&self, n: usize, parts: &[Range]) -> symspmv_runtime::reduction::LocalLayout {
-                self.0.layout(n, parts)
-            }
-            fn reduce(&self, pool: &mut symspmv_runtime::WorkerPool, job: &ReduceJob<'_>) {
-                self.0.reduce(pool, job)
-            }
-        }
-
-        let coo = symspmv_sparse::gen::banded_random(200, 12, 6.0, 11);
-        let sss = SssMatrix::from_coo(&coo, 0.0).unwrap();
-        let x = seeded_vector(200, 3);
-        let mut y_ref = vec![0.0; 200];
-        sss.spmv(&x, &mut y_ref);
-
-        let ctx = ExecutionContext::new(3);
-        assert!(
-            SymSpmv::from_sss_named(sss.clone(), &ctx, "naive-v2", SymFormat::Sss).is_none(),
-            "unregistered names must be rejected"
-        );
-        ctx.register_reduction(Arc::new(Renamed(
-            symspmv_runtime::reduction::NaiveReduction,
-        )));
-        let mut eng = SymSpmv::from_sss_named(sss, &ctx, "naive-v2", SymFormat::Sss).unwrap();
-        assert_eq!(eng.name(), "sss-naive-v2");
-        assert_eq!(eng.method(), ReductionMethod::Naive);
-        let mut y = vec![0.0; 200];
-        eng.spmv(&x, &mut y);
-        assert_vec_close(&y, &y_ref, 1e-12);
-    }
 }
 
 #[cfg(test)]
@@ -1224,26 +1090,6 @@ mod error_taxonomy_tests {
             SymFormat::Sss,
         ));
         assert!(matches!(err, SymSpmvError::InvalidStructure(_)), "{err:?}");
-    }
-
-    #[test]
-    fn try_from_sss_named_reports_unknown_strategy() {
-        let coo = symspmv_sparse::gen::laplacian_2d(6, 6);
-        let sss = SssMatrix::from_coo(&coo, 0.0).unwrap();
-        let ctx = ExecutionContext::new(2);
-        let err = expect_err(SymSpmv::try_from_sss_named(
-            sss.clone(),
-            &ctx,
-            "no-such",
-            SymFormat::Sss,
-        ));
-        assert_eq!(
-            err,
-            SymSpmvError::UnknownStrategy {
-                name: "no-such".into()
-            }
-        );
-        assert!(SymSpmv::try_from_sss_named(sss, &ctx, "idx", SymFormat::Sss).is_ok());
     }
 
     #[test]
@@ -1299,6 +1145,13 @@ mod edge_tests {
         ]
     }
 
+    fn csx_cfg() -> DetectConfig {
+        DetectConfig {
+            min_coverage: 0.0,
+            ..DetectConfig::default()
+        }
+    }
+
     #[test]
     fn far_more_threads_than_rows() {
         // Empty trailing partitions must be handled by every method and
@@ -1308,13 +1161,9 @@ mod edge_tests {
         let x = seeded_vector(9, 1);
         let mut y_ref = vec![0.0; 9];
         sss.spmv(&x, &mut y_ref);
-        let dcfg = DetectConfig {
-            min_coverage: 0.0,
-            ..DetectConfig::default()
-        };
         let ctx = ExecutionContext::new(32);
         for method in methods() {
-            for format in [SymFormat::Sss, SymFormat::CsxSym(dcfg.clone())] {
+            for format in [SymFormat::Sss, SymFormat::CsxSym(csx_cfg())] {
                 let mut eng = SymSpmv::from_coo(&coo, &ctx, method, format).unwrap();
                 let mut y = vec![f64::NAN; 9];
                 eng.spmv(&x, &mut y);
@@ -1488,91 +1337,41 @@ mod edge_tests {
     #[test]
     #[should_panic(expected = "the race schedule supports the SSS format only")]
     fn race_rejects_csxsym() {
+        // `from_sss` has no error channel: the refused pair panics.
         let coo = symspmv_sparse::gen::laplacian_2d(8, 8);
+        let sss = SssMatrix::from_coo(&coo, 0.0).unwrap();
         let ctx = ExecutionContext::new(2);
-        let _ = SymSpmv::from_coo(
-            &coo,
+        let _ = SymSpmv::from_sss(
+            sss,
             &ctx,
             ReductionMethod::Race,
-            SymFormat::CsxSym(DetectConfig {
-                min_coverage: 0.0,
-                ..DetectConfig::default()
-            }),
+            SymFormat::CsxSym(csx_cfg()),
         );
     }
-}
-
-#[cfg(test)]
-mod hybrid_tests {
-    use super::*;
-    use symspmv_sparse::dense::{assert_vec_close, seeded_vector};
-
-    fn hybrid(threshold: f64) -> SymFormat {
-        SymFormat::Hybrid {
-            csx: DetectConfig {
-                min_coverage: 0.0,
-                ..DetectConfig::default()
-            },
-            min_coverage: threshold,
-        }
-    }
 
     #[test]
-    fn hybrid_matches_serial_on_mixed_structure() {
-        // Half the rows blocky (high coverage), half scattered: chunks
-        // should split between stream and SSS paths.
-        let blocky = symspmv_sparse::gen::block_structural(60, 3, 8.0, 12, 2);
-        let nb = blocky.nrows();
-        let n = nb + 180;
-        let mut coo = symspmv_sparse::CooMatrix::new(n, n);
-        for (r, c, v) in blocky.iter() {
-            coo.push(r, c, v);
-        }
-        // Scattered tail coupled to itself.
-        for i in nb..n {
-            coo.push(i, i, 5.0);
-            if i >= nb + 7 {
-                coo.push(i, i - 7, -0.5);
-                coo.push(i - 7, i, -0.5);
-            }
-        }
-        let sss = SssMatrix::from_coo(&coo, 0.0).unwrap();
-        let x = seeded_vector(n as usize, 4);
-        let mut y_ref = vec![0.0; n as usize];
-        sss.spmv(&x, &mut y_ref);
-
-        let ctx = ExecutionContext::new(4);
-        for method in [ReductionMethod::EffectiveRanges, ReductionMethod::Indexing] {
-            let mut eng = SymSpmv::from_coo(&coo, &ctx, method, hybrid(0.5)).unwrap();
-            let streamed = eng.hybrid_streamed_chunks().unwrap().to_vec();
-            assert!(streamed.iter().any(|&b| b), "blocky chunks should stream");
-            let mut y = vec![f64::NAN; n as usize];
-            eng.spmv(&x, &mut y);
-            assert_vec_close(&y, &y_ref, 1e-12);
-        }
-    }
-
-    #[test]
-    fn hybrid_thresholds_select_paths() {
-        let coo = symspmv_sparse::gen::block_structural(80, 3, 8.0, 16, 3);
-        let ctx = ExecutionContext::new(3);
-        // Threshold 0: everything streams. Threshold > 1: nothing does.
-        let all = SymSpmv::from_coo(&coo, &ctx, ReductionMethod::Indexing, hybrid(0.0)).unwrap();
-        assert!(all.hybrid_streamed_chunks().unwrap().iter().all(|&b| b));
-        let none = SymSpmv::from_coo(&coo, &ctx, ReductionMethod::Indexing, hybrid(1.1)).unwrap();
-        assert!(none.hybrid_streamed_chunks().unwrap().iter().all(|&b| !b));
-        assert_eq!(all.name(), "hybrid-idx");
-        // Size: the no-stream hybrid approximates the SSS size.
-        let sss = SymSpmv::from_coo(&coo, &ctx, ReductionMethod::Indexing, SymFormat::Sss).unwrap();
-        let ratio = none.size_bytes() as f64 / sss.size_bytes() as f64;
-        assert!((0.9..1.1).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    #[should_panic(expected = "direct-write methods only")]
-    fn hybrid_rejects_naive() {
+    fn from_coo_refuses_csxsym_race_as_invalid_argument() {
+        // The `Result`-returning constructors (`from_coo` is the
+        // `Symmetric` case) report the refused pair for every kind, before
+        // converting anything (the matrix is not even skew or structural).
         let coo = symspmv_sparse::gen::laplacian_2d(8, 8);
         let ctx = ExecutionContext::new(2);
-        let _ = SymSpmv::from_coo(&coo, &ctx, ReductionMethod::Naive, hybrid(0.5));
+        for kind in [
+            SymmetryKind::Symmetric,
+            SymmetryKind::Skew,
+            SymmetryKind::Structural,
+        ] {
+            let res = SymSpmv::from_coo_kind(
+                &coo,
+                kind,
+                &ctx,
+                ReductionMethod::Race,
+                SymFormat::CsxSym(csx_cfg()),
+            );
+            assert!(
+                matches!(res, Err(SparseError::InvalidArgument { .. })),
+                "{kind:?}"
+            );
+        }
     }
 }

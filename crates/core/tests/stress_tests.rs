@@ -29,7 +29,7 @@ fn repeat_build_hits_plan_cache_and_skips_preprocessing() {
     let ctx = ExecutionContext::new(4);
 
     let first = SymSpmv::from_sss(sss.clone(), &ctx, ReductionMethod::Indexing, SymFormat::Sss);
-    let misses = ctx.plan_cache_misses();
+    let misses = ctx.stats().plan_cache_misses;
     let t_first = first.times().preprocess;
     assert!(t_first > Duration::ZERO);
 
@@ -40,9 +40,9 @@ fn repeat_build_hits_plan_cache_and_skips_preprocessing() {
         Arc::ptr_eq(first.plan(), second.plan()),
         "second build must reuse the cached plan"
     );
-    assert!(ctx.plan_cache_hits() >= 1);
+    assert!(ctx.stats().plan_cache_hits >= 1);
     assert_eq!(
-        ctx.plan_cache_misses(),
+        ctx.stats().plan_cache_misses,
         misses,
         "second build must not miss"
     );
@@ -76,7 +76,7 @@ fn many_builds_share_plans_per_strategy() {
         }
     }
     // 3 strategy plans + 1 shared "parts" entry.
-    assert_eq!(ctx.plan_cache_len(), 4);
+    assert_eq!(ctx.stats().plan_cache_len, 4);
     for group in engines.chunks(3).skip(1) {
         for (engine, reference) in group.iter().zip(&engines[..3]) {
             assert!(Arc::ptr_eq(engine.plan(), reference.plan()));

@@ -289,7 +289,7 @@ pub fn run(cfg: &ExpConfig) -> Result<(), HarnessError> {
             format!("{}/{}/{}/{}", counts[0], counts[1], counts[2], counts[3]),
             format!("{:.1}", worst_latency.as_secs_f64() * 1e3),
             format!("{:.1}", worst_recovery(&log, total).as_secs_f64() * 1e3),
-            ctx.pool_respawns().to_string(),
+            ctx.health_state().respawns().to_string(),
             format!("{:?}", ctx.health()),
             status.into(),
         ]);

@@ -21,9 +21,9 @@
 //! seed, format, thread count, lanes) so a failing combination can be
 //! re-run in isolation.
 
-use crate::kernels::{experiment_detect_config, KernelSpec};
+use crate::kernels::KernelSpec;
 use std::sync::Arc;
-use symspmv_core::{BlockKernel, ReductionMethod, SymFormat, SymSpmv};
+use symspmv_core::{BlockKernel, ReductionMethod, SymSpmv};
 use symspmv_runtime::ExecutionContext;
 use symspmv_sparse::dense::max_rel_diff;
 use symspmv_sparse::symmetry::SymmetryKind;
@@ -104,20 +104,12 @@ pub fn full_suite() -> Vec<SuiteMatrix> {
     v
 }
 
-/// The formats with a batched (SpMM) path — the oracle's format axis.
+/// The formats with a batched (SpMM) path — the oracle's format axis:
+/// every buildable spec except the CSX baseline.
 pub fn block_specs() -> Vec<KernelSpec> {
-    use ReductionMethod::{EffectiveRanges as Eff, Indexing as Idx, Naive, Race};
-    vec![
-        KernelSpec::Csr,
-        KernelSpec::Sss(Naive),
-        KernelSpec::Sss(Eff),
-        KernelSpec::Sss(Idx),
-        KernelSpec::Sss(Race),
-        KernelSpec::CsxSym(Naive),
-        KernelSpec::CsxSym(Eff),
-        KernelSpec::CsxSym(Idx),
-        KernelSpec::Hybrid(Idx),
-    ]
+    let mut specs = KernelSpec::all();
+    specs.retain(|&spec| spec != KernelSpec::Csx);
+    specs
 }
 
 /// Builds the block-capable kernel for `spec` with the default
@@ -141,29 +133,19 @@ pub fn build_block_kernel_kind(
     kind: SymmetryKind,
     ctx: &Arc<ExecutionContext>,
 ) -> Result<Option<Box<dyn BlockKernel>>, SparseError> {
-    let cfg = experiment_detect_config();
-    Ok(Some(match spec {
-        KernelSpec::Csr => Box::new(symspmv_core::CsrParallel::from_coo(coo, ctx)),
-        KernelSpec::Sss(m) => Box::new(SymSpmv::from_coo_kind(coo, kind, ctx, m, SymFormat::Sss)?),
-        KernelSpec::CsxSym(m) => Box::new(SymSpmv::from_coo_kind(
+    Ok(match spec.sym_pair() {
+        Some((format, method)) => Some(Box::new(SymSpmv::from_coo_kind(
             coo,
             kind,
             ctx,
-            m,
-            SymFormat::CsxSym(cfg),
-        )?),
-        KernelSpec::Hybrid(m) => Box::new(SymSpmv::from_coo_kind(
-            coo,
-            kind,
-            ctx,
-            m,
-            SymFormat::Hybrid {
-                csx: cfg,
-                min_coverage: 0.5,
-            },
-        )?),
-        _ => return Ok(None),
-    }))
+            method,
+            format.to_format(),
+        )?)),
+        None if spec == KernelSpec::Csr => {
+            Some(Box::new(symspmv_core::CsrParallel::from_coo(coo, ctx)))
+        }
+        None => None,
+    })
 }
 
 /// Whether `(spec, nthreads)` is in the bitwise conformance class against

@@ -2,7 +2,8 @@
 //! symmetric COO matrix.
 
 use std::sync::Arc;
-use symspmv_core::{CsrParallel, CsxParallel, ParallelSpmv, ReductionMethod, SymFormat, SymSpmv};
+use symspmv_core::sym::{pair_name, unsupported_pair};
+use symspmv_core::{CsrParallel, CsxParallel, FormatTag, ParallelSpmv, ReductionMethod, SymSpmv};
 use symspmv_csx::detect::DetectConfig;
 use symspmv_runtime::ExecutionContext;
 use symspmv_sparse::symmetry::SymmetryKind;
@@ -19,61 +20,52 @@ pub enum KernelSpec {
     Sss(ReductionMethod),
     /// CSX-Sym with a given reduction method.
     CsxSym(ReductionMethod),
-    /// Adaptive per-chunk CSX-Sym/SSS hybrid with a given reduction method
-    /// (extension; coverage threshold 0.5).
-    Hybrid(ReductionMethod),
 }
 
 impl KernelSpec {
+    /// The `(format, method)` pair of a symmetric spec (`None` for the
+    /// unsymmetric baselines) — the one mapping both kernel factories build
+    /// [`SymSpmv`] through, with [`FormatTag::to_format`]'s default detection
+    /// configuration.
+    pub(crate) fn sym_pair(self) -> Option<(FormatTag, ReductionMethod)> {
+        match self {
+            KernelSpec::Csr | KernelSpec::Csx => None,
+            KernelSpec::Sss(m) => Some((FormatTag::Sss, m)),
+            KernelSpec::CsxSym(m) => Some((FormatTag::CsxSym, m)),
+        }
+    }
+
     /// Spec name matching the kernels' `name()` output. Static — report
     /// loops over lineups never allocate for names.
     pub fn name(&self) -> &'static str {
-        use ReductionMethod::{EffectiveRanges as Eff, Indexing as Idx, Naive, Race};
-        match self {
-            KernelSpec::Csr => "csr",
-            KernelSpec::Csx => "csx",
-            KernelSpec::Sss(Naive) => "sss-naive",
-            KernelSpec::Sss(Eff) => "sss-eff",
-            KernelSpec::Sss(Idx) => "sss-idx",
-            KernelSpec::Sss(Race) => "sss-race",
-            // `parse` and `all` produce neither: the race schedule supports
-            // the SSS format only, the hybrid format the direct-write methods.
-            KernelSpec::CsxSym(Race) | KernelSpec::Hybrid(Race | Naive) => {
-                unreachable!("no kernel builds for {self:?}")
-            }
-            KernelSpec::Hybrid(Eff) => "hybrid-eff",
-            KernelSpec::Hybrid(Idx) => "hybrid-idx",
-            KernelSpec::CsxSym(Naive) => "csxsym-naive",
-            KernelSpec::CsxSym(Eff) => "csxsym-eff",
-            KernelSpec::CsxSym(Idx) => "csxsym-idx",
+        match self.sym_pair() {
+            Some((format, method)) => pair_name(format, method),
+            None if *self == KernelSpec::Csx => "csx",
+            None => "csr",
         }
     }
 
     /// Parses a spec name: the inverse of [`KernelSpec::name`] over
     /// [`KernelSpec::all`], so a name parses exactly when its kernel builds
-    /// (`csxsym-race`, `hybrid-race`, `hybrid-naive` do not).
+    /// (`csxsym-race` does not).
     pub fn parse(s: &str) -> Option<KernelSpec> {
         Self::all().into_iter().find(|spec| spec.name() == s)
     }
 
     /// Every buildable configuration — the one list the self-checks
     /// (`experiments verify`, the equivalence and adversarial suites)
-    /// sweep, so a kernel cannot drop out of one of them unnoticed.
+    /// sweep, so a kernel cannot drop out of one of them unnoticed: the two
+    /// baselines, then every symmetric pair [`unsupported_pair`] lets build.
     pub fn all() -> Vec<KernelSpec> {
-        use ReductionMethod::{EffectiveRanges as Eff, Indexing as Idx, Naive, Race};
-        vec![
-            KernelSpec::Csr,
-            KernelSpec::Csx,
-            KernelSpec::Sss(Naive),
-            KernelSpec::Sss(Eff),
-            KernelSpec::Sss(Idx),
-            KernelSpec::Sss(Race),
-            KernelSpec::CsxSym(Naive),
-            KernelSpec::CsxSym(Eff),
-            KernelSpec::CsxSym(Idx),
-            KernelSpec::Hybrid(Eff),
-            KernelSpec::Hybrid(Idx),
-        ]
+        let mut all = vec![KernelSpec::Csr, KernelSpec::Csx];
+        for format in [KernelSpec::Sss, KernelSpec::CsxSym] {
+            all.extend(ReductionMethod::ALL.map(format));
+        }
+        all.retain(|spec| {
+            spec.sym_pair()
+                .is_none_or(|(format, method)| unsupported_pair(format, method).is_none())
+        });
+        all
     }
 
     /// The four-format lineup of Fig. 11/12/13/14.
@@ -98,7 +90,8 @@ impl KernelSpec {
 }
 
 /// The detection configuration used by all CSX/CSX-Sym kernels in the
-/// experiments: the defaults — a statistics pass on a 5 % row sample
+/// experiments (and by [`FormatTag::to_format`]): the defaults — a
+/// statistics pass on a 5 % row sample
 /// (`sample_fraction`), 5 % `min_coverage` per family.
 pub fn experiment_detect_config() -> DetectConfig {
     DetectConfig::default()
@@ -126,28 +119,18 @@ pub fn build_kernel_kind(
     kind: SymmetryKind,
     ctx: &Arc<ExecutionContext>,
 ) -> Result<Box<dyn ParallelSpmv>, SparseError> {
-    let cfg = experiment_detect_config();
-    Ok(match spec {
-        KernelSpec::Csr => Box::new(CsrParallel::from_coo(coo, ctx)),
-        KernelSpec::Csx => Box::new(CsxParallel::from_coo(coo, ctx, &cfg)),
-        KernelSpec::Sss(m) => Box::new(SymSpmv::from_coo_kind(coo, kind, ctx, m, SymFormat::Sss)?),
-        KernelSpec::CsxSym(m) => Box::new(SymSpmv::from_coo_kind(
+    Ok(match spec.sym_pair() {
+        Some((format, method)) => Box::new(SymSpmv::from_coo_kind(
             coo,
             kind,
             ctx,
-            m,
-            SymFormat::CsxSym(cfg),
+            method,
+            format.to_format(),
         )?),
-        KernelSpec::Hybrid(m) => Box::new(SymSpmv::from_coo_kind(
-            coo,
-            kind,
-            ctx,
-            m,
-            SymFormat::Hybrid {
-                csx: cfg,
-                min_coverage: 0.5,
-            },
-        )?),
+        None if spec == KernelSpec::Csx => {
+            Box::new(CsxParallel::from_coo(coo, ctx, &experiment_detect_config()))
+        }
+        None => Box::new(CsrParallel::from_coo(coo, ctx)),
     })
 }
 
@@ -158,33 +141,60 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for spec in KernelSpec::all() {
+        let all = KernelSpec::all();
+        assert_eq!(all.len(), 9, "2 baselines + 7 buildable symmetric pairs");
+        for spec in all {
             assert_eq!(KernelSpec::parse(spec.name()), Some(spec));
         }
         assert_eq!(KernelSpec::parse("nope"), None);
         assert_eq!(KernelSpec::parse("sss-bogus"), None);
-        assert_eq!(KernelSpec::parse("csxsym-race"), None);
-        assert_eq!(KernelSpec::parse("hybrid-race"), None);
-        assert_eq!(KernelSpec::parse("hybrid-naive"), None);
     }
 
     #[test]
     fn every_parseable_name_builds() {
-        // `parse` accepts a name only if its kernel builds — over every
-        // format × method spelling, not only the names `all()` produces.
+        // "Which pairs build and what they are called" has one spelling: for
+        // every format × method, `PlanSpec::is_valid` ⇔ `try_from_coo` is
+        // `Ok` ⇔ the pair's name parses ⇔ the factory builds a kernel that
+        // reports exactly that name.
+        use symspmv_core::PlanSpec;
         let coo = symspmv_sparse::gen::laplacian_2d(8, 8);
         let ctx = ExecutionContext::new(2);
-        let mut names = vec!["csr".to_string(), "csx".to_string()];
-        for format in ["sss", "csxsym", "hybrid"] {
-            for method in ["naive", "eff", "idx", "race"] {
-                names.push(format!("{format}-{method}"));
+        let mut buildable = 0;
+        for (format, spec_of) in [
+            (
+                FormatTag::Sss,
+                KernelSpec::Sss as fn(ReductionMethod) -> KernelSpec,
+            ),
+            (FormatTag::CsxSym, KernelSpec::CsxSym),
+        ] {
+            for method in ReductionMethod::ALL {
+                let spec = spec_of(method);
+                let name = spec.name();
+                assert_eq!(name, format!("{}-{}", format.tag(), method.tag()));
+                let valid = PlanSpec {
+                    format,
+                    method,
+                    nthreads: 2,
+                    lanes: 1,
+                }
+                .is_valid();
+                let built = SymSpmv::try_from_coo(&coo, &ctx, method, format.to_format());
+                assert_eq!(built.is_ok(), valid, "{name}");
+                assert_eq!(KernelSpec::parse(name).is_some(), valid, "{name}");
+                match build_kernel(spec, &coo, &ctx) {
+                    Ok(k) => assert_eq!(k.name(), name),
+                    Err(e) => assert!(
+                        !valid && matches!(e, SparseError::InvalidArgument { .. }),
+                        "{name}: {e}"
+                    ),
+                }
+                buildable += usize::from(valid);
             }
         }
-        let parsed: Vec<KernelSpec> = names.iter().filter_map(|n| KernelSpec::parse(n)).collect();
-        assert_eq!(parsed, KernelSpec::all());
-        for spec in parsed {
-            let k = build_kernel(spec, &coo, &ctx).unwrap();
-            assert_eq!(k.name(), spec.name());
+        assert_eq!(buildable, 7);
+        for baseline in [KernelSpec::Csr, KernelSpec::Csx] {
+            let k = build_kernel(baseline, &coo, &ctx).unwrap();
+            assert_eq!(k.name(), baseline.name());
         }
     }
 

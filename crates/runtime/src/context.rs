@@ -10,14 +10,15 @@
 //! * the **buffer arena** — recycled, first-touch-initialized `f64`
 //!   buffers for local output vectors and solver scratch;
 //!
-//! plus a registry of named [`ReductionStrategy`] objects so the symmetric
-//! kernels select their reduction (naive / effective-ranges / indexing) by
-//! name instead of hard-coding the three variants.
+//! plus the four built-in [`ReductionStrategy`] objects (naive /
+//! effective-ranges / indexing / race), looked up by tag. The set is closed:
+//! there is no registration. Every counter the context keeps is read through
+//! one call, [`ExecutionContext::stats`].
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 #[cfg(any(test, feature = "fault-injection"))]
 use crate::fault::FaultPlan;
@@ -37,10 +38,10 @@ pub(crate) fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Default high-water mark for arena-retained scratch, in `f64` elements
-/// (32 Mi elements = 256 MiB) — generous for every suite matrix, small
-/// enough that one huge tenant matrix cannot pin its scratch forever in a
-/// long-lived service.
+/// High-water mark for arena-retained scratch, in `f64` elements (32 Mi
+/// elements = 256 MiB) — generous for every suite matrix, small enough that
+/// one huge tenant matrix cannot pin its scratch forever in a long-lived
+/// service.
 const ARENA_RETAINED_LIMIT_DEFAULT: usize = 32 << 20;
 
 /// Recycled `f64` buffers, handed out as [`BufferLease`]s.
@@ -154,10 +155,11 @@ pub struct PlanKey {
     pub strategy: String,
 }
 
-/// Default entry cap for the plan cache. Each entry is one (matrix,
-/// threads, strategy) artifact; a sweep over the whole suite at several
-/// thread counts stays far below this, while a long-lived service cycling
-/// tenant matrices no longer grows without bound.
+/// Initial entry cap for the plan cache (only
+/// [`ExecutionContext::plan_cache_reserve`] grows it). Each entry is one
+/// (matrix, threads, strategy) artifact; a sweep over the whole suite at
+/// several thread counts stays far below this, while a long-lived service
+/// cycling tenant matrices no longer grows without bound.
 const PLAN_CACHE_CAPACITY_DEFAULT: usize = 256;
 
 /// LRU-bounded store of memoized plan artifacts.
@@ -199,11 +201,6 @@ impl PlanCache {
         self.shrink_to_capacity();
     }
 
-    fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        self.shrink_to_capacity();
-    }
-
     fn shrink_to_capacity(&mut self) {
         while self.map.len() > self.capacity {
             let stalest = self
@@ -222,8 +219,8 @@ impl PlanCache {
     }
 }
 
-/// The shared runtime layer: one pool, one arena, and the
-/// reduction-strategy registry.
+/// The shared runtime layer: one pool, one arena, and the four built-in
+/// reduction strategies.
 ///
 /// Constructed once per run with [`ExecutionContext::new`] and passed to
 /// every kernel as `Arc<ExecutionContext>`; interior mutability (mutexes)
@@ -233,7 +230,7 @@ pub struct ExecutionContext {
     nthreads: usize,
     pool: Mutex<WorkerPool>,
     arena: Mutex<BufferArena>,
-    strategies: RwLock<HashMap<&'static str, Arc<dyn ReductionStrategy>>>,
+    strategies: [Arc<dyn ReductionStrategy>; 4],
     /// Leases returned holding non-zero data on the normal (non-panicking,
     /// non-scratch) path. Each one is a broken lease contract; the drop
     /// path heals the buffer (re-zeroes it) and counts it here.
@@ -256,8 +253,8 @@ pub struct ExecutionContext {
 
 impl ExecutionContext {
     /// Creates a context with its single pool of `nthreads` participants
-    /// and the three paper reduction strategies pre-registered (`"naive"`,
-    /// `"eff"`, `"idx"`). `P` participants means `P − 1` spawned threads
+    /// and the four built-in reduction strategies (`"naive"`, `"eff"`,
+    /// `"idx"`, `"race"`). `P` participants means `P − 1` spawned threads
     /// plus the caller: whichever thread calls [`ExecutionContext::run`]
     /// executes share 0 itself, so `new(1)` spawns nothing.
     ///
@@ -271,11 +268,16 @@ impl ExecutionContext {
         pool.set_fault_plan(Arc::clone(&fault));
         let supervision = pool.supervision_cell();
         let health = pool.health_state();
-        let ctx = ExecutionContext {
+        Arc::new(ExecutionContext {
             nthreads,
             pool: Mutex::new(pool),
             arena: Mutex::new(BufferArena::default()),
-            strategies: RwLock::new(HashMap::new()),
+            strategies: [
+                Arc::new(NaiveReduction),
+                Arc::new(EffectiveRangesReduction),
+                Arc::new(IndexingReduction),
+                Arc::new(RaceReduction),
+            ],
             dirty_returns: AtomicUsize::new(0),
             plans: Mutex::new(PlanCache::default()),
             plan_hits: AtomicUsize::new(0),
@@ -284,12 +286,7 @@ impl ExecutionContext {
             health,
             #[cfg(any(test, feature = "fault-injection"))]
             fault,
-        };
-        ctx.register_reduction(Arc::new(NaiveReduction));
-        ctx.register_reduction(Arc::new(EffectiveRangesReduction));
-        ctx.register_reduction(Arc::new(IndexingReduction));
-        ctx.register_reduction(Arc::new(RaceReduction));
-        Arc::new(ctx)
+        })
     }
 
     /// Number of participants in the shared pool (the caller included).
@@ -361,20 +358,9 @@ impl ExecutionContext {
 
     /// Memoizes a plan artifact under `key` (last writer wins). When the
     /// cache exceeds its entry cap the least-recently-used entries are
-    /// evicted and counted ([`ExecutionContext::plan_cache_evictions`]).
+    /// evicted and counted ([`ContextStats::plan_cache_evictions`]).
     pub fn plan_cache_put(&self, key: PlanKey, plan: Arc<dyn Any + Send + Sync>) {
         lock_ignore_poison(&self.plans).put(key, plan);
-    }
-
-    /// Entries currently memoized.
-    pub fn plan_cache_len(&self) -> usize {
-        lock_ignore_poison(&self.plans).map.len()
-    }
-
-    /// Changes the plan-cache entry cap, evicting LRU entries immediately
-    /// if the cache is already over the new cap.
-    pub fn plan_cache_set_capacity(&self, capacity: usize) {
-        lock_ignore_poison(&self.plans).set_capacity(capacity);
     }
 
     /// Grows the plan-cache entry cap to hold at least `entries` more
@@ -386,31 +372,7 @@ impl ExecutionContext {
     pub fn plan_cache_reserve(&self, entries: usize) {
         let mut plans = lock_ignore_poison(&self.plans);
         let needed = plans.map.len().saturating_add(entries);
-        if needed > plans.capacity {
-            plans.set_capacity(needed);
-        }
-    }
-
-    /// The plan-cache entry cap currently in force.
-    pub fn plan_cache_capacity(&self) -> usize {
-        lock_ignore_poison(&self.plans).capacity
-    }
-
-    /// Entries evicted by the LRU bound since the context was created.
-    pub fn plan_cache_evictions(&self) -> usize {
-        lock_ignore_poison(&self.plans).evictions
-    }
-
-    /// Cache hits observed by [`ExecutionContext::plan_cache_get`].
-    pub fn plan_cache_hits(&self) -> usize {
-        // RELAXED(telemetry read; approximate freshness is acceptable)
-        self.plan_hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses observed by [`ExecutionContext::plan_cache_get`].
-    pub fn plan_cache_misses(&self) -> usize {
-        // RELAXED(telemetry read; approximate freshness is acceptable)
-        self.plan_misses.load(Ordering::Relaxed)
+        plans.capacity = plans.capacity.max(needed);
     }
 
     /// Drops all memoized plans (certificates included) — for tests and
@@ -442,22 +404,6 @@ impl ExecutionContext {
     /// MTBF estimate.
     pub fn health_state(&self) -> &Arc<HealthState> {
         &self.health
-    }
-
-    /// Worker failures (panics and wedges) observed on the shared pool.
-    pub fn pool_failures(&self) -> usize {
-        self.health.failures()
-    }
-
-    /// Worker threads replaced after failures on the shared pool (a failed
-    /// share 0 ran on its caller's thread and replaces none).
-    pub fn pool_respawns(&self) -> usize {
-        self.health.respawns()
-    }
-
-    /// Mean time between worker failures, once two have been observed.
-    pub fn pool_mtbf(&self) -> Option<std::time::Duration> {
-        self.health.mtbf()
     }
 
     /// Leases a zeroed buffer of `len` elements for kernel local vectors.
@@ -523,11 +469,6 @@ impl ExecutionContext {
         lock_ignore_poison(&self.arena).release(buf);
     }
 
-    /// Number of free buffers currently held by the arena (test hook).
-    pub fn arena_free_buffers(&self) -> usize {
-        lock_ignore_poison(&self.arena).free.len()
-    }
-
     /// Whether every free buffer in the arena is entirely zero — the arena
     /// invariant that recovery tests assert after panicked or corrupted
     /// rounds.
@@ -538,62 +479,63 @@ impl ExecutionContext {
             .all(|buf| buf.iter().all(|&v| v == 0.0))
     }
 
-    /// How many leases came back dirty on the normal return path (broken
-    /// lease contracts, healed and counted rather than recycled).
-    pub fn dirty_lease_returns(&self) -> usize {
-        // RELAXED(telemetry read; approximate freshness is acceptable)
-        self.dirty_returns.load(Ordering::Relaxed)
-    }
-
-    /// Elements (sum of capacities) the arena free list is pinning.
-    pub fn arena_retained_elements(&self) -> usize {
-        lock_ignore_poison(&self.arena).retained_elements()
-    }
-
-    /// Changes the arena retained-memory high-water mark (in `f64`
-    /// elements), trimming immediately if already above it.
-    pub fn arena_set_retained_limit(&self, elements: usize) {
-        let mut arena = lock_ignore_poison(&self.arena);
-        arena.retained_limit = elements;
-        arena.trim();
-    }
-
-    /// Free buffers dropped by the retained-memory bound since the context
-    /// was created.
-    pub fn arena_trims(&self) -> usize {
-        lock_ignore_poison(&self.arena).trims
-    }
-
-    /// Registers (or replaces) a reduction strategy under its own name.
-    pub fn register_reduction(&self, strategy: Arc<dyn ReductionStrategy>) {
-        self.strategies
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(strategy.name(), strategy);
-    }
-
-    /// Looks up a reduction strategy by name (`"naive"`, `"eff"`, `"idx"`,
-    /// or anything registered later).
+    /// Looks up one of the four built-in reduction strategies by tag
+    /// (`"naive"`, `"eff"`, `"idx"`, `"race"`); `None` for any other name.
     pub fn reduction(&self, name: &str) -> Option<Arc<dyn ReductionStrategy>> {
-        self.strategies
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(name)
-            .cloned()
+        self.strategies.iter().find(|s| s.name() == name).cloned()
     }
 
-    /// Names of all registered reduction strategies, sorted.
-    pub fn reduction_names(&self) -> Vec<&'static str> {
-        let mut names: Vec<&'static str> = self
-            .strategies
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .keys()
-            .copied()
-            .collect();
-        names.sort_unstable();
-        names
+    /// Every counter the context keeps, read in one call (one lock per
+    /// sub-system).
+    pub fn stats(&self) -> ContextStats {
+        // RELAXED(telemetry reads; approximate freshness is acceptable)
+        let (plan_cache_hits, plan_cache_misses, dirty_lease_returns) = (
+            self.plan_hits.load(Ordering::Relaxed),
+            self.plan_misses.load(Ordering::Relaxed),
+            self.dirty_returns.load(Ordering::Relaxed),
+        );
+        let (plan_cache_len, plan_cache_evictions) = {
+            let plans = lock_ignore_poison(&self.plans);
+            (plans.map.len(), plans.evictions)
+        };
+        let (arena_free_buffers, arena_retained_elements, arena_trims) = {
+            let arena = lock_ignore_poison(&self.arena);
+            (arena.free.len(), arena.retained_elements(), arena.trims)
+        };
+        ContextStats {
+            plan_cache_len,
+            plan_cache_evictions,
+            plan_cache_hits,
+            plan_cache_misses,
+            arena_free_buffers,
+            arena_retained_elements,
+            arena_trims,
+            dirty_lease_returns,
+        }
     }
+}
+
+/// A snapshot of the context's counters ([`ExecutionContext::stats`]).
+/// Pool health has its own record, [`ExecutionContext::health_state`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ContextStats {
+    /// Plan artifacts currently memoized.
+    pub plan_cache_len: usize,
+    /// Hits observed by [`ExecutionContext::plan_cache_get`].
+    pub plan_cache_hits: usize,
+    /// Misses observed by [`ExecutionContext::plan_cache_get`].
+    pub plan_cache_misses: usize,
+    /// Entries evicted by the plan cache's LRU bound.
+    pub plan_cache_evictions: usize,
+    /// Free buffers currently held by the arena.
+    pub arena_free_buffers: usize,
+    /// Elements (sum of capacities) the arena free list is pinning.
+    pub arena_retained_elements: usize,
+    /// Free buffers dropped by the arena's retained-memory bound.
+    pub arena_trims: usize,
+    /// Leases that came back dirty on the normal return path (broken lease
+    /// contracts, healed and counted rather than recycled).
+    pub dirty_lease_returns: usize,
 }
 
 /// RAII guard for installed supervision: clears the context's supervision
@@ -641,7 +583,7 @@ impl Drop for BufferLease<'_> {
     ///   would corrupt unrelated results long after the panic was caught;
     /// * normal kernel leases are verified and healed: any stray non-zero
     ///   value is zeroed and the violation counted
-    ///   ([`ExecutionContext::dirty_lease_returns`]). Debug builds flag the
+    ///   ([`ContextStats::dirty_lease_returns`]). Debug builds flag the
     ///   broken contract unless the dirt was deliberately injected by the
     ///   fault plan.
     fn drop(&mut self) {
@@ -718,17 +660,17 @@ mod tests {
             assert_eq!(lease.len(), 128);
             assert!(lease.iter().all(|&v| v == 0.0));
         }
-        assert_eq!(ctx.arena_free_buffers(), 1);
+        assert_eq!(ctx.stats().arena_free_buffers, 1);
         {
             // Same-size request reuses the returned buffer.
             let _lease = ctx.lease(128);
-            assert_eq!(ctx.arena_free_buffers(), 0);
+            assert_eq!(ctx.stats().arena_free_buffers, 0);
         }
         {
             // A smaller request truncates rather than allocating anew.
             let lease = ctx.lease(64);
             assert_eq!(lease.len(), 64);
-            assert_eq!(ctx.arena_free_buffers(), 0);
+            assert_eq!(ctx.stats().arena_free_buffers, 0);
         }
     }
 
@@ -756,7 +698,9 @@ mod tests {
     #[test]
     fn builtin_strategies_registered() {
         let ctx = ExecutionContext::new(1);
-        assert_eq!(ctx.reduction_names(), vec!["eff", "idx", "naive", "race"]);
+        for tag in ["naive", "eff", "idx", "race"] {
+            assert_eq!(ctx.reduction(tag).unwrap().name(), tag);
+        }
         assert!(ctx.reduction("idx").unwrap().needs_index());
         assert!(ctx.reduction("race").unwrap().scheduled());
         assert!(ctx.reduction("race").unwrap().direct_write());
@@ -814,7 +758,7 @@ mod tests {
         }));
         assert!(res.is_err());
         // The buffer went back to the arena scrubbed, not dirty.
-        assert_eq!(ctx.arena_free_buffers(), 1);
+        assert_eq!(ctx.stats().arena_free_buffers, 1);
         assert!(ctx.arena_all_free_zero());
         // And the next lessee observes zeros.
         let lease = ctx.lease(64);
@@ -827,11 +771,11 @@ mod tests {
         ctx.fault_plan().arm_corrupt_lease(0, 9.75);
         drop(ctx.lease(32));
         assert_eq!(ctx.fault_plan().fired(), 1);
-        assert_eq!(ctx.dirty_lease_returns(), 1);
+        assert_eq!(ctx.stats().dirty_lease_returns, 1);
         assert!(ctx.arena_all_free_zero());
         // Subsequent clean returns do not bump the counter.
         drop(ctx.lease(32));
-        assert_eq!(ctx.dirty_lease_returns(), 1);
+        assert_eq!(ctx.stats().dirty_lease_returns, 1);
     }
 
     #[test]
@@ -851,52 +795,69 @@ mod tests {
 
     #[test]
     fn plan_cache_lru_evicts_and_counts() {
-        let ctx = ExecutionContext::new(1);
-        ctx.plan_cache_set_capacity(3);
+        let mut cache = PlanCache {
+            capacity: 3,
+            ..PlanCache::default()
+        };
         let key = |i: u64| PlanKey {
             matrix: i,
             nthreads: 1,
             strategy: "t".to_string(),
         };
         for i in 0..3 {
-            ctx.plan_cache_put(key(i), Arc::new(i));
+            cache.put(key(i), Arc::new(i));
         }
-        assert_eq!(ctx.plan_cache_len(), 3);
-        assert_eq!(ctx.plan_cache_evictions(), 0);
+        assert_eq!((cache.map.len(), cache.evictions), (3, 0));
 
         // Touch key 0 so key 1 becomes the LRU, then overflow.
-        assert!(ctx.plan_cache_get(&key(0)).is_some());
-        ctx.plan_cache_put(key(3), Arc::new(3u64));
-        assert_eq!(ctx.plan_cache_len(), 3);
-        assert_eq!(ctx.plan_cache_evictions(), 1);
-        assert!(ctx.plan_cache_get(&key(1)).is_none(), "LRU entry evicted");
-        assert!(ctx.plan_cache_get(&key(0)).is_some(), "touched entry kept");
-        assert!(ctx.plan_cache_get(&key(3)).is_some());
+        assert!(cache.get(&key(0)).is_some());
+        cache.put(key(3), Arc::new(3u64));
+        assert_eq!((cache.map.len(), cache.evictions), (3, 1));
+        assert!(cache.get(&key(1)).is_none(), "LRU entry evicted");
+        assert!(cache.get(&key(0)).is_some(), "touched entry kept");
+        assert!(cache.get(&key(3)).is_some());
+    }
 
-        // Shrinking the cap evicts immediately.
-        ctx.plan_cache_set_capacity(1);
-        assert_eq!(ctx.plan_cache_len(), 1);
-        assert_eq!(ctx.plan_cache_evictions(), 3);
-        assert_eq!(ctx.plan_cache_capacity(), 1);
+    #[test]
+    fn stats_reads_every_counter_in_one_call() {
+        let ctx = ExecutionContext::new(1);
+        let key = PlanKey {
+            matrix: 7,
+            nthreads: 1,
+            strategy: "t".to_string(),
+        };
+        assert!(ctx.plan_cache_get(&key).is_none());
+        ctx.plan_cache_put(key.clone(), Arc::new(7u64));
+        assert!(ctx.plan_cache_get(&key).is_some());
+        drop(ctx.lease(80));
+        assert_eq!(
+            ctx.stats(),
+            ContextStats {
+                plan_cache_len: 1,
+                plan_cache_hits: 1,
+                plan_cache_misses: 1,
+                plan_cache_evictions: 0,
+                arena_free_buffers: 1,
+                arena_retained_elements: 80,
+                arena_trims: 0,
+                dirty_lease_returns: 0,
+            }
+        );
     }
 
     #[test]
     fn arena_trims_oversized_retained_buffers() {
-        let ctx = ExecutionContext::new(1);
-        ctx.arena_set_retained_limit(100);
-        drop(ctx.lease(80)); // fits: retained
-        assert_eq!(ctx.arena_free_buffers(), 1);
-        assert_eq!(ctx.arena_trims(), 0);
+        let mut arena = BufferArena {
+            retained_limit: 100,
+            ..BufferArena::default()
+        };
+        arena.release(vec![0.0; 80]); // fits: retained
+        assert_eq!((arena.free.len(), arena.trims), (1, 0));
 
-        drop(ctx.lease_scratch(300)); // 80 + 300 > 100: largest dropped
-        assert!(ctx.arena_retained_elements() <= 100);
-        assert!(ctx.arena_trims() >= 1);
-        assert!(ctx.arena_all_free_zero(), "trim preserves the invariant");
-
-        // Lowering the limit below what is retained trims immediately.
-        ctx.arena_set_retained_limit(0);
-        assert_eq!(ctx.arena_free_buffers(), 0);
-        assert_eq!(ctx.arena_retained_elements(), 0);
+        arena.release(vec![0.0; 300]); // 80 + 300 > 100: largest dropped
+        assert!(arena.retained_elements() <= 100);
+        assert_eq!((arena.free.len(), arena.trims), (1, 1));
+        assert_eq!(arena.acquire(80).len(), 80, "the small buffer survived");
     }
 
     #[test]
@@ -925,7 +886,7 @@ mod tests {
     fn health_counters_are_visible_on_the_context() {
         let ctx = ExecutionContext::new(2);
         assert_eq!(ctx.health(), PoolHealth::Healthy);
-        assert_eq!(ctx.pool_failures(), 0);
+        assert_eq!(ctx.health_state().failures(), 0);
         let err = ctx
             .try_run(&|tid| {
                 if tid == 1 {
@@ -935,9 +896,13 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.tid(), 1);
         assert_eq!(ctx.health(), PoolHealth::Degraded);
-        assert_eq!(ctx.pool_failures(), 1);
-        assert_eq!(ctx.pool_respawns(), 1);
-        assert_eq!(ctx.pool_mtbf(), None, "one failure gives no estimate");
+        assert_eq!(ctx.health_state().failures(), 1);
+        assert_eq!(ctx.health_state().respawns(), 1);
+        assert_eq!(
+            ctx.health_state().mtbf(),
+            None,
+            "one failure gives no estimate"
+        );
     }
 
     #[test]

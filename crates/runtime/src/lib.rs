@@ -12,10 +12,12 @@
 //! * [`pool::WorkerPool`] — a persistent pool of workers executing the same
 //!   closure with distinct thread ids (SPMD style), with a blocking `run`;
 //! * [`context::ExecutionContext`] — the shared runtime layer: one pool,
-//!   one recycled first-touch buffer arena, and the
-//!   [`reduction::ReductionStrategy`] registry;
+//!   one recycled first-touch buffer arena, the four built-in
+//!   [`reduction::ReductionStrategy`] objects, and one
+//!   [`context::ContextStats`] snapshot of its counters;
 //! * [`reduction`] — the three symmetric reduction strategies of Fig. 3
-//!   (naive / effective-ranges / local-vectors indexing) as trait objects;
+//!   (naive / effective-ranges / local-vectors indexing) and the race
+//!   schedule, as trait objects;
 //! * [`shared`] — the `SharedBuf` escape hatch for disjoint parallel writes;
 //! * [`partition`] — contiguous, weight-balanced row partitioning;
 //! * [`timing`] — phase timers for the multiplication/reduction breakdowns
@@ -55,7 +57,7 @@ pub mod timing;
 #[cfg(test)]
 mod stress_tests;
 
-pub use context::{BufferLease, ExecutionContext, PlanKey, SupervisionGuard};
+pub use context::{BufferLease, ContextStats, ExecutionContext, PlanKey, SupervisionGuard};
 #[cfg(any(test, feature = "fault-injection"))]
 pub use fault::FaultPlan;
 pub use partition::{balanced_ranges, Range};

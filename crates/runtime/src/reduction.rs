@@ -2,9 +2,9 @@
 //!
 //! The paper's insight (§III) is that *how* transposed contributions are
 //! folded back into the output vector is a scheduling concern layered over
-//! the storage format, not part of it: SSS, CSX-Sym and the hybrid format
-//! all produce the same local-vector writes and can share one reduction
-//! implementation. This module captures that split as a trait object:
+//! the storage format, not part of it: SSS and CSX-Sym produce the same
+//! local-vector writes and share one reduction implementation. This module
+//! captures that split as a trait object:
 //!
 //! * [`NaiveReduction`] — full-length local vector per thread; the
 //!   reduction sweeps all `p·N` elements (Alg. 3, `ws = 8pN`, Eq. 3).
@@ -15,10 +15,9 @@
 //!   `(vid, idx)` index enumerates the actually-conflicting elements and
 //!   the reduction touches only those (`ws ≈ 8(p−1)N·d`, Eq. 6).
 //!
-//! Strategies are registered with an
-//! [`ExecutionContext`](crate::ExecutionContext) by name, so kernels select
-//! them at construction time and new strategies (e.g. a coloring-based or
-//! NUMA-aware fold) plug in without touching any format code.
+//! Every [`ExecutionContext`](crate::ExecutionContext) holds these three and
+//! [`RaceReduction`] — the closed set of four built-ins — and kernels look
+//! one up by tag at construction time.
 
 use crate::partition::Range;
 use crate::pool::WorkerPool;
@@ -83,7 +82,7 @@ pub struct ReduceJob<'a> {
 /// responsible for **zeroed** after [`reduce`](ReductionStrategy::reduce)
 /// returns — the buffer arena's reuse contract depends on it.
 pub trait ReductionStrategy: Send + Sync {
-    /// Stable identifier used as the registry key (e.g. `"idx"`).
+    /// Stable tag the context looks the strategy up by (e.g. `"idx"`).
     fn name(&self) -> &'static str;
 
     /// Whether the multiply phase writes its own rows directly into `y`

@@ -207,10 +207,16 @@ fn plan_cache_consistent_under_concurrent_hammering() {
         }
     });
 
-    assert!(ctx.plan_cache_len() <= 14, "7 matrices × 2 strategies");
-    assert!(ctx.plan_cache_hits() >= 8 * 50, "every round ends in a hit");
+    assert!(
+        ctx.stats().plan_cache_len <= 14,
+        "7 matrices × 2 strategies"
+    );
+    assert!(
+        ctx.stats().plan_cache_hits >= 8 * 50,
+        "every round ends in a hit"
+    );
     ctx.clear_plan_cache();
-    assert_eq!(ctx.plan_cache_len(), 0);
+    assert_eq!(ctx.stats().plan_cache_len, 0);
 }
 
 #[test]

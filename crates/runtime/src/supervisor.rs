@@ -36,6 +36,7 @@
 //! scrubbed — the arena invariant survives cancellation exactly as it
 //! survives worker panics.
 
+use crate::context::lock_ignore_poison;
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -201,13 +202,13 @@ pub struct SupervisionCell {
 impl SupervisionCell {
     /// Installs `sup` as the supervision consulted by subsequent rounds.
     pub fn install(&self, sup: Supervision) {
-        *lock_slot(&self.slot) = Some(sup);
+        *lock_ignore_poison(&self.slot) = Some(sup);
         self.active.store(true, Ordering::SeqCst);
     }
 
     /// Removes any installed supervision; subsequent rounds run unbounded.
     pub fn clear(&self) {
-        *lock_slot(&self.slot) = None;
+        *lock_ignore_poison(&self.slot) = None;
         self.active.store(false, Ordering::SeqCst);
     }
 
@@ -219,12 +220,8 @@ impl SupervisionCell {
         if !self.active.load(Ordering::Relaxed) {
             return None;
         }
-        lock_slot(&self.slot).clone()
+        lock_ignore_poison(&self.slot).clone()
     }
-}
-
-fn lock_slot(m: &Mutex<Option<Supervision>>) -> std::sync::MutexGuard<'_, Option<Supervision>> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Pool health as observed by the supervision layer.
@@ -304,7 +301,7 @@ impl HealthState {
         if n < 2 {
             return None;
         }
-        let clock = lock_clock(&self.clock);
+        let clock = lock_ignore_poison(&self.clock);
         match (clock.first, clock.last) {
             (Some(first), Some(last)) => Some((last - first) / (n as u32 - 1)),
             _ => None,
@@ -323,7 +320,7 @@ impl HealthState {
             Ordering::SeqCst,
         );
         let now = Instant::now();
-        let mut clock = lock_clock(&self.clock);
+        let mut clock = lock_ignore_poison(&self.clock);
         clock.first.get_or_insert(now);
         clock.last = Some(now);
     }
@@ -366,12 +363,6 @@ impl HealthState {
             );
         }
     }
-}
-
-fn lock_clock(m: &Mutex<FailureClock>) -> std::sync::MutexGuard<'_, FailureClock> {
-    // Updates are tiny stores; a poisoned clock would only ever come from a
-    // panicking test observer.
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]

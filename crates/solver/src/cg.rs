@@ -658,10 +658,10 @@ mod tests {
         );
         // A second solve leases the same scratch buffers back out of the
         // arena and reaches the identical iterate.
-        let free_between = ctx.arena_free_buffers();
+        let free_between = ctx.stats().arena_free_buffers;
         let mut x2 = vec![0.0; 500];
         let res2 = cg(&mut k, &b, &mut x2, &cfg);
-        assert_eq!(ctx.arena_free_buffers(), free_between);
+        assert_eq!(ctx.stats().arena_free_buffers, free_between);
         assert_eq!(res1.iterations, res2.iterations);
         for (a, bb) in x.iter().zip(&x2) {
             assert_eq!(a, bb, "scratch reuse must not change the iterates");

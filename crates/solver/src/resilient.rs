@@ -358,8 +358,12 @@ mod tests {
             .expect("third attempt succeeds");
         assert_eq!(served.served, Served::Parallel { attempts: 3 });
         assert!(served.outcome.converged);
-        assert_eq!(ctx.pool_failures(), 2, "each death was recorded");
-        assert_eq!(ctx.pool_respawns(), 0, "share 0 has no thread to replace");
+        assert_eq!(ctx.health_state().failures(), 2, "each death was recorded");
+        assert_eq!(
+            ctx.health_state().respawns(),
+            0,
+            "share 0 has no thread to replace"
+        );
         for (a, bb) in x.iter().zip(&x_ref) {
             assert!((a - bb).abs() < 1e-6, "{a} vs {bb}");
         }
@@ -419,7 +423,7 @@ mod tests {
                 inner,
                 remaining: usize::MAX,
             };
-            let fresh_free = ctx.arena_free_buffers();
+            let fresh_free = ctx.stats().arena_free_buffers;
             let mut serve = || {
                 let (mut x, mut xb) = (vec![0.0; n], VectorBlock::zeros(n, 2));
                 let once = fast_policy(1);
@@ -441,14 +445,18 @@ mod tests {
             // worker dies in and returns every lease before the rerun
             // starts — the moment the parallel attempts end.
             serve();
-            let (rounds, free) = (ctx.pool_rounds(), ctx.arena_free_buffers());
+            let (rounds, free) = (ctx.pool_rounds(), ctx.stats().arena_free_buffers);
             serve();
             assert_eq!(
                 ctx.pool_rounds(),
                 rounds + 1,
                 "{solver}: rerun ran on the pool"
             );
-            assert_eq!(ctx.arena_free_buffers(), free, "{solver}: rerun leased");
+            assert_eq!(
+                ctx.stats().arena_free_buffers,
+                free,
+                "{solver}: rerun leased"
+            );
             if solver == "block" {
                 // block_cg leases nothing itself and the kernel died before
                 // its own lease, so any buffer here would be the rerun's.

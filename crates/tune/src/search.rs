@@ -534,8 +534,8 @@ mod tests {
         let coo = symspmv_sparse::gen::laplacian_2d(10, 10);
         let sss = SssMatrix::try_from_coo(&coo, 0.0).unwrap();
         let bad = PlanSpec {
-            format: symspmv_core::auto::FormatTag::Hybrid,
-            method: symspmv_core::ReductionMethod::Naive,
+            format: symspmv_core::auto::FormatTag::CsxSym,
+            method: symspmv_core::ReductionMethod::Race,
             nthreads: 2,
             lanes: 1,
         };

@@ -6,7 +6,7 @@
 //! machine model)`. The format is deliberately boring:
 //!
 //! ```json
-//! {"version": 1,
+//! {"version": 2,
 //!  "plans": [{"fingerprint": "0xabc...", "ncpus": 4, "machine": "...",
 //!             "format": "sss", "method": "idx", "nthreads": 4,
 //!             "lanes": 8, "predicted_bytes": 1.2e6,
@@ -32,8 +32,10 @@ use symspmv_sparse::SparseError;
 use symspmv_verify::jsonio::Json;
 
 /// Schema version of the plan-store file. Bump on any incompatible change
-/// to the entry layout; older files are then ignored wholesale.
-pub const PLAN_STORE_VERSION: u64 = 1;
+/// to the entry layout or to the set of tags an entry may carry; older
+/// files are then ignored wholesale. Version 1 files could name the deleted
+/// third format, which version 2 has no tag for.
+pub const PLAN_STORE_VERSION: u64 = 2;
 
 /// File name of the store inside its directory.
 pub const PLAN_STORE_FILE: &str = "plans.json";
@@ -129,16 +131,6 @@ fn fingerprint_from_str(s: &str) -> Result<u64, SymSpmvError> {
         .map_err(|e| parse_err(format!("fingerprint {s:?} is not valid hex: {e}")))
 }
 
-fn method_from_tag(tag: &str) -> Result<ReductionMethod, SymSpmvError> {
-    match tag {
-        "naive" => Ok(ReductionMethod::Naive),
-        "eff" => Ok(ReductionMethod::EffectiveRanges),
-        "idx" => Ok(ReductionMethod::Indexing),
-        "race" => Ok(ReductionMethod::Race),
-        other => Err(parse_err(format!("unknown reduction method tag {other:?}"))),
-    }
-}
-
 fn entry_to_json(key: &StoreKey, plan: &TunedPlan) -> Json {
     Json::Obj(vec![
         ("fingerprint".into(), fingerprint_to_json(key.fingerprint)),
@@ -166,9 +158,11 @@ fn entry_from_json(obj: &Json) -> Result<(StoreKey, TunedPlan), SymSpmvError> {
     };
     let format = FormatTag::parse(str_field(obj, "format")?)
         .ok_or_else(|| parse_err("unknown format tag in plan store".to_string()))?;
+    let method = str_field(obj, "method")?;
     let spec = PlanSpec {
         format,
-        method: method_from_tag(str_field(obj, "method")?)?,
+        method: ReductionMethod::from_tag(method)
+            .ok_or_else(|| parse_err(format!("unknown reduction method tag {method:?}")))?,
         nthreads: usize_field(obj, "nthreads")?,
         lanes: usize_field(obj, "lanes")?,
     };

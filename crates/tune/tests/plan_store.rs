@@ -103,7 +103,7 @@ fn version_bump_makes_the_store_invisible() {
     // Rewrite the file under a future schema version.
     let path = dir.join(PLAN_STORE_FILE);
     let text = std::fs::read_to_string(&path).unwrap();
-    let bumped = text.replacen("\"version\":1", "\"version\":999", 1);
+    let bumped = text.replacen("\"version\":2", "\"version\":999", 1);
     assert_ne!(text, bumped, "test must actually bump the version");
     std::fs::write(&path, bumped).unwrap();
 
@@ -118,19 +118,49 @@ fn version_bump_makes_the_store_invisible() {
 }
 
 #[test]
+fn a_version_1_store_naming_the_deleted_format_is_ignored_and_rewritten() {
+    // What the parent commit could leave on disk: schema version 1 with a
+    // winner in the format this version has no tag for. One such entry must
+    // not turn the whole file into a parse error.
+    let dir = tmp_dir("v1-deleted-format");
+    let path = dir.join(PLAN_STORE_FILE);
+    std::fs::write(
+        &path,
+        "{\"version\":1,\"plans\":[{\"fingerprint\":\"0x0000000000000001\",\
+          \"ncpus\":2,\"machine\":\"cpu-A\",\"format\":\"hybrid\",\"method\":\"eff\",\
+          \"nthreads\":1,\"lanes\":8,\"predicted_bytes\":1.0,\"measured_secs\":1.0,\
+          \"candidates_measured\":12,\"certified\":true}]}",
+    )
+    .unwrap();
+    let mut store = PlanStore::open_for_machine(&dir, "cpu-A".into(), 2).unwrap();
+    assert!(store.ignored_version_mismatch());
+    assert!(store.is_empty());
+
+    let coo = gen::laplacian_2d(14, 14);
+    let (outcome, hit) = tune_and_store(&coo, &mut store, &opts(), &mut ModelMeasurer).unwrap();
+    assert!(!hit, "an ignored file must be re-measured");
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.starts_with("{\"version\":2,"), "{text}");
+    let reloaded = PlanStore::open_for_machine(&dir, "cpu-A".into(), 2).unwrap();
+    assert!(!reloaded.ignored_version_mismatch());
+    assert_eq!(reloaded.get(outcome.fingerprint), Some(&outcome.winner));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn corrupted_json_is_a_typed_error_never_a_panic() {
     let dir = tmp_dir("corrupt");
     let path = dir.join(PLAN_STORE_FILE);
     for garbage in [
         "{",
         "not json at all",
-        "{\"version\":1,\"plans\":[{\"fingerprint\":42}]}",
-        "{\"version\":1,\"plans\":[{\"fingerprint\":\"0xzz\"}]}",
-        "{\"version\":1,\"plans\":{}}",
+        "{\"version\":2,\"plans\":[{\"fingerprint\":42}]}",
+        "{\"version\":2,\"plans\":[{\"fingerprint\":\"0xzz\"}]}",
+        "{\"version\":2,\"plans\":{}}",
         "{\"plans\":[]}",
         // A structurally valid entry that names an unbuildable plan.
-        "{\"version\":1,\"plans\":[{\"fingerprint\":\"0x0000000000000001\",\
-          \"ncpus\":2,\"machine\":\"m\",\"format\":\"hybrid\",\"method\":\"naive\",\
+        "{\"version\":2,\"plans\":[{\"fingerprint\":\"0x0000000000000001\",\
+          \"ncpus\":2,\"machine\":\"m\",\"format\":\"csxsym\",\"method\":\"race\",\
           \"nthreads\":2,\"lanes\":1,\"predicted_bytes\":1.0,\"measured_secs\":1.0,\
           \"candidates_measured\":1,\"certified\":true}]}",
     ] {

@@ -52,16 +52,6 @@ impl Json {
         Ok(out)
     }
 
-    /// Serializes with two-space indentation and a trailing newline;
-    /// arrays of scalars stay on one line (sample vectors would otherwise
-    /// dominate the file). Fails on non-finite numbers.
-    pub fn to_pretty(&self) -> Result<String, String> {
-        let mut out = String::new();
-        write_pretty(self, &mut out, 0)?;
-        out.push('\n');
-        Ok(out)
-    }
-
     /// Looks up a key of an object; `None` for absent keys or non-objects.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -322,53 +312,6 @@ fn write_value(value: &Json, out: &mut String) -> Result<(), String> {
     Ok(())
 }
 
-fn write_pretty(value: &Json, out: &mut String, depth: usize) -> Result<(), String> {
-    let newline_indent = |out: &mut String, depth: usize| {
-        out.push('\n');
-        out.push_str(&"  ".repeat(depth));
-    };
-    match value {
-        Json::Arr(items) if !items.is_empty() => {
-            let scalar = items
-                .iter()
-                .all(|i| !matches!(i, Json::Arr(_) | Json::Obj(_)));
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if !scalar {
-                    newline_indent(out, depth + 1);
-                } else if i > 0 {
-                    out.push(' ');
-                }
-                write_pretty(item, out, depth + 1)?;
-            }
-            if !scalar {
-                newline_indent(out, depth);
-            }
-            out.push(']');
-        }
-        Json::Obj(fields) if !fields.is_empty() => {
-            out.push('{');
-            for (i, (key, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, depth + 1);
-                write_string(key, out);
-                out.push_str(": ");
-                write_pretty(item, out, depth + 1)?;
-            }
-            newline_indent(out, depth);
-            out.push('}');
-        }
-        // Scalars and empty containers read the same in both layouts.
-        _ => write_value(value, out)?,
-    }
-    Ok(())
-}
-
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -396,6 +339,15 @@ mod tests {
         assert_eq!(Json::parse(&v.write().unwrap()).unwrap(), v);
         assert_eq!(v.get("e"), Some(&Json::Bool(true)));
         assert_eq!(v.get("a").and_then(|a| a.get("c")), None);
+
+        // Shortest-round-trip floats parse back bit-identical, and the
+        // insertion order (b before a) survives.
+        let mut doc = Json::Obj(Vec::new());
+        doc.push("b", Json::Num(2.0))
+            .push("a", Json::Num(0.1 + 0.2));
+        let text = doc.write().unwrap();
+        assert_eq!(text, "{\"b\":2,\"a\":0.30000000000000004}");
+        assert_eq!(Json::parse(&text).unwrap(), doc);
     }
 
     #[test]
@@ -435,33 +387,6 @@ mod tests {
         assert!(Json::parse(&deep).is_err());
         let ok = "[".repeat(40) + &"]".repeat(40);
         assert!(Json::parse(&ok).is_ok());
-    }
-
-    #[test]
-    fn pretty_layout_and_exact_float_round_trip() {
-        let mut inner = Json::Obj(Vec::new());
-        inner
-            .push("b", Json::Num(2.0))
-            .push("a", Json::Num(0.1 + 0.2));
-        let mut doc = Json::Obj(Vec::new());
-        doc.push("name", Json::Str("x".into()))
-            .push("scalars", Json::Arr(vec![Json::Num(1.0), Json::Null]))
-            .push("nested", Json::Arr(vec![inner]))
-            .push("empty_arr", Json::Arr(vec![]))
-            .push("empty_obj", Json::Obj(Vec::new()));
-        let text = doc.to_pretty().unwrap();
-        assert_eq!(
-            text,
-            "{\n  \"name\": \"x\",\n  \"scalars\": [1, null],\n  \"nested\": [\n    {\n      \
-             \"b\": 2,\n      \"a\": 0.30000000000000004\n    }\n  ],\n  \"empty_arr\": [],\n  \
-             \"empty_obj\": {}\n}\n"
-        );
-        // Shortest-round-trip floats parse back bit-identical, and the
-        // insertion order (b before a) survives.
-        assert_eq!(Json::parse(&text).unwrap(), doc);
-        let mut bad = Json::Obj(Vec::new());
-        bad.push("median", Json::Num(f64::NAN));
-        assert!(bad.to_pretty().is_err());
     }
 
     #[test]

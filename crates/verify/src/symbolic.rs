@@ -22,8 +22,8 @@
 //!   every thread-count/strategy/lane configuration): the strict lower
 //!   triangle (`col < row` for every stored entry, so a direct transposed
 //!   write can never escape its partition), the first nonzero diagonal
-//!   entry (skew side condition), the paired-array length (structural side
-//!   condition) and the bandwidth.
+//!   entry (skew side condition) and the paired-array length (structural
+//!   side condition).
 //!
 //! With the facts in hand, certification is `O(p + c)` where `c` is the
 //! conflict-entry count (`c ≪ nnz`): the only non-interval obligation is
@@ -144,18 +144,13 @@ pub struct StructureFacts {
     pub paired_upper_len: usize,
     /// Stored strict-lower-triangle entry count.
     pub lower_nnz: usize,
-    /// Bandwidth: `max_r (r − min col(r))` over stored entries; the write
-    /// window of row `r` is contained in `[r − bandwidth, r]`.
-    pub bandwidth: u32,
 }
 
 impl StructureFacts {
     /// Distills the axioms from an SSS matrix. The strict-lower-triangle
     /// and column-bound axioms are established by the `SssMatrix`
     /// constructors (they reject anything else), so they are not re-walked
-    /// here; the diagonal scan and the bandwidth — from each row's first
-    /// column, rows being sorted by construction — are the only passes,
-    /// both `O(n)`.
+    /// here; the diagonal scan is the only pass, `O(n)`.
     pub fn of(sss: &SssMatrix) -> Self {
         let nonzero_diag = sss
             .dvalues()
@@ -163,8 +158,6 @@ impl StructureFacts {
             .enumerate()
             .find(|(_, &d)| d != 0.0)
             .map(|(r, &d)| (r as u32, d));
-        let reach = |r: u32| sss.row(r).0.first().map_or(0, |&c| r - c);
-        let bandwidth = (0..sss.n()).map(reach).max().unwrap_or(0);
         StructureFacts {
             fingerprint: sss.fingerprint(),
             n: sss.n(),
@@ -172,7 +165,6 @@ impl StructureFacts {
             nonzero_diag,
             paired_upper_len: sss.upper_values().len(),
             lower_nnz: sss.lower_nnz(),
-            bandwidth,
         }
     }
 }
@@ -800,13 +792,12 @@ mod tests {
     }
 
     #[test]
-    fn facts_capture_diag_and_bandwidth() {
+    fn facts_capture_diag() {
         let m = sss(&[(5, 1), (6, 2), (7, 6)], 8);
         let f = StructureFacts::of(&m);
         assert_eq!(f.n, 8);
         assert_eq!(f.fingerprint, m.fingerprint());
         assert_eq!(f.nonzero_diag, Some((0, 2.0)));
-        assert_eq!(f.bandwidth, 4, "widest row span is (5, 1)");
         assert_eq!(f.lower_nnz, 3);
     }
 }

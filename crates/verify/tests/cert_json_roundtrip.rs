@@ -31,7 +31,7 @@ impl Rng {
 }
 
 fn arbitrary_certificate(rng: &mut Rng) -> RaceCertificate {
-    let families = ["sym-sss", "sym-csx", "sym-hybrid", "csr"];
+    let families = ["sym-sss", "sym-csx", "csr"];
     let strategies = ["", "naive", "eff", "idx"];
     let symmetries = ["none", "symmetric", "skew", "structural"];
     let invariant_pool = [

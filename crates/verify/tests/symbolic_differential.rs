@@ -8,12 +8,12 @@
 //! largest suite matrix the per-plan symbolic proof must be at least 10×
 //! faster than the enumerative re-walk.
 //!
-//! Format → certifier mapping (the five formats the repo keeps):
+//! Format → certifier mapping (the four formats the repo keeps):
 //!
-//! | formats                    | plan geometry      | certifier pair                           |
-//! |----------------------------|--------------------|------------------------------------------|
-//! | `csr`, `csx`               | row partition      | `certify_rows` / `certify_rows_symbolic` |
-//! | `sss`, `csx-sym`, `hybrid` | symmetric SSS plan | `certify_sym` / `certify_sym_symbolic`   |
+//! | formats          | plan geometry      | certifier pair                           |
+//! |------------------|--------------------|------------------------------------------|
+//! | `csr`, `csx`     | row partition      | `certify_rows` / `certify_rows_symbolic` |
+//! | `sss`, `csx-sym` | symmetric SSS plan | `certify_sym` / `certify_sym_symbolic`   |
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -155,7 +155,7 @@ fn differential_sym_sweep(sss: &SssMatrix, label: &str) -> usize {
 }
 
 /// The whole-suite differential: symmetric suite matrices through the
-/// SSS-plan formats (`sss`, `csx-sym`, `hybrid` share the geometry) and the
+/// SSS-plan formats (`sss` and `csx-sym` share the geometry) and the
 /// row-partition formats.
 #[test]
 fn symbolic_agrees_with_enumerative_across_the_suite() {

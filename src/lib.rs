@@ -21,7 +21,7 @@
 //! let n = a.nrows() as usize;
 //!
 //! // One execution context owns the worker pool, the buffer arena, and
-//! // the reduction-strategy registry shared by kernels and solver alike.
+//! // the four reduction strategies shared by kernels and solver alike.
 //! let ctx = ExecutionContext::new(4);
 //!
 //! // The paper's fastest configuration: CSX-Sym storage plus the

@@ -26,12 +26,12 @@ fn consecutive_spmv_calls_bit_identical_to_fresh_kernel() {
         let mut k = SymSpmv::from_coo(&coo, &ctx, method, SymFormat::Sss).unwrap();
         let mut y1 = vec![0.0; n];
         k.spmv(&x, &mut y1);
-        let free_after_first = ctx.arena_free_buffers();
+        let free_after_first = ctx.stats().arena_free_buffers;
         let mut y2 = vec![f64::NAN; n];
         k.spmv(&x, &mut y2);
         // The second call drew from the arena instead of growing it.
         assert_eq!(
-            ctx.arena_free_buffers(),
+            ctx.stats().arena_free_buffers,
             free_after_first,
             "{method:?}: arena grew"
         );

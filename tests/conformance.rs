@@ -47,7 +47,7 @@ fn format_axis_includes_scheduled_strategy() {
         names.contains(&"sss-race"),
         "the sss-race axis is missing from the oracle"
     );
-    assert_eq!(block_specs().len(), 9, "format axis silently shrank");
+    assert_eq!(block_specs().len(), 8, "format axis silently shrank");
 }
 
 /// SpMV: every format × nthreads × matrix agrees with the serial SSS

@@ -287,11 +287,7 @@ fn invalid_arguments_are_structured_errors() {
     // the infallible build path.
     use symspmv::sparse::gen;
     let ctx = ExecutionContext::new(2);
-    let csx = DetectConfig::default();
-    let hybrid = || SymFormat::Hybrid {
-        csx: csx.clone(),
-        min_coverage: 0.5,
-    };
+    let csxsym = || SymFormat::CsxSym(DetectConfig::default());
     for (kind, coo) in [
         (SymmetryKind::Symmetric, gen::laplacian_2d(8, 8)),
         (SymmetryKind::Skew, gen::skew_convection(64, 5, 4.0, 3)),
@@ -300,27 +296,21 @@ fn invalid_arguments_are_structured_errors() {
             gen::structural_random(64, 5.0, 0.4, 4, 5),
         ),
     ] {
-        for (method, format) in [
-            (ReductionMethod::Race, SymFormat::CsxSym(csx.clone())),
-            (ReductionMethod::Race, hybrid()),
-            (ReductionMethod::Naive, hybrid()),
-        ] {
-            let err = SymSpmv::try_from_coo_kind(&coo, kind, &ctx, method, format)
-                .err()
-                .expect("unsupported method x format pair must be rejected");
-            assert!(
-                matches!(
-                    err,
-                    SymSpmvError::InvalidStructure(SparseError::InvalidArgument { .. })
-                ),
-                "{} x {}: {err:?}",
-                kind.tag(),
-                method.tag()
-            );
-        }
-        // The supported neighbour of each rejected pair still builds.
+        // `csxsym × race` is the one pair that does not build.
+        let err = SymSpmv::try_from_coo_kind(&coo, kind, &ctx, ReductionMethod::Race, csxsym())
+            .err()
+            .expect("unsupported method x format pair must be rejected");
         assert!(
-            SymSpmv::try_from_coo_kind(&coo, kind, &ctx, ReductionMethod::Indexing, hybrid())
+            matches!(
+                err,
+                SymSpmvError::InvalidStructure(SparseError::InvalidArgument { .. })
+            ),
+            "{} x race: {err:?}",
+            kind.tag()
+        );
+        // The supported neighbour of the rejected pair still builds.
+        assert!(
+            SymSpmv::try_from_coo_kind(&coo, kind, &ctx, ReductionMethod::Indexing, csxsym())
                 .is_ok()
         );
     }

@@ -55,14 +55,7 @@ fn all_kernels_agree_with_reference() {
             ReductionMethod::EffectiveRanges,
             ReductionMethod::Indexing,
         ] {
-            let mut formats = vec![SymFormat::Sss, SymFormat::CsxSym(cfg.clone())];
-            if method != ReductionMethod::Naive {
-                formats.push(SymFormat::Hybrid {
-                    csx: cfg.clone(),
-                    min_coverage: 0.5,
-                });
-            }
-            for format in formats {
+            for format in [SymFormat::Sss, SymFormat::CsxSym(cfg.clone())] {
                 let mut k = SymSpmv::from_coo(&coo, &ctx, method, format).unwrap();
                 let mut y = vec![f64::NAN; n];
                 k.spmv(&x, &mut y);

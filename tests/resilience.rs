@@ -100,8 +100,8 @@ fn wedged_round_degrades_to_the_fallback_and_parallel_service_resumes() {
     // failure were counted.
     assert_eq!(ctx.health(), PoolHealth::Degraded);
     assert!(ctx.health_state().wedges() >= 1);
-    assert!(ctx.pool_failures() >= 1);
-    assert!(ctx.pool_respawns() >= 1);
+    assert!(ctx.health_state().failures() >= 1);
+    assert!(ctx.health_state().respawns() >= 1);
     assert!(ctx.arena_all_free_zero());
 
     // Parallel service resumes on the healed pool, bit-identical to the
@@ -167,7 +167,7 @@ fn wedged_coloring_run_degrades_to_the_fallback_and_race_service_resumes() {
     }
     assert_eq!(bits(&y), bits(&want), "fallback serve is not the reference");
     assert_eq!(ctx.health(), PoolHealth::Degraded);
-    assert!(ctx.pool_respawns() >= 1);
+    assert!(ctx.health_state().respawns() >= 1);
     assert!(ctx.arena_all_free_zero());
 
     // Parallel race service resumes, bit-identical to the baseline.
@@ -208,9 +208,9 @@ fn worker_kills_are_retried_transparently() {
         );
         assert_eq!(bits(&y), bits(&y_base), "tid {tid}: retried serve diverges");
     }
-    assert_eq!(ctx.pool_failures(), 3);
+    assert_eq!(ctx.health_state().failures(), 3);
     // Replaced OS threads only: tid 0 is the calling thread.
-    assert_eq!(ctx.pool_respawns(), 2);
+    assert_eq!(ctx.health_state().respawns(), 2);
     assert_eq!(service.fallback_serves(), 0);
 }
 
@@ -299,7 +299,10 @@ fn resilient_cg_rides_through_an_injected_worker_death() {
         "one kill must not exhaust the policy"
     );
     assert!(served.outcome.converged);
-    assert!(ctx.pool_respawns() >= 1, "the dead worker was respawned");
+    assert!(
+        ctx.health_state().respawns() >= 1,
+        "the dead worker was respawned"
+    );
     assert_eq!(
         bits(&x_sol),
         bits(&x_ref),
