@@ -1,34 +1,28 @@
-//! Cost-model plan selection and the [`SymSpmv::auto`] entry point.
+//! Plan selection for [`SymSpmv::auto`]: a measured plan from a store, or
+//! the paper's default.
 //!
-//! The paper fixes its recommendation (SSS + local-vectors indexing) from
-//! measurements on two machines; the right `format × reduction strategy ×
-//! thread count × lane width` point actually moves with matrix structure
-//! and hardware. This module provides the *model* half of the auto-tuning
-//! story (DESIGN.md §18):
+//! The paper selects nothing at run time: §III/§V fix "local-vectors
+//! indexing, on SSS or CSX-Sym" from measurements on two machines. The
+//! better `format × reduction strategy × thread count` point does move with
+//! matrix structure and hardware, but only a measurement finds it — the
+//! Eq. 1–6 traffic model this module once ranked candidates with mis-ranked
+//! every suite matrix (EXPERIMENTS.md, "recorded losers"). So there are two
+//! sources of a plan and no third (DESIGN.md §18):
 //!
-//! * [`PlanSpec`] — one point of the search space, serializable by tag;
-//! * [`predicted_bytes`] — an Eq. 1–2 / Eq. 3–6 traffic model that ranks
-//!   candidates from [`MatrixStats`] alone, without building anything;
-//! * [`PlanAdvisor`] — the hook through which a persisted plan store (the
-//!   measurement half, `symspmv-tune`) injects a tuned decision;
-//! * [`SymSpmv::auto`] / [`SymSpmv::auto_with`] — constructors that consult
-//!   an advisor when one is supplied and fall back to the cost model,
-//!   recording which path was taken in the returned [`AutoChoice`].
-//!
-//! The model is a *pruning* device, not an oracle: it predicts per-vector
-//! memory traffic under a linear-scaling assumption and is only trusted to
-//! order candidates coarsely. Anything within the pruning band gets
-//! measured by the tuner; the model alone decides only when no store entry
-//! matches and no measurement budget is available.
+//! * [`PlanSpec`] — one point of the search space, serializable by tag, and
+//!   [`enumerate_candidates`], the whole space for a list of thread counts;
+//! * [`PlanAdvisor`] — the hook through which a persisted plan store
+//!   (`symspmv-tune`, which measures every candidate) injects its decision;
+//! * [`SymSpmv::auto`] / [`SymSpmv::auto_with`] — constructors that build a
+//!   matching stored plan when an advisor has one and the paper's `sss-idx`
+//!   at the context's thread count otherwise, recording which in the
+//!   returned [`AutoChoice`].
 
 use crate::error::SymSpmvError;
 pub use crate::sym::FormatTag;
-use crate::sym::{unsupported_pair, ReductionMethod, SymSpmv};
-use crate::ws;
+use crate::sym::{pair_name, unsupported_pair, ReductionMethod, SymSpmv};
 use std::sync::Arc;
 use symspmv_runtime::ExecutionContext;
-use symspmv_sparse::stats::{matrix_stats, sss_size_bytes, MatrixStats};
-use symspmv_sparse::symmetry::SymmetryKind;
 use symspmv_sparse::{CooMatrix, SssMatrix};
 
 /// One point of the tuning search space.
@@ -40,21 +34,23 @@ pub struct PlanSpec {
     pub method: ReductionMethod,
     /// Worker-thread count the plan was selected for.
     pub nthreads: usize,
-    /// Recommended SpMM lane width (1 = scalar SpMV).
-    pub lanes: usize,
 }
 
 impl PlanSpec {
-    /// Candidate identifier, e.g. `"csxsym-idx-p4-k8"` — stable across
-    /// runs, used as the candidate column of the search tables.
+    /// The paper's recommendation at `nthreads`: SSS with local-vectors
+    /// indexing.
+    pub fn paper_default(nthreads: usize) -> PlanSpec {
+        PlanSpec {
+            format: FormatTag::Sss,
+            method: ReductionMethod::Indexing,
+            nthreads,
+        }
+    }
+
+    /// Candidate identifier, e.g. `"csxsym-idx-p4"` — stable across runs,
+    /// used as the candidate column of the search tables.
     pub fn id(&self) -> String {
-        format!(
-            "{}-{}-p{}-k{}",
-            self.format.tag(),
-            self.method.tag(),
-            self.nthreads,
-            self.lanes
-        )
+        format!("{}-p{}", pair_name(self.format, self.method), self.nthreads)
     }
 
     /// Whether this spec is buildable at all ([`unsupported_pair`]).
@@ -68,16 +64,16 @@ impl PlanSpec {
 pub enum PlanSource {
     /// A persisted tuned plan matched the (fingerprint, threads) key.
     Store,
-    /// No stored plan matched; the Eq. 1–2/3–6 cost model decided.
-    CostModel,
+    /// No stored plan matched; the paper's `sss-idx` was built.
+    Default,
 }
 
 impl PlanSource {
-    /// Short name for tables (`"store"` / `"cost-model"`).
+    /// Short name for tables (`"store"` / `"default"`).
     pub fn tag(&self) -> &'static str {
         match self {
             PlanSource::Store => "store",
-            PlanSource::CostModel => "cost-model",
+            PlanSource::Default => "default",
         }
     }
 }
@@ -89,13 +85,10 @@ pub struct AutoChoice {
     pub spec: PlanSpec,
     /// Where the decision came from.
     pub source: PlanSource,
-    /// The model's predicted per-thread traffic for the choice, in bytes
-    /// per multiplied vector (comparable across candidates only).
-    pub predicted_bytes: f64,
 }
 
 /// A source of tuned plans consulted by [`SymSpmv::auto_with`] before the
-/// cost model. Implemented by the persisted plan store in `symspmv-tune`;
+/// default. Implemented by the persisted plan store in `symspmv-tune`;
 /// kept object-safe and dependency-free so the engine crate stays below
 /// the tuner in the crate graph.
 pub trait PlanAdvisor {
@@ -106,97 +99,21 @@ pub trait PlanAdvisor {
     fn lookup(&self, fingerprint: u64, nthreads: usize) -> Option<PlanSpec>;
 }
 
-/// Estimated on-disk/stream size in bytes of the matrix under `format`
-/// (Eq. 1–2 plus a documented CSX compression proxy).
-///
-/// The CSX-Sym estimate shrinks the 4-byte column indices toward 1 byte as
-/// the mean in-row column gap falls below the 1-byte delta range: entries
-/// `avg_row_nnz` spread over `≈ 2·avg_entry_distance` columns have mean gap
-/// `2·d̄/r̄`, and delta units only pay off inside that range.
-pub fn predicted_format_bytes(stats: &MatrixStats, kind: SymmetryKind, format: FormatTag) -> f64 {
-    let n = stats.nrows as usize;
-    // `stats.nnz` counts the stored full-matrix entries; the symmetric
-    // kernels store the strict lower triangle plus the dense diagonal.
-    let lower = stats.nnz.saturating_sub(n) / 2;
-    let paired_upper = if kind == SymmetryKind::Structural {
-        8.0 * lower as f64
-    } else {
-        0.0
-    };
-    let sss = sss_size_bytes(stats.nrows, lower) as f64 + paired_upper;
-    match format {
-        FormatTag::Sss => sss,
-        FormatTag::CsxSym => {
-            let mean_gap = (2.0 * stats.avg_entry_distance / stats.avg_row_nnz.max(1.0)).max(1.0);
-            let idx_bytes_per_entry = 1.0 + 3.0 * (mean_gap / 255.0).min(1.0);
-            sss - (4.0 - idx_bytes_per_entry) * lower as f64
-        }
-    }
-}
-
-/// Estimated reduction-phase working set in bytes (Eq. 3–6) from stats
-/// alone. The indexing estimate uses the Eq. 5 entry form
-/// `16 · conflicting entries`, with the conflict probability of an entry
-/// approximated by how far the mean off-diagonal entry reaches relative to
-/// the `N/p` partition height.
-pub fn predicted_ws_bytes(stats: &MatrixStats, method: ReductionMethod, p: usize) -> f64 {
-    let n = stats.nrows as usize;
-    match method {
-        ReductionMethod::Naive => ws::ws_naive(p, n) as f64,
-        ReductionMethod::EffectiveRanges => ws::ws_effective(p, n) as f64,
-        ReductionMethod::Indexing => {
-            let lower = stats.nnz.saturating_sub(n) / 2;
-            let cross = (stats.avg_entry_distance * p as f64 / n.max(1) as f64).min(1.0);
-            16.0 * lower as f64 * cross
-        }
-        // The race schedule has no local vectors at all, but its group
-        // barriers re-touch `y` once per color phase; charge one extra
-        // `y`-sized stream so the scheme only wins where indexing's
-        // conflict working set actually dominates.
-        ReductionMethod::Race => 8.0 * n as f64,
-    }
-}
-
-/// The full traffic model: predicted bytes moved per thread per multiplied
-/// vector for one candidate. Matrix bytes amortize over the lane count
-/// (one matrix stream feeds all lanes of an SpMM); the `x`/`y` vectors and
-/// the reduction working set are paid per vector. Division by `p` encodes
-/// the linear-scaling assumption — good enough to *order* candidates, not
-/// to predict wall time.
-pub fn predicted_bytes(stats: &MatrixStats, kind: SymmetryKind, spec: &PlanSpec) -> f64 {
-    let n = stats.nrows as usize;
-    let mat = predicted_format_bytes(stats, kind, spec.format) / spec.lanes.max(1) as f64;
-    let vectors = 16.0 * n as f64;
-    let reduction = predicted_ws_bytes(stats, spec.method, spec.nthreads);
-    (mat + vectors + reduction) / spec.nthreads.max(1) as f64
-}
-
-/// Enumerates the candidate space `format × method × threads × lanes`,
-/// scored by [`predicted_bytes`]. Pairs that do not build
-/// ([`PlanSpec::is_valid`]) are skipped. The result is unsorted; callers
-/// prune or rank it.
-pub fn enumerate_candidates(
-    stats: &MatrixStats,
-    kind: SymmetryKind,
-    threads: &[usize],
-    lanes: &[usize],
-) -> Vec<(PlanSpec, f64)> {
+/// The whole search space for the given thread counts: every buildable
+/// ([`PlanSpec::is_valid`]) `format × method` pair — seven — once per
+/// thread count, formats outermost.
+pub fn enumerate_candidates(threads: &[usize]) -> Vec<PlanSpec> {
     let mut out = Vec::new();
     for format in FormatTag::ALL {
         for method in ReductionMethod::ALL {
             for &nthreads in threads {
-                for &k in lanes {
-                    let spec = PlanSpec {
-                        format,
-                        method,
-                        nthreads,
-                        lanes: k,
-                    };
-                    if !spec.is_valid() {
-                        continue;
-                    }
-                    let cost = predicted_bytes(stats, kind, &spec);
-                    out.push((spec, cost));
+                let spec = PlanSpec {
+                    format,
+                    method,
+                    nthreads,
+                };
+                if spec.is_valid() {
+                    out.push(spec);
                 }
             }
         }
@@ -204,27 +121,10 @@ pub fn enumerate_candidates(
     out
 }
 
-/// The model-only decision for a scalar SpMV at a fixed thread count: the
-/// cheapest valid `format × method` point. This is the fallback
-/// [`SymSpmv::auto_with`] uses when no advisor entry matches.
-pub fn cost_model_choice(
-    stats: &MatrixStats,
-    kind: SymmetryKind,
-    nthreads: usize,
-) -> (PlanSpec, f64) {
-    let candidates = enumerate_candidates(stats, kind, &[nthreads], &[1]);
-    // The space is non-empty by construction (7 buildable pairs) and
-    // the model never produces NaN, so a missing minimum is unreachable.
-    candidates
-        .into_iter()
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .unwrap_or_else(|| unreachable!("candidate enumeration produced an empty space"))
-}
-
 impl SymSpmv {
-    /// Builds the engine with an automatically selected format and
-    /// reduction strategy: the pure cost-model path (no plan store).
-    /// See [`SymSpmv::auto_with`] for the advisor-consulting variant.
+    /// Builds the paper's default plan, `sss-idx` at the context's thread
+    /// count (no plan store). See [`SymSpmv::auto_with`] for the
+    /// advisor-consulting variant.
     pub fn auto(
         ctx: &Arc<ExecutionContext>,
         coo: &CooMatrix,
@@ -233,10 +133,10 @@ impl SymSpmv {
     }
 
     /// Builds the engine from a symmetric COO matrix, consulting `advisor`
-    /// (a persisted plan store) first and falling back to the Eq. 1–2/3–6
-    /// cost model when no stored plan matches the matrix fingerprint and
-    /// the context's thread count. The returned [`AutoChoice`] records
-    /// which path decided.
+    /// (a persisted plan store) first and falling back to the paper's
+    /// default ([`PlanSpec::paper_default`]) when no stored plan matches
+    /// the matrix fingerprint and the context's thread count. The returned
+    /// [`AutoChoice`] records which path decided.
     ///
     /// The engine is always built for the *given* context: a stored plan
     /// tuned at a different thread count is not consulted (the advisor is
@@ -248,20 +148,14 @@ impl SymSpmv {
         advisor: Option<&dyn PlanAdvisor>,
     ) -> Result<(Self, AutoChoice), SymSpmvError> {
         let sss = SssMatrix::try_from_coo(coo, 0.0)?;
-        let stats = matrix_stats(coo);
-        let kind = sss.kind();
         let fingerprint = sss.fingerprint();
         let nthreads = ctx.nthreads();
 
         let stored = advisor.and_then(|a| a.lookup(fingerprint, nthreads));
         let (spec, source) = match stored {
             Some(spec) if spec.is_valid() && spec.nthreads == nthreads => (spec, PlanSource::Store),
-            _ => {
-                let (spec, _) = cost_model_choice(&stats, kind, nthreads);
-                (spec, PlanSource::CostModel)
-            }
+            _ => (PlanSpec::paper_default(nthreads), PlanSource::Default),
         };
-        let predicted = predicted_bytes(&stats, kind, &spec);
 
         let engine = SymSpmv::from_sss(sss, ctx, spec.method, spec.format.to_format());
         // The certifier gate: whatever chose the plan, the engine may only
@@ -275,14 +169,7 @@ impl SymSpmv {
                     msg: format!("tuned plan failed race certification: {e}"),
                 })
             })?;
-        Ok((
-            engine,
-            AutoChoice {
-                spec,
-                source,
-                predicted_bytes: predicted,
-            },
-        ))
+        Ok((engine, AutoChoice { spec, source }))
     }
 }
 
@@ -306,34 +193,22 @@ mod tests {
 
     #[test]
     fn enumeration_covers_the_buildable_pairs() {
-        let coo = gen::laplacian_2d(16, 16);
-        let stats = matrix_stats(&coo);
-        let all = enumerate_candidates(&stats, SymmetryKind::Symmetric, &[1, 2], &[1, 8]);
-        assert!(all.iter().all(|(s, _)| s.is_valid()));
-        // 2 formats × 4 methods − csxsym-race = 7 pairs, × 2 threads × 2 lanes.
-        assert_eq!(all.len(), 7 * 2 * 2);
-        assert!(all.iter().all(|(_, c)| c.is_finite() && *c > 0.0));
+        let all = enumerate_candidates(&[1, 2]);
+        assert!(all.iter().all(PlanSpec::is_valid));
+        // 2 formats × 4 methods − csxsym-race = 7 pairs, × 2 thread counts.
+        assert_eq!(all.len(), 7 * 2);
+        assert!(all.contains(&PlanSpec::paper_default(2)));
+        assert_eq!(PlanSpec::paper_default(2).id(), "sss-idx-p2");
     }
 
     #[test]
-    fn naive_working_set_dominates_at_high_thread_counts() {
-        let coo = gen::banded_random(4000, 8, 4.0, 11);
-        let stats = matrix_stats(&coo);
-        let naive = predicted_ws_bytes(&stats, ReductionMethod::Naive, 16);
-        let idx = predicted_ws_bytes(&stats, ReductionMethod::Indexing, 16);
-        assert!(
-            idx < naive,
-            "low-bandwidth banded matrix must predict idx ≪ naive (got {idx} vs {naive})"
-        );
-    }
-
-    #[test]
-    fn auto_builds_and_reports_cost_model_source() {
+    fn auto_without_an_advisor_builds_the_papers_default() {
         let coo = gen::laplacian_2d(20, 20);
         let ctx = ExecutionContext::new(2);
         let (mut engine, choice) = SymSpmv::auto(&ctx, &coo).unwrap();
-        assert_eq!(choice.source, PlanSource::CostModel);
-        assert_eq!(choice.spec.nthreads, 2);
+        assert_eq!(choice.source, PlanSource::Default);
+        assert_eq!(choice.spec.id(), "sss-idx-p2");
+        assert_eq!(engine.name(), "sss-idx");
         let n = engine.n();
         let x = vec![1.0; n];
         let mut y = vec![0.0; n];
@@ -356,7 +231,6 @@ mod tests {
             format: FormatTag::Sss,
             method: ReductionMethod::EffectiveRanges,
             nthreads: 2,
-            lanes: 1,
         };
         let (engine, choice) = SymSpmv::auto_with(&ctx, &coo, Some(&FixedAdvisor(spec))).unwrap();
         assert_eq!(choice.source, PlanSource::Store);
@@ -372,9 +246,9 @@ mod tests {
             format: FormatTag::Sss,
             method: ReductionMethod::Naive,
             nthreads: 8,
-            lanes: 1,
         };
         let (_, choice) = SymSpmv::auto_with(&ctx, &coo, Some(&FixedAdvisor(spec))).unwrap();
-        assert_eq!(choice.source, PlanSource::CostModel);
+        assert_eq!(choice.source, PlanSource::Default);
+        assert_eq!(choice.spec, PlanSpec::paper_default(2));
     }
 }

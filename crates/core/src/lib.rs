@@ -22,9 +22,9 @@
 //! * [`csx_sym`] — the **CSX-Sym** storage format (§IV-B): per-partition
 //!   CSX encoding of the lower triangle with the boundary-legality rule;
 //! * [`ws`] — the working-set models of Eq. 3–6 (Fig. 5);
-//! * [`auto`] — cost-model plan selection ([`SymSpmv::auto`]) and the
-//!   [`PlanAdvisor`] hook the persisted plan store plugs into
-//!   (DESIGN.md §18);
+//! * [`auto`] — [`SymSpmv::auto`]: a stored measured plan through the
+//!   [`PlanAdvisor`] hook the persisted plan store plugs into, or the
+//!   paper's default (DESIGN.md §18);
 //! * [`resilience`] — bounded retry ([`RetryPolicy`]), the serial
 //!   [`FallbackKernel`] of last resort, and the [`Resilient`] wrapper that
 //!   keeps serving when the pool degrades (DESIGN.md §16).

@@ -175,7 +175,6 @@ mod tests {
                     format,
                     method,
                     nthreads: 2,
-                    lanes: 1,
                 }
                 .is_valid();
                 let built = SymSpmv::try_from_coo(&coo, &ctx, method, format.to_format());

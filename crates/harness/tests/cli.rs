@@ -137,18 +137,43 @@ fn verify_sweeps_every_kernel_spec() {
 #[test]
 fn tune_writes_csvs_and_the_plan_store_and_no_json_twin() {
     let wrk = Workdir::new("tune");
-    wrk.run(&[
+    // Far more threads than any test host has: the driver must clamp.
+    let args = [
         "tune",
         "--scale",
         "0.002",
         "--threads",
-        "2",
+        "64",
         "--matrix",
         "hood",
-    ]);
-    assert!(wrk.path("tune.csv").exists());
+    ];
+    let stdout = wrk.run(&args);
+    let ncpus = symspmv_tune::machine::ncpus();
+    assert_eq!(stdout.contains("clamped"), ncpus < 64, "{stdout}");
     assert!(wrk.path("tune_summary.csv").exists());
     assert!(wrk.path(".plan-store/plans.json").exists());
+
+    // Every buildable pair is measured at every swept thread count, and no
+    // swept count oversubscribes the host.
+    let csv = std::fs::read_to_string(wrk.path("tune.csv")).unwrap();
+    let mut lines = csv.lines();
+    assert_eq!(
+        lines.next(),
+        Some("matrix,candidate,samples,per-vector,note")
+    );
+    let rows: Vec<Vec<&str>> = lines.map(|l| l.split(',').collect()).collect();
+    let mut sweep: Vec<usize> = rows
+        .iter()
+        .map(|r| r[1].rsplit_once("-p").unwrap().1.parse().unwrap())
+        .collect();
+    sweep.sort_unstable();
+    sweep.dedup();
+    assert_eq!(sweep.first(), Some(&1));
+    assert_eq!(sweep.last(), Some(&ncpus.min(64)));
+    assert_eq!(rows.len(), 7 * sweep.len(), "{csv}");
+    assert!(!csv.contains("pruned"), "{csv}");
+    assert_eq!(rows.iter().filter(|r| r[4].contains("winner")).count(), 1);
+
     // The search table is written once, as CSV: no JSON copy beside it.
     let json: Vec<_> = std::fs::read_dir(&wrk.0)
         .unwrap()
@@ -156,6 +181,13 @@ fn tune_writes_csvs_and_the_plan_store_and_no_json_twin() {
         .filter(|p| p.extension().is_some_and(|x| x == "json"))
         .collect();
     assert!(json.is_empty(), "unexpected {json:?}");
+
+    // A second process in the same workdir is served from the store.
+    wrk.run(&args);
+    let summary = std::fs::read_to_string(wrk.path("tune_summary.csv")).unwrap();
+    let served: Vec<&str> = summary.lines().skip(1).collect();
+    assert_eq!(served.len(), 1, "{summary}");
+    assert!(served[0].starts_with("hood,store,"), "{summary}");
 }
 
 #[test]

@@ -8,16 +8,15 @@
 //! Every operation has one body, generic over a `const K` lane count and
 //! walking `&[[Val; K]]` row views of its lane-interleaved arguments
 //! (`lane_dot`, `lane_axpy`, `lane_xpby`): the public scalar functions are
-//! its `K = 1` instance and the `_lanes` functions its `with_lanes!`
-//! dispatch. Each lane therefore runs the
+//! its `K = 1` instance, and the CG recurrence calls the `lane_*` bodies
+//! directly at its own `K`. Each lane therefore runs the
 //! scalar operation's exact per-element order (rows ascending within the
 //! same thread spans, thresholded on the row count, partials summed in
 //! thread order), which is what lets block CG reproduce `k` scalar CG
 //! solves bit for bit.
 
 use symspmv_runtime::{ExecutionContext, SharedBuf};
-use symspmv_sparse::block::{VectorBlock, MAX_LANES};
-use symspmv_sparse::{with_lanes, Val};
+use symspmv_sparse::Val;
 
 /// Below this length every kernel runs serially — parallel overhead would
 /// dominate.
@@ -33,11 +32,6 @@ fn span(len: usize, tid: usize, p: usize) -> (usize, usize) {
 /// degraded serial rerun).
 fn pool(exec: Option<&ExecutionContext>, rows: usize) -> Option<&ExecutionContext> {
     exec.filter(|_| rows >= PAR_THRESHOLD)
-}
-
-/// The leading `K` per-lane values of a `MAX_LANES`-wide argument.
-fn head<T: Copy, const K: usize>(values: &[T]) -> [T; K] {
-    values.as_chunks::<K>().0[0]
 }
 
 /// Per-lane dot products `a_jᵀ·b_j` of two `K`-lane-interleaved vectors.
@@ -165,56 +159,6 @@ pub fn sub_from(x: &[Val], y: &mut [Val]) {
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi = xi - *yi;
     }
-}
-
-/// Per-lane dot products `a_jᵀ·b_j` for every lane `j`.
-pub fn dot_lanes(ctx: &ExecutionContext, a: &VectorBlock, b: &VectorBlock) -> [Val; MAX_LANES] {
-    assert_eq!(a.lanes(), b.lanes());
-    let mut out = [0.0; MAX_LANES];
-    with_lanes!(a.lanes(), K => out[..K]
-        .copy_from_slice(&lane_dot::<K>(Some(ctx), a.as_slice(), b.as_slice())));
-    out
-}
-
-/// Per-lane squared Euclidean norms.
-pub fn norm2_sq_lanes(ctx: &ExecutionContext, a: &VectorBlock) -> [Val; MAX_LANES] {
-    dot_lanes(ctx, a, a)
-}
-
-/// `y_j += alpha[j]·x_j` for every lane `j` with `active[j]` — frozen
-/// lanes are left bit-exactly untouched.
-pub fn axpy_lanes(
-    ctx: &ExecutionContext,
-    alpha: &[Val; MAX_LANES],
-    active: &[bool],
-    x: &VectorBlock,
-    y: &mut VectorBlock,
-) {
-    assert_eq!(x.lanes(), y.lanes());
-    with_lanes!(x.lanes(), K => lane_axpy::<K>(
-        Some(ctx), head(alpha), head(active), x.as_slice(), y.as_mut_slice(),
-    ));
-}
-
-/// `p_j = r_j + beta[j]·p_j` for every lane `j` with `active[j]`.
-pub fn xpby_lanes(
-    ctx: &ExecutionContext,
-    r: &VectorBlock,
-    beta: &[Val; MAX_LANES],
-    active: &[bool],
-    p: &mut VectorBlock,
-) {
-    assert_eq!(r.lanes(), p.lanes());
-    with_lanes!(r.lanes(), K => lane_xpby::<K>(
-        Some(ctx), r.as_slice(), head(beta), head(active), p.as_mut_slice(),
-    ));
-}
-
-/// `y = x - y` in place on `y`, all lanes (used for `R = B - A·X`).
-pub fn sub_from_lanes(x: &VectorBlock, y: &mut VectorBlock) {
-    assert_eq!(x.n(), y.n());
-    assert_eq!(x.lanes(), y.lanes());
-    sub_from(x.as_slice(), y.as_mut_slice());
 }
 
 #[cfg(test)]

@@ -125,13 +125,6 @@ impl VectorBlock {
         &self.data[i * self.lanes..(i + 1) * self.lanes]
     }
 
-    /// Mutable `lanes`-wide group of row `i`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [Val] {
-        let k = self.lanes;
-        &mut self.data[i * k..(i + 1) * k]
-    }
-
     /// Element `(row i, lane j)`.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> Val {

@@ -49,27 +49,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Builds a CSR matrix directly from raw arrays (debug-checked).
-    pub fn from_raw(
-        nrows: Idx,
-        ncols: Idx,
-        rowptr: Vec<Idx>,
-        colind: Vec<Idx>,
-        values: Vec<Val>,
-    ) -> Self {
-        debug_assert_eq!(rowptr.len(), nrows as usize + 1);
-        debug_assert_eq!(colind.len(), values.len());
-        debug_assert_eq!(*rowptr.last().unwrap_or(&0) as usize, colind.len());
-        debug_assert!(colind.iter().all(|&c| c < ncols));
-        CsrMatrix {
-            nrows,
-            ncols,
-            rowptr,
-            colind,
-            values,
-        }
-    }
-
     /// Number of rows.
     pub fn nrows(&self) -> Idx {
         self.nrows

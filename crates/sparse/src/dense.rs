@@ -1,7 +1,7 @@
 //! Small dense helpers used by tests and the CG solver's vector phase.
 
 use crate::coo::CooMatrix;
-use crate::{Idx, Val};
+use crate::Val;
 
 /// A trivially simple dense row-major matrix, used as the ground truth in
 /// format-equivalence tests. Not intended for performance.
@@ -111,11 +111,6 @@ pub fn seeded_vector(n: usize, seed: u64) -> Vec<Val> {
             (z >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
         })
         .collect()
-}
-
-/// `Idx`-indexed convenience: length of `0..n` as usize.
-pub fn n_usize(n: Idx) -> usize {
-    n as usize
 }
 
 #[cfg(test)]

@@ -4,15 +4,13 @@
 //! Measurement-driven plan search and the persisted tuned-plan store
 //! (DESIGN.md §18).
 //!
-//! The engine crates carry the *model* half of auto-tuning — the Eq. 1–2
-//! size models, the Eq. 3–6 working-set models, and
-//! [`symspmv_core::SymSpmv::auto`]'s cost-model fallback. This crate adds
-//! the *empirical* half, OSKI-style:
+//! [`symspmv_core::SymSpmv::auto`] builds the paper's default, `sss-idx`,
+//! unless someone has measured something better. This crate is the
+//! measuring:
 //!
-//! * [`search::tune_matrix`] prunes the `format × reduction strategy ×
-//!   thread count × lane width` space with the cost model, measures the
-//!   survivors with short timed runs on real pools, and returns the full
-//!   search table plus a certified winner;
+//! * [`search::tune_matrix`] times every buildable `format × reduction
+//!   strategy` pair at every given thread count with short runs on real
+//!   pools, and returns the full search table plus a certified winner;
 //! * [`store::PlanStore`] persists winners as JSON keyed by `(matrix
 //!   fingerprint, ncpus, machine model)` in a versioned file next to the
 //!   binary matrix cache, and doubles as the
@@ -31,7 +29,7 @@ pub mod search;
 pub mod store;
 
 pub use search::{
-    auto_kernel, certify_spec, tune_and_store, tune_matrix, CandidateRow, Measurer, ModelMeasurer,
-    TimedMeasurer, TuneOptions, TuneOutcome,
+    auto_kernel, certify_spec, tune_and_store, tune_matrix, CandidateRow, Measurer, TimedMeasurer,
+    TuneOutcome,
 };
 pub use store::{PlanStore, StoreKey, TunedPlan, PLAN_STORE_FILE, PLAN_STORE_VERSION};

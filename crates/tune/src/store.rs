@@ -6,11 +6,10 @@
 //! machine model)`. The format is deliberately boring:
 //!
 //! ```json
-//! {"version": 2,
+//! {"version": 3,
 //!  "plans": [{"fingerprint": "0xabc...", "ncpus": 4, "machine": "...",
 //!             "format": "sss", "method": "idx", "nthreads": 4,
-//!             "lanes": 8, "predicted_bytes": 1.2e6,
-//!             "measured_secs": 3.1e-5, "candidates_measured": 18,
+//!             "measured_secs": 3.1e-5, "candidates_measured": 21,
 //!             "certified": true}]}
 //! ```
 //!
@@ -34,8 +33,9 @@ use symspmv_verify::jsonio::Json;
 /// Schema version of the plan-store file. Bump on any incompatible change
 /// to the entry layout or to the set of tags an entry may carry; older
 /// files are then ignored wholesale. Version 1 files could name the deleted
-/// third format, which version 2 has no tag for.
-pub const PLAN_STORE_VERSION: u64 = 2;
+/// third format; version 2 entries carried a lane width and a cost-model
+/// prediction, and their winners came from a pruned search.
+pub const PLAN_STORE_VERSION: u64 = 3;
 
 /// File name of the store inside its directory.
 pub const PLAN_STORE_FILE: &str = "plans.json";
@@ -56,11 +56,9 @@ pub struct StoreKey {
 pub struct TunedPlan {
     /// The winning configuration.
     pub spec: PlanSpec,
-    /// The cost model's prediction for the winner (bytes per vector).
-    pub predicted_bytes: f64,
     /// Measured per-vector seconds of the winner (median of samples).
     pub measured_secs: f64,
-    /// How many cost-model-surviving candidates were measured.
+    /// How many candidates the search measured.
     pub candidates_measured: usize,
     /// Whether the plan passed the symbolic race certifier before being
     /// stored. Always `true` for plans written by this crate — the tuner
@@ -139,8 +137,6 @@ fn entry_to_json(key: &StoreKey, plan: &TunedPlan) -> Json {
         ("format".into(), Json::Str(plan.spec.format.tag().into())),
         ("method".into(), Json::Str(plan.spec.method.tag().into())),
         ("nthreads".into(), Json::Num(plan.spec.nthreads as f64)),
-        ("lanes".into(), Json::Num(plan.spec.lanes as f64)),
-        ("predicted_bytes".into(), Json::Num(plan.predicted_bytes)),
         ("measured_secs".into(), Json::Num(plan.measured_secs)),
         (
             "candidates_measured".into(),
@@ -164,7 +160,6 @@ fn entry_from_json(obj: &Json) -> Result<(StoreKey, TunedPlan), SymSpmvError> {
         method: ReductionMethod::from_tag(method)
             .ok_or_else(|| parse_err(format!("unknown reduction method tag {method:?}")))?,
         nthreads: usize_field(obj, "nthreads")?,
-        lanes: usize_field(obj, "lanes")?,
     };
     if !spec.is_valid() {
         return Err(parse_err(format!(
@@ -174,7 +169,6 @@ fn entry_from_json(obj: &Json) -> Result<(StoreKey, TunedPlan), SymSpmvError> {
     }
     let plan = TunedPlan {
         spec,
-        predicted_bytes: num_field(obj, "predicted_bytes")?,
         measured_secs: num_field(obj, "measured_secs")?,
         candidates_measured: usize_field(obj, "candidates_measured")?,
         certified: bool_field(obj, "certified")?,

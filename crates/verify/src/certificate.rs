@@ -10,7 +10,7 @@
 //! certificate reused after renumbering, or across a thread-count or
 //! strategy switch, is rejected as [`VerifyError::StaleCertificate`].
 //!
-//! The text format is a simple `key=value` line protocol (std-only, no
+//! The interchange format is JSON through [`crate::jsonio`] (std-only, no
 //! serde): stable field order on write, order-insensitive on read.
 
 use crate::error::VerifyError;
@@ -172,100 +172,7 @@ impl RaceCertificate {
         Ok(())
     }
 
-    /// Serializes to the `key=value` text format.
-    pub fn to_text(&self) -> String {
-        let mut s = String::new();
-        s.push_str("certificate=race-v1\n");
-        s.push_str(&format!("fingerprint={:#018x}\n", self.fingerprint));
-        s.push_str(&format!("n={}\n", self.n));
-        s.push_str(&format!("nthreads={}\n", self.nthreads));
-        s.push_str(&format!("family={}\n", self.family));
-        s.push_str(&format!("strategy={}\n", self.strategy));
-        s.push_str(&format!("symmetry={}\n", self.symmetry));
-        s.push_str(&format!("invariants={}\n", self.invariants.join(",")));
-        s.push_str(&format!("direct_rows={}\n", self.direct_rows));
-        s.push_str(&format!("local_elems={}\n", self.local_elems));
-        s.push_str(&format!("conflict_entries={}\n", self.conflict_entries));
-        s.push_str(&format!("lanes={}\n", self.lanes));
-        s.push_str(&format!("proof={}\n", self.proof.tag()));
-        s
-    }
-
-    /// Parses the text format produced by [`RaceCertificate::to_text`].
-    pub fn from_text(text: &str) -> Result<Self, VerifyError> {
-        let mut cert = RaceCertificate {
-            fingerprint: 0,
-            n: 0,
-            nthreads: 0,
-            family: String::new(),
-            strategy: String::new(),
-            // Texts minted before the symmetry-kind era carry no
-            // `symmetry` key; they certified numerically symmetric plans.
-            symmetry: "symmetric".to_string(),
-            invariants: Vec::new(),
-            direct_rows: 0,
-            local_elems: 0,
-            conflict_entries: 0,
-            // Texts minted before the batched-SpMM era carry no `lanes`
-            // key; they certified scalar plans.
-            lanes: 1,
-            // Texts minted before the symbolic-certifier era carry no
-            // `proof` key; they were proved by enumeration.
-            proof: ProofForm::Enumerative,
-        };
-        let mut header_seen = false;
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| malformed(lineno, line))?;
-            match key {
-                "certificate" => {
-                    if value != "race-v1" {
-                        return Err(malformed(lineno, line));
-                    }
-                    header_seen = true;
-                }
-                "fingerprint" => {
-                    let hex = value.trim_start_matches("0x");
-                    cert.fingerprint =
-                        u64::from_str_radix(hex, 16).map_err(|_| malformed(lineno, line))?;
-                }
-                "n" => cert.n = parse_usize(value, lineno, line)?,
-                "nthreads" => cert.nthreads = parse_usize(value, lineno, line)?,
-                "family" => cert.family = value.to_string(),
-                "strategy" => cert.strategy = value.to_string(),
-                "symmetry" => cert.symmetry = value.to_string(),
-                "invariants" => {
-                    cert.invariants = value
-                        .split(',')
-                        .filter(|s| !s.is_empty())
-                        .map(str::to_string)
-                        .collect();
-                }
-                "direct_rows" => cert.direct_rows = parse_usize(value, lineno, line)?,
-                "local_elems" => cert.local_elems = parse_usize(value, lineno, line)?,
-                "conflict_entries" => cert.conflict_entries = parse_usize(value, lineno, line)?,
-                "lanes" => cert.lanes = parse_usize(value, lineno, line)?,
-                "proof" => {
-                    cert.proof =
-                        ProofForm::from_tag(value).ok_or_else(|| malformed(lineno, line))?;
-                }
-                _ => return Err(malformed(lineno, line)),
-            }
-        }
-        if !header_seen {
-            return Err(VerifyError::MalformedPlan {
-                reason: "certificate text missing `certificate=race-v1` header".to_string(),
-            });
-        }
-        Ok(cert)
-    }
-
-    /// Serializes to JSON (schema `race-v1`): every text-format field plus
+    /// Serializes to JSON (schema `race-v1`): every field plus
     /// the derived `density`, which [`RaceCertificate::from_json`]
     /// cross-validates on read. Fingerprints are hex strings (JSON numbers
     /// lose 64-bit integer precision); the proof form is its tag.
@@ -431,16 +338,6 @@ fn str_tag(s: &str) -> u64 {
     h
 }
 
-fn parse_usize(value: &str, lineno: usize, line: &str) -> Result<usize, VerifyError> {
-    value.parse().map_err(|_| malformed(lineno, line))
-}
-
-fn malformed(lineno: usize, line: &str) -> VerifyError {
-    VerifyError::MalformedPlan {
-        reason: format!("certificate text line {}: `{line}`", lineno + 1),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,16 +361,6 @@ mod tests {
             lanes: 1,
             proof: ProofForm::Symbolic,
         }
-    }
-
-    #[test]
-    fn text_round_trip() {
-        let cert = sample();
-        let parsed = RaceCertificate::from_text(&cert.to_text()).unwrap();
-        assert_eq!(parsed, cert);
-        assert!(parsed.proves("disjoint-direct"));
-        assert!(!parsed.proves("color-class"));
-        assert!((parsed.density() - 96.0 / 1536.0).abs() == 0.0);
     }
 
     #[test]
@@ -510,25 +397,5 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn malformed_texts_rejected() {
-        for bad in [
-            "",
-            "fingerprint=0x10\nn=4\n",               // missing header
-            "certificate=race-v2\n",                 // wrong version
-            "certificate=race-v1\nn=notanumber\n",   // bad number
-            "certificate=race-v1\nunknown_key=1\n",  // unknown key
-            "certificate=race-v1\nno equals sign\n", // not key=value
-        ] {
-            assert!(
-                matches!(
-                    RaceCertificate::from_text(bad),
-                    Err(VerifyError::MalformedPlan { .. })
-                ),
-                "{bad:?} must be rejected"
-            );
-        }
     }
 }

@@ -407,7 +407,7 @@ fn kind_certificates_round_trip_and_prove_side_conditions() {
     let cert = certify(&skew, &plan, SymStrategyKind::Indexing).unwrap();
     assert_eq!(cert.symmetry, "skew");
     assert!(cert.proves("skew-zero-diagonal"));
-    let parsed = RaceCertificate::from_text(&cert.to_text()).unwrap();
+    let parsed = RaceCertificate::from_json(&cert.to_json().unwrap()).unwrap();
     assert_eq!(parsed, cert);
 
     let st = SssMatrix::from_coo_kind(
@@ -420,18 +420,8 @@ fn kind_certificates_round_trip_and_prove_side_conditions() {
     let cert = certify(&st, &plan, SymStrategyKind::Indexing).unwrap();
     assert_eq!(cert.symmetry, "structural");
     assert!(cert.proves("structural-paired"));
-
-    // Pre-kind texts (no `symmetry` key) parse as symmetric.
-    let legacy = cert
-        .to_text()
-        .lines()
-        .filter(|l| !l.starts_with("symmetry="))
-        .collect::<Vec<_>>()
-        .join("\n");
-    assert_eq!(
-        RaceCertificate::from_text(&legacy).unwrap().symmetry,
-        "symmetric"
-    );
+    let parsed = RaceCertificate::from_json(&cert.to_json().unwrap()).unwrap();
+    assert_eq!(parsed, cert);
 }
 
 /// Re-derives the per-thread conflict profiles the symbolic certifier
