@@ -10,11 +10,12 @@
 //! target; only delta units pay a per-element check.
 
 use crate::sym::{add_lanes, axpy_lanes};
+use std::sync::OnceLock;
 use symspmv_csx::detect::DetectConfig;
 use symspmv_csx::encode::{delta_of, encode_rows, CtlStream, UnitCursor};
 use symspmv_csx::pattern::run_strides;
 use symspmv_csx::rows::RowView;
-use symspmv_runtime::Range;
+use symspmv_runtime::{ExecutionContext, Range};
 use symspmv_sparse::symmetry::{SymmetryKind, SymmetryOps};
 use symspmv_sparse::{Idx, SssMatrix, Val};
 
@@ -36,6 +37,33 @@ pub struct CsxSymChunk {
 }
 
 impl CsxSymChunk {
+    /// Encodes the partition `part` straight from its SSS rows, with the
+    /// partition start as the legality split. Detection is
+    /// structure-driven, so for structural symmetry the paired upper values
+    /// are gathered through the same stream order as the lower ones, giving
+    /// a second value array under the shared ctl bytes. A chunk reads
+    /// nothing but `sss` and its own rows: the chunks of one matrix may be
+    /// encoded in any order, on any threads, with the same result.
+    pub(crate) fn encode(sss: &SssMatrix, part: Range, config: &DetectConfig) -> Self {
+        let cfg = DetectConfig {
+            col_split: Some(part.start),
+            ..config.clone()
+        };
+        let rows = RowView::of_sss(sss).slice(part.start..part.end);
+        let encoded = encode_rows(rows, &cfg);
+        let upper_values = if sss.kind().has_upper_values() {
+            encoded.gather(sss.upper_values())
+        } else {
+            Vec::new()
+        };
+        CsxSymChunk {
+            part,
+            coverage: encoded.coverage,
+            upper_values,
+            stream: encoded.into_stream(sss.values()),
+        }
+    }
+
     /// The stream-ordered mirror values: `upper_values` when the matrix is
     /// structurally symmetric, otherwise the stream's own values (the
     /// kernels' `O::transposed` ignores or negates them).
@@ -59,38 +87,47 @@ pub struct CsxSymMatrix {
 }
 
 impl CsxSymMatrix {
-    /// Encodes an SSS matrix into per-partition CSX-Sym chunks, each
-    /// straight from the partition's SSS rows. The matrix's
-    /// [`SymmetryKind`] carries over; detection is structure-driven, so for
-    /// structural symmetry the paired upper values are gathered through the
-    /// same stream order as the lower ones, giving a second value array
-    /// under the shared ctl bytes.
+    /// Encodes an SSS matrix into per-partition CSX-Sym chunks, one after
+    /// the other on the calling thread, each straight from the partition's
+    /// SSS rows. The matrix's [`SymmetryKind`] carries over. (`SymSpmv`
+    /// encodes the same chunks with the same body, one per pool share.)
     pub fn from_sss(sss: &SssMatrix, parts: &[Range], config: &DetectConfig) -> Self {
-        let kind = sss.kind();
-        let encode_part = |part: &Range| {
-            let cfg = DetectConfig {
-                col_split: Some(part.start),
-                ..config.clone()
-            };
-            let rows = RowView::of_sss(sss).slice(part.start..part.end);
-            let encoded = encode_rows(rows, &cfg);
-            let upper_values = if kind.has_upper_values() {
-                encoded.gather(sss.upper_values())
-            } else {
-                Vec::new()
-            };
-            CsxSymChunk {
-                part: *part,
-                coverage: encoded.coverage,
-                upper_values,
-                stream: encoded.into_stream(sss.values()),
+        let chunks = parts
+            .iter()
+            .map(|&part| CsxSymChunk::encode(sss, part, config));
+        Self::from_chunks(sss, chunks.collect())
+    }
+
+    /// [`CsxSymMatrix::from_sss`] with share `i` of one `ctx` round encoding
+    /// chunk `i` (the plan's partition has one range per share). A share
+    /// that panics leaves its slot empty — the pool counts the failure —
+    /// and the caller encodes that chunk itself, so a pool fault never
+    /// fails the build and the result is the serial one bit for bit.
+    pub(crate) fn from_sss_on(
+        sss: &SssMatrix,
+        parts: &[Range],
+        config: &DetectConfig,
+        ctx: &ExecutionContext,
+    ) -> Self {
+        let slots: Vec<OnceLock<CsxSymChunk>> = parts.iter().map(|_| OnceLock::new()).collect();
+        let _failed_share = ctx.try_run(&|tid| {
+            if let (Some(&part), Some(slot)) = (parts.get(tid), slots.get(tid)) {
+                let _ = slot.set(CsxSymChunk::encode(sss, part, config));
             }
-        };
+        });
+        let chunks = slots.into_iter().zip(parts).map(|(slot, &part)| {
+            slot.into_inner()
+                .unwrap_or_else(|| CsxSymChunk::encode(sss, part, config))
+        });
+        Self::from_chunks(sss, chunks.collect())
+    }
+
+    fn from_chunks(sss: &SssMatrix, chunks: Vec<CsxSymChunk>) -> Self {
         CsxSymMatrix {
             n: sss.n(),
-            kind,
+            kind: sss.kind(),
             dvalues: sss.dvalues().to_vec(),
-            chunks: parts.iter().map(encode_part).collect(),
+            chunks,
             lower_nnz: sss.lower_nnz(),
         }
     }
@@ -431,6 +468,53 @@ mod tests {
         let parts = balanced_ranges(&symmetric_row_weights(sss.rowptr()), p);
         let m = CsxSymMatrix::from_sss(&sss, &parts, &cfg());
         (sss, parts, m)
+    }
+
+    #[test]
+    fn pooled_encode_is_the_serial_encode_chunk_for_chunk() {
+        use symspmv_sparse::suite::{self, KIND_SUITE, SUITE};
+        let mut matrices: Vec<(&str, SssMatrix)> = SUITE
+            .iter()
+            .chain(&KIND_SUITE)
+            .map(|spec| {
+                let coo = suite::generate(spec, 0.005).coo;
+                (
+                    spec.name,
+                    SssMatrix::from_coo_kind(&coo, spec.kind, 0.0).unwrap(),
+                )
+            })
+            .collect();
+        // Nine rows: at p = 8 some partitions are empty.
+        let tiny = symspmv_sparse::gen::laplacian_2d(3, 3);
+        matrices.push(("laplacian 3x3", SssMatrix::from_coo(&tiny, 0.0).unwrap()));
+        let config = DetectConfig::default();
+        for p in [1, 2, 3, 8] {
+            let ctx = ExecutionContext::new(p);
+            for (name, sss) in &matrices {
+                let parts = balanced_ranges(&symmetric_row_weights(sss.rowptr()), p);
+                let serial = CsxSymMatrix::from_sss(sss, &parts, &config);
+                let pooled = CsxSymMatrix::from_sss_on(sss, &parts, &config, &ctx);
+                // `ctl` bytes, values, `upper_values`, coverage, per chunk.
+                assert_eq!(pooled.chunks(), serial.chunks(), "{name} p={p}");
+                assert_eq!(pooled, serial, "{name} p={p}");
+            }
+            assert!(ctx.take_last_panic().is_none());
+        }
+    }
+
+    #[test]
+    fn a_share_killed_in_the_encode_round_is_re_encoded_on_the_caller() {
+        let coo = symspmv_sparse::gen::block_structural(60, 3, 8.0, 12, 5);
+        let sss = SssMatrix::from_coo(&coo, 0.0).unwrap();
+        let parts = balanced_ranges(&symmetric_row_weights(sss.rowptr()), 2);
+        let serial = CsxSymMatrix::from_sss(&sss, &parts, &cfg());
+        let ctx = ExecutionContext::new(2);
+        let failures = ctx.health_state().failures();
+        ctx.fault_plan().arm_worker_panic(1, 0);
+        let pooled = CsxSymMatrix::from_sss_on(&sss, &parts, &cfg(), &ctx);
+        assert_eq!(ctx.fault_plan().fired(), 1);
+        assert_eq!(ctx.health_state().failures(), failures + 1);
+        assert_eq!(pooled, serial);
     }
 
     #[test]

@@ -267,7 +267,11 @@ impl SymSpmv {
     /// the matrix's [`SymmetryKind`] carries over to the kernel).
     ///
     /// Format preprocessing (CSX-Sym detection/encoding) and the symbolic
-    /// conflict analysis are timed into the `preprocess` phase.
+    /// conflict analysis are timed into the `preprocess` phase. The plan is
+    /// built on the calling thread; a CSX-Sym build then spends exactly one
+    /// pool round, share `i` encoding chunk `i`, and re-encodes on the
+    /// caller any chunk whose share panicked — a pool fault costs time, not
+    /// the build. An SSS build dispatches no round at all.
     ///
     /// Panics on a pair [`unsupported_pair`] refuses — this signature has
     /// no error channel; the `from_coo*` constructors return it instead.
@@ -302,7 +306,7 @@ impl SymSpmv {
             SymFormat::Sss => Storage::Sss(sss),
             SymFormat::CsxSym(cfg) => {
                 let m = time_into(&mut times.preprocess, || {
-                    CsxSymMatrix::from_sss(&sss, &parts, cfg)
+                    CsxSymMatrix::from_sss_on(&sss, &parts, cfg, ctx)
                 });
                 Storage::CsxSym(m)
             }
@@ -1212,6 +1216,21 @@ mod edge_tests {
         eng.spmv(&x, &mut y);
         assert_vec_close(&y, &y_ref, 1e-12);
         assert!(ctx.pool_rounds() - rounds_before >= 2);
+    }
+
+    #[test]
+    fn a_csxsym_build_spends_one_pool_round_and_an_sss_build_none() {
+        // Conversion and plan run on the caller; only the CSX-Sym encode
+        // is dispatched, one chunk per share. Each build starts cold.
+        let coo = symspmv_sparse::gen::block_structural(50, 3, 8.0, 10, 4);
+        for p in [1, 2, 3] {
+            for (format, rounds) in [(SymFormat::Sss, 0), (SymFormat::CsxSym(csx_cfg()), 1)] {
+                let ctx = ExecutionContext::new(p);
+                let method = ReductionMethod::Indexing;
+                let eng = SymSpmv::try_from_coo(&coo, &ctx, method, format).unwrap();
+                assert_eq!(ctx.pool_rounds(), rounds, "{} p={p}", eng.name());
+            }
+        }
     }
 
     #[test]

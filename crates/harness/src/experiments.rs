@@ -7,12 +7,13 @@
 
 use crate::error::HarnessError;
 use crate::framework::{measure, serial_csr_spmv_time, Measurement};
-use crate::kernels::{build_kernel, experiment_detect_config, KernelSpec};
+use crate::kernels::{build_kernel, KernelSpec};
 use crate::report::{f, fmt_secs, geomean, pct, Table};
 use std::path::PathBuf;
 use std::sync::Arc;
 use symspmv_core::SymFormat;
 use symspmv_core::{symbolic, ws, ReductionMethod, SymSpmv};
+use symspmv_csx::detect::DetectConfig;
 use symspmv_reorder::rcm::rcm_reorder;
 use symspmv_runtime::{balanced_ranges, partition::symmetric_row_weights, ExecutionContext};
 use symspmv_sparse::stats::csr_size_mib;
@@ -158,7 +159,7 @@ pub fn table1(cfg: &ExpConfig) -> Result<(), HarnessError> {
         let n = sss.n();
         // Table I measures pure format compression: single partition.
         let parts = balanced_ranges(&symmetric_row_weights(sss.rowptr()), 1);
-        let csx = symspmv_core::CsxSymMatrix::from_sss(&sss, &parts, &experiment_detect_config());
+        let csx = symspmv_core::CsxSymMatrix::from_sss(&sss, &parts, &DetectConfig::default());
         let full_nnz = csx.full_nnz();
         t.row(vec![
             m.spec.name.into(),
@@ -1228,7 +1229,9 @@ pub fn tune(cfg: &ExpConfig) -> Result<(), HarnessError> {
         if store.ignored_version_mismatch() {
             println!("[{name}: plan store has a different schema version; starting fresh]");
         }
-        let (outcome, hit) = tune_and_store(&m.coo, &mut store, &threads, &mut measurer)
+        let sss = SssMatrix::try_from_coo(&m.coo, 0.0)
+            .map_err(|e| HarnessError::matrix("SSS structure", name, e))?;
+        let (outcome, hit) = tune_and_store(&sss, &mut store, &threads, &mut measurer)
             .map_err(|e| plan_err(name, e))?;
         if hit {
             summary.row(vec![
@@ -1265,7 +1268,7 @@ pub fn tune(cfg: &ExpConfig) -> Result<(), HarnessError> {
         // Second run against the just-saved store: it must hit (no
         // re-measurement) and serve back the identical certified plan.
         let mut reloaded = PlanStore::open(&store_dir).map_err(|e| plan_err(name, e))?;
-        let (again, hit2) = tune_and_store(&m.coo, &mut reloaded, &threads, &mut measurer)
+        let (again, hit2) = tune_and_store(&sss, &mut reloaded, &threads, &mut measurer)
             .map_err(|e| plan_err(name, e))?;
         if !hit2 || !again.rows.is_empty() || again.winner != outcome.winner {
             return Err(HarnessError::Config(format!(

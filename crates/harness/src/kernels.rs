@@ -89,14 +89,6 @@ impl KernelSpec {
     }
 }
 
-/// The detection configuration used by all CSX/CSX-Sym kernels in the
-/// experiments (and by [`FormatTag::to_format`]): the defaults — a
-/// statistics pass on a 5 % row sample
-/// (`sample_fraction`), 5 % `min_coverage` per family.
-pub fn experiment_detect_config() -> DetectConfig {
-    DetectConfig::default()
-}
-
 /// Builds a kernel for `spec` over `coo` on the shared execution context.
 /// Every kernel built from the same context borrows the same worker pool
 /// and buffer arena.
@@ -128,7 +120,7 @@ pub fn build_kernel_kind(
             format.to_format(),
         )?),
         None if spec == KernelSpec::Csx => {
-            Box::new(CsxParallel::from_coo(coo, ctx, &experiment_detect_config()))
+            Box::new(CsxParallel::from_coo(coo, ctx, &DetectConfig::default()))
         }
         None => Box::new(CsrParallel::from_coo(coo, ctx)),
     })

@@ -25,10 +25,7 @@ impl StdRng {
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        avalanche(self.state)
     }
 
     /// Samples a value of type `T` from its canonical distribution
@@ -55,6 +52,14 @@ impl StdRng {
             }
         }
     }
+}
+
+/// The SplitMix64 output function, a bijection of `u64` with full avalanche;
+/// also finalizes the lanes of [`crate::SssMatrix::fingerprint`].
+pub(crate) fn avalanche(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Types with a canonical random distribution.

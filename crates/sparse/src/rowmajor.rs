@@ -27,36 +27,71 @@ pub(crate) struct RowMajor<'a> {
     rowptr: Vec<usize>,
     cols: Cow<'a, [Idx]>,
     vals: Cow<'a, [Val]>,
+    /// Entries left of the diagonal in the rows before `r`: the row
+    /// pointers of the strict lower triangle.
+    lower: Vec<usize>,
+    /// Whether every (summed) value is finite.
+    finite: bool,
 }
 
 impl<'a> RowMajor<'a> {
-    /// One pass counts rows and checks order. Canonical input is borrowed;
-    /// anything else goes through a stable counting sort by row and a
-    /// stable column sort of the rows that need one, so duplicates of a
-    /// coordinate are summed in insertion order — floating-point addition
-    /// is not associative, and mirror images must round identically.
+    /// Canonical input is borrowed after one fused pass that checks order
+    /// and finiteness and records where each row starts. Anything else goes
+    /// through a stable counting sort by row and a stable column sort of
+    /// the rows that need one, so duplicates of a coordinate are summed in
+    /// insertion order — floating-point addition is not associative, and
+    /// mirror images must round identically.
     pub(crate) fn of(coo: &'a CooMatrix) -> Self {
+        Self::borrowed(coo).unwrap_or_else(|| Self::bucketed(coo))
+    }
+
+    /// The fused pass over canonical triplets; `None` if they are not. Each
+    /// entry *stores* where its row ends, so far, among all entries and
+    /// among those left of the diagonal: no read-modify-write chain from
+    /// entry to entry and no branch per row.
+    fn borrowed(coo: &'a CooMatrix) -> Option<Self> {
+        let (rows, cols, vals) = (coo.row_indices(), coo.col_indices(), coo.values());
+        let n = coo.nrows() as usize;
+        let (mut rowptr, mut lower) = (vec![0; n + 1], vec![0; n + 1]);
+        let (mut below, mut ordered, mut finite) = (0, true, true);
+        // `(r, c)` packed into one key, plus one so that 0 sorts first.
+        let mut prev = 0u64;
+        for (k, ((&r, &c), &v)) in rows.iter().zip(cols).zip(vals).enumerate() {
+            let key = (u64::from(r) << 32 | u64::from(c)) + 1;
+            ordered &= key > prev;
+            prev = key;
+            below += usize::from(c < r);
+            rowptr[r as usize + 1] = k + 1;
+            lower[r as usize + 1] = below;
+            finite &= v.is_finite();
+        }
+        if !ordered {
+            return None;
+        }
+        // A row without entries ends where the row before it ends.
+        for r in 0..n {
+            rowptr[r + 1] = rowptr[r + 1].max(rowptr[r]);
+            lower[r + 1] = lower[r + 1].max(lower[r]);
+        }
+        Some(RowMajor {
+            rowptr,
+            cols: Cow::Borrowed(cols),
+            vals: Cow::Borrowed(vals),
+            lower,
+            finite,
+        })
+    }
+
+    fn bucketed(coo: &CooMatrix) -> Self {
         let (rows, cols, vals) = (coo.row_indices(), coo.col_indices(), coo.values());
         let n = coo.nrows() as usize;
         let mut rowptr = vec![0usize; n + 1];
-        let mut canonical = true;
-        let mut prev = None; // sorts before every `Some`
-        for (&r, &c) in rows.iter().zip(cols) {
+        for &r in rows {
             rowptr[r as usize + 1] += 1;
-            canonical &= prev < Some((r, c));
-            prev = Some((r, c));
         }
         for r in 0..n {
             rowptr[r + 1] += rowptr[r];
         }
-        if canonical {
-            return RowMajor {
-                rowptr,
-                cols: Cow::Borrowed(cols),
-                vals: Cow::Borrowed(vals),
-            };
-        }
-
         let mut next = rowptr[..n].to_vec();
         let mut bcols = vec![0 as Idx; rows.len()];
         let mut bvals = vec![0.0; rows.len()];
@@ -101,8 +136,15 @@ impl<'a> RowMajor<'a> {
         rowptr[n] = out;
         bcols.truncate(out);
         bvals.truncate(out);
+        let mut lower = vec![0; n + 1];
+        for r in 0..n {
+            let row = &bcols[rowptr[r]..rowptr[r + 1]];
+            lower[r + 1] = lower[r] + row.iter().filter(|&&c| (c as usize) < r).count();
+        }
         RowMajor {
             rowptr,
+            lower,
+            finite: bvals.iter().all(|v| v.is_finite()),
             cols: Cow::Owned(bcols),
             vals: Cow::Owned(bvals),
         }
@@ -120,6 +162,11 @@ impl<'a> RowMajor<'a> {
 
     fn rows(&self) -> usize {
         self.rowptr.len() - 1
+    }
+
+    /// Row pointers of the entries strictly left of the diagonal.
+    pub(crate) fn lower_rowptr(&self) -> &[usize] {
+        &self.lower
     }
 
     fn find(&self, row: usize, col: usize) -> Option<Val> {
@@ -140,7 +187,9 @@ impl<'a> RowMajor<'a> {
                 max: Idx::MAX as u64,
             });
         }
-        match self.vals.iter().position(|v| !v.is_finite()) {
+        // The scan that names the offender runs only when there is one.
+        let offender = (!self.finite).then(|| self.vals.iter().position(|v| !v.is_finite()));
+        match offender.flatten() {
             None => Ok(()),
             Some(k) => Err(SparseError::NonFiniteValue {
                 row: self.rowptr.partition_point(|&p| p <= k) as Idx - 1,

@@ -14,6 +14,7 @@
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
+use crate::rng::avalanche;
 use crate::rowmajor::RowMajor;
 use crate::symmetry::{SymmetryKind, SymmetryOps};
 use crate::with_symmetry_ops;
@@ -124,13 +125,15 @@ impl SssMatrix {
         Self::build(lower_with_diag, None, false)
     }
 
-    /// The one COO → SSS conversion. Reads `coo` in place through a
-    /// [`RowMajor`] view (pass 1: nothing is copied or sorted when the
-    /// triplets are canonical), then fills the arrays in one sweep over the
-    /// entries on and below the diagonal (pass 2): with `mirror` set, the
-    /// sweep that also checks the kind's relation against the upper
-    /// triangle; without it, a plain walk that ignores the upper triangle.
-    /// `validated` adds the finiteness pass in between.
+    /// The one COO → SSS conversion, serial. Reads `coo` in place through a
+    /// [`RowMajor`] view (pass 1: on canonical triplets one fused pass that
+    /// checks order and finiteness and finds the row starts and diagonal
+    /// splits — nothing is copied or sorted), then fills the exactly sized
+    /// arrays in one sweep over the entries on and below the diagonal (pass
+    /// 2): with `mirror` set, the sweep that also checks the kind's relation
+    /// against the upper triangle; without it, a plain walk that ignores
+    /// the upper triangle. `validated` rejects a non-finite value before
+    /// the sweep; the scan that names it runs only when there is one.
     ///
     /// Errors come in the order: not square, non-zero count overflow, the
     /// row-major-first non-finite value, the row-major-first entry breaking
@@ -152,9 +155,11 @@ impl SssMatrix {
         }
         let n = coo.nrows() as usize;
         let kind = mirror.map_or(SymmetryKind::Symmetric, |(kind, _)| kind);
-        let stored = entries.nnz() / if mirror.is_some() { 2 } else { 1 };
+        // Row `r` stores exactly its entries left of the diagonal, so the
+        // row pointers and the array sizes are known before the sweep.
+        let rowptr: Vec<Idx> = entries.lower_rowptr().iter().map(|&p| p as Idx).collect();
+        let stored = rowptr[n] as usize;
         let mut dvalues = vec![0.0; n];
-        let mut rowptr = vec![0 as Idx; n + 1];
         let mut colind = Vec::with_capacity(stored);
         let mut values = Vec::with_capacity(stored);
         // Structural storage pairs each lower entry with its mirror value,
@@ -163,7 +168,6 @@ impl SssMatrix {
         let mut upper_values = Vec::with_capacity(if kind.has_upper_values() { stored } else { 0 });
         let emit = |r: usize, c: Idx, v: Val, mirrored: Val| {
             if c as usize != r {
-                rowptr[r + 1] += 1;
                 colind.push(c);
                 values.push(v);
                 if kind.has_upper_values() {
@@ -179,9 +183,6 @@ impl SssMatrix {
         match mirror {
             Some((kind, tol)) => entries.check_mirrors(kind, tol, emit)?,
             None => entries.for_each_lower(emit),
-        }
-        for r in 0..n {
-            rowptr[r + 1] += rowptr[r];
         }
         Ok(SssMatrix {
             n: coo.nrows(),
@@ -276,33 +277,29 @@ impl SssMatrix {
     ///
     /// Partition plans, conflict indices and race certificates depend only
     /// on structure, so two matrices with identical structure may share
-    /// cached plans; the fingerprint is their cache key. FNV-1a is used
-    /// rather than the std hasher so the value is stable across processes
-    /// and can be embedded in serialized certificates. Computed on first
-    /// use and memoized (the matrix is immutable), so repeat plan-cache
-    /// lookups do not re-walk the structure.
+    /// cached plans; the fingerprint is their cache key. The std hasher is
+    /// avoided so the value is stable across processes and can be embedded
+    /// in serialized certificates and the plan store. Computed on first use
+    /// and memoized (the matrix is immutable), so repeat plan-cache lookups
+    /// do not re-walk the structure.
+    ///
+    /// Definition: the words `n, rowptr…, colind…` are dealt to four
+    /// word-wise FNV-1a lanes, word `i` to lane `i mod 4` (seeded with the
+    /// offset basis `+ i mod 4`); each lane is finalized by the SplitMix64
+    /// avalanche and the four are folded in lane order by one more FNV-1a
+    /// step each. Every step is a bijection of its lane, so changing any
+    /// single word changes the fingerprint.
     pub fn fingerprint(&self) -> u64 {
-        *self.fp.get_or_init(|| self.compute_fingerprint())
-    }
-
-    fn compute_fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |word: u32| {
-            for b in word.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
+        *self.fp.get_or_init(|| {
+            let mut lanes = std::array::from_fn(|l| FNV_OFFSET + l as u64);
+            let mut next = 0;
+            for words in [std::slice::from_ref(&self.n), &self.rowptr, &self.colind] {
+                next = fnv_lanes(&mut lanes, next, words);
             }
-        };
-        eat(self.n);
-        for &p in &self.rowptr {
-            eat(p);
-        }
-        for &c in &self.colind {
-            eat(c);
-        }
-        h
+            lanes
+                .iter()
+                .fold(FNV_OFFSET, |acc, &h| fnv(acc, avalanche(h)))
+        })
     }
 
     /// The strict-lower-triangle row `r` (columns and values).
@@ -380,6 +377,33 @@ impl SssMatrix {
     pub fn to_full_csr(&self) -> CsrMatrix {
         CsrMatrix::from_coo(&self.to_full_coo())
     }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One word-wise FNV-1a step.
+fn fnv(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// Feeds `words` to the four lanes of [`SssMatrix::fingerprint`], word `i`
+/// to lane `(first + i) mod 4`; returns the lane of the next word. Inlined
+/// so the lanes stay in registers: stored between calls, they get packed
+/// into SSE pairs whose emulated 64-bit multiply is three times slower.
+#[inline(always)]
+fn fnv_lanes(lanes: &mut [u64; 4], first: usize, words: &[u32]) -> usize {
+    let (quads, tail) = words.as_chunks::<4>();
+    let mut h = *lanes;
+    h.rotate_left(first);
+    for quad in quads {
+        h = std::array::from_fn(|l| fnv(h[l], u64::from(quad[l])));
+    }
+    for (h, &w) in h.iter_mut().zip(tail) {
+        *h = fnv(*h, u64::from(w));
+    }
+    h.rotate_right(first);
+    *lanes = h;
+    (first + words.len()) % 4
 }
 
 #[cfg(test)]
@@ -476,9 +500,63 @@ mod tests {
         m.push(3, 0, 9.0);
         let c = SssMatrix::from_coo(&m, 0.0).unwrap();
         assert_ne!(a.fingerprint(), c.fingerprint());
-        // FNV-1a over a fixed structure is a process-independent constant;
-        // pin the 4×4 tridiagonal-ish fixture so serialization stays stable.
-        assert_eq!(a.fingerprint(), a.fingerprint());
+        // The definition over a fixed structure is a process-independent
+        // constant that plan stores and certificates carry: pin it on the
+        // 4×4 fixture and on a benchmark analog.
+        assert_eq!(a.fingerprint(), 0x08d1_6abf_4a0d_2080);
+        assert_eq!(hood_small().fingerprint(), 0xa83d_c46e_b2c8_76a3);
+    }
+
+    /// `hood` at scale 0.005 under the benchmark's seed-1 mixing (the
+    /// spec's seed xor the first SplitMix64 output of seed 1).
+    fn hood_small() -> SssMatrix {
+        let spec = crate::suite::spec_by_name("hood").unwrap();
+        let seed = spec.seed ^ crate::rng::StdRng::seed_from_u64(1).next_u64();
+        let spec = crate::suite::SuiteSpec { seed, ..*spec };
+        SssMatrix::from_coo(&crate::suite::generate(&spec, 0.005).coo, 0.0).unwrap()
+    }
+
+    /// The fingerprint of `a` after `edit`, computed afresh.
+    fn refingerprint(a: &SssMatrix, edit: impl FnOnce(&mut SssMatrix)) -> u64 {
+        let mut b = a.clone();
+        b.fp = OnceLock::new();
+        edit(&mut b);
+        b.fingerprint()
+    }
+
+    #[test]
+    fn every_small_structural_edit_moves_the_fingerprint() {
+        let a = hood_small();
+        let base = a.fingerprint();
+        let (nnz, n) = (a.lower_nnz(), a.n() as usize);
+        let mut seen = vec![base];
+        // One column index moved, at every lane position near the start,
+        // the middle and the end of `colind`.
+        let near = |k: usize| [k, k + 1, k + 2, k + 3];
+        for j in [near(0), near(nnz / 2), near(nnz - 4)].concat() {
+            for delta in [1, -1, 1 << 20, -(1 << 20)] {
+                seen.push(refingerprint(&a, |b| {
+                    b.colind[j] = b.colind[j].wrapping_add_signed(delta)
+                }));
+            }
+        }
+        // The last entry of a row moved to the start of the next one.
+        let rows = (0..n).filter(|&r| a.rowptr[r + 1] > a.rowptr[r]);
+        for r in rows.step_by(n / 7) {
+            seen.push(refingerprint(&a, |b| b.rowptr[r + 1] -= 1));
+        }
+        seen.push(refingerprint(&a, |b| b.n += 1));
+        let distinct: std::collections::HashSet<u64> = seen.iter().copied().collect();
+        assert_eq!(distinct.len(), seen.len(), "a structural edit collided");
+        // Values and the symmetry kind are not structure.
+        let revalued = refingerprint(&a, |b| {
+            b.values[0] += 1.0;
+            b.dvalues[n - 1] = -3.0;
+        });
+        assert_eq!(revalued, base);
+        for kind in SymmetryKind::ALL {
+            assert_eq!(refingerprint(&a, |b| b.kind = kind), base, "{kind:?}");
+        }
     }
 
     #[test]
@@ -777,6 +855,47 @@ mod tests {
                     )
                 }
             }
+        }
+    }
+
+    #[test]
+    fn error_precedence_on_canonical_input() {
+        // The cases above push out of order and take the bucket pass; the
+        // fused canonical pass must keep the same precedence.
+        let canonical = |extra: &[(Idx, Idx, Val)]| {
+            let mut m = sym_coo();
+            for &(r, c, v) in extra {
+                m.push(r, c, v);
+            }
+            m.canonicalize(); // a NaN pushed onto (3, 3) sums to NaN
+            assert!(m.is_canonical());
+            m
+        };
+        // An asymmetry in row 0 before a NaN in row 3.
+        let m = canonical(&[(0, 2, 9.0), (3, 3, f64::NAN)]);
+        let err = SssMatrix::try_from_coo(&m, 0.0).unwrap_err();
+        assert!(
+            matches!(err, SparseError::NonFiniteValue { row: 3, col: 3, value } if value.is_nan())
+        );
+        let err = SssMatrix::from_coo(&m, 0.0).unwrap_err();
+        assert_eq!(err, SparseError::NotSymmetric { row: 0, col: 2 });
+
+        // The sweep fails at (2, 0), which has no mirror, and only then
+        // could it see the upper (1, 3) that nothing consumes: the
+        // row-major-first offender is (1, 3).
+        let m = canonical(&[(1, 3, 8.0), (2, 0, 5.0)]);
+        for (kind, want) in [
+            (
+                SymmetryKind::Symmetric,
+                SparseError::NotSymmetric { row: 1, col: 3 },
+            ),
+            (
+                SymmetryKind::Structural,
+                SparseError::NotStructurallySymmetric { row: 1, col: 3 },
+            ),
+        ] {
+            assert_eq!(SssMatrix::from_coo_kind(&m, kind, 0.0), Err(want.clone()));
+            assert_eq!(SssMatrix::try_from_coo_kind(&m, kind, 0.0), Err(want));
         }
     }
 

@@ -156,19 +156,17 @@ pub fn certify_spec(sss: &SssMatrix, spec: &PlanSpec) -> Result<(), SymSpmvError
         })
 }
 
-/// Runs the full search on `coo`: measures every buildable pair at every
+/// Runs the full search on `sss`: measures every buildable pair at every
 /// count in `threads` and certifies the fastest. Pure with respect to the
 /// plan store — see [`tune_and_store`] for the persisted flow.
 pub fn tune_matrix(
-    coo: &CooMatrix,
+    sss: &SssMatrix,
     threads: &[usize],
     measurer: &mut dyn Measurer,
 ) -> Result<TuneOutcome, SymSpmvError> {
-    let sss = SssMatrix::try_from_coo(coo, 0.0)?;
-
     let mut rows = Vec::new();
     for spec in enumerate_candidates(threads) {
-        let samples = measurer.measure(&sss, &spec)?;
+        let samples = measurer.measure(sss, &spec)?;
         let per_vector_secs = median(&samples);
         rows.push(CandidateRow {
             spec,
@@ -180,7 +178,7 @@ pub fn tune_matrix(
         .iter()
         .min_by(|a, b| a.per_vector_secs.total_cmp(&b.per_vector_secs))
         .ok_or_else(|| invalid("tuning search space is empty".to_string()))?;
-    certify_spec(&sss, &best.spec)?;
+    certify_spec(sss, &best.spec)?;
 
     let winner = TunedPlan {
         spec: best.spec,
@@ -200,15 +198,14 @@ pub fn tune_matrix(
 /// runs [`tune_matrix`], stores the certified winner, and saves the
 /// store. Returns the outcome plus whether the store served it.
 pub fn tune_and_store(
-    coo: &CooMatrix,
+    sss: &SssMatrix,
     store: &mut PlanStore,
     threads: &[usize],
     measurer: &mut dyn Measurer,
 ) -> Result<(TuneOutcome, bool), SymSpmvError> {
-    let sss = SssMatrix::try_from_coo(coo, 0.0)?;
     let fingerprint = sss.fingerprint();
     if let Some(plan) = store.get(fingerprint).cloned() {
-        certify_spec(&sss, &plan.spec)?;
+        certify_spec(sss, &plan.spec)?;
         let outcome = TuneOutcome {
             fingerprint,
             rows: Vec::new(),
@@ -216,7 +213,7 @@ pub fn tune_and_store(
         };
         return Ok((outcome, true));
     }
-    let outcome = tune_matrix(coo, threads, measurer)?;
+    let outcome = tune_matrix(sss, threads, measurer)?;
     store.put(fingerprint, outcome.winner.clone())?;
     store.save()?;
     Ok((outcome, false))
@@ -256,10 +253,14 @@ pub fn auto_kernel(
 mod tests {
     use super::*;
 
+    fn sss_of(coo: &CooMatrix) -> SssMatrix {
+        SssMatrix::try_from_coo(coo, 0.0).unwrap()
+    }
+
     #[test]
     fn timed_measurer_produces_positive_samples() {
-        let coo = symspmv_sparse::gen::laplacian_2d(14, 14);
-        let outcome = tune_matrix(&coo, &[1, 2], &mut TimedMeasurer::new()).unwrap();
+        let sss = sss_of(&symspmv_sparse::gen::laplacian_2d(14, 14));
+        let outcome = tune_matrix(&sss, &[1, 2], &mut TimedMeasurer::new()).unwrap();
         assert!(outcome.winner.certified);
         assert!(outcome.winner.measured_secs > 0.0);
         assert!(outcome.rows.iter().all(
@@ -269,14 +270,13 @@ mod tests {
 
     #[test]
     fn an_empty_thread_list_is_a_typed_error() {
-        let coo = symspmv_sparse::gen::laplacian_2d(10, 10);
-        assert!(tune_matrix(&coo, &[], &mut TimedMeasurer::new()).is_err());
+        let sss = sss_of(&symspmv_sparse::gen::laplacian_2d(10, 10));
+        assert!(tune_matrix(&sss, &[], &mut TimedMeasurer::new()).is_err());
     }
 
     #[test]
     fn certify_spec_rejects_invalid_plans() {
-        let coo = symspmv_sparse::gen::laplacian_2d(10, 10);
-        let sss = SssMatrix::try_from_coo(&coo, 0.0).unwrap();
+        let sss = sss_of(&symspmv_sparse::gen::laplacian_2d(10, 10));
         let bad = PlanSpec {
             format: symspmv_core::auto::FormatTag::CsxSym,
             method: symspmv_core::ReductionMethod::Race,

@@ -6,7 +6,7 @@
 //! machine model)`. The format is deliberately boring:
 //!
 //! ```json
-//! {"version": 3,
+//! {"version": 4,
 //!  "plans": [{"fingerprint": "0xabc...", "ncpus": 4, "machine": "...",
 //!             "format": "sss", "method": "idx", "nthreads": 4,
 //!             "measured_secs": 3.1e-5, "candidates_measured": 21,
@@ -22,7 +22,7 @@
 //! * corrupted JSON or a malformed entry surfaces as a typed
 //!   [`SymSpmvError`], never a panic;
 //! * fingerprints are stored as hex *strings*: the JSON number line is
-//!   `f64` and would silently destroy high bits of a 64-bit FNV hash.
+//!   `f64` and would silently destroy high bits of a 64-bit hash.
 
 use std::path::{Path, PathBuf};
 use symspmv_core::auto::{FormatTag, PlanAdvisor, PlanSpec};
@@ -34,8 +34,11 @@ use symspmv_verify::jsonio::Json;
 /// to the entry layout or to the set of tags an entry may carry; older
 /// files are then ignored wholesale. Version 1 files could name the deleted
 /// third format; version 2 entries carried a lane width and a cost-model
-/// prediction, and their winners came from a pruned search.
-pub const PLAN_STORE_VERSION: u64 = 3;
+/// prediction, and their winners came from a pruned search; version 3 keys
+/// are byte-at-a-time FNV-1a fingerprints, which no matrix hashes to since
+/// [`SssMatrix::fingerprint`](symspmv_sparse::SssMatrix::fingerprint)
+/// became four word-wise lanes.
+pub const PLAN_STORE_VERSION: u64 = 4;
 
 /// File name of the store inside its directory.
 pub const PLAN_STORE_FILE: &str = "plans.json";

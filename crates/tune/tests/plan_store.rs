@@ -20,6 +20,10 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 const THREADS: [usize; 2] = [1, 2];
 
+fn sss_of(coo: &symspmv_sparse::CooMatrix) -> SssMatrix {
+    SssMatrix::try_from_coo(coo, 0.0).unwrap()
+}
+
 /// Stands in for wall-clock timing: a candidate's three "samples" are
 /// bit slices of an FNV-1a hash of its id. Records every spec it is asked
 /// for.
@@ -41,11 +45,12 @@ impl Measurer for Fake {
 #[test]
 fn round_trip_preserves_the_stored_plan() {
     let dir = tmp_dir("roundtrip");
-    let coo = gen::laplacian_2d(16, 16);
+    let sss = sss_of(&gen::laplacian_2d(16, 16));
     let mut store = PlanStore::open_for_machine(&dir, "cpu-A".into(), 2).unwrap();
-    let (outcome, hit) = tune_and_store(&coo, &mut store, &THREADS, &mut Fake::default()).unwrap();
+    let (outcome, hit) = tune_and_store(&sss, &mut store, &THREADS, &mut Fake::default()).unwrap();
     assert!(!hit, "first run must measure");
     assert_eq!(outcome.winner.candidates_measured, 7 * THREADS.len());
+    assert_eq!(outcome.fingerprint, sss.fingerprint());
 
     let reloaded = PlanStore::open_for_machine(&dir, "cpu-A".into(), 2).unwrap();
     assert_eq!(reloaded.len(), 1);
@@ -54,7 +59,7 @@ fn round_trip_preserves_the_stored_plan() {
 
     // Second run: store hit, no re-measurement, same plan.
     let mut store2 = PlanStore::open_for_machine(&dir, "cpu-A".into(), 2).unwrap();
-    let (again, hit2) = tune_and_store(&coo, &mut store2, &THREADS, &mut Fake::default()).unwrap();
+    let (again, hit2) = tune_and_store(&sss, &mut store2, &THREADS, &mut Fake::default()).unwrap();
     assert!(hit2, "second run must hit the store");
     assert!(again.rows.is_empty(), "a store hit must not re-measure");
     assert_eq!(again.winner, outcome.winner);
@@ -65,8 +70,9 @@ fn round_trip_preserves_the_stored_plan() {
 fn key_mismatch_falls_back_to_the_default() {
     let dir = tmp_dir("keymismatch");
     let coo = gen::laplacian_2d(14, 14);
+    let sss = sss_of(&coo);
     let mut store = PlanStore::open_for_machine(&dir, "cpu-A".into(), 2).unwrap();
-    let (outcome, _) = tune_and_store(&coo, &mut store, &THREADS, &mut Fake::default()).unwrap();
+    let (outcome, _) = tune_and_store(&sss, &mut store, &THREADS, &mut Fake::default()).unwrap();
 
     // Different machine model, different ncpus, different fingerprint:
     // each alone must miss.
@@ -91,8 +97,9 @@ fn key_mismatch_falls_back_to_the_default() {
 fn stored_plan_is_served_through_the_advisor() {
     let dir = tmp_dir("advisor");
     let coo = gen::laplacian_2d(14, 14);
+    let sss = sss_of(&coo);
     let mut store = PlanStore::open_for_machine(&dir, "cpu-A".into(), 2).unwrap();
-    let (outcome, _) = tune_and_store(&coo, &mut store, &THREADS, &mut Fake::default()).unwrap();
+    let (outcome, _) = tune_and_store(&sss, &mut store, &THREADS, &mut Fake::default()).unwrap();
 
     let ctx = ExecutionContext::new(outcome.winner.spec.nthreads);
     let (_, choice) = SymSpmv::auto_with(&ctx, &coo, Some(&store)).unwrap();
@@ -104,14 +111,14 @@ fn stored_plan_is_served_through_the_advisor() {
 #[test]
 fn version_bump_makes_the_store_invisible() {
     let dir = tmp_dir("version");
-    let coo = gen::laplacian_2d(14, 14);
+    let sss = sss_of(&gen::laplacian_2d(14, 14));
     let mut store = PlanStore::open_for_machine(&dir, "cpu-A".into(), 2).unwrap();
-    let (outcome, _) = tune_and_store(&coo, &mut store, &THREADS, &mut Fake::default()).unwrap();
+    let (outcome, _) = tune_and_store(&sss, &mut store, &THREADS, &mut Fake::default()).unwrap();
 
     // Rewrite the file under a future schema version.
     let path = dir.join(PLAN_STORE_FILE);
     let text = std::fs::read_to_string(&path).unwrap();
-    let bumped = text.replacen("\"version\":3", "\"version\":999", 1);
+    let bumped = text.replacen("\"version\":4", "\"version\":999", 1);
     assert_ne!(text, bumped, "test must actually bump the version");
     std::fs::write(&path, bumped).unwrap();
 
@@ -125,19 +132,19 @@ fn version_bump_makes_the_store_invisible() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Writes a one-entry store at an older schema `version` whose entry names
-/// `pair`, and checks the failure policy: the file is ignored and flagged,
-/// never a parse error and never served, and the next tune rewrites it at
-/// the current version.
-fn assert_ignored_and_rewritten(version: u64, pair: &str) {
+/// Writes a one-entry store at an older schema `version` whose entry
+/// carries `fields` besides its key and measurement, and checks the failure
+/// policy: the file is ignored and flagged, never a parse error and never
+/// served, and the next tune rewrites it at the current version.
+fn assert_ignored_and_rewritten(version: u64, fields: &str) {
     let dir = tmp_dir(&format!("schema-v{version}"));
     let path = dir.join(PLAN_STORE_FILE);
     std::fs::write(
         &path,
         format!(
             "{{\"version\":{version},\"plans\":[{{\"fingerprint\":\"0x0000000000000001\",\
-             \"ncpus\":2,\"machine\":\"cpu-A\",{pair},\"nthreads\":1,\"lanes\":8,\"predicted_\
-             bytes\":1.0,\"measured_secs\":1.0,\"candidates_measured\":12,\"certified\":true}}]}}"
+             \"ncpus\":2,\"machine\":\"cpu-A\",{fields},\"nthreads\":1,\
+             \"measured_secs\":1.0,\"candidates_measured\":12,\"certified\":true}}]}}"
         ),
     )
     .unwrap();
@@ -145,11 +152,11 @@ fn assert_ignored_and_rewritten(version: u64, pair: &str) {
     assert!(store.ignored_version_mismatch());
     assert!(store.is_empty());
 
-    let coo = gen::laplacian_2d(14, 14);
-    let (outcome, hit) = tune_and_store(&coo, &mut store, &THREADS, &mut Fake::default()).unwrap();
+    let sss = sss_of(&gen::laplacian_2d(14, 14));
+    let (outcome, hit) = tune_and_store(&sss, &mut store, &THREADS, &mut Fake::default()).unwrap();
     assert!(!hit, "an ignored file must be re-measured");
     let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with("{\"version\":3,"), "{text}");
+    assert!(text.starts_with("{\"version\":4,"), "{text}");
     assert!(!text.contains("lanes") && !text.contains("predicted"));
     let reloaded = PlanStore::open_for_machine(&dir, "cpu-A".into(), 2).unwrap();
     assert!(!reloaded.ignored_version_mismatch());
@@ -162,14 +169,28 @@ fn assert_ignored_and_rewritten(version: u64, pair: &str) {
 fn a_version_1_store_naming_the_deleted_format_is_ignored_and_rewritten() {
     // One entry with a tag this version cannot parse must not turn the whole
     // file into a parse error.
-    assert_ignored_and_rewritten(1, "\"format\":\"hybrid\",\"method\":\"eff\"");
+    assert_ignored_and_rewritten(
+        1,
+        &format!("\"format\":\"hybrid\",\"method\":\"eff\",{LANES}"),
+    );
 }
+
+/// The lane width and cost-model prediction entries carried before version 3.
+const LANES: &str = "\"lanes\":8,\"predicted_bytes\":1.0";
 
 #[test]
 fn a_version_2_store_with_lanes_and_predictions_is_ignored_and_rewritten() {
-    // What the parent commit wrote: a winner of the pruned search, with the
-    // lane width and the cost-model prediction version 3 does not carry.
-    assert_ignored_and_rewritten(2, "\"format\":\"sss\",\"method\":\"eff\"");
+    // A winner of the pruned search, with the lane width and the
+    // cost-model prediction version 3 dropped.
+    assert_ignored_and_rewritten(2, &format!("\"format\":\"sss\",\"method\":\"eff\",{LANES}"));
+}
+
+#[test]
+fn a_version_3_store_keyed_by_the_byte_wise_fingerprint_is_ignored_and_rewritten() {
+    // What the parent commit wrote: today's entry layout, keyed by the
+    // byte-at-a-time FNV-1a fingerprint that version 4 replaced, so no key
+    // in it can name a matrix any more.
+    assert_ignored_and_rewritten(3, "\"format\":\"sss\",\"method\":\"idx\"");
 }
 
 #[test]
@@ -179,12 +200,12 @@ fn corrupted_json_is_a_typed_error_never_a_panic() {
     for garbage in [
         "{",
         "not json at all",
-        "{\"version\":3,\"plans\":[{\"fingerprint\":42}]}",
-        "{\"version\":3,\"plans\":[{\"fingerprint\":\"0xzz\"}]}",
-        "{\"version\":3,\"plans\":{}}",
+        "{\"version\":4,\"plans\":[{\"fingerprint\":42}]}",
+        "{\"version\":4,\"plans\":[{\"fingerprint\":\"0xzz\"}]}",
+        "{\"version\":4,\"plans\":{}}",
         "{\"plans\":[]}",
         // A structurally valid entry that names an unbuildable plan.
-        "{\"version\":3,\"plans\":[{\"fingerprint\":\"0x0000000000000001\",\
+        "{\"version\":4,\"plans\":[{\"fingerprint\":\"0x0000000000000001\",\
           \"ncpus\":2,\"machine\":\"m\",\"format\":\"csxsym\",\"method\":\"race\",\
           \"nthreads\":2,\"measured_secs\":1.0,\
           \"candidates_measured\":1,\"certified\":true}]}",
@@ -240,9 +261,9 @@ fn uncertified_plans_are_refused_on_write_and_read() {
 
 #[test]
 fn the_search_measures_every_buildable_pair_once_per_thread_count() {
-    let coo = gen::banded_random(600, 12, 6.0, 5);
+    let sss = sss_of(&gen::banded_random(600, 12, 6.0, 5));
     let mut fake = Fake::default();
-    let outcome = tune_matrix(&coo, &THREADS, &mut fake).unwrap();
+    let outcome = tune_matrix(&sss, &THREADS, &mut fake).unwrap();
 
     // The seven symmetric kernels the harness can name, at p1 and p2:
     // each measured exactly once, none skipped.
@@ -278,9 +299,10 @@ fn the_search_measures_every_buildable_pair_once_per_thread_count() {
 
 #[test]
 fn two_tune_runs_with_the_same_measurer_produce_the_same_outcome() {
-    let coo = gen::banded_random(600, 12, 6.0, 5);
-    let a = tune_matrix(&coo, &THREADS, &mut Fake::default()).unwrap();
-    let b = tune_matrix(&coo, &THREADS, &mut Fake::default()).unwrap();
+    let sss = sss_of(&gen::banded_random(600, 12, 6.0, 5));
+    let a = tune_matrix(&sss, &THREADS, &mut Fake::default()).unwrap();
+    assert_eq!(a.fingerprint, sss.fingerprint());
+    let b = tune_matrix(&sss, &THREADS, &mut Fake::default()).unwrap();
     assert_eq!(a, b, "same measurer, same input: same table and winner");
 }
 
@@ -298,13 +320,14 @@ fn missing_store_directory_is_an_empty_store() {
 fn auto_kernel_runs_on_the_stored_thread_count() {
     let dir = tmp_dir("autokernel");
     let coo = gen::laplacian_2d(16, 16);
+    let sss = sss_of(&coo);
     let mut store = PlanStore::open_for_machine(
         &dir,
         symspmv_tune::machine::machine_model(),
         symspmv_tune::machine::ncpus(),
     )
     .unwrap();
-    let (outcome, _) = tune_and_store(&coo, &mut store, &THREADS, &mut Fake::default()).unwrap();
+    let (outcome, _) = tune_and_store(&sss, &mut store, &THREADS, &mut Fake::default()).unwrap();
     let (mut kernel, choice) = symspmv_tune::auto_kernel(&coo, Some(&store)).unwrap();
     assert_eq!(choice.source, PlanSource::Store);
     assert_eq!(kernel.nthreads(), outcome.winner.spec.nthreads);

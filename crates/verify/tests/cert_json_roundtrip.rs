@@ -104,7 +104,7 @@ fn sample() -> RaceCertificate {
 }
 
 #[test]
-fn unknown_proof_tag_rejected_both_ways() {
+fn unknown_proof_tag_rejected_on_json_parse() {
     let cert = sample();
     let text = cert.to_json().unwrap();
     let tampered = text.replace(

@@ -479,3 +479,38 @@ fn panic_in_one_kernel_does_not_poison_siblings_on_the_shared_context() {
     );
     assert!(ctx.arena_all_free_zero());
 }
+
+#[test]
+fn encode_round_panic_is_absorbed_and_the_kernel_is_the_clean_build() {
+    // A CSX-Sym build dispatches one pool round, share `i` encoding chunk
+    // `i`. Killing share 1 there costs a re-encode on the caller, not the
+    // build: the kernel multiplies bit-identically to one built on a clean
+    // context, and the pool counts the failure.
+    let coo = symspmv::sparse::gen::block_structural(200, 3, 8.0, 12, 9);
+    let n = coo.nrows() as usize;
+    let x = seeded_vector(n, 31);
+    let format = || SymFormat::CsxSym(symspmv::csx::detect::DetectConfig::default());
+    let build = |ctx: &std::sync::Arc<ExecutionContext>| {
+        SymSpmv::try_from_coo(&coo, ctx, ReductionMethod::Indexing, format())
+            .unwrap_or_else(|e| panic!("a pool fault failed the build: {e}"))
+    };
+
+    let clean_ctx = ExecutionContext::new(2);
+    let mut clean = build(&clean_ctx);
+    let ctx = ExecutionContext::new(2);
+    let failures = ctx.health_state().failures();
+    ctx.fault_plan().arm_worker_panic(1, 0);
+    let mut healed = build(&ctx);
+    assert_eq!(ctx.fault_plan().fired(), 1, "the encode round never ran");
+    assert_eq!(ctx.health_state().failures(), failures + 1);
+
+    assert_eq!(healed.size_bytes(), clean.size_bytes());
+    assert_eq!(healed.csx_coverage(), clean.csx_coverage());
+    let (mut y, mut y_clean) = (vec![0.0; n], vec![0.0; n]);
+    healed
+        .try_spmv(&x, &mut y)
+        .expect("spmv after the healed build");
+    clean.try_spmv(&x, &mut y_clean).expect("clean spmv");
+    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&y), bits(&y_clean));
+}
