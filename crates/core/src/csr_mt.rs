@@ -69,14 +69,18 @@ impl ParallelSpmv for CsrParallel {
                 // SAFETY(cert: disjoint-direct): partitions tile 0..N
                 // disjointly (certify_rows, debug-asserted at build).
                 let my_y = unsafe { buf.range_mut(part.start as usize, part.end as usize) };
-                // spmv_rows indexes y by absolute row; pass a shifted view.
-                for r in part.start..part.end {
-                    let (cols, vals) = csr.row(r);
+                // The arrays are taken once and the rows walked by `rowptr`
+                // alone, as in the SSS body; `my_y[i]` is row `start + i`.
+                let (rowptr, colind, values) = (csr.rowptr(), csr.colind(), csr.values());
+                let mut lo = rowptr[part.start as usize] as usize;
+                for (r, yr) in (part.start as usize..).zip(my_y) {
+                    let hi = rowptr[r + 1] as usize;
                     let mut acc = 0.0;
-                    for (&c, &v) in cols.iter().zip(vals) {
+                    for (&c, &v) in colind[lo..hi].iter().zip(&values[lo..hi]) {
                         acc += v * x[c as usize];
                     }
-                    my_y[(r - part.start) as usize] = acc;
+                    *yr = acc;
+                    lo = hi;
                 }
             });
         });
@@ -133,19 +137,21 @@ impl ParallelSpmm for CsrParallel {
                 let my_y = unsafe {
                     buf.range_mut(part.start as usize * lanes, part.end as usize * lanes)
                 };
-                for r in part.start..part.end {
-                    let (cols, vals) = csr.row(r);
+                let (rowptr, colind, values) = (csr.rowptr(), csr.colind(), csr.values());
+                let mut lo = rowptr[part.start as usize] as usize;
+                for (r, yr) in (part.start as usize..).zip(my_y.chunks_exact_mut(lanes)) {
+                    let hi = rowptr[r + 1] as usize;
                     // Per-lane accumulators run the exact op order of the
                     // scalar kernel on each lane: bitwise-identical output.
                     let mut acc = [0.0; MAX_LANES];
-                    for (&c, &v) in cols.iter().zip(vals) {
+                    for (&c, &v) in colind[lo..hi].iter().zip(&values[lo..hi]) {
                         let xc = &xs[c as usize * lanes..(c as usize + 1) * lanes];
                         for (a, &xj) in acc.iter_mut().zip(xc) {
                             *a += v * xj;
                         }
                     }
-                    let yb = (r - part.start) as usize * lanes;
-                    my_y[yb..yb + lanes].copy_from_slice(&acc[..lanes]);
+                    yr.copy_from_slice(&acc[..lanes]);
+                    lo = hi;
                 }
             });
         });

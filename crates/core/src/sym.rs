@@ -431,10 +431,12 @@ impl SymSpmv {
     }
 
     /// The multiply phase over `K`-lane-interleaved buffers, monomorphized
-    /// per [`SymmetryKind`] and lane count at the dispatch boundary: the
-    /// `Symmetric`, `K = 1` instantiation compiles to the plain scalar loop
-    /// (the mirror coefficient is the stored value itself, the paired load
-    /// folds away and every `[Val; 1]` lane loop is a single operation).
+    /// per [`SymmetryKind`] and lane count at the dispatch boundary: in the
+    /// `Symmetric`, `K = 1` instantiation the mirror coefficient is the
+    /// stored value itself and every `[Val; 1]` lane loop is a single
+    /// operation. The SSS body aliases the numeric kinds' pair slice to the
+    /// value slice at compile time, so they read no paired stream; the
+    /// CSX-Sym stream zips a pair slice that aliases its values at run time.
     ///
     /// One round for the local-vectors family: every thread runs its
     /// partition through the format's body with the split sink. The
@@ -668,9 +670,11 @@ fn init_diag<const K: usize>(dvalues: &[Val], x: &[[Val; K]], y: &mut [[Val; K]]
 /// exact float sequence.
 ///
 /// Monomorphized per symmetry kind: the mirror coefficient is
-/// `O::transposed(v, u)` with `u` the paired upper value (aliasing `v` for
-/// the numeric kinds, so the `Symmetric` instantiation is the pre-kind
-/// loop, bit for bit).
+/// `O::transposed(v, u)` with `u` the paired upper value. The arrays are
+/// taken once per partition and the rows walked by `rowptr` alone; for the
+/// numeric kinds the pair slice *is* the row's value slice, chosen at
+/// compile time, so their instances iterate two streams and only
+/// `Structural` reads its `upper_values` stream.
 fn sss_rows_split<O: SymmetryOps, const K: usize>(
     sss: &SssMatrix,
     part: Range,
@@ -679,10 +683,18 @@ fn sss_rows_split<O: SymmetryOps, const K: usize>(
     my_y: &mut [[Val; K]],
     local: &mut [[Val; K]],
 ) {
-    let dv = sss.dvalues();
-    for r in part.start..part.end {
-        let (cols, vals, pair) = sss.row_with_paired(r);
-        let r = r as usize;
+    let (dv, rowptr, colind) = (sss.dvalues(), sss.rowptr(), sss.colind());
+    let (values, paired) = (sss.values(), sss.paired_values());
+    let mut lo = rowptr[part.start as usize] as usize;
+    for r in part.start as usize..part.end as usize {
+        let hi = rowptr[r + 1] as usize;
+        let (cols, vals) = (&colind[lo..hi], &values[lo..hi]);
+        let pair = if O::KIND.has_upper_values() {
+            &paired[lo..hi]
+        } else {
+            vals
+        };
+        lo = hi;
         let xr = &x[r];
         // The accumulator starts at zero and the diagonal term joins at the
         // final write — the exact op order of the serial reference
@@ -713,15 +725,25 @@ fn sss_rows_split<O: SymmetryOps, const K: usize>(
 /// The race sibling of [`sss_rows_split`]: the same row walk over one
 /// thread's share of a color group, with every write going straight into
 /// the shared `y` (the diagonal term is already there from the pre-pass).
+/// A group's rows are not contiguous, so each row reads both of its
+/// `rowptr` bounds.
 fn sss_rows_race<O: SymmetryOps, const K: usize>(
     sss: &SssMatrix,
     rows: &[u32],
     x: &[[Val; K]],
     y_buf: SharedBuf<'_>,
 ) {
+    let (rowptr, colind) = (sss.rowptr(), sss.colind());
+    let (values, paired) = (sss.values(), sss.paired_values());
     for &r in rows {
-        let (cols, vals, pair) = sss.row_with_paired(r);
         let r = r as usize;
+        let (lo, hi) = (rowptr[r] as usize, rowptr[r + 1] as usize);
+        let (cols, vals) = (&colind[lo..hi], &values[lo..hi]);
+        let pair = if O::KIND.has_upper_values() {
+            &paired[lo..hi]
+        } else {
+            vals
+        };
         let xr = &x[r];
         let mut acc = [0.0; K];
         for ((&c, &v), &u) in cols.iter().zip(vals).zip(pair) {
@@ -1229,6 +1251,84 @@ mod edge_tests {
                 let method = ReductionMethod::Indexing;
                 let eng = SymSpmv::try_from_coo(&coo, &ctx, method, format).unwrap();
                 assert_eq!(ctx.pool_rounds(), rounds, "{} p={p}", eng.name());
+            }
+        }
+    }
+
+    #[test]
+    fn sss_row_walk_is_exact_from_any_partition_start_for_every_kind() {
+        // Rows 3k store no lower entries, and the later partitions start
+        // with `rowptr[start] > 0`, some of them on such a row: the walk
+        // must seed its running row pointer from the partition. The
+        // structural upper values differ from the lower ones, so reading
+        // the wrong pair stream shows. Small integers keep every partial
+        // sum exact, so each method, whatever its reduction order, must
+        // equal the serial reference bit for bit, lane by lane.
+        let n = 40u32;
+        let lower: std::collections::BTreeSet<(u32, u32)> = (1..n)
+            .filter(|r| r % 3 != 0)
+            .flat_map(|r| [r - 1, r / 2, r.saturating_sub(7)].map(|c| (r, c)))
+            .collect();
+        let xs: Vec<Vec<Val>> = (0..8)
+            .map(|j| {
+                (0..n as usize)
+                    .map(|i| ((3 * i + 5 * j) % 7 + 1) as Val)
+                    .collect()
+            })
+            .collect();
+        let block = |k: usize| {
+            VectorBlock::from_lanes(&xs[..k].iter().map(Vec::as_slice).collect::<Vec<_>>())
+        };
+        let bits = |y: &[Val]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for kind in SymmetryKind::ALL {
+            let mut coo = CooMatrix::new(n, n);
+            for &(r, c) in &lower {
+                let v = Val::from((r + 2 * c) % 5 + 1);
+                coo.push(r, c, v);
+                coo.push(c, r, kind.transposed(v, 2.0 * v + 1.0));
+            }
+            if !kind.requires_zero_diagonal() {
+                (0..n).for_each(|i| coo.push(i, i, 4.0));
+            }
+            let sss = SssMatrix::from_coo_kind(&coo, kind, 0.0).unwrap();
+            let reference: Vec<_> = xs
+                .iter()
+                .map(|x| {
+                    let mut y = vec![0.0; n as usize];
+                    sss.spmv(x, &mut y);
+                    bits(&y)
+                })
+                .collect();
+            let rowptr = sss.rowptr();
+            for p in [1usize, 2, 3] {
+                let ctx = ExecutionContext::new(p);
+                for method in ReductionMethod::ALL {
+                    let mut eng =
+                        SymSpmv::from_coo_kind(&coo, kind, &ctx, method, SymFormat::Sss).unwrap();
+                    let later = &eng.partitions()[1..];
+                    assert!(later.iter().all(|q| rowptr[q.start as usize] > 0));
+                    let bare = |q: &Range| rowptr[q.start as usize + 1] == rowptr[q.start as usize];
+                    assert_eq!(
+                        later.iter().any(bare),
+                        p > 1,
+                        "p={p}: no bare partition start"
+                    );
+                    let name = eng.name();
+                    let mut y = vec![f64::NAN; n as usize];
+                    eng.spmv(&xs[0], &mut y);
+                    assert_eq!(bits(&y), reference[0], "{kind:?} {name} p={p} spmv");
+                    for k in [1, 8] {
+                        let mut yk = VectorBlock::zeros(n as usize, k);
+                        eng.spmm(&block(k), &mut yk);
+                        for (j, want) in reference[..k].iter().enumerate() {
+                            assert_eq!(
+                                &bits(&yk.lane(j)),
+                                want,
+                                "{kind:?} {name} p={p} K={k} lane {j}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -143,15 +143,15 @@ pub(crate) fn record_write_range(base: usize, len: usize) {
     for k in 0..len {
         let addr = base + 8 * k;
         match s.last.insert(addr, (epoch, tid)) {
-            Some((prev_epoch, prev_tid)) if prev_epoch == epoch && prev_tid != tid => {
-                if s.races.len() < MAX_REPORTS {
-                    s.races.push(RaceReport {
-                        addr,
-                        epoch,
-                        first_tid: prev_tid,
-                        second_tid: tid,
-                    });
-                }
+            Some((prev_epoch, prev_tid))
+                if prev_epoch == epoch && prev_tid != tid && s.races.len() < MAX_REPORTS =>
+            {
+                s.races.push(RaceReport {
+                    addr,
+                    epoch,
+                    first_tid: prev_tid,
+                    second_tid: tid,
+                });
             }
             _ => {}
         }

@@ -16,8 +16,8 @@
 //!
 //! [`SymmetryKind`] is the runtime tag threaded through constructors,
 //! certificates and reports; [`SymmetryOps`] is its compile-time mirror,
-//! used to monomorphize the kernels so the `Symmetric` hot path compiles
-//! to exactly the code it compiled to before kinds existed.
+//! used to monomorphize the kernels so each kind compiles to its own
+//! straight-line code, with no per-entry branch on the kind.
 
 use crate::Val;
 
@@ -85,12 +85,14 @@ impl SymmetryKind {
 
 /// Compile-time symmetry kind: the kernels are generic over an
 /// implementation of this trait, so each kind monomorphizes to its own
-/// straight-line code. For [`Sym`] the `u` operand is dead and the
-/// symmetric instantiation compiles to exactly the pre-kind kernel.
+/// straight-line code. For [`Sym`] and [`Skew`] the `u` operand is dead.
 ///
 /// Kernels pass the stored lower value as `v` and the *paired* value as
-/// `u`; for the non-structural kinds callers pass the lower values slice
-/// itself as the pair slice (the duplicate load is eliminated).
+/// `u`; for the non-structural kinds the pair slice is the lower values
+/// slice itself. Only a kernel that picks that alias from
+/// `O::KIND.has_upper_values()` at compile time (the SSS row body does)
+/// iterates two streams; a pair slice chosen at run time is still walked
+/// as a third one.
 pub trait SymmetryOps: Copy + Send + Sync + 'static {
     /// The runtime tag this implementation mirrors.
     const KIND: SymmetryKind;

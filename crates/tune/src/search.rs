@@ -98,8 +98,13 @@ impl Measurer for TimedMeasurer {
         let n = kernel.n();
         let mut x = vec![1.0f64; n];
         let mut y = vec![0.0f64; n];
-        kernel.try_spmv(&x, &mut y)?; // warm-up & fault surface
-        std::mem::swap(&mut x, &mut y);
+        // An untimed block as long as a sample, so the first sample does not
+        // pay for a pool that sat idle (as it does behind single-threaded
+        // suite generation); `try_spmv` is the fault surface.
+        for _ in 0..Self::ITERATIONS {
+            kernel.try_spmv(&x, &mut y)?;
+            std::mem::swap(&mut x, &mut y);
+        }
         let mut samples = Vec::with_capacity(Self::SAMPLES);
         for _ in 0..Self::SAMPLES {
             let t0 = Instant::now();

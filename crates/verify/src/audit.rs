@@ -413,9 +413,11 @@ fn known(name: &str) -> bool {
 }
 
 /// Recursively audits every `.rs` file under `root`, skipping `target`,
-/// VCS metadata and hidden directories.
+/// VCS metadata, hidden directories and `benchmark/out` (where
+/// `bench/gate.sh` leaves a source copy of the base revision).
 pub fn audit_workspace(root: &Path) -> std::io::Result<AuditReport> {
     let mut report = AuditReport::default();
+    let benchmark_out = root.join("benchmark").join("out");
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
         let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)?
@@ -425,7 +427,7 @@ pub fn audit_workspace(root: &Path) -> std::io::Result<AuditReport> {
         for path in entries {
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
             if path.is_dir() {
-                if name == "target" || name.starts_with('.') {
+                if name == "target" || name.starts_with('.') || path == benchmark_out {
                     continue;
                 }
                 stack.push(path);

@@ -121,6 +121,24 @@ fn violation_planted_in_a_bin_target_is_caught() {
     );
 }
 
+/// A gate run leaves a source copy of the base revision under
+/// `benchmark/out/gate/src`; counting it would double every site.
+#[test]
+fn audit_skips_the_gate_checkout_under_benchmark_out() {
+    let scratch = std::env::temp_dir().join(format!("symspmv-audit-walk-{}", std::process::id()));
+    let site = "fn f(p: *mut u8) {\n    // SAFETY(cert: disjoint-direct): fixture.\n    unsafe { *p = 0; }\n}\n";
+    for dir in ["benchmark/out/gate/src", "crates/x/src"] {
+        std::fs::create_dir_all(scratch.join(dir)).expect("scratch tree");
+        std::fs::write(scratch.join(dir).join("lib.rs"), site).expect("audited source");
+    }
+
+    let report = audit_workspace(&scratch).expect("scratch walk");
+    let _ = std::fs::remove_dir_all(&scratch);
+
+    assert_eq!(report.sites.len(), 1, "{:?}", report.sites);
+    assert!(report.sites[0].file.ends_with("crates/x/src/lib.rs"));
+}
+
 /// The invariant registry stays meaningful: every name the kernels cite is
 /// registered, the registry carries its rationale strings, and every
 /// registered name is cited by at least one audited site — the table
