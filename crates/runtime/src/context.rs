@@ -581,8 +581,8 @@ impl Drop for BufferLease<'_> {
     ///   scrubbed wholesale — an unwinding kernel has abandoned its buffers
     ///   in an arbitrary state, and handing that state to the next lessee
     ///   would corrupt unrelated results long after the panic was caught;
-    /// * normal kernel leases are verified and healed: any stray non-zero
-    ///   value is zeroed and the violation counted
+    /// * normal kernel leases are verified and healed: a buffer holding any
+    ///   non-zero value is zeroed and the violation counted
     ///   ([`ContextStats::dirty_lease_returns`]). Debug builds flag the
     ///   broken contract unless the dirt was deliberately injected by the
     ///   fault plan.
@@ -600,14 +600,12 @@ impl Drop for BufferLease<'_> {
         if self.scrub_on_drop || std::thread::panicking() {
             self.buf.fill(0.0);
         } else {
-            let mut dirty = false;
-            for v in self.buf.iter_mut() {
-                if *v != 0.0 {
-                    *v = 0.0;
-                    dirty = true;
-                }
-            }
+            // `v != 0.0` as one branch-free OR over the bit patterns: the
+            // shift drops the sign, so ±0 reads clean and NaN or any other
+            // value dirty.
+            let dirty = self.buf.iter().fold(0, |m, v| m | (v.to_bits() << 1)) != 0;
             if dirty {
+                self.buf.fill(0.0);
                 // RELAXED(telemetry counter; the scrub itself is ordered by
                 // the arena mutex on reinsertion)
                 self.ctx.dirty_returns.fetch_add(1, Ordering::Relaxed);
@@ -776,6 +774,26 @@ mod tests {
         // Subsequent clean returns do not bump the counter.
         drop(ctx.lease(32));
         assert_eq!(ctx.stats().dirty_lease_returns, 1);
+    }
+
+    #[test]
+    fn lease_return_check_is_the_nonzero_predicate() {
+        let ctx = ExecutionContext::new(1);
+        // −0.0 compares equal to 0.0: clean, not counted.
+        ctx.fault_plan().arm_corrupt_lease(0, -0.0);
+        drop(ctx.lease(33));
+        assert_eq!(ctx.fault_plan().fired(), 1);
+        assert_eq!(ctx.stats().dirty_lease_returns, 0);
+        for (k, v) in [f64::NAN, f64::MIN_POSITIVE / 4.0, -1e-300]
+            .into_iter()
+            .enumerate()
+        {
+            ctx.fault_plan().arm_corrupt_lease(0, v);
+            drop(ctx.lease(33));
+            assert_eq!(ctx.stats().dirty_lease_returns, k + 1, "{v:e}");
+            let lease = ctx.lease(33);
+            assert!(lease.iter().all(|w| w.to_bits() == 0), "{v:e} not healed");
+        }
     }
 
     #[test]

@@ -72,9 +72,10 @@ use crate::supervisor::{Deadline, HealthState, Interrupt, SupervisionCell};
 /// How long an idle worker, or the caller waiting on the count, spins before
 /// it parks: four times the ~25 µs (19–28) it costs to wake a parked thread
 /// on the 2-vCPU reference host, where a halted vCPU must be kicked. That
-/// outlasts the longest gap inside a CG iteration (five serial vector ops
-/// below `vecops::PAR_THRESHOLD`, ~50 µs): a worker inside a solve never
-/// sleeps, one beside a serial phase gives its CPU back after 0.1 ms.
+/// outlasts the longest gap inside a CG iteration (its three serial vector
+/// sweeps below `vecops::PAR_THRESHOLD` = 4 096 rows, under 10 µs): a worker
+/// inside a solve never sleeps, one beside a serial phase gives its CPU back
+/// after 0.1 ms.
 pub(crate) const SPIN_BUDGET: Duration = Duration::from_micros(100);
 
 /// The closure signature workers execute: SPMD body receiving a thread id.

@@ -222,10 +222,8 @@ where
                     alpha[j] = if pap[j] != 0.0 { rz[j] / pap[j] } else { 0.0 };
                 }
             }
-            vecops::lane_axpy(exec, alpha, active, p.as_ref(), x);
-            vecops::lane_axpy(exec, alpha.map(|a| -a), active, ap.as_ref(), r);
+            let rs_new = vecops::lane_step(exec, alpha, active, p.as_ref(), ap.as_ref(), x, r);
             let z = precondition::<L>(&mut jacobi, r);
-            let rs_new = vecops::lane_dot::<L>(exec, r, r);
             let rz_new = z.map_or(rs_new, |z| vecops::lane_dot(exec, r, z));
             let mut beta = [0.0; L];
             for j in 0..L {
@@ -600,12 +598,12 @@ mod tests {
         // The traffic the pool protocol is sized on. A warm `sss-idx` SpMV at
         // p = 2 is two rounds (multiply, reduce). Below PAR_THRESHOLD every
         // vector op is serial: 2·(iters + 1) rounds. Above it the set-up adds
-        // two dots and an iteration two dots, two axpys and one xpby:
-        // 4 + 7·iters. Fusing vector ops (ROADMAP 1b) moves this pin on purpose.
-        for (side, per_iter, fixed) in [(40, 2, 2), (130, 7, 4)] {
+        // two dots (‖b‖², ‖r‖²) and an iteration one dot (pᵀAp), the fused
+        // x/r/rᵀr sweep and one xpby: 4 + 5·iters.
+        for (side, per_iter, fixed) in [(40, 2, 2), (130, 5, 4)] {
             let coo = symspmv_sparse::gen::laplacian_2d(side, side);
             let n = coo.nrows() as usize;
-            assert_eq!(n >= crate::vecops::PAR_THRESHOLD, per_iter == 7, "n = {n}");
+            assert_eq!(n >= crate::vecops::PAR_THRESHOLD, per_iter == 5, "n = {n}");
             let ctx = ExecutionContext::new(2);
             let mut k =
                 SymSpmv::from_coo(&coo, &ctx, ReductionMethod::Indexing, SymFormat::Sss).unwrap();

@@ -13,7 +13,11 @@
 //!
 //! A mismatch prints the whole table in source form, so a *deliberate*
 //! change of association is re-pinned by pasting it — and shows up in review
-//! as a diff of this file.
+//! as a diff of this file. The association pinned: every reduction sums each
+//! thread span (the whole vector when serial) into eight partial sums per
+//! lane, folds them pairwise, and adds the thread partials in thread order
+//! (`vecops::split_sum`), so a change to that order moves every row, `p = 1`
+//! and the serial reruns included.
 
 use std::sync::Arc;
 use symspmv::core::{FallbackKernel, ReductionMethod, RetryPolicy, SymFormat, SymSpmv};
@@ -167,10 +171,10 @@ fn solver_float_sequences_match_the_committed_hashes() {
 
 #[rustfmt::skip]
 const GOLDEN: &[(&str, Row)] = &[
-    ("gen::banded_random(300, 15, 6.0, 11) p1", [0xffc2f8a42585791f, 0x4421506d65e6e142, 0x7681168dc56d2e2f, 0x3cb1ec3b149e0da7, 0xffc2f8a42585791f, 0x4421506d65e6e142]),
-    ("gen::banded_random(300, 15, 6.0, 11) p2", [0xe341ad36af212392, 0xa615616b86992210, 0xbd2299f153c39dd3, 0x180c43a84a2b8d30, 0xffc2f8a42585791f, 0x4421506d65e6e142]),
-    ("gen::banded_random(300, 15, 6.0, 11) p3", [0xf8116ee7163cc867, 0x8d18ba1cecd92d78, 0x26c52c44b4f0faa6, 0xf3f0e1ba6f1ff0a5, 0xffc2f8a42585791f, 0x4421506d65e6e142]),
-    ("gen::banded_random(17_000, 15, 6.0, 12) p1", [0x2c9237899f251abc, 0xaff12cced1f55342, 0x58dd4c37ddc28a4c, 0xb371565f29a952d1, 0x2c9237899f251abc, 0xaff12cced1f55342]),
-    ("gen::banded_random(17_000, 15, 6.0, 12) p2", [0x509aac4d8d993dd1, 0xd3f239516d351a3f, 0x3de3257043c0812c, 0x279300314c620b65, 0x2c9237899f251abc, 0xaff12cced1f55342]),
-    ("gen::banded_random(17_000, 15, 6.0, 12) p3", [0x4895e37b4c1c5786, 0x8976376b8ae76c8e, 0x1d8b3fa8417c479c, 0x390d7bebb4f5bb76, 0x2c9237899f251abc, 0xaff12cced1f55342]),
+    ("gen::banded_random(300, 15, 6.0, 11) p1", [0xe1e17a077aee8180, 0x449cfe8e8e3383aa, 0x7109ff84d670b81d, 0x4e5f4ded177ad17c, 0xe1e17a077aee8180, 0x449cfe8e8e3383aa]),
+    ("gen::banded_random(300, 15, 6.0, 11) p2", [0x20cac29227653842, 0x5754be439be40999, 0x39ec4ea12adfbfc6, 0x5afb744135600078, 0xe1e17a077aee8180, 0x449cfe8e8e3383aa]),
+    ("gen::banded_random(300, 15, 6.0, 11) p3", [0x5dea84233db61847, 0x28f89313982a4d4c, 0x25434b798eb8fb08, 0x3ef9a0dc3b129ea0, 0xe1e17a077aee8180, 0x449cfe8e8e3383aa]),
+    ("gen::banded_random(17_000, 15, 6.0, 12) p1", [0x1f46715675a85dfd, 0x9c94d9ad7953e0d8, 0x1aa7ec0f874b1cc1, 0x7d57619da6d670cd, 0x1f46715675a85dfd, 0x9c94d9ad7953e0d8]),
+    ("gen::banded_random(17_000, 15, 6.0, 12) p2", [0x7741ed41af249333, 0xf6ffc584492064ff, 0xec98365e93a6d089, 0xe2de01d40b1d60a1, 0x1f46715675a85dfd, 0x9c94d9ad7953e0d8]),
+    ("gen::banded_random(17_000, 15, 6.0, 12) p3", [0xf5653685c21d9c61, 0xc33014f0d34b317a, 0x68163065d698d758, 0x7a92388efb2a3793, 0x1f46715675a85dfd, 0x9c94d9ad7953e0d8]),
 ];
