@@ -3,11 +3,14 @@
 //!
 //! The paper selects nothing at run time: §III/§V fix "local-vectors
 //! indexing, on SSS or CSX-Sym" from measurements on two machines. The
-//! better `format × reduction strategy × thread count` point does move with
-//! matrix structure and hardware, but only a measurement finds it — the
-//! Eq. 1–6 traffic model this module once ranked candidates with mis-ranked
-//! every suite matrix (EXPERIMENTS.md, "recorded losers"). So there are two
-//! sources of a plan and no third (DESIGN.md §18):
+//! better `format × thread count` point does move with matrix structure and
+//! hardware, but only a measurement finds it — the Eq. 1–6 traffic model
+//! this module once ranked candidates with mis-ranked every suite matrix,
+//! and when every `format × method` pair was measured the best `naive`,
+//! `eff` or `race` plan trailed the winner by 3–28 % on every suite matrix
+//! (EXPERIMENTS.md, "recorded losers"). So a plan always reduces by
+//! indexing, and there are two sources of a plan and no third (DESIGN.md
+//! §18):
 //!
 //! * [`PlanSpec`] — one point of the search space, serializable by tag, and
 //!   [`enumerate_candidates`], the whole space for a list of thread counts;
@@ -20,18 +23,18 @@
 
 use crate::error::SymSpmvError;
 pub use crate::sym::FormatTag;
-use crate::sym::{pair_name, unsupported_pair, ReductionMethod, SymSpmv};
+use crate::sym::{pair_name, ReductionMethod, SymSpmv};
 use std::sync::Arc;
 use symspmv_runtime::ExecutionContext;
 use symspmv_sparse::{CooMatrix, SssMatrix};
 
-/// One point of the tuning search space.
+/// One point of the tuning search space. Every plan reduces by
+/// local-vectors indexing (§III-C), which both formats support, so every
+/// `PlanSpec` builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanSpec {
     /// Storage format family.
     pub format: FormatTag,
-    /// Reduction strategy (Fig. 3 b/c/d).
-    pub method: ReductionMethod,
     /// Worker-thread count the plan was selected for.
     pub nthreads: usize,
 }
@@ -42,7 +45,6 @@ impl PlanSpec {
     pub fn paper_default(nthreads: usize) -> PlanSpec {
         PlanSpec {
             format: FormatTag::Sss,
-            method: ReductionMethod::Indexing,
             nthreads,
         }
     }
@@ -50,12 +52,11 @@ impl PlanSpec {
     /// Candidate identifier, e.g. `"csxsym-idx-p4"` — stable across runs,
     /// used as the candidate column of the search tables.
     pub fn id(&self) -> String {
-        format!("{}-p{}", pair_name(self.format, self.method), self.nthreads)
-    }
-
-    /// Whether this spec is buildable at all ([`unsupported_pair`]).
-    pub fn is_valid(&self) -> bool {
-        unsupported_pair(self.format, self.method).is_none()
+        format!(
+            "{}-p{}",
+            pair_name(self.format, ReductionMethod::Indexing),
+            self.nthreads
+        )
     }
 }
 
@@ -99,23 +100,13 @@ pub trait PlanAdvisor {
     fn lookup(&self, fingerprint: u64, nthreads: usize) -> Option<PlanSpec>;
 }
 
-/// The whole search space for the given thread counts: every buildable
-/// ([`PlanSpec::is_valid`]) `format × method` pair — seven — once per
-/// thread count, formats outermost.
+/// The whole search space for the given thread counts: both formats once
+/// per thread count, formats outermost.
 pub fn enumerate_candidates(threads: &[usize]) -> Vec<PlanSpec> {
     let mut out = Vec::new();
     for format in FormatTag::ALL {
-        for method in ReductionMethod::ALL {
-            for &nthreads in threads {
-                let spec = PlanSpec {
-                    format,
-                    method,
-                    nthreads,
-                };
-                if spec.is_valid() {
-                    out.push(spec);
-                }
-            }
+        for &nthreads in threads {
+            out.push(PlanSpec { format, nthreads });
         }
     }
     out
@@ -153,16 +144,17 @@ impl SymSpmv {
 
         let stored = advisor.and_then(|a| a.lookup(fingerprint, nthreads));
         let (spec, source) = match stored {
-            Some(spec) if spec.is_valid() && spec.nthreads == nthreads => (spec, PlanSource::Store),
+            Some(spec) if spec.nthreads == nthreads => (spec, PlanSource::Store),
             _ => (PlanSpec::paper_default(nthreads), PlanSource::Default),
         };
 
-        let engine = SymSpmv::from_sss(sss, ctx, spec.method, spec.format.to_format());
+        let method = ReductionMethod::Indexing;
+        let engine = SymSpmv::from_sss(sss, ctx, method, spec.format.to_format());
         // The certifier gate: whatever chose the plan, the engine may only
         // run it under a certificate valid for this exact configuration.
         engine
             .certificate()
-            .validate_for(fingerprint, nthreads, "sym-sss", spec.method.tag())
+            .validate_for(fingerprint, nthreads, "sym-sss", method.tag())
             .map_err(|e| {
                 SymSpmvError::InvalidStructure(symspmv_sparse::SparseError::Parse {
                     line: 0,
@@ -192,12 +184,15 @@ mod tests {
     }
 
     #[test]
-    fn enumeration_covers_the_buildable_pairs() {
-        let all = enumerate_candidates(&[1, 2]);
-        assert!(all.iter().all(PlanSpec::is_valid));
-        // 2 formats × 4 methods − csxsym-race = 7 pairs, × 2 thread counts.
-        assert_eq!(all.len(), 7 * 2);
-        assert!(all.contains(&PlanSpec::paper_default(2)));
+    fn enumeration_is_both_idx_pairs_at_every_thread_count() {
+        let ids: Vec<String> = enumerate_candidates(&[1, 2])
+            .iter()
+            .map(PlanSpec::id)
+            .collect();
+        assert_eq!(
+            ids,
+            ["sss-idx-p1", "sss-idx-p2", "csxsym-idx-p1", "csxsym-idx-p2"]
+        );
         assert_eq!(PlanSpec::paper_default(2).id(), "sss-idx-p2");
     }
 
@@ -228,14 +223,13 @@ mod tests {
         let coo = gen::laplacian_2d(20, 20);
         let ctx = ExecutionContext::new(2);
         let spec = PlanSpec {
-            format: FormatTag::Sss,
-            method: ReductionMethod::EffectiveRanges,
+            format: FormatTag::CsxSym,
             nthreads: 2,
         };
         let (engine, choice) = SymSpmv::auto_with(&ctx, &coo, Some(&FixedAdvisor(spec))).unwrap();
         assert_eq!(choice.source, PlanSource::Store);
         assert_eq!(choice.spec, spec);
-        assert_eq!(engine.method(), ReductionMethod::EffectiveRanges);
+        assert_eq!(engine.name(), "csxsym-idx");
     }
 
     #[test]
@@ -243,8 +237,7 @@ mod tests {
         let coo = gen::laplacian_2d(20, 20);
         let ctx = ExecutionContext::new(2);
         let spec = PlanSpec {
-            format: FormatTag::Sss,
-            method: ReductionMethod::Naive,
+            format: FormatTag::CsxSym,
             nthreads: 8,
         };
         let (_, choice) = SymSpmv::auto_with(&ctx, &coo, Some(&FixedAdvisor(spec))).unwrap();

@@ -144,9 +144,9 @@ impl SymFormat {
 }
 
 /// The one rule for which `(format, method)` pairs build: why `method`
-/// cannot drive `format`, if it cannot. Every constructor,
-/// `PlanSpec::is_valid` and the harness's `KernelSpec::all`/`parse` consult
-/// it, so "buildable" has a single spelling. Seven of the eight pairs build.
+/// cannot drive `format`, if it cannot. Every constructor and the
+/// harness's `KernelSpec::all`/`parse` consult it, so "buildable" has a
+/// single spelling. Seven of the eight pairs build.
 pub fn unsupported_pair(format: FormatTag, method: ReductionMethod) -> Option<&'static str> {
     match (format, method) {
         // The group schedule walks SSS rows; a CSX-Sym stream is encoded per
@@ -192,8 +192,6 @@ pub struct SymSpmv {
     /// layout, conflict index, reduction chunks and the race certificate.
     /// The local store itself is leased from the arena per spmv call.
     plan: Arc<CachedSymPlan>,
-    /// Lane-lifted block-write certificates, one per SpMM lane count seen.
-    block_certs: std::collections::HashMap<usize, Arc<symspmv_verify::RaceCertificate>>,
     ctx: Arc<ExecutionContext>,
     times: PhaseTimes,
     size_bytes: usize,
@@ -340,7 +338,6 @@ impl SymSpmv {
             strategy,
             storage,
             plan,
-            block_certs: std::collections::HashMap::new(),
             ctx: Arc::clone(ctx),
             times,
             size_bytes,
@@ -360,38 +357,6 @@ impl SymSpmv {
     /// The race certificate proving the plan's write sets are disjoint.
     pub fn certificate(&self) -> &symspmv_verify::RaceCertificate {
         &self.plan.cert
-    }
-
-    /// The lane-lifted block-write certificate for a given lane count,
-    /// minted by the first [`ParallelSpmm::spmm`] call with that many
-    /// lanes (`None` before then). The scalar certificate's row conflicts
-    /// are lane-independent, so the lift re-checks only the lane scaling
-    /// of the layout (see `symspmv_verify::lift_sym_certificate`).
-    pub fn block_certificate(&self, lanes: usize) -> Option<&Arc<symspmv_verify::RaceCertificate>> {
-        self.block_certs.get(&lanes)
-    }
-
-    /// Obtains (and memoizes) the lane-lifted certificate for `lanes`.
-    fn obtain_block_certificate(&mut self, lanes: usize) -> Arc<symspmv_verify::RaceCertificate> {
-        if let Some(cert) = self.block_certs.get(&lanes) {
-            return Arc::clone(cert);
-        }
-        let block_offsets: Vec<usize> = self.plan.offsets.iter().map(|o| o * lanes).collect();
-        let cert = match symspmv_verify::lift_sym_certificate(
-            &self.plan.cert,
-            lanes,
-            &self.plan.offsets,
-            self.plan.local_len,
-            &block_offsets,
-            self.plan.local_len * lanes,
-        ) {
-            Ok(c) => Arc::new(c),
-            // The kernel derives the block layout by scaling the certified
-            // scalar plan, so a failed lift means the lifter itself broke.
-            Err(e) => unreachable!("lane-lifting a certified plan failed: {e}"),
-        };
-        self.block_certs.insert(lanes, Arc::clone(&cert));
-        cert
     }
 
     /// The symmetry kind the kernel's mirror contributions follow.
@@ -420,14 +385,6 @@ impl SymSpmv {
     /// The conflict index (meaningful for index-consuming strategies).
     pub fn conflict_index(&self) -> &ConflictIndex {
         &self.plan.index
-    }
-
-    /// Substructure coverage of the CSX-Sym encoding (0 for SSS).
-    pub fn csx_coverage(&self) -> f64 {
-        match &self.storage {
-            Storage::Sss(_) => 0.0,
-            Storage::CsxSym(m) => m.coverage(),
-        }
     }
 
     /// The multiply phase over `K`-lane-interleaved buffers, monomorphized
@@ -556,19 +513,39 @@ impl SymSpmv {
         }
     }
 
-    /// Dispatch gate: `cert` must describe exactly this configuration.
-    /// Catches a plan reused across a renumbering or a thread-count change
-    /// (debug builds only; the re-fingerprint walks the structure).
-    fn check_dispatch(&self, cert: &symspmv_verify::RaceCertificate) {
+    /// Dispatch gate (debug builds only; the re-fingerprint walks the
+    /// structure). A block call with `lanes` lifts the plan's certificate
+    /// first: the scalar row conflicts are lane-independent, so the lift
+    /// re-checks only that the block layout is the scalar one scaled (see
+    /// `symspmv_verify::lift_symbolic`). The certificate in force must then
+    /// describe exactly this configuration, which catches a plan reused
+    /// across a renumbering or a thread-count change.
+    fn check_dispatch(&self, lanes: Option<usize>) {
         if !cfg!(debug_assertions) {
             return;
         }
+        let plan = &self.plan;
+        let lifted = lanes.map(|k| {
+            let block_offsets: Vec<usize> = plan.offsets.iter().map(|o| o * k).collect();
+            symspmv_verify::lift_symbolic(
+                &plan.cert,
+                k,
+                &plan.offsets,
+                plan.local_len,
+                &block_offsets,
+                plan.local_len * k,
+            )
+            // The block layout is the certified scalar plan scaled, so a
+            // failed lift means the lifter itself broke.
+            .unwrap_or_else(|e| unreachable!("lane-lifting a certified plan failed: {e}"))
+        });
+        let cert = lifted.as_ref().unwrap_or(&plan.cert);
         if let Storage::Sss(sss) = &self.storage {
             if let Err(e) = cert.validate_for(
                 sss.fingerprint(),
                 self.ctx.nthreads(),
                 "sym-sss",
-                &self.plan.cert.strategy,
+                &plan.cert.strategy,
             ) {
                 unreachable!("dispatching with a stale race certificate: {e}");
             }
@@ -769,7 +746,7 @@ impl ParallelSpmv for SymSpmv {
     fn spmv(&mut self, x: &[Val], y: &mut [Val]) {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
-        self.check_dispatch(&self.plan.cert);
+        self.check_dispatch(None);
         self.run::<1>(x, y);
     }
 
@@ -812,73 +789,12 @@ impl ParallelSpmm for SymSpmv {
         assert_eq!(y.n(), self.n, "y block dimension mismatch");
         assert_eq!(x.lanes(), y.lanes(), "lane count mismatch");
         let lanes = x.lanes();
-
-        // Mint (or fetch) the lane-lifted block-write certificate — every
-        // SpMM dispatch is covered by a certificate proving the scaled
-        // layout inherits the scalar plan's disjointness.
-        let cert = self.obtain_block_certificate(lanes);
-        debug_assert!(cert.proves("lane-lifted"));
-        self.check_dispatch(&cert);
+        self.check_dispatch(Some(lanes));
         with_lanes!(lanes, K => self.run::<K>(x.as_slice(), y.as_mut_slice()));
     }
 
     fn spmm_context(&self) -> &Arc<ExecutionContext> {
         &self.ctx
-    }
-}
-
-impl crate::traits::SymbolicDescribe for SymSpmv {
-    fn structure_facts(&self) -> Option<symspmv_verify::StructureFacts> {
-        match &self.storage {
-            Storage::Sss(sss) => Some(symspmv_verify::StructureFacts::of(sss)),
-            // The stream encoding discards the row-wise SSS structure
-            // the facts are distilled from; its boundary rule is certified
-            // by the CSX checker instead.
-            Storage::CsxSym(_) => None,
-        }
-    }
-
-    fn recertify_symbolic(
-        &self,
-    ) -> Option<Result<symspmv_verify::RaceCertificate, symspmv_verify::VerifyError>> {
-        let facts = self.structure_facts()?;
-        if let Some(schedule) = &self.plan.schedule {
-            let Storage::Sss(sss) = &self.storage else {
-                unreachable!("the race schedule supports the SSS format only")
-            };
-            return Some(
-                symspmv_verify::ColoringFacts::establish(
-                    sss,
-                    &schedule.levels,
-                    &schedule.subcolors,
-                )
-                .and_then(|coloring| {
-                    symspmv_verify::certify_race_symbolic(
-                        &facts,
-                        &coloring,
-                        &schedule.group_of,
-                        &schedule.groups,
-                        &schedule.group_parts,
-                        self.ctx.nthreads(),
-                    )
-                }),
-            );
-        }
-        let kind = symspmv_verify::SymStrategyKind::from_tag(&self.plan.cert.strategy)?;
-        let plan_ref = symspmv_verify::SymPlanRef {
-            parts: &self.plan.parts,
-            offsets: &self.plan.offsets,
-            local_len: self.plan.local_len,
-            strategy: kind,
-            entries: &self.plan.index.entries,
-            splits: &self.plan.index.splits,
-            row_chunks: &self.plan.reduce_chunks,
-        };
-        Some(symspmv_verify::certify_sym_symbolic(
-            &facts,
-            &plan_ref,
-            &self.plan.index.conflicts,
-        ))
     }
 }
 
@@ -958,9 +874,6 @@ mod tests {
                     let x = VectorBlock::seeded(350, lanes, 60);
                     let mut y = VectorBlock::zeros(350, lanes);
                     eng.spmm(&x, &mut y);
-                    let cert = eng.block_certificate(lanes).unwrap();
-                    assert!(cert.proves("lane-lifted"));
-                    assert_eq!(cert.lanes, lanes);
                     for j in 0..lanes {
                         let mut yj = vec![0.0; 350];
                         eng.spmv(&x.lane(j), &mut yj);
@@ -995,7 +908,6 @@ mod tests {
             csx_eng.size_bytes(),
             sss_eng.size_bytes()
         );
-        assert!(csx_eng.csx_coverage() > 0.5);
     }
 
     #[test]
@@ -1446,11 +1358,6 @@ mod edge_tests {
             cert.proof,
             symspmv_verify::ProofForm::ColoringDisjoint { reach: 2, .. }
         ));
-        // The symbolic re-derivation must reproduce the plan-time
-        // certificate bit-for-bit.
-        use crate::traits::SymbolicDescribe;
-        let sym = eng.recertify_symbolic().unwrap().unwrap();
-        assert_eq!(sym, cert);
     }
 
     #[test]

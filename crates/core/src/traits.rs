@@ -123,22 +123,3 @@ impl<T: ParallelSpmm + ?Sized> ParallelSpmmExt for T {}
 pub trait BlockKernel: ParallelSpmv + ParallelSpmm {}
 
 impl<T: ParallelSpmv + ParallelSpmm + ?Sized> BlockKernel for T {}
-
-/// A kernel whose matrix structure can be described to the symbolic
-/// certifier (`symspmv_verify::symbolic`) — the hook the static-analysis
-/// layer uses to re-prove a live kernel's plan in `O(p + c)` without
-/// re-walking the structure.
-pub trait SymbolicDescribe {
-    /// The structure axioms of the backing matrix, or `None` when the
-    /// storage no longer exposes the row-wise SSS structure the facts are
-    /// distilled from (e.g. a pure CSX-Sym stream encoding).
-    fn structure_facts(&self) -> Option<symspmv_verify::StructureFacts>;
-
-    /// Re-certifies the kernel's current plan symbolically. `None` when
-    /// [`SymbolicDescribe::structure_facts`] is unavailable; otherwise the
-    /// symbolic certifier's verdict, which must match the enumerative
-    /// certificate minted at plan time (modulo the recorded proof form).
-    fn recertify_symbolic(
-        &self,
-    ) -> Option<Result<symspmv_verify::RaceCertificate, symspmv_verify::VerifyError>>;
-}

@@ -1176,10 +1176,10 @@ pub fn chaos(_cfg: &ExpConfig) -> Result<(), HarnessError> {
 }
 
 /// Extension — `experiments tune` (DESIGN.md §18): the measured plan
-/// search. For every suite matrix it times all seven buildable `format ×
-/// reduction method` pairs at every thread count of the sweep — clamped to
-/// the CPUs this host has, since an oversubscribed pool is an overhead
-/// study, not a plan — persists the certified winner in the on-disk plan
+/// search. For every suite matrix it times the two `idx` pairs (`sss-idx`,
+/// `csxsym-idx`) at every thread count of the sweep — clamped to the CPUs
+/// this host has, since an oversubscribed pool is an overhead study, not a
+/// plan — persists the certified winner in the on-disk plan
 /// store, and proves the store works by re-running the search (which must
 /// hit, without re-measurement, and reproduce the same plan). Writes the
 /// full search table as `tune.csv` and the winners, next to the paper's

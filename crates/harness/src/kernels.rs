@@ -145,10 +145,9 @@ mod tests {
     #[test]
     fn every_parseable_name_builds() {
         // "Which pairs build and what they are called" has one spelling: for
-        // every format × method, `PlanSpec::is_valid` ⇔ `try_from_coo` is
-        // `Ok` ⇔ the pair's name parses ⇔ the factory builds a kernel that
-        // reports exactly that name.
-        use symspmv_core::PlanSpec;
+        // every format × method, `unsupported_pair` is `None` ⇔
+        // `try_from_coo` is `Ok` ⇔ the pair's name parses ⇔ the factory
+        // builds a kernel that reports exactly that name.
         let coo = symspmv_sparse::gen::laplacian_2d(8, 8);
         let ctx = ExecutionContext::new(2);
         let mut buildable = 0;
@@ -163,12 +162,7 @@ mod tests {
                 let spec = spec_of(method);
                 let name = spec.name();
                 assert_eq!(name, format!("{}-{}", format.tag(), method.tag()));
-                let valid = PlanSpec {
-                    format,
-                    method,
-                    nthreads: 2,
-                }
-                .is_valid();
+                let valid = unsupported_pair(format, method).is_none();
                 let built = SymSpmv::try_from_coo(&coo, &ctx, method, format.to_format());
                 assert_eq!(built.is_ok(), valid, "{name}");
                 assert_eq!(KernelSpec::parse(name).is_some(), valid, "{name}");

@@ -153,7 +153,7 @@ fn tune_writes_csvs_and_the_plan_store_and_no_json_twin() {
     assert!(wrk.path("tune_summary.csv").exists());
     assert!(wrk.path(".plan-store/plans.json").exists());
 
-    // Every buildable pair is measured at every swept thread count, and no
+    // Both `idx` pairs are measured at every swept thread count, and no
     // swept count oversubscribes the host.
     let csv = std::fs::read_to_string(wrk.path("tune.csv")).unwrap();
     let mut lines = csv.lines();
@@ -170,7 +170,8 @@ fn tune_writes_csvs_and_the_plan_store_and_no_json_twin() {
     sweep.dedup();
     assert_eq!(sweep.first(), Some(&1));
     assert_eq!(sweep.last(), Some(&ncpus.min(64)));
-    assert_eq!(rows.len(), 7 * sweep.len(), "{csv}");
+    assert_eq!(rows.len(), 2 * sweep.len(), "{csv}");
+    assert!(rows.iter().all(|r| r[1].contains("-idx-p")), "{csv}");
     assert!(!csv.contains("pruned"), "{csv}");
     assert_eq!(rows.iter().filter(|r| r[4].contains("winner")).count(), 1);
 

@@ -155,11 +155,10 @@ pub struct PlanKey {
     pub strategy: String,
 }
 
-/// Initial entry cap for the plan cache (only
-/// [`ExecutionContext::plan_cache_reserve`] grows it). Each entry is one
-/// (matrix, threads, strategy) artifact; a sweep over the whole suite at
-/// several thread counts stays far below this, while a long-lived service
-/// cycling tenant matrices no longer grows without bound.
+/// Entry cap of the plan cache. Each entry is one (matrix, threads,
+/// strategy) artifact; a sweep over the whole suite at several thread
+/// counts stays far below this, while a long-lived service cycling tenant
+/// matrices no longer grows without bound.
 const PLAN_CACHE_CAPACITY_DEFAULT: usize = 256;
 
 /// LRU-bounded store of memoized plan artifacts.
@@ -361,18 +360,6 @@ impl ExecutionContext {
     /// evicted and counted ([`ContextStats::plan_cache_evictions`]).
     pub fn plan_cache_put(&self, key: PlanKey, plan: Arc<dyn Any + Send + Sync>) {
         lock_ignore_poison(&self.plans).put(key, plan);
-    }
-
-    /// Grows the plan-cache entry cap to hold at least `entries` more
-    /// plans than are currently memoized, without ever shrinking it. A
-    /// tuning sweep calls this before building one candidate engine per
-    /// search point so the sweep cannot thrash its own LRU cache: every
-    /// candidate's partition/index/certificate stays memoized until the
-    /// winner is rebuilt and re-measured.
-    pub fn plan_cache_reserve(&self, entries: usize) {
-        let mut plans = lock_ignore_poison(&self.plans);
-        let needed = plans.map.len().saturating_add(entries);
-        plans.capacity = plans.capacity.max(needed);
     }
 
     /// Drops all memoized plans (certificates included) — for tests and

@@ -4,10 +4,11 @@
 //! The search runs in three stages (DESIGN.md §18):
 //!
 //! 1. **Enumerate.** [`symspmv_core::auto::enumerate_candidates`] lists
-//!    the seven buildable `format × method` pairs once per thread count.
-//!    Nothing is pruned: the space is small enough to measure whole, and
-//!    the traffic model that used to prune it ranked the eventual winner
-//!    out of the measured set (EXPERIMENTS.md, "recorded losers").
+//!    the two `idx` pairs, `sss-idx` and `csxsym-idx`, once per thread
+//!    count. Nothing is pruned: the traffic model that used to prune the
+//!    search ranked the eventual winner out of the measured set, and when
+//!    all seven pairs were measured the best non-`idx` plan trailed the
+//!    winner on every suite matrix (EXPERIMENTS.md, "recorded losers").
 //! 2. **Measure.** Each candidate is built as a real kernel on a real
 //!    [`ExecutionContext`] of its thread count and timed over a few short
 //!    runs of the scalar SpMV. The median per-vector time is the
@@ -23,7 +24,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use symspmv_core::auto::{enumerate_candidates, PlanSpec};
-use symspmv_core::{ParallelSpmv, SymSpmv, SymSpmvError};
+use symspmv_core::{ParallelSpmv, ReductionMethod, SymSpmv, SymSpmvError};
 use symspmv_runtime::ExecutionContext;
 use symspmv_sparse::{CooMatrix, SparseError, SssMatrix};
 
@@ -60,8 +61,8 @@ pub trait Measurer {
 
 /// Wall-clock measurement of the scalar SpMV through the shared runtime:
 /// one [`ExecutionContext`] per distinct thread count, reused across
-/// candidates, plan cache pre-sized so the sweep cannot thrash its own
-/// LRU.
+/// candidates. A matrix leaves two plan-cache entries per context (its
+/// partition and its `idx` plan), far below the cache's cap.
 #[derive(Default)]
 pub struct TimedMeasurer {
     pools: HashMap<usize, Arc<ExecutionContext>>,
@@ -79,22 +80,24 @@ impl TimedMeasurer {
         TimedMeasurer::default()
     }
 
-    fn pool(&mut self, nthreads: usize, plan_slots: usize) -> Arc<ExecutionContext> {
+    fn pool(&mut self, nthreads: usize) -> Arc<ExecutionContext> {
         let ctx = self
             .pools
             .entry(nthreads)
             .or_insert_with(|| ExecutionContext::new(nthreads));
-        ctx.plan_cache_reserve(plan_slots);
         Arc::clone(ctx)
     }
 }
 
 impl Measurer for TimedMeasurer {
     fn measure(&mut self, sss: &SssMatrix, spec: &PlanSpec) -> Result<Vec<f64>, SymSpmvError> {
-        // Each strategy contributes one plan entry plus the shared
-        // partition; 2× the strategy count is a safe per-sweep bound.
-        let ctx = self.pool(spec.nthreads, 8);
-        let mut kernel = SymSpmv::from_sss(sss.clone(), &ctx, spec.method, spec.format.to_format());
+        let ctx = self.pool(spec.nthreads);
+        let mut kernel = SymSpmv::from_sss(
+            sss.clone(),
+            &ctx,
+            ReductionMethod::Indexing,
+            spec.format.to_format(),
+        );
         let n = kernel.n();
         let mut x = vec![1.0f64; n];
         let mut y = vec![0.0f64; n];
@@ -140,19 +143,12 @@ fn invalid(msg: String) -> SymSpmvError {
 /// plan's race certificate for exactly the tuned configuration. An `Err`
 /// here means the plan must be neither stored nor used.
 pub fn certify_spec(sss: &SssMatrix, spec: &PlanSpec) -> Result<(), SymSpmvError> {
-    if !spec.is_valid() {
-        return Err(invalid(format!("{} is not a buildable plan", spec.id())));
-    }
     let ctx = ExecutionContext::new(spec.nthreads);
-    let kernel = SymSpmv::from_sss(sss.clone(), &ctx, spec.method, spec.format.to_format());
+    let method = ReductionMethod::Indexing;
+    let kernel = SymSpmv::from_sss(sss.clone(), &ctx, method, spec.format.to_format());
     kernel
         .certificate()
-        .validate_for(
-            sss.fingerprint(),
-            spec.nthreads,
-            "sym-sss",
-            spec.method.tag(),
-        )
+        .validate_for(sss.fingerprint(), spec.nthreads, "sym-sss", method.tag())
         .map_err(|e| {
             invalid(format!(
                 "tuned plan {} failed certification: {e}",
@@ -161,8 +157,8 @@ pub fn certify_spec(sss: &SssMatrix, spec: &PlanSpec) -> Result<(), SymSpmvError
         })
 }
 
-/// Runs the full search on `sss`: measures every buildable pair at every
-/// count in `threads` and certifies the fastest. Pure with respect to the
+/// Runs the full search on `sss`: measures both `idx` pairs at every count
+/// in `threads` and certifies the fastest. Pure with respect to the
 /// plan store — see [`tune_and_store`] for the persisted flow.
 pub fn tune_matrix(
     sss: &SssMatrix,
@@ -277,16 +273,5 @@ mod tests {
     fn an_empty_thread_list_is_a_typed_error() {
         let sss = sss_of(&symspmv_sparse::gen::laplacian_2d(10, 10));
         assert!(tune_matrix(&sss, &[], &mut TimedMeasurer::new()).is_err());
-    }
-
-    #[test]
-    fn certify_spec_rejects_invalid_plans() {
-        let sss = sss_of(&symspmv_sparse::gen::laplacian_2d(10, 10));
-        let bad = PlanSpec {
-            format: symspmv_core::auto::FormatTag::CsxSym,
-            method: symspmv_core::ReductionMethod::Race,
-            nthreads: 2,
-        };
-        assert!(certify_spec(&sss, &bad).is_err());
     }
 }

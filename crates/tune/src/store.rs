@@ -6,10 +6,10 @@
 //! machine model)`. The format is deliberately boring:
 //!
 //! ```json
-//! {"version": 4,
+//! {"version": 5,
 //!  "plans": [{"fingerprint": "0xabc...", "ncpus": 4, "machine": "...",
-//!             "format": "sss", "method": "idx", "nthreads": 4,
-//!             "measured_secs": 3.1e-5, "candidates_measured": 21,
+//!             "format": "sss", "nthreads": 4,
+//!             "measured_secs": 3.1e-5, "candidates_measured": 6,
 //!             "certified": true}]}
 //! ```
 //!
@@ -26,7 +26,7 @@
 
 use std::path::{Path, PathBuf};
 use symspmv_core::auto::{FormatTag, PlanAdvisor, PlanSpec};
-use symspmv_core::{ReductionMethod, SymSpmvError};
+use symspmv_core::SymSpmvError;
 use symspmv_sparse::SparseError;
 use symspmv_verify::jsonio::Json;
 
@@ -37,8 +37,10 @@ use symspmv_verify::jsonio::Json;
 /// prediction, and their winners came from a pruned search; version 3 keys
 /// are byte-at-a-time FNV-1a fingerprints, which no matrix hashes to since
 /// [`SssMatrix::fingerprint`](symspmv_sparse::SssMatrix::fingerprint)
-/// became four word-wise lanes.
-pub const PLAN_STORE_VERSION: u64 = 4;
+/// became four word-wise lanes; version 4 entries carried a reduction
+/// `method`, which is always `idx` since the search measures the `idx`
+/// pairs only.
+pub const PLAN_STORE_VERSION: u64 = 5;
 
 /// File name of the store inside its directory.
 pub const PLAN_STORE_FILE: &str = "plans.json";
@@ -138,7 +140,6 @@ fn entry_to_json(key: &StoreKey, plan: &TunedPlan) -> Json {
         ("ncpus".into(), Json::Num(key.ncpus as f64)),
         ("machine".into(), Json::Str(key.machine.clone())),
         ("format".into(), Json::Str(plan.spec.format.tag().into())),
-        ("method".into(), Json::Str(plan.spec.method.tag().into())),
         ("nthreads".into(), Json::Num(plan.spec.nthreads as f64)),
         ("measured_secs".into(), Json::Num(plan.measured_secs)),
         (
@@ -155,21 +156,12 @@ fn entry_from_json(obj: &Json) -> Result<(StoreKey, TunedPlan), SymSpmvError> {
         ncpus: usize_field(obj, "ncpus")?,
         machine: str_field(obj, "machine")?.to_string(),
     };
-    let format = FormatTag::parse(str_field(obj, "format")?)
-        .ok_or_else(|| parse_err("unknown format tag in plan store".to_string()))?;
-    let method = str_field(obj, "method")?;
+    let format = str_field(obj, "format")?;
     let spec = PlanSpec {
-        format,
-        method: ReductionMethod::from_tag(method)
-            .ok_or_else(|| parse_err(format!("unknown reduction method tag {method:?}")))?,
+        format: FormatTag::parse(format)
+            .ok_or_else(|| parse_err(format!("unknown format tag {format:?} in plan store")))?,
         nthreads: usize_field(obj, "nthreads")?,
     };
-    if !spec.is_valid() {
-        return Err(parse_err(format!(
-            "plan store entry {} is not a buildable configuration",
-            spec.id()
-        )));
-    }
     let plan = TunedPlan {
         spec,
         measured_secs: num_field(obj, "measured_secs")?,

@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 use symspmv_core::auto::{PlanSource, PlanSpec};
-use symspmv_core::{ReductionMethod, SymSpmv, SymSpmvError};
+use symspmv_core::{SymSpmv, SymSpmvError};
 use symspmv_runtime::ExecutionContext;
 use symspmv_sparse::{gen, SssMatrix};
 use symspmv_tune::{tune_and_store, tune_matrix, Measurer, PlanStore, PLAN_STORE_FILE};
@@ -49,7 +49,7 @@ fn round_trip_preserves_the_stored_plan() {
     let mut store = PlanStore::open_for_machine(&dir, "cpu-A".into(), 2).unwrap();
     let (outcome, hit) = tune_and_store(&sss, &mut store, &THREADS, &mut Fake::default()).unwrap();
     assert!(!hit, "first run must measure");
-    assert_eq!(outcome.winner.candidates_measured, 7 * THREADS.len());
+    assert_eq!(outcome.winner.candidates_measured, 2 * THREADS.len());
     assert_eq!(outcome.fingerprint, sss.fingerprint());
 
     let reloaded = PlanStore::open_for_machine(&dir, "cpu-A".into(), 2).unwrap();
@@ -118,7 +118,7 @@ fn version_bump_makes_the_store_invisible() {
     // Rewrite the file under a future schema version.
     let path = dir.join(PLAN_STORE_FILE);
     let text = std::fs::read_to_string(&path).unwrap();
-    let bumped = text.replacen("\"version\":4", "\"version\":999", 1);
+    let bumped = text.replacen("\"version\":5", "\"version\":999", 1);
     assert_ne!(text, bumped, "test must actually bump the version");
     std::fs::write(&path, bumped).unwrap();
 
@@ -156,8 +156,10 @@ fn assert_ignored_and_rewritten(version: u64, fields: &str) {
     let (outcome, hit) = tune_and_store(&sss, &mut store, &THREADS, &mut Fake::default()).unwrap();
     assert!(!hit, "an ignored file must be re-measured");
     let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with("{\"version\":4,"), "{text}");
-    assert!(!text.contains("lanes") && !text.contains("predicted"));
+    assert!(text.starts_with("{\"version\":5,"), "{text}");
+    for dropped in ["lanes", "predicted", "method"] {
+        assert!(!text.contains(dropped), "{text}");
+    }
     let reloaded = PlanStore::open_for_machine(&dir, "cpu-A".into(), 2).unwrap();
     assert!(!reloaded.ignored_version_mismatch());
     assert_eq!(reloaded.len(), 1);
@@ -187,10 +189,17 @@ fn a_version_2_store_with_lanes_and_predictions_is_ignored_and_rewritten() {
 
 #[test]
 fn a_version_3_store_keyed_by_the_byte_wise_fingerprint_is_ignored_and_rewritten() {
-    // What the parent commit wrote: today's entry layout, keyed by the
-    // byte-at-a-time FNV-1a fingerprint that version 4 replaced, so no key
-    // in it can name a matrix any more.
+    // The entry layout versions 3 and 4 share, keyed by the byte-at-a-time
+    // FNV-1a fingerprint that version 4 replaced, so no key in it can name
+    // a matrix any more.
     assert_ignored_and_rewritten(3, "\"format\":\"sss\",\"method\":\"idx\"");
+}
+
+#[test]
+fn a_version_4_store_with_a_method_key_is_ignored_and_rewritten() {
+    // A winner of the search that measured all seven `format × method`
+    // pairs, with the reduction method version 5 dropped.
+    assert_ignored_and_rewritten(4, "\"format\":\"csxsym\",\"method\":\"idx\"");
 }
 
 #[test]
@@ -200,13 +209,13 @@ fn corrupted_json_is_a_typed_error_never_a_panic() {
     for garbage in [
         "{",
         "not json at all",
-        "{\"version\":4,\"plans\":[{\"fingerprint\":42}]}",
-        "{\"version\":4,\"plans\":[{\"fingerprint\":\"0xzz\"}]}",
-        "{\"version\":4,\"plans\":{}}",
+        "{\"version\":5,\"plans\":[{\"fingerprint\":42}]}",
+        "{\"version\":5,\"plans\":[{\"fingerprint\":\"0xzz\"}]}",
+        "{\"version\":5,\"plans\":{}}",
         "{\"plans\":[]}",
-        // A structurally valid entry that names an unbuildable plan.
-        "{\"version\":4,\"plans\":[{\"fingerprint\":\"0x0000000000000001\",\
-          \"ncpus\":2,\"machine\":\"m\",\"format\":\"csxsym\",\"method\":\"race\",\
+        // A structurally valid entry that names no format this version has.
+        "{\"version\":5,\"plans\":[{\"fingerprint\":\"0x0000000000000001\",\
+          \"ncpus\":2,\"machine\":\"m\",\"format\":\"hybrid\",\
           \"nthreads\":2,\"measured_secs\":1.0,\
           \"candidates_measured\":1,\"certified\":true}]}",
     ] {
@@ -227,7 +236,6 @@ fn uncertified_plans_are_refused_on_write_and_read() {
     let plan = symspmv_tune::TunedPlan {
         spec: PlanSpec {
             format: symspmv_core::auto::FormatTag::Sss,
-            method: ReductionMethod::Indexing,
             nthreads: 2,
         },
         measured_secs: 1.0,
@@ -260,30 +268,20 @@ fn uncertified_plans_are_refused_on_write_and_read() {
 }
 
 #[test]
-fn the_search_measures_every_buildable_pair_once_per_thread_count() {
+fn the_search_measures_both_idx_pairs_once_per_thread_count() {
     let sss = sss_of(&gen::banded_random(600, 12, 6.0, 5));
     let mut fake = Fake::default();
     let outcome = tune_matrix(&sss, &THREADS, &mut fake).unwrap();
 
-    // The seven symmetric kernels the harness can name, at p1 and p2:
-    // each measured exactly once, none skipped.
-    let mut expected: Vec<String> = [
-        "sss-naive",
-        "sss-eff",
-        "sss-idx",
-        "sss-race",
-        "csxsym-naive",
-        "csxsym-eff",
-        "csxsym-idx",
-    ]
-    .iter()
-    .flat_map(|pair| THREADS.map(|p| format!("{pair}-p{p}")))
-    .collect();
-    expected.sort();
+    // The two `idx` kernels, at p1 and p2: each measured exactly once,
+    // nothing else measured.
     let mut measured: Vec<String> = fake.0.iter().map(PlanSpec::id).collect();
     measured.sort();
-    assert_eq!(measured, expected);
-    assert_eq!(outcome.rows.len(), 7 * THREADS.len());
+    assert_eq!(
+        measured,
+        ["csxsym-idx-p1", "csxsym-idx-p2", "sss-idx-p1", "sss-idx-p2"]
+    );
+    assert_eq!(outcome.rows.len(), 2 * THREADS.len());
     assert_eq!(outcome.winner.candidates_measured, outcome.rows.len());
 
     // The winner is the argmin of everything measured, and certified.

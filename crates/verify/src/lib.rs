@@ -7,31 +7,30 @@
 //! local-vectors method gives every thread a private landing zone for
 //! transposed writes, and the reduction phase re-partitions the fold so no
 //! output element is touched twice (§III). This crate turns that
-//! construction argument into a machine-checked artifact, in three layers:
+//! construction argument into a machine-checked artifact, in four layers:
 //!
-//! 1. **Plan-time write-set verifier** ([`writeset`], [`csx_check`]) —
-//!    computes each thread's exact write footprint per phase from the
-//!    matrix structure and the partition plan, and proves disjointness,
-//!    containment and coverage. The proof is a serializable
-//!    [`RaceCertificate`] that `ExecutionContext` memoizes per
-//!    (matrix fingerprint, nthreads, strategy) and kernels re-validate in
-//!    debug builds before every dispatch.
-//! 2. **Shadow-memory race detector** (`symspmv-runtime`'s `race` module,
+//! 1. **Symbolic plan certifier** ([`symbolic`]) — what the library runs.
+//!    It derives a serializable [`RaceCertificate`] from an
+//!    interval/congruence abstract domain plus structure axioms in
+//!    `O(p + c)` instead of `O(nnz)`, once per plan: `ExecutionContext`
+//!    memoizes the plan and its certificate per (matrix fingerprint,
+//!    nthreads, strategy), and kernels re-validate it in debug builds
+//!    before every dispatch (lane-lifted for a block call). It also
+//!    discharges the [`certificate::ProofForm::ColoringDisjoint`] proof of
+//!    the RACE group schedule from level/subcolor axioms, and
+//!    [`csx_check`] certifies the CSX-Sym boundary rule per encoded chunk.
+//! 2. **Enumerative write-set verifier** ([`writeset`]) — the differential
+//!    oracle. It computes each thread's exact write footprint per phase
+//!    from the matrix structure and the plan and proves disjointness,
+//!    containment and coverage by walking every write. The tests compare
+//!    every certificate the symbolic path mints against it, bit for bit;
+//!    the library's one call is the debug-build cross-check of the RACE
+//!    schedule ([`certify_race`]).
+//! 3. **Shadow-memory race detector** (`symspmv-runtime`'s `race` module,
 //!    behind the `race-detector` feature) — dynamic cross-validation: the
 //!    same corrupted plans the verifier rejects must also produce observed
 //!    write-write collisions when actually dispatched.
-//! 3. **Symbolic plan certifier** ([`symbolic`]) — re-derives the same
-//!    certificates from an interval/congruence abstract domain plus
-//!    structure axioms in `O(p + c)` instead of `O(nnz)`, pinned
-//!    bit-for-bit against the enumerative checker by a differential
-//!    suite, and discharges the
-//!    [`certificate::ProofForm::ColoringDisjoint`] proof of the RACE
-//!    group schedule from level/subcolor axioms.
-//! 4. **Shadow-memory race detector** (`symspmv-runtime`'s `race` module,
-//!    behind the `race-detector` feature) — dynamic cross-validation: the
-//!    same corrupted plans the verifier rejects must also produce observed
-//!    write-write collisions when actually dispatched.
-//! 5. **Multi-rule lint engine** ([`rules`], [`audit`]) — token-level
+//! 4. **Multi-rule lint engine** ([`rules`], [`audit`]) — token-level
 //!    static checks over the workspace source: every `unsafe` block must
 //!    carry a `SAFETY(cert: <invariant>)` comment naming an invariant the
 //!    verifier establishes ([`audit::KNOWN_INVARIANTS`]), every pool-round

@@ -1,4 +1,6 @@
-//! The plan-time write-set model and verifier.
+//! The enumerative write-set model and verifier: the oracle the symbolic
+//! certifier ([`crate::symbolic`]), which the library runs, is tested
+//! against.
 //!
 //! Given a partition plan and the matrix *structure* (values never
 //! matter), the verifier computes each thread's exact write footprint per

@@ -1,12 +1,15 @@
-//! Differential conformance: the symbolic certifier must re-derive every
-//! certificate the enumerative checker issues — **bit for bit** after
-//! normalizing the proof-form tag — across all five kernel formats, the
-//! three reduction strategies, the three symmetry kinds, every supported
-//! lane width and thread counts 1–8. The symbolic path never touches the
-//! matrix during certification (structure facts are distilled once, in
-//! `O(n + nnz)`), so the same sweep also pins the asymptotic win: on the
-//! largest suite matrix the per-plan symbolic proof must be at least 10×
-//! faster than the enumerative re-walk.
+//! Differential conformance: every certificate the library mints — by the
+//! symbolic certifier, once per plan — must equal what the enumerative
+//! write-set checker, the oracle, issues for the same plan **bit for bit**
+//! after normalizing the proof-form tag. The plans are the ones the
+//! kernels really dispatch with (`CachedSymPlan::obtain` on a context of
+//! each thread count), across all four kernel formats, the three reduction
+//! strategies, the three symmetry kinds, every supported lane width and
+//! thread counts 1–8. The symbolic path never touches the matrix during
+//! certification (structure facts are distilled once, in `O(n + nnz)`),
+//! so the same sweep also pins the asymptotic win: on the largest suite
+//! matrix the per-plan symbolic proof must be at least 10× faster than the
+//! enumerative re-walk.
 //!
 //! Format → certifier mapping (the four formats the repo keeps):
 //!
@@ -17,11 +20,8 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use symspmv_core::symbolic;
-use symspmv_runtime::reduction::{
-    EffectiveRangesReduction, IndexingReduction, NaiveReduction, ReductionStrategy,
-};
-use symspmv_runtime::{balanced_ranges, partition::symmetric_row_weights, Range};
+use symspmv_core::{CachedSymPlan, ReductionMethod};
+use symspmv_runtime::{balanced_ranges, ExecutionContext};
 use symspmv_sparse::block::SUPPORTED_LANES;
 use symspmv_sparse::suite::generate_suite;
 use symspmv_sparse::symmetry::SymmetryKind;
@@ -36,16 +36,16 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// The two formats whose plan is a plain row partition.
 const ROW_FORMATS: [&str; 2] = ["csr", "csx"];
 
-fn strategies() -> Vec<(Arc<dyn ReductionStrategy>, SymStrategyKind)> {
-    vec![
-        (Arc::new(NaiveReduction), SymStrategyKind::Naive),
-        (
-            Arc::new(EffectiveRangesReduction),
-            SymStrategyKind::EffectiveRanges,
-        ),
-        (Arc::new(IndexingReduction), SymStrategyKind::Indexing),
-    ]
-}
+/// The three local-vectors strategies and the family the oracle checks
+/// each against.
+const STRATEGIES: [(ReductionMethod, SymStrategyKind); 3] = [
+    (ReductionMethod::Naive, SymStrategyKind::Naive),
+    (
+        ReductionMethod::EffectiveRanges,
+        SymStrategyKind::EffectiveRanges,
+    ),
+    (ReductionMethod::Indexing, SymStrategyKind::Indexing),
+];
 
 /// Proof-form normalization: the two certifiers are required to agree on
 /// every field *except* the proof tag (that is the point of the tag).
@@ -54,68 +54,43 @@ fn normalized(mut cert: RaceCertificate) -> RaceCertificate {
     cert
 }
 
-struct SymPlan {
-    parts: Vec<Range>,
-    offsets: Vec<usize>,
-    local_len: usize,
-    entries: Vec<symspmv_runtime::reduction::IndexEntry>,
-    splits: Vec<usize>,
-    conflicts: Vec<Vec<u32>>,
-    row_chunks: Vec<Range>,
+/// The plan `SymSpmv` would dispatch `sss` with under `method` on `ctx`.
+fn dispatched_plan(
+    sss: &SssMatrix,
+    ctx: &Arc<ExecutionContext>,
+    method: ReductionMethod,
+) -> Arc<CachedSymPlan> {
+    let strategy = ctx.reduction(method.tag()).unwrap();
+    CachedSymPlan::obtain(sss, ctx, &strategy)
 }
 
-fn sym_plan(sss: &SssMatrix, p: usize, strategy: &Arc<dyn ReductionStrategy>) -> SymPlan {
-    let parts = balanced_ranges(&symmetric_row_weights(sss.rowptr()), p);
-    let row_chunks = balanced_ranges(&vec![1u64; sss.n() as usize], p);
-    let analysis = symbolic::analyze(sss, &parts);
-    let layout = strategy.layout(sss.n() as usize, &parts);
-    let (entries, splits) = if strategy.needs_index() {
-        (analysis.entries, analysis.splits)
-    } else {
-        (Vec::new(), vec![0; p + 1])
-    };
-    SymPlan {
-        parts,
-        offsets: layout.offsets,
-        local_len: layout.flat_len,
-        entries,
-        splits,
-        conflicts: analysis.conflicts,
-        row_chunks,
-    }
-}
-
-fn plan_ref<'a>(plan: &'a SymPlan, kind: SymStrategyKind) -> SymPlanRef<'a> {
+fn plan_ref(plan: &CachedSymPlan, kind: SymStrategyKind) -> SymPlanRef<'_> {
     SymPlanRef {
         parts: &plan.parts,
         offsets: &plan.offsets,
         local_len: plan.local_len,
         strategy: kind,
-        entries: &plan.entries,
-        splits: &plan.splits,
-        row_chunks: &plan.row_chunks,
+        entries: &plan.index.entries,
+        splits: &plan.index.splits,
+        row_chunks: &plan.reduce_chunks,
     }
 }
 
-/// Differentially certifies one matrix across every strategy, thread
-/// count and lane width; returns the number of certificate pairs compared.
+/// Checks every dispatched plan of one matrix against the oracle, at every
+/// thread count and lane width; returns the number of certificate pairs
+/// compared.
 fn differential_sym_sweep(sss: &SssMatrix, label: &str) -> usize {
-    let facts = StructureFacts::of(sss);
     let mut compared = 0usize;
     for p in THREAD_COUNTS {
-        for (strategy, kind) in strategies() {
-            let plan = sym_plan(sss, p, &strategy);
+        let ctx = ExecutionContext::new(p);
+        for (method, kind) in STRATEGIES {
+            let plan = dispatched_plan(sss, &ctx, method);
             let enumerated = certify_sym(sss, &plan_ref(&plan, kind))
                 .unwrap_or_else(|e| panic!("{label} × {kind:?} × p={p}: enumerative rejects: {e}"));
-            let symbolic_cert =
-                certify_sym_symbolic(&facts, &plan_ref(&plan, kind), &plan.conflicts)
-                    .unwrap_or_else(|e| {
-                        panic!("{label} × {kind:?} × p={p}: symbolic rejects: {e}")
-                    });
-            assert_eq!(symbolic_cert.proof, ProofForm::Symbolic);
+            assert_eq!(plan.cert.proof, ProofForm::Symbolic);
             assert_eq!(
-                normalized(symbolic_cert.clone()),
-                normalized(enumerated.clone()),
+                normalized(plan.cert.clone()),
+                enumerated,
                 "{label} × {kind:?} × p={p}: certificates diverge"
             );
             compared += 1;
@@ -133,7 +108,7 @@ fn differential_sym_sweep(sss: &SssMatrix, label: &str) -> usize {
                 )
                 .unwrap_or_else(|e| panic!("{label} lanes={lanes}: enumerative lift: {e}"));
                 let lifted_sym = lift_symbolic(
-                    &symbolic_cert,
+                    &plan.cert,
                     lanes,
                     &plan.offsets,
                     plan.local_len,
@@ -144,7 +119,7 @@ fn differential_sym_sweep(sss: &SssMatrix, label: &str) -> usize {
                 assert_eq!(lifted_sym.proof, ProofForm::Symbolic);
                 assert_eq!(
                     normalized(lifted_sym),
-                    normalized(lifted_enum),
+                    lifted_enum,
                     "{label} × {kind:?} × p={p} × lanes={lanes}: lifted certificates diverge"
                 );
                 compared += 1;
@@ -221,9 +196,7 @@ fn symbolic_certification_is_an_order_of_magnitude_faster() {
     let suite = generate_suite(0.002);
     let m = suite.iter().max_by_key(|m| m.coo.nnz()).unwrap();
     let sss = SssMatrix::from_coo(&m.coo, 0.0).unwrap();
-    let p = 8;
-    let strategy: Arc<dyn ReductionStrategy> = Arc::new(IndexingReduction);
-    let plan = sym_plan(&sss, p, &strategy);
+    let plan = dispatched_plan(&sss, &ExecutionContext::new(8), ReductionMethod::Indexing);
     let facts = StructureFacts::of(&sss);
 
     let best = |reps: usize, mut f: Box<dyn FnMut()>| -> Duration {
@@ -252,7 +225,7 @@ fn symbolic_certification_is_an_order_of_magnitude_faster() {
             certify_sym_symbolic(
                 facts_ref,
                 &plan_ref(plan_r, SymStrategyKind::Indexing),
-                &plan_r.conflicts,
+                &plan_r.index.conflicts,
             )
             .unwrap();
         }),
