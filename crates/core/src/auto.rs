@@ -131,8 +131,9 @@ impl SymSpmv {
     ///
     /// The engine is always built for the *given* context: a stored plan
     /// tuned at a different thread count is not consulted (the advisor is
-    /// queried with `ctx.nthreads()`), so the plan actually used is always
-    /// consistent with — and race-certified for — the executing pool.
+    /// queried with `ctx.nthreads()`). Whatever chose the plan, building it
+    /// on `ctx` mints its race certificate for exactly this matrix and
+    /// pool.
     pub fn auto_with(
         ctx: &Arc<ExecutionContext>,
         coo: &CooMatrix,
@@ -148,19 +149,8 @@ impl SymSpmv {
             _ => (PlanSpec::paper_default(nthreads), PlanSource::Default),
         };
 
-        let method = ReductionMethod::Indexing;
-        let engine = SymSpmv::from_sss(sss, ctx, method, spec.format.to_format());
-        // The certifier gate: whatever chose the plan, the engine may only
-        // run it under a certificate valid for this exact configuration.
-        engine
-            .certificate()
-            .validate_for(fingerprint, nthreads, "sym-sss", method.tag())
-            .map_err(|e| {
-                SymSpmvError::InvalidStructure(symspmv_sparse::SparseError::Parse {
-                    line: 0,
-                    msg: format!("tuned plan failed race certification: {e}"),
-                })
-            })?;
+        let engine =
+            SymSpmv::from_sss(sss, ctx, ReductionMethod::Indexing, spec.format.to_format());
         Ok((engine, AutoChoice { spec, source }))
     }
 }
@@ -230,6 +220,11 @@ mod tests {
         assert_eq!(choice.source, PlanSource::Store);
         assert_eq!(choice.spec, spec);
         assert_eq!(engine.name(), "csxsym-idx");
+        let fp = SssMatrix::try_from_coo(&coo, 0.0).unwrap().fingerprint();
+        assert!(engine
+            .certificate()
+            .validate_for(fp, 2, "sym-sss", "idx")
+            .is_ok());
     }
 
     #[test]

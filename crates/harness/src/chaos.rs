@@ -35,6 +35,7 @@ use symspmv_core::{
     SymSpmv,
 };
 use symspmv_runtime::{ExecutionContext, Supervision};
+use symspmv_sparse::rng::StdRng;
 
 /// Request deadline for every supervised multiply.
 const DEADLINE: Duration = Duration::from_millis(250);
@@ -45,28 +46,6 @@ const WEDGE_SLEEP: Duration = Duration::from_millis(400);
 
 /// Delay-fault sleep — stretches a round without endangering the deadline.
 const DELAY: Duration = Duration::from_millis(3);
-
-/// SplitMix64: the same tiny deterministic generator the retry policy
-/// uses for its jitter, reused here to draw the fault schedule.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64(seed)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n
-    }
-}
 
 /// One scheduled fault, drawn per request.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -84,9 +63,11 @@ enum Fault {
 }
 
 /// Roughly half the requests are clean; kills dominate the fault half
-/// because they exercise the retry path end to end.
-fn draw_fault(rng: &mut SplitMix64) -> Fault {
-    match rng.below(10) {
+/// because they exercise the retry path end to end. Faults and target
+/// threads are drawn by plain remainder, not `random_range`, whose
+/// rejection sampling would map a seed to a different schedule.
+fn draw_fault(rng: &mut StdRng) -> Fault {
+    match rng.next_u64() % 10 {
         0..=4 => Fault::None,
         5 | 6 => Fault::Kill,
         7 => Fault::Delay,
@@ -207,7 +188,8 @@ pub fn run(cfg: &ExpConfig) -> Result<(), HarnessError> {
         let mut service = Resilient::new(kernel, fallback, policy);
 
         let failures_before = failures;
-        let mut rng = SplitMix64::new(cfg.seed.wrapping_add((mi as u64).wrapping_mul(0xA5A5)));
+        let mut rng =
+            StdRng::seed_from_u64(cfg.seed.wrapping_add((mi as u64).wrapping_mul(0xA5A5)));
         let mut counts = [0usize; 4]; // kills, delays, corrupts, wedges
         let mut log: Vec<RequestLog> = Vec::with_capacity(requests);
         let mut worst_latency = Duration::ZERO;
@@ -216,7 +198,7 @@ pub fn run(cfg: &ExpConfig) -> Result<(), HarnessError> {
 
         for req in 0..requests {
             let fault = draw_fault(&mut rng);
-            let tid = rng.below(p as u64) as usize;
+            let tid = (rng.next_u64() % p as u64) as usize;
             let plan = ctx.fault_plan();
             match fault {
                 Fault::None => {}
@@ -311,7 +293,7 @@ mod tests {
     #[test]
     fn fault_schedule_is_deterministic() {
         let draw = |seed| {
-            let mut rng = SplitMix64::new(seed);
+            let mut rng = StdRng::seed_from_u64(seed);
             (0..64)
                 .map(|_| draw_fault(&mut rng) as u8)
                 .collect::<Vec<_>>()
@@ -322,7 +304,7 @@ mod tests {
 
     #[test]
     fn schedule_draws_every_fault_kind() {
-        let mut rng = SplitMix64::new(1);
+        let mut rng = StdRng::seed_from_u64(1);
         let mut seen = [false; 5];
         for _ in 0..256 {
             seen[draw_fault(&mut rng) as usize] = true;

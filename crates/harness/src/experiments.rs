@@ -1179,7 +1179,7 @@ pub fn chaos(_cfg: &ExpConfig) -> Result<(), HarnessError> {
 /// search. For every suite matrix it times the two `idx` pairs (`sss-idx`,
 /// `csxsym-idx`) at every thread count of the sweep — clamped to the CPUs
 /// this host has, since an oversubscribed pool is an overhead study, not a
-/// plan — persists the certified winner in the on-disk plan
+/// plan — persists the winner's `(format, threads)` in the on-disk plan
 /// store, and proves the store works by re-running the search (which must
 /// hit, without re-measurement, and reproduce the same plan). Writes the
 /// full search table as `tune.csv` and the winners, next to the paper's
@@ -1266,7 +1266,7 @@ pub fn tune(cfg: &ExpConfig) -> Result<(), HarnessError> {
         }
 
         // Second run against the just-saved store: it must hit (no
-        // re-measurement) and serve back the identical certified plan.
+        // re-measurement) and serve back the identical plan.
         let mut reloaded = PlanStore::open(&store_dir).map_err(|e| plan_err(name, e))?;
         let (again, hit2) = tune_and_store(&sss, &mut reloaded, &threads, &mut measurer)
             .map_err(|e| plan_err(name, e))?;

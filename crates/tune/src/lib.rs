@@ -8,9 +8,9 @@
 //! unless someone has measured something better. This crate is the
 //! measuring:
 //!
-//! * [`search::tune_matrix`] times every buildable `format × reduction
-//!   strategy` pair at every given thread count with short runs on real
-//!   pools, and returns the full search table plus a certified winner;
+//! * [`search::tune_matrix`] times the two `idx` pairs, `sss-idx` and
+//!   `csxsym-idx`, at every given thread count with short runs on real
+//!   pools, and returns the full search table plus the fastest;
 //! * [`store::PlanStore`] persists winners as JSON keyed by `(matrix
 //!   fingerprint, ncpus, machine model)` in a versioned file next to the
 //!   binary matrix cache, and doubles as the
@@ -18,18 +18,17 @@
 //!   [`symspmv_core::SymSpmv::auto_with`] consults;
 //! * [`search::auto_kernel`] is the `ParallelSpmv`-level auto
 //!   constructor: matrix in, best-known kernel (own pool, tuned thread
-//!   count) out;
-//! * every plan passes the symbolic race certifier
-//!   ([`search::certify_spec`]) before it is stored *or* served — an
-//!   uncertified plan cannot exist in a store written by this crate, and
-//!   a hand-edited one is refused on read.
+//!   count) out.
+//!
+//! A store entry is `(format, threads)` and no more: every such pair
+//! builds, and the kernel that builds it mints the plan's race
+//! certificate, so this crate neither certifies nor persists a proof.
 
 pub mod machine;
 pub mod search;
 pub mod store;
 
 pub use search::{
-    auto_kernel, certify_spec, tune_and_store, tune_matrix, CandidateRow, Measurer, TimedMeasurer,
-    TuneOutcome,
+    auto_kernel, tune_and_store, tune_matrix, CandidateRow, Measurer, TimedMeasurer, TuneOutcome,
 };
 pub use store::{PlanStore, StoreKey, TunedPlan, PLAN_STORE_FILE, PLAN_STORE_VERSION};

@@ -1,5 +1,4 @@
-//! The measured plan search: every candidate timed, the winner certified
-//! in front of the store.
+//! The measured plan search: every candidate timed, the fastest stored.
 //!
 //! The search runs in three stages (DESIGN.md §18):
 //!
@@ -14,10 +13,10 @@
 //!    runs of the scalar SpMV. The median per-vector time is the
 //!    candidate's score. Measurement is behind the [`Measurer`] trait so
 //!    tests can substitute a deterministic fake.
-//! 3. **Certify & pick.** The winner (the measured argmin) is rebuilt and
-//!    its [`RaceCertificate`](symspmv_verify::RaceCertificate) is validated
-//!    for exactly the tuned configuration before the plan may be stored or
-//!    used.
+//! 3. **Pick.** The winner is the measured argmin. Nothing re-proves it:
+//!    a plan's [`RaceCertificate`](symspmv_verify::RaceCertificate) is
+//!    minted when a kernel builds it, for exactly that kernel's
+//!    configuration, and the store holds only `(format, threads)`.
 
 use crate::store::{PlanStore, TunedPlan};
 use std::collections::HashMap;
@@ -47,7 +46,7 @@ pub struct TuneOutcome {
     /// Every candidate, in enumeration order, each measured; empty when
     /// the plan store served the winner.
     pub rows: Vec<CandidateRow>,
-    /// The certified winner.
+    /// The fastest candidate, or the stored plan on a store hit.
     pub winner: TunedPlan,
 }
 
@@ -139,27 +138,9 @@ fn invalid(msg: String) -> SymSpmvError {
     SymSpmvError::InvalidStructure(SparseError::Parse { line: 0, msg })
 }
 
-/// The certifier gate: rebuilds `spec` over `sss` and validates the
-/// plan's race certificate for exactly the tuned configuration. An `Err`
-/// here means the plan must be neither stored nor used.
-pub fn certify_spec(sss: &SssMatrix, spec: &PlanSpec) -> Result<(), SymSpmvError> {
-    let ctx = ExecutionContext::new(spec.nthreads);
-    let method = ReductionMethod::Indexing;
-    let kernel = SymSpmv::from_sss(sss.clone(), &ctx, method, spec.format.to_format());
-    kernel
-        .certificate()
-        .validate_for(sss.fingerprint(), spec.nthreads, "sym-sss", method.tag())
-        .map_err(|e| {
-            invalid(format!(
-                "tuned plan {} failed certification: {e}",
-                spec.id()
-            ))
-        })
-}
-
 /// Runs the full search on `sss`: measures both `idx` pairs at every count
-/// in `threads` and certifies the fastest. Pure with respect to the
-/// plan store — see [`tune_and_store`] for the persisted flow.
+/// in `threads` and picks the fastest. Pure with respect to the plan
+/// store — see [`tune_and_store`] for the persisted flow.
 pub fn tune_matrix(
     sss: &SssMatrix,
     threads: &[usize],
@@ -179,13 +160,11 @@ pub fn tune_matrix(
         .iter()
         .min_by(|a, b| a.per_vector_secs.total_cmp(&b.per_vector_secs))
         .ok_or_else(|| invalid("tuning search space is empty".to_string()))?;
-    certify_spec(sss, &best.spec)?;
 
     let winner = TunedPlan {
         spec: best.spec,
         measured_secs: best.per_vector_secs,
         candidates_measured: rows.len(),
-        certified: true,
     };
     Ok(TuneOutcome {
         fingerprint: sss.fingerprint(),
@@ -194,10 +173,10 @@ pub fn tune_matrix(
     })
 }
 
-/// The persisted flow: a store hit short-circuits the search entirely
-/// (no re-measurement) and is re-certified before being served; a miss
-/// runs [`tune_matrix`], stores the certified winner, and saves the
-/// store. Returns the outcome plus whether the store served it.
+/// The persisted flow: a store hit short-circuits the search entirely (no
+/// re-measurement, no kernel build); a miss runs [`tune_matrix`], stores
+/// the winner, and saves the store. Returns the outcome plus whether the
+/// store served it.
 pub fn tune_and_store(
     sss: &SssMatrix,
     store: &mut PlanStore,
@@ -206,7 +185,6 @@ pub fn tune_and_store(
 ) -> Result<(TuneOutcome, bool), SymSpmvError> {
     let fingerprint = sss.fingerprint();
     if let Some(plan) = store.get(fingerprint).cloned() {
-        certify_spec(sss, &plan.spec)?;
         let outcome = TuneOutcome {
             fingerprint,
             rows: Vec::new(),
@@ -215,7 +193,7 @@ pub fn tune_and_store(
         return Ok((outcome, true));
     }
     let outcome = tune_matrix(sss, threads, measurer)?;
-    store.put(fingerprint, outcome.winner.clone())?;
+    store.put(fingerprint, outcome.winner.clone());
     store.save()?;
     Ok((outcome, false))
 }
@@ -262,7 +240,6 @@ mod tests {
     fn timed_measurer_produces_positive_samples() {
         let sss = sss_of(&symspmv_sparse::gen::laplacian_2d(14, 14));
         let outcome = tune_matrix(&sss, &[1, 2], &mut TimedMeasurer::new()).unwrap();
-        assert!(outcome.winner.certified);
         assert!(outcome.winner.measured_secs > 0.0);
         assert!(outcome.rows.iter().all(
             |r| r.samples.len() == TimedMeasurer::SAMPLES && r.samples.iter().all(|s| *s > 0.0)

@@ -6,11 +6,10 @@
 //! machine model)`. The format is deliberately boring:
 //!
 //! ```json
-//! {"version": 5,
+//! {"version": 6,
 //!  "plans": [{"fingerprint": "0xabc...", "ncpus": 4, "machine": "...",
 //!             "format": "sss", "nthreads": 4,
-//!             "measured_secs": 3.1e-5, "candidates_measured": 6,
-//!             "certified": true}]}
+//!             "measured_secs": 3.1e-5, "candidates_measured": 4}]}
 //! ```
 //!
 //! Failure policy (exercised by the `plan_store` test suite):
@@ -19,8 +18,9 @@
 //! * a `version` other than [`PLAN_STORE_VERSION`] means the schema moved
 //!   — the file is **ignored** (the tuner re-measures and rewrites it),
 //!   never misinterpreted;
-//! * corrupted JSON or a malformed entry surfaces as a typed
-//!   [`SymSpmvError`], never a panic;
+//! * corrupted JSON or a malformed entry (among them `"nthreads": 0`, a
+//!   plan no pool can run) surfaces as a typed [`SymSpmvError`], never a
+//!   panic;
 //! * fingerprints are stored as hex *strings*: the JSON number line is
 //!   `f64` and would silently destroy high bits of a 64-bit hash.
 
@@ -39,8 +39,9 @@ use symspmv_verify::jsonio::Json;
 /// [`SssMatrix::fingerprint`](symspmv_sparse::SssMatrix::fingerprint)
 /// became four word-wise lanes; version 4 entries carried a reduction
 /// `method`, which is always `idx` since the search measures the `idx`
-/// pairs only.
-pub const PLAN_STORE_VERSION: u64 = 5;
+/// pairs only; version 5 entries carried a `certified` bit, which proved
+/// nothing, since a kernel proves its plan when it builds it.
+pub const PLAN_STORE_VERSION: u64 = 6;
 
 /// File name of the store inside its directory.
 pub const PLAN_STORE_FILE: &str = "plans.json";
@@ -65,11 +66,6 @@ pub struct TunedPlan {
     pub measured_secs: f64,
     /// How many candidates the search measured.
     pub candidates_measured: usize,
-    /// Whether the plan passed the symbolic race certifier before being
-    /// stored. Always `true` for plans written by this crate — the tuner
-    /// refuses to persist an uncertified plan — but kept explicit so a
-    /// hand-edited entry cannot masquerade as certified.
-    pub certified: bool,
 }
 
 fn parse_err(msg: String) -> SymSpmvError {
@@ -113,15 +109,6 @@ fn str_field<'a>(obj: &'a Json, key: &str) -> Result<&'a str, SymSpmvError> {
     }
 }
 
-fn bool_field(obj: &Json, key: &str) -> Result<bool, SymSpmvError> {
-    match field(obj, key)? {
-        Json::Bool(b) => Ok(*b),
-        other => Err(parse_err(format!(
-            "plan store field {key:?} must be a boolean, got {other:?}"
-        ))),
-    }
-}
-
 fn fingerprint_to_json(fp: u64) -> Json {
     Json::Str(format!("{fp:#018x}"))
 }
@@ -146,7 +133,6 @@ fn entry_to_json(key: &StoreKey, plan: &TunedPlan) -> Json {
             "candidates_measured".into(),
             Json::Num(plan.candidates_measured as f64),
         ),
-        ("certified".into(), Json::Bool(plan.certified)),
     ])
 }
 
@@ -157,16 +143,21 @@ fn entry_from_json(obj: &Json) -> Result<(StoreKey, TunedPlan), SymSpmvError> {
         machine: str_field(obj, "machine")?.to_string(),
     };
     let format = str_field(obj, "format")?;
+    let nthreads = usize_field(obj, "nthreads")?;
+    if nthreads == 0 {
+        return Err(parse_err(
+            "plan store entry has \"nthreads\": 0".to_string(),
+        ));
+    }
     let spec = PlanSpec {
         format: FormatTag::parse(format)
             .ok_or_else(|| parse_err(format!("unknown format tag {format:?} in plan store")))?,
-        nthreads: usize_field(obj, "nthreads")?,
+        nthreads,
     };
     let plan = TunedPlan {
         spec,
         measured_secs: num_field(obj, "measured_secs")?,
         candidates_measured: usize_field(obj, "candidates_measured")?,
-        certified: bool_field(obj, "certified")?,
     };
     Ok((key, plan))
 }
@@ -283,36 +274,25 @@ impl PlanStore {
     }
 
     /// The stored plan for `fingerprint` under the ambient machine
-    /// identity, if any. Uncertified entries are never served.
+    /// identity, if any.
     pub fn get(&self, fingerprint: u64) -> Option<&TunedPlan> {
         self.get_key(&self.ambient_key(fingerprint))
     }
 
-    /// Exact-key lookup. Uncertified entries are never served.
+    /// Exact-key lookup.
     pub fn get_key(&self, key: &StoreKey) -> Option<&TunedPlan> {
-        self.plans
-            .iter()
-            .find(|(k, p)| k == key && p.certified)
-            .map(|(_, p)| p)
+        self.plans.iter().find(|(k, _)| k == key).map(|(_, p)| p)
     }
 
     /// Inserts or replaces the plan for `fingerprint` under the ambient
-    /// machine identity. Refuses uncertified plans — the certifier gate is
-    /// part of the store contract, not a caller courtesy.
-    pub fn put(&mut self, fingerprint: u64, plan: TunedPlan) -> Result<(), SymSpmvError> {
-        if !plan.certified {
-            return Err(parse_err(format!(
-                "refusing to store uncertified plan {}",
-                plan.spec.id()
-            )));
-        }
+    /// machine identity.
+    pub fn put(&mut self, fingerprint: u64, plan: TunedPlan) {
         let key = self.ambient_key(fingerprint);
         if let Some(slot) = self.plans.iter_mut().find(|(k, _)| *k == key) {
             slot.1 = plan;
         } else {
             self.plans.push((key, plan));
         }
-        Ok(())
     }
 
     /// Writes the store back to disk (creating the directory if needed),

@@ -5,8 +5,8 @@
 //! under a deterministic measurer.
 
 use std::path::PathBuf;
-use symspmv_core::auto::{PlanSource, PlanSpec};
-use symspmv_core::{SymSpmv, SymSpmvError};
+use symspmv_core::auto::{FormatTag, PlanSource, PlanSpec};
+use symspmv_core::{ParallelSpmv, SymSpmv, SymSpmvError};
 use symspmv_runtime::ExecutionContext;
 use symspmv_sparse::{gen, SssMatrix};
 use symspmv_tune::{tune_and_store, tune_matrix, Measurer, PlanStore, PLAN_STORE_FILE};
@@ -118,7 +118,7 @@ fn version_bump_makes_the_store_invisible() {
     // Rewrite the file under a future schema version.
     let path = dir.join(PLAN_STORE_FILE);
     let text = std::fs::read_to_string(&path).unwrap();
-    let bumped = text.replacen("\"version\":5", "\"version\":999", 1);
+    let bumped = text.replacen("\"version\":6", "\"version\":999", 1);
     assert_ne!(text, bumped, "test must actually bump the version");
     std::fs::write(&path, bumped).unwrap();
 
@@ -156,8 +156,8 @@ fn assert_ignored_and_rewritten(version: u64, fields: &str) {
     let (outcome, hit) = tune_and_store(&sss, &mut store, &THREADS, &mut Fake::default()).unwrap();
     assert!(!hit, "an ignored file must be re-measured");
     let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with("{\"version\":5,"), "{text}");
-    for dropped in ["lanes", "predicted", "method"] {
+    assert!(text.starts_with("{\"version\":6,"), "{text}");
+    for dropped in ["lanes", "predicted", "method", "certified"] {
         assert!(!text.contains(dropped), "{text}");
     }
     let reloaded = PlanStore::open_for_machine(&dir, "cpu-A".into(), 2).unwrap();
@@ -203,21 +203,33 @@ fn a_version_4_store_with_a_method_key_is_ignored_and_rewritten() {
 }
 
 #[test]
+fn a_version_5_store_with_a_certified_key_is_ignored_and_rewritten() {
+    // A `(format, threads)` winner with the `certified` bit version 6
+    // dropped: a kernel proves its plan when it builds it.
+    assert_ignored_and_rewritten(5, "\"format\":\"csxsym\"");
+}
+
+#[test]
 fn corrupted_json_is_a_typed_error_never_a_panic() {
     let dir = tmp_dir("corrupt");
     let path = dir.join(PLAN_STORE_FILE);
     for garbage in [
         "{",
         "not json at all",
-        "{\"version\":5,\"plans\":[{\"fingerprint\":42}]}",
-        "{\"version\":5,\"plans\":[{\"fingerprint\":\"0xzz\"}]}",
-        "{\"version\":5,\"plans\":{}}",
+        "{\"version\":6,\"plans\":[{\"fingerprint\":42}]}",
+        "{\"version\":6,\"plans\":[{\"fingerprint\":\"0xzz\"}]}",
+        "{\"version\":6,\"plans\":{}}",
         "{\"plans\":[]}",
         // A structurally valid entry that names no format this version has.
-        "{\"version\":5,\"plans\":[{\"fingerprint\":\"0x0000000000000001\",\
+        "{\"version\":6,\"plans\":[{\"fingerprint\":\"0x0000000000000001\",\
           \"ncpus\":2,\"machine\":\"m\",\"format\":\"hybrid\",\
           \"nthreads\":2,\"measured_secs\":1.0,\
-          \"candidates_measured\":1,\"certified\":true}]}",
+          \"candidates_measured\":1}]}",
+        // A plan no pool can run: served, it would reach a zero-thread pool.
+        "{\"version\":6,\"plans\":[{\"fingerprint\":\"0x0000000000000001\",\
+          \"ncpus\":2,\"machine\":\"m\",\"format\":\"sss\",\
+          \"nthreads\":0,\"measured_secs\":1.0,\
+          \"candidates_measured\":1}]}",
     ] {
         std::fs::write(&path, garbage).unwrap();
         let result = PlanStore::open_for_machine(&dir, "m".into(), 2);
@@ -230,40 +242,47 @@ fn corrupted_json_is_a_typed_error_never_a_panic() {
 }
 
 #[test]
-fn uncertified_plans_are_refused_on_write_and_read() {
-    let dir = tmp_dir("uncertified");
+fn a_hand_edited_winner_is_served_and_proved_by_the_kernel_that_builds_it() {
+    let dir = tmp_dir("handedit");
+    let coo = gen::laplacian_2d(14, 14);
+    let sss = sss_of(&coo);
+    let fp = sss.fingerprint();
     let mut store = PlanStore::open_for_machine(&dir, "m".into(), 2).unwrap();
-    let plan = symspmv_tune::TunedPlan {
-        spec: PlanSpec {
-            format: symspmv_core::auto::FormatTag::Sss,
-            nthreads: 2,
-        },
-        measured_secs: 1.0,
-        candidates_measured: 12,
-        certified: false,
-    };
-    assert!(
-        store.put(1, plan.clone()).is_err(),
-        "store must refuse uncertified plans"
-    );
+    let (outcome, _) = tune_and_store(&sss, &mut store, &THREADS, &mut Fake::default()).unwrap();
 
-    // A hand-edited uncertified entry on disk is never served.
-    let mut certified = plan;
-    certified.certified = true;
-    store.put(1, certified).unwrap();
-    store.save().unwrap();
+    // Swap the stored winner to the other format: every `(format, threads)`
+    // pair builds, so the edit is a plan the store must serve as written.
+    let won = outcome.winner.spec.format;
+    let other = FormatTag::ALL.into_iter().find(|f| *f != won).unwrap();
     let path = dir.join(PLAN_STORE_FILE);
     let text = std::fs::read_to_string(&path).unwrap();
-    std::fs::write(
-        &path,
-        text.replace("\"certified\":true", "\"certified\":false"),
-    )
-    .unwrap();
-    let reloaded = PlanStore::open_for_machine(&dir, "m".into(), 2).unwrap();
-    assert!(
-        reloaded.get(1).is_none(),
-        "uncertified entries must not be served"
+    let (from, to) = (
+        format!("\"format\":\"{}\"", won.tag()),
+        format!("\"format\":\"{}\"", other.tag()),
     );
+    assert!(text.contains(&from), "{text}");
+    std::fs::write(&path, text.replacen(&from, &to, 1)).unwrap();
+    let edited = PlanSpec {
+        format: other,
+        ..outcome.winner.spec
+    };
+
+    let mut reloaded = PlanStore::open_for_machine(&dir, "m".into(), 2).unwrap();
+    let (again, hit) = tune_and_store(&sss, &mut reloaded, &THREADS, &mut Fake::default()).unwrap();
+    assert!(hit, "the edited entry must be a store hit");
+    assert!(again.rows.is_empty());
+    assert_eq!(again.winner.spec, edited);
+
+    // The engine builds the edited plan, and building it proves it.
+    let ctx = ExecutionContext::new(edited.nthreads);
+    let (engine, choice) = SymSpmv::auto_with(&ctx, &coo, Some(&reloaded)).unwrap();
+    assert_eq!(choice.source, PlanSource::Store);
+    assert_eq!(choice.spec, edited);
+    assert_eq!(engine.name(), format!("{}-idx", other.tag()));
+    assert!(engine
+        .certificate()
+        .validate_for(fp, edited.nthreads, "sym-sss", "idx")
+        .is_ok());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -284,7 +303,7 @@ fn the_search_measures_both_idx_pairs_once_per_thread_count() {
     assert_eq!(outcome.rows.len(), 2 * THREADS.len());
     assert_eq!(outcome.winner.candidates_measured, outcome.rows.len());
 
-    // The winner is the argmin of everything measured, and certified.
+    // The winner is the argmin of everything measured.
     let best = outcome
         .rows
         .iter()
@@ -292,7 +311,6 @@ fn the_search_measures_both_idx_pairs_once_per_thread_count() {
         .unwrap();
     assert_eq!(outcome.winner.spec, best.spec);
     assert_eq!(outcome.winner.measured_secs, best.per_vector_secs);
-    assert!(outcome.winner.certified);
 }
 
 #[test]

@@ -1,12 +1,12 @@
 //! The workspace's one std-only JSON codec (the offline build rules out
 //! serde).
 //!
-//! Certificates and audit findings round-trip through it, the plan store
-//! persists with it, and the repo benchmark (`benchmark/`) writes and
-//! compares its result records with it. The dialect is
+//! Audit findings serialize through it, the plan store persists with it,
+//! and the repo benchmark (`benchmark/`) writes and compares its result
+//! records with it. The dialect is
 //! deliberately strict where floats are concerned: `NaN`, `Infinity` and
 //! overflowing literals like `1e999` are rejected on parse, and non-finite
-//! numbers are rejected on write — a certificate, finding or measurement
+//! numbers are rejected on write — a finding, plan or measurement
 //! containing one is corrupt by definition and must not silently enter a
 //! committed file. Objects keep insertion order, so writes are stable.
 

@@ -10,7 +10,7 @@
 //! construction argument into a machine-checked artifact, in four layers:
 //!
 //! 1. **Symbolic plan certifier** ([`symbolic`]) — what the library runs.
-//!    It derives a serializable [`RaceCertificate`] from an
+//!    It derives an in-memory [`RaceCertificate`] from an
 //!    interval/congruence abstract domain plus structure axioms in
 //!    `O(p + c)` instead of `O(nnz)`, once per plan: `ExecutionContext`
 //!    memoizes the plan and its certificate per (matrix fingerprint,

@@ -393,9 +393,9 @@ fn mutation_swapped_pair_array_is_killed() {
     );
 }
 
-/// The kind side conditions and tags survive the certificate round trip.
+/// A kind's certificate names its symmetry and proves its side condition.
 #[test]
-fn kind_certificates_round_trip_and_prove_side_conditions() {
+fn kind_certificates_prove_side_conditions() {
     let n = 128u32;
     let skew = SssMatrix::from_coo_kind(
         &symspmv_sparse::gen::skew_convection(n, 9, 5.0, 7),
@@ -407,8 +407,6 @@ fn kind_certificates_round_trip_and_prove_side_conditions() {
     let cert = certify(&skew, &plan, SymStrategyKind::Indexing).unwrap();
     assert_eq!(cert.symmetry, "skew");
     assert!(cert.proves("skew-zero-diagonal"));
-    let parsed = RaceCertificate::from_json(&cert.to_json().unwrap()).unwrap();
-    assert_eq!(parsed, cert);
 
     let st = SssMatrix::from_coo_kind(
         &symspmv_sparse::gen::structural_random(n, 6.0, 0.7, 10, 23),
@@ -420,8 +418,6 @@ fn kind_certificates_round_trip_and_prove_side_conditions() {
     let cert = certify(&st, &plan, SymStrategyKind::Indexing).unwrap();
     assert_eq!(cert.symmetry, "structural");
     assert!(cert.proves("structural-paired"));
-    let parsed = RaceCertificate::from_json(&cert.to_json().unwrap()).unwrap();
-    assert_eq!(parsed, cert);
 }
 
 /// Re-derives the per-thread conflict profiles the symbolic certifier
