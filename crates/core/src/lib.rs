@@ -25,9 +25,11 @@
 //! * [`auto`] — [`SymSpmv::auto`]: a stored measured plan through the
 //!   [`PlanAdvisor`] hook the persisted plan store plugs into, or the
 //!   paper's default (DESIGN.md §18);
-//! * [`resilience`] — bounded retry ([`RetryPolicy`]), the serial
-//!   [`FallbackKernel`] of last resort, and the [`Resilient`] wrapper that
-//!   keeps serving when the pool degrades (DESIGN.md §16).
+//! * [`resilience`] — a bounded attempt count ([`RetryPolicy`], retries
+//!   back to back on the already-healed pool), the serial
+//!   [`FallbackKernel`] of last resort, and the [`Resilient`] wrapper whose
+//!   one call, `spmv(x, y, sup)`, keeps serving when the pool degrades
+//!   (DESIGN.md §16).
 
 pub mod auto;
 pub mod csr_mt;

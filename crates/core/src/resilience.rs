@@ -3,11 +3,12 @@
 //! The supervision layer (`symspmv-runtime`) turns faults into *typed
 //! errors*; this module turns typed errors into *availability*:
 //!
-//! * [`RetryPolicy`] — bounded attempts with deterministic decorrelated-
-//!   jitter backoff, retrying only failures that a fresh attempt can
-//!   plausibly fix (a worker panic — the supervisor already respawned the
-//!   worker). Deadline expiry and cancellation are final by definition,
-//!   and input/numerical errors would fail identically again.
+//! * [`RetryPolicy`] — a bounded count of attempts, retrying only
+//!   failures that a fresh attempt can plausibly fix: a worker panic,
+//!   whose worker the pool has respawned before the failed round returned,
+//!   so the next attempt runs at once on a healed pool and nothing is
+//!   gained by waiting. Deadline expiry and cancellation are final by
+//!   definition, and input/numerical errors would fail identically again.
 //! * [`FallbackKernel`] — the serial SSS reference path as an always-
 //!   available kernel of last resort. It never touches the worker pool, so
 //!   it serves even while a wedged round is draining, and it is
@@ -18,65 +19,33 @@
 //!   how often the fast path was lost.
 
 use crate::error::SymSpmvError;
-use crate::traits::{ParallelSpmmExt, ParallelSpmv};
+use crate::traits::ParallelSpmv;
 use std::borrow::Cow;
 use std::sync::Arc;
-use std::time::Duration;
 use symspmv_runtime::timing::Stopwatch;
-use symspmv_runtime::{ExecutionContext, ParallelSpmm, PhaseTimes, PoolHealth, Supervision};
-use symspmv_sparse::block::VectorBlock;
-use symspmv_sparse::rng::StdRng;
+use symspmv_runtime::{ExecutionContext, PhaseTimes, PoolHealth, Supervision};
 use symspmv_sparse::{CooMatrix, SparseError, SssMatrix, SymmetryKind, Val};
 
-/// Bounded retry with deterministic decorrelated-jitter backoff.
-///
-/// Sleeps between attempts follow the decorrelated-jitter rule
-/// `sleep = min(cap, uniform(base, prev · 3))`, driven by a seeded
-/// [`StdRng`] so a test (or a chaos replay) observes the exact same sleep
-/// schedule every run.
+/// A bounded number of attempts. Attempts follow each other at once: the
+/// one transient failure, a worker panic, leaves the pool already healed.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     max_attempts: usize,
-    base: Duration,
-    cap: Duration,
-    seed: u64,
 }
 
 impl Default for RetryPolicy {
-    /// Three attempts, 1 ms base backoff capped at 50 ms.
+    /// Three attempts.
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(50),
-            seed: 0x5eed_cafe,
-        }
+        RetryPolicy::new(3)
     }
 }
 
 impl RetryPolicy {
-    /// A policy with `max_attempts` total attempts (clamped to ≥ 1) and
-    /// the default backoff.
+    /// A policy with `max_attempts` total attempts (clamped to ≥ 1).
     pub fn new(max_attempts: usize) -> Self {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
-            ..RetryPolicy::default()
         }
-    }
-
-    /// Replaces the backoff bounds: first sleep starts at `base`, every
-    /// sleep is capped at `cap`.
-    pub fn with_backoff(mut self, base: Duration, cap: Duration) -> Self {
-        self.base = base;
-        self.cap = cap.max(base);
-        self
-    }
-
-    /// Replaces the jitter seed, making two policies' sleep schedules
-    /// deliberately identical or deliberately decorrelated.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 
     /// Total attempts this policy makes before giving up.
@@ -93,7 +62,7 @@ impl RetryPolicy {
     }
 
     /// Runs `op` up to `max_attempts` times (passing the 1-based attempt
-    /// number), sleeping the jittered backoff between transient failures.
+    /// number), retrying transient failures immediately.
     ///
     /// Returns the successful value together with the number of attempts
     /// consumed. A non-transient error is returned immediately; exhausting
@@ -103,33 +72,20 @@ impl RetryPolicy {
         &self,
         mut op: impl FnMut(usize) -> Result<T, SymSpmvError>,
     ) -> Result<(T, usize), SymSpmvError> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut prev = self.base;
-        for attempt in 1..=self.max_attempts {
+        let mut attempt = 1;
+        loop {
             match op(attempt) {
                 Ok(v) => return Ok((v, attempt)),
                 Err(e) if !Self::is_transient(&e) => return Err(e),
                 Err(e) if attempt == self.max_attempts => {
                     return Err(SymSpmvError::RetriesExhausted {
-                        attempts: self.max_attempts,
+                        attempts: attempt,
                         last: Box::new(e),
                     });
                 }
-                Err(_) => {
-                    prev = self.next_backoff(&mut rng, prev);
-                    std::thread::sleep(prev);
-                }
+                Err(_) => attempt += 1,
             }
         }
-        unreachable!("loop returns on every attempt outcome");
-    }
-
-    /// One decorrelated-jitter step: `min(cap, uniform(base, prev · 3))`.
-    fn next_backoff(&self, rng: &mut StdRng, prev: Duration) -> Duration {
-        let lo = self.base.as_secs_f64();
-        let hi = (prev.as_secs_f64() * 3.0).max(lo * (1.0 + f64::EPSILON));
-        let s = rng.random_range(lo..hi);
-        Duration::from_secs_f64(s).min(self.cap)
     }
 }
 
@@ -137,10 +93,10 @@ impl RetryPolicy {
 /// to the conformance oracle's serial reference, never touching the worker
 /// pool.
 ///
-/// Implements both [`ParallelSpmv`] (serial single-vector multiply) and
-/// [`ParallelSpmm`] (lane-at-a-time), so it can stand in for any kernel
-/// the service runs. `nthreads` reports 1 regardless of the context's pool
-/// width — the whole point is that it does not use the pool.
+/// Implements [`ParallelSpmv`] with the serial multiply, so it can stand
+/// in for the kernel the service runs; the degraded block solve drives it
+/// one lane at a time. `nthreads` reports 1 regardless of the context's
+/// pool width — the whole point is that it does not use the pool.
 pub struct FallbackKernel {
     sss: SssMatrix,
     ctx: Arc<ExecutionContext>,
@@ -214,28 +170,6 @@ impl ParallelSpmv for FallbackKernel {
 
     fn nthreads(&self) -> usize {
         1
-    }
-}
-
-impl ParallelSpmm for FallbackKernel {
-    fn spmm(&mut self, x: &VectorBlock, y: &mut VectorBlock) {
-        assert_eq!(x.n(), self.n(), "x block dimension mismatch");
-        assert_eq!(y.n(), self.n(), "y block dimension mismatch");
-        assert_eq!(x.lanes(), y.lanes(), "lane count mismatch");
-        let timer = Stopwatch::start();
-        let n = self.n();
-        let mut xin = vec![0.0; n];
-        let mut yout = vec![0.0; n];
-        for lane in 0..x.lanes() {
-            x.copy_lane_into(lane, &mut xin);
-            self.sss.spmv(&xin, &mut yout);
-            y.copy_lane_from(lane, &yout);
-        }
-        self.times.multiply += timer.elapsed();
-    }
-
-    fn spmm_context(&self) -> &Arc<ExecutionContext> {
-        &self.ctx
     }
 }
 
@@ -354,21 +288,6 @@ impl<K: ParallelSpmv> Resilient<K> {
         }
     }
 
-    /// The wrapped parallel kernel.
-    pub fn kernel(&self) -> &K {
-        &self.kernel
-    }
-
-    /// Mutable access to the wrapped parallel kernel.
-    pub fn kernel_mut(&mut self) -> &mut K {
-        &mut self.kernel
-    }
-
-    /// The serial fallback kernel.
-    pub fn fallback(&self) -> &FallbackKernel {
-        &self.fallback
-    }
-
     /// Requests served by the parallel kernel so far.
     pub fn parallel_serves(&self) -> usize {
         self.parallel_serves
@@ -379,31 +298,17 @@ impl<K: ParallelSpmv> Resilient<K> {
         self.fallback_serves
     }
 
-    /// Computes `y = A·x` resiliently with no deadline or token.
-    pub fn spmv(&mut self, x: &[Val], y: &mut [Val]) -> Result<Served, SymSpmvError> {
-        self.spmv_supervised(x, y, None)
-    }
-
-    /// Computes `y = A·x` resiliently under `sup` (deadline and/or
-    /// cancellation token), installed on the context for the duration of
-    /// the request and cleared on every exit path.
-    pub fn spmv_within(
-        &mut self,
-        x: &[Val],
-        y: &mut [Val],
-        sup: Supervision,
-    ) -> Result<Served, SymSpmvError> {
-        self.spmv_supervised(x, y, Some(sup))
-    }
-
-    fn spmv_supervised(
+    /// Computes `y = A·x` resiliently, under `sup` (deadline and/or
+    /// cancellation token) when given: installed on the context for the
+    /// parallel attempts and cleared on every exit path.
+    pub fn spmv(
         &mut self,
         x: &[Val],
         y: &mut [Val],
         sup: Option<Supervision>,
     ) -> Result<Served, SymSpmvError> {
         let ctx = Arc::clone(self.kernel.context());
-        let served = serve(
+        let ((), served) = serve(
             &ctx,
             &self.policy,
             sup,
@@ -411,58 +316,13 @@ impl<K: ParallelSpmv> Resilient<K> {
             |y| y.fill(0.0),
             |y| self.kernel.try_spmv(x, y),
             |y| self.fallback.spmv(x, y),
-        );
-        self.tally(served)
-    }
-
-    /// Counts a served request as parallel or fallback.
-    fn tally(
-        &mut self,
-        served: Result<((), Served), SymSpmvError>,
-    ) -> Result<Served, SymSpmvError> {
-        let ((), served) = served?;
+        )?;
         if served.is_fallback() {
             self.fallback_serves += 1;
         } else {
             self.parallel_serves += 1;
         }
         Ok(served)
-    }
-}
-
-impl<K: ParallelSpmv + ParallelSpmm> Resilient<K> {
-    /// Computes `Y = A·X` resiliently with no deadline or token.
-    pub fn spmm(&mut self, x: &VectorBlock, y: &mut VectorBlock) -> Result<Served, SymSpmvError> {
-        self.spmm_supervised(x, y, None)
-    }
-
-    /// Computes `Y = A·X` resiliently under `sup`.
-    pub fn spmm_within(
-        &mut self,
-        x: &VectorBlock,
-        y: &mut VectorBlock,
-        sup: Supervision,
-    ) -> Result<Served, SymSpmvError> {
-        self.spmm_supervised(x, y, Some(sup))
-    }
-
-    fn spmm_supervised(
-        &mut self,
-        x: &VectorBlock,
-        y: &mut VectorBlock,
-        sup: Option<Supervision>,
-    ) -> Result<Served, SymSpmvError> {
-        let ctx = Arc::clone(self.kernel.spmm_context());
-        let served = serve(
-            &ctx,
-            &self.policy,
-            sup,
-            y,
-            |y| y.fill(0.0),
-            |y| self.kernel.try_spmm(x, y),
-            |y| self.fallback.spmm(x, y),
-        );
-        self.tally(served)
     }
 }
 
@@ -487,8 +347,7 @@ mod tests {
 
     #[test]
     fn policy_retries_transient_failures_until_success() {
-        let policy =
-            RetryPolicy::new(4).with_backoff(Duration::from_micros(1), Duration::from_micros(5));
+        let policy = RetryPolicy::new(4);
         let calls = AtomicUsize::new(0);
         let ((), attempts) = policy
             .run(|a| {
@@ -509,8 +368,7 @@ mod tests {
 
     #[test]
     fn policy_exhaustion_wraps_the_last_error() {
-        let policy =
-            RetryPolicy::new(2).with_backoff(Duration::from_micros(1), Duration::from_micros(2));
+        let policy = RetryPolicy::new(2);
         let err = policy
             .run(|a| {
                 Err::<(), _>(SymSpmvError::WorkerPanicked {
@@ -546,26 +404,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, SymSpmvError::Cancelled);
         assert_eq!(calls.load(Ordering::Relaxed), 1, "no retry on Cancelled");
-    }
-
-    #[test]
-    fn backoff_schedule_is_deterministic_and_bounded() {
-        let policy = RetryPolicy::new(8)
-            .with_backoff(Duration::from_millis(1), Duration::from_millis(10))
-            .with_seed(42);
-        let mut rng_a = StdRng::seed_from_u64(42);
-        let mut rng_b = StdRng::seed_from_u64(42);
-        let mut prev_a = Duration::from_millis(1);
-        let mut prev_b = Duration::from_millis(1);
-        for _ in 0..6 {
-            let a = policy.next_backoff(&mut rng_a, prev_a);
-            let b = policy.next_backoff(&mut rng_b, prev_b);
-            assert_eq!(a, b, "same seed, same schedule");
-            assert!(a >= Duration::from_micros(900), "{a:?} below base");
-            assert!(a <= Duration::from_millis(10), "{a:?} above cap");
-            prev_a = a;
-            prev_b = b;
-        }
     }
 
     #[test]

@@ -227,9 +227,10 @@ impl SymSpmv {
 
     /// Fully validated constructor for matrices from outside the process:
     /// beyond [`SymSpmv::from_coo`]'s square/symmetry checks, rejects
-    /// non-finite values, duplicate coordinates, index overflow and a
-    /// `method` the `format` does not support, and reports everything as
-    /// a classified [`SymSpmvError`].
+    /// non-finite values, index overflow and a `method` the `format` does
+    /// not support, and reports everything as a classified
+    /// [`SymSpmvError`]. Duplicate coordinates are summed, as by
+    /// [`SssMatrix::try_from_coo_kind`].
     pub fn try_from_coo(
         coo: &CooMatrix,
         ctx: &Arc<ExecutionContext>,

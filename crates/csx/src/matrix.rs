@@ -4,8 +4,7 @@ use crate::detect::DetectConfig;
 use crate::encode::{delta_of, encode_rows, CtlStream, UnitCursor, UnitHead};
 use crate::pattern::run_strides;
 use crate::rows::{coo_rowptr, RowView};
-use symspmv_sparse::validate::{validate_coo, CooChecks};
-use symspmv_sparse::{CooMatrix, Idx, SparseError, Val};
+use symspmv_sparse::{CooMatrix, CsrMatrix, Idx, SparseError, Val};
 
 /// Compression statistics of a CSX encoding.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,14 +89,14 @@ impl CsxMatrix {
         }
     }
 
-    /// Fully validated constructor for matrices from outside the process:
-    /// rejects out-of-range indices, non-finite values and duplicate
-    /// coordinates with a structured [`SparseError`] before encoding.
+    /// Validated constructor for matrices from outside the process: the
+    /// triplets go through [`CsrMatrix::try_from_coo`] — duplicates summed,
+    /// a non-finite value or an nnz beyond the index type reported as a
+    /// structured [`SparseError`] — and its rows are encoded in place.
     pub fn try_from_coo(coo: &CooMatrix, config: &DetectConfig) -> Result<Self, SparseError> {
-        let mut c = coo.clone();
-        c.canonicalize();
-        validate_coo(&c, &CooChecks::unsymmetric_format())?;
-        Ok(Self::from_canonical_coo(&c, config))
+        let csr = CsrMatrix::try_from_coo(coo)?;
+        let view = RowView::new(0, csr.ncols(), csr.rowptr(), csr.colind());
+        Ok(Self::from_rows(csr.nrows(), view, csr.values(), config))
     }
 
     /// Number of rows.
@@ -301,6 +300,40 @@ mod tests {
         let mut orig = coo.clone();
         orig.canonicalize();
         assert_eq!(m.to_coo(), orig);
+    }
+
+    #[test]
+    fn try_from_coo_encodes_what_from_coo_does_and_reports_what_csr_does() {
+        // Shuffled triplets, every third coordinate pushed twice.
+        let base: Vec<_> = symspmv_sparse::gen::block_structural(20, 3, 4.0, 6, 3)
+            .iter()
+            .collect();
+        let mut coo = CooMatrix::new(60, 60);
+        for &(r, c, v) in base.iter().rev() {
+            coo.push(r, c, v);
+        }
+        for &(r, c, _) in base.iter().step_by(3) {
+            coo.push(r, c, 0.1);
+        }
+        assert!(!coo.is_canonical());
+        let got = CsxMatrix::try_from_coo(&coo, &cfg()).unwrap();
+        let want = CsxMatrix::from_coo(&coo, &cfg());
+        assert_eq!(got.stream(), want.stream());
+        assert_eq!(got, want);
+
+        // A non-finite value is reported exactly as CSR reports it.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut c = coo.clone();
+            c.push(7, 3, bad);
+            let want = CsrMatrix::try_from_coo(&c).unwrap_err();
+            let got = CsxMatrix::try_from_coo(&c, &cfg()).unwrap_err();
+            assert!(
+                matches!(got, SparseError::NonFiniteValue { row: 7, col: 3, .. }),
+                "{got:?}"
+            );
+            // Debug text, since a NaN payload never compares equal.
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        }
     }
 
     #[test]

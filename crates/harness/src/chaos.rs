@@ -182,10 +182,7 @@ pub fn run(cfg: &ExpConfig) -> Result<(), HarnessError> {
         }
         let fallback = FallbackKernel::from_coo_kind(&m.coo, m.kind, Arc::clone(&ctx))
             .map_err(|e| HarnessError::matrix("chaos fallback", name, e))?;
-        let policy = RetryPolicy::new(3)
-            .with_backoff(Duration::from_micros(50), Duration::from_millis(2))
-            .with_seed(cfg.seed ^ m.seed);
-        let mut service = Resilient::new(kernel, fallback, policy);
+        let mut service = Resilient::new(kernel, fallback, RetryPolicy::new(3));
 
         let failures_before = failures;
         let mut rng =
@@ -221,7 +218,7 @@ pub fn run(cfg: &ExpConfig) -> Result<(), HarnessError> {
             }
 
             let t0 = Instant::now();
-            let served = service.spmv_within(&x, &mut y, Supervision::deadline_within(DEADLINE));
+            let served = service.spmv(&x, &mut y, Some(Supervision::deadline_within(DEADLINE)));
             let latency = t0.elapsed();
             worst_latency = worst_latency.max(latency);
 

@@ -903,11 +903,6 @@ mod tests {
         assert_eq!(ctx.health(), PoolHealth::Degraded);
         assert_eq!(ctx.health_state().failures(), 1);
         assert_eq!(ctx.health_state().respawns(), 1);
-        assert_eq!(
-            ctx.health_state().mtbf(),
-            None,
-            "one failure gives no estimate"
-        );
     }
 
     #[test]

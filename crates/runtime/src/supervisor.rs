@@ -25,8 +25,8 @@
 //!   serving (degraded) while the wedged round drains. True runaway threads
 //!   need process-level supervision, which is out of scope here.
 //! * [`HealthState`] — the Healthy → Degraded → Wedged state machine with
-//!   failure / respawn / wedge counters and an MTBF estimate, shared
-//!   (lock-free reads) between the pool and the context.
+//!   failure / respawn / wedge counters, all atomics, shared (lock-free
+//!   reads and writes) between the pool and the context.
 //!
 //! Checkpoint trips unwind the calling thread with an [`Interrupt`] payload
 //! via `panic_any`. The fallible kernel entry points (`try_spmv` /
@@ -242,11 +242,11 @@ const STATE_HEALTHY: u8 = 0;
 const STATE_DEGRADED: u8 = 1;
 const STATE_WEDGED: u8 = 2;
 
-/// Shared, lock-free-readable health record of one pool: the state
-/// machine, failure/respawn/wedge counters, and failure timestamps for the
-/// MTBF estimate. One instance is shared between a
-/// [`WorkerPool`](crate::WorkerPool) and its context, so health is
-/// readable while the pool mutex is held by a draining wedged round.
+/// Shared, lock-free health record of one pool: the state machine and
+/// the failure/respawn/wedge counters, atomics only. One instance is
+/// shared between a [`WorkerPool`](crate::WorkerPool) and its context, so
+/// health is readable while the pool mutex is held by a draining wedged
+/// round, and the watchdog records a wedge without taking any lock.
 #[derive(Debug, Default)]
 pub struct HealthState {
     state: AtomicU8,
@@ -254,13 +254,6 @@ pub struct HealthState {
     respawns: AtomicUsize,
     wedges: AtomicUsize,
     clean_streak: AtomicUsize,
-    clock: Mutex<FailureClock>,
-}
-
-#[derive(Debug, Default, Clone, Copy)]
-struct FailureClock {
-    first: Option<Instant>,
-    last: Option<Instant>,
 }
 
 impl HealthState {
@@ -293,23 +286,10 @@ impl HealthState {
         self.wedges.load(Ordering::SeqCst)
     }
 
-    /// Mean time between failures: the span from the first to the most
-    /// recent failure divided by the failure count minus one. `None` until
-    /// two failures have been observed.
-    pub fn mtbf(&self) -> Option<Duration> {
-        let n = self.failures();
-        if n < 2 {
-            return None;
-        }
-        let clock = lock_ignore_poison(&self.clock);
-        match (clock.first, clock.last) {
-            (Some(first), Some(last)) => Some((last - first) / (n as u32 - 1)),
-            _ => None,
-        }
-    }
-
     /// Records a worker failure (panic): Healthy → Degraded; a wedged pool
-    /// stays wedged until its round drains.
+    /// stays wedged until its round drains. Takes no lock: the watchdog
+    /// reaches it through [`HealthState::mark_wedged`] while a dispatch
+    /// holds the pool mutex.
     pub(crate) fn record_failure(&self) {
         self.failures.fetch_add(1, Ordering::SeqCst);
         self.clean_streak.store(0, Ordering::SeqCst);
@@ -319,10 +299,6 @@ impl HealthState {
             Ordering::SeqCst,
             Ordering::SeqCst,
         );
-        let now = Instant::now();
-        let mut clock = lock_ignore_poison(&self.clock);
-        clock.first.get_or_insert(now);
-        clock.last = Some(now);
     }
 
     /// Records a replaced worker thread.
@@ -444,22 +420,5 @@ mod tests {
         assert_eq!(h.health(), PoolHealth::Wedged);
         h.unwedge();
         assert_eq!(h.health(), PoolHealth::Degraded);
-    }
-
-    #[test]
-    fn mtbf_needs_two_failures_and_divides_the_span() {
-        let h = HealthState::default();
-        assert_eq!(h.mtbf(), None);
-        h.record_failure();
-        assert_eq!(h.mtbf(), None);
-        std::thread::sleep(Duration::from_millis(5));
-        h.record_failure();
-        let mtbf = h.mtbf().expect("two failures give an estimate");
-        assert!(mtbf >= Duration::from_millis(4), "{mtbf:?}");
-        std::thread::sleep(Duration::from_millis(5));
-        h.record_failure();
-        // Three failures over ~10ms: the mean halves.
-        let mtbf3 = h.mtbf().expect("estimate");
-        assert!(mtbf3 >= Duration::from_millis(4), "{mtbf3:?}");
     }
 }

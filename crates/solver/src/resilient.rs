@@ -302,7 +302,7 @@ mod tests {
     }
 
     fn fast_policy(attempts: usize) -> RetryPolicy {
-        RetryPolicy::new(attempts).with_backoff(Duration::from_micros(1), Duration::from_micros(5))
+        RetryPolicy::new(attempts)
     }
 
     fn setup(p: usize) -> (CooMatrix, Arc<ExecutionContext>, FallbackKernel) {

@@ -61,19 +61,6 @@ pub enum SparseError {
         /// variant stores the bit-identical `f64`).
         value: f64,
     },
-    /// The same `(row, col)` coordinate appears more than once where a
-    /// canonical (duplicate-free) matrix is required.
-    DuplicateEntry {
-        /// Row index of the duplicated coordinate.
-        row: u32,
-        /// Column index of the duplicated coordinate.
-        col: u32,
-    },
-    /// Triplets are not sorted row-major where canonical order is required.
-    UnsortedTriplets {
-        /// Position (triplet index) of the first out-of-order entry.
-        position: usize,
-    },
     /// A dimension or entry count does not fit the 4-byte index type (or
     /// `usize` for counts) used by every storage format.
     IndexOverflow {
@@ -162,12 +149,6 @@ impl fmt::Display for SparseError {
             SparseError::NonFiniteValue { row, col, value } => {
                 write!(f, "entry ({row}, {col}) has non-finite value {value}")
             }
-            SparseError::DuplicateEntry { row, col } => {
-                write!(f, "coordinate ({row}, {col}) appears more than once")
-            }
-            SparseError::UnsortedTriplets { position } => {
-                write!(f, "triplets not in row-major order at position {position}")
-            }
             SparseError::IndexOverflow { what, value, max } => {
                 write!(f, "{what} {value} exceeds the index limit {max}")
             }
@@ -206,8 +187,8 @@ impl From<std::io::Error> for SparseError {
 
 impl SparseError {
     /// True for variants describing a structurally invalid matrix (as
-    /// opposed to parse/I/O failures): bad indices, asymmetry, duplicates,
-    /// non-finite values, overflow.
+    /// opposed to parse/I/O failures): bad indices, asymmetry, non-finite
+    /// values, overflow.
     pub fn is_structural(&self) -> bool {
         !matches!(self, SparseError::Parse { .. } | SparseError::Io(_))
     }

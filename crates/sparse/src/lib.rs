@@ -9,6 +9,9 @@
 //! * the classic storage formats — [`coo::CooMatrix`], [`csr::CsrMatrix`]
 //!   (Eq. 1 of the paper) and the Symmetric Sparse Skyline format
 //!   [`sss::SssMatrix`] (Eq. 2), each with a serial SpMV reference kernel;
+//!   their `try_from_coo` forms check untrusted triplets (finiteness, the
+//!   nnz bound, the symmetry relation) inside the conversion's own passes
+//!   and report a typed [`SparseError`], and no other COO validator exists;
 //! * MatrixMarket I/O ([`mm`]) so the real University-of-Florida matrices can
 //!   be dropped in when available;
 //! * deterministic synthetic generators ([`gen`]) and the 12-matrix
@@ -37,7 +40,6 @@ pub mod sss;
 pub mod stats;
 pub mod suite;
 pub mod symmetry;
-pub mod validate;
 
 pub use block::VectorBlock;
 pub use coo::CooMatrix;

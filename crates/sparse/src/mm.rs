@@ -11,7 +11,6 @@
 use crate::coo::CooMatrix;
 use crate::error::SparseError;
 use crate::symmetry::SymmetryKind;
-use crate::validate::checked_idx;
 use crate::Idx;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
@@ -339,9 +338,32 @@ pub fn write_matrix_market_as<W: Write>(
     Ok(())
 }
 
+/// Converts a `u64` parsed from the file into the 4-byte index type,
+/// reporting [`SparseError::IndexOverflow`] with context on failure.
+fn checked_idx(value: u64, what: &'static str) -> Result<Idx, SparseError> {
+    Idx::try_from(value).map_err(|_| SparseError::IndexOverflow {
+        what,
+        value,
+        max: Idx::MAX as u64,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn checked_idx_reports_overflow() {
+        assert_eq!(checked_idx(7, "row count"), Ok(7));
+        let err = checked_idx(u64::from(Idx::MAX) + 1, "row count").unwrap_err();
+        assert!(matches!(
+            err,
+            SparseError::IndexOverflow {
+                what: "row count",
+                ..
+            }
+        ));
+    }
 
     #[test]
     fn header_symmetry_maps_to_kind() {

@@ -1,13 +1,14 @@
 //! Canonical row-major view of COO triplets, and the mirror sweep over it.
 //!
 //! Everything that consumes a [`CooMatrix`] in row-major order — the
-//! conversions to CSR and SSS, [`CooMatrix::canonicalize`], the symmetry
-//! predicates and [`validate_coo`](crate::validate::validate_coo) — starts
-//! from a [`RowMajor`]: row pointers plus column and value arrays that are
-//! *borrowed* from the caller when the triplets are already sorted without
-//! duplicates (what every generator, [`crate::perm`] and the MatrixMarket
-//! reader produce), and built by one bucket pass otherwise. Indices are in
-//! bounds by [`CooMatrix`]'s own invariant (`push` asserts, `from_triplets`
+//! conversions to CSR and SSS (and the checks of their `try_from_coo`
+//! forms, the only COO validation there is), [`CooMatrix::canonicalize`]
+//! and the symmetry predicates — starts from a [`RowMajor`]: row pointers
+//! plus column and value arrays that are *borrowed* from the caller when
+//! the triplets are already sorted without duplicates (what every
+//! generator, [`crate::perm`] and the MatrixMarket reader produce), and
+//! built by one bucket pass otherwise. Indices are in bounds by
+//! [`CooMatrix`]'s own invariant (`push` asserts, `from_triplets`
 //! checks), so the passes index directly.
 //!
 //! The symmetry relation of each [`SymmetryKind`] is checked in one place,

@@ -95,8 +95,9 @@ impl SssMatrix {
     }
 
     /// Fully validated constructor: beyond [`SssMatrix::from_coo`]'s
-    /// square/symmetric checks, rejects non-finite values, duplicate
-    /// coordinates and index overflow with a structured [`SparseError`].
+    /// square/symmetric checks, rejects non-finite values and index
+    /// overflow with a structured [`SparseError`]. Duplicate coordinates
+    /// are summed in insertion order, as by [`CooMatrix::canonicalize`].
     ///
     /// This is the entry point for matrices from outside the process;
     /// `from_coo` remains for trusted (generated) inputs.
@@ -658,6 +659,17 @@ mod tests {
         // try_from_coo_kind reports the same structured error.
         let err = SssMatrix::try_from_coo_kind(&d, SymmetryKind::Skew, 0.0).unwrap_err();
         assert_eq!(err, SparseError::SkewNonzeroDiagonal { row: 1, value: 5.0 });
+
+        // A same-sign mirror breaks the relation itself, on both paths.
+        let mut same_sign = CooMatrix::new(2, 2);
+        same_sign.push(0, 1, 1.0);
+        same_sign.push(1, 0, 1.0);
+        for build in [SssMatrix::from_coo_kind, SssMatrix::try_from_coo_kind] {
+            assert_eq!(
+                build(&same_sign, SymmetryKind::Skew, 0.0),
+                Err(SparseError::NotSkewSymmetric { row: 0, col: 1 })
+            );
+        }
     }
 
     #[test]
@@ -786,9 +798,12 @@ mod tests {
         m.push(0, 0, 1.0);
         m.push(2, 0, parts[2]);
         m.push(0, 2, parts[2]);
-        let sss = SssMatrix::from_coo(&m, 0.0).unwrap();
-        assert_eq!(sss.values()[0].to_bits(), ((0.1 + 0.2) + 0.3_f64).to_bits());
-        assert_ne!(sss.values()[0].to_bits(), (0.1 + (0.2 + 0.3_f64)).to_bits());
+        // The validated path, which external matrices take, sums alike.
+        for build in [SssMatrix::from_coo_kind, SssMatrix::try_from_coo_kind] {
+            let sss = build(&m, SymmetryKind::Symmetric, 0.0).unwrap();
+            assert_eq!(sss.values()[0].to_bits(), ((0.1 + 0.2) + 0.3_f64).to_bits());
+            assert_ne!(sss.values()[0].to_bits(), (0.1 + (0.2 + 0.3_f64)).to_bits());
+        }
 
         // The same addends pushed in the opposite order above the diagonal
         // round differently: exact symmetry is lost, and reported.
@@ -946,6 +961,14 @@ mod tests {
             Err(SparseError::NotSkewSymmetric { row: 0, col: 1 })
         );
         assert!(SssMatrix::from_coo_kind(&m, SymmetryKind::Structural, 0.0).is_ok());
+        // The validated path names the non-finite entry, whatever the kind.
+        for kind in SymmetryKind::ALL {
+            let err = SssMatrix::try_from_coo_kind(&m, kind, 0.0).unwrap_err();
+            assert!(
+                matches!(err, SparseError::NonFiniteValue { row: 0, col: 1, value } if value.is_nan()),
+                "{kind:?}: {err:?}"
+            );
+        }
         let mut d = CooMatrix::new(1, 1);
         d.push(0, 0, f64::NAN);
         let err = SssMatrix::from_coo_kind(&d, SymmetryKind::Skew, 0.0).unwrap_err();

@@ -5,6 +5,12 @@
 //! corruption, and asserts that every constructor reports a structured
 //! error (or, for corruptions a format legitimately tolerates, succeeds) —
 //! and that none of them panic. Deterministic: same seed, same corpus.
+//!
+//! The constructors share one check: `SssMatrix::try_from_coo_kind` (and
+//! `SymSpmv`, built on it) and `CsrMatrix::try_from_coo` run it inside
+//! their conversion, and `CsxMatrix::try_from_coo` encodes the rows of a
+//! `CsrMatrix::try_from_coo`. Duplicates are summed, not rejected, so no
+//! corruption here is a duplicate.
 
 use symspmv::core::{ReductionMethod, SymFormat, SymSpmv, SymSpmvError};
 use symspmv::csx::{CsxMatrix, DetectConfig};

@@ -14,8 +14,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use symspmv::core::{
-    FallbackKernel, ReductionMethod, Resilient, RetryPolicy, Served, SymFormat, SymSpmv,
-    SymSpmvError,
+    FallbackKernel, ParallelSpmv, ReductionMethod, Resilient, RetryPolicy, Served, SymFormat,
+    SymSpmv, SymSpmvError,
 };
 use symspmv::runtime::{ExecutionContext, PoolHealth, Supervision};
 use symspmv::sparse::dense::seeded_vector;
@@ -63,14 +63,13 @@ fn wedged_round_degrades_to_the_fallback_and_parallel_service_resumes() {
     let want = serial_reference(&coo, &x);
 
     let ctx = ExecutionContext::new(3);
-    let policy =
-        RetryPolicy::new(2).with_backoff(Duration::from_micros(50), Duration::from_millis(1));
+    let policy = RetryPolicy::new(2);
     let mut service = service_over(&coo, &ctx, policy);
     let mut y = vec![0.0; n];
 
     // Clean request: the parallel baseline every later serve is held to.
     let served = service
-        .spmv_within(&x, &mut y, Supervision::deadline_within(DEADLINE))
+        .spmv(&x, &mut y, Some(Supervision::deadline_within(DEADLINE)))
         .unwrap_or_else(|e| panic!("clean request failed: {e}"));
     assert!(matches!(served, Served::Parallel { attempts: 1 }));
     let y_base = y.clone();
@@ -81,10 +80,10 @@ fn wedged_round_degrades_to_the_fallback_and_parallel_service_resumes() {
     ctx.fault_plan()
         .arm_worker_wedge(1, 0, Duration::from_millis(300));
     let served = service
-        .spmv_within(
+        .spmv(
             &x,
             &mut y,
-            Supervision::deadline_within(Duration::from_millis(100)),
+            Some(Supervision::deadline_within(Duration::from_millis(100))),
         )
         .unwrap_or_else(|e| panic!("wedged request must be served, got {e}"));
     match &served {
@@ -107,7 +106,7 @@ fn wedged_round_degrades_to_the_fallback_and_parallel_service_resumes() {
     // Parallel service resumes on the healed pool, bit-identical to the
     // pre-wedge baseline.
     let served = service
-        .spmv_within(&x, &mut y, Supervision::deadline_within(DEADLINE))
+        .spmv(&x, &mut y, Some(Supervision::deadline_within(DEADLINE)))
         .unwrap_or_else(|e| panic!("post-wedge request failed: {e}"));
     assert!(matches!(served, Served::Parallel { attempts: 1 }));
     assert_eq!(bits(&y), bits(&y_base));
@@ -128,8 +127,7 @@ fn wedged_coloring_run_degrades_to_the_fallback_and_race_service_resumes() {
     let want = serial_reference(&coo, &x);
 
     let ctx = ExecutionContext::new(3);
-    let policy =
-        RetryPolicy::new(2).with_backoff(Duration::from_micros(50), Duration::from_millis(1));
+    let policy = RetryPolicy::new(2);
     let kernel = SymSpmv::try_from_coo(&coo, &ctx, ReductionMethod::Race, SymFormat::Sss)
         .unwrap_or_else(|e| panic!("valid matrix rejected: {e}"));
     let fallback = FallbackKernel::from_coo_kind(
@@ -143,7 +141,7 @@ fn wedged_coloring_run_degrades_to_the_fallback_and_race_service_resumes() {
 
     // Clean race request: the parallel baseline.
     let served = service
-        .spmv_within(&x, &mut y, Supervision::deadline_within(DEADLINE))
+        .spmv(&x, &mut y, Some(Supervision::deadline_within(DEADLINE)))
         .unwrap_or_else(|e| panic!("clean request failed: {e}"));
     assert!(matches!(served, Served::Parallel { attempts: 1 }));
     let y_base = y.clone();
@@ -153,10 +151,10 @@ fn wedged_coloring_run_degrades_to_the_fallback_and_race_service_resumes() {
     ctx.fault_plan()
         .arm_worker_wedge(1, 1, Duration::from_millis(300));
     let served = service
-        .spmv_within(
+        .spmv(
             &x,
             &mut y,
-            Supervision::deadline_within(Duration::from_millis(100)),
+            Some(Supervision::deadline_within(Duration::from_millis(100))),
         )
         .unwrap_or_else(|e| panic!("wedged coloring run must be served, got {e}"));
     match &served {
@@ -172,7 +170,7 @@ fn wedged_coloring_run_degrades_to_the_fallback_and_race_service_resumes() {
 
     // Parallel race service resumes, bit-identical to the baseline.
     let served = service
-        .spmv_within(&x, &mut y, Supervision::deadline_within(DEADLINE))
+        .spmv(&x, &mut y, Some(Supervision::deadline_within(DEADLINE)))
         .unwrap_or_else(|e| panic!("post-wedge request failed: {e}"));
     assert!(matches!(served, Served::Parallel { attempts: 1 }));
     assert_eq!(bits(&y), bits(&y_base));
@@ -187,20 +185,19 @@ fn worker_kills_are_retried_transparently() {
     let x = seeded_vector(n, 19);
 
     let ctx = ExecutionContext::new(3);
-    let policy =
-        RetryPolicy::new(3).with_backoff(Duration::from_micros(50), Duration::from_millis(1));
+    let policy = RetryPolicy::new(3);
     let mut service = service_over(&coo, &ctx, policy);
     let mut y = vec![0.0; n];
 
     service
-        .spmv(&x, &mut y)
+        .spmv(&x, &mut y, None)
         .unwrap_or_else(|e| panic!("clean request failed: {e}"));
     let y_base = y.clone();
 
     for tid in 0..3 {
         ctx.fault_plan().arm_worker_panic(tid, 0);
         let served = service
-            .spmv_within(&x, &mut y, Supervision::deadline_within(DEADLINE))
+            .spmv(&x, &mut y, Some(Supervision::deadline_within(DEADLINE)))
             .unwrap_or_else(|e| panic!("killed-worker request must be retried, got {e}"));
         assert!(
             matches!(served, Served::Parallel { attempts: 2 }),
@@ -212,6 +209,31 @@ fn worker_kills_are_retried_transparently() {
     // Replaced OS threads only: tid 0 is the calling thread.
     assert_eq!(ctx.health_state().respawns(), 2);
     assert_eq!(service.fallback_serves(), 0);
+
+    // Why the retry follows at once: the failed round replaced its dead
+    // worker before it returned, so the serving attempt already counts the
+    // respawn. The same ladder, observed attempt by attempt.
+    let mut kernel = SymSpmv::try_from_coo(&coo, &ctx, ReductionMethod::Indexing, SymFormat::Sss)
+        .unwrap_or_else(|e| panic!("valid matrix rejected: {e}"));
+    for tid in 1..3 {
+        ctx.fault_plan().arm_worker_panic(tid, 0);
+        let mut seen = Vec::new();
+        let ((), attempts) = RetryPolicy::new(3)
+            .run(|_| {
+                seen.push(ctx.health_state().respawns());
+                y.fill(0.0);
+                kernel.try_spmv(&x, &mut y)
+            })
+            .unwrap_or_else(|e| panic!("tid {tid}: killed worker not retried: {e}"));
+        assert_eq!(attempts, 2);
+        assert_eq!(
+            seen[1],
+            seen[0] + 1,
+            "tid {tid}: serving attempt before the respawn"
+        );
+        assert_eq!(bits(&y), bits(&y_base), "tid {tid}: retried serve diverges");
+    }
+    assert_eq!(ctx.health_state().respawns(), 4);
 }
 
 #[test]
@@ -222,12 +244,11 @@ fn retry_exhaustion_degrades_to_the_fallback() {
     let want = serial_reference(&coo, &x);
 
     let ctx = ExecutionContext::new(3);
-    let policy =
-        RetryPolicy::new(2).with_backoff(Duration::from_micros(50), Duration::from_millis(1));
+    let policy = RetryPolicy::new(2);
     let mut service = service_over(&coo, &ctx, policy);
     let mut y = vec![0.0; n];
     service
-        .spmv(&x, &mut y)
+        .spmv(&x, &mut y, None)
         .unwrap_or_else(|e| panic!("warm-up failed: {e}"));
 
     // Kill a worker in the first round of *both* attempts: attempt 1 dies
@@ -235,7 +256,7 @@ fn retry_exhaustion_degrades_to_the_fallback() {
     ctx.fault_plan().arm_worker_panic(0, 0);
     ctx.fault_plan().arm_worker_panic(1, 1);
     let served = service
-        .spmv_within(&x, &mut y, Supervision::deadline_within(DEADLINE))
+        .spmv(&x, &mut y, Some(Supervision::deadline_within(DEADLINE)))
         .unwrap_or_else(|e| panic!("exhausted request must still be served, got {e}"));
     match &served {
         Served::Fallback {
@@ -281,8 +302,7 @@ fn resilient_cg_rides_through_an_injected_worker_death() {
     )
     .unwrap_or_else(|e| panic!("valid matrix rejected: {e}"));
     ctx.fault_plan().arm_worker_panic(2, 5);
-    let policy =
-        RetryPolicy::new(3).with_backoff(Duration::from_micros(50), Duration::from_millis(1));
+    let policy = RetryPolicy::new(3);
     let mut x_sol = vec![0.0; n];
     let served = resilient_cg(
         &mut kernel,
@@ -324,12 +344,11 @@ fn mini_chaos_soak_serves_every_request_bit_identically() {
 
     let p = 3usize;
     let ctx = ExecutionContext::new(p);
-    let policy =
-        RetryPolicy::new(3).with_backoff(Duration::from_micros(50), Duration::from_millis(1));
+    let policy = RetryPolicy::new(3);
     let mut service = service_over(&coo, &ctx, policy);
     let mut y = vec![0.0; n];
     service
-        .spmv(&x, &mut y)
+        .spmv(&x, &mut y, None)
         .unwrap_or_else(|e| panic!("baseline failed: {e}"));
     let y_base = y.clone();
 
@@ -356,10 +375,10 @@ fn mini_chaos_soak_serves_every_request_bit_identically() {
             _ => {}
         }
         let served = service
-            .spmv_within(
+            .spmv(
                 &x,
                 &mut y,
-                Supervision::deadline_within(Duration::from_millis(150)),
+                Some(Supervision::deadline_within(Duration::from_millis(150))),
             )
             .unwrap_or_else(|e| panic!("request {req}: availability lost: {e}"));
         match served {
