@@ -40,6 +40,8 @@ pub mod sss;
 pub mod stats;
 pub mod suite;
 pub mod symmetry;
+#[cfg(test)]
+mod validate;
 
 pub use block::VectorBlock;
 pub use coo::CooMatrix;
