@@ -2,18 +2,20 @@
 //!
 //! Rows are partitioned contiguously with non-zero balancing; each thread
 //! computes its own row range, so output writes are trivially disjoint and
-//! no reduction phase exists.
+//! no reduction phase exists. One row body, generic over the lane count,
+//! serves `spmv` (`K = 1`) and every `spmm` lane width.
 
 use crate::shared::SharedBuf;
-use crate::traits::ParallelSpmv;
+use crate::sym::{axpy_lanes, lane_rows};
+use crate::traits::{ParallelSpmm, ParallelSpmv};
 use std::borrow::Cow;
 use std::sync::Arc;
 use symspmv_runtime::timing::time_into;
 use symspmv_runtime::{
-    balanced_ranges, partition::csr_row_weights, ExecutionContext, ParallelSpmm, PhaseTimes, Range,
+    balanced_ranges, partition::csr_row_weights, ExecutionContext, PhaseTimes, Range,
 };
-use symspmv_sparse::block::{VectorBlock, MAX_LANES};
-use symspmv_sparse::{CooMatrix, CsrMatrix, Val};
+use symspmv_sparse::block::VectorBlock;
+use symspmv_sparse::{with_lanes, CooMatrix, CsrMatrix, Val};
 
 /// A CSR matrix bound to an execution context and a static row partition.
 pub struct CsrParallel {
@@ -51,12 +53,13 @@ impl CsrParallel {
     pub fn matrix(&self) -> &CsrMatrix {
         &self.csr
     }
-}
 
-impl ParallelSpmv for CsrParallel {
-    fn spmv(&mut self, x: &[Val], y: &mut [Val]) {
-        assert_eq!(x.len(), self.csr.ncols() as usize);
-        assert_eq!(y.len(), self.csr.nrows() as usize);
+    /// The row body over `K`-lane-interleaved `x` and `y`: `spmv` is the
+    /// `K = 1` instance, `spmm` enters through `with_lanes!`. Each lane runs
+    /// the scalar order (`acc = 0`, then `acc += v·x[c]` per non-zero), so
+    /// lane `j` of a block call is bit-identical to `spmv` on lane `j`.
+    fn run<const K: usize>(&mut self, x: &[Val], y: &mut [Val]) {
+        let x = x.as_chunks::<K>().0;
         let buf = SharedBuf::new(y);
         let csr = &self.csr;
         let parts = &self.parts;
@@ -68,22 +71,30 @@ impl ParallelSpmv for CsrParallel {
                 }
                 // SAFETY(cert: disjoint-direct): partitions tile 0..N
                 // disjointly (certify_rows, debug-asserted at build).
-                let my_y = unsafe { buf.range_mut(part.start as usize, part.end as usize) };
+                let my_y = unsafe { lane_rows::<K>(&buf, part.start as usize, part.end as usize) };
                 // The arrays are taken once and the rows walked by `rowptr`
                 // alone, as in the SSS body; `my_y[i]` is row `start + i`.
                 let (rowptr, colind, values) = (csr.rowptr(), csr.colind(), csr.values());
                 let mut lo = rowptr[part.start as usize] as usize;
                 for (r, yr) in (part.start as usize..).zip(my_y) {
                     let hi = rowptr[r + 1] as usize;
-                    let mut acc = 0.0;
+                    let mut acc = [0.0; K];
                     for (&c, &v) in colind[lo..hi].iter().zip(&values[lo..hi]) {
-                        acc += v * x[c as usize];
+                        axpy_lanes(&mut acc, v, &x[c as usize]);
                     }
                     *yr = acc;
                     lo = hi;
                 }
             });
         });
+    }
+}
+
+impl ParallelSpmv for CsrParallel {
+    fn spmv(&mut self, x: &[Val], y: &mut [Val]) {
+        assert_eq!(x.len(), self.csr.ncols() as usize);
+        assert_eq!(y.len(), self.csr.nrows() as usize);
+        self.run::<1>(x, y);
     }
 
     fn n(&self) -> usize {
@@ -120,51 +131,14 @@ impl ParallelSpmm for CsrParallel {
         assert_eq!(x.n(), self.csr.ncols() as usize);
         assert_eq!(y.n(), self.csr.nrows() as usize);
         assert_eq!(x.lanes(), y.lanes());
-        let lanes = x.lanes();
-        let buf = SharedBuf::new(y.as_mut_slice());
-        let csr = &self.csr;
-        let parts = &self.parts;
-        let xs = x.as_slice();
-        time_into(&mut self.times.multiply, || {
-            self.ctx.run(&|tid| {
-                let part = parts[tid];
-                if part.is_empty() {
-                    return;
-                }
-                // SAFETY(cert: lane-lifted): row partitions tile 0..N
-                // disjointly (certify_rows), so lane groups
-                // [r*lanes, (r+1)*lanes) tile 0..N*lanes disjointly.
-                let my_y = unsafe {
-                    buf.range_mut(part.start as usize * lanes, part.end as usize * lanes)
-                };
-                let (rowptr, colind, values) = (csr.rowptr(), csr.colind(), csr.values());
-                let mut lo = rowptr[part.start as usize] as usize;
-                for (r, yr) in (part.start as usize..).zip(my_y.chunks_exact_mut(lanes)) {
-                    let hi = rowptr[r + 1] as usize;
-                    // Per-lane accumulators run the exact op order of the
-                    // scalar kernel on each lane: bitwise-identical output.
-                    let mut acc = [0.0; MAX_LANES];
-                    for (&c, &v) in colind[lo..hi].iter().zip(&values[lo..hi]) {
-                        let xc = &xs[c as usize * lanes..(c as usize + 1) * lanes];
-                        for (a, &xj) in acc.iter_mut().zip(xc) {
-                            *a += v * xj;
-                        }
-                    }
-                    yr.copy_from_slice(&acc[..lanes]);
-                    lo = hi;
-                }
-            });
-        });
-    }
-
-    fn spmm_context(&self) -> &Arc<ExecutionContext> {
-        &self.ctx
+        with_lanes!(x.lanes(), K => self.run::<K>(x.as_slice(), y.as_mut_slice()));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symspmv_sparse::block::SUPPORTED_LANES;
     use symspmv_sparse::dense::{assert_vec_close, seeded_vector};
 
     #[test]
@@ -230,7 +204,7 @@ mod tests {
         for p in [1, 3] {
             let ctx = ExecutionContext::new(p);
             let mut k = CsrParallel::from_coo(&coo, &ctx);
-            for lanes in [1usize, 2, 4, 8] {
+            for lanes in SUPPORTED_LANES {
                 let x = VectorBlock::seeded(300, lanes, 40);
                 let mut y = VectorBlock::zeros(300, lanes);
                 k.spmm(&x, &mut y);

@@ -52,8 +52,7 @@ pub use error::SymSpmvError;
 pub use plan::CachedSymPlan;
 pub use resilience::{fallback_worthy, serve, FallbackKernel, Resilient, RetryPolicy, Served};
 pub use sym::{ReductionMethod, SymFormat, SymSpmv};
-pub use traits::{try_on_pool, BlockKernel, ParallelSpmmExt, ParallelSpmv};
+pub use traits::{try_on_pool, ParallelSpmm, ParallelSpmv};
 
 // Re-exported so block-kernel callers need only this crate in scope.
-pub use symspmv_runtime::ParallelSpmm;
 pub use symspmv_sparse::VectorBlock;

@@ -25,13 +25,13 @@ use crate::error::SymSpmvError;
 use crate::plan::{CachedSymPlan, GroupSchedule};
 use crate::shared::SharedBuf;
 use crate::symbolic::ConflictIndex;
-use crate::traits::ParallelSpmv;
+use crate::traits::{ParallelSpmm, ParallelSpmv};
 use std::borrow::Cow;
 use std::sync::Arc;
 use symspmv_csx::detect::DetectConfig;
 use symspmv_runtime::reduction::ReduceJob;
 use symspmv_runtime::timing::{time_into, Stopwatch};
-use symspmv_runtime::{ExecutionContext, ParallelSpmm, PhaseTimes, Range, ReductionStrategy};
+use symspmv_runtime::{ExecutionContext, PhaseTimes, Range, ReductionStrategy};
 use symspmv_sparse::block::VectorBlock;
 use symspmv_sparse::symmetry::{SymmetryKind, SymmetryOps};
 use symspmv_sparse::{with_lanes, with_symmetry_ops, CooMatrix, SparseError, SssMatrix, Val};
@@ -601,7 +601,7 @@ impl SymSpmv {
 /// lifetime of the returned slice, by the certificate invariant it names
 /// at the call site.
 #[allow(clippy::mut_from_ref)] // as `SharedBuf::range_mut`: caller-proven disjointness
-unsafe fn lane_rows<'b, const K: usize>(
+pub(crate) unsafe fn lane_rows<'b, const K: usize>(
     buf: &'b SharedBuf<'_>,
     lo: usize,
     hi: usize,
@@ -792,10 +792,6 @@ impl ParallelSpmm for SymSpmv {
         let lanes = x.lanes();
         self.check_dispatch(Some(lanes));
         with_lanes!(lanes, K => self.run::<K>(x.as_slice(), y.as_mut_slice()));
-    }
-
-    fn spmm_context(&self) -> &Arc<ExecutionContext> {
-        &self.ctx
     }
 }
 

@@ -2,12 +2,14 @@
 //!
 //! "We have built a common measurements framework that interfaces with the
 //! storage format implementations through a well-defined sparse matrix-
-//! vector multiplication interface" — this trait is that interface.
+//! vector multiplication interface" — [`ParallelSpmv`] is that interface,
+//! and [`ParallelSpmm`] is the same interface with one more method, the
+//! batched multiply over `k` right-hand sides.
 
 use crate::error::SymSpmvError;
 use std::borrow::Cow;
 use std::sync::Arc;
-use symspmv_runtime::{ExecutionContext, Interrupt, ParallelSpmm, PhaseTimes};
+use symspmv_runtime::{ExecutionContext, Interrupt, PhaseTimes};
 use symspmv_sparse::block::VectorBlock;
 use symspmv_sparse::Val;
 
@@ -100,26 +102,34 @@ pub trait ParallelSpmv {
     }
 }
 
-/// Fallible batched multiplication, mirroring [`ParallelSpmv::try_spmv`]
-/// for the [`ParallelSpmm`] block path.
+/// A [`ParallelSpmv`] that also multiplies a [`VectorBlock`] of `k`
+/// lane-interleaved right-hand sides per call (`Y = A·X`): one pass over
+/// the matrix updates all `k` lanes of a row.
 ///
-/// Lives in this crate (not `symspmv-runtime`, where `ParallelSpmm` is
-/// defined) because the structured error type is this crate's
-/// [`SymSpmvError`]. Blanket-implemented for every block kernel.
-pub trait ParallelSpmmExt: ParallelSpmm {
+/// Contract every implementation upholds:
+///
+/// * `x.lanes() == y.lanes()` and `x.n() == y.n() == n`; implementations
+///   assert this and panic on mismatch (caller bug, not a worker death).
+/// * Each output lane `j` is **bit-identical** to [`ParallelSpmv::spmv`]
+///   on input lane `j`: the block path runs the same per-element
+///   accumulation order per lane, so batching never changes the numerics —
+///   only the traffic.
+/// * Per-thread local blocks, where a kernel has them, are leased from the
+///   context's `BufferArena` scaled by the lane count, so a worker panic mid-SpMM scrubs them on
+///   unwind and the arena's all-free-buffers-are-zero invariant holds
+///   afterwards.
+pub trait ParallelSpmm: ParallelSpmv {
+    /// Computes `y[·, j] = A · x[·, j]` for every lane `j`.
+    ///
+    /// # Panics
+    /// If the block shapes disagree with each other or with the matrix
+    /// dimension.
+    fn spmm(&mut self, x: &VectorBlock, y: &mut VectorBlock);
+
     /// Computes `Y = A·X` under [`try_on_pool`], with the same
     /// recovery guarantees as [`ParallelSpmv::try_spmv`].
     fn try_spmm(&mut self, x: &VectorBlock, y: &mut VectorBlock) -> Result<(), SymSpmvError> {
-        let ctx = Arc::clone(self.spmm_context());
+        let ctx = Arc::clone(self.context());
         try_on_pool(&ctx, || self.spmm(x, y))
     }
 }
-
-impl<T: ParallelSpmm + ?Sized> ParallelSpmmExt for T {}
-
-/// A kernel exposing both the scalar ([`ParallelSpmv`]) and the batched
-/// ([`ParallelSpmm`]) multiplication paths — the object type of the
-/// conformance oracle and the block benchmarks.
-pub trait BlockKernel: ParallelSpmv + ParallelSpmm {}
-
-impl<T: ParallelSpmv + ParallelSpmm + ?Sized> BlockKernel for T {}

@@ -23,7 +23,7 @@
 
 use crate::kernels::KernelSpec;
 use std::sync::Arc;
-use symspmv_core::{BlockKernel, ReductionMethod, SymSpmv};
+use symspmv_core::{ParallelSpmm, ReductionMethod, SymSpmv};
 use symspmv_runtime::ExecutionContext;
 use symspmv_sparse::dense::max_rel_diff;
 use symspmv_sparse::symmetry::SymmetryKind;
@@ -119,7 +119,7 @@ pub fn build_block_kernel(
     spec: KernelSpec,
     coo: &CooMatrix,
     ctx: &Arc<ExecutionContext>,
-) -> Result<Option<Box<dyn BlockKernel>>, SparseError> {
+) -> Result<Option<Box<dyn ParallelSpmm>>, SparseError> {
     build_block_kernel_kind(spec, coo, SymmetryKind::Symmetric, ctx)
 }
 
@@ -132,7 +132,7 @@ pub fn build_block_kernel_kind(
     coo: &CooMatrix,
     kind: SymmetryKind,
     ctx: &Arc<ExecutionContext>,
-) -> Result<Option<Box<dyn BlockKernel>>, SparseError> {
+) -> Result<Option<Box<dyn ParallelSpmm>>, SparseError> {
     Ok(match spec.sym_pair() {
         Some((format, method)) => Some(Box::new(SymSpmv::from_coo_kind(
             coo,

@@ -1,7 +1,7 @@
 //! The §V-A measurement loop.
 
 use std::time::{Duration, Instant};
-use symspmv_core::{BlockKernel, ParallelSpmv};
+use symspmv_core::{ParallelSpmm, ParallelSpmv};
 use symspmv_runtime::PhaseTimes;
 use symspmv_sparse::dense::seeded_vector;
 use symspmv_sparse::VectorBlock;
@@ -59,7 +59,7 @@ pub fn measure<K: ParallelSpmv + ?Sized>(kernel: &mut K, iterations: usize) -> M
 /// `gflops` counts all lanes (`2·NNZ·lanes·iters / wall`), so the
 /// per-vector benefit of batching shows up directly against the scalar
 /// [`measure`] number for the same kernel.
-pub fn measure_spmm<K: BlockKernel + ?Sized>(
+pub fn measure_spmm<K: ParallelSpmm + ?Sized>(
     kernel: &mut K,
     iterations: usize,
     lanes: usize,

@@ -38,6 +38,10 @@
 //!   watchdog, and the Healthy → Degraded → Wedged pool health machine
 //!   with worker respawn, so a long-lived service bounds every request in
 //!   time and keeps serving after faults.
+//!
+//! The kernel interfaces that run on this machinery — `ParallelSpmv` and
+//! its block extension `ParallelSpmm` — live in `symspmv-core`, beside the
+//! error type their fallible calls return.
 
 pub mod context;
 #[cfg(any(test, feature = "fault-injection"))]
@@ -50,7 +54,6 @@ pub mod pool;
 pub mod race;
 pub mod reduction;
 pub mod shared;
-pub mod spmm;
 pub mod supervisor;
 pub mod timing;
 
@@ -64,7 +67,6 @@ pub use partition::{balanced_ranges, Range};
 pub use pool::{WorkerPanic, WorkerPanicInfo, WorkerPool};
 pub use reduction::{IndexEntry, LocalLayout, ReduceJob, ReductionStrategy};
 pub use shared::SharedBuf;
-pub use spmm::ParallelSpmm;
 pub use supervisor::{
     CancelToken, Deadline, HealthState, Interrupt, PoolHealth, Supervision, SupervisionCell,
 };

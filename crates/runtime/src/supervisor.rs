@@ -29,8 +29,9 @@
 //!   reads and writes) between the pool and the context.
 //!
 //! Checkpoint trips unwind the calling thread with an [`Interrupt`] payload
-//! via `panic_any`. The fallible kernel entry points (`try_spmv` /
-//! `try_spmm` in `symspmv-core`) downcast that payload back into a typed
+//! via `panic_any`. The fallible kernel entry points
+//! (`ParallelSpmv::try_spmv` / `ParallelSpmm::try_spmm` in `symspmv-core`,
+//! both through `try_on_pool`) downcast that payload back into a typed
 //! error, so a cancelled request surfaces as data, never as a crash, and
 //! every [`BufferLease`](crate::BufferLease) dropped during the unwind is
 //! scrubbed — the arena invariant survives cancellation exactly as it

@@ -30,16 +30,6 @@ impl PhaseTimes {
     pub fn total(&self) -> Duration {
         self.multiply + self.reduce + self.vector_ops + self.preprocess
     }
-
-    /// Fraction of total time spent in the reduction phase (0 when idle).
-    pub fn reduce_fraction(&self) -> f64 {
-        let t = self.total().as_secs_f64();
-        if t == 0.0 {
-            0.0
-        } else {
-            self.reduce.as_secs_f64() / t
-        }
-    }
 }
 
 /// Times a closure, adding the elapsed time to `slot`, and returns its value.
@@ -96,12 +86,6 @@ mod tests {
         t.multiply = Duration::from_millis(30);
         t.reduce = Duration::from_millis(10);
         assert_eq!(t.total(), Duration::from_millis(40));
-        assert!((t.reduce_fraction() - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_total_has_zero_fraction() {
-        assert_eq!(PhaseTimes::new().reduce_fraction(), 0.0);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::cg::{recurrence, CgConfig, SolveStatus};
 use std::sync::Arc;
-use symspmv_core::{ParallelSpmm, ParallelSpmv, VectorBlock};
+use symspmv_core::{ParallelSpmm, VectorBlock};
 use symspmv_runtime::PhaseTimes;
 use symspmv_sparse::with_lanes;
 
@@ -61,7 +61,7 @@ impl BlockSolveOutcome {
 /// One SpMM per iteration advances every still-active lane; converged and
 /// broken-down lanes are frozen (their `x`, `r`, `p` lanes stop changing)
 /// and the loop ends when all lanes are frozen or `max_iters` is reached.
-pub fn block_cg<K: ParallelSpmm + ParallelSpmv + ?Sized>(
+pub fn block_cg<K: ParallelSpmm + ?Sized>(
     kernel: &mut K,
     b: &VectorBlock,
     x: &mut VectorBlock,
@@ -72,7 +72,7 @@ pub fn block_cg<K: ParallelSpmm + ParallelSpmv + ?Sized>(
     assert_eq!(b.n(), n);
     assert_eq!(x.n(), n);
     assert_eq!(x.lanes(), lanes);
-    let ctx = Arc::clone(kernel.spmm_context());
+    let ctx = Arc::clone(kernel.context());
     let mut r = VectorBlock::zeros(n, lanes);
     let mut p = VectorBlock::zeros(n, lanes);
     let mut ap = VectorBlock::zeros(n, lanes);

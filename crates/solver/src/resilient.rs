@@ -151,7 +151,7 @@ pub fn resilient_pcg_jacobi<K: ParallelSpmv + ?Sized>(
 /// Solves the `k` systems `A·x_j = b_j` with block CG resiliently.
 /// Semantics are identical to [`resilient_cg`]; the degraded rerun
 /// solves the lanes one at a time with the serial scalar CG.
-pub fn resilient_block_cg<K: ParallelSpmm + ParallelSpmv + ?Sized>(
+pub fn resilient_block_cg<K: ParallelSpmm + ?Sized>(
     kernel: &mut K,
     fallback: &mut FallbackKernel,
     b: &VectorBlock,
@@ -161,7 +161,7 @@ pub fn resilient_block_cg<K: ParallelSpmm + ParallelSpmv + ?Sized>(
     sup: Option<Supervision>,
 ) -> Result<ServedSolve<BlockSolveOutcome>, SymSpmvError> {
     assert_same_matrix(kernel, fallback);
-    let ctx = Arc::clone(kernel.spmm_context());
+    let ctx = Arc::clone(kernel.context());
     serve_solve(
         &ctx,
         policy,
@@ -291,13 +291,10 @@ mod tests {
         }
     }
 
-    impl<K: ParallelSpmv + ParallelSpmm> ParallelSpmm for Flaky<K> {
+    impl<K: ParallelSpmm> ParallelSpmm for Flaky<K> {
         fn spmm(&mut self, x: &VectorBlock, y: &mut VectorBlock) {
             self.trip();
             self.inner.spmm(x, y);
-        }
-        fn spmm_context(&self) -> &Arc<ExecutionContext> {
-            self.inner.spmm_context()
         }
     }
 

@@ -240,26 +240,6 @@ impl CooMatrix {
         Ok((lower, diag))
     }
 
-    /// Builds the full symmetric matrix from triplets that only describe the
-    /// lower triangle (plus diagonal), mirroring off-diagonal entries.
-    pub fn symmetrize_from_lower(&self) -> Result<CooMatrix, SparseError> {
-        if self.nrows != self.ncols {
-            return Err(SparseError::NotSquare {
-                nrows: self.nrows,
-                ncols: self.ncols,
-            });
-        }
-        let mut full = CooMatrix::with_capacity(self.nrows, self.ncols, self.nnz() * 2);
-        for (r, c, v) in self.iter() {
-            full.push(r, c, v);
-            if r != c {
-                full.push(c, r, v);
-            }
-        }
-        full.canonicalize();
-        Ok(full)
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> CooMatrix {
         CooMatrix {
@@ -388,17 +368,17 @@ mod tests {
         assert_eq!(diag, vec![2.0, 3.0, 4.0]);
         assert_eq!(lower.nnz(), 1); // only (1,0)
 
-        // Rebuild: lower + diagonal as triplets, then mirror.
-        let mut rebuilt = lower.clone();
+        // Rebuild: the diagonal, and each lower entry with its mirror.
+        let mut full = CooMatrix::new(3, 3);
         for (i, &d) in diag.iter().enumerate() {
-            if d != 0.0 {
-                rebuilt.push(i as Idx, i as Idx, d);
-            }
+            full.push(i as Idx, i as Idx, d);
         }
-        let full = rebuilt.symmetrize_from_lower().unwrap();
-        let mut a = sample();
-        a.canonicalize();
-        assert_eq!(full, a);
+        for (r, c, v) in lower.iter() {
+            full.push(r, c, v);
+            full.push(c, r, v);
+        }
+        full.canonicalize();
+        assert_eq!(full, sample());
     }
 
     #[test]

@@ -76,41 +76,6 @@ pub fn laplacian_2d(nx: Idx, ny: Idx) -> CooMatrix {
     coo
 }
 
-/// 7-point finite-difference Laplacian on an `nx × ny × nz` grid.
-pub fn laplacian_3d(nx: Idx, ny: Idx, nz: Idx) -> CooMatrix {
-    let n = nx * ny * nz;
-    let idx = |i: Idx, j: Idx, k: Idx| (i * ny + j) * nz + k;
-    let mut coo = CooMatrix::with_capacity(n, n, 7 * n as usize);
-    for i in 0..nx {
-        for j in 0..ny {
-            for k in 0..nz {
-                let me = idx(i, j, k);
-                coo.push(me, me, 6.0);
-                if i > 0 {
-                    coo.push(me, idx(i - 1, j, k), -1.0);
-                }
-                if i + 1 < nx {
-                    coo.push(me, idx(i + 1, j, k), -1.0);
-                }
-                if j > 0 {
-                    coo.push(me, idx(i, j - 1, k), -1.0);
-                }
-                if j + 1 < ny {
-                    coo.push(me, idx(i, j + 1, k), -1.0);
-                }
-                if k > 0 {
-                    coo.push(me, idx(i, j, k - 1), -1.0);
-                }
-                if k + 1 < nz {
-                    coo.push(me, idx(i, j, k + 1), -1.0);
-                }
-            }
-        }
-    }
-    coo.canonicalize();
-    coo
-}
-
 /// Random symmetric SPD matrix with entries confined to a band.
 ///
 /// `nnz_per_row` counts full-matrix off-diagonal targets per row (the
@@ -447,16 +412,6 @@ mod tests {
         let d = DenseMatrix::from_coo(&a);
         assert_eq!(d[(6, 6)], 4.0);
         assert_eq!(d[(6, 1)], -1.0);
-    }
-
-    #[test]
-    fn laplacian_3d_structure() {
-        let a = laplacian_3d(3, 3, 3);
-        assert_eq!(a.nrows(), 27);
-        check_spd_structure(&a);
-        // Center point (1,1,1) = index 13 has 6 neighbors.
-        let center_row_nnz = a.iter().filter(|&(r, _, _)| r == 13).count();
-        assert_eq!(center_row_nnz, 7);
     }
 
     #[test]

@@ -377,20 +377,10 @@ pub fn generate(spec: &SuiteSpec, scale: f64) -> SuiteMatrix {
 }
 
 /// Generates the Table I suite at the given scale, in paper order (the
-/// twelve symmetric matrices; see [`generate_full_suite`] for the
-/// kind-extension entries).
+/// twelve symmetric matrices; the [`KIND_SUITE`] extension entries are
+/// generated one at a time through [`spec_by_name`] and [`generate`]).
 pub fn generate_suite(scale: f64) -> Vec<SuiteMatrix> {
     SUITE.iter().map(|s| generate(s, scale)).collect()
-}
-
-/// Generates the Table I suite plus the [`KIND_SUITE`] extension entries
-/// (skew and structural analogs), in declaration order.
-pub fn generate_full_suite(scale: f64) -> Vec<SuiteMatrix> {
-    SUITE
-        .iter()
-        .chain(KIND_SUITE.iter())
-        .map(|s| generate(s, scale))
-        .collect()
 }
 
 /// Looks up a suite spec by name (case-sensitive, as in Table I),
@@ -442,12 +432,6 @@ mod tests {
         );
         assert!(!st.coo.is_symmetric(0.0), "values must be unsymmetric");
         assert!(st.coo.nrows() >= 1024);
-
-        // The full suite is the twelve plus the two, in order.
-        let full = generate_full_suite(0.002);
-        assert_eq!(full.len(), SUITE.len() + KIND_SUITE.len());
-        assert_eq!(full[12].spec.name, "convection_skew");
-        assert_eq!(full[13].spec.name, "circuit_structural");
     }
 
     #[test]

@@ -10,8 +10,11 @@
 //! that matters — an unsafe block nobody wrote a justification for —
 //! without needing rustc internals.
 //!
-//! Run as a test (`tests/lint_unsafe.rs` at the workspace root) and as a
-//! binary: `cargo run -p symspmv-verify --bin audit`.
+//! This module scans one file. The walk over the tree is the lint engine's
+//! ([`crate::rules::run_rules`]): it masks each file once and takes both
+//! the `unsafe` inventory and the `unsafe-annotation` rule's findings from
+//! that view. Run as a test (`tests/lint_unsafe.rs` at the workspace root)
+//! and as a binary: `cargo run -p symspmv-verify --bin audit`.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -115,25 +118,6 @@ impl fmt::Display for Violation {
             }
             Violation::MissingSafetyDoc => write!(f, "unsafe fn without a `# Safety` doc section"),
         }
-    }
-}
-
-/// Audit result over a set of files.
-#[derive(Debug, Default)]
-pub struct AuditReport {
-    /// Every `unsafe` site found, annotated or not.
-    pub sites: Vec<UnsafeSite>,
-}
-
-impl AuditReport {
-    /// Sites that fail the audit.
-    pub fn violations(&self) -> impl Iterator<Item = &UnsafeSite> {
-        self.sites.iter().filter(|s| s.violation.is_some())
-    }
-
-    /// Whether the audit passes.
-    pub fn is_clean(&self) -> bool {
-        self.sites.iter().all(|s| s.violation.is_none())
     }
 }
 
@@ -281,7 +265,12 @@ const LOOKBACK: usize = 12;
 
 /// Audits one file's source text. `path` is only recorded in the sites.
 pub fn audit_source(path: &Path, src: &str) -> Vec<UnsafeSite> {
-    let masked = mask_source(src);
+    audit_masked(path, &mask_source(src))
+}
+
+/// [`audit_source`] over text [`mask_source`] has already masked — the
+/// view the rule engine builds once per file.
+pub(crate) fn audit_masked(path: &Path, masked: &str) -> Vec<UnsafeSite> {
     let lines: Vec<&str> = masked.lines().collect();
     let bytes = masked.as_bytes();
     let mut line_starts = vec![0usize];
@@ -410,34 +399,6 @@ pub fn audit_source(path: &Path, src: &str) -> Vec<UnsafeSite> {
 
 fn known(name: &str) -> bool {
     KNOWN_INVARIANTS.iter().any(|&(k, _)| k == name)
-}
-
-/// Recursively audits every `.rs` file under `root`, skipping `target`,
-/// VCS metadata, hidden directories and `benchmark/out` (where
-/// `bench/gate.sh` leaves a source copy of the base revision).
-pub fn audit_workspace(root: &Path) -> std::io::Result<AuditReport> {
-    let mut report = AuditReport::default();
-    let benchmark_out = root.join("benchmark").join("out");
-    let mut stack = vec![root.to_path_buf()];
-    while let Some(dir) = stack.pop() {
-        let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .collect();
-        entries.sort();
-        for path in entries {
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if path.is_dir() {
-                if name == "target" || name.starts_with('.') || path == benchmark_out {
-                    continue;
-                }
-                stack.push(path);
-            } else if path.extension().and_then(|e| e.to_str()) == Some("rs") {
-                let src = std::fs::read_to_string(&path)?;
-                report.sites.extend(audit_source(&path, &src));
-            }
-        }
-    }
-    Ok(report)
 }
 
 #[cfg(test)]

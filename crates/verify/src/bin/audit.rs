@@ -2,15 +2,15 @@
 //!
 //! Usage: `audit [ROOT] [--json FILE] [--markdown FILE]`
 //!
-//! Two passes over every `.rs` file reachable from the workspace root:
+//! One walk over every `.rs` file under the root
+//! ([`symspmv_verify::rules::run_rules`]), each file masked once, reported
+//! in two parts:
 //!
-//! 1. the **unsafe inventory** — prints each `unsafe` site with its
-//!    certificate invariant (the human report the binary has always
-//!    produced);
-//! 2. the **lint rule engine** ([`symspmv_verify::rules`]) — every
-//!    registered rule (unsafe annotation, checkpoint coverage, lock
-//!    order, atomic-ordering audit) over the workspace walk that also
-//!    covers `src/` and `crates/*/src/bin` targets.
+//! 1. the **unsafe inventory** — each `unsafe` site with its certificate
+//!    invariant, and the `audit: N unsafe sites` total;
+//! 2. the **rule findings** — per rule of the closed table (unsafe
+//!    annotation, checkpoint coverage, lock order, atomic-ordering audit),
+//!    its finding count and description.
 //!
 //! `--json FILE` additionally writes the findings as a machine-readable
 //! JSON document (rule, file, line, excerpt, message per finding);
@@ -20,9 +20,9 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use symspmv_verify::audit::{audit_workspace, UnsafeKind};
+use symspmv_verify::audit::UnsafeKind;
 use symspmv_verify::jsonio::Json;
-use symspmv_verify::rules::{default_rules, run_rules};
+use symspmv_verify::rules::{run_rules, Analysis, Rule};
 
 fn workspace_root() -> PathBuf {
     // CARGO_MANIFEST_DIR is crates/verify; the workspace root is two up.
@@ -82,9 +82,8 @@ fn main() -> ExitCode {
         }
     };
 
-    // Pass 1: the unsafe inventory (human report).
-    let report = match audit_workspace(&cli.root) {
-        Ok(r) => r,
+    let Analysis { sites, findings } = match run_rules(&cli.root) {
+        Ok(a) => a,
         Err(e) => {
             eprintln!("audit: cannot walk {}: {e}", cli.root.display());
             return ExitCode::FAILURE;
@@ -92,7 +91,7 @@ fn main() -> ExitCode {
     };
     let mut blocks = 0usize;
     let mut fns = 0usize;
-    for site in &report.sites {
+    for site in &sites {
         match site.kind {
             UnsafeKind::Fn | UnsafeKind::Trait => fns += 1,
             UnsafeKind::Block | UnsafeKind::Impl => blocks += 1,
@@ -114,23 +113,11 @@ fn main() -> ExitCode {
     }
     println!(
         "\naudit: {} unsafe sites ({blocks} blocks/impls, {fns} fns/traits)",
-        report.sites.len(),
+        sites.len(),
     );
 
-    // Pass 2: the full rule engine (subsumes the inventory's violations —
-    // the UnsafeAnnotation rule re-runs the same checker through the
-    // rule-engine walk, which also covers bin targets).
-    let rules = default_rules();
-    let findings = match run_rules(&cli.root, &rules) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("audit: rule engine failed on {}: {e}", cli.root.display());
-            return ExitCode::FAILURE;
-        }
-    };
-
-    println!("\nrules: {} registered", rules.len());
-    for rule in &rules {
+    println!("\nrules: {} registered", Rule::ALL.len());
+    for rule in Rule::ALL {
         let count = findings.iter().filter(|f| f.rule == rule.name()).count();
         println!(
             "  {:<22} {:>3} findings — {}",
@@ -158,7 +145,7 @@ fn main() -> ExitCode {
             (
                 "rules".to_string(),
                 Json::Arr(
-                    rules
+                    Rule::ALL
                         .iter()
                         .map(|r| {
                             Json::Obj(vec![
@@ -215,7 +202,7 @@ fn main() -> ExitCode {
     println!(
         "\naudit: {} findings across {} rules",
         findings.len(),
-        rules.len()
+        Rule::ALL.len()
     );
     if findings.is_empty() {
         ExitCode::SUCCESS

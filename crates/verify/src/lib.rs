@@ -30,13 +30,14 @@
 //!    behind the `race-detector` feature) — dynamic cross-validation: the
 //!    same corrupted plans the verifier rejects must also produce observed
 //!    write-write collisions when actually dispatched.
-//! 4. **Multi-rule lint engine** ([`rules`], [`audit`]) — token-level
-//!    static checks over the workspace source: every `unsafe` block must
-//!    carry a `SAFETY(cert: <invariant>)` comment naming an invariant the
-//!    verifier establishes ([`audit::KNOWN_INVARIANTS`]), every pool-round
-//!    loop must hit a supervision checkpoint, locks must follow the
-//!    pool-before-health order, and every `Ordering::Relaxed` must justify
-//!    itself with a `RELAXED(reason)` annotation.
+//! 4. **Multi-rule lint engine** ([`rules`], [`audit`]) — one walk of the
+//!    workspace source and one closed table of token-level rules: every
+//!    `unsafe` block must carry a `SAFETY(cert: <invariant>)` comment
+//!    naming an invariant the verifier establishes
+//!    ([`audit::KNOWN_INVARIANTS`]), every pool-round loop must hit a
+//!    supervision checkpoint, locks must follow the pool-before-health
+//!    order, and every `Ordering::Relaxed` must justify itself with a
+//!    `RELAXED(reason)` annotation.
 
 pub mod audit;
 pub mod certificate;
@@ -50,7 +51,7 @@ pub mod writeset;
 pub use certificate::{ProofForm, RaceCertificate};
 pub use csx_check::{certify_csx_chunk, certify_csx_chunks};
 pub use error::VerifyError;
-pub use rules::{default_rules, run_rules, Finding, LintRule};
+pub use rules::{run_rules, Analysis, Finding, Rule};
 pub use symbolic::{
     certify_race_symbolic, certify_rows_symbolic, certify_sym_symbolic, lift_symbolic,
     ColoringFacts, StructureFacts,

@@ -1,20 +1,19 @@
-//! The multi-rule lint engine.
+//! The lint engine: one walk of the tree, one masked view per file, one
+//! closed table of rules.
 //!
-//! [`crate::audit`]'s unsafe-annotation scan generalizes here into a rule
-//! registry: each [`LintRule`] is a token-level check over a masked
-//! [`SourceView`] of one file, returning [`Finding`]s that name the rule,
-//! the file, the line and an excerpt. Like the audit scanner, rules are
-//! lexers rather than parsers — they catch the property that matters
-//! (a pool-round loop with no checkpoint, an inverted lock pair, an
-//! unjustified relaxed atomic) without rustc internals, and every rule
-//! ships a known-good and a seeded-violation fixture proving it fires.
-//!
-//! The walker ([`workspace_rust_files`]) covers the workspace root's
-//! `src/`, `tests/`, `benches/` and `examples/`, and each crate's `src/`
-//! (including `src/bin` targets), `tests/` and `benches/` — the bin-target
-//! gap in the original audit walk is regression-tested.
+//! [`workspace_rust_files`] is the only walker: every `.rs` file under the
+//! root except `target`, hidden directories and `benchmark/out`. For each
+//! file [`run_rules`] builds one masked [`SourceView`], takes the `unsafe`
+//! inventory from it ([`crate::audit`]) and runs every [`Rule`] that
+//! applies to the path. A rule is a token-level check returning
+//! [`Finding`]s that name the rule, the file, the line and an excerpt.
+//! Like the audit scanner, rules are lexers rather than parsers — they
+//! catch the property that matters (a pool-round loop with no checkpoint,
+//! an inverted lock pair, an unjustified relaxed atomic) without rustc
+//! internals, and every rule ships a known-good and a seeded-violation
+//! fixture proving it fires.
 
-use crate::audit::{self, mask_source};
+use crate::audit::{self, mask_source, UnsafeSite};
 use std::path::{Path, PathBuf};
 
 /// One lint finding: a rule firing at a specific line.
@@ -151,126 +150,142 @@ pub fn is_test_path(path: &Path) -> bool {
     in_test_dir || stem == "tests" || stem.ends_with("_tests")
 }
 
-/// A token-level lint rule over one file.
-pub trait LintRule {
-    /// Stable rule name (kebab-case), used in reports and JSON findings.
-    fn name(&self) -> &'static str;
-    /// One-line description of the property the rule enforces.
-    fn description(&self) -> &'static str;
-    /// Whether the rule inspects this file at all.
-    fn applies_to(&self, path: &Path) -> bool;
-    /// Runs the rule over the masked views of one file.
-    fn check(&self, path: &Path, view: &SourceView) -> Vec<Finding>;
+/// The lint rules: a closed table, one variant per rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule {
+    /// Every `unsafe` site needs its `SAFETY(cert: …)` / `# Safety`
+    /// justification: the [`crate::audit`] scan's violations.
+    UnsafeAnnotation,
+    /// Every pool-round loop in the runtime passes a supervision
+    /// checkpoint before dispatching the round.
+    CheckpointCoverage,
+    /// The pool lock is acquired before any health/supervision lock, never
+    /// inverted.
+    LockOrder,
+    /// Every `Ordering::Relaxed` in library code states why the weakest
+    /// ordering suffices.
+    RelaxedOrdering,
 }
 
-/// Rule 1: every `unsafe` site needs its `SAFETY(cert: …)` /`# Safety`
-/// justification — the original audit, adapted to the registry.
-pub struct UnsafeAnnotation;
+impl Rule {
+    /// Every rule, in report order.
+    pub const ALL: [Rule; 4] = [
+        Rule::UnsafeAnnotation,
+        Rule::CheckpointCoverage,
+        Rule::LockOrder,
+        Rule::RelaxedOrdering,
+    ];
 
-impl LintRule for UnsafeAnnotation {
-    fn name(&self) -> &'static str {
-        "unsafe-annotation"
+    /// Stable rule name (kebab-case), used in reports and JSON findings.
+    pub fn name(self) -> &'static str {
+        match self {
+            Rule::UnsafeAnnotation => "unsafe-annotation",
+            Rule::CheckpointCoverage => "checkpoint-coverage",
+            Rule::LockOrder => "lock-order",
+            Rule::RelaxedOrdering => "relaxed-ordering",
+        }
     }
 
-    fn description(&self) -> &'static str {
-        "every unsafe block/impl names a certificate invariant; every unsafe fn documents # Safety"
+    /// One-line description of the property the rule enforces.
+    pub fn description(self) -> &'static str {
+        match self {
+            Rule::UnsafeAnnotation => {
+                "every unsafe block/impl names a certificate invariant; every unsafe fn documents # Safety"
+            }
+            Rule::CheckpointCoverage => {
+                "every pool-round dispatch is preceded by a supervision checkpoint"
+            }
+            Rule::LockOrder => "pool lock before health lock, never inverted",
+            Rule::RelaxedOrdering => "every Ordering::Relaxed carries a RELAXED(reason) annotation",
+        }
     }
 
-    fn applies_to(&self, _path: &Path) -> bool {
-        true
+    /// Whether the rule inspects this file at all.
+    pub fn applies_to(self, path: &Path) -> bool {
+        match self {
+            Rule::UnsafeAnnotation => true,
+            Rule::CheckpointCoverage | Rule::LockOrder => {
+                path_in_runtime_src(path) && !is_test_path(path)
+            }
+            Rule::RelaxedOrdering => !is_test_path(path),
+        }
     }
 
-    fn check(&self, path: &Path, view: &SourceView) -> Vec<Finding> {
-        // audit_source re-masks internally; feed it the raw-equivalent
-        // masked view, which is idempotent under masking.
-        let lines = view.comment_lines();
-        audit::audit_source(path, &view.with_comments)
-            .into_iter()
-            .filter_map(|site| {
-                let violation = site.violation?;
-                Some(Finding {
-                    rule: self.name(),
-                    file: site.file.clone(),
-                    line: site.line,
-                    excerpt: lines
-                        .get(site.line - 1)
-                        .map(|l| l.trim().to_string())
-                        .unwrap_or_default(),
-                    message: violation.to_string(),
-                })
-            })
-            .collect()
+    /// Runs the rule over the masked views of one file.
+    pub fn check(self, path: &Path, view: &SourceView) -> Vec<Finding> {
+        match self {
+            Rule::UnsafeAnnotation => unsafe_annotation(path, view),
+            Rule::CheckpointCoverage => checkpoint_coverage(path, view),
+            Rule::LockOrder => lock_order(path, view),
+            Rule::RelaxedOrdering => relaxed_ordering(path, view),
+        }
     }
+
+    /// This rule's finding at 0-based line `lineno`, whose text is `line`.
+    fn finding(self, path: &Path, lineno: usize, line: &str, message: String) -> Finding {
+        Finding {
+            rule: self.name(),
+            file: path.to_path_buf(),
+            line: lineno + 1,
+            excerpt: line.trim().to_string(),
+            message,
+        }
+    }
+}
+
+/// [`Rule::UnsafeAnnotation`]: the audit scan over the already-masked
+/// view, one finding per violating site.
+fn unsafe_annotation(path: &Path, view: &SourceView) -> Vec<Finding> {
+    let lines = view.comment_lines();
+    audit::audit_masked(path, &view.with_comments)
+        .into_iter()
+        .filter_map(|site| {
+            let violation = site.violation?;
+            let line = lines.get(site.line - 1).copied().unwrap_or_default();
+            Some(Rule::UnsafeAnnotation.finding(path, site.line - 1, line, violation.to_string()))
+        })
+        .collect()
 }
 
 /// How many lines above a pool-round dispatch the checkpoint may sit.
 const CHECKPOINT_WINDOW: usize = 30;
 
-/// Rule 2: every pool-round loop in the runtime must pass a supervision
-/// checkpoint before dispatching the round. Token form: a line advancing
-/// the round counter (`rounds += 1`) must be preceded, within
-/// [`CHECKPOINT_WINDOW`] lines, by a supervision snapshot
-/// (`supervision…snapshot()`).
-pub struct CheckpointCoverage;
-
-impl LintRule for CheckpointCoverage {
-    fn name(&self) -> &'static str {
-        "checkpoint-coverage"
-    }
-
-    fn description(&self) -> &'static str {
-        "every pool-round dispatch is preceded by a supervision checkpoint"
-    }
-
-    fn applies_to(&self, path: &Path) -> bool {
-        path_in_runtime_src(path) && !is_test_path(path)
-    }
-
-    fn check(&self, path: &Path, view: &SourceView) -> Vec<Finding> {
-        let lines = view.code_lines();
-        let mut findings = Vec::new();
-        for (lineno, line) in lines.iter().enumerate() {
-            if !line.contains("rounds += 1") || view.in_test(lineno) {
-                continue;
-            }
-            let covered = lines[..lineno]
-                .iter()
-                .rev()
-                .take(CHECKPOINT_WINDOW)
-                .any(|back| back.contains("supervision") && back.contains(".snapshot()"));
-            if !covered {
-                findings.push(Finding {
-                    rule: self.name(),
-                    file: path.to_path_buf(),
-                    line: lineno + 1,
-                    excerpt: line.trim().to_string(),
-                    message: format!(
-                        "pool round advanced without a supervision checkpoint in the {CHECKPOINT_WINDOW} preceding lines"
-                    ),
-                });
-            }
+/// [`Rule::CheckpointCoverage`], token form: a line advancing the round
+/// counter (`rounds += 1`) must be preceded, within [`CHECKPOINT_WINDOW`]
+/// lines, by a supervision snapshot (`supervision…snapshot()`).
+fn checkpoint_coverage(path: &Path, view: &SourceView) -> Vec<Finding> {
+    let lines = view.code_lines();
+    let mut findings = Vec::new();
+    for (lineno, line) in lines.iter().enumerate() {
+        if !line.contains("rounds += 1") || view.in_test(lineno) {
+            continue;
         }
-        findings
+        let covered = lines[..lineno]
+            .iter()
+            .rev()
+            .take(CHECKPOINT_WINDOW)
+            .any(|back| back.contains("supervision") && back.contains(".snapshot()"));
+        if !covered {
+            findings.push(Rule::CheckpointCoverage.finding(
+                path,
+                lineno,
+                line,
+                format!(
+                    "pool round advanced without a supervision checkpoint in the {CHECKPOINT_WINDOW} preceding lines"
+                ),
+            ));
+        }
     }
+    findings
 }
 
 /// How many lines after a health-lock acquisition a pool-lock acquisition
 /// counts as nested.
 const LOCK_WINDOW: usize = 15;
 
-/// Rule 3: the pool lock is acquired before any health/supervision lock,
-/// never inverted — the watchdog takes health locks while a dispatch holds
-/// the pool, so the reverse nesting order would deadlock. Token form: a
-/// health-lock acquisition (`HEALTH_LOCK_TOKENS`) must not be followed
-/// within [`LOCK_WINDOW`] lines by a pool-lock acquisition.
-pub struct LockOrder;
-
-/// Tokens that acquire a health/supervision mutex (`supervisor.rs`'s slot
-/// and failure clock).
-const HEALTH_LOCK_TOKENS: &[&str] = &[
-    "lock_ignore_poison(&self.slot",
-    "lock_ignore_poison(&self.clock",
-];
+/// Tokens that acquire a health/supervision mutex (`supervisor.rs`'s
+/// supervision slot).
+const HEALTH_LOCK_TOKENS: &[&str] = &["lock_ignore_poison(&self.slot"];
 
 /// Tokens that acquire the pool mutex.
 const POOL_LOCK_TOKENS: &[&str] = &[
@@ -279,94 +294,66 @@ const POOL_LOCK_TOKENS: &[&str] = &[
     ".pool.lock(",
 ];
 
-impl LintRule for LockOrder {
-    fn name(&self) -> &'static str {
-        "lock-order"
-    }
-
-    fn description(&self) -> &'static str {
-        "pool lock before health lock, never inverted"
-    }
-
-    fn applies_to(&self, path: &Path) -> bool {
-        path_in_runtime_src(path) && !is_test_path(path)
-    }
-
-    fn check(&self, path: &Path, view: &SourceView) -> Vec<Finding> {
-        let lines = view.code_lines();
-        let mut findings = Vec::new();
-        for (lineno, line) in lines.iter().enumerate() {
-            let takes_health = HEALTH_LOCK_TOKENS.iter().any(|t| line.contains(t));
-            if !takes_health || view.in_test(lineno) {
-                continue;
-            }
-            for (ahead, after) in lines.iter().enumerate().skip(lineno + 1).take(LOCK_WINDOW) {
-                if POOL_LOCK_TOKENS.iter().any(|t| after.contains(t)) {
-                    findings.push(Finding {
-                        rule: self.name(),
-                        file: path.to_path_buf(),
-                        line: ahead + 1,
-                        excerpt: after.trim().to_string(),
-                        message: format!(
-                            "pool lock taken {} lines after a health lock (line {}): inverted order",
-                            ahead - lineno,
-                            lineno + 1
-                        ),
-                    });
-                    break;
-                }
+/// [`Rule::LockOrder`]: the watchdog takes health locks while a dispatch
+/// holds the pool, so the reverse nesting order would deadlock. Token
+/// form: a health-lock acquisition ([`HEALTH_LOCK_TOKENS`]) must not be
+/// followed within [`LOCK_WINDOW`] lines by a pool-lock acquisition.
+fn lock_order(path: &Path, view: &SourceView) -> Vec<Finding> {
+    let lines = view.code_lines();
+    let mut findings = Vec::new();
+    for (lineno, line) in lines.iter().enumerate() {
+        let takes_health = HEALTH_LOCK_TOKENS.iter().any(|t| line.contains(t));
+        if !takes_health || view.in_test(lineno) {
+            continue;
+        }
+        let nested = lines.iter().enumerate().skip(lineno + 1).take(LOCK_WINDOW);
+        for (ahead, after) in nested {
+            if POOL_LOCK_TOKENS.iter().any(|t| after.contains(t)) {
+                findings.push(Rule::LockOrder.finding(
+                    path,
+                    ahead,
+                    after,
+                    format!(
+                        "pool lock taken {} lines after a health lock (line {}): inverted order",
+                        ahead - lineno,
+                        lineno + 1
+                    ),
+                ));
+                break;
             }
         }
-        findings
     }
+    findings
 }
 
 /// How many lines above a relaxed atomic the annotation may sit.
 const RELAXED_WINDOW: usize = 4;
 
-/// Rule 4: every `Ordering::Relaxed` in library code carries a
-/// `RELAXED(reason)` comment on the same line or within
-/// [`RELAXED_WINDOW`] lines above, stating why the weakest ordering is
-/// sufficient at that site.
-pub struct RelaxedOrdering;
-
-impl LintRule for RelaxedOrdering {
-    fn name(&self) -> &'static str {
-        "relaxed-ordering"
-    }
-
-    fn description(&self) -> &'static str {
-        "every Ordering::Relaxed carries a RELAXED(reason) annotation"
-    }
-
-    fn applies_to(&self, path: &Path) -> bool {
-        !is_test_path(path)
-    }
-
-    fn check(&self, path: &Path, view: &SourceView) -> Vec<Finding> {
-        let code = view.code_lines();
-        let comments = view.comment_lines();
-        let mut findings = Vec::new();
-        for (lineno, line) in code.iter().enumerate() {
-            if !line.contains("Ordering::Relaxed") || view.in_test(lineno) {
-                continue;
-            }
-            let lo = lineno.saturating_sub(RELAXED_WINDOW);
-            let annotated = comments[lo..=lineno.min(comments.len() - 1)]
-                .iter()
-                .any(|l| l.contains("RELAXED("));
-            if !annotated {
-                findings.push(Finding {
-                    rule: self.name(),
-                    file: path.to_path_buf(),
-                    line: lineno + 1,
-                    excerpt: line.trim().to_string(),
-                    message: "Ordering::Relaxed without a RELAXED(reason) annotation".to_string(),
-                });
-            }
+/// [`Rule::RelaxedOrdering`]: a `RELAXED(reason)` comment on the same line
+/// or within [`RELAXED_WINDOW`] lines above states why the weakest
+/// ordering is sufficient at that site.
+fn relaxed_ordering(path: &Path, view: &SourceView) -> Vec<Finding> {
+    let code = view.code_lines();
+    let comments = view.comment_lines();
+    let mut findings = Vec::new();
+    for (lineno, line) in code.iter().enumerate() {
+        if !line.contains("Ordering::Relaxed") || view.in_test(lineno) {
+            continue;
         }
-        findings
+        let lo = lineno.saturating_sub(RELAXED_WINDOW);
+        let annotated = comments[lo..=lineno.min(comments.len() - 1)]
+            .iter()
+            .any(|l| l.contains("RELAXED("));
+        if !annotated {
+            findings.push(Rule::RelaxedOrdering.finding(
+                path,
+                lineno,
+                line,
+                "Ordering::Relaxed without a RELAXED(reason) annotation".to_string(),
+            ));
+        }
     }
+    findings
 }
 
 fn path_in_runtime_src(path: &Path) -> bool {
@@ -374,51 +361,21 @@ fn path_in_runtime_src(path: &Path) -> bool {
     s.contains("runtime/src/")
 }
 
-/// The rule registry every caller (binary, CI test) runs.
-pub fn default_rules() -> Vec<Box<dyn LintRule>> {
-    vec![
-        Box::new(UnsafeAnnotation),
-        Box::new(CheckpointCoverage),
-        Box::new(LockOrder),
-        Box::new(RelaxedOrdering),
-    ]
-}
-
-/// Every `.rs` file the lint engine covers: the workspace root's `src/`,
-/// `tests/`, `benches/`, `examples/`, and each crate's `src/` (recursive,
-/// so `src/bin` targets are included), `tests/` and `benches/`.
+/// Every `.rs` file under `root`, sorted: the one walk behind the `unsafe`
+/// inventory and every rule. Skips `target`, hidden directories and
+/// `benchmark/out` (where `bench/gate.sh` leaves a source copy of the base
+/// revision).
 pub fn workspace_rust_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let mut roots: Vec<PathBuf> = ["src", "tests", "benches", "examples"]
-        .iter()
-        .map(|d| root.join(d))
-        .collect();
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        let mut entries: Vec<PathBuf> = std::fs::read_dir(&crates)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.is_dir())
-            .collect();
-        entries.sort();
-        for krate in entries {
-            for d in ["src", "tests", "benches"] {
-                roots.push(krate.join(d));
-            }
-        }
-    }
+    let benchmark_out = root.join("benchmark").join("out");
     let mut files = Vec::new();
-    let mut stack: Vec<PathBuf> = roots.into_iter().filter(|p| p.is_dir()).collect();
+    let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
-        let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .collect();
-        entries.sort();
-        for path in entries {
+        for path in std::fs::read_dir(&dir)?.filter_map(|e| e.ok().map(|e| e.path())) {
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
             if path.is_dir() {
-                if name == "target" || name.starts_with('.') {
-                    continue;
+                if name != "target" && !name.starts_with('.') && path != benchmark_out {
+                    stack.push(path);
                 }
-                stack.push(path);
             } else if path.extension().and_then(|e| e.to_str()) == Some("rs") {
                 files.push(path);
             }
@@ -428,36 +385,47 @@ pub fn workspace_rust_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Runs the rules over every workspace file and returns all findings,
-/// sorted by (file, line, rule).
-pub fn run_rules(root: &Path, rules: &[Box<dyn LintRule>]) -> std::io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
+/// What one walk of the tree finds.
+#[derive(Debug, Default)]
+pub struct Analysis {
+    /// Every `unsafe` site, annotated or not, in file order.
+    pub sites: Vec<UnsafeSite>,
+    /// Every rule's findings, sorted by (file, line, rule).
+    pub findings: Vec<Finding>,
+}
+
+/// Walks the tree once: masks each file once, takes its `unsafe` sites for
+/// the inventory and runs every applicable [`Rule`] over the same view.
+pub fn run_rules(root: &Path) -> std::io::Result<Analysis> {
+    let mut analysis = Analysis::default();
     for path in workspace_rust_files(root)? {
-        let src = std::fs::read_to_string(&path)?;
-        let view = SourceView::new(&src);
-        for rule in rules {
-            if rule.applies_to(&path) {
-                findings.extend(rule.check(&path, &view));
-            }
+        let view = SourceView::new(&std::fs::read_to_string(&path)?);
+        analysis
+            .sites
+            .extend(audit::audit_masked(&path, &view.with_comments));
+        for rule in Rule::ALL.into_iter().filter(|r| r.applies_to(&path)) {
+            analysis.findings.extend(rule.check(&path, &view));
         }
     }
-    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    Ok(findings)
+    analysis
+        .findings
+        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+    Ok(analysis)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn check(rule: &dyn LintRule, path: &str, src: &str) -> Vec<Finding> {
+    fn check(rule: Rule, path: &str, src: &str) -> Vec<Finding> {
         rule.check(Path::new(path), &SourceView::new(src))
     }
 
     #[test]
     fn relaxed_needs_annotation() {
-        let rule = RelaxedOrdering;
+        let rule = Rule::RelaxedOrdering;
         let bad = check(
-            &rule,
+            rule,
             "crates/runtime/src/pool.rs",
             "fn f(a: &AtomicUsize) { a.load(Ordering::Relaxed); }\n",
         );
@@ -465,7 +433,7 @@ mod tests {
         assert_eq!(bad[0].rule, "relaxed-ordering");
 
         let good = check(
-            &rule,
+            rule,
             "crates/runtime/src/pool.rs",
             "// RELAXED(counter is advisory telemetry, no ordering needed)\n\
              fn f(a: &AtomicUsize) { a.load(Ordering::Relaxed); }\n",
@@ -475,15 +443,15 @@ mod tests {
 
     #[test]
     fn relaxed_in_doc_comment_or_test_mod_exempt() {
-        let rule = RelaxedOrdering;
+        let rule = Rule::RelaxedOrdering;
         let doc = check(
-            &rule,
+            rule,
             "crates/runtime/src/pool.rs",
             "/// Example: `a.load(Ordering::Relaxed)` is fine here.\nfn f() {}\n",
         );
         assert!(doc.is_empty(), "{doc:?}");
         let test_mod = check(
-            &rule,
+            rule,
             "crates/runtime/src/pool.rs",
             "fn f() {}\n#[cfg(test)]\nmod tests {\n    use std::sync::atomic::*;\n    fn g(a: &AtomicUsize) { a.load(Ordering::Relaxed); }\n}\n",
         );
@@ -494,17 +462,17 @@ mod tests {
 
     #[test]
     fn checkpoint_coverage_window() {
-        let rule = CheckpointCoverage;
+        let rule = Rule::CheckpointCoverage;
         assert!(rule.applies_to(Path::new("crates/runtime/src/pool.rs")));
         assert!(!rule.applies_to(Path::new("crates/core/src/plan.rs")));
         let bad = check(
-            &rule,
+            rule,
             "crates/runtime/src/pool.rs",
             "fn dispatch(&mut self) {\n    self.rounds += 1;\n}\n",
         );
         assert_eq!(bad.len(), 1, "{bad:?}");
         let good = check(
-            &rule,
+            rule,
             "crates/runtime/src/pool.rs",
             "fn dispatch(&mut self) {\n    let sup = self.supervision.snapshot();\n    sup.check();\n    self.rounds += 1;\n}\n",
         );
@@ -513,27 +481,27 @@ mod tests {
 
     #[test]
     fn lock_order_inversion_detected() {
-        let rule = LockOrder;
+        let rule = Rule::LockOrder;
         let bad = check(
-            &rule,
+            rule,
             "crates/runtime/src/context.rs",
-            "fn f(&self) {\n    let h = lock_ignore_poison(&self.clock);\n    let p = lock_ignore_poison(&self.pool);\n    drop((h, p));\n}\n",
+            "fn f(&self) {\n    let h = lock_ignore_poison(&self.slot);\n    let p = lock_ignore_poison(&self.pool);\n    drop((h, p));\n}\n",
         );
         assert_eq!(bad.len(), 1, "{bad:?}");
         assert_eq!(bad[0].rule, "lock-order");
         let good = check(
-            &rule,
+            rule,
             "crates/runtime/src/context.rs",
-            "fn f(&self) {\n    let p = lock_ignore_poison(&self.pool);\n    let h = lock_ignore_poison(&self.clock);\n    drop((h, p));\n}\n",
+            "fn f(&self) {\n    let p = lock_ignore_poison(&self.pool);\n    let h = lock_ignore_poison(&self.slot);\n    drop((h, p));\n}\n",
         );
         assert!(good.is_empty(), "{good:?}");
     }
 
     #[test]
     fn unsafe_rule_reports_via_registry() {
-        let rule = UnsafeAnnotation;
+        let rule = Rule::UnsafeAnnotation;
         let bad = check(
-            &rule,
+            rule,
             "crates/core/src/x.rs",
             "fn f(p: *mut f64) { unsafe { *p = 1.0; } }\n",
         );

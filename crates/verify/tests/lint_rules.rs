@@ -1,12 +1,12 @@
-//! Integration test for the multi-rule lint engine: the whole tree is
-//! clean under every registered rule, and every rule demonstrably *can*
+//! Integration test for the lint engine: the whole tree is clean under
+//! every rule of the table, and every rule demonstrably *can*
 //! fail — each one catches its seeded-violation fixture and passes its
 //! known-good twin. Fixtures live in `tests/fixtures/*.rs.txt` (the
 //! extension keeps them out of the workspace walk the clean-tree test
 //! performs).
 
 use std::path::Path;
-use symspmv_verify::rules::{default_rules, run_rules, workspace_rust_files, SourceView};
+use symspmv_verify::rules::{run_rules, workspace_rust_files, Rule, SourceView};
 
 fn workspace_root() -> std::path::PathBuf {
     // CARGO_MANIFEST_DIR is crates/verify; the workspace root is two up.
@@ -18,9 +18,10 @@ fn workspace_root() -> std::path::PathBuf {
 
 #[test]
 fn whole_tree_is_clean_under_every_rule() {
-    let rules = default_rules();
-    assert!(rules.len() >= 4, "the default registry carries all rules");
-    let findings = run_rules(&workspace_root(), &rules).expect("workspace walk");
+    assert!(Rule::ALL.len() >= 4, "the rule table carries all rules");
+    let findings = run_rules(&workspace_root())
+        .expect("workspace walk")
+        .findings;
     assert!(
         findings.is_empty(),
         "lint findings on the tree:\n{}",
@@ -38,9 +39,9 @@ fn whole_tree_is_clean_under_every_rule() {
     );
 }
 
-/// The walker regression satellite: the engine's walk must include the
-/// root `src/`-less layout pieces the old unsafe audit missed — crate
-/// `src/bin` targets and the workspace-level `tests/` directory.
+/// The one walk reaches every layout piece that holds Rust code: crate
+/// `src/bin` targets, the workspace-level `tests/` directory and the
+/// benchmark package's `src/`.
 #[test]
 fn walker_covers_bin_targets_and_root_tests() {
     let files = workspace_rust_files(&workspace_root()).expect("workspace walk");
@@ -55,6 +56,10 @@ fn walker_covers_bin_targets_and_root_tests() {
     assert!(
         as_str.iter().any(|p| p.ends_with("tests/lint_unsafe.rs")),
         "workspace-level tests missing from the walk"
+    );
+    assert!(
+        as_str.iter().any(|p| p.ends_with("benchmark/src/main.rs")),
+        "the benchmark package missing from the walk"
     );
     assert!(
         !as_str.iter().any(|p| p.ends_with(".rs.txt")),
@@ -95,10 +100,9 @@ fn fixtures() -> Vec<(&'static str, &'static str, &'static str, &'static str)> {
 
 #[test]
 fn every_rule_passes_its_known_good_fixture() {
-    let rules = default_rules();
     for (name, path, good, _) in fixtures() {
-        let rule = rules
-            .iter()
+        let rule = Rule::ALL
+            .into_iter()
             .find(|r| r.name() == name)
             .unwrap_or_else(|| panic!("rule {name} not registered"));
         let path = Path::new(path);
@@ -113,10 +117,9 @@ fn every_rule_passes_its_known_good_fixture() {
 
 #[test]
 fn every_rule_catches_its_seeded_violation_fixture() {
-    let rules = default_rules();
     for (name, path, _, bad) in fixtures() {
-        let rule = rules
-            .iter()
+        let rule = Rule::ALL
+            .into_iter()
             .find(|r| r.name() == name)
             .unwrap_or_else(|| panic!("rule {name} not registered"));
         let findings = rule.check(Path::new(path), &SourceView::new(bad));
@@ -131,13 +134,13 @@ fn every_rule_catches_its_seeded_violation_fixture() {
     }
 }
 
-/// Every registered rule appears in the fixture table — adding a rule
+/// Every rule of the table appears in the fixture table — adding a rule
 /// without a fixture pair fails here, keeping the "each rule has a
 /// fixture-proven catch" guarantee alive.
 #[test]
 fn every_registered_rule_has_fixtures() {
     let covered: Vec<&str> = fixtures().iter().map(|(n, _, _, _)| *n).collect();
-    for rule in default_rules() {
+    for rule in Rule::ALL {
         assert!(
             covered.contains(&rule.name()),
             "rule {} has no fixture pair",

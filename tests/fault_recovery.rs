@@ -108,7 +108,7 @@ fn reduction_phase_panic_is_caught_and_context_recovers_bit_identical() {
 /// bit-identical to a fresh one.
 #[test]
 fn reduction_phase_panic_during_spmm_is_caught_and_context_recovers() {
-    use symspmv::core::ParallelSpmmExt;
+    use symspmv::core::ParallelSpmm;
     use symspmv::sparse::VectorBlock;
 
     let coo = test_matrix();

@@ -1,12 +1,12 @@
 //! Unsafe-audit lint: every `unsafe` block in the workspace must carry a
 //! `// SAFETY(cert: <invariant>)` annotation referencing a *named* race
 //! certificate invariant, and every `unsafe fn`/`unsafe trait` must
-//! document its contract. The same scan backs the standalone binary
+//! document its contract. The same walk backs the standalone binary
 //! (`cargo run -p symspmv-verify --bin audit`); this test fails CI when a
 //! bare `unsafe` slips in.
 
-use symspmv_verify::audit::{audit_source, audit_workspace, Violation, KNOWN_INVARIANTS};
-use symspmv_verify::rules::{default_rules, run_rules};
+use symspmv_verify::audit::{audit_source, Violation, KNOWN_INVARIANTS};
+use symspmv_verify::rules::run_rules;
 
 fn workspace_root() -> std::path::PathBuf {
     std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -14,13 +14,15 @@ fn workspace_root() -> std::path::PathBuf {
 
 #[test]
 fn workspace_has_no_unannotated_unsafe() {
-    let report = audit_workspace(&workspace_root()).expect("workspace scan must succeed");
+    let sites = run_rules(&workspace_root())
+        .expect("workspace scan must succeed")
+        .sites;
     assert!(
-        !report.sites.is_empty(),
+        !sites.is_empty(),
         "the scanner must find the kernels' unsafe blocks — an empty \
          report means the scan is broken, not that the code is safe"
     );
-    let violations: Vec<_> = report.violations().collect();
+    let violations: Vec<_> = sites.iter().filter(|s| s.violation.is_some()).collect();
     assert!(
         violations.is_empty(),
         "unannotated or mis-annotated unsafe:\n{}",
@@ -64,12 +66,13 @@ fn unknown_invariant_is_flagged() {
     ));
 }
 
-/// The workspace is clean under the full rule engine too — the registry
+/// The workspace is clean under the full rule engine too — the rule table
 /// that the `audit` binary and the CI `analysis` job run.
 #[test]
 fn workspace_is_clean_under_the_rule_engine() {
-    let rules = default_rules();
-    let findings = run_rules(&workspace_root(), &rules).expect("workspace scan must succeed");
+    let findings = run_rules(&workspace_root())
+        .expect("workspace scan must succeed")
+        .findings;
     assert!(
         findings.is_empty(),
         "rule findings:\n{}",
@@ -108,7 +111,7 @@ fn violation_planted_in_a_bin_target_is_caught() {
     )
     .expect("clean source");
 
-    let findings = run_rules(&scratch, &default_rules()).expect("scratch walk");
+    let findings = run_rules(&scratch).expect("scratch walk").findings;
     let _ = std::fs::remove_dir_all(&scratch);
 
     assert!(
@@ -132,11 +135,11 @@ fn audit_skips_the_gate_checkout_under_benchmark_out() {
         std::fs::write(scratch.join(dir).join("lib.rs"), site).expect("audited source");
     }
 
-    let report = audit_workspace(&scratch).expect("scratch walk");
+    let sites = run_rules(&scratch).expect("scratch walk").sites;
     let _ = std::fs::remove_dir_all(&scratch);
 
-    assert_eq!(report.sites.len(), 1, "{:?}", report.sites);
-    assert!(report.sites[0].file.ends_with("crates/x/src/lib.rs"));
+    assert_eq!(sites.len(), 1, "{sites:?}");
+    assert!(sites[0].file.ends_with("crates/x/src/lib.rs"));
 }
 
 /// The invariant registry stays meaningful: every name the kernels cite is
@@ -146,7 +149,9 @@ fn audit_skips_the_gate_checkout_under_benchmark_out() {
 #[test]
 fn invariant_registry_is_well_formed() {
     assert!(KNOWN_INVARIANTS.len() >= 8);
-    let report = audit_workspace(&workspace_root()).expect("workspace scan must succeed");
+    let sites = run_rules(&workspace_root())
+        .expect("workspace scan must succeed")
+        .sites;
     for (name, why) in KNOWN_INVARIANTS {
         assert!(!name.is_empty() && !why.is_empty());
         assert!(
@@ -154,10 +159,7 @@ fn invariant_registry_is_well_formed() {
             "invariant names are kebab-case: {name}"
         );
         assert!(
-            report
-                .sites
-                .iter()
-                .any(|s| s.invariant.as_deref() == Some(*name)),
+            sites.iter().any(|s| s.invariant.as_deref() == Some(*name)),
             "no audited unsafe site cites the registered invariant {name}"
         );
     }
