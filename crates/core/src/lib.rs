@@ -22,16 +22,17 @@
 //! * [`csx_sym`] — the **CSX-Sym** storage format (§IV-B): per-partition
 //!   CSX encoding of the lower triangle with the boundary-legality rule;
 //! * [`ws`] — the working-set models of Eq. 3–6 (Fig. 5);
-//! * [`auto`] — [`SymSpmv::auto`]: a stored measured plan through the
-//!   [`PlanAdvisor`] hook the persisted plan store plugs into, or the
-//!   paper's default (DESIGN.md §18);
 //! * [`resilience`] — a bounded attempt count ([`RetryPolicy`], retries
 //!   back to back on the already-healed pool), the serial
 //!   [`FallbackKernel`] of last resort, and the [`Resilient`] wrapper whose
 //!   one call, `spmv(x, y, sup)`, keeps serving when the pool degrades
 //!   (DESIGN.md §16).
+//!
+//! Which plan to build is the caller's choice: this crate holds no plan
+//! store and selects nothing. The measured plan search, its store and the
+//! one auto constructor are `symspmv-harness`'s `tune` module (DESIGN.md
+//! §18).
 
-pub mod auto;
 pub mod csr_mt;
 pub mod csx_mt;
 pub mod csx_sym;
@@ -44,14 +45,13 @@ pub mod symbolic;
 pub mod traits;
 pub mod ws;
 
-pub use auto::{AutoChoice, FormatTag, PlanAdvisor, PlanSource, PlanSpec};
 pub use csr_mt::CsrParallel;
 pub use csx_mt::CsxParallel;
 pub use csx_sym::CsxSymMatrix;
 pub use error::SymSpmvError;
 pub use plan::CachedSymPlan;
 pub use resilience::{fallback_worthy, serve, FallbackKernel, Resilient, RetryPolicy, Served};
-pub use sym::{ReductionMethod, SymFormat, SymSpmv};
+pub use sym::{FormatTag, ReductionMethod, SymFormat, SymSpmv};
 pub use traits::{try_on_pool, ParallelSpmm, ParallelSpmv};
 
 // Re-exported so block-kernel callers need only this crate in scope.

@@ -63,7 +63,7 @@ impl ReductionMethod {
         ReductionMethod::Race,
     ];
 
-    /// Short name used in kernel identifiers, reports, plan files, and as
+    /// Short name used in kernel identifiers, reports, and as
     /// the context's lookup tag of the corresponding [`ReductionStrategy`].
     pub fn tag(self) -> &'static str {
         match self {
@@ -72,11 +72,6 @@ impl ReductionMethod {
             ReductionMethod::Indexing => "idx",
             ReductionMethod::Race => "race",
         }
-    }
-
-    /// Parses a [`ReductionMethod::tag`] name back; `None` for unknown names.
-    pub fn from_tag(tag: &str) -> Option<ReductionMethod> {
-        Self::ALL.into_iter().find(|m| m.tag() == tag)
     }
 }
 
@@ -145,7 +140,7 @@ impl SymFormat {
 
 /// The one rule for which `(format, method)` pairs build: why `method`
 /// cannot drive `format`, if it cannot. Every constructor and the
-/// harness's `KernelSpec::all`/`parse` consult it, so "buildable" has a
+/// harness's `KernelSpec::all` consult it, so "buildable" has a
 /// single spelling. Seven of the eight pairs build.
 pub fn unsupported_pair(format: FormatTag, method: ReductionMethod) -> Option<&'static str> {
     match (format, method) {
@@ -920,6 +915,14 @@ mod tests {
         assert!(t.multiply > std::time::Duration::ZERO);
         eng.reset_times();
         assert_eq!(eng.times().multiply, std::time::Duration::ZERO);
+    }
+
+    #[test]
+    fn format_tags_round_trip() {
+        for tag in FormatTag::ALL {
+            assert_eq!(FormatTag::parse(tag.tag()), Some(tag));
+        }
+        assert_eq!(FormatTag::parse("bogus"), None);
     }
 
     #[test]

@@ -1186,13 +1186,12 @@ pub fn chaos(_cfg: &ExpConfig) -> Result<(), HarnessError> {
 /// default (SSS + local-vectors indexing at the full thread count), as
 /// `tune_summary.csv`.
 pub fn tune(cfg: &ExpConfig) -> Result<(), HarnessError> {
-    use symspmv_core::PlanSpec;
-    use symspmv_tune::{tune_and_store, PlanStore, TimedMeasurer};
+    use crate::tune::{auto_kernel, tune_and_store, PlanSpec, PlanStore, TimedMeasurer};
 
     let store_dir = std::env::var_os("SYMSPMV_PLAN_STORE")
         .map(PathBuf::from)
         .unwrap_or_else(|| cfg.out_dir.join(".plan-store"));
-    let ncpus = symspmv_tune::machine::ncpus();
+    let ncpus = crate::machine::ncpus();
     let max_p = cfg.max_threads.min(ncpus);
     if max_p < cfg.max_threads {
         println!(
@@ -1209,7 +1208,7 @@ pub fn tune(cfg: &ExpConfig) -> Result<(), HarnessError> {
     println!(
         "== Auto-tuning: measured plan search (store: {}, schema v{}) ==\n",
         store_dir.display(),
-        symspmv_tune::PLAN_STORE_VERSION,
+        crate::tune::PLAN_STORE_VERSION,
     );
 
     let mut measurer = TimedMeasurer::new();
@@ -1278,10 +1277,9 @@ pub fn tune(cfg: &ExpConfig) -> Result<(), HarnessError> {
             )));
         }
 
-        // Which path does the engine itself take now? `SymSpmv::auto`
-        // must consult the store and report it.
-        let (_, choice) =
-            symspmv_tune::auto_kernel(&m.coo, Some(&reloaded)).map_err(|e| plan_err(name, e))?;
+        // Which path does the auto constructor take now? It must find the
+        // plan in the store and report it.
+        let (_, choice) = auto_kernel(sss, Some(&reloaded));
         summary.row(vec![
             name.into(),
             choice.source.tag().into(),

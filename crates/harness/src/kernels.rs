@@ -45,13 +45,6 @@ impl KernelSpec {
         }
     }
 
-    /// Parses a spec name: the inverse of [`KernelSpec::name`] over
-    /// [`KernelSpec::all`], so a name parses exactly when its kernel builds
-    /// (`csxsym-race` does not).
-    pub fn parse(s: &str) -> Option<KernelSpec> {
-        Self::all().into_iter().find(|spec| spec.name() == s)
-    }
-
     /// Every buildable configuration — the one list the self-checks
     /// (`experiments verify`, the equivalence and adversarial suites)
     /// sweep, so a kernel cannot drop out of one of them unnoticed: the two
@@ -135,21 +128,22 @@ mod tests {
     fn names_round_trip() {
         let all = KernelSpec::all();
         assert_eq!(all.len(), 9, "2 baselines + 7 buildable symmetric pairs");
-        for spec in all {
-            assert_eq!(KernelSpec::parse(spec.name()), Some(spec));
+        // A name picks out exactly one spec of the list.
+        for spec in &all {
+            let named: Vec<_> = all.iter().filter(|s| s.name() == spec.name()).collect();
+            assert_eq!(named, [spec]);
         }
-        assert_eq!(KernelSpec::parse("nope"), None);
-        assert_eq!(KernelSpec::parse("sss-bogus"), None);
     }
 
     #[test]
     fn every_parseable_name_builds() {
         // "Which pairs build and what they are called" has one spelling: for
         // every format × method, `unsupported_pair` is `None` ⇔
-        // `try_from_coo` is `Ok` ⇔ the pair's name parses ⇔ the factory
-        // builds a kernel that reports exactly that name.
+        // `try_from_coo` is `Ok` ⇔ the spec is in `KernelSpec::all()` ⇔ the
+        // factory builds a kernel that reports exactly that name.
         let coo = symspmv_sparse::gen::laplacian_2d(8, 8);
         let ctx = ExecutionContext::new(2);
+        let all = KernelSpec::all();
         let mut buildable = 0;
         for (format, spec_of) in [
             (
@@ -165,7 +159,7 @@ mod tests {
                 let valid = unsupported_pair(format, method).is_none();
                 let built = SymSpmv::try_from_coo(&coo, &ctx, method, format.to_format());
                 assert_eq!(built.is_ok(), valid, "{name}");
-                assert_eq!(KernelSpec::parse(name).is_some(), valid, "{name}");
+                assert_eq!(all.contains(&spec), valid, "{name}");
                 match build_kernel(spec, &coo, &ctx) {
                     Ok(k) => assert_eq!(k.name(), name),
                     Err(e) => assert!(

@@ -7,6 +7,11 @@
 //! all formats. [`framework`] implements that loop; [`kernels`] is the
 //! format factory; [`experiments`] regenerates every table and figure of
 //! the evaluation section (see DESIGN.md §6 for the index).
+//!
+//! Beyond the paper, [`tune`] is the measured plan search, its persisted
+//! store and [`tune::auto_kernel`], the one constructor that picks a plan
+//! (DESIGN.md §18); `experiments tune` is its only driver. [`machine`] is
+//! the one machine probe both use.
 
 #[cfg(feature = "fault-injection")]
 pub mod chaos;
@@ -18,6 +23,7 @@ pub mod kernels;
 pub mod machine;
 pub mod plot;
 pub mod report;
+pub mod tune;
 
 pub use error::HarnessError;
 pub use framework::{measure, Measurement};

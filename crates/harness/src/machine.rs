@@ -1,9 +1,41 @@
 //! Host characterization — the stand-in for the paper's Table II
-//! (platform description + STREAM-measured sustained bandwidth).
+//! (platform description + STREAM-measured sustained bandwidth) — and the
+//! workspace's one machine probe.
+//!
+//! A plan-store key ([`crate::tune::PlanStore`]) wants exactly two stable
+//! facts: the CPU model and the logical CPU count. Git revision and rustc
+//! are deliberately excluded — a tuned plan is a property of the hardware,
+//! not of the tree that measured it. The `experiments machine` table takes
+//! both facts from here too, so the printed host and stored plans name the
+//! host alike.
 
 use crate::report::Table;
 use std::time::Instant;
-use symspmv_tune::machine::{machine_model, ncpus};
+
+/// Logical CPUs visible to this process.
+pub fn ncpus() -> usize {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
+}
+
+/// The CPU model string (`/proc/cpuinfo` "model name"), or a portable
+/// stand-in when unavailable. Whitespace is collapsed so the key is
+/// stable across kernels that pad the field differently.
+pub fn machine_model() -> String {
+    let from_proc = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.split_whitespace().collect::<Vec<_>>().join(" "))
+        });
+    match from_proc {
+        Some(m) if !m.is_empty() => m,
+        _ => format!("unknown-cpu-{}", std::env::consts::ARCH),
+    }
+}
 
 /// One row of host information.
 fn read_trimmed(path: &str) -> Option<String> {
@@ -88,5 +120,11 @@ mod tests {
         // exercise the pieces that don't allocate 192 MB).
         assert!(!machine_model().is_empty());
         let _ = caches();
+    }
+
+    #[test]
+    fn machine_key_parts_are_stable_within_a_process() {
+        assert_eq!(machine_model(), machine_model());
+        assert!(ncpus() >= 1);
     }
 }

@@ -148,7 +148,7 @@ fn tune_writes_csvs_and_the_plan_store_and_no_json_twin() {
         "hood",
     ];
     let stdout = wrk.run(&args);
-    let ncpus = symspmv_tune::machine::ncpus();
+    let ncpus = symspmv_harness::machine::ncpus();
     assert_eq!(stdout.contains("clamped"), ncpus < 64, "{stdout}");
     assert!(wrk.path("tune_summary.csv").exists());
     assert!(wrk.path(".plan-store/plans.json").exists());

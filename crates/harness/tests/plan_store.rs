@@ -5,11 +5,13 @@
 //! under a deterministic measurer.
 
 use std::path::PathBuf;
-use symspmv_core::auto::{FormatTag, PlanSource, PlanSpec};
-use symspmv_core::{ParallelSpmv, SymSpmv, SymSpmvError};
-use symspmv_runtime::ExecutionContext;
+use symspmv_core::{FormatTag, ParallelSpmv, SymSpmvError};
+use symspmv_harness::machine::{machine_model, ncpus};
+use symspmv_harness::tune::{
+    auto_kernel, tune_and_store, tune_matrix, Measurer, PlanSource, PlanSpec, PlanStore,
+    PLAN_STORE_FILE,
+};
 use symspmv_sparse::{gen, SssMatrix};
-use symspmv_tune::{tune_and_store, tune_matrix, Measurer, PlanStore, PLAN_STORE_FILE};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("symspmv-plan-store-{tag}-{}", std::process::id()));
@@ -69,8 +71,7 @@ fn round_trip_preserves_the_stored_plan() {
 #[test]
 fn key_mismatch_falls_back_to_the_default() {
     let dir = tmp_dir("keymismatch");
-    let coo = gen::laplacian_2d(14, 14);
-    let sss = sss_of(&coo);
+    let sss = sss_of(&gen::laplacian_2d(14, 14));
     let mut store = PlanStore::open_for_machine(&dir, "cpu-A".into(), 2).unwrap();
     let (outcome, _) = tune_and_store(&sss, &mut store, &THREADS, &mut Fake::default()).unwrap();
 
@@ -84,27 +85,25 @@ fn key_mismatch_falls_back_to_the_default() {
     assert!(same.get(outcome.fingerprint ^ 1).is_none());
     assert!(same.get(outcome.fingerprint).is_some());
 
-    // Through the engine: a mismatching advisor means the paper's default
-    // is built.
-    let ctx = ExecutionContext::new(2);
-    let (_, choice) = SymSpmv::auto_with(&ctx, &coo, Some(&other_machine)).unwrap();
+    // Through the auto constructor: a mismatching store means the paper's
+    // default is built, at this machine's CPU count.
+    let (_, choice) = auto_kernel(sss, Some(&other_machine));
     assert_eq!(choice.source, PlanSource::Default);
-    assert_eq!(choice.spec, PlanSpec::paper_default(2));
+    assert_eq!(choice.spec, PlanSpec::paper_default(ncpus()));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn stored_plan_is_served_through_the_advisor() {
     let dir = tmp_dir("advisor");
-    let coo = gen::laplacian_2d(14, 14);
-    let sss = sss_of(&coo);
+    let sss = sss_of(&gen::laplacian_2d(14, 14));
     let mut store = PlanStore::open_for_machine(&dir, "cpu-A".into(), 2).unwrap();
     let (outcome, _) = tune_and_store(&sss, &mut store, &THREADS, &mut Fake::default()).unwrap();
 
-    let ctx = ExecutionContext::new(outcome.winner.spec.nthreads);
-    let (_, choice) = SymSpmv::auto_with(&ctx, &coo, Some(&store)).unwrap();
+    let (kernel, choice) = auto_kernel(sss, Some(&store));
     assert_eq!(choice.source, PlanSource::Store);
     assert_eq!(choice.spec, outcome.winner.spec);
+    assert_eq!(kernel.nthreads(), outcome.winner.spec.nthreads);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -244,8 +243,7 @@ fn corrupted_json_is_a_typed_error_never_a_panic() {
 #[test]
 fn a_hand_edited_winner_is_served_and_proved_by_the_kernel_that_builds_it() {
     let dir = tmp_dir("handedit");
-    let coo = gen::laplacian_2d(14, 14);
-    let sss = sss_of(&coo);
+    let sss = sss_of(&gen::laplacian_2d(14, 14));
     let fp = sss.fingerprint();
     let mut store = PlanStore::open_for_machine(&dir, "m".into(), 2).unwrap();
     let (outcome, _) = tune_and_store(&sss, &mut store, &THREADS, &mut Fake::default()).unwrap();
@@ -273,9 +271,8 @@ fn a_hand_edited_winner_is_served_and_proved_by_the_kernel_that_builds_it() {
     assert!(again.rows.is_empty());
     assert_eq!(again.winner.spec, edited);
 
-    // The engine builds the edited plan, and building it proves it.
-    let ctx = ExecutionContext::new(edited.nthreads);
-    let (engine, choice) = SymSpmv::auto_with(&ctx, &coo, Some(&reloaded)).unwrap();
+    // The auto constructor builds the edited plan, and building it proves it.
+    let (engine, choice) = auto_kernel(sss, Some(&reloaded));
     assert_eq!(choice.source, PlanSource::Store);
     assert_eq!(choice.spec, edited);
     assert_eq!(engine.name(), format!("{}-idx", other.tag()));
@@ -335,16 +332,10 @@ fn missing_store_directory_is_an_empty_store() {
 #[test]
 fn auto_kernel_runs_on_the_stored_thread_count() {
     let dir = tmp_dir("autokernel");
-    let coo = gen::laplacian_2d(16, 16);
-    let sss = sss_of(&coo);
-    let mut store = PlanStore::open_for_machine(
-        &dir,
-        symspmv_tune::machine::machine_model(),
-        symspmv_tune::machine::ncpus(),
-    )
-    .unwrap();
+    let sss = sss_of(&gen::laplacian_2d(16, 16));
+    let mut store = PlanStore::open_for_machine(&dir, machine_model(), ncpus()).unwrap();
     let (outcome, _) = tune_and_store(&sss, &mut store, &THREADS, &mut Fake::default()).unwrap();
-    let (mut kernel, choice) = symspmv_tune::auto_kernel(&coo, Some(&store)).unwrap();
+    let (mut kernel, choice) = auto_kernel(sss, Some(&store));
     assert_eq!(choice.source, PlanSource::Store);
     assert_eq!(kernel.nthreads(), outcome.winner.spec.nthreads);
     let n = kernel.n();

@@ -221,11 +221,6 @@ pub fn dot(ctx: &ExecutionContext, a: &[Val], b: &[Val]) -> Val {
     lane_dot::<1>(Some(ctx), a, b)[0]
 }
 
-/// Squared Euclidean norm.
-pub fn norm2_sq(ctx: &ExecutionContext, a: &[Val]) -> Val {
-    dot(ctx, a, a)
-}
-
 /// `y += alpha·x`.
 pub fn axpy(ctx: &ExecutionContext, alpha: Val, x: &[Val], y: &mut [Val]) {
     lane_axpy(Some(ctx), [alpha], [true], x, y);
@@ -317,13 +312,6 @@ mod tests {
         let mut ax = vec![2.0, 7.0];
         sub_from(&b, &mut ax);
         assert_eq!(ax, vec![3.0, -2.0]);
-    }
-
-    #[test]
-    fn norm_is_dot_with_self() {
-        let ctx = ctx();
-        let a = vec![3.0, 4.0];
-        assert_eq!(norm2_sq(&ctx, &a), 25.0);
     }
 
     /// Row counts `8m ± 1` on both sides of [`PAR_THRESHOLD`].

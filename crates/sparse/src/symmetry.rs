@@ -50,16 +50,6 @@ impl SymmetryKind {
         }
     }
 
-    /// Parses [`SymmetryKind::tag`] output. Returns `None` for unknown tags.
-    pub fn from_tag(tag: &str) -> Option<Self> {
-        match tag {
-            "symmetric" => Some(SymmetryKind::Symmetric),
-            "skew" => Some(SymmetryKind::Skew),
-            "structural" => Some(SymmetryKind::Structural),
-            _ => None,
-        }
-    }
-
     /// Whether the kind stores a paired upper-triangle value array.
     pub fn has_upper_values(self) -> bool {
         matches!(self, SymmetryKind::Structural)
@@ -164,14 +154,6 @@ macro_rules! with_symmetry_ops {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tags_round_trip() {
-        for k in SymmetryKind::ALL {
-            assert_eq!(SymmetryKind::from_tag(k.tag()), Some(k));
-        }
-        assert_eq!(SymmetryKind::from_tag("hermitian"), None);
-    }
 
     #[test]
     fn default_is_symmetric() {

@@ -70,35 +70,10 @@ impl Json {
         self
     }
 
-    /// The value as a float.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as a non-negative integer (rejects fractional parts and
-    /// magnitudes a double cannot hold exactly).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= 2f64.powi(53) => Some(*v as u64),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
             _ => None,
         }
     }
@@ -391,12 +366,10 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let doc = Json::parse("{\"n\": 5, \"s\": \"x\", \"a\": [1.5], \"f\": 2.5}").unwrap();
-        assert_eq!(doc.get("n").unwrap().as_u64(), Some(5));
-        assert_eq!(doc.get("f").unwrap().as_u64(), None);
-        assert_eq!(doc.get("f").unwrap().as_f64(), Some(2.5));
+        let doc = Json::parse("{\"n\": 5, \"s\": \"x\"}").unwrap();
+        assert_eq!(doc.get("n"), Some(&Json::Num(5.0)));
         assert_eq!(doc.get("s").unwrap().as_str(), Some("x"));
-        assert_eq!(doc.get("a").unwrap().as_arr().unwrap().len(), 1);
+        assert_eq!(doc.get("n").unwrap().as_str(), None);
         assert!(doc.get("missing").is_none());
     }
 

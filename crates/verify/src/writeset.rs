@@ -46,16 +46,6 @@ pub enum SymStrategyKind {
 }
 
 impl SymStrategyKind {
-    /// Maps a reduction-strategy registry tag to its family.
-    pub fn from_tag(tag: &str) -> Option<Self> {
-        match tag {
-            "naive" => Some(SymStrategyKind::Naive),
-            "eff" => Some(SymStrategyKind::EffectiveRanges),
-            "idx" => Some(SymStrategyKind::Indexing),
-            _ => None,
-        }
-    }
-
     fn direct_write(self) -> bool {
         !matches!(self, SymStrategyKind::Naive)
     }

@@ -1,6 +1,7 @@
 //! End-to-end CG: reorder → build format → solve, for every kernel, on
 //! suite analogs — the §V-F pipeline.
 
+use symspmv::core::ReductionMethod;
 use symspmv::reorder::rcm::rcm_reorder;
 use symspmv::runtime::ExecutionContext;
 use symspmv::solver::{cg, CgConfig};
@@ -92,7 +93,7 @@ fn cg_respects_fixed_iteration_budget() {
         record_history: true,
     };
     let ctx = ExecutionContext::new(2);
-    let mut k = build_kernel(KernelSpec::parse("sss-idx").unwrap(), &m.coo, &ctx).unwrap();
+    let mut k = build_kernel(KernelSpec::Sss(ReductionMethod::Indexing), &m.coo, &ctx).unwrap();
     let mut x = vec![0.0; n];
     let res = cg(&mut *k, &b, &mut x, &cfg);
     assert_eq!(res.iterations, 32);

@@ -2,6 +2,7 @@
 //! thread count must compute the same product as the dense reference, on
 //! representatives of every suite structure class.
 
+use symspmv::core::ReductionMethod;
 use symspmv::runtime::ExecutionContext;
 use symspmv::sparse::dense::{assert_vec_close, seeded_vector};
 use symspmv::sparse::suite;
@@ -72,8 +73,9 @@ fn size_ordering_matches_paper_on_structural_matrices() {
     let m = suite::generate(suite::spec_by_name("hood").unwrap(), 0.01);
     let ctx = ExecutionContext::new(2);
     let csr = build_kernel(KernelSpec::Csr, &m.coo, &ctx).unwrap();
-    let sss = build_kernel(KernelSpec::parse("sss-idx").unwrap(), &m.coo, &ctx).unwrap();
-    let csx_sym = build_kernel(KernelSpec::parse("csxsym-idx").unwrap(), &m.coo, &ctx).unwrap();
+    let sss = build_kernel(KernelSpec::Sss(ReductionMethod::Indexing), &m.coo, &ctx).unwrap();
+    let csx_sym =
+        build_kernel(KernelSpec::CsxSym(ReductionMethod::Indexing), &m.coo, &ctx).unwrap();
     assert!(csx_sym.size_bytes() < sss.size_bytes());
     assert!(sss.size_bytes() < csr.size_bytes());
     // SSS halves CSR asymptotically.
