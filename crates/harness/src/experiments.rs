@@ -6,7 +6,7 @@
 //! from a single run.
 
 use crate::error::HarnessError;
-use crate::framework::{measure, serial_csr_spmv_time, Measurement};
+use crate::framework::{measure, measure_each, serial_csr_spmv_time};
 use crate::kernels::{build_kernel, KernelSpec};
 use crate::report::{f, fmt_secs, geomean, pct, Table};
 use std::path::PathBuf;
@@ -189,9 +189,6 @@ pub fn fig4(cfg: &ExpConfig) -> Result<(), HarnessError> {
     let ps = [2usize, 4, 8, 16, 24, 32, 64, 128, 256];
     let mut t = Table::new(&["threads", "avg density", "min", "max"]);
     let mut per_matrix = Table::new(&["threads", "matrix", "density"]);
-    let mut density_series: Vec<(f64, f64)> = Vec::new();
-    let mut density_min: Vec<(f64, f64)> = Vec::new();
-    let mut density_max: Vec<(f64, f64)> = Vec::new();
     for &p in &ps {
         let mut ds = Vec::new();
         for (name, sss) in &structures {
@@ -203,9 +200,6 @@ pub fn fig4(cfg: &ExpConfig) -> Result<(), HarnessError> {
         let avg = ds.iter().sum::<f64>() / ds.len() as f64;
         let min = ds.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = ds.iter().cloned().fold(0.0, f64::max);
-        density_series.push((p as f64, avg));
-        density_min.push((p as f64, min));
-        density_max.push((p as f64, max));
         t.row(vec![p.to_string(), pct(avg), pct(min), pct(max)]);
     }
     cfg.emit("fig4", &t)?;
@@ -215,28 +209,7 @@ pub fn fig4(cfg: &ExpConfig) -> Result<(), HarnessError> {
             path: cfg.out_dir.join("fig4_per_matrix.csv"),
             source,
         })?;
-    let svg = crate::plot::line_chart(
-        "Fig. 4 — effective-region density vs thread count (suite average)",
-        "threads",
-        "density",
-        &[
-            crate::plot::Series {
-                name: "avg".into(),
-                points: density_series.clone(),
-            },
-            crate::plot::Series {
-                name: "min".into(),
-                points: density_min,
-            },
-            crate::plot::Series {
-                name: "max".into(),
-                points: density_max,
-            },
-        ],
-    );
-    if let Ok(path) = crate::plot::write_svg(&cfg.out_dir, "fig4", &svg) {
-        println!("[svg written to {}]\n", path.display());
-    }
+    draw(cfg, "fig4");
     println!("(paper: avg density 10.7% at 24 threads, 2.6% at 256 threads)\n");
     Ok(())
 }
@@ -251,7 +224,6 @@ pub fn fig5(cfg: &ExpConfig) -> Result<(), HarnessError> {
         .collect::<Result<_, HarnessError>>()?;
     let ps = [2usize, 4, 8, 12, 16, 24, 32, 64];
     let mut t = Table::new(&["threads", "naive", "effective", "indexing"]);
-    let mut svg_series: Vec<Vec<(f64, f64)>> = vec![Vec::new(); 3];
     for &p in &ps {
         let (mut o_naive, mut o_eff, mut o_idx) = (Vec::new(), Vec::new(), Vec::new());
         for sss in &structures {
@@ -267,9 +239,6 @@ pub fn fig5(cfg: &ExpConfig) -> Result<(), HarnessError> {
             o_idx.push(ws::relative_overhead(ws::ws_indexing(&ci), s));
         }
         let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        svg_series[0].push((p as f64, avg(&o_naive)));
-        svg_series[1].push((p as f64, avg(&o_eff)));
-        svg_series[2].push((p as f64, avg(&o_idx)));
         t.row(vec![
             p.to_string(),
             pct(avg(&o_naive)),
@@ -278,50 +247,9 @@ pub fn fig5(cfg: &ExpConfig) -> Result<(), HarnessError> {
         ]);
     }
     cfg.emit("fig5", &t)?;
-    let names = ["naive", "effective", "indexing"];
-    let series: Vec<crate::plot::Series> = names
-        .iter()
-        .zip(&svg_series)
-        .map(|(n, pts)| crate::plot::Series {
-            name: (*n).into(),
-            points: pts.clone(),
-        })
-        .collect();
-    let svg = crate::plot::line_chart(
-        "Fig. 5 — reduction working-set overhead (x of S_SSS, suite average)",
-        "threads",
-        "overhead / S_SSS",
-        &series,
-    );
-    if let Ok(path) = crate::plot::write_svg(&cfg.out_dir, "fig5", &svg) {
-        println!("[svg written to {}]\n", path.display());
-    }
+    draw(cfg, "fig5");
     println!("(paper: indexing overhead stabilizes around 15% at 24 threads)\n");
     Ok(())
-}
-
-/// Runs one (matrix, lineup) sweep; returns rows of measurements. One
-/// execution context — and therefore one worker pool — per thread count,
-/// shared by every kernel in the lineup.
-fn sweep(
-    coo: &CooMatrix,
-    matrix: &str,
-    lineup: &[KernelSpec],
-    ctxs: &[Arc<ExecutionContext>],
-    iterations: usize,
-) -> Result<Vec<(usize, Vec<Measurement>)>, HarnessError> {
-    ctxs.iter()
-        .map(|ctx| {
-            let ms = lineup
-                .iter()
-                .map(|&spec| {
-                    let mut k = kernel_of(spec, coo, ctx, matrix)?;
-                    Ok(measure(&mut *k, iterations))
-                })
-                .collect::<Result<_, HarnessError>>()?;
-            Ok((ctx.nthreads(), ms))
-        })
-        .collect()
 }
 
 fn speedup_figure(
@@ -348,15 +276,15 @@ fn speedup_figure(
     for m in &suite {
         // Serial CSR is the speedup baseline.
         let mut base = kernel_of(KernelSpec::Csr, &m.coo, &serial_ctx, m.spec.name)?;
-        let base_t = measure(&mut *base, cfg.iterations).wall;
+        let base_t = measure(&mut *base, cfg.iterations).wall.as_secs_f64();
         drop(base);
-        for (pi, (p, ms)) in sweep(&m.coo, m.spec.name, &lineup, &ctxs, cfg.iterations)?
-            .iter()
-            .enumerate()
-        {
-            let mut row = vec![m.spec.name.to_string(), p.to_string()];
-            for (ki, meas) in ms.iter().enumerate() {
-                let s = base_t.as_secs_f64() / meas.wall.as_secs_f64();
+        // One execution context, and so one worker pool, per thread count,
+        // shared by every kernel in the lineup.
+        for (pi, ctx) in ctxs.iter().enumerate() {
+            let mut row = vec![m.spec.name.to_string(), ctx.nthreads().to_string()];
+            for (ki, &spec) in lineup.iter().enumerate() {
+                let mut k = kernel_of(spec, &m.coo, ctx, m.spec.name)?;
+                let s = base_t / measure(&mut *k, cfg.iterations).wall.as_secs_f64();
                 acc[pi][ki].push(s);
                 row.push(f(s, 2));
             }
@@ -366,34 +294,13 @@ fn speedup_figure(
     cfg.emit(&format!("{name}_per_matrix"), &t)?;
 
     let mut s = Table::new(&header_refs);
-    let mut svg_series: Vec<crate::plot::Series> = lineup
-        .iter()
-        .map(|k| crate::plot::Series {
-            name: k.name().to_string(),
-            points: Vec::new(),
-        })
-        .collect();
     for (pi, &p) in threads.iter().enumerate() {
         let mut row = vec!["GEOMEAN".to_string(), p.to_string()];
-        for ki in 0..lineup.len() {
-            let g = geomean(&acc[pi][ki]);
-            svg_series[ki].points.push((p as f64, g));
-            row.push(f(g, 2));
-        }
+        row.extend(acc[pi].iter().map(|speedups| f(geomean(speedups), 2)));
         s.row(row);
     }
     cfg.emit(name, &s)?;
-    if svg_series.len() <= 4 && threads.len() >= 2 {
-        let svg = crate::plot::line_chart(
-            &format!("{title} — geometric mean over the suite"),
-            "threads",
-            "speedup vs serial CSR",
-            &svg_series,
-        );
-        if let Ok(path) = crate::plot::write_svg(&cfg.out_dir, name, &svg) {
-            println!("[svg written to {}]\n", path.display());
-        }
-    }
+    draw(cfg, name);
     Ok(())
 }
 
@@ -500,8 +407,7 @@ pub fn colors(cfg: &ExpConfig) -> Result<(), HarnessError> {
         let groups = race.schedule_groups().unwrap_or(0);
         let mut idx = SymSpmv::from_coo(&m.coo, &ctx, ReductionMethod::Indexing, SymFormat::Sss)
             .map_err(|e| HarnessError::matrix("SSS idx kernel", m.spec.name, e))?;
-        let mr = measure(&mut race, cfg.iterations);
-        let mi = measure(&mut idx, cfg.iterations);
+        let [mr, mi] = measure_each([&mut race, &mut idx], cfg.iterations);
         let race_ms = mr.wall.as_secs_f64() * 1e3;
         let idx_ms = mi.wall.as_secs_f64() * 1e3;
         let mult = mi.times.multiply.as_secs_f64();
@@ -618,11 +524,9 @@ pub fn table3(cfg: &ExpConfig) -> Result<(), HarnessError> {
         for m in &suite {
             let reordered = rcm_of(&m.coo, m.spec.name)?;
             let mut k0 = kernel_of(spec, &m.coo, &ctx, m.spec.name)?;
-            let g0 = measure(&mut *k0, cfg.iterations).gflops;
-            drop(k0);
             let mut k1 = kernel_of(spec, &reordered, &ctx, m.spec.name)?;
-            let g1 = measure(&mut *k1, cfg.iterations).gflops;
-            ratios.push(g1 / g0);
+            let [m0, m1] = measure_each([&mut *k0, &mut *k1], cfg.iterations);
+            ratios.push(m1.gflops / m0.gflops);
         }
         t.row(vec![
             spec.name().to_string(),
@@ -910,13 +814,15 @@ pub fn spmm(cfg: &ExpConfig) -> Result<(), HarnessError> {
     let ctx = ExecutionContext::new(cfg.max_threads);
     for m in cfg.suite() {
         for &spec in &lineup {
-            let mut eng = build_block_kernel(spec, &m.coo, &ctx)
-                .map_err(|e| {
-                    HarnessError::matrix(format!("{} kernel", spec.name()), m.spec.name, e)
-                })?
-                .unwrap_or_else(|| unreachable!("lineup holds only block-capable specs"));
-            let scalar = measure_spmm(&mut *eng, cfg.iterations, 1);
-            let block = measure_spmm(&mut *eng, cfg.iterations, k);
+            let build = || {
+                build_block_kernel(spec, &m.coo, &ctx)
+                    .map_err(|e| {
+                        HarnessError::matrix(format!("{} kernel", spec.name()), m.spec.name, e)
+                    })?
+                    .ok_or_else(|| unreachable!("lineup holds only block-capable specs"))
+            };
+            let (mut one, mut many) = (build()?, build()?);
+            let [scalar, block] = measure_spmm([&mut *one, &mut *many], cfg.iterations, [1, k]);
             let t1 = scalar.per_spmv().as_secs_f64() * 1e6;
             let tk = block.per_spmv().as_secs_f64() * 1e6 / k as f64;
             t.row(vec![
@@ -1018,10 +924,9 @@ pub fn kinds(cfg: &ExpConfig) -> Result<(), HarnessError> {
         let reordered = rcm_of(&m.coo, spec.name)?;
         for &ks in &lineup {
             let mut k0 = kernel_of_kind(ks, &m.coo, spec.kind, &ctx, spec.name)?;
-            let g0 = measure(&mut *k0, cfg.iterations).gflops;
-            drop(k0);
             let mut k1 = kernel_of_kind(ks, &reordered, spec.kind, &ctx, spec.name)?;
-            let g1 = measure(&mut *k1, cfg.iterations).gflops;
+            let [m0, m1] = measure_each([&mut *k0, &mut *k1], cfg.iterations);
+            let (g0, g1) = (m0.gflops, m1.gflops);
             t.row(vec![
                 spec.name.to_string(),
                 spec.kind.tag().to_string(),
@@ -1044,109 +949,78 @@ pub fn machine(cfg: &ExpConfig) -> Result<(), HarnessError> {
     cfg.emit("machine", &t)
 }
 
-/// Extension — re-render the SVG figures from existing CSVs in the output
-/// directory, without re-measuring. Covers fig4, fig5 and the geomean
+/// The line charts, each drawn from its CSV: name, title, the column of
+/// the thread count (the series are the columns after it, at most four),
+/// and the y-axis label.
+const LINE_CHARTS: [(&str, &str, usize, &str); 4] = [
+    (
+        "fig4",
+        "Fig. 4 — effective-region density vs thread count (suite average)",
+        0,
+        "density",
+    ),
+    (
+        "fig5",
+        "Fig. 5 — reduction working-set overhead (x of S_SSS, suite average)",
+        0,
+        "overhead / S_SSS",
+    ),
+    (
+        "fig9",
+        "Fig. 9 — reduction-method speedup (geomean, baseline: serial CSR)",
+        1,
+        "speedup vs serial CSR",
+    ),
+    (
+        "fig11",
+        "Fig. 11 — format speedup (geomean, baseline: serial CSR)",
+        1,
+        "speedup vs serial CSR",
+    ),
+];
+
+/// Draws the line chart `name` of [`LINE_CHARTS`] from `<name>.csv` in the
+/// output directory into `<name>.svg`; whether it wrote one.
+fn draw(cfg: &ExpConfig, name: &str) -> bool {
+    use crate::report::parse_cell_number as num;
+    let Some(&(_, title, x, ylabel)) = LINE_CHARTS.iter().find(|c| c.0 == name) else {
+        return false;
+    };
+    let text = std::fs::read_to_string(cfg.out_dir.join(format!("{name}.csv")));
+    let Some((header, rows)) = text.ok().and_then(|t| crate::report::parse_csv(&t)) else {
+        return false;
+    };
+    let series: Vec<crate::plot::Series> = (x + 1..header.len())
+        .take(4)
+        .map(|col| crate::plot::Series {
+            name: header[col].clone(),
+            points: rows
+                .iter()
+                .filter_map(|r| Some((num(&r[x])?, num(&r[col])?)))
+                .collect(),
+        })
+        .filter(|s| s.points.len() >= 2)
+        .collect();
+    if series.is_empty() {
+        return false;
+    }
+    let svg = crate::plot::line_chart(title, "threads", ylabel, &series);
+    let written = crate::plot::write_svg(&cfg.out_dir, name, &svg);
+    if let Ok(path) = &written {
+        println!("[svg written to {}]\n", path.display());
+    }
+    written.is_ok()
+}
+
+/// Extension — re-render the SVG line charts from existing CSVs in the
+/// output directory, without re-measuring: fig4, fig5 and the geomean
 /// speedup figures (fig9/fig11).
 pub fn plot(cfg: &ExpConfig) -> Result<(), HarnessError> {
     println!(
         "== Re-rendering figures from {} ==\n",
         cfg.out_dir.display()
     );
-    let read = |name: &str| -> Option<(Vec<String>, Vec<Vec<String>>)> {
-        let text = std::fs::read_to_string(cfg.out_dir.join(format!("{name}.csv"))).ok()?;
-        crate::report::parse_csv(&text)
-    };
-    let mut rendered = 0usize;
-
-    // fig4 / fig5: first column is the thread count, remaining columns are
-    // series.
-    for (name, title, ylab) in [
-        (
-            "fig4",
-            "Fig. 4 — effective-region density vs thread count (suite average)",
-            "density",
-        ),
-        (
-            "fig5",
-            "Fig. 5 — reduction working-set overhead (x of S_SSS, suite average)",
-            "overhead / S_SSS",
-        ),
-    ] {
-        let Some((hdr, rows)) = read(name) else {
-            continue;
-        };
-        let series: Vec<crate::plot::Series> = hdr[1..]
-            .iter()
-            .enumerate()
-            .take(4)
-            .map(|(i, h)| crate::plot::Series {
-                name: h.clone(),
-                points: rows
-                    .iter()
-                    .filter_map(|r| {
-                        Some((
-                            crate::report::parse_cell_number(&r[0])?,
-                            crate::report::parse_cell_number(&r[i + 1])?,
-                        ))
-                    })
-                    .collect(),
-            })
-            .filter(|s| s.points.len() >= 2)
-            .collect();
-        if series.is_empty() {
-            continue;
-        }
-        let svg = crate::plot::line_chart(title, "threads", ylab, &series);
-        if let Ok(path) = crate::plot::write_svg(&cfg.out_dir, name, &svg) {
-            println!("[svg written to {}]", path.display());
-            rendered += 1;
-        }
-    }
-
-    // fig9 / fig11 geomean tables: columns are matrix, threads, kernels...
-    for (name, title) in [
-        (
-            "fig9",
-            "Fig. 9 — reduction-method speedup (geomean, baseline: serial CSR)",
-        ),
-        (
-            "fig11",
-            "Fig. 11 — format speedup (geomean, baseline: serial CSR)",
-        ),
-    ] {
-        let Some((hdr, rows)) = read(name) else {
-            continue;
-        };
-        if hdr.len() < 3 {
-            continue;
-        }
-        let series: Vec<crate::plot::Series> = hdr[2..]
-            .iter()
-            .enumerate()
-            .take(4)
-            .map(|(i, h)| crate::plot::Series {
-                name: h.clone(),
-                points: rows
-                    .iter()
-                    .filter_map(|r| {
-                        Some((
-                            crate::report::parse_cell_number(&r[1])?,
-                            crate::report::parse_cell_number(&r[i + 2])?,
-                        ))
-                    })
-                    .collect(),
-            })
-            .filter(|s| s.points.len() >= 2)
-            .collect();
-        if series.is_empty() {
-            continue;
-        }
-        let svg = crate::plot::line_chart(title, "threads", "speedup vs serial CSR", &series);
-        if let Ok(path) = crate::plot::write_svg(&cfg.out_dir, name, &svg) {
-            println!("[svg written to {}]", path.display());
-            rendered += 1;
-        }
-    }
+    let rendered = LINE_CHARTS.iter().filter(|c| draw(cfg, c.0)).count();
     println!("{rendered} figures rendered\n");
     Ok(())
 }
@@ -1179,8 +1053,8 @@ pub fn chaos(_cfg: &ExpConfig) -> Result<(), HarnessError> {
 /// search. For every suite matrix it times the two `idx` pairs (`sss-idx`,
 /// `csxsym-idx`) at every thread count of the sweep — clamped to the CPUs
 /// this host has, since an oversubscribed pool is an overhead study, not a
-/// plan — persists the winner's `(format, threads)` in the on-disk plan
-/// store, and proves the store works by re-running the search (which must
+/// plan — in alternation, persists the winner's `(format, threads)` (the
+/// paper's default on a tie) in the on-disk plan store, and proves the store works by re-running the search (which must
 /// hit, without re-measurement, and reproduce the same plan). Writes the
 /// full search table as `tune.csv` and the winners, next to the paper's
 /// default (SSS + local-vectors indexing at the full thread count), as
@@ -1211,8 +1085,17 @@ pub fn tune(cfg: &ExpConfig) -> Result<(), HarnessError> {
         crate::tune::PLAN_STORE_VERSION,
     );
 
-    let mut measurer = TimedMeasurer::new();
-    let mut search = Table::new(&["matrix", "candidate", "samples", "per-vector", "note"]);
+    let mut measurer = TimedMeasurer::new(cfg.iterations);
+    // `per-vector` is the score, the lower quartile, so it repeats `q1`.
+    let mut search = Table::new(&[
+        "matrix",
+        "candidate",
+        "samples",
+        "per-vector",
+        "q1",
+        "q3",
+        "note",
+    ]);
     let mut summary = Table::new(&[
         "matrix",
         "source",
@@ -1253,13 +1136,18 @@ pub fn tune(cfg: &ExpConfig) -> Result<(), HarnessError> {
             }
             if row.spec == default {
                 notes.push("default");
-                default_secs = row.per_vector_secs;
+                default_secs = row.per_vector.q1;
+            }
+            if Some(row.spec) == outcome.tied {
+                notes.push("fastest, tied with the default");
             }
             search.row(vec![
                 name.into(),
                 row.spec.id(),
-                row.samples.len().to_string(),
-                fmt_secs(row.per_vector_secs),
+                row.per_vector.samples.len().to_string(),
+                fmt_secs(row.per_vector.q1),
+                fmt_secs(row.per_vector.q1),
+                fmt_secs(row.per_vector.q3),
                 notes.join(", "),
             ]);
         }
@@ -1280,9 +1168,10 @@ pub fn tune(cfg: &ExpConfig) -> Result<(), HarnessError> {
         // Which path does the auto constructor take now? It must find the
         // plan in the store and report it.
         let (_, choice) = auto_kernel(sss, Some(&reloaded));
+        let tie = if outcome.tied.is_some() { " (tie)" } else { "" };
         summary.row(vec![
             name.into(),
-            choice.source.tag().into(),
+            format!("{}{tie}", choice.source.tag()),
             outcome.winner.spec.id(),
             fmt_secs(outcome.winner.measured_secs),
             fmt_secs(default_secs),

@@ -9,8 +9,8 @@
 //! both facts from here too, so the printed host and stored plans name the
 //! host alike.
 
+use crate::framework::sample;
 use crate::report::Table;
-use std::time::Instant;
 
 /// Logical CPUs visible to this process.
 pub fn ncpus() -> usize {
@@ -61,27 +61,44 @@ pub fn caches() -> Vec<(String, String, String)> {
     out
 }
 
-/// STREAM-triad-style sustained bandwidth estimate in GB/s:
-/// `a[i] = b[i] + s·c[i]` over arrays well beyond cache size.
-pub fn triad_bandwidth_gbs() -> f64 {
-    let n = 8_000_000usize; // 3 arrays x 64 MB total
+/// A size in KiB as sysfs (`"307200K"`) and `/proc/meminfo`
+/// (`"15965668 kB"`) print it, in bytes.
+fn kib_bytes(text: &str) -> Option<usize> {
+    let kib = text.trim().trim_end_matches("kB").trim_end_matches('K');
+    kib.trim().parse::<usize>().ok().map(|k| k << 10)
+}
+
+/// Bytes per triad array: the three together at least twice the largest
+/// cache [`caches`] reports, and 64 MB each at least (the size when sysfs
+/// lists no cache), but at most a quarter of `MemAvailable` together.
+fn triad_array_bytes() -> usize {
+    let largest = caches().iter().filter_map(|c| kib_bytes(&c.2)).max();
+    let per_array = (2 * largest.unwrap_or(0)).div_ceil(3).max(64_000_000);
+    let meminfo = std::fs::read_to_string("/proc/meminfo").unwrap_or_default();
+    let available = meminfo
+        .lines()
+        .find_map(|l| kib_bytes(l.strip_prefix("MemAvailable:")?));
+    available.map_or(per_array, |a| per_array.min(a / 12))
+}
+
+/// STREAM-triad-style sustained bandwidth estimate in GB/s, single
+/// threaded: the [`sample`] score of passes of `a[i] = b[i] + s·c[i]` over
+/// arrays past the largest cache. Returns the bandwidth and the bytes per
+/// array.
+pub fn triad_bandwidth_gbs() -> (f64, usize) {
+    let n = triad_array_bytes() / 8;
     let b = vec![1.0f64; n];
     let c = vec![2.0f64; n];
     let mut a = vec![0.0f64; n];
     let s = 3.0;
-    // Warm-up + measure best of 3.
-    let mut best = f64::INFINITY;
-    for _ in 0..4 {
-        let t = Instant::now();
+    let passes = sample(1, |_| {
         for i in 0..n {
             a[i] = b[i] + s * c[i];
         }
-        let dt = t.elapsed().as_secs_f64();
         std::hint::black_box(&a);
-        best = best.min(dt);
-    }
+    });
     // 3 x 8 bytes moved per element (2 reads + 1 write).
-    (24.0 * n as f64) / best / 1e9
+    ((24.0 * n as f64) / passes[0].q1 / 1e9, 8 * n)
 }
 
 /// Prints the host description table (Table II substitute, DESIGN.md S5).
@@ -95,9 +112,10 @@ pub fn describe() -> Table {
             size,
         ]);
     }
+    let (gbs, bytes) = triad_bandwidth_gbs();
     t.row(vec![
         "triad bandwidth (GB/s)".into(),
-        format!("{:.2}", triad_bandwidth_gbs()),
+        format!("{gbs:.2} over 3 x {} MiB arrays", bytes >> 20),
     ]);
     t.row(vec![
         "paper platform A".into(),
@@ -117,9 +135,16 @@ mod tests {
     #[test]
     fn describe_has_rows() {
         // Cheap structural check only (the bandwidth probe is expensive, so
-        // exercise the pieces that don't allocate 192 MB).
+        // exercise the pieces that don't allocate its arrays).
         assert!(!machine_model().is_empty());
-        let _ = caches();
+        assert!(triad_array_bytes() > 0);
+    }
+
+    #[test]
+    fn cache_and_memory_sizes_parse() {
+        assert_eq!(kib_bytes("307200K"), Some(300 << 20));
+        assert_eq!(kib_bytes("   15965668 kB"), Some(15_965_668 << 10));
+        assert_eq!(kib_bytes("12 furlongs"), None);
     }
 
     #[test]

@@ -14,14 +14,19 @@
 //! 1. **Enumerate.** [`enumerate_candidates`] lists the two `idx` pairs,
 //!    `sss-idx` and `csxsym-idx`, once per thread count. Nothing is pruned.
 //! 2. **Measure.** Each candidate is built as a real kernel on a real
-//!    [`ExecutionContext`] of its thread count and timed over a few short
-//!    runs of the scalar SpMV. The median per-vector time is the
-//!    candidate's score. Measurement is behind the [`Measurer`] trait so
-//!    tests can substitute a deterministic fake.
-//! 3. **Pick.** The winner is the measured argmin, persisted by
-//!    [`PlanStore`] as `(format, threads)`. Nothing re-proves it: a plan's
-//!    race certificate is minted when a kernel builds it, for exactly that
-//!    kernel's configuration.
+//!    [`ExecutionContext`] of its thread count, and all candidates are
+//!    timed as the sides of one [`sample`] call: blocks of `--iters` scalar
+//!    SpMVs, the candidates taking turns. A candidate's score is the lower
+//!    quartile of its per-vector block times, its spread `q1..=q3`.
+//!    Measurement is behind the [`Measurer`] trait so tests can substitute
+//!    a deterministic fake.
+//! 3. **Pick.** The winner is the argmin of the score, unless its spread
+//!    overlaps the paper default's (`sss-idx` at the largest thread
+//!    count): then the samples cannot tell the two apart, the result is a
+//!    tie and the default stands. [`PlanStore`] persists the pick as
+//!    `(format, threads)`. Nothing re-proves it: a plan's race certificate
+//!    is minted when a kernel builds it, for exactly that kernel's
+//!    configuration.
 //!
 //! [`auto_kernel`] is the consumer: matrix in, best-known kernel (own pool,
 //! tuned thread count) out.
@@ -50,11 +55,11 @@
 //! * fingerprints are stored as hex *strings*: the JSON number line is
 //!   `f64` and would silently destroy high bits of a 64-bit hash.
 
+use crate::framework::{sample, Sampled};
 use crate::machine::{machine_model, ncpus};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 use symspmv_core::sym::pair_name;
 use symspmv_core::{FormatTag, ParallelSpmv, ReductionMethod, SymSpmv, SymSpmvError};
 use symspmv_runtime::ExecutionContext;
@@ -165,10 +170,8 @@ pub fn auto_kernel(sss: SssMatrix, store: Option<&PlanStore>) -> (SymSpmv, AutoC
 pub struct CandidateRow {
     /// The configuration.
     pub spec: PlanSpec,
-    /// Raw per-vector samples in seconds.
-    pub samples: Vec<f64>,
-    /// Median per-vector seconds.
-    pub per_vector_secs: f64,
+    /// Per-vector seconds: one sample per round, the score `q1`, and `q3`.
+    pub per_vector: Sampled,
 }
 
 /// The full result of one matrix search.
@@ -179,37 +182,43 @@ pub struct TuneOutcome {
     /// Every candidate, in enumeration order, each measured; empty when
     /// the plan store served the winner.
     pub rows: Vec<CandidateRow>,
-    /// The fastest candidate, or the stored plan on a store hit.
+    /// The fastest candidate, the default it tied, or a store hit's plan.
     pub winner: TunedPlan,
+    /// The fastest candidate when its spread overlapped the paper
+    /// default's, so that the default was stored instead.
+    pub tied: Option<PlanSpec>,
 }
 
 /// How candidate timings are produced. The real implementation times
 /// kernels on live pools; tests inject a deterministic fake so two runs
 /// are bit-identical.
 pub trait Measurer {
-    /// Returns per-vector timings (seconds) for `spec` on `sss`.
-    fn measure(&mut self, sss: &SssMatrix, spec: &PlanSpec) -> Result<Vec<f64>, SymSpmvError>;
+    /// Returns per-vector timings (seconds) on `sss` for every spec of
+    /// `specs`, in order.
+    fn measure(
+        &mut self,
+        sss: &SssMatrix,
+        specs: &[PlanSpec],
+    ) -> Result<Vec<Sampled>, SymSpmvError>;
 }
 
 /// Wall-clock measurement of the scalar SpMV through the shared runtime:
 /// one [`ExecutionContext`] per distinct thread count, reused across
 /// candidates. A matrix leaves two plan-cache entries per context (its
 /// partition and its `idx` plan), far below the cache's cap.
-#[derive(Default)]
 pub struct TimedMeasurer {
     pools: HashMap<usize, Arc<ExecutionContext>>,
+    iterations: usize,
 }
 
 impl TimedMeasurer {
-    /// Timed samples per candidate (the median is the score).
-    const SAMPLES: usize = 5;
-    /// SpMV iterations per sample.
-    const ITERATIONS: usize = 16;
-
-    /// A measurer with no pools yet; pools are created per thread count on
-    /// first use.
-    pub fn new() -> TimedMeasurer {
-        TimedMeasurer::default()
+    /// A measurer whose timed blocks are `iterations` SpMVs each, with no
+    /// pools yet; pools are created per thread count on first use.
+    pub fn new(iterations: usize) -> TimedMeasurer {
+        TimedMeasurer {
+            pools: HashMap::new(),
+            iterations: iterations.max(1),
+        }
     }
 
     fn pool(&mut self, nthreads: usize) -> Arc<ExecutionContext> {
@@ -222,86 +231,80 @@ impl TimedMeasurer {
 }
 
 impl Measurer for TimedMeasurer {
-    fn measure(&mut self, sss: &SssMatrix, spec: &PlanSpec) -> Result<Vec<f64>, SymSpmvError> {
-        let ctx = self.pool(spec.nthreads);
-        let mut kernel = SymSpmv::from_sss(
-            sss.clone(),
-            &ctx,
-            ReductionMethod::Indexing,
-            spec.format.to_format(),
-        );
-        let n = kernel.n();
-        let mut x = vec![1.0f64; n];
-        let mut y = vec![0.0f64; n];
-        // An untimed block as long as a sample, so the first sample does not
-        // pay for a pool that sat idle (as it does behind single-threaded
-        // suite generation); `try_spmv` is the fault surface.
-        for _ in 0..Self::ITERATIONS {
-            kernel.try_spmv(&x, &mut y)?;
-            std::mem::swap(&mut x, &mut y);
+    fn measure(
+        &mut self,
+        sss: &SssMatrix,
+        specs: &[PlanSpec],
+    ) -> Result<Vec<Sampled>, SymSpmvError> {
+        let mut kernels: Vec<SymSpmv> = specs
+            .iter()
+            .map(|spec| {
+                let ctx = self.pool(spec.nthreads);
+                let format = spec.format.to_format();
+                SymSpmv::from_sss(sss.clone(), &ctx, ReductionMethod::Indexing, format)
+            })
+            .collect();
+        let n = sss.n() as usize;
+        let mut xy = vec![(vec![1.0f64; n], vec![0.0f64; n]); kernels.len()];
+        // One untimed multiply per kernel through `try_spmv`, the fault
+        // surface.
+        for (kernel, (x, y)) in kernels.iter_mut().zip(&mut xy) {
+            kernel.try_spmv(x, y)?;
         }
-        let mut samples = Vec::with_capacity(Self::SAMPLES);
-        for _ in 0..Self::SAMPLES {
-            let t0 = Instant::now();
-            for _ in 0..Self::ITERATIONS {
-                kernel.spmv(&x, &mut y);
-                std::mem::swap(&mut x, &mut y);
+        let iterations = self.iterations;
+        let blocks = sample(kernels.len(), |i| {
+            let (x, y) = &mut xy[i];
+            for _ in 0..iterations {
+                kernels[i].spmv(x, y);
+                std::mem::swap(x, y);
             }
-            samples.push(t0.elapsed().as_secs_f64() / Self::ITERATIONS as f64);
-        }
-        Ok(samples)
-    }
-}
-
-fn median(samples: &[f64]) -> f64 {
-    if samples.is_empty() {
-        return f64::INFINITY;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let mid = sorted.len() / 2;
-    if sorted.len() % 2 == 1 {
-        sorted[mid]
-    } else {
-        0.5 * (sorted[mid - 1] + sorted[mid])
+        });
+        Ok(blocks
+            .into_iter()
+            .map(|b| Sampled::new(b.samples.iter().map(|t| t / iterations as f64).collect()))
+            .collect())
     }
 }
 
 /// Runs the full search on `sss`: measures both `idx` pairs at every count
-/// in `threads` and picks the fastest. Pure with respect to the plan
-/// store — see [`tune_and_store`] for the persisted flow.
+/// in `threads`, in alternation, and picks the fastest unless it ties with
+/// the paper's default. Pure with respect to the plan store — see
+/// [`tune_and_store`] for the persisted flow.
 pub fn tune_matrix(
     sss: &SssMatrix,
     threads: &[usize],
     measurer: &mut dyn Measurer,
 ) -> Result<TuneOutcome, SymSpmvError> {
-    let mut rows = Vec::new();
-    for spec in enumerate_candidates(threads) {
-        let samples = measurer.measure(sss, &spec)?;
-        let per_vector_secs = median(&samples);
-        rows.push(CandidateRow {
-            spec,
-            samples,
-            per_vector_secs,
-        });
-    }
+    let specs = enumerate_candidates(threads);
+    let rows: Vec<CandidateRow> = specs
+        .iter()
+        .zip(measurer.measure(sss, &specs)?)
+        .map(|(&spec, per_vector)| CandidateRow { spec, per_vector })
+        .collect();
     let best = rows
         .iter()
-        .min_by(|a, b| a.per_vector_secs.total_cmp(&b.per_vector_secs))
+        .min_by(|a, b| a.per_vector.q1.total_cmp(&b.per_vector.q1))
         .ok_or_else(|| {
             SymSpmvError::InvalidStructure(SparseError::Parse {
                 line: 0,
                 msg: "tuning search space is empty".to_string(),
             })
         })?;
+    let default = PlanSpec::paper_default(threads.iter().copied().max().unwrap_or(1));
+    let tie = rows
+        .iter()
+        .find(|r| r.spec == default && r.spec != best.spec)
+        .filter(|d| d.per_vector.overlaps(&best.per_vector));
+    let chosen = tie.unwrap_or(best);
 
     let winner = TunedPlan {
-        spec: best.spec,
-        measured_secs: best.per_vector_secs,
+        spec: chosen.spec,
+        measured_secs: chosen.per_vector.q1,
         candidates_measured: rows.len(),
     };
     Ok(TuneOutcome {
         fingerprint: sss.fingerprint(),
+        tied: tie.map(|_| best.spec),
         rows,
         winner,
     })
@@ -323,6 +326,7 @@ pub fn tune_and_store(
             fingerprint,
             rows: Vec::new(),
             winner: plan,
+            tied: None,
         };
         return Ok((outcome, true));
     }
@@ -364,7 +368,7 @@ struct StoreKey {
 pub struct TunedPlan {
     /// The winning configuration.
     pub spec: PlanSpec,
-    /// Measured per-vector seconds of the winner (median of samples).
+    /// Measured per-vector seconds of the winner (its score, `q1`).
     pub measured_secs: f64,
     /// How many candidates the search measured.
     pub candidates_measured: usize,
@@ -636,16 +640,17 @@ mod tests {
     #[test]
     fn timed_measurer_produces_positive_samples() {
         let sss = sss_of(&symspmv_sparse::gen::laplacian_2d(14, 14));
-        let outcome = tune_matrix(&sss, &[1, 2], &mut TimedMeasurer::new()).unwrap();
+        let outcome = tune_matrix(&sss, &[1, 2], &mut TimedMeasurer::new(16)).unwrap();
         assert!(outcome.winner.measured_secs > 0.0);
-        assert!(outcome.rows.iter().all(
-            |r| r.samples.len() == TimedMeasurer::SAMPLES && r.samples.iter().all(|s| *s > 0.0)
-        ));
+        assert!(outcome.rows.iter().all(|r| {
+            let samples = &r.per_vector.samples;
+            samples.len() == crate::framework::ROUNDS && samples.iter().all(|s| *s > 0.0)
+        }));
     }
 
     #[test]
     fn an_empty_thread_list_is_a_typed_error() {
         let sss = sss_of(&symspmv_sparse::gen::laplacian_2d(10, 10));
-        assert!(tune_matrix(&sss, &[], &mut TimedMeasurer::new()).is_err());
+        assert!(tune_matrix(&sss, &[], &mut TimedMeasurer::new(16)).is_err());
     }
 }

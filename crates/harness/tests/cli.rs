@@ -157,10 +157,7 @@ fn tune_writes_csvs_and_the_plan_store_and_no_json_twin() {
     // swept count oversubscribes the host.
     let csv = std::fs::read_to_string(wrk.path("tune.csv")).unwrap();
     let mut lines = csv.lines();
-    assert_eq!(
-        lines.next(),
-        Some("matrix,candidate,samples,per-vector,note")
-    );
+    assert_eq!(lines.next(), Some(TUNE_HEADER));
     let rows: Vec<Vec<&str>> = lines.map(|l| l.split(',').collect()).collect();
     let mut sweep: Vec<usize> = rows
         .iter()
@@ -173,7 +170,7 @@ fn tune_writes_csvs_and_the_plan_store_and_no_json_twin() {
     assert_eq!(rows.len(), 2 * sweep.len(), "{csv}");
     assert!(rows.iter().all(|r| r[1].contains("-idx-p")), "{csv}");
     assert!(!csv.contains("pruned"), "{csv}");
-    assert_eq!(rows.iter().filter(|r| r[4].contains("winner")).count(), 1);
+    assert_eq!(rows.iter().filter(|r| r[6].contains("winner")).count(), 1);
 
     // The search table is written once, as CSV: no JSON copy beside it.
     let json: Vec<_> = std::fs::read_dir(&wrk.0)
@@ -189,6 +186,41 @@ fn tune_writes_csvs_and_the_plan_store_and_no_json_twin() {
     let served: Vec<&str> = summary.lines().skip(1).collect();
     assert_eq!(served.len(), 1, "{summary}");
     assert!(served[0].starts_with("hood,store,"), "{summary}");
+}
+
+/// The search table's header: the score (`per-vector`, the lower quartile)
+/// with its spread beside it.
+const TUNE_HEADER: &str = "matrix,candidate,samples,per-vector,q1,q3,note";
+
+#[test]
+fn tune_tables_carry_the_spread_and_mark_a_tie() {
+    let wrk = Workdir::new("tune_spread");
+    wrk.run(&[
+        "tune",
+        "--scale",
+        "0.004",
+        "--threads",
+        "2",
+        "--matrix",
+        "hood",
+    ]);
+    let read = |file| std::fs::read_to_string(wrk.path(file)).unwrap();
+    let search = read("tune.csv");
+    assert_eq!(search.lines().next(), Some(TUNE_HEADER));
+    let summary = read("tune_summary.csv");
+    let mut lines = summary.lines();
+    assert_eq!(
+        lines.next(),
+        Some("matrix,source,plan,winner s/vec,default s/vec,win vs default")
+    );
+    // One fresh search: served from the store, a tie said as such.
+    let row: Vec<&str> = lines.next().unwrap().split(',').collect();
+    assert!(["store", "store (tie)"].contains(&row[1]), "{summary}");
+    assert_eq!(
+        row[1] == "store (tie)",
+        search.contains("tied with the default"),
+        "{search}"
+    );
 }
 
 #[test]

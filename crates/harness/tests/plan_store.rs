@@ -2,10 +2,12 @@
 //! fall back to the paper's default, any other schema version makes the
 //! store invisible, corrupted JSON is a typed `SymSpmvError` (never a
 //! panic), and the search measures every candidate, deterministically
-//! under a deterministic measurer.
+//! under a deterministic measurer, storing the paper's default when the
+//! fastest candidate's spread overlaps the default's.
 
 use std::path::PathBuf;
 use symspmv_core::{FormatTag, ParallelSpmv, SymSpmvError};
+use symspmv_harness::framework::Sampled;
 use symspmv_harness::machine::{machine_model, ncpus};
 use symspmv_harness::tune::{
     auto_kernel, tune_and_store, tune_matrix, Measurer, PlanSource, PlanSpec, PlanStore,
@@ -26,21 +28,32 @@ fn sss_of(coo: &symspmv_sparse::CooMatrix) -> SssMatrix {
     SssMatrix::try_from_coo(coo, 0.0).unwrap()
 }
 
-/// Stands in for wall-clock timing: a candidate's three "samples" are
-/// bit slices of an FNV-1a hash of its id. Records every spec it is asked
-/// for.
+/// Stands in for wall-clock timing. A candidate named in the script gets
+/// its scripted samples; any other gets three samples 0.1 % apart around a
+/// bit slice of an FNV-1a hash of its id, microseconds apart from the next
+/// candidate's, so two spreads overlap only when scripted to. Records
+/// every spec it is asked for.
 #[derive(Default)]
-struct Fake(Vec<PlanSpec>);
+struct Fake(Vec<PlanSpec>, &'static [(&'static str, [f64; 4])]);
 
 impl Measurer for Fake {
-    fn measure(&mut self, _: &SssMatrix, spec: &PlanSpec) -> Result<Vec<f64>, SymSpmvError> {
-        self.0.push(*spec);
-        let hash = spec.id().bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-        Ok((1..=3)
-            .map(|i| 1e-6 * (1 + (hash >> (16 * i)) % 4096) as f64)
-            .collect())
+    fn measure(&mut self, _: &SssMatrix, specs: &[PlanSpec]) -> Result<Vec<Sampled>, SymSpmvError> {
+        self.0.extend_from_slice(specs);
+        let sampled = |spec: &PlanSpec| {
+            if let Some((_, scripted)) = self.1.iter().find(|(id, _)| *id == spec.id()) {
+                return Sampled::new(scripted.to_vec());
+            }
+            let hash = spec.id().bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            let centre = 1e-6 * (1 + (hash >> 16) % 4096) as f64;
+            Sampled::new(
+                (1..=3)
+                    .map(|i| centre * (1.0 + 1e-3 * f64::from(i)))
+                    .collect(),
+            )
+        };
+        Ok(specs.iter().map(sampled).collect())
     }
 }
 
@@ -304,10 +317,57 @@ fn the_search_measures_both_idx_pairs_once_per_thread_count() {
     let best = outcome
         .rows
         .iter()
-        .min_by(|a, b| a.per_vector_secs.total_cmp(&b.per_vector_secs))
+        .min_by(|a, b| a.per_vector.q1.total_cmp(&b.per_vector.q1))
         .unwrap();
+    assert_eq!(outcome.tied, None);
     assert_eq!(outcome.winner.spec, best.spec);
-    assert_eq!(outcome.winner.measured_secs, best.per_vector_secs);
+    assert_eq!(outcome.winner.measured_secs, best.per_vector.q1);
+}
+
+/// Tunes a fresh store with `script` and returns the stored spec and the
+/// outcome's tie.
+fn stored_under(
+    tag: &str,
+    script: &'static [(&'static str, [f64; 4])],
+) -> (PlanSpec, Option<PlanSpec>) {
+    let dir = tmp_dir(tag);
+    let sss = sss_of(&gen::laplacian_2d(14, 14));
+    let mut store = PlanStore::open_for_machine(&dir, "m".into(), 2).unwrap();
+    let (outcome, _) =
+        tune_and_store(&sss, &mut store, &THREADS, &mut Fake(Vec::new(), script)).unwrap();
+    let reloaded = PlanStore::open_for_machine(&dir, "m".into(), 2).unwrap();
+    let stored = reloaded.get(outcome.fingerprint).unwrap().spec;
+    let _ = std::fs::remove_dir_all(&dir);
+    (stored, outcome.tied)
+}
+
+#[test]
+fn a_default_whose_spread_overlaps_the_fastest_is_stored_as_a_tie() {
+    // `csxsym-idx-p1` has the lowest q1 (1.25 ns), but its IQR reaches up
+    // to 3.75 ns, past the default's q1 (2.625 ns).
+    let (stored, tied) = stored_under(
+        "tie",
+        &[
+            ("csxsym-idx-p1", [1e-9, 2e-9, 3e-9, 4e-9]),
+            ("sss-idx-p2", [2.5e-9, 3e-9, 3.5e-9, 4e-9]),
+        ],
+    );
+    assert_eq!(stored, PlanSpec::paper_default(2));
+    assert_eq!(tied.map(|s| s.id()), Some("csxsym-idx-p1".to_string()));
+}
+
+#[test]
+fn a_fastest_candidate_clear_of_the_defaults_spread_is_stored() {
+    // Same default; the fastest candidate's q3 (1.225 ns) is below its q1.
+    let (stored, tied) = stored_under(
+        "notie",
+        &[
+            ("csxsym-idx-p1", [1e-9, 1.1e-9, 1.2e-9, 1.3e-9]),
+            ("sss-idx-p2", [2.5e-9, 3e-9, 3.5e-9, 4e-9]),
+        ],
+    );
+    assert_eq!(stored.id(), "csxsym-idx-p1");
+    assert_eq!(tied, None);
 }
 
 #[test]

@@ -55,6 +55,11 @@
 //! assert!(res.converged);
 //! ```
 
+// The README's Rust blocks, compiled and run by `cargo test` as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 pub use symspmv_core as core;
 pub use symspmv_csx as csx;
 pub use symspmv_reorder as reorder;
