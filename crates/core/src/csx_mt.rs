@@ -10,10 +10,12 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use symspmv_csx::detect::DetectConfig;
 use symspmv_csx::matrix::{spmv_stream, CsxMatrix};
-use symspmv_csx::rows::{coo_rowptr, RowView};
+use symspmv_csx::rows::RowView;
 use symspmv_runtime::timing::time_into;
-use symspmv_runtime::{balanced_ranges, ExecutionContext, PhaseTimes, Range};
-use symspmv_sparse::{CooMatrix, Val};
+use symspmv_runtime::{
+    balanced_ranges, partition::csr_row_weights, ExecutionContext, PhaseTimes, Range,
+};
+use symspmv_sparse::{CooMatrix, CsrMatrix, Val};
 
 /// A row-partitioned CSX matrix bound to an execution context.
 pub struct CsxParallel {
@@ -29,32 +31,25 @@ impl CsxParallel {
     /// Encodes `coo` into per-thread CSX chunks (preprocessing is timed
     /// into the `preprocess` phase, cf. §V-E).
     pub fn from_coo(coo: &CooMatrix, ctx: &Arc<ExecutionContext>, config: &DetectConfig) -> Self {
-        let nthreads = ctx.nthreads();
-        let mut c = coo.clone();
-        c.canonicalize();
-        // Row weights from the canonical triplets' row pointers.
-        let rowptr = coo_rowptr(&c);
-        let weights: Vec<u64> = rowptr
-            .windows(2)
-            .map(|w| u64::from(w[1] - w[0]) + 1)
-            .collect();
-        let parts = balanced_ranges(&weights, nthreads);
-        crate::plan::debug_certify_rows(c.nrows(), &parts, "csx-mt");
+        let csr = CsrMatrix::from_coo(coo);
+        let parts = balanced_ranges(&csr_row_weights(csr.rowptr()), ctx.nthreads());
+        crate::plan::debug_certify_rows(csr.nrows(), &parts, "csx-mt");
 
         let mut times = PhaseTimes::new();
+        let view = RowView::new(0, csr.ncols(), csr.rowptr(), csr.colind());
         let chunks = time_into(&mut times.preprocess, || {
             parts
                 .iter()
                 .map(|p| {
-                    let rows = RowView::of_coo(&c, &rowptr).slice(p.start..p.end);
-                    CsxMatrix::from_rows(c.nrows(), rows, c.values(), config)
+                    let rows = view.slice(p.start..p.end);
+                    CsxMatrix::from_rows(csr.nrows(), rows, csr.values(), config)
                 })
                 .collect::<Vec<_>>()
         });
 
         CsxParallel {
-            n: c.nrows() as usize,
-            nnz: c.nnz(),
+            n: csr.nrows() as usize,
+            nnz: csr.nnz(),
             parts,
             chunks,
             ctx: Arc::clone(ctx),

@@ -24,6 +24,7 @@ use symspmv_runtime::{
     balanced_ranges, partition::symmetric_row_weights, ExecutionContext, PlanKey, Range,
     ReductionStrategy,
 };
+use symspmv_sparse::reorder::level_color_lower;
 use symspmv_sparse::SssMatrix;
 use symspmv_verify::{
     certify_race_symbolic, certify_sym_symbolic, ColoringFacts, RaceCertificate, StructureFacts,
@@ -203,7 +204,7 @@ impl CachedSymPlan {
         nthreads: usize,
     ) -> CachedSymPlan {
         let n = sss.n() as usize;
-        let coloring = symspmv_reorder::level_color_lower(sss.n(), sss.rowptr(), sss.colind());
+        let coloring = level_color_lower(sss.n(), sss.rowptr(), sss.colind());
         let group_parts: Vec<Vec<Range>> = coloring
             .groups
             .iter()

@@ -151,8 +151,9 @@ mod tests {
         for &(r, c) in entries {
             assert!(c < r);
             coo.push(r, c, -1.0);
+            coo.push(c, r, -1.0);
         }
-        SssMatrix::from_lower_coo(&coo).unwrap()
+        SssMatrix::from_coo(&coo, 0.0).unwrap()
     }
 
     fn parts2(n: Idx) -> Vec<Range> {

@@ -510,9 +510,8 @@ impl<'a> Scan<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rows::coo_rowptr;
     use std::collections::HashSet;
-    use symspmv_sparse::CooMatrix;
+    use symspmv_sparse::{CooMatrix, CsrMatrix};
 
     fn coo_from(entries: &[(Idx, Idx)]) -> CooMatrix {
         let n = entries
@@ -528,14 +527,16 @@ mod tests {
         m
     }
 
+    fn rows_of(csr: &CsrMatrix) -> RowView<'_> {
+        RowView::new(0, csr.ncols(), csr.rowptr(), csr.colind())
+    }
+
     fn analyze(m: &CooMatrix, config: &DetectConfig) -> Detected {
-        let rowptr = coo_rowptr(m);
-        super::analyze(RowView::of_coo(m, &rowptr), config)
+        super::analyze(rows_of(&CsrMatrix::from_coo(m)), config)
     }
 
     fn select_families(m: &CooMatrix, config: &DetectConfig) -> Vec<Family> {
-        let rowptr = coo_rowptr(m);
-        super::select_families(RowView::of_coo(m, &rowptr), config)
+        super::select_families(rows_of(&CsrMatrix::from_coo(m)), config)
     }
 
     /// Elements not covered by any instance, row-major.
@@ -685,13 +686,13 @@ mod tests {
     fn sampling_is_deterministic_and_partial() {
         let entries: Vec<(Idx, Idx)> = (0..4096).map(|i| (i, i / 2)).collect();
         let m = coo_from(&entries);
-        let rowptr = coo_rowptr(&m);
+        let csr = CsrMatrix::from_coo(&m);
         let config = DetectConfig {
             sample_fraction: 0.1,
             ..cfg()
         };
         let sample = || {
-            let view = RowView::of_coo(&m, &rowptr);
+            let view = rows_of(&csr);
             let scan = Scan::new(view, &config, true);
             scan.rows()
                 .flat_map(|r| view.row(r))
@@ -735,10 +736,9 @@ mod tests {
         // Windows are counted from the view's first row: a partition that
         // starts past row 64 of a matrix shorter than one sampling period
         // still gets its families.
-        let mut m = symspmv_sparse::gen::block_structural(120, 3, 14.0, 20, 31);
-        m.canonicalize();
-        let rowptr = coo_rowptr(&m);
-        let tail = RowView::of_coo(&m, &rowptr).slice(200..m.nrows());
+        let m = symspmv_sparse::gen::block_structural(120, 3, 14.0, 20, 31);
+        let csr = CsrMatrix::from_coo(&m);
+        let tail = rows_of(&csr).slice(200..m.nrows());
         let enabled = super::select_families(tail, &DetectConfig::default());
         assert!(enabled.contains(&Family::Block(3, 3)), "{enabled:?}");
     }

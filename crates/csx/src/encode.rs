@@ -20,9 +20,9 @@
 
 use crate::detect::{analyze, DetectConfig, Detected, EntryRole};
 use crate::pattern::{DeltaWidth, PatternKind};
-use crate::rows::{coo_rowptr, RowView};
+use crate::rows::RowView;
 use crate::varint::{read_varint, write_varint};
-use symspmv_sparse::{CooMatrix, Idx, Val};
+use symspmv_sparse::{CooMatrix, CsrMatrix, Idx, Val};
 
 /// Flags-byte bit for "unit starts a new row".
 pub const NR_BIT: u8 = 0x80;
@@ -325,10 +325,12 @@ impl CtlStream {
     }
 }
 
-/// Encodes a canonical COO matrix end-to-end (detect + encode).
+/// Encodes a COO matrix end-to-end (detect + encode) from the rows of
+/// [`CsrMatrix::from_coo`]: triplets in any order, duplicates summed.
 pub fn encode_coo(coo: &CooMatrix, config: &DetectConfig) -> CtlStream {
-    let rowptr = coo_rowptr(coo);
-    encode_rows(RowView::of_coo(coo, &rowptr), config).into_stream(coo.values())
+    let csr = CsrMatrix::from_coo(coo);
+    let view = RowView::new(0, csr.ncols(), csr.rowptr(), csr.colind());
+    encode_rows(view, config).into_stream(csr.values())
 }
 
 #[cfg(test)]

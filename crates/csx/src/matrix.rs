@@ -3,7 +3,7 @@
 use crate::detect::DetectConfig;
 use crate::encode::{delta_of, encode_rows, CtlStream, UnitCursor, UnitHead};
 use crate::pattern::run_strides;
-use crate::rows::{coo_rowptr, RowView};
+use crate::rows::RowView;
 use symspmv_sparse::{CooMatrix, CsrMatrix, Idx, SparseError, Val};
 
 /// Compression statistics of a CSX encoding.
@@ -38,7 +38,6 @@ impl CsxStats {
 /// for c in 0..6 {
 ///     a.push(1, c, 1.0); // a horizontal run CSX will encode as one unit
 /// }
-/// a.canonicalize();
 /// let cfg = DetectConfig { min_coverage: 0.0, ..DetectConfig::default() };
 /// let m = CsxMatrix::from_coo(&a, &cfg);
 /// assert_eq!(m.stats().substructure_units, 1);
@@ -55,18 +54,11 @@ pub struct CsxMatrix {
 }
 
 impl CsxMatrix {
-    /// Encodes a matrix with the given detection configuration.
+    /// Encodes a matrix with the given detection configuration: the
+    /// triplets go through [`CsrMatrix::from_coo`] (any order, duplicates
+    /// summed) and its rows are encoded in place.
     pub fn from_coo(coo: &CooMatrix, config: &DetectConfig) -> Self {
-        let mut c = coo.clone();
-        c.canonicalize();
-        Self::from_canonical_coo(&c, config)
-    }
-
-    /// Encodes an already-canonical COO matrix.
-    pub fn from_canonical_coo(coo: &CooMatrix, config: &DetectConfig) -> Self {
-        let rowptr = coo_rowptr(coo);
-        let view = RowView::of_coo(coo, &rowptr);
-        Self::from_rows(coo.nrows(), view, coo.values(), config)
+        Self::from_csr(&CsrMatrix::from_coo(coo), config)
     }
 
     /// Encodes the rows of `view` — all of an `nrows`-row matrix, or one
@@ -94,9 +86,12 @@ impl CsxMatrix {
     /// a non-finite value or an nnz beyond the index type reported as a
     /// structured [`SparseError`] — and its rows are encoded in place.
     pub fn try_from_coo(coo: &CooMatrix, config: &DetectConfig) -> Result<Self, SparseError> {
-        let csr = CsrMatrix::try_from_coo(coo)?;
+        Ok(Self::from_csr(&CsrMatrix::try_from_coo(coo)?, config))
+    }
+
+    fn from_csr(csr: &CsrMatrix, config: &DetectConfig) -> Self {
         let view = RowView::new(0, csr.ncols(), csr.rowptr(), csr.colind());
-        Ok(Self::from_rows(csr.nrows(), view, csr.values(), config))
+        Self::from_rows(csr.nrows(), view, csr.values(), config)
     }
 
     /// Number of rows.
@@ -139,14 +134,13 @@ impl CsxMatrix {
         self.spmv_accumulate(x, y);
     }
 
-    /// Reconstructs the COO form (testing / verification).
+    /// Reconstructs the COO form, row-major (testing / verification).
     pub fn to_coo(&self) -> CooMatrix {
         let mut coo = CooMatrix::with_capacity(self.nrows, self.ncols, self.nnz());
         for (r, c, v) in self.stream.decode_elements() {
             coo.push(r, c, v);
         }
-        coo.canonicalize();
-        coo
+        CsrMatrix::from_coo(&coo).to_coo()
     }
 }
 
@@ -353,13 +347,11 @@ mod tests {
 
     #[test]
     fn chunked_rows_compose() {
-        let coo = symspmv_sparse::gen::banded_random(120, 9, 6.0, 9);
-        let mut c = coo.clone();
-        c.canonicalize();
-        let rowptr = coo_rowptr(&c);
-        let rows = |lo, hi| RowView::of_coo(&c, &rowptr).slice(lo..hi);
-        let a = CsxMatrix::from_rows(120, rows(0, 60), c.values(), &cfg());
-        let b = CsxMatrix::from_rows(120, rows(60, 120), c.values(), &cfg());
+        let c = symspmv_sparse::gen::banded_random(120, 9, 6.0, 9);
+        let csr = CsrMatrix::from_coo(&c);
+        let rows = |lo, hi| RowView::new(0, 120, csr.rowptr(), csr.colind()).slice(lo..hi);
+        let a = CsxMatrix::from_rows(120, rows(0, 60), csr.values(), &cfg());
+        let b = CsxMatrix::from_rows(120, rows(60, 120), csr.values(), &cfg());
         let x = symspmv_sparse::dense::seeded_vector(120, 2);
         let mut y = vec![0.0; 120];
         a.spmv_accumulate(&x, &mut y);

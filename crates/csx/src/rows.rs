@@ -1,15 +1,16 @@
 //! The borrowed row view detection and encoding run on.
 //!
 //! Both producers of CSX streams already hold their non-zeros as sorted
-//! rows: an [`SssMatrix`] stores the strict lower triangle in CSR layout, a
-//! canonical [`CooMatrix`] is row-major by definition. A [`RowView`] borrows
-//! the row pointers and column indices of a run of consecutive rows — an
-//! SSS partition directly, a canonical COO after one counting pass — so the
-//! detector and the encoder never copy, sort or search the matrix. A
-//! non-zero is named by its *entry index*, its position in `cols`, which is
-//! also its position in the owner's value array(s).
+//! rows: an [`SssMatrix`] stores the strict lower triangle in CSR layout,
+//! and the unsymmetric CSX takes the rows of a
+//! [`CsrMatrix`](symspmv_sparse::CsrMatrix) — the one COO → rows
+//! conversion. A [`RowView`] borrows the row pointers and column indices
+//! of a run of consecutive rows, so the detector and the encoder never
+//! copy, sort or search the matrix. A non-zero is named by its *entry
+//! index*, its position in `cols`, which is also its position in the
+//! owner's value array(s).
 
-use symspmv_sparse::{CooMatrix, Idx, SssMatrix};
+use symspmv_sparse::{Idx, SssMatrix};
 
 /// Consecutive rows of a sparse matrix in CSR layout, borrowed.
 #[derive(Debug, Clone, Copy)]
@@ -42,11 +43,6 @@ impl<'a> RowView<'a> {
     /// The strict lower triangle of an SSS matrix.
     pub fn of_sss(sss: &'a SssMatrix) -> Self {
         Self::new(0, sss.n(), sss.rowptr(), sss.colind())
-    }
-
-    /// A canonical COO matrix whose row pointers [`coo_rowptr`] computed.
-    pub fn of_coo(coo: &'a CooMatrix, rowptr: &'a [Idx]) -> Self {
-        Self::new(0, coo.ncols(), rowptr, coo.col_indices())
     }
 
     /// The rows `rows` of the view only (entry indices are unchanged).
@@ -83,21 +79,4 @@ impl<'a> RowView<'a> {
         let i = (r - self.first_row) as usize;
         self.rowptr[i] as usize..self.rowptr[i + 1] as usize
     }
-}
-
-/// Row pointers of a canonical COO matrix: one counting pass.
-pub fn coo_rowptr(coo: &CooMatrix) -> Vec<Idx> {
-    debug_assert!(coo.is_canonical(), "row views expect canonical COO");
-    assert!(
-        Idx::try_from(coo.nnz()).is_ok(),
-        "nnz exceeds the index type"
-    );
-    let mut rowptr = vec![0 as Idx; coo.nrows() as usize + 1];
-    for &r in coo.row_indices() {
-        rowptr[r as usize + 1] += 1;
-    }
-    for i in 0..coo.nrows() as usize {
-        rowptr[i + 1] += rowptr[i];
-    }
-    rowptr
 }

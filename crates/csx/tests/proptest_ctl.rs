@@ -7,9 +7,9 @@
 use symspmv_csx::detect::DetectConfig;
 use symspmv_csx::encode::encode_coo;
 use symspmv_csx::matrix::CsxMatrix;
-use symspmv_csx::rows::{coo_rowptr, RowView};
+use symspmv_csx::rows::RowView;
 use symspmv_sparse::rng::StdRng;
-use symspmv_sparse::{CooMatrix, Idx};
+use symspmv_sparse::{CooMatrix, CsrMatrix, Idx};
 
 const CASES: u64 = 64;
 
@@ -80,7 +80,7 @@ fn spmv_equals_reference() {
         let mut y_ref = vec![0.0; coo.nrows() as usize];
         coo.spmv_reference(&x, &mut y_ref);
         for cfg in configs() {
-            let m = CsxMatrix::from_canonical_coo(&coo, &cfg);
+            let m = CsxMatrix::from_coo(&coo, &cfg);
             let mut y = vec![0.0; coo.nrows() as usize];
             m.spmv(&x, &mut y);
             for (a, b) in y.iter().zip(&y_ref) {
@@ -120,8 +120,8 @@ fn col_split_never_straddled() {
             min_coverage: 0.0,
             ..DetectConfig::default()
         };
-        let rowptr = coo_rowptr(&coo);
-        let view = RowView::of_coo(&coo, &rowptr);
+        let csr = CsrMatrix::from_coo(&coo);
+        let view = RowView::new(0, csr.ncols(), csr.rowptr(), csr.colind());
         let det = symspmv_csx::detect::analyze(view, &cfg);
         for inst in &det.instances {
             let lo = inst.elements().any(|(_, c)| c < split);

@@ -14,8 +14,8 @@ use std::sync::Arc;
 use symspmv_core::SymFormat;
 use symspmv_core::{symbolic, ws, ReductionMethod, SymSpmv};
 use symspmv_csx::detect::DetectConfig;
-use symspmv_reorder::rcm::rcm_reorder;
 use symspmv_runtime::{balanced_ranges, partition::symmetric_row_weights, ExecutionContext};
+use symspmv_sparse::reorder::rcm::rcm_reorder;
 use symspmv_sparse::stats::csr_size_mib;
 use symspmv_sparse::suite::SuiteMatrix;
 use symspmv_sparse::{CooMatrix, CsrMatrix, SssMatrix};

@@ -3,6 +3,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 use symspmv_harness::kernels::KernelSpec;
+use symspmv_harness::report::parse_csv;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_experiments"))
@@ -107,6 +108,54 @@ fn fig5_writes_csv_and_svg() {
     assert!(wrk.path("fig5.csv").exists());
     let svg = std::fs::read_to_string(wrk.path("fig5.svg")).unwrap();
     assert!(svg.starts_with("<svg"));
+}
+
+/// Reads `<file>` from the work directory as `(header, rows)`.
+fn read_csv(wrk: &Workdir, file: &str) -> (Vec<String>, Vec<Vec<String>>) {
+    let text = std::fs::read_to_string(wrk.path(file)).unwrap();
+    parse_csv(&text).unwrap_or_else(|| panic!("{file} is not CSV:\n{text}"))
+}
+
+#[test]
+fn table3_reorders_and_writes_one_row_per_lineup_kernel() {
+    let wrk = Workdir::new("table3");
+    wrk.run(&[
+        "table3", "--scale", "0.002", "--matrix", "hood", "--iters", "8",
+    ]);
+    let (header, rows) = read_csv(&wrk, "table3.csv");
+    assert_eq!(
+        header,
+        [
+            "format",
+            "measured improvement",
+            "paper (Dunnington)",
+            "paper (Gainestown)"
+        ]
+    );
+    let lineup: Vec<&str> = KernelSpec::figure11_lineup()
+        .iter()
+        .map(|s| s.name())
+        .collect();
+    let formats: Vec<&str> = rows.iter().map(|r| r[0].as_str()).collect();
+    assert_eq!(formats, lineup);
+}
+
+#[test]
+fn fig13_reorders_and_writes_one_row_per_matrix() {
+    let wrk = Workdir::new("fig13");
+    wrk.run(&[
+        "fig13", "--scale", "0.002", "--matrix", "hood", "--iters", "8",
+    ]);
+    let (header, rows) = read_csv(&wrk, "fig13.csv");
+    let mut want = vec!["matrix".to_string()];
+    want.extend(
+        KernelSpec::figure11_lineup()
+            .iter()
+            .map(|s| format!("{} Gflop/s", s.name())),
+    );
+    assert_eq!(header, want);
+    assert_eq!(rows.len(), 1, "{rows:?}");
+    assert_eq!(rows[0][0], "hood");
 }
 
 #[test]

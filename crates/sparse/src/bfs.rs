@@ -2,7 +2,7 @@
 //! vertex finder used to pick good RCM starting vertices.
 
 use crate::graph::AdjGraph;
-use symspmv_sparse::Idx;
+use crate::Idx;
 
 /// The rooted level structure of a BFS from `root`, restricted to the
 /// connected component of `root`.
@@ -83,7 +83,7 @@ pub fn pseudo_peripheral(g: &AdjGraph, start: Idx) -> Idx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symspmv_sparse::CooMatrix;
+    use crate::CooMatrix;
 
     fn path(n: u32) -> AdjGraph {
         let mut coo = CooMatrix::new(n, n);

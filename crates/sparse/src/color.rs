@@ -30,7 +30,7 @@
 
 use crate::bfs::{level_structure, LevelStructure};
 use crate::graph::AdjGraph;
-use symspmv_sparse::Idx;
+use crate::Idx;
 
 /// Writers-per-target cap above which the target's writer rows are assigned
 /// singleton subcolors instead of pairwise conflict edges.
@@ -391,7 +391,7 @@ fn greedy_subset(ctx: &mut ColorCtx, verts: &[u32], ep: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symspmv_sparse::CooMatrix;
+    use crate::CooMatrix;
 
     /// Brute-force validity: partition of all rows, and no two rows of a
     /// group within distance 2 of each other (shared write target).

@@ -215,31 +215,6 @@ impl CooMatrix {
         cols.binary_search(&col).ok().map(|k| self.vals[lo + k])
     }
 
-    /// Extracts the strict lower triangle and the main diagonal (as a dense
-    /// `N`-vector, zero-filled where the diagonal is structurally absent).
-    ///
-    /// This is the decomposition both SSS and CSX-Sym store. Fails if the
-    /// matrix is not square.
-    pub fn split_lower_diag(&self) -> Result<(CooMatrix, Vec<Val>), SparseError> {
-        if self.nrows != self.ncols {
-            return Err(SparseError::NotSquare {
-                nrows: self.nrows,
-                ncols: self.ncols,
-            });
-        }
-        let n = self.nrows as usize;
-        let mut diag = vec![0.0; n];
-        let mut lower = CooMatrix::with_capacity(self.nrows, self.ncols, self.nnz() / 2 + 1);
-        for (r, c, v) in self.iter() {
-            if r == c {
-                diag[r as usize] += v;
-            } else if c < r {
-                lower.push(r, c, v);
-            }
-        }
-        Ok((lower, diag))
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> CooMatrix {
         CooMatrix {
@@ -362,26 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn split_and_symmetrize_round_trip() {
-        let m = sample();
-        let (lower, diag) = m.split_lower_diag().unwrap();
-        assert_eq!(diag, vec![2.0, 3.0, 4.0]);
-        assert_eq!(lower.nnz(), 1); // only (1,0)
-
-        // Rebuild: the diagonal, and each lower entry with its mirror.
-        let mut full = CooMatrix::new(3, 3);
-        for (i, &d) in diag.iter().enumerate() {
-            full.push(i as Idx, i as Idx, d);
-        }
-        for (r, c, v) in lower.iter() {
-            full.push(r, c, v);
-            full.push(c, r, v);
-        }
-        full.canonicalize();
-        assert_eq!(full, sample());
-    }
-
-    #[test]
     fn out_of_bounds_rejected() {
         let res = CooMatrix::from_triplets(2, 2, vec![2], vec![0], vec![1.0]);
         assert!(matches!(res, Err(SparseError::IndexOutOfBounds { .. })));
@@ -413,8 +368,5 @@ mod tests {
         m.canonicalize();
         assert!(m.is_canonical());
         assert!(m.is_symmetric(0.0));
-        let (lower, diag) = m.split_lower_diag().unwrap();
-        assert_eq!(lower.nnz(), 0);
-        assert_eq!(diag, vec![0.0; 4]);
     }
 }

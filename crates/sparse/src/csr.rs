@@ -22,6 +22,12 @@ pub struct CsrMatrix {
 impl CsrMatrix {
     /// Builds a CSR matrix from a COO matrix: triplets in any order,
     /// duplicates summed (as [`CooMatrix::canonicalize`] would).
+    ///
+    /// # Panics
+    ///
+    /// If the non-zero count exceeds [`Idx::MAX`], with the message of the
+    /// [`SparseError::IndexOverflow`] that [`CsrMatrix::try_from_coo`]
+    /// returns.
     pub fn from_coo(coo: &CooMatrix) -> Self {
         Self::from_row_major(coo, RowMajor::of(coo))
     }
@@ -39,6 +45,7 @@ impl CsrMatrix {
     }
 
     fn from_row_major(coo: &CooMatrix, entries: RowMajor<'_>) -> Self {
+        entries.assert_nnz();
         let (rowptr, colind, values) = entries.into_parts();
         CsrMatrix {
             nrows: coo.nrows(),

@@ -19,8 +19,9 @@
 //!   collection (DESIGN.md, substitution S1);
 //! * structural statistics ([`stats`]) — bandwidth, densities, row profiles —
 //!   feeding Figures 4 and 5;
-//! * permutations ([`perm`]) used by the RCM reordering experiments
-//!   (Table III, Fig. 13).
+//! * permutations ([`perm`]) and the reordering that computes them
+//!   ([`reorder`]: the adjacency graph, BFS level structures, RCM and the
+//!   level colouring) for the reordering experiments (Table III, Fig. 13).
 //!
 //! Index type is `u32` and values are `f64`, matching the paper's four-byte
 //! indices and eight-byte floating-point values.
@@ -34,6 +35,18 @@ pub mod error;
 pub mod gen;
 pub mod mm;
 pub mod perm;
+pub mod reorder;
+// The modules of `reorder`, which is their public path. They are declared
+// here rather than inside it so that their unit tests keep the names they
+// had when `reorder` was a crate of its own (`bfs::tests::…`).
+#[doc(hidden)]
+pub mod bfs;
+#[doc(hidden)]
+pub mod color;
+#[doc(hidden)]
+pub mod graph;
+#[doc(hidden)]
+pub mod rcm;
 pub mod rng;
 mod rowmajor;
 pub mod sss;

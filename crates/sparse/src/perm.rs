@@ -1,7 +1,7 @@
 //! Row/column permutations and symmetric reordering `P·A·Pᵀ`.
 //!
 //! The reordering experiments (§V-D, Table III, Fig. 13) permute the matrix
-//! symmetrically with the RCM ordering computed in `symspmv-reorder`.
+//! symmetrically with the RCM ordering computed in [`crate::reorder`].
 
 use crate::coo::CooMatrix;
 use crate::error::SparseError;

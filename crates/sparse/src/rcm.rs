@@ -8,7 +8,7 @@
 
 use crate::bfs::pseudo_peripheral;
 use crate::graph::AdjGraph;
-use symspmv_sparse::{CooMatrix, Idx, Permutation, SparseError};
+use crate::{CooMatrix, Idx, Permutation, SparseError};
 
 /// Computes the RCM *ordering*: `order[k]` is the old vertex placed at new
 /// position `k`.
@@ -73,7 +73,7 @@ pub fn rcm_reorder(coo: &CooMatrix) -> Result<CooMatrix, SparseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symspmv_sparse::stats::matrix_stats;
+    use crate::stats::matrix_stats;
 
     #[test]
     fn order_is_a_permutation() {
@@ -136,7 +136,7 @@ mod tests {
 
     #[test]
     fn rcm_on_random_spd_reduces_bandwidth() {
-        let coo = symspmv_sparse::gen::mixed_bandwidth(400, 6.0, 0.3, 4, 17);
+        let coo = crate::gen::mixed_bandwidth(400, 6.0, 0.3, 4, 17);
         let before = matrix_stats(&coo).bandwidth;
         let reordered = rcm_reorder(&coo).unwrap();
         let after = matrix_stats(&reordered).bandwidth;
@@ -148,7 +148,7 @@ mod tests {
 
     #[test]
     fn rcm_permutation_is_valid_bijection() {
-        let coo = symspmv_sparse::gen::laplacian_2d(8, 8);
+        let coo = crate::gen::laplacian_2d(8, 8);
         let p = rcm_permutation(&coo).unwrap();
         let id = p.then(&p.inverse());
         assert_eq!(id, Permutation::identity(64));

@@ -2,8 +2,9 @@
 //!
 //! Everything that consumes a [`CooMatrix`] in row-major order — the
 //! conversions to CSR and SSS (and the checks of their `try_from_coo`
-//! forms, the only COO validation there is), [`CooMatrix::canonicalize`]
-//! and the symmetry predicates — starts from a [`RowMajor`]: row pointers
+//! forms, the only COO validation there is), [`CooMatrix::canonicalize`],
+//! the symmetry predicates and the adjacency graph of
+//! [`crate::reorder::graph`] — starts from a [`RowMajor`]: row pointers
 //! plus column and value arrays that are *borrowed* from the caller when
 //! the triplets are already sorted without duplicates (what every
 //! generator, [`crate::perm`] and the MatrixMarket reader produce), and
@@ -165,6 +166,11 @@ impl<'a> RowMajor<'a> {
         self.rowptr.len() - 1
     }
 
+    /// The columns of row `r`, strictly ascending.
+    pub(crate) fn row_cols(&self, r: usize) -> &[Idx] {
+        &self.cols[self.rowptr[r]..self.rowptr[r + 1]]
+    }
+
     /// Row pointers of the entries strictly left of the diagonal.
     pub(crate) fn lower_rowptr(&self) -> &[usize] {
         &self.lower
@@ -178,9 +184,9 @@ impl<'a> RowMajor<'a> {
             .map(|k| self.vals[lo + k])
     }
 
-    /// The non-zero count must fit the four-byte index type and every
-    /// (summed) value be finite; names the row-major-first non-finite entry.
-    pub(crate) fn check_finite(&self) -> Result<(), SparseError> {
+    /// The non-zero count must fit the four-byte index type: every row
+    /// pointer of a conversion is an [`Idx`].
+    fn check_nnz(&self) -> Result<(), SparseError> {
         if self.nnz() as u64 > Idx::MAX as u64 {
             return Err(SparseError::IndexOverflow {
                 what: "non-zero count",
@@ -188,6 +194,21 @@ impl<'a> RowMajor<'a> {
                 max: Idx::MAX as u64,
             });
         }
+        Ok(())
+    }
+
+    /// [`RowMajor::check_nnz`] for the trusted conversions: they panic with
+    /// the error the validated ones return, rather than wrap a row pointer.
+    pub(crate) fn assert_nnz(&self) {
+        if let Err(e) = self.check_nnz() {
+            panic!("{e}");
+        }
+    }
+
+    /// The non-zero count must fit the four-byte index type and every
+    /// (summed) value be finite; names the row-major-first non-finite entry.
+    pub(crate) fn check_finite(&self) -> Result<(), SparseError> {
+        self.check_nnz()?;
         // The scan that names the offender runs only when there is one.
         let offender = (!self.finite).then(|| self.vals.iter().position(|v| !v.is_finite()));
         match offender.flatten() {
@@ -197,19 +218,6 @@ impl<'a> RowMajor<'a> {
                 col: self.cols[k],
                 value: self.vals[k],
             }),
-        }
-    }
-
-    /// Calls `visit(row, col, value, value)` for every entry on or below
-    /// the diagonal, in row-major order; entries above it are ignored.
-    pub(crate) fn for_each_lower(&self, mut visit: impl FnMut(usize, Idx, Val, Val)) {
-        let (cols, vals) = (&self.cols[..], &self.vals[..]);
-        for r in 0..self.rows() {
-            for k in self.rowptr[r]..self.rowptr[r + 1] {
-                if cols[k] as usize <= r {
-                    visit(r, cols[k], vals[k], vals[k]);
-                }
-            }
         }
     }
 

@@ -86,12 +86,18 @@ impl SssMatrix {
     /// [`SparseError::SkewNonzeroDiagonal`], and the stored diagonal is
     /// identically zero); structural — every off-diagonal entry paired,
     /// with the upper value of each pair kept in `upper_values`.
+    ///
+    /// # Panics
+    ///
+    /// If the non-zero count exceeds [`Idx::MAX`], with the message of the
+    /// [`SparseError::IndexOverflow`] that [`SssMatrix::try_from_coo_kind`]
+    /// returns.
     pub fn from_coo_kind(
         coo: &CooMatrix,
         kind: SymmetryKind,
         tol: Val,
     ) -> Result<Self, SparseError> {
-        Self::build(coo, Some((kind, tol)), false)
+        Self::build(coo, kind, tol, false)
     }
 
     /// Fully validated constructor: beyond [`SssMatrix::from_coo`]'s
@@ -117,31 +123,25 @@ impl SssMatrix {
                 msg: format!("symmetry tolerance must be finite and >= 0, got {tol}"),
             });
         }
-        Self::build(coo, Some((kind, tol)), true)
-    }
-
-    /// Builds an SSS matrix from triplets describing only the lower triangle
-    /// (diagonal entries included among them), *trusting* symmetry.
-    pub fn from_lower_coo(lower_with_diag: &CooMatrix) -> Result<Self, SparseError> {
-        Self::build(lower_with_diag, None, false)
+        Self::build(coo, kind, tol, true)
     }
 
     /// The one COO → SSS conversion, serial. Reads `coo` in place through a
     /// [`RowMajor`] view (pass 1: on canonical triplets one fused pass that
     /// checks order and finiteness and finds the row starts and diagonal
     /// splits — nothing is copied or sorted), then fills the exactly sized
-    /// arrays in one sweep over the entries on and below the diagonal (pass
-    /// 2): with `mirror` set, the sweep that also checks the kind's relation
-    /// against the upper triangle; without it, a plain walk that ignores
-    /// the upper triangle. `validated` rejects a non-finite value before
-    /// the sweep; the scan that names it runs only when there is one.
+    /// arrays in one sweep over the entries on and below the diagonal that
+    /// also checks the kind's relation against the upper triangle (pass 2).
+    /// `validated` rejects a non-finite value before the sweep; the scan
+    /// that names it runs only when there is one.
     ///
     /// Errors come in the order: not square, non-zero count overflow, the
     /// row-major-first non-finite value, the row-major-first entry breaking
     /// the relation.
     fn build(
         coo: &CooMatrix,
-        mirror: Option<(SymmetryKind, Val)>,
+        kind: SymmetryKind,
+        tol: Val,
         validated: bool,
     ) -> Result<Self, SparseError> {
         if coo.nrows() != coo.ncols() {
@@ -154,8 +154,8 @@ impl SssMatrix {
         if validated {
             entries.check_finite()?;
         }
+        entries.assert_nnz();
         let n = coo.nrows() as usize;
-        let kind = mirror.map_or(SymmetryKind::Symmetric, |(kind, _)| kind);
         // Row `r` stores exactly its entries left of the diagonal, so the
         // row pointers and the array sizes are known before the sweep.
         let rowptr: Vec<Idx> = entries.lower_rowptr().iter().map(|&p| p as Idx).collect();
@@ -181,10 +181,7 @@ impl SssMatrix {
                 dvalues[r] += v;
             }
         };
-        match mirror {
-            Some((kind, tol)) => entries.check_mirrors(kind, tol, emit)?,
-            None => entries.for_each_lower(emit),
-        }
+        entries.check_mirrors(kind, tol, emit)?;
         Ok(SssMatrix {
             n: coo.nrows(),
             kind,
@@ -977,24 +974,5 @@ mod tests {
         );
         // A NaN tolerance fails every pair it is asked about.
         assert!(SssMatrix::from_coo(&sym_coo(), f64::NAN).is_err());
-    }
-
-    #[test]
-    fn from_lower_coo_matches_from_coo() {
-        let full = sym_coo();
-        let a = SssMatrix::from_coo(&full, 0.0).unwrap();
-        let (lower, diag) = {
-            let mut c = full.clone();
-            c.canonicalize();
-            c.split_lower_diag().unwrap()
-        };
-        let mut lower_with_diag = lower;
-        for (i, &d) in diag.iter().enumerate() {
-            if d != 0.0 {
-                lower_with_diag.push(i as Idx, i as Idx, d);
-            }
-        }
-        let b = SssMatrix::from_lower_coo(&lower_with_diag).unwrap();
-        assert_eq!(a, b);
     }
 }

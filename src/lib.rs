@@ -62,7 +62,7 @@ pub struct ReadmeDoctests;
 
 pub use symspmv_core as core;
 pub use symspmv_csx as csx;
-pub use symspmv_reorder as reorder;
 pub use symspmv_runtime as runtime;
 pub use symspmv_solver as solver;
 pub use symspmv_sparse as sparse;
+pub use symspmv_sparse::reorder;
