@@ -21,8 +21,8 @@ use crate::symbolic::{self, ConflictIndex};
 use std::any::Any;
 use std::sync::Arc;
 use symspmv_runtime::{
-    balanced_ranges, partition::symmetric_row_weights, ExecutionContext, PlanKey, Range,
-    ReductionStrategy,
+    balanced_ranges, even_ranges, partition::symmetric_row_weights, ExecutionContext, PlanKey,
+    Range, ReductionStrategy,
 };
 use symspmv_sparse::reorder::level_color_lower;
 use symspmv_sparse::SssMatrix;
@@ -150,7 +150,7 @@ impl CachedSymPlan {
             }
         };
         let layout = strategy.layout(n, &parts);
-        let reduce_chunks = balanced_ranges(&vec![1u64; n], nthreads);
+        let reduce_chunks = even_ranges(n, nthreads);
 
         let kind = if !strategy.direct_write() {
             SymStrategyKind::Naive
@@ -271,7 +271,7 @@ impl CachedSymPlan {
                 splits: vec![0; nthreads + 1],
                 effective_region_len: 0,
             },
-            reduce_chunks: balanced_ranges(&vec![1u64; n], nthreads),
+            reduce_chunks: even_ranges(n, nthreads),
             cert,
             schedule: Some(Arc::new(schedule)),
         }

@@ -8,7 +8,7 @@
 //! the reduction can be split among threads without ever sharing an output
 //! row.
 
-use symspmv_runtime::{balanced_ranges, Range};
+use symspmv_runtime::{even_ranges, Range};
 use symspmv_sparse::{Idx, SssMatrix};
 
 // The entry type lives in the runtime crate next to the reduction
@@ -69,42 +69,59 @@ impl ConflictIndex {
 /// analysis is reusable across CG iterations and shared by the SSS and
 /// CSX-Sym kernels (the optimization "is orthogonal to the CSX-Sym format",
 /// §IV-B).
+///
+/// O(nnz + n + Σ_i start_i / 64) and no comparison sort: per partition one
+/// flat walk over its lower columns marks every `c < start` in a bitset, a
+/// sweep of the set bits below `start` emits the conflict rows ascending
+/// and clears them, and one counting pass by `idx`, visiting threads in
+/// order, lays out the `(idx, vid)`-sorted entries.
 pub fn analyze(sss: &SssMatrix, parts: &[Range]) -> ConflictIndex {
     let p = parts.len();
+    let (rowptr, colind) = (sss.rowptr(), sss.colind());
     let mut conflicts: Vec<Vec<Idx>> = vec![Vec::new(); p];
-    let mut seen = vec![false; sss.n() as usize];
-    for (i, part) in parts.iter().enumerate() {
+    let mut seen = vec![0u64; (sss.n() as usize).div_ceil(64)];
+    for (part, my) in parts.iter().zip(&mut conflicts) {
         let split = part.start;
         if split == 0 {
             continue;
         }
-        let my = &mut conflicts[i];
-        for r in part.start..part.end {
-            let (cols, _) = sss.row(r);
-            for &c in cols {
-                if c < split && !seen[c as usize] {
-                    seen[c as usize] = true;
-                    my.push(c);
-                }
-            }
+        let lo = rowptr[part.start as usize] as usize;
+        let hi = rowptr[part.end as usize] as usize;
+        // Branch-free: a column at or past the split ORs in a zero bit.
+        for &c in &colind[lo..hi] {
+            seen[c as usize / 64] |= u64::from(c < split) << (c % 64);
         }
-        my.sort_unstable();
-        for &c in my.iter() {
-            seen[c as usize] = false;
+        let words = (split as usize).div_ceil(64);
+        for (w, word) in seen[..words].iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                my.push((w * 64) as Idx + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
         }
     }
 
-    let mut entries: Vec<IndexEntry> = conflicts
-        .iter()
-        .enumerate()
-        .flat_map(|(i, rows)| {
-            rows.iter().map(move |&c| IndexEntry {
-                vid: i as Idx,
+    // Counting sort by `idx`; threads are visited in order, so each `idx`
+    // lists its `vid`s ascending. Every conflict row is below some split.
+    let rows = parts.iter().map(|r| r.start as usize).max().unwrap_or(0);
+    let mut next = vec![0usize; rows + 1];
+    for &c in conflicts.iter().flatten() {
+        next[c as usize + 1] += 1;
+    }
+    for c in 0..rows {
+        next[c + 1] += next[c];
+    }
+    let mut entries = vec![IndexEntry { vid: 0, idx: 0 }; next[rows]];
+    for (vid, my) in conflicts.iter().enumerate() {
+        for &c in my {
+            let slot = &mut next[c as usize];
+            entries[*slot] = IndexEntry {
+                vid: vid as Idx,
                 idx: c,
-            })
-        })
-        .collect();
-    entries.sort_unstable_by_key(|e| (e.idx, e.vid));
+            };
+            *slot += 1;
+        }
+    }
 
     let splits = split_entries(&entries, p);
     let effective_region_len = parts.iter().map(|r| r.start as usize).sum();
@@ -116,12 +133,11 @@ pub fn analyze(sss: &SssMatrix, parts: &[Range]) -> ConflictIndex {
     }
 }
 
-/// Splits the sorted index into `p` balanced slices, moving each boundary
+/// Splits the sorted index into `p` even slices, moving each boundary
 /// forward so an `idx` value never spans two slices — the independence
 /// restriction of §III-C's parallelization paragraph.
 fn split_entries(entries: &[IndexEntry], p: usize) -> Vec<usize> {
-    let weights = vec![1u64; entries.len()];
-    let ranges = balanced_ranges(&weights, p);
+    let ranges = even_ranges(entries.len(), p);
     let mut splits = Vec::with_capacity(p + 1);
     splits.push(0usize);
     for r in &ranges[..p - 1] {
@@ -141,6 +157,7 @@ fn split_entries(entries: &[IndexEntry], p: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symspmv_runtime::balanced_ranges;
     use symspmv_sparse::{CooMatrix, SssMatrix};
 
     fn sss_from_lower(entries: &[(Idx, Idx)], n: Idx) -> SssMatrix {
@@ -264,6 +281,129 @@ mod tests {
             .collect();
         assert!(d[0] > d[2], "densities not decreasing: {d:?}");
         assert!(d[2] > 0.0);
+    }
+}
+
+/// The analysis as it was written before the flat walk: per-row slices, a
+/// sort of each thread's conflict rows and a sort of the entries — kept as
+/// the oracle the sort-free [`analyze`] must match field for field.
+#[cfg(test)]
+mod differential_tests {
+    use super::*;
+    use symspmv_runtime::{balanced_ranges, partition::symmetric_row_weights};
+    use symspmv_sparse::{gen, CooMatrix, SssMatrix};
+
+    fn analyze_by_sorting(sss: &SssMatrix, parts: &[Range]) -> ConflictIndex {
+        let p = parts.len();
+        let mut conflicts: Vec<Vec<Idx>> = vec![Vec::new(); p];
+        let mut seen = vec![false; sss.n() as usize];
+        for (i, part) in parts.iter().enumerate() {
+            let split = part.start;
+            if split == 0 {
+                continue;
+            }
+            let my = &mut conflicts[i];
+            for r in part.start..part.end {
+                for &c in sss.row(r).0 {
+                    if c < split && !seen[c as usize] {
+                        seen[c as usize] = true;
+                        my.push(c);
+                    }
+                }
+            }
+            my.sort_unstable();
+            for &c in my.iter() {
+                seen[c as usize] = false;
+            }
+        }
+        let mut entries: Vec<IndexEntry> = conflicts
+            .iter()
+            .enumerate()
+            .flat_map(|(i, rows)| {
+                rows.iter().map(move |&c| IndexEntry {
+                    vid: i as Idx,
+                    idx: c,
+                })
+            })
+            .collect();
+        entries.sort_unstable_by_key(|e| (e.idx, e.vid));
+        let weights = vec![1u64; entries.len()];
+        let mut splits = vec![0usize];
+        for r in &balanced_ranges(&weights, p)[..p - 1] {
+            let mut b = r.end as usize;
+            while b > 0 && b < entries.len() && entries[b].idx == entries[b - 1].idx {
+                b += 1;
+            }
+            let b = b
+                .min(entries.len())
+                .max(splits.last().copied().unwrap_or(0));
+            splits.push(b);
+        }
+        splits.push(entries.len());
+        ConflictIndex {
+            entries,
+            conflicts,
+            splits,
+            effective_region_len: parts.iter().map(|r| r.start as usize).sum(),
+        }
+    }
+
+    fn assert_same(sss: &SssMatrix, parts: &[Range], what: &str) {
+        let (got, want) = (analyze(sss, parts), analyze_by_sorting(sss, parts));
+        assert_eq!(got.entries, want.entries, "{what}: entries");
+        assert_eq!(got.conflicts, want.conflicts, "{what}: conflicts");
+        assert_eq!(got.splits, want.splits, "{what}: splits");
+        assert_eq!(
+            got.effective_region_len, want.effective_region_len,
+            "{what}: effective region length"
+        );
+    }
+
+    /// ~200 patterns from every generator family the workloads use, each
+    /// under nnz-balanced and even partitions of every thread count.
+    #[test]
+    fn sort_free_analysis_matches_the_sorting_one() {
+        let mut patterns: Vec<(String, CooMatrix)> = vec![
+            ("n = 0".into(), CooMatrix::new(0, 0)),
+            ("n = 1".into(), {
+                let mut one = CooMatrix::new(1, 1);
+                one.push(0, 0, 2.0);
+                one
+            }),
+        ];
+        for seed in 0..50u64 {
+            let n = 2 + (seed as Idx * 37) % 300;
+            patterns.push((
+                format!("banded {seed}"),
+                gen::banded_random(n, 1 + (seed as Idx % 40), 6.0, seed),
+            ));
+            patterns.push((
+                format!("mixed {seed}"),
+                gen::mixed_bandwidth(n, 8.0, 0.5, 12, seed),
+            ));
+            patterns.push((
+                format!("block {seed}"),
+                gen::block_structural(2 + n / 8, 1 + (seed as Idx % 4), 5.0, 6, seed),
+            ));
+            patterns.push((
+                format!("scrambled power law {seed}"),
+                gen::scramble(&gen::power_law(n, 6.0, 0.02, 8, seed), seed + 1),
+            ));
+        }
+        assert!(patterns.len() >= 200);
+        for (name, coo) in &patterns {
+            let sss = SssMatrix::from_coo(coo, 0.0).unwrap();
+            let weights = symmetric_row_weights(sss.rowptr());
+            for p in [1usize, 2, 3, 5, 8, 32] {
+                assert_same(
+                    &sss,
+                    &balanced_ranges(&weights, p),
+                    &format!("{name}, p {p}"),
+                );
+                let even = even_ranges(sss.n() as usize, p);
+                assert_same(&sss, &even, &format!("{name}, p {p}, even"));
+            }
+        }
     }
 }
 

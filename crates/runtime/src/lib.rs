@@ -63,7 +63,7 @@ mod stress_tests;
 pub use context::{BufferLease, ContextStats, ExecutionContext, PlanKey, SupervisionGuard};
 #[cfg(any(test, feature = "fault-injection"))]
 pub use fault::FaultPlan;
-pub use partition::{balanced_ranges, Range};
+pub use partition::{balanced_ranges, even_ranges, Range};
 pub use pool::{WorkerPanic, WorkerPanicInfo, WorkerPool};
 pub use reduction::{IndexEntry, LocalLayout, ReduceJob, ReductionStrategy};
 pub use shared::SharedBuf;

@@ -66,6 +66,24 @@ pub fn balanced_ranges(weights: &[u64], p: usize) -> Vec<Range> {
     ranges
 }
 
+/// [`balanced_ranges`] on `len` unit weights, without the weights: range
+/// `i` ends at `⌊len·(i+1)/p⌋`.
+///
+/// ```
+/// use symspmv_runtime::{balanced_ranges, even_ranges};
+/// assert_eq!(even_ranges(10, 3), balanced_ranges(&[1; 10], 3));
+/// ```
+pub fn even_ranges(len: usize, p: usize) -> Vec<Range> {
+    assert!(p > 0, "need at least one partition");
+    let end = |i: usize| (len as u128 * i as u128 / p as u128) as u32;
+    (0..p)
+        .map(|i| Range {
+            start: end(i),
+            end: end(i + 1),
+        })
+        .collect()
+}
+
 /// Per-row weight model for the *symmetric* kernel: each strict-lower
 /// non-zero costs two FMAs (the element and its transpose), the diagonal
 /// one. `rowptr` is the SSS lower-triangle row pointer array.
@@ -104,6 +122,19 @@ mod tests {
         check_cover(&r, 100);
         for part in &r {
             assert_eq!(part.len(), 25);
+        }
+    }
+
+    #[test]
+    fn even_ranges_are_unit_weight_balanced_ranges() {
+        for len in 0..=300 {
+            for p in 1..=9 {
+                assert_eq!(
+                    even_ranges(len, p),
+                    balanced_ranges(&vec![1u64; len], p),
+                    "len {len}, p {p}"
+                );
+            }
         }
     }
 

@@ -6,7 +6,7 @@
 //! triangular extraction, which the symmetric formats rely on.
 
 use crate::error::SparseError;
-use crate::rowmajor::RowMajor;
+use crate::rowmajor::Rows;
 use crate::symmetry::SymmetryKind;
 use crate::{Idx, Val};
 
@@ -156,7 +156,7 @@ impl CooMatrix {
         if self.is_canonical() {
             return;
         }
-        let (rowptr, cols, vals) = RowMajor::of(self).into_parts();
+        let (rowptr, cols, vals) = Rows::of(self).into_parts();
         self.rows.clear();
         for (r, w) in (0..self.nrows).zip(rowptr.windows(2)) {
             self.rows.extend(std::iter::repeat_n(r, w[1] - w[0]));
@@ -203,7 +203,7 @@ impl CooMatrix {
     /// between its triangles: one linear mirror sweep.
     fn satisfies(&self, kind: SymmetryKind, tol: Val) -> bool {
         debug_assert!(self.is_canonical(), "symmetry checks need canonical form");
-        self.nrows == self.ncols && RowMajor::of(self).mirror_sweep(kind, tol, |_, _, _, _| {})
+        self.nrows == self.ncols && Rows::of(self).mirror_sweep(kind, tol, |_, _, _, _| {})
     }
 
     /// Binary-searches a canonical matrix for entry `(row, col)`.

@@ -6,7 +6,7 @@
 
 use crate::coo::CooMatrix;
 use crate::error::SparseError;
-use crate::rowmajor::RowMajor;
+use crate::rowmajor::{RowMajor, Rows};
 use crate::{Idx, Val};
 
 /// A sparse matrix in Compressed Sparse Row format.
@@ -29,7 +29,7 @@ impl CsrMatrix {
     /// [`SparseError::IndexOverflow`] that [`CsrMatrix::try_from_coo`]
     /// returns.
     pub fn from_coo(coo: &CooMatrix) -> Self {
-        Self::from_row_major(coo, RowMajor::of(coo))
+        Self::from_rows(coo, Rows::of(coo))
     }
 
     /// Validated constructor: checks the (canonicalized) input for
@@ -41,12 +41,12 @@ impl CsrMatrix {
     pub fn try_from_coo(coo: &CooMatrix) -> Result<Self, SparseError> {
         let entries = RowMajor::of(coo);
         entries.check_finite()?;
-        Ok(Self::from_row_major(coo, entries))
+        Ok(Self::from_rows(coo, entries.into_rows()))
     }
 
-    fn from_row_major(coo: &CooMatrix, entries: RowMajor<'_>) -> Self {
-        entries.assert_nnz();
-        let (rowptr, colind, values) = entries.into_parts();
+    fn from_rows(coo: &CooMatrix, rows: Rows<'_>) -> Self {
+        rows.assert_nnz();
+        let (rowptr, colind, values) = rows.into_parts();
         CsrMatrix {
             nrows: coo.nrows(),
             ncols: coo.ncols(),

@@ -1,6 +1,6 @@
 //! Undirected adjacency graph of a symmetric sparsity pattern.
 
-use crate::rowmajor::RowMajor;
+use crate::rowmajor::Rows;
 use crate::{CooMatrix, Idx};
 
 /// CSR-like adjacency structure (no self loops, symmetric edges).
@@ -22,7 +22,7 @@ impl AdjGraph {
             coo.ncols(),
             "adjacency graph needs a square matrix"
         );
-        let rows = RowMajor::of(coo);
+        let rows = Rows::of(coo);
         Self::from_rows(coo.nrows(), |r| rows.row_cols(r))
     }
 

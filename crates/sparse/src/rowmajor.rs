@@ -4,16 +4,18 @@
 //! conversions to CSR and SSS (and the checks of their `try_from_coo`
 //! forms, the only COO validation there is), [`CooMatrix::canonicalize`],
 //! the symmetry predicates and the adjacency graph of
-//! [`crate::reorder::graph`] — starts from a [`RowMajor`]: row pointers
-//! plus column and value arrays that are *borrowed* from the caller when
-//! the triplets are already sorted without duplicates (what every
-//! generator, [`crate::perm`] and the MatrixMarket reader produce), and
-//! built by one bucket pass otherwise. Indices are in bounds by
-//! [`CooMatrix`]'s own invariant (`push` asserts, `from_triplets`
-//! checks), so the passes index directly.
+//! [`crate::reorder::graph`] — starts from [`Rows`]: row pointers plus
+//! column and value arrays that are *borrowed* from the caller when the
+//! triplets are already sorted without duplicates (what every generator,
+//! [`crate::perm`] and the MatrixMarket reader produce), and built by one
+//! bucket pass otherwise. Indices are in bounds by [`CooMatrix`]'s own
+//! invariant (`push` asserts, `from_triplets` checks), so the passes index
+//! directly. The consumers that also need the strict-lower row ends or the
+//! finiteness of every value (the SSS conversion, the validated CSR one)
+//! take a [`RowMajor`]: the same pass, counting those as it goes.
 //!
 //! The symmetry relation of each [`SymmetryKind`] is checked in one place,
-//! [`RowMajor::check_mirrors`]: a linear sweep that pairs every strict-lower
+//! [`Rows::check_mirrors`]: a linear sweep that pairs every strict-lower
 //! entry with its mirror, and — only when that fails — a scan that names the
 //! row-major-first offending entry.
 
@@ -24,11 +26,16 @@ use crate::{Idx, Val};
 use std::borrow::Cow;
 
 /// Triplets sorted row-major with duplicates summed, in CSR layout.
-pub(crate) struct RowMajor<'a> {
+pub(crate) struct Rows<'a> {
     /// Row `r` occupies `rowptr[r]..rowptr[r + 1]` of `cols` / `vals`.
     rowptr: Vec<usize>,
     cols: Cow<'a, [Idx]>,
     vals: Cow<'a, [Val]>,
+}
+
+/// [`Rows`] with what pass 1 counted on the way.
+pub(crate) struct RowMajor<'a> {
+    rows: Rows<'a>,
     /// Entries left of the diagonal in the rows before `r`: the row
     /// pointers of the strict lower triangle.
     lower: Vec<usize>,
@@ -36,36 +43,49 @@ pub(crate) struct RowMajor<'a> {
     finite: bool,
 }
 
-impl<'a> RowMajor<'a> {
-    /// Canonical input is borrowed after one fused pass that checks order
-    /// and finiteness and records where each row starts. Anything else goes
-    /// through a stable counting sort by row and a stable column sort of
-    /// the rows that need one, so duplicates of a coordinate are summed in
-    /// insertion order — floating-point addition is not associative, and
-    /// mirror images must round identically.
+/// Pass 1's result: the rows, and with `COUNT` the strict-lower row ends
+/// and whether every value is finite (without, empty and `false`, and
+/// dropped by [`Rows::of`]).
+type Pass<'a> = (Rows<'a>, Vec<usize>, bool);
+
+impl<'a> Rows<'a> {
+    /// The rows of `coo`, without counting anything else.
     pub(crate) fn of(coo: &'a CooMatrix) -> Self {
-        Self::borrowed(coo).unwrap_or_else(|| Self::bucketed(coo))
+        Self::pass::<false>(coo).0
+    }
+
+    /// Canonical input is borrowed after one fused pass that checks order
+    /// (and with `COUNT` finiteness) and records where each row starts.
+    /// Anything else goes through a stable counting sort by row and a stable
+    /// column sort of the rows that need one, so duplicates of a coordinate
+    /// are summed in insertion order — floating-point addition is not
+    /// associative, and mirror images must round identically.
+    fn pass<const COUNT: bool>(coo: &'a CooMatrix) -> Pass<'a> {
+        Self::borrowed::<COUNT>(coo).unwrap_or_else(|| Self::bucketed::<COUNT>(coo))
     }
 
     /// The fused pass over canonical triplets; `None` if they are not. Each
-    /// entry *stores* where its row ends, so far, among all entries and
-    /// among those left of the diagonal: no read-modify-write chain from
-    /// entry to entry and no branch per row.
-    fn borrowed(coo: &'a CooMatrix) -> Option<Self> {
+    /// entry *stores* where its row ends, so far, among all entries and (with
+    /// `COUNT`) among those left of the diagonal: no read-modify-write chain
+    /// from entry to entry and no branch per row.
+    fn borrowed<const COUNT: bool>(coo: &'a CooMatrix) -> Option<Pass<'a>> {
         let (rows, cols, vals) = (coo.row_indices(), coo.col_indices(), coo.values());
         let n = coo.nrows() as usize;
-        let (mut rowptr, mut lower) = (vec![0; n + 1], vec![0; n + 1]);
-        let (mut below, mut ordered, mut finite) = (0, true, true);
+        let mut rowptr = vec![0; n + 1];
+        let mut lower = vec![0; if COUNT { n + 1 } else { 0 }];
+        let (mut below, mut ordered, mut finite) = (0, true, COUNT);
         // `(r, c)` packed into one key, plus one so that 0 sorts first.
         let mut prev = 0u64;
         for (k, ((&r, &c), &v)) in rows.iter().zip(cols).zip(vals).enumerate() {
             let key = (u64::from(r) << 32 | u64::from(c)) + 1;
             ordered &= key > prev;
             prev = key;
-            below += usize::from(c < r);
             rowptr[r as usize + 1] = k + 1;
-            lower[r as usize + 1] = below;
-            finite &= v.is_finite();
+            if COUNT {
+                below += usize::from(c < r);
+                lower[r as usize + 1] = below;
+                finite &= v.is_finite();
+            }
         }
         if !ordered {
             return None;
@@ -73,18 +93,19 @@ impl<'a> RowMajor<'a> {
         // A row without entries ends where the row before it ends.
         for r in 0..n {
             rowptr[r + 1] = rowptr[r + 1].max(rowptr[r]);
-            lower[r + 1] = lower[r + 1].max(lower[r]);
+            if COUNT {
+                lower[r + 1] = lower[r + 1].max(lower[r]);
+            }
         }
-        Some(RowMajor {
+        let rows = Rows {
             rowptr,
             cols: Cow::Borrowed(cols),
             vals: Cow::Borrowed(vals),
-            lower,
-            finite,
-        })
+        };
+        Some((rows, lower, finite))
     }
 
-    fn bucketed(coo: &CooMatrix) -> Self {
+    fn bucketed<const COUNT: bool>(coo: &CooMatrix) -> Pass<'a> {
         let (rows, cols, vals) = (coo.row_indices(), coo.col_indices(), coo.values());
         let n = coo.nrows() as usize;
         let mut rowptr = vec![0usize; n + 1];
@@ -138,18 +159,20 @@ impl<'a> RowMajor<'a> {
         rowptr[n] = out;
         bcols.truncate(out);
         bvals.truncate(out);
-        let mut lower = vec![0; n + 1];
-        for r in 0..n {
-            let row = &bcols[rowptr[r]..rowptr[r + 1]];
-            lower[r + 1] = lower[r] + row.iter().filter(|&&c| (c as usize) < r).count();
+        let mut lower = vec![0; if COUNT { n + 1 } else { 0 }];
+        if COUNT {
+            for r in 0..n {
+                let row = &bcols[rowptr[r]..rowptr[r + 1]];
+                lower[r + 1] = lower[r] + row.iter().filter(|&&c| (c as usize) < r).count();
+            }
         }
-        RowMajor {
+        let finite = COUNT && bvals.iter().all(|v| v.is_finite());
+        let rows = Rows {
             rowptr,
-            lower,
-            finite: bvals.iter().all(|v| v.is_finite()),
             cols: Cow::Owned(bcols),
             vals: Cow::Owned(bvals),
-        }
+        };
+        (rows, lower, finite)
     }
 
     /// Number of entries (duplicates summed).
@@ -162,18 +185,13 @@ impl<'a> RowMajor<'a> {
         (self.rowptr, self.cols.into_owned(), self.vals.into_owned())
     }
 
-    fn rows(&self) -> usize {
+    fn nrows(&self) -> usize {
         self.rowptr.len() - 1
     }
 
     /// The columns of row `r`, strictly ascending.
     pub(crate) fn row_cols(&self, r: usize) -> &[Idx] {
         &self.cols[self.rowptr[r]..self.rowptr[r + 1]]
-    }
-
-    /// Row pointers of the entries strictly left of the diagonal.
-    pub(crate) fn lower_rowptr(&self) -> &[usize] {
-        &self.lower
     }
 
     fn find(&self, row: usize, col: usize) -> Option<Val> {
@@ -197,27 +215,11 @@ impl<'a> RowMajor<'a> {
         Ok(())
     }
 
-    /// [`RowMajor::check_nnz`] for the trusted conversions: they panic with
+    /// [`Rows::check_nnz`] for the trusted conversions: they panic with
     /// the error the validated ones return, rather than wrap a row pointer.
     pub(crate) fn assert_nnz(&self) {
         if let Err(e) = self.check_nnz() {
             panic!("{e}");
-        }
-    }
-
-    /// The non-zero count must fit the four-byte index type and every
-    /// (summed) value be finite; names the row-major-first non-finite entry.
-    pub(crate) fn check_finite(&self) -> Result<(), SparseError> {
-        self.check_nnz()?;
-        // The scan that names the offender runs only when there is one.
-        let offender = (!self.finite).then(|| self.vals.iter().position(|v| !v.is_finite()));
-        match offender.flatten() {
-            None => Ok(()),
-            Some(k) => Err(SparseError::NonFiniteValue {
-                row: self.rowptr.partition_point(|&p| p <= k) as Idx - 1,
-                col: self.cols[k],
-                value: self.vals[k],
-            }),
         }
     }
 
@@ -244,7 +246,7 @@ impl<'a> RowMajor<'a> {
         }
     }
 
-    /// [`RowMajor::check_mirrors`] without the error: one linear pass. Rows
+    /// [`Rows::check_mirrors`] without the error: one linear pass. Rows
     /// ascend, so the mirror of `(r, c)`, `c < r`, is always the next
     /// unconsumed upper entry of row `c`; the pattern is symmetric iff every
     /// lower entry finds its mirror there and no upper entry is left over.
@@ -255,7 +257,7 @@ impl<'a> RowMajor<'a> {
         mut visit: impl FnMut(usize, Idx, Val, Val),
     ) -> bool {
         let (rowptr, cols, vals) = (&self.rowptr[..], &self.cols[..], &self.vals[..]);
-        let n = self.rows();
+        let n = self.nrows();
         // upper[c]: the next unconsumed entry of row c right of the
         // diagonal. Written when the sweep leaves row c, read by rows > c.
         let mut upper = vec![0usize; n];
@@ -287,10 +289,10 @@ impl<'a> RowMajor<'a> {
         (0..n).all(|r| upper[r] == rowptr[r + 1])
     }
 
-    /// Error path of [`RowMajor::check_mirrors`]: binary-searches the mirror
+    /// Error path of [`Rows::check_mirrors`]: binary-searches the mirror
     /// of every entry in row-major order.
     fn first_offender(&self, kind: SymmetryKind, tol: Val) -> SparseError {
-        for r in 0..self.rows() {
+        for r in 0..self.nrows() {
             for k in self.rowptr[r]..self.rowptr[r + 1] {
                 let (c, v) = (self.cols[k] as usize, self.vals[k]);
                 if c == r {
@@ -319,6 +321,49 @@ impl<'a> RowMajor<'a> {
         // off, a skew diagonal, or an upper entry no lower one consumed —
         // each an offender by the very predicates used above.
         unreachable!("the mirror sweep failed but every entry has its mirror")
+    }
+}
+
+impl<'a> RowMajor<'a> {
+    /// The rows of `coo`, their strict-lower row ends and whether every
+    /// value is finite, all from one pass.
+    pub(crate) fn of(coo: &'a CooMatrix) -> Self {
+        let (rows, lower, finite) = Rows::pass::<true>(coo);
+        RowMajor {
+            rows,
+            lower,
+            finite,
+        }
+    }
+
+    pub(crate) fn rows(&self) -> &Rows<'a> {
+        &self.rows
+    }
+
+    pub(crate) fn into_rows(self) -> Rows<'a> {
+        self.rows
+    }
+
+    /// Row pointers of the entries strictly left of the diagonal.
+    pub(crate) fn lower_rowptr(&self) -> &[usize] {
+        &self.lower
+    }
+
+    /// The non-zero count must fit the four-byte index type and every
+    /// (summed) value be finite; names the row-major-first non-finite entry.
+    pub(crate) fn check_finite(&self) -> Result<(), SparseError> {
+        let rows = &self.rows;
+        rows.check_nnz()?;
+        // The scan that names the offender runs only when there is one.
+        let offender = (!self.finite).then(|| rows.vals.iter().position(|v| !v.is_finite()));
+        match offender.flatten() {
+            None => Ok(()),
+            Some(k) => Err(SparseError::NonFiniteValue {
+                row: rows.rowptr.partition_point(|&p| p <= k) as Idx - 1,
+                col: rows.cols[k],
+                value: rows.vals[k],
+            }),
+        }
     }
 }
 

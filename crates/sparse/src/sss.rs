@@ -154,7 +154,7 @@ impl SssMatrix {
         if validated {
             entries.check_finite()?;
         }
-        entries.assert_nnz();
+        entries.rows().assert_nnz();
         let n = coo.nrows() as usize;
         // Row `r` stores exactly its entries left of the diagonal, so the
         // row pointers and the array sizes are known before the sweep.
@@ -181,7 +181,7 @@ impl SssMatrix {
                 dvalues[r] += v;
             }
         };
-        entries.check_mirrors(kind, tol, emit)?;
+        entries.rows().check_mirrors(kind, tol, emit)?;
         Ok(SssMatrix {
             n: coo.nrows(),
             kind,
