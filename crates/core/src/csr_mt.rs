@@ -58,10 +58,14 @@ impl CsrParallel {
     /// `K = 1` instance, `spmm` enters through `with_lanes!`. Each lane runs
     /// the scalar order (`acc = 0`, then `acc += v·x[c]` per non-zero), so
     /// lane `j` of a block call is bit-identical to `spmv` on lane `j`.
+    ///
+    /// The `x` gather is unchecked: every stored column is below `ncols`,
+    /// and `x` is asserted to hold exactly `ncols` lane groups.
     fn run<const K: usize>(&mut self, x: &[Val], y: &mut [Val]) {
         let x = x.as_chunks::<K>().0;
-        let buf = SharedBuf::new(y);
         let csr = &self.csr;
+        assert_eq!(x.len(), csr.ncols() as usize);
+        let buf = SharedBuf::new(y);
         let parts = &self.parts;
         time_into(&mut self.times.multiply, || {
             self.ctx.run(&|tid| {
@@ -80,7 +84,8 @@ impl CsrParallel {
                     let hi = rowptr[r + 1] as usize;
                     let mut acc = [0.0; K];
                     for (&c, &v) in colind[lo..hi].iter().zip(&values[lo..hi]) {
-                        axpy_lanes(&mut acc, v, &x[c as usize]);
+                        // SAFETY(cert: col-bound): c < ncols == x.len().
+                        axpy_lanes(&mut acc, v, unsafe { x.get_unchecked(c as usize) });
                     }
                     *yr = acc;
                     lo = hi;

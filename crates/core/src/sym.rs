@@ -477,7 +477,7 @@ impl SymSpmv {
         self.ctx.with_pool(|pool| self.strategy.reduce(pool, &job));
     }
 
-    /// The reduction-free scheduled multiply (ROADMAP item 3, RACE): a
+    /// The reduction-free scheduled multiply (DESIGN §19, RACE): a
     /// diagonal pre-pass over disjoint row chunks, then one barriered pool
     /// round per group. Within a group the certificate proves the write
     /// sets `{r} ∪ cols(r)` pairwise disjoint, so every thread scatters
@@ -648,6 +648,11 @@ fn init_diag<const K: usize>(dvalues: &[Val], x: &[[Val; K]], y: &mut [[Val; K]]
 /// numeric kinds the pair slice *is* the row's value slice, chosen at
 /// compile time, so their instances iterate two streams and only
 /// `Structural` reads its `upper_values` stream.
+///
+/// The per-entry accesses are unchecked: one assert per partition bounds
+/// the three targets by `end`, and the `strict-lower` invariant of
+/// [`SssMatrix`] (row `r` stores only columns `c < r`) keeps every entry's
+/// column below it. Rows, row slices and the final row write stay checked.
 fn sss_rows_split<O: SymmetryOps, const K: usize>(
     sss: &SssMatrix,
     part: Range,
@@ -658,8 +663,16 @@ fn sss_rows_split<O: SymmetryOps, const K: usize>(
 ) {
     let (dv, rowptr, colind) = (sss.dvalues(), sss.rowptr(), sss.colind());
     let (values, paired) = (sss.values(), sss.paired_values());
+    let end = part.end as usize;
+    assert!(
+        split <= end && end <= x.len() && my_y.len() >= end - split && local.len() >= split,
+        "partition {part:?} with split {split} exceeds x ({}), y ({}) or local ({})",
+        x.len(),
+        my_y.len(),
+        local.len()
+    );
     let mut lo = rowptr[part.start as usize] as usize;
-    for r in part.start as usize..part.end as usize {
+    for r in part.start as usize..end {
         let hi = rowptr[r + 1] as usize;
         let (cols, vals) = (&colind[lo..hi], &values[lo..hi]);
         let pair = if O::KIND.has_upper_values() {
@@ -676,14 +689,21 @@ fn sss_rows_split<O: SymmetryOps, const K: usize>(
         let mut acc = [0.0; K];
         for ((&c, &v), &u) in cols.iter().zip(vals).zip(pair) {
             let c = c as usize;
-            axpy_lanes(&mut acc, v, &x[c]);
-            let t = O::transposed(v, u);
-            // Two explicit arms, not one selected target slice: the branchy
-            // form is what keeps the `K = 1` instance at scalar speed.
-            if c >= split {
-                axpy_lanes(&mut my_y[c - split], t, xr);
-            } else {
-                axpy_lanes(&mut local[c], t, xr);
+            debug_assert!(c < r, "strict-lower: row {r} stores column {c}");
+            // SAFETY(cert: strict-lower): c < r < end ≤ x.len(); a write at
+            // or above split lands at c − split < end − split ≤ my_y.len(),
+            // one below it at c < split ≤ local.len() (the assert above).
+            unsafe {
+                axpy_lanes(&mut acc, v, x.get_unchecked(c));
+                let t = O::transposed(v, u);
+                // Two explicit arms, not one selected target slice: the
+                // branchy form is what keeps the `K = 1` instance at scalar
+                // speed.
+                if c >= split {
+                    axpy_lanes(my_y.get_unchecked_mut(c - split), t, xr);
+                } else {
+                    axpy_lanes(local.get_unchecked_mut(c), t, xr);
+                }
             }
         }
         // Assignment is sound: this thread's earlier transposed writes only
@@ -1399,5 +1419,168 @@ mod edge_tests {
                 "{kind:?}"
             );
         }
+    }
+}
+
+/// The SSS row walk as it was written before its entry accesses went
+/// unchecked — kept as the oracle the unchecked [`sss_rows_split`] must
+/// match bit for bit, `y` and local region alike.
+#[cfg(test)]
+mod unchecked_walk_tests {
+    use super::*;
+    use symspmv_runtime::{balanced_ranges, partition::symmetric_row_weights};
+    use symspmv_sparse::dense::seeded_vector;
+    use symspmv_sparse::{gen, Idx};
+
+    fn checked_rows_split<O: SymmetryOps, const K: usize>(
+        sss: &SssMatrix,
+        part: Range,
+        split: usize,
+        x: &[[Val; K]],
+        my_y: &mut [[Val; K]],
+        local: &mut [[Val; K]],
+    ) {
+        let (dv, rowptr, colind) = (sss.dvalues(), sss.rowptr(), sss.colind());
+        let (values, paired) = (sss.values(), sss.paired_values());
+        let mut lo = rowptr[part.start as usize] as usize;
+        for r in part.start as usize..part.end as usize {
+            let hi = rowptr[r + 1] as usize;
+            let (cols, vals) = (&colind[lo..hi], &values[lo..hi]);
+            let pair = if O::KIND.has_upper_values() {
+                &paired[lo..hi]
+            } else {
+                vals
+            };
+            lo = hi;
+            let xr = &x[r];
+            let mut acc = [0.0; K];
+            for ((&c, &v), &u) in cols.iter().zip(vals).zip(pair) {
+                let c = c as usize;
+                axpy_lanes(&mut acc, v, &x[c]);
+                let t = O::transposed(v, u);
+                if c >= split {
+                    axpy_lanes(&mut my_y[c - split], t, xr);
+                } else {
+                    axpy_lanes(&mut local[c], t, xr);
+                }
+            }
+            let d = dv[r];
+            for ((slot, &xi), &a) in my_y[r - split].iter_mut().zip(xr).zip(&acc) {
+                *slot = d * xi + a;
+            }
+        }
+    }
+
+    /// A symmetric pattern recast as `kind`: the lower values kept, the
+    /// upper ones the kind's mirror (a distinct value for `Structural`),
+    /// the diagonal dropped for `Skew`.
+    fn as_kind(coo: &CooMatrix, kind: SymmetryKind) -> CooMatrix {
+        let mut out = CooMatrix::new(coo.nrows(), coo.ncols());
+        for (r, c, v) in coo.iter() {
+            if r > c {
+                out.push(r, c, v);
+                out.push(c, r, kind.transposed(v, 0.5 * v - 0.25));
+            } else if r == c && !kind.requires_zero_diagonal() {
+                out.push(r, c, v);
+            }
+        }
+        out
+    }
+
+    fn bits<const K: usize>(v: &[[Val; K]]) -> Vec<u64> {
+        v.iter().flatten().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs both walks over every partition in the method's layout — the
+    /// naive one is split 0 over a private full-length region; the direct
+    /// ones (`eff`, `idx`) split at the partition start, with a local
+    /// region of that length — and returns how many local elements the
+    /// walks wrote.
+    fn compare<O: SymmetryOps, const K: usize>(
+        sss: &SssMatrix,
+        parts: &[Range],
+        direct: bool,
+        what: &str,
+    ) -> usize {
+        let n = sss.n() as usize;
+        let flat = seeded_vector(n * K, 7);
+        let x = flat.as_chunks::<K>().0;
+        let mut touched = 0;
+        for (tid, &part) in parts.iter().enumerate() {
+            let (start, end) = (part.start as usize, part.end as usize);
+            let (split, y_len) = if direct { (start, end - start) } else { (0, n) };
+            let mut want = (vec![[0.0; K]; y_len], vec![[0.0; K]; split]);
+            let mut got = want.clone();
+            checked_rows_split::<O, K>(sss, part, split, x, &mut want.0, &mut want.1);
+            sss_rows_split::<O, K>(sss, part, split, x, &mut got.0, &mut got.1);
+            assert_eq!(bits(&got.0), bits(&want.0), "{what}, tid {tid}: y");
+            assert_eq!(bits(&got.1), bits(&want.1), "{what}, tid {tid}: local");
+            touched += bits(&got.1).iter().filter(|&&b| b != 0).count();
+        }
+        touched
+    }
+
+    #[test]
+    fn unchecked_walk_matches_the_checked_one_bit_for_bit() {
+        let mut patterns: Vec<(String, CooMatrix)> = vec![
+            ("n = 0".into(), CooMatrix::new(0, 0)),
+            ("n = 1".into(), {
+                let mut one = CooMatrix::new(1, 1);
+                one.push(0, 0, 2.0);
+                one
+            }),
+        ];
+        for seed in 0..2u64 {
+            let n = 60 + 31 * seed as Idx;
+            patterns.push((
+                format!("banded {seed}"),
+                gen::banded_random(n, 8, 6.0, seed),
+            ));
+            patterns.push((
+                format!("block {seed}"),
+                gen::block_structural(n / 3, 3, 5.0, 4, seed),
+            ));
+            patterns.push((
+                format!("scrambled power law {seed}"),
+                gen::scramble(&gen::power_law(n, 6.0, 0.05, 8, seed), seed + 1),
+            ));
+        }
+        let mut touched = 0;
+        for (name, coo) in &patterns {
+            for kind in SymmetryKind::ALL {
+                let sss = SssMatrix::from_coo_kind(&as_kind(coo, kind), kind, 0.0).unwrap();
+                let weights = symmetric_row_weights(sss.rowptr());
+                for p in [1usize, 2, 3, 8] {
+                    let parts = balanced_ranges(&weights, p);
+                    for method in [
+                        ReductionMethod::Naive,
+                        ReductionMethod::EffectiveRanges,
+                        ReductionMethod::Indexing,
+                    ] {
+                        let direct = method != ReductionMethod::Naive;
+                        let what = format!("{name}, {kind:?}, p {p}, {method:?}");
+                        touched += with_symmetry_ops!(kind, O => {
+                            compare::<O, 1>(&sss, &parts, direct, &format!("{what}, K 1"))
+                                + compare::<O, 8>(&sss, &parts, direct, &format!("{what}, K 8"))
+                        });
+                    }
+                }
+            }
+        }
+        assert!(touched > 0, "no walk wrote below its split");
+    }
+
+    /// The walk's one bounds check runs before any unchecked access: a
+    /// local region shorter than the split is refused, not written past.
+    #[test]
+    #[should_panic(expected = "exceeds")]
+    fn a_short_local_region_is_refused() {
+        let sss = SssMatrix::from_coo(&gen::banded_random(20, 4, 4.0, 3), 0.0).unwrap();
+        let x = vec![[1.0]; 20];
+        let (mut my_y, mut local) = (vec![[0.0]; 10], vec![[0.0]; 9]);
+        let part = Range { start: 10, end: 20 };
+        sss_rows_split::<symspmv_sparse::symmetry::Sym, 1>(
+            &sss, part, 10, &x, &mut my_y, &mut local,
+        );
     }
 }

@@ -6,7 +6,7 @@
 
 use symspmv_sparse::dense::DenseMatrix;
 use symspmv_sparse::rng::StdRng;
-use symspmv_sparse::{mm, CooMatrix, Idx, Permutation, SssMatrix};
+use symspmv_sparse::{mm, CooMatrix, Idx, Permutation, SssMatrix, SymmetryKind};
 
 const CASES: u64 = 80;
 
@@ -140,5 +140,64 @@ fn canonicalize_idempotent() {
         let mut twice = once.clone();
         twice.canonicalize();
         assert_eq!(once, twice, "case {case}");
+    }
+}
+
+/// The axiom the SSS kernels index by: whatever order and multiplicity the
+/// triplets arrive in, every stored row `r` holds strictly ascending
+/// columns below `r`, and the row pointers tile the column array. Each
+/// lower coordinate is split into two duplicates (a two-term sum is the
+/// same in either order, so the mirrors still match) and the whole triplet
+/// list is shuffled.
+#[test]
+fn sss_rows_are_strictly_lower_and_ascending_for_every_kind() {
+    for case in 0..CASES {
+        for kind in SymmetryKind::ALL {
+            let mut rng = StdRng::seed_from_u64(0x7000 + case);
+            let n: Idx = rng.random_range(1..40);
+            let mut lower = std::collections::BTreeSet::new();
+            let mut triplets = Vec::new();
+            for _ in 0..rng.random_range(0..=200) {
+                let (r, c) = (rng.random_range(0..n), rng.random_range(0..n));
+                let (r, c) = (r.max(c), r.min(c));
+                let halves = [rng.random_range(-5.0..5.0), rng.random_range(-5.0..5.0)];
+                if r == c {
+                    if !kind.requires_zero_diagonal() {
+                        triplets.extend(halves.map(|v| (r, r, v)));
+                    }
+                } else if lower.insert((r, c)) {
+                    for v in halves {
+                        let u = rng.random_range(-5.0..5.0);
+                        triplets.push((r, c, v));
+                        triplets.push((c, r, kind.transposed(v, u)));
+                    }
+                }
+            }
+            for i in (1..triplets.len()).rev() {
+                triplets.swap(i, rng.random_range(0..=i));
+            }
+            let (rows, (cols, vals)): (Vec<Idx>, (Vec<Idx>, Vec<f64>)) =
+                triplets.into_iter().map(|(r, c, v)| (r, (c, v))).unzip();
+            let coo = CooMatrix::from_triplets(n, n, rows, cols, vals).unwrap();
+            let sss = SssMatrix::try_from_coo_kind(&coo, kind, 0.0).unwrap();
+
+            let (rowptr, colind) = (sss.rowptr(), sss.colind());
+            let what = format!("case {case}, {kind:?}");
+            assert_eq!(rowptr.len(), n as usize + 1, "{what}");
+            assert_eq!(rowptr[0], 0, "{what}");
+            assert!(rowptr.windows(2).all(|w| w[0] <= w[1]), "{what}: rowptr");
+            assert_eq!(rowptr[n as usize] as usize, colind.len(), "{what}");
+            let mut stored = Vec::new();
+            for r in 0..n {
+                let cols = sss.row(r).0;
+                assert!(cols.iter().all(|&c| c < r), "{what}: row {r} {cols:?}");
+                assert!(
+                    cols.windows(2).all(|w| w[0] < w[1]),
+                    "{what}: row {r} {cols:?}"
+                );
+                stored.extend(cols.iter().map(|&c| (r, c)));
+            }
+            assert_eq!(stored, lower.into_iter().collect::<Vec<_>>(), "{what}");
+        }
     }
 }

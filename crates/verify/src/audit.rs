@@ -59,6 +59,19 @@ pub const KNOWN_INVARIANTS: &[(&str, &str)] = &[
          sets (RaceCertificate invariant)",
     ),
     (
+        "strict-lower",
+        "SssMatrix: row r's stored columns are strictly ascending and < r, \
+         established by its one constructor (no &mut method); with one \
+         per-partition bound assert it keeps the SSS row walk's x, y and \
+         local accesses in bounds",
+    ),
+    (
+        "col-bound",
+        "CsrMatrix: every stored column is < ncols (CooMatrix::push and \
+         from_triplets reject larger ones; no &mut method); with one \
+         x.len() == ncols assert it keeps the CSR gather in bounds",
+    ),
+    (
         "first-touch",
         "uninitialized arena pages are written before first read, by the \
          thread that will own them",

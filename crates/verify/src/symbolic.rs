@@ -148,9 +148,10 @@ pub struct StructureFacts {
 
 impl StructureFacts {
     /// Distills the axioms from an SSS matrix. The strict-lower-triangle
-    /// and column-bound axioms are established by the `SssMatrix`
-    /// constructors (they reject anything else), so they are not re-walked
-    /// here; the diagonal scan is the only pass, `O(n)`.
+    /// and column-bound axioms (the registered `strict-lower` invariant of
+    /// [`crate::audit::KNOWN_INVARIANTS`], which the SSS row walk also
+    /// indexes by) are established by the `SssMatrix` constructors, so they
+    /// are not re-walked here; the diagonal scan is the only pass, `O(n)`.
     pub fn of(sss: &SssMatrix) -> Self {
         let nonzero_diag = sss
             .dvalues()
