@@ -208,6 +208,8 @@ impl SymSpmv {
     /// pattern-symmetric) and the kernel's mirror contributions follow it.
     /// A `method` the `format` does not support ([`unsupported_pair`]) is
     /// [`SparseError::InvalidArgument`], checked before any conversion.
+    /// The COO → SSS conversion runs on `ctx`'s pool
+    /// ([`SssMatrix::from_coo_kind_on`]); its result is the serial one.
     pub fn from_coo_kind(
         coo: &CooMatrix,
         kind: SymmetryKind,
@@ -216,7 +218,7 @@ impl SymSpmv {
         format: SymFormat,
     ) -> Result<Self, SparseError> {
         Self::check_pair(&format, method)?;
-        let sss = SssMatrix::from_coo_kind(coo, kind, 0.0)?;
+        let sss = SssMatrix::from_coo_kind_on(coo, kind, 0.0, ctx.as_ref())?;
         Ok(Self::from_sss(sss, ctx, method, format))
     }
 
@@ -244,7 +246,7 @@ impl SymSpmv {
         format: SymFormat,
     ) -> Result<Self, SymSpmvError> {
         Self::check_pair(&format, method)?;
-        let sss = SssMatrix::try_from_coo_kind(coo, kind, 0.0)?;
+        let sss = SssMatrix::try_from_coo_kind_on(coo, kind, 0.0, ctx.as_ref())?;
         Ok(Self::from_sss(sss, ctx, method, format))
     }
 
@@ -265,7 +267,9 @@ impl SymSpmv {
     /// built on the calling thread; a CSX-Sym build then spends exactly one
     /// pool round, share `i` encoding chunk `i`, and re-encodes on the
     /// caller any chunk whose share panicked — a pool fault costs time, not
-    /// the build. An SSS build dispatches no round at all.
+    /// the build. It dispatches no other round; the conversion in the
+    /// `from_coo*` constructors may spend two before it (see
+    /// [`SssMatrix::try_from_coo_kind_on`]).
     ///
     /// Panics on a pair [`unsupported_pair`] refuses — this signature has
     /// no error channel; the `from_coo*` constructors return it instead.
@@ -1183,6 +1187,66 @@ mod edge_tests {
                 let method = ReductionMethod::Indexing;
                 let eng = SymSpmv::try_from_coo(&coo, &ctx, method, format).unwrap();
                 assert_eq!(ctx.pool_rounds(), rounds, "{} p={p}", eng.name());
+            }
+        }
+    }
+
+    /// A matrix whose conversion splits into two bands at `P = 2`.
+    fn above_the_conversion_grain() -> CooMatrix {
+        let coo = symspmv_sparse::gen::banded_random(20_000, 40, 16.0, 5);
+        let stored = SssMatrix::from_coo(&coo, 0.0).unwrap().lower_nnz();
+        assert!(stored >= 2 * symspmv_sparse::sss::CONVERT_GRAIN, "{stored}");
+        coo
+    }
+
+    /// What an SSS matrix stores, the values as bit patterns.
+    fn sss_bits(m: &SssMatrix) -> (Vec<u32>, Vec<u32>, [Vec<u64>; 3]) {
+        let bits = |v: &[Val]| v.iter().map(|x| x.to_bits()).collect();
+        let values = [bits(m.values()), bits(m.dvalues()), bits(m.upper_values())];
+        (m.rowptr().to_vec(), m.colind().to_vec(), values)
+    }
+
+    #[test]
+    fn above_the_conversion_grain_an_sss_build_spends_two_rounds_and_csxsym_three() {
+        // The COO → SSS conversion runs its pass over the triplets and its
+        // mirror sweep as two shares each, one round apiece; the CSX-Sym
+        // encode round follows them. Each build starts cold.
+        let coo = above_the_conversion_grain();
+        for (format, rounds) in [(SymFormat::Sss, 2), (SymFormat::CsxSym(csx_cfg()), 3)] {
+            for validated in [false, true] {
+                let ctx = ExecutionContext::new(2);
+                let method = ReductionMethod::Indexing;
+                let eng = if validated {
+                    SymSpmv::try_from_coo(&coo, &ctx, method, format.clone()).unwrap()
+                } else {
+                    SymSpmv::from_coo(&coo, &ctx, method, format.clone()).unwrap()
+                };
+                assert_eq!(ctx.pool_rounds(), rounds, "{} {validated}", eng.name());
+                assert!(ctx.take_last_panic().is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn a_conversion_share_that_panics_still_yields_the_same_matrix_bits() {
+        // A round that loses a share is redone on the caller — the pass
+        // over the triplets (round 0) or the mirror sweep (round 1): the
+        // build costs time, not its result, whichever share dies.
+        let coo = above_the_conversion_grain();
+        for kind in SymmetryKind::ALL {
+            let coo = match kind {
+                SymmetryKind::Symmetric => coo.clone(),
+                _ => symspmv_sparse::gen::skew_convection(20_000, 40, 16.0, 6),
+            };
+            let serial = SssMatrix::try_from_coo_kind(&coo, kind, 0.0).unwrap();
+            for (tid, round) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
+                let ctx = ExecutionContext::new(2);
+                ctx.fault_plan().arm_worker_panic(tid, round);
+                let pooled = SssMatrix::try_from_coo_kind_on(&coo, kind, 0.0, ctx.as_ref());
+                let at = format!("{kind:?} tid {tid} round {round}");
+                assert_eq!(ctx.fault_plan().fired(), 1, "{at}");
+                assert_eq!(ctx.pool_rounds(), 2, "{at}");
+                assert_eq!(sss_bits(&pooled.unwrap()), sss_bits(&serial), "{at}");
             }
         }
     }

@@ -20,6 +20,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use symspmv_sparse::Spmd;
+
 #[cfg(any(test, feature = "fault-injection"))]
 use crate::fault::FaultPlan;
 use crate::pool::{WorkerPanic, WorkerPanicInfo, WorkerPool};
@@ -248,6 +250,19 @@ pub struct ExecutionContext {
     health: Arc<HealthState>,
     #[cfg(any(test, feature = "fault-injection"))]
     fault: Arc<FaultPlan>,
+}
+
+/// The pool as `sparse`'s runner: share `i` of a round is worker `i`, and
+/// a share that panicked is reported as [`ExecutionContext::try_run`]
+/// reports it (the round drains and the context stays usable).
+impl Spmd for ExecutionContext {
+    fn shares(&self) -> usize {
+        self.nthreads
+    }
+
+    fn run_shares(&self, body: &(dyn Fn(usize) + Sync)) -> bool {
+        self.try_run(body).is_ok()
+    }
 }
 
 impl ExecutionContext {

@@ -49,6 +49,7 @@ pub mod graph;
 pub mod rcm;
 pub mod rng;
 mod rowmajor;
+pub mod spmd;
 pub mod sss;
 pub mod stats;
 pub mod suite;
@@ -61,6 +62,7 @@ pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use error::SparseError;
 pub use perm::Permutation;
+pub use spmd::{Serial, Spmd};
 pub use sss::SssMatrix;
 pub use symmetry::{SymmetryKind, SymmetryOps};
 

@@ -15,15 +15,19 @@
 //! take a [`RowMajor`]: the same pass, counting those as it goes.
 //!
 //! The symmetry relation of each [`SymmetryKind`] is checked in one place,
-//! [`Rows::check_mirrors`]: a linear sweep that pairs every strict-lower
-//! entry with its mirror, and — only when that fails — a scan that names the
-//! row-major-first offending entry.
+//! [`Rows::sweep_band`]: a linear sweep over a band of rows that pairs every
+//! strict-lower entry with its mirror. One band over all rows is the serial
+//! sweep; the SSS conversion runs several on a pool. Only when a sweep fails
+//! does [`Rows::check_mirrors`] scan for the row-major-first offending entry.
 
 use crate::coo::CooMatrix;
 use crate::error::SparseError;
+use crate::spmd::{Serial, Spmd};
 use crate::symmetry::SymmetryKind;
 use crate::{Idx, Val};
 use std::borrow::Cow;
+use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 /// Triplets sorted row-major with duplicates summed, in CSR layout.
 pub(crate) struct Rows<'a> {
@@ -51,58 +55,60 @@ type Pass<'a> = (Rows<'a>, Vec<usize>, bool);
 impl<'a> Rows<'a> {
     /// The rows of `coo`, without counting anything else.
     pub(crate) fn of(coo: &'a CooMatrix) -> Self {
-        Self::pass::<false>(coo).0
+        Self::pass::<false>(coo, &Serial(1), 1).0
     }
 
     /// Canonical input is borrowed after one fused pass that checks order
-    /// (and with `COUNT` finiteness) and records where each row starts.
-    /// Anything else goes through a stable counting sort by row and a stable
-    /// column sort of the rows that need one, so duplicates of a coordinate
-    /// are summed in insertion order — floating-point addition is not
-    /// associative, and mirror images must round identically.
-    fn pass<const COUNT: bool>(coo: &'a CooMatrix) -> Pass<'a> {
-        Self::borrowed::<COUNT>(coo).unwrap_or_else(|| Self::bucketed::<COUNT>(coo))
+    /// (and with `COUNT` finiteness) and records where each row starts, run
+    /// as `shares` shares on `runner`. Anything else goes through a stable
+    /// counting sort by row and a stable column sort of the rows that need
+    /// one, so duplicates of a coordinate are summed in insertion order —
+    /// floating-point addition is not associative, and mirror images must
+    /// round identically.
+    fn pass<const COUNT: bool>(coo: &'a CooMatrix, runner: &dyn Spmd, shares: usize) -> Pass<'a> {
+        Self::borrowed::<COUNT>(coo, runner, shares).unwrap_or_else(|| Self::bucketed::<COUNT>(coo))
     }
 
-    /// The fused pass over canonical triplets; `None` if they are not. Each
-    /// entry *stores* where its row ends, so far, among all entries and (with
-    /// `COUNT`) among those left of the diagonal: no read-modify-write chain
-    /// from entry to entry and no branch per row.
-    fn borrowed<const COUNT: bool>(coo: &'a CooMatrix) -> Option<Pass<'a>> {
-        let (rows, cols, vals) = (coo.row_indices(), coo.col_indices(), coo.values());
+    /// The fused pass over canonical triplets; `None` if they are not. With
+    /// more than one share, share `i` scans the triplets from the first row
+    /// start at or after `i / shares` of them ([`scan_on`]); one share, or a
+    /// share that did not complete, scans them all on the caller.
+    fn borrowed<const COUNT: bool>(
+        coo: &'a CooMatrix,
+        runner: &dyn Spmd,
+        shares: usize,
+    ) -> Option<Pass<'a>> {
         let n = coo.nrows() as usize;
-        let mut rowptr = vec![0; n + 1];
-        let mut lower = vec![0; if COUNT { n + 1 } else { 0 }];
-        let (mut below, mut ordered, mut finite) = (0, true, COUNT);
-        // `(r, c)` packed into one key, plus one so that 0 sorts first.
-        let mut prev = 0u64;
-        for (k, ((&r, &c), &v)) in rows.iter().zip(cols).zip(vals).enumerate() {
-            let key = (u64::from(r) << 32 | u64::from(c)) + 1;
-            ordered &= key > prev;
-            prev = key;
-            rowptr[r as usize + 1] = k + 1;
-            if COUNT {
-                below += usize::from(c < r);
-                lower[r as usize + 1] = below;
-                finite &= v.is_finite();
-            }
-        }
-        if !ordered {
+        let arrays = || (vec![0; n + 1], vec![0; if COUNT { n + 1 } else { 0 }]);
+        let pooled = share_starts(coo.row_indices(), n, shares).and_then(|(starts, first_rows)| {
+            let (mut rowptr, mut lower) = arrays();
+            let scan =
+                scan_on::<COUNT>(coo, runner, &starts, &first_rows, &mut rowptr, &mut lower)?;
+            Some((rowptr, lower, scan))
+        });
+        // One share, or a round that lost one: the whole scan on the caller,
+        // into fresh arrays (a share that ran may have written its rows).
+        let (rowptr, lower, scan) = pooled.unwrap_or_else(|| {
+            let (mut rowptr, mut lower) = arrays();
+            let ends = &mut rowptr[1..];
+            let scan = scan::<COUNT>(
+                coo,
+                0..coo.nnz(),
+                0,
+                ends,
+                lower.get_mut(1..).unwrap_or_default(),
+            );
+            (rowptr, lower, scan)
+        });
+        if !scan.ordered {
             return None;
-        }
-        // A row without entries ends where the row before it ends.
-        for r in 0..n {
-            rowptr[r + 1] = rowptr[r + 1].max(rowptr[r]);
-            if COUNT {
-                lower[r + 1] = lower[r + 1].max(lower[r]);
-            }
         }
         let rows = Rows {
             rowptr,
-            cols: Cow::Borrowed(cols),
-            vals: Cow::Borrowed(vals),
+            cols: Cow::Borrowed(coo.col_indices()),
+            vals: Cow::Borrowed(coo.values()),
         };
-        Some((rows, lower, finite))
+        Some((rows, lower, scan.finite))
     }
 
     fn bucketed<const COUNT: bool>(coo: &CooMatrix) -> Pass<'a> {
@@ -246,31 +252,70 @@ impl<'a> Rows<'a> {
         }
     }
 
-    /// [`Rows::check_mirrors`] without the error: one linear pass. Rows
-    /// ascend, so the mirror of `(r, c)`, `c < r`, is always the next
-    /// unconsumed upper entry of row `c`; the pattern is symmetric iff every
-    /// lower entry finds its mirror there and no upper entry is left over.
+    /// [`Rows::check_mirrors`] without the error: the one-band case of
+    /// [`Rows::sweep_band`], one linear pass over every row.
+    ///
+    /// # Panics
+    ///
+    /// If the entry count exceeds [`Idx::MAX`] (the sweep's cursors are
+    /// four-byte offsets), as [`Rows::assert_nnz`] does.
     pub(crate) fn mirror_sweep(
         &self,
         kind: SymmetryKind,
         tol: Val,
+        visit: impl FnMut(usize, Idx, Val, Val),
+    ) -> bool {
+        self.assert_nnz();
+        let n = self.nrows();
+        self.sweep_band(kind, tol, 0..n, &mut vec![0; n], visit)
+    }
+
+    /// The mirror sweep over the rows `band = a..b`, calling `visit` for
+    /// their entries on and below the diagonal in row-major order. Rows
+    /// ascend, so the mirror of `(r, c)`, `c < r`, is always the next
+    /// unconsumed upper entry of row `c`; the band holds iff every lower
+    /// entry of its rows finds its mirror there and no upper entry with a
+    /// column in the band is left over. The pattern is symmetric iff every
+    /// band of a split of `0..n` holds, so bands can run on separate
+    /// threads, each with its own `cursors` (one per row `< b`; their
+    /// contents on entry do not matter). The entry count must fit
+    /// [`Idx`]: cursors are four-byte offsets.
+    pub(crate) fn sweep_band(
+        &self,
+        kind: SymmetryKind,
+        tol: Val,
+        band: Range<usize>,
+        cursors: &mut [u32],
         mut visit: impl FnMut(usize, Idx, Val, Val),
     ) -> bool {
         let (rowptr, cols, vals) = (&self.rowptr[..], &self.cols[..], &self.vals[..]);
-        let n = self.nrows();
-        // upper[c]: the next unconsumed entry of row c right of the
-        // diagonal. Written when the sweep leaves row c, read by rows > c.
-        let mut upper = vec![0usize; n];
-        for r in 0..n {
+        let (a, b) = (band.start, band.end);
+        // cursors[c]: the next unconsumed entry of row c right of the
+        // diagonal. A row above the band has had every upper entry left of
+        // column `a` consumed by the rows before the band (or the band
+        // that swept them fails), so its cursor starts at its first column
+        // `>= a`.
+        for (c, cursor) in cursors[..a].iter_mut().enumerate() {
+            let (lo, hi) = (rowptr[c], rowptr[c + 1]);
+            let first = if lo == hi || (cols[hi - 1] as usize) < a {
+                hi
+            } else {
+                lo + cols[lo..hi].partition_point(|&x| (x as usize) < a)
+            };
+            *cursor = first as u32;
+        }
+        // Rows of the band seed their own cursors when the sweep leaves
+        // them, and only later rows read them.
+        for r in a..b {
             let hi = rowptr[r + 1];
             let mut k = rowptr[r];
             while k < hi && (cols[k] as usize) < r {
                 let c = cols[k] as usize;
-                let m = upper[c];
+                let m = cursors[c] as usize;
                 if m == rowptr[c + 1] || cols[m] as usize != r {
                     return false;
                 }
-                upper[c] = m + 1;
+                cursors[c] = (m + 1) as u32;
                 if !mirror_holds(kind, vals[k], vals[m], tol) {
                     return false;
                 }
@@ -284,9 +329,14 @@ impl<'a> Rows<'a> {
                 visit(r, cols[k], vals[k], vals[k]);
                 k += 1;
             }
-            upper[r] = k;
+            cursors[r] = k as u32;
         }
-        (0..n).all(|r| upper[r] == rowptr[r + 1])
+        // Entries are consumed in column order, so an entry with a column
+        // in the band is left over iff its row's cursor stops short of `b`.
+        (0..b).all(|c| {
+            let m = cursors[c] as usize;
+            m == rowptr[c + 1] || cols[m] as usize >= b
+        })
     }
 
     /// Error path of [`Rows::check_mirrors`]: binary-searches the mirror
@@ -328,7 +378,13 @@ impl<'a> RowMajor<'a> {
     /// The rows of `coo`, their strict-lower row ends and whether every
     /// value is finite, all from one pass.
     pub(crate) fn of(coo: &'a CooMatrix) -> Self {
-        let (rows, lower, finite) = Rows::pass::<true>(coo);
+        Self::of_on(coo, &Serial(1), 1)
+    }
+
+    /// [`RowMajor::of`] with the pass over canonical triplets run as
+    /// `shares` shares on `runner`.
+    pub(crate) fn of_on(coo: &'a CooMatrix, runner: &dyn Spmd, shares: usize) -> Self {
+        let (rows, lower, finite) = Rows::pass::<true>(coo, runner, shares);
         RowMajor {
             rows,
             lower,
@@ -365,6 +421,171 @@ impl<'a> RowMajor<'a> {
             }),
         }
     }
+}
+
+/// What a share of the fused pass over canonical triplets found.
+struct Scan {
+    ordered: bool,
+    /// Whether every value is finite (`false` without `COUNT`).
+    finite: bool,
+    /// The share's entries left of the diagonal.
+    below: usize,
+}
+
+/// Where each of `shares` shares of the fused pass starts: at the first row
+/// start at or after `i / shares` of the triplets (`nnz` closes the list),
+/// and the first row whose end it owns (`0` for the first share; `n` closes
+/// the list). `None` for one share, and when those rows do not ascend (the
+/// triplets are not row-major).
+fn share_starts(rows: &[Idx], n: usize, shares: usize) -> Option<(Vec<usize>, Vec<usize>)> {
+    let nnz = rows.len();
+    let mut starts: Vec<usize> = (0..shares)
+        .map(|i| {
+            let mut k = i * nnz / shares;
+            while 0 < k && k < nnz && rows[k] == rows[k - 1] {
+                k += 1;
+            }
+            k
+        })
+        .collect();
+    starts.push(nnz);
+    let mut first_rows: Vec<usize> = starts
+        .iter()
+        .map(|&k| rows.get(k).map_or(n, |&r| r as usize))
+        .collect();
+    first_rows[0] = 0;
+    (shares > 1 && first_rows.is_sorted()).then_some((starts, first_rows))
+}
+
+/// One share of the fused pass: the triplets `ks` of `coo`, whose rows must
+/// lie in `rows_from..rows_from + ends.len()`. Each entry *stores* where
+/// its row ends, so far, among all entries (`ends[r - rows_from]`) and,
+/// with `COUNT`, among the share's entries left of the diagonal
+/// (`lower[r - rows_from]`): no read-modify-write chain from entry to entry
+/// and no branch per row. A row without entries then ends where the row
+/// before it ends.
+fn scan<const COUNT: bool>(
+    coo: &CooMatrix,
+    ks: Range<usize>,
+    rows_from: usize,
+    ends: &mut [usize],
+    lower: &mut [usize],
+) -> Scan {
+    let (rows, cols, vals) = (coo.row_indices(), coo.col_indices(), coo.values());
+    let (mut below, mut ordered, mut finite) = (0, true, COUNT);
+    // `(r, c)` packed into one key, plus one so that 0 sorts first.
+    let key = |r: Idx, c: Idx| (u64::from(r) << 32 | u64::from(c)) + 1;
+    let mut prev = ks.start.checked_sub(1).map_or(0, |k| key(rows[k], cols[k]));
+    let triplets = rows[ks.clone()]
+        .iter()
+        .zip(&cols[ks.clone()])
+        .zip(&vals[ks.clone()]);
+    for (k, ((&r, &c), &v)) in (ks.start..).zip(triplets) {
+        let key = key(r, c);
+        ordered &= key > prev;
+        prev = key;
+        let Some(end) = ends.get_mut((r as usize).wrapping_sub(rows_from)) else {
+            ordered = false;
+            break;
+        };
+        *end = k + 1;
+        if COUNT {
+            below += usize::from(c < r);
+            lower[r as usize - rows_from] = below;
+            finite &= v.is_finite();
+        }
+    }
+    let mut end = ks.start;
+    for e in ends {
+        end = end.max(*e);
+        *e = end;
+    }
+    let mut count = 0;
+    for l in lower {
+        count = count.max(*l);
+        *l = count;
+    }
+    Scan {
+        ordered,
+        finite,
+        below,
+    }
+}
+
+/// One share of [`scan_on`]: its triplets, and the row ends it owns.
+struct ScanShare<'s> {
+    ks: Range<usize>,
+    rows_from: usize,
+    ends: &'s mut [usize],
+    lower: &'s mut [usize],
+    scan: Option<Scan>,
+}
+
+/// [`scan`] as one share per range of `starts` on `runner`, share `i`
+/// owning the row ends from `first_rows[i]` to `first_rows[i + 1]` of
+/// `rowptr` and `lower` (each with its leading zero). The shares' strict-
+/// lower counts are then offset by those of the shares before them. `None`
+/// if a share did not complete.
+fn scan_on<const COUNT: bool>(
+    coo: &CooMatrix,
+    runner: &dyn Spmd,
+    starts: &[usize],
+    first_rows: &[usize],
+    rowptr: &mut [usize],
+    lower: &mut [usize],
+) -> Option<Scan> {
+    let mut ends = &mut rowptr[1..];
+    let mut lows = lower.get_mut(1..).unwrap_or_default();
+    let slots: Vec<Mutex<ScanShare<'_>>> = starts
+        .windows(2)
+        .zip(first_rows.windows(2))
+        .map(|(ks, rs)| {
+            let len = rs[1] - rs[0];
+            let (e, rest) = std::mem::take(&mut ends).split_at_mut(len);
+            ends = rest;
+            let (l, rest) = std::mem::take(&mut lows).split_at_mut(if COUNT { len } else { 0 });
+            lows = rest;
+            Mutex::new(ScanShare {
+                ks: ks[0]..ks[1],
+                rows_from: rs[0],
+                ends: e,
+                lower: l,
+                scan: None,
+            })
+        })
+        .collect();
+    let ran = runner.run_shares(&|i| {
+        if let Some(slot) = slots.get(i) {
+            // Only this share ever locks its slot, so it is not poisoned.
+            let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
+            let share = &mut *guard;
+            let found = scan::<COUNT>(
+                coo,
+                share.ks.clone(),
+                share.rows_from,
+                share.ends,
+                share.lower,
+            );
+            share.scan = Some(found);
+        }
+    });
+    if !ran {
+        return None;
+    }
+    let mut total = Scan {
+        ordered: true,
+        finite: COUNT,
+        below: 0,
+    };
+    for slot in slots {
+        let share = slot.into_inner().ok()?;
+        let found = share.scan?;
+        share.lower.iter_mut().for_each(|l| *l += total.below);
+        total.ordered &= found.ordered;
+        total.finite &= found.finite;
+        total.below += found.below;
+    }
+    Some(total)
 }
 
 /// Whether `w = a_ji` is what `kind` requires of `v = a_ij`.

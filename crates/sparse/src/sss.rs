@@ -15,11 +15,13 @@ use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::rng::avalanche;
-use crate::rowmajor::RowMajor;
+use crate::rowmajor::{RowMajor, Rows};
+use crate::spmd::{Serial, Spmd};
 use crate::symmetry::{SymmetryKind, SymmetryOps};
 use crate::with_symmetry_ops;
 use crate::{Idx, Val};
-use std::sync::OnceLock;
+use std::ops::Range;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// A symmetric sparse matrix in SSS format (diagonal + strict lower CSR).
 ///
@@ -67,6 +69,17 @@ impl PartialEq for SssMatrix {
     }
 }
 
+/// Below this many stored (strict-lower) entries per band, the COO → SSS
+/// conversion runs as one band on the caller and spends no pool round. On
+/// the 2-vCPU reference host the serial conversion costs 18–30 ns per stored
+/// entry (`hood`: 28–47 ms for 1.57 M, pass 1 and the first touch of the
+/// output pages included), and a split one spends two rounds, each ~65 µs
+/// when it has to wake parked workers (a warm round is ~1 µs,
+/// `runtime.pool_round_s`). A band of this many entries carries ≥ 1.2 ms,
+/// so the half a split saves is at least ~9× what its rounds cost, and
+/// `thermal2` at the benchmark's scale (~34 k entries) stays on the caller.
+pub const CONVERT_GRAIN: usize = 1 << 16;
+
 impl SssMatrix {
     /// Builds an SSS matrix from a full symmetric COO matrix.
     ///
@@ -97,7 +110,21 @@ impl SssMatrix {
         kind: SymmetryKind,
         tol: Val,
     ) -> Result<Self, SparseError> {
-        Self::build(coo, kind, tol, false)
+        Self::from_coo_kind_on(coo, kind, tol, &Serial(1))
+    }
+
+    /// [`SssMatrix::from_coo_kind`] on `runner`'s shares: one band per
+    /// [`CONVERT_GRAIN`] stored entries, at most one per share, and with
+    /// more than one band the pass over the triplets and the mirror sweep
+    /// each run as one round of `runner`. The matrix and the error are
+    /// those of the serial constructor, bit for bit.
+    pub fn from_coo_kind_on(
+        coo: &CooMatrix,
+        kind: SymmetryKind,
+        tol: Val,
+        runner: &dyn Spmd,
+    ) -> Result<Self, SparseError> {
+        Self::build(coo, kind, tol, false, runner, grain_bands(runner, coo))
     }
 
     /// Fully validated constructor: beyond [`SssMatrix::from_coo`]'s
@@ -118,15 +145,26 @@ impl SssMatrix {
         kind: SymmetryKind,
         tol: Val,
     ) -> Result<Self, SparseError> {
+        Self::try_from_coo_kind_on(coo, kind, tol, &Serial(1))
+    }
+
+    /// [`SssMatrix::try_from_coo_kind`] on `runner`'s shares, as
+    /// [`SssMatrix::from_coo_kind_on`] runs.
+    pub fn try_from_coo_kind_on(
+        coo: &CooMatrix,
+        kind: SymmetryKind,
+        tol: Val,
+        runner: &dyn Spmd,
+    ) -> Result<Self, SparseError> {
         if !tol.is_finite() || tol < 0.0 {
             return Err(SparseError::InvalidArgument {
                 msg: format!("symmetry tolerance must be finite and >= 0, got {tol}"),
             });
         }
-        Self::build(coo, kind, tol, true)
+        Self::build(coo, kind, tol, true, runner, grain_bands(runner, coo))
     }
 
-    /// The one COO → SSS conversion, serial. Reads `coo` in place through a
+    /// The one COO → SSS conversion. Reads `coo` in place through a
     /// [`RowMajor`] view (pass 1: on canonical triplets one fused pass that
     /// checks order and finiteness and finds the row starts and diagonal
     /// splits — nothing is copied or sorted), then fills the exactly sized
@@ -134,6 +172,15 @@ impl SssMatrix {
     /// also checks the kind's relation against the upper triangle (pass 2).
     /// `validated` rejects a non-finite value before the sweep; the scan
     /// that names it runs only when there is one.
+    ///
+    /// With `bands > 1`, pass 1 runs as that many shares over ranges of
+    /// the triplets, and pass 2 as that many row bands balanced by stored
+    /// entries, band `i` on share `i` of `runner`, each writing its rows'
+    /// slices of the arrays; one band runs on the caller without a round.
+    /// The bands all hold iff the one-band sweep does, so if one fails — a
+    /// bad input, or a share that panicked — the one-band sweep reruns on
+    /// the caller and names the error (a failed pass-1 round is redone on
+    /// the caller too): a pool fault costs time, never the build.
     ///
     /// Errors come in the order: not square, non-zero count overflow, the
     /// row-major-first non-finite value, the row-major-first entry breaking
@@ -143,6 +190,8 @@ impl SssMatrix {
         kind: SymmetryKind,
         tol: Val,
         validated: bool,
+        runner: &dyn Spmd,
+        bands: usize,
     ) -> Result<Self, SparseError> {
         if coo.nrows() != coo.ncols() {
             return Err(SparseError::NotSquare {
@@ -150,7 +199,7 @@ impl SssMatrix {
                 ncols: coo.ncols(),
             });
         }
-        let entries = RowMajor::of(coo);
+        let entries = RowMajor::of_on(coo, runner, bands);
         if validated {
             entries.check_finite()?;
         }
@@ -158,30 +207,30 @@ impl SssMatrix {
         let n = coo.nrows() as usize;
         // Row `r` stores exactly its entries left of the diagonal, so the
         // row pointers and the array sizes are known before the sweep.
-        let rowptr: Vec<Idx> = entries.lower_rowptr().iter().map(|&p| p as Idx).collect();
-        let stored = rowptr[n] as usize;
+        let lower = entries.lower_rowptr();
+        let rowptr: Vec<Idx> = lower.iter().map(|&p| p as Idx).collect();
+        let stored = lower[n];
         let mut dvalues = vec![0.0; n];
-        let mut colind = Vec::with_capacity(stored);
-        let mut values = Vec::with_capacity(stored);
+        let mut colind = vec![0; stored];
+        let mut values = vec![0.0; stored];
         // Structural storage pairs each lower entry with its mirror value,
         // in lower-CSR order, so the kernels' sequential value cursor
         // walks both arrays in lockstep.
-        let mut upper_values = Vec::with_capacity(if kind.has_upper_values() { stored } else { 0 });
-        let emit = |r: usize, c: Idx, v: Val, mirrored: Val| {
-            if c as usize != r {
-                colind.push(c);
-                values.push(v);
-                if kind.has_upper_values() {
-                    upper_values.push(mirrored);
-                }
-            } else if !kind.requires_zero_diagonal() {
-                // Skew storage is exactly skew: the diagonal stays
-                // identically zero (entries within `tol` of zero are
-                // clamped, not kept).
-                dvalues[r] += v;
-            }
+        let mut upper_values = vec![0.0; if kind.has_upper_values() { stored } else { 0 }];
+        let rows = entries.rows();
+        let banded = bands > 1 && {
+            let out = Out::all(&mut colind, &mut values, &mut upper_values, &mut dvalues);
+            sweep_bands(rows, lower, kind, tol, out, bands, runner)
         };
-        entries.rows().check_mirrors(kind, tol, emit)?;
+        if !banded {
+            if bands > 1 {
+                // A band that ran may have summed its diagonals already;
+                // every other slot is overwritten.
+                dvalues.fill(0.0);
+            }
+            let out = Out::all(&mut colind, &mut values, &mut upper_values, &mut dvalues);
+            rows.check_mirrors(kind, tol, out.emit(kind))?;
+        }
         Ok(SssMatrix {
             n: coo.nrows(),
             kind,
@@ -402,6 +451,161 @@ fn fnv_lanes(lanes: &mut [u64; 4], first: usize, words: &[u32]) -> usize {
     h.rotate_right(first);
     *lanes = h;
     (first + words.len()) % 4
+}
+
+/// The band count of the pooled constructors: one band per
+/// [`CONVERT_GRAIN`] stored entries, at most one per share of `runner`.
+/// Decided before pass 1 counts them: a full matrix stores about half its
+/// triplets.
+fn grain_bands(runner: &dyn Spmd, coo: &CooMatrix) -> usize {
+    runner.shares().min(coo.nnz() / 2 / CONVERT_GRAIN).max(1)
+}
+
+/// Where the sweep over a band of rows writes: those rows' slices of the
+/// output arrays, the first of them row `first_row`.
+struct Out<'o> {
+    first_row: usize,
+    colind: &'o mut [Idx],
+    values: &'o mut [Val],
+    upper_values: &'o mut [Val],
+    dvalues: &'o mut [Val],
+}
+
+impl<'o> Out<'o> {
+    /// All rows of the arrays.
+    fn all(
+        colind: &'o mut [Idx],
+        values: &'o mut [Val],
+        upper_values: &'o mut [Val],
+        dvalues: &'o mut [Val],
+    ) -> Self {
+        Out {
+            first_row: 0,
+            colind,
+            values,
+            upper_values,
+            dvalues,
+        }
+    }
+
+    /// Splits off the next `rows` rows, which store `stored` lower entries.
+    fn split_off(&mut self, rows: usize, stored: usize) -> Out<'o> {
+        let upper = stored.min(self.upper_values.len());
+        let (colind, rest) = std::mem::take(&mut self.colind).split_at_mut(stored);
+        self.colind = rest;
+        let (values, rest) = std::mem::take(&mut self.values).split_at_mut(stored);
+        self.values = rest;
+        let (upper_values, rest) = std::mem::take(&mut self.upper_values).split_at_mut(upper);
+        self.upper_values = rest;
+        let (dvalues, rest) = std::mem::take(&mut self.dvalues).split_at_mut(rows);
+        self.dvalues = rest;
+        let first_row = self.first_row;
+        self.first_row += rows;
+        Out {
+            first_row,
+            colind,
+            values,
+            upper_values,
+            dvalues,
+        }
+    }
+
+    /// The sweep's visitor: stores each lower entry in the next slot, in
+    /// row-major order, and sums each diagonal entry into its zeroed slot.
+    fn emit(self, kind: SymmetryKind) -> impl FnMut(usize, Idx, Val, Val) + 'o {
+        let Out {
+            first_row,
+            colind,
+            values,
+            upper_values,
+            dvalues,
+        } = self;
+        let mut j = 0;
+        move |r, c, v, mirrored| {
+            if c as usize != r {
+                colind[j] = c;
+                values[j] = v;
+                if kind.has_upper_values() {
+                    upper_values[j] = mirrored;
+                }
+                j += 1;
+            } else if !kind.requires_zero_diagonal() {
+                // Skew storage is exactly skew: the diagonal stays
+                // identically zero (entries within `tol` of zero are
+                // clamped, not kept).
+                dvalues[r - first_row] += v;
+            }
+        }
+    }
+}
+
+/// The first row of each of `bands` bands over the rows of the strict-lower
+/// row pointers `lower`, and `n` after them: band `i` starts at the first row
+/// with `i / bands` of the stored entries before it.
+fn band_starts(lower: &[usize], bands: usize) -> Vec<usize> {
+    let n = lower.len() - 1;
+    let stored = lower[n];
+    let mut starts: Vec<usize> = (0..bands)
+        .map(|i| lower.partition_point(|&p| p * bands < i * stored))
+        .collect();
+    starts.push(n);
+    starts
+}
+
+/// One band of the pooled sweep: its rows, its cursors (allocated by the
+/// caller, one per row above its end), its output, and whether it held.
+struct Band<'o> {
+    rows: Range<usize>,
+    cursors: Vec<u32>,
+    out: Option<Out<'o>>,
+    held: bool,
+}
+
+/// The mirror sweep of [`SssMatrix::build`] as `bands` row bands balanced
+/// by stored entries, band `i` on share `i` of `runner`, each writing into
+/// its split of `out`. `true` iff every band ran and held.
+fn sweep_bands(
+    rows: &Rows<'_>,
+    lower: &[usize],
+    kind: SymmetryKind,
+    tol: Val,
+    mut out: Out<'_>,
+    bands: usize,
+    runner: &dyn Spmd,
+) -> bool {
+    let slots: Vec<Mutex<Band<'_>>> = band_starts(lower, bands)
+        .windows(2)
+        .map(|w| {
+            let (a, b) = (w[0], w[1]);
+            Mutex::new(Band {
+                rows: a..b,
+                cursors: if a < b { vec![0; b] } else { Vec::new() },
+                out: Some(out.split_off(b - a, lower[b] - lower[a])),
+                held: false,
+            })
+        })
+        .collect();
+    let ran = runner.run_shares(&|i| {
+        if let Some(slot) = slots.get(i) {
+            // Only this share ever locks its slot, so it is not poisoned.
+            let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
+            let band = &mut *guard;
+            band.held = band.rows.is_empty()
+                || band.out.take().is_some_and(|out| {
+                    rows.sweep_band(
+                        kind,
+                        tol,
+                        band.rows.clone(),
+                        &mut band.cursors,
+                        out.emit(kind),
+                    )
+                });
+        }
+    });
+    // A share that panicked left its band unheld (and its lock poisoned).
+    ran && slots
+        .into_iter()
+        .all(|slot| slot.into_inner().is_ok_and(|band| band.held))
 }
 
 #[cfg(test)]
@@ -974,5 +1178,250 @@ mod tests {
         );
         // A NaN tolerance fails every pair it is asked about.
         assert!(SssMatrix::from_coo(&sym_coo(), f64::NAN).is_err());
+    }
+
+    /// [`SssMatrix::build`] in exactly `k` bands, on `k` serial shares.
+    fn banded(
+        coo: &CooMatrix,
+        kind: SymmetryKind,
+        tol: Val,
+        validated: bool,
+        k: usize,
+    ) -> Result<SssMatrix, SparseError> {
+        SssMatrix::build(coo, kind, tol, validated, &Serial(k), k)
+    }
+
+    /// What a conversion stores, the values as bit patterns.
+    type StoredBits = (Vec<Idx>, Vec<Idx>, [Vec<u64>; 3]);
+
+    fn stored_bits(m: &SssMatrix) -> StoredBits {
+        let bits = |v: &[Val]| v.iter().map(|x| x.to_bits()).collect();
+        let values = [bits(m.values()), bits(m.dvalues()), bits(m.upper_values())];
+        (m.rowptr().to_vec(), m.colind().to_vec(), values)
+    }
+
+    /// The band counts every banded test runs: one band, a few, and more
+    /// bands than rows (so most of them are empty).
+    fn band_counts(n: Idx) -> [usize; 5] {
+        [1, 2, 3, 8, n as usize + 5]
+    }
+
+    /// Triplets of a random `n × n` matrix that satisfies `kind` within
+    /// `tol`, in row-major order: up to four lower entries per row (none in
+    /// every fifth row, so band boundaries land on empty rows too), their
+    /// mirrors off by up to `tol / 2`, and a diagonal `kind` admits.
+    fn kind_triplets(n: Idx, kind: SymmetryKind, tol: Val, seed: u64) -> Vec<(Idx, Idx, Val)> {
+        let mut rng = crate::rng::StdRng::seed_from_u64(seed);
+        let mut t = Vec::new();
+        for r in 1..n {
+            let cols: std::collections::BTreeSet<Idx> = (0..rng.random_range(0..5usize))
+                .filter(|_| r % 5 != 0)
+                .map(|_| rng.random_range(0..r))
+                .collect();
+            for c in cols {
+                let v: Val = rng.random_range(-2.0..2.0);
+                let off = tol * rng.random_range(-0.5..0.5);
+                let w = kind.transposed(v, rng.random_range(-2.0..2.0)) + off;
+                t.extend([(r, c, v), (c, r, w)]);
+            }
+        }
+        for i in 0..n {
+            let d = if kind.requires_zero_diagonal() {
+                tol * rng.random_range(-0.5..0.5)
+            } else {
+                rng.random_range(1.0..5.0)
+            };
+            t.push((i, i, d));
+        }
+        t.sort_by_key(|&(r, c, _)| (r, c));
+        t
+    }
+
+    /// The three input forms of the same matrix: canonical triplets, the
+    /// same shuffled, and each value split into three addends pushed in
+    /// three rounds (so the bucket pass sums duplicates).
+    fn input_forms(n: Idx, t: &[(Idx, Idx, Val)], seed: u64) -> [CooMatrix; 3] {
+        let mut canonical = CooMatrix::new(n, n);
+        t.iter().for_each(|&(r, c, v)| canonical.push(r, c, v));
+        let mut order: Vec<usize> = (0..t.len()).collect();
+        let mut rng = crate::rng::StdRng::seed_from_u64(seed);
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.random_range(0..=i));
+        }
+        let mut shuffled = CooMatrix::new(n, n);
+        order
+            .iter()
+            .for_each(|&k| shuffled.push(t[k].0, t[k].1, t[k].2));
+        let mut split = CooMatrix::new(n, n);
+        for part in [0.25, 0.5, 0.25] {
+            order
+                .iter()
+                .for_each(|&k| split.push(t[k].0, t[k].1, part * t[k].2));
+        }
+        [canonical, shuffled, split]
+    }
+
+    #[test]
+    fn banded_conversion_equals_one_band_bit_for_bit() {
+        let n = 41;
+        for kind in SymmetryKind::ALL {
+            for (seed, tol) in [(1, 0.0), (2, 0.3)] {
+                let t = kind_triplets(n, kind, tol, seed);
+                let forms = input_forms(n, &t, seed);
+                assert!(forms[0].is_canonical());
+                for (form, coo) in forms.iter().enumerate() {
+                    let serial = SssMatrix::from_coo_kind(coo, kind, tol).unwrap();
+                    assert!(serial.lower_nnz() > 40, "{kind:?} {form}");
+                    let want = stored_bits(&serial);
+                    for validated in [false, true] {
+                        for k in band_counts(n) {
+                            let m = banded(coo, kind, tol, validated, k).unwrap();
+                            assert_eq!(
+                                stored_bits(&m),
+                                want,
+                                "{kind:?} tol {tol} form {form} k {k}"
+                            );
+                        }
+                    }
+                }
+            }
+            // No rows, and one row: every band but one is empty.
+            for n in [0, 1] {
+                let coo = CooMatrix::new(n, n);
+                let want = stored_bits(&SssMatrix::from_coo_kind(&coo, kind, 0.0).unwrap());
+                for k in band_counts(n) {
+                    let m = banded(&coo, kind, 0.0, true, k).unwrap();
+                    assert_eq!(stored_bits(&m), want, "{kind:?} n {n} k {k}");
+                }
+            }
+        }
+    }
+
+    /// The relation error `kind` reports at `(row, col)`.
+    fn relation_error(kind: SymmetryKind, row: Idx, col: Idx) -> SparseError {
+        match kind {
+            SymmetryKind::Symmetric => SparseError::NotSymmetric { row, col },
+            SymmetryKind::Skew => SparseError::NotSkewSymmetric { row, col },
+            SymmetryKind::Structural => SparseError::NotStructurallySymmetric { row, col },
+        }
+    }
+
+    /// The error of every band count and both constructors, which must
+    /// all agree (compared by `Debug`, so a NaN in the error compares).
+    fn banded_error(coo: &CooMatrix, kind: SymmetryKind, validated: bool) -> String {
+        let errors: Vec<String> = band_counts(coo.nrows())
+            .into_iter()
+            .map(|k| format!("{:?}", banded(coo, kind, 0.0, validated, k).unwrap_err()))
+            .collect();
+        assert!(
+            errors.iter().all(|e| *e == errors[0]),
+            "{kind:?}: {errors:?}"
+        );
+        errors.into_iter().next().unwrap_or_default()
+    }
+
+    /// An `n`-row tridiagonal matrix satisfying `kind`, in row-major order,
+    /// plus `extra` triplets.
+    fn tridiagonal(n: Idx, kind: SymmetryKind, extra: &[(Idx, Idx, Val)]) -> CooMatrix {
+        let mut m = CooMatrix::new(n, n);
+        for r in 1..n {
+            let v = Val::from(r % 3 + 1);
+            m.push(r, r - 1, v);
+            m.push(r - 1, r, kind.transposed(v, 2.0 * v + 1.0));
+        }
+        if !kind.requires_zero_diagonal() {
+            (0..n).for_each(|i| m.push(i, i, 4.0));
+        }
+        extra.iter().for_each(|&(r, c, v)| m.push(r, c, v));
+        m.canonicalize();
+        m
+    }
+
+    #[test]
+    fn a_leftover_upper_entry_just_past_a_band_boundary_fails_every_band_count() {
+        // Row `a - 2` gains the upper entry `(a - 2, a)` at the first row
+        // `a` of a band, and no row asks for it: row `a` pairs only with
+        // row `a - 1`, and the band before `a` stops short of column `a`.
+        // Only the band's closing check sees it.
+        let n = 40;
+        for kind in SymmetryKind::ALL {
+            let rowptr = SssMatrix::from_coo_kind(&tridiagonal(n, kind, &[]), kind, 0.0)
+                .unwrap()
+                .rowptr()
+                .iter()
+                .map(|&p| p as usize)
+                .collect::<Vec<_>>();
+            for k in [2, 3, 8] {
+                for &a in &band_starts(&rowptr, k)[1..k] {
+                    let a = a as Idx;
+                    let m = tridiagonal(n, kind, &[(a - 2, a, 1.0)]);
+                    let want = format!("{:?}", relation_error(kind, a - 2, a));
+                    for validated in [false, true] {
+                        assert_eq!(banded_error(&m, kind, validated), want, "{kind:?} k {k}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_in_band_one_behind_an_asymmetry_in_band_zero() {
+        // With two bands of the 40-row tridiagonal matrix the second starts
+        // at row 21. The unvalidated path names the asymmetry at (2, 3);
+        // the validated one the NaN at (30, 31), at every band count.
+        let n = 40;
+        for kind in [SymmetryKind::Symmetric, SymmetryKind::Skew] {
+            let rowptr: Vec<usize> =
+                SssMatrix::from_coo_kind(&tridiagonal(n, kind, &[]), kind, 0.0)
+                    .unwrap()
+                    .rowptr()
+                    .iter()
+                    .map(|&p| p as usize)
+                    .collect();
+            assert_eq!(band_starts(&rowptr, 2), [0, 21, 40]);
+            let m = tridiagonal(n, kind, &[(3, 2, 0.5), (30, 31, f64::NAN)]);
+            assert_eq!(
+                banded_error(&m, kind, false),
+                format!("{:?}", relation_error(kind, 2, 3))
+            );
+            let nan = SparseError::NonFiniteValue {
+                row: 30,
+                col: 31,
+                value: f64::NAN,
+            };
+            assert_eq!(banded_error(&m, kind, true), format!("{nan:?}"));
+        }
+    }
+
+    #[test]
+    fn random_offenders_name_the_same_error_at_every_band_count() {
+        // One entry dropped, one unpaired entry added, or one mirror off:
+        // each band count must name what the one-band sweep names.
+        let n = 41;
+        for kind in SymmetryKind::ALL {
+            let t = kind_triplets(n, kind, 0.0, 3);
+            let mut rng = crate::rng::StdRng::seed_from_u64(4);
+            for case in 0..30 {
+                let mut t = t.clone();
+                let k = rng.random_range(0..t.len());
+                match case % 3 {
+                    0 => {
+                        t.remove(k);
+                    }
+                    1 => {
+                        let (r, c) = (rng.random_range(0..n), rng.random_range(0..n));
+                        t.push((r, c, 1.0));
+                    }
+                    _ => t[k].2 += 1.0,
+                }
+                t.sort_by_key(|&(r, c, _)| (r, c));
+                for coo in input_forms(n, &t, case) {
+                    let Err(want) = SssMatrix::from_coo_kind(&coo, kind, 0.0) else {
+                        continue;
+                    };
+                    assert_eq!(banded_error(&coo, kind, false), format!("{want:?}"));
+                }
+            }
+        }
     }
 }
