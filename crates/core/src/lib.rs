@@ -28,10 +28,10 @@
 //!   one call, `spmv(x, y, sup)`, keeps serving when the pool degrades
 //!   (DESIGN.md §16).
 //!
-//! Which plan to build is the caller's choice: this crate holds no plan
-//! store and selects nothing. The measured plan search, its store and the
-//! one auto constructor are `symspmv-harness`'s `tune` module (DESIGN.md
-//! §18).
+//! Which plan to build is the caller's choice: this crate selects nothing.
+//! The paper's answer, and the one the solver examples build, is `sss-idx`
+//! ([`SymFormat::Sss`] with [`ReductionMethod::Indexing`]) on a context of
+//! the caller's thread count.
 
 pub mod csr_mt;
 pub mod csx_mt;

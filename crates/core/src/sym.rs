@@ -88,10 +88,9 @@ pub enum SymFormat {
     CsxSym(DetectConfig),
 }
 
-/// Serializable handle for the two [`SymFormat`] families. [`SymFormat`]
-/// itself carries a full [`DetectConfig`], which is the wrong thing to
-/// persist in a plan store; the tag round-trips through its [`str`] name
-/// and materializes with the experiment-default detection configuration.
+/// Handle for the two [`SymFormat`] families without the [`DetectConfig`]
+/// that [`SymFormat::CsxSym`] carries: the format half of a [`pair_name`],
+/// materialized with the experiment-default detection configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FormatTag {
     /// Sparse Skyline storage.
@@ -101,21 +100,12 @@ pub enum FormatTag {
 }
 
 impl FormatTag {
-    /// Both formats, in the order lineups and search tables list them.
-    pub const ALL: [FormatTag; 2] = [FormatTag::Sss, FormatTag::CsxSym];
-
-    /// Stable short name (`"sss"`, `"csxsym"`) used in plan files and
-    /// search tables.
+    /// Stable short name (`"sss"`, `"csxsym"`).
     pub fn tag(&self) -> &'static str {
         match self {
             FormatTag::Sss => "sss",
             FormatTag::CsxSym => "csxsym",
         }
-    }
-
-    /// Parses a [`FormatTag::tag`] name back; `None` for unknown names.
-    pub fn parse(name: &str) -> Option<FormatTag> {
-        Self::ALL.into_iter().find(|f| f.tag() == name)
     }
 
     /// Materializes the tag as a buildable [`SymFormat`] with the default
@@ -481,7 +471,7 @@ impl SymSpmv {
         self.ctx.with_pool(|pool| self.strategy.reduce(pool, &job));
     }
 
-    /// The reduction-free scheduled multiply (DESIGN §19, RACE): a
+    /// The reduction-free scheduled multiply (DESIGN §18, RACE): a
     /// diagonal pre-pass over disjoint row chunks, then one barriered pool
     /// round per group. Within a group the certificate proves the write
     /// sets `{r} ∪ cols(r)` pairwise disjoint, so every thread scatters
@@ -939,14 +929,6 @@ mod tests {
         assert!(t.multiply > std::time::Duration::ZERO);
         eng.reset_times();
         assert_eq!(eng.times().multiply, std::time::Duration::ZERO);
-    }
-
-    #[test]
-    fn format_tags_round_trip() {
-        for tag in FormatTag::ALL {
-            assert_eq!(FormatTag::parse(tag.tag()), Some(tag));
-        }
-        assert_eq!(FormatTag::parse("bogus"), None);
     }
 
     #[test]

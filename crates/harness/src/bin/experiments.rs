@@ -18,7 +18,6 @@
 //!   ablation extension — CSX-Sym detection-config design space
 //!   spmm     extension — batched multi-RHS SpMM per-vector speedup
 //!   kinds    extension — skew/structural engines and the skew+RCM effect
-//!   tune     extension — measured plan search + persisted plan store
 //!   verify   extension — every kernel vs reference on the full suite
 //!   chaos    extension — seeded fault-injection soak of the resilient
 //!                        service (build with --features fault-injection)
@@ -40,7 +39,7 @@
 use std::process::ExitCode;
 use symspmv_harness::experiments::{self, ExpConfig};
 
-const USAGE: &str = "usage: experiments <table1|fig4|fig5|fig9|fig10|fig11|fig12|table3|fig13|preproc|fig14|ablation|spmm|kinds|colors|tune|verify|chaos|plot|machine|all>
+const USAGE: &str = "usage: experiments <table1|fig4|fig5|fig9|fig10|fig11|fig12|table3|fig13|preproc|fig14|ablation|spmm|kinds|colors|verify|chaos|plot|machine|all>
                    [--scale f] [--iters k] [--threads p] [--out dir]
                    [--matrix name]... [--cg-iters k] [--rhs k] [--seed k]";
 
@@ -150,7 +149,6 @@ fn main() -> ExitCode {
         "spmm" => experiments::spmm(&cfg),
         "kinds" => experiments::kinds(&cfg),
         "colors" => experiments::colors(&cfg),
-        "tune" => experiments::tune(&cfg),
         "verify" => experiments::verify(&cfg),
         "chaos" => experiments::chaos(&cfg),
         "plot" => experiments::plot(&cfg),

@@ -8,7 +8,7 @@
 use crate::error::HarnessError;
 use crate::framework::{measure, measure_each, serial_csr_spmv_time};
 use crate::kernels::{build_kernel, KernelSpec};
-use crate::report::{f, fmt_secs, geomean, pct, Table};
+use crate::report::{f, geomean, pct, Table};
 use std::path::PathBuf;
 use std::sync::Arc;
 use symspmv_core::SymFormat;
@@ -48,9 +48,7 @@ impl Default for ExpConfig {
         ExpConfig {
             scale: 0.02,
             iterations: 128,
-            max_threads: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4),
+            max_threads: crate::machine::ncpus(),
             out_dir: PathBuf::from("results"),
             matrices: Vec::new(),
             cg_iters: 512,
@@ -1049,144 +1047,6 @@ pub fn chaos(_cfg: &ExpConfig) -> Result<(), HarnessError> {
     ))
 }
 
-/// Extension — `experiments tune` (DESIGN.md §18): the measured plan
-/// search. For every suite matrix it times the two `idx` pairs (`sss-idx`,
-/// `csxsym-idx`) at every thread count of the sweep — clamped to the CPUs
-/// this host has, since an oversubscribed pool is an overhead study, not a
-/// plan — in alternation, persists the winner's `(format, threads)` (the
-/// paper's default on a tie) in the on-disk plan store, and proves the store works by re-running the search (which must
-/// hit, without re-measurement, and reproduce the same plan). Writes the
-/// full search table as `tune.csv` and the winners, next to the paper's
-/// default (SSS + local-vectors indexing at the full thread count), as
-/// `tune_summary.csv`.
-pub fn tune(cfg: &ExpConfig) -> Result<(), HarnessError> {
-    use crate::tune::{auto_kernel, tune_and_store, PlanSpec, PlanStore, TimedMeasurer};
-
-    let store_dir = std::env::var_os("SYMSPMV_PLAN_STORE")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| cfg.out_dir.join(".plan-store"));
-    let ncpus = crate::machine::ncpus();
-    let max_p = cfg.max_threads.min(ncpus);
-    if max_p < cfg.max_threads {
-        println!(
-            "[--threads {} clamped to the {ncpus} CPUs of this host]",
-            cfg.max_threads
-        );
-    }
-    let threads = thread_sweep(max_p);
-    let default = PlanSpec::paper_default(max_p);
-    let plan_err = |name: &str, e: symspmv_core::SymSpmvError| {
-        HarnessError::matrix("plan search", name.to_string(), e)
-    };
-
-    println!(
-        "== Auto-tuning: measured plan search (store: {}, schema v{}) ==\n",
-        store_dir.display(),
-        crate::tune::PLAN_STORE_VERSION,
-    );
-
-    let mut measurer = TimedMeasurer::new(cfg.iterations);
-    // `per-vector` is the score, the lower quartile, so it repeats `q1`.
-    let mut search = Table::new(&[
-        "matrix",
-        "candidate",
-        "samples",
-        "per-vector",
-        "q1",
-        "q3",
-        "note",
-    ]);
-    let mut summary = Table::new(&[
-        "matrix",
-        "source",
-        "plan",
-        "winner s/vec",
-        "default s/vec",
-        "win vs default",
-    ]);
-
-    for m in cfg.suite() {
-        let name = m.spec.name;
-        let mut store = PlanStore::open(&store_dir).map_err(|e| plan_err(name, e))?;
-        if store.ignored_version_mismatch() {
-            println!("[{name}: plan store has a different schema version; starting fresh]");
-        }
-        let sss = SssMatrix::try_from_coo(&m.coo, 0.0)
-            .map_err(|e| HarnessError::matrix("SSS structure", name, e))?;
-        let (outcome, hit) = tune_and_store(&sss, &mut store, &threads, &mut measurer)
-            .map_err(|e| plan_err(name, e))?;
-        if hit {
-            summary.row(vec![
-                name.into(),
-                "store".into(),
-                outcome.winner.spec.id(),
-                fmt_secs(outcome.winner.measured_secs),
-                "-".into(),
-                "-".into(),
-            ]);
-            continue;
-        }
-
-        // The sweep ends at `max_p`, so the default is always among the rows.
-        let mut default_secs = f64::NAN;
-        for row in &outcome.rows {
-            let mut notes = Vec::new();
-            if row.spec == outcome.winner.spec {
-                notes.push("winner");
-            }
-            if row.spec == default {
-                notes.push("default");
-                default_secs = row.per_vector.q1;
-            }
-            if Some(row.spec) == outcome.tied {
-                notes.push("fastest, tied with the default");
-            }
-            search.row(vec![
-                name.into(),
-                row.spec.id(),
-                row.per_vector.samples.len().to_string(),
-                fmt_secs(row.per_vector.q1),
-                fmt_secs(row.per_vector.q1),
-                fmt_secs(row.per_vector.q3),
-                notes.join(", "),
-            ]);
-        }
-
-        // Second run against the just-saved store: it must hit (no
-        // re-measurement) and serve back the identical plan.
-        let mut reloaded = PlanStore::open(&store_dir).map_err(|e| plan_err(name, e))?;
-        let (again, hit2) = tune_and_store(&sss, &mut reloaded, &threads, &mut measurer)
-            .map_err(|e| plan_err(name, e))?;
-        if !hit2 || !again.rows.is_empty() || again.winner != outcome.winner {
-            return Err(HarnessError::Config(format!(
-                "tune({name}): the persisted plan did not reproduce on reload \
-                 (hit={hit2}, re-measured={}); the plan store is not round-tripping",
-                again.rows.len()
-            )));
-        }
-
-        // Which path does the auto constructor take now? It must find the
-        // plan in the store and report it.
-        let (_, choice) = auto_kernel(sss, Some(&reloaded));
-        let tie = if outcome.tied.is_some() { " (tie)" } else { "" };
-        summary.row(vec![
-            name.into(),
-            format!("{}{tie}", choice.source.tag()),
-            outcome.winner.spec.id(),
-            fmt_secs(outcome.winner.measured_secs),
-            fmt_secs(default_secs),
-            format!(
-                "{:.2}x",
-                default_secs / outcome.winner.measured_secs.max(1e-12)
-            ),
-        ]);
-    }
-
-    cfg.emit("tune", &search)?;
-    println!("== Tuned plans ==\n");
-    cfg.emit("tune_summary", &summary)
-}
-
 /// Runs every experiment in paper order, stopping at the first failure.
 pub fn all(cfg: &ExpConfig) -> Result<(), HarnessError> {
     machine(cfg)?;
@@ -1204,8 +1064,7 @@ pub fn all(cfg: &ExpConfig) -> Result<(), HarnessError> {
     ablation(cfg)?;
     spmm(cfg)?;
     kinds(cfg)?;
-    colors(cfg)?;
-    tune(cfg)
+    colors(cfg)
 }
 
 #[cfg(test)]
@@ -1245,5 +1104,6 @@ mod config_tests {
         assert!(cfg.scale > 0.0);
         assert!(cfg.iterations > 0);
         assert!(cfg.max_threads >= 1);
+        assert_eq!(cfg.max_threads, crate::machine::ncpus());
     }
 }

@@ -25,7 +25,7 @@ pub struct Sampled {
     /// modes only ever add time, so the quiet low end of a handful of
     /// blocks is the signal (the benchmark's `QUIET_QUARTER`).
     pub q1: f64,
-    /// The upper quartile; `q1..=q3` is the spread sides are told apart by.
+    /// The upper quartile; `q1..=q3` is the side's spread.
     pub q3: f64,
 }
 
@@ -40,12 +40,6 @@ impl Sampled {
             q3: quantile(&sorted, 0.75),
             samples,
         }
-    }
-
-    /// Whether the two interquartile ranges share a point: the samples
-    /// cannot tell the sides apart.
-    pub fn overlaps(&self, other: &Sampled) -> bool {
-        self.q1 <= other.q3 && other.q1 <= self.q3
     }
 }
 
@@ -242,12 +236,5 @@ mod tests {
         assert_eq!(quantile(&v, 0.75), 8.25);
         let s = Sampled::new(v.into_iter().rev().collect());
         assert_eq!((s.q1, s.q3), (2.75, 8.25));
-    }
-
-    #[test]
-    fn a_tie_is_an_overlap_of_interquartile_ranges() {
-        let a = Sampled::new(vec![1.0, 2.0, 3.0, 4.0]);
-        assert!(a.overlaps(&Sampled::new(vec![3.0, 4.0, 5.0, 6.0])));
-        assert!(!a.overlaps(&Sampled::new(vec![5.0, 6.0, 7.0, 8.0])));
     }
 }

@@ -8,10 +8,8 @@
 //! format factory; [`experiments`] regenerates every table and figure of
 //! the evaluation section (see DESIGN.md §6 for the index).
 //!
-//! Beyond the paper, [`tune`] is the measured plan search, its persisted
-//! store and [`tune::auto_kernel`], the one constructor that picks a plan
-//! (DESIGN.md §18); `experiments tune` is its only driver. [`machine`] is
-//! the one machine probe both use.
+//! [`machine`] is the one machine probe: the host table and the default
+//! thread count both read it.
 
 #[cfg(feature = "fault-injection")]
 pub mod chaos;
@@ -23,7 +21,6 @@ pub mod kernels;
 pub mod machine;
 pub mod plot;
 pub mod report;
-pub mod tune;
 
 pub use error::HarnessError;
 pub use framework::{measure, Measurement};

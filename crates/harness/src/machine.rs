@@ -2,12 +2,9 @@
 //! (platform description + STREAM-measured sustained bandwidth) — and the
 //! workspace's one machine probe.
 //!
-//! A plan-store key ([`crate::tune::PlanStore`]) wants exactly two stable
-//! facts: the CPU model and the logical CPU count. Git revision and rustc
-//! are deliberately excluded — a tuned plan is a property of the hardware,
-//! not of the tree that measured it. The `experiments machine` table takes
-//! both facts from here too, so the printed host and stored plans name the
-//! host alike.
+//! The `experiments machine` table names the host by its CPU model and
+//! logical CPU count, and `ExpConfig`'s default thread count is that same
+//! [`ncpus`].
 
 use crate::framework::sample;
 use crate::report::Table;

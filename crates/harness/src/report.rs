@@ -98,19 +98,6 @@ impl Table {
     }
 }
 
-/// Formats a duration in seconds with an auto-selected unit.
-pub fn fmt_secs(secs: f64) -> String {
-    if secs < 1e-6 {
-        format!("{:.1} ns", secs * 1e9)
-    } else if secs < 1e-3 {
-        format!("{:.2} µs", secs * 1e6)
-    } else if secs < 1.0 {
-        format!("{:.3} ms", secs * 1e3)
-    } else {
-        format!("{secs:.3} s")
-    }
-}
-
 /// Formats a float with the given precision.
 pub fn f(v: f64, prec: usize) -> String {
     format!("{v:.prec$}")
@@ -170,14 +157,6 @@ mod tests {
     fn helpers() {
         assert_eq!(f(1.23456, 2), "1.23");
         assert_eq!(pct(0.5), "50.0%");
-    }
-
-    #[test]
-    fn fmt_secs_spans_units() {
-        assert!(fmt_secs(5e-9).ends_with("ns"));
-        assert!(fmt_secs(5e-6).ends_with("µs"));
-        assert!(fmt_secs(5e-3).ends_with("ms"));
-        assert!(fmt_secs(5.0).ends_with('s'));
     }
 }
 

@@ -24,13 +24,7 @@ impl Workdir {
     /// Runs `experiments <args> --out <this directory>`, requires
     /// success and returns its stdout.
     fn run(&self, args: &[&str]) -> String {
-        let out = bin()
-            .args(args)
-            .arg("--out")
-            .arg(&self.0)
-            .env_remove("SYMSPMV_PLAN_STORE")
-            .output()
-            .unwrap();
+        let out = bin().args(args).arg("--out").arg(&self.0).output().unwrap();
         assert!(
             out.status.success(),
             "{}",
@@ -138,6 +132,14 @@ fn table3_reorders_and_writes_one_row_per_lineup_kernel() {
         .collect();
     let formats: Vec<&str> = rows.iter().map(|r| r[0].as_str()).collect();
     assert_eq!(formats, lineup);
+
+    // The table is written once, as CSV: no JSON copy beside it.
+    let json: Vec<_> = std::fs::read_dir(&wrk.0)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    assert!(json.is_empty(), "unexpected {json:?}");
 }
 
 #[test]
@@ -184,100 +186,11 @@ fn verify_sweeps_every_kernel_spec() {
 }
 
 #[test]
-fn tune_writes_csvs_and_the_plan_store_and_no_json_twin() {
-    let wrk = Workdir::new("tune");
-    // Far more threads than any test host has: the driver must clamp.
-    let args = [
-        "tune",
-        "--scale",
-        "0.002",
-        "--threads",
-        "64",
-        "--matrix",
-        "hood",
-    ];
-    let stdout = wrk.run(&args);
-    let ncpus = symspmv_harness::machine::ncpus();
-    assert_eq!(stdout.contains("clamped"), ncpus < 64, "{stdout}");
-    assert!(wrk.path("tune_summary.csv").exists());
-    assert!(wrk.path(".plan-store/plans.json").exists());
-
-    // Both `idx` pairs are measured at every swept thread count, and no
-    // swept count oversubscribes the host.
-    let csv = std::fs::read_to_string(wrk.path("tune.csv")).unwrap();
-    let mut lines = csv.lines();
-    assert_eq!(lines.next(), Some(TUNE_HEADER));
-    let rows: Vec<Vec<&str>> = lines.map(|l| l.split(',').collect()).collect();
-    let mut sweep: Vec<usize> = rows
-        .iter()
-        .map(|r| r[1].rsplit_once("-p").unwrap().1.parse().unwrap())
-        .collect();
-    sweep.sort_unstable();
-    sweep.dedup();
-    assert_eq!(sweep.first(), Some(&1));
-    assert_eq!(sweep.last(), Some(&ncpus.min(64)));
-    assert_eq!(rows.len(), 2 * sweep.len(), "{csv}");
-    assert!(rows.iter().all(|r| r[1].contains("-idx-p")), "{csv}");
-    assert!(!csv.contains("pruned"), "{csv}");
-    assert_eq!(rows.iter().filter(|r| r[6].contains("winner")).count(), 1);
-
-    // The search table is written once, as CSV: no JSON copy beside it.
-    let json: Vec<_> = std::fs::read_dir(&wrk.0)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    assert!(json.is_empty(), "unexpected {json:?}");
-
-    // A second process in the same workdir is served from the store.
-    wrk.run(&args);
-    let summary = std::fs::read_to_string(wrk.path("tune_summary.csv")).unwrap();
-    let served: Vec<&str> = summary.lines().skip(1).collect();
-    assert_eq!(served.len(), 1, "{summary}");
-    assert!(served[0].starts_with("hood,store,"), "{summary}");
-}
-
-/// The search table's header: the score (`per-vector`, the lower quartile)
-/// with its spread beside it.
-const TUNE_HEADER: &str = "matrix,candidate,samples,per-vector,q1,q3,note";
-
-#[test]
-fn tune_tables_carry_the_spread_and_mark_a_tie() {
-    let wrk = Workdir::new("tune_spread");
-    wrk.run(&[
-        "tune",
-        "--scale",
-        "0.004",
-        "--threads",
-        "2",
-        "--matrix",
-        "hood",
-    ]);
-    let read = |file| std::fs::read_to_string(wrk.path(file)).unwrap();
-    let search = read("tune.csv");
-    assert_eq!(search.lines().next(), Some(TUNE_HEADER));
-    let summary = read("tune_summary.csv");
-    let mut lines = summary.lines();
-    assert_eq!(
-        lines.next(),
-        Some("matrix,source,plan,winner s/vec,default s/vec,win vs default")
-    );
-    // One fresh search: served from the store, a tie said as such.
-    let row: Vec<&str> = lines.next().unwrap().split(',').collect();
-    assert!(["store", "store (tie)"].contains(&row[1]), "{summary}");
-    assert_eq!(
-        row[1] == "store (tie)",
-        search.contains("tied with the default"),
-        "{search}"
-    );
-}
-
-#[test]
-fn removed_comparator_subcommands_print_usage() {
-    const GONE: [&str; 2] = ["related", "atomics"];
+fn removed_subcommands_print_usage() {
+    const GONE: [&str; 3] = ["related", "atomics", "tune"];
     for gone in GONE {
         let out = bin().arg(gone).output().unwrap();
-        assert!(!out.status.success(), "`{gone}` should be rejected");
+        assert_eq!(out.status.code(), Some(2), "`{gone}` should be rejected");
         let err = String::from_utf8_lossy(&out.stderr);
         let usage = err
             .lines()
