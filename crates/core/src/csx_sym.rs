@@ -39,9 +39,9 @@ pub struct CsxSymChunk {
 impl CsxSymChunk {
     /// Encodes the partition `part` straight from its SSS rows, with the
     /// partition start as the legality split. Detection is
-    /// structure-driven, so for structural symmetry the paired upper values
-    /// are gathered through the same stream order as the lower ones, giving
-    /// a second value array under the shared ctl bytes. A chunk reads
+    /// structure-driven, so for structural symmetry the encoder writes the
+    /// paired upper values in the same stream order as the lower ones,
+    /// giving a second value array under the shared ctl bytes. A chunk reads
     /// nothing but `sss` and its own rows: the chunks of one matrix may be
     /// encoded in any order, on any threads, with the same result.
     pub(crate) fn encode(sss: &SssMatrix, part: Range, config: &DetectConfig) -> Self {
@@ -50,17 +50,13 @@ impl CsxSymChunk {
             ..config.clone()
         };
         let rows = RowView::of_sss(sss).slice(part.start..part.end);
-        let encoded = encode_rows(rows, &cfg);
-        let upper_values = if sss.kind().has_upper_values() {
-            encoded.gather(sss.upper_values())
-        } else {
-            Vec::new()
-        };
+        let upper = sss.kind().has_upper_values().then(|| sss.upper_values());
+        let encoded = encode_rows(rows, &cfg, sss.values(), upper);
         CsxSymChunk {
             part,
             coverage: encoded.coverage,
-            upper_values,
-            stream: encoded.into_stream(sss.values()),
+            upper_values: encoded.upper_values,
+            stream: encoded.stream,
         }
     }
 

@@ -3,12 +3,15 @@
 //! CSX detects instances of several substructure families, then greedily
 //! resolves conflicts between them by encoding gain. Every pass runs on a
 //! borrowed [`RowView`] — rows that are already sorted — so nothing is
-//! copied, comparison-sorted or searched: horizontal runs come from a row
-//! scan, vertical/diagonal/anti-diagonal runs from one counting pass on the
+//! copied or searched: horizontal runs come from a row scan,
+//! vertical/diagonal/anti-diagonal runs from one bucketing pass on the
 //! family's group key (rows ascend inside a bucket because the traversal is
-//! row-major), `r × c` blocks from an `r`-way merge of adjacent rows. A
-//! candidate carries the *entry indices* of its elements, so acceptance and
-//! the encoder never look a coordinate up again.
+//! row-major), `r × c` blocks from an `r`-way merge of adjacent rows. An
+//! instance keeps where each of its segments starts (a block row, a whole
+//! horizontal run, one element of another run), so acceptance and the
+//! encoder never look a coordinate up again. With one block shape alone,
+//! greedy order is scan order: a block is accepted as the scan finds it
+//! with every entry free. Runs and mixed sets list and sort candidates.
 //!
 //! A sampling-based statistics pass first decides which families are worth
 //! enabling for a given matrix — this is what keeps the preprocessing cost
@@ -95,24 +98,47 @@ pub struct Instance {
     pub col: Idx,
     /// Number of elements (≥ 2; ≤ 255 so it fits the unit size byte).
     pub len: u32,
-    /// Where the instance's entry indices start in its detection's pool.
+    /// Where the instance's segment starts begin in its detection's pool.
     first: u32,
 }
 
 impl Instance {
+    fn new(kind: PatternKind, (row, col): (Idx, Idx), len: usize) -> Self {
+        Instance {
+            kind,
+            row,
+            col,
+            len: len as u32,
+            first: 0,
+        }
+    }
+
     /// Iterates the element coordinates of this instance.
     pub fn elements(&self) -> impl Iterator<Item = (Idx, Idx)> + '_ {
         (0..self.len).map(move |k| self.kind.element(self.row, self.col, k))
     }
 
-    /// The instance's entry indices within its detection's `pool`.
-    fn entries<'p>(&self, pool: &'p [u32]) -> &'p [u32] {
-        &pool[self.first as usize..][..self.len as usize]
+    /// The instance's entries in element order, as `count` segments of
+    /// `width` consecutive entry indices — a block's rows, a horizontal run
+    /// whole, any other run element by element — starting at its `pool`
+    /// slots.
+    pub(crate) fn segments<'p>(
+        &self,
+        pool: &'p [u32],
+    ) -> impl Iterator<Item = Range<usize>> + Clone + 'p {
+        let (count, width) = match self.kind {
+            PatternKind::Block { rows, cols } => (rows.into(), cols.into()),
+            PatternKind::Horizontal { .. } => (1, self.len as usize),
+            _ => (self.len as usize, 1),
+        };
+        let starts = &pool[self.first as usize..][..count];
+        starts.iter().map(move |&s| s as usize..s as usize + width)
     }
 
     /// True if the instance violates the CSX-Sym boundary rule: its columns
-    /// fall on both sides of `split`.
-    fn straddles(&self, split: Idx) -> bool {
+    /// fall on both sides of `split`, if there is one.
+    fn straddles(&self, split: Option<Idx>) -> bool {
+        let Some(split) = split else { return false };
         let run = |delta: u8| (self.len - 1) * Idx::from(delta);
         let (lo, hi) = match self.kind {
             PatternKind::Horizontal { delta } | PatternKind::Diagonal { delta } => {
@@ -126,35 +152,29 @@ impl Instance {
     }
 }
 
-/// Per-entry outcome of acceptance, indexed by entry index − view base.
-const FREE: u32 = 0;
-/// Inside an accepted instance, but not its anchor.
-const COVERED: u32 = 1;
-/// `ANCHOR + i`: the anchor (first element) of accepted instance `i`.
-const ANCHOR: u32 = 2;
-
-/// What an entry of the view became in a detection result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EntryRole {
-    /// Not covered by any instance: goes to a delta unit.
-    Leftover,
-    /// Covered by an instance anchored elsewhere.
-    Covered,
-    /// The anchor of `instances[i]`.
-    Anchor(usize),
+/// Accepts an instance if no entry of its segments `segs` is taken yet in
+/// `taken` (entry `e` at `taken[e − base]`), and takes them.
+fn take(taken: &mut [bool], base: usize, segs: impl Iterator<Item = Range<usize>> + Clone) -> bool {
+    let local = segs.flat_map(|s| s.start - base..s.end - base);
+    let free = !local.clone().any(|e| taken[e]);
+    if free {
+        local.for_each(|e| taken[e] = true);
+    }
+    free
 }
 
-/// The result of detection: accepted instances plus, per entry, whether it
-/// anchors one, is covered by one, or is left over.
+/// The result of detection: accepted instances plus, per entry, whether
+/// one of them covers it.
 #[derive(Debug, Clone)]
 pub struct Detected {
-    /// Accepted instances, in acceptance order (longest first).
+    /// Accepted instances, by anchor: row, then column.
     pub instances: Vec<Instance>,
     /// Total non-zeros examined.
     pub nnz: usize,
-    /// Entry indices of every candidate's elements, in element order.
-    pool: Vec<u32>,
-    state: Vec<u32>,
+    /// Segment starts of the instances (on the list path, of all candidates).
+    pub(crate) pool: Vec<u32>,
+    /// Per entry of the view, from `base`: covered by an instance.
+    taken: Vec<bool>,
     base: usize,
 }
 
@@ -165,19 +185,12 @@ impl Detected {
         covered as f64 / self.nnz.max(1) as f64
     }
 
-    /// What entry `e` (an index into the view's column array) became.
-    #[inline]
-    pub(crate) fn role(&self, e: usize) -> EntryRole {
-        match self.state[e - self.base] {
-            FREE => EntryRole::Leftover,
-            COVERED => EntryRole::Covered,
-            a => EntryRole::Anchor((a - ANCHOR) as usize),
-        }
-    }
-
-    /// Entry indices of an accepted instance's elements, in element order.
-    pub(crate) fn entries(&self, inst: &Instance) -> &[u32] {
-        inst.entries(&self.pool)
+    /// The entries of `entries` (indices into the view's column array)
+    /// left over for delta units.
+    pub(crate) fn free(&self, entries: Range<usize>) -> impl Iterator<Item = u32> + '_ {
+        let taken = &self.taken[entries.start - self.base..entries.end - self.base];
+        let free = entries.zip(taken).filter(|&(_, &t)| !t);
+        free.map(|(e, _)| e as u32)
     }
 }
 
@@ -196,25 +209,24 @@ const WINDOW: u64 = 64;
 /// coverage greedy acceptance keeps for each candidate family alone, and
 /// returns the families above the coverage threshold — of the block shapes
 /// only the dominant one: they compete for the same elements, and scanning
-/// each costs a full pass (§V-E budget).
+/// each costs a full pass (§V-E budget). Its work and memory scale with the
+/// sample, not the view.
 pub fn select_families(view: RowView<'_>, config: &DetectConfig) -> Vec<Family> {
     let scan = Scan::new(view, config, true);
     let nnz: usize = scan.rows().map(|r| view.row(r).len()).sum();
-    let mut state = vec![FREE; view.nnz()];
-
     let mut out = Vec::new();
     let mut best_block: Option<(Family, usize)> = None;
     for &fam in &config.candidate_families {
-        let mut cands = Candidates::default();
-        scan.candidates(fam, &mut cands);
-        let mut covered = 0usize;
-        for inst in cands.accept(view.base(), &mut state) {
-            covered += inst.len as usize;
-            // Each family is scored alone: free the entries again.
-            for &e in inst.entries(&cands.pool) {
-                state[e as usize - view.base()] = FREE;
+        let covered = match fam {
+            Family::Block(br, bc) => scan.accept_blocks(br, bc).0.len() * usize::from(br * bc),
+            // Each entry has one group and a group's runs are disjoint, so
+            // greedy acceptance keeps every candidate of a run family alone.
+            _ => {
+                let mut cands = Candidates::default();
+                scan.runs(fam, &mut cands);
+                cands.list.iter().map(|i| i.len as usize).sum()
             }
-        }
+        };
         if covered as f64 / nnz.max(1) as f64 >= config.min_coverage {
             if let Family::Block(..) = fam {
                 if best_block.map(|(_, c)| covered > c).unwrap_or(true) {
@@ -234,23 +246,35 @@ pub fn select_families(view: RowView<'_>, config: &DetectConfig) -> Vec<Family> 
 /// Encoding pass with a fixed set of enabled families.
 pub fn detect_with(view: RowView<'_>, config: &DetectConfig, enabled: &[Family]) -> Detected {
     let scan = Scan::new(view, config, false);
-    let mut cands = Candidates::default();
-    for &fam in enabled {
-        scan.candidates(fam, &mut cands);
-    }
-    let mut state = vec![FREE; view.nnz()];
-    let instances = cands.accept(view.base(), &mut state);
+    let (instances, pool, taken) = match *enabled {
+        [Family::Block(br, bc)] => scan.accept_blocks(br, bc),
+        _ => {
+            let mut taken = vec![false; view.nnz()];
+            let mut cands = Candidates::default();
+            for &fam in enabled {
+                match fam {
+                    // Every entry stays free while candidates are listed.
+                    Family::Block(br, bc) => {
+                        scan.blocks(view, br, bc, &mut taken, |_, inst, tops| {
+                            scan.offer(&mut cands, inst, tops.iter().copied())
+                        })
+                    }
+                    _ => scan.runs(fam, &mut cands),
+                }
+            }
+            (cands.accept(view.base(), &mut taken), cands.pool, taken)
+        }
+    };
     Detected {
         instances,
         nnz: view.nnz(),
-        pool: cands.pool,
-        state,
+        pool,
+        taken,
         base: view.base(),
     }
 }
 
-/// (Possibly overlapping) candidate instances and the entry indices of
-/// their elements.
+/// (Possibly overlapping) candidate instances and their segment starts.
 #[derive(Default)]
 struct Candidates {
     list: Vec<Instance>,
@@ -258,51 +282,25 @@ struct Candidates {
 }
 
 impl Candidates {
-    /// Adds a candidate unless it straddles the split; `entries` yields its
-    /// elements' entry indices in element order.
-    fn push(
-        &mut self,
-        kind: PatternKind,
-        (row, col): (Idx, Idx),
-        entries: impl Iterator<Item = usize>,
-        split: Option<Idx>,
-    ) {
-        let first = self.pool.len();
-        self.pool.extend(entries.map(|e| e as u32));
-        let inst = Instance {
-            kind,
-            row,
-            col,
-            len: (self.pool.len() - first) as u32,
-            first: first as u32,
-        };
-        if split.is_some_and(|s| inst.straddles(s)) {
-            self.pool.truncate(first);
-        } else {
-            self.list.push(inst);
-        }
-    }
-
     /// Greedy conflict resolution by gain: longer instances first (they save
     /// the most ctl/colind bytes), blocks break ties ahead of runs because
     /// their head is equally small but they also improve value locality.
-    /// Marks the accepted instances' entries in `state`.
-    fn accept(&mut self, base: usize, state: &mut [u32]) -> Vec<Instance> {
+    /// Takes the accepted instances' entries in `taken`, and returns the
+    /// instances by anchor.
+    fn accept(&mut self, base: usize, taken: &mut [bool]) -> Vec<Instance> {
         self.list.sort_unstable_by_key(|i| {
             let run = !matches!(i.kind, PatternKind::Block { .. });
             (std::cmp::Reverse(i.len), run, i.row, i.col)
         });
         let mut accepted = Vec::new();
         for inst in &self.list {
-            let entries = inst.entries(&self.pool);
-            if entries.iter().all(|&e| state[e as usize - base] == FREE) {
-                for &e in entries {
-                    state[e as usize - base] = COVERED;
-                }
-                state[entries[0] as usize - base] = ANCHOR + accepted.len() as u32;
+            if take(taken, base, inst.segments(&self.pool)) {
                 accepted.push(*inst);
             }
         }
+        // Each length class was accepted in anchor order: a stable sort
+        // merges those runs.
+        accepted.sort_by_key(|i| (i.row, i.col));
         accepted
     }
 }
@@ -350,10 +348,21 @@ impl<'a> Scan<'a> {
         self.windows().flatten()
     }
 
-    fn candidates(&self, fam: Family, out: &mut Candidates) {
+    /// Lists `inst`, whose segments begin at `starts`, unless it straddles
+    /// the split.
+    fn offer(&self, out: &mut Candidates, inst: Instance, starts: impl Iterator<Item = usize>) {
+        if !inst.straddles(self.config.col_split) {
+            let first = out.pool.len() as u32;
+            out.pool.extend(starts.map(|e| e as u32));
+            out.list.push(Instance { first, ..inst });
+        }
+    }
+
+    /// The candidates of a run family.
+    fn runs(&self, fam: Family, out: &mut Candidates) {
         match fam {
             Family::Horizontal => self.horizontal_runs(out),
-            Family::Block(br, bc) => self.blocks(br, bc, out),
+            Family::Block(..) => unreachable!("blocks are found by `Scan::blocks`"),
             _ => self.bucketed_runs(fam, out),
         }
     }
@@ -361,7 +370,7 @@ impl<'a> Scan<'a> {
     /// Splits one group — positions `pos(0) < pos(1) < …` — into maximal
     /// constant-delta runs, chunked to the 255-element unit size limit, and
     /// reports each as `(first index, length, delta)`.
-    fn runs(&self, n: usize, pos: impl Fn(usize) -> Idx, mut emit: impl FnMut(usize, usize, u8)) {
+    fn split(&self, n: usize, pos: impl Fn(usize) -> Idx, mut emit: impl FnMut(usize, usize, u8)) {
         let mut s = 0usize;
         while s + 1 < n {
             let d = pos(s + 1) - pos(s);
@@ -388,25 +397,25 @@ impl<'a> Scan<'a> {
 
     /// Rows are sorted, so a row *is* the horizontal family's group.
     fn horizontal_runs(&self, out: &mut Candidates) {
-        let (cols, split) = (self.view.cols, self.config.col_split);
+        let cols = self.view.cols;
         for r in self.rows() {
             let row = self.view.row(r);
-            self.runs(
+            self.split(
                 row.len(),
                 |i| cols[row.start + i],
                 |i, len, delta| {
                     let first = row.start + i;
                     let kind = PatternKind::Horizontal { delta };
-                    out.push(kind, (r, cols[first]), first..first + len, split);
+                    let inst = Instance::new(kind, (r, cols[first]), len);
+                    self.offer(out, inst, std::iter::once(first));
                 },
             );
         }
     }
 
-    /// Vertical, diagonal and anti-diagonal runs: a counting pass buckets
-    /// the entries by the family's group key — column, `c − r`, `r + c` —
-    /// and since the traversal is row-major, rows ascend inside a bucket,
-    /// which is the order the run scan needs.
+    /// Vertical, diagonal and anti-diagonal runs, from the scanned entries
+    /// grouped by the family's key — column, `c − r`, `r + c` — with rows
+    /// ascending inside a group, which is the order the run scan needs.
     fn bucketed_runs(&self, fam: Family, out: &mut Candidates) {
         let cols = self.view.cols;
         let end = self.view.end_row() as usize;
@@ -415,28 +424,11 @@ impl<'a> Scan<'a> {
             Family::Diagonal => c as usize + end - 1 - r as usize,
             _ => r as usize + c as usize,
         };
-        let keys = self.view.ncols as usize + end;
-        let mut start = vec![0usize; keys + 1];
-        for r in self.rows() {
-            for e in self.view.row(r) {
-                start[key(r, cols[e]) + 1] += 1;
-            }
-        }
-        for k in 0..keys {
-            start[k + 1] += start[k];
-        }
-        let mut next = start.clone();
-        let mut bucketed = vec![(0u32, 0 as Idx); start[keys]];
-        for r in self.rows() {
-            for e in self.view.row(r) {
-                let slot = &mut next[key(r, cols[e])];
-                bucketed[*slot] = (e as u32, r);
-                *slot += 1;
-            }
-        }
-        for group in start.windows(2).filter(|w| w[1] - w[0] >= 2) {
-            let group = &bucketed[group[0]..group[1]];
-            self.runs(
+        let (bucketed, starts) = self.bucket(self.view.ncols as usize + end, key);
+        let shortest = self.config.min_run_len.max(2);
+        for w in starts.windows(2).filter(|w| w[1] - w[0] >= shortest) {
+            let group = &bucketed[w[0]..w[1]];
+            self.split(
                 group.len(),
                 |i| group[i].1,
                 |i, len, delta| {
@@ -446,20 +438,112 @@ impl<'a> Scan<'a> {
                         _ => PatternKind::AntiDiagonal { delta },
                     };
                     let (e, r) = group[i];
-                    let entries = group[i..i + len].iter().map(|&(e, _)| e as usize);
-                    out.push(kind, (r, cols[e as usize]), entries, self.config.col_split);
+                    let inst = Instance::new(kind, (r, cols[e as usize]), len);
+                    let starts = group[i..i + len].iter().map(|&(e, _)| e as usize);
+                    self.offer(out, inst, starts);
                 },
             );
         }
     }
 
-    /// Full dense `br × bc` blocks anchored at every possible top-left
-    /// element, by a `br`-way merge of adjacent sorted rows: a row holds the
-    /// block's columns `c..c + bc` iff `bc` consecutive entries span them.
-    fn blocks(&self, br: u8, bc: u8, out: &mut Candidates) {
-        let (cols, split) = (self.view.cols, self.config.col_split);
+    /// The scanned entries `(entry, row)` grouped by key (below `keys`), rows
+    /// ascending inside a group, and where each group starts (then the end).
+    /// A whole view takes one counting pass over the keys; a sample, whose key
+    /// range may be far longer than it, a stable LSD radix sort with digits
+    /// about as wide as it is long, so its work scales with the sample.
+    fn bucket(
+        &self,
+        keys: usize,
+        key: impl Fn(Idx, Idx) -> usize,
+    ) -> (Vec<(u32, Idx)>, Vec<usize>) {
+        let cols = self.view.cols;
+        if self.period == usize::MAX {
+            let mut start = vec![0usize; keys + 1];
+            for r in self.rows() {
+                for e in self.view.row(r) {
+                    start[key(r, cols[e]) + 1] += 1;
+                }
+            }
+            for k in 0..keys {
+                start[k + 1] += start[k];
+            }
+            let (mut next, mut out) = (start.clone(), vec![(0, 0); start[keys]]);
+            for r in self.rows() {
+                for e in self.view.row(r) {
+                    let slot = &mut next[key(r, cols[e])];
+                    out[*slot] = (e as u32, r);
+                    *slot += 1;
+                }
+            }
+            return (out, start);
+        }
+        let mut sorted = Vec::new();
+        for r in self.rows() {
+            sorted.extend(self.view.row(r).map(|e| (key(r, cols[e]), e as u32, r)));
+        }
+        let key_bits = usize::BITS - keys.saturating_sub(1).leading_zeros();
+        let passes = key_bits.div_ceil((usize::BITS - sorted.len().leading_zeros()).max(1));
+        let bits = key_bits.div_ceil(passes.max(1));
+        let mut count = vec![0usize; (1 << bits) + 1];
+        let mut out = vec![(0, 0, 0); sorted.len()];
+        for pass in 0..passes {
+            let digit = |&(k, ..): &(usize, u32, Idx)| k >> (pass * bits) & ((1 << bits) - 1);
+            count.fill(0);
+            sorted.iter().for_each(|t| count[digit(t) + 1] += 1);
+            for d in 0..1 << bits {
+                count[d + 1] += count[d];
+            }
+            for t in &sorted {
+                let slot = &mut count[digit(t)];
+                out[*slot] = *t;
+                *slot += 1;
+            }
+            std::mem::swap(&mut sorted, &mut out);
+        }
+        let n = sorted.len();
+        let starts = (0..=n).filter(|&i| i == 0 || i == n || sorted[i - 1].0 != sorted[i].0);
+        let entries = sorted.iter().map(|&(_, e, r)| (e, r)).collect();
+        (entries, starts.collect())
+    }
+
+    /// Accepts `br × bc` blocks as the row-major scan finds them with every
+    /// entry free: all have one length, so greedy order *is* scan order.
+    /// Returns the accepted instances, their segment starts and the last
+    /// window's taken entries (the whole view's, when it is not sampled).
+    fn accept_blocks(&self, br: u8, bc: u8) -> (Vec<Instance>, Vec<u32>, Vec<bool>) {
+        let (mut accepted, mut pool, mut taken) = (Vec::new(), Vec::new(), Vec::new());
+        for window in self.windows() {
+            let rows = self.view.slice(window);
+            taken = vec![false; rows.nnz()];
+            self.blocks(rows, br, bc, &mut taken, |taken, inst, tops| {
+                let segments = tops.iter().map(|&at| at..at + usize::from(bc));
+                if !inst.straddles(self.config.col_split) && take(taken, rows.base(), segments) {
+                    let first = pool.len() as u32;
+                    pool.extend(tops.iter().map(|&at| at as u32));
+                    accepted.push(Instance { first, ..inst });
+                }
+            });
+        }
+        (accepted, pool, taken)
+    }
+
+    /// Full dense `br × bc` blocks in `rows` (rows outside count as empty),
+    /// in row-major anchor order, by a `br`-way merge of adjacent sorted
+    /// rows: a row holds the block's columns `c..c + bc` iff `bc`
+    /// consecutive entries span them. `found(taken, block, tops)` gets each
+    /// block whose anchor is not in `taken` (indexed from `rows.base()`),
+    /// with the entry index of its first element in each of its rows.
+    fn blocks(
+        &self,
+        rows: RowView<'_>,
+        br: u8,
+        bc: u8,
+        taken: &mut [bool],
+        mut found: impl FnMut(&mut [bool], Instance, &[usize]),
+    ) {
         let kind = PatternKind::Block { rows: br, cols: bc };
-        let (below_rows, bc) = (br as usize - 1, bc as usize);
+        let (cols, base) = (self.view.cols, rows.base());
+        let (br, bc) = (br as usize, bc as usize);
         // Whether `row` holds columns `c..c + bc`; advances the row's start,
         // its merge cursor, to the first column ≥ `c`.
         let spans = |row: &mut Range<usize>, c: Idx| {
@@ -469,38 +553,38 @@ impl<'a> Scan<'a> {
             let last = row.start + bc - 1;
             last < row.end && cols[row.start] == c && cols[last] == c + (bc - 1) as Idx
         };
-        for window in self.windows() {
-            // Rows outside the window count as empty.
-            let rows = self.view.slice(window.clone());
-            for r in window {
-                let row = rows.row(r);
-                let mut below: [_; MAX_BLOCK_DIM as usize - 1] =
-                    std::array::from_fn(|i| rows.row(r + 1 + i as Idx));
-                let below = &mut below[..below_rows];
-                if below.iter().chain([&row]).any(|b| b.len() < bc) {
+        let mut tops = [0usize; MAX_BLOCK_DIM as usize];
+        for r in rows.first_row..rows.end_row() {
+            let row = rows.row(r);
+            let mut below: [_; MAX_BLOCK_DIM as usize - 1] =
+                std::array::from_fn(|i| rows.row(r + 1 + i as Idx));
+            let below = &mut below[..br - 1];
+            if below.iter().chain([&row]).any(|b| b.len() < bc) {
+                continue;
+            }
+            let mut above = r.checked_sub(1).map_or(0..0, |a| rows.row(a));
+            for e in row.start..=row.end - bc {
+                let c = cols[e];
+                if taken[e - base] || cols[e + bc - 1] != c + (bc - 1) as Idx {
                     continue;
                 }
-                let mut above = r.checked_sub(1).map_or(0..0, |a| rows.row(a));
-                for e in row.start..=row.end - bc {
-                    let c = cols[e];
-                    if cols[e + bc - 1] != c + (bc - 1) as Idx {
+                // Quick pruning: only anchor where the element above or
+                // the element to the left is absent, so aligned tilings
+                // are preferred over every offset.
+                if e > row.start && cols[e - 1] + 1 == c {
+                    while above.start < above.end && cols[above.start] < c {
+                        above.start += 1;
+                    }
+                    if above.start < above.end && cols[above.start] == c {
                         continue;
                     }
-                    // Quick pruning: only anchor where the element above or
-                    // the element to the left is absent, so aligned tilings
-                    // are preferred over every offset.
-                    if e > row.start && cols[e - 1] + 1 == c {
-                        while above.start < above.end && cols[above.start] < c {
-                            above.start += 1;
-                        }
-                        if above.start < above.end && cols[above.start] == c {
-                            continue;
-                        }
+                }
+                if below.iter_mut().all(|b| spans(b, c)) {
+                    tops[0] = e;
+                    for (t, b) in tops[1..].iter_mut().zip(&*below) {
+                        *t = b.start;
                     }
-                    if below.iter_mut().all(|b| spans(b, c)) {
-                        let tops = [e].into_iter().chain(below.iter().map(|b| b.start));
-                        out.push(kind, (r, c), tops.flat_map(|at| at..at + bc), split);
-                    }
+                    found(taken, Instance::new(kind, (r, c), br * bc), &tops[..br]);
                 }
             }
         }
@@ -541,7 +625,7 @@ mod tests {
 
     /// Elements not covered by any instance, row-major.
     fn leftover(d: &Detected, m: &CooMatrix) -> Vec<(Idx, Idx)> {
-        let uncovered = |&(e, _): &(usize, _)| d.role(e) == EntryRole::Leftover;
+        let uncovered = |&(e, _): &(usize, _)| d.free(e..e + 1).next().is_some();
         let coords = m.iter().enumerate().filter(uncovered);
         coords.map(|(_, (r, c, _))| (r, c)).collect()
     }

@@ -18,10 +18,11 @@
 //! The head of a unit is parsed in exactly one place, [`UnitCursor`], which
 //! [`CtlStream::walk`] and both multiply kernels advance.
 
-use crate::detect::{analyze, DetectConfig, Detected, EntryRole};
+use crate::detect::{analyze, DetectConfig, Detected};
 use crate::pattern::{DeltaWidth, PatternKind};
 use crate::rows::RowView;
 use crate::varint::{read_varint, write_varint};
+use std::ops::Range;
 use symspmv_sparse::{CooMatrix, CsrMatrix, Idx, Val};
 
 /// Flags-byte bit for "unit starts a new row".
@@ -132,16 +133,14 @@ pub fn delta_of<const W: usize>(bytes: &[u8; W]) -> usize {
     u32::from_le_bytes(le) as usize
 }
 
-/// An encoding before values are attached: the control bytes and, for every
-/// stream position, the entry (index into the view's column array) stored
-/// there — so every value array aligned with those columns is brought into
-/// stream order by one gather.
+/// An encoded stream and the counts that describe it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Encoded {
-    /// Control byte stream.
-    pub ctl: Vec<u8>,
-    /// Stream position → entry index.
-    pub order: Vec<u32>,
+    /// Control bytes and values.
+    pub stream: CtlStream,
+    /// The second value array handed to the encoder, in stream order;
+    /// empty without one.
+    pub upper_values: Vec<Val>,
     /// Fraction of the non-zeros covered by substructure units.
     pub coverage: f64,
     /// Number of substructure units.
@@ -150,58 +149,57 @@ pub struct Encoded {
     pub delta_units: usize,
 }
 
-impl Encoded {
-    /// `values` (aligned with the view's columns) in stream order.
-    pub fn gather(&self, values: &[Val]) -> Vec<Val> {
-        self.order.iter().map(|&e| values[e as usize]).collect()
-    }
-
-    /// Attaches the values, giving the finished stream.
-    pub fn into_stream(self, values: &[Val]) -> CtlStream {
-        CtlStream {
-            values: self.gather(values),
-            nnz: self.order.len(),
-            ctl: self.ctl,
-        }
-    }
-}
-
-/// Detects and encodes the rows of `view`.
-pub fn encode_rows(view: RowView<'_>, config: &DetectConfig) -> Encoded {
-    encode(view, &analyze(view, config))
+/// Detects and encodes the rows of `view`; `values` (and `upper`, if
+/// given) are aligned with the view's column array.
+pub fn encode_rows(
+    view: RowView<'_>,
+    config: &DetectConfig,
+    values: &[Val],
+    upper: Option<&[Val]>,
+) -> Encoded {
+    encode(view, &analyze(view, config), values, upper)
 }
 
 /// Encodes a detection result of `view`, row by row: the anchors of the
 /// instances that start in a row and the delta units chunked from its
-/// leftover entries are merged by anchor column.
-pub fn encode(view: RowView<'_>, det: &Detected) -> Encoded {
+/// leftover entries are merged by anchor column. Each unit's values — from
+/// `values` and, if given, from `upper`, both aligned with the view's
+/// column array — are written as the unit is emitted.
+pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&[Val]>) -> Encoded {
     let cols = view.cols;
     let mut ctl = Vec::new();
-    let mut order: Vec<u32> = Vec::with_capacity(det.nnz);
+    let mut vals = Vec::with_capacity(det.nnz);
+    let mut upper_values = Vec::with_capacity(upper.map_or(0, |_| det.nnz));
+    // Appends a run of entries' values (a copy call per short run costs more).
+    let mut put = |entries: Range<usize>| {
+        values[entries.clone()].iter().for_each(|&v| vals.push(v));
+        if let Some(upper) = upper {
+            upper[entries].iter().for_each(|&v| upper_values.push(v));
+        }
+    };
     let mut delta_units = 0usize;
     let mut prev_row: Option<Idx> = None;
-    // Per-row scratch, both in column order.
-    let mut anchors: Vec<usize> = Vec::new();
+    // The instances are sorted by anchor: those of a row follow those of
+    // the rows before it.
+    let mut instances = &det.instances[..];
+    // Per-row scratch: the leftovers, in column order.
     let mut left: Vec<u32> = Vec::new();
     for row in view.first_row..view.end_row() {
-        anchors.clear();
+        let anchors;
+        (anchors, instances) =
+            instances.split_at(instances.iter().take_while(|i| i.row == row).count());
         left.clear();
-        for e in view.row(row) {
-            match det.role(e) {
-                EntryRole::Leftover => left.push(e as u32),
-                EntryRole::Covered => {}
-                EntryRole::Anchor(i) => anchors.push(i),
-            }
-        }
+        left.extend(det.free(view.row(row)));
         let col_of = |e: u32| cols[e as usize];
         let (mut a, mut s) = (0usize, 0usize);
         let mut prev_col: Option<Idx> = None;
         while a < anchors.len() || s < left.len() {
-            let inst = anchors.get(a).map(|&i| &det.instances[i]);
-            let (id, entries, width) = match inst {
+            let inst = anchors.get(a);
+            let (id, size, anchor, body) = match inst {
                 Some(inst) if left.get(s).is_none_or(|&e| inst.col < col_of(e)) => {
                     a += 1;
-                    (inst.kind.id(), det.entries(inst), None)
+                    inst.segments(&det.pool).for_each(&mut put);
+                    (inst.kind.id(), inst.len as usize, inst.col, None)
                 }
                 _ => {
                     // Greedy chunking: width fixed by the first delta of
@@ -216,11 +214,13 @@ pub fn encode(view: RowView<'_>, det: &Detected) -> Encoded {
                     }
                     s += e;
                     delta_units += 1;
-                    (PatternKind::delta_id(width), &rest[..e], Some(width))
+                    let unit = &rest[..e];
+                    unit.iter().for_each(|&e| put(e as usize..e as usize + 1));
+                    let id = PatternKind::delta_id(width);
+                    (id, e, col_of(unit[0]), Some((width, unit)))
                 }
             };
-            let anchor = col_of(entries[0]);
-            debug_assert!((1..=255).contains(&entries.len()));
+            debug_assert!((1..=255).contains(&size));
 
             let mut flags = id;
             let mut jump = 0;
@@ -236,23 +236,27 @@ pub fn encode(view: RowView<'_>, det: &Detected) -> Encoded {
             if jump > 0 {
                 write_varint(&mut ctl, u64::from(jump));
             }
-            ctl.push(entries.len() as u8);
+            ctl.push(size as u8);
             debug_assert!(prev_col.is_none_or(|p| anchor >= p), "anchors ascend");
             write_varint(&mut ctl, u64::from(anchor - prev_col.unwrap_or(0)));
             prev_col = Some(anchor);
 
-            if let Some(width) = width {
-                for w in entries.windows(2) {
+            if let Some((width, unit)) = body {
+                for w in unit.windows(2) {
                     let d = col_of(w[1]) - col_of(w[0]);
                     ctl.extend_from_slice(&d.to_le_bytes()[..width.bytes()]);
                 }
             }
-            order.extend_from_slice(entries);
         }
     }
+    debug_assert_eq!(vals.len(), det.nnz);
     Encoded {
-        ctl,
-        order,
+        stream: CtlStream {
+            ctl,
+            nnz: vals.len(),
+            values: vals,
+        },
+        upper_values,
         coverage: det.coverage(),
         substructure_units: det.instances.len(),
         delta_units,
@@ -330,7 +334,7 @@ impl CtlStream {
 pub fn encode_coo(coo: &CooMatrix, config: &DetectConfig) -> CtlStream {
     let csr = CsrMatrix::from_coo(coo);
     let view = RowView::new(0, csr.ncols(), csr.rowptr(), csr.colind());
-    encode_rows(view, config).into_stream(csr.values())
+    encode_rows(view, config, csr.values(), None).stream
 }
 
 #[cfg(test)]

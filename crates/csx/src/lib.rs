@@ -38,3 +38,6 @@ pub mod varint;
 pub use detect::{DetectConfig, Detected};
 pub use matrix::{CsxMatrix, CsxStats};
 pub use pattern::PatternKind;
+
+#[cfg(test)]
+mod oracle;

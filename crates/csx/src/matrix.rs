@@ -65,9 +65,9 @@ impl CsxMatrix {
     /// thread's partition of it (coordinates stay absolute); `values` is
     /// aligned with the view's column array.
     pub fn from_rows(nrows: Idx, view: RowView<'_>, values: &[Val], config: &DetectConfig) -> Self {
-        let encoded = encode_rows(view, config);
+        let encoded = encode_rows(view, config, values, None);
         let stats = CsxStats {
-            size_bytes: encoded.ctl.len() + 8 * view.nnz(),
+            size_bytes: encoded.stream.ctl.len() + 8 * view.nnz(),
             csr_bytes: 12 * view.nnz() + 4 * (nrows as usize + 1),
             coverage: encoded.coverage,
             substructure_units: encoded.substructure_units,
@@ -76,7 +76,7 @@ impl CsxMatrix {
         CsxMatrix {
             nrows,
             ncols: view.ncols,
-            stream: encoded.into_stream(values),
+            stream: encoded.stream,
             stats,
         }
     }

@@ -5,7 +5,7 @@
 //! case is exactly reproducible from its loop index.
 
 use symspmv_csx::detect::DetectConfig;
-use symspmv_csx::encode::encode_coo;
+use symspmv_csx::encode::{encode_coo, encode_rows};
 use symspmv_csx::matrix::CsxMatrix;
 use symspmv_csx::rows::RowView;
 use symspmv_sparse::rng::StdRng;
@@ -85,6 +85,35 @@ fn spmv_equals_reference() {
             m.spmv(&x, &mut y);
             for (a, b) in y.iter().zip(&y_ref) {
                 assert!((a - b).abs() < 1e-9, "case {case}: {a} vs {b}");
+            }
+        }
+    }
+}
+
+/// A second value array handed to the encoder is written in the stream's
+/// order: entry by entry it pairs with the stream value of the same entry,
+/// under every configuration, for whole matrices and row chunks alike.
+#[test]
+fn paired_values_follow_the_stream_order() {
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0x60_0000 + case);
+        let coo = random_coo(&mut rng, 60, 250);
+        let csr = CsrMatrix::from_coo(&coo);
+        let paired: Vec<f64> = csr.values().iter().map(|v| -2.0 * v).collect();
+        let rows = RowView::new(0, csr.ncols(), csr.rowptr(), csr.colind());
+        let half = coo.nrows() / 2;
+        for view in [rows, rows.slice(0..half), rows.slice(half..coo.nrows())] {
+            for cfg in configs() {
+                let encoded = encode_rows(view, &cfg, csr.values(), Some(&paired));
+                let (values, upper) = (&encoded.stream.values, &encoded.upper_values);
+                assert_eq!(values.len(), view.nnz(), "case {case}");
+                assert_eq!(upper.len(), values.len(), "case {case}");
+                for (v, u) in values.iter().zip(upper) {
+                    assert_eq!(*u, -2.0 * v, "case {case}");
+                }
+                let alone = encode_rows(view, &cfg, csr.values(), None);
+                assert_eq!(alone.stream, encoded.stream, "case {case}");
+                assert!(alone.upper_values.is_empty(), "case {case}");
             }
         }
     }

@@ -20,6 +20,7 @@ use crate::spmd::{Serial, Spmd};
 use crate::symmetry::{SymmetryKind, SymmetryOps};
 use crate::with_symmetry_ops;
 use crate::{Idx, Val};
+use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -210,13 +211,16 @@ impl SssMatrix {
         let lower = entries.lower_rowptr();
         let rowptr: Vec<Idx> = lower.iter().map(|&p| p as Idx).collect();
         let stored = lower[n];
+        // The sweep writes every slot of the lower arrays, so they start
+        // uninitialized; only the diagonal, which it sums into, is zeroed.
         let mut dvalues = vec![0.0; n];
-        let mut colind = vec![0; stored];
-        let mut values = vec![0.0; stored];
+        let mut colind = Vec::with_capacity(stored);
+        let mut values = Vec::with_capacity(stored);
         // Structural storage pairs each lower entry with its mirror value,
         // in lower-CSR order, so the kernels' sequential value cursor
         // walks both arrays in lockstep.
-        let mut upper_values = vec![0.0; if kind.has_upper_values() { stored } else { 0 }];
+        let upper = if kind.has_upper_values() { stored } else { 0 };
+        let mut upper_values = Vec::with_capacity(upper);
         let rows = entries.rows();
         let banded = bands > 1 && {
             let out = Out::all(&mut colind, &mut values, &mut upper_values, &mut dvalues);
@@ -228,8 +232,19 @@ impl SssMatrix {
                 // every other slot is overwritten.
                 dvalues.fill(0.0);
             }
-            let out = Out::all(&mut colind, &mut values, &mut upper_values, &mut dvalues);
+            let mut out = Out::all(&mut colind, &mut values, &mut upper_values, &mut dvalues);
             rows.check_mirrors(kind, tol, out.emit(kind))?;
+            assert!(out.filled(), "the mirror sweep writes every lower slot");
+        }
+        // SAFETY(cert: sweep-fills): the arrays hold exactly `stored` and
+        // `upper` slots of capacity (`Vec::with_capacity`); either the bands,
+        // which tile them, each filled their slice (`Out::filled`, checked by
+        // `sweep_bands`), or the one-band sweep filled them all (the assert
+        // above).
+        unsafe {
+            colind.set_len(stored);
+            values.set_len(stored);
+            upper_values.set_len(upper);
         }
         Ok(SssMatrix {
             n: coo.nrows(),
@@ -326,7 +341,7 @@ impl SssMatrix {
     /// on structure, so two matrices with identical structure may share
     /// cached plans; the fingerprint is their cache key. The std hasher is
     /// avoided so the value is stable across processes and can be embedded
-    /// in serialized certificates and the plan store. Computed on first use
+    /// in serialized certificates. Computed on first use
     /// and memoized (the matrix is immutable), so repeat plan-cache lookups
     /// do not re-walk the structure.
     ///
@@ -462,29 +477,33 @@ fn grain_bands(runner: &dyn Spmd, coo: &CooMatrix) -> usize {
 }
 
 /// Where the sweep over a band of rows writes: those rows' slices of the
-/// output arrays, the first of them row `first_row`.
+/// output arrays, the first of them row `first_row`; the lower arrays'
+/// slots are uninitialized until the sweep writes them, `written` of them
+/// so far.
 struct Out<'o> {
     first_row: usize,
-    colind: &'o mut [Idx],
-    values: &'o mut [Val],
-    upper_values: &'o mut [Val],
+    colind: &'o mut [MaybeUninit<Idx>],
+    values: &'o mut [MaybeUninit<Val>],
+    upper_values: &'o mut [MaybeUninit<Val>],
     dvalues: &'o mut [Val],
+    written: usize,
 }
 
 impl<'o> Out<'o> {
-    /// All rows of the arrays.
+    /// All rows: the spare capacity of the lower arrays, and the diagonal.
     fn all(
-        colind: &'o mut [Idx],
-        values: &'o mut [Val],
-        upper_values: &'o mut [Val],
+        colind: &'o mut Vec<Idx>,
+        values: &'o mut Vec<Val>,
+        upper_values: &'o mut Vec<Val>,
         dvalues: &'o mut [Val],
     ) -> Self {
         Out {
             first_row: 0,
-            colind,
-            values,
-            upper_values,
+            colind: colind.spare_capacity_mut(),
+            values: values.spare_capacity_mut(),
+            upper_values: upper_values.spare_capacity_mut(),
             dvalues,
+            written: 0,
         }
     }
 
@@ -507,35 +526,37 @@ impl<'o> Out<'o> {
             values,
             upper_values,
             dvalues,
+            written: 0,
         }
     }
 
     /// The sweep's visitor: stores each lower entry in the next slot, in
     /// row-major order, and sums each diagonal entry into its zeroed slot.
-    fn emit(self, kind: SymmetryKind) -> impl FnMut(usize, Idx, Val, Val) + 'o {
-        let Out {
-            first_row,
-            colind,
-            values,
-            upper_values,
-            dvalues,
-        } = self;
-        let mut j = 0;
+    fn emit(&mut self, kind: SymmetryKind) -> impl FnMut(usize, Idx, Val, Val) + use<'_, 'o> {
         move |r, c, v, mirrored| {
+            let j = self.written;
             if c as usize != r {
-                colind[j] = c;
-                values[j] = v;
+                self.colind[j].write(c);
+                self.values[j].write(v);
                 if kind.has_upper_values() {
-                    upper_values[j] = mirrored;
+                    self.upper_values[j].write(mirrored);
                 }
-                j += 1;
+                self.written += 1;
             } else if !kind.requires_zero_diagonal() {
                 // Skew storage is exactly skew: the diagonal stays
                 // identically zero (entries within `tol` of zero are
                 // clamped, not kept).
-                dvalues[r - first_row] += v;
+                self.dvalues[r - self.first_row] += v;
             }
         }
+    }
+
+    /// Whether every lower slot (and every paired upper slot) is written.
+    fn filled(&self) -> bool {
+        let upper = self.upper_values.len();
+        self.written == self.colind.len()
+            && self.written == self.values.len()
+            && (upper == 0 || self.written == upper)
     }
 }
 
@@ -591,14 +612,11 @@ fn sweep_bands(
             let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
             let band = &mut *guard;
             band.held = band.rows.is_empty()
-                || band.out.take().is_some_and(|out| {
-                    rows.sweep_band(
-                        kind,
-                        tol,
-                        band.rows.clone(),
-                        &mut band.cursors,
-                        out.emit(kind),
-                    )
+                || band.out.take().is_some_and(|mut out| {
+                    let rows_of_band = band.rows.clone();
+                    let visit = out.emit(kind);
+                    rows.sweep_band(kind, tol, rows_of_band, &mut band.cursors, visit)
+                        && out.filled()
                 });
         }
     });
@@ -703,8 +721,8 @@ mod tests {
         let c = SssMatrix::from_coo(&m, 0.0).unwrap();
         assert_ne!(a.fingerprint(), c.fingerprint());
         // The definition over a fixed structure is a process-independent
-        // constant that plan stores and certificates carry: pin it on the
-        // 4×4 fixture and on a benchmark analog.
+        // constant that certificates carry: pin it on the 4×4 fixture and
+        // on a benchmark analog.
         assert_eq!(a.fingerprint(), 0x08d1_6abf_4a0d_2080);
         assert_eq!(hood_small().fingerprint(), 0xa83d_c46e_b2c8_76a3);
     }

@@ -72,6 +72,12 @@ pub const KNOWN_INVARIANTS: &[(&str, &str)] = &[
          x.len() == ncols assert it keeps the CSR gather in bounds",
     ),
     (
+        "sweep-fills",
+        "SssMatrix::build: the COO → SSS mirror sweep writes every slot of \
+         the exactly sized lower arrays — each band checks it filled its \
+         slice, the one-band sweep asserts it — before their lengths are set",
+    ),
+    (
         "first-touch",
         "uninitialized arena pages are written before first read, by the \
          thread that will own them",

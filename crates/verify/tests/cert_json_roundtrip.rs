@@ -1,6 +1,7 @@
-//! The JSON codec behind the plan store refuses non-finite numbers in
-//! *both* directions: the writer will not emit what the reader would not
-//! accept, so no stored document can carry a NaN or an infinity.
+//! The workspace's JSON codec (audit findings, benchmark records) refuses
+//! non-finite numbers in *both* directions: the writer will not emit what
+//! the reader would not accept, so no stored document can carry a NaN or an
+//! infinity.
 
 use symspmv_verify::jsonio::Json;
 
