@@ -7,12 +7,19 @@
 //! between the thread's local vector (`c < start_i`) and the shared output
 //! vector (`c ≥ start_i`) is not encoded — its elements fall back to delta
 //! units. Substructure inner loops therefore never branch on the write
-//! target; only delta units pay a per-element check.
+//! target; only delta units pay a per-element side test.
+//!
+//! The kernel reads a stream only the encoder builds (`ctl-bound`): the
+//! stream records its first row, its row and column reach, and whether any
+//! substructure straddles its first row. One assert per call checks the
+//! buffers and the split against that record — a split other than 0 must
+//! be the stream's legal one — and the unit kernels then index without
+//! bounds checks.
 
 use crate::sym::{add_lanes, axpy_lanes};
 use std::sync::OnceLock;
 use symspmv_csx::detect::DetectConfig;
-use symspmv_csx::encode::{delta_of, encode_rows, CtlStream, UnitCursor};
+use symspmv_csx::encode::{delta_of, encode_rows, CtlStream};
 use symspmv_csx::pattern::run_strides;
 use symspmv_csx::rows::RowView;
 use symspmv_runtime::{ExecutionContext, Range};
@@ -65,7 +72,7 @@ impl CsxSymChunk {
     /// kernels' `O::transposed` ignores or negates them).
     pub fn paired_values(&self) -> &[Val] {
         if self.upper_values.is_empty() {
-            &self.stream.values
+            self.stream.values()
         } else {
             &self.upper_values
         }
@@ -87,7 +94,11 @@ impl CsxSymMatrix {
     /// the other on the calling thread, each straight from the partition's
     /// SSS rows. The matrix's [`SymmetryKind`] carries over. (`SymSpmv`
     /// encodes the same chunks with the same body, one per pool share.)
+    /// Panics on a config [`DetectConfig::validate`] refuses.
     pub fn from_sss(sss: &SssMatrix, parts: &[Range], config: &DetectConfig) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let chunks = parts
             .iter()
             .map(|&part| CsxSymChunk::encode(sss, part, config));
@@ -236,14 +247,21 @@ impl CsxSymMatrix {
 /// The direct-write strategies pass the partition boundary as `split`, with
 /// `my_y` the partition's slice of the output vector: all direct writes
 /// provably land inside the partition — the row `r` by chunk construction,
-/// transposed targets `c ∈ [split, r]` by the legality rule — so the kernel
-/// works on plain `&mut` slices and stays safe. The naive method is the
-/// `split = 0` case over the thread's private full-length vector, which
-/// leaves nothing for `local`.
+/// transposed targets `c ∈ [split, r]` by the legality rule. The naive
+/// method is the `split = 0` case over the thread's private full-length
+/// vector, which leaves nothing for `local`.
 ///
 /// `paired` is the stream-ordered mirror-value array
-/// ([`CsxSymChunk::paired_values`]); it aliases `stream.values` for the
+/// ([`CsxSymChunk::paired_values`]); it aliases `stream.values()` for the
 /// numeric kinds, whose `O::transposed` never reads it.
+///
+/// One assert per call — `paired` as long as the values; `split` either 0
+/// or the stream's [`CtlStream::legal_split`]; the stream's row and column
+/// bounds inside `x`, `split + my_y.len()`, and `local` at least `split`
+/// long — and the `ctl-bound` invariant of the stream then keep every
+/// value, pair and operand access in bounds, so the unit kernels index
+/// without checks. A stream whose substructures straddle `split`, or
+/// buffers too short for it, are refused there, before any access.
 pub(crate) fn sym_stream<O: SymmetryOps, const K: usize>(
     stream: &CtlStream,
     paired: &[Val],
@@ -252,35 +270,63 @@ pub(crate) fn sym_stream<O: SymmetryOps, const K: usize>(
     split: usize,
     local: &mut [[Val; K]],
 ) {
+    let values = stream.values();
+    let end = stream.row_end().max(stream.col_end());
+    assert!(
+        paired.len() == values.len()
+            && (split == 0 || stream.legal_split() == Some(split))
+            && end <= x.len()
+            && end <= split + my_y.len()
+            && split <= local.len(),
+        "stream of {} values from row {} to {} (legal split {:?}) refused at split {split} \
+         with paired ({}), x ({}), y ({}) and local ({})",
+        values.len(),
+        stream.first_row(),
+        end,
+        stream.legal_split(),
+        paired.len(),
+        x.len(),
+        my_y.len(),
+        local.len()
+    );
     let mut sides = Sides {
         x,
         my_y,
         split,
         local,
     };
-    let mut cursor = UnitCursor::new(&stream.ctl);
-    let (mut values, mut paired) = (&stream.values[..], paired);
-    while let Some(unit) = cursor.next_unit() {
-        let (v, u);
-        (v, values) = values.split_at(unit.size);
-        (u, paired) = paired.split_at(unit.size);
-        let (row, col) = (unit.row, unit.col);
-        macro_rules! delta {
-            ($w:literal) => {
-                sides.delta::<O, $w>(cursor.body(unit.size), v, u, row, col)
-            };
+    let mut cursor = stream.cursor();
+    let mut at = 0;
+    // SAFETY(cert: ctl-bound): the delta arms below take every delta body.
+    while let Some(unit) = unsafe { cursor.next_unit() } {
+        let (row, col, size) = (unit.row, unit.col, unit.size);
+        // SAFETY(cert: ctl-bound): unit sizes sum to `values.len()` (and
+        // `paired` matches it), so the unit's values and pairs follow `at`;
+        // the dispatch hands each kernel the shape its id encodes; every
+        // row is ≥ first row ≥ split and < row_end, every column < col_end,
+        // and a substructure's columns lie on one side of a nonzero split
+        // (the assert above).
+        unsafe {
+            let v = values.get_unchecked(at..at + size);
+            let u = paired.get_unchecked(at..at + size);
+            macro_rules! delta {
+                ($w:literal) => {
+                    sides.delta::<O, $w>(cursor.body(unit.size), v, u, row, col)
+                };
+            }
+            macro_rules! run {
+                ($dir:literal, $delta:expr) => {
+                    sides.run::<O, $dir>($delta, v, u, row, col)
+                };
+            }
+            macro_rules! block {
+                ($r:literal, $c:literal) => {
+                    sides.block::<O, $r, $c>(v, u, row, col)
+                };
+            }
+            symspmv_csx::dispatch_unit!(unit.id, delta, run, block);
         }
-        macro_rules! run {
-            ($dir:literal, $delta:expr) => {
-                sides.run::<O, $dir>($delta, v, u, row, col)
-            };
-        }
-        macro_rules! block {
-            ($r:literal, $c:literal) => {
-                sides.block::<O, $r, $c>(v, u, row, col)
-            };
-        }
-        symspmv_csx::dispatch_unit!(unit.id, delta, run, block);
+        at += size;
     }
 }
 
@@ -298,8 +344,13 @@ impl<const K: usize> Sides<'_, K> {
     /// they cross `split` at most once: the unit finds that point once and
     /// then runs a loop without a side test — from the first element on when
     /// it is anchored at or right of `split`.
+    ///
+    /// # Safety
+    /// SAFETY(cert: ctl-bound): `v` and `u` hold the unit's `size ≥ 1`
+    /// values and `body` its deltas; `row` and every column index `x`, and
+    /// `split ≤ row` with both targets sized as `sym_stream` asserts.
     #[inline(always)]
-    fn delta<O: SymmetryOps, const W: usize>(
+    unsafe fn delta<O: SymmetryOps, const W: usize>(
         &mut self,
         body: &[[u8; W]],
         v: &[Val],
@@ -308,37 +359,40 @@ impl<const K: usize> Sides<'_, K> {
         col: usize,
     ) {
         let (x, split) = (self.x, self.split);
-        let xr = &x[row];
+        let xr = x.get_unchecked(row);
         let mut acc = [0.0; K];
-        let (my_y, local) = (&mut *self.my_y, &mut *self.local);
-        let mut direct = |c: usize, v: Val, u: Val, acc: &mut [Val; K]| {
-            axpy_lanes(acc, v, &x[c]);
-            axpy_lanes(&mut my_y[c - split], O::transposed(v, u), xr);
-        };
+        // Macros, not closures: a closure called from three places is not
+        // reliably inlined, and this is one call per element.
+        macro_rules! element {
+            ($target:expr, $c:expr, $v:expr, $u:expr) => {{
+                axpy_lanes(&mut acc, $v, x.get_unchecked($c));
+                axpy_lanes($target, O::transposed($v, $u), xr);
+            }};
+        }
         let mut c = col;
-        let mut rest = body.iter().zip(&v[1..]).zip(&u[1..]);
+        let mut rest = body
+            .iter()
+            .zip(v.get_unchecked(1..))
+            .zip(u.get_unchecked(1..));
+        let (v0, u0) = (*v.get_unchecked(0), *u.get_unchecked(0));
         if c >= split {
-            direct(c, v[0], u[0], &mut acc);
+            element!(self.my_y.get_unchecked_mut(c - split), c, v0, u0);
         } else {
-            let mut below = |c: usize, v: Val, u: Val, acc: &mut [Val; K]| {
-                axpy_lanes(acc, v, &x[c]);
-                axpy_lanes(&mut local[c], O::transposed(v, u), xr);
-            };
-            below(c, v[0], u[0], &mut acc);
+            element!(self.local.get_unchecked_mut(c), c, v0, u0);
             for ((d, &v), &u) in rest.by_ref() {
                 c += delta_of(d);
                 if c >= split {
-                    direct(c, v, u, &mut acc);
+                    element!(self.my_y.get_unchecked_mut(c - split), c, v, u);
                     break;
                 }
-                below(c, v, u, &mut acc);
+                element!(self.local.get_unchecked_mut(c), c, v, u);
             }
         }
         for ((d, &v), &u) in rest {
             c += delta_of(d);
-            direct(c, v, u, &mut acc);
+            element!(self.my_y.get_unchecked_mut(c - split), c, v, u);
         }
-        add_lanes(&mut my_y[row - split], &acc);
+        add_lanes(self.my_y.get_unchecked_mut(row - split), &acc);
     }
 
     /// A 1-D run in direction `DIR` (pattern-id order) with stride `delta`.
@@ -348,8 +402,12 @@ impl<const K: usize> Sides<'_, K> {
     /// vertical (the column's transposed sum) run adds to is held in a
     /// register across the loop — no other write of the unit can reach it,
     /// since every column lies below every row — in the same float order.
+    ///
+    /// # Safety
+    /// SAFETY(cert: ctl-bound): as for `delta`, and the run's columns lie
+    /// on its anchor's side of `split`.
     #[inline(always)]
-    fn run<O: SymmetryOps, const DIR: u8>(
+    unsafe fn run<O: SymmetryOps, const DIR: u8>(
         &mut self,
         delta: usize,
         v: &[Val],
@@ -368,23 +426,30 @@ impl<const K: usize> Sides<'_, K> {
         // is fixed per unit, and `my_y` takes both writes on the direct one.
         macro_rules! elements {
             ($target:expr, $shift:expr) => {{
-                let (mut yr, mut tc) = (self.my_y[row - split], $target[col - $shift]);
+                let mut yr = *self.my_y.get_unchecked(row - split);
+                let mut tc = *$target.get_unchecked(col - $shift);
                 for (&v, &u) in v.iter().zip(u) {
                     let t = O::transposed(v, u);
                     match DIR {
-                        0 => axpy_lanes(&mut yr, v, &x[c]),
-                        _ => axpy_lanes(&mut self.my_y[r - split], v, &x[c]),
+                        0 => axpy_lanes(&mut yr, v, x.get_unchecked(c)),
+                        _ => axpy_lanes(
+                            self.my_y.get_unchecked_mut(r - split),
+                            v,
+                            x.get_unchecked(c),
+                        ),
                     }
                     match DIR {
-                        1 => axpy_lanes(&mut tc, t, &x[r]),
-                        _ => axpy_lanes(&mut $target[c - $shift], t, &x[r]),
+                        1 => axpy_lanes(&mut tc, t, x.get_unchecked(r)),
+                        _ => {
+                            axpy_lanes($target.get_unchecked_mut(c - $shift), t, x.get_unchecked(r))
+                        }
                     }
                     r += dr;
                     c = c.wrapping_add(dc);
                 }
                 match DIR {
-                    0 => self.my_y[row - split] = yr,
-                    1 => $target[col - $shift] = tc,
+                    0 => *self.my_y.get_unchecked_mut(row - split) = yr,
+                    1 => *$target.get_unchecked_mut(col - $shift) = tc,
                     _ => {}
                 }
             }};
@@ -396,27 +461,36 @@ impl<const K: usize> Sides<'_, K> {
         }
     }
 
-    /// A dense `R × C` block: one length check per operand, then fixed-size
-    /// array indexing, the transposed sums held in registers until the end.
-    /// The first row assigns them: starting from `0.0 +` instead would cost
-    /// an add per column and differ only where product and target are `−0.0`.
+    /// A dense `R × C` block by fixed-size array indexing, the transposed
+    /// sums held in registers until the end. The first row assigns them:
+    /// starting from `0.0 +` instead would cost an add per column and differ
+    /// only where product and target are `−0.0`.
+    ///
+    /// # Safety
+    /// SAFETY(cert: ctl-bound): as for `run`, with `R·C` values and pairs,
+    /// rows `row..row + R` and columns `col..col + C`.
     #[inline(always)]
-    fn block<O: SymmetryOps, const R: usize, const C: usize>(
+    unsafe fn block<O: SymmetryOps, const R: usize, const C: usize>(
         &mut self,
         v: &[Val],
         u: &[Val],
         row: usize,
         col: usize,
     ) {
-        let (Some(v), Some(u), Some(xc), Some(xr), Some(yr)) = (
-            v.as_chunks::<C>().0.first_chunk::<R>(),
-            u.as_chunks::<C>().0.first_chunk::<R>(),
-            self.x[col..].first_chunk::<C>(),
-            self.x[row..].first_chunk::<R>(),
-            self.my_y[row - self.split..].first_chunk_mut::<R>(),
-        ) else {
-            unreachable!("block unit reaches outside the matrix");
-        };
+        let v = v.as_chunks::<C>().0.first_chunk::<R>().unwrap_unchecked();
+        let u = u.as_chunks::<C>().0.first_chunk::<R>().unwrap_unchecked();
+        let xc = self
+            .x
+            .get_unchecked(col..)
+            .first_chunk::<C>()
+            .unwrap_unchecked();
+        let xr = self
+            .x
+            .get_unchecked(row..)
+            .first_chunk::<R>()
+            .unwrap_unchecked();
+        let yr = self.my_y.get_unchecked_mut(row - self.split..);
+        let yr = yr.first_chunk_mut::<R>().unwrap_unchecked();
         let mut t = [[0.0; K]; C];
         for (i, (((yr, v), u), xr)) in yr.iter_mut().zip(v).zip(u).zip(xr).enumerate() {
             for j in 0..K {
@@ -435,10 +509,11 @@ impl<const K: usize> Sides<'_, K> {
             }
         }
         let side = if col < self.split {
-            &mut self.local[col..]
+            self.local.get_unchecked_mut(col..)
         } else {
-            &mut self.my_y[col - self.split..]
+            self.my_y.get_unchecked_mut(col - self.split..)
         };
+        let side = side.first_chunk_mut::<C>().unwrap_unchecked();
         for (dst, t) in side.iter_mut().zip(&t) {
             add_lanes(dst, t);
         }
@@ -644,12 +719,22 @@ mod tests {
         assert_eq!(m.full_nnz(), 2 * sss.lower_nnz() + 16);
     }
 
-    /// The elements `(row, col)` of a hand-built stream, in stream order,
-    /// from the pattern's definition — not from any decoder.
+    /// The bytes and values of a hand-built stream, and its elements
+    /// `(row, col)` in stream order, from the pattern's definition — not
+    /// from any decoder.
     struct HandBuilt {
-        stream: CtlStream,
+        ctl: Vec<u8>,
+        values: Vec<Val>,
         paired: Vec<Val>,
         elements: Vec<(usize, usize)>,
+    }
+
+    impl HandBuilt {
+        /// The stream as a partition starting at `first_row` holds it,
+        /// through the one validating constructor.
+        fn stream(&self, first_row: usize) -> CtlStream {
+            CtlStream::validated(self.ctl.clone(), self.values.clone(), first_row).unwrap()
+        }
     }
 
     /// A one-element delta unit at `(row, 0)` — or nothing — followed by the
@@ -704,11 +789,8 @@ mod tests {
         let values: Vec<Val> = (0..elements.len()).map(|k| k as Val + 2.0).collect();
         HandBuilt {
             paired: values.iter().map(|v| 2.0 * v - 7.0).collect(),
-            stream: CtlStream {
-                ctl,
-                nnz: values.len(),
-                values,
-            },
+            ctl,
+            values,
             elements,
         }
     }
@@ -723,11 +805,12 @@ mod tests {
             .collect();
         let mut y = vec![[0.0; K]; n - split];
         let mut local = vec![[0.0; K]; split];
-        sym_stream::<O, K>(&unit.stream, &unit.paired, &x, &mut y, split, &mut local);
+        let stream = unit.stream(split);
+        sym_stream::<O, K>(&stream, &unit.paired, &x, &mut y, split, &mut local);
 
         let mut want_y = vec![[0.0; K]; n - split];
         let mut want_local = vec![[0.0; K]; split];
-        let values = unit.stream.values.iter().zip(&unit.paired);
+        let values = unit.values.iter().zip(&unit.paired);
         for (&(r, c), (&v, &u)) in unit.elements.iter().zip(values) {
             let t = O::transposed(v, u);
             for j in 0..K {
@@ -795,7 +878,7 @@ mod tests {
             for (chunk, part) in m.chunks().iter().zip(&parts) {
                 let (start, end) = (part.start as usize, part.end as usize);
                 // Distinct paired values tell the two directions apart.
-                let paired: Vec<Val> = chunk.stream.values.iter().map(|v| v + 0.5).collect();
+                let paired: Vec<Val> = chunk.stream.values().iter().map(|v| v + 0.5).collect();
                 let mut walked = Vec::new();
                 let mut k = 0;
                 chunk.stream.walk(
@@ -833,6 +916,333 @@ mod tests {
                 both_ways.sort_unstable();
                 assert_eq!(multiplied, both_ways, "seed {seed} part {part:?}");
             }
+        }
+    }
+}
+
+/// The CSX-Sym kernel as it was written before its unit kernels went
+/// unchecked — kept as the oracle the unchecked [`sym_stream`] must match
+/// bit for bit, `y` and local region alike.
+#[cfg(test)]
+mod unchecked_decode_tests {
+    use super::*;
+    use crate::sym::unchecked_walk_tests::as_kind;
+    use symspmv_runtime::{balanced_ranges, partition::symmetric_row_weights};
+    use symspmv_sparse::dense::seeded_vector;
+    use symspmv_sparse::suite::{self, KIND_SUITE, SUITE};
+    use symspmv_sparse::symmetry::Sym;
+    use symspmv_sparse::{with_symmetry_ops, CooMatrix};
+
+    fn checked_sym_stream<O: SymmetryOps, const K: usize>(
+        stream: &CtlStream,
+        paired: &[Val],
+        x: &[[Val; K]],
+        my_y: &mut [[Val; K]],
+        split: usize,
+        local: &mut [[Val; K]],
+    ) {
+        let mut sides = CheckedSides {
+            x,
+            my_y,
+            split,
+            local,
+        };
+        let mut cursor = stream.cursor();
+        let (mut values, mut paired) = (stream.values(), paired);
+        // SAFETY(cert: ctl-bound): the delta arms below take every delta body.
+        while let Some(unit) = unsafe { cursor.next_unit() } {
+            let (v, u);
+            (v, values) = values.split_at(unit.size);
+            (u, paired) = paired.split_at(unit.size);
+            let (row, col) = (unit.row, unit.col);
+            macro_rules! delta {
+                ($w:literal) => {
+                    // SAFETY(cert: ctl-bound): the id names this width.
+                    sides.delta::<O, $w>(unsafe { cursor.body(unit.size) }, v, u, row, col)
+                };
+            }
+            macro_rules! run {
+                ($dir:literal, $delta:expr) => {
+                    sides.run::<O, $dir>($delta, v, u, row, col)
+                };
+            }
+            macro_rules! block {
+                ($r:literal, $c:literal) => {
+                    sides.block::<O, $r, $c>(v, u, row, col)
+                };
+            }
+            symspmv_csx::dispatch_unit!(unit.id, delta, run, block);
+        }
+    }
+
+    struct CheckedSides<'a, const K: usize> {
+        x: &'a [[Val; K]],
+        my_y: &'a mut [[Val; K]],
+        split: usize,
+        local: &'a mut [[Val; K]],
+    }
+
+    impl<const K: usize> CheckedSides<'_, K> {
+        fn delta<O: SymmetryOps, const W: usize>(
+            &mut self,
+            body: &[[u8; W]],
+            v: &[Val],
+            u: &[Val],
+            row: usize,
+            col: usize,
+        ) {
+            let (x, split) = (self.x, self.split);
+            let xr = &x[row];
+            let mut acc = [0.0; K];
+            let (my_y, local) = (&mut *self.my_y, &mut *self.local);
+            let mut direct = |c: usize, v: Val, u: Val, acc: &mut [Val; K]| {
+                axpy_lanes(acc, v, &x[c]);
+                axpy_lanes(&mut my_y[c - split], O::transposed(v, u), xr);
+            };
+            let mut c = col;
+            let mut rest = body.iter().zip(&v[1..]).zip(&u[1..]);
+            if c >= split {
+                direct(c, v[0], u[0], &mut acc);
+            } else {
+                let mut below = |c: usize, v: Val, u: Val, acc: &mut [Val; K]| {
+                    axpy_lanes(acc, v, &x[c]);
+                    axpy_lanes(&mut local[c], O::transposed(v, u), xr);
+                };
+                below(c, v[0], u[0], &mut acc);
+                for ((d, &v), &u) in rest.by_ref() {
+                    c += delta_of(d);
+                    if c >= split {
+                        direct(c, v, u, &mut acc);
+                        break;
+                    }
+                    below(c, v, u, &mut acc);
+                }
+            }
+            for ((d, &v), &u) in rest {
+                c += delta_of(d);
+                direct(c, v, u, &mut acc);
+            }
+            add_lanes(&mut my_y[row - split], &acc);
+        }
+
+        fn run<O: SymmetryOps, const DIR: u8>(
+            &mut self,
+            delta: usize,
+            v: &[Val],
+            u: &[Val],
+            row: usize,
+            col: usize,
+        ) {
+            let (dr, dc) = run_strides::<DIR>(delta);
+            let (x, split) = (self.x, self.split);
+            let (mut r, mut c) = (row, col);
+            macro_rules! elements {
+                ($target:expr, $shift:expr) => {{
+                    let (mut yr, mut tc) = (self.my_y[row - split], $target[col - $shift]);
+                    for (&v, &u) in v.iter().zip(u) {
+                        let t = O::transposed(v, u);
+                        match DIR {
+                            0 => axpy_lanes(&mut yr, v, &x[c]),
+                            _ => axpy_lanes(&mut self.my_y[r - split], v, &x[c]),
+                        }
+                        match DIR {
+                            1 => axpy_lanes(&mut tc, t, &x[r]),
+                            _ => axpy_lanes(&mut $target[c - $shift], t, &x[r]),
+                        }
+                        r += dr;
+                        c = c.wrapping_add(dc);
+                    }
+                    match DIR {
+                        0 => self.my_y[row - split] = yr,
+                        1 => $target[col - $shift] = tc,
+                        _ => {}
+                    }
+                }};
+            }
+            if col < split {
+                elements!(self.local, 0)
+            } else {
+                elements!(self.my_y, split)
+            }
+        }
+
+        fn block<O: SymmetryOps, const R: usize, const C: usize>(
+            &mut self,
+            v: &[Val],
+            u: &[Val],
+            row: usize,
+            col: usize,
+        ) {
+            let (Some(v), Some(u), Some(xc), Some(xr), Some(yr)) = (
+                v.as_chunks::<C>().0.first_chunk::<R>(),
+                u.as_chunks::<C>().0.first_chunk::<R>(),
+                self.x[col..].first_chunk::<C>(),
+                self.x[row..].first_chunk::<R>(),
+                self.my_y[row - self.split..].first_chunk_mut::<R>(),
+            ) else {
+                unreachable!("block unit reaches outside the matrix");
+            };
+            let mut t = [[0.0; K]; C];
+            for (i, (((yr, v), u), xr)) in yr.iter_mut().zip(v).zip(u).zip(xr).enumerate() {
+                for j in 0..K {
+                    let mut acc = v[0] * xc[0][j];
+                    for (&v, xc) in v[1..].iter().zip(&xc[1..]) {
+                        acc += v * xc[j];
+                    }
+                    yr[j] += acc;
+                    for ((t, &v), &u) in t.iter_mut().zip(v).zip(u) {
+                        if i == 0 {
+                            t[j] = O::transposed(v, u) * xr[j];
+                        } else {
+                            t[j] += O::transposed(v, u) * xr[j];
+                        }
+                    }
+                }
+            }
+            let side = if col < self.split {
+                &mut self.local[col..]
+            } else {
+                &mut self.my_y[col - self.split..]
+            };
+            for (dst, t) in side.iter_mut().zip(&t) {
+                add_lanes(dst, t);
+            }
+        }
+    }
+
+    fn bits<const K: usize>(v: &[[Val; K]]) -> Vec<u64> {
+        v.iter().flatten().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs both kernels over every chunk in the method's layout — the
+    /// naive one is split 0 over a private full-length region; the direct
+    /// ones (`eff`, `idx`) split at the partition start, with a local
+    /// region of that length — and returns how many local elements the
+    /// kernels wrote.
+    fn compare<O: SymmetryOps, const K: usize>(
+        m: &CsxSymMatrix,
+        parts: &[Range],
+        direct: bool,
+        what: &str,
+    ) -> usize {
+        let n = m.n() as usize;
+        let flat = seeded_vector(n * K, 7);
+        let x = flat.as_chunks::<K>().0;
+        let mut touched = 0;
+        for (tid, (chunk, &part)) in m.chunks().iter().zip(parts).enumerate() {
+            let (start, end) = (part.start as usize, part.end as usize);
+            let (split, y_len) = if direct { (start, end - start) } else { (0, n) };
+            let mut want = (vec![[0.0; K]; y_len], vec![[0.0; K]; split]);
+            let mut got = want.clone();
+            let (stream, paired) = (&chunk.stream, chunk.paired_values());
+            checked_sym_stream::<O, K>(stream, paired, x, &mut want.0, split, &mut want.1);
+            sym_stream::<O, K>(stream, paired, x, &mut got.0, split, &mut got.1);
+            assert_eq!(bits(&got.0), bits(&want.0), "{what}, tid {tid}: y");
+            assert_eq!(bits(&got.1), bits(&want.1), "{what}, tid {tid}: local");
+            touched += bits(&got.1).iter().filter(|&&b| b != 0).count();
+        }
+        touched
+    }
+
+    /// The leading `rows × rows` principal submatrix: symmetric in the
+    /// sense `coo` is.
+    fn leading(coo: &CooMatrix, rows: u32) -> CooMatrix {
+        let mut out = CooMatrix::new(rows, rows);
+        for (r, c, v) in coo.iter().filter(|&(r, c, _)| r < rows && c < rows) {
+            out.push(r, c, v);
+        }
+        out
+    }
+
+    /// The suite analogs (their leading 256 rows, so the debug build stays
+    /// quick) under every symmetry kind, chunked for 1, 2, 3 and 8
+    /// threads, in both layouts — naive's split 0, and the partition-start
+    /// split `eff` and `idx` share — at 1 and 8 lanes.
+    #[test]
+    fn unchecked_decode_matches_the_checked_one_bit_for_bit() {
+        let config = DetectConfig::default();
+        let mut touched = 0;
+        for spec in SUITE.iter().chain(&KIND_SUITE) {
+            let coo = leading(&suite::generate(spec, 0.001).coo, 256);
+            let kinds: &[SymmetryKind] = match spec.kind {
+                SymmetryKind::Symmetric => &SymmetryKind::ALL,
+                _ => std::slice::from_ref(&spec.kind),
+            };
+            for &kind in kinds {
+                let coo = match spec.kind {
+                    SymmetryKind::Symmetric => as_kind(&coo, kind),
+                    _ => coo.clone(),
+                };
+                let sss = SssMatrix::from_coo_kind(&coo, kind, 0.0).unwrap();
+                for p in [1usize, 2, 3, 8] {
+                    let parts = balanced_ranges(&symmetric_row_weights(sss.rowptr()), p);
+                    let m = CsxSymMatrix::from_sss(&sss, &parts, &config);
+                    for direct in [false, true] {
+                        let what = format!("{}, {kind:?}, p {p}, direct {direct}", spec.name);
+                        touched += with_symmetry_ops!(kind, O => {
+                            compare::<O, 1>(&m, &parts, direct, &format!("{what}, K 1"))
+                                + compare::<O, 8>(&m, &parts, direct, &format!("{what}, K 8"))
+                        });
+                    }
+                }
+            }
+        }
+        assert!(touched > 0, "no kernel wrote below its split");
+    }
+
+    /// The kernel's one assert runs before any unchecked access: a local
+    /// region shorter than the split is refused, not written past.
+    #[test]
+    #[should_panic(expected = "refused at split 32")]
+    fn a_short_local_region_is_refused() {
+        let coo = symspmv_sparse::gen::banded_random(64, 40, 9.0, 3);
+        let sss = SssMatrix::from_coo(&coo, 0.0).unwrap();
+        let part = Range { start: 32, end: 64 };
+        let chunk = CsxSymChunk::encode(&sss, part, &DetectConfig::default());
+        let (stream, paired) = (&chunk.stream, chunk.paired_values());
+        let (x, mut y, mut local) = (vec![[1.0]; 64], vec![[0.0]; 32], vec![[0.0]; 31]);
+        sym_stream::<Sym, 1>(stream, paired, &x, &mut y, 32, &mut local);
+    }
+
+    /// So is an `x` shorter than the stream's column bound — here beyond
+    /// its row bound, so the row bound alone would not catch it.
+    #[test]
+    #[should_panic(expected = "refused at split 0")]
+    fn an_x_short_of_the_column_bound_is_refused() {
+        let mut coo = CooMatrix::new(8, 8);
+        coo.push(2, 7, 1.0);
+        let stream = symspmv_csx::encode::encode_coo(&coo, &DetectConfig::default());
+        assert_eq!((stream.row_end(), stream.col_end()), (3, 8));
+        let (x, mut y) = (vec![[1.0]; 7], vec![[0.0]; 8]);
+        sym_stream::<Sym, 1>(&stream, stream.values(), &x, &mut y, 0, &mut []);
+    }
+
+    /// Mutation 4 of the verifier's kill wall — a horizontal run in row 40
+    /// across columns 28..36, encoded without the chunk's column split — is
+    /// refused at split 32: encoded from row 0, its legal split is 0; encoded
+    /// from row 32, the run straddles that row and the stream has none.
+    #[test]
+    fn a_straddling_stream_is_refused_at_split_32() {
+        let n = 64u32;
+        let mut coo = CooMatrix::new(n, n);
+        for c in 28..36 {
+            coo.push(40, c, 1.0);
+        }
+        let config = DetectConfig::default(); // no col_split
+        let from_row_0 = symspmv_csx::encode::encode_coo(&coo, &config);
+        let csr = symspmv_sparse::CsrMatrix::from_coo(&coo);
+        let rows = RowView::new(0, n, csr.rowptr(), csr.colind()).slice(32..n);
+        let from_row_32 = encode_rows(rows, &config, csr.values(), None).stream;
+        assert_eq!(from_row_0.legal_split(), Some(0));
+        assert_eq!(from_row_32.legal_split(), None);
+        for stream in [from_row_0, from_row_32] {
+            let refused = std::panic::catch_unwind(|| {
+                let (x, mut y, mut local) = (vec![[1.0]; 64], vec![[0.0]; 32], vec![[0.0]; 32]);
+                let v = stream.values();
+                sym_stream::<Sym, 1>(&stream, v, &x, &mut y, 32, &mut local);
+            });
+            let msg = refused.err().and_then(|p| p.downcast::<String>().ok());
+            assert!(msg.is_some_and(|m| m.contains("refused at split 32")));
         }
     }
 }

@@ -196,7 +196,8 @@ impl SymSpmv {
     /// Builds the kernel from a full COO matrix under an explicit symmetry
     /// kind: the matrix is validated against the kind (symmetric, skew or
     /// pattern-symmetric) and the kernel's mirror contributions follow it.
-    /// A `method` the `format` does not support ([`unsupported_pair`]) is
+    /// A `method` the `format` does not support ([`unsupported_pair`]), or
+    /// a CSX-Sym config [`DetectConfig::validate`] refuses, is
     /// [`SparseError::InvalidArgument`], checked before any conversion.
     /// The COO → SSS conversion runs on `ctx`'s pool
     /// ([`SssMatrix::from_coo_kind_on`]); its result is the serial one.
@@ -214,8 +215,9 @@ impl SymSpmv {
 
     /// Fully validated constructor for matrices from outside the process:
     /// beyond [`SymSpmv::from_coo`]'s square/symmetry checks, rejects
-    /// non-finite values, index overflow and a `method` the `format` does
-    /// not support, and reports everything as a classified
+    /// non-finite values, index overflow, a `method` the `format` does not
+    /// support and a CSX-Sym config that fails [`DetectConfig::validate`],
+    /// and reports everything as a classified
     /// [`SymSpmvError`]. Duplicate coordinates are summed, as by
     /// [`SssMatrix::try_from_coo_kind`].
     pub fn try_from_coo(
@@ -241,11 +243,14 @@ impl SymSpmv {
     }
 
     fn check_pair(format: &SymFormat, method: ReductionMethod) -> Result<(), SparseError> {
-        match unsupported_pair(format.tag(), method) {
-            Some(why) => Err(SparseError::InvalidArgument {
+        if let Some(why) = unsupported_pair(format.tag(), method) {
+            return Err(SparseError::InvalidArgument {
                 msg: why.to_string(),
-            }),
-            None => Ok(()),
+            });
+        }
+        match format {
+            SymFormat::CsxSym(config) => config.validate(),
+            SymFormat::Sss => Ok(()),
         }
     }
 
@@ -261,16 +266,17 @@ impl SymSpmv {
     /// `from_coo*` constructors may spend two before it (see
     /// [`SssMatrix::try_from_coo_kind_on`]).
     ///
-    /// Panics on a pair [`unsupported_pair`] refuses — this signature has
-    /// no error channel; the `from_coo*` constructors return it instead.
+    /// Panics on a pair [`unsupported_pair`] refuses, or a CSX-Sym config
+    /// [`DetectConfig::validate`] refuses — this signature has no error
+    /// channel; the `from_coo*` constructors return both instead.
     pub fn from_sss(
         sss: SssMatrix,
         ctx: &Arc<ExecutionContext>,
         method: ReductionMethod,
         format: SymFormat,
     ) -> Self {
-        if let Some(why) = unsupported_pair(format.tag(), method) {
-            panic!("{why}");
+        if let Err(e) = Self::check_pair(&format, method) {
+            panic!("{e}");
         }
         // Every context holds the four built-ins, so the lookup cannot fail.
         let strategy = ctx.reduction(method.tag()).unwrap_or_else(|| {
@@ -394,6 +400,12 @@ impl SymSpmv {
     /// full-length vector: nothing is below the split, so nothing conflicts.
     /// Per-thread regions are the scalar plan's regions scaled by `K` —
     /// exactly the scaling the lane-lifted certificate re-checks.
+    ///
+    /// Both bodies index their per-element targets without checks after
+    /// one assert per partition: the SSS walk under `strict-lower`, the
+    /// CSX-Sym stream under `ctl-bound` — whose assert also refuses a
+    /// nonzero split other than the chunk's legal one, so a stream whose
+    /// substructures straddle the partition start never runs.
     fn multiply<O: SymmetryOps, const K: usize>(
         &self,
         x: &[Val],
@@ -1466,13 +1478,47 @@ mod edge_tests {
             );
         }
     }
+
+    /// A CSX-Sym config outside the pattern-id space is refused where it
+    /// enters: one stride-9 row (and its mirror) with `max_delta: 9` would
+    /// otherwise reach `PatternKind::id`'s assert deep inside the encode.
+    #[test]
+    fn a_detect_config_outside_the_pattern_ids_is_invalid_argument() {
+        let mut coo = CooMatrix::new(64, 64);
+        for c in (0..63).step_by(9) {
+            coo.push(63, c, 1.0);
+            coo.push(c, 63, 1.0);
+        }
+        let ctx = ExecutionContext::new(2);
+        let stride9 = SymFormat::CsxSym(DetectConfig {
+            max_delta: 9,
+            ..csx_cfg()
+        });
+        let method = ReductionMethod::Indexing;
+        let err = SymSpmv::try_from_coo(&coo, &ctx, method, stride9.clone()).err();
+        assert!(
+            matches!(&err, Some(SymSpmvError::InvalidStructure(SparseError::InvalidArgument { msg })) if msg.contains("max_delta")),
+            "{err:?}"
+        );
+        let res = SymSpmv::from_coo(&coo, &ctx, method, stride9);
+        assert!(matches!(res, Err(SparseError::InvalidArgument { .. })));
+        let sss = SssMatrix::from_coo(&coo, 0.0).unwrap();
+        let wide = SymFormat::CsxSym(DetectConfig {
+            candidate_families: vec![symspmv_csx::detect::Family::Block(2, 5)],
+            ..csx_cfg()
+        });
+        let build = std::panic::AssertUnwindSafe(|| SymSpmv::from_sss(sss, &ctx, method, wide));
+        let refused = std::panic::catch_unwind(build);
+        let msg = refused.err().and_then(|p| p.downcast::<String>().ok());
+        assert!(msg.is_some_and(|m| m.contains("candidate_families")));
+    }
 }
 
 /// The SSS row walk as it was written before its entry accesses went
 /// unchecked — kept as the oracle the unchecked [`sss_rows_split`] must
 /// match bit for bit, `y` and local region alike.
 #[cfg(test)]
-mod unchecked_walk_tests {
+pub(crate) mod unchecked_walk_tests {
     use super::*;
     use symspmv_runtime::{balanced_ranges, partition::symmetric_row_weights};
     use symspmv_sparse::dense::seeded_vector;
@@ -1520,7 +1566,7 @@ mod unchecked_walk_tests {
     /// A symmetric pattern recast as `kind`: the lower values kept, the
     /// upper ones the kind's mirror (a distinct value for `Structural`),
     /// the diagonal dropped for `Skew`.
-    fn as_kind(coo: &CooMatrix, kind: SymmetryKind) -> CooMatrix {
+    pub(crate) fn as_kind(coo: &CooMatrix, kind: SymmetryKind) -> CooMatrix {
         let mut out = CooMatrix::new(coo.nrows(), coo.ncols());
         for (r, c, v) in coo.iter() {
             if r > c {

@@ -78,7 +78,7 @@ fn chunks_decode_to_their_sss_rows() {
             let parts: Vec<_> = m.chunks().iter().map(|c| c.part).collect();
             for chunk in m.chunks() {
                 let paired = chunk.paired_values();
-                assert_eq!(paired.len(), chunk.stream.values.len());
+                assert_eq!(paired.len(), chunk.stream.values().len());
                 assert_eq!(
                     chunk.upper_values.is_empty(),
                     !sss.kind().has_upper_values()

@@ -20,10 +20,10 @@
 //! summing overlapping candidates would rate `Block(2,2)` (three anchors per
 //! true 3 × 3 block, 12 elements) above the `Block(3,3)` that tiles it (9).
 
-use crate::pattern::{PatternKind, MAX_BLOCK_DIM, MAX_RUN_DELTA};
+use crate::pattern::{PatternKind, MAX_BLOCK_DIM, MAX_RUN_DELTA, MIN_BLOCK_DIM};
 use crate::rows::RowView;
 use std::ops::Range;
-use symspmv_sparse::Idx;
+use symspmv_sparse::{Idx, SparseError};
 
 /// A substructure family that can be enabled for detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,6 +84,31 @@ impl Default for DetectConfig {
             min_coverage: 0.05,
             col_split: None,
         }
+    }
+}
+
+impl DetectConfig {
+    /// Checks the fields the pattern-id space bounds: `max_delta` in
+    /// `1..=MAX_RUN_DELTA`, and both sides of every candidate
+    /// [`Family::Block`] in `MIN_BLOCK_DIM..=MAX_BLOCK_DIM`. The fallible
+    /// constructors return this error; the others, and [`analyze`], panic
+    /// with its message before any work.
+    pub fn validate(&self) -> Result<(), SparseError> {
+        let bad = |msg: String| Err(SparseError::InvalidArgument { msg });
+        if !(1..=MAX_RUN_DELTA).contains(&self.max_delta) {
+            let d = self.max_delta;
+            return bad(format!(
+                "DetectConfig::max_delta {d} lies outside 1..={MAX_RUN_DELTA}"
+            ));
+        }
+        let side = MIN_BLOCK_DIM..=MAX_BLOCK_DIM;
+        let outside = |f: &&Family| matches!(f, Family::Block(r, c) if !side.contains(r) || !side.contains(c));
+        if let Some(f) = self.candidate_families.iter().find(outside) {
+            return bad(format!(
+                "DetectConfig::candidate_families holds {f:?}, a side outside {MIN_BLOCK_DIM}..={MAX_BLOCK_DIM}"
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -197,6 +222,9 @@ impl Detected {
 /// Runs the full detection pipeline: statistics pass (family selection on a
 /// row sample) followed by the encoding pass with the enabled families.
 pub fn analyze(view: RowView<'_>, config: &DetectConfig) -> Detected {
+    if let Err(e) = config.validate() {
+        panic!("{e}");
+    }
     let enabled = select_families(view, config);
     detect_with(view, config, &enabled)
 }

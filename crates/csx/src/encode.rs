@@ -16,14 +16,17 @@
 //! Values are stored separately, in unit-element order.
 //!
 //! The head of a unit is parsed in exactly one place, [`UnitCursor`], which
-//! [`CtlStream::walk`] and both multiply kernels advance.
+//! [`CtlStream::walk`] and both multiply kernels advance. It reads without
+//! checks: a [`CtlStream`] comes only from [`encode`], which checks what it
+//! emits, or from [`CtlStream::validated`], which walks the bytes with
+//! checks first (the `ctl-bound` invariant).
 
 use crate::detect::{analyze, DetectConfig, Detected};
 use crate::pattern::{DeltaWidth, PatternKind};
 use crate::rows::RowView;
-use crate::varint::{read_varint, write_varint};
+use crate::varint::write_varint;
 use std::ops::Range;
-use symspmv_sparse::{CooMatrix, CsrMatrix, Idx, Val};
+use symspmv_sparse::{CooMatrix, CsrMatrix, Idx, SparseError, Val};
 
 /// Flags-byte bit for "unit starts a new row".
 pub const NR_BIT: u8 = 0x80;
@@ -32,15 +35,102 @@ pub const RJMP_BIT: u8 = 0x40;
 /// Mask extracting the 6-bit pattern id.
 pub const ID_MASK: u8 = 0x3F;
 
-/// An encoded CSX stream: control bytes plus values in unit order.
+/// An encoded CSX stream: control bytes, values in unit order, and how far
+/// its units reach.
+///
+/// Only [`encode`] and the validating [`CtlStream::validated`] build one,
+/// and there is no `&mut` access, so every stream holds the `ctl-bound`
+/// invariant: `ctl` is a sequence of whole units (every head and delta body
+/// inside it, the first unit starting a row); unit sizes lie in `1..=255`,
+/// a block's is `R·C`, and they sum to `values.len()`; every element's row
+/// lies in [`CtlStream::first_row`]`..`[`CtlStream::row_end`] and its column
+/// below [`CtlStream::col_end`]; and where [`CtlStream::legal_split`] is
+/// `Some`, no substructure unit has columns on both sides of the first row.
+/// With one assert per call on those bounds, the decoders read the stream
+/// and index their operands without further checks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CtlStream {
-    /// Control byte stream.
-    pub ctl: Vec<u8>,
-    /// Non-zero values, ordered by unit and element within unit.
-    pub values: Vec<Val>,
-    /// Number of encoded non-zeros.
-    pub nnz: usize,
+    ctl: Vec<u8>,
+    values: Vec<Val>,
+    extent: Extent,
+}
+
+/// How far a stream's units reach, gathered unit by unit as the stream is
+/// encoded or validated.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Extent {
+    first_row: usize,
+    /// One past the largest row of any element (`first_row` when empty).
+    row_end: usize,
+    /// One past the largest column of any element (0 when empty).
+    col_end: usize,
+    /// A substructure unit has columns on both sides of `first_row`.
+    straddles: bool,
+    /// Elements so far.
+    elements: usize,
+}
+
+impl Extent {
+    fn new(first_row: usize) -> Self {
+        Extent {
+            first_row,
+            row_end: first_row,
+            col_end: 0,
+            straddles: false,
+            elements: 0,
+        }
+    }
+
+    /// Takes in the unit of pattern `id` and `size` elements anchored at
+    /// `(row, col)`; `last` is a delta unit's last column. O(1): the unit's
+    /// geometry follows from its head.
+    fn add(
+        &mut self,
+        id: u8,
+        size: usize,
+        row: usize,
+        col: usize,
+        last: usize,
+    ) -> Result<(), String> {
+        let at = || format!("unit {id} of size {size} at ({row}, {col})");
+        if !(1..=255).contains(&size) || row < self.first_row {
+            return Err(format!(
+                "{}: size outside 1..=255 or row above {}",
+                at(),
+                self.first_row
+            ));
+        }
+        let k = size - 1;
+        let (last_row, lo, hi) = match PatternKind::from_id(id) {
+            None if id <= 2 && last >= col => (row, col, last),
+            None => return Err(format!("{}: no such pattern, or columns descend", at())),
+            Some(PatternKind::Horizontal { delta }) => (row, col, col + k * usize::from(delta)),
+            Some(PatternKind::Vertical { delta }) => (row + k * usize::from(delta), col, col),
+            Some(PatternKind::Diagonal { delta }) => {
+                let d = k * usize::from(delta);
+                (row + d, col, col + d)
+            }
+            Some(PatternKind::AntiDiagonal { delta }) => {
+                let d = k * usize::from(delta);
+                let lo = col
+                    .checked_sub(d)
+                    .ok_or_else(|| format!("{}: left of column 0", at()))?;
+                (row + d, lo, col)
+            }
+            Some(PatternKind::Block { rows, cols }) => {
+                let (r, c) = (usize::from(rows), usize::from(cols));
+                if size != r * c {
+                    return Err(format!("{}: a {r} × {c} block", at()));
+                }
+                (row + r - 1, col, col + c - 1)
+            }
+        };
+        self.row_end = self.row_end.max(last_row + 1);
+        self.col_end = self.col_end.max(hi + 1);
+        self.straddles |= id > 2 && lo < self.first_row && self.first_row <= hi;
+        self.elements += size;
+        Ok(())
+    }
 }
 
 /// One decoded unit header (used by the generic walker).
@@ -69,7 +159,10 @@ pub struct UnitHead {
     pub col: usize,
 }
 
-/// A decoder's position in a `ctl` stream, between two units.
+/// A decoder's position in a `ctl` stream, between two units. Only
+/// [`CtlStream::cursor`] makes one, so it walks a stream that holds
+/// `ctl-bound` and reads it without checks; its caller keeps it at unit
+/// boundaries by taking the body of every delta unit.
 pub struct UnitCursor<'a> {
     ctl: &'a [u8],
     pos: usize,
@@ -78,36 +171,30 @@ pub struct UnitCursor<'a> {
 }
 
 impl<'a> UnitCursor<'a> {
-    /// A cursor before the stream's first unit.
-    pub fn new(ctl: &'a [u8]) -> Self {
-        UnitCursor {
-            ctl,
-            pos: 0,
-            // Before row 0: the first unit's NR wraps this to its row.
-            row: usize::MAX,
-            col: 0,
-        }
-    }
-
     /// Parses the next unit's head — flags, `RJMP`, size, `ucol` — and
-    /// resolves its anchor; `None` at the end of the stream. A delta unit's
-    /// body must be taken with [`UnitCursor::body`] before the next call.
+    /// resolves its anchor; `None` at the end of the stream.
+    ///
+    /// # Safety
+    /// SAFETY(cert: ctl-bound): if the last unit returned was a delta unit,
+    /// its body has been taken with [`UnitCursor::body`], so the cursor
+    /// stands at a unit boundary.
     #[inline(always)]
-    pub fn next_unit(&mut self) -> Option<UnitHead> {
-        let flags = *self.ctl.get(self.pos)?;
-        self.pos += 1;
+    pub unsafe fn next_unit(&mut self) -> Option<UnitHead> {
+        if self.pos >= self.ctl.len() {
+            return None;
+        }
+        let flags = self.byte();
         if flags & NR_BIT != 0 {
             let extra = if flags & RJMP_BIT != 0 {
-                read_varint(self.ctl, &mut self.pos) as usize
+                self.varint()
             } else {
                 0
             };
             self.row = self.row.wrapping_add(1 + extra);
             self.col = 0;
         }
-        let size = usize::from(self.ctl[self.pos]);
-        self.pos += 1;
-        self.col += read_varint(self.ctl, &mut self.pos) as usize;
+        let size = usize::from(self.byte());
+        self.col += self.varint();
         Some(UnitHead {
             id: flags & ID_MASK,
             size,
@@ -117,11 +204,46 @@ impl<'a> UnitCursor<'a> {
     }
 
     /// The column deltas of the `size`-element delta unit just parsed.
+    ///
+    /// # Safety
+    /// SAFETY(cert: ctl-bound): the unit just parsed is a delta unit of
+    /// `size` elements whose id names `W`-byte deltas, and its body has not
+    /// been taken yet.
     #[inline(always)]
-    pub fn body<const W: usize>(&mut self, size: usize) -> &'a [[u8; W]] {
-        let bytes = &self.ctl[self.pos..self.pos + W * (size - 1)];
+    pub unsafe fn body<const W: usize>(&mut self, size: usize) -> &'a [[u8; W]] {
+        let bytes = self.ctl.get_unchecked(self.pos..self.pos + W * (size - 1));
         self.pos += bytes.len();
         bytes.as_chunks().0
+    }
+
+    /// The byte under the cursor, which then passes it.
+    ///
+    /// # Safety
+    /// SAFETY(cert: ctl-bound): the cursor stands inside a unit's head.
+    #[inline(always)]
+    unsafe fn byte(&mut self) -> u8 {
+        let b = *self.ctl.get_unchecked(self.pos);
+        self.pos += 1;
+        b
+    }
+
+    /// The varint under the cursor ([`crate::varint::read_varint`] without
+    /// its checks).
+    ///
+    /// # Safety
+    /// SAFETY(cert: ctl-bound): the cursor stands at a varint of a unit's
+    /// head, whose last byte lies inside `ctl`.
+    #[inline(always)]
+    unsafe fn varint(&mut self) -> usize {
+        let mut b = self.byte();
+        let mut v = usize::from(b & 0x7F);
+        let mut shift = 7;
+        while b & 0x80 != 0 {
+            b = self.byte();
+            v |= usize::from(b & 0x7F) << shift;
+            shift += 7;
+        }
+        v
     }
 }
 
@@ -165,8 +287,16 @@ pub fn encode_rows(
 /// leftover entries are merged by anchor column. Each unit's values — from
 /// `values` and, if given, from `upper`, both aligned with the view's
 /// column array — are written as the unit is emitted.
+///
+/// The stream's first row is the view's. The encoder checks what it emits
+/// rather than trusting `det` (whose instances are public), in O(1) per
+/// unit: sizes in `1..=255` and a block's `R·C`, anchors and delta columns
+/// ascending, every unit's reach folded into the stream's bounds; at the
+/// end, unit sizes summing to the values written. Panics where a check
+/// fails — that is, on a `det` the detector did not make for `view`.
 pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&[Val]>) -> Encoded {
     let cols = view.cols;
+    let mut extent = Extent::new(view.first_row as usize);
     let mut ctl = Vec::new();
     let mut vals = Vec::with_capacity(det.nnz);
     let mut upper_values = Vec::with_capacity(upper.map_or(0, |_| det.nnz));
@@ -195,18 +325,21 @@ pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&
         let mut prev_col: Option<Idx> = None;
         while a < anchors.len() || s < left.len() {
             let inst = anchors.get(a);
-            let (id, size, anchor, body) = match inst {
+            let (id, size, anchor, last, body) = match inst {
                 Some(inst) if left.get(s).is_none_or(|&e| inst.col < col_of(e)) => {
                     a += 1;
                     inst.segments(&det.pool).for_each(&mut put);
-                    (inst.kind.id(), inst.len as usize, inst.col, None)
+                    (inst.kind.id(), inst.len as usize, inst.col, inst.col, None)
                 }
                 _ => {
                     // Greedy chunking: width fixed by the first delta of
                     // the chunk, which later deltas must fit.
                     let rest = &left[s..];
-                    let gap =
-                        |k: usize| DeltaWidth::for_delta(col_of(rest[k]) - col_of(rest[k - 1]));
+                    let gap = |k: usize| {
+                        let (a, b) = (col_of(rest[k - 1]), col_of(rest[k]));
+                        assert!(a < b, "encode: delta columns descend in row {row}");
+                        DeltaWidth::for_delta(b - a)
+                    };
                     let width = rest.get(1).map_or(DeltaWidth::U8, |_| gap(1));
                     let mut e = 1usize;
                     while e < rest.len() && e < 255 && gap(e).bytes() <= width.bytes() {
@@ -217,10 +350,18 @@ pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&
                     let unit = &rest[..e];
                     unit.iter().for_each(|&e| put(e as usize..e as usize + 1));
                     let id = PatternKind::delta_id(width);
-                    (id, e, col_of(unit[0]), Some((width, unit)))
+                    (
+                        id,
+                        e,
+                        col_of(unit[0]),
+                        col_of(unit[e - 1]),
+                        Some((width, unit)),
+                    )
                 }
             };
-            debug_assert!((1..=255).contains(&size));
+            if let Err(e) = extent.add(id, size, row as usize, anchor as usize, last as usize) {
+                panic!("encode: {e}");
+            }
 
             let mut flags = id;
             let mut jump = 0;
@@ -237,7 +378,10 @@ pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&
                 write_varint(&mut ctl, u64::from(jump));
             }
             ctl.push(size as u8);
-            debug_assert!(prev_col.is_none_or(|p| anchor >= p), "anchors ascend");
+            assert!(
+                prev_col.is_none_or(|p| anchor >= p),
+                "encode: anchors descend in row {row}"
+            );
             write_varint(&mut ctl, u64::from(anchor - prev_col.unwrap_or(0)));
             prev_col = Some(anchor);
 
@@ -250,11 +394,17 @@ pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&
         }
     }
     debug_assert_eq!(vals.len(), det.nnz);
+    assert!(
+        extent.elements == vals.len() && upper.is_none_or(|_| upper_values.len() == vals.len()),
+        "encode: {} unit elements for {} values",
+        extent.elements,
+        vals.len()
+    );
     Encoded {
         stream: CtlStream {
             ctl,
-            nnz: vals.len(),
             values: vals,
+            extent,
         },
         upper_values,
         coverage: det.coverage(),
@@ -264,6 +414,78 @@ pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&
 }
 
 impl CtlStream {
+    /// Builds a stream from its parts — bytes from anywhere, a test's
+    /// hand-built units say — by walking `ctl` with every read checked and
+    /// gathering the bounds [`encode`] records: the one way besides
+    /// [`encode`] to make a stream. Its units may not start above
+    /// `first_row`, and their sizes must sum to `values.len()`.
+    pub fn validated(
+        ctl: Vec<u8>,
+        values: Vec<Val>,
+        first_row: usize,
+    ) -> Result<Self, SparseError> {
+        match extent_of(&ctl, first_row, values.len()) {
+            Ok(extent) => Ok(CtlStream {
+                ctl,
+                values,
+                extent,
+            }),
+            Err(msg) => Err(SparseError::InvalidArgument {
+                msg: format!("ctl stream: {msg}"),
+            }),
+        }
+    }
+
+    /// The control bytes.
+    pub fn ctl(&self) -> &[u8] {
+        &self.ctl
+    }
+
+    /// The non-zero values, ordered by unit and element within unit.
+    pub fn values(&self) -> &[Val] {
+        &self.values
+    }
+
+    /// Number of encoded non-zeros.
+    pub fn nnz(&self) -> usize {
+        self.values.len()
+    }
+
+    /// The row the stream was encoded from (its view's first row): no unit
+    /// reaches above it.
+    pub fn first_row(&self) -> usize {
+        self.extent.first_row
+    }
+
+    /// One past the largest row any element reaches; the first row when
+    /// the stream is empty.
+    pub fn row_end(&self) -> usize {
+        self.extent.row_end
+    }
+
+    /// One past the largest column any element reaches; 0 when the stream
+    /// is empty.
+    pub fn col_end(&self) -> usize {
+        self.extent.col_end
+    }
+
+    /// The CSX-Sym legality split (§IV-B) the stream keeps: its first row,
+    /// unless a substructure unit has columns on both sides of it.
+    pub fn legal_split(&self) -> Option<usize> {
+        (!self.extent.straddles).then_some(self.extent.first_row)
+    }
+
+    /// A cursor before the stream's first unit.
+    pub fn cursor(&self) -> UnitCursor<'_> {
+        UnitCursor {
+            ctl: &self.ctl,
+            pos: 0,
+            // Before row 0: the first unit's NR wraps this to its row.
+            row: usize::MAX,
+            col: 0,
+        }
+    }
+
     /// Walks the stream, invoking `on_unit` for each unit header and
     /// `on_element` for each element `(row, col, value)` in stream order.
     pub fn walk(
@@ -271,14 +493,15 @@ impl CtlStream {
         mut on_unit: impl FnMut(&UnitHeader),
         mut on_element: impl FnMut(Idx, Idx, Val),
     ) {
-        let mut cursor = UnitCursor::new(&self.ctl);
+        let mut cursor = self.cursor();
         let mut values = self.values.iter();
         let mut next_value = || {
             *values
                 .next()
                 .unwrap_or_else(|| unreachable!("value stream shorter than the ctl stream"))
         };
-        while let Some(unit) = cursor.next_unit() {
+        // SAFETY(cert: ctl-bound): every delta unit's body is taken below.
+        while let Some(unit) = unsafe { cursor.next_unit() } {
             let (row, col) = (unit.row as Idx, unit.col as Idx);
             let kind = PatternKind::from_id(unit.id);
             let width = PatternKind::delta_width_from_id(unit.id);
@@ -303,7 +526,11 @@ impl CtlStream {
             };
             macro_rules! gaps {
                 ($w:literal) => {
-                    (cursor.body::<$w>(unit.size).iter()).for_each(|d| step(delta_of(d)))
+                    // SAFETY(cert: ctl-bound): the id names a delta unit of
+                    // width `$w`, whose body is still ahead.
+                    unsafe { cursor.body::<$w>(unit.size) }
+                        .iter()
+                        .for_each(|d| step(delta_of(d)))
                 };
             }
             match width {
@@ -326,6 +553,68 @@ impl CtlStream {
     /// Total bytes of the representation: ctl stream plus 8-byte values.
     pub fn size_bytes(&self) -> usize {
         self.ctl.len() + 8 * self.values.len()
+    }
+}
+
+/// The bounds of the units in `ctl`, read with every access checked, as the
+/// cursor would decode them; their sizes must sum to `values`.
+fn extent_of(ctl: &[u8], first_row: usize, values: usize) -> Result<Extent, String> {
+    let byte = |pos: &mut usize| {
+        let b = ctl.get(*pos).copied();
+        *pos += 1;
+        b.ok_or_else(|| format!("unit cut off at byte {}", *pos - 1))
+    };
+    // At most five bytes and a `u32`, as the encoder writes them.
+    let varint = |pos: &mut usize| {
+        let mut v = 0u64;
+        for shift in (0..35).step_by(7) {
+            let b = byte(pos)?;
+            v |= u64::from(b & 0x7F) << shift;
+            if b & 0x80 == 0 {
+                return u32::try_from(v)
+                    .map(|v| v as usize)
+                    .map_err(|_| format!("varint {v}"));
+            }
+        }
+        Err("varint longer than five bytes".to_string())
+    };
+    let mut extent = Extent::new(first_row);
+    let (mut pos, mut row, mut col) = (0, None, 0);
+    while pos < ctl.len() {
+        let flags = byte(&mut pos)?;
+        if flags & NR_BIT != 0 {
+            let extra = if flags & RJMP_BIT != 0 {
+                varint(&mut pos)?
+            } else {
+                0
+            };
+            row = Some(row.map_or(extra, |r: usize| r + 1 + extra));
+            col = 0;
+        }
+        let r = row.ok_or("the first unit starts no row")?;
+        let size = usize::from(byte(&mut pos)?);
+        col += varint(&mut pos)?;
+        let id = flags & ID_MASK;
+        let mut last = col;
+        if id <= 2 {
+            let width = 1 << id;
+            let len = width * size.saturating_sub(1);
+            let body = ctl.get(pos..pos + len).ok_or("delta body cut off")?;
+            pos += len;
+            for d in body.chunks(width) {
+                let mut le = [0u8; 4];
+                le[..width].copy_from_slice(d);
+                last += u32::from_le_bytes(le) as usize;
+            }
+        }
+        extent.add(id, size, r, col, last)?;
+    }
+    match extent.elements == values {
+        true => Ok(extent),
+        false => Err(format!(
+            "{} unit elements for {values} values",
+            extent.elements
+        )),
     }
 }
 
@@ -409,7 +698,7 @@ mod tests {
         round_trip(&coo);
         let cfg = DetectConfig::default();
         let s = encode_coo(&coo, &cfg);
-        assert!(s.ctl.is_empty());
+        assert!(s.ctl().is_empty());
         assert_eq!(s.size_bytes(), 0);
     }
 
@@ -460,11 +749,47 @@ mod tests {
         );
         // Nearly all metadata gone: ctl should be tiny relative to colind.
         assert!(
-            s.ctl.len() < coo.nnz(),
+            s.ctl().len() < coo.nnz(),
             "ctl {} bytes for {} nnz",
-            s.ctl.len(),
+            s.ctl().len(),
             coo.nnz()
         );
+    }
+
+    /// The checked walk refuses every byte string the unchecked cursor
+    /// could misread, and accepts the units the encoder writes.
+    #[test]
+    fn validated_refuses_malformed_streams() {
+        let refused = |ctl: &[u8], values: usize, first_row: usize| {
+            let stream = CtlStream::validated(ctl.to_vec(), vec![1.0; values], first_row);
+            assert!(
+                matches!(stream, Err(SparseError::InvalidArgument { .. })),
+                "{ctl:?}"
+            );
+        };
+        const NR: u8 = NR_BIT;
+        // Row 0, size 2, column 3, one u8 delta of 4: columns 3 and 7.
+        let good = [NR, 2, 3, 4];
+        let stream = CtlStream::validated(good.to_vec(), vec![1.0; 2], 0).unwrap();
+        assert_eq!((stream.row_end(), stream.col_end()), (1, 8));
+        assert_eq!(stream.legal_split(), Some(0));
+        refused(&good[..3], 2, 0); // body cut off
+        refused(&good, 3, 0); // values the units do not cover
+        refused(&[NR, 0, 3], 0, 0); // size 0
+        refused(&[0, 1, 3], 1, 0); // the first unit starts no row
+        refused(&[NR | 3, 1, 3], 1, 0); // id 3 is unassigned
+        refused(&[NR | 45, 1, 3], 1, 0); // so is 45
+        refused(&[NR | 40, 8, 3], 8, 0); // a 3 × 3 block of 8
+        refused(&[NR | 28, 4, 2], 4, 0); // an anti-diagonal left of column 0
+        refused(&[NR, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0], 1, 0); // six-byte varint
+        refused(&[NR | RJMP_BIT, 2, 1, 0], 1, 3); // a unit at row 2 above row 3
+                                                  // A horizontal run in row 6 over columns 2..=5 straddles row 4 only.
+        let run = [NR | RJMP_BIT | 4, 6, 4, 2];
+        let split = |first_row| {
+            let stream = CtlStream::validated(run.to_vec(), vec![1.0; 4], first_row);
+            stream.unwrap().legal_split()
+        };
+        assert_eq!((split(2), split(4), split(6)), (Some(2), None, Some(6)));
     }
 
     #[test]
@@ -500,7 +825,7 @@ mod jump_tests {
         let stream = encode_coo(&coo, &cfg);
         assert_eq!(stream.decode_elements(), vec![(999, 0, 7.0)]);
         // Head must carry RJMP (jump of 1000 > 1).
-        assert_ne!(stream.ctl[0] & RJMP_BIT, 0);
+        assert_ne!(stream.ctl()[0] & RJMP_BIT, 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The CSX matrix type and its SpMV kernel.
 
 use crate::detect::DetectConfig;
-use crate::encode::{delta_of, encode_rows, CtlStream, UnitCursor, UnitHead};
+use crate::encode::{delta_of, encode_rows, CtlStream, UnitHead};
 use crate::pattern::run_strides;
 use crate::rows::RowView;
 use symspmv_sparse::{CooMatrix, CsrMatrix, Idx, SparseError, Val};
@@ -67,7 +67,7 @@ impl CsxMatrix {
     pub fn from_rows(nrows: Idx, view: RowView<'_>, values: &[Val], config: &DetectConfig) -> Self {
         let encoded = encode_rows(view, config, values, None);
         let stats = CsxStats {
-            size_bytes: encoded.stream.ctl.len() + 8 * view.nnz(),
+            size_bytes: encoded.stream.ctl().len() + 8 * view.nnz(),
             csr_bytes: 12 * view.nnz() + 4 * (nrows as usize + 1),
             coverage: encoded.coverage,
             substructure_units: encoded.substructure_units,
@@ -81,11 +81,14 @@ impl CsxMatrix {
         }
     }
 
-    /// Validated constructor for matrices from outside the process: the
-    /// triplets go through [`CsrMatrix::try_from_coo`] — duplicates summed,
-    /// a non-finite value or an nnz beyond the index type reported as a
-    /// structured [`SparseError`] — and its rows are encoded in place.
+    /// Validated constructor for matrices from outside the process: a
+    /// config [`DetectConfig::validate`] refuses is
+    /// [`SparseError::InvalidArgument`]; the triplets go through
+    /// [`CsrMatrix::try_from_coo`] — duplicates summed, a non-finite value
+    /// or an nnz beyond the index type reported as a structured
+    /// [`SparseError`] — and its rows are encoded in place.
     pub fn try_from_coo(coo: &CooMatrix, config: &DetectConfig) -> Result<Self, SparseError> {
+        config.validate()?;
         Ok(Self::from_csr(&CsrMatrix::try_from_coo(coo)?, config))
     }
 
@@ -106,7 +109,7 @@ impl CsxMatrix {
 
     /// Stored non-zero count.
     pub fn nnz(&self) -> usize {
-        self.stream.values.len()
+        self.stream.nnz()
     }
 
     /// Compression statistics.
@@ -144,38 +147,58 @@ impl CsxMatrix {
     }
 }
 
-/// The SpMV kernel over a raw ctl stream (`y += A·x`): each unit head
+/// The SpMV kernel over an encoded stream (`y += A·x`): each unit head
 /// selects, once, the fixed-shape kernel of its pattern id — the
 /// ahead-of-time stand-in for CSX's LLVM-generated kernels (substitution
-/// S2).
+/// S2). One assert per call bounds `x` and `y` by the stream's extent; the
+/// unit kernels then index without checks (`ctl-bound`).
 pub fn spmv_stream(stream: &CtlStream, x: &[Val], y: &mut [Val]) {
-    let mut cursor = UnitCursor::new(&stream.ctl);
-    let mut values = &stream.values[..];
-    while let Some(unit) = cursor.next_unit() {
-        let (vals, rest) = values.split_at(unit.size);
-        values = rest;
-        macro_rules! delta {
-            ($w:literal) => {
-                delta::<$w>(cursor.body(unit.size), vals, &unit, x, y)
-            };
+    assert!(
+        stream.col_end() <= x.len() && stream.row_end() <= y.len(),
+        "stream reaching row {} and column {} exceeds y ({}) or x ({})",
+        stream.row_end(),
+        stream.col_end(),
+        y.len(),
+        x.len()
+    );
+    let mut cursor = stream.cursor();
+    let (values, mut at) = (stream.values(), 0);
+    // SAFETY(cert: ctl-bound): the delta arms below take every delta body.
+    while let Some(unit) = unsafe { cursor.next_unit() } {
+        // SAFETY(cert: ctl-bound): unit sizes sum to `values.len()`, so the
+        // unit's values follow `at`; the dispatch hands each kernel the
+        // shape its id encodes, whose rows stay below `row_end ≤ y.len()`
+        // and columns below `col_end ≤ x.len()` (the assert above).
+        unsafe {
+            let vals = values.get_unchecked(at..at + unit.size);
+            macro_rules! delta {
+                ($w:literal) => {
+                    delta::<$w>(cursor.body(unit.size), vals, &unit, x, y)
+                };
+            }
+            macro_rules! run {
+                ($dir:literal, $delta:expr) => {
+                    run::<$dir>($delta, vals, &unit, x, y)
+                };
+            }
+            macro_rules! block {
+                ($r:literal, $c:literal) => {
+                    block::<$r, $c>(vals, &unit, x, y)
+                };
+            }
+            crate::dispatch_unit!(unit.id, delta, run, block);
         }
-        macro_rules! run {
-            ($dir:literal, $delta:expr) => {
-                run::<$dir>($delta, vals, &unit, x, y)
-            };
-        }
-        macro_rules! block {
-            ($r:literal, $c:literal) => {
-                block::<$r, $c>(vals, &unit, x, y)
-            };
-        }
-        crate::dispatch_unit!(unit.id, delta, run, block);
+        at += unit.size;
     }
 }
 
 /// A delta unit with `W`-byte column deltas.
+///
+/// # Safety
+/// SAFETY(cert: ctl-bound): `vals` holds the unit's `size ≥ 1` values and
+/// `body` its deltas; its row indexes `y` and its columns index `x`.
 #[inline(always)]
-fn delta<const W: usize>(
+unsafe fn delta<const W: usize>(
     body: &[[u8; W]],
     vals: &[Val],
     unit: &UnitHead,
@@ -183,45 +206,69 @@ fn delta<const W: usize>(
     y: &mut [Val],
 ) {
     let mut c = unit.col;
-    let mut acc = vals[0] * x[c];
-    for (d, &v) in body.iter().zip(&vals[1..]) {
+    let mut acc = vals.get_unchecked(0) * x.get_unchecked(c);
+    for (d, &v) in body.iter().zip(vals.get_unchecked(1..)) {
         c += delta_of(d);
-        acc += v * x[c];
+        acc += v * x.get_unchecked(c);
     }
-    y[unit.row] += acc;
+    *y.get_unchecked_mut(unit.row) += acc;
 }
 
 /// A 1-D run in direction `DIR` (pattern-id order) with stride `delta`; a
 /// horizontal run sums in a register before it touches its one row.
+///
+/// # Safety
+/// SAFETY(cert: ctl-bound): every element's row indexes `y` and its column
+/// `x`.
 #[inline(always)]
-fn run<const DIR: u8>(delta: usize, vals: &[Val], unit: &UnitHead, x: &[Val], y: &mut [Val]) {
+unsafe fn run<const DIR: u8>(
+    delta: usize,
+    vals: &[Val],
+    unit: &UnitHead,
+    x: &[Val],
+    y: &mut [Val],
+) {
     let (dr, dc) = run_strides::<DIR>(delta);
     let (mut r, mut c) = (unit.row, unit.col);
     let mut acc = 0.0;
     for &v in vals {
         match DIR {
-            0 => acc += v * x[c],
-            _ => y[r] += v * x[c],
+            0 => acc += v * x.get_unchecked(c),
+            _ => *y.get_unchecked_mut(r) += v * x.get_unchecked(c),
         }
         r += dr;
         c = c.wrapping_add(dc);
     }
     if DIR == 0 {
-        y[unit.row] += acc;
+        *y.get_unchecked_mut(unit.row) += acc;
     }
 }
 
-/// A dense `R × C` block: one length check per operand, then fixed-size
-/// array indexing.
+/// A dense `R × C` block, by fixed-size array indexing.
+///
+/// # Safety
+/// SAFETY(cert: ctl-bound): `vals` holds `R·C` values, columns
+/// `col..col + C` index `x` and rows `row..row + R` index `y`.
 #[inline(always)]
-fn block<const R: usize, const C: usize>(vals: &[Val], unit: &UnitHead, x: &[Val], y: &mut [Val]) {
-    let (Some(v), Some(xc), Some(yr)) = (
-        vals.as_chunks::<C>().0.first_chunk::<R>(),
-        x[unit.col..].first_chunk::<C>(),
-        y[unit.row..].first_chunk_mut::<R>(),
-    ) else {
-        unreachable!("block unit reaches outside the matrix");
-    };
+unsafe fn block<const R: usize, const C: usize>(
+    vals: &[Val],
+    unit: &UnitHead,
+    x: &[Val],
+    y: &mut [Val],
+) {
+    let v = vals
+        .as_chunks::<C>()
+        .0
+        .first_chunk::<R>()
+        .unwrap_unchecked();
+    let xc = x
+        .get_unchecked(unit.col..)
+        .first_chunk::<C>()
+        .unwrap_unchecked();
+    let yr = y
+        .get_unchecked_mut(unit.row..)
+        .first_chunk_mut::<R>()
+        .unwrap_unchecked();
     for (yr, v) in yr.iter_mut().zip(v) {
         let mut acc = v[0] * xc[0];
         for j in 1..C {
@@ -330,6 +377,58 @@ mod tests {
         }
     }
 
+    /// One row of stride-9 columns: a run only `max_delta: 9` would take,
+    /// which the pattern ids cannot name.
+    fn stride9_row() -> (CooMatrix, DetectConfig) {
+        let mut coo = CooMatrix::new(1, 64);
+        for c in (0..64).step_by(9) {
+            coo.push(0, c, 1.0);
+        }
+        (
+            coo,
+            DetectConfig {
+                max_delta: 9,
+                ..cfg()
+            },
+        )
+    }
+
+    #[test]
+    fn a_config_outside_the_pattern_ids_is_refused_where_it_enters() {
+        use crate::detect::Family;
+        let (coo, stride9) = stride9_row();
+        let refused = |config: &DetectConfig, field: &str| {
+            let err = CsxMatrix::try_from_coo(&coo, config).unwrap_err();
+            assert!(
+                matches!(&err, SparseError::InvalidArgument { msg } if msg.contains(field)),
+                "{err:?}"
+            );
+        };
+        refused(&stride9, "max_delta");
+        refused(
+            &DetectConfig {
+                max_delta: 0,
+                ..cfg()
+            },
+            "max_delta",
+        );
+        for bad in [Family::Block(5, 2), Family::Block(2, 1)] {
+            let config = DetectConfig {
+                candidate_families: vec![Family::Horizontal, bad],
+                ..cfg()
+            };
+            refused(&config, "candidate_families");
+        }
+        assert_eq!(DetectConfig::default().validate(), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "DetectConfig::max_delta 9")]
+    fn the_infallible_constructor_names_the_refused_field() {
+        let (coo, stride9) = stride9_row();
+        CsxMatrix::from_coo(&coo, &stride9);
+    }
+
     #[test]
     fn stats_are_consistent() {
         let coo = symspmv_sparse::gen::block_structural(40, 3, 6.0, 10, 4);
@@ -376,5 +475,147 @@ mod tests {
         let mut y = vec![0.0; 1];
         m.spmv(&[2.0], &mut y);
         assert_eq!(y, vec![5.0]);
+    }
+}
+
+/// The CSX kernel as it was written before its unit kernels went unchecked
+/// — kept as the oracle the unchecked [`spmv_stream`] must match bit for
+/// bit.
+#[cfg(test)]
+mod unchecked_decode_tests {
+    use super::*;
+    use symspmv_runtime::{balanced_ranges, partition::csr_row_weights};
+    use symspmv_sparse::dense::seeded_vector;
+    use symspmv_sparse::suite::{self, KIND_SUITE, SUITE};
+
+    fn checked_spmv_stream(stream: &CtlStream, x: &[Val], y: &mut [Val]) {
+        let mut cursor = stream.cursor();
+        let mut values = stream.values();
+        // SAFETY(cert: ctl-bound): the delta arms below take every delta body.
+        while let Some(unit) = unsafe { cursor.next_unit() } {
+            let (vals, rest) = values.split_at(unit.size);
+            values = rest;
+            macro_rules! delta {
+                ($w:literal) => {
+                    // SAFETY(cert: ctl-bound): the id names this width.
+                    checked_delta::<$w>(unsafe { cursor.body(unit.size) }, vals, &unit, x, y)
+                };
+            }
+            macro_rules! run {
+                ($dir:literal, $delta:expr) => {
+                    checked_run::<$dir>($delta, vals, &unit, x, y)
+                };
+            }
+            macro_rules! block {
+                ($r:literal, $c:literal) => {
+                    checked_block::<$r, $c>(vals, &unit, x, y)
+                };
+            }
+            crate::dispatch_unit!(unit.id, delta, run, block);
+        }
+    }
+
+    fn checked_delta<const W: usize>(
+        body: &[[u8; W]],
+        vals: &[Val],
+        unit: &UnitHead,
+        x: &[Val],
+        y: &mut [Val],
+    ) {
+        let mut c = unit.col;
+        let mut acc = vals[0] * x[c];
+        for (d, &v) in body.iter().zip(&vals[1..]) {
+            c += delta_of(d);
+            acc += v * x[c];
+        }
+        y[unit.row] += acc;
+    }
+
+    fn checked_run<const DIR: u8>(
+        delta: usize,
+        vals: &[Val],
+        unit: &UnitHead,
+        x: &[Val],
+        y: &mut [Val],
+    ) {
+        let (dr, dc) = run_strides::<DIR>(delta);
+        let (mut r, mut c) = (unit.row, unit.col);
+        let mut acc = 0.0;
+        for &v in vals {
+            match DIR {
+                0 => acc += v * x[c],
+                _ => y[r] += v * x[c],
+            }
+            r += dr;
+            c = c.wrapping_add(dc);
+        }
+        if DIR == 0 {
+            y[unit.row] += acc;
+        }
+    }
+
+    fn checked_block<const R: usize, const C: usize>(
+        vals: &[Val],
+        unit: &UnitHead,
+        x: &[Val],
+        y: &mut [Val],
+    ) {
+        let (Some(v), Some(xc), Some(yr)) = (
+            vals.as_chunks::<C>().0.first_chunk::<R>(),
+            x[unit.col..].first_chunk::<C>(),
+            y[unit.row..].first_chunk_mut::<R>(),
+        ) else {
+            unreachable!("block unit reaches outside the matrix");
+        };
+        for (yr, v) in yr.iter_mut().zip(v) {
+            let mut acc = v[0] * xc[0];
+            for j in 1..C {
+                acc += v[j] * xc[j];
+            }
+            *yr += acc;
+        }
+    }
+
+    /// The suite analogs (their leading 512 rows and columns, so the debug
+    /// build stays quick), row-partitioned as the CSX baseline partitions
+    /// them for 1, 2, 3 and 8 threads, each chunk encoded alone.
+    #[test]
+    fn unchecked_decode_matches_the_checked_one_bit_for_bit() {
+        let config = DetectConfig::default();
+        for spec in SUITE.iter().chain(&KIND_SUITE) {
+            let mut coo = CooMatrix::new(512, 512);
+            for (r, c, v) in suite::generate(spec, 0.001).coo.iter() {
+                if r < 512 && c < 512 {
+                    coo.push(r, c, v);
+                }
+            }
+            let csr = CsrMatrix::from_coo(&coo);
+            let n = csr.nrows() as usize;
+            let x = seeded_vector(csr.ncols() as usize, 5);
+            let view = RowView::new(0, csr.ncols(), csr.rowptr(), csr.colind());
+            for p in [1, 2, 3, 8] {
+                let (mut want, mut got) = (vec![0.0; n], vec![0.0; n]);
+                for part in balanced_ranges(&csr_row_weights(csr.rowptr()), p) {
+                    let rows = view.slice(part.start..part.end);
+                    let chunk = CsxMatrix::from_rows(csr.nrows(), rows, csr.values(), &config);
+                    checked_spmv_stream(chunk.stream(), &x, &mut want);
+                    spmv_stream(chunk.stream(), &x, &mut got);
+                }
+                let bits = |v: &[Val]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{} p={p}", spec.name);
+            }
+        }
+    }
+
+    /// The kernel's one assert runs before any unchecked access: an `x`
+    /// shorter than the stream's column bound is refused.
+    #[test]
+    #[should_panic(expected = "exceeds y")]
+    fn an_x_short_of_the_column_bound_is_refused() {
+        let mut coo = CooMatrix::new(4, 8);
+        coo.push(2, 7, 1.0);
+        let m = CsxMatrix::from_coo(&coo, &DetectConfig::default());
+        assert_eq!(m.stream().col_end(), 8);
+        spmv_stream(m.stream(), &[1.0; 7], &mut [0.0; 4]);
     }
 }

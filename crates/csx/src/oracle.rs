@@ -464,14 +464,14 @@ mod tests {
     }
 
     fn assert_same(new: &Encoded, old: &Encoding, what: &dyn Fn() -> String) {
-        assert_eq!(new.stream.ctl, old.ctl, "{}: ctl", what());
+        assert_eq!(new.stream.ctl(), old.ctl, "{}: ctl", what());
         assert_eq!(
-            bits(&new.stream.values),
+            bits(new.stream.values()),
             bits(&old.values[0]),
             "{}: values",
             what()
         );
-        assert_eq!(new.stream.nnz, old.values[0].len(), "{}: nnz", what());
+        assert_eq!(new.stream.nnz(), old.values[0].len(), "{}: nnz", what());
         let upper = old.values.get(1).map_or(&[][..], |u| &u[..]);
         assert_eq!(bits(&new.upper_values), bits(upper), "{}: upper", what());
         assert_eq!(new.coverage.to_bits(), old.coverage.to_bits(), "{}", what());
@@ -546,8 +546,8 @@ mod tests {
         let view = RowView::new(0, csr.ncols(), csr.rowptr(), csr.colind());
         let old = encode_rows(view, config, &[csr.values()]);
         let new = CsxMatrix::from_coo(coo, config);
-        assert_eq!(new.stream().ctl, old.ctl, "{what}: ctl");
-        assert_eq!(bits(&new.stream().values), bits(&old.values[0]), "{what}");
+        assert_eq!(new.stream().ctl(), old.ctl, "{what}: ctl");
+        assert_eq!(bits(new.stream().values()), bits(&old.values[0]), "{what}");
         let stats = new.stats();
         assert_eq!(stats.coverage.to_bits(), old.coverage.to_bits(), "{what}");
         assert_eq!(stats.substructure_units, old.substructure_units, "{what}");

@@ -5,11 +5,13 @@
 //! case is exactly reproducible from its loop index.
 
 use symspmv_csx::detect::DetectConfig;
-use symspmv_csx::encode::{encode_coo, encode_rows};
+use symspmv_csx::encode::{encode_coo, encode_rows, CtlStream};
 use symspmv_csx::matrix::CsxMatrix;
 use symspmv_csx::rows::RowView;
+use symspmv_runtime::{balanced_ranges, partition::symmetric_row_weights};
 use symspmv_sparse::rng::StdRng;
-use symspmv_sparse::{CooMatrix, CsrMatrix, Idx};
+use symspmv_sparse::symmetry::SymmetryKind;
+use symspmv_sparse::{CooMatrix, CsrMatrix, Idx, SssMatrix};
 
 const CASES: u64 = 64;
 
@@ -62,7 +64,7 @@ fn encode_decode_round_trip() {
         let coo = random_coo(&mut rng, 80, 300);
         for cfg in configs() {
             let stream = encode_coo(&coo, &cfg);
-            assert_eq!(stream.values.len(), coo.nnz(), "case {case}");
+            assert_eq!(stream.values().len(), coo.nnz(), "case {case}");
             let mut decoded = stream.decode_elements();
             decoded.sort_unstable_by_key(|&(r, c, _)| (r, c));
             let original: Vec<(Idx, Idx, f64)> = coo.iter().collect();
@@ -105,7 +107,7 @@ fn paired_values_follow_the_stream_order() {
         for view in [rows, rows.slice(0..half), rows.slice(half..coo.nrows())] {
             for cfg in configs() {
                 let encoded = encode_rows(view, &cfg, csr.values(), Some(&paired));
-                let (values, upper) = (&encoded.stream.values, &encoded.upper_values);
+                let (values, upper) = (encoded.stream.values(), &encoded.upper_values);
                 assert_eq!(values.len(), view.nnz(), "case {case}");
                 assert_eq!(upper.len(), values.len(), "case {case}");
                 for (v, u) in values.iter().zip(upper) {
@@ -185,6 +187,105 @@ fn walk_and_spmv_stream_decode_the_same_elements() {
                 multiplied.extend(hit.map(|(r, &v)| (r as Idx, c, v)));
             }
             assert_eq!(multiplied, walked, "case {case}");
+        }
+    }
+}
+
+/// A random matrix of `kind` with a random strict lower triangle: each
+/// mirror follows the kind (a distinct upper value for `Structural`), and
+/// the diagonal is set unless the kind forbids it.
+fn random_of_kind(rng: &mut StdRng, kind: SymmetryKind) -> CooMatrix {
+    let n = rng.random_range(2..80);
+    let mut coo = CooMatrix::new(n, n);
+    let mut seen = std::collections::HashSet::new();
+    for _ in 0..rng.random_range(0..=400) {
+        let r = rng.random_range(1..n);
+        let c = rng.random_range(0..r);
+        if seen.insert((r, c)) {
+            let v = f64::from(r) * 1e3 + f64::from(c) + 0.5;
+            coo.push(r, c, v);
+            coo.push(c, r, kind.transposed(v, -0.25 * v));
+        }
+    }
+    if !kind.requires_zero_diagonal() {
+        (0..n).for_each(|i| coo.push(i, i, 1.0));
+    }
+    coo
+}
+
+/// `stream` holds `ctl-bound` with first row `first_row`: the checked walk
+/// of its bytes rebuilds it, recorded bounds included; the bounds are the
+/// tight hull of its elements; its unit sizes cover its values; and its
+/// legal split, when it has one, is straddled by no substructure unit.
+fn assert_ctl_bound(stream: &CtlStream, first_row: usize, what: &str) {
+    let rebuilt = CtlStream::validated(stream.ctl().to_vec(), stream.values().to_vec(), first_row);
+    assert_eq!(rebuilt.as_ref(), Ok(stream), "{what}");
+    let mut units = Vec::new();
+    let mut elements = Vec::new();
+    stream.walk(
+        |u| units.push((u.kind.is_some(), u.size as usize)),
+        |r, c, _| elements.push((r as usize, c as usize)),
+    );
+    assert_eq!(
+        units.iter().map(|u| u.1).sum::<usize>(),
+        stream.values().len(),
+        "{what}"
+    );
+    let row_end = elements.iter().map(|e| e.0 + 1).max().unwrap_or(first_row);
+    let col_end = elements.iter().map(|e| e.1 + 1).max().unwrap_or(0);
+    assert!(elements.iter().all(|e| e.0 >= first_row), "{what}");
+    assert_eq!(
+        (stream.row_end(), stream.col_end()),
+        (row_end, col_end),
+        "{what}"
+    );
+    if let Some(split) = stream.legal_split() {
+        assert_eq!(split, first_row, "{what}");
+        let mut at = 0;
+        for (substructure, size) in units {
+            let cols = elements[at..at + size].iter().map(|e| e.1);
+            at += size;
+            let (lo, hi) = (cols.clone().min(), cols.max());
+            assert!(
+                !(substructure && lo < Some(split) && Some(split) <= hi),
+                "{what}"
+            );
+        }
+    }
+}
+
+/// Random encodes of all three symmetry kinds — the strict lower triangle
+/// whole and chunked as CSX-Sym chunks it, under every configuration, with
+/// the structural kind's second value array — hold `ctl-bound`; a chunk
+/// encoded with its partition start as the column split keeps that split
+/// legal.
+#[test]
+fn random_encodes_of_every_kind_hold_ctl_bound() {
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0x70_0000 + case);
+        for kind in SymmetryKind::ALL {
+            let sss = SssMatrix::from_coo_kind(&random_of_kind(&mut rng, kind), kind, 0.0).unwrap();
+            let upper = kind.has_upper_values().then(|| sss.upper_values());
+            let whole = RowView::of_sss(&sss);
+            for p in [1, 2, 3] {
+                for part in balanced_ranges(&symmetric_row_weights(sss.rowptr()), p) {
+                    let view = whole.slice(part.start..part.end);
+                    for cfg in configs() {
+                        let what = format!("case {case}, {kind:?}, p {p}, {part:?}, {cfg:?}");
+                        let encoded = encode_rows(view, &cfg, sss.values(), upper);
+                        let first = part.start as usize;
+                        assert_ctl_bound(&encoded.stream, first, &what);
+                        assert_eq!(encoded.upper_values.len(), upper.map_or(0, |_| view.nnz()));
+                        let split = DetectConfig {
+                            col_split: Some(part.start),
+                            ..cfg
+                        };
+                        let chunk = encode_rows(view, &split, sss.values(), upper).stream;
+                        assert_ctl_bound(&chunk, first, &what);
+                        assert_eq!(chunk.legal_split(), Some(first), "{what}");
+                    }
+                }
+            }
         }
     }
 }

@@ -6,7 +6,7 @@
 //! from a single run.
 
 use crate::error::HarnessError;
-use crate::framework::{measure, measure_each, serial_csr_spmv_time};
+use crate::framework::{measure, measure_each, sample, serial_csr_spmv_time, Sampled};
 use crate::kernels::{build_kernel, KernelSpec};
 use crate::report::{f, geomean, pct, Table};
 use std::path::PathBuf;
@@ -550,36 +550,55 @@ pub fn fig13(cfg: &ExpConfig) -> Result<(), HarnessError> {
 }
 
 /// E10 — §V-E: preprocessing cost of CSX-Sym in serial-CSR-SpMV units.
+/// Each matrix, original and RCM-reordered, is built
+/// [`ROUNDS`](crate::framework::ROUNDS) times in
+/// [`sample`]'s alternation, every build on a cold plan cache; a side's
+/// score is the lower quartile of its builds' `preprocess` phases, with the
+/// upper quartile beside it.
 pub fn preproc(cfg: &ExpConfig) -> Result<(), HarnessError> {
     println!("== §V-E: CSX-Sym preprocessing cost (units: serial CSR SpMV) ==\n");
-    let mut t = Table::new(&["matrix", "original", "RCM-reordered"]);
-    let mut orig_units = Vec::new();
-    let mut reord_units = Vec::new();
+    let mut t = Table::new(&[
+        "matrix",
+        "original",
+        "original q3",
+        "RCM-reordered",
+        "RCM-reordered q3",
+    ]);
+    let mut columns = vec![Vec::new(); 4];
     let ctx = ExecutionContext::new(cfg.max_threads);
+    let spec = KernelSpec::CsxSym(ReductionMethod::Indexing);
     for m in cfg.suite() {
-        let mut units = Vec::new();
-        for coo in [m.coo.clone(), rcm_of(&m.coo, m.spec.name)?] {
-            let csr = CsrMatrix::from_coo(&coo);
-            let unit = serial_csr_spmv_time(&csr, 8);
-            let k = kernel_of(
-                KernelSpec::CsxSym(ReductionMethod::Indexing),
-                &coo,
-                &ctx,
-                m.spec.name,
-            )?;
-            let pre = k.times().preprocess;
-            units.push(pre.as_secs_f64() / unit.as_secs_f64().max(1e-12));
+        let coos = [m.coo.clone(), rcm_of(&m.coo, m.spec.name)?];
+        let mut builds = [Vec::new(), Vec::new()];
+        let mut failed = None;
+        sample(2, |side| {
+            ctx.clear_plan_cache();
+            match kernel_of(spec, &coos[side], &ctx, m.spec.name) {
+                Ok(k) => builds[side].push(k.times().preprocess.as_secs_f64()),
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
+            }
+        });
+        if let Some(e) = failed {
+            return Err(e);
         }
-        orig_units.push(units[0]);
-        reord_units.push(units[1]);
-        t.row(vec![m.spec.name.into(), f(units[0], 1), f(units[1], 1)]);
+        let mut row = vec![m.spec.name.to_string()];
+        for (side, (coo, secs)) in coos.iter().zip(builds).enumerate() {
+            let unit = serial_csr_spmv_time(&CsrMatrix::from_coo(coo), 8);
+            let pre = Sampled::new(secs);
+            for (j, q) in [pre.q1, pre.q3].into_iter().enumerate() {
+                let units = q / unit.as_secs_f64().max(1e-12);
+                columns[2 * side + j].push(units);
+                row.push(f(units, 1));
+            }
+        }
+        t.row(row);
     }
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    t.row(vec![
-        "AVERAGE".into(),
-        f(avg(&orig_units), 1),
-        f(avg(&reord_units), 1),
-    ]);
+    let mut average = vec!["AVERAGE".to_string()];
+    average.extend(columns.iter().map(|c| f(avg(c), 1)));
+    t.row(average);
     cfg.emit("preproc", &t)?;
     println!("(paper: 49/94 serial SpMVs on Dunnington/Gainestown; 59/115 reordered)\n");
     Ok(())

@@ -72,6 +72,18 @@ pub const KNOWN_INVARIANTS: &[(&str, &str)] = &[
          x.len() == ncols assert it keeps the CSR gather in bounds",
     ),
     (
+        "ctl-bound",
+        "CtlStream: only csx::encode::encode (which checks each unit it \
+         emits) and CtlStream::validated (a checked walk) build one, with no \
+         &mut access; its ctl is whole units whose sizes (1..=255, a block's \
+         R·C) sum to values.len(), whose rows and columns lie inside the \
+         recorded first_row..row_end and 0..col_end, and whose substructures \
+         straddle the first row only where legal_split is None; with one \
+         per-call assert on those bounds it keeps the cursor's reads and the \
+         CSX and CSX-Sym unit kernels' value, x, y and local accesses in \
+         bounds",
+    ),
+    (
         "sweep-fills",
         "SssMatrix::build: the COO → SSS mirror sweep writes every slot of \
          the exactly sized lower arrays — each band checks it filled its \
