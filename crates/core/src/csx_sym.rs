@@ -198,13 +198,16 @@ impl CsxSymMatrix {
         12 * self.full_nnz() + 4 * (self.n as usize + 1)
     }
 
-    /// Mean substructure coverage across chunks (nnz-weighted would need
-    /// per-chunk nnz; chunks are nnz-balanced so the plain mean is close).
+    /// Substructure coverage of the strict lower triangle: the chunks'
+    /// coverages weighted by their non-zeros (0 when there are none).
     pub fn coverage(&self) -> f64 {
-        if self.chunks.is_empty() {
-            return 0.0;
-        }
-        self.chunks.iter().map(|c| c.coverage).sum::<f64>() / self.chunks.len() as f64
+        let nnz: usize = self.chunks.iter().map(|c| c.stream.nnz()).sum();
+        let covered: f64 = self
+            .chunks
+            .iter()
+            .map(|c| c.coverage * c.stream.nnz() as f64)
+            .sum();
+        covered / nnz.max(1) as f64
     }
 
     /// Serial reference SpMV (`y = A·x`) over all chunks — used by tests
@@ -262,6 +265,12 @@ impl CsxSymMatrix {
 /// value, pair and operand access in bounds, so the unit kernels index
 /// without checks. A stream whose substructures straddle `split`, or
 /// buffers too short for it, are refused there, before any access.
+///
+/// Kept out of line: inlined into `SymSpmv`'s multiply closure, the block
+/// loop slowed that closure's SSS arm (`small-cg` `spmv_p1_s` ~+8 %,
+/// EXPERIMENTS "One head per row of blocks"), and a call per chunk costs
+/// nothing measurable here.
+#[inline(never)]
 pub(crate) fn sym_stream<O: SymmetryOps, const K: usize>(
     stream: &CtlStream,
     paired: &[Val],
@@ -297,36 +306,40 @@ pub(crate) fn sym_stream<O: SymmetryOps, const K: usize>(
     };
     let mut cursor = stream.cursor();
     let mut at = 0;
-    // SAFETY(cert: ctl-bound): the delta arms below take every delta body.
+    // SAFETY(cert: ctl-bound): the delta and block arms below take every
+    // body.
     while let Some(unit) = unsafe { cursor.next_unit() } {
         let (row, col, size) = (unit.row, unit.col, unit.size);
-        // SAFETY(cert: ctl-bound): unit sizes sum to `values.len()` (and
-        // `paired` matches it), so the unit's values and pairs follow `at`;
-        // the dispatch hands each kernel the shape its id encodes; every
-        // row is ≥ first row ≥ split and < row_end, every column < col_end,
-        // and a substructure's columns lie on one side of a nonzero split
-        // (the assert above).
+        // SAFETY(cert: ctl-bound): unit elements sum to `values.len()` (and
+        // `paired` matches it), so the unit's `len` values and pairs follow
+        // `at`; the dispatch hands each kernel the shape its id encodes;
+        // every row is ≥ first row ≥ split and < row_end, every column <
+        // col_end, and a substructure unit's columns lie on one side of a
+        // nonzero split (the assert above).
         unsafe {
-            let v = values.get_unchecked(at..at + size);
-            let u = paired.get_unchecked(at..at + size);
+            let v = |len: usize| values.get_unchecked(at..at + len);
+            let u = |len: usize| paired.get_unchecked(at..at + len);
             macro_rules! delta {
-                ($w:literal) => {
-                    sides.delta::<O, $w>(cursor.body(unit.size), v, u, row, col)
-                };
+                ($w:literal) => {{
+                    sides.delta::<O, $w>(cursor.body(size), v(size), u(size), row, col);
+                    size
+                }};
             }
             macro_rules! run {
-                ($dir:literal, $delta:expr) => {
-                    sides.run::<O, $dir>($delta, v, u, row, col)
-                };
+                ($dir:literal, $delta:expr) => {{
+                    sides.run::<O, $dir>($delta, v(size), u(size), row, col);
+                    size
+                }};
             }
             macro_rules! block {
-                ($r:literal, $c:literal) => {
-                    sides.block::<O, $r, $c>(v, u, row, col)
-                };
+                ($r:literal, $c:literal) => {{
+                    let len = size * $r * $c;
+                    sides.block::<O, $r, $c>(cursor.body(size), v(len), u(len), row, col);
+                    len
+                }};
             }
-            symspmv_csx::dispatch_unit!(unit.id, delta, run, block);
+            at += symspmv_csx::dispatch_unit!(unit.id, delta, run, block);
         }
-        at += size;
     }
 }
 
@@ -461,62 +474,69 @@ impl<const K: usize> Sides<'_, K> {
         }
     }
 
-    /// A dense `R × C` block by fixed-size array indexing, the transposed
-    /// sums held in registers until the end. The first row assigns them:
-    /// starting from `0.0 +` instead would cost an add per column and differ
-    /// only where product and target are `−0.0`.
+    /// A unit of `size` dense `R × C` blocks anchored in one row, by
+    /// fixed-size array indexing. The `R` row sums stay in registers across
+    /// the blocks — no transposed write reaches them, since every column
+    /// lies below every row — and each block's transposed sums stay in
+    /// registers until the block ends, when they go to the unit's side of
+    /// `split`: every element sees the float sequence of one-block units.
+    /// A block's first row assigns its transposed sums: starting from
+    /// `0.0 +` instead would cost an add per column and differ only where
+    /// product and target are `−0.0`.
     ///
     /// # Safety
-    /// SAFETY(cert: ctl-bound): as for `run`, with `R·C` values and pairs,
-    /// rows `row..row + R` and columns `col..col + C`.
+    /// SAFETY(cert: ctl-bound): as for `run`, with `size·R·C` values and
+    /// pairs, `gaps` the `size − 1` anchor gaps, rows `row..row + R` and
+    /// each block's columns `c..c + C`.
     #[inline(always)]
     unsafe fn block<O: SymmetryOps, const R: usize, const C: usize>(
         &mut self,
+        gaps: &[[u8; 2]],
         v: &[Val],
         u: &[Val],
         row: usize,
         col: usize,
     ) {
-        let v = v.as_chunks::<C>().0.first_chunk::<R>().unwrap_unchecked();
-        let u = u.as_chunks::<C>().0.first_chunk::<R>().unwrap_unchecked();
-        let xc = self
-            .x
-            .get_unchecked(col..)
-            .first_chunk::<C>()
-            .unwrap_unchecked();
-        let xr = self
-            .x
-            .get_unchecked(row..)
-            .first_chunk::<R>()
-            .unwrap_unchecked();
-        let yr = self.my_y.get_unchecked_mut(row - self.split..);
-        let yr = yr.first_chunk_mut::<R>().unwrap_unchecked();
-        let mut t = [[0.0; K]; C];
-        for (i, (((yr, v), u), xr)) in yr.iter_mut().zip(v).zip(u).zip(xr).enumerate() {
-            for j in 0..K {
-                let mut acc = v[0] * xc[0][j];
-                for (&v, xc) in v[1..].iter().zip(&xc[1..]) {
-                    acc += v * xc[j];
-                }
-                yr[j] += acc;
-                for ((t, &v), &u) in t.iter_mut().zip(v).zip(u) {
-                    if i == 0 {
-                        t[j] = O::transposed(v, u) * xr[j];
-                    } else {
-                        t[j] += O::transposed(v, u) * xr[j];
+        let (x, split) = (self.x, self.split);
+        let v = v.as_chunks::<C>().0.as_chunks::<R>().0;
+        let u = u.as_chunks::<C>().0.as_chunks::<R>().0;
+        let xr = x.get_unchecked(row..).first_chunk::<R>().unwrap_unchecked();
+        let slot = self.my_y.get_unchecked(row - split..);
+        let mut yr = *slot.first_chunk::<R>().unwrap_unchecked();
+        let (side, shift) = if col < split {
+            (&mut *self.local, 0)
+        } else {
+            (&mut *self.my_y, split)
+        };
+        let (mut gaps, mut c) = (gaps.iter(), col);
+        for (v, u) in v.iter().zip(u) {
+            let xc = x.get_unchecked(c..).first_chunk::<C>().unwrap_unchecked();
+            let mut t = [[0.0; K]; C];
+            for (i, (((yr, v), u), xr)) in yr.iter_mut().zip(v).zip(u).zip(xr).enumerate() {
+                for j in 0..K {
+                    let mut acc = v[0] * xc[0][j];
+                    for (&v, xc) in v[1..].iter().zip(&xc[1..]) {
+                        acc += v * xc[j];
+                    }
+                    yr[j] += acc;
+                    for ((t, &v), &u) in t.iter_mut().zip(v).zip(u) {
+                        if i == 0 {
+                            t[j] = O::transposed(v, u) * xr[j];
+                        } else {
+                            t[j] += O::transposed(v, u) * xr[j];
+                        }
                     }
                 }
             }
+            let dst = side.get_unchecked_mut(c - shift..);
+            let dst = dst.first_chunk_mut::<C>().unwrap_unchecked();
+            for (dst, t) in dst.iter_mut().zip(&t) {
+                add_lanes(dst, t);
+            }
+            c += gaps.next().map_or(0, delta_of);
         }
-        let side = if col < self.split {
-            self.local.get_unchecked_mut(col..)
-        } else {
-            self.my_y.get_unchecked_mut(col - self.split..)
-        };
-        let side = side.first_chunk_mut::<C>().unwrap_unchecked();
-        for (dst, t) in side.iter_mut().zip(&t) {
-            add_lanes(dst, t);
-        }
+        let slot = self.my_y.get_unchecked_mut(row - split..);
+        *slot.first_chunk_mut::<R>().unwrap_unchecked() = yr;
     }
 }
 
@@ -713,6 +733,54 @@ mod tests {
     }
 
     #[test]
+    fn coverage_weights_each_chunk_by_its_non_zeros() {
+        // Rows 0..90 hold ~30× the non-zeros of rows 90..120, and only the
+        // block-structural top is covered: the bottom's one entry per row
+        // steps 11 columns, modulo 90, from row to row — no run.
+        let mut coo = symspmv_sparse::gen::block_structural(30, 3, 8.0, 10, 5);
+        let mut full = CooMatrix::new(120, 120);
+        coo.canonicalize();
+        for (r, c, v) in coo.iter() {
+            full.push(r, c, v);
+        }
+        for r in 90..120 {
+            full.push(r, r, 4.0);
+            full.push(r, (r - 90) * 11 % 90, -1.0);
+            full.push((r - 90) * 11 % 90, r, -1.0);
+        }
+        let sss = SssMatrix::from_coo(&full, 0.0).unwrap();
+        let parts = [
+            Range { start: 0, end: 90 },
+            Range {
+                start: 90,
+                end: 120,
+            },
+        ];
+        let m = CsxSymMatrix::from_sss(&sss, &parts, &cfg());
+        let (mut covered, mut nnz) = (0usize, 0usize);
+        for chunk in m.chunks() {
+            let mut sizes = Vec::new();
+            chunk.stream.walk(
+                |u| sizes.push((u.kind.is_some(), u.size as usize)),
+                |_, _, _| {},
+            );
+            covered += sizes.iter().filter(|u| u.0).map(|u| u.1).sum::<usize>();
+            nnz += chunk.stream.nnz();
+        }
+        let [top, bottom] = [&m.chunks()[0], &m.chunks()[1]];
+        assert!(top.stream.nnz() > 4 * bottom.stream.nnz());
+        assert!(top.coverage > 0.5 && bottom.coverage == 0.0);
+        let exact = covered as f64 / nnz as f64;
+        assert!(
+            (m.coverage() - exact).abs() < 1e-12,
+            "{} vs {exact}",
+            m.coverage()
+        );
+        let unweighted = (top.coverage + bottom.coverage) / 2.0;
+        assert!((unweighted - exact).abs() > 0.05);
+    }
+
+    #[test]
     fn full_nnz_model() {
         let coo = symspmv_sparse::gen::laplacian_2d(4, 4);
         let (sss, _, m) = build(&coo, 2);
@@ -738,7 +806,8 @@ mod tests {
     }
 
     /// A one-element delta unit at `(row, 0)` — or nothing — followed by the
-    /// unit under test `(id, columns or pattern size, row, col)`; `head`
+    /// unit under test `(id, shape, row, col)`, where `shape` is a run's
+    /// size, or a delta or block unit's column or anchor gaps; `head`
     /// picks how the unit is reached: 0 first in the stream (`NR | RJMP`),
     /// 1 after a spacer in the row above (`NR` alone), 2 after a spacer in
     /// its own row (no `NR`, `ucol` relative).
@@ -763,6 +832,22 @@ mod tests {
             }
         }
         match PatternKind::from_id(id) {
+            Some(kind @ PatternKind::Block { rows, cols }) => {
+                // `shape` lists the gaps between the unit's block anchors.
+                ctl.push(shape.len() as u8 + 1);
+                write_varint(&mut ctl, col as u64);
+                let mut c = col;
+                for (k, &gap) in std::iter::once(&0).chain(shape).enumerate() {
+                    if k > 0 {
+                        ctl.extend_from_slice(&(gap as u16).to_le_bytes());
+                    }
+                    c += gap;
+                    elements.extend((0..u32::from(rows) * u32::from(cols)).map(|k| {
+                        let (r, c) = kind.element(row as Idx, c as Idx, k);
+                        (r as usize, c as usize)
+                    }));
+                }
+            }
             Some(kind) => {
                 let size = shape[0];
                 ctl.push(size as u8);
@@ -849,9 +934,12 @@ mod tests {
             let col = if id >= 28 { 45 } else { 10 };
             check(id, &[5], (51, col), 96, &[8, 50]);
         }
+        // Units of one, two and three blocks — adjacent, and apart.
         for id in 36..=44u8 {
-            let size = ((id - 36) / 3 + 2) * ((id - 36) % 3 + 2);
-            check(id, &[size as usize], (51, 10), 96, &[8, 50]);
+            let width = (id - 36) as usize % 3 + 2;
+            for gaps in [&[][..], &[width], &[width + 2, width]] {
+                check(id, gaps, (51, 10), 96, &[8, 50]);
+            }
         }
         check(0, &[3, 30, 2], (51, 10), 96, &[8, 20, 50]);
         check(0, &[], (51, 10), 96, &[8, 50]);
@@ -949,30 +1037,40 @@ mod unchecked_decode_tests {
         };
         let mut cursor = stream.cursor();
         let (mut values, mut paired) = (stream.values(), paired);
-        // SAFETY(cert: ctl-bound): the delta arms below take every delta body.
-        while let Some(unit) = unsafe { cursor.next_unit() } {
+        let mut take = |len: usize| {
             let (v, u);
-            (v, values) = values.split_at(unit.size);
-            (u, paired) = paired.split_at(unit.size);
+            (v, values) = values.split_at(len);
+            (u, paired) = paired.split_at(len);
+            (v, u)
+        };
+        // SAFETY(cert: ctl-bound): the delta and block arms below take
+        // every body.
+        while let Some(unit) = unsafe { cursor.next_unit() } {
             let (row, col) = (unit.row, unit.col);
             macro_rules! delta {
-                ($w:literal) => {
+                ($w:literal) => {{
+                    let (v, u) = take(unit.size);
                     // SAFETY(cert: ctl-bound): the id names this width.
                     sides.delta::<O, $w>(unsafe { cursor.body(unit.size) }, v, u, row, col)
-                };
+                }};
             }
             macro_rules! run {
-                ($dir:literal, $delta:expr) => {
+                ($dir:literal, $delta:expr) => {{
+                    let (v, u) = take(unit.size);
                     sides.run::<O, $dir>($delta, v, u, row, col)
-                };
+                }};
             }
             macro_rules! block {
-                ($r:literal, $c:literal) => {
-                    sides.block::<O, $r, $c>(v, u, row, col)
-                };
+                ($r:literal, $c:literal) => {{
+                    let (v, u) = take(unit.size * $r * $c);
+                    // SAFETY(cert: ctl-bound): the id names a block unit.
+                    let gaps = unsafe { cursor.body(unit.size) };
+                    sides.block::<O, $r, $c>(gaps, v, u, row, col)
+                }};
             }
             symspmv_csx::dispatch_unit!(unit.id, delta, run, block);
         }
+        assert!(values.is_empty() && paired.is_empty());
     }
 
     struct CheckedSides<'a, const K: usize> {
@@ -1066,46 +1164,59 @@ mod unchecked_decode_tests {
             }
         }
 
+        /// One block at a time, as the one-block units before grouping
+        /// were multiplied: each block's row sums go to `y`, and its
+        /// transposed sums to the side of its own anchor, before the next.
         fn block<O: SymmetryOps, const R: usize, const C: usize>(
             &mut self,
+            gaps: &[[u8; 2]],
             v: &[Val],
             u: &[Val],
             row: usize,
             col: usize,
         ) {
-            let (Some(v), Some(u), Some(xc), Some(xr), Some(yr)) = (
-                v.as_chunks::<C>().0.first_chunk::<R>(),
-                u.as_chunks::<C>().0.first_chunk::<R>(),
-                self.x[col..].first_chunk::<C>(),
-                self.x[row..].first_chunk::<R>(),
-                self.my_y[row - self.split..].first_chunk_mut::<R>(),
-            ) else {
-                unreachable!("block unit reaches outside the matrix");
-            };
-            let mut t = [[0.0; K]; C];
-            for (i, (((yr, v), u), xr)) in yr.iter_mut().zip(v).zip(u).zip(xr).enumerate() {
-                for j in 0..K {
-                    let mut acc = v[0] * xc[0][j];
-                    for (&v, xc) in v[1..].iter().zip(&xc[1..]) {
-                        acc += v * xc[j];
-                    }
-                    yr[j] += acc;
-                    for ((t, &v), &u) in t.iter_mut().zip(v).zip(u) {
-                        if i == 0 {
-                            t[j] = O::transposed(v, u) * xr[j];
-                        } else {
-                            t[j] += O::transposed(v, u) * xr[j];
+            let blocks = v.len() / (R * C);
+            assert!(v.len() == blocks * R * C && gaps.len() + 1 == blocks);
+            let mut c = col;
+            for k in 0..blocks {
+                if k > 0 {
+                    c += delta_of(&gaps[k - 1]);
+                }
+                let at = k * R * C..(k + 1) * R * C;
+                let (Some(v), Some(u), Some(xc), Some(xr), Some(yr)) = (
+                    v[at.clone()].as_chunks::<C>().0.first_chunk::<R>(),
+                    u[at].as_chunks::<C>().0.first_chunk::<R>(),
+                    self.x[c..].first_chunk::<C>(),
+                    self.x[row..].first_chunk::<R>(),
+                    self.my_y[row - self.split..].first_chunk_mut::<R>(),
+                ) else {
+                    unreachable!("block unit reaches outside the matrix");
+                };
+                let mut t = [[0.0; K]; C];
+                for (i, (((yr, v), u), xr)) in yr.iter_mut().zip(v).zip(u).zip(xr).enumerate() {
+                    for j in 0..K {
+                        let mut acc = v[0] * xc[0][j];
+                        for (&v, xc) in v[1..].iter().zip(&xc[1..]) {
+                            acc += v * xc[j];
+                        }
+                        yr[j] += acc;
+                        for ((t, &v), &u) in t.iter_mut().zip(v).zip(u) {
+                            if i == 0 {
+                                t[j] = O::transposed(v, u) * xr[j];
+                            } else {
+                                t[j] += O::transposed(v, u) * xr[j];
+                            }
                         }
                     }
                 }
-            }
-            let side = if col < self.split {
-                &mut self.local[col..]
-            } else {
-                &mut self.my_y[col - self.split..]
-            };
-            for (dst, t) in side.iter_mut().zip(&t) {
-                add_lanes(dst, t);
+                let side = if c < self.split {
+                    &mut self.local[c..]
+                } else {
+                    &mut self.my_y[c - self.split..]
+                };
+                for (dst, t) in side.iter_mut().zip(&t) {
+                    add_lanes(dst, t);
+                }
             }
         }
     }

@@ -5,12 +5,25 @@
 //! ```text
 //! flags: u8          bit 7 = NR (new row), bit 6 = RJMP, bits 0..=5 = id
 //! [rjmp: varint]     present iff RJMP: extra empty rows jumped beyond 1
-//! size:  u8          number of elements in the unit (1..=255)
-//! ucol:  varint      anchor column; absolute after NR, else delta from the
-//!                    previous unit's anchor column in the same row
-//! [body]             delta units only: (size − 1) column deltas of the
-//!                    unit's fixed byte width
+//! size:  u8          1..=255: a delta or run unit's element count, a
+//!                    block unit's block count m
+//! ucol:  varint      anchor column (a block unit's: its first block's);
+//!                    absolute after NR, else delta from the previous
+//!                    unit's anchor column in the same row
+//! [body]             delta unit: (size − 1) column deltas of the unit's
+//!                    fixed byte width; `Block(R, C)` unit: (m − 1)
+//!                    little-endian u16 gaps between consecutive block
+//!                    anchors, each ≥ C; run unit: none
 //! ```
+//!
+//! A block unit carries `m` same-shape blocks anchored in one row, their
+//! values block after block, each row-major. The encoder folds a row's
+//! consecutive blocks of one shape into one unit and starts a new one at a
+//! leftover entry between two blocks (its delta unit comes between them in
+//! column order), at a change of shape, at a gap over 65 535, at the 256th
+//! block, and where the anchors cross the stream's first row as a column —
+//! so a unit's blocks lie on one side of it wherever each block does, and
+//! [`CtlStream::legal_split`] means what it means for one-block units.
 //!
 //! The decoder starts *before* row 0, so the first unit always carries NR.
 //! Values are stored separately, in unit-element order.
@@ -40,9 +53,10 @@ pub const ID_MASK: u8 = 0x3F;
 ///
 /// Only [`encode`] and the validating [`CtlStream::validated`] build one,
 /// and there is no `&mut` access, so every stream holds the `ctl-bound`
-/// invariant: `ctl` is a sequence of whole units (every head and delta body
+/// invariant: `ctl` is a sequence of whole units (every head and body
 /// inside it, the first unit starting a row); unit sizes lie in `1..=255`,
-/// a block's is `R·C`, and they sum to `values.len()`; every element's row
+/// and the units' elements — a block unit's `size·R·C` — sum to
+/// `values.len()`; every element's row
 /// lies in [`CtlStream::first_row`]`..`[`CtlStream::row_end`] and its column
 /// below [`CtlStream::col_end`]; and where [`CtlStream::legal_split`] is
 /// `Some`, no substructure unit has columns on both sides of the first row.
@@ -81,9 +95,10 @@ impl Extent {
         }
     }
 
-    /// Takes in the unit of pattern `id` and `size` elements anchored at
-    /// `(row, col)`; `last` is a delta unit's last column. O(1): the unit's
-    /// geometry follows from its head.
+    /// Takes in the unit of pattern `id` and size byte `size` anchored at
+    /// `(row, col)`; `last` is a delta unit's last column, or a block unit's
+    /// last anchor. O(1): the unit's geometry follows from its head and
+    /// `last`.
     fn add(
         &mut self,
         id: u8,
@@ -101,9 +116,11 @@ impl Extent {
             ));
         }
         let k = size - 1;
+        let mut elements = size;
         let (last_row, lo, hi) = match PatternKind::from_id(id) {
-            None if id <= 2 && last >= col => (row, col, last),
-            None => return Err(format!("{}: no such pattern, or columns descend", at())),
+            _ if last < col => return Err(format!("{}: columns descend", at())),
+            None if id <= 2 => (row, col, last),
+            None => return Err(format!("{}: no such pattern", at())),
             Some(PatternKind::Horizontal { delta }) => (row, col, col + k * usize::from(delta)),
             Some(PatternKind::Vertical { delta }) => (row + k * usize::from(delta), col, col),
             Some(PatternKind::Diagonal { delta }) => {
@@ -119,16 +136,14 @@ impl Extent {
             }
             Some(PatternKind::Block { rows, cols }) => {
                 let (r, c) = (usize::from(rows), usize::from(cols));
-                if size != r * c {
-                    return Err(format!("{}: a {r} × {c} block", at()));
-                }
-                (row + r - 1, col, col + c - 1)
+                elements = size * r * c;
+                (row + r - 1, col, last + c - 1)
             }
         };
         self.row_end = self.row_end.max(last_row + 1);
         self.col_end = self.col_end.max(hi + 1);
         self.straddles |= id > 2 && lo < self.first_row && self.first_row <= hi;
-        self.elements += size;
+        self.elements += elements;
         Ok(())
     }
 }
@@ -138,11 +153,11 @@ impl Extent {
 pub struct UnitHeader {
     /// Row the unit is anchored in.
     pub row: Idx,
-    /// Anchor column.
+    /// Anchor column (a block unit's: its first block's).
     pub col: Idx,
     /// Substructure pattern, or `None` for a delta unit.
     pub kind: Option<PatternKind>,
-    /// Element count.
+    /// Element count (a block unit's: all its blocks').
     pub size: u32,
 }
 
@@ -151,18 +166,19 @@ pub struct UnitHeader {
 pub struct UnitHead {
     /// 6-bit pattern id.
     pub id: u8,
-    /// Element count.
+    /// The size byte: a delta or run unit's element count, a block unit's
+    /// block count.
     pub size: usize,
     /// Row the unit is anchored in.
     pub row: usize,
-    /// Anchor column.
+    /// Anchor column (a block unit's: its first block's).
     pub col: usize,
 }
 
 /// A decoder's position in a `ctl` stream, between two units. Only
 /// [`CtlStream::cursor`] makes one, so it walks a stream that holds
 /// `ctl-bound` and reads it without checks; its caller keeps it at unit
-/// boundaries by taking the body of every delta unit.
+/// boundaries by taking the body of every delta and block unit.
 pub struct UnitCursor<'a> {
     ctl: &'a [u8],
     pos: usize,
@@ -175,9 +191,9 @@ impl<'a> UnitCursor<'a> {
     /// resolves its anchor; `None` at the end of the stream.
     ///
     /// # Safety
-    /// SAFETY(cert: ctl-bound): if the last unit returned was a delta unit,
-    /// its body has been taken with [`UnitCursor::body`], so the cursor
-    /// stands at a unit boundary.
+    /// SAFETY(cert: ctl-bound): if the last unit returned was a delta or a
+    /// block unit, its body has been taken with [`UnitCursor::body`], so the
+    /// cursor stands at a unit boundary.
     #[inline(always)]
     pub unsafe fn next_unit(&mut self) -> Option<UnitHead> {
         if self.pos >= self.ctl.len() {
@@ -203,12 +219,14 @@ impl<'a> UnitCursor<'a> {
         })
     }
 
-    /// The column deltas of the `size`-element delta unit just parsed.
+    /// The body of the unit just parsed, of size byte `size`: a delta
+    /// unit's `size − 1` column deltas, or a block unit's `size − 1` `u16`
+    /// anchor gaps.
     ///
     /// # Safety
-    /// SAFETY(cert: ctl-bound): the unit just parsed is a delta unit of
-    /// `size` elements whose id names `W`-byte deltas, and its body has not
-    /// been taken yet.
+    /// SAFETY(cert: ctl-bound): the unit just parsed has size byte `size`
+    /// and is a delta unit whose id names `W`-byte deltas or, with `W = 2`,
+    /// a block unit; its body has not been taken yet.
     #[inline(always)]
     pub unsafe fn body<const W: usize>(&mut self, size: usize) -> &'a [[u8; W]] {
         let bytes = self.ctl.get_unchecked(self.pos..self.pos + W * (size - 1));
@@ -247,7 +265,8 @@ impl<'a> UnitCursor<'a> {
     }
 }
 
-/// One little-endian column delta of a delta unit's body.
+/// One little-endian column delta of a delta unit's body, or one anchor gap
+/// of a block unit's.
 #[inline(always)]
 pub fn delta_of<const W: usize>(bytes: &[u8; W]) -> usize {
     let mut le = [0u8; 4];
@@ -265,10 +284,13 @@ pub struct Encoded {
     pub upper_values: Vec<Val>,
     /// Fraction of the non-zeros covered by substructure units.
     pub coverage: f64,
-    /// Number of substructure units.
+    /// Number of detected substructure instances; a block unit carries up
+    /// to 255 of them, so this is not a count of heads.
     pub substructure_units: usize,
     /// Number of delta units.
     pub delta_units: usize,
+    /// Number of units in the stream — heads, substructure and delta.
+    pub units: usize,
 }
 
 /// Detects and encodes the rows of `view`; `values` (and `upper`, if
@@ -284,19 +306,22 @@ pub fn encode_rows(
 
 /// Encodes a detection result of `view`, row by row: the anchors of the
 /// instances that start in a row and the delta units chunked from its
-/// leftover entries are merged by anchor column. Each unit's values — from
-/// `values` and, if given, from `upper`, both aligned with the view's
-/// column array — are written as the unit is emitted.
+/// leftover entries are merged by anchor column, and consecutive blocks of
+/// one shape share a unit up to a break of the grammar (module doc). Each
+/// unit's values — from `values` and, if given, from `upper`, both aligned
+/// with the view's column array — are written as the unit is emitted.
 ///
 /// The stream's first row is the view's. The encoder checks what it emits
 /// rather than trusting `det` (whose instances are public), in O(1) per
-/// unit: sizes in `1..=255` and a block's `R·C`, anchors and delta columns
-/// ascending, every unit's reach folded into the stream's bounds; at the
-/// end, unit sizes summing to the values written. Panics where a check
-/// fails — that is, on a `det` the detector did not make for `view`.
+/// unit and per block: sizes in `1..=255`, anchors and delta columns
+/// ascending, a block unit's anchors at least a block width apart, every
+/// unit's reach folded into the stream's bounds; at the end, unit elements
+/// summing to the values written. Panics where a check fails — that is, on
+/// a `det` the detector did not make for `view`.
 pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&[Val]>) -> Encoded {
     let cols = view.cols;
-    let mut extent = Extent::new(view.first_row as usize);
+    let first = view.first_row;
+    let mut extent = Extent::new(first as usize);
     let mut ctl = Vec::new();
     let mut vals = Vec::with_capacity(det.nnz);
     let mut upper_values = Vec::with_capacity(upper.map_or(0, |_| det.nnz));
@@ -307,13 +332,13 @@ pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&
             upper[entries].iter().for_each(|&v| upper_values.push(v));
         }
     };
-    let mut delta_units = 0usize;
+    let (mut units, mut delta_units) = (0usize, 0usize);
     let mut prev_row: Option<Idx> = None;
     // The instances are sorted by anchor: those of a row follow those of
     // the rows before it.
     let mut instances = &det.instances[..];
-    // Per-row scratch: the leftovers, in column order.
-    let mut left: Vec<u32> = Vec::new();
+    // Per-row scratch: the leftovers, in column order; per-unit: its body.
+    let (mut left, mut body): (Vec<u32>, Vec<u8>) = (Vec::new(), Vec::new());
     for row in view.first_row..view.end_row() {
         let anchors;
         (anchors, instances) =
@@ -324,12 +349,37 @@ pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&
         let (mut a, mut s) = (0usize, 0usize);
         let mut prev_col: Option<Idx> = None;
         while a < anchors.len() || s < left.len() {
+            body.clear();
             let inst = anchors.get(a);
-            let (id, size, anchor, last, body) = match inst {
+            let (id, size, anchor, last) = match inst {
                 Some(inst) if left.get(s).is_none_or(|&e| inst.col < col_of(e)) => {
                     a += 1;
                     inst.segments(&det.pool).for_each(&mut put);
-                    (inst.kind.id(), inst.len as usize, inst.col, inst.col, None)
+                    let (mut size, mut last) = (inst.len as usize, inst.col);
+                    if let PatternKind::Block { cols: width, .. } = inst.kind {
+                        // The row's next instances join while they are
+                        // blocks of this shape on this side of the first
+                        // row, no leftover lies between, the gap fits a
+                        // `u16` and the unit has room.
+                        size = 1;
+                        while let Some(next) = anchors.get(a).filter(|next| {
+                            next.kind == inst.kind
+                                && size < 255
+                                && left.get(s).is_none_or(|&e| next.col < col_of(e))
+                                && (next.col < first) == (last < first)
+                        }) {
+                            let gap = next.col.saturating_sub(last);
+                            assert!(
+                                gap >= Idx::from(width),
+                                "encode: blocks overlap in row {row}"
+                            );
+                            let Ok(gap) = u16::try_from(gap) else { break };
+                            body.extend_from_slice(&gap.to_le_bytes());
+                            next.segments(&det.pool).for_each(&mut put);
+                            (a, size, last) = (a + 1, size + 1, next.col);
+                        }
+                    }
+                    (inst.kind.id(), size, inst.col, last)
                 }
                 _ => {
                     // Greedy chunking: width fixed by the first delta of
@@ -349,19 +399,18 @@ pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&
                     delta_units += 1;
                     let unit = &rest[..e];
                     unit.iter().for_each(|&e| put(e as usize..e as usize + 1));
+                    for w in unit.windows(2) {
+                        let d = col_of(w[1]) - col_of(w[0]);
+                        body.extend_from_slice(&d.to_le_bytes()[..width.bytes()]);
+                    }
                     let id = PatternKind::delta_id(width);
-                    (
-                        id,
-                        e,
-                        col_of(unit[0]),
-                        col_of(unit[e - 1]),
-                        Some((width, unit)),
-                    )
+                    (id, e, col_of(unit[0]), col_of(unit[e - 1]))
                 }
             };
             if let Err(e) = extent.add(id, size, row as usize, anchor as usize, last as usize) {
                 panic!("encode: {e}");
             }
+            units += 1;
 
             let mut flags = id;
             let mut jump = 0;
@@ -384,13 +433,7 @@ pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&
             );
             write_varint(&mut ctl, u64::from(anchor - prev_col.unwrap_or(0)));
             prev_col = Some(anchor);
-
-            if let Some((width, unit)) = body {
-                for w in unit.windows(2) {
-                    let d = col_of(w[1]) - col_of(w[0]);
-                    ctl.extend_from_slice(&d.to_le_bytes()[..width.bytes()]);
-                }
-            }
+            ctl.extend_from_slice(&body);
         }
     }
     debug_assert_eq!(vals.len(), det.nnz);
@@ -410,6 +453,7 @@ pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&
         coverage: det.coverage(),
         substructure_units: det.instances.len(),
         delta_units,
+        units,
     }
 }
 
@@ -418,7 +462,7 @@ impl CtlStream {
     /// hand-built units say — by walking `ctl` with every read checked and
     /// gathering the bounds [`encode`] records: the one way besides
     /// [`encode`] to make a stream. Its units may not start above
-    /// `first_row`, and their sizes must sum to `values.len()`.
+    /// `first_row`, and their elements must sum to `values.len()`.
     pub fn validated(
         ctl: Vec<u8>,
         values: Vec<Val>,
@@ -500,23 +544,47 @@ impl CtlStream {
                 .next()
                 .unwrap_or_else(|| unreachable!("value stream shorter than the ctl stream"))
         };
-        // SAFETY(cert: ctl-bound): every delta unit's body is taken below.
+        // SAFETY(cert: ctl-bound): every delta and block unit's body is
+        // taken below.
         while let Some(unit) = unsafe { cursor.next_unit() } {
             let (row, col) = (unit.row as Idx, unit.col as Idx);
             let kind = PatternKind::from_id(unit.id);
             let width = PatternKind::delta_width_from_id(unit.id);
+            let block = match kind {
+                Some(PatternKind::Block { rows, cols }) => u32::from(rows) * u32::from(cols),
+                _ => 1,
+            };
             on_unit(&UnitHeader {
                 row,
                 col,
                 kind,
-                size: unit.size as u32,
+                size: unit.size as u32 * block,
             });
-            if let Some(kind) = kind {
-                for k in 0..unit.size as u32 {
-                    let (er, ec) = kind.element(row, col, k);
-                    on_element(er, ec, next_value());
+            match kind {
+                Some(kind @ PatternKind::Block { .. }) => {
+                    // SAFETY(cert: ctl-bound): the id names a block unit,
+                    // whose gaps are still ahead.
+                    let gaps = unsafe { cursor.body::<2>(unit.size) };
+                    let anchors = gaps.iter().scan(col, |c, d| {
+                        *c += delta_of(d) as Idx;
+                        Some(*c)
+                    });
+                    for c in std::iter::once(col).chain(anchors) {
+                        for k in 0..block {
+                            let (er, ec) = kind.element(row, c, k);
+                            on_element(er, ec, next_value());
+                        }
+                    }
+                    continue;
                 }
-                continue;
+                Some(kind) => {
+                    for k in 0..unit.size as u32 {
+                        let (er, ec) = kind.element(row, col, k);
+                        on_element(er, ec, next_value());
+                    }
+                    continue;
+                }
+                None => {}
             }
             let mut c = unit.col;
             on_element(row, col, next_value());
@@ -557,7 +625,7 @@ impl CtlStream {
 }
 
 /// The bounds of the units in `ctl`, read with every access checked, as the
-/// cursor would decode them; their sizes must sum to `values`.
+/// cursor would decode them; their elements must sum to `values`.
 fn extent_of(ctl: &[u8], first_row: usize, values: usize) -> Result<Extent, String> {
     let byte = |pos: &mut usize| {
         let b = ctl.get(*pos).copied();
@@ -596,15 +664,24 @@ fn extent_of(ctl: &[u8], first_row: usize, values: usize) -> Result<Extent, Stri
         col += varint(&mut pos)?;
         let id = flags & ID_MASK;
         let mut last = col;
-        if id <= 2 {
-            let width = 1 << id;
+        // A body's byte width, and the least step it may take.
+        let body = match PatternKind::from_id(id) {
+            None if id <= 2 => Some((1 << id, 0)),
+            Some(PatternKind::Block { cols, .. }) => Some((2, usize::from(cols))),
+            _ => None,
+        };
+        if let Some((width, least)) = body {
             let len = width * size.saturating_sub(1);
-            let body = ctl.get(pos..pos + len).ok_or("delta body cut off")?;
+            let body = ctl.get(pos..pos + len).ok_or("unit body cut off")?;
             pos += len;
             for d in body.chunks(width) {
                 let mut le = [0u8; 4];
                 le[..width].copy_from_slice(d);
-                last += u32::from_le_bytes(le) as usize;
+                let d = u32::from_le_bytes(le) as usize;
+                if d < least {
+                    return Err(format!("blocks {d} columns apart at ({r}, {last})"));
+                }
+                last += d;
             }
         }
         extent.add(id, size, r, col, last)?;
@@ -629,6 +706,7 @@ pub fn encode_coo(coo: &CooMatrix, config: &DetectConfig) -> CtlStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detect::{detect_with, Family};
 
     fn round_trip(coo: &CooMatrix) {
         let mut c = coo.clone();
@@ -779,7 +857,7 @@ mod tests {
         refused(&[0, 1, 3], 1, 0); // the first unit starts no row
         refused(&[NR | 3, 1, 3], 1, 0); // id 3 is unassigned
         refused(&[NR | 45, 1, 3], 1, 0); // so is 45
-        refused(&[NR | 40, 8, 3], 8, 0); // a 3 × 3 block of 8
+        refused(&[NR | 40, 8, 3], 72, 0); // eight 3 × 3 blocks, no gaps
         refused(&[NR | 28, 4, 2], 4, 0); // an anti-diagonal left of column 0
         refused(&[NR, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0], 1, 0); // six-byte varint
         refused(&[NR | RJMP_BIT, 2, 1, 0], 1, 3); // a unit at row 2 above row 3
@@ -790,6 +868,158 @@ mod tests {
             stream.unwrap().legal_split()
         };
         assert_eq!((split(2), split(4), split(6)), (Some(2), None, Some(6)));
+    }
+
+    /// The `ctl` bytes and values of `coo`'s rows `rows`, with `families`
+    /// enabled as they are (no statistics pass) and `col_split` at the
+    /// first row when `split`.
+    fn grouped(coo: &CooMatrix, rows: Range<Idx>, families: &[Family], split: bool) -> Encoded {
+        let csr = CsrMatrix::from_coo(coo);
+        let view = RowView::new(0, csr.ncols(), csr.rowptr(), csr.colind()).slice(rows.clone());
+        let config = DetectConfig {
+            col_split: split.then_some(view.first_row),
+            ..DetectConfig::default()
+        };
+        let encoded = encode(
+            view,
+            &detect_with(view, &config, families),
+            csr.values(),
+            None,
+        );
+        let stream = &encoded.stream;
+        let rebuilt = CtlStream::validated(
+            stream.ctl().to_vec(),
+            stream.values().to_vec(),
+            view.first_row as usize,
+        );
+        assert_eq!(rebuilt.as_ref(), Ok(stream));
+        let mut sorted = stream.decode_elements();
+        sorted.sort_unstable_by_key(|&(r, c, _)| (r, c));
+        let want: Vec<_> = csr
+            .to_coo()
+            .iter()
+            .filter(|e| rows.contains(&e.0))
+            .collect();
+        assert_eq!(sorted, want);
+        encoded
+    }
+
+    /// `R × C` blocks anchored at `(row, col)` for each of `cols`, valued
+    /// by position, in an `n × m` matrix.
+    fn blocks(n: Idx, m: Idx, (r, c): (Idx, Idx), row: Idx, cols: &[Idx]) -> CooMatrix {
+        let mut coo = CooMatrix::new(n, m);
+        for &col in cols {
+            for i in 0..r {
+                for j in 0..c {
+                    coo.push(row + i, col + j, f64::from((row + i) * m + col + j));
+                }
+            }
+        }
+        coo
+    }
+
+    const B33: &[Family] = &[Family::Block(3, 3)];
+    const B22: &[Family] = &[Family::Block(2, 2)];
+
+    #[test]
+    fn a_row_of_three_blocks_is_one_head_and_two_gaps() {
+        let coo = blocks(3, 16, (3, 3), 0, &[0, 3, 10]);
+        let encoded = grouped(&coo, 0..3, B33, false);
+        // Flags, block count 3, anchor 0, gaps 3 and 7.
+        assert_eq!(encoded.stream.ctl(), [NR_BIT | 40, 3, 0, 3, 0, 7, 0]);
+        assert_eq!((encoded.units, encoded.substructure_units), (1, 3));
+        // Block after block, each row-major.
+        let mut want = Vec::new();
+        for c in [0, 3, 10] {
+            for i in 0..3 {
+                want.extend((0..3).map(|j| f64::from(i * 16 + c + j)));
+            }
+        }
+        assert_eq!(encoded.stream.values(), want);
+    }
+
+    #[test]
+    fn a_leftover_between_two_blocks_breaks_the_unit() {
+        let mut coo = blocks(3, 16, (3, 3), 0, &[0, 5]);
+        coo.push(0, 4, 1.0);
+        let encoded = grouped(&coo, 0..3, B33, false);
+        // Block at 0, a one-element delta unit at 4, a block at 5 (ucol 1).
+        let ctl = [NR_BIT | 40, 1, 0, 0, 1, 4, 40, 1, 1];
+        assert_eq!((encoded.stream.ctl(), encoded.units), (&ctl[..], 3));
+        // The same leftover right of both blocks leaves them one unit.
+        let mut coo = blocks(3, 16, (3, 3), 0, &[0, 5]);
+        coo.push(0, 9, 1.0);
+        let ctl = [NR_BIT | 40, 2, 0, 5, 0, 0, 1, 9];
+        assert_eq!(grouped(&coo, 0..3, B33, false).stream.ctl(), ctl);
+    }
+
+    #[test]
+    fn a_change_of_shape_breaks_the_unit() {
+        let mut coo = blocks(3, 16, (3, 3), 0, &[0]);
+        for (r, c) in [(0, 3), (0, 4), (1, 3), (1, 4)] {
+            coo.push(r, c, 1.0);
+        }
+        let both = [Family::Block(3, 3), Family::Block(2, 2)];
+        let encoded = grouped(&coo, 0..3, &both, false);
+        assert_eq!(encoded.stream.ctl(), [NR_BIT | 40, 1, 0, 36, 1, 3]);
+        assert_eq!(encoded.units, 2);
+    }
+
+    #[test]
+    fn a_gap_over_65_535_breaks_the_unit() {
+        let coo = blocks(2, 70_000, (2, 2), 0, &[0, 65_535]);
+        let encoded = grouped(&coo, 0..2, B22, false);
+        assert_eq!(encoded.stream.ctl(), [NR_BIT | 36, 2, 0, 0xFF, 0xFF]);
+        let coo = blocks(2, 70_000, (2, 2), 0, &[0, 65_536]);
+        let encoded = grouped(&coo, 0..2, B22, false);
+        let mut ctl = vec![NR_BIT | 36, 1, 0, 36, 1];
+        write_varint(&mut ctl, 65_536);
+        assert_eq!((encoded.stream.ctl(), encoded.units), (&ctl[..], 2));
+    }
+
+    #[test]
+    fn the_256th_block_starts_a_unit() {
+        let anchors: Vec<Idx> = (0..256).map(|k| 2 * k).collect();
+        let coo = blocks(2, 512, (2, 2), 0, &anchors);
+        let encoded = grouped(&coo, 0..2, B22, false);
+        let mut ctl = vec![NR_BIT | 36, 255, 0];
+        (1..255).for_each(|_| ctl.extend([2, 0]));
+        ctl.extend([36, 1]);
+        write_varint(&mut ctl, 510);
+        assert_eq!((encoded.stream.ctl(), encoded.units), (&ctl[..], 2));
+    }
+
+    #[test]
+    fn blocks_either_side_of_the_first_row_keep_the_split_legal() {
+        // Rows 8..12 of a matrix with 2 × 2 blocks in rows 10..12 at
+        // columns 2 and 4, left of row 8, and 8, right of it.
+        let coo = blocks(12, 12, (2, 2), 10, &[2, 4, 8]);
+        let encoded = grouped(&coo, 8..12, B22, true);
+        let ctl = [NR_BIT | RJMP_BIT | 36, 10, 2, 2, 2, 0, 36, 1, 6];
+        assert_eq!((encoded.stream.ctl(), encoded.units), (&ctl[..], 2));
+        assert_eq!(encoded.stream.legal_split(), Some(8));
+    }
+
+    /// A block unit's count and gaps are checked as its head is.
+    #[test]
+    fn validated_refuses_malformed_block_units() {
+        const NR: u8 = NR_BIT;
+        let check =
+            |ctl: &[u8], values: usize| CtlStream::validated(ctl.to_vec(), vec![1.0; values], 0);
+        // Two 3 × 3 blocks at columns 3 and 6.
+        let stream = check(&[NR | 40, 2, 3, 3, 0], 18).unwrap();
+        assert_eq!((stream.row_end(), stream.col_end()), (3, 9));
+        let refused = |ctl: &[u8], values: usize| {
+            let stream = check(ctl, values);
+            assert!(
+                matches!(stream, Err(SparseError::InvalidArgument { .. })),
+                "{ctl:?}"
+            );
+        };
+        refused(&[NR | 40, 0, 3], 0); // a block count of 0
+        refused(&[NR | 40, 2, 3, 3], 18); // a gap cut off
+        refused(&[NR | 40, 3, 3, 3, 0], 27); // the second gap missing
+        refused(&[NR | 40, 2, 3, 2, 0], 18); // blocks 2 apart overlap
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //!
 //! CSX discards CSR's `rowptr`/`colind` arrays and instead stores all
 //! location metadata in a variable-length byte stream (`ctl`) of *units*.
-//! A unit is either a detected non-zero *substructure* (horizontal,
-//! vertical, diagonal, anti-diagonal run or a small dense block) whose body
-//! is empty, or a *delta unit* carrying column deltas of a fixed byte
-//! width. Values are stored in a separate array in unit order.
+//! A unit is either a detected non-zero *substructure* — a horizontal,
+//! vertical, diagonal or anti-diagonal run, whose body is empty, or a row's
+//! run of up to 255 small dense blocks of one shape, whose body holds the
+//! gaps between their anchors — or a *delta unit* carrying column deltas of
+//! a fixed byte width. Values are stored in a separate array in unit order.
 //!
 //! This crate implements:
 //!

@@ -15,10 +15,13 @@ pub struct CsxStats {
     pub csr_bytes: usize,
     /// Fraction of non-zeros covered by substructure units.
     pub coverage: f64,
-    /// Number of substructure units.
+    /// Number of detected substructure instances; a block unit carries up
+    /// to 255 of them, so this is not a count of heads.
     pub substructure_units: usize,
     /// Number of delta units.
     pub delta_units: usize,
+    /// Number of units in the stream — heads, substructure and delta.
+    pub units: usize,
 }
 
 impl CsxStats {
@@ -72,6 +75,7 @@ impl CsxMatrix {
             coverage: encoded.coverage,
             substructure_units: encoded.substructure_units,
             delta_units: encoded.delta_units,
+            units: encoded.units,
         };
         CsxMatrix {
             nrows,
@@ -163,32 +167,37 @@ pub fn spmv_stream(stream: &CtlStream, x: &[Val], y: &mut [Val]) {
     );
     let mut cursor = stream.cursor();
     let (values, mut at) = (stream.values(), 0);
-    // SAFETY(cert: ctl-bound): the delta arms below take every delta body.
+    // SAFETY(cert: ctl-bound): the delta and block arms below take every
+    // body.
     while let Some(unit) = unsafe { cursor.next_unit() } {
-        // SAFETY(cert: ctl-bound): unit sizes sum to `values.len()`, so the
-        // unit's values follow `at`; the dispatch hands each kernel the
-        // shape its id encodes, whose rows stay below `row_end ≤ y.len()`
-        // and columns below `col_end ≤ x.len()` (the assert above).
+        // SAFETY(cert: ctl-bound): unit elements sum to `values.len()`, so
+        // the unit's `len` values follow `at`; the dispatch hands each
+        // kernel the shape its id encodes, whose rows stay below
+        // `row_end ≤ y.len()` and columns below `col_end ≤ x.len()` (the
+        // assert above).
         unsafe {
-            let vals = values.get_unchecked(at..at + unit.size);
+            let vals = |len: usize| values.get_unchecked(at..at + len);
             macro_rules! delta {
-                ($w:literal) => {
-                    delta::<$w>(cursor.body(unit.size), vals, &unit, x, y)
-                };
+                ($w:literal) => {{
+                    delta::<$w>(cursor.body(unit.size), vals(unit.size), &unit, x, y);
+                    unit.size
+                }};
             }
             macro_rules! run {
-                ($dir:literal, $delta:expr) => {
-                    run::<$dir>($delta, vals, &unit, x, y)
-                };
+                ($dir:literal, $delta:expr) => {{
+                    run::<$dir>($delta, vals(unit.size), &unit, x, y);
+                    unit.size
+                }};
             }
             macro_rules! block {
-                ($r:literal, $c:literal) => {
-                    block::<$r, $c>(vals, &unit, x, y)
-                };
+                ($r:literal, $c:literal) => {{
+                    let len = unit.size * $r * $c;
+                    block::<$r, $c>(cursor.body(unit.size), vals(len), &unit, x, y);
+                    len
+                }};
             }
-            crate::dispatch_unit!(unit.id, delta, run, block);
+            at += crate::dispatch_unit!(unit.id, delta, run, block);
         }
-        at += unit.size;
     }
 }
 
@@ -244,38 +253,40 @@ unsafe fn run<const DIR: u8>(
     }
 }
 
-/// A dense `R × C` block, by fixed-size array indexing.
+/// A unit of `size` dense `R × C` blocks anchored in one row, by
+/// fixed-size array indexing: the `R` row sums stay in registers across the
+/// blocks, each block adding its row sums in turn.
 ///
 /// # Safety
-/// SAFETY(cert: ctl-bound): `vals` holds `R·C` values, columns
-/// `col..col + C` index `x` and rows `row..row + R` index `y`.
+/// SAFETY(cert: ctl-bound): `vals` holds `size·R·C` values and `gaps` the
+/// `size − 1` anchor gaps; every block's columns `c..c + C` index `x` and
+/// rows `row..row + R` index `y`.
 #[inline(always)]
 unsafe fn block<const R: usize, const C: usize>(
+    gaps: &[[u8; 2]],
     vals: &[Val],
     unit: &UnitHead,
     x: &[Val],
     y: &mut [Val],
 ) {
-    let v = vals
-        .as_chunks::<C>()
-        .0
-        .first_chunk::<R>()
-        .unwrap_unchecked();
-    let xc = x
-        .get_unchecked(unit.col..)
-        .first_chunk::<C>()
-        .unwrap_unchecked();
-    let yr = y
+    let blocks = vals.as_chunks::<C>().0.as_chunks::<R>().0;
+    let slot = y
         .get_unchecked_mut(unit.row..)
         .first_chunk_mut::<R>()
         .unwrap_unchecked();
-    for (yr, v) in yr.iter_mut().zip(v) {
-        let mut acc = v[0] * xc[0];
-        for j in 1..C {
-            acc += v[j] * xc[j];
+    let (mut yr, mut gaps, mut c) = (*slot, gaps.iter(), unit.col);
+    for v in blocks {
+        let xc = x.get_unchecked(c..).first_chunk::<C>().unwrap_unchecked();
+        for (yr, v) in yr.iter_mut().zip(v) {
+            let mut acc = v[0] * xc[0];
+            for j in 1..C {
+                acc += v[j] * xc[j];
+            }
+            *yr += acc;
         }
-        *yr += acc;
+        c += gaps.next().map_or(0, delta_of);
     }
+    *slot = yr;
 }
 
 #[cfg(test)]
@@ -491,28 +502,36 @@ mod unchecked_decode_tests {
     fn checked_spmv_stream(stream: &CtlStream, x: &[Val], y: &mut [Val]) {
         let mut cursor = stream.cursor();
         let mut values = stream.values();
-        // SAFETY(cert: ctl-bound): the delta arms below take every delta body.
+        let mut take = |len: usize| {
+            let vals;
+            (vals, values) = values.split_at(len);
+            vals
+        };
+        // SAFETY(cert: ctl-bound): the delta and block arms below take
+        // every body.
         while let Some(unit) = unsafe { cursor.next_unit() } {
-            let (vals, rest) = values.split_at(unit.size);
-            values = rest;
             macro_rules! delta {
-                ($w:literal) => {
+                ($w:literal) => {{
                     // SAFETY(cert: ctl-bound): the id names this width.
-                    checked_delta::<$w>(unsafe { cursor.body(unit.size) }, vals, &unit, x, y)
-                };
+                    let body = unsafe { cursor.body(unit.size) };
+                    checked_delta::<$w>(body, take(unit.size), &unit, x, y)
+                }};
             }
             macro_rules! run {
                 ($dir:literal, $delta:expr) => {
-                    checked_run::<$dir>($delta, vals, &unit, x, y)
+                    checked_run::<$dir>($delta, take(unit.size), &unit, x, y)
                 };
             }
             macro_rules! block {
-                ($r:literal, $c:literal) => {
-                    checked_block::<$r, $c>(vals, &unit, x, y)
-                };
+                ($r:literal, $c:literal) => {{
+                    // SAFETY(cert: ctl-bound): the id names a block unit.
+                    let gaps = unsafe { cursor.body(unit.size) };
+                    checked_block::<$r, $c>(gaps, take(unit.size * $r * $c), &unit, x, y)
+                }};
             }
             crate::dispatch_unit!(unit.id, delta, run, block);
         }
+        assert!(values.is_empty());
     }
 
     fn checked_delta<const W: usize>(
@@ -554,25 +573,36 @@ mod unchecked_decode_tests {
         }
     }
 
+    /// One block at a time, as the one-block units before grouping were
+    /// multiplied: each block's row sums go to `y` before the next block.
     fn checked_block<const R: usize, const C: usize>(
+        gaps: &[[u8; 2]],
         vals: &[Val],
         unit: &UnitHead,
         x: &[Val],
         y: &mut [Val],
     ) {
-        let (Some(v), Some(xc), Some(yr)) = (
-            vals.as_chunks::<C>().0.first_chunk::<R>(),
-            x[unit.col..].first_chunk::<C>(),
-            y[unit.row..].first_chunk_mut::<R>(),
-        ) else {
-            unreachable!("block unit reaches outside the matrix");
-        };
-        for (yr, v) in yr.iter_mut().zip(v) {
-            let mut acc = v[0] * xc[0];
-            for j in 1..C {
-                acc += v[j] * xc[j];
+        let (blocks, rest) = vals.as_chunks::<C>();
+        assert!(rest.is_empty() && blocks.len() == R * unit.size);
+        assert_eq!(gaps.len() + 1, unit.size);
+        let mut c = unit.col;
+        for (k, v) in blocks.chunks(R).enumerate() {
+            if k > 0 {
+                c += delta_of(&gaps[k - 1]);
             }
-            *yr += acc;
+            let (Some(xc), Some(yr)) = (
+                x[c..].first_chunk::<C>(),
+                y[unit.row..].first_chunk_mut::<R>(),
+            ) else {
+                unreachable!("block unit reaches outside the matrix");
+            };
+            for (yr, v) in yr.iter_mut().zip(v) {
+                let mut acc = v[0] * xc[0];
+                for j in 1..C {
+                    acc += v[j] * xc[j];
+                }
+                *yr += acc;
+            }
         }
     }
 

@@ -4,6 +4,11 @@
 //! carry the same `ctl` bytes, values, paired values, coverage and unit
 //! counts as this path gives.
 //!
+//! That encoder wrote each block as its own unit; [`regroup`] then folds
+//! its stream into the grouped block units of today's grammar, applying
+//! the break rules to the decoded units rather than to the detector's
+//! instances, as the crate's encoder does.
+//!
 //! The path: a statistics pass that scores each family by greedy
 //! acceptance over a candidate list; a detection pass that lists every
 //! candidate of the enabled families, with the entry index of each element
@@ -12,10 +17,10 @@
 //! value array through that order.
 
 use crate::detect::{DetectConfig, Family};
-use crate::encode::{NR_BIT, RJMP_BIT};
+use crate::encode::{ID_MASK, NR_BIT, RJMP_BIT};
 use crate::pattern::{DeltaWidth, PatternKind, MAX_BLOCK_DIM};
 use crate::rows::RowView;
-use crate::varint::write_varint;
+use crate::varint::{read_varint, write_varint};
 use std::ops::Range;
 use symspmv_sparse::{Idx, Val};
 
@@ -352,6 +357,7 @@ pub(crate) struct Encoding {
     pub coverage: f64,
     pub substructure_units: usize,
     pub delta_units: usize,
+    pub units: usize,
 }
 
 fn encode(view: RowView<'_>, det: &Detected, values: &[&[Val]]) -> Encoding {
@@ -426,13 +432,109 @@ fn encode(view: RowView<'_>, det: &Detected, values: &[&[Val]]) -> Encoding {
         }
     }
     let gather = |v: &[Val]| order.iter().map(|&e| v[e as usize]).collect();
+    let (ctl, units) = regroup(&ctl, view.first_row);
     Encoding {
         values: values.iter().map(|v| gather(v)).collect(),
         ctl,
         coverage: det.coverage(),
         substructure_units: det.instances.len(),
         delta_units,
+        units,
     }
+}
+
+/// One unit of a stream in the one-block-per-unit grammar, decoded.
+struct OldUnit {
+    row: usize,
+    col: usize,
+    id: u8,
+    size: u8,
+    body: Vec<u8>,
+}
+
+/// Rewrites `ctl`, whose block units carry one block each (size byte
+/// `R·C`, no body), in the grouped grammar: a block unit takes the blocks
+/// of the units that follow it while they lie in its row, have its id and
+/// their anchors stay on its anchor's side of column `first_row`, while
+/// each anchor gap fits a `u16`, up to 255 blocks. Every other unit is
+/// copied, its `ucol` taken against the previous unit's anchor. Returns
+/// the stream and its unit count.
+pub(crate) fn regroup(ctl: &[u8], first_row: Idx) -> (Vec<u8>, usize) {
+    let (mut old, mut pos, mut row, mut col) = (Vec::new(), 0, usize::MAX, 0);
+    while pos < ctl.len() {
+        let flags = ctl[pos];
+        pos += 1;
+        if flags & NR_BIT != 0 {
+            let extra = if flags & RJMP_BIT != 0 {
+                read_varint(ctl, &mut pos) as usize
+            } else {
+                0
+            };
+            (row, col) = (row.wrapping_add(1 + extra), 0);
+        }
+        let (id, size) = (flags & ID_MASK, ctl[pos]);
+        pos += 1;
+        col += read_varint(ctl, &mut pos) as usize;
+        let len = match id {
+            0..=2 => (1 << id) * (usize::from(size) - 1),
+            _ => 0,
+        };
+        let body = ctl[pos..pos + len].to_vec();
+        pos += len;
+        old.push(OldUnit {
+            row,
+            col,
+            id,
+            size,
+            body,
+        });
+    }
+    let first = first_row as usize;
+    let (mut out, mut units, mut i) = (Vec::new(), 0, 0);
+    let mut prev: Option<(usize, usize)> = None;
+    while i < old.len() {
+        let u = &old[i];
+        let mut j = i + 1;
+        if matches!(u.id, 36..=44) {
+            while j < old.len()
+                && j - i < 255
+                && old[j].row == u.row
+                && old[j].id == u.id
+                && old[j].col - old[j - 1].col <= usize::from(u16::MAX)
+                && (old[j].col < first) == (u.col < first)
+            {
+                j += 1;
+            }
+        }
+        let (size, body) = match u.id {
+            36..=44 => {
+                let gaps = old[i..j].windows(2).map(|w| (w[1].col - w[0].col) as u16);
+                ((j - i) as u8, gaps.flat_map(u16::to_le_bytes).collect())
+            }
+            _ => (u.size, u.body.clone()),
+        };
+        let ucol = match prev {
+            Some((r, c)) if r == u.row => {
+                out.push(u.id);
+                u.col - c
+            }
+            _ => {
+                let jump = prev.map_or(u.row, |(r, _)| u.row - r - 1);
+                out.push(u.id | NR_BIT | if jump > 0 { RJMP_BIT } else { 0 });
+                if jump > 0 {
+                    write_varint(&mut out, jump as u64);
+                }
+                u.col
+            }
+        };
+        out.push(size);
+        write_varint(&mut out, ucol as u64);
+        out.extend_from_slice(&body);
+        prev = Some((u.row, u.col));
+        units += 1;
+        i = j;
+    }
+    (out, units)
 }
 
 /// The oracle's statistics pass, detection and encoding of `view`.
@@ -477,6 +579,7 @@ mod tests {
         assert_eq!(new.coverage.to_bits(), old.coverage.to_bits(), "{}", what());
         assert_eq!(new.substructure_units, old.substructure_units, "{}", what());
         assert_eq!(new.delta_units, old.delta_units, "{}", what());
+        assert_eq!(new.units, old.units, "{}", what());
     }
 
     /// Each default candidate family alone, the default list, and a run
@@ -552,6 +655,7 @@ mod tests {
         assert_eq!(stats.coverage.to_bits(), old.coverage.to_bits(), "{what}");
         assert_eq!(stats.substructure_units, old.substructure_units, "{what}");
         assert_eq!(stats.delta_units, old.delta_units, "{what}");
+        assert_eq!(stats.units, old.units, "{what}");
     }
 
     /// The leading principal submatrix of `coo` with at most `budget`

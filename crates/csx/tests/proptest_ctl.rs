@@ -289,3 +289,41 @@ fn random_encodes_of_every_kind_hold_ctl_bound() {
         }
     }
 }
+
+/// Block-structural matrices of 2, 3 and 4 degrees of freedom per node —
+/// rows of same-shape blocks, which the encoder folds into grouped block
+/// units — hold `ctl-bound` whole and chunked, under every configuration;
+/// the default one groups blocks somewhere (fewer heads than instances
+/// plus delta units).
+#[test]
+fn block_structural_encodes_hold_ctl_bound() {
+    for case in 0..CASES / 4 {
+        let mut rng = StdRng::seed_from_u64(0x80_0000 + case);
+        for dof in [2, 3, 4] {
+            let nodes = rng.random_range(12..40);
+            let mut grouped = false;
+            let coo = symspmv_sparse::gen::block_structural(nodes, dof, 6.0, 8, case);
+            let sss = SssMatrix::from_coo(&coo, 0.0).unwrap();
+            let whole = RowView::of_sss(&sss);
+            for p in [1, 2, 3] {
+                for part in balanced_ranges(&symmetric_row_weights(sss.rowptr()), p) {
+                    let view = whole.slice(part.start..part.end);
+                    for (i, cfg) in configs().into_iter().enumerate() {
+                        let what = format!("case {case}, dof {dof}, p {p}, {part:?}, {cfg:?}");
+                        let split = DetectConfig {
+                            col_split: Some(part.start),
+                            ..cfg
+                        };
+                        let encoded = encode_rows(view, &split, sss.values(), None);
+                        assert_ctl_bound(&encoded.stream, part.start as usize, &what);
+                        assert_eq!(encoded.stream.legal_split(), Some(part.start as usize));
+                        let heads = encoded.substructure_units + encoded.delta_units;
+                        assert!(encoded.units <= heads, "{what}");
+                        grouped |= i == 0 && encoded.units < heads;
+                    }
+                }
+            }
+            assert!(grouped, "case {case}, dof {dof}: no block grouped");
+        }
+    }
+}

@@ -68,9 +68,10 @@ fn main() {
         "CSX",
         csx.stats().size_bytes,
         &format!(
-            "coverage {:.1}%, {} substructure / {} delta units",
+            "coverage {:.1}%, {} substructures, {} units ({} delta)",
             csx.stats().coverage * 100.0,
             csx.stats().substructure_units,
+            csx.stats().units,
             csx.stats().delta_units
         ),
     );
