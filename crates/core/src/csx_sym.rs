@@ -20,7 +20,6 @@ use crate::sym::{add_lanes, axpy_lanes};
 use std::sync::OnceLock;
 use symspmv_csx::detect::DetectConfig;
 use symspmv_csx::encode::{delta_of, encode_rows, CtlStream};
-use symspmv_csx::pattern::run_strides;
 use symspmv_csx::rows::RowView;
 use symspmv_runtime::{ExecutionContext, Range};
 use symspmv_sparse::symmetry::{SymmetryKind, SymmetryOps};
@@ -325,12 +324,6 @@ pub(crate) fn sym_stream<O: SymmetryOps, const K: usize>(
                     size
                 }};
             }
-            macro_rules! run {
-                ($dir:literal, $delta:expr) => {{
-                    sides.run::<O, $dir>($delta, v(size), u(size), row, col);
-                    size
-                }};
-            }
             macro_rules! block {
                 ($r:literal, $c:literal) => {{
                     let len = size * $r * $c;
@@ -338,7 +331,7 @@ pub(crate) fn sym_stream<O: SymmetryOps, const K: usize>(
                     len
                 }};
             }
-            at += symspmv_csx::dispatch_unit!(unit.id, delta, run, block);
+            at += symspmv_csx::dispatch_unit!(unit.id, delta, block);
         }
     }
 }
@@ -408,86 +401,23 @@ impl<const K: usize> Sides<'_, K> {
         add_lanes(self.my_y.get_unchecked_mut(row - split), &acc);
     }
 
-    /// A 1-D run in direction `DIR` (pattern-id order) with stride `delta`.
-    /// Boundary legality (§IV-B): all transposed writes of a substructure
-    /// land on the anchor's side, so the side test hoists out of the loop.
-    /// The one slot every element of a horizontal (the row's result) or
-    /// vertical (the column's transposed sum) run adds to is held in a
-    /// register across the loop — no other write of the unit can reach it,
-    /// since every column lies below every row — in the same float order.
-    ///
-    /// # Safety
-    /// SAFETY(cert: ctl-bound): as for `delta`, and the run's columns lie
-    /// on its anchor's side of `split`.
-    #[inline(always)]
-    unsafe fn run<O: SymmetryOps, const DIR: u8>(
-        &mut self,
-        delta: usize,
-        v: &[Val],
-        u: &[Val],
-        row: usize,
-        col: usize,
-    ) {
-        let (dr, dc) = run_strides::<DIR>(delta);
-        let (x, split) = (self.x, self.split);
-        debug_assert_eq!(
-            col.wrapping_add((v.len() - 1).wrapping_mul(dc)) < split,
-            col < split
-        );
-        let (mut r, mut c) = (row, col);
-        // Two explicit loops, not one selected target slice: the write side
-        // is fixed per unit, and `my_y` takes both writes on the direct one.
-        macro_rules! elements {
-            ($target:expr, $shift:expr) => {{
-                let mut yr = *self.my_y.get_unchecked(row - split);
-                let mut tc = *$target.get_unchecked(col - $shift);
-                for (&v, &u) in v.iter().zip(u) {
-                    let t = O::transposed(v, u);
-                    match DIR {
-                        0 => axpy_lanes(&mut yr, v, x.get_unchecked(c)),
-                        _ => axpy_lanes(
-                            self.my_y.get_unchecked_mut(r - split),
-                            v,
-                            x.get_unchecked(c),
-                        ),
-                    }
-                    match DIR {
-                        1 => axpy_lanes(&mut tc, t, x.get_unchecked(r)),
-                        _ => {
-                            axpy_lanes($target.get_unchecked_mut(c - $shift), t, x.get_unchecked(r))
-                        }
-                    }
-                    r += dr;
-                    c = c.wrapping_add(dc);
-                }
-                match DIR {
-                    0 => *self.my_y.get_unchecked_mut(row - split) = yr,
-                    1 => *$target.get_unchecked_mut(col - $shift) = tc,
-                    _ => {}
-                }
-            }};
-        }
-        if col < split {
-            elements!(self.local, 0)
-        } else {
-            elements!(self.my_y, split)
-        }
-    }
-
     /// A unit of `size` dense `R × C` blocks anchored in one row, by
-    /// fixed-size array indexing. The `R` row sums stay in registers across
-    /// the blocks — no transposed write reaches them, since every column
-    /// lies below every row — and each block's transposed sums stay in
-    /// registers until the block ends, when they go to the unit's side of
+    /// fixed-size array indexing. Boundary legality (§IV-B): all transposed
+    /// writes of a unit land on its anchor's side of `split`, so the side
+    /// test hoists out of the loop. The `R` row sums stay in registers
+    /// across the blocks — no transposed write reaches them, since every
+    /// column lies below every row — and each block's transposed sums stay
+    /// in registers until the block ends, when they go to the unit's side of
     /// `split`: every element sees the float sequence of one-block units.
     /// A block's first row assigns its transposed sums: starting from
     /// `0.0 +` instead would cost an add per column and differ only where
     /// product and target are `−0.0`.
     ///
     /// # Safety
-    /// SAFETY(cert: ctl-bound): as for `run`, with `size·R·C` values and
+    /// SAFETY(cert: ctl-bound): as for `delta`, with `size·R·C` values and
     /// pairs, `gaps` the `size − 1` anchor gaps, rows `row..row + R` and
-    /// each block's columns `c..c + C`.
+    /// each block's columns `c..c + C`, which lie on the anchor's side of
+    /// `split`.
     #[inline(always)]
     unsafe fn block<O: SymmetryOps, const R: usize, const C: usize>(
         &mut self,
@@ -632,7 +562,7 @@ mod tests {
             let mut units: Vec<(bool, u32)> = Vec::new();
             let mut cols: Vec<Idx> = Vec::new();
             chunk.stream.walk(
-                |u| units.push((u.kind.is_some(), u.size)),
+                |u| units.push((u.kind.is_some(), u.elements)),
                 |_, c, _| cols.push(c),
             );
             let mut off = 0usize;
@@ -736,7 +666,7 @@ mod tests {
     fn coverage_weights_each_chunk_by_its_non_zeros() {
         // Rows 0..90 hold ~30× the non-zeros of rows 90..120, and only the
         // block-structural top is covered: the bottom's one entry per row
-        // steps 11 columns, modulo 90, from row to row — no run.
+        // steps 11 columns, modulo 90, from row to row — no block.
         let mut coo = symspmv_sparse::gen::block_structural(30, 3, 8.0, 10, 5);
         let mut full = CooMatrix::new(120, 120);
         coo.canonicalize();
@@ -761,7 +691,7 @@ mod tests {
         for chunk in m.chunks() {
             let mut sizes = Vec::new();
             chunk.stream.walk(
-                |u| sizes.push((u.kind.is_some(), u.size as usize)),
+                |u| sizes.push((u.kind.is_some(), u.elements as usize)),
                 |_, _, _| {},
             );
             covered += sizes.iter().filter(|u| u.0).map(|u| u.1).sum::<usize>();
@@ -806,8 +736,8 @@ mod tests {
     }
 
     /// A one-element delta unit at `(row, 0)` — or nothing — followed by the
-    /// unit under test `(id, shape, row, col)`, where `shape` is a run's
-    /// size, or a delta or block unit's column or anchor gaps; `head`
+    /// unit under test `(id, shape, row, col)`, where `shape` is a delta or
+    /// block unit's column or anchor gaps; `head`
     /// picks how the unit is reached: 0 first in the stream (`NR | RJMP`),
     /// 1 after a spacer in the row above (`NR` alone), 2 after a spacer in
     /// its own row (no `NR`, `ucol` relative).
@@ -847,15 +777,6 @@ mod tests {
                         (r as usize, c as usize)
                     }));
                 }
-            }
-            Some(kind) => {
-                let size = shape[0];
-                ctl.push(size as u8);
-                write_varint(&mut ctl, col as u64);
-                elements.extend((0..size as u32).map(|k| {
-                    let (r, c) = kind.element(row as Idx, col as Idx, k);
-                    (r as usize, c as usize)
-                }));
             }
             None => {
                 // `shape` lists the unit's column gaps; the id fixes their width.
@@ -929,11 +850,6 @@ mod tests {
                 }
             }
         };
-        for id in 4..=35u8 {
-            // Anti-diagonals run leftwards from their anchor.
-            let col = if id >= 28 { 45 } else { 10 };
-            check(id, &[5], (51, col), 96, &[8, 50]);
-        }
         // Units of one, two and three blocks — adjacent, and apart.
         for id in 36..=44u8 {
             let width = (id - 36) as usize % 3 + 2;
@@ -1054,12 +970,6 @@ mod unchecked_decode_tests {
                     sides.delta::<O, $w>(unsafe { cursor.body(unit.size) }, v, u, row, col)
                 }};
             }
-            macro_rules! run {
-                ($dir:literal, $delta:expr) => {{
-                    let (v, u) = take(unit.size);
-                    sides.run::<O, $dir>($delta, v, u, row, col)
-                }};
-            }
             macro_rules! block {
                 ($r:literal, $c:literal) => {{
                     let (v, u) = take(unit.size * $r * $c);
@@ -1068,7 +978,7 @@ mod unchecked_decode_tests {
                     sides.block::<O, $r, $c>(gaps, v, u, row, col)
                 }};
             }
-            symspmv_csx::dispatch_unit!(unit.id, delta, run, block);
+            symspmv_csx::dispatch_unit!(unit.id, delta, block);
         }
         assert!(values.is_empty() && paired.is_empty());
     }
@@ -1121,47 +1031,6 @@ mod unchecked_decode_tests {
                 direct(c, v, u, &mut acc);
             }
             add_lanes(&mut my_y[row - split], &acc);
-        }
-
-        fn run<O: SymmetryOps, const DIR: u8>(
-            &mut self,
-            delta: usize,
-            v: &[Val],
-            u: &[Val],
-            row: usize,
-            col: usize,
-        ) {
-            let (dr, dc) = run_strides::<DIR>(delta);
-            let (x, split) = (self.x, self.split);
-            let (mut r, mut c) = (row, col);
-            macro_rules! elements {
-                ($target:expr, $shift:expr) => {{
-                    let (mut yr, mut tc) = (self.my_y[row - split], $target[col - $shift]);
-                    for (&v, &u) in v.iter().zip(u) {
-                        let t = O::transposed(v, u);
-                        match DIR {
-                            0 => axpy_lanes(&mut yr, v, &x[c]),
-                            _ => axpy_lanes(&mut self.my_y[r - split], v, &x[c]),
-                        }
-                        match DIR {
-                            1 => axpy_lanes(&mut tc, t, &x[r]),
-                            _ => axpy_lanes(&mut $target[c - $shift], t, &x[r]),
-                        }
-                        r += dr;
-                        c = c.wrapping_add(dc);
-                    }
-                    match DIR {
-                        0 => self.my_y[row - split] = yr,
-                        1 => $target[col - $shift] = tc,
-                        _ => {}
-                    }
-                }};
-            }
-            if col < split {
-                elements!(self.local, 0)
-            } else {
-                elements!(self.my_y, split)
-            }
         }
 
         /// One block at a time, as the one-block units before grouping
@@ -1328,16 +1197,16 @@ mod unchecked_decode_tests {
         sym_stream::<Sym, 1>(&stream, stream.values(), &x, &mut y, 0, &mut []);
     }
 
-    /// Mutation 4 of the verifier's kill wall — a horizontal run in row 40
-    /// across columns 28..36, encoded without the chunk's column split — is
+    /// Mutation 4 of the verifier's kill wall — a 2 × 2 block in rows 40–41
+    /// across columns 31–32, encoded without the chunk's column split — is
     /// refused at split 32: encoded from row 0, its legal split is 0; encoded
-    /// from row 32, the run straddles that row and the stream has none.
+    /// from row 32, the block straddles that row and the stream has none.
     #[test]
     fn a_straddling_stream_is_refused_at_split_32() {
         let n = 64u32;
         let mut coo = CooMatrix::new(n, n);
-        for c in 28..36 {
-            coo.push(40, c, 1.0);
+        for (r, c) in [(40, 31), (40, 32), (41, 31), (41, 32)] {
+            coo.push(r, c, 1.0);
         }
         let config = DetectConfig::default(); // no col_split
         let from_row_0 = symspmv_csx::encode::encode_coo(&coo, &config);

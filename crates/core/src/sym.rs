@@ -1480,37 +1480,38 @@ mod edge_tests {
     }
 
     /// A CSX-Sym config outside the pattern-id space is refused where it
-    /// enters: one stride-9 row (and its mirror) with `max_delta: 9` would
-    /// otherwise reach `PatternKind::id`'s assert deep inside the encode.
+    /// enters: a `(5, 5)` block shape on a matrix holding a dense 5 × 5
+    /// lower block (and its mirror) would otherwise reach `PatternKind::id`'s
+    /// assert deep inside the encode.
     #[test]
     fn a_detect_config_outside_the_pattern_ids_is_invalid_argument() {
         let mut coo = CooMatrix::new(64, 64);
-        for c in (0..63).step_by(9) {
-            coo.push(63, c, 1.0);
-            coo.push(c, 63, 1.0);
+        for k in 0..25 {
+            let (r, c) = (40 + k / 5, 10 + k % 5);
+            coo.push(r, c, 1.0);
+            coo.push(c, r, 1.0);
         }
         let ctx = ExecutionContext::new(2);
-        let stride9 = SymFormat::CsxSym(DetectConfig {
-            max_delta: 9,
-            ..csx_cfg()
-        });
+        let wide = |shape| {
+            SymFormat::CsxSym(DetectConfig {
+                block_shapes: vec![shape],
+                ..csx_cfg()
+            })
+        };
         let method = ReductionMethod::Indexing;
-        let err = SymSpmv::try_from_coo(&coo, &ctx, method, stride9.clone()).err();
+        let err = SymSpmv::try_from_coo(&coo, &ctx, method, wide((5, 5))).err();
         assert!(
-            matches!(&err, Some(SymSpmvError::InvalidStructure(SparseError::InvalidArgument { msg })) if msg.contains("max_delta")),
+            matches!(&err, Some(SymSpmvError::InvalidStructure(SparseError::InvalidArgument { msg })) if msg.contains("block_shapes")),
             "{err:?}"
         );
-        let res = SymSpmv::from_coo(&coo, &ctx, method, stride9);
+        let res = SymSpmv::from_coo(&coo, &ctx, method, wide((5, 5)));
         assert!(matches!(res, Err(SparseError::InvalidArgument { .. })));
         let sss = SssMatrix::from_coo(&coo, 0.0).unwrap();
-        let wide = SymFormat::CsxSym(DetectConfig {
-            candidate_families: vec![symspmv_csx::detect::Family::Block(2, 5)],
-            ..csx_cfg()
-        });
-        let build = std::panic::AssertUnwindSafe(|| SymSpmv::from_sss(sss, &ctx, method, wide));
+        let build =
+            std::panic::AssertUnwindSafe(|| SymSpmv::from_sss(sss, &ctx, method, wide((2, 5))));
         let refused = std::panic::catch_unwind(build);
         let msg = refused.err().and_then(|p| p.downcast::<String>().ok());
-        assert!(msg.is_some_and(|m| m.contains("candidate_families")));
+        assert!(msg.is_some_and(|m| m.contains("block_shapes")));
     }
 }
 

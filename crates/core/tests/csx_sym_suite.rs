@@ -28,10 +28,11 @@ fn coverage_follows_the_structure_class() {
     let mut blocky = 0;
     for spec in &suite::SUITE {
         let floor = match (spec.class, spec.name) {
-            // 1 278 rows at 222 non-zeros each: rows dense enough that long
-            // runs, taken first, fragment part of the blocks (0.84; 0.97
-            // from scale 0.1).
-            (StructureClass::BlockStructural { .. }, "crankseg_2") => 0.80,
+            // 1 278 rows at 222 non-zeros each: at this scale a quarter of
+            // the entries lie outside whole 3 × 3 blocks (0.74–0.75, chunks
+            // from 0.72; 0.97 from scale 0.1). With the 1-D runs, which took
+            // ~0.09 of them, it read 0.84.
+            (StructureClass::BlockStructural { .. }, "crankseg_2") => 0.70,
             (StructureClass::BlockStructural { .. }, _) => 0.90,
             _ => continue,
         };

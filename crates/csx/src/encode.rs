@@ -5,22 +5,22 @@
 //! ```text
 //! flags: u8          bit 7 = NR (new row), bit 6 = RJMP, bits 0..=5 = id
 //! [rjmp: varint]     present iff RJMP: extra empty rows jumped beyond 1
-//! size:  u8          1..=255: a delta or run unit's element count, a
-//!                    block unit's block count m
+//! size:  u8          1..=255: a delta unit's element count, a block
+//!                    unit's block count m
 //! ucol:  varint      anchor column (a block unit's: its first block's);
 //!                    absolute after NR, else delta from the previous
 //!                    unit's anchor column in the same row
 //! [body]             delta unit: (size − 1) column deltas of the unit's
 //!                    fixed byte width; `Block(R, C)` unit: (m − 1)
 //!                    little-endian u16 gaps between consecutive block
-//!                    anchors, each ≥ C; run unit: none
+//!                    anchors, each ≥ C
 //! ```
 //!
 //! A block unit carries `m` same-shape blocks anchored in one row, their
-//! values block after block, each row-major. The encoder folds a row's
-//! consecutive blocks of one shape into one unit and starts a new one at a
-//! leftover entry between two blocks (its delta unit comes between them in
-//! column order), at a change of shape, at a gap over 65 535, at the 256th
+//! values block after block, each row-major. A detection has one block
+//! shape, and the encoder folds a row's consecutive blocks into one unit. It
+//! starts a new one at a leftover entry between two blocks (its delta unit
+//! comes between them in column order), at a gap over 65 535, at the 256th
 //! block, and where the anchors cross the stream's first row as a column —
 //! so a unit's blocks lie on one side of it wherever each block does, and
 //! [`CtlStream::legal_split`] means what it means for one-block units.
@@ -115,34 +115,20 @@ impl Extent {
                 self.first_row
             ));
         }
-        let k = size - 1;
         let mut elements = size;
-        let (last_row, lo, hi) = match PatternKind::from_id(id) {
+        let (last_row, hi) = match PatternKind::from_id(id) {
             _ if last < col => return Err(format!("{}: columns descend", at())),
-            None if id <= 2 => (row, col, last),
+            None if id <= 2 => (row, last),
             None => return Err(format!("{}: no such pattern", at())),
-            Some(PatternKind::Horizontal { delta }) => (row, col, col + k * usize::from(delta)),
-            Some(PatternKind::Vertical { delta }) => (row + k * usize::from(delta), col, col),
-            Some(PatternKind::Diagonal { delta }) => {
-                let d = k * usize::from(delta);
-                (row + d, col, col + d)
-            }
-            Some(PatternKind::AntiDiagonal { delta }) => {
-                let d = k * usize::from(delta);
-                let lo = col
-                    .checked_sub(d)
-                    .ok_or_else(|| format!("{}: left of column 0", at()))?;
-                (row + d, lo, col)
-            }
             Some(PatternKind::Block { rows, cols }) => {
                 let (r, c) = (usize::from(rows), usize::from(cols));
                 elements = size * r * c;
-                (row + r - 1, col, last + c - 1)
+                (row + r - 1, last + c - 1)
             }
         };
         self.row_end = self.row_end.max(last_row + 1);
         self.col_end = self.col_end.max(hi + 1);
-        self.straddles |= id > 2 && lo < self.first_row && self.first_row <= hi;
+        self.straddles |= id > 2 && col < self.first_row && self.first_row <= hi;
         self.elements += elements;
         Ok(())
     }
@@ -157,8 +143,9 @@ pub struct UnitHeader {
     pub col: Idx,
     /// Substructure pattern, or `None` for a delta unit.
     pub kind: Option<PatternKind>,
-    /// Element count (a block unit's: all its blocks').
-    pub size: u32,
+    /// Element count (a block unit's: all its blocks'). Not the size byte,
+    /// which counts a block unit's blocks ([`UnitHead::size`]).
+    pub elements: u32,
 }
 
 /// The head of one unit as the decoders see it.
@@ -166,8 +153,8 @@ pub struct UnitHeader {
 pub struct UnitHead {
     /// 6-bit pattern id.
     pub id: u8,
-    /// The size byte: a delta or run unit's element count, a block unit's
-    /// block count.
+    /// The size byte: a delta unit's element count, a block unit's block
+    /// count.
     pub size: usize,
     /// Row the unit is anchored in.
     pub row: usize,
@@ -355,29 +342,25 @@ pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&
                 Some(inst) if left.get(s).is_none_or(|&e| inst.col < col_of(e)) => {
                     a += 1;
                     inst.segments(&det.pool).for_each(&mut put);
-                    let (mut size, mut last) = (inst.len as usize, inst.col);
-                    if let PatternKind::Block { cols: width, .. } = inst.kind {
-                        // The row's next instances join while they are
-                        // blocks of this shape on this side of the first
-                        // row, no leftover lies between, the gap fits a
-                        // `u16` and the unit has room.
-                        size = 1;
-                        while let Some(next) = anchors.get(a).filter(|next| {
-                            next.kind == inst.kind
-                                && size < 255
-                                && left.get(s).is_none_or(|&e| next.col < col_of(e))
-                                && (next.col < first) == (last < first)
-                        }) {
-                            let gap = next.col.saturating_sub(last);
-                            assert!(
-                                gap >= Idx::from(width),
-                                "encode: blocks overlap in row {row}"
-                            );
-                            let Ok(gap) = u16::try_from(gap) else { break };
-                            body.extend_from_slice(&gap.to_le_bytes());
-                            next.segments(&det.pool).for_each(&mut put);
-                            (a, size, last) = (a + 1, size + 1, next.col);
-                        }
+                    let PatternKind::Block { cols: width, .. } = inst.kind;
+                    let (mut size, mut last) = (1, inst.col);
+                    // The row's next blocks join while they lie on this side
+                    // of the first row, no leftover lies between, the gap
+                    // fits a `u16` and the unit has room.
+                    while let Some(next) = anchors.get(a).filter(|next| {
+                        size < 255
+                            && left.get(s).is_none_or(|&e| next.col < col_of(e))
+                            && (next.col < first) == (last < first)
+                    }) {
+                        let gap = next.col.saturating_sub(last);
+                        assert!(
+                            gap >= Idx::from(width),
+                            "encode: blocks overlap in row {row}"
+                        );
+                        let Ok(gap) = u16::try_from(gap) else { break };
+                        body.extend_from_slice(&gap.to_le_bytes());
+                        next.segments(&det.pool).for_each(&mut put);
+                        (a, size, last) = (a + 1, size + 1, next.col);
                     }
                     (inst.kind.id(), size, inst.col, last)
                 }
@@ -552,39 +535,29 @@ impl CtlStream {
             let width = PatternKind::delta_width_from_id(unit.id);
             let block = match kind {
                 Some(PatternKind::Block { rows, cols }) => u32::from(rows) * u32::from(cols),
-                _ => 1,
+                None => 1,
             };
             on_unit(&UnitHeader {
                 row,
                 col,
                 kind,
-                size: unit.size as u32 * block,
+                elements: unit.size as u32 * block,
             });
-            match kind {
-                Some(kind @ PatternKind::Block { .. }) => {
-                    // SAFETY(cert: ctl-bound): the id names a block unit,
-                    // whose gaps are still ahead.
-                    let gaps = unsafe { cursor.body::<2>(unit.size) };
-                    let anchors = gaps.iter().scan(col, |c, d| {
-                        *c += delta_of(d) as Idx;
-                        Some(*c)
-                    });
-                    for c in std::iter::once(col).chain(anchors) {
-                        for k in 0..block {
-                            let (er, ec) = kind.element(row, c, k);
-                            on_element(er, ec, next_value());
-                        }
-                    }
-                    continue;
-                }
-                Some(kind) => {
-                    for k in 0..unit.size as u32 {
-                        let (er, ec) = kind.element(row, col, k);
+            if let Some(kind) = kind {
+                // SAFETY(cert: ctl-bound): the id names a block unit, whose
+                // gaps are still ahead.
+                let gaps = unsafe { cursor.body::<2>(unit.size) };
+                let anchors = gaps.iter().scan(col, |c, d| {
+                    *c += delta_of(d) as Idx;
+                    Some(*c)
+                });
+                for c in std::iter::once(col).chain(anchors) {
+                    for k in 0..block {
+                        let (er, ec) = kind.element(row, c, k);
                         on_element(er, ec, next_value());
                     }
-                    continue;
                 }
-                None => {}
+                continue;
             }
             let mut c = unit.col;
             on_element(row, col, next_value());
@@ -706,7 +679,7 @@ pub fn encode_coo(coo: &CooMatrix, config: &DetectConfig) -> CtlStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::{detect_with, Family};
+    use crate::detect::detect_with;
 
     fn round_trip(coo: &CooMatrix) {
         let mut c = coo.clone();
@@ -724,7 +697,7 @@ mod tests {
 
     #[test]
     fn round_trip_simple_patterns() {
-        // Horizontal run + scattered elements + an empty-row gap.
+        // A dense row segment + scattered elements + an empty-row gap.
         let mut coo = CooMatrix::new(10, 10);
         for c in 2..8 {
             coo.push(0, c, c as Val);
@@ -735,6 +708,7 @@ mod tests {
         round_trip(&coo);
     }
 
+    /// A column segment across rows: delta units, one per row.
     #[test]
     fn round_trip_vertical_crossing_rows() {
         let mut coo = CooMatrix::new(12, 12);
@@ -805,12 +779,12 @@ mod tests {
 
     #[test]
     fn compresses_versus_csr() {
-        // A matrix dominated by long horizontal runs must encode far
+        // A matrix dominated by rows of 3 × 3 blocks must encode far
         // smaller than CSR's 12 bytes/nnz.
-        let mut coo = CooMatrix::new(64, 512);
-        for r in 0..64u32 {
+        let mut coo = CooMatrix::new(63, 512);
+        for r in 0..63u32 {
             for c in 0..128u32 {
-                coo.push(r, c + (r % 3), (r + c) as Val);
+                coo.push(r, c + 3 * (r / 3 % 2), (r + c) as Val);
             }
         }
         coo.canonicalize();
@@ -857,23 +831,25 @@ mod tests {
         refused(&[0, 1, 3], 1, 0); // the first unit starts no row
         refused(&[NR | 3, 1, 3], 1, 0); // id 3 is unassigned
         refused(&[NR | 45, 1, 3], 1, 0); // so is 45
+        refused(&[NR | 4, 4, 2], 4, 0); // and 4 and 35, once 1-D runs
+        refused(&[NR | 35, 4, 9], 4, 0);
         refused(&[NR | 40, 8, 3], 72, 0); // eight 3 × 3 blocks, no gaps
-        refused(&[NR | 28, 4, 2], 4, 0); // an anti-diagonal left of column 0
         refused(&[NR, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0], 1, 0); // six-byte varint
         refused(&[NR | RJMP_BIT, 2, 1, 0], 1, 3); // a unit at row 2 above row 3
-                                                  // A horizontal run in row 6 over columns 2..=5 straddles row 4 only.
-        let run = [NR | RJMP_BIT | 4, 6, 4, 2];
+
+        // A 2 × 2 block in rows 6..8 over columns 2..=3 straddles row 3 only.
+        let block = [NR | RJMP_BIT | 36, 6, 1, 2];
         let split = |first_row| {
-            let stream = CtlStream::validated(run.to_vec(), vec![1.0; 4], first_row);
+            let stream = CtlStream::validated(block.to_vec(), vec![1.0; 4], first_row);
             stream.unwrap().legal_split()
         };
-        assert_eq!((split(2), split(4), split(6)), (Some(2), None, Some(6)));
+        assert_eq!((split(2), split(3), split(6)), (Some(2), None, Some(6)));
     }
 
-    /// The `ctl` bytes and values of `coo`'s rows `rows`, with `families`
-    /// enabled as they are (no statistics pass) and `col_split` at the
-    /// first row when `split`.
-    fn grouped(coo: &CooMatrix, rows: Range<Idx>, families: &[Family], split: bool) -> Encoded {
+    /// The `ctl` bytes and values of `coo`'s rows `rows`, with `block`
+    /// enabled as it is (no statistics pass) and `col_split` at the first
+    /// row when `split`.
+    fn grouped(coo: &CooMatrix, rows: Range<Idx>, block: (u8, u8), split: bool) -> Encoded {
         let csr = CsrMatrix::from_coo(coo);
         let view = RowView::new(0, csr.ncols(), csr.rowptr(), csr.colind()).slice(rows.clone());
         let config = DetectConfig {
@@ -882,7 +858,7 @@ mod tests {
         };
         let encoded = encode(
             view,
-            &detect_with(view, &config, families),
+            &detect_with(view, &config, Some(block)),
             csr.values(),
             None,
         );
@@ -918,8 +894,8 @@ mod tests {
         coo
     }
 
-    const B33: &[Family] = &[Family::Block(3, 3)];
-    const B22: &[Family] = &[Family::Block(2, 2)];
+    const B33: (u8, u8) = (3, 3);
+    const B22: (u8, u8) = (2, 2);
 
     #[test]
     fn a_row_of_three_blocks_is_one_head_and_two_gaps() {
@@ -951,18 +927,6 @@ mod tests {
         coo.push(0, 9, 1.0);
         let ctl = [NR_BIT | 40, 2, 0, 5, 0, 0, 1, 9];
         assert_eq!(grouped(&coo, 0..3, B33, false).stream.ctl(), ctl);
-    }
-
-    #[test]
-    fn a_change_of_shape_breaks_the_unit() {
-        let mut coo = blocks(3, 16, (3, 3), 0, &[0]);
-        for (r, c) in [(0, 3), (0, 4), (1, 3), (1, 4)] {
-            coo.push(r, c, 1.0);
-        }
-        let both = [Family::Block(3, 3), Family::Block(2, 2)];
-        let encoded = grouped(&coo, 0..3, &both, false);
-        assert_eq!(encoded.stream.ctl(), [NR_BIT | 40, 1, 0, 36, 1, 3]);
-        assert_eq!(encoded.units, 2);
     }
 
     #[test]
@@ -1069,17 +1033,14 @@ mod jump_tests {
 
     #[test]
     fn many_units_in_one_row_use_column_deltas() {
-        // Alternate substructure-eligible runs and isolated elements so
-        // several units share a row; non-first units must decode via the
-        // relative ucol path.
+        // Alternate blocks and isolated elements so several units share a
+        // row; non-first units must decode via the relative ucol path.
         let mut coo = CooMatrix::new(2, 4_000);
-        for c in 0..8 {
-            coo.push(0, c * 2, 1.0); // stride-2 horizontal run
+        for (r, c) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            coo.push(r, c, 1.0); // a 2 × 2 block
+            coo.push(r, 2_000 + c, 3.0); // another, beyond a wide gap
         }
         coo.push(0, 1_000, 2.0);
-        for c in 0..6 {
-            coo.push(0, 2_000 + c, 3.0); // stride-1 horizontal run
-        }
         coo.canonicalize();
         let cfg = DetectConfig {
             min_coverage: 0.0,

@@ -2,7 +2,6 @@
 
 use crate::detect::DetectConfig;
 use crate::encode::{delta_of, encode_rows, CtlStream, UnitHead};
-use crate::pattern::run_strides;
 use crate::rows::RowView;
 use symspmv_sparse::{CooMatrix, CsrMatrix, Idx, SparseError, Val};
 
@@ -38,15 +37,15 @@ impl CsxStats {
 /// use symspmv_csx::{CsxMatrix, detect::DetectConfig};
 /// use symspmv_sparse::CooMatrix;
 /// let mut a = CooMatrix::new(4, 8);
-/// for c in 0..6 {
-///     a.push(1, c, 1.0); // a horizontal run CSX will encode as one unit
+/// for (r, c) in [(1, 2), (1, 3), (2, 2), (2, 3)] {
+///     a.push(r, c, 1.0); // a 2 × 2 block CSX will encode as one unit
 /// }
 /// let cfg = DetectConfig { min_coverage: 0.0, ..DetectConfig::default() };
 /// let m = CsxMatrix::from_coo(&a, &cfg);
 /// assert_eq!(m.stats().substructure_units, 1);
 /// let mut y = vec![0.0; 4];
 /// m.spmv(&vec![1.0; 8], &mut y);
-/// assert_eq!(y[1], 6.0);
+/// assert_eq!(y, [0.0, 2.0, 2.0, 0.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsxMatrix {
@@ -128,7 +127,7 @@ impl CsxMatrix {
 
     /// Serial SpMV: `y += A·x` — note the accumulate semantics; callers
     /// zero `y` first. Accumulation (instead of assignment) is what lets
-    /// row-partitioned chunks and vertical units compose.
+    /// row-partitioned chunks compose.
     pub fn spmv_accumulate(&self, x: &[Val], y: &mut [Val]) {
         spmv_stream(&self.stream, x, y);
     }
@@ -183,12 +182,6 @@ pub fn spmv_stream(stream: &CtlStream, x: &[Val], y: &mut [Val]) {
                     unit.size
                 }};
             }
-            macro_rules! run {
-                ($dir:literal, $delta:expr) => {{
-                    run::<$dir>($delta, vals(unit.size), &unit, x, y);
-                    unit.size
-                }};
-            }
             macro_rules! block {
                 ($r:literal, $c:literal) => {{
                     let len = unit.size * $r * $c;
@@ -196,7 +189,7 @@ pub fn spmv_stream(stream: &CtlStream, x: &[Val], y: &mut [Val]) {
                     len
                 }};
             }
-            at += crate::dispatch_unit!(unit.id, delta, run, block);
+            at += crate::dispatch_unit!(unit.id, delta, block);
         }
     }
 }
@@ -221,36 +214,6 @@ unsafe fn delta<const W: usize>(
         acc += v * x.get_unchecked(c);
     }
     *y.get_unchecked_mut(unit.row) += acc;
-}
-
-/// A 1-D run in direction `DIR` (pattern-id order) with stride `delta`; a
-/// horizontal run sums in a register before it touches its one row.
-///
-/// # Safety
-/// SAFETY(cert: ctl-bound): every element's row indexes `y` and its column
-/// `x`.
-#[inline(always)]
-unsafe fn run<const DIR: u8>(
-    delta: usize,
-    vals: &[Val],
-    unit: &UnitHead,
-    x: &[Val],
-    y: &mut [Val],
-) {
-    let (dr, dc) = run_strides::<DIR>(delta);
-    let (mut r, mut c) = (unit.row, unit.col);
-    let mut acc = 0.0;
-    for &v in vals {
-        match DIR {
-            0 => acc += v * x.get_unchecked(c),
-            _ => *y.get_unchecked_mut(r) += v * x.get_unchecked(c),
-        }
-        r += dr;
-        c = c.wrapping_add(dc);
-    }
-    if DIR == 0 {
-        *y.get_unchecked_mut(unit.row) += acc;
-    }
 }
 
 /// A unit of `size` dense `R × C` blocks anchored in one row, by
@@ -303,7 +266,8 @@ mod tests {
     #[test]
     fn spmv_matches_reference_on_patterns() {
         let mut coo = CooMatrix::new(20, 20);
-        // Horizontal, vertical, diagonal, block and scattered content.
+        // Row, column and diagonal segments (delta units), a block and
+        // scattered content.
         for c in 0..6 {
             coo.push(0, c, (c + 1) as Val);
         }
@@ -388,56 +352,41 @@ mod tests {
         }
     }
 
-    /// One row of stride-9 columns: a run only `max_delta: 9` would take,
-    /// which the pattern ids cannot name.
-    fn stride9_row() -> (CooMatrix, DetectConfig) {
-        let mut coo = CooMatrix::new(1, 64);
-        for c in (0..64).step_by(9) {
-            coo.push(0, c, 1.0);
+    /// A dense 5 × 5 block: a `(5, 5)` shape would take it whole, but the
+    /// pattern ids cannot name it.
+    fn block_5x5() -> CooMatrix {
+        let mut coo = CooMatrix::new(8, 8);
+        for k in 0..25 {
+            coo.push(1 + k / 5, 2 + k % 5, 1.0);
         }
-        (
-            coo,
-            DetectConfig {
-                max_delta: 9,
-                ..cfg()
-            },
-        )
+        coo
     }
 
     #[test]
     fn a_config_outside_the_pattern_ids_is_refused_where_it_enters() {
-        use crate::detect::Family;
-        let (coo, stride9) = stride9_row();
-        let refused = |config: &DetectConfig, field: &str| {
-            let err = CsxMatrix::try_from_coo(&coo, config).unwrap_err();
-            assert!(
-                matches!(&err, SparseError::InvalidArgument { msg } if msg.contains(field)),
-                "{err:?}"
-            );
-        };
-        refused(&stride9, "max_delta");
-        refused(
-            &DetectConfig {
-                max_delta: 0,
-                ..cfg()
-            },
-            "max_delta",
-        );
-        for bad in [Family::Block(5, 2), Family::Block(2, 1)] {
+        let coo = block_5x5();
+        for bad in [(5, 5), (5, 2), (2, 1)] {
             let config = DetectConfig {
-                candidate_families: vec![Family::Horizontal, bad],
+                block_shapes: vec![(2, 2), bad],
                 ..cfg()
             };
-            refused(&config, "candidate_families");
+            let err = CsxMatrix::try_from_coo(&coo, &config).unwrap_err();
+            assert!(
+                matches!(&err, SparseError::InvalidArgument { msg } if msg.contains("block_shapes")),
+                "{err:?}"
+            );
         }
         assert_eq!(DetectConfig::default().validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "DetectConfig::max_delta 9")]
+    #[should_panic(expected = "DetectConfig::block_shapes holds (5, 5)")]
     fn the_infallible_constructor_names_the_refused_field() {
-        let (coo, stride9) = stride9_row();
-        CsxMatrix::from_coo(&coo, &stride9);
+        let config = DetectConfig {
+            block_shapes: vec![(5, 5)],
+            ..cfg()
+        };
+        CsxMatrix::from_coo(&block_5x5(), &config);
     }
 
     #[test]
@@ -517,11 +466,6 @@ mod unchecked_decode_tests {
                     checked_delta::<$w>(body, take(unit.size), &unit, x, y)
                 }};
             }
-            macro_rules! run {
-                ($dir:literal, $delta:expr) => {
-                    checked_run::<$dir>($delta, take(unit.size), &unit, x, y)
-                };
-            }
             macro_rules! block {
                 ($r:literal, $c:literal) => {{
                     // SAFETY(cert: ctl-bound): the id names a block unit.
@@ -529,7 +473,7 @@ mod unchecked_decode_tests {
                     checked_block::<$r, $c>(gaps, take(unit.size * $r * $c), &unit, x, y)
                 }};
             }
-            crate::dispatch_unit!(unit.id, delta, run, block);
+            crate::dispatch_unit!(unit.id, delta, block);
         }
         assert!(values.is_empty());
     }
@@ -548,29 +492,6 @@ mod unchecked_decode_tests {
             acc += v * x[c];
         }
         y[unit.row] += acc;
-    }
-
-    fn checked_run<const DIR: u8>(
-        delta: usize,
-        vals: &[Val],
-        unit: &UnitHead,
-        x: &[Val],
-        y: &mut [Val],
-    ) {
-        let (dr, dc) = run_strides::<DIR>(delta);
-        let (mut r, mut c) = (unit.row, unit.col);
-        let mut acc = 0.0;
-        for &v in vals {
-            match DIR {
-                0 => acc += v * x[c],
-                _ => y[r] += v * x[c],
-            }
-            r += dr;
-            c = c.wrapping_add(dc);
-        }
-        if DIR == 0 {
-            y[unit.row] += acc;
-        }
     }
 
     /// One block at a time, as the one-block units before grouping were

@@ -9,14 +9,14 @@
 //! the break rules to the decoded units rather than to the detector's
 //! instances, as the crate's encoder does.
 //!
-//! The path: a statistics pass that scores each family by greedy
+//! The path: a statistics pass that scores each block shape by greedy
 //! acceptance over a candidate list; a detection pass that lists every
-//! candidate of the enabled families, with the entry index of each element
-//! in one pool, sorts them by gain and accepts greedily; an encoder that
-//! records the entry stored at each stream position; and a gather of every
-//! value array through that order.
+//! candidate block of the enabled shape, with the entry index of each
+//! element in one pool, sorts them by anchor and accepts greedily; an
+//! encoder that records the entry stored at each stream position; and a
+//! gather of every value array through that order.
 
-use crate::detect::{DetectConfig, Family};
+use crate::detect::DetectConfig;
 use crate::encode::{ID_MASK, NR_BIT, RJMP_BIT};
 use crate::pattern::{DeltaWidth, PatternKind, MAX_BLOCK_DIM};
 use crate::rows::RowView;
@@ -39,16 +39,8 @@ impl Instance {
     }
 
     fn straddles(&self, split: Idx) -> bool {
-        let run = |delta: u8| (self.len - 1) * Idx::from(delta);
-        let (lo, hi) = match self.kind {
-            PatternKind::Horizontal { delta } | PatternKind::Diagonal { delta } => {
-                (self.col, self.col + run(delta))
-            }
-            PatternKind::Vertical { .. } => (self.col, self.col),
-            PatternKind::AntiDiagonal { delta } => (self.col - run(delta), self.col),
-            PatternKind::Block { cols, .. } => (self.col, self.col + Idx::from(cols) - 1),
-        };
-        lo < split && split <= hi
+        let PatternKind::Block { cols, .. } = self.kind;
+        self.col < split && split < self.col + Idx::from(cols)
     }
 }
 
@@ -73,16 +65,15 @@ impl Detected {
 
 const WINDOW: u64 = 64;
 
-pub(crate) fn select_families(view: RowView<'_>, config: &DetectConfig) -> Vec<Family> {
+fn select_block(view: RowView<'_>, config: &DetectConfig) -> Option<(u8, u8)> {
     let scan = Scan::new(view, config, true);
     let nnz: usize = scan.rows().map(|r| view.row(r).len()).sum();
     let mut state = vec![FREE; view.nnz()];
 
-    let mut out = Vec::new();
-    let mut best_block: Option<(Family, usize)> = None;
-    for &fam in &config.candidate_families {
-        let mut cands = Candidates::default();
-        scan.candidates(fam, &mut cands);
+    let mut best: Option<((u8, u8), usize)> = None;
+    for &(br, bc) in &config.block_shapes {
+        let mut cands = CandidateBlocks::default();
+        scan.blocks(br, bc, &mut cands);
         let mut covered = 0usize;
         for inst in cands.accept(view.base(), &mut state) {
             covered += inst.len as usize;
@@ -90,27 +81,20 @@ pub(crate) fn select_families(view: RowView<'_>, config: &DetectConfig) -> Vec<F
                 state[e as usize - view.base()] = FREE;
             }
         }
-        if covered as f64 / nnz.max(1) as f64 >= config.min_coverage {
-            if let Family::Block(..) = fam {
-                if best_block.map(|(_, c)| covered > c).unwrap_or(true) {
-                    best_block = Some((fam, covered));
-                }
-            } else {
-                out.push(fam);
-            }
+        if covered as f64 / nnz.max(1) as f64 >= config.min_coverage
+            && best.map(|(_, c)| covered > c).unwrap_or(true)
+        {
+            best = Some(((br, bc), covered));
         }
     }
-    if let Some((fam, _)) = best_block {
-        out.push(fam);
-    }
-    out
+    best.map(|(shape, _)| shape)
 }
 
-fn detect_with(view: RowView<'_>, config: &DetectConfig, enabled: &[Family]) -> Detected {
+fn detect_with(view: RowView<'_>, config: &DetectConfig, block: Option<(u8, u8)>) -> Detected {
     let scan = Scan::new(view, config, false);
-    let mut cands = Candidates::default();
-    for &fam in enabled {
-        scan.candidates(fam, &mut cands);
+    let mut cands = CandidateBlocks::default();
+    if let Some((br, bc)) = block {
+        scan.blocks(br, bc, &mut cands);
     }
     let mut state = vec![FREE; view.nnz()];
     let instances = cands.accept(view.base(), &mut state);
@@ -124,12 +108,12 @@ fn detect_with(view: RowView<'_>, config: &DetectConfig, enabled: &[Family]) -> 
 }
 
 #[derive(Default)]
-struct Candidates {
+struct CandidateBlocks {
     list: Vec<Instance>,
     pool: Vec<u32>,
 }
 
-impl Candidates {
+impl CandidateBlocks {
     fn push(
         &mut self,
         kind: PatternKind,
@@ -153,11 +137,11 @@ impl Candidates {
         }
     }
 
+    /// Greedy by gain: longer instances first — one shape has one length,
+    /// so this is anchor order.
     fn accept(&mut self, base: usize, state: &mut [u32]) -> Vec<Instance> {
-        self.list.sort_unstable_by_key(|i| {
-            let run = !matches!(i.kind, PatternKind::Block { .. });
-            (std::cmp::Reverse(i.len), run, i.row, i.col)
-        });
+        self.list
+            .sort_unstable_by_key(|i| (std::cmp::Reverse(i.len), i.row, i.col));
         let mut accepted = Vec::new();
         for inst in &self.list {
             let entries = inst.entries(&self.pool);
@@ -208,102 +192,7 @@ impl<'a> Scan<'a> {
         self.windows().flatten()
     }
 
-    fn candidates(&self, fam: Family, out: &mut Candidates) {
-        match fam {
-            Family::Horizontal => self.horizontal_runs(out),
-            Family::Block(br, bc) => self.blocks(br, bc, out),
-            _ => self.bucketed_runs(fam, out),
-        }
-    }
-
-    fn runs(&self, n: usize, pos: impl Fn(usize) -> Idx, mut emit: impl FnMut(usize, usize, u8)) {
-        let mut s = 0usize;
-        while s + 1 < n {
-            let d = pos(s + 1) - pos(s);
-            if d > Idx::from(self.config.max_delta) {
-                s += 1;
-                continue;
-            }
-            let mut e = s + 1;
-            while e + 1 < n && pos(e + 1) - pos(e) == d {
-                e += 1;
-            }
-            let total = e - s + 1;
-            if total >= self.config.min_run_len {
-                let mut off = 0usize;
-                while total - off >= 2 {
-                    let chunk = (total - off).min(255);
-                    emit(s + off, chunk, d as u8);
-                    off += chunk;
-                }
-            }
-            s = e + 1;
-        }
-    }
-
-    fn horizontal_runs(&self, out: &mut Candidates) {
-        let (cols, split) = (self.view.cols, self.config.col_split);
-        for r in self.rows() {
-            let row = self.view.row(r);
-            self.runs(
-                row.len(),
-                |i| cols[row.start + i],
-                |i, len, delta| {
-                    let first = row.start + i;
-                    let kind = PatternKind::Horizontal { delta };
-                    out.push(kind, (r, cols[first]), first..first + len, split);
-                },
-            );
-        }
-    }
-
-    fn bucketed_runs(&self, fam: Family, out: &mut Candidates) {
-        let cols = self.view.cols;
-        let end = self.view.end_row() as usize;
-        let key = |r: Idx, c: Idx| match fam {
-            Family::Vertical => c as usize,
-            Family::Diagonal => c as usize + end - 1 - r as usize,
-            _ => r as usize + c as usize,
-        };
-        let keys = self.view.ncols as usize + end;
-        let mut start = vec![0usize; keys + 1];
-        for r in self.rows() {
-            for e in self.view.row(r) {
-                start[key(r, cols[e]) + 1] += 1;
-            }
-        }
-        for k in 0..keys {
-            start[k + 1] += start[k];
-        }
-        let mut next = start.clone();
-        let mut bucketed = vec![(0u32, 0 as Idx); start[keys]];
-        for r in self.rows() {
-            for e in self.view.row(r) {
-                let slot = &mut next[key(r, cols[e])];
-                bucketed[*slot] = (e as u32, r);
-                *slot += 1;
-            }
-        }
-        for group in start.windows(2).filter(|w| w[1] - w[0] >= 2) {
-            let group = &bucketed[group[0]..group[1]];
-            self.runs(
-                group.len(),
-                |i| group[i].1,
-                |i, len, delta| {
-                    let kind = match fam {
-                        Family::Vertical => PatternKind::Vertical { delta },
-                        Family::Diagonal => PatternKind::Diagonal { delta },
-                        _ => PatternKind::AntiDiagonal { delta },
-                    };
-                    let (e, r) = group[i];
-                    let entries = group[i..i + len].iter().map(|&(e, _)| e as usize);
-                    out.push(kind, (r, cols[e as usize]), entries, self.config.col_split);
-                },
-            );
-        }
-    }
-
-    fn blocks(&self, br: u8, bc: u8, out: &mut Candidates) {
+    fn blocks(&self, br: u8, bc: u8, out: &mut CandidateBlocks) {
         let (cols, split) = (self.view.cols, self.config.col_split);
         let kind = PatternKind::Block { rows: br, cols: bc };
         let (below_rows, bc) = (br as usize - 1, bc as usize);
@@ -539,17 +428,17 @@ pub(crate) fn regroup(ctl: &[u8], first_row: Idx) -> (Vec<u8>, usize) {
 
 /// The oracle's statistics pass, detection and encoding of `view`.
 pub(crate) fn encode_rows(view: RowView<'_>, config: &DetectConfig, values: &[&[Val]]) -> Encoding {
-    encode_with(view, config, &select_families(view, config), values)
+    encode_with(view, config, select_block(view, config), values)
 }
 
-/// The oracle's detection and encoding of `view` with `enabled`.
+/// The oracle's detection and encoding of `view` with `block` enabled.
 pub(crate) fn encode_with(
     view: RowView<'_>,
     config: &DetectConfig,
-    enabled: &[Family],
+    block: Option<(u8, u8)>,
     values: &[&[Val]],
 ) -> Encoding {
-    encode(view, &detect_with(view, config, enabled), values)
+    encode(view, &detect_with(view, config, block), values)
 }
 
 mod tests {
@@ -582,46 +471,35 @@ mod tests {
         assert_eq!(new.units, old.units, "{}", what());
     }
 
-    /// Each default candidate family alone, the default list, and a run
-    /// family mixed with a block shape.
-    fn family_sets() -> Vec<Vec<Family>> {
-        let all = DetectConfig::default().candidate_families;
-        let mut sets: Vec<Vec<Family>> = all.iter().map(|&f| vec![f]).collect();
-        sets.push(all);
-        sets.push(vec![Family::Horizontal, Family::Block(3, 3)]);
-        sets
-    }
-
-    /// `view` encoded by the crate and by the oracle agree: with each family
-    /// set enabled, and with the last two — the default list and a mixed
-    /// set — as the statistics pass's candidates at both sample fractions
-    /// (the default list scores every family alone).
+    /// `view` encoded by the crate and by the oracle agree: with each
+    /// default block shape enabled and with none, and through the
+    /// statistics pass at both sample fractions (it scores every shape
+    /// alone).
     fn check_view(view: RowView<'_>, split: Option<Idx>, values: &[&[Val]], what: &str) {
         let upper = values.get(1).copied();
-        let sets = family_sets();
-        for (i, families) in sets.iter().enumerate() {
-            let config = DetectConfig {
-                col_split: split,
-                candidate_families: families.clone(),
-                ..DetectConfig::default()
-            };
-            let det = detect_with(view, &config, families);
+        let config = DetectConfig {
+            col_split: split,
+            ..DetectConfig::default()
+        };
+        let shapes = config.block_shapes.iter().copied().map(Some);
+        for block in shapes.chain([None]) {
+            let det = detect_with(view, &config, block);
             let new = encode(view, &det, values[0], upper);
-            let old = encode_with(view, &config, families, values);
-            let what = || format!("{what} split {split:?} with {families:?}");
-            assert_same(&new, &old, &what);
-            if i + 2 < sets.len() {
-                continue;
-            }
-            for sample_fraction in [0.05, 1.0] {
-                let config = DetectConfig {
-                    sample_fraction,
-                    ..config.clone()
-                };
-                let new = encode_new(view, &config, values[0], upper);
-                let old = encode_rows(view, &config, values);
-                assert_same(&new, &old, &|| format!("{} at {sample_fraction}", what()));
-            }
+            let old = encode_with(view, &config, block, values);
+            assert_same(&new, &old, &|| {
+                format!("{what} split {split:?} with {block:?}")
+            });
+        }
+        for sample_fraction in [0.05, 1.0] {
+            let config = DetectConfig {
+                sample_fraction,
+                ..config.clone()
+            };
+            let new = encode_new(view, &config, values[0], upper);
+            let old = encode_rows(view, &config, values);
+            assert_same(&new, &old, &|| {
+                format!("{what} split {split:?} at {sample_fraction}")
+            });
         }
     }
 
@@ -688,8 +566,8 @@ mod tests {
     }
 
     /// Stored entries of a light-corpus matrix (the suite analogs' smallest
-    /// size holds up to 157 k): enough for every partition to see blocks
-    /// and runs, small enough for a debug build.
+    /// size holds up to 157 k): enough for every partition to see blocks,
+    /// small enough for a debug build.
     const LIGHT: usize = 8_000;
 
     #[test]
@@ -723,8 +601,9 @@ mod tests {
     }
 
     /// Random patterns, values keyed to coordinates, under configurations
-    /// that enable every family path: the statistics pass's defaults, every
-    /// family at coverage 0, short runs, a split, one block shape alone.
+    /// that enable every detection path: the statistics pass's defaults,
+    /// every shape at coverage 0, a full-row sample, a split, one block
+    /// shape alone.
     #[test]
     fn random_patterns_encode_as_the_oracle_does() {
         let configs = [
@@ -734,7 +613,6 @@ mod tests {
                 ..DetectConfig::default()
             },
             DetectConfig {
-                min_run_len: 2,
                 min_coverage: 0.0,
                 sample_fraction: 1.0,
                 ..DetectConfig::default()
@@ -745,7 +623,7 @@ mod tests {
                 ..DetectConfig::default()
             },
             DetectConfig {
-                candidate_families: vec![Family::Block(2, 2)],
+                block_shapes: vec![(2, 2)],
                 min_coverage: 0.0,
                 ..DetectConfig::default()
             },
@@ -764,7 +642,7 @@ mod tests {
         }
     }
 
-    /// The twelve suite analogs at scale 0.02: every chunk, family set and
+    /// The twelve suite analogs at scale 0.02: every chunk, block shape and
     /// sample fraction of the light tests, at sizes where sampling skips
     /// most rows (run in release: `cargo test --release -p symspmv-csx --
     /// --include-ignored`).

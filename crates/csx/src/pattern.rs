@@ -3,13 +3,12 @@
 //! | id          | meaning                                   |
 //! |-------------|-------------------------------------------|
 //! | 0, 1, 2     | delta unit, u8 / u16 / u32 column deltas  |
-//! | 4 + t·8 + (δ−1) | 1-D run of type `t`, delta δ ∈ 1..=8  |
-//! | 36 + 3·(r−2) + (c−2) | dense block r×c, r,c ∈ 2..=4     |
+//! | 36 + 3·(r−2) + (c−2) | unit of dense r×c blocks, r,c ∈ 2..=4 |
+//! | 3..=35, 45..=63 | unassigned                            |
 //!
-//! 1-D types `t`: 0 horizontal, 1 vertical, 2 diagonal, 3 anti-diagonal.
-
-/// Maximum delta distance encodable in a 1-D run pattern id.
-pub const MAX_RUN_DELTA: u8 = 8;
+//! Ids 4..=35 named the paper's 1-D runs (horizontal, vertical, diagonal,
+//! anti-diagonal, each at strides 1..=8), which this crate does not encode
+//! (DESIGN.md §5.2, "No 1-D runs"); a stream that carries one is malformed.
 
 /// Minimum/maximum dense block dimension.
 pub const MIN_BLOCK_DIM: u8 = 2;
@@ -49,29 +48,9 @@ impl DeltaWidth {
     }
 }
 
-/// The substructure families CSX detects (§IV-A, Fig. 6).
+/// The substructure family CSX encodes (§IV-A, Fig. 6): dense blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PatternKind {
-    /// Elements `(r, c + k·δ)` — a run inside one row.
-    Horizontal {
-        /// Column stride of consecutive elements.
-        delta: u8,
-    },
-    /// Elements `(r + k·δ, c)` — a run inside one column.
-    Vertical {
-        /// Row stride of consecutive elements.
-        delta: u8,
-    },
-    /// Elements `(r + k·δ, c + k·δ)`.
-    Diagonal {
-        /// Stride along the diagonal.
-        delta: u8,
-    },
-    /// Elements `(r + k·δ, c − k·δ)`.
-    AntiDiagonal {
-        /// Stride along the anti-diagonal.
-        delta: u8,
-    },
     /// A dense `rows × cols` block, stored row-major.
     Block {
         /// Block height (2..=4).
@@ -84,29 +63,10 @@ pub enum PatternKind {
 impl PatternKind {
     /// Encodes this pattern as its 6-bit id.
     pub fn id(self) -> u8 {
-        match self {
-            PatternKind::Horizontal { delta } => {
-                assert!((1..=MAX_RUN_DELTA).contains(&delta));
-                4 + (delta - 1)
-            }
-            PatternKind::Vertical { delta } => {
-                assert!((1..=MAX_RUN_DELTA).contains(&delta));
-                4 + 8 + (delta - 1)
-            }
-            PatternKind::Diagonal { delta } => {
-                assert!((1..=MAX_RUN_DELTA).contains(&delta));
-                4 + 16 + (delta - 1)
-            }
-            PatternKind::AntiDiagonal { delta } => {
-                assert!((1..=MAX_RUN_DELTA).contains(&delta));
-                4 + 24 + (delta - 1)
-            }
-            PatternKind::Block { rows, cols } => {
-                assert!((MIN_BLOCK_DIM..=MAX_BLOCK_DIM).contains(&rows));
-                assert!((MIN_BLOCK_DIM..=MAX_BLOCK_DIM).contains(&cols));
-                36 + 3 * (rows - 2) + (cols - 2)
-            }
-        }
+        let PatternKind::Block { rows, cols } = self;
+        assert!((MIN_BLOCK_DIM..=MAX_BLOCK_DIM).contains(&rows));
+        assert!((MIN_BLOCK_DIM..=MAX_BLOCK_DIM).contains(&cols));
+        36 + 3 * (rows - 2) + (cols - 2)
     }
 
     /// Decodes a 6-bit pattern id back into a kind; `None` for delta-unit
@@ -114,10 +74,6 @@ impl PatternKind {
     #[inline(always)]
     pub fn from_id(id: u8) -> Option<PatternKind> {
         match id {
-            4..=11 => Some(PatternKind::Horizontal { delta: id - 4 + 1 }),
-            12..=19 => Some(PatternKind::Vertical { delta: id - 12 + 1 }),
-            20..=27 => Some(PatternKind::Diagonal { delta: id - 20 + 1 }),
-            28..=35 => Some(PatternKind::AntiDiagonal { delta: id - 28 + 1 }),
             36..=44 => {
                 let k = id - 36;
                 Some(PatternKind::Block {
@@ -149,50 +105,26 @@ impl PatternKind {
         }
     }
 
-    /// Coordinates of the `k`-th element of an instance anchored at
-    /// `(row, col)` (the anchor is the structurally first element:
-    /// top-left for blocks, topmost for verticals/diagonals, top-right
-    /// for anti-diagonals).
+    /// Coordinates of the `k`-th element of a block anchored at
+    /// `(row, col)`, its top-left element; elements run row-major.
     #[inline(always)]
     pub fn element(&self, row: u32, col: u32, k: u32) -> (u32, u32) {
-        match *self {
-            PatternKind::Horizontal { delta } => (row, col + k * delta as u32),
-            PatternKind::Vertical { delta } => (row + k * delta as u32, col),
-            PatternKind::Diagonal { delta } => (row + k * delta as u32, col + k * delta as u32),
-            PatternKind::AntiDiagonal { delta } => (row + k * delta as u32, col - k * delta as u32),
-            PatternKind::Block { cols, .. } => (row + k / cols as u32, col + k % cols as u32),
-        }
-    }
-}
-
-/// `(row stride, column stride)` of a 1-D run of direction `DIR` — the run
-/// types `t` of the id table, in order — at delta `delta`. The
-/// anti-diagonal's column stride is the wrapped negative.
-#[inline(always)]
-pub fn run_strides<const DIR: u8>(delta: usize) -> (usize, usize) {
-    match DIR {
-        0 => (0, delta),
-        1 => (delta, 0),
-        2 => (delta, delta),
-        _ => (delta, delta.wrapping_neg()),
+        let PatternKind::Block { cols, .. } = *self;
+        (row + k / cols as u32, col + k % cols as u32)
     }
 }
 
 /// Selects a unit kernel from a pattern id — the id table above as one
-/// `match`, shared by every decoder. The caller supplies three macros:
-/// `$delta!(W)` for a delta unit of byte width `W`, `$run!(DIR, delta)` for
-/// a 1-D run, `$block!(R, C)` for a dense block.
+/// `match`, shared by every decoder. The caller supplies two macros:
+/// `$delta!(W)` for a delta unit of byte width `W`, `$block!(R, C)` for a
+/// unit of dense blocks.
 #[macro_export]
 macro_rules! dispatch_unit {
-    ($id:expr, $delta:ident, $run:ident, $block:ident) => {
+    ($id:expr, $delta:ident, $block:ident) => {
         match $id {
             0 => $delta!(1),
             1 => $delta!(2),
             2 => $delta!(4),
-            id @ 4..=11 => $run!(0, usize::from(id - 3)),
-            id @ 12..=19 => $run!(1, usize::from(id - 11)),
-            id @ 20..=27 => $run!(2, usize::from(id - 19)),
-            id @ 28..=35 => $run!(3, usize::from(id - 27)),
             36 => $block!(2, 2),
             37 => $block!(2, 3),
             38 => $block!(2, 4),
@@ -213,12 +145,6 @@ mod tests {
 
     fn all_kinds() -> Vec<PatternKind> {
         let mut v = Vec::new();
-        for d in 1..=MAX_RUN_DELTA {
-            v.push(PatternKind::Horizontal { delta: d });
-            v.push(PatternKind::Vertical { delta: d });
-            v.push(PatternKind::Diagonal { delta: d });
-            v.push(PatternKind::AntiDiagonal { delta: d });
-        }
         for r in MIN_BLOCK_DIM..=MAX_BLOCK_DIM {
             for c in MIN_BLOCK_DIM..=MAX_BLOCK_DIM {
                 v.push(PatternKind::Block { rows: r, cols: c });
@@ -260,19 +186,6 @@ mod tests {
 
     #[test]
     fn element_coordinates() {
-        let h = PatternKind::Horizontal { delta: 2 };
-        assert_eq!(h.element(3, 5, 0), (3, 5));
-        assert_eq!(h.element(3, 5, 2), (3, 9));
-
-        let v = PatternKind::Vertical { delta: 1 };
-        assert_eq!(v.element(3, 5, 2), (5, 5));
-
-        let d = PatternKind::Diagonal { delta: 3 };
-        assert_eq!(d.element(0, 1, 2), (6, 7));
-
-        let a = PatternKind::AntiDiagonal { delta: 1 };
-        assert_eq!(a.element(2, 10, 3), (5, 7));
-
         let b = PatternKind::Block { rows: 2, cols: 3 };
         assert_eq!(b.element(4, 8, 0), (4, 8));
         assert_eq!(b.element(4, 8, 2), (4, 10));

@@ -41,12 +41,7 @@ fn configs() -> Vec<DetectConfig> {
             ..DetectConfig::default()
         },
         DetectConfig {
-            min_run_len: 2,
-            min_coverage: 0.0,
-            ..DetectConfig::default()
-        },
-        DetectConfig {
-            candidate_families: vec![],
+            block_shapes: vec![],
             ..DetectConfig::default()
         },
         DetectConfig {
@@ -223,7 +218,7 @@ fn assert_ctl_bound(stream: &CtlStream, first_row: usize, what: &str) {
     let mut units = Vec::new();
     let mut elements = Vec::new();
     stream.walk(
-        |u| units.push((u.kind.is_some(), u.size as usize)),
+        |u| units.push((u.kind.is_some(), u.elements as usize)),
         |r, c, _| elements.push((r as usize, c as usize)),
     );
     assert_eq!(

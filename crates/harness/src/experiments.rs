@@ -686,25 +686,11 @@ pub fn fig14(cfg: &ExpConfig) -> Result<(), HarnessError> {
 /// substructure families and preprocessing settings buy the compression,
 /// and what they cost (the design-choice study DESIGN.md calls out).
 pub fn ablation(cfg: &ExpConfig) -> Result<(), HarnessError> {
-    use symspmv_csx::detect::{DetectConfig, Family};
+    use symspmv_csx::detect::DetectConfig;
     println!("== Ablation: CSX-Sym detection configuration ==\n");
 
     let variants: Vec<(&str, DetectConfig)> = vec![
         ("default", DetectConfig::default()),
-        (
-            "min_run_len=2",
-            DetectConfig {
-                min_run_len: 2,
-                ..DetectConfig::default()
-            },
-        ),
-        (
-            "min_run_len=8",
-            DetectConfig {
-                min_run_len: 8,
-                ..DetectConfig::default()
-            },
-        ),
         (
             "sample=25%",
             DetectConfig {
@@ -722,31 +708,14 @@ pub fn ablation(cfg: &ExpConfig) -> Result<(), HarnessError> {
         (
             "delta-only",
             DetectConfig {
-                candidate_families: vec![],
+                block_shapes: vec![],
                 ..DetectConfig::default()
             },
         ),
         (
             "blocks-only",
             DetectConfig {
-                candidate_families: vec![
-                    Family::Block(2, 2),
-                    Family::Block(3, 3),
-                    Family::Block(4, 4),
-                ],
-                min_coverage: 0.0,
-                ..DetectConfig::default()
-            },
-        ),
-        (
-            "runs-only",
-            DetectConfig {
-                candidate_families: vec![
-                    Family::Horizontal,
-                    Family::Vertical,
-                    Family::Diagonal,
-                    Family::AntiDiagonal,
-                ],
+                block_shapes: vec![(2, 2), (3, 3), (4, 4)],
                 min_coverage: 0.0,
                 ..DetectConfig::default()
             },

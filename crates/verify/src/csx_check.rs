@@ -6,7 +6,7 @@
 //! thread's private local vector when the target column is left of the
 //! chunk's split, the shared `y` when it is right of it. A pattern whose
 //! elements fall on *both* sides would need to switch pointers mid-unit,
-//! which the kernel does not do: the encoder must break such runs into
+//! which the kernel does not do: the encoder must leave such blocks to
 //! delta units. The checker walks every stream and proves no encoded
 //! pattern straddles its chunk's local-vs-direct boundary, and that every
 //! write target stays inside the chunk's declared footprint.
@@ -24,11 +24,11 @@ use symspmv_sparse::symmetry::SymmetryKind;
 pub fn certify_csx_chunk(stream: &CtlStream, part: Range, tid: usize) -> Result<(), VerifyError> {
     let split = part.start;
     // Re-associate elements with their units by walking both callbacks and
-    // counting off each unit's `size` elements.
+    // counting off each unit's elements.
     let mut units: Vec<(bool, u32, u32, u32)> = Vec::new(); // (is_pattern, size, row, col)
     let mut elems: Vec<(u32, u32)> = Vec::new();
     stream.walk(
-        |u| units.push((u.kind.is_some(), u.size, u.row, u.col)),
+        |u| units.push((u.kind.is_some(), u.elements, u.row, u.col)),
         |r, c, _| elems.push((r, c)),
     );
     let mut off = 0usize;
@@ -109,19 +109,20 @@ mod tests {
     use symspmv_csx::DetectConfig;
     use symspmv_sparse::CooMatrix;
 
-    fn horizontal_run(row: u32, cols: std::ops::Range<u32>) -> CooMatrix {
+    /// A 2 × 2 block anchored at `(row, col)`.
+    fn block(row: u32, col: u32) -> CooMatrix {
         let mut coo = CooMatrix::new(16, 16);
-        for c in cols {
-            coo.push(row, c, 1.0);
+        for (r, c) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            coo.push(row + r, col + c, 1.0);
         }
         coo
     }
 
     #[test]
     fn pattern_across_split_is_straddling() {
-        // A horizontal run in row 8 spanning columns 2..7; with the chunk
-        // split at 4 the run's transposed writes land on both sides.
-        let coo = horizontal_run(8, 2..7);
+        // A 2 × 2 block in rows 8..10 over columns 3..5; with the chunk
+        // split at 4 the block's transposed writes land on both sides.
+        let coo = block(8, 3);
         let cfg = DetectConfig {
             col_split: None, // encoder unaware of the boundary → illegal unit
             ..DetectConfig::default()
@@ -137,9 +138,9 @@ mod tests {
 
     #[test]
     fn split_aware_encoding_is_legal() {
-        let coo = horizontal_run(8, 2..7);
+        let coo = block(8, 3);
         let cfg = DetectConfig {
-            col_split: Some(4), // encoder breaks the run at the boundary
+            col_split: Some(4), // encoder leaves the block to delta units
             ..DetectConfig::default()
         };
         let stream = encode_coo(&coo, &cfg);
@@ -148,7 +149,7 @@ mod tests {
 
     #[test]
     fn rows_outside_partition_escape() {
-        let coo = horizontal_run(2, 0..2);
+        let coo = block(2, 0);
         let stream = encode_coo(&coo, &DetectConfig::default());
         let err = certify_csx_chunk(&stream, Range { start: 4, end: 16 }, 0).unwrap_err();
         assert_eq!(err, VerifyError::EscapedWrite { tid: 0, target: 2 });

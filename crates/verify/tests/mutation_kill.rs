@@ -120,9 +120,9 @@ fn mutation_stolen_row_overlaps_direct_writes() {
 fn mutation_straddling_csx_pattern() {
     let n = 64u32;
     let mut coo = CooMatrix::new(n, n);
-    // A horizontal run in row 40 crossing the split at 32.
-    for c in 28..36 {
-        coo.push(40, c, 1.0);
+    // A 2 × 2 block in rows 40–41 whose columns 31–32 cross the split at 32.
+    for (r, c) in [(40, 31), (40, 32), (41, 31), (41, 32)] {
+        coo.push(r, c, 1.0);
     }
     let stream = encode_coo(&coo, &DetectConfig::default()); // no col_split
     let err = certify_csx_chunk(&stream, Range { start: 32, end: n }, 1).unwrap_err();

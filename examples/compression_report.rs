@@ -10,11 +10,10 @@
 //! cargo run --release --example compression_report path/to/A.mtx   # real matrix
 //! ```
 
-use std::collections::HashMap;
 use symspmv::core::CsxSymMatrix;
-use symspmv::csx::detect::{DetectConfig, Family};
+use symspmv::csx::detect::{self, DetectConfig};
 use symspmv::csx::rows::RowView;
-use symspmv::csx::{CsxMatrix, PatternKind};
+use symspmv::csx::CsxMatrix;
 use symspmv::sparse::{mm, suite, CooMatrix, CsrMatrix, SssMatrix};
 use symspmv_runtime::{balanced_ranges, partition::symmetric_row_weights};
 
@@ -93,30 +92,26 @@ fn main() {
                 );
             }
 
-            // Which substructure families carry the compression?
-            let det = symspmv::csx::detect::analyze(
-                RowView::of_sss(&sss),
-                &DetectConfig {
-                    min_coverage: 0.0,
-                    ..DetectConfig::default()
-                },
+            // Which block shape carries the compression? Each alone, on the
+            // whole lower triangle.
+            let view = RowView::of_sss(&sss);
+            let config = DetectConfig {
+                min_coverage: 0.0,
+                ..DetectConfig::default()
+            };
+            let picked = detect::select_block(view, &cfg);
+            println!(
+                "\nblock shapes alone (lower triangle; the statistics pass picks {picked:?}):"
             );
-            println!("\nsubstructure histogram (lower triangle):");
-            let mut hist: HashMap<Family, usize> = HashMap::new();
-            for inst in &det.instances {
-                let family = match inst.kind {
-                    PatternKind::Horizontal { .. } => Family::Horizontal,
-                    PatternKind::Vertical { .. } => Family::Vertical,
-                    PatternKind::Diagonal { .. } => Family::Diagonal,
-                    PatternKind::AntiDiagonal { .. } => Family::AntiDiagonal,
-                    PatternKind::Block { rows, cols } => Family::Block(rows, cols),
-                };
-                *hist.entry(family).or_insert(0) += 1;
-            }
-            let mut hist: Vec<(Family, usize)> = hist.into_iter().collect();
-            hist.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-            for (fam, count) in hist {
-                println!("  {fam:?}: {count} instances");
+            for &shape in &config.block_shapes {
+                let det = detect::detect_with(view, &config, Some(shape));
+                println!(
+                    "  {}×{}: {} blocks, coverage {:.1}%",
+                    shape.0,
+                    shape.1,
+                    det.instances.len(),
+                    det.coverage() * 100.0
+                );
             }
         }
         Err(e) => println!("(matrix not symmetric — symmetric formats skipped: {e})"),
