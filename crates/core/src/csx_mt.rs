@@ -5,7 +5,7 @@
 //! a private ctl/values stream and writes only its own output rows.
 
 use crate::shared::SharedBuf;
-use crate::traits::ParallelSpmv;
+use crate::traits::{per_share, ParallelSpmv};
 use std::borrow::Cow;
 use std::sync::Arc;
 use symspmv_csx::detect::DetectConfig;
@@ -28,8 +28,10 @@ pub struct CsxParallel {
 }
 
 impl CsxParallel {
-    /// Encodes `coo` into per-thread CSX chunks (preprocessing is timed
-    /// into the `preprocess` phase, cf. §V-E).
+    /// Encodes `coo` into per-thread CSX chunks, chunk `i` on share `i` of
+    /// one `ctx` round; a share that panics leaves its chunk to the caller,
+    /// so the chunks are the serial ones (preprocessing is timed into the
+    /// `preprocess` phase, cf. §V-E).
     pub fn from_coo(coo: &CooMatrix, ctx: &Arc<ExecutionContext>, config: &DetectConfig) -> Self {
         let csr = CsrMatrix::from_coo(coo);
         let parts = balanced_ranges(&csr_row_weights(csr.rowptr()), ctx.nthreads());
@@ -38,13 +40,10 @@ impl CsxParallel {
         let mut times = PhaseTimes::new();
         let view = RowView::new(0, csr.ncols(), csr.rowptr(), csr.colind());
         let chunks = time_into(&mut times.preprocess, || {
-            parts
-                .iter()
-                .map(|p| {
-                    let rows = view.slice(p.start..p.end);
-                    CsxMatrix::from_rows(csr.nrows(), rows, csr.values(), config)
-                })
-                .collect::<Vec<_>>()
+            per_share(ctx, parts.len(), |i| {
+                let rows = view.slice(parts[i].start..parts[i].end);
+                CsxMatrix::from_rows(csr.nrows(), rows, csr.values(), config)
+            })
         });
 
         CsxParallel {
@@ -157,6 +156,53 @@ mod tests {
         let k = CsxParallel::from_coo(&coo, &ExecutionContext::new(4), &cfg());
         assert!(k.times().preprocess > std::time::Duration::ZERO);
         assert!(k.coverage() > 0.3);
+    }
+
+    /// The chunks `from_coo` encodes for `p` threads, encoded serially.
+    fn serial_chunks(coo: &CooMatrix, p: usize) -> Vec<CsxMatrix> {
+        let csr = CsrMatrix::from_coo(coo);
+        let view = RowView::new(0, csr.ncols(), csr.rowptr(), csr.colind());
+        let parts = balanced_ranges(&csr_row_weights(csr.rowptr()), p);
+        let rows = |p: &Range| view.slice(p.start..p.end);
+        let chunk = |p| CsxMatrix::from_rows(csr.nrows(), rows(p), csr.values(), &cfg());
+        parts.iter().map(chunk).collect()
+    }
+
+    #[test]
+    fn pooled_chunks_are_the_serial_chunks() {
+        let matrices = [
+            symspmv_sparse::gen::block_structural(60, 3, 8.0, 12, 2),
+            symspmv_sparse::gen::banded_random(300, 20, 7.0, 3),
+            // Nine rows: at p = 8 some partitions are empty.
+            symspmv_sparse::gen::laplacian_2d(3, 3),
+        ];
+        for p in [1, 2, 3, 8] {
+            let ctx = ExecutionContext::new(p);
+            for (i, coo) in matrices.iter().enumerate() {
+                let k = CsxParallel::from_coo(coo, &ctx, &cfg());
+                assert_eq!(k.chunks, serial_chunks(coo, p), "matrix {i} p={p}");
+            }
+            assert!(ctx.take_last_panic().is_none());
+        }
+    }
+
+    #[test]
+    fn a_share_killed_in_the_encode_round_is_re_encoded_on_the_caller() {
+        let coo = symspmv_sparse::gen::block_structural(60, 3, 8.0, 12, 5);
+        let ctx = ExecutionContext::new(2);
+        let failures = ctx.health_state().failures();
+        ctx.fault_plan().arm_worker_panic(1, 0);
+        let mut k = CsxParallel::from_coo(&coo, &ctx, &cfg());
+        assert_eq!(ctx.fault_plan().fired(), 1);
+        assert_eq!(ctx.health_state().failures(), failures + 1);
+        assert_eq!(k.chunks, serial_chunks(&coo, 2));
+        // The pool serves the multiply after the fault.
+        let n = coo.nrows() as usize;
+        let x = seeded_vector(n, 4);
+        let (mut y, mut y_ref) = (vec![0.0; n], vec![0.0; n]);
+        k.spmv(&x, &mut y);
+        CsrMatrix::from_coo(&coo).spmv(&x, &mut y_ref);
+        assert_vec_close(&y, &y_ref, 1e-12);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! bounds checks.
 
 use crate::sym::{add_lanes, axpy_lanes};
-use std::sync::OnceLock;
+use crate::traits::per_share;
 use symspmv_csx::detect::DetectConfig;
 use symspmv_csx::encode::{delta_of, encode_rows, CtlStream};
 use symspmv_csx::rows::RowView;
@@ -106,26 +106,19 @@ impl CsxSymMatrix {
 
     /// [`CsxSymMatrix::from_sss`] with share `i` of one `ctx` round encoding
     /// chunk `i` (the plan's partition has one range per share). A share
-    /// that panics leaves its slot empty — the pool counts the failure —
-    /// and the caller encodes that chunk itself, so a pool fault never
-    /// fails the build and the result is the serial one bit for bit.
+    /// that panics leaves its chunk to the caller ([`per_share`]), so a pool
+    /// fault never fails the build and the result is the serial one bit for
+    /// bit.
     pub(crate) fn from_sss_on(
         sss: &SssMatrix,
         parts: &[Range],
         config: &DetectConfig,
         ctx: &ExecutionContext,
     ) -> Self {
-        let slots: Vec<OnceLock<CsxSymChunk>> = parts.iter().map(|_| OnceLock::new()).collect();
-        let _failed_share = ctx.try_run(&|tid| {
-            if let (Some(&part), Some(slot)) = (parts.get(tid), slots.get(tid)) {
-                let _ = slot.set(CsxSymChunk::encode(sss, part, config));
-            }
+        let chunks = per_share(ctx, parts.len(), |i| {
+            CsxSymChunk::encode(sss, parts[i], config)
         });
-        let chunks = slots.into_iter().zip(parts).map(|(slot, &part)| {
-            slot.into_inner()
-                .unwrap_or_else(|| CsxSymChunk::encode(sss, part, config))
-        });
-        Self::from_chunks(sss, chunks.collect())
+        Self::from_chunks(sss, chunks)
     }
 
     fn from_chunks(sss: &SssMatrix, chunks: Vec<CsxSymChunk>) -> Self {
@@ -327,11 +320,19 @@ pub(crate) fn sym_stream<O: SymmetryOps, const K: usize>(
             macro_rules! block {
                 ($r:literal, $c:literal) => {{
                     let len = size * $r * $c;
-                    sides.block::<O, $r, $c>(cursor.body(size), v(len), u(len), row, col);
+                    sides.block::<O, $r, $c, 0>(cursor.body(size), v(len), u(len), row, col);
                     len
                 }};
             }
-            at += symspmv_csx::dispatch_unit!(unit.id, delta, block);
+            macro_rules! tri {
+                ($r:literal) => {{
+                    const T: usize = $r * ($r - 1) / 2;
+                    let len = size * $r * $r + T;
+                    sides.block::<O, $r, $r, T>(cursor.body(size), v(len), u(len), row, col);
+                    len
+                }};
+            }
+            at += symspmv_csx::dispatch_unit!(unit.id, delta, block, tri);
         }
     }
 }
@@ -413,13 +414,20 @@ impl<const K: usize> Sides<'_, K> {
     /// `0.0 +` instead would cost an add per column and differ only where
     /// product and target are `−0.0`.
     ///
+    /// The `T` values after the blocks (`T = 0`: none) are the unit's
+    /// diagonal triangle, `i` entries in row `row + i` at columns `row …`.
+    /// Both ends of each lie in rows of the unit, so its products and
+    /// transposed products add into the `R` row sums in registers, row by
+    /// row in the float sequence of the delta units it replaced — no write
+    /// to `local` or `my_y`.
+    ///
     /// # Safety
-    /// SAFETY(cert: ctl-bound): as for `delta`, with `size·R·C` values and
-    /// pairs, `gaps` the `size − 1` anchor gaps, rows `row..row + R` and
+    /// SAFETY(cert: ctl-bound): as for `delta`, with `size·R·C + T` values
+    /// and pairs, `gaps` the `size − 1` anchor gaps, rows `row..row + R` and
     /// each block's columns `c..c + C`, which lie on the anchor's side of
     /// `split`.
     #[inline(always)]
-    unsafe fn block<O: SymmetryOps, const R: usize, const C: usize>(
+    unsafe fn block<O: SymmetryOps, const R: usize, const C: usize, const T: usize>(
         &mut self,
         gaps: &[[u8; 2]],
         v: &[Val],
@@ -428,6 +436,8 @@ impl<const K: usize> Sides<'_, K> {
         col: usize,
     ) {
         let (x, split) = (self.x, self.split);
+        let (v, vt) = v.split_at_unchecked(v.len() - T);
+        let (u, ut) = u.split_at_unchecked(u.len() - T);
         let v = v.as_chunks::<C>().0.as_chunks::<R>().0;
         let u = u.as_chunks::<C>().0.as_chunks::<R>().0;
         let xr = x.get_unchecked(row..).first_chunk::<R>().unwrap_unchecked();
@@ -464,6 +474,19 @@ impl<const K: usize> Sides<'_, K> {
                 add_lanes(dst, t);
             }
             c += gaps.next().map_or(0, delta_of);
+        }
+        if T > 0 {
+            let mut k = 0;
+            for i in 1..R {
+                let mut acc = [0.0; K];
+                for j in 0..i {
+                    let (v, u) = (*vt.get_unchecked(k + j), *ut.get_unchecked(k + j));
+                    axpy_lanes(&mut acc, v, &xr[j]);
+                    axpy_lanes(&mut yr[j], O::transposed(v, u), &xr[i]);
+                }
+                add_lanes(&mut yr[i], &acc);
+                k += i;
+            }
         }
         let slot = self.my_y.get_unchecked_mut(row - split..);
         *slot.first_chunk_mut::<R>().unwrap_unchecked() = yr;
@@ -665,7 +688,8 @@ mod tests {
     #[test]
     fn coverage_weights_each_chunk_by_its_non_zeros() {
         // Rows 0..90 hold ~30× the non-zeros of rows 90..120, and only the
-        // block-structural top is covered: the bottom's one entry per row
+        // block-structural top is covered — by blocks and by the diagonal
+        // triangles its block units carry: the bottom's one entry per row
         // steps 11 columns, modulo 90, from row to row — no block.
         let mut coo = symspmv_sparse::gen::block_structural(30, 3, 8.0, 10, 5);
         let mut full = CooMatrix::new(120, 120);
@@ -687,7 +711,7 @@ mod tests {
             },
         ];
         let m = CsxSymMatrix::from_sss(&sss, &parts, &cfg());
-        let (mut covered, mut nnz) = (0usize, 0usize);
+        let (mut covered, mut nnz, mut triangles) = (0usize, 0usize, 0usize);
         for chunk in m.chunks() {
             let mut sizes = Vec::new();
             chunk.stream.walk(
@@ -695,9 +719,11 @@ mod tests {
                 |_, _, _| {},
             );
             covered += sizes.iter().filter(|u| u.0).map(|u| u.1).sum::<usize>();
+            triangles += sizes.iter().filter(|u| u.0).map(|u| u.1 % 9).sum::<usize>();
             nnz += chunk.stream.nnz();
         }
         let [top, bottom] = [&m.chunks()[0], &m.chunks()[1]];
+        assert!(triangles > 0, "no 3 × 3 block unit took its triangle");
         assert!(top.stream.nnz() > 4 * bottom.stream.nnz());
         assert!(top.coverage > 0.5 && bottom.coverage == 0.0);
         let exact = covered as f64 / nnz as f64;
@@ -737,7 +763,8 @@ mod tests {
 
     /// A one-element delta unit at `(row, 0)` — or nothing — followed by the
     /// unit under test `(id, shape, row, col)`, where `shape` is a delta or
-    /// block unit's column or anchor gaps; `head`
+    /// block unit's column or anchor gaps (a triangle unit's triangle
+    /// follows from `row`); `head`
     /// picks how the unit is reached: 0 first in the stream (`NR | RJMP`),
     /// 1 after a spacer in the row above (`NR` alone), 2 after a spacer in
     /// its own row (no `NR`, `ucol` relative).
@@ -776,6 +803,11 @@ mod tests {
                         let (r, c) = kind.element(row as Idx, c as Idx, k);
                         (r as usize, c as usize)
                     }));
+                }
+                if symspmv_csx::pattern::triangle_len(id) > 0 {
+                    let side = usize::from(rows);
+                    let rows = (1..side).flat_map(|i| (0..i).map(move |j| (row + i, row + j)));
+                    elements.extend(rows);
                 }
             }
             None => {
@@ -837,6 +869,7 @@ mod tests {
         // The splits — all at or above the spacer's row, which the partition
         // must hold — put the unit on the direct side, on the local side and
         // — delta units only, whose columns may cross — astride the boundary.
+        // A triangle unit's triangle is on the direct side at either split.
         let check = |id: u8, shape: &[usize], (row, col): (usize, usize), n, splits: &[usize]| {
             for head in 0..3 {
                 let unit = hand_built(id, shape, row, col, head);
@@ -850,9 +883,13 @@ mod tests {
                 }
             }
         };
-        // Units of one, two and three blocks — adjacent, and apart.
-        for id in 36..=44u8 {
-            let width = (id - 36) as usize % 3 + 2;
+        // Units of one, two and three blocks — adjacent, and apart — with
+        // and without a triangle.
+        for id in 36..=47u8 {
+            let width = match id {
+                36..=44 => (id - 36) as usize % 3 + 2,
+                _ => (id - 45) as usize + 2,
+            };
             for gaps in [&[][..], &[width], &[width + 2, width]] {
                 check(id, gaps, (51, 10), 96, &[8, 50]);
             }
@@ -978,7 +1015,14 @@ mod unchecked_decode_tests {
                     sides.block::<O, $r, $c>(gaps, v, u, row, col)
                 }};
             }
-            symspmv_csx::dispatch_unit!(unit.id, delta, block);
+            macro_rules! tri {
+                ($r:literal) => {{
+                    block!($r, $r);
+                    let (v, u) = take($r * ($r - 1) / 2);
+                    sides.triangle::<O>($r, v, u, row)
+                }};
+            }
+            symspmv_csx::dispatch_unit!(unit.id, delta, block, tri);
         }
         assert!(values.is_empty() && paired.is_empty());
     }
@@ -1031,6 +1075,18 @@ mod unchecked_decode_tests {
                 direct(c, v, u, &mut acc);
             }
             add_lanes(&mut my_y[row - split], &acc);
+        }
+
+        /// A triangle as the delta units it replaced: row `row + i`'s `i`
+        /// entries, at columns `row …` (deltas of 1), one unit per row.
+        fn triangle<O: SymmetryOps>(&mut self, side: usize, v: &[Val], u: &[Val], row: usize) {
+            let (mut v, mut u) = (v, u);
+            for i in 1..side {
+                let (vi, ui);
+                ((vi, v), (ui, u)) = (v.split_at(i), u.split_at(i));
+                self.delta::<O, 1>(&vec![[1]; i - 1], vi, ui, row + i, row);
+            }
+            assert!(v.is_empty() && u.is_empty());
         }
 
         /// One block at a time, as the one-block units before grouping

@@ -8,7 +8,7 @@
 
 use crate::error::SymSpmvError;
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use symspmv_runtime::{ExecutionContext, Interrupt, PhaseTimes};
 use symspmv_sparse::block::VectorBlock;
 use symspmv_sparse::Val;
@@ -50,6 +50,28 @@ pub fn try_on_pool<T>(ctx: &ExecutionContext, f: impl FnOnce() -> T) -> Result<T
             None => std::panic::resume_unwind(payload),
         },
     })
+}
+
+/// `make(i)` for each `i < n`, item `i` made by share `i` of one `ctx`
+/// round. A share that panics leaves its item empty — the pool counts the
+/// failure — and the caller makes it after the round, so a pool fault never
+/// fails the caller and the result is the serial one whenever `make` is a
+/// function of `i` alone.
+pub(crate) fn per_share<T: Send + Sync>(
+    ctx: &ExecutionContext,
+    n: usize,
+    make: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    let _failed_share = ctx.try_run(&|tid| {
+        if let Some(slot) = slots.get(tid) {
+            let _ = slot.set(make(tid));
+        }
+    });
+    let slots = slots.into_iter().enumerate();
+    slots
+        .map(|(i, slot)| slot.into_inner().unwrap_or_else(|| make(i)))
+        .collect()
 }
 
 /// A multithreaded SpMV kernel bound to one matrix and one

@@ -22,18 +22,21 @@ fn encode(sss: &SssMatrix, p: usize) -> CsxSymMatrix {
 /// substructure units. The statistics pass must find the 3 × 3 blocks of the
 /// seven block-structural analogs, in every partition, and enable nothing on
 /// the scattered ones (where any family it enabled would only fragment the
-/// delta units).
+/// delta units). A block unit's diagonal triangle counts as covered: it
+/// lifted the six analogs from 0.91–0.96 (chunks from 0.90) to 0.94–0.997
+/// (chunks from 0.93), so their floor went from 0.90 to 0.94.
 #[test]
 fn coverage_follows_the_structure_class() {
     let mut blocky = 0;
     for spec in &suite::SUITE {
         let floor = match (spec.class, spec.name) {
             // 1 278 rows at 222 non-zeros each: at this scale a quarter of
-            // the entries lie outside whole 3 × 3 blocks (0.74–0.75, chunks
-            // from 0.72; 0.97 from scale 0.1). With the 1-D runs, which took
-            // ~0.09 of them, it read 0.84.
-            (StructureClass::BlockStructural { .. }, "crankseg_2") => 0.70,
-            (StructureClass::BlockStructural { .. }, _) => 0.90,
+            // the entries lie outside whole 3 × 3 blocks (0.76, chunks from
+            // 0.74; 0.74–0.75 before triangles counted, when the floor was
+            // 0.70; 0.997 at scale 0.3). With the 1-D runs, which took ~0.09
+            // of them, it read 0.84.
+            (StructureClass::BlockStructural { .. }, "crankseg_2") => 0.75,
+            (StructureClass::BlockStructural { .. }, _) => 0.94,
             _ => continue,
         };
         blocky += 1;

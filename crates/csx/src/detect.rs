@@ -146,8 +146,12 @@ pub struct Detected {
 impl Detected {
     /// Fraction of non-zeros covered by substructure instances.
     pub fn coverage(&self) -> f64 {
-        let covered: usize = self.instances.iter().map(|i| i.len as usize).sum();
-        covered as f64 / self.nnz.max(1) as f64
+        self.covered() as f64 / self.nnz.max(1) as f64
+    }
+
+    /// Non-zeros covered by substructure instances.
+    pub(crate) fn covered(&self) -> usize {
+        self.instances.iter().map(|i| i.len as usize).sum()
     }
 
     /// The entries of `entries` (indices into the view's column array)

@@ -11,9 +11,9 @@
 //!                    absolute after NR, else delta from the previous
 //!                    unit's anchor column in the same row
 //! [body]             delta unit: (size − 1) column deltas of the unit's
-//!                    fixed byte width; `Block(R, C)` unit: (m − 1)
-//!                    little-endian u16 gaps between consecutive block
-//!                    anchors, each ≥ C
+//!                    fixed byte width; `Block(R, C)` unit, with or
+//!                    without a triangle: (m − 1) little-endian u16 gaps
+//!                    between consecutive block anchors, each ≥ C
 //! ```
 //!
 //! A block unit carries `m` same-shape blocks anchored in one row, their
@@ -25,6 +25,18 @@
 //! so a unit's blocks lie on one side of it wherever each block does, and
 //! [`CtlStream::legal_split`] means what it means for one-block units.
 //!
+//! A square `Block(R, R)` unit anchored in row `r` may also carry its block
+//! row's diagonal triangle (ids 45..=47): the `R(R − 1)/2` entries of rows
+//! `r + 1 … r + R − 1` in columns `r …`, stored after the blocks, row by
+//! row. The encoder puts it on a row's last block unit when the unit's
+//! anchor column is at least the stream's first row, rows `r + 1 … r + R −
+//! 1` lie in the view, and for each `i` in `1 … R − 1` the last `i` entries
+//! of row `r + i` are left over (no block, no earlier triangle holds them)
+//! and sit at columns `r … r + i − 1`; they then leave that row's delta
+//! units. Every triangle entry's row and column are rows of the unit, so
+//! the unit's columns stay on the direct side of the first row, and the
+//! blocks end left of column `r`.
+//!
 //! The decoder starts *before* row 0, so the first unit always carries NR.
 //! Values are stored separately, in unit-element order.
 //!
@@ -35,7 +47,7 @@
 //! checks first (the `ctl-bound` invariant).
 
 use crate::detect::{analyze, DetectConfig, Detected};
-use crate::pattern::{DeltaWidth, PatternKind};
+use crate::pattern::{triangle_len, DeltaWidth, PatternKind, MAX_BLOCK_DIM};
 use crate::rows::RowView;
 use crate::varint::write_varint;
 use std::ops::Range;
@@ -55,11 +67,13 @@ pub const ID_MASK: u8 = 0x3F;
 /// and there is no `&mut` access, so every stream holds the `ctl-bound`
 /// invariant: `ctl` is a sequence of whole units (every head and body
 /// inside it, the first unit starting a row); unit sizes lie in `1..=255`,
-/// and the units' elements — a block unit's `size·R·C` — sum to
-/// `values.len()`; every element's row
+/// and the units' elements — a block unit's `size·R·C`, plus `R(R − 1)/2`
+/// with a triangle — sum to `values.len()`; a triangle unit's blocks end
+/// left of its anchor row as a column; every element's row
 /// lies in [`CtlStream::first_row`]`..`[`CtlStream::row_end`] and its column
 /// below [`CtlStream::col_end`]; and where [`CtlStream::legal_split`] is
-/// `Some`, no substructure unit has columns on both sides of the first row.
+/// `Some`, no substructure unit's blocks have columns on both sides of the
+/// first row.
 /// With one assert per call on those bounds, the decoders read the stream
 /// and index their operands without further checks.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,7 +92,8 @@ struct Extent {
     row_end: usize,
     /// One past the largest column of any element (0 when empty).
     col_end: usize,
-    /// A substructure unit has columns on both sides of `first_row`.
+    /// A substructure unit's blocks have columns on both sides of
+    /// `first_row` (a triangle's lie in rows of its unit, at or right of it).
     straddles: bool,
     /// Elements so far.
     elements: usize,
@@ -98,7 +113,8 @@ impl Extent {
     /// Takes in the unit of pattern `id` and size byte `size` anchored at
     /// `(row, col)`; `last` is a delta unit's last column, or a block unit's
     /// last anchor. O(1): the unit's geometry follows from its head and
-    /// `last`.
+    /// `last`. A triangle unit reaches column `row + R − 2` and row `row +
+    /// R − 1`, and is refused if its blocks reach column `row`.
     fn add(
         &mut self,
         id: u8,
@@ -115,19 +131,25 @@ impl Extent {
                 self.first_row
             ));
         }
-        let mut elements = size;
-        let (last_row, hi) = match PatternKind::from_id(id) {
+        let (mut elements, tri) = (size, triangle_len(id));
+        // The last row; the blocks' last column, and the unit's.
+        let (last_row, hi, reach) = match PatternKind::from_id(id) {
             _ if last < col => return Err(format!("{}: columns descend", at())),
-            None if id <= 2 => (row, last),
+            None if id <= 2 => (row, last, last),
             None => return Err(format!("{}: no such pattern", at())),
             Some(PatternKind::Block { rows, cols }) => {
                 let (r, c) = (usize::from(rows), usize::from(cols));
-                elements = size * r * c;
-                (row + r - 1, last + c - 1)
+                elements = size * r * c + tri;
+                let hi = last + c - 1;
+                if tri > 0 && hi >= row {
+                    return Err(format!("{}: blocks reach the diagonal", at()));
+                }
+                let reach = if tri > 0 { row + r - 2 } else { hi };
+                (row + r - 1, hi, reach)
             }
         };
         self.row_end = self.row_end.max(last_row + 1);
-        self.col_end = self.col_end.max(hi + 1);
+        self.col_end = self.col_end.max(reach + 1);
         self.straddles |= id > 2 && col < self.first_row && self.first_row <= hi;
         self.elements += elements;
         Ok(())
@@ -143,8 +165,9 @@ pub struct UnitHeader {
     pub col: Idx,
     /// Substructure pattern, or `None` for a delta unit.
     pub kind: Option<PatternKind>,
-    /// Element count (a block unit's: all its blocks'). Not the size byte,
-    /// which counts a block unit's blocks ([`UnitHead::size`]).
+    /// Element count (a block unit's: all its blocks', and its triangle's).
+    /// Not the size byte, which counts a block unit's blocks
+    /// ([`UnitHead::size`]).
     pub elements: u32,
 }
 
@@ -269,7 +292,8 @@ pub struct Encoded {
     /// The second value array handed to the encoder, in stream order;
     /// empty without one.
     pub upper_values: Vec<Val>,
-    /// Fraction of the non-zeros covered by substructure units.
+    /// Fraction of the non-zeros covered by substructure units — their
+    /// blocks and diagonal triangles.
     pub coverage: f64,
     /// Number of detected substructure instances; a block unit carries up
     /// to 255 of them, so this is not a count of heads.
@@ -294,9 +318,11 @@ pub fn encode_rows(
 /// Encodes a detection result of `view`, row by row: the anchors of the
 /// instances that start in a row and the delta units chunked from its
 /// leftover entries are merged by anchor column, and consecutive blocks of
-/// one shape share a unit up to a break of the grammar (module doc). Each
-/// unit's values — from `values` and, if given, from `upper`, both aligned
-/// with the view's column array — are written as the unit is emitted.
+/// one shape share a unit up to a break of the grammar; a row's last square
+/// block unit takes its diagonal triangle where the module doc's rule
+/// allows. Each unit's values — from `values` and, if given, from `upper`,
+/// both aligned with the view's column array — are written as the unit is
+/// emitted.
 ///
 /// The stream's first row is the view's. The encoder checks what it emits
 /// rather than trusting `det` (whose instances are public), in O(1) per
@@ -326,13 +352,34 @@ pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&
     let mut instances = &det.instances[..];
     // Per-row scratch: the leftovers, in column order; per-unit: its body.
     let (mut left, mut body): (Vec<u32>, Vec<u8>) = (Vec::new(), Vec::new());
+    // Trailing entries of the rows `row + 1 …` that a triangle took, and
+    // all the triangles' entries.
+    let mut taken = [0usize; MAX_BLOCK_DIM as usize - 1];
+    let mut triangles = 0usize;
     for row in view.first_row..view.end_row() {
         let anchors;
         (anchors, instances) =
             instances.split_at(instances.iter().take_while(|i| i.row == row).count());
+        let entries = view.row(row);
         left.clear();
-        left.extend(det.free(view.row(row)));
+        left.extend(det.free(entries.start..entries.end - taken[0]));
+        taken.rotate_left(1);
+        taken[taken.len() - 1] = 0;
         let col_of = |e: u32| cols[e as usize];
+        // Whether the rows below hold `row`'s diagonal triangle for `side ×
+        // side` blocks: for each `i`, the last `i` entries of row `row + i`
+        // are free, untaken and at columns `row … row + i − 1`.
+        let triangle = |side: u8, taken: &[usize]| {
+            (1..usize::from(side)).all(|i| {
+                let entries = view.row(row + i as Idx);
+                let tail = entries.end.saturating_sub(i)..entries.end;
+                taken[i - 1] == 0
+                    && entries.len() >= i
+                    && cols[tail.start] == row
+                    && cols[tail.end - 1] == row + i as Idx - 1
+                    && det.free(tail).count() == i
+            })
+        };
         let (mut a, mut s) = (0usize, 0usize);
         let mut prev_col: Option<Idx> = None;
         while a < anchors.len() || s < left.len() {
@@ -362,7 +409,21 @@ pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&
                         next.segments(&det.pool).for_each(&mut put);
                         (a, size, last) = (a + 1, size + 1, next.col);
                     }
-                    (inst.kind.id(), size, inst.col, last)
+                    let PatternKind::Block { rows: side, .. } = inst.kind;
+                    let last_direct = a == anchors.len() && inst.col >= first;
+                    let id = match inst.kind.triangle_id() {
+                        Some(id) if last_direct && triangle(side, &taken) => {
+                            for i in 1..usize::from(side) {
+                                let end = view.row(row + i as Idx).end;
+                                put(end - i..end);
+                                taken[i - 1] = i;
+                                triangles += i;
+                            }
+                            id
+                        }
+                        _ => inst.kind.id(),
+                    };
+                    (id, size, inst.col, last)
                 }
                 _ => {
                     // Greedy chunking: width fixed by the first delta of
@@ -433,7 +494,7 @@ pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&
             extent,
         },
         upper_values,
-        coverage: det.coverage(),
+        coverage: (det.covered() + triangles) as f64 / det.nnz.max(1) as f64,
         substructure_units: det.instances.len(),
         delta_units,
         units,
@@ -497,7 +558,8 @@ impl CtlStream {
     }
 
     /// The CSX-Sym legality split (§IV-B) the stream keeps: its first row,
-    /// unless a substructure unit has columns on both sides of it.
+    /// unless a substructure unit's blocks have columns on both sides of it
+    /// (a triangle's columns are rows of its unit, never left of it).
     pub fn legal_split(&self) -> Option<usize> {
         (!self.extent.straddles).then_some(self.extent.first_row)
     }
@@ -537,11 +599,12 @@ impl CtlStream {
                 Some(PatternKind::Block { rows, cols }) => u32::from(rows) * u32::from(cols),
                 None => 1,
             };
+            let tri = triangle_len(unit.id);
             on_unit(&UnitHeader {
                 row,
                 col,
                 kind,
-                elements: unit.size as u32 * block,
+                elements: unit.size as u32 * block + tri as u32,
             });
             if let Some(kind) = kind {
                 // SAFETY(cert: ctl-bound): the id names a block unit, whose
@@ -556,6 +619,11 @@ impl CtlStream {
                         let (er, ec) = kind.element(row, c, k);
                         on_element(er, ec, next_value());
                     }
+                }
+                // The triangle, row by row: `i` entries in row `row + i`.
+                let rows = (1..).flat_map(|i: Idx| (0..i).map(move |j| (row + i, row + j)));
+                for (er, ec) in rows.take(tri) {
+                    on_element(er, ec, next_value());
                 }
                 continue;
             }
@@ -984,6 +1052,140 @@ mod tests {
         refused(&[NR | 40, 2, 3, 3], 18); // a gap cut off
         refused(&[NR | 40, 3, 3, 3, 0], 27); // the second gap missing
         refused(&[NR | 40, 2, 3, 2, 0], 18); // blocks 2 apart overlap
+    }
+
+    /// Adds the diagonal triangle of the `side × side` block row at `row`
+    /// to `coo`, valued by position as [`blocks`] values them.
+    fn triangle(mut coo: CooMatrix, row: Idx, side: Idx) -> CooMatrix {
+        let m = coo.ncols();
+        for i in 1..side {
+            for j in 0..i {
+                coo.push(row + i, row + j, f64::from((row + i) * m + row + j));
+            }
+        }
+        coo
+    }
+
+    #[test]
+    fn a_block_row_and_its_triangle_are_one_head() {
+        // Rows 3..6: a 3 × 3 block at column 0 and entries (4, 3), (5, 3)
+        // and (5, 4).
+        let coo = triangle(blocks(6, 6, (3, 3), 3, &[0]), 3, 3);
+        let encoded = grouped(&coo, 0..6, B33, false);
+        assert_eq!(encoded.stream.ctl(), [NR_BIT | RJMP_BIT | 46, 3, 1, 0]);
+        assert_eq!((encoded.units, encoded.delta_units), (1, 0));
+        assert_eq!(encoded.coverage, 1.0);
+        // The block row-major, then the triangle row by row.
+        let mut want: Vec<Val> = (0..9).map(|k| f64::from((3 + k / 3) * 6 + k % 3)).collect();
+        want.extend([4 * 6 + 3, 5 * 6 + 3, 5 * 6 + 4].map(f64::from));
+        assert_eq!(encoded.stream.values(), want);
+        let walked: Vec<_> = encoded.stream.decode_elements();
+        let tail: Vec<_> = walked[9..].iter().map(|&(r, c, _)| (r, c)).collect();
+        assert_eq!(tail, [(4, 3), (5, 3), (5, 4)]);
+        assert_eq!((encoded.stream.row_end(), encoded.stream.col_end()), (6, 5));
+
+        // Two 2 × 2 blocks of rows 6..8 and the entry (7, 6): one head, one
+        // gap; the row's leftover left of the blocks keeps its delta unit.
+        let mut coo = triangle(blocks(8, 8, (2, 2), 6, &[1, 4]), 6, 2);
+        coo.push(6, 0, 1.0);
+        let encoded = grouped(&coo, 0..8, B22, false);
+        let ctl = [NR_BIT | RJMP_BIT, 6, 1, 0, 45, 2, 1, 3, 0];
+        assert_eq!((encoded.stream.ctl(), encoded.units), (&ctl[..], 2));
+    }
+
+    #[test]
+    fn a_missing_or_taken_triangle_entry_leaves_delta_units() {
+        // (5, 3) missing: row 5 ends at a block entry and (5, 4).
+        let mut coo = blocks(6, 6, (3, 3), 3, &[0]);
+        coo.push(4, 3, 1.0);
+        coo.push(5, 4, 2.0);
+        let encoded = grouped(&coo, 0..6, B33, false);
+        let (block, deltas) = (
+            [NR_BIT | RJMP_BIT | 40, 3, 1, 0],
+            [NR_BIT, 1, 3, NR_BIT, 1, 4],
+        );
+        let ctl = [&block[..], &deltas].concat();
+        assert_eq!((encoded.stream.ctl(), encoded.delta_units), (&ctl[..], 2));
+        assert_eq!(encoded.coverage, 9.0 / 11.0);
+
+        // Block A at (6, 0) takes its triangle, (7, 6), (8, 6) and (8, 7).
+        // Block B at (7, 3) is its row's last unit, but the last entry of
+        // row 8 is A's: B's triangle is refused, and the entries of row 9
+        // it would have taken, (9, 7) and (9, 8), stay one delta unit.
+        let mut coo = blocks(10, 10, (3, 3), 6, &[0]);
+        for (r, c, v) in blocks(10, 10, (3, 3), 7, &[3]).iter() {
+            coo.push(r, c, v);
+        }
+        for (r, c) in [(7, 6), (8, 6), (8, 7), (9, 7), (9, 8)] {
+            coo.push(r, c, f64::from(r * 10 + c));
+        }
+        let encoded = grouped(&coo, 0..10, B33, false);
+        let a = [NR_BIT | RJMP_BIT | 46, 6, 1, 0];
+        let b = [NR_BIT | 40, 1, 3];
+        let row_9 = [NR_BIT | RJMP_BIT, 1, 2, 7, 1];
+        let ctl: Vec<u8> = [&a[..], &b, &row_9].concat();
+        assert_eq!((encoded.stream.ctl(), encoded.units), (&ctl[..], 3));
+    }
+
+    #[test]
+    fn a_triangle_under_blocks_left_of_the_first_row_stays_in_delta_units() {
+        // Rows 3..6 as a chunk from row 3: the block at column 0 lies left
+        // of it, so its unit stays a plain block unit and the split legal.
+        let coo = triangle(blocks(6, 6, (3, 3), 3, &[0]), 3, 3);
+        let encoded = grouped(&coo, 3..6, B33, true);
+        let (block, deltas) = (
+            [NR_BIT | RJMP_BIT | 40, 3, 1, 0],
+            [NR_BIT, 1, 3, NR_BIT, 2, 3, 1],
+        );
+        let ctl = [&block[..], &deltas].concat();
+        assert_eq!((encoded.stream.ctl(), encoded.units), (&ctl[..], 3));
+        assert_eq!(encoded.stream.legal_split(), Some(3));
+        // From row 0 the same rows take the triangle.
+        assert_eq!(grouped(&coo, 0..6, B33, true).units, 1);
+    }
+
+    #[test]
+    fn a_block_row_cut_off_by_the_views_end_stays_in_delta_units() {
+        // Rows 0..5 hold only rows 3 and 4 of the block row at 3: no block,
+        // and its triangle entry (4, 3) is its row's delta unit's last.
+        let coo = triangle(blocks(6, 6, (3, 3), 3, &[0]), 3, 3);
+        let encoded = grouped(&coo, 0..5, B33, false);
+        let ctl = [NR_BIT | RJMP_BIT, 3, 3, 0, 1, 1, NR_BIT, 4, 0, 1, 1, 1];
+        assert_eq!((encoded.stream.ctl(), encoded.units), (&ctl[..], 2));
+        assert_eq!(encoded.coverage, 0.0);
+    }
+
+    /// A triangle unit's blocks end left of its anchor row, and its values
+    /// include the triangle's.
+    #[test]
+    fn validated_refuses_malformed_triangle_units() {
+        const NR: u8 = NR_BIT | RJMP_BIT;
+        let check = |ctl: &[u8], values: usize, first_row: usize| {
+            CtlStream::validated(ctl.to_vec(), vec![1.0; values], first_row)
+        };
+        // A 3 × 3 block at (3, 0) and its triangle: 9 + 3 values, columns
+        // up to 4.
+        let good = [NR | 46, 3, 1, 0];
+        let stream = check(&good, 12, 0).unwrap();
+        assert_eq!((stream.row_end(), stream.col_end()), (6, 5));
+        // Its blocks, not its triangle, count for the split: left of row 3.
+        let split = |first_row| check(&good, 12, first_row).unwrap().legal_split();
+        assert_eq!((split(0), split(1), split(3)), (Some(0), None, Some(3)));
+        let refused = |ctl: &[u8], values: usize| {
+            let stream = check(ctl, values, 0);
+            assert!(
+                matches!(stream, Err(SparseError::InvalidArgument { .. })),
+                "{ctl:?}"
+            );
+        };
+        refused(&good, 9); // the triangle's values missing
+        refused(&good, 11);
+        refused(&[NR | 46, 3, 1, 1], 12); // a block reaching column 3
+        refused(&[NR | 46, 3, 2, 0, 2, 0], 21); // a second block, overlapping
+        refused(&[NR | 46, 3, 2, 0, 3, 0], 21); // apart, but reaching column 3
+                                                // Two 2 × 2 blocks in row 4 end at column 3: accepted.
+        assert!(check(&[NR | 45, 4, 2, 0, 2, 0], 9, 0).is_ok());
+        refused(&[NR | 48, 3, 1, 0], 12); // 48 is unassigned
     }
 
     #[test]

@@ -6,20 +6,19 @@
 //!
 //! CSX discards CSR's `rowptr`/`colind` arrays and instead stores all
 //! location metadata in a variable-length byte stream (`ctl`) of *units*.
-//! A unit is either a detected non-zero *substructure* — a horizontal,
-//! vertical, diagonal or anti-diagonal run, whose body is empty, or a row's
-//! run of up to 255 small dense blocks of one shape, whose body holds the
-//! gaps between their anchors — or a *delta unit* carrying column deltas of
-//! a fixed byte width. Values are stored in a separate array in unit order.
+//! A unit is either a detected non-zero *substructure* — a row's run of up
+//! to 255 small dense blocks of one shape, whose body holds the gaps between
+//! their anchors, and which for square blocks may also carry its block row's
+//! diagonal triangle — or a *delta unit* carrying column deltas of a fixed
+//! byte width. Values are stored in a separate array in unit order.
 //!
 //! This crate implements:
 //!
 //! * [`varint`] — the variable-size integers used in unit heads;
 //! * [`pattern`] — the 6-bit pattern-id space;
 //! * [`rows`] — the borrowed sorted-row view every pass below runs on;
-//! * [`detect`] — substructure detection by row scan, bucket pass and row
-//!   merge, with the sampling-based type-selection pass the paper's §V-E
-//!   relies on;
+//! * [`detect`] — block detection by a merge of adjacent rows, with the
+//!   sampling-based shape-selection pass the paper's §V-E relies on;
 //! * [`encode`] — the `ctl` byte-stream builder, and the one unit-head
 //!   decoder every consumer of a stream advances;
 //! * [`matrix`] — [`matrix::CsxMatrix`], construction from COO or a row

@@ -185,11 +185,19 @@ pub fn spmv_stream(stream: &CtlStream, x: &[Val], y: &mut [Val]) {
             macro_rules! block {
                 ($r:literal, $c:literal) => {{
                     let len = unit.size * $r * $c;
-                    block::<$r, $c>(cursor.body(unit.size), vals(len), &unit, x, y);
+                    block::<$r, $c, 0>(cursor.body(unit.size), vals(len), &unit, x, y);
                     len
                 }};
             }
-            at += crate::dispatch_unit!(unit.id, delta, block);
+            macro_rules! tri {
+                ($r:literal) => {{
+                    const T: usize = $r * ($r - 1) / 2;
+                    let len = unit.size * $r * $r + T;
+                    block::<$r, $r, T>(cursor.body(unit.size), vals(len), &unit, x, y);
+                    len
+                }};
+            }
+            at += crate::dispatch_unit!(unit.id, delta, block, tri);
         }
     }
 }
@@ -216,22 +224,26 @@ unsafe fn delta<const W: usize>(
     *y.get_unchecked_mut(unit.row) += acc;
 }
 
-/// A unit of `size` dense `R × C` blocks anchored in one row, by
-/// fixed-size array indexing: the `R` row sums stay in registers across the
-/// blocks, each block adding its row sums in turn.
+/// A unit of `size` dense `R × C` blocks anchored in one row, and the `T`
+/// values of its diagonal triangle (`T = 0`: none), by fixed-size array
+/// indexing: the `R` row sums stay in registers across the blocks, each
+/// block adding its row sums in turn; then row `row + i` of the triangle
+/// adds its `i` products, summed as a delta unit sums them.
 ///
 /// # Safety
-/// SAFETY(cert: ctl-bound): `vals` holds `size·R·C` values and `gaps` the
-/// `size − 1` anchor gaps; every block's columns `c..c + C` index `x` and
-/// rows `row..row + R` index `y`.
+/// SAFETY(cert: ctl-bound): `vals` holds `size·R·C + T` values and `gaps`
+/// the `size − 1` anchor gaps; every block's columns `c..c + C` index `x`
+/// and rows `row..row + R` index `y`, and with `T > 0` so do the triangle's
+/// columns `row..row + R − 1`.
 #[inline(always)]
-unsafe fn block<const R: usize, const C: usize>(
+unsafe fn block<const R: usize, const C: usize, const T: usize>(
     gaps: &[[u8; 2]],
     vals: &[Val],
     unit: &UnitHead,
     x: &[Val],
     y: &mut [Val],
 ) {
+    let (vals, tri) = vals.split_at_unchecked(vals.len() - T);
     let blocks = vals.as_chunks::<C>().0.as_chunks::<R>().0;
     let slot = y
         .get_unchecked_mut(unit.row..)
@@ -248,6 +260,18 @@ unsafe fn block<const R: usize, const C: usize>(
             *yr += acc;
         }
         c += gaps.next().map_or(0, delta_of);
+    }
+    if T > 0 {
+        let xr = |j: usize| *x.get_unchecked(unit.row + j);
+        let mut k = 0;
+        for (i, yr) in yr.iter_mut().enumerate().skip(1) {
+            let mut acc = tri.get_unchecked(k) * xr(0);
+            for j in 1..i {
+                acc += tri.get_unchecked(k + j) * xr(j);
+            }
+            *yr += acc;
+            k += i;
+        }
     }
     *slot = yr;
 }
@@ -473,7 +497,13 @@ mod unchecked_decode_tests {
                     checked_block::<$r, $c>(gaps, take(unit.size * $r * $c), &unit, x, y)
                 }};
             }
-            crate::dispatch_unit!(unit.id, delta, block);
+            macro_rules! tri {
+                ($r:literal) => {{
+                    block!($r, $r);
+                    checked_triangle($r, take($r * ($r - 1) / 2), &unit, x, y)
+                }};
+            }
+            crate::dispatch_unit!(unit.id, delta, block, tri);
         }
         assert!(values.is_empty());
     }
@@ -492,6 +522,24 @@ mod unchecked_decode_tests {
             acc += v * x[c];
         }
         y[unit.row] += acc;
+    }
+
+    /// A triangle as the delta units it replaced: row `row + i`'s `i`
+    /// entries, at columns `row …` (deltas of 1), one unit per row.
+    fn checked_triangle(side: usize, vals: &[Val], unit: &UnitHead, x: &[Val], y: &mut [Val]) {
+        let mut vals = vals;
+        for i in 1..side {
+            let row = UnitHead {
+                row: unit.row + i,
+                col: unit.row,
+                size: i,
+                ..*unit
+            };
+            let v;
+            (v, vals) = vals.split_at(i);
+            checked_delta::<1>(&vec![[1]; i - 1], v, &row, x, y);
+        }
+        assert!(vals.is_empty());
     }
 
     /// One block at a time, as the one-block units before grouping were

@@ -5,9 +5,10 @@
 //! counts as this path gives.
 //!
 //! That encoder wrote each block as its own unit; [`regroup`] then folds
-//! its stream into the grouped block units of today's grammar, applying
-//! the break rules to the decoded units rather than to the detector's
-//! instances, as the crate's encoder does.
+//! its stream into the grouped block units of today's grammar, and moves
+//! each diagonal triangle the grammar allows out of its rows' delta units
+//! onto the block unit above it, applying the rules to the decoded units
+//! rather than to the detector's instances, as the crate's encoder does.
 //!
 //! The path: a statistics pass that scores each block shape by greedy
 //! acceptance over a candidate list; a detection pass that lists every
@@ -54,13 +55,6 @@ struct Detected {
     pool: Vec<u32>,
     state: Vec<u32>,
     base: usize,
-}
-
-impl Detected {
-    fn coverage(&self) -> f64 {
-        let covered: usize = self.instances.iter().map(|i| i.len as usize).sum();
-        covered as f64 / self.nnz.max(1) as f64
-    }
 }
 
 const WINDOW: u64 = 64;
@@ -253,7 +247,6 @@ fn encode(view: RowView<'_>, det: &Detected, values: &[&[Val]]) -> Encoding {
     let cols = view.cols;
     let mut ctl = Vec::new();
     let mut order: Vec<u32> = Vec::with_capacity(det.nnz);
-    let mut delta_units = 0usize;
     let mut prev_row: Option<Idx> = None;
     let mut anchors: Vec<usize> = Vec::new();
     let mut left: Vec<u32> = Vec::new();
@@ -287,7 +280,6 @@ fn encode(view: RowView<'_>, det: &Detected, values: &[&[Val]]) -> Encoding {
                         e += 1;
                     }
                     s += e;
-                    delta_units += 1;
                     (PatternKind::delta_id(width), &rest[..e], Some(width))
                 }
             };
@@ -320,36 +312,54 @@ fn encode(view: RowView<'_>, det: &Detected, values: &[&[Val]]) -> Encoding {
             order.extend_from_slice(entries);
         }
     }
-    let gather = |v: &[Val]| order.iter().map(|&e| v[e as usize]).collect();
-    let (ctl, units) = regroup(&ctl, view.first_row);
+    let grouped = regroup(&ctl, &order, view);
+    let gather = |v: &[Val]| grouped.order.iter().map(|&e| v[e as usize]).collect();
+    let covered: usize = det.instances.iter().map(|i| i.len as usize).sum();
     Encoding {
         values: values.iter().map(|v| gather(v)).collect(),
-        ctl,
-        coverage: det.coverage(),
+        ctl: grouped.ctl,
+        coverage: (covered + grouped.triangles) as f64 / det.nnz.max(1) as f64,
         substructure_units: det.instances.len(),
-        delta_units,
-        units,
+        delta_units: grouped.delta_units,
+        units: grouped.units,
     }
 }
 
-/// One unit of a stream in the one-block-per-unit grammar, decoded.
+/// One unit of a stream in the one-block-per-unit grammar, decoded, with
+/// where its entries lie in the stream's entry order.
 struct OldUnit {
     row: usize,
     col: usize,
     id: u8,
-    size: u8,
     body: Vec<u8>,
+    entries: Range<usize>,
 }
 
-/// Rewrites `ctl`, whose block units carry one block each (size byte
-/// `R·C`, no body), in the grouped grammar: a block unit takes the blocks
-/// of the units that follow it while they lie in its row, have its id and
-/// their anchors stay on its anchor's side of column `first_row`, while
-/// each anchor gap fits a `u16`, up to 255 blocks. Every other unit is
-/// copied, its `ucol` taken against the previous unit's anchor. Returns
-/// the stream and its unit count.
-pub(crate) fn regroup(ctl: &[u8], first_row: Idx) -> (Vec<u8>, usize) {
+/// A stream in the grouped grammar and its counts.
+pub(crate) struct Regrouped {
+    pub ctl: Vec<u8>,
+    /// The view's entry stored at each stream position.
+    pub order: Vec<u32>,
+    pub units: usize,
+    pub delta_units: usize,
+    /// Entries the triangles took.
+    pub triangles: usize,
+}
+
+/// Rewrites `ctl` — `view` encoded with block units of one block each
+/// (size byte `R·C`, no body), `order` its entry at each stream position —
+/// in the grouped grammar: a block unit takes the blocks of the units that
+/// follow it while they lie in its row, have its id and their anchors stay
+/// on its anchor's side of column `first_row`, while each anchor gap fits a
+/// `u16`, up to 255 blocks. A square row's last block unit anchored at or
+/// right of `first_row` takes its diagonal triangle when, for each `i` in
+/// `1 … R − 1`, the last `i` entries of row `row + i` of the view are in
+/// delta units, at columns `row …`, and not taken by an earlier triangle;
+/// the delta units that held them shrink or go. Every other unit is
+/// copied, its `ucol` taken against the previous unit's anchor.
+pub(crate) fn regroup(ctl: &[u8], order: &[u32], view: RowView<'_>) -> Regrouped {
     let (mut old, mut pos, mut row, mut col) = (Vec::new(), 0, usize::MAX, 0);
+    let mut at = 0;
     while pos < ctl.len() {
         let flags = ctl[pos];
         pos += 1;
@@ -370,17 +380,35 @@ pub(crate) fn regroup(ctl: &[u8], first_row: Idx) -> (Vec<u8>, usize) {
         };
         let body = ctl[pos..pos + len].to_vec();
         pos += len;
+        let entries = at..at + usize::from(size);
+        at = entries.end;
         old.push(OldUnit {
             row,
             col,
             id,
-            size,
             body,
+            entries,
         });
     }
-    let first = first_row as usize;
-    let (mut out, mut units, mut i) = (Vec::new(), 0, 0);
+    assert_eq!(at, order.len());
+    let (first, base) = (view.first_row as usize, view.base());
+    // Per entry of the view: in a delta unit; taken by a triangle.
+    let mut free = vec![false; view.nnz()];
+    let mut taken = vec![false; view.nnz()];
+    for u in old.iter().filter(|u| u.id <= 2) {
+        order[u.entries.clone()]
+            .iter()
+            .for_each(|&e| free[e as usize - base] = true);
+    }
+    let mut out = Regrouped {
+        ctl: Vec::new(),
+        order: Vec::with_capacity(order.len()),
+        units: 0,
+        delta_units: 0,
+        triangles: 0,
+    };
     let mut prev: Option<(usize, usize)> = None;
+    let mut i = 0;
     while i < old.len() {
         let u = &old[i];
         let mut j = i + 1;
@@ -395,35 +423,88 @@ pub(crate) fn regroup(ctl: &[u8], first_row: Idx) -> (Vec<u8>, usize) {
                 j += 1;
             }
         }
-        let (size, body) = match u.id {
+        let (mut id, size, body) = match u.id {
             36..=44 => {
                 let gaps = old[i..j].windows(2).map(|w| (w[1].col - w[0].col) as u16);
-                ((j - i) as u8, gaps.flat_map(u16::to_le_bytes).collect())
+                for b in &old[i..j] {
+                    out.order.extend_from_slice(&order[b.entries.clone()]);
+                }
+                (
+                    u.id,
+                    (j - i) as u8,
+                    gaps.flat_map(u16::to_le_bytes).collect(),
+                )
             }
-            _ => (u.size, u.body.clone()),
+            _ => {
+                // A triangle took a suffix of the row's delta entries.
+                let entries = &order[u.entries.clone()];
+                let keep = entries.iter().take_while(|&&e| !taken[e as usize - base]);
+                let keep = keep.count();
+                out.order.extend_from_slice(&entries[..keep]);
+                out.delta_units += usize::from(keep > 0);
+                let width = 1 << u.id;
+                let id = if keep == 1 { 0 } else { u.id };
+                (
+                    id,
+                    keep as u8,
+                    u.body[..width * keep.saturating_sub(1)].to_vec(),
+                )
+            }
         };
+        let last_in_row = !old[j..].iter().any(|v| v.row == u.row && v.id > 2);
+        let side = match PatternKind::from_id(u.id) {
+            Some(PatternKind::Block { rows, cols }) if rows == cols => usize::from(rows),
+            _ => 0,
+        };
+        // The last `d` entries of row `row + d`.
+        let tail = |d: usize| {
+            let entries = view.row((u.row + d) as Idx);
+            (entries.len() >= d).then(|| entries.end - d..entries.end)
+        };
+        let holds = (1..side).all(|d| {
+            tail(d).is_some_and(|tail| {
+                tail.clone().all(|e| {
+                    let k = e - base;
+                    free[k] && !taken[k] && view.cols[e] as usize == u.row + e - tail.start
+                })
+            })
+        });
+        if side > 0 && last_in_row && u.col >= first && holds {
+            id = 45 + (side - 2) as u8;
+            for d in 1..side {
+                for e in tail(d).into_iter().flatten() {
+                    taken[e - base] = true;
+                    out.order.push(e as u32);
+                    out.triangles += 1;
+                }
+            }
+        }
+        i = j;
+        if size == 0 {
+            continue;
+        }
         let ucol = match prev {
             Some((r, c)) if r == u.row => {
-                out.push(u.id);
+                out.ctl.push(id);
                 u.col - c
             }
             _ => {
                 let jump = prev.map_or(u.row, |(r, _)| u.row - r - 1);
-                out.push(u.id | NR_BIT | if jump > 0 { RJMP_BIT } else { 0 });
+                out.ctl
+                    .push(id | NR_BIT | if jump > 0 { RJMP_BIT } else { 0 });
                 if jump > 0 {
-                    write_varint(&mut out, jump as u64);
+                    write_varint(&mut out.ctl, jump as u64);
                 }
                 u.col
             }
         };
-        out.push(size);
-        write_varint(&mut out, ucol as u64);
-        out.extend_from_slice(&body);
+        out.ctl.push(size);
+        write_varint(&mut out.ctl, ucol as u64);
+        out.ctl.extend_from_slice(&body);
         prev = Some((u.row, u.col));
-        units += 1;
-        i = j;
+        out.units += 1;
     }
-    (out, units)
+    out
 }
 
 /// The oracle's statistics pass, detection and encoding of `view`.

@@ -4,11 +4,18 @@
 //! |-------------|-------------------------------------------|
 //! | 0, 1, 2     | delta unit, u8 / u16 / u32 column deltas  |
 //! | 36 + 3·(r−2) + (c−2) | unit of dense r×c blocks, r,c ∈ 2..=4 |
-//! | 3..=35, 45..=63 | unassigned                            |
+//! | 45, 46, 47  | unit of dense r×r blocks, r = 2, 3, 4, and its block row's diagonal triangle |
+//! | 3..=35, 48..=63 | unassigned                            |
 //!
 //! Ids 4..=35 named the paper's 1-D runs (horizontal, vertical, diagonal,
 //! anti-diagonal, each at strides 1..=8), which this crate does not encode
 //! (DESIGN.md §5.2, "No 1-D runs"); a stream that carries one is malformed.
+//!
+//! A unit of ids 45..=47 is a square block unit anchored in row `r` whose
+//! `m` blocks are followed by the `r(r − 1)/2` entries of the strict lower
+//! triangle of the diagonal block below its anchor row: rows `r + 1 … r + R
+//! − 1`, columns from `r`, row-major ([`triangle_len`]). An id, not a flag
+//! bit, tells it apart, so the head costs no extra branch.
 
 /// Minimum/maximum dense block dimension.
 pub const MIN_BLOCK_DIM: u8 = 2;
@@ -69,8 +76,16 @@ impl PatternKind {
         36 + 3 * (rows - 2) + (cols - 2)
     }
 
-    /// Decodes a 6-bit pattern id back into a kind; `None` for delta-unit
-    /// ids (0..=2) and unassigned ids.
+    /// The id of a unit of this kind's blocks that also carries its block
+    /// row's diagonal triangle; `None` unless the blocks are square.
+    pub(crate) fn triangle_id(self) -> Option<u8> {
+        let PatternKind::Block { rows, cols } = self;
+        (rows == cols).then(|| 45 + rows - MIN_BLOCK_DIM)
+    }
+
+    /// Decodes a 6-bit pattern id back into the kind of its blocks — a
+    /// triangle unit's (45..=47) too; `None` for delta-unit ids (0..=2) and
+    /// unassigned ids.
     #[inline(always)]
     pub fn from_id(id: u8) -> Option<PatternKind> {
         match id {
@@ -79,6 +94,13 @@ impl PatternKind {
                 Some(PatternKind::Block {
                     rows: k / 3 + 2,
                     cols: k % 3 + 2,
+                })
+            }
+            45..=47 => {
+                let side = id - 45 + MIN_BLOCK_DIM;
+                Some(PatternKind::Block {
+                    rows: side,
+                    cols: side,
                 })
             }
             _ => None,
@@ -114,13 +136,27 @@ impl PatternKind {
     }
 }
 
+/// The number of diagonal-triangle values a unit of pattern `id` carries
+/// after its blocks: `R(R − 1)/2` for ids 45..=47, 0 for every other id.
+#[inline(always)]
+pub fn triangle_len(id: u8) -> usize {
+    match id {
+        45..=47 => {
+            let side = usize::from(id - 45 + MIN_BLOCK_DIM);
+            side * (side - 1) / 2
+        }
+        _ => 0,
+    }
+}
+
 /// Selects a unit kernel from a pattern id — the id table above as one
-/// `match`, shared by every decoder. The caller supplies two macros:
+/// `match`, shared by every decoder. The caller supplies three macros:
 /// `$delta!(W)` for a delta unit of byte width `W`, `$block!(R, C)` for a
-/// unit of dense blocks.
+/// unit of dense blocks, `$tri!(R)` for a unit of `R × R` blocks and its
+/// diagonal triangle.
 #[macro_export]
 macro_rules! dispatch_unit {
-    ($id:expr, $delta:ident, $block:ident) => {
+    ($id:expr, $delta:ident, $block:ident, $tri:ident) => {
         match $id {
             0 => $delta!(1),
             1 => $delta!(2),
@@ -134,6 +170,9 @@ macro_rules! dispatch_unit {
             42 => $block!(4, 2),
             43 => $block!(4, 3),
             44 => $block!(4, 4),
+            45 => $tri!(2),
+            46 => $tri!(3),
+            47 => $tri!(4),
             _ => unreachable!("invalid pattern id in ctl stream"),
         }
     };
@@ -163,6 +202,48 @@ mod tests {
             assert!(id > 2, "substructure ids must not collide with delta ids");
             assert!(seen.insert(id), "duplicate id {id}");
             assert_eq!(PatternKind::from_id(id), Some(k));
+        }
+    }
+
+    #[test]
+    fn triangle_ids_name_the_square_shapes() {
+        let mut ids = Vec::new();
+        for k in all_kinds() {
+            let PatternKind::Block { rows, cols } = k;
+            let Some(id) = k.triangle_id() else {
+                assert_ne!(rows, cols, "{k:?}");
+                continue;
+            };
+            assert_eq!(PatternKind::from_id(id), Some(k));
+            assert_eq!(triangle_len(id), usize::from(rows * (rows - 1) / 2));
+            assert_eq!(triangle_len(k.id()), 0);
+            ids.push(id);
+        }
+        assert_eq!(ids, [45, 46, 47]);
+        assert_eq!((0..=44).chain(48..64).map(triangle_len).sum::<usize>(), 0);
+        // Every id `dispatch_unit!` accepts is named, and no other.
+        macro_rules! delta {
+            ($w:literal) => {
+                0
+            };
+        }
+        macro_rules! block {
+            ($r:literal, $c:literal) => {
+                $r * $c
+            };
+        }
+        macro_rules! tri {
+            ($r:literal) => {
+                $r * $r + $r * ($r - 1) / 2
+            };
+        }
+        for id in (0..=2).chain(36..=47) {
+            let width = crate::dispatch_unit!(id, delta, block, tri);
+            let kind = PatternKind::from_id(id);
+            let elements = kind.map_or(0, |PatternKind::Block { rows, cols }| {
+                usize::from(rows * cols) + triangle_len(id)
+            });
+            assert_eq!(width, elements, "{id}");
         }
     }
 

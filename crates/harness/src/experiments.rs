@@ -683,13 +683,17 @@ pub fn fig14(cfg: &ExpConfig) -> Result<(), HarnessError> {
 }
 
 /// Extension — ablation of the CSX-Sym detection configuration: which
-/// substructure families and preprocessing settings buy the compression,
-/// and what they cost (the design-choice study DESIGN.md calls out).
+/// block shapes and statistics-pass settings buy the compression, and what
+/// they cost (the design-choice study DESIGN.md calls out). The variants'
+/// builds run [`ROUNDS`](crate::framework::ROUNDS) times each in
+/// [`sample`]'s alternation; `preproc` is a variant's median build, in
+/// serial-CSR-SpMV units.
 pub fn ablation(cfg: &ExpConfig) -> Result<(), HarnessError> {
-    use symspmv_csx::detect::DetectConfig;
+    use symspmv_core::CsxSymMatrix;
     println!("== Ablation: CSX-Sym detection configuration ==\n");
 
     let variants: Vec<(&str, DetectConfig)> = vec![
+        // A 5 % sample.
         ("default", DetectConfig::default()),
         (
             "sample=25%",
@@ -699,9 +703,9 @@ pub fn ablation(cfg: &ExpConfig) -> Result<(), HarnessError> {
             },
         ),
         (
-            "sample=5%",
+            "sample=100%",
             DetectConfig {
-                sample_fraction: 0.05,
+                sample_fraction: 1.0,
                 ..DetectConfig::default()
             },
         ),
@@ -740,10 +744,12 @@ pub fn ablation(cfg: &ExpConfig) -> Result<(), HarnessError> {
         let parts = balanced_ranges(&symmetric_row_weights(sss.rowptr()), cfg.max_threads);
         let csr = CsrMatrix::from_coo(&m.coo);
         let unit = serial_csr_spmv_time(&csr, 8);
-        for (label, dcfg) in &variants {
-            let t0 = std::time::Instant::now();
-            let enc = symspmv_core::CsxSymMatrix::from_sss(&sss, &parts, dcfg);
-            let pre = t0.elapsed();
+        let mut encoded = vec![None; variants.len()];
+        let builds = sample(variants.len(), |i| {
+            encoded[i] = Some(CsxSymMatrix::from_sss(&sss, &parts, &variants[i].1));
+        });
+        let built = encoded.into_iter().flatten().zip(&builds);
+        for ((label, dcfg), (enc, build)) in variants.iter().zip(built) {
             let mut k = SymSpmv::from_sss(
                 sss.clone(),
                 &ctx,
@@ -756,7 +762,7 @@ pub fn ablation(cfg: &ExpConfig) -> Result<(), HarnessError> {
                 (*label).into(),
                 pct(enc.compression_ratio()),
                 pct(enc.coverage()),
-                f(pre.as_secs_f64() / unit.as_secs_f64().max(1e-12), 1),
+                f(build.median() / unit.as_secs_f64().max(1e-12), 1),
                 f(meas.gflops, 2),
             ]);
         }

@@ -41,6 +41,14 @@ impl Sampled {
             samples,
         }
     }
+
+    /// The median of the samples, for a one-off cost (a build) whose slow
+    /// rounds are as much its own as its quick ones.
+    pub fn median(&self) -> f64 {
+        let mut sorted = self.samples.clone();
+        sorted.sort_by(f64::total_cmp);
+        quantile(&sorted, 0.5)
+    }
 }
 
 /// Quantile `p ∈ (0, 1)` of ascending `sorted` (exclusive method, clamped

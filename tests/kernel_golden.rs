@@ -133,6 +133,6 @@ const GOLDEN: &[(&str, Row)] = &[
     ("gen::block_structural(60, 3, 8.0, 12, 2) sss-eff", [0x563079fbdf40e58e, 0xa5a917a298863757, 0x602db46a299facc7, 0xd2512dc1eb90ff10, 0xa45759d1f1e24339, 0xcd8771f797cf197f]),
     ("gen::block_structural(60, 3, 8.0, 12, 2) sss-idx", [0x563079fbdf40e58e, 0xa5a917a298863757, 0x602db46a299facc7, 0xd2512dc1eb90ff10, 0xa45759d1f1e24339, 0xcd8771f797cf197f]),
     ("gen::block_structural(60, 3, 8.0, 12, 2) sss-race", [0x7701172c0414b82a, 0xe83c251cddd86bb4, 0x7701172c0414b82a, 0xe83c251cddd86bb4, 0x7701172c0414b82a, 0xe83c251cddd86bb4]),
-    ("gen::block_structural(60, 3, 8.0, 12, 2) csxsym-eff", [0xdcfcaeddc51a5209, 0x05d5d31009448491, 0xb5531c796794518b, 0xf3602aa9bb3c4338, 0xd143d89758177c43, 0x42d50d931a484e45]),
-    ("gen::block_structural(60, 3, 8.0, 12, 2) csxsym-idx", [0xdcfcaeddc51a5209, 0x05d5d31009448491, 0xb5531c796794518b, 0xf3602aa9bb3c4338, 0xd143d89758177c43, 0x42d50d931a484e45]),
+    ("gen::block_structural(60, 3, 8.0, 12, 2) csxsym-eff", [0x01bea969bc533d86, 0x615b44be79350ac7, 0x0dcc27a548708a5c, 0xab995a89f5cf7368, 0x980dacd1387d8ce7, 0x39323b93133287d0]),
+    ("gen::block_structural(60, 3, 8.0, 12, 2) csxsym-idx", [0x01bea969bc533d86, 0x615b44be79350ac7, 0x0dcc27a548708a5c, 0xab995a89f5cf7368, 0x980dacd1387d8ce7, 0x39323b93133287d0]),
 ];
