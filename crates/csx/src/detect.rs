@@ -7,19 +7,19 @@
 //! the suite analogs a run's unit head cost more than the column indices it
 //! saved, and scoring them was most of the statistics pass (DESIGN.md §5.2,
 //! "No 1-D runs").
-//! A detection enables one block shape, so greedy order is scan order: a
-//! block is accepted the moment the row-major scan finds it with every entry
-//! free. An instance keeps where each of its rows starts, so acceptance and
-//! the encoder never look a coordinate up again.
+//! A detection enables one block shape, so greedy order is scan order: the
+//! row-major scan accepts a block the moment it finds it with every entry
+//! free, and marks taken entries over the few rows still live, not over the
+//! view, so the encoder can emit each row as the scan passes it.
 //!
 //! A sampling-based statistics pass first decides which block shape is
 //! worth enabling for a given matrix — this is what keeps the preprocessing
-//! cost of §V-E contained. It scores a shape by the coverage the greedy
-//! acceptance actually keeps on the sample, i.e. by *disjoint* blocks:
-//! summing overlapping candidates would rate `2 × 2` (three anchors per true
-//! 3 × 3 block, 12 elements) above the `3 × 3` that tiles it (9).
+//! cost of §V-E contained. It scores a shape by the coverage the same
+//! scanner keeps on the sample, i.e. by *disjoint* blocks: summing
+//! overlapping candidates would rate `2 × 2` (three anchors per true 3 × 3
+//! block, 12 elements) above the `3 × 3` that tiles it (9).
 
-use crate::pattern::{PatternKind, MAX_BLOCK_DIM, MIN_BLOCK_DIM};
+use crate::pattern::{MAX_BLOCK_DIM, MIN_BLOCK_DIM};
 use crate::rows::RowView;
 use std::ops::Range;
 use symspmv_sparse::{Idx, SparseError};
@@ -59,7 +59,7 @@ impl Default for DetectConfig {
 impl DetectConfig {
     /// Checks the field the pattern-id space bounds: both sides of every
     /// block shape in `MIN_BLOCK_DIM..=MAX_BLOCK_DIM`. The fallible
-    /// constructors return this error; the others, and [`analyze`], panic
+    /// constructors return this error; the others, and `encode_rows`, panic
     /// with its message before any work.
     pub fn validate(&self) -> Result<(), SparseError> {
         let side = MIN_BLOCK_DIM..=MAX_BLOCK_DIM;
@@ -75,101 +75,10 @@ impl DetectConfig {
     }
 }
 
-/// One detected block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Instance {
-    /// The block's shape.
-    pub kind: PatternKind,
-    /// Anchor row (the block's top row).
-    pub row: Idx,
-    /// Anchor column (the block's left column).
-    pub col: Idx,
-    /// Number of elements, `rows × cols`.
-    pub len: u32,
-    /// Where the block's row starts begin in its detection's pool.
-    first: u32,
-}
-
-impl Instance {
-    /// Iterates the element coordinates of this instance.
-    pub fn elements(&self) -> impl Iterator<Item = (Idx, Idx)> + '_ {
-        (0..self.len).map(move |k| self.kind.element(self.row, self.col, k))
-    }
-
-    /// The block's entries in element order, as one segment of `cols`
-    /// consecutive entry indices per row, starting at its `pool` slots.
-    pub(crate) fn segments<'p>(
-        &self,
-        pool: &'p [u32],
-    ) -> impl Iterator<Item = Range<usize>> + Clone + 'p {
-        let PatternKind::Block { rows, cols } = self.kind;
-        let starts = &pool[self.first as usize..][..rows.into()];
-        starts
-            .iter()
-            .map(move |&s| s as usize..s as usize + usize::from(cols))
-    }
-
-    /// True if the block's columns fall on both sides of `split`, if there
-    /// is one (the CSX-Sym boundary rule).
-    fn straddles(&self, split: Option<Idx>) -> bool {
-        let PatternKind::Block { cols, .. } = self.kind;
-        split.is_some_and(|split| self.col < split && split < self.col + Idx::from(cols))
-    }
-}
-
-/// Accepts an instance if no entry of its segments `segs` is taken yet in
-/// `taken` (entry `e` at `taken[e − base]`), and takes them.
-fn take(taken: &mut [bool], base: usize, segs: impl Iterator<Item = Range<usize>> + Clone) -> bool {
-    let local = segs.flat_map(|s| s.start - base..s.end - base);
-    let free = !local.clone().any(|e| taken[e]);
-    if free {
-        local.for_each(|e| taken[e] = true);
-    }
-    free
-}
-
-/// The result of detection: accepted instances plus, per entry, whether
-/// one of them covers it.
-#[derive(Debug, Clone)]
-pub struct Detected {
-    /// Accepted instances, by anchor: row, then column.
-    pub instances: Vec<Instance>,
-    /// Total non-zeros examined.
-    pub nnz: usize,
-    /// Row starts of the instances.
-    pub(crate) pool: Vec<u32>,
-    /// Per entry of the view, from `base`: covered by an instance.
-    taken: Vec<bool>,
-    base: usize,
-}
-
-impl Detected {
-    /// Fraction of non-zeros covered by substructure instances.
-    pub fn coverage(&self) -> f64 {
-        self.covered() as f64 / self.nnz.max(1) as f64
-    }
-
-    /// Non-zeros covered by substructure instances.
-    pub(crate) fn covered(&self) -> usize {
-        self.instances.iter().map(|i| i.len as usize).sum()
-    }
-
-    /// The entries of `entries` (indices into the view's column array)
-    /// left over for delta units.
-    pub(crate) fn free(&self, entries: Range<usize>) -> impl Iterator<Item = u32> + '_ {
-        let taken = &self.taken[entries.start - self.base..entries.end - self.base];
-        let free = entries.zip(taken).filter(|&(_, &t)| !t);
-        free.map(|(e, _)| e as u32)
-    }
-}
-
-/// Runs the full detection pipeline: statistics pass (block-shape selection
-/// on a row sample) followed by the encoding pass with that shape.
-pub fn analyze(view: RowView<'_>, config: &DetectConfig) -> Detected {
-    if let Err(e) = config.validate() {
-        panic!("{e}");
-    }
-    detect_with(view, config, select_block(view, config))
+/// An accepted block: its anchor (left) column and where each row starts.
+pub(crate) struct Block {
+    pub(crate) col: Idx,
+    pub(crate) tops: [u32; MAX_BLOCK_DIM as usize],
 }
 
 /// Height of a sampling window: windows (not single rows) are required so
@@ -182,11 +91,26 @@ const WINDOW: u64 = 64;
 /// shapes compete for the same elements, and scanning each costs a full pass
 /// (§V-E budget). Its work and memory scale with the sample, not the view.
 pub fn select_block(view: RowView<'_>, config: &DetectConfig) -> Option<(u8, u8)> {
-    let scan = Scan::new(view, config, true);
-    let nnz: usize = scan.rows().map(|r| view.row(r).len()).sum();
+    let windows = || sample_windows(view, config.sample_fraction);
+    let nnz: usize = windows().map(|w| view.slice(w).nnz()).sum();
     let mut best: Option<((u8, u8), usize)> = None;
     for &(br, bc) in &config.block_shapes {
-        let covered = scan.accept_blocks(br, bc).0.len() * usize::from(br * bc);
+        let size = usize::from(br * bc);
+        // A shape covers at most what it has plus the rows not scanned yet:
+        // once that cannot beat the best, its score no longer matters.
+        let (mut blocks, mut unscanned) = (Vec::new(), nnz);
+        'shape: for window in windows() {
+            let rows = view.slice(window.clone());
+            let mut scan = Scanner::new(rows, Some((br, bc)), config.col_split);
+            for r in window {
+                if best.is_some_and(|(_, c)| blocks.len() * size + unscanned <= c) {
+                    break 'shape;
+                }
+                scan.scan_row(r, &mut blocks);
+                unscanned -= rows.row(r).len();
+            }
+        }
+        let covered = blocks.len() * size;
         if covered as f64 / nnz.max(1) as f64 >= config.min_coverage
             && best.is_none_or(|(_, c)| covered > c)
         {
@@ -196,76 +120,94 @@ pub fn select_block(view: RowView<'_>, config: &DetectConfig) -> Option<(u8, u8)
     best.map(|(shape, _)| shape)
 }
 
-/// Encoding pass with block shape `block` enabled, or none: every entry is
-/// then left to delta units.
-pub fn detect_with(view: RowView<'_>, config: &DetectConfig, block: Option<(u8, u8)>) -> Detected {
-    let (instances, pool, taken) = match block {
-        Some((br, bc)) => Scan::new(view, config, false).accept_blocks(br, bc),
-        None => (Vec::new(), Vec::new(), vec![false; view.nnz()]),
+/// The statistics pass's rows: `WINDOW` rows every `WINDOW / fraction`
+/// from the view's first row, clipped to it (so any view has a sample), or
+/// from a fraction of 1.0 the whole view as one window.
+fn sample_windows(view: RowView<'_>, fraction: f64) -> impl Iterator<Item = Range<Idx>> {
+    assert!(fraction > 0.0, "sample fraction must be positive");
+    let (period, window) = if fraction < 1.0 {
+        ((WINDOW as f64 / fraction).ceil() as usize, WINDOW)
+    } else {
+        (usize::MAX, Idx::MAX.into())
     };
-    Detected {
-        instances,
-        nnz: view.nnz(),
-        pool,
-        taken,
-        base: view.base(),
-    }
+    let end = u64::from(view.end_row());
+    (u64::from(view.first_row)..end)
+        .step_by(period)
+        .map(move |lo| lo as Idx..(lo + window).min(end) as Idx)
 }
 
-/// One block scan over windows of the view's rows: `window` rows every
-/// `period`, counted from the view's first row — so a view of any size and
-/// position has a sample. Rows between windows count as empty.
-struct Scan<'a> {
+/// The greedy row-major block scan of one shape over a view (rows outside
+/// it count as empty), row by row in order: a taken mark is final once the
+/// `R − 1` rows below its row are scanned.
+pub(crate) struct Scanner<'a> {
     view: RowView<'a>,
-    config: &'a DetectConfig,
-    period: usize,
-    window: u64,
+    /// The enabled shape `(R, C)`, if any: without one nothing is taken.
+    shape: Option<(usize, usize)>,
+    split: Option<Idx>,
+    /// Entry `e` is taken iff `marks[e mod len] == e + 1`: a power-of-two
+    /// ring over any `2R − 1` rows (the `R` a scanned row's blocks reach,
+    /// the `R − 1` above that a reader `R − 1` rows behind still reads).
+    marks: Vec<u32>,
+    /// Entries taken in row `r`, at `per_row[r % LIVE_ROWS]`: counted from
+    /// when the scan of row `r − R + 1` makes the row reachable.
+    per_row: [usize; LIVE_ROWS],
+    /// One past the last row an accepted block reaches.
+    reach: Idx,
 }
 
-impl<'a> Scan<'a> {
-    /// Every row — one window as long as the index type allows — or, for
-    /// the statistics pass, deterministic striding: 64-row windows spaced so
-    /// that roughly `sample_fraction` of all rows are included (all of them
-    /// from 1.0).
-    fn new(view: RowView<'a>, config: &'a DetectConfig, sampled: bool) -> Self {
-        let fraction = config.sample_fraction;
-        assert!(fraction > 0.0, "sample fraction must be positive");
-        let (period, window) = if sampled && fraction < 1.0 {
-            ((WINDOW as f64 / fraction).ceil() as usize, WINDOW)
-        } else {
-            (usize::MAX, Idx::MAX.into())
-        };
-        Scan {
+/// A power of two above the `2R − 1` rows a [`Scanner`] keeps live.
+const LIVE_ROWS: usize = 2 * MAX_BLOCK_DIM as usize;
+
+impl<'a> Scanner<'a> {
+    /// A scan of `view` for `shape` blocks, or for none, that rejects
+    /// blocks whose columns fall on both sides of `split` (the CSX-Sym
+    /// boundary rule).
+    pub(crate) fn new(view: RowView<'a>, shape: Option<(u8, u8)>, split: Option<Idx>) -> Self {
+        let shape = shape.map(|(r, c)| (usize::from(r), usize::from(c)));
+        let live = shape.map_or(0, |(r, _)| view.max_span(2 * r - 1));
+        Scanner {
             view,
-            config,
-            period,
-            window,
+            shape,
+            split,
+            marks: vec![0; live.next_power_of_two()],
+            per_row: [0; LIVE_ROWS],
+            reach: 0,
         }
     }
 
-    /// The windows, clipped to the view.
-    fn windows(&self) -> impl Iterator<Item = Range<Idx>> + '_ {
-        let end = u64::from(self.view.end_row());
-        (u64::from(self.view.first_row)..end)
-            .step_by(self.period)
-            .map(move |lo| lo as Idx..(lo + self.window).min(end) as Idx)
+    /// Whether entry `e`, of a row no more than `2R − 2` rows above the
+    /// last row scanned, is taken by a block.
+    pub(crate) fn taken(&self, e: usize) -> bool {
+        self.marks[e & (self.marks.len() - 1)] == e as u32 + 1
     }
 
-    fn rows(&self) -> impl Iterator<Item = Idx> + '_ {
-        self.windows().flatten()
+    /// Appends to `out` the entries of `entries`, row `r`'s or its head's,
+    /// that no block takes, stepping over each block's segment at its first.
+    pub(crate) fn free(&self, r: Idx, entries: Range<usize>, out: &mut Vec<u32>) {
+        let Some((_, bc)) = self.shape else {
+            return out.extend(entries.map(|e| e as u32));
+        };
+        if self.per_row[r as usize % LIVE_ROWS] == entries.len() {
+            return;
+        }
+        let mut e = entries.start;
+        while e < entries.end {
+            let taken = self.taken(e);
+            if !taken {
+                out.push(e as u32);
+            }
+            e += if taken { bc } else { 1 };
+        }
     }
 
-    /// Accepts `br × bc` blocks as the row-major scan finds them with every
-    /// entry free: all have one length, so greedy order *is* scan order.
-    /// Blocks come from a `br`-way merge of adjacent sorted rows of each
-    /// window (rows outside it count as empty): a row holds the block's
-    /// columns `c..c + bc` iff `bc` consecutive entries span them. Returns
-    /// the accepted instances, their row starts and the last window's taken
-    /// entries (the whole view's, when it is not sampled).
-    fn accept_blocks(&self, br: u8, bc: u8) -> (Vec<Instance>, Vec<u32>, Vec<bool>) {
-        let kind = PatternKind::Block { rows: br, cols: bc };
+    /// Scans row `r`, the next row, and appends to `out` the blocks anchored
+    /// in it that greedy acceptance keeps, by column: an `R`-way merge of the
+    /// row and the `R − 1` below, where a row holds columns `c..c + C` iff
+    /// `C` consecutive entries span them.
+    pub(crate) fn scan_row(&mut self, r: Idx, out: &mut Vec<Block>) {
+        let Some((br, bc)) = self.shape else { return };
+        self.per_row[(r as usize + br - 1) % LIVE_ROWS] = 0;
         let cols = self.view.cols;
-        let (br, bc) = (usize::from(br), usize::from(bc));
         // Whether `row` holds columns `c..c + bc`; advances the row's start,
         // its merge cursor, to the first column ≥ `c`.
         let spans = |row: &mut Range<usize>, c: Idx| {
@@ -275,61 +217,76 @@ impl<'a> Scan<'a> {
             let last = row.start + bc - 1;
             last < row.end && cols[row.start] == c && cols[last] == c + (bc - 1) as Idx
         };
-        let (mut accepted, mut pool, mut taken) = (Vec::new(), Vec::new(), Vec::new());
-        let mut tops = [0usize; MAX_BLOCK_DIM as usize];
-        for window in self.windows() {
-            let rows = self.view.slice(window);
-            let base = rows.base();
-            taken = vec![false; rows.nnz()];
-            for r in rows.first_row..rows.end_row() {
-                let row = rows.row(r);
-                let mut below: [_; MAX_BLOCK_DIM as usize - 1] =
-                    std::array::from_fn(|i| rows.row(r + 1 + i as Idx));
-                let below = &mut below[..br - 1];
-                if below.iter().chain([&row]).any(|b| b.len() < bc) {
+        let row = self.view.row(r);
+        // A block's segment of this row is `C` free entries.
+        if row.len() - self.per_row[r as usize % LIVE_ROWS] < bc {
+            return;
+        }
+        let mut below: [_; MAX_BLOCK_DIM as usize - 1] =
+            std::array::from_fn(|i| self.view.row(r + 1 + i as Idx));
+        let below = &mut below[..br - 1];
+        if below.iter().any(|b| b.len() < bc) {
+            return;
+        }
+        // Rows below that start with this row's columns (an aligned block
+        // row) hold every candidate's columns at the candidate's offset.
+        let own = &cols[row.clone()];
+        let aligned = below.iter().all(|b| cols[b.clone()].starts_with(own));
+        let mut above = r.checked_sub(1).map_or(0..0, |a| self.view.row(a));
+        // No block anchored above reaches this row: only this row's blocks
+        // take entries here or below, the walk steps over each, and each
+        // ends left of a later candidate in every row.
+        let clear = self.reach <= r;
+        let mut next = row.start;
+        while next + bc <= row.end {
+            let e = next;
+            // A taken entry starts a block's segment of this row.
+            if !clear && self.taken(e) {
+                next = e + bc;
+                continue;
+            }
+            next = e + 1;
+            let c = cols[e];
+            if cols[e + bc - 1] != c + (bc - 1) as Idx {
+                continue;
+            }
+            // Quick pruning: only anchor where the element above or the
+            // element to the left is absent, so aligned tilings are
+            // preferred over every offset.
+            if e > row.start && cols[e - 1] + 1 == c {
+                while above.start < above.end && cols[above.start] < c {
+                    above.start += 1;
+                }
+                if above.start < above.end && cols[above.start] == c {
                     continue;
                 }
-                let mut above = r.checked_sub(1).map_or(0..0, |a| rows.row(a));
-                for e in row.start..=row.end - bc {
-                    let c = cols[e];
-                    if taken[e - base] || cols[e + bc - 1] != c + (bc - 1) as Idx {
-                        continue;
-                    }
-                    // Quick pruning: only anchor where the element above or
-                    // the element to the left is absent, so aligned tilings
-                    // are preferred over every offset.
-                    if e > row.start && cols[e - 1] + 1 == c {
-                        while above.start < above.end && cols[above.start] < c {
-                            above.start += 1;
-                        }
-                        if above.start < above.end && cols[above.start] == c {
-                            continue;
-                        }
-                    }
-                    if !below.iter_mut().all(|b| spans(b, c)) {
-                        continue;
-                    }
-                    tops[0] = e;
-                    for (t, b) in tops[1..].iter_mut().zip(&*below) {
-                        *t = b.start;
-                    }
-                    let tops = &tops[..br];
-                    let inst = Instance {
-                        kind,
-                        row: r,
-                        col: c,
-                        len: (br * bc) as u32,
-                        first: pool.len() as u32,
-                    };
-                    let segments = tops.iter().map(|&at| at..at + bc);
-                    if !inst.straddles(self.config.col_split) && take(&mut taken, base, segments) {
-                        pool.extend(tops.iter().map(|&at| at as u32));
-                        accepted.push(inst);
-                    }
-                }
             }
+            if !aligned && !below.iter_mut().all(|b| spans(b, c)) {
+                continue;
+            }
+            if self.split.is_some_and(|s| c < s && s < c + bc as Idx) {
+                continue;
+            }
+            let mut tops = [e as u32; MAX_BLOCK_DIM as usize];
+            let shift = if aligned { e - row.start } else { 0 };
+            for (t, b) in tops[1..].iter_mut().zip(&*below) {
+                *t = (b.start + shift) as u32;
+            }
+            let segments = tops[..br].iter().map(|&t| t as usize..t as usize + bc);
+            if !clear && segments.clone().any(|mut s| s.any(|e| self.taken(e))) {
+                continue;
+            }
+            let mask = self.marks.len() - 1;
+            for (i, &t) in tops[..br].iter().enumerate() {
+                for e in t as usize..t as usize + bc {
+                    self.marks[e & mask] = e as u32 + 1;
+                }
+                self.per_row[(r as usize + i) % LIVE_ROWS] += bc;
+            }
+            out.push(Block { col: c, tops });
+            self.reach = r + br as Idx;
+            next = e + bc;
         }
-        (accepted, pool, taken)
     }
 }
 
@@ -357,19 +314,49 @@ mod tests {
         RowView::new(0, csr.ncols(), csr.rowptr(), csr.colind())
     }
 
-    fn analyze(m: &CooMatrix, config: &DetectConfig) -> Detected {
-        super::analyze(rows_of(&CsrMatrix::from_coo(m)), config)
+    /// What detection makes of `m`: the statistics pass's shape, then the
+    /// anchors of the blocks the scan of every row accepts, by row and
+    /// column, and the elements no block covers, row-major.
+    struct Detection {
+        shape: Option<(u8, u8)>,
+        anchors: Vec<(Idx, Idx)>,
+        leftover: Vec<(Idx, Idx)>,
+    }
+
+    impl Detection {
+        fn coverage(&self) -> f64 {
+            let (r, c) = self.shape.unwrap_or((0, 0));
+            let covered = self.anchors.len() * usize::from(r * c);
+            covered as f64 / (covered + self.leftover.len()).max(1) as f64
+        }
+    }
+
+    fn detect(m: &CooMatrix, config: &DetectConfig) -> Detection {
+        let csr = CsrMatrix::from_coo(m);
+        let view = rows_of(&csr);
+        let shape = super::select_block(view, config);
+        let mut scan = Scanner::new(view, shape, config.col_split);
+        let (mut found, mut anchors) = (Vec::new(), Vec::new());
+        for r in view.first_row..view.end_row() {
+            found.clear();
+            scan.scan_row(r, &mut found);
+            anchors.extend(found.iter().map(|b| (r, b.col)));
+        }
+        let (br, bc) = shape.map_or((0, 0), |(r, c)| (Idx::from(r), Idx::from(c)));
+        let mut covered = HashSet::new();
+        for cell in blocks(br, bc, &anchors) {
+            assert!(covered.insert(cell), "element {cell:?} covered twice");
+        }
+        let coords = m.iter().map(|(r, c, _)| (r, c));
+        Detection {
+            shape,
+            anchors,
+            leftover: coords.filter(|e| !covered.contains(e)).collect(),
+        }
     }
 
     fn select_block(m: &CooMatrix, config: &DetectConfig) -> Option<(u8, u8)> {
         super::select_block(rows_of(&CsrMatrix::from_coo(m)), config)
-    }
-
-    /// Elements not covered by any instance, row-major.
-    fn leftover(d: &Detected, m: &CooMatrix) -> Vec<(Idx, Idx)> {
-        let uncovered = |&(e, _): &(usize, _)| d.free(e..e + 1).next().is_some();
-        let coords = m.iter().enumerate().filter(uncovered);
-        coords.map(|(_, (r, c, _))| (r, c)).collect()
     }
 
     fn cfg() -> DetectConfig {
@@ -388,10 +375,9 @@ mod tests {
     /// Runs are no pattern family: no block covers `run`, so every element
     /// is left to delta units.
     fn assert_left_to_delta_units(run: &[(Idx, Idx)]) {
-        let m = coo_from(run);
-        let d = analyze(&m, &cfg());
-        assert!(d.instances.is_empty(), "{run:?}");
-        assert_eq!(leftover(&d, &m), run, "{run:?}");
+        let d = detect(&coo_from(run), &cfg());
+        assert!(d.anchors.is_empty(), "{run:?}");
+        assert_eq!(d.leftover, run, "{run:?}");
         assert_eq!(d.coverage(), 0.0);
     }
 
@@ -418,48 +404,29 @@ mod tests {
 
     #[test]
     fn block_detected_and_preferred() {
-        // A full 2x2 block: one instance, nothing left over.
-        let m = coo_from(&[(0, 0), (0, 1), (1, 0), (1, 1)]);
-        let d = analyze(&m, &cfg());
-        assert_eq!(d.instances.len(), 1);
-        let i = d.instances[0];
-        assert_eq!(i.kind, PatternKind::Block { rows: 2, cols: 2 });
-        assert_eq!((i.row, i.col, i.len), (0, 0, 4));
-        assert!(leftover(&d, &m).is_empty());
+        // A full 2x2 block: one block, nothing left over.
+        let d = detect(&coo_from(&[(0, 0), (0, 1), (1, 0), (1, 1)]), &cfg());
+        assert_eq!(d.shape, Some((2, 2)));
+        assert_eq!(d.anchors, [(0, 0)]);
+        assert!(d.leftover.is_empty());
         assert!((d.coverage() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn short_runs_left_over() {
-        let m = coo_from(&[(0, 0), (0, 1), (0, 5)]);
-        let d = analyze(&m, &cfg());
-        assert!(d.instances.is_empty());
-        assert_eq!(leftover(&d, &m).len(), 3);
+        let d = detect(&coo_from(&[(0, 0), (0, 1), (0, 5)]), &cfg());
+        assert!(d.anchors.is_empty());
+        assert_eq!(d.leftover.len(), 3);
         assert_eq!(d.coverage(), 0.0);
     }
 
     #[test]
     fn no_overlapping_coverage() {
-        // A 4x4 dense block: many candidates overlap; accepted instances
-        // must partition the covered elements.
-        let mut entries = Vec::new();
-        for r in 0..4 {
-            for c in 0..4 {
-                entries.push((r, c));
-            }
-        }
-        let m = coo_from(&entries);
-        let d = analyze(&m, &cfg());
-        let mut seen = HashSet::new();
-        for inst in &d.instances {
-            for (r, c) in inst.elements() {
-                assert!(seen.insert((r, c)), "element ({r},{c}) covered twice");
-            }
-        }
-        for (r, c) in leftover(&d, &m) {
-            assert!(seen.insert((r, c)), "leftover ({r},{c}) also covered");
-        }
-        assert_eq!(seen.len(), 16);
+        // A 4x4 dense block: many candidates overlap; accepted blocks must
+        // partition the covered elements (`detect` asserts it).
+        let d = detect(&coo_from(&blocks(4, 4, &[(0, 0)])), &cfg());
+        let (r, c) = d.shape.unwrap();
+        assert_eq!(d.anchors.len() * usize::from(r * c) + d.leftover.len(), 16);
     }
 
     #[test]
@@ -469,19 +436,17 @@ mod tests {
         let m = coo_from(&blocks(2, 2, &[(5, 3), (5, 6)]));
         let mut c = cfg();
         c.col_split = Some(7);
-        let d = analyze(&m, &c);
-        let anchors: Vec<_> = d.instances.iter().map(|i| (i.row, i.col)).collect();
+        let d = detect(&m, &c);
         assert_eq!(
-            anchors,
+            d.anchors,
             [(5, 3)],
             "a block crossing the split must be rejected"
         );
-        assert_eq!(leftover(&d, &m).len(), 4);
+        assert_eq!(d.leftover.len(), 4);
 
         // Entirely on one side: accepted.
         c.col_split = Some(10);
-        let d = analyze(&m, &c);
-        assert_eq!(d.instances.len(), 2);
+        assert_eq!(detect(&m, &c).anchors.len(), 2);
     }
 
     #[test]
@@ -496,10 +461,9 @@ mod tests {
         c.min_coverage = 0.1;
         assert_eq!(select_block(&m, &c), None);
         // With no shape enabled every entry is a leftover.
-        let csr = CsrMatrix::from_coo(&m);
-        let d = super::detect_with(rows_of(&csr), &c, None);
-        assert!(d.instances.is_empty());
-        assert_eq!(leftover(&d, &m).len(), m.nnz());
+        let d = detect(&m, &c);
+        assert!(d.anchors.is_empty());
+        assert_eq!(d.leftover.len(), m.nnz());
     }
 
     #[test]
@@ -507,7 +471,7 @@ mod tests {
         // A 600-entry row is left to delta units, each of at most 255.
         let entries: Vec<(Idx, Idx)> = (0..600).map(|c| (0, c)).collect();
         let m = coo_from(&entries);
-        assert!(analyze(&m, &cfg()).instances.is_empty());
+        assert!(detect(&m, &cfg()).anchors.is_empty());
         let stream = crate::encode::encode_coo(&m, &cfg());
         let mut sizes = Vec::new();
         stream.walk(|u| sizes.push(u.elements), |_, _, _| {});
@@ -525,10 +489,8 @@ mod tests {
         };
         let sample = || {
             let view = rows_of(&csr);
-            let scan = Scan::new(view, &config, true);
-            scan.rows()
-                .flat_map(|r| view.row(r))
-                .collect::<Vec<usize>>()
+            let rows = sample_windows(view, config.sample_fraction).flatten();
+            rows.flat_map(|r| view.row(r)).collect::<Vec<usize>>()
         };
         let (s1, s2) = (sample(), sample());
         assert_eq!(s1, s2);

@@ -40,17 +40,21 @@
 //! The decoder starts *before* row 0, so the first unit always carries NR.
 //! Values are stored separately, in unit-element order.
 //!
+//! [`encode_rows`] detects and emits in one row-ordered pass, the block
+//! scan `R − 1` rows ahead: once rows `r … r + R − 1` are scanned, no later
+//! block touches row `r`'s blocks, leftovers or triangle, and the row is
+//! emitted, values and all (DESIGN.md §5.2, "One pass per chunk").
+//!
 //! The head of a unit is parsed in exactly one place, [`UnitCursor`], which
 //! [`CtlStream::walk`] and both multiply kernels advance. It reads without
-//! checks: a [`CtlStream`] comes only from [`encode`], which checks what it
-//! emits, or from [`CtlStream::validated`], which walks the bytes with
-//! checks first (the `ctl-bound` invariant).
+//! checks: a [`CtlStream`] comes only from [`encode_rows`], which checks
+//! each unit as it emits it, or from [`CtlStream::validated`], which walks
+//! the bytes with checks first (the `ctl-bound` invariant).
 
-use crate::detect::{analyze, DetectConfig, Detected};
+use crate::detect::{select_block, Block, DetectConfig, Scanner};
 use crate::pattern::{triangle_len, DeltaWidth, PatternKind, MAX_BLOCK_DIM};
 use crate::rows::RowView;
 use crate::varint::write_varint;
-use std::ops::Range;
 use symspmv_sparse::{CooMatrix, CsrMatrix, Idx, SparseError, Val};
 
 /// Flags-byte bit for "unit starts a new row".
@@ -63,9 +67,9 @@ pub const ID_MASK: u8 = 0x3F;
 /// An encoded CSX stream: control bytes, values in unit order, and how far
 /// its units reach.
 ///
-/// Only [`encode`] and the validating [`CtlStream::validated`] build one,
-/// and there is no `&mut` access, so every stream holds the `ctl-bound`
-/// invariant: `ctl` is a sequence of whole units (every head and body
+/// Only [`encode_rows`] and the validating [`CtlStream::validated`] build
+/// one, and there is no `&mut` access, so every stream holds the
+/// `ctl-bound` invariant: `ctl` is a sequence of whole units (every head and body
 /// inside it, the first unit starting a row); unit sizes lie in `1..=255`,
 /// and the units' elements — a block unit's `size·R·C`, plus `R(R − 1)/2`
 /// with a triangle — sum to `values.len()`; a triangle unit's blocks end
@@ -304,52 +308,73 @@ pub struct Encoded {
     pub units: usize,
 }
 
-/// Detects and encodes the rows of `view`; `values` (and `upper`, if
-/// given) are aligned with the view's column array.
+/// The value arrays, the second one if given, and their copies in stream
+/// order.
+struct Gather<'v>(&'v [Val], Option<&'v [Val]>, Vec<Val>, Vec<Val>);
+
+impl Gather<'_> {
+    /// Appends the values of `entries`, indices into the view's columns.
+    fn put(&mut self, entries: impl Iterator<Item = usize> + Clone) {
+        let values = self.0;
+        self.2.extend(entries.clone().map(|e| values[e]));
+        if let Some(upper) = self.1 {
+            self.3.extend(entries.map(|e| upper[e]));
+        }
+    }
+
+    /// Appends a block row's `C` values from entry `at` in one fixed-size
+    /// copy, cheaper than a loop per short row.
+    fn row<const C: usize>(&mut self, at: usize) {
+        let row = |from: &[Val]| {
+            let row = &from[at..at + C];
+            std::array::from_fn::<Val, C, _>(|j| row[j])
+        };
+        self.2.extend(row(self.0));
+        if let Some(upper) = self.1 {
+            self.3.extend(row(upper));
+        }
+    }
+}
+
+/// Detects and encodes the rows of `view` in one row-ordered pass; `values`
+/// (and `upper`, if given) are aligned with the view's column array. A
+/// row's block anchors and the delta units of its leftovers are merged by
+/// column, its consecutive blocks share a unit up to a break of the grammar,
+/// and its last square block unit takes the row's triangle where allowed.
+///
+/// The stream's first row is the view's. Each unit is checked as it is
+/// emitted, in O(1) per unit and block: sizes in `1..=255`, anchors and
+/// delta columns ascending, block anchors a block width apart, the reach
+/// folded into the stream's bounds; at the end, unit elements summing to the
+/// values. Panics where a check fails, or on a `config` that
+/// [`DetectConfig::validate`] refuses.
 pub fn encode_rows(
     view: RowView<'_>,
     config: &DetectConfig,
     values: &[Val],
     upper: Option<&[Val]>,
 ) -> Encoded {
-    encode(view, &analyze(view, config), values, upper)
-}
-
-/// Encodes a detection result of `view`, row by row: the anchors of the
-/// instances that start in a row and the delta units chunked from its
-/// leftover entries are merged by anchor column, and consecutive blocks of
-/// one shape share a unit up to a break of the grammar; a row's last square
-/// block unit takes its diagonal triangle where the module doc's rule
-/// allows. Each unit's values — from `values` and, if given, from `upper`,
-/// both aligned with the view's column array — are written as the unit is
-/// emitted.
-///
-/// The stream's first row is the view's. The encoder checks what it emits
-/// rather than trusting `det` (whose instances are public), in O(1) per
-/// unit and per block: sizes in `1..=255`, anchors and delta columns
-/// ascending, a block unit's anchors at least a block width apart, every
-/// unit's reach folded into the stream's bounds; at the end, unit elements
-/// summing to the values written. Panics where a check fails — that is, on
-/// a `det` the detector did not make for `view`.
-pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&[Val]>) -> Encoded {
+    if let Err(e) = config.validate() {
+        panic!("{e}");
+    }
+    let block = select_block(view, config);
+    let mut scan = Scanner::new(view, block, config.col_split);
+    let kind = block.map(|(rows, cols)| PatternKind::Block { rows, cols });
+    let (br, bc) = block.map_or((1, 0), |(r, c)| (usize::from(r), usize::from(c)));
     let cols = view.cols;
     let first = view.first_row;
+    let nnz = view.nnz();
     let mut extent = Extent::new(first as usize);
     let mut ctl = Vec::new();
-    let mut vals = Vec::with_capacity(det.nnz);
-    let mut upper_values = Vec::with_capacity(upper.map_or(0, |_| det.nnz));
-    // Appends a run of entries' values (a copy call per short run costs more).
-    let mut put = |entries: Range<usize>| {
-        values[entries.clone()].iter().for_each(|&v| vals.push(v));
-        if let Some(upper) = upper {
-            upper[entries].iter().for_each(|&v| upper_values.push(v));
-        }
-    };
-    let (mut units, mut delta_units) = (0usize, 0usize);
+    let with = |n: usize| Vec::with_capacity(n);
+    let mut out = Gather(values, upper, with(nnz), with(upper.map_or(0, |_| nnz)));
+    let (mut units, mut delta_units, mut blocks) = (0usize, 0usize, 0usize);
     let mut prev_row: Option<Idx> = None;
-    // The instances are sorted by anchor: those of a row follow those of
-    // the rows before it.
-    let mut instances = &det.instances[..];
+    // The blocks anchored in the last `R` rows scanned, row `r`'s in slot
+    // `(r − first) % R`: a row is emitted before the scan reuses its slot.
+    let mut anchored: [Vec<Block>; MAX_BLOCK_DIM as usize] = Default::default();
+    let slot = |r: Idx| (r - first) as usize % br;
+    let mut scanned = first;
     // Per-row scratch: the leftovers, in column order; per-unit: its body.
     let (mut left, mut body): (Vec<u32>, Vec<u8>) = (Vec::new(), Vec::new());
     // Trailing entries of the rows `row + 1 …` that a triangle took, and
@@ -357,39 +382,52 @@ pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&
     let mut taken = [0usize; MAX_BLOCK_DIM as usize - 1];
     let mut triangles = 0usize;
     for row in view.first_row..view.end_row() {
-        let anchors;
-        (anchors, instances) =
-            instances.split_at(instances.iter().take_while(|i| i.row == row).count());
+        // Scan through row `row + R − 1`, the last its triangle takes.
+        while scanned < view.end_row() && ((scanned - row) as usize) < br {
+            let found = &mut anchored[slot(scanned)];
+            found.clear();
+            scan.scan_row(scanned, found);
+            scanned += 1;
+        }
+        let anchors = &anchored[slot(row)][..];
+        blocks += anchors.len();
         let entries = view.row(row);
         left.clear();
-        left.extend(det.free(entries.start..entries.end - taken[0]));
+        scan.free(row, entries.start..entries.end - taken[0], &mut left);
         taken.rotate_left(1);
         taken[taken.len() - 1] = 0;
         let col_of = |e: u32| cols[e as usize];
-        // Whether the rows below hold `row`'s diagonal triangle for `side ×
-        // side` blocks: for each `i`, the last `i` entries of row `row + i`
-        // are free, untaken and at columns `row … row + i − 1`.
-        let triangle = |side: u8, taken: &[usize]| {
-            (1..usize::from(side)).all(|i| {
+        // Whether the rows below, all scanned, hold `row`'s diagonal
+        // triangle: for each `i`, the last `i` entries of row `row + i` are
+        // free, untaken and at columns `row … row + i − 1`.
+        let triangle = |taken: &[usize]| {
+            (1..br).all(|i| {
                 let entries = view.row(row + i as Idx);
                 let tail = entries.end.saturating_sub(i)..entries.end;
                 taken[i - 1] == 0
                     && entries.len() >= i
                     && cols[tail.start] == row
                     && cols[tail.end - 1] == row + i as Idx - 1
-                    && det.free(tail).count() == i
+                    && !tail.clone().any(|e| scan.taken(e))
             })
         };
         let (mut a, mut s) = (0usize, 0usize);
         let mut prev_col: Option<Idx> = None;
         while a < anchors.len() || s < left.len() {
             body.clear();
-            let inst = anchors.get(a);
-            let (id, size, anchor, last) = match inst {
-                Some(inst) if left.get(s).is_none_or(|&e| inst.col < col_of(e)) => {
+            let (id, size, anchor, last) = match (kind, anchors.get(a)) {
+                (Some(kind), Some(inst)) if left.get(s).is_none_or(|&e| inst.col < col_of(e)) => {
+                    let mut put_block = |b: &Block| {
+                        for &t in &b.tops[..br] {
+                            match bc {
+                                2 => out.row::<2>(t as usize),
+                                3 => out.row::<3>(t as usize),
+                                _ => out.row::<4>(t as usize),
+                            }
+                        }
+                    };
                     a += 1;
-                    inst.segments(&det.pool).for_each(&mut put);
-                    let PatternKind::Block { cols: width, .. } = inst.kind;
+                    put_block(inst);
                     let (mut size, mut last) = (1, inst.col);
                     // The row's next blocks join while they lie on this side
                     // of the first row, no leftover lies between, the gap
@@ -400,28 +438,24 @@ pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&
                             && (next.col < first) == (last < first)
                     }) {
                         let gap = next.col.saturating_sub(last);
-                        assert!(
-                            gap >= Idx::from(width),
-                            "encode: blocks overlap in row {row}"
-                        );
+                        assert!(gap >= bc as Idx, "encode: blocks overlap in row {row}");
                         let Ok(gap) = u16::try_from(gap) else { break };
                         body.extend_from_slice(&gap.to_le_bytes());
-                        next.segments(&det.pool).for_each(&mut put);
+                        put_block(next);
                         (a, size, last) = (a + 1, size + 1, next.col);
                     }
-                    let PatternKind::Block { rows: side, .. } = inst.kind;
                     let last_direct = a == anchors.len() && inst.col >= first;
-                    let id = match inst.kind.triangle_id() {
-                        Some(id) if last_direct && triangle(side, &taken) => {
-                            for i in 1..usize::from(side) {
+                    let id = match kind.triangle_id() {
+                        Some(id) if last_direct && triangle(&taken) => {
+                            for i in 1..br {
                                 let end = view.row(row + i as Idx).end;
-                                put(end - i..end);
+                                out.put(end - i..end);
                                 taken[i - 1] = i;
                                 triangles += i;
                             }
                             id
                         }
-                        _ => inst.kind.id(),
+                        _ => kind.id(),
                     };
                     (id, size, inst.col, last)
                 }
@@ -429,24 +463,29 @@ pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&
                     // Greedy chunking: width fixed by the first delta of
                     // the chunk, which later deltas must fit.
                     let rest = &left[s..];
-                    let gap = |k: usize| {
+                    let delta = |k: usize| {
                         let (a, b) = (col_of(rest[k - 1]), col_of(rest[k]));
                         assert!(a < b, "encode: delta columns descend in row {row}");
-                        DeltaWidth::for_delta(b - a)
+                        b - a
                     };
-                    let width = rest.get(1).map_or(DeltaWidth::U8, |_| gap(1));
+                    let width = rest
+                        .get(1)
+                        .map_or(DeltaWidth::U8, |_| DeltaWidth::for_delta(delta(1)));
                     let mut e = 1usize;
-                    while e < rest.len() && e < 255 && gap(e).bytes() <= width.bytes() {
+                    while e < rest.len() && e < 255 {
+                        let d = delta(e);
+                        match width {
+                            DeltaWidth::U8 if d < 1 << 8 => body.push(d as u8),
+                            DeltaWidth::U16 if d < 1 << 16 => body.extend((d as u16).to_le_bytes()),
+                            DeltaWidth::U32 => body.extend(d.to_le_bytes()),
+                            _ => break,
+                        }
                         e += 1;
                     }
                     s += e;
                     delta_units += 1;
                     let unit = &rest[..e];
-                    unit.iter().for_each(|&e| put(e as usize..e as usize + 1));
-                    for w in unit.windows(2) {
-                        let d = col_of(w[1]) - col_of(w[0]);
-                        body.extend_from_slice(&d.to_le_bytes()[..width.bytes()]);
-                    }
+                    out.put(unit.iter().map(|&e| e as usize));
                     let id = PatternKind::delta_id(width);
                     (id, e, col_of(unit[0]), col_of(unit[e - 1]))
                 }
@@ -480,22 +519,23 @@ pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&
             ctl.extend_from_slice(&body);
         }
     }
-    debug_assert_eq!(vals.len(), det.nnz);
+    let Gather(_, _, values, upper_values) = out;
+    debug_assert_eq!(values.len(), nnz);
     assert!(
-        extent.elements == vals.len() && upper.is_none_or(|_| upper_values.len() == vals.len()),
+        extent.elements == values.len() && upper.is_none_or(|_| upper_values.len() == values.len()),
         "encode: {} unit elements for {} values",
         extent.elements,
-        vals.len()
+        values.len()
     );
     Encoded {
         stream: CtlStream {
             ctl,
-            values: vals,
+            values,
             extent,
         },
         upper_values,
-        coverage: (det.covered() + triangles) as f64 / det.nnz.max(1) as f64,
-        substructure_units: det.instances.len(),
+        coverage: (blocks * br * bc + triangles) as f64 / nnz.max(1) as f64,
+        substructure_units: blocks,
         delta_units,
         units,
     }
@@ -504,8 +544,8 @@ pub fn encode(view: RowView<'_>, det: &Detected, values: &[Val], upper: Option<&
 impl CtlStream {
     /// Builds a stream from its parts — bytes from anywhere, a test's
     /// hand-built units say — by walking `ctl` with every read checked and
-    /// gathering the bounds [`encode`] records: the one way besides
-    /// [`encode`] to make a stream. Its units may not start above
+    /// gathering the bounds [`encode_rows`] records: the one way besides
+    /// [`encode_rows`] to make a stream. Its units may not start above
     /// `first_row`, and their elements must sum to `values.len()`.
     pub fn validated(
         ctl: Vec<u8>,
@@ -747,7 +787,7 @@ pub fn encode_coo(coo: &CooMatrix, config: &DetectConfig) -> CtlStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect::detect_with;
+    use std::ops::Range;
 
     fn round_trip(coo: &CooMatrix) {
         let mut c = coo.clone();
@@ -915,20 +955,29 @@ mod tests {
     }
 
     /// The `ctl` bytes and values of `coo`'s rows `rows`, with `block`
-    /// enabled as it is (no statistics pass) and `col_split` at the first
-    /// row when `split`.
+    /// the one shape enabled (at coverage 0, so the statistics pass enables
+    /// it) and `col_split` at the first row when `split`; they equal the
+    /// oracle's, validate and decode to the rows' entries.
     fn grouped(coo: &CooMatrix, rows: Range<Idx>, block: (u8, u8), split: bool) -> Encoded {
         let csr = CsrMatrix::from_coo(coo);
         let view = RowView::new(0, csr.ncols(), csr.rowptr(), csr.colind()).slice(rows.clone());
         let config = DetectConfig {
+            block_shapes: vec![block],
+            min_coverage: 0.0,
             col_split: split.then_some(view.first_row),
             ..DetectConfig::default()
         };
-        let encoded = encode(
-            view,
-            &detect_with(view, &config, Some(block)),
-            csr.values(),
-            None,
+        let encoded = encode_rows(view, &config, csr.values(), None);
+        let old = crate::oracle::encode_with(view, &config, Some(block), &[csr.values()]);
+        assert_eq!(encoded.stream.ctl(), old.ctl);
+        assert_eq!(encoded.stream.values(), old.values[0]);
+        assert_eq!(
+            (encoded.coverage, encoded.substructure_units),
+            (old.coverage, old.substructure_units)
+        );
+        assert_eq!(
+            (encoded.delta_units, encoded.units),
+            (old.delta_units, old.units)
         );
         let stream = &encoded.stream;
         let rebuilt = CtlStream::validated(
@@ -1153,6 +1202,132 @@ mod tests {
         let ctl = [NR_BIT | RJMP_BIT, 3, 3, 0, 1, 1, NR_BIT, 4, 0, 1, 1, 1];
         assert_eq!((encoded.stream.ctl(), encoded.units), (&ctl[..], 2));
         assert_eq!(encoded.coverage, 0.0);
+    }
+
+    #[test]
+    fn a_triangle_is_decided_once_the_rows_it_takes_are_scanned() {
+        // Block A at (6, 0) and the entries (7, 6), (8, 6), (8, 7) of its
+        // triangle; block B at (7, 4), anchored in the row below A's, takes
+        // (7, 6) and (8, 6): A stays a plain block unit, and (8, 7) — B's
+        // triangle would need (9, 7) and (9, 8) — is a delta unit.
+        let mut coo = triangle(blocks(10, 10, (3, 3), 6, &[0]), 6, 3);
+        for (r, c, v) in blocks(10, 10, (3, 3), 7, &[4]).iter() {
+            if !(6..=7).contains(&c) || !(7..=8).contains(&r) {
+                coo.push(r, c, v);
+            }
+        }
+        let encoded = grouped(&coo, 0..10, B33, false);
+        let ctl = [
+            NR_BIT | RJMP_BIT | 40,
+            6,
+            1,
+            0,
+            NR_BIT | 40,
+            1,
+            4,
+            NR_BIT,
+            1,
+            7,
+        ];
+        assert_eq!((encoded.stream.ctl(), encoded.units), (&ctl[..], 3));
+
+        // Block C at (8, 5), anchored two rows below A's, takes (8, 6) and
+        // (8, 7): A's triangle is refused only once row 8 is scanned, and
+        // (7, 6) is a delta unit.
+        let mut coo = blocks(11, 11, (3, 3), 6, &[0]);
+        for (r, c, v) in blocks(11, 11, (3, 3), 8, &[5]).iter() {
+            coo.push(r, c, v);
+        }
+        coo.push(7, 6, 1.0);
+        let encoded = grouped(&coo, 0..11, B33, false);
+        let ctl = [
+            NR_BIT | RJMP_BIT | 40,
+            6,
+            1,
+            0,
+            NR_BIT,
+            1,
+            6,
+            NR_BIT | 40,
+            1,
+            5,
+        ];
+        assert_eq!((encoded.stream.ctl(), encoded.units), (&ctl[..], 3));
+    }
+
+    /// Block rows of 3 × 3 blocks at rows 3, 6 and 9 of a 12 × 12 lower
+    /// triangle — at column 0; 0 and 3; 3 — each with its diagonal
+    /// triangle.
+    fn block_rows() -> CooMatrix {
+        let mut coo = CooMatrix::new(12, 12);
+        for (row, cols) in [(3, &[0][..]), (6, &[0, 3]), (9, &[3])] {
+            let rows = triangle(blocks(12, 12, (3, 3), row, cols), row, 3);
+            for (r, c, v) in rows.iter() {
+                coo.push(r, c, v);
+            }
+        }
+        coo
+    }
+
+    #[test]
+    fn a_view_from_the_second_row_of_a_block_row() {
+        // Rows 4..12 as a chunk. Rows 4 and 5 of the first block row and
+        // row 6 of the next tile a block at (4, 0), left of the first row;
+        // (4, 3), (5, 3) and (5, 4) stay delta units. The block at (6, 3)
+        // is pruned ((6, 2) is left of it, (5, 3) above), so rows 6 to 8
+        // are delta units, and the block at (9, 3) straddles the split.
+        let encoded = grouped(&block_rows(), 4..12, B33, true);
+        let block = [NR_BIT | RJMP_BIT | 40, 4, 1, 0, 0, 1, 3];
+        let rows_5_to_8 = [
+            &[NR_BIT, 2, 3, 1][..],
+            &[NR_BIT, 3, 3, 1, 1],
+            &[NR_BIT, 7, 0, 1, 1, 1, 1, 1, 1],
+            &[NR_BIT, 8, 0, 1, 1, 1, 1, 1, 1, 1],
+        ];
+        let rows_9_to_11 = [NR_BIT, 3, 3, 1, 1, NR_BIT, 4, 3, 1, 1, 4];
+        let row_11 = [NR_BIT, 5, 3, 1, 1, 4, 1];
+        let ctl = [&block[..], &rows_5_to_8.concat(), &rows_9_to_11, &row_11].concat();
+        assert_eq!(encoded.stream.ctl(), ctl);
+        assert_eq!(encoded.stream.legal_split(), Some(4));
+    }
+
+    #[test]
+    fn a_view_that_ends_inside_a_block_row() {
+        // Rows 0..8: the block row at 3 is one head with its triangle; rows
+        // 6 and 7 of the one at 6 lack their third row, so no block anchors
+        // there and both rows are delta units.
+        let encoded = grouped(&block_rows(), 0..8, B33, false);
+        let block_row = [NR_BIT | RJMP_BIT | 46, 3, 1, 0];
+        let rows_6_and_7 = [
+            &[NR_BIT | RJMP_BIT, 2, 6, 0, 1, 1, 1, 1, 1][..],
+            &[NR_BIT, 7, 0, 1, 1, 1, 1, 1, 1],
+        ];
+        assert_eq!(
+            encoded.stream.ctl(),
+            [&block_row[..], &rows_6_and_7.concat()].concat()
+        );
+    }
+
+    #[test]
+    fn a_block_row_with_an_empty_middle_row() {
+        // The block row at 3 with row 4 empty: no block anchors in row 3,
+        // whose entries are a delta unit. Rows 5, 6 and 7 tile a block at
+        // (5, 0), and (6, 5), (7, 5) and (7, 6) — the block row at 6's —
+        // are its triangle; the block at (6, 3) is pruned, so the rest of
+        // rows 5 to 8 are delta units, and the block row at 9 is one head.
+        let mut coo = CooMatrix::new(12, 12);
+        for (r, c, v) in block_rows().iter().filter(|&(r, _, _)| r != 4) {
+            coo.push(r, c, v);
+        }
+        let encoded = grouped(&coo, 0..12, B33, false);
+        let rows_3_to_8 = [
+            &[NR_BIT | RJMP_BIT, 3, 3, 0, 1, 1][..],
+            &[NR_BIT | RJMP_BIT | 46, 1, 1, 0, 0, 2, 3, 1],
+            &[NR_BIT, 2, 3, 1, NR_BIT, 2, 3, 1],
+            &[NR_BIT, 8, 0, 1, 1, 1, 1, 1, 1, 1],
+        ];
+        let ctl = [&rows_3_to_8.concat()[..], &[NR_BIT | 46, 1, 3]].concat();
+        assert_eq!(encoded.stream.ctl(), ctl);
     }
 
     /// A triangle unit's blocks end left of its anchor row, and its values

@@ -35,7 +35,7 @@ pub mod pattern;
 pub mod rows;
 pub mod varint;
 
-pub use detect::{DetectConfig, Detected};
+pub use detect::DetectConfig;
 pub use matrix::{CsxMatrix, CsxStats};
 pub use pattern::PatternKind;
 

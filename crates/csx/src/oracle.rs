@@ -59,6 +59,11 @@ struct Detected {
 
 const WINDOW: u64 = 64;
 
+/// Entry index of the view's first non-zero (any, for a view of no rows).
+fn base(view: RowView<'_>) -> usize {
+    view.row(view.first_row).start
+}
+
 fn select_block(view: RowView<'_>, config: &DetectConfig) -> Option<(u8, u8)> {
     let scan = Scan::new(view, config, true);
     let nnz: usize = scan.rows().map(|r| view.row(r).len()).sum();
@@ -69,10 +74,10 @@ fn select_block(view: RowView<'_>, config: &DetectConfig) -> Option<(u8, u8)> {
         let mut cands = CandidateBlocks::default();
         scan.blocks(br, bc, &mut cands);
         let mut covered = 0usize;
-        for inst in cands.accept(view.base(), &mut state) {
+        for inst in cands.accept(base(view), &mut state) {
             covered += inst.len as usize;
             for &e in inst.entries(&cands.pool) {
-                state[e as usize - view.base()] = FREE;
+                state[e as usize - base(view)] = FREE;
             }
         }
         if covered as f64 / nnz.max(1) as f64 >= config.min_coverage
@@ -91,13 +96,13 @@ fn detect_with(view: RowView<'_>, config: &DetectConfig, block: Option<(u8, u8)>
         scan.blocks(br, bc, &mut cands);
     }
     let mut state = vec![FREE; view.nnz()];
-    let instances = cands.accept(view.base(), &mut state);
+    let instances = cands.accept(base(view), &mut state);
     Detected {
         instances,
         nnz: view.nnz(),
         pool: cands.pool,
         state,
-        base: view.base(),
+        base: base(view),
     }
 }
 
@@ -391,7 +396,7 @@ pub(crate) fn regroup(ctl: &[u8], order: &[u32], view: RowView<'_>) -> Regrouped
         });
     }
     assert_eq!(at, order.len());
-    let (first, base) = (view.first_row as usize, view.base());
+    let (first, base) = (view.first_row as usize, base(view));
     // Per entry of the view: in a delta unit; taken by a triangle.
     let mut free = vec![false; view.nnz()];
     let mut taken = vec![false; view.nnz()];
@@ -524,8 +529,7 @@ pub(crate) fn encode_with(
 
 mod tests {
     use super::*;
-    use crate::detect::detect_with;
-    use crate::encode::{encode, encode_rows as encode_new, Encoded};
+    use crate::encode::{encode_rows as encode_new, Encoded};
     use crate::matrix::CsxMatrix;
     use symspmv_runtime::{balanced_ranges, partition::symmetric_row_weights};
     use symspmv_sparse::rng::StdRng;
@@ -553,7 +557,7 @@ mod tests {
     }
 
     /// `view` encoded by the crate and by the oracle agree: with each
-    /// default block shape enabled and with none, and through the
+    /// default block shape enabled alone and with none, and through the
     /// statistics pass at both sample fractions (it scores every shape
     /// alone).
     fn check_view(view: RowView<'_>, split: Option<Idx>, values: &[&[Val]], what: &str) {
@@ -564,8 +568,12 @@ mod tests {
         };
         let shapes = config.block_shapes.iter().copied().map(Some);
         for block in shapes.chain([None]) {
-            let det = detect_with(view, &config, block);
-            let new = encode(view, &det, values[0], upper);
+            let alone = DetectConfig {
+                block_shapes: block.into_iter().collect(),
+                min_coverage: 0.0,
+                ..config.clone()
+            };
+            let new = encode_new(view, &alone, values[0], upper);
             let old = encode_with(view, &config, block, values);
             assert_same(&new, &old, &|| {
                 format!("{what} split {split:?} with {block:?}")
@@ -672,12 +680,23 @@ mod tests {
         }
     }
 
+    /// Also with chunks that start inside a block row: each partition's
+    /// start moved to every row of its block row.
     #[test]
     fn block_structural_matrices_encode_as_the_oracle_does() {
         for dof in [2, 3, 4] {
             let coo = gen::block_structural(100, dof, 8.0, 25, 7 + u64::from(dof));
             let sss = SssMatrix::from_coo(&coo, 0.0).expect("generated symmetric");
             check_sss(&sss, &format!("block_structural dof {dof}"));
+            let view = RowView::of_sss(&sss);
+            for part in balanced_ranges(&symmetric_row_weights(sss.rowptr()), 3) {
+                for offset in 0..dof {
+                    let start = part.start / dof * dof + offset;
+                    let what = format!("block_structural dof {dof} from row {start}");
+                    let chunk = view.slice(start..part.end);
+                    check_view(chunk, Some(start), &[sss.values()], &what);
+                }
+            }
         }
     }
 

@@ -60,14 +60,16 @@ impl<'a> RowView<'a> {
         self.first_row + (self.rowptr.len() - 1) as Idx
     }
 
-    /// Entry index of the view's first non-zero.
-    pub fn base(&self) -> usize {
-        self.rowptr[0] as usize
-    }
-
     /// Non-zeros in the view.
     pub fn nnz(&self) -> usize {
         (self.rowptr[self.rowptr.len() - 1] - self.rowptr[0]) as usize
+    }
+
+    /// The most entries any `rows` consecutive rows of the view hold.
+    pub(crate) fn max_span(&self, rows: usize) -> usize {
+        let span = |w: &[Idx]| (w[w.len() - 1] - w[0]) as usize;
+        let windows = self.rowptr.windows((rows + 1).min(self.rowptr.len()));
+        windows.map(span).max().unwrap_or(0)
     }
 
     /// Entry range of row `r`; empty for rows outside the view.

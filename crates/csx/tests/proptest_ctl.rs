@@ -7,6 +7,7 @@
 use symspmv_csx::detect::DetectConfig;
 use symspmv_csx::encode::{encode_coo, encode_rows, CtlStream};
 use symspmv_csx::matrix::CsxMatrix;
+use symspmv_csx::pattern::PatternKind;
 use symspmv_csx::rows::RowView;
 use symspmv_runtime::{balanced_ranges, partition::symmetric_row_weights};
 use symspmv_sparse::rng::StdRng;
@@ -146,16 +147,34 @@ fn col_split_never_straddled() {
             min_coverage: 0.0,
             ..DetectConfig::default()
         };
-        let csr = CsrMatrix::from_coo(&coo);
-        let view = RowView::new(0, csr.ncols(), csr.rowptr(), csr.colind());
-        let det = symspmv_csx::detect::analyze(view, &cfg);
-        for inst in &det.instances {
-            let lo = inst.elements().any(|(_, c)| c < split);
-            let hi = inst.elements().any(|(_, c)| c >= split);
-            assert!(
-                !(lo && hi),
-                "case {case}: instance {inst:?} straddles {split}"
-            );
+        // A block unit's elements: its blocks, `R·C` each, then any
+        // triangle, which is shorter than one block.
+        let mut blocks = Vec::new();
+        let mut elements = Vec::new();
+        let stream = encode_coo(&coo, &cfg);
+        stream.walk(
+            |u| {
+                if let Some(PatternKind::Block { rows, cols }) = u.kind {
+                    let len = u32::from(rows) * u32::from(cols);
+                    blocks.push((elements.len(), len, u.elements / len));
+                }
+                elements.push(u.elements);
+            },
+            |_, _, _| {},
+        );
+        let cols: Vec<Idx> = stream.decode_elements().iter().map(|e| e.1).collect();
+        for (unit, len, count) in blocks {
+            let start: u32 = elements[..unit].iter().sum();
+            for b in 0..count {
+                let at = (start + b * len) as usize;
+                let block = &cols[at..at + len as usize];
+                let lo = block.iter().any(|&c| c < split);
+                let hi = block.iter().any(|&c| c >= split);
+                assert!(
+                    !(lo && hi),
+                    "case {case}: block {block:?} straddles {split}"
+                );
+            }
         }
     }
 }
@@ -319,6 +338,44 @@ fn block_structural_encodes_hold_ctl_bound() {
                 }
             }
             assert!(grouped, "case {case}, dof {dof}: no block grouped");
+        }
+    }
+}
+
+/// CSX-Sym chunks of 3-dof block-structural matrices whose first row lies at
+/// each offset inside a block row — each balanced partition at `P = 1, 2, 3`
+/// started at the first, second and third row of its block row — hold
+/// `ctl-bound`, keep their split legal and decode to their rows' entries.
+#[test]
+fn chunks_starting_inside_a_block_row_hold_ctl_bound() {
+    for case in 0..CASES / 4 {
+        let mut rng = StdRng::seed_from_u64(0x90_0000 + case);
+        let coo = symspmv_sparse::gen::block_structural(rng.random_range(12..40), 3, 6.0, 8, case);
+        let sss = SssMatrix::from_coo(&coo, 0.0).unwrap();
+        let whole = RowView::of_sss(&sss);
+        for p in [1, 2, 3] {
+            for part in balanced_ranges(&symmetric_row_weights(sss.rowptr()), p) {
+                for offset in 0..3 {
+                    let start = (part.start / 3 * 3 + offset).min(part.end);
+                    let what = format!("case {case}, p {p}, rows {start}..{}", part.end);
+                    let view = whole.slice(start..part.end);
+                    let cfg = DetectConfig {
+                        col_split: Some(start),
+                        ..DetectConfig::default()
+                    };
+                    let encoded = encode_rows(view, &cfg, sss.values(), None);
+                    assert_ctl_bound(&encoded.stream, start as usize, &what);
+                    assert_eq!(encoded.stream.legal_split(), Some(start as usize), "{what}");
+                    let mut decoded = encoded.stream.decode_elements();
+                    decoded.sort_unstable_by_key(|&(r, c, _)| (r, c));
+                    let rows = (start..part.end).flat_map(|r| {
+                        let entries = view.row(r);
+                        let (cols, vals) = (&sss.colind()[entries.clone()], &sss.values()[entries]);
+                        cols.iter().zip(vals).map(move |(&c, &v)| (r, c, v))
+                    });
+                    assert_eq!(decoded, rows.collect::<Vec<_>>(), "{what}");
+                }
+            }
         }
     }
 }

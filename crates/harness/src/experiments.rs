@@ -6,7 +6,7 @@
 //! from a single run.
 
 use crate::error::HarnessError;
-use crate::framework::{measure, measure_each, sample, serial_csr_spmv_time, Sampled};
+use crate::framework::{measure, measure_each, sample, Sampled, SerialCsrUnit};
 use crate::kernels::{build_kernel, KernelSpec};
 use crate::report::{f, geomean, pct, Table};
 use std::path::PathBuf;
@@ -552,9 +552,11 @@ pub fn fig13(cfg: &ExpConfig) -> Result<(), HarnessError> {
 /// E10 — §V-E: preprocessing cost of CSX-Sym in serial-CSR-SpMV units.
 /// Each matrix, original and RCM-reordered, is built
 /// [`ROUNDS`](crate::framework::ROUNDS) times in
-/// [`sample`]'s alternation, every build on a cold plan cache; a side's
-/// score is the lower quartile of its builds' `preprocess` phases, with the
-/// upper quartile beside it.
+/// [`sample`]'s alternation, every build on a cold plan cache, beside the
+/// serial CSR SpMV unit of each ([`SerialCsrUnit`], two more sides); a
+/// side's score is the lower quartile of its builds' `preprocess` phases
+/// over its unit's lower quartile, with the upper quartiles' ratio beside
+/// it.
 pub fn preproc(cfg: &ExpConfig) -> Result<(), HarnessError> {
     println!("== §V-E: CSX-Sym preprocessing cost (units: serial CSR SpMV) ==\n");
     let mut t = Table::new(&[
@@ -569,26 +571,37 @@ pub fn preproc(cfg: &ExpConfig) -> Result<(), HarnessError> {
     let spec = KernelSpec::CsxSym(ReductionMethod::Indexing);
     for m in cfg.suite() {
         let coos = [m.coo.clone(), rcm_of(&m.coo, m.spec.name)?];
+        let csrs = coos.each_ref().map(CsrMatrix::from_coo);
+        let mut units = csrs.each_ref().map(SerialCsrUnit::new);
         let mut builds = [Vec::new(), Vec::new()];
         let mut failed = None;
-        sample(2, |side| {
-            ctx.clear_plan_cache();
-            match kernel_of(spec, &coos[side], &ctx, m.spec.name) {
-                Ok(k) => builds[side].push(k.times().preprocess.as_secs_f64()),
-                Err(e) => {
-                    failed.get_or_insert(e);
+        // Sides 0 and 1 build, 2 and 3 time the units.
+        let sides = sample(4, |side| match side {
+            0 | 1 => {
+                ctx.clear_plan_cache();
+                match kernel_of(spec, &coos[side], &ctx, m.spec.name) {
+                    Ok(k) => builds[side].push(k.times().preprocess.as_secs_f64()),
+                    Err(e) => {
+                        failed.get_or_insert(e);
+                    }
                 }
             }
+            _ => units[side - 2].block(),
         });
         if let Some(e) = failed {
             return Err(e);
         }
         let mut row = vec![m.spec.name.to_string()];
-        for (side, (coo, secs)) in coos.iter().zip(builds).enumerate() {
-            let unit = serial_csr_spmv_time(&CsrMatrix::from_coo(coo), 8);
-            let pre = Sampled::new(secs);
-            for (j, q) in [pre.q1, pre.q3].into_iter().enumerate() {
-                let units = q / unit.as_secs_f64().max(1e-12);
+        for (side, secs) in builds.into_iter().enumerate() {
+            let (pre, unit) = (
+                Sampled::new(secs),
+                SerialCsrUnit::per_call(&sides[2 + side]),
+            );
+            for (j, (q, u)) in [(pre.q1, unit.q1), (pre.q3, unit.q3)]
+                .into_iter()
+                .enumerate()
+            {
+                let units = q / u.max(1e-12);
                 columns[2 * side + j].push(units);
                 row.push(f(units, 1));
             }
@@ -686,8 +699,9 @@ pub fn fig14(cfg: &ExpConfig) -> Result<(), HarnessError> {
 /// block shapes and statistics-pass settings buy the compression, and what
 /// they cost (the design-choice study DESIGN.md calls out). The variants'
 /// builds run [`ROUNDS`](crate::framework::ROUNDS) times each in
-/// [`sample`]'s alternation; `preproc` is a variant's median build, in
-/// serial-CSR-SpMV units.
+/// [`sample`]'s alternation, with the serial CSR SpMV unit
+/// ([`SerialCsrUnit`]) as one more side; `preproc` is a variant's median
+/// build over the unit's median.
 pub fn ablation(cfg: &ExpConfig) -> Result<(), HarnessError> {
     use symspmv_core::CsxSymMatrix;
     println!("== Ablation: CSX-Sym detection configuration ==\n");
@@ -743,11 +757,14 @@ pub fn ablation(cfg: &ExpConfig) -> Result<(), HarnessError> {
         let sss = sss_of(&m.coo, name)?;
         let parts = balanced_ranges(&symmetric_row_weights(sss.rowptr()), cfg.max_threads);
         let csr = CsrMatrix::from_coo(&m.coo);
-        let unit = serial_csr_spmv_time(&csr, 8);
+        let mut unit = SerialCsrUnit::new(&csr);
         let mut encoded = vec![None; variants.len()];
-        let builds = sample(variants.len(), |i| {
-            encoded[i] = Some(CsxSymMatrix::from_sss(&sss, &parts, &variants[i].1));
+        // The last side times the unit.
+        let builds = sample(variants.len() + 1, |i| match variants.get(i) {
+            Some((_, dcfg)) => encoded[i] = Some(CsxSymMatrix::from_sss(&sss, &parts, dcfg)),
+            None => unit.block(),
         });
+        let unit = SerialCsrUnit::per_call(&builds[variants.len()]);
         let built = encoded.into_iter().flatten().zip(&builds);
         for ((label, dcfg), (enc, build)) in variants.iter().zip(built) {
             let mut k = SymSpmv::from_sss(
@@ -762,7 +779,7 @@ pub fn ablation(cfg: &ExpConfig) -> Result<(), HarnessError> {
                 (*label).into(),
                 pct(enc.compression_ratio()),
                 pct(enc.coverage()),
-                f(build.median() / unit.as_secs_f64().max(1e-12), 1),
+                f(build.median() / unit.median().max(1e-12), 1),
                 f(meas.gflops, 2),
             ]);
         }

@@ -180,20 +180,43 @@ fn measure_steps<K: ParallelSpmv + ?Sized, V, const N: usize>(
     })
 }
 
-/// Times a *serial* CSR SpMV (the unit of the §V-E preprocessing-cost
-/// metric: "the preprocessing cost amounts to k serial SpM×V operations"):
-/// the [`sample`] score of blocks of `iterations` SpMVs, per SpMV.
-pub fn serial_csr_spmv_time(csr: &symspmv_sparse::CsrMatrix, iterations: usize) -> Duration {
-    let n = csr.nrows() as usize;
-    let mut x = seeded_vector(n, 0xBEEF);
-    let mut y = vec![0.0; n];
-    let blocks = sample(1, |_| {
-        for _ in 0..iterations {
-            csr.spmv(&x, &mut y);
-            std::mem::swap(&mut x, &mut y);
+/// Serial CSR SpMVs in one timed block of [`SerialCsrUnit`].
+const UNIT_CALLS: usize = 8;
+
+/// The unit of the §V-E preprocessing-cost metric ("the preprocessing cost
+/// amounts to k serial SpM×V operations"), timed as one more side of the
+/// [`sample`] alternation whose builds it divides, so that both see the
+/// same host: each [`SerialCsrUnit::block`] runs eight serial CSR
+/// SpMVs.
+pub struct SerialCsrUnit<'a> {
+    csr: &'a symspmv_sparse::CsrMatrix,
+    x: Vec<f64>,
+    y: Vec<f64>,
+}
+
+impl<'a> SerialCsrUnit<'a> {
+    /// The unit of `csr`, on a seeded vector.
+    pub fn new(csr: &'a symspmv_sparse::CsrMatrix) -> Self {
+        let n = csr.nrows() as usize;
+        SerialCsrUnit {
+            csr,
+            x: seeded_vector(n, 0xBEEF),
+            y: vec![0.0; n],
         }
-    });
-    Duration::from_secs_f64(blocks[0].q1 / iterations.max(1) as f64)
+    }
+
+    /// One timed block: eight serial SpMVs.
+    pub fn block(&mut self) {
+        for _ in 0..UNIT_CALLS {
+            self.csr.spmv(&self.x, &mut self.y);
+            std::mem::swap(&mut self.x, &mut self.y);
+        }
+    }
+
+    /// The unit's side of a [`sample`], per SpMV.
+    pub fn per_call(side: &Sampled) -> Sampled {
+        Sampled::new(side.samples.iter().map(|t| t / UNIT_CALLS as f64).collect())
+    }
 }
 
 #[cfg(test)]
@@ -219,8 +242,10 @@ mod tests {
     fn serial_unit_time_positive() {
         let coo = symspmv_sparse::gen::laplacian_2d(30, 30);
         let csr = CsrMatrix::from_coo(&coo);
-        let t = serial_csr_spmv_time(&csr, 8);
-        assert!(t > Duration::ZERO);
+        let mut unit = SerialCsrUnit::new(&csr);
+        let blocks = sample(1, |_| unit.block());
+        let per_call = SerialCsrUnit::per_call(&blocks[0]);
+        assert!(per_call.q1 > 0.0 && per_call.q1 <= blocks[0].q1 / UNIT_CALLS as f64 * 1.000_001);
     }
 
     #[test]

@@ -73,8 +73,8 @@ pub const KNOWN_INVARIANTS: &[(&str, &str)] = &[
     ),
     (
         "ctl-bound",
-        "CtlStream: only csx::encode::encode (which checks each unit it \
-         emits) and CtlStream::validated (a checked walk) build one, with no \
+        "CtlStream: only csx::encode::encode_rows (which checks each unit \
+         it emits) and CtlStream::validated (a checked walk) build one, with no \
          &mut access; its ctl is whole units whose sizes (1..=255, a block's \
          R·C) sum to values.len(), whose rows and columns lie inside the \
          recorded first_row..row_end and 0..col_end, and whose substructures \

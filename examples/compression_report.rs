@@ -12,6 +12,7 @@
 
 use symspmv::core::CsxSymMatrix;
 use symspmv::csx::detect::{self, DetectConfig};
+use symspmv::csx::encode::encode_rows;
 use symspmv::csx::rows::RowView;
 use symspmv::csx::CsxMatrix;
 use symspmv::sparse::{mm, suite, CooMatrix, CsrMatrix, SssMatrix};
@@ -104,13 +105,17 @@ fn main() {
                 "\nblock shapes alone (lower triangle; the statistics pass picks {picked:?}):"
             );
             for &shape in &config.block_shapes {
-                let det = detect::detect_with(view, &config, Some(shape));
+                let alone = DetectConfig {
+                    block_shapes: vec![shape],
+                    ..config.clone()
+                };
+                let encoded = encode_rows(view, &alone, sss.values(), None);
                 println!(
                     "  {}×{}: {} blocks, coverage {:.1}%",
                     shape.0,
                     shape.1,
-                    det.instances.len(),
-                    det.coverage() * 100.0
+                    encoded.substructure_units,
+                    encoded.coverage * 100.0
                 );
             }
         }
