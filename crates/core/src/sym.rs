@@ -173,10 +173,10 @@ pub struct SymSpmv {
     method: ReductionMethod,
     strategy: Arc<dyn ReductionStrategy>,
     storage: Storage,
-    /// The certified, context-memoized plan: row partition, local-vector
+    /// The certified plan this build derived: row partition, local-vector
     /// layout, conflict index, reduction chunks and the race certificate.
     /// The local store itself is leased from the arena per spmv call.
-    plan: Arc<CachedSymPlan>,
+    plan: CachedSymPlan,
     ctx: Arc<ExecutionContext>,
     times: PhaseTimes,
     size_bytes: usize,
@@ -286,21 +286,19 @@ impl SymSpmv {
         let kind = sss.kind();
         let mut times = PhaseTimes::new();
 
-        // Partition, layout, conflict index and race certificate all come
-        // from the context-memoized plan: a repeat build for the same
-        // (matrix, nthreads, strategy) reuses it wholesale and the
-        // preprocess phase records (almost) nothing.
+        // Partition, layout, conflict index and race certificate: derived
+        // here, once per build, and owned by the kernel.
         let plan = time_into(&mut times.preprocess, || {
             CachedSymPlan::obtain(&sss, ctx, &strategy)
         });
-        let parts = Arc::clone(&plan.parts);
+        let parts = &plan.parts;
 
         let nnz_full = 2 * sss.lower_nnz() + n;
         let storage = match &format {
             SymFormat::Sss => Storage::Sss(sss),
             SymFormat::CsxSym(cfg) => {
                 let m = time_into(&mut times.preprocess, || {
-                    CsxSymMatrix::from_sss_on(&sss, &parts, cfg, ctx)
+                    CsxSymMatrix::from_sss_on(&sss, parts, cfg, ctx)
                 });
                 Storage::CsxSym(m)
             }
@@ -317,7 +315,7 @@ impl SymSpmv {
         if let Storage::CsxSym(m) = &storage {
             if let Err(e) = symspmv_verify::certify_csx_chunks(
                 m.chunks().iter().map(|c| &c.stream),
-                &parts,
+                parts,
                 plan.fingerprint,
                 n as u32,
                 kind,
@@ -346,7 +344,7 @@ impl SymSpmv {
     }
 
     /// The certified plan this kernel dispatches with.
-    pub fn plan(&self) -> &Arc<CachedSymPlan> {
+    pub fn plan(&self) -> &CachedSymPlan {
         &self.plan
     }
 

@@ -552,7 +552,7 @@ pub fn fig13(cfg: &ExpConfig) -> Result<(), HarnessError> {
 /// E10 — §V-E: preprocessing cost of CSX-Sym in serial-CSR-SpMV units.
 /// Each matrix, original and RCM-reordered, is built
 /// [`ROUNDS`](crate::framework::ROUNDS) times in
-/// [`sample`]'s alternation, every build on a cold plan cache, beside the
+/// [`sample`]'s alternation, every build deriving its own plan, beside the
 /// serial CSR SpMV unit of each ([`SerialCsrUnit`], two more sides); a
 /// side's score is the lower quartile of its builds' `preprocess` phases
 /// over its unit's lower quartile, with the upper quartiles' ratio beside
@@ -577,15 +577,12 @@ pub fn preproc(cfg: &ExpConfig) -> Result<(), HarnessError> {
         let mut failed = None;
         // Sides 0 and 1 build, 2 and 3 time the units.
         let sides = sample(4, |side| match side {
-            0 | 1 => {
-                ctx.clear_plan_cache();
-                match kernel_of(spec, &coos[side], &ctx, m.spec.name) {
-                    Ok(k) => builds[side].push(k.times().preprocess.as_secs_f64()),
-                    Err(e) => {
-                        failed.get_or_insert(e);
-                    }
+            0 | 1 => match kernel_of(spec, &coos[side], &ctx, m.spec.name) {
+                Ok(k) => builds[side].push(k.times().preprocess.as_secs_f64()),
+                Err(e) => {
+                    failed.get_or_insert(e);
                 }
-            }
+            },
             _ => units[side - 2].block(),
         });
         if let Some(e) = failed {
@@ -698,10 +695,10 @@ pub fn fig14(cfg: &ExpConfig) -> Result<(), HarnessError> {
 /// Extension — ablation of the CSX-Sym detection configuration: which
 /// block shapes and statistics-pass settings buy the compression, and what
 /// they cost (the design-choice study DESIGN.md calls out). The variants'
-/// builds run [`ROUNDS`](crate::framework::ROUNDS) times each in
-/// [`sample`]'s alternation, with the serial CSR SpMV unit
-/// ([`SerialCsrUnit`]) as one more side; `preproc` is a variant's median
-/// build over the unit's median.
+/// builds run [`ROUNDS`](crate::framework::ROUNDS), rounded up to a
+/// multiple of the sides, times each in [`sample`]'s alternation, with the
+/// serial CSR SpMV unit ([`SerialCsrUnit`]) as one more side; `preproc` is
+/// a variant's median build over the unit's median.
 pub fn ablation(cfg: &ExpConfig) -> Result<(), HarnessError> {
     use symspmv_core::CsxSymMatrix;
     println!("== Ablation: CSX-Sym detection configuration ==\n");

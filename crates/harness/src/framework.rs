@@ -12,8 +12,9 @@ use symspmv_sparse::VectorBlock;
 /// Default iteration count used throughout the paper's evaluation.
 pub const DEFAULT_ITERATIONS: usize = 128;
 
-/// Rounds of [`sample`], one timed block per side each: every side of one,
-/// two, four or eight goes first equally often.
+/// The fewest rounds of [`sample`], one timed block per side each. A call
+/// with `sides` sides runs `ROUNDS.next_multiple_of(sides)` rounds, so every
+/// side goes first equally often.
 pub const ROUNDS: usize = 8;
 
 /// What [`sample`] reports for one side, in seconds per block.
@@ -65,13 +66,15 @@ fn quantile(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// Times `sides` sides in alternation: `block(i)` runs one block of side
-/// `i`. Round `r` starts at side `r % sides` and goes round, so no side
-/// always runs first, after whatever ran before the call, or always runs
-/// second. One closure serves every side, so a caller indexes its own
-/// per-side state by `i`.
+/// `i`, once per round. Round `r` starts at side `r % sides` and goes
+/// round, so each side runs first in the same number of rounds, and no side
+/// always runs after whatever ran before the call, or always runs second.
+/// One closure serves every side, so a caller indexes its own per-side
+/// state by `i`.
 pub fn sample(sides: usize, mut block: impl FnMut(usize)) -> Vec<Sampled> {
-    let mut times = vec![Vec::with_capacity(ROUNDS); sides];
-    for round in 0..ROUNDS {
+    let rounds = ROUNDS.next_multiple_of(sides);
+    let mut times = vec![Vec::with_capacity(rounds); sides];
+    for round in 0..rounds {
         for k in 0..sides {
             let side = (round + k) % sides;
             let t0 = Instant::now();
@@ -165,14 +168,14 @@ fn measure_steps<K: ParallelSpmv + ?Sized, V, const N: usize>(
         }
     });
     std::array::from_fn(|i| {
-        let (t, wall) = (kernels[i].times(), blocks[i].q1);
+        let (t, wall, rounds) = (kernels[i].times(), blocks[i].q1, blocks[i].samples.len());
         let flops = kernels[i].flops() as f64 * (lanes[i] * iterations) as f64;
         Measurement {
             iterations,
             wall: Duration::from_secs_f64(wall),
             times: PhaseTimes {
-                multiply: t.multiply / ROUNDS as u32,
-                reduce: t.reduce / ROUNDS as u32,
+                multiply: t.multiply / rounds as u32,
+                reduce: t.reduce / rounds as u32,
                 ..t
             },
             gflops: flops / wall / 1e9,
@@ -257,6 +260,23 @@ mod tests {
         assert!(blocks
             .iter()
             .all(|b| b.samples.len() == ROUNDS && b.q1 <= b.q3));
+    }
+
+    #[test]
+    fn every_side_goes_first_equally_often() {
+        for sides in [3, 6] {
+            let mut firsts = vec![0; sides];
+            let mut calls = 0;
+            let blocks = sample(sides, |side| {
+                if calls % sides == 0 {
+                    firsts[side] += 1;
+                }
+                calls += 1;
+            });
+            assert_eq!(firsts, vec![firsts[0]; sides], "{sides} sides");
+            assert!(firsts[0] >= 1 && calls >= ROUNDS * sides);
+            assert!(blocks.iter().all(|b| b.samples.len() == calls / sides));
+        }
     }
 
     #[test]

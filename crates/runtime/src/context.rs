@@ -13,10 +13,10 @@
 //! plus the four built-in [`ReductionStrategy`] objects (naive /
 //! effective-ranges / indexing / race), looked up by tag. The set is closed:
 //! there is no registration. Every counter the context keeps is read through
-//! one call, [`ExecutionContext::stats`].
+//! one call, [`ExecutionContext::stats`]. It keeps no plans: each kernel
+//! build derives the partition, layout and certificate it runs with, and
+//! owns them.
 
-use std::any::Any;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -138,88 +138,6 @@ impl BufferArena {
     }
 }
 
-/// Cache key for partition plans and race certificates: the matrix is
-/// identified by its structural fingerprint, and a plan is only reusable
-/// for the exact (thread count, strategy) pair it was computed for.
-///
-/// The `strategy` slot doubles as a namespace: strategy-independent
-/// artifacts (e.g. the bare row partition, which every strategy shares)
-/// are cached under reserved pseudo-strategy names like `"parts"`, so a
-/// strategy *switch* on the same matrix re-derives only the
-/// strategy-specific pieces.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PlanKey {
-    /// Structural fingerprint of the matrix (values excluded).
-    pub matrix: u64,
-    /// Number of worker threads the plan partitions for.
-    pub nthreads: usize,
-    /// Strategy tag (or pseudo-strategy namespace) the artifact belongs to.
-    pub strategy: String,
-}
-
-/// Entry cap of the plan cache. Each entry is one (matrix, threads,
-/// strategy) artifact; a sweep over the whole suite at several thread
-/// counts stays far below this, while a long-lived service cycling tenant
-/// matrices no longer grows without bound.
-const PLAN_CACHE_CAPACITY_DEFAULT: usize = 256;
-
-/// LRU-bounded store of memoized plan artifacts.
-///
-/// Recency is tracked with a monotone clock stamped on every hit and
-/// insert; eviction removes the stalest entry. A linear scan on eviction is
-/// fine — it only runs when the cache is full, and the cap is small.
-struct PlanCache {
-    map: HashMap<PlanKey, (Arc<dyn Any + Send + Sync>, u64)>,
-    clock: u64,
-    capacity: usize,
-    evictions: usize,
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache {
-            map: HashMap::new(),
-            clock: 0,
-            capacity: PLAN_CACHE_CAPACITY_DEFAULT,
-            evictions: 0,
-        }
-    }
-}
-
-impl PlanCache {
-    fn get(&mut self, key: &PlanKey) -> Option<Arc<dyn Any + Send + Sync>> {
-        self.clock += 1;
-        let stamp = self.clock;
-        self.map.get_mut(key).map(|entry| {
-            entry.1 = stamp;
-            Arc::clone(&entry.0)
-        })
-    }
-
-    fn put(&mut self, key: PlanKey, plan: Arc<dyn Any + Send + Sync>) {
-        self.clock += 1;
-        self.map.insert(key, (plan, self.clock));
-        self.shrink_to_capacity();
-    }
-
-    fn shrink_to_capacity(&mut self) {
-        while self.map.len() > self.capacity {
-            let stalest = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| k.clone());
-            match stalest {
-                Some(k) => {
-                    self.map.remove(&k);
-                    self.evictions += 1;
-                }
-                None => break,
-            }
-        }
-    }
-}
-
 /// The shared runtime layer: one pool, one arena, and the four built-in
 /// reduction strategies.
 ///
@@ -236,12 +154,6 @@ pub struct ExecutionContext {
     /// non-scratch) path. Each one is a broken lease contract; the drop
     /// path heals the buffer (re-zeroes it) and counts it here.
     dirty_returns: AtomicUsize,
-    /// Memoized partition plans and race certificates, keyed by
-    /// [`PlanKey`]. Values are type-erased so the runtime does not need to
-    /// know the kernel crates' plan types. LRU-bounded (see [`PlanCache`]).
-    plans: Mutex<PlanCache>,
-    plan_hits: AtomicUsize,
-    plan_misses: AtomicUsize,
     /// Supervision slot shared with the pool: installable/clearable without
     /// the pool lock, consulted at every round checkpoint.
     supervision: Arc<SupervisionCell>,
@@ -293,9 +205,6 @@ impl ExecutionContext {
                 Arc::new(RaceReduction),
             ],
             dirty_returns: AtomicUsize::new(0),
-            plans: Mutex::new(PlanCache::default()),
-            plan_hits: AtomicUsize::new(0),
-            plan_misses: AtomicUsize::new(0),
             supervision,
             health,
             #[cfg(any(test, feature = "fault-injection"))]
@@ -354,35 +263,11 @@ impl ExecutionContext {
         lock_ignore_poison(&self.pool).rounds_run()
     }
 
-    /// Looks up a memoized plan artifact; counts a hit or a miss.
-    ///
-    /// The value is type-erased — callers downcast to their own plan type
-    /// (a foreign entry under the same key would be a fingerprint
-    /// collision between kernels, which the `strategy` namespace prevents).
-    pub fn plan_cache_get(&self, key: &PlanKey) -> Option<Arc<dyn Any + Send + Sync>> {
-        let found = lock_ignore_poison(&self.plans).get(key);
-        // RELAXED(hit/miss telemetry counters; no other memory depends on
-        // their values and exact interleaving does not matter)
-        match &found {
-            Some(_) => self.plan_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.plan_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Memoizes a plan artifact under `key` (last writer wins). When the
-    /// cache exceeds its entry cap the least-recently-used entries are
-    /// evicted and counted ([`ContextStats::plan_cache_evictions`]).
-    pub fn plan_cache_put(&self, key: PlanKey, plan: Arc<dyn Any + Send + Sync>) {
-        lock_ignore_poison(&self.plans).put(key, plan);
-    }
-
-    /// Drops all memoized plans (certificates included) — for tests and
-    /// for callers that renumber matrices in place and want to prove the
-    /// stale-certificate path.
-    pub fn clear_plan_cache(&self) {
-        lock_ignore_poison(&self.plans).map.clear();
-    }
+    /// Does nothing: the context keeps no plans, since every kernel build
+    /// derives its own. It stays for its one caller,
+    /// `benchmark/src/layers.rs`, which calls it before timing
+    /// `core.plan_cold`.
+    pub fn clear_plan_cache(&self) {}
 
     /// Installs supervision (cancellation token and/or deadline) for the
     /// request about to run on this context; the returned guard clears it
@@ -487,28 +372,15 @@ impl ExecutionContext {
         self.strategies.iter().find(|s| s.name() == name).cloned()
     }
 
-    /// Every counter the context keeps, read in one call (one lock per
-    /// sub-system).
+    /// Every counter the context keeps, read in one call (one arena lock).
     pub fn stats(&self) -> ContextStats {
-        // RELAXED(telemetry reads; approximate freshness is acceptable)
-        let (plan_cache_hits, plan_cache_misses, dirty_lease_returns) = (
-            self.plan_hits.load(Ordering::Relaxed),
-            self.plan_misses.load(Ordering::Relaxed),
-            self.dirty_returns.load(Ordering::Relaxed),
-        );
-        let (plan_cache_len, plan_cache_evictions) = {
-            let plans = lock_ignore_poison(&self.plans);
-            (plans.map.len(), plans.evictions)
-        };
+        // RELAXED(telemetry read; approximate freshness is acceptable)
+        let dirty_lease_returns = self.dirty_returns.load(Ordering::Relaxed);
         let (arena_free_buffers, arena_retained_elements, arena_trims) = {
             let arena = lock_ignore_poison(&self.arena);
             (arena.free.len(), arena.retained_elements(), arena.trims)
         };
         ContextStats {
-            plan_cache_len,
-            plan_cache_evictions,
-            plan_cache_hits,
-            plan_cache_misses,
             arena_free_buffers,
             arena_retained_elements,
             arena_trims,
@@ -521,14 +393,6 @@ impl ExecutionContext {
 /// Pool health has its own record, [`ExecutionContext::health_state`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContextStats {
-    /// Plan artifacts currently memoized.
-    pub plan_cache_len: usize,
-    /// Hits observed by [`ExecutionContext::plan_cache_get`].
-    pub plan_cache_hits: usize,
-    /// Misses observed by [`ExecutionContext::plan_cache_get`].
-    pub plan_cache_misses: usize,
-    /// Entries evicted by the plan cache's LRU bound.
-    pub plan_cache_evictions: usize,
     /// Free buffers currently held by the arena.
     pub arena_free_buffers: usize,
     /// Elements (sum of capacities) the arena free list is pinning.
@@ -814,49 +678,12 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_lru_evicts_and_counts() {
-        let mut cache = PlanCache {
-            capacity: 3,
-            ..PlanCache::default()
-        };
-        let key = |i: u64| PlanKey {
-            matrix: i,
-            nthreads: 1,
-            strategy: "t".to_string(),
-        };
-        for i in 0..3 {
-            cache.put(key(i), Arc::new(i));
-        }
-        assert_eq!((cache.map.len(), cache.evictions), (3, 0));
-
-        // Touch key 0 so key 1 becomes the LRU, then overflow.
-        assert!(cache.get(&key(0)).is_some());
-        cache.put(key(3), Arc::new(3u64));
-        assert_eq!((cache.map.len(), cache.evictions), (3, 1));
-        assert!(cache.get(&key(1)).is_none(), "LRU entry evicted");
-        assert!(cache.get(&key(0)).is_some(), "touched entry kept");
-        assert!(cache.get(&key(3)).is_some());
-    }
-
-    #[test]
     fn stats_reads_every_counter_in_one_call() {
         let ctx = ExecutionContext::new(1);
-        let key = PlanKey {
-            matrix: 7,
-            nthreads: 1,
-            strategy: "t".to_string(),
-        };
-        assert!(ctx.plan_cache_get(&key).is_none());
-        ctx.plan_cache_put(key.clone(), Arc::new(7u64));
-        assert!(ctx.plan_cache_get(&key).is_some());
         drop(ctx.lease(80));
         assert_eq!(
             ctx.stats(),
             ContextStats {
-                plan_cache_len: 1,
-                plan_cache_hits: 1,
-                plan_cache_misses: 1,
-                plan_cache_evictions: 0,
                 arena_free_buffers: 1,
                 arena_retained_elements: 80,
                 arena_trims: 0,

@@ -60,7 +60,7 @@ pub mod timing;
 #[cfg(test)]
 mod stress_tests;
 
-pub use context::{BufferLease, ContextStats, ExecutionContext, PlanKey, SupervisionGuard};
+pub use context::{BufferLease, ContextStats, ExecutionContext, SupervisionGuard};
 #[cfg(any(test, feature = "fault-injection"))]
 pub use fault::FaultPlan;
 pub use partition::{balanced_ranges, even_ranges, Range};

@@ -172,54 +172,6 @@ fn double_fault_rounds_respawn_only_the_panicked_workers() {
 }
 
 #[test]
-fn plan_cache_consistent_under_concurrent_hammering() {
-    // Workers race to populate the same keys; every get-after-put must
-    // return *some* previously-inserted Arc (last write wins), the
-    // counters must balance, and clearing must empty the map.
-    use crate::context::{ExecutionContext, PlanKey};
-    use std::any::Any;
-    use std::sync::Arc;
-
-    let ctx = ExecutionContext::new(8);
-    let key = |m: u64, s: &str| PlanKey {
-        matrix: m,
-        nthreads: 8,
-        strategy: s.to_string(),
-    };
-
-    let ctx2 = Arc::clone(&ctx);
-    ctx.run(&move |tid| {
-        for round in 0..50u64 {
-            let k = key(round % 7, if round % 2 == 0 { "idx" } else { "eff" });
-            if ctx2.plan_cache_get(&k).is_none() {
-                ctx2.plan_cache_put(
-                    k.clone(),
-                    Arc::new((tid, round)) as Arc<dyn Any + Send + Sync>,
-                );
-            }
-            let hit = ctx2
-                .plan_cache_get(&k)
-                .expect("key was just inserted by someone");
-            let &(_, r) = hit
-                .downcast_ref::<(usize, u64)>()
-                .expect("cache only ever holds (tid, round) pairs here");
-            assert!(r < 50);
-        }
-    });
-
-    assert!(
-        ctx.stats().plan_cache_len <= 14,
-        "7 matrices × 2 strategies"
-    );
-    assert!(
-        ctx.stats().plan_cache_hits >= 8 * 50,
-        "every round ends in a hit"
-    );
-    ctx.clear_plan_cache();
-    assert_eq!(ctx.stats().plan_cache_len, 0);
-}
-
-#[test]
 fn drop_while_idle_is_clean() {
     for _ in 0..20 {
         let mut pool = WorkerPool::new(3);

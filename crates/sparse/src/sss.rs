@@ -338,12 +338,12 @@ impl SssMatrix {
     /// (dimension, row pointers, column indices — values excluded).
     ///
     /// Partition plans, conflict indices and race certificates depend only
-    /// on structure, so two matrices with identical structure may share
-    /// cached plans; the fingerprint is their cache key. The std hasher is
-    /// avoided so the value is stable across processes and can be embedded
-    /// in serialized certificates. Computed on first use
-    /// and memoized (the matrix is immutable), so repeat plan-cache lookups
-    /// do not re-walk the structure.
+    /// on structure; a certificate records the fingerprint of the matrix it
+    /// was proved for, and dispatch checks it against the matrix at hand.
+    /// The std hasher is avoided so the value is stable across processes.
+    /// Computed on first use and memoized (the matrix is immutable), so the
+    /// plan, its certificate and the debug-build dispatch checks do not each
+    /// re-walk the structure.
     ///
     /// Definition: the words `n, rowptr…, colind…` are dealt to four
     /// word-wise FNV-1a lanes, word `i` to lane `i mod 4` (seeded with the

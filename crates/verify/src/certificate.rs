@@ -4,8 +4,8 @@
 //! configuration*: the structural fingerprint of the matrix, the thread
 //! count and strategy the plan was computed for, the invariants that were
 //! established, and the footprint statistics (direct rows, effective-region
-//! elements, conflict entries) the proofs rest on. `ExecutionContext`
-//! memoizes certificates next to the plans they certify, and kernels assert
+//! elements, conflict entries) the proofs rest on. Each kernel build
+//! derives its plan and the plan's certificate, and kernels assert
 //! [`RaceCertificate::validate_for`] in debug builds before dispatch — a
 //! certificate reused after renumbering, or across a thread-count or
 //! strategy switch, is rejected as [`VerifyError::StaleCertificate`].

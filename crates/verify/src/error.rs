@@ -86,7 +86,7 @@ pub enum VerifyError {
         /// The chunk's local/direct split.
         split: u32,
     },
-    /// A cached certificate was presented for a configuration it does not
+    /// A certificate was presented for a configuration it does not
     /// describe — e.g. reused after renumbering the matrix, or across a
     /// thread-count or strategy switch.
     StaleCertificate {

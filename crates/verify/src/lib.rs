@@ -12,10 +12,10 @@
 //! 1. **Symbolic plan certifier** ([`symbolic`]) — what the library runs.
 //!    It derives an in-memory [`RaceCertificate`] from an
 //!    interval/congruence abstract domain plus structure axioms in
-//!    `O(p + c)` instead of `O(nnz)`, once per plan: `ExecutionContext`
-//!    memoizes the plan and its certificate per (matrix fingerprint,
-//!    nthreads, strategy), and kernels re-validate it in debug builds
-//!    before every dispatch (lane-lifted for a block call). It also
+//!    `O(p + c)` instead of `O(nnz)`, once per plan: each kernel build
+//!    derives its plan and the plan's certificate, and kernels re-validate
+//!    it in debug builds before every dispatch (lane-lifted for a block
+//!    call). It also
 //!    discharges the [`certificate::ProofForm::ColoringDisjoint`] proof of
 //!    the RACE group schedule from level/subcolor axioms, and
 //!    [`csx_check`] certifies the CSX-Sym boundary rule per encoded chunk.

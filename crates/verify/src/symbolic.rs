@@ -18,8 +18,8 @@
 //!   iff every block offset is `≡ 0 (mod lanes)` and is the scalar offset
 //!   scaled ([`Congruence`]), which [`lift_symbolic`] checks per thread.
 //! * **Structure axioms** ([`StructureFacts`]) — facts the storage
-//!   constructors establish once per matrix (`O(n + nnz)`, amortized over
-//!   every thread-count/strategy/lane configuration): the strict lower
+//!   constructors establish once per matrix (`O(n + nnz)`; the facts
+//!   themselves are distilled in `O(n)` for each plan): the strict lower
 //!   triangle (`col < row` for every stored entry, so a direct transposed
 //!   write can never escape its partition), the first nonzero diagonal
 //!   entry (skew side condition) and the paired-array length (structural
@@ -125,10 +125,10 @@ impl Congruence {
 /// Structure axioms distilled from one matrix: everything the symbolic
 /// certifier needs to know about the storage, independent of any plan.
 ///
-/// Built once per matrix in `O(n)` on top of its memoized fingerprint
-/// ([`StructureFacts::of`]) and reused across every (threads, strategy,
-/// lanes) configuration — the per-plan certification itself never touches
-/// the structure again.
+/// Built in `O(n)` on top of the matrix's memoized fingerprint
+/// ([`StructureFacts::of`]), once per plan derivation; the certification
+/// itself never touches the structure again, and the facts hold for every
+/// (threads, strategy, lanes) configuration of the matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StructureFacts {
     /// Structural fingerprint of the matrix.
@@ -494,8 +494,8 @@ pub fn certify_rows_symbolic(
 /// `(matrix, coloring)` pair — the symbolic analogue of
 /// [`StructureFacts`] for the recursive scheduler.
 ///
-/// Two axioms are walked from the structure (`O(nnz)`, amortized over
-/// every thread-count/lane configuration the plan cache derives):
+/// Two axioms are walked from the structure (`O(nnz)`, once per plan
+/// derivation):
 ///
 /// 1. **Level locality** — every stored edge `(r, c)` spans at most one
 ///    BFS level, so the write window of row `r` only touches rows whose

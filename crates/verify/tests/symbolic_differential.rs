@@ -59,7 +59,7 @@ fn dispatched_plan(
     sss: &SssMatrix,
     ctx: &Arc<ExecutionContext>,
     method: ReductionMethod,
-) -> Arc<CachedSymPlan> {
+) -> CachedSymPlan {
     let strategy = ctx.reduction(method.tag()).unwrap();
     CachedSymPlan::obtain(sss, ctx, &strategy)
 }
