@@ -6,7 +6,7 @@
 //! serves `spmv` (`K = 1`) and every `spmm` lane width.
 
 use crate::shared::SharedBuf;
-use crate::sym::{axpy_lanes, lane_rows};
+use crate::sym::lane_rows;
 use crate::traits::{ParallelSpmm, ParallelSpmv};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -14,7 +14,7 @@ use symspmv_runtime::timing::time_into;
 use symspmv_runtime::{
     balanced_ranges, partition::csr_row_weights, ExecutionContext, PhaseTimes, Range,
 };
-use symspmv_sparse::block::VectorBlock;
+use symspmv_sparse::block::{axpy_lanes, VectorBlock};
 use symspmv_sparse::{with_lanes, CooMatrix, CsrMatrix, Val};
 
 /// A CSR matrix bound to an execution context and a static row partition.

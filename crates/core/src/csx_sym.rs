@@ -9,20 +9,20 @@
 //! units. Substructure inner loops therefore never branch on the write
 //! target; only delta units pay a per-element side test.
 //!
-//! The kernel reads a stream only the encoder builds (`ctl-bound`): the
-//! stream records its first row, its row and column reach, and whether any
-//! substructure straddles its first row. One assert per call checks the
-//! buffers and the split against that record — a split other than 0 must
-//! be the stream's legal one — and the unit kernels then index without
-//! bounds checks.
+//! The kernel is `csx::matrix::sym_stream`, the one `ctl` decoder, which
+//! the unsymmetric CSX runs with the mirror compiled out. It reads a stream
+//! only the encoder builds (`ctl-bound`): the stream records its first row,
+//! its row and column reach, and whether any substructure straddles its
+//! first row. One assert per call checks the buffers and the split against
+//! that record — a split other than 0 must be the stream's legal one — and
+//! the unit kernels then index without bounds checks.
 
-use crate::sym::{add_lanes, axpy_lanes};
 use crate::traits::per_share;
 use symspmv_csx::detect::DetectConfig;
-use symspmv_csx::encode::{delta_of, encode_rows, CtlStream};
+use symspmv_csx::encode::{encode_rows, CtlStream};
 use symspmv_csx::rows::RowView;
 use symspmv_runtime::{ExecutionContext, Range};
-use symspmv_sparse::symmetry::{SymmetryKind, SymmetryOps};
+use symspmv_sparse::symmetry::SymmetryKind;
 use symspmv_sparse::{Idx, SssMatrix, Val};
 
 /// One per-thread chunk: the CSX stream of the partition's lower-triangle
@@ -230,274 +230,13 @@ impl CsxSymMatrix {
     }
 }
 
-/// The symmetric CSX multiply kernel for one chunk, with the split sink,
-/// over `K`-lane-interleaved buffers: transposed contributions below
-/// `split` go to `local`, everything else to `my_y`, whose element 0 is
-/// global row `split`. The stream — the expensive traffic — is decoded once
-/// for all lanes, and every lane runs the scalar kernel's exact float
-/// sequence. Each unit head selects, once, the fixed-shape kernel of its
-/// pattern id (substitution S2: kernels generated ahead of time instead of
-/// JIT-compiled per matrix).
-///
-/// The direct-write strategies pass the partition boundary as `split`, with
-/// `my_y` the partition's slice of the output vector: all direct writes
-/// provably land inside the partition — the row `r` by chunk construction,
-/// transposed targets `c ∈ [split, r]` by the legality rule. The naive
-/// method is the `split = 0` case over the thread's private full-length
-/// vector, which leaves nothing for `local`.
-///
-/// `paired` is the stream-ordered mirror-value array
-/// ([`CsxSymChunk::paired_values`]); it aliases `stream.values()` for the
-/// numeric kinds, whose `O::transposed` never reads it.
-///
-/// One assert per call — `paired` as long as the values; `split` either 0
-/// or the stream's [`CtlStream::legal_split`]; the stream's row and column
-/// bounds inside `x`, `split + my_y.len()`, and `local` at least `split`
-/// long — and the `ctl-bound` invariant of the stream then keep every
-/// value, pair and operand access in bounds, so the unit kernels index
-/// without checks. A stream whose substructures straddle `split`, or
-/// buffers too short for it, are refused there, before any access.
-///
-/// Kept out of line: inlined into `SymSpmv`'s multiply closure, the block
-/// loop slowed that closure's SSS arm (`small-cg` `spmv_p1_s` ~+8 %,
-/// EXPERIMENTS "One head per row of blocks"), and a call per chunk costs
-/// nothing measurable here.
-#[inline(never)]
-pub(crate) fn sym_stream<O: SymmetryOps, const K: usize>(
-    stream: &CtlStream,
-    paired: &[Val],
-    x: &[[Val; K]],
-    my_y: &mut [[Val; K]],
-    split: usize,
-    local: &mut [[Val; K]],
-) {
-    let values = stream.values();
-    let end = stream.row_end().max(stream.col_end());
-    assert!(
-        paired.len() == values.len()
-            && (split == 0 || stream.legal_split() == Some(split))
-            && end <= x.len()
-            && end <= split + my_y.len()
-            && split <= local.len(),
-        "stream of {} values from row {} to {} (legal split {:?}) refused at split {split} \
-         with paired ({}), x ({}), y ({}) and local ({})",
-        values.len(),
-        stream.first_row(),
-        end,
-        stream.legal_split(),
-        paired.len(),
-        x.len(),
-        my_y.len(),
-        local.len()
-    );
-    let mut sides = Sides {
-        x,
-        my_y,
-        split,
-        local,
-    };
-    let mut cursor = stream.cursor();
-    let mut at = 0;
-    // SAFETY(cert: ctl-bound): the delta and block arms below take every
-    // body.
-    while let Some(unit) = unsafe { cursor.next_unit() } {
-        let (row, col, size) = (unit.row, unit.col, unit.size);
-        // SAFETY(cert: ctl-bound): unit elements sum to `values.len()` (and
-        // `paired` matches it), so the unit's `len` values and pairs follow
-        // `at`; the dispatch hands each kernel the shape its id encodes;
-        // every row is ≥ first row ≥ split and < row_end, every column <
-        // col_end, and a substructure unit's columns lie on one side of a
-        // nonzero split (the assert above).
-        unsafe {
-            let v = |len: usize| values.get_unchecked(at..at + len);
-            let u = |len: usize| paired.get_unchecked(at..at + len);
-            macro_rules! delta {
-                ($w:literal) => {{
-                    sides.delta::<O, $w>(cursor.body(size), v(size), u(size), row, col);
-                    size
-                }};
-            }
-            macro_rules! block {
-                ($r:literal, $c:literal) => {{
-                    let len = size * $r * $c;
-                    sides.block::<O, $r, $c, 0>(cursor.body(size), v(len), u(len), row, col);
-                    len
-                }};
-            }
-            macro_rules! tri {
-                ($r:literal) => {{
-                    const T: usize = $r * ($r - 1) / 2;
-                    let len = size * $r * $r + T;
-                    sides.block::<O, $r, $r, T>(cursor.body(size), v(len), u(len), row, col);
-                    len
-                }};
-            }
-            at += symspmv_csx::dispatch_unit!(unit.id, delta, block, tri);
-        }
-    }
-}
-
-/// The operands every unit kernel shares: the input lanes and the two
-/// write targets either side of `split`.
-struct Sides<'a, const K: usize> {
-    x: &'a [[Val; K]],
-    my_y: &'a mut [[Val; K]],
-    split: usize,
-    local: &'a mut [[Val; K]],
-}
-
-impl<const K: usize> Sides<'_, K> {
-    /// A delta unit with `W`-byte column deltas. Its columns ascend, so
-    /// they cross `split` at most once: the unit finds that point once and
-    /// then runs a loop without a side test — from the first element on when
-    /// it is anchored at or right of `split`.
-    ///
-    /// # Safety
-    /// SAFETY(cert: ctl-bound): `v` and `u` hold the unit's `size ≥ 1`
-    /// values and `body` its deltas; `row` and every column index `x`, and
-    /// `split ≤ row` with both targets sized as `sym_stream` asserts.
-    #[inline(always)]
-    unsafe fn delta<O: SymmetryOps, const W: usize>(
-        &mut self,
-        body: &[[u8; W]],
-        v: &[Val],
-        u: &[Val],
-        row: usize,
-        col: usize,
-    ) {
-        let (x, split) = (self.x, self.split);
-        let xr = x.get_unchecked(row);
-        let mut acc = [0.0; K];
-        // Macros, not closures: a closure called from three places is not
-        // reliably inlined, and this is one call per element.
-        macro_rules! element {
-            ($target:expr, $c:expr, $v:expr, $u:expr) => {{
-                axpy_lanes(&mut acc, $v, x.get_unchecked($c));
-                axpy_lanes($target, O::transposed($v, $u), xr);
-            }};
-        }
-        let mut c = col;
-        let mut rest = body
-            .iter()
-            .zip(v.get_unchecked(1..))
-            .zip(u.get_unchecked(1..));
-        let (v0, u0) = (*v.get_unchecked(0), *u.get_unchecked(0));
-        if c >= split {
-            element!(self.my_y.get_unchecked_mut(c - split), c, v0, u0);
-        } else {
-            element!(self.local.get_unchecked_mut(c), c, v0, u0);
-            for ((d, &v), &u) in rest.by_ref() {
-                c += delta_of(d);
-                if c >= split {
-                    element!(self.my_y.get_unchecked_mut(c - split), c, v, u);
-                    break;
-                }
-                element!(self.local.get_unchecked_mut(c), c, v, u);
-            }
-        }
-        for ((d, &v), &u) in rest {
-            c += delta_of(d);
-            element!(self.my_y.get_unchecked_mut(c - split), c, v, u);
-        }
-        add_lanes(self.my_y.get_unchecked_mut(row - split), &acc);
-    }
-
-    /// A unit of `size` dense `R × C` blocks anchored in one row, by
-    /// fixed-size array indexing. Boundary legality (§IV-B): all transposed
-    /// writes of a unit land on its anchor's side of `split`, so the side
-    /// test hoists out of the loop. The `R` row sums stay in registers
-    /// across the blocks — no transposed write reaches them, since every
-    /// column lies below every row — and each block's transposed sums stay
-    /// in registers until the block ends, when they go to the unit's side of
-    /// `split`: every element sees the float sequence of one-block units.
-    /// A block's first row assigns its transposed sums: starting from
-    /// `0.0 +` instead would cost an add per column and differ only where
-    /// product and target are `−0.0`.
-    ///
-    /// The `T` values after the blocks (`T = 0`: none) are the unit's
-    /// diagonal triangle, `i` entries in row `row + i` at columns `row …`.
-    /// Both ends of each lie in rows of the unit, so its products and
-    /// transposed products add into the `R` row sums in registers, row by
-    /// row in the float sequence of the delta units it replaced — no write
-    /// to `local` or `my_y`.
-    ///
-    /// # Safety
-    /// SAFETY(cert: ctl-bound): as for `delta`, with `size·R·C + T` values
-    /// and pairs, `gaps` the `size − 1` anchor gaps, rows `row..row + R` and
-    /// each block's columns `c..c + C`, which lie on the anchor's side of
-    /// `split`.
-    #[inline(always)]
-    unsafe fn block<O: SymmetryOps, const R: usize, const C: usize, const T: usize>(
-        &mut self,
-        gaps: &[[u8; 2]],
-        v: &[Val],
-        u: &[Val],
-        row: usize,
-        col: usize,
-    ) {
-        let (x, split) = (self.x, self.split);
-        let (v, vt) = v.split_at_unchecked(v.len() - T);
-        let (u, ut) = u.split_at_unchecked(u.len() - T);
-        let v = v.as_chunks::<C>().0.as_chunks::<R>().0;
-        let u = u.as_chunks::<C>().0.as_chunks::<R>().0;
-        let xr = x.get_unchecked(row..).first_chunk::<R>().unwrap_unchecked();
-        let slot = self.my_y.get_unchecked(row - split..);
-        let mut yr = *slot.first_chunk::<R>().unwrap_unchecked();
-        let (side, shift) = if col < split {
-            (&mut *self.local, 0)
-        } else {
-            (&mut *self.my_y, split)
-        };
-        let (mut gaps, mut c) = (gaps.iter(), col);
-        for (v, u) in v.iter().zip(u) {
-            let xc = x.get_unchecked(c..).first_chunk::<C>().unwrap_unchecked();
-            let mut t = [[0.0; K]; C];
-            for (i, (((yr, v), u), xr)) in yr.iter_mut().zip(v).zip(u).zip(xr).enumerate() {
-                for j in 0..K {
-                    let mut acc = v[0] * xc[0][j];
-                    for (&v, xc) in v[1..].iter().zip(&xc[1..]) {
-                        acc += v * xc[j];
-                    }
-                    yr[j] += acc;
-                    for ((t, &v), &u) in t.iter_mut().zip(v).zip(u) {
-                        if i == 0 {
-                            t[j] = O::transposed(v, u) * xr[j];
-                        } else {
-                            t[j] += O::transposed(v, u) * xr[j];
-                        }
-                    }
-                }
-            }
-            let dst = side.get_unchecked_mut(c - shift..);
-            let dst = dst.first_chunk_mut::<C>().unwrap_unchecked();
-            for (dst, t) in dst.iter_mut().zip(&t) {
-                add_lanes(dst, t);
-            }
-            c += gaps.next().map_or(0, delta_of);
-        }
-        if T > 0 {
-            let mut k = 0;
-            for i in 1..R {
-                let mut acc = [0.0; K];
-                for j in 0..i {
-                    let (v, u) = (*vt.get_unchecked(k + j), *ut.get_unchecked(k + j));
-                    axpy_lanes(&mut acc, v, &xr[j]);
-                    axpy_lanes(&mut yr[j], O::transposed(v, u), &xr[i]);
-                }
-                add_lanes(&mut yr[i], &acc);
-                k += i;
-            }
-        }
-        let slot = self.my_y.get_unchecked_mut(row - split..);
-        *slot.first_chunk_mut::<R>().unwrap_unchecked() = yr;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use symspmv_csx::matrix::sym_stream;
     use symspmv_runtime::{balanced_ranges, partition::symmetric_row_weights};
     use symspmv_sparse::dense::{assert_vec_close, seeded_vector};
+    use symspmv_sparse::symmetry::SymmetryOps;
     use symspmv_sparse::CooMatrix;
 
     fn cfg() -> DetectConfig {
@@ -834,7 +573,8 @@ mod tests {
     }
 
     /// Runs `sym_stream` on a hand-built stream over rows `split..n` and
-    /// compares both write targets with the element-wise definition. Every
+    /// compares both write targets with the element-wise definition (no
+    /// transposed contribution for `NoMirror`, CSX's instance). Every
     /// operand is a small integer, so the comparison is exact whatever the
     /// kernel's association.
     fn check_unit<O: SymmetryOps, const K: usize>(unit: &HandBuilt, n: usize, split: usize) {
@@ -853,7 +593,9 @@ mod tests {
             let t = O::transposed(v, u);
             for j in 0..K {
                 want_y[r - split][j] += v * x[c][j];
-                if c < split {
+                if !O::MIRRORS {
+                    continue;
+                } else if c < split {
                     want_local[c][j] += t * x[r][j];
                 } else {
                     want_y[c - split][j] += t * x[r][j];
@@ -865,7 +607,7 @@ mod tests {
 
     #[test]
     fn every_unit_kernel_matches_the_element_wise_definition() {
-        use symspmv_sparse::symmetry::{Skew, Structural, Sym};
+        use symspmv_sparse::symmetry::{NoMirror, Skew, Structural, Sym};
         // The splits — all at or above the spacer's row, which the partition
         // must hold — put the unit on the direct side, on the local side and
         // — delta units only, whose columns may cross — astride the boundary.
@@ -880,6 +622,7 @@ mod tests {
                     check_unit::<Skew, 4>(&unit, n, split);
                     check_unit::<Structural, 1>(&unit, n, split);
                     check_unit::<Structural, 4>(&unit, n, split);
+                    check_unit::<NoMirror, 1>(&unit, n, split);
                 }
             }
         };
@@ -961,270 +704,15 @@ mod tests {
     }
 }
 
-/// The CSX-Sym kernel as it was written before its unit kernels went
-/// unchecked — kept as the oracle the unchecked [`sym_stream`] must match
-/// bit for bit, `y` and local region alike.
+/// The stream kernel's one assert on CSX-Sym chunks (its checked twin is
+/// `csx::matrix`'s): buffers and splits the stream does not allow are
+/// refused before any unchecked access.
 #[cfg(test)]
 mod unchecked_decode_tests {
     use super::*;
-    use crate::sym::unchecked_walk_tests::as_kind;
-    use symspmv_runtime::{balanced_ranges, partition::symmetric_row_weights};
-    use symspmv_sparse::dense::seeded_vector;
-    use symspmv_sparse::suite::{self, KIND_SUITE, SUITE};
+    use symspmv_csx::matrix::sym_stream;
     use symspmv_sparse::symmetry::Sym;
-    use symspmv_sparse::{with_symmetry_ops, CooMatrix};
-
-    fn checked_sym_stream<O: SymmetryOps, const K: usize>(
-        stream: &CtlStream,
-        paired: &[Val],
-        x: &[[Val; K]],
-        my_y: &mut [[Val; K]],
-        split: usize,
-        local: &mut [[Val; K]],
-    ) {
-        let mut sides = CheckedSides {
-            x,
-            my_y,
-            split,
-            local,
-        };
-        let mut cursor = stream.cursor();
-        let (mut values, mut paired) = (stream.values(), paired);
-        let mut take = |len: usize| {
-            let (v, u);
-            (v, values) = values.split_at(len);
-            (u, paired) = paired.split_at(len);
-            (v, u)
-        };
-        // SAFETY(cert: ctl-bound): the delta and block arms below take
-        // every body.
-        while let Some(unit) = unsafe { cursor.next_unit() } {
-            let (row, col) = (unit.row, unit.col);
-            macro_rules! delta {
-                ($w:literal) => {{
-                    let (v, u) = take(unit.size);
-                    // SAFETY(cert: ctl-bound): the id names this width.
-                    sides.delta::<O, $w>(unsafe { cursor.body(unit.size) }, v, u, row, col)
-                }};
-            }
-            macro_rules! block {
-                ($r:literal, $c:literal) => {{
-                    let (v, u) = take(unit.size * $r * $c);
-                    // SAFETY(cert: ctl-bound): the id names a block unit.
-                    let gaps = unsafe { cursor.body(unit.size) };
-                    sides.block::<O, $r, $c>(gaps, v, u, row, col)
-                }};
-            }
-            macro_rules! tri {
-                ($r:literal) => {{
-                    block!($r, $r);
-                    let (v, u) = take($r * ($r - 1) / 2);
-                    sides.triangle::<O>($r, v, u, row)
-                }};
-            }
-            symspmv_csx::dispatch_unit!(unit.id, delta, block, tri);
-        }
-        assert!(values.is_empty() && paired.is_empty());
-    }
-
-    struct CheckedSides<'a, const K: usize> {
-        x: &'a [[Val; K]],
-        my_y: &'a mut [[Val; K]],
-        split: usize,
-        local: &'a mut [[Val; K]],
-    }
-
-    impl<const K: usize> CheckedSides<'_, K> {
-        fn delta<O: SymmetryOps, const W: usize>(
-            &mut self,
-            body: &[[u8; W]],
-            v: &[Val],
-            u: &[Val],
-            row: usize,
-            col: usize,
-        ) {
-            let (x, split) = (self.x, self.split);
-            let xr = &x[row];
-            let mut acc = [0.0; K];
-            let (my_y, local) = (&mut *self.my_y, &mut *self.local);
-            let mut direct = |c: usize, v: Val, u: Val, acc: &mut [Val; K]| {
-                axpy_lanes(acc, v, &x[c]);
-                axpy_lanes(&mut my_y[c - split], O::transposed(v, u), xr);
-            };
-            let mut c = col;
-            let mut rest = body.iter().zip(&v[1..]).zip(&u[1..]);
-            if c >= split {
-                direct(c, v[0], u[0], &mut acc);
-            } else {
-                let mut below = |c: usize, v: Val, u: Val, acc: &mut [Val; K]| {
-                    axpy_lanes(acc, v, &x[c]);
-                    axpy_lanes(&mut local[c], O::transposed(v, u), xr);
-                };
-                below(c, v[0], u[0], &mut acc);
-                for ((d, &v), &u) in rest.by_ref() {
-                    c += delta_of(d);
-                    if c >= split {
-                        direct(c, v, u, &mut acc);
-                        break;
-                    }
-                    below(c, v, u, &mut acc);
-                }
-            }
-            for ((d, &v), &u) in rest {
-                c += delta_of(d);
-                direct(c, v, u, &mut acc);
-            }
-            add_lanes(&mut my_y[row - split], &acc);
-        }
-
-        /// A triangle as the delta units it replaced: row `row + i`'s `i`
-        /// entries, at columns `row …` (deltas of 1), one unit per row.
-        fn triangle<O: SymmetryOps>(&mut self, side: usize, v: &[Val], u: &[Val], row: usize) {
-            let (mut v, mut u) = (v, u);
-            for i in 1..side {
-                let (vi, ui);
-                ((vi, v), (ui, u)) = (v.split_at(i), u.split_at(i));
-                self.delta::<O, 1>(&vec![[1]; i - 1], vi, ui, row + i, row);
-            }
-            assert!(v.is_empty() && u.is_empty());
-        }
-
-        /// One block at a time, as the one-block units before grouping
-        /// were multiplied: each block's row sums go to `y`, and its
-        /// transposed sums to the side of its own anchor, before the next.
-        fn block<O: SymmetryOps, const R: usize, const C: usize>(
-            &mut self,
-            gaps: &[[u8; 2]],
-            v: &[Val],
-            u: &[Val],
-            row: usize,
-            col: usize,
-        ) {
-            let blocks = v.len() / (R * C);
-            assert!(v.len() == blocks * R * C && gaps.len() + 1 == blocks);
-            let mut c = col;
-            for k in 0..blocks {
-                if k > 0 {
-                    c += delta_of(&gaps[k - 1]);
-                }
-                let at = k * R * C..(k + 1) * R * C;
-                let (Some(v), Some(u), Some(xc), Some(xr), Some(yr)) = (
-                    v[at.clone()].as_chunks::<C>().0.first_chunk::<R>(),
-                    u[at].as_chunks::<C>().0.first_chunk::<R>(),
-                    self.x[c..].first_chunk::<C>(),
-                    self.x[row..].first_chunk::<R>(),
-                    self.my_y[row - self.split..].first_chunk_mut::<R>(),
-                ) else {
-                    unreachable!("block unit reaches outside the matrix");
-                };
-                let mut t = [[0.0; K]; C];
-                for (i, (((yr, v), u), xr)) in yr.iter_mut().zip(v).zip(u).zip(xr).enumerate() {
-                    for j in 0..K {
-                        let mut acc = v[0] * xc[0][j];
-                        for (&v, xc) in v[1..].iter().zip(&xc[1..]) {
-                            acc += v * xc[j];
-                        }
-                        yr[j] += acc;
-                        for ((t, &v), &u) in t.iter_mut().zip(v).zip(u) {
-                            if i == 0 {
-                                t[j] = O::transposed(v, u) * xr[j];
-                            } else {
-                                t[j] += O::transposed(v, u) * xr[j];
-                            }
-                        }
-                    }
-                }
-                let side = if c < self.split {
-                    &mut self.local[c..]
-                } else {
-                    &mut self.my_y[c - self.split..]
-                };
-                for (dst, t) in side.iter_mut().zip(&t) {
-                    add_lanes(dst, t);
-                }
-            }
-        }
-    }
-
-    fn bits<const K: usize>(v: &[[Val; K]]) -> Vec<u64> {
-        v.iter().flatten().map(|x| x.to_bits()).collect()
-    }
-
-    /// Runs both kernels over every chunk in the method's layout — the
-    /// naive one is split 0 over a private full-length region; the direct
-    /// ones (`eff`, `idx`) split at the partition start, with a local
-    /// region of that length — and returns how many local elements the
-    /// kernels wrote.
-    fn compare<O: SymmetryOps, const K: usize>(
-        m: &CsxSymMatrix,
-        parts: &[Range],
-        direct: bool,
-        what: &str,
-    ) -> usize {
-        let n = m.n() as usize;
-        let flat = seeded_vector(n * K, 7);
-        let x = flat.as_chunks::<K>().0;
-        let mut touched = 0;
-        for (tid, (chunk, &part)) in m.chunks().iter().zip(parts).enumerate() {
-            let (start, end) = (part.start as usize, part.end as usize);
-            let (split, y_len) = if direct { (start, end - start) } else { (0, n) };
-            let mut want = (vec![[0.0; K]; y_len], vec![[0.0; K]; split]);
-            let mut got = want.clone();
-            let (stream, paired) = (&chunk.stream, chunk.paired_values());
-            checked_sym_stream::<O, K>(stream, paired, x, &mut want.0, split, &mut want.1);
-            sym_stream::<O, K>(stream, paired, x, &mut got.0, split, &mut got.1);
-            assert_eq!(bits(&got.0), bits(&want.0), "{what}, tid {tid}: y");
-            assert_eq!(bits(&got.1), bits(&want.1), "{what}, tid {tid}: local");
-            touched += bits(&got.1).iter().filter(|&&b| b != 0).count();
-        }
-        touched
-    }
-
-    /// The leading `rows × rows` principal submatrix: symmetric in the
-    /// sense `coo` is.
-    fn leading(coo: &CooMatrix, rows: u32) -> CooMatrix {
-        let mut out = CooMatrix::new(rows, rows);
-        for (r, c, v) in coo.iter().filter(|&(r, c, _)| r < rows && c < rows) {
-            out.push(r, c, v);
-        }
-        out
-    }
-
-    /// The suite analogs (their leading 256 rows, so the debug build stays
-    /// quick) under every symmetry kind, chunked for 1, 2, 3 and 8
-    /// threads, in both layouts — naive's split 0, and the partition-start
-    /// split `eff` and `idx` share — at 1 and 8 lanes.
-    #[test]
-    fn unchecked_decode_matches_the_checked_one_bit_for_bit() {
-        let config = DetectConfig::default();
-        let mut touched = 0;
-        for spec in SUITE.iter().chain(&KIND_SUITE) {
-            let coo = leading(&suite::generate(spec, 0.001).coo, 256);
-            let kinds: &[SymmetryKind] = match spec.kind {
-                SymmetryKind::Symmetric => &SymmetryKind::ALL,
-                _ => std::slice::from_ref(&spec.kind),
-            };
-            for &kind in kinds {
-                let coo = match spec.kind {
-                    SymmetryKind::Symmetric => as_kind(&coo, kind),
-                    _ => coo.clone(),
-                };
-                let sss = SssMatrix::from_coo_kind(&coo, kind, 0.0).unwrap();
-                for p in [1usize, 2, 3, 8] {
-                    let parts = balanced_ranges(&symmetric_row_weights(sss.rowptr()), p);
-                    let m = CsxSymMatrix::from_sss(&sss, &parts, &config);
-                    for direct in [false, true] {
-                        let what = format!("{}, {kind:?}, p {p}, direct {direct}", spec.name);
-                        touched += with_symmetry_ops!(kind, O => {
-                            compare::<O, 1>(&m, &parts, direct, &format!("{what}, K 1"))
-                                + compare::<O, 8>(&m, &parts, direct, &format!("{what}, K 8"))
-                        });
-                    }
-                }
-            }
-        }
-        assert!(touched > 0, "no kernel wrote below its split");
-    }
+    use symspmv_sparse::CooMatrix;
 
     /// The kernel's one assert runs before any unchecked access: a local
     /// region shorter than the split is refused, not written past.

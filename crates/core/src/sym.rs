@@ -20,7 +20,7 @@
 //! so consecutive invocations — and different kernels sharing one context —
 //! recycle the same first-touch-initialized pages.
 
-use crate::csx_sym::{sym_stream, CsxSymMatrix};
+use crate::csx_sym::CsxSymMatrix;
 use crate::error::SymSpmvError;
 use crate::plan::{CachedSymPlan, GroupSchedule};
 use crate::shared::SharedBuf;
@@ -29,10 +29,11 @@ use crate::traits::{ParallelSpmm, ParallelSpmv};
 use std::borrow::Cow;
 use std::sync::Arc;
 use symspmv_csx::detect::DetectConfig;
+use symspmv_csx::matrix::sym_stream;
 use symspmv_runtime::reduction::ReduceJob;
 use symspmv_runtime::timing::{time_into, Stopwatch};
 use symspmv_runtime::{ExecutionContext, PhaseTimes, Range, ReductionStrategy};
-use symspmv_sparse::block::VectorBlock;
+use symspmv_sparse::block::{axpy_lanes, VectorBlock};
 use symspmv_sparse::symmetry::{SymmetryKind, SymmetryOps};
 use symspmv_sparse::{with_lanes, with_symmetry_ops, CooMatrix, SparseError, SssMatrix, Val};
 
@@ -610,23 +611,6 @@ pub(crate) unsafe fn lane_rows<'b, const K: usize>(
     // scales to an exclusive range of lane groups (itself, for `K = 1`).
     let flat = unsafe { buf.range_mut(lo * K, hi * K) };
     flat.as_chunks_mut::<K>().0
-}
-
-/// `dst[·] += t · src[·]`, lane by lane — one scalar FMA-shaped update of
-/// the `K = 1` kernel, `K` independent ones of the block kernel.
-#[inline(always)]
-pub(crate) fn axpy_lanes<const K: usize>(dst: &mut [Val; K], t: Val, src: &[Val; K]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += t * s;
-    }
-}
-
-/// `dst[·] += src[·]`, lane by lane.
-#[inline(always)]
-pub(crate) fn add_lanes<const K: usize>(dst: &mut [Val; K], src: &[Val; K]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += s;
-    }
 }
 
 /// The diagonal pre-pass `y[r,·] = d_r · x[r,·]` of the stream and

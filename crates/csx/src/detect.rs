@@ -382,22 +382,22 @@ mod tests {
     }
 
     #[test]
-    fn horizontal_run_detected() {
+    fn a_horizontal_run_stays_in_delta_units() {
         assert_left_to_delta_units(&[(0, 2), (0, 3), (0, 4), (0, 5), (0, 6)]);
     }
 
     #[test]
-    fn horizontal_with_stride() {
+    fn a_strided_horizontal_run_stays_in_delta_units() {
         assert_left_to_delta_units(&[(1, 0), (1, 3), (1, 6), (1, 9)]);
     }
 
     #[test]
-    fn vertical_run_detected() {
+    fn a_vertical_run_stays_in_delta_units() {
         assert_left_to_delta_units(&[(2, 1), (3, 1), (4, 1), (5, 1)]);
     }
 
     #[test]
-    fn diagonal_and_antidiagonal() {
+    fn diagonal_and_antidiagonal_runs_stay_in_delta_units() {
         assert_left_to_delta_units(&[(0, 0), (1, 1), (2, 2), (3, 3)]);
         assert_left_to_delta_units(&[(0, 5), (1, 4), (2, 3), (3, 2)]);
     }

@@ -1,8 +1,11 @@
-//! The CSX matrix type and its SpMV kernel.
+//! The CSX matrix type and the one `ctl` decoder: the stream kernel CSX
+//! runs without a mirror and CSX-Sym (`core::csx_sym`) with one.
 
 use crate::detect::DetectConfig;
-use crate::encode::{delta_of, encode_rows, CtlStream, UnitHead};
+use crate::encode::{delta_of, encode_rows, CtlStream};
 use crate::rows::RowView;
+use symspmv_sparse::block::{add_lanes, axpy_lanes};
+use symspmv_sparse::symmetry::{NoMirror, SymmetryOps};
 use symspmv_sparse::{CooMatrix, CsrMatrix, Idx, SparseError, Val};
 
 /// Compression statistics of a CSX encoding.
@@ -150,50 +153,122 @@ impl CsxMatrix {
     }
 }
 
-/// The SpMV kernel over an encoded stream (`y += A·x`): each unit head
-/// selects, once, the fixed-shape kernel of its pattern id — the
-/// ahead-of-time stand-in for CSX's LLVM-generated kernels (substitution
-/// S2). One assert per call bounds `x` and `y` by the stream's extent; the
-/// unit kernels then index without checks (`ctl-bound`).
+/// The SpMV kernel over an encoded stream (`y += A·x`; callers zero `y`
+/// first): the [`NoMirror`] instance of [`sym_stream`] (out of line, as
+/// every instance), with `split = 0`, no local region and one lane. A CSX
+/// matrix may be rectangular, so its rows are bounded by `y` and its
+/// columns by `x`, each alone.
 pub fn spmv_stream(stream: &CtlStream, x: &[Val], y: &mut [Val]) {
+    let (x, y) = (x.as_chunks().0, y.as_chunks_mut().0);
+    sym_stream::<NoMirror, 1>(stream, stream.values(), x, y, 0, &mut []);
+}
+
+/// The one multiply kernel over an encoded stream, over `K`-lane-interleaved
+/// buffers: every element `a_rc` adds `a_rc·x[c]` to row `r` and, unless
+/// `O` is [`NoMirror`], its transposed contribution `a'_cr·x[r]` to row `c`
+/// — CSX-Sym is CSX restricted to the strict lower triangle plus these
+/// mirrored writes (§IV). Rows go to `my_y`, whose element 0 is global row
+/// `split`; transposed contributions below `split` go to `local`. The
+/// stream — the expensive traffic — is decoded once for all lanes, and
+/// every lane runs the scalar kernel's exact float sequence. Each unit head
+/// selects, once, the fixed-shape kernel of its pattern id (substitution
+/// S2: kernels generated ahead of time instead of JIT-compiled per matrix).
+///
+/// The direct-write strategies pass the partition boundary as `split`, with
+/// `my_y` the partition's slice of the output vector: all direct writes
+/// provably land inside the partition — the row `r` by chunk construction,
+/// transposed targets `c ∈ [split, r]` by the legality rule. The naive
+/// method is the `split = 0` case over the thread's private full-length
+/// vector, which leaves nothing for `local`.
+///
+/// `paired` is the stream-ordered mirror-value array (the structural kind's
+/// upper values); it aliases `stream.values()` for the other kinds, whose
+/// `O::transposed` never reads it.
+///
+/// One assert per call — `paired` as long as the values; `split` either 0
+/// or the stream's [`CtlStream::legal_split`]; the stream's column bound
+/// inside `x` and its row bound inside `split + my_y.len()` (with the
+/// mirror, which reads `x` at rows and writes at columns, the larger of the
+/// two inside both); `local` at least `split` long — and the `ctl-bound`
+/// invariant of the stream then keep every value, pair and operand access
+/// in bounds, so the unit kernels index without checks. A stream whose
+/// substructures straddle `split`, or buffers too short for it, are refused
+/// there, before any access.
+///
+/// Kept out of line: inlined into `SymSpmv`'s multiply closure, the block
+/// loop slowed that closure's SSS arm (`small-cg` `spmv_p1_s` ~+8 %,
+/// EXPERIMENTS "One head per row of blocks"), and a call per chunk costs
+/// nothing measurable here.
+#[inline(never)]
+pub fn sym_stream<O: SymmetryOps, const K: usize>(
+    stream: &CtlStream,
+    paired: &[Val],
+    x: &[[Val; K]],
+    my_y: &mut [[Val; K]],
+    split: usize,
+    local: &mut [[Val; K]],
+) {
+    let values = stream.values();
+    let (rows, cols) = (stream.row_end(), stream.col_end());
+    let (x_end, y_end) = match O::MIRRORS {
+        true => (rows.max(cols), rows.max(cols)),
+        false => (cols, rows),
+    };
     assert!(
-        stream.col_end() <= x.len() && stream.row_end() <= y.len(),
-        "stream reaching row {} and column {} exceeds y ({}) or x ({})",
-        stream.row_end(),
-        stream.col_end(),
-        y.len(),
-        x.len()
+        paired.len() == values.len()
+            && (split == 0 || stream.legal_split() == Some(split))
+            && x_end <= x.len()
+            && y_end <= split + my_y.len()
+            && split <= local.len(),
+        "stream of {} values from row {} to {rows}, columns to {cols} (legal split {:?}) \
+         refused at split {split} with paired ({}), x ({}), y ({}) and local ({})",
+        values.len(),
+        stream.first_row(),
+        stream.legal_split(),
+        paired.len(),
+        x.len(),
+        my_y.len(),
+        local.len()
     );
+    let mut sides = Sides {
+        x,
+        my_y,
+        split,
+        local,
+    };
     let mut cursor = stream.cursor();
-    let (values, mut at) = (stream.values(), 0);
+    let mut at = 0;
     // SAFETY(cert: ctl-bound): the delta and block arms below take every
     // body.
     while let Some(unit) = unsafe { cursor.next_unit() } {
-        // SAFETY(cert: ctl-bound): unit elements sum to `values.len()`, so
-        // the unit's `len` values follow `at`; the dispatch hands each
-        // kernel the shape its id encodes, whose rows stay below
-        // `row_end ≤ y.len()` and columns below `col_end ≤ x.len()` (the
-        // assert above).
+        let (row, col, size) = (unit.row, unit.col, unit.size);
+        // SAFETY(cert: ctl-bound): unit elements sum to `values.len()` (and
+        // `paired` matches it), so the unit's `len` values and pairs follow
+        // `at`; the dispatch hands each kernel the shape its id encodes;
+        // every row is ≥ first row ≥ split and < row_end, every column <
+        // col_end, and a substructure unit's columns lie on one side of a
+        // nonzero split (the assert above).
         unsafe {
-            let vals = |len: usize| values.get_unchecked(at..at + len);
+            let v = |len: usize| values.get_unchecked(at..at + len);
+            let u = |len: usize| paired.get_unchecked(at..at + len);
             macro_rules! delta {
                 ($w:literal) => {{
-                    delta::<$w>(cursor.body(unit.size), vals(unit.size), &unit, x, y);
-                    unit.size
+                    sides.delta::<O, $w>(cursor.body(size), v(size), u(size), row, col);
+                    size
                 }};
             }
             macro_rules! block {
                 ($r:literal, $c:literal) => {{
-                    let len = unit.size * $r * $c;
-                    block::<$r, $c, 0>(cursor.body(unit.size), vals(len), &unit, x, y);
+                    let len = size * $r * $c;
+                    sides.block::<O, $r, $c, 0>(cursor.body(size), v(len), u(len), row, col);
                     len
                 }};
             }
             macro_rules! tri {
                 ($r:literal) => {{
                     const T: usize = $r * ($r - 1) / 2;
-                    let len = unit.size * $r * $r + T;
-                    block::<$r, $r, T>(cursor.body(unit.size), vals(len), &unit, x, y);
+                    let len = size * $r * $r + T;
+                    sides.block::<O, $r, $r, T>(cursor.body(size), v(len), u(len), row, col);
                     len
                 }};
             }
@@ -202,78 +277,171 @@ pub fn spmv_stream(stream: &CtlStream, x: &[Val], y: &mut [Val]) {
     }
 }
 
-/// A delta unit with `W`-byte column deltas.
-///
-/// # Safety
-/// SAFETY(cert: ctl-bound): `vals` holds the unit's `size ≥ 1` values and
-/// `body` its deltas; its row indexes `y` and its columns index `x`.
-#[inline(always)]
-unsafe fn delta<const W: usize>(
-    body: &[[u8; W]],
-    vals: &[Val],
-    unit: &UnitHead,
-    x: &[Val],
-    y: &mut [Val],
-) {
-    let mut c = unit.col;
-    let mut acc = vals.get_unchecked(0) * x.get_unchecked(c);
-    for (d, &v) in body.iter().zip(vals.get_unchecked(1..)) {
-        c += delta_of(d);
-        acc += v * x.get_unchecked(c);
-    }
-    *y.get_unchecked_mut(unit.row) += acc;
+/// The operands every unit kernel shares: the input lanes and the two
+/// write targets either side of `split`.
+struct Sides<'a, const K: usize> {
+    x: &'a [[Val; K]],
+    my_y: &'a mut [[Val; K]],
+    split: usize,
+    local: &'a mut [[Val; K]],
 }
 
-/// A unit of `size` dense `R × C` blocks anchored in one row, and the `T`
-/// values of its diagonal triangle (`T = 0`: none), by fixed-size array
-/// indexing: the `R` row sums stay in registers across the blocks, each
-/// block adding its row sums in turn; then row `row + i` of the triangle
-/// adds its `i` products, summed as a delta unit sums them.
-///
-/// # Safety
-/// SAFETY(cert: ctl-bound): `vals` holds `size·R·C + T` values and `gaps`
-/// the `size − 1` anchor gaps; every block's columns `c..c + C` index `x`
-/// and rows `row..row + R` index `y`, and with `T > 0` so do the triangle's
-/// columns `row..row + R − 1`.
-#[inline(always)]
-unsafe fn block<const R: usize, const C: usize, const T: usize>(
-    gaps: &[[u8; 2]],
-    vals: &[Val],
-    unit: &UnitHead,
-    x: &[Val],
-    y: &mut [Val],
-) {
-    let (vals, tri) = vals.split_at_unchecked(vals.len() - T);
-    let blocks = vals.as_chunks::<C>().0.as_chunks::<R>().0;
-    let slot = y
-        .get_unchecked_mut(unit.row..)
-        .first_chunk_mut::<R>()
-        .unwrap_unchecked();
-    let (mut yr, mut gaps, mut c) = (*slot, gaps.iter(), unit.col);
-    for v in blocks {
-        let xc = x.get_unchecked(c..).first_chunk::<C>().unwrap_unchecked();
-        for (yr, v) in yr.iter_mut().zip(v) {
-            let mut acc = v[0] * xc[0];
-            for j in 1..C {
-                acc += v[j] * xc[j];
-            }
-            *yr += acc;
+impl<const K: usize> Sides<'_, K> {
+    /// A delta unit with `W`-byte column deltas, its row sum started from
+    /// `0.0`. Its columns ascend, so they cross `split` at most once: the
+    /// unit finds that point once and then runs a loop without a side test
+    /// — from the first element on when it is anchored at or right of
+    /// `split`, and always without the mirror.
+    ///
+    /// # Safety
+    /// SAFETY(cert: ctl-bound): `v` and `u` hold the unit's `size ≥ 1`
+    /// values and `body` its deltas; every column indexes `x`, `row` indexes
+    /// `my_y` from `split ≤ row`, and with the mirror `row` indexes `x` and
+    /// every column one target, both sized as `sym_stream` asserts.
+    #[inline(always)]
+    unsafe fn delta<O: SymmetryOps, const W: usize>(
+        &mut self,
+        body: &[[u8; W]],
+        v: &[Val],
+        u: &[Val],
+        row: usize,
+        col: usize,
+    ) {
+        let (x, split) = (self.x, self.split);
+        let mut acc = [0.0; K];
+        // Macros, not closures: a closure called from three places is not
+        // reliably inlined, and this is one call per element. `$target` is
+        // evaluated only with the mirror.
+        macro_rules! element {
+            ($target:expr, $c:expr, $v:expr, $u:expr) => {{
+                axpy_lanes(&mut acc, $v, x.get_unchecked($c));
+                if O::MIRRORS {
+                    axpy_lanes($target, O::transposed($v, $u), x.get_unchecked(row));
+                }
+            }};
         }
-        c += gaps.next().map_or(0, delta_of);
-    }
-    if T > 0 {
-        let xr = |j: usize| *x.get_unchecked(unit.row + j);
-        let mut k = 0;
-        for (i, yr) in yr.iter_mut().enumerate().skip(1) {
-            let mut acc = tri.get_unchecked(k) * xr(0);
-            for j in 1..i {
-                acc += tri.get_unchecked(k + j) * xr(j);
+        let mut c = col;
+        let mut rest = body
+            .iter()
+            .zip(v.get_unchecked(1..))
+            .zip(u.get_unchecked(1..));
+        let (v0, u0) = (*v.get_unchecked(0), *u.get_unchecked(0));
+        if !O::MIRRORS || c >= split {
+            element!(self.my_y.get_unchecked_mut(c - split), c, v0, u0);
+        } else {
+            element!(self.local.get_unchecked_mut(c), c, v0, u0);
+            for ((d, &v), &u) in rest.by_ref() {
+                c += delta_of(d);
+                if c >= split {
+                    element!(self.my_y.get_unchecked_mut(c - split), c, v, u);
+                    break;
+                }
+                element!(self.local.get_unchecked_mut(c), c, v, u);
             }
-            *yr += acc;
-            k += i;
         }
+        for ((d, &v), &u) in rest {
+            c += delta_of(d);
+            element!(self.my_y.get_unchecked_mut(c - split), c, v, u);
+        }
+        add_lanes(self.my_y.get_unchecked_mut(row - split), &acc);
     }
-    *slot = yr;
+
+    /// A unit of `size` dense `R × C` blocks anchored in one row, by
+    /// fixed-size array indexing. The `R` row sums stay in registers
+    /// across the blocks — no transposed write reaches them, since every
+    /// column of the strict lower triangle lies below every row. Boundary
+    /// legality (§IV-B): all transposed writes of a unit land on its
+    /// anchor's side of `split`, so the side test hoists out of the loop,
+    /// and each block's transposed sums stay in registers until the block
+    /// ends, when they go to that side: every element sees the float
+    /// sequence of one-block units. A block's first row assigns its
+    /// transposed sums: starting from `0.0 +` instead would cost an add per
+    /// column and differ only where product and target are `−0.0`.
+    ///
+    /// The `T` values after the blocks (`T = 0`: none) are the unit's
+    /// diagonal triangle, `i` entries in row `row + i` at columns `row …`.
+    /// Both ends of each lie in rows of the unit, so its products (and with
+    /// the mirror its transposed products) add into the `R` row sums in
+    /// registers, row by row in the float sequence of the delta units it
+    /// replaced — no write to `local` or `my_y`.
+    ///
+    /// # Safety
+    /// SAFETY(cert: ctl-bound): as for `delta`, with `size·R·C + T` values
+    /// and pairs, `gaps` the `size − 1` anchor gaps, rows `row..row + R`
+    /// and each block's columns `c..c + C`, which lie on the anchor's side
+    /// of `split`, and with `T > 0` the triangle's columns
+    /// `row..row + R − 1`.
+    #[inline(always)]
+    unsafe fn block<O: SymmetryOps, const R: usize, const C: usize, const T: usize>(
+        &mut self,
+        gaps: &[[u8; 2]],
+        v: &[Val],
+        u: &[Val],
+        row: usize,
+        col: usize,
+    ) {
+        let (x, split) = (self.x, self.split);
+        let (v, vt) = v.split_at_unchecked(v.len() - T);
+        let (u, ut) = u.split_at_unchecked(u.len() - T);
+        let v = v.as_chunks::<C>().0.as_chunks::<R>().0;
+        let u = u.as_chunks::<C>().0.as_chunks::<R>().0;
+        let slot = self.my_y.get_unchecked(row - split..);
+        let mut yr = *slot.first_chunk::<R>().unwrap_unchecked();
+        let (side, shift) = if O::MIRRORS && col < split {
+            (&mut *self.local, 0)
+        } else {
+            (&mut *self.my_y, split)
+        };
+        let (mut gaps, mut c) = (gaps.iter(), col);
+        for (v, u) in v.iter().zip(u) {
+            let xc = x.get_unchecked(c..).first_chunk::<C>().unwrap_unchecked();
+            let mut t = [[0.0; K]; C];
+            for (i, ((yr, v), u)) in yr.iter_mut().zip(v).zip(u).enumerate() {
+                for j in 0..K {
+                    let mut acc = v[0] * xc[0][j];
+                    for (&v, xc) in v[1..].iter().zip(&xc[1..]) {
+                        acc += v * xc[j];
+                    }
+                    yr[j] += acc;
+                    if O::MIRRORS {
+                        let xr = x.get_unchecked(row + i)[j];
+                        for ((t, &v), &u) in t.iter_mut().zip(v).zip(u) {
+                            if i == 0 {
+                                t[j] = O::transposed(v, u) * xr;
+                            } else {
+                                t[j] += O::transposed(v, u) * xr;
+                            }
+                        }
+                    }
+                }
+            }
+            if O::MIRRORS {
+                let dst = side.get_unchecked_mut(c - shift..);
+                let dst = dst.first_chunk_mut::<C>().unwrap_unchecked();
+                for (dst, t) in dst.iter_mut().zip(&t) {
+                    add_lanes(dst, t);
+                }
+            }
+            c += gaps.next().map_or(0, delta_of);
+        }
+        if T > 0 {
+            let mut k = 0;
+            for i in 1..R {
+                let mut acc = [0.0; K];
+                for (j, yj) in yr[..i].iter_mut().enumerate() {
+                    let (v, u) = (*vt.get_unchecked(k + j), *ut.get_unchecked(k + j));
+                    axpy_lanes(&mut acc, v, x.get_unchecked(row + j));
+                    if O::MIRRORS {
+                        axpy_lanes(yj, O::transposed(v, u), x.get_unchecked(row + i));
+                    }
+                }
+                add_lanes(&mut yr[i], &acc);
+                k += i;
+            }
+        }
+        let slot = self.my_y.get_unchecked_mut(row - split..);
+        *slot.first_chunk_mut::<R>().unwrap_unchecked() = yr;
+    }
 }
 
 #[cfg(test)]
@@ -462,154 +630,389 @@ mod tests {
     }
 }
 
-/// The CSX kernel as it was written before its unit kernels went unchecked
-/// — kept as the oracle the unchecked [`spmv_stream`] must match bit for
-/// bit.
+/// The stream kernel as it was written before its unit kernels went
+/// unchecked — kept as the oracle the unchecked [`sym_stream`] (and so
+/// [`spmv_stream`]) must match bit for bit, `y` and local region alike, with
+/// the mirror and without it.
 #[cfg(test)]
 mod unchecked_decode_tests {
     use super::*;
-    use symspmv_runtime::{balanced_ranges, partition::csr_row_weights};
+    use symspmv_runtime::balanced_ranges;
+    use symspmv_runtime::partition::{csr_row_weights, symmetric_row_weights};
     use symspmv_sparse::dense::seeded_vector;
     use symspmv_sparse::suite::{self, KIND_SUITE, SUITE};
+    use symspmv_sparse::symmetry::SymmetryKind;
+    use symspmv_sparse::{with_symmetry_ops, SssMatrix};
 
-    fn checked_spmv_stream(stream: &CtlStream, x: &[Val], y: &mut [Val]) {
+    fn checked_sym_stream<O: SymmetryOps, const K: usize>(
+        stream: &CtlStream,
+        paired: &[Val],
+        x: &[[Val; K]],
+        my_y: &mut [[Val; K]],
+        split: usize,
+        local: &mut [[Val; K]],
+    ) {
+        let mut sides = CheckedSides {
+            x,
+            my_y,
+            split,
+            local,
+        };
         let mut cursor = stream.cursor();
-        let mut values = stream.values();
+        let (mut values, mut paired) = (stream.values(), paired);
         let mut take = |len: usize| {
-            let vals;
-            (vals, values) = values.split_at(len);
-            vals
+            let (v, u);
+            (v, values) = values.split_at(len);
+            (u, paired) = paired.split_at(len);
+            (v, u)
         };
         // SAFETY(cert: ctl-bound): the delta and block arms below take
         // every body.
         while let Some(unit) = unsafe { cursor.next_unit() } {
+            let (row, col) = (unit.row, unit.col);
             macro_rules! delta {
                 ($w:literal) => {{
+                    let (v, u) = take(unit.size);
                     // SAFETY(cert: ctl-bound): the id names this width.
-                    let body = unsafe { cursor.body(unit.size) };
-                    checked_delta::<$w>(body, take(unit.size), &unit, x, y)
+                    sides.delta::<O, $w>(unsafe { cursor.body(unit.size) }, v, u, row, col)
                 }};
             }
             macro_rules! block {
                 ($r:literal, $c:literal) => {{
+                    let (v, u) = take(unit.size * $r * $c);
                     // SAFETY(cert: ctl-bound): the id names a block unit.
                     let gaps = unsafe { cursor.body(unit.size) };
-                    checked_block::<$r, $c>(gaps, take(unit.size * $r * $c), &unit, x, y)
+                    sides.block::<O, $r, $c>(gaps, v, u, row, col)
                 }};
             }
             macro_rules! tri {
                 ($r:literal) => {{
                     block!($r, $r);
-                    checked_triangle($r, take($r * ($r - 1) / 2), &unit, x, y)
+                    let (v, u) = take($r * ($r - 1) / 2);
+                    sides.triangle::<O>($r, v, u, row)
                 }};
             }
             crate::dispatch_unit!(unit.id, delta, block, tri);
         }
-        assert!(values.is_empty());
+        assert!(values.is_empty() && paired.is_empty());
     }
 
-    fn checked_delta<const W: usize>(
-        body: &[[u8; W]],
-        vals: &[Val],
-        unit: &UnitHead,
-        x: &[Val],
-        y: &mut [Val],
-    ) {
-        let mut c = unit.col;
-        let mut acc = vals[0] * x[c];
-        for (d, &v) in body.iter().zip(&vals[1..]) {
-            c += delta_of(d);
-            acc += v * x[c];
-        }
-        y[unit.row] += acc;
+    struct CheckedSides<'a, const K: usize> {
+        x: &'a [[Val; K]],
+        my_y: &'a mut [[Val; K]],
+        split: usize,
+        local: &'a mut [[Val; K]],
     }
 
-    /// A triangle as the delta units it replaced: row `row + i`'s `i`
-    /// entries, at columns `row …` (deltas of 1), one unit per row.
-    fn checked_triangle(side: usize, vals: &[Val], unit: &UnitHead, x: &[Val], y: &mut [Val]) {
-        let mut vals = vals;
-        for i in 1..side {
-            let row = UnitHead {
-                row: unit.row + i,
-                col: unit.row,
-                size: i,
-                ..*unit
-            };
-            let v;
-            (v, vals) = vals.split_at(i);
-            checked_delta::<1>(&vec![[1]; i - 1], v, &row, x, y);
-        }
-        assert!(vals.is_empty());
-    }
-
-    /// One block at a time, as the one-block units before grouping were
-    /// multiplied: each block's row sums go to `y` before the next block.
-    fn checked_block<const R: usize, const C: usize>(
-        gaps: &[[u8; 2]],
-        vals: &[Val],
-        unit: &UnitHead,
-        x: &[Val],
-        y: &mut [Val],
-    ) {
-        let (blocks, rest) = vals.as_chunks::<C>();
-        assert!(rest.is_empty() && blocks.len() == R * unit.size);
-        assert_eq!(gaps.len() + 1, unit.size);
-        let mut c = unit.col;
-        for (k, v) in blocks.chunks(R).enumerate() {
-            if k > 0 {
-                c += delta_of(&gaps[k - 1]);
-            }
-            let (Some(xc), Some(yr)) = (
-                x[c..].first_chunk::<C>(),
-                y[unit.row..].first_chunk_mut::<R>(),
-            ) else {
-                unreachable!("block unit reaches outside the matrix");
-            };
-            for (yr, v) in yr.iter_mut().zip(v) {
-                let mut acc = v[0] * xc[0];
-                for j in 1..C {
-                    acc += v[j] * xc[j];
+    impl<const K: usize> CheckedSides<'_, K> {
+        /// `x[row]` is read only with the mirror: a CSX row may lie past
+        /// the last column.
+        fn delta<O: SymmetryOps, const W: usize>(
+            &mut self,
+            body: &[[u8; W]],
+            v: &[Val],
+            u: &[Val],
+            row: usize,
+            col: usize,
+        ) {
+            let (x, split) = (self.x, self.split);
+            let mut acc = [0.0; K];
+            let (my_y, local) = (&mut *self.my_y, &mut *self.local);
+            let mut direct = |c: usize, v: Val, u: Val, acc: &mut [Val; K]| {
+                axpy_lanes(acc, v, &x[c]);
+                if O::MIRRORS {
+                    axpy_lanes(&mut my_y[c - split], O::transposed(v, u), &x[row]);
                 }
-                *yr += acc;
+            };
+            let mut c = col;
+            let mut rest = body.iter().zip(&v[1..]).zip(&u[1..]);
+            if !O::MIRRORS || c >= split {
+                direct(c, v[0], u[0], &mut acc);
+            } else {
+                let mut below = |c: usize, v: Val, u: Val, acc: &mut [Val; K]| {
+                    axpy_lanes(acc, v, &x[c]);
+                    axpy_lanes(&mut local[c], O::transposed(v, u), &x[row]);
+                };
+                below(c, v[0], u[0], &mut acc);
+                for ((d, &v), &u) in rest.by_ref() {
+                    c += delta_of(d);
+                    if c >= split {
+                        direct(c, v, u, &mut acc);
+                        break;
+                    }
+                    below(c, v, u, &mut acc);
+                }
+            }
+            for ((d, &v), &u) in rest {
+                c += delta_of(d);
+                direct(c, v, u, &mut acc);
+            }
+            add_lanes(&mut my_y[row - split], &acc);
+        }
+
+        /// A triangle as the delta units it replaced: row `row + i`'s `i`
+        /// entries, at columns `row …` (deltas of 1), one unit per row.
+        fn triangle<O: SymmetryOps>(&mut self, side: usize, v: &[Val], u: &[Val], row: usize) {
+            let (mut v, mut u) = (v, u);
+            for i in 1..side {
+                let (vi, ui);
+                ((vi, v), (ui, u)) = (v.split_at(i), u.split_at(i));
+                self.delta::<O, 1>(&vec![[1]; i - 1], vi, ui, row + i, row);
+            }
+            assert!(v.is_empty() && u.is_empty());
+        }
+
+        /// One block at a time, as the one-block units before grouping
+        /// were multiplied: each block's row sums go to `y`, and with the
+        /// mirror its transposed sums to the side of its own anchor, before
+        /// the next.
+        fn block<O: SymmetryOps, const R: usize, const C: usize>(
+            &mut self,
+            gaps: &[[u8; 2]],
+            v: &[Val],
+            u: &[Val],
+            row: usize,
+            col: usize,
+        ) {
+            let blocks = v.len() / (R * C);
+            assert!(v.len() == blocks * R * C && gaps.len() + 1 == blocks);
+            let (x, split) = (self.x, self.split);
+            let mut c = col;
+            for k in 0..blocks {
+                if k > 0 {
+                    c += delta_of(&gaps[k - 1]);
+                }
+                let at = k * R * C..(k + 1) * R * C;
+                let (Some(v), Some(u), Some(xc), Some(yr)) = (
+                    v[at.clone()].as_chunks::<C>().0.first_chunk::<R>(),
+                    u[at].as_chunks::<C>().0.first_chunk::<R>(),
+                    x[c..].first_chunk::<C>(),
+                    self.my_y[row - split..].first_chunk_mut::<R>(),
+                ) else {
+                    unreachable!("block unit reaches outside the matrix");
+                };
+                let mut t = [[0.0; K]; C];
+                for (i, ((yr, v), u)) in yr.iter_mut().zip(v).zip(u).enumerate() {
+                    for j in 0..K {
+                        let mut acc = v[0] * xc[0][j];
+                        for (&v, xc) in v[1..].iter().zip(&xc[1..]) {
+                            acc += v * xc[j];
+                        }
+                        yr[j] += acc;
+                        if !O::MIRRORS {
+                            continue;
+                        }
+                        for ((t, &v), &u) in t.iter_mut().zip(v).zip(u) {
+                            if i == 0 {
+                                t[j] = O::transposed(v, u) * x[row + i][j];
+                            } else {
+                                t[j] += O::transposed(v, u) * x[row + i][j];
+                            }
+                        }
+                    }
+                }
+                if O::MIRRORS {
+                    let side = if c < split {
+                        &mut self.local[c..c + C]
+                    } else {
+                        &mut self.my_y[c - split..c - split + C]
+                    };
+                    for (dst, t) in side.iter_mut().zip(&t) {
+                        add_lanes(dst, t);
+                    }
+                }
             }
         }
     }
 
-    /// The suite analogs (their leading 512 rows and columns, so the debug
-    /// build stays quick), row-partitioned as the CSX baseline partitions
-    /// them for 1, 2, 3 and 8 threads, each chunk encoded alone.
+    fn bits<const K: usize>(v: &[[Val; K]]) -> Vec<u64> {
+        v.iter().flatten().map(|x| x.to_bits()).collect()
+    }
+
+    /// `spmv_stream` against the checked kernel's no-mirror instance, both
+    /// from `y`.
+    fn compare_csx(stream: &CtlStream, x: &[Val], y: &[Val], what: &str) {
+        let (mut want, mut got) = (y.to_vec(), y.to_vec());
+        let (xk, want_k) = (x.as_chunks().0, want.as_chunks_mut().0);
+        checked_sym_stream::<NoMirror, 1>(stream, stream.values(), xk, want_k, 0, &mut []);
+        spmv_stream(stream, x, &mut got);
+        assert_eq!(
+            bits(got.as_chunks::<1>().0),
+            bits(want.as_chunks::<1>().0),
+            "{what}"
+        );
+    }
+
+    /// Both kernels with the mirror `O` over one chunk of an `n`-row
+    /// matrix, `y` of `y_len` lanes from row `split` and a local region of
+    /// `split`: returns how many local elements the kernels wrote.
+    fn compare<O: SymmetryOps, const K: usize>(
+        stream: &CtlStream,
+        paired: &[Val],
+        n: usize,
+        (split, y_len): (usize, usize),
+        what: &str,
+    ) -> usize {
+        let flat = seeded_vector(n * K, 7);
+        let x = flat.as_chunks::<K>().0;
+        let mut want = (vec![[0.0; K]; y_len], vec![[0.0; K]; split]);
+        let mut got = want.clone();
+        checked_sym_stream::<O, K>(stream, paired, x, &mut want.0, split, &mut want.1);
+        sym_stream::<O, K>(stream, paired, x, &mut got.0, split, &mut got.1);
+        assert_eq!(bits(&got.0), bits(&want.0), "{what}, K {K}: y");
+        assert_eq!(bits(&got.1), bits(&want.1), "{what}, K {K}: local");
+        bits(&got.1).iter().filter(|&&b| b != 0).count()
+    }
+
+    /// The leading `rows × rows` principal submatrix: symmetric in the
+    /// sense `coo` is.
+    fn leading(coo: &CooMatrix, rows: u32) -> CooMatrix {
+        let mut out = CooMatrix::new(rows, rows);
+        for (r, c, v) in coo.iter().filter(|&(r, c, _)| r < rows && c < rows) {
+            out.push(r, c, v);
+        }
+        out
+    }
+
+    /// A symmetric `coo` as `kind`: each strict lower entry mirrored by the
+    /// kind's rule (a distinct upper value for the structural kind), the
+    /// diagonal kept unless the kind forbids it.
+    fn as_kind(coo: &CooMatrix, kind: SymmetryKind) -> CooMatrix {
+        let mut out = CooMatrix::new(coo.nrows(), coo.ncols());
+        for (r, c, v) in coo.iter() {
+            if r > c {
+                out.push(r, c, v);
+                out.push(c, r, kind.transposed(v, 0.5 * v - 0.25));
+            } else if r == c && !kind.requires_zero_diagonal() {
+                out.push(r, c, v);
+            }
+        }
+        out
+    }
+
+    /// Without the mirror: the suite analogs (their leading 512 rows and
+    /// columns, so the debug build stays quick), row-partitioned as the CSX
+    /// baseline partitions them for 1, 2, 3 and 8 threads, each chunk
+    /// encoded alone; a 4 × 8 and an 8 × 4 matrix whose block units' columns
+    /// overlap their rows, one of them carrying its diagonal triangle; and a
+    /// delta unit whose products are all `−0.0`, into a `y` of `−0.0`s.
+    ///
+    /// With it: the analogs' leading 256 rows under every symmetry kind,
+    /// chunked for 1, 2, 3 and 8 threads, in both layouts — naive's split
+    /// 0, and the partition-start split `eff` and `idx` share — at 1 and 8
+    /// lanes.
     #[test]
     fn unchecked_decode_matches_the_checked_one_bit_for_bit() {
         let config = DetectConfig::default();
+        let mut touched = 0;
         for spec in SUITE.iter().chain(&KIND_SUITE) {
-            let mut coo = CooMatrix::new(512, 512);
-            for (r, c, v) in suite::generate(spec, 0.001).coo.iter() {
-                if r < 512 && c < 512 {
-                    coo.push(r, c, v);
-                }
-            }
-            let csr = CsrMatrix::from_coo(&coo);
-            let n = csr.nrows() as usize;
+            let csr = CsrMatrix::from_coo(&leading(&suite::generate(spec, 0.001).coo, 512));
             let x = seeded_vector(csr.ncols() as usize, 5);
+            let y = vec![0.0; csr.nrows() as usize];
             let view = RowView::new(0, csr.ncols(), csr.rowptr(), csr.colind());
             for p in [1, 2, 3, 8] {
-                let (mut want, mut got) = (vec![0.0; n], vec![0.0; n]);
                 for part in balanced_ranges(&csr_row_weights(csr.rowptr()), p) {
                     let rows = view.slice(part.start..part.end);
                     let chunk = CsxMatrix::from_rows(csr.nrows(), rows, csr.values(), &config);
-                    checked_spmv_stream(chunk.stream(), &x, &mut want);
-                    spmv_stream(chunk.stream(), &x, &mut got);
+                    compare_csx(chunk.stream(), &x, &y, &format!("{} p={p}", spec.name));
                 }
-                let bits = |v: &[Val]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got), bits(&want), "{} p={p}", spec.name);
+            }
+
+            let coo = leading(&suite::generate(spec, 0.001).coo, 256);
+            let kinds: &[SymmetryKind] = match spec.kind {
+                SymmetryKind::Symmetric => &SymmetryKind::ALL,
+                _ => std::slice::from_ref(&spec.kind),
+            };
+            for &kind in kinds {
+                let coo = match spec.kind {
+                    SymmetryKind::Symmetric => as_kind(&coo, kind),
+                    _ => coo.clone(),
+                };
+                let sss = SssMatrix::from_coo_kind(&coo, kind, 0.0).unwrap();
+                let n = sss.n() as usize;
+                for p in [1usize, 2, 3, 8] {
+                    for part in balanced_ranges(&symmetric_row_weights(sss.rowptr()), p) {
+                        // The chunk as `CsxSymChunk::encode` builds it.
+                        let cfg = DetectConfig {
+                            col_split: Some(part.start),
+                            ..config.clone()
+                        };
+                        let rows = RowView::of_sss(&sss).slice(part.start..part.end);
+                        let upper = kind.has_upper_values().then(|| sss.upper_values());
+                        let encoded = encode_rows(rows, &cfg, sss.values(), upper);
+                        let stream = &encoded.stream;
+                        let paired = match upper {
+                            Some(_) => &encoded.upper_values[..],
+                            None => stream.values(),
+                        };
+                        let (start, end) = (part.start as usize, part.end as usize);
+                        for layout in [(0, n), (start, end - start)] {
+                            let what =
+                                format!("{}, {kind:?}, p {p}, {part:?}, {layout:?}", spec.name);
+                            touched += with_symmetry_ops!(kind, O => {
+                                compare::<O, 1>(stream, paired, n, layout, &what)
+                                    + compare::<O, 8>(stream, paired, n, layout, &what)
+                            });
+                        }
+                    }
+                }
             }
         }
+        assert!(touched > 0, "no kernel wrote below its split");
+
+        let cfg = DetectConfig {
+            min_coverage: 0.0,
+            ..DetectConfig::default()
+        };
+        // Rows 1–2 × columns 1–2, and rows 2–3 × columns 0–1 with the
+        // triangle entry (3, 2); each matrix also reaches its last row and
+        // column.
+        let blocks: [&[(Idx, Idx)]; 2] = [
+            &[(1, 1), (1, 2), (2, 1), (2, 2)],
+            &[(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)],
+        ];
+        for (nrows, ncols) in [(4, 8), (8, 4)] {
+            for (b, entries) in blocks.iter().enumerate() {
+                let mut coo = CooMatrix::new(nrows, ncols);
+                for (k, &(r, c)) in entries.iter().enumerate() {
+                    coo.push(r, c, k as Val + 1.5);
+                }
+                coo.push(0, ncols - 1, -2.0);
+                coo.push(nrows - 1, 0, 3.0);
+                let m = CsxMatrix::from_coo(&coo, &cfg);
+                let mut units = Vec::new();
+                m.stream()
+                    .walk(|u| units.push((u.kind.is_some(), u.elements)), |_, _, _| {});
+                let elements = entries.len() as u32;
+                assert!(
+                    units.contains(&(true, elements)),
+                    "{nrows} × {ncols} #{b}: {units:?}"
+                );
+                let x = seeded_vector(ncols as usize, 3);
+                let what = format!("{nrows} × {ncols} #{b}");
+                compare_csx(m.stream(), &x, &vec![0.0; nrows as usize], &what);
+            }
+        }
+        // Every product −0.0: `0.0 + −0.0 + −0.0` is +0.0, and so is the
+        // row it is added to.
+        let mut coo = CooMatrix::new(3, 3);
+        coo.push(1, 0, 2.0);
+        coo.push(1, 2, -3.0);
+        let stream = crate::encode::encode_coo(&coo, &cfg);
+        let (x, y) = ([-0.0, 5.0, 0.0], [-0.0; 3]);
+        compare_csx(&stream, &x, &y, "−0.0 products");
+        let mut got = y;
+        spmv_stream(&stream, &x, &mut got);
+        assert_eq!(
+            got.map(Val::to_bits),
+            [(-0.0f64).to_bits(), 0, (-0.0f64).to_bits()]
+        );
     }
 
     /// The kernel's one assert runs before any unchecked access: an `x`
     /// shorter than the stream's column bound is refused.
     #[test]
-    #[should_panic(expected = "exceeds y")]
+    #[should_panic(expected = "refused at split 0")]
     fn an_x_short_of_the_column_bound_is_refused() {
         let mut coo = CooMatrix::new(4, 8);
         coo.push(2, 7, 1.0);

@@ -13,8 +13,8 @@
 //! wait for the count to reach zero. A worker waits for the epoch to move,
 //! runs its share under `catch_unwind`, records the epoch as `done` and
 //! decrements the count; whoever takes it to zero unparks the caller if it
-//! registered as `waiter`. Both sides spin for [`SPIN_BUDGET`], then park.
-//! Every access is SeqCst; the pairs that matter:
+//! registered as `waiter`. Both sides spin for `SPIN_BUDGET` (100 µs), then
+//! park. Every access is SeqCst; the pairs that matter:
 //!
 //! * *round start*: the caller's writes (slot, count, what the body borrows)
 //!   precede its epoch bump (Release); a worker loads the new epoch (Acquire)

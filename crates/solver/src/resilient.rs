@@ -1,6 +1,5 @@
 //! Resilient solver entry points: bounded retry and degraded-mode serial
-//! reruns for [`cg`](crate::cg::cg), [`pcg_jacobi`](crate::pcg::pcg_jacobi)
-//! and [`block_cg`](crate::block_cg::block_cg).
+//! reruns for [`cg`], [`pcg_jacobi`] and [`block_cg`].
 //!
 //! The plain solvers call the *panicking* kernel path (`spmv`/`spmm`) and
 //! the pool-backed vector operations, so a worker death or a supervision

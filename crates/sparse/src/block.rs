@@ -19,6 +19,23 @@
 
 use crate::Val;
 
+/// `dst[·] += t · src[·]`, lane by lane — one scalar FMA-shaped update of
+/// the `K = 1` kernel, `K` independent ones of the block kernel.
+#[inline(always)]
+pub fn axpy_lanes<const K: usize>(dst: &mut [Val; K], t: Val, src: &[Val; K]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += t * s;
+    }
+}
+
+/// `dst[·] += src[·]`, lane by lane.
+#[inline(always)]
+pub fn add_lanes<const K: usize>(dst: &mut [Val; K], src: &[Val; K]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
+}
+
 /// Maximum number of simultaneous right-hand sides a block may carry.
 pub const MAX_LANES: usize = 16;
 

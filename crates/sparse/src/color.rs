@@ -19,7 +19,7 @@
 //!    subcolored independently: an explicit within-level conflict graph is
 //!    built (two rows conflict iff their write sets intersect) and properly
 //!    colored by a recursive level/parity scheme with a greedy fallback.
-//! 3. Rows writing a hub target shared by more than [`HUB_CAP`] rows are
+//! 3. Rows writing a hub target shared by more than `HUB_CAP` (64) rows are
 //!    pulled out of the conflict graph (avoiding quadratic edge blowup) and
 //!    given unique singleton subcolors above the recursive palette —
 //!    conservative but trivially sound.

@@ -17,7 +17,9 @@
 //! [`SymmetryKind`] is the runtime tag threaded through constructors,
 //! certificates and reports; [`SymmetryOps`] is its compile-time mirror,
 //! used to monomorphize the kernels so each kind compiles to its own
-//! straight-line code, with no per-entry branch on the kind.
+//! straight-line code, with no per-entry branch on the kind. A fourth
+//! instance, [`NoMirror`], has no transposed contribution at all: the
+//! unsymmetric CSX runs the CSX-Sym stream kernel through it.
 
 use crate::Val;
 
@@ -87,6 +89,10 @@ pub trait SymmetryOps: Copy + Send + Sync + 'static {
     /// The runtime tag this implementation mirrors.
     const KIND: SymmetryKind;
 
+    /// Whether a kernel adds the transposed contribution at all: `false`
+    /// only for [`NoMirror`], which compiles the mirrored write out.
+    const MIRRORS: bool = true;
+
     /// The transposed contribution of a stored entry (see
     /// [`SymmetryKind::transposed`]).
     fn transposed(v: Val, u: Val) -> Val;
@@ -125,6 +131,24 @@ impl SymmetryOps for Structural {
     #[inline(always)]
     fn transposed(_v: Val, u: Val) -> Val {
         u
+    }
+}
+
+/// No mirror: the stored entries are the whole matrix, and a kernel adds
+/// no transposed contribution. It is a constant on the one trait, not a
+/// second trait, so the stream kernel keeps one bound and every
+/// `if O::MIRRORS` folds at compile time. Its `KIND` and `transposed` are
+/// [`Sym`]'s and no mirrored write reads them; no runtime kind dispatches to
+/// it.
+#[derive(Debug, Clone, Copy)]
+pub struct NoMirror;
+
+impl SymmetryOps for NoMirror {
+    const KIND: SymmetryKind = SymmetryKind::Symmetric;
+    const MIRRORS: bool = false;
+    #[inline(always)]
+    fn transposed(v: Val, _u: Val) -> Val {
+        v
     }
 }
 
