@@ -704,15 +704,100 @@ mod tests {
     }
 }
 
-/// The stream kernel's one assert on CSX-Sym chunks (its checked twin is
-/// `csx::matrix`'s): buffers and splits the stream does not allow are
-/// refused before any unchecked access.
+/// The stream kernel on CSX-Sym chunks: bit for bit what its checked twin
+/// (`csx::checked`) gives under every mirror, and buffers and splits the
+/// stream does not allow refused before any unchecked access.
 #[cfg(test)]
 mod unchecked_decode_tests {
     use super::*;
+    use crate::sym::unchecked_walk_tests::as_kind;
+    use symspmv_csx::checked::checked_sym_stream;
     use symspmv_csx::matrix::sym_stream;
-    use symspmv_sparse::symmetry::Sym;
-    use symspmv_sparse::CooMatrix;
+    use symspmv_runtime::{balanced_ranges, partition::symmetric_row_weights};
+    use symspmv_sparse::dense::seeded_vector;
+    use symspmv_sparse::suite::{self, KIND_SUITE, SUITE};
+    use symspmv_sparse::symmetry::{Sym, SymmetryOps};
+    use symspmv_sparse::{with_symmetry_ops, CooMatrix};
+
+    fn bits<const K: usize>(v: &[[Val; K]]) -> Vec<u64> {
+        v.iter().flatten().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs both kernels over every chunk in the method's layout — the
+    /// naive one is split 0 over a private full-length region; the direct
+    /// ones (`eff`, `idx`) split at the partition start, with a local
+    /// region of that length — and returns how many local elements the
+    /// kernels wrote.
+    fn compare<O: SymmetryOps, const K: usize>(
+        m: &CsxSymMatrix,
+        parts: &[Range],
+        direct: bool,
+        what: &str,
+    ) -> usize {
+        let n = m.n() as usize;
+        let flat = seeded_vector(n * K, 7);
+        let x = flat.as_chunks::<K>().0;
+        let mut touched = 0;
+        for (tid, (chunk, &part)) in m.chunks().iter().zip(parts).enumerate() {
+            let (start, end) = (part.start as usize, part.end as usize);
+            let (split, y_len) = if direct { (start, end - start) } else { (0, n) };
+            let mut want = (vec![[0.0; K]; y_len], vec![[0.0; K]; split]);
+            let mut got = want.clone();
+            let (stream, paired) = (&chunk.stream, chunk.paired_values());
+            checked_sym_stream::<O, K>(stream, paired, x, &mut want.0, split, &mut want.1);
+            sym_stream::<O, K>(stream, paired, x, &mut got.0, split, &mut got.1);
+            assert_eq!(bits(&got.0), bits(&want.0), "{what}, tid {tid}: y");
+            assert_eq!(bits(&got.1), bits(&want.1), "{what}, tid {tid}: local");
+            touched += bits(&got.1).iter().filter(|&&b| b != 0).count();
+        }
+        touched
+    }
+
+    /// The leading `rows × rows` principal submatrix: symmetric in the
+    /// sense `coo` is.
+    fn leading(coo: &CooMatrix, rows: u32) -> CooMatrix {
+        let mut out = CooMatrix::new(rows, rows);
+        for (r, c, v) in coo.iter().filter(|&(r, c, _)| r < rows && c < rows) {
+            out.push(r, c, v);
+        }
+        out
+    }
+
+    /// The suite analogs (their leading 256 rows, so the debug build stays
+    /// quick) under every symmetry kind, chunked for 1, 2, 3 and 8
+    /// threads, in both layouts — naive's split 0, and the partition-start
+    /// split `eff` and `idx` share — at 1 and 8 lanes.
+    #[test]
+    fn unchecked_decode_matches_the_checked_one_bit_for_bit() {
+        let config = DetectConfig::default();
+        let mut touched = 0;
+        for spec in SUITE.iter().chain(&KIND_SUITE) {
+            let coo = leading(&suite::generate(spec, 0.001).coo, 256);
+            let kinds: &[SymmetryKind] = match spec.kind {
+                SymmetryKind::Symmetric => &SymmetryKind::ALL,
+                _ => std::slice::from_ref(&spec.kind),
+            };
+            for &kind in kinds {
+                let coo = match spec.kind {
+                    SymmetryKind::Symmetric => as_kind(&coo, kind),
+                    _ => coo.clone(),
+                };
+                let sss = SssMatrix::from_coo_kind(&coo, kind, 0.0).unwrap();
+                for p in [1usize, 2, 3, 8] {
+                    let parts = balanced_ranges(&symmetric_row_weights(sss.rowptr()), p);
+                    let m = CsxSymMatrix::from_sss(&sss, &parts, &config);
+                    for direct in [false, true] {
+                        let what = format!("{}, {kind:?}, p {p}, direct {direct}", spec.name);
+                        touched += with_symmetry_ops!(kind, O => {
+                            compare::<O, 1>(&m, &parts, direct, &format!("{what}, K 1"))
+                                + compare::<O, 8>(&m, &parts, direct, &format!("{what}, K 8"))
+                        });
+                    }
+                }
+            }
+        }
+        assert!(touched > 0, "no kernel wrote below its split");
+    }
 
     /// The kernel's one assert runs before any unchecked access: a local
     /// region shorter than the split is refused, not written past.

@@ -39,5 +39,7 @@ pub use detect::DetectConfig;
 pub use matrix::{CsxMatrix, CsxStats};
 pub use pattern::PatternKind;
 
+#[cfg(any(test, feature = "checked-oracle"))]
+pub mod checked;
 #[cfg(test)]
 mod oracle;

@@ -630,200 +630,17 @@ mod tests {
     }
 }
 
-/// The stream kernel as it was written before its unit kernels went
-/// unchecked — kept as the oracle the unchecked [`sym_stream`] (and so
-/// [`spmv_stream`]) must match bit for bit, `y` and local region alike, with
-/// the mirror and without it.
+/// The unchecked [`spmv_stream`] against [`crate::checked`]'s oracle, bit
+/// for bit. The mirrored instances of [`sym_stream`] are compared on
+/// CSX-Sym's own chunks, in the crate that builds them.
 #[cfg(test)]
 mod unchecked_decode_tests {
     use super::*;
+    use crate::checked::checked_sym_stream;
     use symspmv_runtime::balanced_ranges;
-    use symspmv_runtime::partition::{csr_row_weights, symmetric_row_weights};
+    use symspmv_runtime::partition::csr_row_weights;
     use symspmv_sparse::dense::seeded_vector;
     use symspmv_sparse::suite::{self, KIND_SUITE, SUITE};
-    use symspmv_sparse::symmetry::SymmetryKind;
-    use symspmv_sparse::{with_symmetry_ops, SssMatrix};
-
-    fn checked_sym_stream<O: SymmetryOps, const K: usize>(
-        stream: &CtlStream,
-        paired: &[Val],
-        x: &[[Val; K]],
-        my_y: &mut [[Val; K]],
-        split: usize,
-        local: &mut [[Val; K]],
-    ) {
-        let mut sides = CheckedSides {
-            x,
-            my_y,
-            split,
-            local,
-        };
-        let mut cursor = stream.cursor();
-        let (mut values, mut paired) = (stream.values(), paired);
-        let mut take = |len: usize| {
-            let (v, u);
-            (v, values) = values.split_at(len);
-            (u, paired) = paired.split_at(len);
-            (v, u)
-        };
-        // SAFETY(cert: ctl-bound): the delta and block arms below take
-        // every body.
-        while let Some(unit) = unsafe { cursor.next_unit() } {
-            let (row, col) = (unit.row, unit.col);
-            macro_rules! delta {
-                ($w:literal) => {{
-                    let (v, u) = take(unit.size);
-                    // SAFETY(cert: ctl-bound): the id names this width.
-                    sides.delta::<O, $w>(unsafe { cursor.body(unit.size) }, v, u, row, col)
-                }};
-            }
-            macro_rules! block {
-                ($r:literal, $c:literal) => {{
-                    let (v, u) = take(unit.size * $r * $c);
-                    // SAFETY(cert: ctl-bound): the id names a block unit.
-                    let gaps = unsafe { cursor.body(unit.size) };
-                    sides.block::<O, $r, $c>(gaps, v, u, row, col)
-                }};
-            }
-            macro_rules! tri {
-                ($r:literal) => {{
-                    block!($r, $r);
-                    let (v, u) = take($r * ($r - 1) / 2);
-                    sides.triangle::<O>($r, v, u, row)
-                }};
-            }
-            crate::dispatch_unit!(unit.id, delta, block, tri);
-        }
-        assert!(values.is_empty() && paired.is_empty());
-    }
-
-    struct CheckedSides<'a, const K: usize> {
-        x: &'a [[Val; K]],
-        my_y: &'a mut [[Val; K]],
-        split: usize,
-        local: &'a mut [[Val; K]],
-    }
-
-    impl<const K: usize> CheckedSides<'_, K> {
-        /// `x[row]` is read only with the mirror: a CSX row may lie past
-        /// the last column.
-        fn delta<O: SymmetryOps, const W: usize>(
-            &mut self,
-            body: &[[u8; W]],
-            v: &[Val],
-            u: &[Val],
-            row: usize,
-            col: usize,
-        ) {
-            let (x, split) = (self.x, self.split);
-            let mut acc = [0.0; K];
-            let (my_y, local) = (&mut *self.my_y, &mut *self.local);
-            let mut direct = |c: usize, v: Val, u: Val, acc: &mut [Val; K]| {
-                axpy_lanes(acc, v, &x[c]);
-                if O::MIRRORS {
-                    axpy_lanes(&mut my_y[c - split], O::transposed(v, u), &x[row]);
-                }
-            };
-            let mut c = col;
-            let mut rest = body.iter().zip(&v[1..]).zip(&u[1..]);
-            if !O::MIRRORS || c >= split {
-                direct(c, v[0], u[0], &mut acc);
-            } else {
-                let mut below = |c: usize, v: Val, u: Val, acc: &mut [Val; K]| {
-                    axpy_lanes(acc, v, &x[c]);
-                    axpy_lanes(&mut local[c], O::transposed(v, u), &x[row]);
-                };
-                below(c, v[0], u[0], &mut acc);
-                for ((d, &v), &u) in rest.by_ref() {
-                    c += delta_of(d);
-                    if c >= split {
-                        direct(c, v, u, &mut acc);
-                        break;
-                    }
-                    below(c, v, u, &mut acc);
-                }
-            }
-            for ((d, &v), &u) in rest {
-                c += delta_of(d);
-                direct(c, v, u, &mut acc);
-            }
-            add_lanes(&mut my_y[row - split], &acc);
-        }
-
-        /// A triangle as the delta units it replaced: row `row + i`'s `i`
-        /// entries, at columns `row …` (deltas of 1), one unit per row.
-        fn triangle<O: SymmetryOps>(&mut self, side: usize, v: &[Val], u: &[Val], row: usize) {
-            let (mut v, mut u) = (v, u);
-            for i in 1..side {
-                let (vi, ui);
-                ((vi, v), (ui, u)) = (v.split_at(i), u.split_at(i));
-                self.delta::<O, 1>(&vec![[1]; i - 1], vi, ui, row + i, row);
-            }
-            assert!(v.is_empty() && u.is_empty());
-        }
-
-        /// One block at a time, as the one-block units before grouping
-        /// were multiplied: each block's row sums go to `y`, and with the
-        /// mirror its transposed sums to the side of its own anchor, before
-        /// the next.
-        fn block<O: SymmetryOps, const R: usize, const C: usize>(
-            &mut self,
-            gaps: &[[u8; 2]],
-            v: &[Val],
-            u: &[Val],
-            row: usize,
-            col: usize,
-        ) {
-            let blocks = v.len() / (R * C);
-            assert!(v.len() == blocks * R * C && gaps.len() + 1 == blocks);
-            let (x, split) = (self.x, self.split);
-            let mut c = col;
-            for k in 0..blocks {
-                if k > 0 {
-                    c += delta_of(&gaps[k - 1]);
-                }
-                let at = k * R * C..(k + 1) * R * C;
-                let (Some(v), Some(u), Some(xc), Some(yr)) = (
-                    v[at.clone()].as_chunks::<C>().0.first_chunk::<R>(),
-                    u[at].as_chunks::<C>().0.first_chunk::<R>(),
-                    x[c..].first_chunk::<C>(),
-                    self.my_y[row - split..].first_chunk_mut::<R>(),
-                ) else {
-                    unreachable!("block unit reaches outside the matrix");
-                };
-                let mut t = [[0.0; K]; C];
-                for (i, ((yr, v), u)) in yr.iter_mut().zip(v).zip(u).enumerate() {
-                    for j in 0..K {
-                        let mut acc = v[0] * xc[0][j];
-                        for (&v, xc) in v[1..].iter().zip(&xc[1..]) {
-                            acc += v * xc[j];
-                        }
-                        yr[j] += acc;
-                        if !O::MIRRORS {
-                            continue;
-                        }
-                        for ((t, &v), &u) in t.iter_mut().zip(v).zip(u) {
-                            if i == 0 {
-                                t[j] = O::transposed(v, u) * x[row + i][j];
-                            } else {
-                                t[j] += O::transposed(v, u) * x[row + i][j];
-                            }
-                        }
-                    }
-                }
-                if O::MIRRORS {
-                    let side = if c < split {
-                        &mut self.local[c..c + C]
-                    } else {
-                        &mut self.my_y[c - split..c - split + C]
-                    };
-                    for (dst, t) in side.iter_mut().zip(&t) {
-                        add_lanes(dst, t);
-                    }
-                }
-            }
-        }
-    }
 
     fn bits<const K: usize>(v: &[[Val; K]]) -> Vec<u64> {
         v.iter().flatten().map(|x| x.to_bits()).collect()
@@ -843,27 +660,6 @@ mod unchecked_decode_tests {
         );
     }
 
-    /// Both kernels with the mirror `O` over one chunk of an `n`-row
-    /// matrix, `y` of `y_len` lanes from row `split` and a local region of
-    /// `split`: returns how many local elements the kernels wrote.
-    fn compare<O: SymmetryOps, const K: usize>(
-        stream: &CtlStream,
-        paired: &[Val],
-        n: usize,
-        (split, y_len): (usize, usize),
-        what: &str,
-    ) -> usize {
-        let flat = seeded_vector(n * K, 7);
-        let x = flat.as_chunks::<K>().0;
-        let mut want = (vec![[0.0; K]; y_len], vec![[0.0; K]; split]);
-        let mut got = want.clone();
-        checked_sym_stream::<O, K>(stream, paired, x, &mut want.0, split, &mut want.1);
-        sym_stream::<O, K>(stream, paired, x, &mut got.0, split, &mut got.1);
-        assert_eq!(bits(&got.0), bits(&want.0), "{what}, K {K}: y");
-        assert_eq!(bits(&got.1), bits(&want.1), "{what}, K {K}: local");
-        bits(&got.1).iter().filter(|&&b| b != 0).count()
-    }
-
     /// The leading `rows × rows` principal submatrix: symmetric in the
     /// sense `coo` is.
     fn leading(coo: &CooMatrix, rows: u32) -> CooMatrix {
@@ -874,37 +670,15 @@ mod unchecked_decode_tests {
         out
     }
 
-    /// A symmetric `coo` as `kind`: each strict lower entry mirrored by the
-    /// kind's rule (a distinct upper value for the structural kind), the
-    /// diagonal kept unless the kind forbids it.
-    fn as_kind(coo: &CooMatrix, kind: SymmetryKind) -> CooMatrix {
-        let mut out = CooMatrix::new(coo.nrows(), coo.ncols());
-        for (r, c, v) in coo.iter() {
-            if r > c {
-                out.push(r, c, v);
-                out.push(c, r, kind.transposed(v, 0.5 * v - 0.25));
-            } else if r == c && !kind.requires_zero_diagonal() {
-                out.push(r, c, v);
-            }
-        }
-        out
-    }
-
-    /// Without the mirror: the suite analogs (their leading 512 rows and
-    /// columns, so the debug build stays quick), row-partitioned as the CSX
-    /// baseline partitions them for 1, 2, 3 and 8 threads, each chunk
-    /// encoded alone; a 4 × 8 and an 8 × 4 matrix whose block units' columns
-    /// overlap their rows, one of them carrying its diagonal triangle; and a
-    /// delta unit whose products are all `−0.0`, into a `y` of `−0.0`s.
-    ///
-    /// With it: the analogs' leading 256 rows under every symmetry kind,
-    /// chunked for 1, 2, 3 and 8 threads, in both layouts — naive's split
-    /// 0, and the partition-start split `eff` and `idx` share — at 1 and 8
-    /// lanes.
+    /// The suite analogs (their leading 512 rows and columns, so the debug
+    /// build stays quick), row-partitioned as the CSX baseline partitions
+    /// them for 1, 2, 3 and 8 threads, each chunk encoded alone; a 4 × 8
+    /// and an 8 × 4 matrix whose block units' columns overlap their rows,
+    /// one of them carrying its diagonal triangle; and a delta unit whose
+    /// products are all `−0.0`, into a `y` of `−0.0`s.
     #[test]
     fn unchecked_decode_matches_the_checked_one_bit_for_bit() {
         let config = DetectConfig::default();
-        let mut touched = 0;
         for spec in SUITE.iter().chain(&KIND_SUITE) {
             let csr = CsrMatrix::from_coo(&leading(&suite::generate(spec, 0.001).coo, 512));
             let x = seeded_vector(csr.ncols() as usize, 5);
@@ -917,48 +691,7 @@ mod unchecked_decode_tests {
                     compare_csx(chunk.stream(), &x, &y, &format!("{} p={p}", spec.name));
                 }
             }
-
-            let coo = leading(&suite::generate(spec, 0.001).coo, 256);
-            let kinds: &[SymmetryKind] = match spec.kind {
-                SymmetryKind::Symmetric => &SymmetryKind::ALL,
-                _ => std::slice::from_ref(&spec.kind),
-            };
-            for &kind in kinds {
-                let coo = match spec.kind {
-                    SymmetryKind::Symmetric => as_kind(&coo, kind),
-                    _ => coo.clone(),
-                };
-                let sss = SssMatrix::from_coo_kind(&coo, kind, 0.0).unwrap();
-                let n = sss.n() as usize;
-                for p in [1usize, 2, 3, 8] {
-                    for part in balanced_ranges(&symmetric_row_weights(sss.rowptr()), p) {
-                        // The chunk as `CsxSymChunk::encode` builds it.
-                        let cfg = DetectConfig {
-                            col_split: Some(part.start),
-                            ..config.clone()
-                        };
-                        let rows = RowView::of_sss(&sss).slice(part.start..part.end);
-                        let upper = kind.has_upper_values().then(|| sss.upper_values());
-                        let encoded = encode_rows(rows, &cfg, sss.values(), upper);
-                        let stream = &encoded.stream;
-                        let paired = match upper {
-                            Some(_) => &encoded.upper_values[..],
-                            None => stream.values(),
-                        };
-                        let (start, end) = (part.start as usize, part.end as usize);
-                        for layout in [(0, n), (start, end - start)] {
-                            let what =
-                                format!("{}, {kind:?}, p {p}, {part:?}, {layout:?}", spec.name);
-                            touched += with_symmetry_ops!(kind, O => {
-                                compare::<O, 1>(stream, paired, n, layout, &what)
-                                    + compare::<O, 8>(stream, paired, n, layout, &what)
-                            });
-                        }
-                    }
-                }
-            }
         }
-        assert!(touched > 0, "no kernel wrote below its split");
 
         let cfg = DetectConfig {
             min_coverage: 0.0,
